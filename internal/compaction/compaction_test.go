@@ -131,6 +131,28 @@ func TestDedupSkipHotKeys(t *testing.T) {
 	}
 }
 
+// TestDedupCountsDiscarded: everything the merge consumed but did not
+// yield is counted — a shadowed version, a skipped hot key, a dropped
+// tombstone (and the version it shadowed).
+func TestDedupCountsDiscarded(t *testing.T) {
+	fs := vfs.NewMemFS()
+	buildTable(t, fs, 1, []base.Entry{e("a", 10, "new-a"), del("b", 11), e("hot", 12, "h")})
+	buildTable(t, fs, 2, []base.Entry{e("a", 1, "old-a"), e("b", 2, "old-b"), e("c", 3, "c")})
+	m := NewMergeIterator([]sstable.Iterator{openIter(t, fs, 1), openIter(t, fs, 2)})
+	d := NewDedupIterator(m, true, func(key []byte) bool { return string(key) == "hot" })
+	defer d.Close()
+	var got []string
+	for d.Next() {
+		got = append(got, string(d.Entry().Key))
+	}
+	if fmt.Sprint(got) != "[a c]" {
+		t.Fatalf("kept = %v", got)
+	}
+	if d.Discarded() != 4 { // old-a, del b, old-b, hot
+		t.Fatalf("Discarded = %d, want 4", d.Discarded())
+	}
+}
+
 func TestMergeEmptyInputs(t *testing.T) {
 	m := NewMergeIterator(nil)
 	if m.Next() {
@@ -320,13 +342,156 @@ func TestPickerNothingToDo(t *testing.T) {
 	}
 }
 
-func TestPickerRoundRobinCursor(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 100, Multiplier: 10})
-	v := version(fm(1, 1, "a", "f", 200), fm(2, 1, "g", "z", 200))
-	j1 := p.Pick(v, nil)
-	j2 := p.Pick(v, nil)
-	if j1.Inputs[0].ID == j2.Inputs[0].ID {
-		t.Fatal("cursor did not advance between picks")
+// deepPicker has L1 over its 100-byte target, so Pick always pushes an
+// L1 file into L2.
+func deepPicker() *Picker {
+	return NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 100, Multiplier: 1000})
+}
+
+// TestPickerMinOverlap: a push into an intermediate level (something
+// lives below the output level) takes the file with the smallest
+// overlapped-bytes / own-bytes ratio, first such file on ties, and a
+// file with nothing under it becomes a move.
+func TestPickerMinOverlap(t *testing.T) {
+	bottom := fm(90, 3, "a", "z", 5000) // makes L2 intermediate
+	cases := []struct {
+		name     string
+		files    []*manifest.FileMeta
+		wantID   uint64
+		overlaps []uint64
+		move     bool
+	}{
+		{
+			name: "fewest overlapped bytes per own byte",
+			files: []*manifest.FileMeta{
+				fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 100), fm(3, 1, "n", "z", 100),
+				fm(10, 2, "a", "c", 300), fm(11, 2, "d", "h", 300), // file 1: 600, file 2: 300+50
+				fm(12, 2, "i", "k", 50), fm(13, 2, "n", "z", 400), // file 3: 400
+			},
+			wantID: 2, overlaps: []uint64{11, 12},
+		},
+		{
+			name: "ratio, not absolute bytes",
+			files: []*manifest.FileMeta{
+				fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 400),
+				fm(10, 2, "a", "f", 200), fm(11, 2, "g", "m", 400), // 2.0 vs 1.0
+			},
+			wantID: 2, overlaps: []uint64{11},
+		},
+		{
+			name: "ties go to the smallest key",
+			files: []*manifest.FileMeta{
+				fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 100), fm(3, 1, "n", "z", 100),
+				fm(10, 2, "a", "f", 200), fm(11, 2, "g", "m", 200), fm(12, 2, "n", "z", 200),
+			},
+			wantID: 1, overlaps: []uint64{10},
+		},
+		{
+			name: "a file spanning a gap is charged to both neighbours",
+			files: []*manifest.FileMeta{
+				fm(1, 1, "a", "f", 100), fm(2, 1, "h", "m", 100), fm(3, 1, "n", "q", 100),
+				fm(10, 2, "e", "i", 300), fm(11, 2, "o", "p", 350),
+			},
+			wantID: 1, overlaps: []uint64{10},
+		},
+		{
+			name: "zero overlap yields a move",
+			files: []*manifest.FileMeta{
+				fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 100), fm(3, 1, "n", "z", 100),
+				fm(10, 2, "a", "e", 10), fm(11, 2, "p", "q", 10),
+			},
+			wantID: 2, move: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := version(append(tc.files, bottom)...)
+			for lap := 0; lap < 2; lap++ { // the choice carries no state
+				job := deepPicker().Pick(v, nil)
+				if job == nil || job.Level != 1 || job.OutputLevel != 2 || len(job.Inputs) != 1 {
+					t.Fatalf("job = %+v", job)
+				}
+				if job.Inputs[0].ID != tc.wantID {
+					t.Fatalf("picked file %d, want %d", job.Inputs[0].ID, tc.wantID)
+				}
+				var got []uint64
+				for _, f := range job.Overlaps {
+					got = append(got, f.ID)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.overlaps) {
+					t.Fatalf("overlaps = %v, want %v", got, tc.overlaps)
+				}
+				if job.Move != tc.move {
+					t.Fatalf("Move = %v, want %v", job.Move, tc.move)
+				}
+			}
+		})
+	}
+}
+
+// TestPickerBottommostPushCyclesKeySpace: nothing lives below the output
+// level, so the push walks the cursor — every file once per lap — even
+// though one file would win every min-overlap pick.
+func TestPickerBottommostPushCyclesKeySpace(t *testing.T) {
+	v := version(
+		fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 100), fm(3, 1, "n", "s", 100), fm(4, 1, "t", "z", 100),
+		fm(10, 2, "a", "f", 900), fm(11, 2, "g", "m", 10), fm(12, 2, "n", "s", 900),
+	)
+	p := deepPicker()
+	for lap := 0; lap < 3; lap++ {
+		seen := map[uint64]int{}
+		for range v.Levels[1] {
+			job := p.Pick(v, nil)
+			in := job.Inputs[0]
+			seen[in.ID]++
+			if want := v.Overlap(2, in.Smallest, in.Largest); fmt.Sprint(job.Overlaps) != fmt.Sprint(want) {
+				t.Fatalf("file %d: overlaps = %v, want %v", in.ID, job.Overlaps, want)
+			}
+			if job.Move != (in.ID == 4) {
+				t.Fatalf("file %d: Move = %v", in.ID, job.Move)
+			}
+		}
+		for _, f := range v.Levels[1] {
+			if seen[f.ID] != 1 {
+				t.Fatalf("lap %d: file %d picked %d times, want once (%v)", lap, f.ID, seen[f.ID], seen)
+			}
+		}
+	}
+}
+
+// sweepLevels builds an n-file level over an m-file level covering the
+// same key space, both sorted and disjoint, with something below them.
+func sweepLevels(n, m int) *manifest.Version {
+	const span = 1 << 20
+	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 1)}
+	add := func(level, count int, idBase uint64) {
+		for i := 0; i < count; i++ {
+			lo, hi := i*span/count, (i+1)*span/count-1
+			files = append(files, fm(idBase+uint64(i), level,
+				fmt.Sprintf("%07d", lo), fmt.Sprintf("%07d", hi), int64(1000+i%7)))
+		}
+	}
+	add(1, n, 1000)
+	add(2, m, 100000)
+	return version(files...)
+}
+
+// BenchmarkPickMinOverlap: one pick sweeps both levels once, so the cost
+// per file must not grow with the level sizes (an O(n*m) pick would make
+// the 2000x4000 case ten times dearer per file than the 200x400 one).
+func BenchmarkPickMinOverlap(b *testing.B) {
+	for _, size := range []struct{ n, m int }{{200, 400}, {2000, 4000}} {
+		b.Run(fmt.Sprintf("%dx%d", size.n, size.m), func(b *testing.B) {
+			v := sweepLevels(size.n, size.m)
+			p := deepPicker()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if job := p.Pick(v, nil); job == nil || job.Level != 1 {
+					b.Fatalf("job = %+v", job)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size.n+size.m), "ns/file")
+		})
 	}
 }
 

@@ -111,6 +111,7 @@ type DedupIterator struct {
 	skip           func(key []byte) bool
 	lastKey        []byte
 	cur            base.Entry
+	discarded      int64
 }
 
 // NewDedupIterator wraps m. skip may be nil.
@@ -123,13 +124,16 @@ func (d *DedupIterator) Next() bool {
 	for d.m.Next() {
 		e := d.m.Entry()
 		if d.lastKey != nil && bytes.Equal(e.Key, d.lastKey) {
-			continue // older version of the same key
+			d.discarded++ // older version of the same key
+			continue
 		}
 		d.lastKey = append(d.lastKey[:0], e.Key...)
 		if d.skip != nil && d.skip(e.Key) {
+			d.discarded++
 			continue
 		}
 		if d.dropTombstones && e.Kind == base.KindDelete {
+			d.discarded++
 			continue
 		}
 		d.cur = e
@@ -137,6 +141,11 @@ func (d *DedupIterator) Next() bool {
 	}
 	return false
 }
+
+// Discarded reports how many merged entries were consumed without being
+// yielded so far: shadowed older versions, skipped hot keys and dropped
+// tombstones.
+func (d *DedupIterator) Discarded() int64 { return d.discarded }
 
 // Entry returns the current entry.
 func (d *DedupIterator) Entry() base.Entry { return d.cur }

@@ -81,13 +81,22 @@ type Job struct {
 	// tombstones may be dropped even when the output stays in L0
 	// (size-tiered full compaction).
 	WholeTree bool
+	// Move reports that the single input (level >= 1) overlaps nothing in
+	// the output level, so it can be relinked there by a manifest edit
+	// instead of being rewritten.
+	Move bool
 }
 
-// Picker decides what to compact next.
+// Picker decides what to compact next. Below L0 every choice is a
+// function of next-level overlap: a push into an intermediate level takes
+// the file that drags in the fewest next-level bytes per byte of its own
+// (RocksDB's kMinOverlappingRatio); only the push into the bottommost
+// non-empty level walks the level's files round-robin, so that every key
+// range reaches the level where its stale versions are finally dropped.
 type Picker struct {
 	opts PickerOptions
-	// roundRobin remembers the next file cursor per level so repeated
-	// compactions cycle through a level's key space like LevelDB.
+	// cursor counts, per level, the pushes made into the bottommost
+	// level; the next one takes file cursor mod the level's file count.
 	cursor [manifest.NumLevels]int
 }
 
@@ -176,13 +185,13 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 			// merge) so a key occurring in several L0 files is compacted
 			// once — the premature/iterative compaction fix of §3(2).
 			lo, hi := KeyRangeOf(l0)
-			return &Job{Level: 0, OutputLevel: 1, Inputs: append([]*manifest.FileMeta(nil), l0...), Overlaps: v.Overlapping(1, lo, hi)}
+			return &Job{Level: 0, OutputLevel: 1, Inputs: append([]*manifest.FileMeta(nil), l0...), Overlaps: v.Overlap(1, lo, hi)}
 		}
 		// Baseline behaviour per §3(2): "files in L0 are compacted to
 		// higher levels one at a time, resulting in several consecutive
 		// compaction operations" — merge the oldest L0 file alone.
 		oldest := l0[len(l0)-1] // L0 is ordered newest-first
-		return &Job{Level: 0, OutputLevel: 1, Inputs: []*manifest.FileMeta{oldest}, Overlaps: v.Overlapping(1, oldest.Smallest, oldest.Largest)}
+		return &Job{Level: 0, OutputLevel: 1, Inputs: []*manifest.FileMeta{oldest}, Overlaps: v.Overlap(1, oldest.Smallest, oldest.Largest)}
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
 	bestLevel, bestScore := -1, 1.0
@@ -198,16 +207,59 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 	if bestLevel < 0 {
 		return nil
 	}
-	files := v.Levels[bestLevel]
-	idx := p.cursor[bestLevel] % len(files)
-	p.cursor[bestLevel]++
-	in := files[idx]
+	in, overlaps := p.pickFile(v, bestLevel)
 	return &Job{
 		Level:       bestLevel,
 		OutputLevel: bestLevel + 1,
 		Inputs:      []*manifest.FileMeta{in},
-		Overlaps:    v.Overlapping(bestLevel+1, in.Smallest, in.Largest),
+		Overlaps:    overlaps,
+		Move:        len(overlaps) == 0,
 	}
+}
+
+// pickFile chooses which file of the (non-empty, over-target) level l to
+// push into l+1, and returns it with the l+1 files it overlaps.
+func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*manifest.FileMeta) {
+	files, next := v.Levels[l], v.Levels[l+1]
+	intermediate := false
+	for d := l + 2; d < manifest.NumLevels; d++ {
+		if len(v.Levels[d]) > 0 {
+			intermediate = true
+			break
+		}
+	}
+	if !intermediate {
+		// Bottommost push: min-overlap here would keep choosing the
+		// sparse key ranges, and the dense ones would never reach the
+		// level where their stale versions are finally dropped.
+		i := p.cursor[l] % len(files)
+		p.cursor[l]++
+		in := files[i]
+		return in, v.Overlap(l+1, in.Smallest, in.Largest)
+	}
+	// One sweep over the two sorted levels: j trails at the first next-
+	// level file that can still overlap files[i]; a next-level file is
+	// revisited only when it spans the gap between two inputs, so the
+	// whole pick is O(len(files)+len(next)). Ties go to the smallest key.
+	best, bestLo, bestHi := -1, 0, 0
+	var bestRatio float64
+	j := 0
+	for i, f := range files {
+		for j < len(next) && bytes.Compare(next[j].Largest, f.Smallest) < 0 {
+			j++
+		}
+		k := j
+		var overlapped int64
+		for k < len(next) && bytes.Compare(next[k].Smallest, f.Largest) <= 0 {
+			overlapped += next[k].Size
+			k++
+		}
+		ratio := float64(overlapped) / float64(max(f.Size, 1))
+		if best < 0 || ratio < bestRatio {
+			best, bestRatio, bestLo, bestHi = i, ratio, j, k
+		}
+	}
+	return files[best], next[bestLo:bestHi:bestHi]
 }
 
 // pickSizeTiered implements the size-tiered strategy: bucket the (single

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -57,7 +58,7 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 			job = &compaction.Job{Level: 0, OutputLevel: 0, Inputs: l0, WholeTree: true}
 		} else {
 			lo, hi := compaction.KeyRangeOf(l0)
-			job = &compaction.Job{Level: 0, OutputLevel: 1, Inputs: l0, Overlaps: db.version.Overlapping(1, lo, hi)}
+			job = &compaction.Job{Level: 0, OutputLevel: 1, Inputs: l0, Overlaps: db.version.Overlap(1, lo, hi)}
 		}
 		db.versionMu.RUnlock()
 	}
@@ -87,7 +88,8 @@ func (db *DB) CompactAll() error {
 // TRIAD-MEM, versions of keys currently held hot in the memtable (§4.3:
 // "during compaction, the hot keys are skipped, similarly to the duplicate
 // updates"; safe because the memtable version is strictly newer and is
-// durable in the current commit log).
+// durable in the current commit log). A job the picker marked Move has
+// nothing to merge with and is relinked instead (moveFile).
 //
 // With a scheduler attached, a large leveled compaction is partitioned
 // into disjoint key-range slices (boundaries from the input tables'
@@ -96,6 +98,9 @@ func (db *DB) CompactAll() error {
 // as the same single atomic manifest edit a monolithic merge produces,
 // so snapshots and zombie refcounts never see a half-installed split.
 func (db *DB) runCompaction(job *compaction.Job) error {
+	if job.Move {
+		return db.moveFile(job.Inputs[0], job.OutputLevel)
+	}
 	start := time.Now()
 	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
 	db.met.Compactions.Add(1)
@@ -105,51 +110,55 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		outLevel = job.Level + 1
 	}
 	all := append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...)
+	// Size-tiered merges (output level == input level) must stay
+	// monolithic and produce exactly one table — splitting would
+	// recreate same-sized files for the bucketer to merge again,
+	// forever; tiers are supposed to grow.
+	plan := mergePlan{outLevel: outLevel, singleOutput: outLevel == job.Level}
 
 	// Resolve tables newest-first: L0 inputs are already newest-first in
 	// the version; the next level's files are strictly older. The inputs
 	// cannot be closed mid-compaction — only a compaction consumes live
 	// tables, and compactionMu serializes them.
 	db.versionMu.RLock()
-	tabs := make([]sstable.Table, 0, len(all))
+	plan.tabs = make([]sstable.Table, 0, len(all))
 	for _, f := range all {
 		t, ok := db.tables[f.ID]
 		if !ok {
 			db.versionMu.RUnlock()
 			return errClosedTable(f.ID)
 		}
-		tabs = append(tabs, t)
+		plan.tabs = append(plan.tabs, t)
 	}
 	lo, hi := compaction.KeyRangeOf(all)
 	// Tombstones may be dropped only when nothing outside the merge can
 	// still hold an older version of a key in range: for leveled output,
 	// nothing below the output level overlaps; for a size-tiered merge,
 	// only when the whole tree participates.
-	drop := true
-	if outLevel == job.Level {
-		drop = job.WholeTree
+	if plan.singleOutput {
+		plan.drop = job.WholeTree
 	} else {
+		plan.drop = true
 		for l := outLevel + 1; l < manifest.NumLevels; l++ {
-			if len(db.version.Overlapping(l, lo, hi)) > 0 {
-				drop = false
+			if len(db.version.Overlap(l, lo, hi)) > 0 {
+				plan.drop = false
 				break
 			}
+		}
+		if outLevel+1 < manifest.NumLevels {
+			plan.grandparents = db.version.Overlap(outLevel+1, lo, hi)
 		}
 	}
 	db.versionMu.RUnlock()
 
-	var skip func([]byte) bool
 	if db.opts.TriadMem && job.Level == 0 {
 		db.mu.Lock()
 		mem := db.mem
 		db.mu.Unlock()
 		// Memtable reads take its internal RWMutex, so concurrent
 		// subcompaction slices may share this closure.
-		skip = func(key []byte) bool {
+		plan.skip = func(key []byte) bool {
 			_, ok := mem.Get(key)
-			if ok {
-				db.met.EntriesDiscarded.Add(1)
-			}
 			return ok
 		}
 	}
@@ -158,10 +167,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	for _, f := range all {
 		inBytes += f.Size
 	}
-	// Size-tiered merges (output level == input level) must stay
-	// monolithic: they produce exactly one table.
 	slices := []compaction.Slice{{}}
-	if outLevel != job.Level && db.sched != nil {
+	if !plan.singleOutput && db.sched != nil {
 		maxSub := db.opts.MaxSubcompactions
 		if maxSub <= 0 {
 			maxSub = db.opts.Scheduler.Workers()
@@ -171,25 +178,23 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		if perSlice := int(inBytes / db.opts.TargetFileBytes); perSlice < maxSub {
 			maxSub = perSlice
 		}
-		slices = compaction.SplitJob(tabs, maxSub)
+		slices = compaction.SplitJob(plan.tabs, maxSub)
 	}
 
 	results := make([]sliceResult, len(slices))
 	if len(slices) == 1 {
-		results[0] = db.runSlice(tabs, slices[0], outLevel, outLevel == job.Level, drop, skip)
+		results[0] = db.runSlice(&plan, slices[0])
 	} else {
 		fns := make([]func(), len(slices))
 		for i := range slices {
 			i := i
-			fns[i] = func() {
-				results[i] = db.runSlice(tabs, slices[i], outLevel, false, drop, skip)
-			}
+			fns[i] = func() { results[i] = db.runSlice(&plan, slices[i]) }
 		}
 		db.sched.RunSlices(db.opts.EventShard, fns)
 	}
 
 	var outputs []manifest.FileMeta
-	var written int64
+	var written, merged, discarded int64
 	var firstErr error
 	for _, r := range results {
 		if r.err != nil && firstErr == nil {
@@ -197,6 +202,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		}
 		outputs = append(outputs, r.outputs...)
 		written += r.written
+		merged += r.merged
+		discarded += r.discarded
 	}
 	if firstErr != nil {
 		// Every slice aborted its own partial writer; finished slices'
@@ -208,6 +215,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		return firstErr
 	}
 	db.met.BytesCompacted.Add(written)
+	db.met.EntriesCompacted.Add(merged)
+	db.met.EntriesDiscarded.Add(discarded)
 	db.opts.Ledger.Add(obs.SrcCompactionWrite, written)
 
 	if err := db.installCompaction(all, outputs); err != nil {
@@ -229,25 +238,80 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	return nil
 }
 
-// sliceResult is one subcompaction slice's contribution: its output
-// tables in key order, and the bytes it wrote.
-type sliceResult struct {
-	outputs []manifest.FileMeta
-	written int64
-	err     error
+// moveFile is the trivial move: f overlaps nothing in toLevel, so one
+// manifest edit relinks it there under the same file ID. The open table,
+// its cached blocks and any snapshot pins on it (refs and zombies are
+// keyed by ID) are untouched; a snapshot taken before the move keeps
+// reading the file through its own pinned version.
+func (db *DB) moveFile(f *manifest.FileMeta, toLevel int) error {
+	start := time.Now()
+	moved := *f
+	moved.Level = toLevel
+	db.mu.Lock()
+	edit := manifest.Edit{
+		Deleted: []uint64{f.ID}, Added: []manifest.FileMeta{moved},
+		NextFileID: db.nextID, LastSeq: db.seq,
+	}
+	db.mu.Unlock()
+	if err := db.manifest.Append(edit); err != nil {
+		return err
+	}
+	db.versionMu.Lock()
+	nv, err := db.version.Apply(edit)
+	if err == nil {
+		db.version = nv
+	}
+	db.versionMu.Unlock()
+	if err != nil {
+		return err
+	}
+	db.met.TrivialMoves.Add(1)
+	db.opts.Events.Add(obs.Event{
+		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: f.Level,
+		Dur: time.Since(start), Files: 1,
+		Detail: fmt.Sprintf("L%d->L%d, trivial move", f.Level, toLevel),
+	})
+	return nil
 }
 
-// runSlice merges one key-range slice of the input tables into fresh
-// tables at outLevel. With the zero Slice it is the whole (monolithic)
-// compaction. singleOutput pins a size-tiered merge to one table —
-// splitting would recreate same-sized files for the bucketer to merge
-// again, forever; tiers are supposed to grow.
-func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int, singleOutput bool, drop bool, skip func([]byte) bool) sliceResult {
-	merge, err := compaction.NewSliceMerge(tabs, slc)
+// mergePlan is what every slice of one compaction shares.
+type mergePlan struct {
+	tabs         []sstable.Table // newest source first
+	outLevel     int
+	singleOutput bool              // size-tiered: never roll the output
+	drop         bool              // tombstones may be dropped
+	skip         func([]byte) bool // TRIAD-MEM hot keys (nil: none)
+	// grandparents are the files of outLevel+1 under the merge's key
+	// range, in key order: output files end where one of them ends, so
+	// a later push of an output never straddles two of them.
+	grandparents []*manifest.FileMeta
+}
+
+// sliceResult is one subcompaction slice's contribution: its output
+// tables in key order, the bytes it wrote, and how many entries its
+// merge consumed and how many of those it dropped.
+type sliceResult struct {
+	outputs           []manifest.FileMeta
+	written           int64
+	merged, discarded int64
+	err               error
+}
+
+// runSlice merges one key-range slice of the plan's tables into fresh
+// tables at the output level. With the zero Slice it is the whole
+// (monolithic) compaction.
+//
+// A leveled output file ends where the merge passes the end of a
+// grandparent file, once it holds at least 3/4 of TargetFileBytes; with
+// no such boundary in reach it is cut at 1.5x. Cutting by byte count
+// alone leaves most outputs straddling two grandparents, and every later
+// push of such a file rewrites both.
+func (db *DB) runSlice(p *mergePlan, slc compaction.Slice) sliceResult {
+	merge, err := compaction.NewSliceMerge(p.tabs, slc)
 	if err != nil {
 		return sliceResult{err: err}
 	}
-	dedup := compaction.NewDedupIterator(merge, drop, skip)
+	dedup := compaction.NewDedupIterator(merge, p.drop, p.skip)
 	defer dedup.Close()
 
 	var (
@@ -255,7 +319,9 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 		w     *sstable.Writer
 		first []byte
 		count uint64
+		gi    int // grandparents[:gi] end before the current key
 	)
+	alignedMin, hardCap := db.opts.TargetFileBytes*3/4, db.opts.TargetFileBytes*3/2
 	finish := func() error {
 		if w == nil {
 			return nil
@@ -266,10 +332,11 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 			return err
 		}
 		res.written += n
+		res.merged += int64(count)
 		res.outputs = append(res.outputs, manifest.FileMeta{
 			ID:         w.ID(),
 			Kind:       manifest.KindSST,
-			Level:      outLevel,
+			Level:      p.outLevel,
 			Size:       n,
 			NumEntries: count,
 			Smallest:   first,
@@ -280,7 +347,17 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 	}
 	for dedup.Next() {
 		e := dedup.Entry()
-		db.met.EntriesCompacted.Add(1)
+		crossed := false
+		for gi < len(p.grandparents) && bytes.Compare(p.grandparents[gi].Largest, e.Key) < 0 {
+			gi++
+			crossed = true
+		}
+		if crossed && w != nil && w.EstimatedSize() >= alignedMin {
+			if err := finish(); err != nil {
+				res.err = err
+				return res
+			}
+		}
 		if w == nil {
 			db.mu.Lock()
 			id := db.allocFileID()
@@ -289,6 +366,9 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 			if err != nil {
 				res.err = err
 				return res
+			}
+			if p.outLevel > 0 {
+				w.OmitSketch() // only L0 sketches are ever consulted
 			}
 			first = append([]byte(nil), e.Key...)
 			count = 0
@@ -299,8 +379,7 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 			return res
 		}
 		count++
-		// Leveled outputs roll at the target file size.
-		if !singleOutput && w.EstimatedSize() >= db.opts.TargetFileBytes {
+		if !p.singleOutput && w.EstimatedSize() >= hardCap {
 			if err := finish(); err != nil {
 				res.err = err
 				return res
@@ -315,6 +394,8 @@ func (db *DB) runSlice(tabs []sstable.Table, slc compaction.Slice, outLevel int,
 		return res
 	}
 	res.err = finish()
+	res.discarded = dedup.Discarded()
+	res.merged += res.discarded
 	return res
 }
 

@@ -342,15 +342,17 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 	}
 	// Deeper levels: at most one file each.
 	for l := 1; l < manifest.NumLevels; l++ {
-		for _, f := range v.Overlapping(l, key, key) {
-			e, found, reads, err := db.tables[f.ID].Get(key, tr)
-			db.met.TableDiskReads.Add(int64(reads))
-			if err != nil {
-				return nil, err
-			}
-			if found {
-				return entryValue(e)
-			}
+		f := v.Find(l, key)
+		if f == nil {
+			continue
+		}
+		e, found, reads, err := db.tables[f.ID].Get(key, tr)
+		db.met.TableDiskReads.Add(int64(reads))
+		if err != nil {
+			return nil, err
+		}
+		if found {
+			return entryValue(e)
 		}
 	}
 	return nil, ErrNotFound

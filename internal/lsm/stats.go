@@ -32,8 +32,8 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "snapshots: %d open (%d preserved versions)\n", snapCount, db.OverlaySize())
 	}
 	fmt.Fprintf(&b, "commit log: %d bytes\n", logBytes)
-	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d)\n",
-		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred)
+	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
+		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
 	fmt.Fprintf(&b, "bytes: user %d  logged %d  flushed %d  compacted %d\n",
 		m.UserBytes, m.BytesLogged, m.BytesFlushed, m.BytesCompacted)
 	fmt.Fprintf(&b, "background time: flush %s, compaction %s\n", m.FlushTime, m.CompactionTime)

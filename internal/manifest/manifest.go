@@ -41,11 +41,6 @@ type FileMeta struct {
 	LogID uint64 `json:"log_id,omitempty"`
 }
 
-// Overlaps reports whether the file's key range intersects [lo, hi].
-func (f *FileMeta) Overlaps(lo, hi []byte) bool {
-	return bytes.Compare(f.Smallest, hi) <= 0 && bytes.Compare(f.Largest, lo) >= 0
-}
-
 // Edit is one atomic change to the tree: files added and files deleted.
 type Edit struct {
 	Added   []FileMeta `json:"added,omitempty"`
@@ -160,15 +155,51 @@ func (v *Version) LevelSize(l int) int64 {
 	return s
 }
 
-// Overlapping returns the files in level l intersecting [lo, hi].
-func (v *Version) Overlapping(l int, lo, hi []byte) []*FileMeta {
-	var out []*FileMeta
-	for _, f := range v.Levels[l] {
-		if f.Overlaps(lo, hi) {
-			out = append(out, f)
+// firstEndingAtOrAfter returns the index of the first file in the sorted,
+// disjoint level files whose Largest is >= key (len(files) if none).
+func firstEndingAtOrAfter(files []*FileMeta, key []byte) int {
+	lo, hi := 0, len(files)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(files[mid].Largest, key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	return lo
+}
+
+// Find returns the one file of level l (l >= 1, where ranges are sorted
+// and disjoint) whose key range contains key, or nil when key falls in a
+// gap, before the first file or after the last. It binary-searches and
+// does not allocate — every Get pays it once per level.
+func (v *Version) Find(l int, key []byte) *FileMeta {
+	files := v.Levels[l]
+	i := firstEndingAtOrAfter(files, key)
+	if i < len(files) && bytes.Compare(files[i].Smallest, key) <= 0 {
+		return files[i]
+	}
+	return nil
+}
+
+// Overlap returns the files of level l (l >= 1) intersecting [lo, hi], in
+// key order, found by binary search. The result aliases the version's
+// (immutable) level slice, capped so an append cannot write through it.
+func (v *Version) Overlap(l int, lo, hi []byte) []*FileMeta {
+	files := v.Levels[l]
+	i := firstEndingAtOrAfter(files, lo)
+	// First file at or after i that starts past hi.
+	a, b := i, len(files)
+	for a < b {
+		mid := int(uint(a+b) >> 1)
+		if bytes.Compare(files[mid].Smallest, hi) <= 0 {
+			a = mid + 1
+		} else {
+			b = mid
+		}
+	}
+	return files[i:a:a]
 }
 
 const logName = "MANIFEST"

@@ -1,6 +1,9 @@
 package manifest
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/vfs"
@@ -70,19 +73,86 @@ func TestCheckInvariantsDetectsOverlap(t *testing.T) {
 	}
 }
 
-func TestOverlapping(t *testing.T) {
+func TestOverlap(t *testing.T) {
 	v := NewVersion()
 	v1, _ := v.Apply(Edit{Added: []FileMeta{fm(1, 1, "a", "f"), fm(2, 1, "g", "m"), fm(3, 1, "n", "z")}})
-	got := v1.Overlapping(1, []byte("e"), []byte("h"))
+	got := v1.Overlap(1, []byte("e"), []byte("h"))
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("Overlapping = %v", got)
+		t.Fatalf("Overlap = %v", got)
 	}
-	if len(v1.Overlapping(1, []byte("fa"), []byte("fb"))) != 0 {
+	if len(v1.Overlap(1, []byte("fa"), []byte("fb"))) != 0 {
 		t.Fatal("gap query returned files")
 	}
 	// Point query.
-	if got := v1.Overlapping(1, []byte("n"), []byte("n")); len(got) != 1 || got[0].ID != 3 {
-		t.Fatalf("point Overlapping = %v", got)
+	if got := v1.Overlap(1, []byte("n"), []byte("n")); len(got) != 1 || got[0].ID != 3 {
+		t.Fatalf("point Overlap = %v", got)
+	}
+	// The result aliases the level; an append must not write through it.
+	got = v1.Overlap(1, []byte("a"), []byte("b"))
+	_ = append(got, &FileMeta{ID: 99})
+	if v1.Levels[1][1].ID != 2 {
+		t.Fatal("append to an Overlap result clobbered the version")
+	}
+}
+
+// TestLookupMatchesLinearScan: on random sorted, disjoint levels the
+// binary-searched Find and Overlap agree with a linear scan over every
+// file, for keys inside files, on their bounds, in the gaps between
+// them, before the first and after the last — as points and as ranges.
+func TestLookupMatchesLinearScan(t *testing.T) {
+	key := func(n int) []byte { return []byte(fmt.Sprintf("%05d", n)) }
+	linear := func(files []*FileMeta, lo, hi []byte) []*FileMeta {
+		var out []*FileMeta
+		for _, f := range files {
+			if bytes.Compare(f.Smallest, hi) <= 0 && bytes.Compare(f.Largest, lo) >= 0 {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		// Files [lo, hi] separated by gaps of 1..5 keys, starting past 0
+		// so that some keys sort before the first file; some files hold
+		// a single key, and trial 0 is the empty level.
+		var edit Edit
+		next := 1 + rng.Intn(5)
+		for i, n := 0, trial%12; i < n; i++ {
+			lo := next
+			hi := lo + rng.Intn(4)
+			edit.Added = append(edit.Added, FileMeta{ID: uint64(i + 1), Kind: KindSST, Level: 2, Size: 1, Smallest: key(lo), Largest: key(hi)})
+			next = hi + 2 + rng.Intn(5)
+		}
+		v, err := NewVersion().Apply(edit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		files := v.Levels[2]
+		for a := 0; a <= next+1; a++ {
+			var want *FileMeta
+			if in := linear(files, key(a), key(a)); len(in) == 1 {
+				want = in[0]
+			} else if len(in) > 1 {
+				t.Fatalf("trial %d: key %d lies in %d files", trial, a, len(in))
+			}
+			if got := v.Find(2, key(a)); got != want {
+				t.Fatalf("trial %d: Find(%d) = %v, want %v", trial, a, got, want)
+			}
+			for b := a; b <= next+1; b += 1 + rng.Intn(3) {
+				got, want := v.Overlap(2, key(a), key(b)), linear(files, key(a), key(b))
+				if len(got) != len(want) {
+					t.Fatalf("trial %d: Overlap(%d,%d) = %d files, want %d", trial, a, b, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d: Overlap(%d,%d)[%d] = file %d, want %d", trial, a, b, i, got[i].ID, want[i].ID)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -30,10 +30,11 @@ type Metrics struct {
 	FlushSkips         atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
 	Compactions        atomic.Int64
 	CompactionsDefer   atomic.Int64 // TRIAD-DISK deferrals
+	TrivialMoves       atomic.Int64 // zero-overlap files relinked a level down, not rewritten
 	FlushNanos         atomic.Int64
 	CompactionNanos    atomic.Int64
-	EntriesCompacted   atomic.Int64
-	EntriesDiscarded   atomic.Int64 // stale versions dropped by compaction
+	EntriesCompacted   atomic.Int64 // entries consumed by compaction merges
+	EntriesDiscarded   atomic.Int64 // of those, dropped: shadowed versions, hot-key skips, dead tombstones
 	HotKeysKeptInMem   atomic.Int64 // TRIAD-MEM hot survivors across flushes
 	ColdEntriesFlushed atomic.Int64
 
@@ -51,6 +52,7 @@ type Snapshot struct {
 	BytesLogged, BytesFlushed, BytesCompacted int64
 	Flushes, FlushSkips                       int64
 	Compactions, CompactionsDeferred          int64
+	TrivialMoves                              int64
 	FlushTime, CompactionTime                 time.Duration
 	EntriesCompacted, EntriesDiscarded        int64
 	HotKeysKeptInMem, ColdEntriesFlushed      int64
@@ -73,6 +75,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		FlushSkips:          m.FlushSkips.Load(),
 		Compactions:         m.Compactions.Load(),
 		CompactionsDeferred: m.CompactionsDefer.Load(),
+		TrivialMoves:        m.TrivialMoves.Load(),
 		FlushTime:           time.Duration(m.FlushNanos.Load()),
 		CompactionTime:      time.Duration(m.CompactionNanos.Load()),
 		EntriesCompacted:    m.EntriesCompacted.Load(),
@@ -99,6 +102,7 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		FlushSkips:          s.FlushSkips - earlier.FlushSkips,
 		Compactions:         s.Compactions - earlier.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred - earlier.CompactionsDeferred,
+		TrivialMoves:        s.TrivialMoves - earlier.TrivialMoves,
 		FlushTime:           s.FlushTime - earlier.FlushTime,
 		CompactionTime:      s.CompactionTime - earlier.CompactionTime,
 		EntriesCompacted:    s.EntriesCompacted - earlier.EntriesCompacted,
@@ -126,6 +130,7 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		FlushSkips:          s.FlushSkips + other.FlushSkips,
 		Compactions:         s.Compactions + other.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred + other.CompactionsDeferred,
+		TrivialMoves:        s.TrivialMoves + other.TrivialMoves,
 		FlushTime:           s.FlushTime + other.FlushTime,
 		CompactionTime:      s.CompactionTime + other.CompactionTime,
 		EntriesCompacted:    s.EntriesCompacted + other.EntriesCompacted,

@@ -120,6 +120,7 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_flush_skips_total", "TRIAD-MEM small-memtable flush skips (commit-log rewrites).", "", m.FlushSkips)
 	p.Counter("triad_compactions_total", "Compactions completed.", "", m.Compactions)
 	p.Counter("triad_compactions_deferred_total", "TRIAD-DISK compaction deferrals (insufficient key overlap).", "", m.CompactionsDeferred)
+	p.Counter("triad_compaction_moves_total", "Files relinked one level down by a manifest edit because nothing there overlapped them.", "", m.TrivialMoves)
 	p.GaugeF("triad_write_amplification", "Store-wide write amplification: (logged+flushed+compacted)/user bytes.", "", m.WriteAmplification())
 	p.GaugeF("triad_read_amplification", "Store-wide read amplification: disk reads per user read.", "", m.ReadAmplification())
 	p.Counter("triad_write_stalls_total", "Write-stall episodes: writers blocked on memtable or L0 backpressure.", "", m.WriteStalls)

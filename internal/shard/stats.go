@@ -187,8 +187,8 @@ func (db *DB) Stats() string {
 		}
 		fmt.Fprintf(&b, "  L%d: %d files, %d bytes\n", l, files[l], sizes[l])
 	}
-	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d)\n",
-		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred)
+	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
+		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
 	fmt.Fprintf(&b, "bytes: user %d  logged %d  flushed %d  compacted %d\n",
 		m.UserBytes, m.BytesLogged, m.BytesFlushed, m.BytesCompacted)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",

@@ -89,8 +89,10 @@ func (r *Reader) load() error {
 	if err != nil {
 		return err
 	}
-	if r.sketch, err = hll.Unmarshal(sb); err != nil {
-		return err
+	if len(sb) > 0 { // empty: written with OmitSketch
+		if r.sketch, err = hll.Unmarshal(sb); err != nil {
+			return err
+		}
 	}
 	pb, err := readBlock(r.f, ftr.properties)
 	if err != nil {
@@ -117,7 +119,7 @@ func (r *Reader) NumEntries() uint64 { return r.props.numEntries }
 // FileSize implements Table.
 func (r *Reader) FileSize() int64 { return r.size }
 
-// Sketch implements Table.
+// Sketch implements Table; nil for a table written with OmitSketch.
 func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
 
 // Close implements Table.

@@ -52,6 +52,12 @@ func NewWriter(fs vfs.FS, id uint64, blockSize int) (*Writer, error) {
 	return &Writer{f: f, id: id, blockSize: blockSize, sketch: hll.MustNew(hll.DefaultPrecision)}, nil
 }
 
+// OmitSketch makes the table carry an empty sketch block (its reader's
+// Sketch is nil). Only L0 tables' sketches are ever consulted, so
+// compaction outputs for deeper levels skip the 4 KiB on disk and in
+// every open reader. Call before the first Add.
+func (w *Writer) OmitSketch() { w.sketch = nil }
+
 // Add appends one entry. Keys must be strictly ascending.
 func (w *Writer) Add(e base.Entry) error {
 	if w.closed {
@@ -66,7 +72,9 @@ func (w *Writer) Add(e base.Entry) error {
 	w.lastKey = append(w.lastKey[:0], e.Key...)
 	w.props.numEntries++
 	w.filter.Add(e.Key)
-	w.sketch.Add(e.Key)
+	if w.sketch != nil {
+		w.sketch.Add(e.Key)
+	}
 	w.buf = appendEntry(w.buf, e)
 	if len(w.buf) >= w.blockSize {
 		return w.flushBlock()
@@ -137,7 +145,11 @@ func (w *Writer) Finish() (int64, error) {
 	if ftr.filter, err = writeMeta(w.filter.Build(DefaultBloomBitsPerKey).Marshal()); err != nil {
 		return 0, err
 	}
-	if ftr.sketch, err = writeMeta(w.sketch.Marshal()); err != nil {
+	var sketch []byte
+	if w.sketch != nil {
+		sketch = w.sketch.Marshal()
+	}
+	if ftr.sketch, err = writeMeta(sketch); err != nil {
 		return 0, err
 	}
 	if ftr.properties, err = writeMeta(w.props.encode()); err != nil {
