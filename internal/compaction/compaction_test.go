@@ -1,7 +1,10 @@
 package compaction
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -429,41 +432,202 @@ func TestPickerMinOverlap(t *testing.T) {
 	}
 }
 
+// applyPush installs job the way the engine does: inputs and overlapped
+// files leave the tree, and one output covering their union range (or the
+// moved input itself) joins the output level.
+func applyPush(t *testing.T, v *manifest.Version, job *Job, nextID *uint64) *manifest.Version {
+	t.Helper()
+	all := append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...)
+	lo, hi := KeyRangeOf(all)
+	out := manifest.FileMeta{Kind: manifest.KindSST, Level: job.OutputLevel, Smallest: lo, Largest: hi}
+	var edit manifest.Edit
+	for _, f := range all {
+		edit.Deleted = append(edit.Deleted, f.ID)
+		out.Size += f.Size
+	}
+	out.ID = *nextID
+	*nextID++
+	if job.Move {
+		out.ID = job.Inputs[0].ID
+	}
+	edit.Added = []manifest.FileMeta{out}
+	nv, err := v.Apply(edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return nv
+}
+
 // TestPickerBottommostPushCyclesKeySpace: nothing lives below the output
-// level, so the push walks the cursor — every file once per lap — even
-// though one file would win every min-overlap pick.
+// level, so the push walks the key space in order even though one file
+// would win every min-overlap pick. Every pick is applied — the pushed
+// file leaves L1 — and the next pick must be the first file starting after
+// it in key order: an index cursor takes files[1] of the shrunken level
+// next and so skips every other file. A refill mid-lap with different file
+// boundaries (an L0->L1 merge landing) must not reset or derail the walk.
 func TestPickerBottommostPushCyclesKeySpace(t *testing.T) {
-	v := version(
-		fm(1, 1, "a", "f", 100), fm(2, 1, "g", "m", 100), fm(3, 1, "n", "s", 100), fm(4, 1, "t", "z", 100),
-		fm(10, 2, "a", "f", 900), fm(11, 2, "g", "m", 10), fm(12, 2, "n", "s", 900),
-	)
+	var files []*manifest.FileMeta
+	for i := 0; i < 8; i++ {
+		lo, hi := fmt.Sprintf("%c0", 'a'+i), fmt.Sprintf("%c9", 'a'+i)
+		files = append(files, fm(uint64(1+i), 1, lo, hi, 100))
+	}
+	files = append(files, fm(20, 2, "a0", "b9", 900), fm(21, 2, "c0", "c9", 10), fm(22, 2, "d0", "e9", 900))
+	v := version(files...)
 	p := deepPicker()
-	for lap := 0; lap < 3; lap++ {
-		seen := map[uint64]int{}
-		for range v.Levels[1] {
-			job := p.Pick(v, nil)
-			in := job.Inputs[0]
-			seen[in.ID]++
-			if want := v.Overlap(2, in.Smallest, in.Largest); fmt.Sprint(job.Overlaps) != fmt.Sprint(want) {
-				t.Fatalf("file %d: overlaps = %v, want %v", in.ID, job.Overlaps, want)
-			}
-			if job.Move != (in.ID == 4) {
-				t.Fatalf("file %d: Move = %v", in.ID, job.Move)
+	nextID := uint64(100)
+
+	var last []byte // largest key of the previous push
+	push := func() *manifest.FileMeta {
+		t.Helper()
+		job := p.Pick(v, nil)
+		if job == nil || job.Level != 1 || job.Rule != RuleBottomPush {
+			t.Fatalf("job = %+v", job)
+		}
+		want := v.Levels[1][0] // wraps to the first file
+		for _, f := range v.Levels[1] {
+			if last != nil && bytes.Compare(f.Smallest, last) > 0 {
+				want = f
+				break
 			}
 		}
-		for _, f := range v.Levels[1] {
-			if seen[f.ID] != 1 {
-				t.Fatalf("lap %d: file %d picked %d times, want once (%v)", lap, f.ID, seen[f.ID], seen)
+		in := job.Inputs[0]
+		if in.ID != want.ID {
+			t.Fatalf("after %q picked file %d [%s,%s], want the next in key order, %d [%s,%s]",
+				last, in.ID, in.Smallest, in.Largest, want.ID, want.Smallest, want.Largest)
+		}
+		if wantOv := v.Overlap(2, in.Smallest, in.Largest); fmt.Sprint(job.Overlaps) != fmt.Sprint(wantOv) {
+			t.Fatalf("file %d: overlaps = %v, want %v", in.ID, job.Overlaps, wantOv)
+		}
+		if job.Move != (len(job.Overlaps) == 0) {
+			t.Fatalf("file %d: Move = %v with %d overlaps", in.ID, job.Move, len(job.Overlaps))
+		}
+		last = in.Largest
+		v = applyPush(t, v, job, &nextID)
+		return in
+	}
+
+	// Lap 1: a..d in order, one push each.
+	for _, want := range []string{"a0", "b0", "c0", "d0"} {
+		if in := push(); string(in.Smallest) != want {
+			t.Fatalf("pushed [%s,%s], want the file starting at %s", in.Smallest, in.Largest, want)
+		}
+	}
+	// An L0->L1 merge rewrites what is left of L1 with new boundaries and
+	// brings back the ranges already pushed.
+	edit := manifest.Edit{}
+	for _, f := range v.Levels[1] {
+		edit.Deleted = append(edit.Deleted, f.ID)
+	}
+	for i, r := range [][2]string{{"a0", "b4"}, {"b5", "d4"}, {"d5", "f4"}, {"f5", "g4"}, {"g5", "h9"}} {
+		edit.Added = append(edit.Added, *fm(uint64(200+i), 1, r[0], r[1], 100))
+	}
+	var err error
+	if v, err = v.Apply(edit); err != nil {
+		t.Fatal(err)
+	}
+	// The walk resumes after d9 — past the file straddling it, whose head
+	// was pushed a moment ago — runs to the end and wraps.
+	for _, want := range []string{"f5", "g5", "a0", "b5"} {
+		if in := push(); string(in.Smallest) != want {
+			t.Fatalf("pushed [%s,%s], want the file starting at %s", in.Smallest, in.Largest, want)
+		}
+	}
+}
+
+// TestTargets pins the sizing rule on hand-made trees (base 1000,
+// multiplier 10; sizes are whole-level byte totals).
+func TestTargets(t *testing.T) {
+	const l1 = 1000
+	p := NewPicker(PickerOptions{BaseLevelBytes: l1, Multiplier: 10})
+	static := [manifest.NumLevels]int64{0, l1, 10 * l1, 100 * l1, 1000 * l1, 10000 * l1, 100000 * l1}
+	cases := []struct {
+		name  string
+		sizes []int64 // bytes of L1, L2, ...
+		want  [manifest.NumLevels]int64
+	}{
+		{"empty tree", nil, static},
+		{"L1 only", []int64{5000}, static},
+		{"two levels: no intermediate level, the old ladder", []int64{900, 30000}, static},
+		{"three levels, fan-out sqrt(16) = 4", []int64{900, 9000, 16 * l1},
+			[manifest.NumLevels]int64{0, l1, 4 * l1, 100 * l1, 1000 * l1, 10000 * l1, 100000 * l1}},
+		{"three levels, bottom past Multiplier^2: fan-out capped", []int64{900, 9000, 400 * l1}, static},
+		{"four levels, fan-out cbrt(64) = 4", []int64{900, 900, 900, 64 * l1},
+			[manifest.NumLevels]int64{0, l1, 4 * l1, 16 * l1, 1000 * l1, 10000 * l1, 100000 * l1}},
+		{"a one-file new bottom level cannot collapse the ladder", []int64{900, 99000, 10},
+			[manifest.NumLevels]int64{0, l1, 1250, 100 * l1, 1000 * l1, 10000 * l1, 100000 * l1}},
+		{"a gap above the bottom level is still sized", []int64{900, 0, 0, 64 * l1},
+			[manifest.NumLevels]int64{0, l1, 4 * l1, 16 * l1, 1000 * l1, 10000 * l1, 100000 * l1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var files []*manifest.FileMeta
+			for i, sz := range tc.sizes {
+				if sz > 0 {
+					files = append(files, fm(uint64(i+1), i+1, "a", "z", sz))
+				}
+			}
+			got := p.Targets(version(files...))
+			for l := 1; l < manifest.NumLevels; l++ {
+				// The fan-out is a float root; allow it a byte per level.
+				if d := got[l] - tc.want[l]; d < -int64(l) || d > int64(l) {
+					t.Fatalf("targets = %v, want %v", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestTargetsProperties: on random trees L1's target is BaseLevelBytes,
+// targets never decrease with depth, no level above the bottom one is more
+// than Multiplier times the one above it, none is larger than the static
+// ladder allowed, and a tree at most two levels deep gets exactly the
+// static ladder.
+func TestTargetsProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 2000; trial++ {
+		l1 := int64(1 + rng.Intn(1<<20))
+		mult := int64(2 + rng.Intn(19))
+		p := NewPicker(PickerOptions{BaseLevelBytes: l1, Multiplier: mult})
+		depth := rng.Intn(manifest.NumLevels) // deepest non-empty level, 0 = none
+		var files []*manifest.FileMeta
+		for l := 1; l <= depth; l++ {
+			if l < depth && rng.Intn(4) == 0 {
+				continue // an empty level above the bottom
+			}
+			// From one tiny file to far past any target.
+			size := int64(1 + rng.Float64()*math.Pow(float64(mult), float64(rng.Intn(8)))*float64(l1))
+			files = append(files, fm(uint64(l), l, "a", "z", size))
+		}
+		got := p.Targets(version(files...))
+		if got[1] != l1 {
+			t.Fatalf("trial %d: target(1) = %d, want BaseLevelBytes %d", trial, got[1], l1)
+		}
+		static := l1
+		for l := 2; l < manifest.NumLevels; l++ {
+			static *= mult
+			switch {
+			case got[l] < got[l-1]:
+				t.Fatalf("trial %d: targets decrease at L%d: %v", trial, l, got)
+			case l < depth && got[l] > got[l-1]*mult:
+				t.Fatalf("trial %d: fan-out into L%d exceeds %d: %v", trial, l, mult, got)
+			case got[l] > static:
+				t.Fatalf("trial %d: target(%d) = %d above the static ladder's %d", trial, l, got[l], static)
+			case depth <= 2 && got[l] != static:
+				t.Fatalf("trial %d: depth %d but target(%d) = %d, want the static %d", trial, depth, l, got[l], static)
 			}
 		}
 	}
 }
 
 // sweepLevels builds an n-file level over an m-file level covering the
-// same key space, both sorted and disjoint, with something below them.
+// same key space, both sorted and disjoint, with a bottom level below them
+// large enough that L2 is within its target and L1 is the level to push.
 func sweepLevels(n, m int) *manifest.Version {
 	const span = 1 << 20
-	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 1)}
+	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 50_000_000)}
 	add := func(level, count int, idBase uint64) {
 		for i := 0; i < count; i++ {
 			lo, hi := i*span/count, (i+1)*span/count-1

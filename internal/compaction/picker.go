@@ -2,6 +2,8 @@ package compaction
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/hll"
@@ -32,10 +34,14 @@ type PickerOptions struct {
 	// L0CompactionTrigger is the L0 file count at which a baseline engine
 	// compacts L0 into L1 (RocksDB default: 4).
 	L0CompactionTrigger int
-	// BaseLevelBytes is the target size of L1; level n has target
-	// BaseLevelBytes * Multiplier^(n-1).
+	// BaseLevelBytes is the target size of L1, the one fixed rung of the
+	// ladder; the levels between L1 and the deepest non-empty level are
+	// sized from that level's bytes (see Picker.Targets).
 	BaseLevelBytes int64
-	// Multiplier is the per-level size ratio (RocksDB default: 10).
+	// Multiplier is the largest fan-out between adjacent levels before a
+	// level is added (RocksDB default: 10): the deepest level opens the
+	// next one when it outgrows BaseLevelBytes * Multiplier^(level-1), and
+	// no level's target exceeds Multiplier times the one above it.
 	Multiplier int64
 
 	// TriadDisk enables the deferred-compaction policy.
@@ -85,19 +91,58 @@ type Job struct {
 	// the output level, so it can be relinked there by a manifest edit
 	// instead of being rewritten.
 	Move bool
+	// Score is the pressure that triggered the job: the input level's
+	// bytes over its target, or for L0 its file count over the trigger.
+	Score float64
+	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap
+	// or RuleBottomPush); empty for L0 and size-tiered jobs.
+	Rule string
+}
+
+// The two ways Picker chooses the file to push out of an over-target level.
+const (
+	RuleMinOverlap = "min-overlap"
+	RuleBottomPush = "bottom-push"
+)
+
+// OverlapRatio is the output-level bytes the job rewrites per input byte.
+func (j *Job) OverlapRatio() float64 {
+	var in, over int64
+	for _, f := range j.Inputs {
+		in += f.Size
+	}
+	for _, f := range j.Overlaps {
+		over += f.Size
+	}
+	return float64(over) / float64(max(in, 1))
+}
+
+// Why renders the reason the job ran for the journal: the score that
+// triggered it, the rule that chose the input and the overlap it costs.
+func (j *Job) Why() string {
+	rule := j.Rule
+	if rule == "" {
+		rule = "overlap"
+	}
+	return fmt.Sprintf("score %.2f, %s ratio %.2f", j.Score, rule, j.OverlapRatio())
 }
 
 // Picker decides what to compact next. Below L0 every choice is a
 // function of next-level overlap: a push into an intermediate level takes
 // the file that drags in the fewest next-level bytes per byte of its own
 // (RocksDB's kMinOverlappingRatio); only the push into the bottommost
-// non-empty level walks the level's files round-robin, so that every key
+// non-empty level walks the level's key space in order, so that every key
 // range reaches the level where its stale versions are finally dropped.
 type Picker struct {
 	opts PickerOptions
-	// cursor counts, per level, the pushes made into the bottommost
-	// level; the next one takes file cursor mod the level's file count.
-	cursor [manifest.NumLevels]int
+	// cursor holds, per level, the largest key of the file last pushed
+	// into the bottommost level (LevelDB's compact_pointer); the next push
+	// takes the first file that starts after it, wrapping at the end. A
+	// key, not an index: the pushed file leaves the level, so an index
+	// would skip the file that slides into its place. A file straddling
+	// the cursor waits for the next lap: its head was pushed a moment
+	// ago, and pushing it now would rewrite the output just written.
+	cursor [manifest.NumLevels][]byte
 }
 
 // NewPicker returns a Picker with the given options.
@@ -126,13 +171,86 @@ func NewPicker(opts PickerOptions) *Picker {
 	return &Picker{opts: opts}
 }
 
-// TargetSize returns the byte budget of level l (l >= 1).
-func (p *Picker) TargetSize(l int) int64 {
-	t := p.opts.BaseLevelBytes
-	for i := 1; i < l; i++ {
-		t *= p.opts.Multiplier
+// minFanout floors the fan-out derived from the bottom level, so that a
+// bottom level that has just opened (one file) cannot pull the targets of
+// the levels above it down to, or below, L1's.
+const minFanout = 1.25
+
+// bottomLevel returns the deepest non-empty level of v, at least 1.
+func bottomLevel(v *manifest.Version) int {
+	for l := manifest.NumLevels - 1; l > 1; l-- {
+		if len(v.Levels[l]) > 0 {
+			return l
+		}
+	}
+	return 1
+}
+
+// Targets returns the byte target of every level of v (index 0 is unused:
+// L0 is triggered by file count). The tree is sized from its bottom: with
+// b the deepest non-empty level, L1's target is BaseLevelBytes, the levels
+// between L1 and b grow by the equal fan-out that reaches b's actual size
+// in b-1 steps (never more than Multiplier), and b itself — like the empty
+// levels below it — gets BaseLevelBytes * Multiplier^(l-1), the size at
+// which it opens the next level. Equal fan-out is the write-optimal split
+// of a fixed depth, and every byte an intermediate level may not hold is a
+// stale version the bottom level gets to drop. With b <= 2 there is no
+// intermediate level and the targets are the plain geometric ladder.
+func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
+	var t [manifest.NumLevels]int64
+	limit := p.opts.BaseLevelBytes
+	for l := 1; l < manifest.NumLevels; l++ {
+		t[l] = limit
+		limit *= p.opts.Multiplier
+	}
+	b := bottomLevel(v)
+	if b <= 2 {
+		return t
+	}
+	base := float64(p.opts.BaseLevelBytes)
+	fanout := math.Pow(float64(v.LevelSize(b))/base, 1/float64(b-1))
+	fanout = max(minFanout, min(fanout, float64(p.opts.Multiplier)))
+	size := base
+	for l := 2; l < b; l++ {
+		size *= fanout
+		t[l] = int64(size)
 	}
 	return t
+}
+
+// Scores returns every level's target (Targets) and its compaction
+// pressure: bytes over target, or for L0 its file count over the
+// compaction trigger. Above 1 the level is owed a compaction. Size-tiered
+// trees have neither and report zeros.
+func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64, scores [manifest.NumLevels]float64) {
+	if p.opts.Strategy == SizeTiered {
+		return targets, scores
+	}
+	targets = p.Targets(v)
+	scores[0] = float64(len(v.Levels[0])) / float64(p.opts.L0CompactionTrigger)
+	for l := 1; l < manifest.NumLevels; l++ {
+		scores[l] = float64(v.LevelSize(l)) / float64(targets[l])
+	}
+	return targets, scores
+}
+
+// Debt estimates the bytes of compaction work v owes before Pick returns
+// nil: all of L0 once it has reached the compaction trigger, plus each
+// deeper level's excess over its target (the last level has nowhere to
+// go). Size-tiered trees have no per-level targets and report 0.
+func (p *Picker) Debt(v *manifest.Version) int64 {
+	if p.opts.Strategy == SizeTiered {
+		return 0
+	}
+	var debt int64
+	if len(v.Levels[0]) >= p.opts.L0CompactionTrigger {
+		debt += v.LevelSize(0)
+	}
+	targets := p.Targets(v)
+	for l := 1; l < manifest.NumLevels-1; l++ {
+		debt += max(0, v.LevelSize(l)-targets[l])
+	}
+	return debt
 }
 
 // ShouldDeferL0 implements Algorithm 2's deferCompaction: true means "wait
@@ -168,6 +286,7 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 	if p.opts.Strategy == SizeTiered {
 		return p.pickSizeTiered(v, sketchOf)
 	}
+	_, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
 	l0 := v.Levels[0]
 	if len(l0) >= p.opts.L0CompactionTrigger {
@@ -185,57 +304,55 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 			// merge) so a key occurring in several L0 files is compacted
 			// once — the premature/iterative compaction fix of §3(2).
 			lo, hi := KeyRangeOf(l0)
-			return &Job{Level: 0, OutputLevel: 1, Inputs: append([]*manifest.FileMeta(nil), l0...), Overlaps: v.Overlap(1, lo, hi)}
+			return &Job{Level: 0, OutputLevel: 1, Inputs: append([]*manifest.FileMeta(nil), l0...), Overlaps: v.Overlap(1, lo, hi), Score: scores[0]}
 		}
 		// Baseline behaviour per §3(2): "files in L0 are compacted to
 		// higher levels one at a time, resulting in several consecutive
 		// compaction operations" — merge the oldest L0 file alone.
 		oldest := l0[len(l0)-1] // L0 is ordered newest-first
-		return &Job{Level: 0, OutputLevel: 1, Inputs: []*manifest.FileMeta{oldest}, Overlaps: v.Overlap(1, oldest.Smallest, oldest.Largest)}
+		return &Job{Level: 0, OutputLevel: 1, Inputs: []*manifest.FileMeta{oldest}, Overlaps: v.Overlap(1, oldest.Smallest, oldest.Largest), Score: scores[0]}
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
 	bestLevel, bestScore := -1, 1.0
 	for l := 1; l < manifest.NumLevels-1; l++ {
-		if len(v.Levels[l]) == 0 {
-			continue
-		}
-		score := float64(v.LevelSize(l)) / float64(p.TargetSize(l))
-		if score > bestScore {
-			bestLevel, bestScore = l, score
+		if scores[l] > bestScore {
+			bestLevel, bestScore = l, scores[l]
 		}
 	}
 	if bestLevel < 0 {
 		return nil
 	}
-	in, overlaps := p.pickFile(v, bestLevel)
+	in, overlaps, rule := p.pickFile(v, bestLevel)
 	return &Job{
 		Level:       bestLevel,
 		OutputLevel: bestLevel + 1,
 		Inputs:      []*manifest.FileMeta{in},
 		Overlaps:    overlaps,
 		Move:        len(overlaps) == 0,
+		Score:       bestScore,
+		Rule:        rule,
 	}
 }
 
 // pickFile chooses which file of the (non-empty, over-target) level l to
-// push into l+1, and returns it with the l+1 files it overlaps.
-func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*manifest.FileMeta) {
+// push into l+1, and returns it with the l+1 files it overlaps and the
+// rule that chose it.
+func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*manifest.FileMeta, string) {
 	files, next := v.Levels[l], v.Levels[l+1]
-	intermediate := false
-	for d := l + 2; d < manifest.NumLevels; d++ {
-		if len(v.Levels[d]) > 0 {
-			intermediate = true
-			break
-		}
-	}
-	if !intermediate {
+	if l+1 >= bottomLevel(v) {
 		// Bottommost push: min-overlap here would keep choosing the
 		// sparse key ranges, and the dense ones would never reach the
 		// level where their stale versions are finally dropped.
-		i := p.cursor[l] % len(files)
-		p.cursor[l]++
+		i := 0
+		if last := p.cursor[l]; last != nil {
+			i = sort.Search(len(files), func(i int) bool { return bytes.Compare(files[i].Smallest, last) > 0 })
+			if i == len(files) {
+				i = 0
+			}
+		}
 		in := files[i]
-		return in, v.Overlap(l+1, in.Smallest, in.Largest)
+		p.cursor[l] = in.Largest
+		return in, v.Overlap(l+1, in.Smallest, in.Largest), RuleBottomPush
 	}
 	// One sweep over the two sorted levels: j trails at the first next-
 	// level file that can still overlap files[i]; a next-level file is
@@ -259,7 +376,7 @@ func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*ma
 			best, bestRatio, bestLo, bestHi = i, ratio, j, k
 		}
 	}
-	return files[best], next[bestLo:bestHi:bestHi]
+	return files[best], next[bestLo:bestHi:bestHi], RuleMinOverlap
 }
 
 // pickSizeTiered implements the size-tiered strategy: bucket the (single

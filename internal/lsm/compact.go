@@ -58,7 +58,8 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 			job = &compaction.Job{Level: 0, OutputLevel: 0, Inputs: l0, WholeTree: true}
 		} else {
 			lo, hi := compaction.KeyRangeOf(l0)
-			job = &compaction.Job{Level: 0, OutputLevel: 1, Inputs: l0, Overlaps: db.version.Overlap(1, lo, hi)}
+			_, scores := db.picker.Scores(db.version)
+			job = &compaction.Job{Level: 0, OutputLevel: 1, Inputs: l0, Overlaps: db.version.Overlap(1, lo, hi), Score: scores[0]}
 		}
 		db.versionMu.RUnlock()
 	}
@@ -99,7 +100,7 @@ func (db *DB) CompactAll() error {
 // so snapshots and zombie refcounts never see a half-installed split.
 func (db *DB) runCompaction(job *compaction.Job) error {
 	if job.Move {
-		return db.moveFile(job.Inputs[0], job.OutputLevel)
+		return db.moveFile(job)
 	}
 	start := time.Now()
 	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
@@ -215,6 +216,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		return firstErr
 	}
 	db.met.BytesCompacted.Add(written)
+	db.compactedFrom[job.Level].Add(written)
 	db.met.EntriesCompacted.Add(merged)
 	db.met.EntriesDiscarded.Add(discarded)
 	db.opts.Ledger.Add(obs.SrcCompactionWrite, written)
@@ -223,10 +225,11 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		return err
 	}
 	db.opts.Ledger.Add(obs.SrcCompactionRead, inBytes)
-	detail := fmt.Sprintf("L%d->L%d, %d outputs", job.Level, outLevel, len(outputs))
-	if job.WholeTree {
+	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(outputs), job.Why())
+	if plan.singleOutput {
 		detail = fmt.Sprintf("size-tiered %d-way, %d outputs", len(all), len(outputs))
 	}
+	detail += fmt.Sprintf(", %d of %d entries discarded", discarded, merged)
 	if len(slices) > 1 {
 		detail += fmt.Sprintf(", %d subcompactions", len(slices))
 	}
@@ -243,10 +246,11 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 // its cached blocks and any snapshot pins on it (refs and zombies are
 // keyed by ID) are untouched; a snapshot taken before the move keeps
 // reading the file through its own pinned version.
-func (db *DB) moveFile(f *manifest.FileMeta, toLevel int) error {
+func (db *DB) moveFile(job *compaction.Job) error {
 	start := time.Now()
+	f := job.Inputs[0]
 	moved := *f
-	moved.Level = toLevel
+	moved.Level = job.OutputLevel
 	db.mu.Lock()
 	edit := manifest.Edit{
 		Deleted: []uint64{f.ID}, Added: []manifest.FileMeta{moved},
@@ -269,7 +273,7 @@ func (db *DB) moveFile(f *manifest.FileMeta, toLevel int) error {
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: f.Level,
 		Dur: time.Since(start), Files: 1,
-		Detail: fmt.Sprintf("L%d->L%d, trivial move", f.Level, toLevel),
+		Detail: fmt.Sprintf("L%d->L%d, trivial move, %s", f.Level, moved.Level, job.Why()),
 	})
 	return nil
 }

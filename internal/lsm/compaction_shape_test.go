@@ -268,11 +268,31 @@ func TestCompactionShapeRandomized(t *testing.T) {
 		t.Fatalf("monolithic side made %d unaligned cuts", sides[1].cuts.unaligned)
 	}
 	split := false
+	why := map[string]bool{}
 	for _, e := range sides[0].db.opts.Events.Events(0) {
 		split = split || strings.Contains(e.Detail, "subcompactions")
+		// Every compaction's entry explains itself: score, rule and
+		// overlap of the pick, and what a merge dropped.
+		if e.Kind != obs.EventCompaction {
+			continue
+		}
+		if !strings.Contains(e.Detail, "score ") || !strings.Contains(e.Detail, " ratio ") {
+			t.Fatalf("compaction entry without its reason: %q", e.Detail)
+		}
+		if strings.Contains(e.Detail, "trivial move") == strings.Contains(e.Detail, "entries discarded") {
+			t.Fatalf("compaction entry is neither a move nor a merge with its discard count: %q", e.Detail)
+		}
+		for _, rule := range []string{"overlap ratio", "min-overlap ratio", "bottom-push ratio"} {
+			if strings.Contains(e.Detail, ", "+rule) {
+				why[rule] = true
+			}
+		}
 	}
 	if !split {
 		t.Fatal("no compaction split into subcompactions; the differential is vacuous")
+	}
+	if len(why) != 3 {
+		t.Fatalf("journal does not show all three rules (L0 overlap, min-overlap, bottom-push): %v", why)
 	}
 }
 
@@ -418,34 +438,49 @@ func TestGetZeroAllocLevels(t *testing.T) {
 	db := mustOpen(t, deepOptions(vfs.NewMemFS()))
 	defer db.Close()
 	rng := rand.New(rand.NewSource(3))
-	for i := 1; i <= 24000; i++ {
-		k := fmt.Sprintf("k%05d", 2*rng.Intn(6000)) // odd keys stay absent
-		if err := db.Put([]byte(k), bytes.Repeat([]byte{'v'}, 40)); err != nil {
+	load := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k%05d", 2*rng.Intn(6000)) // odd keys stay absent
+			if err := db.Put([]byte(k), bytes.Repeat([]byte{'v'}, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if i%3000 == 0 {
-			if err := db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.CompactAll(); err != nil {
-				t.Fatal(err)
-			}
+		if err := db.CompactAll(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	files := db.NumLevelFiles()
-	if files[1] == 0 || files[2] == 0 || files[3] == 0 {
-		t.Fatalf("want a tree with L1, L2 and L3, got %v", files)
+	// Absent keys that have a candidate file on all three levels. L1 and
+	// L2 are small next to L3 and need not cover the same ranges after
+	// any one drain, so keep loading until they do.
+	covered := func() (keys [][]byte) {
+		for n := 1; n < 12000 && len(keys) < 5; n += 2 {
+			key := []byte(fmt.Sprintf("k%05d", n))
+			if db.version.Find(1, key) != nil && db.version.Find(2, key) != nil && db.version.Find(3, key) != nil {
+				keys = append(keys, key)
+			}
+		}
+		return keys
+	}
+	for i := 0; i < 8; i++ {
+		load(3000)
+	}
+	keys := covered()
+	for tries := 0; len(keys) == 0 && tries < 20; tries++ {
+		load(1000)
+		keys = covered()
+	}
+	if len(keys) == 0 {
+		t.Fatalf("no absent key has a candidate file on L1, L2 and L3: files per level %v", db.NumLevelFiles())
 	}
 	// A bloom filter may pass an absent key (and the block read
-	// allocates); of a handful of keys that have a candidate file on all
-	// three levels, some key gets through every filter clean.
-	best, tried := -1.0, 0
-	for n := 1; n < 12000 && tried < 5; n += 2 {
-		key := []byte(fmt.Sprintf("k%05d", n))
-		if db.version.Find(1, key) == nil || db.version.Find(2, key) == nil || db.version.Find(3, key) == nil {
-			continue
-		}
-		tried++
+	// allocates); of a handful of keys, some key gets through every
+	// filter clean.
+	best := -1.0
+	for _, key := range keys {
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := db.getFromVersion(nil, key, nil); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("getFromVersion(%s) = %v", key, err)
@@ -455,10 +490,198 @@ func TestGetZeroAllocLevels(t *testing.T) {
 			best = allocs
 		}
 	}
-	if tried == 0 {
-		t.Fatal("no absent key has a candidate file on L1, L2 and L3")
-	}
 	if best != 0 {
 		t.Fatalf("getFromVersion allocates %.0f times per lookup on a 3-level tree, want 0", best)
 	}
+}
+
+// ladderOptions is a tree whose static ladder would be 32 / 320 / 3200
+// KiB: the third level opens once L2 outgrows 320 KiB, and a bottom level
+// of ~16x BaseLevelBytes then sizes L2 at a quarter of that.
+func ladderOptions(fs *vfs.MemFS) Options {
+	o := deepOptions(fs)
+	o.LevelMultiplier = 10
+	return o
+}
+
+// bottomOf returns the deepest non-empty level and the bytes held above it.
+func bottomOf(levels []LevelStat) (bottom int, above int64) {
+	for l, ls := range levels {
+		if ls.Files > 0 {
+			bottom = l
+		}
+	}
+	for _, ls := range levels[:bottom] {
+		above += ls.Bytes
+	}
+	return bottom, above
+}
+
+// TestLadderFollowsBottomLevel overwrites a three-level tree uniformly for
+// three times its key space. The drain terminates, the tree and its
+// contents stay right, and because L2's target is derived from L3's size
+// the levels above the bottom hold less than 0.45 of its bytes — under the
+// static BaseLevelBytes x 10^n ladder L2 alone sat at 320 KiB over a
+// ~550 KiB bottom (0.6-0.7), every byte of it a version L3 already had.
+// The targets are a function of the manifest alone: a reopened store
+// reports the same ones.
+func TestLadderFollowsBottomLevel(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := ladderOptions(fs)
+	db := mustOpen(t, o)
+	defer func() { db.Close() }()
+
+	const keys = 7000
+	rng := rand.New(rand.NewSource(15))
+	oracle := map[string]string{}
+	val := make([]byte, 60)
+	put := func(i int) {
+		k := fmt.Sprintf("k%05d", i)
+		for j := range val {
+			val[j] = 'a' + byte(rng.Intn(26))
+		}
+		oracle[k] = string(val)
+		if err := db.Put([]byte(k), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func() {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, i := range rng.Perm(keys) {
+		put(i)
+		if n%1000 == 999 {
+			drain()
+		}
+	}
+	for n := 0; n < 3*keys; n++ {
+		put(rng.Intn(keys))
+		if n%1000 == 999 {
+			drain()
+		}
+	}
+	drain()
+
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	it, err := db.NewIterator(nil, nil)
+	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
+	if debt := db.CompactionDebt(); debt != 0 {
+		t.Fatalf("compaction debt %d after CompactAll", debt)
+	}
+	levels := db.LevelStats()
+	bottom, above := bottomOf(levels)
+	if bottom != 3 {
+		t.Fatalf("want a three-level tree, got %+v", levels)
+	}
+	t.Logf("%d bytes above a bottom level of %d (%.2f)", above, levels[3].Bytes, float64(above)/float64(levels[3].Bytes))
+	if limit := levels[3].Bytes * 45 / 100; above > limit {
+		t.Fatalf("%d bytes above the bottom level's %d, want at most %d: %+v", above, levels[3].Bytes, limit, levels)
+	}
+	if levels[1].Target != o.BaseLevelBytes || levels[2].Target >= o.BaseLevelBytes*o.LevelMultiplier ||
+		levels[3].Target != o.BaseLevelBytes*o.LevelMultiplier*o.LevelMultiplier {
+		t.Fatalf("targets not sized from the bottom level: %+v", levels)
+	}
+	var compacted int64
+	for _, ls := range levels {
+		compacted += ls.CompactedBytes
+	}
+	if total := db.Metrics().BytesCompacted; compacted != total {
+		t.Fatalf("per-level compacted bytes sum to %d, BytesCompacted = %d", compacted, total)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, o)
+	for l, ls := range db.LevelStats() {
+		if ls.Files != levels[l].Files || ls.Bytes != levels[l].Bytes || ls.Target != levels[l].Target {
+			t.Fatalf("L%d after reopen: %+v, before: %+v", l, ls, levels[l])
+		}
+	}
+}
+
+// TestDeepeningRebalances: the moment the bottom level opens the next one,
+// the level it leaves behind is suddenly an intermediate level with a much
+// smaller target. The re-balance that follows must finish in a bounded
+// number of picks, and — the files of one level being disjoint, and the
+// new level empty under them — mostly by relinking files, not merging.
+func TestDeepeningRebalances(t *testing.T) {
+	o := ladderOptions(vfs.NewMemFS())
+	o.Events = obs.NewJournal(4096)
+	db := mustOpen(t, o)
+	defer db.Close()
+
+	rng := rand.New(rand.NewSource(16))
+	oracle := map[string]string{}
+	opened := false
+	var moves0, merges0 int64
+	for next := 0; !opened; {
+		if next > 20000 {
+			t.Fatalf("L3 never opened: %+v", db.LevelStats())
+		}
+		for i := 0; i < 500; i, next = i+1, next+1 {
+			k, v := fmt.Sprintf("k%05d", rng.Intn(1<<16)), fmt.Sprintf("%060d", next)
+			oracle[k] = v
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for budget := 0; ; budget++ {
+			if !opened && db.NumLevelFiles()[3] > 0 {
+				opened = true
+				m := db.Metrics()
+				moves0, merges0 = m.TrivialMoves, m.Compactions
+				var files int
+				for _, n := range db.NumLevelFiles() {
+					files += n
+				}
+				budget = -2 * files // every file may move once, and then some
+			}
+			if opened && budget > 0 {
+				t.Fatalf("re-balance still running after two picks per file: %+v", db.LevelStats())
+			}
+			ran, err := db.compactOnceLocked(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+		}
+	}
+	m := db.Metrics()
+	moves, merges := m.TrivialMoves-moves0, m.Compactions-merges0
+	t.Logf("re-balance after L3 opened: %d moves, %d merges; tree %+v", moves, merges, db.LevelStats())
+	if moves < 10 || moves < 3*merges {
+		t.Fatalf("re-balance made %d moves and %d merges, want mostly moves", moves, merges)
+	}
+	levels := db.LevelStats()
+	for l := 1; l < 3; l++ {
+		if levels[l].Score > 1 {
+			t.Fatalf("L%d still over target after the re-balance: %+v", l, levels)
+		}
+	}
+	why := false
+	for _, e := range o.Events.Events(0) {
+		why = why || (strings.Contains(e.Detail, "trivial move") && strings.Contains(e.Detail, "bottom-push"))
+	}
+	if !why {
+		t.Fatal("no journal entry explains a move as a bottom-push")
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	it, err := db.NewIterator(nil, nil)
+	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 }

@@ -101,6 +101,10 @@ type DB struct {
 	// without taking versionMu on the write path.
 	l0Count atomic.Int32
 
+	// compactedFrom[l] totals the bytes written by compactions whose
+	// input level was l (LevelStat.CompactedBytes).
+	compactedFrom [manifest.NumLevels]atomic.Int64
+
 	// Snapshot state. snaps and maxPinned are guarded by mu (the write
 	// path consults maxPinned while already holding it); refs and
 	// zombies are guarded by versionMu alongside the version and table
@@ -554,29 +558,49 @@ func (db *DB) SetDisableBackgroundIO(v bool) {
 }
 
 // CompactionDebt estimates the bytes of compaction work the tree owes
-// before it is back in shape: all of L0 once it has reached the
-// compaction trigger, plus each deeper level's excess over its size
-// target. It is the backlog the background pool is burning down —
-// surfaced per shard as triad_compaction_backlog_bytes. Size-tiered
-// trees have no per-level targets and report 0.
+// before it is back in shape (compaction.Picker.Debt) — the backlog the
+// background pool is burning down, surfaced per shard as
+// triad_compaction_backlog_bytes.
 func (db *DB) CompactionDebt() int64 {
-	if db.opts.SizeTieredCompaction {
-		return 0
-	}
 	db.versionMu.RLock()
 	defer db.versionMu.RUnlock()
-	var debt int64
-	if len(db.version.Levels[0]) >= db.opts.L0CompactionTrigger {
-		debt += db.version.LevelSize(0)
-	}
-	target := db.opts.BaseLevelBytes
-	for l := 1; l < manifest.NumLevels-1; l++ { // bottommost has nowhere to go
-		if sz := db.version.LevelSize(l); sz > target {
-			debt += sz - target
+	return db.picker.Debt(db.version)
+}
+
+// LevelStat is one level of the tree as the picker sees it.
+type LevelStat struct {
+	Files int
+	Bytes int64
+	// Target is the byte budget the picker currently allows the level
+	// (compaction.Picker.Targets; it moves with the bottom level's size).
+	// Zero for L0, which is triggered by file count, and for size-tiered
+	// trees, which have no per-level targets.
+	Target int64
+	// Score is the level's compaction pressure (compaction.Picker.Scores):
+	// Bytes over Target, or for L0 its file count over
+	// L0CompactionTrigger. Above 1 the picker owes the level a compaction.
+	Score float64
+	// CompactedBytes totals the bytes written by compactions that took
+	// their input from this level since the DB opened; over all levels it
+	// sums to the BytesCompacted counter.
+	CompactedBytes int64
+}
+
+// LevelStats reports every level's shape, target and pressure, indexed by
+// level.
+func (db *DB) LevelStats() []LevelStat {
+	db.versionMu.RLock()
+	defer db.versionMu.RUnlock()
+	v := db.version
+	targets, scores := db.picker.Scores(v)
+	out := make([]LevelStat, manifest.NumLevels)
+	for l := range out {
+		out[l] = LevelStat{
+			Files: len(v.Levels[l]), Bytes: v.LevelSize(l), Target: targets[l], Score: scores[l],
+			CompactedBytes: db.compactedFrom[l].Load(),
 		}
-		target *= db.opts.LevelMultiplier
 	}
-	return debt
+	return out
 }
 
 // NumLevelFiles reports the file count per level (observability/tests).
@@ -586,17 +610,6 @@ func (db *DB) NumLevelFiles() []int {
 	out := make([]int, manifest.NumLevels)
 	for l, files := range db.version.Levels {
 		out[l] = len(files)
-	}
-	return out
-}
-
-// LevelSizes reports bytes per level.
-func (db *DB) LevelSizes() []int64 {
-	db.versionMu.RLock()
-	defer db.versionMu.RUnlock()
-	out := make([]int64, manifest.NumLevels)
-	for l := range db.version.Levels {
-		out[l] = db.version.LevelSize(l)
 	}
 	return out
 }

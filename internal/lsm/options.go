@@ -65,9 +65,15 @@ type Options struct {
 	// It must exceed MaxFilesL0 so TRIAD-DISK can still defer.
 	L0StallFiles int
 
-	// BaseLevelBytes is the L1 size target; each deeper level is
-	// LevelMultiplier times larger.
-	BaseLevelBytes  int64
+	// BaseLevelBytes is the L1 size target, the only level whose target
+	// is a constant: the levels between L1 and the deepest non-empty
+	// level are sized from that level's actual bytes, by equal fan-out
+	// (compaction.Picker.Targets), so they never hold more than the
+	// bottom level's size calls for.
+	BaseLevelBytes int64
+	// LevelMultiplier is the largest fan-out between adjacent levels
+	// before a level is added: the deepest level opens the next one when
+	// it outgrows BaseLevelBytes * LevelMultiplier^(level-1).
 	LevelMultiplier int64
 	// TargetFileBytes caps each compaction output file.
 	TargetFileBytes int64

@@ -5,20 +5,24 @@ import (
 	"strings"
 )
 
+// String renders the level the way STATS lists it.
+func (ls LevelStat) String() string {
+	return fmt.Sprintf("%d files, %d bytes, target %d, score %.2f, compacted %d",
+		ls.Files, ls.Bytes, ls.Target, ls.Score, ls.CompactedBytes)
+}
+
 // Stats renders a human-readable dump of the tree shape and the engine
 // counters, in the spirit of RocksDB's GetProperty("rocksdb.stats").
 func (db *DB) Stats() string {
 	var b strings.Builder
 	m := db.Metrics()
-	files := db.NumLevelFiles()
-	sizes := db.LevelSizes()
 
-	fmt.Fprintf(&b, "levels (files/bytes):\n")
-	for l := range files {
-		if files[l] == 0 && sizes[l] == 0 {
+	fmt.Fprintf(&b, "levels (files/bytes, target, score, bytes compacted out of the level):\n")
+	for l, ls := range db.LevelStats() {
+		if ls.Files == 0 && ls.CompactedBytes == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  L%d: %d files, %d bytes\n", l, files[l], sizes[l])
+		fmt.Fprintf(&b, "  L%d: %s\n", l, ls)
 	}
 	db.mu.Lock()
 	memBytes := db.mem.ApproxSize()

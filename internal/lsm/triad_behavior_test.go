@@ -455,10 +455,9 @@ func TestTombstonesDroppedAtBottom(t *testing.T) {
 	}
 	// A second full compaction pass should leave a tree whose levels
 	// hold no entries (tombstones reclaimed at the bottom).
-	sizes := db.LevelSizes()
 	var total int64
-	for _, s := range sizes[1:] {
-		total += s
+	for _, ls := range db.LevelStats()[1:] {
+		total += ls.Bytes
 	}
 	if total != 0 {
 		t.Logf("note: %d bytes of deeper-level data remain (tombstones pending)", total)

@@ -56,6 +56,10 @@ type Edit struct {
 // ordered by Smallest with disjoint ranges.
 type Version struct {
 	Levels [][]*FileMeta
+	// sizes[l] is the byte total of Levels[l], maintained by Apply: level
+	// scores, targets, debt and stats read every level's size on every
+	// pick, which must not cost a walk over the level's files.
+	sizes [NumLevels]int64
 }
 
 // NumLevels is the fixed depth of the tree (L0..L6), matching RocksDB's
@@ -73,6 +77,7 @@ func (v *Version) Clone() *Version {
 	for i := range v.Levels {
 		nv.Levels[i] = append([]*FileMeta(nil), v.Levels[i]...)
 	}
+	nv.sizes = v.sizes
 	return nv
 }
 
@@ -91,6 +96,7 @@ func (v *Version) Apply(e Edit) (*Version, error) {
 					keep = append(keep, f)
 				} else {
 					delete(del, f.ID)
+					nv.sizes[l] -= f.Size
 				}
 			}
 			nv.Levels[l] = keep
@@ -106,6 +112,7 @@ func (v *Version) Apply(e Edit) (*Version, error) {
 		}
 		fm := f
 		nv.Levels[f.Level] = append(nv.Levels[f.Level], &fm)
+		nv.sizes[f.Level] += f.Size
 	}
 	// Keep L0 newest-first (higher IDs are newer) and deeper levels
 	// sorted by smallest key.
@@ -130,8 +137,18 @@ func keys(m map[uint64]bool) []uint64 {
 }
 
 // CheckInvariants verifies the level structure: deeper levels must hold
-// disjoint, sorted ranges. Used by tests and the engine's paranoid mode.
+// disjoint, sorted ranges, and every level's running byte total must equal
+// the sum over its files. Used by tests and the engine's paranoid mode.
 func (v *Version) CheckInvariants() error {
+	for l, files := range v.Levels {
+		var sum int64
+		for _, f := range files {
+			sum += f.Size
+		}
+		if sum != v.sizes[l] {
+			return fmt.Errorf("L%d: byte total %d, files sum to %d", l, v.sizes[l], sum)
+		}
+	}
 	for l := 1; l < len(v.Levels); l++ {
 		files := v.Levels[l]
 		for i := 0; i < len(files); i++ {
@@ -147,13 +164,7 @@ func (v *Version) CheckInvariants() error {
 }
 
 // LevelSize returns the total byte size of level l.
-func (v *Version) LevelSize(l int) int64 {
-	var s int64
-	for _, f := range v.Levels[l] {
-		s += f.Size
-	}
-	return s
-}
+func (v *Version) LevelSize(l int) int64 { return v.sizes[l] }
 
 // firstEndingAtOrAfter returns the index of the first file in the sorted,
 // disjoint level files whose Largest is >= key (len(files) if none).

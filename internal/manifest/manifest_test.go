@@ -156,11 +156,36 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestLevelSize: the per-level byte totals follow every kind of edit
+// (add, delete, move under the same ID), survive Clone, and
+// CheckInvariants notices a total that has drifted from its files.
 func TestLevelSize(t *testing.T) {
 	v := NewVersion()
-	v1, _ := v.Apply(Edit{Added: []FileMeta{fm(1, 1, "a", "b"), fm(2, 1, "c", "d")}})
-	if v1.LevelSize(1) != 200 {
-		t.Fatalf("LevelSize = %d", v1.LevelSize(1))
+	v1, _ := v.Apply(Edit{Added: []FileMeta{fm(1, 1, "a", "b"), fm(2, 1, "c", "d"), fm(3, 0, "a", "z")}})
+	if v1.LevelSize(0) != 100 || v1.LevelSize(1) != 200 || v1.LevelSize(2) != 0 {
+		t.Fatalf("sizes = %v", v1.sizes)
+	}
+	moved := fm(2, 2, "c", "d")
+	v2, err := v1.Apply(Edit{Deleted: []uint64{2, 3}, Added: []FileMeta{moved, fm(4, 1, "e", "f")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.LevelSize(0) != 0 || v2.LevelSize(1) != 200 || v2.LevelSize(2) != 100 {
+		t.Fatalf("sizes after move = %v", v2.sizes)
+	}
+	if v1.LevelSize(1) != 200 || v1.LevelSize(2) != 0 {
+		t.Fatalf("Apply changed the version it was applied to: %v", v1.sizes)
+	}
+	c := v2.Clone()
+	if c.sizes != v2.sizes {
+		t.Fatalf("Clone sizes = %v, want %v", c.sizes, v2.sizes)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.sizes[1]++
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a level total that differs from its files")
 	}
 }
 

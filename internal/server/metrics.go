@@ -165,6 +165,14 @@ func (s *Server) MetricsText() string {
 		p.Counter("triad_shard_cache_hits_total", "Block-cache lookups by this shard served from memory.", l, st.CacheHits)
 		p.Counter("triad_shard_cache_misses_total", "Block-cache lookups by this shard that went to disk.", l, st.CacheMisses)
 		p.Gauge("triad_shard_cache_resident_bytes", "Shared-cache bytes currently held by this shard's blocks.", l, st.CacheBytes)
+		for lvl, ls := range st.Levels {
+			ll := fmt.Sprintf("%s,level=%q", l, strconv.Itoa(lvl))
+			p.Gauge("triad_level_files", "Table files on the level.", ll, int64(ls.Files))
+			p.Gauge("triad_level_bytes", "Table bytes on the level.", ll, ls.Bytes)
+			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count).", ll, ls.Target)
+			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
+			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
+		}
 		for src := obs.Source(0); src < obs.NumSources; src++ {
 			p.Counter("triad_io_bytes_total",
 				"Disk bytes attributed by shard and source. user_write is WA's denominator; wal+flush+compaction_write its numerator; compaction_read is merge input, snapshot_gc zombie bytes reclaimed.",

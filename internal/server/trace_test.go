@@ -274,12 +274,37 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 		}
 	}
 
-	// And STATS carries the human-readable decomposition.
+	// The per-level series decompose the same totals by level: bytes
+	// held sum to the shards' disk bytes, bytes compacted out of each
+	// level to the compaction counter, and every level below L0 carries
+	// the target the picker holds it to.
+	sumPrefix := func(prefix string) (total float64) {
+		for name, v := range series {
+			if strings.HasPrefix(name, prefix) {
+				total += v
+			}
+		}
+		return total
+	}
+	if got, want := sumPrefix("triad_level_bytes{"), sumPrefix("triad_shard_disk_bytes{"); got != want || got == 0 {
+		t.Fatalf("sum(triad_level_bytes) = %g, want sum(triad_shard_disk_bytes) = %g, non-zero", got, want)
+	}
+	if got, want := sumPrefix("triad_level_compacted_bytes_total{"), series["triad_bytes_compacted_total"]; got != want {
+		t.Fatalf("sum(triad_level_compacted_bytes_total) = %g, want triad_bytes_compacted_total = %g", got, want)
+	}
+	if series[`triad_level_target_bytes{shard="0",level="1"}`] == 0 || series[`triad_level_target_bytes{shard="1",level="2"}`] == 0 {
+		t.Fatalf("per-level targets missing from /metrics")
+	}
+
+	// And STATS carries the human-readable decomposition and the tree.
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stats, "WA decomposition") {
 		t.Fatalf("STATS missing the WA decomposition:\n%s", stats)
+	}
+	if !strings.Contains(stats, "target ") || !strings.Contains(stats, "score ") {
+		t.Fatalf("STATS levels carry no target/score:\n%s", stats)
 	}
 }

@@ -375,11 +375,11 @@ func TestFlushAndAggregates(t *testing.T) {
 		t.Fatal("no files on any level after coordinated Flush")
 	}
 	var sizeTotal int64
-	for _, s := range db.LevelSizes() {
-		sizeTotal += s
+	for _, ls := range db.LevelStats() {
+		sizeTotal += ls.Bytes
 	}
 	if sizeTotal == 0 {
-		t.Fatal("LevelSizes sums to zero after Flush")
+		t.Fatal("LevelStats bytes sum to zero after Flush")
 	}
 	stats := db.Stats()
 	if !bytes.Contains([]byte(stats), []byte("shards: 4 (fnv partitioner)")) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bgsched"
+	"repro/internal/lsm"
 	"repro/internal/manifest"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -69,12 +70,18 @@ func (db *DB) NumLevelFiles() []int {
 	return out
 }
 
-// LevelSizes reports the per-level byte size summed across shards.
-func (db *DB) LevelSizes() []int64 {
-	out := make([]int64, manifest.NumLevels)
+// LevelStats reports the tree shape per level over all shards: files,
+// bytes, targets and compacted bytes are sums; Score is the highest of
+// any shard's, since a level is in shape only when it is on every shard.
+func (db *DB) LevelStats() []lsm.LevelStat {
+	out := make([]lsm.LevelStat, manifest.NumLevels)
 	for _, s := range db.shards {
-		for l, n := range s.LevelSizes() {
-			out[l] += n
+		for l, ls := range s.LevelStats() {
+			out[l].Files += ls.Files
+			out[l].Bytes += ls.Bytes
+			out[l].Target += ls.Target
+			out[l].CompactedBytes += ls.CompactedBytes
+			out[l].Score = max(out[l].Score, ls.Score)
 		}
 	}
 	return out
@@ -96,6 +103,9 @@ type ShardStat struct {
 	Files int
 	// DiskBytes is the shard's total on-disk byte size.
 	DiskBytes int64
+	// Levels is the shard's tree, level by level: what each level holds,
+	// the target the picker currently allows it and the resulting score.
+	Levels []lsm.LevelStat
 	// CompactionDebt is the shard's pending-compaction byte estimate:
 	// L0 at or past its trigger plus each level's excess over target —
 	// the backlog the background pool still has to burn down.
@@ -156,15 +166,14 @@ func (db *DB) ShardStats() []ShardStat {
 			CacheHits:       cs.Hits,
 			CacheMisses:     cs.Misses,
 			CacheBytes:      cs.Resident,
+			Levels:          s.LevelStats(),
 		}
 		if db.ledgers != nil {
 			st.IO = db.ledgers[i].Snapshot()
 		}
-		for _, n := range s.NumLevelFiles() {
-			st.Files += n
-		}
-		for _, b := range s.LevelSizes() {
-			st.DiskBytes += b
+		for _, ls := range st.Levels {
+			st.Files += ls.Files
+			st.DiskBytes += ls.Bytes
 		}
 		out[i] = st
 	}
@@ -176,16 +185,14 @@ func (db *DB) ShardStats() []ShardStat {
 func (db *DB) Stats() string {
 	var b strings.Builder
 	m := db.Metrics()
-	files := db.NumLevelFiles()
-	sizes := db.LevelSizes()
 
 	fmt.Fprintf(&b, "shards: %d (%s partitioner)\n", len(db.shards), db.part.Name())
-	fmt.Fprintf(&b, "levels (files/bytes, all shards):\n")
-	for l := range files {
-		if files[l] == 0 && sizes[l] == 0 {
+	fmt.Fprintf(&b, "levels (all shards: files/bytes, target, highest shard score, bytes compacted out of the level):\n")
+	for l, ls := range db.LevelStats() {
+		if ls.Files == 0 && ls.CompactedBytes == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  L%d: %d files, %d bytes\n", l, files[l], sizes[l])
+		fmt.Fprintf(&b, "  L%d: %s\n", l, ls)
 	}
 	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
