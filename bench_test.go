@@ -14,6 +14,7 @@
 package triad
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -712,6 +713,103 @@ func BenchmarkCommitPipeline(b *testing.B) {
 		}
 		b.StopTimer()
 		close(stop)
+		wg.Wait()
+	})
+}
+
+// BenchmarkPutPath measures what one commit costs on the foreground path
+// of a 2-shard store: a Put of a key the memtable holds (put/hot) and of
+// one it does not (put/new), a 64-put batch (apply/64, one WAL write per
+// touched shard), and Puts from two goroutines spread over the two shards
+// (put/w2-s2: the commit locks and the watermark under contention).
+// ns/op and allocs/op are the numbers; TestPutPathBudget in
+// internal/shard gates the allocations and the device writes.
+func BenchmarkPutPath(b *testing.B) {
+	const shards = 2
+	openStore := func(b *testing.B) *shard.DB {
+		db, err := shard.Open(shard.Options{
+			Shards: shards,
+			Engine: shard.DivideBudgets(benchShardEngine(benchScale()), shards),
+			NewFS:  shard.MemFS(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%010d", i)) }
+	val := make([]byte, 255)
+	const hotKeys = 256
+	b.Run("put/hot", func(b *testing.B) {
+		db := openStore(b)
+		defer db.Close()
+		keys := make([][]byte, hotKeys)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := db.Put(keys[i%hotKeys], val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("put/new", func(b *testing.B) {
+		db := openStore(b)
+		defer db.Close()
+		k := key(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			binary.BigEndian.PutUint64(k[len(k)-8:], uint64(i))
+			if err := db.Put(k, val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply/64", func(b *testing.B) {
+		db := openStore(b)
+		defer db.Close()
+		k := key(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch := &shard.Batch{}
+			for j := 0; j < 64; j++ {
+				binary.BigEndian.PutUint64(k[len(k)-8:], uint64(i*64+j))
+				batch.Put(k, val)
+			}
+			if err := db.Apply(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("put/w2-s2", func(b *testing.B) {
+		db := openStore(b)
+		defer db.Close()
+		const writers = 2
+		b.ReportAllocs()
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			n := b.N / writers
+			if w < b.N%writers {
+				n++
+			}
+			wg.Add(1)
+			go func(w, n int) {
+				defer wg.Done()
+				k := key(0)
+				for i := 0; i < n; i++ {
+					binary.BigEndian.PutUint64(k[len(k)-8:], uint64(w*hotKeys+i%hotKeys))
+					if err := db.Put(k, val); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w, n)
+		}
 		wg.Wait()
 	})
 }

@@ -149,12 +149,14 @@ func (b *boundedIter) check(ok bool) bool {
 // NewSliceMerge opens one iterator per table — tables[0] being the
 // newest source, as NewMergeIterator requires — bounds each to slc, and
 // returns their merge. With the zero Slice it is exactly the monolithic
-// compaction merge. The caller owns the result and must Close it (or
-// hand it to NewDedupIterator, which takes ownership).
-func NewSliceMerge(tables []sstable.Table, slc Slice) (*MergeIterator, error) {
+// compaction merge. m is the compaction's shared merge state; every slice
+// of one compaction passes the same one. The caller owns the result and
+// must Close it (or hand it to NewDedupIterator, which takes ownership)
+// before it closes m.
+func NewSliceMerge(m *sstable.Merge, tables []sstable.Table, slc Slice) (*MergeIterator, error) {
 	its := make([]sstable.Iterator, 0, len(tables))
 	for _, t := range tables {
-		it, err := t.NewIterator()
+		it, err := t.NewMergeIterator(m)
 		if err != nil {
 			for _, prev := range its {
 				prev.Close()

@@ -28,7 +28,9 @@ func openTables(t testing.TB, fs vfs.FS, ids ...uint64) []sstable.Table {
 // mergeKeys drains a merge+dedup over tables bounded to slc.
 func mergeKeys(t testing.TB, tables []sstable.Table, slc Slice, drop bool) []string {
 	t.Helper()
-	m, err := NewSliceMerge(tables, slc)
+	var shared sstable.Merge
+	defer shared.Close()
+	m, err := NewSliceMerge(&shared, tables, slc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,9 @@ func TestBoundedIterSeekGEClampsToSlice(t *testing.T) {
 		t.Skipf("only %d slices", len(slices))
 	}
 	mid := slices[1]
-	m, err := NewSliceMerge(tables, mid)
+	var shared sstable.Merge
+	defer shared.Close()
+	m, err := NewSliceMerge(&shared, tables, mid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,58 +148,45 @@ func (db *DB) commit(seq uint64, b *Batch, trs obs.Traces) error {
 	return db.commitLocked(seq, b, trs)
 }
 
-// commitLocked is the write stage: every record is appended to the WAL
-// and the memtable at sequence seq (one sequence for the whole batch —
-// the batch is one commit-order event). Caller holds db.mu and has
-// already advanced db.seq to seq. When traces ride the batch, the loop
-// times its two halves and records one aggregated wal_append and
-// memtable_apply span per trace (the group commits as a unit, so every
-// rider paid for the whole loop).
+// commitLocked is the write stage: every record is framed into one WAL
+// write and then applied to the memtable at sequence seq (one sequence
+// for the whole batch — the batch is one commit-order event). Caller
+// holds db.mu and has already advanced db.seq to seq. When traces ride
+// the batch, the two halves are timed and recorded as one wal_append and
+// one memtable_apply span per trace (the group commits as a unit, so
+// every rider paid for both).
 func (db *DB) commitLocked(seq uint64, b *Batch, trs obs.Traces) error {
 	traced := len(trs) > 0
-	var t0, ts time.Time
-	var walDur, memDur time.Duration
-	var walBytes, userBytes int64
+	var t0, t1 time.Time
 	if traced {
 		t0 = time.Now()
 	}
 	for i := range b.ops {
-		e := &b.ops[i]
-		rec := base.Entry{Key: e.Key, Value: e.Value, Seq: seq, Kind: e.Kind}
-		if traced {
-			ts = time.Now()
-		}
-		off, n, err := db.log.Append(rec)
-		if traced {
-			walDur += time.Since(ts)
-		}
-		if err != nil {
-			// Keep the ledger in lockstep with the met counters even on
-			// a torn batch: charge what the loop already logged.
-			db.opts.Ledger.Add(obs.SrcWAL, walBytes)
-			db.opts.Ledger.Add(obs.SrcUser, userBytes)
-			return err
-		}
-		db.met.BytesLogged.Add(int64(n))
-		walBytes += int64(n)
-		if traced {
-			ts = time.Now()
-		}
-		db.preserveLocked(e.Key)
-		db.mem.Set(e.Key, e.Value, seq, e.Kind, db.log.ID(), off)
-		if traced {
-			memDur += time.Since(ts)
-		}
-		db.met.UserWrites.Add(1)
-		db.met.UserBytes.Add(rec.Size())
-		userBytes += rec.Size()
+		b.ops[i].Seq = seq
 	}
-	db.opts.Ledger.Add(obs.SrcWAL, walBytes)
+	offs, walBytes, err := db.log.AppendBatch(b.ops)
+	if err != nil {
+		return err
+	}
+	if traced {
+		t1 = time.Now()
+	}
+	var userBytes int64
+	for i := range b.ops {
+		e := &b.ops[i]
+		db.preserveLocked(e.Key)
+		db.mem.Set(e.Key, e.Value, seq, e.Kind, db.log.ID(), offs[i])
+		userBytes += e.Size()
+	}
+	db.met.BytesLogged.Add(int64(walBytes))
+	db.met.UserWrites.Add(int64(len(b.ops)))
+	db.met.UserBytes.Add(userBytes)
+	db.opts.Ledger.Add(obs.SrcWAL, int64(walBytes))
 	db.opts.Ledger.Add(obs.SrcUser, userBytes)
 	if traced {
 		detail := fmt.Sprintf("shard %d, %d ops, %dB", db.opts.EventShard, b.Len(), walBytes)
-		trs.SpanAt(obs.SpanWALAppend, t0, walDur, detail)
-		trs.SpanAt(obs.SpanMemtableApply, t0, memDur, detail)
+		trs.SpanAt(obs.SpanWALAppend, t0, t1.Sub(t0), detail)
+		trs.SpanAt(obs.SpanMemtableApply, t1, time.Since(t1), detail)
 	}
 	b.committed = true
 	return db.maybeRotateLocked()

@@ -115,7 +115,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	// monolithic and produce exactly one table — splitting would
 	// recreate same-sized files for the bucketer to merge again,
 	// forever; tiers are supposed to grow.
-	plan := mergePlan{outLevel: outLevel, singleOutput: outLevel == job.Level}
+	plan := mergePlan{shared: new(sstable.Merge), outLevel: outLevel, singleOutput: outLevel == job.Level}
+	defer plan.shared.Close()
 
 	// Resolve tables newest-first: L0 inputs are already newest-first in
 	// the version; the next level's files are strictly older. The inputs
@@ -156,8 +157,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		db.mu.Lock()
 		mem := db.mem
 		db.mu.Unlock()
-		// Memtable reads take its internal RWMutex, so concurrent
-		// subcompaction slices may share this closure.
+		// Memtable reads are lock-free, so concurrent subcompaction
+		// slices may share this closure.
 		plan.skip = func(key []byte) bool {
 			_, ok := mem.Get(key)
 			return ok
@@ -280,6 +281,7 @@ func (db *DB) moveFile(job *compaction.Job) error {
 
 // mergePlan is what every slice of one compaction shares.
 type mergePlan struct {
+	shared       *sstable.Merge  // what the slices' iterators share
 	tabs         []sstable.Table // newest source first
 	outLevel     int
 	singleOutput bool              // size-tiered: never roll the output
@@ -311,7 +313,7 @@ type sliceResult struct {
 // alone leaves most outputs straddling two grandparents, and every later
 // push of such a file rewrites both.
 func (db *DB) runSlice(p *mergePlan, slc compaction.Slice) sliceResult {
-	merge, err := compaction.NewSliceMerge(p.tabs, slc)
+	merge, err := compaction.NewSliceMerge(p.shared, p.tabs, slc)
 	if err != nil {
 		return sliceResult{err: err}
 	}

@@ -48,6 +48,22 @@ type immutable struct {
 	log *wal.Writer
 }
 
+// memView is one published state of the memtable stack; it is never
+// modified after it is stored.
+type memView struct {
+	mem  *memtable.Memtable
+	imms []*immutable // oldest first, as db.imm
+}
+
+// publishViewLocked makes the current mem and imm what readers see.
+// Caller holds db.mu (or is Open, before anyone else can look).
+func (db *DB) publishViewLocked() {
+	if db.closed {
+		return // Close retired the view; its drain must not bring it back
+	}
+	db.view.Store(&memView{mem: db.mem, imms: append([]*immutable(nil), db.imm...)})
+}
+
 // DB is the key-value store.
 type DB struct {
 	opts   Options
@@ -101,6 +117,11 @@ type DB struct {
 	// without taking versionMu on the write path.
 	l0Count atomic.Int32
 
+	// view is the memtable stack as readers see it: republished (under
+	// mu) whenever mem or imm changes, nil once the DB is closed. A Get
+	// loads it instead of taking mu, so a read never waits for a commit.
+	view atomic.Pointer[memView]
+
 	// compactedFrom[l] totals the bytes written by compactions whose
 	// input level was l (LevelStat.CompactedBytes).
 	compactedFrom [manifest.NumLevels]atomic.Int64
@@ -151,6 +172,7 @@ func Open(opts Options) (*DB, error) {
 	if err := db.recover(); err != nil {
 		return nil, err
 	}
+	db.publishViewLocked()
 	if opts.Scheduler != nil {
 		// Shared-pool mode: background work runs as pool tasks instead
 		// of private goroutines. A recovered tree may already be over
@@ -288,67 +310,48 @@ func (db *DB) allocFileID() uint64 {
 	return id
 }
 
-// populateLog appends every entry of mem to w and updates the entries'
-// commit-log positions (Algorithm 1, populateLog + CLUpdateOffset). The
-// position writes go through the memtable lock: compactions may hold a
-// reference to mem and copy its entries concurrently.
+// populateLog appends every entry of mem to w — one batch, one device
+// write — and updates the entries' commit-log positions (Algorithm 1,
+// populateLog + CLUpdateOffset). Caller holds db.mu if mem is reachable
+// by anyone else: the position updates are memtable writes.
 func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable) error {
-	for _, e := range mem.All() {
-		off, n, err := w.Append(e.Base())
-		if err != nil {
-			return err
-		}
-		db.met.BytesLogged.Add(int64(n))
-		db.opts.Ledger.Add(obs.SrcWAL, int64(n))
-		mem.SetLogPos(e, w.ID(), off)
+	entries := mem.All()
+	recs := make([]base.Entry, len(entries))
+	for i, e := range entries {
+		recs[i] = e.Base()
+	}
+	offs, n, err := w.AppendBatch(recs)
+	if err != nil {
+		return err
+	}
+	db.met.BytesLogged.Add(int64(n))
+	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
+	for i, e := range entries {
+		mem.SetLogPos(e, w.ID(), offs[i])
 	}
 	return nil
 }
 
 // Put associates value with key.
 func (db *DB) Put(key, value []byte) error {
-	return db.write(key, value, base.KindSet)
+	return db.WriteAt(0, key, value, base.KindSet)
 }
 
 // Delete removes key (writing a tombstone).
 func (db *DB) Delete(key []byte) error {
-	return db.write(key, nil, base.KindDelete)
+	return db.WriteAt(0, key, nil, base.KindDelete)
 }
 
-func (db *DB) write(key, value []byte, kind base.Kind) error {
-	if len(key) == 0 {
-		return errors.New("lsm: empty key")
-	}
-	k := append([]byte(nil), key...)
-	var v []byte
+// WriteAt commits one operation as a batch of one — the same commit stage
+// as any batch, with the batch on this frame instead of the heap. seq is
+// an externally assigned sequence as for CommitAt, or 0 for the next
+// internal one.
+func (db *DB) WriteAt(seq uint64, key, value []byte, kind base.Kind) error {
+	ops := [1]base.Entry{{Key: append([]byte(nil), key...), Kind: kind}}
 	if value != nil {
-		v = append([]byte(nil), value...)
+		ops[0].Value = append([]byte(nil), value...)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.bgErr != nil {
-		return db.bgErr
-	}
-	if err := db.stallLocked(); err != nil {
-		return err
-	}
-	db.seq++
-	e := base.Entry{Key: k, Value: v, Seq: db.seq, Kind: kind}
-	off, n, err := db.log.Append(e)
-	if err != nil {
-		return err
-	}
-	db.met.BytesLogged.Add(int64(n))
-	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
-	db.preserveLocked(k)
-	db.mem.Set(k, v, e.Seq, kind, db.log.ID(), off)
-	db.met.UserWrites.Add(1)
-	db.met.UserBytes.Add(e.Size())
-	db.opts.Ledger.Add(obs.SrcUser, e.Size())
-	return db.maybeRotateLocked()
+	return db.commit(seq, &Batch{ops: ops[:]}, nil)
 }
 
 // preserveLocked copies the live memtable's current version of key into
@@ -373,6 +376,12 @@ func (db *DB) preserveLocked(key []byte) {
 // of holding it — and thereby every other shard's batches — for the
 // length of a compaction.
 func (db *DB) WaitWritable() error {
+	// Neither stall condition can hold below these two counts, and the
+	// commit checks again under its lock, so the usual answer costs two
+	// atomic loads and no lock.
+	if v := db.view.Load(); v != nil && len(v.imms) <= db.opts.MaxImmutableMemtables && int(db.l0Count.Load()) < db.opts.L0StallFiles {
+		return nil
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.bgErr != nil {
@@ -465,6 +474,7 @@ func (db *DB) sealLocked() error {
 	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log})
 	db.mem = memtable.New(db.nextSeed())
 	db.log = newLog
+	db.publishViewLocked()
 	db.cond.Broadcast()
 	db.scheduleFlushLocked()
 	return nil
@@ -480,22 +490,16 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // sstable_read span. tr is nil on the untraced path.
 func (db *DB) GetTraced(key []byte, tr *obs.Trace) ([]byte, error) {
 	db.met.UserReads.Add(1)
-	// Snapshot the memtable stack.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	v := db.view.Load()
+	if v == nil {
 		return nil, ErrClosed
 	}
-	mem := db.mem
-	imms := append([]*immutable(nil), db.imm...)
-	db.mu.Unlock()
-
-	if e, ok := mem.Get(key); ok {
+	if e, ok := v.mem.Get(key); ok {
 		db.met.ReadsFromMem.Add(1)
 		return entryValue(e.Base())
 	}
-	for i := len(imms) - 1; i >= 0; i-- {
-		if e, ok := imms[i].mem.Get(key); ok {
+	for i := len(v.imms) - 1; i >= 0; i-- {
+		if e, ok := v.imms[i].mem.Get(key); ok {
 			db.met.ReadsFromMem.Add(1)
 			return entryValue(e.Base())
 		}
@@ -622,6 +626,7 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
+	db.view.Store(nil)
 	db.cond.Broadcast()
 	db.mu.Unlock()
 	if db.sched != nil {

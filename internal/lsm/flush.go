@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/base"
 	"repro/internal/bgsched"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
@@ -53,7 +54,7 @@ func (db *DB) flushWorker() {
 		}
 
 		db.mu.Lock()
-		db.imm = db.imm[1:]
+		db.popImmLocked()
 		db.flushing--
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
@@ -131,7 +132,7 @@ func (db *DB) flushTask() {
 		}
 
 		db.mu.Lock()
-		db.imm = db.imm[1:]
+		db.popImmLocked()
 		db.flushing--
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
@@ -208,12 +209,19 @@ func (db *DB) drainImmutablesOnClose() {
 			err = db.flushImmutable(imm)
 		}
 		db.mu.Lock()
-		db.imm = db.imm[1:]
+		db.popImmLocked()
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
 		}
 	}
 	db.mu.Unlock()
+}
+
+// popImmLocked dequeues the flushed head of the immutable queue. Caller
+// holds db.mu.
+func (db *DB) popImmLocked() {
+	db.imm = db.imm[1:]
+	db.publishViewLocked()
 }
 
 // discardImmutable implements Figure 2's "No BG I/O" variant: the sealed
@@ -258,6 +266,9 @@ func (db *DB) flushImmutable(imm *immutable) error {
 					break
 				}
 			}
+			// Decide which hot entries still stand, log those as one
+			// batch, then apply them.
+			var recs []base.Entry
 			for _, h := range sep.Hot {
 				cur, curOK := mem.Get(h.Key)
 				if curOK && cur.Seq >= h.Seq {
@@ -273,19 +284,22 @@ func (db *DB) flushImmutable(imm *immutable) error {
 				if superseded {
 					continue
 				}
-				off, n, err := log.Append(h.Base())
-				if err != nil {
-					db.mu.Unlock()
-					return err
-				}
-				db.met.BytesLogged.Add(int64(n))
-				db.opts.Ledger.Add(obs.SrcWAL, int64(n))
 				// The write-back overwrites the live memtable's version
 				// in place; keep it for any snapshot that pinned it.
 				if curOK && db.maxPinned != 0 && cur.Seq <= db.maxPinned {
 					db.overlay.preserve(cur.Base())
 				}
-				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), off)
+				recs = append(recs, h.Base())
+			}
+			offs, n, err := log.AppendBatch(recs)
+			if err != nil {
+				db.mu.Unlock()
+				return err
+			}
+			db.met.BytesLogged.Add(int64(n))
+			db.opts.Ledger.Add(obs.SrcWAL, int64(n))
+			for i, h := range recs {
+				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
 			}
 			db.mu.Unlock()
 		}

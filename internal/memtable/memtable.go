@@ -13,7 +13,7 @@ package memtable
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/base"
 	"repro/internal/skiplist"
@@ -44,156 +44,130 @@ func (e *Entry) Base() base.Entry {
 // skiplist node itself.
 const entryOverhead = 48
 
-// Memtable is a mutable sorted map. It is safe for concurrent use.
+// Memtable is a mutable sorted map with one writer and lock-free readers
+// (see package skiplist). Set, SetLogPos and SeparateKeys are writes: at
+// most one goroutine may be inside any of them at a time — the engine
+// holds its commit lock around the first two, and only the flush of a
+// sealed memtable calls the third. Get, Len, ApproxSize, All, SeekAll and
+// iterators may run concurrently with the writer and take no lock.
+//
+// Entries are copy-on-write: a write publishes a fresh *Entry and never
+// modifies one a reader may hold, so every Entry a reader obtains is one
+// consistent version (value, sequence and log position of the same write).
 type Memtable struct {
-	mu   sync.RWMutex
-	list *skiplist.List
-	size int64
+	list *skiplist.List[Entry]
+	size atomic.Int64
 }
 
 // New returns an empty memtable; seed drives skiplist level randomness.
 func New(seed int64) *Memtable {
-	return &Memtable{list: skiplist.New(seed)}
+	return &Memtable{list: skiplist.New[Entry](seed)}
 }
 
-// Set inserts or updates key. For an update the value is replaced in place,
-// the update counter is incremented and the commit-log position is advanced
-// to the new record (Algorithm 1, Update).
+// Set inserts or updates key. For an update the value is replaced, the
+// update counter is incremented and the commit-log position is advanced
+// to the new record (Algorithm 1, Update); the stored key stays the one
+// first inserted.
 func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint64, logOff int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v, ok := m.list.Get(key); ok {
-		e := v.(*Entry)
-		m.size += int64(len(value)) - int64(len(e.Value))
-		e.Value = value
-		e.Seq = seq
-		e.Kind = kind
-		e.Updates++
-		e.LogID = logID
-		e.LogOffset = logOff
-		return
-	}
-	e := &Entry{Key: key, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
-	m.list.Set(key, e)
-	m.size += int64(len(key)+len(value)) + entryOverhead
+	m.list.Put(key, func(cur *Entry) *Entry {
+		e := &Entry{Key: key, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
+		if cur == nil {
+			m.size.Add(int64(len(key)+len(value)) + entryOverhead)
+			return e
+		}
+		e.Key, e.Updates = cur.Key, cur.Updates+1
+		m.size.Add(int64(len(value)) - int64(len(cur.Value)))
+		return e
+	})
 }
 
-// SetLogPos updates an entry's commit-log position under the memtable
-// lock. The entry must belong to this memtable; the lock is what keeps
-// the write from racing concurrent Gets that copy the entry.
+// SetLogPos moves the commit-log position of e's key, leaving the rest of
+// its current version as it is. e must have come from this memtable.
 func (m *Memtable) SetLogPos(e *Entry, logID uint64, off int64) {
-	m.mu.Lock()
-	e.LogID = logID
-	e.LogOffset = off
-	m.mu.Unlock()
+	m.list.Put(e.Key, func(cur *Entry) *Entry {
+		moved := *cur
+		moved.LogID, moved.LogOffset = logID, off
+		return &moved
+	})
 }
 
 // Get returns a copy of the entry stored under key.
 func (m *Memtable) Get(key []byte) (Entry, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.list.Get(key)
-	if !ok {
-		return Entry{}, false
+	if e := m.list.Get(key); e != nil {
+		return *e, true
 	}
-	return *v.(*Entry), true
+	return Entry{}, false
 }
 
 // Len reports the number of entries.
-func (m *Memtable) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.list.Len()
-}
+func (m *Memtable) Len() int { return m.list.Len() }
 
 // ApproxSize reports the approximate heap footprint in bytes; the flush
 // trigger compares it against the configured memtable budget.
-func (m *Memtable) ApproxSize() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.size
-}
+func (m *Memtable) ApproxSize() int64 { return m.size.Load() }
 
-// All returns every entry in ascending key order. The returned pointers
-// alias live entries; callers must only use them while the memtable is no
-// longer mutated (i.e. after it has been sealed for flush).
+// All returns the current version of every entry in ascending key order.
 func (m *Memtable) All() []*Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]*Entry, 0, m.list.Len())
 	it := m.list.NewIterator()
 	for it.Next() {
-		out = append(out, it.Value().(*Entry))
+		out = append(out, it.Value())
 	}
 	return out
 }
 
 // SeekAll returns entries with key >= from, ascending.
 func (m *Memtable) SeekAll(from []byte) []*Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var out []*Entry
 	it := m.list.NewIterator()
 	if !it.SeekGE(from) {
 		return nil
 	}
-	out = append(out, it.Value().(*Entry))
+	out = append(out, it.Value())
 	for it.Next() {
-		out = append(out, it.Value().(*Entry))
+		out = append(out, it.Value())
 	}
 	return out
 }
 
 // Iter is a streaming iterator over the memtable in ascending key order.
-// It is safe to use while the memtable is still receiving writes: every
-// step takes the memtable lock, advances, copies the current entry and
-// releases, so the iterator holds no lock between steps and never blocks
-// writers for longer than one entry copy. Skiplist nodes are never
-// removed, so a held position stays valid across concurrent inserts.
-// Keys inserted mid-iteration behind the current position are not
-// revisited; in-place updates ahead of it are observed with their new
-// sequence number — callers needing a point-in-time view filter by
-// sequence (the snapshot layer does).
+// It is safe to use while the memtable is still receiving writes and
+// takes no lock. Skiplist nodes are never removed, so a held position
+// stays valid across concurrent inserts. Keys inserted mid-iteration
+// behind the current position are not revisited; updates ahead of it are
+// observed with their new sequence number — callers needing a
+// point-in-time view filter by sequence (the snapshot layer does).
 type Iter struct {
-	m   *Memtable
-	it  *skiplist.Iterator
-	cur Entry
-	ok  bool
+	it  *skiplist.Iterator[Entry]
+	cur *Entry
 }
 
 // NewIter returns an iterator positioned before the first entry.
 func (m *Memtable) NewIter() *Iter {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return &Iter{m: m, it: m.list.NewIterator()}
+	return &Iter{it: m.list.NewIterator()}
 }
 
 // Next advances and reports whether an entry is available.
 func (it *Iter) Next() bool {
-	it.m.mu.RLock()
-	it.ok = it.it.Next()
-	if it.ok {
-		it.cur = *it.it.Value().(*Entry)
+	if !it.it.Next() {
+		return false
 	}
-	it.m.mu.RUnlock()
-	return it.ok
+	it.cur = it.it.Value()
+	return true
 }
 
 // SeekGE positions at the first entry with key >= key.
 func (it *Iter) SeekGE(key []byte) bool {
-	it.m.mu.RLock()
-	it.ok = it.it.SeekGE(key)
-	if it.ok {
-		it.cur = *it.it.Value().(*Entry)
+	if !it.it.SeekGE(key) {
+		return false
 	}
-	it.m.mu.RUnlock()
-	return it.ok
+	it.cur = it.it.Value()
+	return true
 }
 
 // Entry returns a copy of the current entry (valid after a true
-// Next/SeekGE). The slices it references are never mutated in place by
-// the memtable, so they stay stable.
-func (it *Iter) Entry() Entry { return it.cur }
+// Next/SeekGE): the version that was current when the iterator reached it.
+func (it *Iter) Entry() Entry { return *it.cur }
 
 // HotPolicy selects how SeparateKeys picks hot entries.
 type HotPolicy uint8
@@ -219,18 +193,11 @@ type Separation struct {
 // entry count when policy is HotTopK. Update counters of the hot survivors
 // are reset ("Reset hotness").
 //
-// The whole separation holds the write lock: readers that captured this
-// memtable before it was sealed (the TRIAD-MEM compaction skip check)
-// may still be calling Get, and the counter reset below mutates entries
-// those Gets copy.
+// Resetting a counter publishes a fresh copy of the entry, so readers that
+// captured this memtable before it was sealed (the TRIAD-MEM compaction
+// skip check) are not disturbed.
 func (m *Memtable) SeparateKeys(policy HotPolicy, hotFraction float64) Separation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	all := make([]*Entry, 0, m.list.Len())
-	it := m.list.NewIterator()
-	for it.Next() {
-		all = append(all, it.Value().(*Entry))
-	}
+	all := m.All()
 	if len(all) == 0 {
 		return Separation{}
 	}
@@ -271,8 +238,10 @@ func (m *Memtable) SeparateKeys(policy HotPolicy, hotFraction float64) Separatio
 	var sep Separation
 	for _, e := range all {
 		if hotSet[e] {
-			e.Updates = 0 // reset hotness
-			sep.Hot = append(sep.Hot, e)
+			reset := *e
+			reset.Updates = 0 // reset hotness
+			m.list.Put(e.Key, func(*Entry) *Entry { return &reset })
+			sep.Hot = append(sep.Hot, &reset)
 		} else {
 			sep.Cold = append(sep.Cold, e)
 		}

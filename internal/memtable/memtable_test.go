@@ -1,7 +1,10 @@
 package memtable
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/base"
@@ -183,27 +186,161 @@ func TestSeparateKeysZeroFraction(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
+// TestOneWriterManyReaders is the memtable's concurrency contract, run
+// under -race in CI: one goroutine writes (Set, tombstones, SetLogPos,
+// SeparateKeys) while readers and an iterator run free. Every version the
+// writer publishes carries its sequence in its value and in its log
+// offset, so a reader can tell a torn entry — the value of one version
+// with the sequence or log position of another — from a whole one. At
+// the end the table must equal the writer's map oracle, update counters
+// included.
+func TestOneWriterManyReaders(t *testing.T) {
+	const keys, writes, readers = 200, 30000, 3
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	// whole reports whether e is exactly one published version.
+	whole := func(e Entry) error {
+		switch {
+		case e.Kind == base.KindSet && string(e.Value) != fmt.Sprint(e.Seq):
+			return fmt.Errorf("key %q: value %q with seq %d", e.Key, e.Value, e.Seq)
+		case e.Kind == base.KindDelete && e.Value != nil:
+			return fmt.Errorf("key %q: tombstone seq %d with value %q", e.Key, e.Seq, e.Value)
+		case e.LogID == 1 && e.LogOffset != int64(e.Seq)*100, // as Set logged it
+			e.LogID == 2 && e.LogOffset != int64(e.Seq)*100+1, // as SetLogPos moved it
+			e.LogID != 1 && e.LogID != 2:
+			return fmt.Errorf("key %q: seq %d at log %d offset %d", e.Key, e.Seq, e.LogID, e.LogOffset)
+		}
+		return nil
+	}
+
 	m := New(1)
-	done := make(chan bool, 8)
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			for i := 0; i < 1000; i++ {
-				m.Set([]byte(fmt.Sprintf("g%d-%d", g, i%50)), []byte("v"), uint64(i), base.KindSet, 0, 0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			lastSeq := make([]uint64, keys)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := rng.Intn(keys)
+				e, ok := m.Get(key(i))
+				if !ok {
+					if lastSeq[i] != 0 {
+						t.Errorf("key %d vanished after seq %d", i, lastSeq[i])
+						return
+					}
+					continue
+				}
+				if err := whole(e); err != nil {
+					t.Error(err)
+					return
+				}
+				if e.Seq < lastSeq[i] {
+					t.Errorf("key %d went back from seq %d to %d", i, lastSeq[i], e.Seq)
+					return
+				}
+				lastSeq[i] = e.Seq
 			}
-			done <- true
-		}(g)
-		go func(g int) {
-			for i := 0; i < 1000; i++ {
-				m.Get([]byte(fmt.Sprintf("g%d-%d", g, i%50)))
+		}(r)
+	}
+	wg.Add(1)
+	go func() { // the iterator
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			done <- true
-		}(g)
+			it := m.NewIter()
+			var prev []byte
+			for it.Next() {
+				e := it.Entry()
+				if err := whole(e); err != nil {
+					t.Error(err)
+					return
+				}
+				if prev != nil && bytes.Compare(e.Key, prev) <= 0 {
+					t.Errorf("iterator out of order: %q after %q", e.Key, prev)
+					return
+				}
+				prev = e.Key
+			}
+		}
+	}()
+
+	type version struct {
+		seq     uint64
+		kind    base.Kind
+		updates uint32
+		logID   uint64
 	}
-	for i := 0; i < 8; i++ {
-		<-done
+	oracle := map[string]*version{}
+	rng := rand.New(rand.NewSource(42))
+	write := func(seq uint64) error {
+		k := key(rng.Intn(keys))
+		v := oracle[string(k)]
+		if v == nil {
+			v = &version{}
+			oracle[string(k)] = v
+		}
+		switch op := rng.Intn(100); {
+		case op < 80:
+			m.Set(k, []byte(fmt.Sprint(seq)), seq, base.KindSet, 1, int64(seq)*100)
+			*v = version{seq: seq, kind: base.KindSet, updates: v.updates + 1, logID: 1}
+		case op < 90:
+			m.Set(k, nil, seq, base.KindDelete, 1, int64(seq)*100)
+			*v = version{seq: seq, kind: base.KindDelete, updates: v.updates + 1, logID: 1}
+		case op < 99:
+			if v.seq == 0 {
+				delete(oracle, string(k))
+				return nil
+			}
+			e, _ := m.Get(k)
+			m.SetLogPos(&e, 2, int64(e.Seq)*100+1)
+			v.logID = 2
+		default:
+			sep := m.SeparateKeys(HotAboveMean, 0)
+			if len(sep.Hot)+len(sep.Cold) != m.Len() {
+				return fmt.Errorf("separation of %d entries returned %d hot + %d cold", m.Len(), len(sep.Hot), len(sep.Cold))
+			}
+			for _, h := range sep.Hot {
+				if h.Updates != 0 {
+					return fmt.Errorf("hot key %q not reset: %d", h.Key, h.Updates)
+				}
+				oracle[string(h.Key)].updates = 0
+			}
+			if v.seq == 0 {
+				delete(oracle, string(k))
+			}
+		}
+		return nil
 	}
-	if m.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", m.Len())
+	var err error
+	for seq := uint64(1); seq <= writes && err == nil; seq++ {
+		err = write(seq)
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if m.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle has %d", m.Len(), len(oracle))
+	}
+	for _, e := range m.All() {
+		v := oracle[string(e.Key)]
+		if err := whole(*e); err != nil {
+			t.Fatal(err)
+		}
+		if v == nil || e.Seq != v.seq || e.Kind != v.kind || e.Updates != v.updates || e.LogID != v.logID {
+			t.Fatalf("key %q: table has %+v, oracle %+v", e.Key, *e, v)
+		}
 	}
 }

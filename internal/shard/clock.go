@@ -1,147 +1,139 @@
 package shard
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // clock is the store-wide commit clock: one monotonically increasing
 // sequence of epochs that every write batch and every snapshot draws a
-// ticket from. The clock replaces three independent ordering mechanisms
-// that used to stack on top of each other — per-lsm.DB sequence
-// counters, the shard layer's all-or-nothing apply barrier, and the
-// server committer's single-goroutine ordering — with a single total
-// order:
+// ticket from. It is the store's single ordering mechanism — per-lsm.DB
+// sequence counters are views of it:
 //
 //   - every ticket (a batch or a snapshot capture) holds one unique
-//     epoch; per-DB sequence counters become views of this clock;
-//   - per shard, tickets execute in epoch order (each ticket waits for
-//     its predecessor on that shard's chain), so any two tickets that
-//     share a shard are ordered the same way everywhere they meet —
-//     conflicting cross-shard batches are serializable, and a snapshot
-//     ticket spanning all shards captures every shard at the same
-//     logical instant without freezing the store;
+//     epoch;
+//   - a ticket holds the commit lock of every shard it touches from
+//     before its epoch is drawn until it has finished there, so per
+//     shard, tickets execute one at a time and in epoch order. Any two
+//     tickets that share a shard are therefore ordered the same way
+//     everywhere they meet — conflicting cross-shard batches are
+//     serializable, and a snapshot ticket spanning all shards captures
+//     every shard at the same logical instant;
 //   - a committed watermark tracks the contiguous prefix of finished
 //     epochs, which is what a read-your-writes barrier keys on.
 //
-// Ticket allocation is O(touched shards) under one mutex; the per-shard
-// chains hand execution from each ticket directly to its successor, so
-// shards that share no tickets never synchronize.
+// A ticket whose predecessor on a shard is still running blocks on that
+// shard's mutex — one waiter is handed the lock when it is released; no
+// goroutine is parked on a condition variable and woken to re-check. A ticket takes its shards' locks in index order, so
+// tickets cannot deadlock, and shards that share no ticket never
+// synchronize beyond one atomic add for the epoch.
 type clock struct {
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast when committed advances
-	next uint64     // next epoch to hand out
-	tail []uint64   // per shard: epoch of the last ticket enqueued there
+	last   atomic.Uint64 // last epoch handed out
+	shards []shardLock   // per shard: the commit lock
 
+	mu        sync.Mutex
 	committed uint64              // every epoch <= committed has finished
 	finished  map[uint64]struct{} // epochs finished out of order
-
-	gates []gate
+	waiters   []epochWaiter       // blocked waitCommitted calls
 }
 
-// gate is one shard's commit chain: done is the epoch of the last
-// ticket that finished on this shard, which is exactly the predecessor
-// epoch its successor recorded at allocation time.
-type gate struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	done uint64
+// shardLock is one shard's commit lock on a cache line of its own, so
+// taking one shard's lock does not bounce the line another shard's
+// writers are spinning on.
+type shardLock struct {
+	sync.Mutex
+	_ [64 - 8]byte
 }
 
-// newClock returns a clock over shards chains resuming at epoch last
-// (the highest sequence any shard recovered; new stores start at 0).
+// epochWaiter is one waitCommitted call: ready is closed once the
+// watermark reaches epoch.
+type epochWaiter struct {
+	epoch uint64
+	ready chan struct{}
+}
+
+// newClock returns a clock over shards commit locks resuming at epoch
+// last (the highest sequence any shard recovered; new stores start at 0).
 func newClock(shards int, last uint64) *clock {
 	c := &clock{
-		next:      last + 1,
 		committed: last,
-		tail:      make([]uint64, shards),
+		shards:    make([]shardLock, shards),
 		finished:  make(map[uint64]struct{}),
-		gates:     make([]gate, shards),
 	}
-	c.cond = sync.NewCond(&c.mu)
-	for i := range c.tail {
-		c.tail[i] = last
-	}
-	for i := range c.gates {
-		g := &c.gates[i]
-		g.done = last
-		g.cond = sync.NewCond(&g.mu)
-	}
+	c.last.Store(last)
 	return c
 }
 
-// ticket is one position in the store's total commit order: an epoch
-// plus, per touched shard, the epoch of the ticket immediately ahead on
-// that shard's chain.
-type ticket struct {
-	epoch  uint64
-	shards []int    // touched shard indices
-	preds  []uint64 // predecessor epoch per entry of shards
-}
-
-// allocate hands out the next epoch and enqueues the ticket on every
-// listed shard's chain. The caller must drive the ticket to completion
-// — waitTurn+shardDone on every shard, then finish — even on error
-// paths, or everything queued behind it blocks forever. The shards
-// slice is retained; callers must not mutate it afterwards.
-func (c *clock) allocate(shards []int) ticket {
-	c.mu.Lock()
-	t := ticket{epoch: c.next, shards: shards, preds: make([]uint64, len(shards))}
-	c.next++
-	for j, i := range shards {
-		t.preds[j] = c.tail[i]
-		c.tail[i] = t.epoch
+// acquire takes the commit lock of every listed shard — shards must be
+// in ascending order — and then draws the ticket's epoch. The caller must
+// release every listed shard and then finish the epoch, even on error
+// paths, or everything behind it on those shards blocks forever.
+//
+// It first yields the processor: this is the one point of a commit at
+// which the goroutine holds nothing. Writers that never block would
+// otherwise run until the runtime preempts them — after 10 ms, wherever
+// they are, the commit section included — and on a machine with fewer
+// processors than runnable goroutines (two writers, a flush, a compaction
+// and the collector on two cores) that is what the tail of the put
+// latency was made of: everything else queued for 10 ms behind a writer,
+// or parked behind a lock whose holder had been taken off its processor,
+// each park costing 50 µs and more to wake from. With nothing else
+// runnable the yield costs a fraction of a microsecond. (Yielding only on
+// contention, handing over on release and spinning on TryLock were
+// measured and do not help: they do not get the preempted holder back on
+// a processor.)
+func (c *clock) acquire(shards []int) uint64 {
+	runtime.Gosched()
+	for _, i := range shards {
+		c.shards[i].Lock()
 	}
-	c.mu.Unlock()
-	return t
+	return c.last.Add(1)
 }
 
-// waitTurn blocks until every earlier ticket touching t.shards[j] has
-// finished there — the ticket is now at the head of that shard's chain.
-func (c *clock) waitTurn(t ticket, j int) {
-	g := &c.gates[t.shards[j]]
-	g.mu.Lock()
-	for g.done != t.preds[j] {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
+// release marks the ticket done on shard i, admitting the next one there.
+func (c *clock) release(i int) { c.shards[i].Unlock() }
 
-// shardDone marks t finished on t.shards[j], handing the chain to its
-// successor.
-func (c *clock) shardDone(t ticket, j int) {
-	g := &c.gates[t.shards[j]]
-	g.mu.Lock()
-	g.done = t.epoch
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// finish retires the ticket from the total order; the committed
-// watermark advances over every contiguously finished epoch.
-func (c *clock) finish(t ticket) {
+// finish retires epoch from the total order; the committed watermark
+// advances over every contiguously finished epoch.
+func (c *clock) finish(epoch uint64) {
 	c.mu.Lock()
-	c.finished[t.epoch] = struct{}{}
-	advanced := false
-	for {
+	defer c.mu.Unlock()
+	if epoch != c.committed+1 {
+		c.finished[epoch] = struct{}{}
+		return
+	}
+	c.committed = epoch
+	for len(c.finished) > 0 {
 		if _, ok := c.finished[c.committed+1]; !ok {
 			break
 		}
 		c.committed++
 		delete(c.finished, c.committed)
-		advanced = true
 	}
-	c.mu.Unlock()
-	if advanced {
-		c.cond.Broadcast()
+	keep := c.waiters[:0]
+	for _, w := range c.waiters {
+		if w.epoch <= c.committed {
+			close(w.ready)
+		} else {
+			keep = append(keep, w)
+		}
 	}
+	c.waiters = keep
 }
 
 // waitCommitted blocks until the committed watermark reaches epoch —
 // every ticket at or below it has finished.
 func (c *clock) waitCommitted(epoch uint64) {
 	c.mu.Lock()
-	for c.committed < epoch {
-		c.cond.Wait()
+	if c.committed >= epoch {
+		c.mu.Unlock()
+		return
 	}
+	w := epochWaiter{epoch: epoch, ready: make(chan struct{})}
+	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
+	<-w.ready
 }
 
 // committedEpoch reports the watermark.

@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// TestClockEpochsUniqueAndOrdered: allocation hands out strictly
-// increasing epochs, and per shard, waitTurn admits tickets in exactly
-// allocation order.
+// TestClockEpochsUniqueAndOrdered: tickets draw strictly increasing
+// epochs, and per shard they run one at a time in exactly epoch order.
 func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 	const shards, workers, perWorker = 3, 8, 200
 	c := newClock(shards, 0)
-	order := make([][]uint64, shards) // per shard: epochs in commit order
-	var mu sync.Mutex
+	order := make([][]uint64, shards) // per shard: epochs in commit order; the shard's lock guards it
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -21,7 +19,7 @@ func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
-				// Random non-empty shard subset.
+				// Random non-empty shard subset, ascending.
 				var idxs []int
 				for s := 0; s < shards; s++ {
 					if rng.Intn(2) == 0 {
@@ -31,15 +29,12 @@ func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 				if len(idxs) == 0 {
 					idxs = []int{rng.Intn(shards)}
 				}
-				tk := c.allocate(idxs)
-				for j := range idxs {
-					c.waitTurn(tk, j)
-					mu.Lock()
-					order[idxs[j]] = append(order[idxs[j]], tk.epoch)
-					mu.Unlock()
-					c.shardDone(tk, j)
+				epoch := c.acquire(idxs)
+				for _, s := range idxs {
+					order[s] = append(order[s], epoch)
+					c.release(s)
 				}
-				c.finish(tk)
+				c.finish(epoch)
 			}
 		}(w)
 	}
@@ -61,26 +56,24 @@ func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 // an unfinished epoch, even when later epochs finish first.
 func TestClockWatermarkGap(t *testing.T) {
 	c := newClock(2, 0)
-	t1 := c.allocate([]int{0})
-	t2 := c.allocate([]int{1})
-	// t2 finishes first: watermark stays below t1.
-	c.waitTurn(t2, 0)
-	c.shardDone(t2, 0)
-	c.finish(t2)
+	e1 := c.acquire([]int{0})
+	e2 := c.acquire([]int{1})
+	// e2 finishes first: watermark stays below e1.
+	c.release(1)
+	c.finish(e2)
 	if got := c.committedEpoch(); got != 0 {
-		t.Fatalf("committedEpoch = %d with epoch %d unfinished, want 0", got, t1.epoch)
+		t.Fatalf("committedEpoch = %d with epoch %d unfinished, want 0", got, e1)
 	}
 	done := make(chan struct{})
 	go func() {
-		c.waitCommitted(t2.epoch)
+		c.waitCommitted(e2)
 		close(done)
 	}()
-	c.waitTurn(t1, 0)
-	c.shardDone(t1, 0)
-	c.finish(t1)
-	<-done // waitCommitted(t2) unblocks once the gap closes
-	if got := c.committedEpoch(); got != t2.epoch {
-		t.Fatalf("committedEpoch = %d, want %d", got, t2.epoch)
+	c.release(0)
+	c.finish(e1)
+	<-done // waitCommitted(e2) unblocks once the gap closes
+	if got := c.committedEpoch(); got != e2 {
+		t.Fatalf("committedEpoch = %d, want %d", got, e2)
 	}
 }
 
@@ -91,15 +84,13 @@ func TestClockResume(t *testing.T) {
 	if got := c.committedEpoch(); got != 41 {
 		t.Fatalf("committedEpoch = %d, want 41", got)
 	}
-	tk := c.allocate([]int{0, 1})
-	if tk.epoch != 42 {
-		t.Fatalf("first epoch = %d, want 42", tk.epoch)
+	epoch := c.acquire([]int{0, 1})
+	if epoch != 42 {
+		t.Fatalf("first epoch = %d, want 42", epoch)
 	}
-	for j := range tk.shards {
-		c.waitTurn(tk, j)
-		c.shardDone(tk, j)
-	}
-	c.finish(tk)
+	c.release(0)
+	c.release(1)
+	c.finish(epoch)
 	if got := c.committedEpoch(); got != 42 {
 		t.Fatalf("committedEpoch = %d, want 42", got)
 	}

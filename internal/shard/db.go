@@ -2,10 +2,10 @@
 // independent lsm.DB instances, each with its own commit log, memtable,
 // levels and background flush/compaction workers.
 //
-// A single lsm.DB serializes every write behind one memtable mutex and
-// one WAL; under many concurrent writers that lock — not the device — is
+// A single lsm.DB serializes every write behind one commit lock and one
+// WAL; under many concurrent writers that lock — not the device — is
 // the bottleneck. Hash-partitioning the keyspace multiplies the write
-// paths: N shards give N independent mutexes, WALs and background
+// paths: N shards give N independent locks, WALs and background
 // pipelines, while TRIAD's three techniques (hot/cold flush separation,
 // HLL-gated L0 compaction, CL-SSTables) compose per shard unchanged.
 //
@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/base"
 	"repro/internal/bgsched"
 	"repro/internal/lsm"
 	"repro/internal/obs"
@@ -159,8 +160,8 @@ type DB struct {
 	// cross-shard) and every snapshot holds one epoch ticket, and per
 	// shard, tickets execute in epoch order. That single total order is
 	// what makes concurrent conflicting cross-shard batches serializable
-	// and lets NewSnapshot pin an epoch instead of freezing every
-	// shard's write lock.
+	// and lets NewSnapshot pin an epoch, holding each shard only until it
+	// is captured.
 	clk *clock
 	// idxAll is the precomputed all-shards index list snapshots ticket.
 	idxAll []int
@@ -376,9 +377,7 @@ func (db *DB) pick(key []byte) *lsm.DB {
 // Put associates value with key on the owning shard, committing at a
 // fresh store-clock epoch.
 func (db *DB) Put(key, value []byte) error {
-	b := &lsm.Batch{}
-	b.Put(key, value)
-	return db.commitOne(db.part.Partition(key, len(db.shards)), b)
+	return db.writeOne(key, value, base.KindSet)
 }
 
 // Get returns the value stored under key, or lsm.ErrNotFound.
@@ -393,29 +392,31 @@ func (db *DB) GetTraced(key []byte, tr *obs.Trace) ([]byte, error) {
 
 // Delete removes key (writing a tombstone on the owning shard).
 func (db *DB) Delete(key []byte) error {
-	b := &lsm.Batch{}
-	b.Delete(key)
-	return db.commitOne(db.part.Partition(key, len(db.shards)), b)
+	return db.writeOne(key, nil, base.KindDelete)
 }
 
-// commitOne commits a batch routed entirely to shard i at a fresh
-// epoch — the degenerate, inline form of the commit pipeline.
-func (db *DB) commitOne(i int, b *lsm.Batch) error {
-	// Absorb write stalls before taking the ticket: a stalled commit at
-	// the head of the shard's chain would block every ticket queued
-	// behind it (including snapshots) for the length of a compaction.
-	if err := db.shards[i].WaitWritable(); err != nil {
+// writeOne commits one operation on key's shard at a fresh epoch — the
+// degenerate, inline form of the commit pipeline. Uncontended it takes
+// three locks (the shard's commit lock, the engine's, the watermark's)
+// and parks nowhere.
+func (db *DB) writeOne(key, value []byte, kind base.Kind) error {
+	i := db.part.Partition(key, len(db.shards))
+	s := db.shards[i]
+	// Absorb write stalls before taking the ticket: a stalled commit
+	// holding the shard's commit lock would block every ticket behind it
+	// (snapshots and cross-shard batches included, and through them the
+	// other shards) for the length of a compaction.
+	if err := s.WaitWritable(); err != nil {
 		return err
 	}
 	var start time.Time
 	if db.applyLat != nil {
 		start = time.Now()
 	}
-	t := db.clk.allocate([]int{i})
-	db.clk.waitTurn(t, 0)
-	err := db.shards[i].CommitAt(t.epoch, b)
-	db.clk.shardDone(t, 0)
-	db.clk.finish(t)
+	epoch := db.clk.acquire([]int{i})
+	err := s.WriteAt(epoch, key, value, kind)
+	db.clk.release(i)
+	db.clk.finish(epoch)
 	if db.applyLat != nil {
 		db.applyLat.Record(time.Since(start))
 	}
@@ -426,16 +427,18 @@ func (db *DB) commitOne(i int, b *lsm.Batch) error {
 type Batch = lsm.Batch
 
 // Commit is a prepared batch holding its epoch ticket — its place in
-// the store-wide total commit order. Exactly one Commit (or Abort) call
-// must follow Prepare: an abandoned ticket blocks every later write and
-// snapshot queued behind it on its shards.
+// the store-wide total commit order — and with it the commit lock of
+// every shard it touches. Exactly one Commit (or Abort) call must follow
+// Prepare: an abandoned ticket blocks every later write and snapshot on
+// its shards.
 type Commit struct {
-	db   *DB
-	b    *Batch
-	subs []*lsm.Batch // per shard; nil where the batch has no ops
-	tk   ticket
-	used bool
-	trs  obs.Traces // sampled traces riding this commit (usually nil)
+	db     *DB
+	b      *Batch
+	subs   []*lsm.Batch // per shard; nil where the batch has no ops
+	shards []int        // touched shard indices, ascending
+	epoch  uint64
+	used   bool
+	trs    obs.Traces // sampled traces riding this commit (usually nil)
 }
 
 // Trace attaches the group's sampled request traces; each receives the
@@ -444,8 +447,9 @@ type Commit struct {
 func (c *Commit) Trace(trs obs.Traces) { c.trs = trs }
 
 // Prepare stages b in the commit pipeline: validate, split into
-// per-shard sub-batches, absorb write stalls, and allocate the epoch
-// ticket. The returned Commit's epoch is final — later Prepares get
+// per-shard sub-batches, absorb write stalls, and take the epoch ticket
+// — waiting, on each touched shard, for the ticket ahead to finish
+// there. The returned Commit's epoch is final — later Prepares get
 // later epochs — which is what lets a caller (the server's group
 // committer) publish the epoch to waiters before the writes land.
 func (db *DB) Prepare(b *Batch) (*Commit, error) {
@@ -458,50 +462,50 @@ func (db *DB) Prepare(b *Batch) (*Commit, error) {
 		}
 	}
 	subs := make([]*lsm.Batch, len(db.shards))
-	var idxs []int
 	if len(db.shards) == 1 && b.Len() > 0 {
 		// Single-shard store: the batch is its own sub-batch, no split.
 		subs[0] = b
-		idxs = []int{0}
 	} else {
 		for _, e := range b.Ops() {
 			i := db.part.Partition(e.Key, len(db.shards))
 			if subs[i] == nil {
 				subs[i] = &lsm.Batch{}
-				idxs = append(idxs, i)
 			}
 			// The outer batch's Put/Delete already made defensive
 			// copies; PutEntry re-queues them without copying again.
 			subs[i].PutEntry(e)
 		}
 	}
-	// Absorb write stalls before taking the ticket (see commitOne).
-	for _, i := range idxs {
+	var idxs []int
+	for i, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		idxs = append(idxs, i)
+		// Absorb write stalls before taking the ticket (see writeOne).
 		if err := db.shards[i].WaitWritable(); err != nil {
 			return nil, err
 		}
 	}
-	return &Commit{db: db, b: b, subs: subs, tk: db.clk.allocate(idxs)}, nil
+	return &Commit{db: db, b: b, subs: subs, shards: idxs, epoch: db.clk.acquire(idxs)}, nil
 }
 
 // Epoch reports the commit's position in the store-wide total order.
-func (c *Commit) Epoch() uint64 { return c.tk.epoch }
+func (c *Commit) Epoch() uint64 { return c.epoch }
 
-// Commit applies the per-shard sub-batches, each at the ticket's epoch
-// and at the ticket's turn in that shard's commit chain. A failure can
-// still leave the batch applied on some shards and not others (the
-// batch then stays uncommitted, so retrying with a fresh Prepare is
-// safe — re-applying a Put/Delete set is idempotent); the chains and
-// the watermark always advance, so an error never wedges the pipeline.
+// Commit applies the per-shard sub-batches, each at the ticket's epoch,
+// releasing each shard as its sub-batch lands. A failure can still leave
+// the batch applied on some shards and not others (the batch then stays
+// uncommitted, so retrying with a fresh Prepare is safe — re-applying a
+// Put/Delete set is idempotent); the shards and the watermark are always
+// released, so an error never wedges the pipeline.
 //
-// Write stalls are absorbed at Prepare time, before the ticket exists;
-// a stall that develops between Prepare and Commit blocks this shard's
-// chain — successors wait on this ticket whether it stalls before or
-// after claiming the chain head, so a later re-check could not help.
-// The exposure is narrower than the pre-clock design, where a stall
-// inside the apply barrier held the storewide applyMu and froze every
-// shard's snapshots; now only the stalled shard's chain waits, and the
-// other shards keep committing.
+// Write stalls are absorbed at Prepare time, before the ticket exists; a
+// stall that develops between Prepare and Commit is sat out inside the
+// engine's commit with the shard's commit lock held. Only that shard's
+// writers wait behind it — the other shards keep committing — unless a
+// snapshot or a cross-shard batch arrives, which queues on the stalled
+// shard holding the lower-numbered ones.
 func (c *Commit) Commit() error {
 	if c.used {
 		return errors.New("shard: commit already executed (Prepare again)")
@@ -509,34 +513,31 @@ func (c *Commit) Commit() error {
 	c.used = true
 	db := c.db
 	var start time.Time
-	if db.applyLat != nil && len(c.tk.shards) > 0 {
+	if db.applyLat != nil && len(c.shards) > 0 {
 		start = time.Now()
 	}
 	var err error
-	switch len(c.tk.shards) {
+	switch len(c.shards) {
 	case 0: // empty batch: the ticket is just a watermark event
 	case 1:
-		i := c.tk.shards[0]
-		db.clk.waitTurn(c.tk, 0)
-		err = db.shards[i].CommitAtTraced(c.tk.epoch, c.subs[i], c.trs)
-		db.clk.shardDone(c.tk, 0)
+		i := c.shards[0]
+		err = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
+		db.clk.release(i)
 	default:
-		errs := make([]error, len(c.tk.shards))
+		errs := make([]error, len(c.shards))
 		var wg sync.WaitGroup
-		for j := range c.tk.shards {
+		for j, i := range c.shards {
 			wg.Add(1)
-			go func(j int) {
+			go func(j, i int) {
 				defer wg.Done()
-				i := c.tk.shards[j]
-				db.clk.waitTurn(c.tk, j)
-				errs[j] = db.shards[i].CommitAtTraced(c.tk.epoch, c.subs[i], c.trs)
-				db.clk.shardDone(c.tk, j)
-			}(j)
+				errs[j] = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
+				db.clk.release(i)
+			}(j, i)
 		}
 		wg.Wait()
 		err = errors.Join(errs...)
 	}
-	db.clk.finish(c.tk)
+	db.clk.finish(c.epoch)
 	if !start.IsZero() {
 		db.applyLat.Record(time.Since(start))
 	}
@@ -547,19 +548,18 @@ func (c *Commit) Commit() error {
 	return nil
 }
 
-// Abort releases the ticket without writing: the per-shard chains and
-// the watermark advance exactly as for a committed ticket, so the
-// pipeline cannot wedge on an abandoned Prepare.
+// Abort releases the ticket without writing: the shards and the
+// watermark advance exactly as for a committed ticket, so the pipeline
+// cannot wedge on an abandoned Prepare.
 func (c *Commit) Abort() {
 	if c.used {
 		return
 	}
 	c.used = true
-	for j := range c.tk.shards {
-		c.db.clk.waitTurn(c.tk, j)
-		c.db.clk.shardDone(c.tk, j)
+	for _, i := range c.shards {
+		c.db.clk.release(i)
 	}
-	c.db.clk.finish(c.tk)
+	c.db.clk.finish(c.epoch)
 }
 
 // Apply commits b through the pipeline: every batch — single- or

@@ -1,0 +1,189 @@
+package shard
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/vfs"
+)
+
+// keysOn returns n distinct keys the store routes to shard i.
+func keysOn(db *DB, i, n int, prefix string) [][]byte {
+	var out [][]byte
+	for j := 0; len(out) < n; j++ {
+		k := []byte(fmt.Sprintf("%s-%06d", prefix, j))
+		if db.part.Partition(k, len(db.shards)) == i {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestPutPathBudget pins what one commit costs, so the put path cannot
+// quietly grow back: allocations per Put of an existing key (the copies of
+// key and value, and the memtable's new version) and of a new key (those
+// plus the skiplist node and its tower), and device writes per batch —
+// one per touched shard, however many records the batch holds.
+func TestPutPathBudget(t *testing.T) {
+	var fses []*vfs.MemFS
+	db, err := Open(Options{Shards: 2, Engine: smallEngine(), NewFS: func(int) (vfs.FS, error) {
+		fs := vfs.NewMemFS()
+		fses = append(fses, fs)
+		return fs, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := make([]byte, 100)
+
+	hot := []byte("hot-key")
+	if err := db.Put(hot, val); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := db.Put(hot, val); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 3 {
+		t.Errorf("Put of an existing key: %.0f allocations, budget 3", got)
+	}
+
+	i := 0
+	fresh := keysOn(db, 0, 101, "new") // AllocsPerRun makes one warm-up call
+	if got := testing.AllocsPerRun(100, func() {
+		if err := db.Put(fresh[i], val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got > 5 {
+		t.Errorf("Put of a new key: %.0f allocations, budget 5", got)
+	}
+
+	writeOps := func() (n int64) {
+		for _, fs := range fses {
+			n += fs.Stats.WriteOps.Load()
+		}
+		return n
+	}
+	for _, touched := range []int{1, 2} {
+		b := &Batch{}
+		for s := 0; s < touched; s++ {
+			for _, k := range keysOn(db, s, 64/touched, fmt.Sprintf("batch%d", touched)) {
+				b.Put(k, val)
+			}
+		}
+		before := writeOps()
+		if err := db.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := writeOps() - before; got != int64(touched) {
+			t.Errorf("64-put Apply over %d shards: %d device writes, want %d", touched, got, touched)
+		}
+	}
+}
+
+// gateFS holds back the creation of table files while its gate is shut,
+// which wedges the shard's flushes — and, once the flush queue is full,
+// stalls its writers.
+type gateFS struct {
+	vfs.FS
+	gate chan struct{} // closed = open
+}
+
+func (g *gateFS) Create(name string) (vfs.File, error) {
+	if strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".clidx") {
+		<-g.gate
+	}
+	return g.FS.Create(name)
+}
+
+// TestStalledShardDoesNotBlockOtherShard: with shard 0 stalled for as
+// long as the test likes (its flushes cannot create their tables), puts
+// to shard 1 keep completing — also while a cross-shard batch is waiting
+// for shard 0, because a ticket absorbs its shards' stalls before it takes
+// any shard's commit lock. Once the gate opens everything drains.
+func TestStalledShardDoesNotBlockOtherShard(t *testing.T) {
+	gate := make(chan struct{})
+	db, err := Open(Options{Shards: 2, Engine: smallEngine(), NewFS: func(i int) (vfs.FS, error) {
+		if i == 0 {
+			return &gateFS{FS: vfs.NewMemFS(), gate: gate}, nil
+		}
+		return vfs.NewMemFS(), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := make([]byte, 1<<10)
+
+	// Far more than shard 0 can absorb without a flush completing: the
+	// writer cannot finish while the gate is shut.
+	doomed := keysOn(db, 0, 16*32, "stalled")
+	var progress atomic.Int64
+	stalledDone := make(chan error, 1)
+	go func() {
+		for _, k := range doomed {
+			if err := db.Put(k, val); err != nil {
+				stalledDone <- err
+				return
+			}
+			progress.Add(1)
+		}
+		stalledDone <- nil
+	}()
+
+	// Put to shard 1 until the stalled writer has made no progress for a
+	// long run of them. If shard 1's puts wait on shard 0, this loop stops
+	// turning and the watchdog fires.
+	watchdog := time.AfterFunc(time.Minute, func() { panic("puts to shard 1 blocked behind stalled shard 0") })
+	defer watchdog.Stop()
+	free := keysOn(db, 1, 64, "free")
+	putFree := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := db.Put(free[i%len(free)], val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for last, quiet := int64(-1), 0; quiet < 2000; quiet++ {
+		if p := progress.Load(); p != last {
+			last, quiet = p, 0
+		}
+		putFree(1)
+	}
+	if p := progress.Load(); p == int64(len(doomed)) {
+		t.Fatalf("the stalled writer finished all %d puts with the gate shut", p)
+	}
+
+	cross := &Batch{}
+	cross.Put(doomed[0], val)
+	cross.Put(free[0], []byte("from the cross-shard batch"))
+	crossDone := make(chan error, 1)
+	go func() { crossDone <- db.Apply(cross) }()
+	putFree(2000)
+	select {
+	case err := <-crossDone:
+		t.Fatalf("cross-shard batch committed on a stalled shard: %v", err)
+	case err := <-stalledDone:
+		t.Fatalf("stalled writer returned with the gate shut: %v", err)
+	default:
+	}
+
+	close(gate)
+	if err := <-stalledDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-crossDone; err != nil {
+		t.Fatal(err)
+	}
+	if v, err := db.Get(free[0]); err != nil || string(v) != "from the cross-shard batch" {
+		t.Fatalf("Get after the drain = %q, %v", v, err)
+	}
+	if _, err := db.Get(doomed[len(doomed)-1]); err != nil {
+		t.Fatal(err)
+	}
+}

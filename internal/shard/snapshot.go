@@ -9,17 +9,15 @@ import (
 
 // Snapshot is a pinned read view spanning every shard, taken at one
 // epoch of the store-wide commit clock: NewSnapshot draws a ticket
-// covering all shards, and each shard is captured when that ticket
-// reaches the head of the shard's commit chain — after every batch with
-// an earlier epoch has committed there, before any with a later one
-// can. All shards therefore pin the same logical instant (the epoch)
-// even though the captures run at different wall-clock moments, and no
-// shard's write lock is held across another shard's capture: writes to
-// an already-captured shard proceed while the rest of the capture
-// drains. A multi-shard batch is either entirely visible (epoch below
-// the snapshot's) or entirely invisible — a scan can never observe half
-// of a cross-shard commit, and concurrent conflicting batches appear in
-// exactly their serialized epoch order.
+// covering all shards, so its epoch is drawn while it holds every shard's
+// commit lock — after every batch with an earlier epoch has committed,
+// before any with a later one can. All shards therefore pin the same
+// logical instant (the epoch); each is released the moment it is
+// captured, so writes to an already-captured shard proceed while the rest
+// of the capture runs. A multi-shard batch is either entirely visible
+// (epoch below the snapshot's) or entirely invisible — a scan can never
+// observe half of a cross-shard commit, and concurrent conflicting
+// batches appear in exactly their serialized epoch order.
 //
 // Close releases every shard's pin; iterators opened from the snapshot
 // keep the underlying per-shard pins alive until they close.
@@ -32,24 +30,20 @@ type Snapshot struct {
 	closed bool
 }
 
-// NewSnapshot pins all shards at one epoch. The captures run
-// sequentially: each shard's commit chain drains toward the ticket
-// concurrently no matter when we arrive at its gate, so by the time
-// shard j is captured, shard j+1's queue has been draining in the
-// background — visiting in order costs roughly the slowest single
-// chain, and none of the per-shard goroutine fan-out.
+// NewSnapshot pins all shards at one epoch: it takes every shard's commit
+// lock, draws the epoch, and releases each shard as soon as it is
+// captured.
 func (db *DB) NewSnapshot() (*Snapshot, error) {
-	t := db.clk.allocate(db.idxAll)
+	epoch := db.clk.acquire(db.idxAll)
 	snaps := make([]*lsm.Snapshot, len(db.shards))
 	var firstErr error
-	for j := range db.shards {
-		db.clk.waitTurn(t, j)
+	for i, s := range db.shards {
 		if firstErr == nil {
-			snaps[j], firstErr = db.shards[j].NewSnapshotAt(t.epoch)
+			snaps[i], firstErr = s.NewSnapshotAt(epoch)
 		}
-		db.clk.shardDone(t, j)
+		db.clk.release(i)
 	}
-	db.clk.finish(t)
+	db.clk.finish(epoch)
 	if firstErr != nil {
 		for _, s := range snaps {
 			if s != nil {
@@ -59,7 +53,7 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		return nil, firstErr
 	}
 	db.openSnaps.Add(1)
-	return &Snapshot{db: db, snaps: snaps, epoch: t.epoch}, nil
+	return &Snapshot{db: db, snaps: snaps, epoch: epoch}, nil
 }
 
 // Epoch reports the snapshot's position in the store-wide commit order:

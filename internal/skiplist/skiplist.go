@@ -1,17 +1,24 @@
 // Package skiplist implements a randomized skip list keyed by byte slices.
 //
 // It is the ordered-map substrate underneath the memtable. Values are
-// opaque unsafe-free interface payloads owned by the caller; the list never
-// copies keys or values. The zero value is not usable; use New.
+// pointers owned by the caller; the list never copies keys or values. The
+// zero value is not usable; use New.
 //
-// Concurrency: the list itself is not synchronized. The memtable wraps it
-// with its own lock, which also covers the per-entry metadata TRIAD needs
-// (update counters, commit-log offsets).
+// Concurrency: one writer, any number of readers, no locks (LevelDB's
+// memtable discipline). Put must be called by at most one goroutine at a
+// time — the memtable's callers serialize it behind the engine's commit
+// lock — while Get and iterators may run concurrently with it and with
+// each other. A node is fully built before the store that links it at
+// level 0, links and values are published with atomic stores and read with
+// atomic loads, and nodes are never unlinked, so a reader sees each key
+// either absent or with a complete value, and an iterator's position stays
+// valid for as long as it is held.
 package skiplist
 
 import (
 	"bytes"
 	"math/rand"
+	"sync/atomic"
 )
 
 const (
@@ -21,34 +28,35 @@ const (
 	pInv = 4
 )
 
-type node struct {
+type node[V any] struct {
 	key   []byte
-	value any
-	next  []*node
+	value atomic.Pointer[V]
+	next  []atomic.Pointer[node[V]]
 }
 
-// List is a skip list mapping byte-slice keys to arbitrary values.
-type List struct {
-	head   *node
-	height int
-	length int
-	rng    *rand.Rand
+// List is a skip list mapping byte-slice keys to *V values.
+type List[V any] struct {
+	head   *node[V]
+	height atomic.Int32
+	length atomic.Int64
+	rng    *rand.Rand // writer only
 }
 
 // New returns an empty list whose level randomness is drawn from seed.
 // Deterministic seeding keeps tests and experiments reproducible.
-func New(seed int64) *List {
-	return &List{
-		head:   &node{next: make([]*node, maxHeight)},
-		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
+func New[V any](seed int64) *List[V] {
+	l := &List[V]{
+		head: &node[V]{next: make([]atomic.Pointer[node[V]], maxHeight)},
+		rng:  rand.New(rand.NewSource(seed)),
 	}
+	l.height.Store(1)
+	return l
 }
 
 // Len reports the number of entries.
-func (l *List) Len() int { return l.length }
+func (l *List[V]) Len() int { return int(l.length.Load()) }
 
-func (l *List) randomHeight() int {
+func (l *List[V]) randomHeight() int {
 	h := 1
 	for h < maxHeight && l.rng.Intn(pInv) == 0 {
 		h++
@@ -57,104 +65,96 @@ func (l *List) randomHeight() int {
 }
 
 // findGE returns the first node with key >= key, along with the per-level
-// predecessors (when prev is non-nil).
-func (l *List) findGE(key []byte, prev []*node) *node {
+// predecessors (when prev is non-nil). The node returned is the very one
+// whose key the level-0 walk compared last: loading the link a second
+// time could return a node the writer has inserted in between, whose key
+// is below key.
+func (l *List[V]) findGE(key []byte, prev []*node[V]) *node[V] {
 	x := l.head
-	for i := l.height - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
+	var nx *node[V]
+	for i := int(l.height.Load()) - 1; i >= 0; i-- {
+		for {
+			nx = x.next[i].Load()
+			if nx == nil || bytes.Compare(nx.key, key) >= 0 {
+				break
+			}
+			x = nx
 		}
 		if prev != nil {
 			prev[i] = x
 		}
 	}
-	return x.next[0]
+	return nx
 }
 
-// Get returns the value stored under key, or (nil, false).
-func (l *List) Get(key []byte) (any, bool) {
-	n := l.findGE(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
-		return n.value, true
+// Get returns the value stored under key, or nil.
+func (l *List[V]) Get(key []byte) *V {
+	if n := l.findGE(key, nil); n != nil && bytes.Equal(n.key, key) {
+		return n.value.Load()
 	}
-	return nil, false
+	return nil
 }
 
-// Set inserts key with value, or replaces the value if key is present.
-// It returns the previous value, if any.
-func (l *List) Set(key []byte, value any) (prev any, replaced bool) {
-	var prevs [maxHeight]*node
-	n := l.findGE(key, prevs[:])
-	if n != nil && bytes.Equal(n.key, key) {
-		old := n.value
-		n.value = value
-		return old, true
+// Put stores under key the value that next returns when given the key's
+// current value (nil when the key is absent), in one descent. A present
+// key keeps its node and its key slice; only the value is replaced.
+func (l *List[V]) Put(key []byte, next func(cur *V) *V) {
+	var prevs [maxHeight]*node[V]
+	if n := l.findGE(key, prevs[:]); n != nil && bytes.Equal(n.key, key) {
+		n.value.Store(next(n.value.Load()))
+		return
 	}
 	h := l.randomHeight()
-	if h > l.height {
-		for i := l.height; i < h; i++ {
+	if cur := int(l.height.Load()); h > cur {
+		for i := cur; i < h; i++ {
 			prevs[i] = l.head
 		}
-		l.height = h
+		// A reader that sees the new height before the links below finds
+		// head.next nil at the new levels and simply descends.
+		l.height.Store(int32(h))
 	}
-	nn := &node{key: key, value: value, next: make([]*node, h)}
+	nn := &node[V]{key: key, next: make([]atomic.Pointer[node[V]], h)}
+	nn.value.Store(next(nil))
 	for i := 0; i < h; i++ {
-		nn.next[i] = prevs[i].next[i]
-		prevs[i].next[i] = nn
+		nn.next[i].Store(prevs[i].next[i].Load())
 	}
-	l.length++
-	return nil, false
+	for i := 0; i < h; i++ {
+		prevs[i].next[i].Store(nn)
+	}
+	l.length.Add(1)
 }
 
-// Delete removes key, reporting whether it was present.
-func (l *List) Delete(key []byte) bool {
-	var prevs [maxHeight]*node
-	n := l.findGE(key, prevs[:])
-	if n == nil || !bytes.Equal(n.key, key) {
-		return false
-	}
-	for i := 0; i < len(n.next); i++ {
-		if prevs[i].next[i] == n {
-			prevs[i].next[i] = n.next[i]
-		}
-	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.length--
-	return true
-}
-
-// Iterator walks the list in ascending key order.
-type Iterator struct {
-	list *List
-	node *node
+// Iterator walks the list in ascending key order. It may be used while the
+// writer inserts: keys inserted behind its position are not revisited.
+type Iterator[V any] struct {
+	list *List[V]
+	node *node[V]
 }
 
 // NewIterator returns an iterator positioned before the first entry;
 // call Next to advance to it.
-func (l *List) NewIterator() *Iterator {
-	return &Iterator{list: l, node: l.head}
+func (l *List[V]) NewIterator() *Iterator[V] {
+	return &Iterator[V]{list: l, node: l.head}
 }
 
 // Next advances and reports whether an entry is available.
-func (it *Iterator) Next() bool {
+func (it *Iterator[V]) Next() bool {
 	if it.node == nil {
 		return false
 	}
-	it.node = it.node.next[0]
+	it.node = it.node.next[0].Load()
 	return it.node != nil
 }
 
 // SeekGE positions the iterator at the first entry with key >= key and
 // reports whether such an entry exists.
-func (it *Iterator) SeekGE(key []byte) bool {
+func (it *Iterator[V]) SeekGE(key []byte) bool {
 	it.node = it.list.findGE(key, nil)
 	return it.node != nil
 }
 
 // Key returns the current key. Valid only after a true Next/SeekGE.
-func (it *Iterator) Key() []byte { return it.node.key }
+func (it *Iterator[V]) Key() []byte { return it.node.key }
 
 // Value returns the current value. Valid only after a true Next/SeekGE.
-func (it *Iterator) Value() any { return it.node.value }
+func (it *Iterator[V]) Value() *V { return it.node.value.Load() }

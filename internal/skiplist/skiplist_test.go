@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// set stores v under key, replacing any current value.
+func set(l *List[int], key []byte, v int) {
+	l.Put(key, func(*int) *int { return &v })
+}
+
 func TestEmpty(t *testing.T) {
-	l := New(1)
+	l := New[int](1)
 	if l.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", l.Len())
 	}
-	if _, ok := l.Get([]byte("a")); ok {
-		t.Fatal("Get on empty list returned ok")
-	}
-	if l.Delete([]byte("a")) {
-		t.Fatal("Delete on empty list returned true")
+	if l.Get([]byte("a")) != nil {
+		t.Fatal("Get on empty list returned a value")
 	}
 	it := l.NewIterator()
 	if it.Next() {
@@ -25,52 +28,37 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
-func TestSetGetReplace(t *testing.T) {
-	l := New(1)
-	if _, replaced := l.Set([]byte("k"), 1); replaced {
-		t.Fatal("first Set reported replaced")
+func TestPutGetReplace(t *testing.T) {
+	l := New[int](1)
+	var seen []*int
+	put := func(v int) {
+		l.Put([]byte("k"), func(cur *int) *int {
+			seen = append(seen, cur)
+			return &v
+		})
 	}
-	prev, replaced := l.Set([]byte("k"), 2)
-	if !replaced || prev.(int) != 1 {
-		t.Fatalf("replace: got (%v, %v), want (1, true)", prev, replaced)
+	put(1)
+	put(2)
+	if seen[0] != nil {
+		t.Fatal("first Put was handed a current value")
 	}
-	v, ok := l.Get([]byte("k"))
-	if !ok || v.(int) != 2 {
-		t.Fatalf("Get = (%v, %v), want (2, true)", v, ok)
+	if seen[1] == nil || *seen[1] != 1 {
+		t.Fatalf("second Put was handed %v, want 1", seen[1])
+	}
+	if v := l.Get([]byte("k")); v == nil || *v != 2 {
+		t.Fatalf("Get = %v, want 2", v)
 	}
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
 	}
 }
 
-func TestDelete(t *testing.T) {
-	l := New(2)
-	for i := 0; i < 100; i++ {
-		l.Set([]byte(fmt.Sprintf("key%03d", i)), i)
-	}
-	for i := 0; i < 100; i += 2 {
-		if !l.Delete([]byte(fmt.Sprintf("key%03d", i))) {
-			t.Fatalf("Delete key%03d returned false", i)
-		}
-	}
-	if l.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", l.Len())
-	}
-	for i := 0; i < 100; i++ {
-		_, ok := l.Get([]byte(fmt.Sprintf("key%03d", i)))
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("Get key%03d = %v, want %v", i, ok, want)
-		}
-	}
-}
-
 func TestIterationSorted(t *testing.T) {
-	l := New(3)
+	l := New[int](3)
 	rng := rand.New(rand.NewSource(7))
 	n := 1000
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("%08d", rng.Intn(10*n))
-		l.Set([]byte(k), i)
+		set(l, []byte(fmt.Sprintf("%08d", rng.Intn(10*n))), i)
 	}
 	var prev string
 	count := 0
@@ -89,9 +77,9 @@ func TestIterationSorted(t *testing.T) {
 }
 
 func TestSeekGE(t *testing.T) {
-	l := New(4)
+	l := New[int](4)
 	for i := 0; i < 100; i += 10 {
-		l.Set([]byte(fmt.Sprintf("%03d", i)), i)
+		set(l, []byte(fmt.Sprintf("%03d", i)), i)
 	}
 	it := l.NewIterator()
 	if !it.SeekGE([]byte("015")) {
@@ -108,25 +96,15 @@ func TestSeekGE(t *testing.T) {
 	}
 }
 
-// TestQuickAgainstMap drives random operations against a map oracle.
+// TestQuickAgainstMap drives random puts against a map oracle.
 func TestQuickAgainstMap(t *testing.T) {
 	check := func(seed int64, ops []uint16) bool {
-		l := New(seed)
-		oracle := map[string]uint16{}
-		for i, op := range ops {
+		l := New[int](seed)
+		oracle := map[string]int{}
+		for _, op := range ops {
 			key := []byte(fmt.Sprintf("%04d", op%512))
-			switch i % 3 {
-			case 0, 1:
-				l.Set(key, op)
-				oracle[string(key)] = op
-			case 2:
-				got := l.Delete(key)
-				_, want := oracle[string(key)]
-				if got != want {
-					return false
-				}
-				delete(oracle, string(key))
-			}
+			set(l, key, int(op))
+			oracle[string(key)] = int(op)
 		}
 		if l.Len() != len(oracle) {
 			return false
@@ -139,7 +117,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		sort.Strings(keys)
 		it := l.NewIterator()
 		for _, k := range keys {
-			if !it.Next() || string(it.Key()) != k || it.Value().(uint16) != oracle[k] {
+			if !it.Next() || string(it.Key()) != k || *it.Value() != oracle[k] {
 				return false
 			}
 		}
@@ -150,24 +128,121 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 }
 
-func BenchmarkSet(b *testing.B) {
-	l := New(1)
+// TestReadersDuringWrites is the list's concurrency contract under -race:
+// while one writer inserts ascending values under random keys, readers
+// and iterators see every key they find with a value at least as new as
+// the last one they saw, scans stay sorted, and a key inserted before a
+// reader started is always found.
+func TestReadersDuringWrites(t *testing.T) {
+	const keys, writes, readers = 256, 20000, 3
+	l := New[int](5)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("%04d", i)) }
+	for i := 0; i < keys; i += 2 {
+		set(l, key(i), 0) // even keys exist from the start
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			last := make([]int, keys)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := rng.Intn(keys)
+				if v := l.Get(key(i)); v != nil {
+					if *v < last[i] {
+						t.Errorf("key %d went back from %d to %d", i, last[i], *v)
+						return
+					}
+					last[i] = *v
+				} else if i%2 == 0 {
+					t.Errorf("key %d, present from the start, not found", i)
+					return
+				}
+				it := l.NewIterator()
+				var prev []byte
+				for ok := it.SeekGE(key(i)); ok; ok = it.Next() {
+					if prev != nil && string(it.Key()) <= string(prev) {
+						t.Errorf("scan out of order: %q after %q", it.Key(), prev)
+						return
+					}
+					prev = it.Key()
+					if it.Value() == nil {
+						t.Errorf("key %q linked without a value", it.Key())
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for v := 1; v <= writes; v++ {
+		set(l, key(rng.Intn(keys)), v)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestGetDuringPredecessorInserts aims at the one window a lock-free
+// lookup has: every insert here becomes the immediate predecessor of a key
+// a reader keeps looking up, so each one changes the very link the lookup
+// ends on. The key was there before the reader started; it must be found
+// every time.
+func TestGetDuringPredecessorInserts(t *testing.T) {
+	l := New[int](7)
+	target := []byte("b")
+	set(l, target, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if l.Get(target) == nil {
+					t.Error("a key present from the start was not found")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200000; i++ {
+		set(l, []byte(fmt.Sprintf("a%07d", i)), i) // ascending, all below target
+	}
+	close(stop)
+	wg.Wait()
+}
+
+func BenchmarkPut(b *testing.B) {
+	l := New[int](1)
 	keys := make([][]byte, 1<<16)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("%08d", i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Set(keys[i%len(keys)], i)
+		set(l, keys[i%len(keys)], i)
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	l := New(1)
+	l := New[int](1)
 	keys := make([][]byte, 1<<16)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("%08d", i))
-		l.Set(keys[i], i)
+		set(l, keys[i], i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

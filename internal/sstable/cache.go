@@ -282,6 +282,24 @@ func (h *Handle) Get(table, offset uint64) []byte {
 	return nil
 }
 
+// Peek returns the cached block for (table, offset), or nil, and leaves
+// the cache as it found it: no recency or frequency update, no hit or
+// miss counted. It is the lookup of a background merge, whose single pass
+// over a table says nothing about what users will read next.
+func (h *Handle) Peek(table, offset uint64) []byte {
+	if h == nil {
+		return nil
+	}
+	k := cacheKey{h.id, table, offset}
+	s := h.c.seg(k.hash())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[k]; ok {
+		return el.Value.(*centry).block
+	}
+	return nil
+}
+
 // Put inserts a block. New blocks enter the probation queue; when the
 // segment is full, the frequency sketch arbitrates between the new
 // block and the eviction victim, and the less-used of the two loses —

@@ -414,3 +414,54 @@ func TestBlockChecksumDetectsCorruption(t *testing.T) {
 		t.Fatal("read of corrupted block succeeded")
 	}
 }
+
+// TestMergeIteratorLeavesCacheAlone: a background merge's pass over a
+// table uses a block a user read already cached, but offers the cache
+// nothing and leaves none of its counters or queues changed — so a block
+// a Get cached before the merge is still served from memory after it, and
+// the admission filter's reject count keeps meaning "user misses refused".
+func TestMergeIteratorLeavesCacheAlone(t *testing.T) {
+	fs := vfs.NewMemFS()
+	w, _ := NewWriter(fs, 1, 512)
+	for i := 0; i < 500; i++ {
+		w.Add(base.Entry{Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v"), Seq: uint64(i + 1), Kind: base.KindSet})
+	}
+	w.Finish()
+	cache := NewCache(8 << 10) // a fraction of the table
+	r, err := OpenWithCache(fs, 1, cache.NewHandle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, found, reads, _ := r.Get([]byte("key-0100"), nil); !found || reads != 1 {
+		t.Fatalf("cold Get: found=%v reads=%d", found, reads)
+	}
+	before := cache.Stats()
+	readsBefore := fs.Stats.ReadOps.Load()
+
+	var m Merge
+	it, err := r.NewMergeIterator(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for it.Next() {
+		n++
+	}
+	if err := it.Err(); err != nil || n != 500 {
+		t.Fatalf("merge iterator yielded %d entries, %v", n, err)
+	}
+	it.Close()
+	m.Close()
+
+	if after := cache.Stats(); after != before {
+		t.Fatalf("merge pass changed the cache: %+v -> %+v", before, after)
+	}
+	// Every block but the cached one came off the device.
+	if got, want := fs.Stats.ReadOps.Load()-readsBefore, int64(len(r.index)-1); got != want {
+		t.Fatalf("merge pass made %d device reads over %d blocks with one cached, want %d", got, len(r.index), want)
+	}
+	if _, found, reads, _ := r.Get([]byte("key-0100"), nil); !found || reads != 0 {
+		t.Fatalf("Get after the merge pass: found=%v reads=%d, want the block still cached", found, reads)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/base"
@@ -189,17 +190,93 @@ func (r *CLReader) NewIterator() (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf, err := r.readLog(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &clIter{r: r, inner: inner, logBuf: buf}, nil
+}
+
+// NewMergeIterator implements Table: every iterator m opens on this table
+// decodes from the one log image m holds.
+func (r *CLReader) NewMergeIterator(m *Merge) (Iterator, error) {
+	inner, err := r.idx.NewMergeIterator(m)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := m.logImage(r)
+	if err != nil {
+		return nil, err
+	}
+	return &clIter{r: r, inner: inner, logBuf: buf}, nil
+}
+
+// readLog returns the whole log, read with one sequential read into buf
+// if that is large enough and into a fresh buffer if not.
+func (r *CLReader) readLog(buf []byte) ([]byte, error) {
 	size, err := r.log.Size()
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
 	if size > 0 {
-		if n, err := r.log.ReadAt(buf, 0); err != nil && !(err == io.EOF && int64(n) == size) {
+		if n, err := r.log.ReadAt(buf, 0); err != nil && !(err == io.EOF && n == len(buf)) {
 			return nil, err
 		}
 	}
-	return &clIter{r: r, inner: inner, logBuf: buf}, nil
+	return buf, nil
+}
+
+// Merge is what the iterators of one background merge share: the image of
+// each input CL-SSTable's commit log, read once — by whichever slice of
+// the merge asks first — instead of once per slice, into a buffer drawn
+// from a pool. A slice of a skewed table decodes a few percent of the
+// log it would otherwise read and allocate whole. The zero value is
+// ready; Close returns the buffers, after which no entry of the merge's
+// iterators may be used.
+type Merge struct {
+	mu   sync.Mutex
+	logs map[*CLReader]*[]byte
+}
+
+// logPool recycles log images (*[]byte) between merges.
+var logPool sync.Pool
+
+// logImage returns the merge's image of r's log, reading it if this is
+// the first request. The lock is held across the read: every slice wants
+// every image, so there is nothing to overlap it with.
+func (m *Merge) logImage(r *CLReader) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if img := m.logs[r]; img != nil {
+		return *img, nil
+	}
+	img, _ := logPool.Get().(*[]byte)
+	if img == nil {
+		img = new([]byte)
+	}
+	var err error
+	if *img, err = r.readLog(*img); err != nil {
+		return nil, err
+	}
+	if m.logs == nil {
+		m.logs = make(map[*CLReader]*[]byte)
+	}
+	m.logs[r] = img
+	return *img, nil
+}
+
+// Close releases what the merge's iterators shared.
+func (m *Merge) Close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, img := range m.logs {
+		logPool.Put(img)
+	}
+	m.logs = nil
 }
 
 type clIter struct {

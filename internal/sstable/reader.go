@@ -62,6 +62,16 @@ func (r *Reader) block(h blockHandle) (data []byte, cached bool, err error) {
 	return b, false, nil
 }
 
+// mergeBlock fetches a data block for a background merge: a cached block
+// is used, but one read from the file is not offered to the cache
+// (RocksDB's fill_cache=false) and the lookup leaves no trace in it.
+func (r *Reader) mergeBlock(h blockHandle) ([]byte, error) {
+	if b := r.cache.Peek(r.id, h.offset); b != nil {
+		return b, nil
+	}
+	return readBlock(r.f, h)
+}
+
 func (r *Reader) load() error {
 	var err error
 	if r.size, err = r.f.Size(); err != nil {
@@ -175,6 +185,11 @@ func (r *Reader) NewIterator() (Iterator, error) {
 	return &readerIter{r: r, block: -1}, nil
 }
 
+// NewMergeIterator implements Table.
+func (r *Reader) NewMergeIterator(*Merge) (Iterator, error) {
+	return &readerIter{r: r, block: -1, merge: true}, nil
+}
+
 // BlockSeparators returns the last key of every data block, ascending —
 // the table's natural key-range partition points. The compaction
 // splitter uses them as subcompaction slice boundaries: they come from
@@ -190,7 +205,8 @@ func (r *Reader) BlockSeparators() [][]byte {
 
 type readerIter struct {
 	r     *Reader
-	block int // current block index; -1 before first
+	merge bool // a background merge's iterator: reads do not fill the cache
+	block int  // current block index; -1 before first
 	buf   []byte
 	off   int
 	cur   base.Entry
@@ -203,7 +219,13 @@ func (it *readerIter) loadBlock(i int) bool {
 		it.valid = false
 		return false
 	}
-	blk, _, err := it.r.block(it.r.index[i].handle)
+	var blk []byte
+	var err error
+	if it.merge {
+		blk, err = it.r.mergeBlock(it.r.index[i].handle)
+	} else {
+		blk, _, err = it.r.block(it.r.index[i].handle)
+	}
 	if err != nil {
 		it.err = err
 		it.valid = false

@@ -496,3 +496,53 @@ func BenchmarkCLTableGet(b *testing.B) {
 		r.Get(key, nil)
 	}
 }
+
+// TestCLMergeIteratorsShareOneLogImage: however many iterators one merge
+// opens over a CL-SSTable — one per subcompaction slice — the commit log
+// is read from the device once, all of them decode the same entries a
+// plain iterator does, and the next merge over the table reads it again
+// (the image goes back to the pool on Close, it is not kept).
+func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
+	fs := vfs.NewMemFS()
+	r := buildCL(t, fs, 10, 5, 100)
+	defer r.Close()
+	logSize, _ := r.log.Size()
+	entries := func(it Iterator) []string {
+		t.Helper()
+		defer it.Close()
+		var out []string
+		for it.Next() {
+			e := it.Entry()
+			out = append(out, fmt.Sprintf("%s/%d/%d=%s", e.Key, e.Seq, e.Kind, e.Value))
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain, err := r.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := entries(plain)
+
+	for round := 0; round < 2; round++ {
+		var m Merge
+		for slice := 0; slice < 4; slice++ {
+			before := fs.Stats.BytesRead.Load()
+			it, err := r.NewMergeIterator(&m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Opening reads no index block, so what it read is log.
+			opened := fs.Stats.BytesRead.Load() - before
+			if slice == 0 && opened != logSize || slice > 0 && opened != 0 {
+				t.Fatalf("round %d: opening iterator %d read %d bytes, log is %d", round, slice, opened, logSize)
+			}
+			if got := entries(it); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d: merge iterator %d yielded %d entries differing from the plain iterator's %d", round, slice, len(got), len(want))
+			}
+		}
+		m.Close()
+	}
+}

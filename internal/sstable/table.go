@@ -38,6 +38,12 @@ type Table interface {
 	Get(key []byte, tr *obs.Trace) (e base.Entry, found bool, diskReads int, err error)
 	// NewIterator iterates all entries in ascending key order.
 	NewIterator() (Iterator, error)
+	// NewMergeIterator is NewIterator for one input of the background
+	// merge m (a compaction, however many slices it runs as): blocks it
+	// reads are not offered to the block cache, and what the merge's
+	// iterators over one table can share, they read once (see Merge). Its
+	// entries are valid until m is closed.
+	NewMergeIterator(m *Merge) (Iterator, error)
 	// Smallest and Largest bound the key range (inclusive).
 	Smallest() []byte
 	Largest() []byte

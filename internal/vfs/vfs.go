@@ -161,9 +161,43 @@ var ErrInjected = errors.New("vfs: injected fault")
 // n <= 0 disables injection.
 func (fs *MemFS) FailEveryNthWrite(n int) { fs.failEvery.Store(int64(n)) }
 
+// extentSize is the fixed length of every extent of a MemFS file but its
+// last. It is the largest size the Go allocator serves from its
+// small-object classes, and at most two extents meet in a 4 KiB block read.
+const extentSize = 32 << 10
+
+// memNode is one file's bytes as a list of extents: every extent but the
+// last holds exactly extentSize bytes, so byte off lives in
+// ext[off/extentSize] and an append copies only the new bytes — a commit
+// log is written once, not recopied each time a growing slice doubles.
 type memNode struct {
 	mu   sync.RWMutex
-	data []byte
+	ext  [][]byte
+	size int64
+}
+
+// write adds p to the end of the file. Caller holds mu.
+func (n *memNode) write(p []byte) {
+	n.size += int64(len(p))
+	for len(p) > 0 {
+		if len(n.ext) == 0 || len(n.ext[len(n.ext)-1]) == extentSize {
+			n.ext = append(n.ext, make([]byte, 0, extentSize))
+		}
+		last := &n.ext[len(n.ext)-1]
+		k := min(len(p), extentSize-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+	}
+}
+
+// readAt copies the file's bytes from off into p and returns how many
+// there were. Caller holds mu (shared) and has checked off < size.
+func (n *memNode) readAt(p []byte, off int64) int {
+	read := 0
+	for i := int(off / extentSize); read < len(p) && i < len(n.ext); i++ {
+		read += copy(p[read:], n.ext[i][(off+int64(read))%extentSize:])
+	}
+	return read
 }
 
 // Create implements FS.
@@ -251,7 +285,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 		}
 	}
 	f.node.mu.Lock()
-	f.node.data = append(f.node.data, p...)
+	f.node.write(p)
 	f.node.mu.Unlock()
 	f.fs.Stats.BytesWritten.Add(int64(len(p)))
 	f.fs.Stats.WriteOps.Add(1)
@@ -265,10 +299,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.node.mu.RLock()
 	defer f.node.mu.RUnlock()
-	if off >= int64(len(f.node.data)) {
+	if off >= f.node.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.node.data[off:])
+	n := f.node.readAt(p, off)
 	f.fs.Stats.BytesRead.Add(int64(n))
 	f.fs.Stats.ReadOps.Add(1)
 	f.fs.Latency.charge(n)
@@ -295,7 +329,7 @@ func (f *memFile) Sync() error {
 func (f *memFile) Size() (int64, error) {
 	f.node.mu.RLock()
 	defer f.node.mu.RUnlock()
-	return int64(len(f.node.data)), nil
+	return f.node.size, nil
 }
 
 // OSFS implements FS on top of the operating system filesystem, rooted at

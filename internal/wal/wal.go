@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"repro/internal/base"
 	"repro/internal/vfs"
@@ -37,19 +36,24 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // FileName returns the canonical name of log file id.
 func FileName(id uint64) string { return fmt.Sprintf("%06d.log", id) }
 
-// Writer appends records to one commit log file.
+// Writer appends records to one commit log file. It is not safe for
+// concurrent use: the engine appends under its commit lock and seals the
+// file (Close) only after the last append, so a lock of the writer's own
+// would be taken and never contended.
 type Writer struct {
-	mu   sync.Mutex
 	f    vfs.File
 	id   uint64
 	off  int64
-	buf  []byte
+	buf  []byte        // the records of one AppendBatch, reused
+	offs []int64       // their offsets, reused
+	one  [1]base.Entry // Append's batch of one
 	sync bool
 }
 
-// NewWriter creates log file id in fs. If syncOnAppend is true every append
-// is followed by a Sync (durability at the cost of throughput; the paper's
-// workloads use batched logging, so the default experiments pass false).
+// NewWriter creates log file id in fs. If syncOnAppend is true every
+// append (of one record or of one batch) is followed by a Sync
+// (durability at the cost of throughput; the paper's workloads use batched
+// logging, so the default experiments pass false).
 func NewWriter(fs vfs.FS, id uint64, syncOnAppend bool) (*Writer, error) {
 	f, err := fs.Create(FileName(id))
 	if err != nil {
@@ -62,56 +66,72 @@ func NewWriter(fs vfs.FS, id uint64, syncOnAppend bool) (*Writer, error) {
 func (w *Writer) ID() uint64 { return w.id }
 
 // Size returns the number of bytes appended so far.
-func (w *Writer) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.off
-}
+func (w *Writer) Size() int64 { return w.off }
 
 // Append writes one record and returns the byte offset it was written at
 // (the offset TRIAD-LOG stores in the memtable) and the number of bytes
 // appended.
 func (w *Writer) Append(e base.Entry) (offset int64, n int, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	need := headerSize + len(e.Key) + len(e.Value)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	b := w.buf[:need]
-	binary.LittleEndian.PutUint64(b[4:12], e.Seq)
-	b[12] = byte(e.Kind)
-	binary.LittleEndian.PutUint32(b[13:17], uint32(len(e.Key)))
-	binary.LittleEndian.PutUint32(b[17:21], uint32(len(e.Value)))
-	copy(b[21:], e.Key)
-	copy(b[21+len(e.Key):], e.Value)
-	binary.LittleEndian.PutUint32(b[0:4], crc32.ChecksumIEEE(b[4:]))
-	if _, err := w.f.Write(b); err != nil {
+	w.one[0] = e
+	offs, n, err := w.AppendBatch(w.one[:])
+	if err != nil {
 		return 0, 0, err
 	}
-	offset = w.off
-	w.off += int64(need)
+	return offs[0], n, nil
+}
+
+// AppendBatch writes recs as consecutive records — each framed and
+// checksummed exactly as by Append — with one write to the file, and
+// returns the byte offset of each record and the total bytes appended.
+// The offsets are valid until the next append. A failed write appends
+// nothing the writer accounts for: either every record of the batch is in
+// the log or, after a crash mid-write, a prefix of them and one torn
+// record that replay discards.
+func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err error) {
+	for i := range recs {
+		n += headerSize + len(recs[i].Key) + len(recs[i].Value)
+	}
+	if n == 0 {
+		return nil, 0, nil
+	}
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
+	}
+	buf := w.buf[:n]
+	w.offs = w.offs[:0]
+	at := 0
+	for i := range recs {
+		e := &recs[i]
+		w.offs = append(w.offs, w.off+int64(at))
+		b := buf[at : at+headerSize+len(e.Key)+len(e.Value)]
+		binary.LittleEndian.PutUint64(b[4:12], e.Seq)
+		b[12] = byte(e.Kind)
+		binary.LittleEndian.PutUint32(b[13:17], uint32(len(e.Key)))
+		binary.LittleEndian.PutUint32(b[17:21], uint32(len(e.Value)))
+		copy(b[21:], e.Key)
+		copy(b[21+len(e.Key):], e.Value)
+		binary.LittleEndian.PutUint32(b[0:4], crc32.ChecksumIEEE(b[4:]))
+		at += len(b)
+	}
+	if _, err := w.f.Write(buf); err != nil {
+		return nil, 0, err
+	}
+	w.off += int64(n)
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 	}
-	return offset, need, nil
+	return w.offs, n, nil
 }
 
 // Sync flushes the log to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Sync()
-}
+func (w *Writer) Sync() error { return w.f.Sync() }
 
 // Close syncs and closes the file. The file remains on disk; the engine
 // removes it once its contents are durable elsewhere (or retains it as a
 // CL-SSTable value store under TRIAD-LOG).
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err := w.f.Sync(); err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +302,170 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Seq = uint64(i)
 		w.Append(e)
+	}
+}
+
+// batchRecords is n records of varying shape, tombstones included.
+func batchRecords(n int) []base.Entry {
+	recs := make([]base.Entry, n)
+	for i := range recs {
+		recs[i] = base.Entry{
+			Key:   []byte(fmt.Sprintf("key-%04d", i)),
+			Value: bytes.Repeat([]byte{byte(i)}, i%40),
+			Seq:   uint64(100 + i),
+			Kind:  base.KindSet,
+		}
+		if i%7 == 3 {
+			recs[i].Kind, recs[i].Value = base.KindDelete, nil
+		}
+	}
+	return recs
+}
+
+func readAll(t *testing.T, fs vfs.FS, id uint64) []byte {
+	t.Helper()
+	f, err := fs.Open(FileName(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, _ := f.Size()
+	buf := make([]byte, size)
+	if size > 0 {
+		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// TestAppendBatchMatchesAppends: a batch costs one device write and one
+// sync, puts on the device exactly the bytes N single Appends put there,
+// and returns offsets at which ReadRecordAt and DecodeRecord find each
+// record.
+func TestAppendBatchMatchesAppends(t *testing.T) {
+	recs := batchRecords(64)
+	single, batched := vfs.NewMemFS(), vfs.NewMemFS()
+	ws, _ := NewWriter(single, 1, true)
+	var wantOffs []int64
+	var wantBytes int
+	for _, e := range recs {
+		off, n, err := ws.Append(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOffs = append(wantOffs, off)
+		wantBytes += n
+	}
+
+	wb, _ := NewWriter(batched, 1, true)
+	// Two batches, so the second one's offsets start mid-file.
+	offs, n1, err := wb.AppendBatch(recs[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOffs := append([]int64(nil), offs...)
+	offs, n2, err := wb.AppendBatch(recs[20:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOffs = append(gotOffs, offs...)
+	if n1+n2 != wantBytes || wb.Size() != ws.Size() {
+		t.Fatalf("batches appended %d bytes (Size %d), singles %d (Size %d)", n1+n2, wb.Size(), wantBytes, ws.Size())
+	}
+	if got := batched.Stats.WriteOps.Load(); got != 2 {
+		t.Fatalf("two batches cost %d device writes, want 2", got)
+	}
+	if got := batched.Stats.Syncs.Load(); got != 2 {
+		t.Fatalf("two batches cost %d syncs, want 2", got)
+	}
+	if offs, n, err := wb.AppendBatch(nil); err != nil || n != 0 || len(offs) != 0 || batched.Stats.WriteOps.Load() != 2 {
+		t.Fatalf("empty batch = %v, %d, %v and %d device writes", offs, n, err, batched.Stats.WriteOps.Load())
+	}
+	image := readAll(t, batched, 1)
+	if !bytes.Equal(image, readAll(t, single, 1)) {
+		t.Fatal("batched log differs from the log of single appends")
+	}
+	f, _ := batched.Open(FileName(1))
+	defer f.Close()
+	for i, want := range recs {
+		if gotOffs[i] != wantOffs[i] {
+			t.Fatalf("record %d at offset %d, single append put it at %d", i, gotOffs[i], wantOffs[i])
+		}
+		for _, dec := range []func() (base.Entry, int, error){
+			func() (base.Entry, int, error) { return ReadRecordAt(f, gotOffs[i]) },
+			func() (base.Entry, int, error) { return DecodeRecord(image, gotOffs[i]) },
+		} {
+			got, _, err := dec()
+			if err != nil || !bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) || got.Seq != want.Seq || got.Kind != want.Kind {
+				t.Fatalf("record %d decoded as %+v, %v; want %+v", i, got, err, want)
+			}
+		}
+	}
+}
+
+// TestReplayBatchTornMidRecord: a crash in the middle of a batch's one
+// device write leaves a prefix of its records and one torn record. Replay
+// keeps everything before the tear — earlier batches and the whole
+// records of the torn one — and delivers no part of the torn record, at
+// whichever byte the write was cut.
+func TestReplayBatchTornMidRecord(t *testing.T) {
+	recs := batchRecords(30)
+	fs := vfs.NewMemFS()
+	w, _ := NewWriter(fs, 1, false)
+	if _, _, err := w.AppendBatch(recs[:10]); err != nil {
+		t.Fatal(err)
+	}
+	offs, _, err := w.AppendBatch(recs[10:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs = append(append([]int64(nil), offs...), w.Size())
+	image := readAll(t, fs, 1)
+	for j := 0; j < 20; j++ { // tear inside record 10+j of the log
+		for _, cut := range []int64{offs[j] + 1, offs[j] + headerSize, offs[j+1] - 1} {
+			if cut <= offs[j] || cut >= offs[j+1] {
+				continue // a record too short to cut there
+			}
+			torn, _ := fs.Create(FileName(2))
+			torn.Write(image[:cut])
+			torn.Close()
+			var got int
+			err := Replay(fs, 2, func(e base.Entry, off int64) error {
+				want := recs[got]
+				if !bytes.Equal(e.Key, want.Key) || !bytes.Equal(e.Value, want.Value) || e.Seq != want.Seq {
+					t.Fatalf("cut at %d: record %d replayed as %+v", cut, got, e)
+				}
+				got++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 10+j {
+				t.Fatalf("cut at %d inside record %d: replayed %d records", cut, 10+j, got)
+			}
+		}
+	}
+}
+
+// TestAppendBatchFailedWrite: a refused write appends nothing, and the
+// next batch lands where the refused one would have.
+func TestAppendBatchFailedWrite(t *testing.T) {
+	recs := batchRecords(8)
+	fs := vfs.NewMemFS()
+	w, _ := NewWriter(fs, 1, false)
+	fs.FailEveryNthWrite(1)
+	if _, n, err := w.AppendBatch(recs); err == nil || n != 0 || w.Size() != 0 {
+		t.Fatalf("refused batch = %d bytes, %v, Size %d", n, err, w.Size())
+	}
+	fs.FailEveryNthWrite(0)
+	offs, _, err := w.AppendBatch(recs)
+	if err != nil || offs[0] != 0 {
+		t.Fatalf("batch after a refused one at %v, %v", offs, err)
+	}
+	var got int
+	if err := Replay(fs, 1, func(base.Entry, int64) error { got++; return nil }); err != nil || got != len(recs) {
+		t.Fatalf("replayed %d records, %v; want %d", got, err, len(recs))
 	}
 }
