@@ -490,41 +490,8 @@ func BenchmarkRangeScanSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkNetThroughput drives the RESP network front end over
-// loopback TCP: 8 pipelined client connections, 90% SET / 10% GET,
-// group commit on vs off. The gc-on/gc-off kops ratio is the headline —
-// coalescing all connections' writes into shard-split batches should
-// beat one Apply per command once connections contend.
-func BenchmarkNetThroughput(b *testing.B) {
-	s := benchScale()
-	s.Keys = 20_000
-	s.Ops = 40_000
-	for i := 0; i < b.N; i++ {
-		cells, err := harness.NetThroughput(s, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Report the 8-connection pair, selected by label so the
-		// harness's connection-count sweep can change freely.
-		byLabel := func(label string) harness.Result {
-			for _, c := range cells {
-				if c.Label == label {
-					return c.Res
-				}
-			}
-			b.Fatalf("no cell labeled %q", label)
-			return harness.Result{}
-		}
-		on, off := byLabel("net c=8 gc=on"), byLabel("net c=8 gc=off")
-		b.ReportMetric(on.KOPS, "gc_kops")
-		b.ReportMetric(off.KOPS, "perop_kops")
-		b.ReportMetric(on.KOPS/off.KOPS, "gain")
-		b.ReportMetric(float64(on.P99.Nanoseconds())/1000, "gc_p99_us")
-	}
-}
-
 // BenchmarkNetObsOverhead is the acceptance benchmark for the
-// observability layer: the same 8-connection net experiment with the
+// observability layer: the 8-connection loopback server run with the
 // full instrumentation (per-command histograms, stage timing, event
 // journal, apply latency) against the -no-observability configuration
 // where every recorder is nil. The instrumented kops must stay within
@@ -539,7 +506,7 @@ func BenchmarkNetObsOverhead(b *testing.B) {
 	}{{"instrumented", false}, {"no-op", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.NetRun(s, 4, 8, false, v.noObs, 0)
+				res, err := harness.NetRun(s, 4, 8, v.noObs, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -551,7 +518,7 @@ func BenchmarkNetObsOverhead(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead is the acceptance benchmark for request
-// tracing: the 8-connection net experiment at -trace-sample 0 (tracer
+// tracing: the 8-connection loopback server run at -trace-sample 0 (tracer
 // off entirely), 0.01 (a production-reasonable rate, which must stay
 // within noise of the no-observability floor), and 1.0 (every command
 // traced — the worst case, quantifying what full tracing costs).
@@ -571,7 +538,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.NetRun(s, 4, 8, false, v.noObs, v.sample)
+				res, err := harness.NetRun(s, 4, 8, v.noObs, v.sample)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -814,76 +781,7 @@ func BenchmarkPutPath(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheSkewedTenants is the acceptance benchmark for the
-// store-wide block cache: skewed multi-tenant reads (tenant ranks
-// Zipf(2.0), each tenant range-pinned to its own shard) against the
-// shared scan-resistant cache vs equal-split per-shard plain LRUs at
-// IDENTICAL total cache bytes. The shared cache must win on both hit
-// rate and kops — memory pooled store-wide follows the hot shard
-// instead of sitting pre-split in cold ones.
-func BenchmarkCacheSkewedTenants(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		cells, err := harness.CacheSkew(s, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shared, split := cells[0].Res, cells[1].Res
-		b.ReportMetric(shared.KOPS, "shared_kops")
-		b.ReportMetric(split.KOPS, "split_kops")
-		b.ReportMetric(shared.KOPS/split.KOPS, "gain")
-		b.ReportMetric(100*shared.CacheHitRate, "shared_hit_pct")
-		b.ReportMetric(100*split.CacheHitRate, "split_hit_pct")
-	}
-}
-
 // --- Background-scheduler benchmarks ---
-
-// BenchmarkIngestToQuiesce is the acceptance benchmark for the shared
-// background worker pool: the same sustained write-only ingest driven
-// all the way to quiesce (flush + compact-all) under the legacy
-// free-goroutine engine and under the pool with parallel
-// subcompactions, at identical aggregate memory. Compare kops and
-// stall_s across the sub-benchmarks: the pool rows must match or beat
-// legacy throughput and shrink total stall seconds. Meaningful at
-// -cpu 2,4 — parallel slices need spare cores to win.
-func BenchmarkIngestToQuiesce(b *testing.B) {
-	s := benchScale()
-	s.Shards = 4
-	for _, v := range []struct {
-		name    string
-		workers int
-		subcomp int
-	}{
-		{"legacy", -1, 1},
-		{"pool-2w", 2, 2},
-		{"pool-4w", 4, 4},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.RunIngest(harness.Spec{
-					Name:                v.name,
-					Engine:              shard.DivideBudgets(benchShardEngine(s), s.Shards),
-					Shards:              s.Shards,
-					Mix:                 workload.Mix{Dist: workload.Uniform{N: s.Keys}},
-					Threads:             s.Threads,
-					Ops:                 s.Ops,
-					PrepopulateFraction: 0.5,
-					BackgroundWorkers:   v.workers,
-					MaxSubcompactions:   v.subcomp,
-					Seed:                42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.KOPS, "kops")
-				b.ReportMetric(res.StallTime.Seconds(), "stall_s")
-				b.ReportMetric(float64(res.Stalls), "stalls")
-				b.ReportMetric(res.Quiesce.Seconds(), "quiesce_s")
-			}
-		})
-	}
-}
 
 // BenchmarkSubcompaction times one full-tree compaction of the same
 // settled store, monolithic vs split into parallel key-range slices on

@@ -6,9 +6,8 @@
 //	triadbench -experiment fig9a            # one figure, quick scale
 //	triadbench -experiment all -scale full  # everything, paper-like scale
 //
-// Experiments: fig2, fig7, fig8, fig9a, fig9b (includes 9c), fig9d,
-// fig10, fig11, shardscale, scanlocal, conflict, net, cacheskew,
-// ingest, all.
+// Run with -h for the experiment list (it is generated from the table in
+// this file).
 //
 // -shards N (N > 1) runs every figure against the sharded engine (N lsm
 // instances at the same aggregate memory); the shardscale experiment
@@ -21,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,9 +28,76 @@ import (
 	"repro/internal/harness"
 )
 
+// cells adapts an experiment that also returns its measurements.
+func cells[T any](f func(harness.Scale, io.Writer) (T, error)) func(harness.Scale, io.Writer) error {
+	return func(s harness.Scale, w io.Writer) error { _, err := f(s, w); return err }
+}
+
+// shardsOr4 is the shard count of the experiments that need a sharded
+// store: -shards when it asks for one, else 4.
+func shardsOr4(s harness.Scale) int {
+	if s.Shards < 2 {
+		return 4
+	}
+	return s.Shards
+}
+
+// experiments is the one list of what triadbench can run: the flag help,
+// the unknown-experiment error and "all" (table order) are made from it.
+var experiments = []struct {
+	name, doc string
+	run       func(harness.Scale, io.Writer) error
+}{
+	{"fig2", "baseline throughput with and without background I/O", cells(harness.Fig2)},
+	{"fig7", "key-popularity curves of the four production workload models", harness.Fig7},
+	{"fig8", "the (scaled) production workload inventory", harness.Fig8},
+	{"fig9a", "production workloads on baseline and TRIAD: throughput and WA", cells(harness.Fig9A)},
+	{"fig9b", "skew x read-mix x threads grid: throughput (9B) and WA (9C); fig9c is an alias", cells(harness.Fig9BC)},
+	{"fig9d", "compacted bytes and % time in compaction at three skews", cells(harness.Fig9D)},
+	{"fig10", "per-technique throughput breakdown", cells(harness.Fig10)},
+	{"fig11", "per-technique WA and RA breakdown", cells(harness.Fig11)},
+	{"fig10dev", "the fig10 uniform breakdown with device time charged per byte", cells(harness.Fig10Device)},
+	{"sizetiered", "leveled vs size-tiered compaction, with and without TRIAD-DISK", cells(harness.SizeTiered)},
+	{"shardscale", "throughput over shard counts 1..-shards, one device per shard", func(s harness.Scale, w io.Writer) error {
+		// The sweep runs each count explicitly rather than inheriting
+		// the global override.
+		max := s.Shards
+		s.Shards = 0
+		_, err := harness.ShardScale(s, max, w)
+		return err
+	}},
+	{"scanlocal", "scan throughput, hash vs range partitioning", func(s harness.Scale, w io.Writer) error {
+		_, err := harness.ScanLocality(s, shardsOr4(s), w)
+		return err
+	}},
+	{"conflict", "conflicting cross-shard batches from 1..8 writers under a concurrent snapshotter", func(s harness.Scale, w io.Writer) error {
+		_, err := harness.Conflict(s, shardsOr4(s), w)
+		return err
+	}},
+}
+
+// experimentNames joins every experiment name, plus "all", with sep.
+func experimentNames(sep string) string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), sep)
+}
+
 func main() {
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(out, "Experiments:")
+		for _, e := range experiments {
+			fmt.Fprintf(out, "  %-11s %s\n", e.name, e.doc)
+		}
+		fmt.Fprintf(out, "  %-11s every experiment above, in that order\n", "all")
+	}
 	var (
-		exp     = flag.String("experiment", "all", "which figure to regenerate: fig2|fig7|fig8|fig9a|fig9b|fig9c|fig9d|fig10|fig11|fig10dev|sizetiered|shardscale|scanlocal|conflict|net|cacheskew|ingest|all")
+		exp     = flag.String("experiment", "all", "which experiment to run: "+experimentNames("|"))
 		scale   = flag.String("scale", "quick", "quick (seconds per figure) or full (paper-like sizes)")
 		keys    = flag.Uint64("keys", 0, "override synthetic key-space size")
 		ops     = flag.Int64("ops", 0, "override timed operation count per run")
@@ -71,111 +138,26 @@ func main() {
 	}
 	s.Partitioner = *part
 
-	run := func(name string, fn func() error) {
+	name := strings.ToLower(*exp)
+	if name == "fig9c" {
+		name = "fig9b" // one run produces both figures
+	}
+	ran := false
+	for _, e := range experiments {
+		if name != "all" && name != e.name {
+			continue
+		}
+		ran = true
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		fmt.Printf("=== %s ===\n", e.name)
+		if err := e.run(s, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("(%s in %.1fs)\n\n", e.name, time.Since(start).Seconds())
 	}
-
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-	any := false
-	if want("fig2") {
-		any = true
-		run("fig2", func() error { _, err := harness.Fig2(s, os.Stdout); return err })
-	}
-	if want("fig7") {
-		any = true
-		run("fig7", func() error { return harness.Fig7(s, os.Stdout) })
-	}
-	if want("fig8") {
-		any = true
-		run("fig8", func() error { return harness.Fig8(s, os.Stdout) })
-	}
-	if want("fig9a") {
-		any = true
-		run("fig9a", func() error { _, err := harness.Fig9A(s, os.Stdout); return err })
-	}
-	if want("fig9b") || want("fig9c") {
-		any = true
-		run("fig9b/9c", func() error { _, err := harness.Fig9BC(s, os.Stdout); return err })
-	}
-	if want("fig9d") {
-		any = true
-		run("fig9d", func() error { _, err := harness.Fig9D(s, os.Stdout); return err })
-	}
-	if want("fig10") {
-		any = true
-		run("fig10", func() error { _, err := harness.Fig10(s, os.Stdout); return err })
-	}
-	if want("fig11") {
-		any = true
-		run("fig11", func() error { _, err := harness.Fig11(s, os.Stdout); return err })
-	}
-	if want("fig10dev") {
-		any = true
-		run("fig10dev", func() error { _, err := harness.Fig10Device(s, os.Stdout); return err })
-	}
-	if want("sizetiered") {
-		any = true
-		run("sizetiered", func() error { _, err := harness.SizeTiered(s, os.Stdout); return err })
-	}
-	if want("shardscale") {
-		any = true
-		// The sweep compares shard counts itself, so it runs each count
-		// explicitly rather than inheriting the global override.
-		sweep := s
-		sweep.Shards = 0
-		run("shardscale", func() error { _, err := harness.ShardScale(sweep, *shards, os.Stdout); return err })
-	}
-	if want("scanlocal") {
-		any = true
-		// Compares hash vs range itself, at one shard count.
-		n := *shards
-		if n < 2 {
-			n = 4
-		}
-		run("scanlocal", func() error { _, err := harness.ScanLocality(s, n, os.Stdout); return err })
-	}
-	if want("conflict") {
-		any = true
-		// Contended cross-shard commits: conflicting Apply batches from
-		// 1..8 writers, serialized by the epoch commit pipeline, with a
-		// concurrent snapshotter measuring capture latency under load.
-		n := *shards
-		if n < 2 {
-			n = 4
-		}
-		run("conflict", func() error { _, err := harness.Conflict(s, n, os.Stdout); return err })
-	}
-	if want("net") {
-		any = true
-		// Network front end: group commit vs one-Apply-per-command over
-		// 1..16 pipelined client connections.
-		run("net", func() error { _, err := harness.NetThroughput(s, os.Stdout); return err })
-	}
-	if want("cacheskew") {
-		any = true
-		// Shared vs equal-split block cache under skewed multi-tenant
-		// reads, at identical total cache bytes.
-		run("cacheskew", func() error { _, err := harness.CacheSkew(s, os.Stdout); return err })
-	}
-	if want("ingest") {
-		any = true
-		// Sustained ingest to quiesce: legacy free goroutines vs the
-		// shared worker pool with parallel subcompactions, at identical
-		// aggregate memory.
-		ing := s
-		if ing.Shards <= 1 {
-			ing.Shards = 4
-		}
-		run("ingest", func() error { _, err := harness.Ingest(ing, os.Stdout); return err })
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s)\n", *exp, experimentNames(", "))
 		os.Exit(2)
 	}
 }

@@ -45,10 +45,15 @@ func main() {
 		partitioner = flag.String("partitioner", "", "shard router: hash (default for new stores) or range; an existing store's stored partitioner is adopted when empty")
 		splits      = flag.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards), e.g. -splits g,n,t")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
-		bgWorkers   = flag.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2; negative: legacy per-shard goroutines)")
+		bgWorkers   = flag.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
 		subcomp     = flag.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
 	)
 	flag.Parse()
+	if *bgWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "triaddb: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
+		flag.Usage()
+		os.Exit(2)
+	}
 	args := flag.Args()
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] [-partitioner hash|range] [-splits a,b,c] put|get|del|scan|stats|bench ...")

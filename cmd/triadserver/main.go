@@ -19,8 +19,7 @@
 //
 // Group commit coalesces writes from all connections into shard-split
 // batches; tune with -commit-delay / -commit-ops / -commit-bytes /
-// -commit-pipeline, or
-// compare against one-Apply-per-command with -no-group-commit.
+// -commit-pipeline.
 //
 // SIGINT/SIGTERM drain gracefully: stop accepting, finish in-flight
 // pipelines (committing their writes), flush memtables, close the store.
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		splits      = fs.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards)")
 		cacheBytes  = fs.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile's per-shard default, pooled)")
 		syncWAL     = fs.Bool("sync", false, "fsync the commit log on every group commit")
-		noGC        = fs.Bool("no-group-commit", false, "apply each write in its own batch instead of group-committing")
 		commitDelay = fs.Duration("commit-delay", 0, "hold each write group open this long before committing (0: commit as soon as the committer is free)")
 		commitOps   = fs.Int("commit-ops", 4096, "commit the pending group at this many operations")
 		commitBytes = fs.Int64("commit-bytes", 1<<20, "commit the pending group at this many payload bytes")
@@ -78,10 +76,15 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
 		maxCursors  = fs.Int("max-cursors", 16, "cap on open SCAN cursors per connection")
-		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2; negative: legacy two goroutines per shard)")
+		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
 		subcomp     = fs.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *bgWorkers < 0 {
+		fmt.Fprintf(stderr, "triadserver: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
+		fs.Usage()
 		return 2
 	}
 
@@ -92,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 	}
 
 	srv := server.New(db, server.Config{
-		DisableGroupCommit:   *noGC,
 		CommitDelay:          *commitDelay,
 		CommitMaxOps:         *commitOps,
 		CommitMaxBytes:       *commitBytes,
@@ -134,8 +136,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(stdout, "triadserver listening on %s (%d shard(s), group commit %s)\n",
-		ln.Addr(), max(*shards, 1), map[bool]string{true: "off", false: "on"}[*noGC])
+	fmt.Fprintf(stdout, "triadserver listening on %s (%d shard(s))\n", ln.Addr(), max(*shards, 1))
 	if ready != nil {
 		ready(ln.Addr().String())
 	}

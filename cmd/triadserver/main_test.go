@@ -227,17 +227,29 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
-// TestBadFlags: configuration errors are exit code 1/2, not hangs.
+// TestBadFlags: configuration errors are exit code 1, malformed or
+// out-of-range flags exit 2 with the usage text — none of them hang, and
+// none selects a hidden mode.
 func TestBadFlags(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if code := run([]string{"-partitioner", "bogus"}, &stdout, &stderr, nil); code != 1 {
-		t.Fatalf("bogus partitioner: exit %d", code)
-	}
-	if code := run([]string{"-partitioner", "range"}, &stdout, &stderr, nil); code != 1 {
-		t.Fatalf("range without splits: exit %d", code)
-	}
-	if code := run([]string{"-not-a-flag"}, &stdout, &stderr, nil); code != 2 {
-		t.Fatalf("unknown flag: exit %d", code)
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string // substring the diagnostic must carry
+	}{
+		{"bogus partitioner", []string{"-partitioner", "bogus"}, 1, "unknown -partitioner"},
+		{"range without splits", []string{"-partitioner", "range"}, 1, "requires -splits"},
+		{"unknown flag", []string{"-not-a-flag"}, 2, "Usage of triadserver"},
+		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},
+		{"negative bg-workers names the flag", []string{"-bg-workers=-3"}, 2, "-bg-workers -3"},
+	} {
+		var stdout, stderr syncBuffer
+		if code := run(tc.args, &stdout, &stderr, nil); code != tc.code {
+			t.Errorf("%s: exit %d, want %d\nstderr: %s", tc.name, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.stderr, stderr.String())
+		}
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package bgsched is the store-wide background I/O scheduler: one
-// bounded worker pool shared by every shard's engine, replacing the
-// seed's two-goroutines-per-DB background plane.
+// bounded worker pool shared by every shard's engine.
 //
 // The pool dispatches by priority class — flushes first (they unblock
 // write stalls directly), then compaction slices (finishing an
@@ -66,8 +65,7 @@ func (c Class) String() string {
 
 // DefaultWorkers sizes a pool for a store of the given shard count:
 // min(GOMAXPROCS, shards+2), floored at 2 so a lone flush can always
-// overlap a running compaction's (simulated or real) I/O waits — the
-// property the seed's dedicated flush goroutine provided.
+// overlap a running compaction's (simulated or real) I/O waits.
 func DefaultWorkers(shards int) int {
 	w := runtime.GOMAXPROCS(0)
 	if s := shards + 2; s < w {

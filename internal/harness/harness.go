@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bgsched"
 	"repro/internal/histogram"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -84,22 +83,6 @@ type Spec struct {
 	// byte moved through the filesystem — used by the device-backed
 	// experiment variants where write I/O has a real cost.
 	Latency vfs.LatencyModel
-	// CacheSplit restores the pre-PR-7 block-cache layout for sharded
-	// runs: each shard gets a private plain-LRU cache of
-	// Engine.BlockCacheBytes instead of pooling the shares into one
-	// store-wide scan-resistant cache. The baseline side of the
-	// shared-cache comparison.
-	CacheSplit bool
-	// BackgroundWorkers sizes the shared background flush/compaction
-	// pool: 0 takes the default (min(GOMAXPROCS, shards+2), floor 2),
-	// negative restores the legacy free background goroutines per
-	// engine — the pre-pool baseline the scheduler experiments compare
-	// against.
-	BackgroundWorkers int
-	// MaxSubcompactions caps the parallel key-range slices one leveled
-	// compaction may split into when the pool is on (0: up to the pool
-	// size; 1: monolithic).
-	MaxSubcompactions int
 	// Seed makes the run deterministic.
 	Seed int64
 }
@@ -146,11 +129,11 @@ type Result struct {
 // its own device when DevicePerShard is set (the one-disk-per-shard
 // scale-out deployment).
 func Run(spec Spec) (Result, error) {
-	db, cleanup, err := openEngine(spec)
+	db, err := openEngine(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	defer cleanup()
+	defer db.Close()
 
 	if err := prepopulate(db, spec); err != nil {
 		return Result{}, err
@@ -253,68 +236,34 @@ func Run(spec Spec) (Result, error) {
 }
 
 // openEngine opens the spec's engine — sharded or single-instance — on
-// fresh MemFS instances. cleanup closes the engine and, on the
-// single-instance path, the private background pool built for it (the
-// shard layer owns its pool).
-func openEngine(spec Spec) (db Engine, cleanup func(), err error) {
+// fresh MemFS instances.
+func openEngine(spec Spec) (Engine, error) {
 	opts := spec.Engine
 	opts.Seed = spec.Seed
-	if spec.Shards > 1 {
-		var part shard.Partitioner
-		if part, err = spec.partitioner(); err != nil {
-			return nil, nil, err
-		}
-		if spec.CacheSplit {
-			opts.PlainBlockCache = true
-		}
-		db, err = shard.Open(shard.Options{
-			Shards:            spec.Shards,
-			Engine:            opts,
-			Partitioner:       part,
-			SplitBlockCache:   spec.CacheSplit,
-			BackgroundWorkers: spec.BackgroundWorkers,
-			MaxSubcompactions: spec.MaxSubcompactions,
-			NewFS: func(int) (vfs.FS, error) {
-				fs := vfs.NewMemFS()
-				lat := spec.Latency
-				if spec.DevicePerShard && lat.Device != nil {
-					lat.Device = &vfs.Device{}
-				}
-				fs.Latency = lat
-				return fs, nil
-			},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return db, func() { db.Close() }, nil
+	if spec.Shards <= 1 {
+		fs := vfs.NewMemFS()
+		fs.Latency = spec.Latency
+		opts.FS = fs
+		return lsm.Open(opts)
 	}
-	fs := vfs.NewMemFS()
-	fs.Latency = spec.Latency
-	opts.FS = fs
-	var pool *bgsched.Pool
-	if opts.Scheduler == nil && spec.BackgroundWorkers >= 0 {
-		w := spec.BackgroundWorkers
-		if w == 0 {
-			w = bgsched.DefaultWorkers(1)
-		}
-		pool = bgsched.NewPool(w)
-		opts.Scheduler = pool
-		opts.MaxSubcompactions = spec.MaxSubcompactions
-	}
-	db, err = lsm.Open(opts)
+	part, err := spec.partitioner()
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
-		return nil, nil, err
+		return nil, err
 	}
-	return db, func() {
-		db.Close()
-		if pool != nil {
-			pool.Close()
-		}
-	}, nil
+	return shard.Open(shard.Options{
+		Shards:      spec.Shards,
+		Engine:      opts,
+		Partitioner: part,
+		NewFS: func(int) (vfs.FS, error) {
+			fs := vfs.NewMemFS()
+			lat := spec.Latency
+			if spec.DevicePerShard && lat.Device != nil {
+				lat.Device = &vfs.Device{}
+			}
+			fs.Latency = lat
+			return fs, nil
+		},
+	})
 }
 
 // partitioner maps Spec.Partitioner onto a shard-layer partitioner.

@@ -3,10 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/client"
@@ -16,64 +14,18 @@ import (
 	"repro/internal/workload"
 )
 
-// netDepth is the per-connection pipeline depth of the net experiment:
-// deep enough that the server's group-commit window always has company,
-// shallow enough that per-op latency still means something.
+// netDepth is the per-connection pipeline depth of NetRun: deep enough
+// that the server's group-commit window always has company, shallow
+// enough that per-op latency still means something.
 const netDepth = 16
 
-// NetThroughput is the network front-end experiment (not a paper
-// figure; the serving extension). It starts a real triadserver over an
-// in-memory sharded store, drives a 90% SET / 10% GET workload through
-// N pipelined client connections over loopback TCP, and compares group
-// commit (writes from all connections coalesced into shard-split
-// batches) against one-Apply-per-command, reporting kops/s and p50/p99
-// per-op latency for each connection count.
-//
-// The interesting column is the gain at high connection counts: one
-// Apply per SET makes every reader goroutine fight for the shard
-// mutexes and pay its own commit-log append, while the group committer
-// turns the same traffic into a few hundred-op batches.
-func NetThroughput(s Scale, w io.Writer) ([]Cell, error) {
-	shards := s.Shards
-	if shards < 2 {
-		shards = 4
-	}
-	connCounts := []int{1, 4, 8, 16}
-
-	var cells []Cell
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Net throughput: RESP over loopback, 90%% SET / 10%% GET, pipeline depth %d, %d shards\n", netDepth, shards)
-	fmt.Fprintln(tw, "conns\tgroup KOPS\tp50\tp99\tper-op KOPS\tp50\tp99\tgain")
-	for _, conns := range connCounts {
-		on, err := runNet(s, shards, conns, false, false, 0)
-		if err != nil {
-			return nil, fmt.Errorf("net c=%d gc=on: %w", conns, err)
-		}
-		off, err := runNet(s, shards, conns, true, false, 0)
-		if err != nil {
-			return nil, fmt.Errorf("net c=%d gc=off: %w", conns, err)
-		}
-		cells = append(cells,
-			Cell{Label: fmt.Sprintf("net c=%d gc=on", conns), Res: on},
-			Cell{Label: fmt.Sprintf("net c=%d gc=off", conns), Res: off},
-		)
-		fmt.Fprintf(tw, "%d\t%.1f\t%s\t%s\t%.1f\t%s\t%s\t%.2fx\n",
-			conns, on.KOPS, on.P50, on.P99, off.KOPS, off.P50, off.P99, on.KOPS/off.KOPS)
-	}
-	return cells, tw.Flush()
-}
-
-// NetRun measures one (connection count, commit mode, observability,
-// trace sampling) configuration of the net experiment. Exported for
-// the observability and tracing overhead benchmarks, which compare the
-// instrumented server against the same server with nil recorders and
-// against various -trace-sample rates.
-func NetRun(s Scale, shards, conns int, gcOff, noObs bool, traceSample float64) (Result, error) {
-	return runNet(s, shards, conns, gcOff, noObs, traceSample)
-}
-
-// runNet measures one (connection count, commit mode) configuration.
-func runNet(s Scale, shards, conns int, gcOff, disableObs bool, traceSample float64) (Result, error) {
+// NetRun starts a real server over an in-memory sharded store and
+// drives a 90% SET / 10% GET workload through conns pipelined client
+// connections over loopback TCP, reporting kops/s and per-op latency.
+// The observability and tracing overhead benchmarks use it to compare
+// the instrumented server against the same server with nil recorders
+// and against various -trace-sample rates.
+func NetRun(s Scale, shards, conns int, disableObs bool, traceSample float64) (Result, error) {
 	db, err := shard.Open(shard.Options{
 		Shards:               shards,
 		Engine:               shard.DivideBudgets(s.engine("triad"), shards),
@@ -96,7 +48,7 @@ func runNet(s Scale, shards, conns int, gcOff, disableObs bool, traceSample floa
 		return Result{}, err
 	}
 
-	srv := server.New(db, server.Config{DisableGroupCommit: gcOff, DisableObservability: disableObs, TraceSample: traceSample})
+	srv := server.New(db, server.Config{DisableObservability: disableObs, TraceSample: traceSample})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return Result{}, err

@@ -1,53 +1,23 @@
 package harness
 
-import (
-	"io"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestNetThroughputSmall runs the net experiment at a tiny scale: the
-// table renders, every cell measured real ops, and latencies are sane.
-func TestNetThroughputSmall(t *testing.T) {
+// TestNetRunSmall drives the loopback server run at a tiny scale, with
+// and without observability: every op is measured and latencies are sane.
+func TestNetRunSmall(t *testing.T) {
 	s := QuickScale()
 	s.Keys = 4_000
 	s.Ops = 6_000
-	var sb strings.Builder
-	cells, err := NetThroughput(s, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 8 { // 4 connection counts x {gc on, gc off}
-		t.Fatalf("got %d cells, want 8", len(cells))
-	}
-	for _, c := range cells {
-		if c.Res.KOPS <= 0 {
-			t.Errorf("%s: KOPS = %v", c.Label, c.Res.KOPS)
+	for _, noObs := range []bool{false, true} {
+		res, err := NetRun(s, 4, 4, noObs, 0)
+		if err != nil {
+			t.Fatalf("noObs=%v: %v", noObs, err)
 		}
-		if c.Res.P99 <= 0 {
-			t.Errorf("%s: P99 = %v", c.Label, c.Res.P99)
+		if res.Ops != s.Ops {
+			t.Errorf("noObs=%v: measured %d ops, want %d", noObs, res.Ops, s.Ops)
 		}
-		if c.Res.Ops == 0 {
-			t.Errorf("%s: no ops measured", c.Label)
+		if res.KOPS <= 0 || res.P99 <= 0 {
+			t.Errorf("noObs=%v: KOPS = %v, P99 = %v", noObs, res.KOPS, res.P99)
 		}
-	}
-	out := sb.String()
-	if !strings.Contains(out, "conns") || !strings.Contains(out, "gain") {
-		t.Fatalf("table missing headers:\n%s", out)
 	}
 }
-
-// TestNetThroughputWriterError: a broken output writer surfaces as an
-// error, not a panic.
-func TestNetThroughputWriterError(t *testing.T) {
-	s := QuickScale()
-	s.Keys = 1_000
-	s.Ops = 800
-	if _, err := NetThroughput(s, failWriter{}); err == nil {
-		t.Fatal("expected error from failing writer")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }

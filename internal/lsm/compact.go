@@ -13,26 +13,11 @@ import (
 	"repro/internal/wal"
 )
 
-// compactLoop runs compactions until the tree is in shape or TRIAD-DISK
-// defers (paper §4.2: "If the L0 and L1 SSTables do not have enough key
-// overlap, compaction is delayed until more L0 SSTables are generated").
-func (db *DB) compactLoop() error {
-	for {
-		db.mu.Lock()
-		closed := db.closed
-		db.mu.Unlock()
-		if closed {
-			return nil
-		}
-		ran, err := db.compactOnceLocked(false)
-		if err != nil || !ran {
-			return err
-		}
-	}
-}
-
-// compactOnceLocked picks and runs one compaction under compactionMu.
-// force bypasses a TRIAD-DISK deferral by merging whatever L0 holds.
+// compactOnceLocked picks and runs one compaction under compactionMu. It
+// reports false when the tree is in shape or TRIAD-DISK defers (paper
+// §4.2: "If the L0 and L1 SSTables do not have enough key overlap,
+// compaction is delayed until more L0 SSTables are generated"); force
+// bypasses a deferral by merging whatever L0 holds.
 func (db *DB) compactOnceLocked(force bool) (bool, error) {
 	db.compactionMu.Lock()
 	defer db.compactionMu.Unlock()
@@ -92,7 +77,7 @@ func (db *DB) CompactAll() error {
 // durable in the current commit log). A job the picker marked Move has
 // nothing to merge with and is relinked instead (moveFile).
 //
-// With a scheduler attached, a large leveled compaction is partitioned
+// A large leveled compaction is partitioned
 // into disjoint key-range slices (boundaries from the input tables'
 // block indexes) merged in parallel on the pool; the slices' outputs
 // are concatenated — they are disjoint and in key order — and installed
@@ -170,10 +155,10 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		inBytes += f.Size
 	}
 	slices := []compaction.Slice{{}}
-	if !plan.singleOutput && db.sched != nil {
+	if !plan.singleOutput {
 		maxSub := db.opts.MaxSubcompactions
 		if maxSub <= 0 {
-			maxSub = db.opts.Scheduler.Workers()
+			maxSub = db.pool.Workers()
 		}
 		// Don't split below about one output file of input per slice —
 		// the split overhead would outweigh the parallelism.

@@ -97,21 +97,22 @@ type DB struct {
 	compactionMu sync.Mutex
 
 	bgErr error // first background error; surfaced on subsequent ops
-	bgWG  sync.WaitGroup
 
-	// sched is this engine's handle on the shared background pool (nil
-	// in the classic two-goroutine mode). flushActive and compactQueued
-	// (guarded by mu) keep at most one flush task draining the queue
-	// and one compaction task queued at a time, so a burst of seals
-	// does not pile duplicate tasks onto the pool.
+	// pool runs this engine's flushes and compactions: Options.Scheduler,
+	// or a small pool of the engine's own (ownsPool) that Close tears
+	// down. sched is the engine's owner handle on it. flushActive and
+	// compactQueued (guarded by mu) keep at most one flush task draining
+	// the queue and one compaction task queued at a time, so a burst of
+	// seals does not pile duplicate tasks onto the pool.
+	pool          *bgsched.Pool
+	ownsPool      bool
 	sched         *bgsched.Owner
 	flushActive   bool
 	compactQueued bool
 
-	compactRequested bool
-	flushing         int // immutables currently being flushed
-	seedCounter      int64
-	hotFrac          float64 // live TRIAD-MEM hot budget (auto-tunable)
+	flushing    int // immutables currently being flushed
+	seedCounter int64
+	hotFrac     float64 // live TRIAD-MEM hot budget (auto-tunable)
 
 	// l0Count caches len(version.Levels[0]) for the write-stall check
 	// without taking versionMu on the write path.
@@ -153,10 +154,7 @@ func Open(opts Options) (*DB, error) {
 	// fallback is a private cache sized from BlockCacheBytes.
 	cc := opts.BlockCache
 	if cc == nil {
-		cc = sstable.NewCacheOpts(sstable.CacheOptions{
-			Bytes:    opts.BlockCacheBytes,
-			PlainLRU: opts.PlainBlockCache,
-		})
+		cc = sstable.NewCache(opts.BlockCacheBytes)
 	}
 	db := &DB{
 		opts:    opts,
@@ -170,31 +168,24 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.cond = sync.NewCond(&db.mu)
 	if err := db.recover(); err != nil {
-		return nil, err
+		// recover stops at its first error; give back what it opened.
+		return nil, errors.Join(err, db.release())
 	}
 	db.publishViewLocked()
-	if opts.Scheduler != nil {
-		// Shared-pool mode: background work runs as pool tasks instead
-		// of private goroutines. A recovered tree may already be over
-		// its compaction triggers (e.g. many L0 files); queue a round
-		// immediately.
-		db.sched = opts.Scheduler.NewOwner()
-		db.mu.Lock()
-		if !opts.DisableAutoCompaction && !opts.DisableBackgroundIO {
-			db.requestCompactLocked()
-		}
-		db.scheduleFlushLocked()
-		db.mu.Unlock()
-		return db, nil
+	// Background work runs as tasks on a worker pool: the caller's
+	// (the sharded store injects one store-wide pool), else a small one
+	// of the engine's own.
+	db.pool = opts.Scheduler
+	if db.pool == nil {
+		db.pool = bgsched.NewPool(bgsched.DefaultWorkers(1))
+		db.ownsPool = true
 	}
+	db.sched = db.pool.NewOwner()
 	// A recovered tree may already be over its compaction triggers
-	// (e.g. many L0 files); let the worker check immediately.
-	if !opts.DisableAutoCompaction && !opts.DisableBackgroundIO {
-		db.compactRequested = true
-	}
-	db.bgWG.Add(2)
-	go db.flushWorker()
-	go db.compactionWorker()
+	// (e.g. many L0 files); queue a round immediately.
+	db.mu.Lock()
+	db.requestCompactLocked()
+	db.mu.Unlock()
 	return db, nil
 }
 
@@ -629,26 +620,17 @@ func (db *DB) Close() error {
 	db.view.Store(nil)
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	if db.sched != nil {
-		// Cancel queued tasks and wait out running ones, then drain any
-		// immutables a purged flush task left behind — exactly what the
-		// classic flush worker does on its way out.
-		db.sched.Close()
-		db.drainImmutablesOnClose()
-	}
-	db.bgWG.Wait()
-
-	db.mu.Lock()
-	err := db.bgErr
-	if e := db.log.Close(); err == nil {
-		err = e
-	}
-	db.mu.Unlock()
+	// Cancel queued tasks and wait out running ones, then flush any
+	// immutables a purged flush task left behind: a sealed memtable's
+	// flush must not be lost.
+	db.sched.Close()
+	db.drainImmutablesOnClose()
 
 	// Live snapshots cannot be read once the tables close; unregister
 	// them so their eventual Close/finalizer is a no-op, and reclaim the
 	// files only they were pinning.
 	db.mu.Lock()
+	err := db.bgErr
 	for s := range db.snaps {
 		delete(db.snaps, s)
 	}
@@ -656,29 +638,47 @@ func (db *DB) Close() error {
 	db.mu.Unlock()
 	db.overlay.gc(0)
 
-	db.versionMu.Lock()
-	for _, t := range db.tables {
-		if e := t.Close(); err == nil {
+	if e := db.release(); err == nil {
+		err = e
+	}
+	return err
+}
+
+// release gives back everything Open acquired — the commit log, the open
+// tables (and the zombie files only snapshots were keeping), this tenant's
+// blocks in the (possibly shared) cache, the manifest, the engine's own
+// pool — and reports the first error. It is the tail of Close and the
+// whole of a failed Open, where recover may have stopped anywhere, so
+// nothing here assumes a field was reached.
+func (db *DB) release() error {
+	var err error
+	keep := func(e error) {
+		if err == nil {
 			err = e
 		}
+	}
+	if db.log != nil {
+		keep(db.log.Close())
+	}
+	db.versionMu.Lock()
+	for _, t := range db.tables {
+		keep(t.Close())
 	}
 	db.tables = nil
 	zombies := db.zombies
 	db.zombies = map[uint64]*manifest.FileMeta{}
 	db.versionMu.Unlock()
 	for _, f := range zombies {
-		if e := db.removeTableFiles(f); err == nil {
-			err = e
-		}
+		keep(db.removeTableFiles(f))
 	}
-
-	// Give this engine's resident blocks back to the (possibly shared)
-	// cache so a long-lived store-wide cache does not accumulate blocks
-	// of closed shards.
+	// A long-lived store-wide cache must not accumulate blocks of closed
+	// shards.
 	db.cache.Release()
-
-	if e := db.manifest.Close(); err == nil {
-		err = e
+	if db.manifest != nil {
+		keep(db.manifest.Close())
+	}
+	if db.ownsPool {
+		db.pool.Close()
 	}
 	return err
 }

@@ -13,90 +13,19 @@ import (
 	"repro/internal/wal"
 )
 
-// The engine's background plane has two modes. The classic mode runs
-// two private goroutines, mirroring RocksDB's separate flush and
-// compaction thread pools (§6 credits RocksDB with introducing
-// multi-threaded background work): flushes never queue behind a long
-// compaction, so write stalls reflect flush speed alone. With
-// Options.Scheduler set, the same work runs as tasks on a shared
-// bounded pool instead — flushes at the highest priority class, then
-// compaction rounds — so a store's many engines draw on one centrally
-// arbitrated worker budget and a single compaction can fan out into
-// parallel subcompaction slices. In both modes exactly one compaction
-// runs per engine at a time (compactionMu), which keeps the paper's
-// "% time spent in compaction" directly comparable to wall time.
+// The engine's background plane is a set of tasks on a bgsched worker
+// pool (RocksDB's multi-threaded background work, which §6 credits):
+// flushes at the highest priority class, so a flush never queues behind
+// a long compaction and write stalls reflect flush speed, then
+// compaction rounds, which may fan out into parallel subcompaction
+// slices. Exactly one compaction runs per engine at a time
+// (compactionMu), which keeps the paper's "% time spent in compaction"
+// directly comparable to wall time.
 
-// flushWorker drains the immutable-memtable queue.
-func (db *DB) flushWorker() {
-	defer db.bgWG.Done()
-	for {
-		db.mu.Lock()
-		for !db.closed && len(db.imm) == 0 {
-			db.cond.Wait()
-		}
-		if len(db.imm) == 0 && db.closed {
-			db.mu.Unlock()
-			return
-		}
-		// The immutable stays on the queue (visible to readers) until
-		// its table is installed; it is only dequeued after the flush
-		// completes.
-		imm := db.imm[0]
-		db.flushing++
-		disable := db.opts.DisableBackgroundIO
-		db.mu.Unlock()
-
-		var err error
-		if disable {
-			err = db.discardImmutable(imm)
-		} else {
-			err = db.flushImmutable(imm)
-		}
-
-		db.mu.Lock()
-		db.popImmLocked()
-		db.flushing--
-		if err != nil && db.bgErr == nil {
-			db.bgErr = err
-		}
-		if !db.opts.DisableAutoCompaction && !disable {
-			db.compactRequested = true
-		}
-		db.cond.Broadcast()
-		db.mu.Unlock()
-	}
-}
-
-// compactionWorker runs compaction rounds whenever a flush requests one.
-func (db *DB) compactionWorker() {
-	defer db.bgWG.Done()
-	for {
-		db.mu.Lock()
-		for !db.closed && !db.compactRequested {
-			db.cond.Wait()
-		}
-		if db.closed {
-			db.mu.Unlock()
-			return
-		}
-		db.compactRequested = false
-		db.mu.Unlock()
-		if err := db.compactLoop(); err != nil {
-			db.mu.Lock()
-			if db.bgErr == nil {
-				db.bgErr = err
-			}
-			db.cond.Broadcast()
-			db.mu.Unlock()
-		}
-	}
-}
-
-// scheduleFlushLocked queues a flush task on the shared pool unless one
-// is already draining the queue (or the engine runs the classic
-// workers). Caller holds db.mu.
+// scheduleFlushLocked queues a flush task on the pool unless one is
+// already draining the queue. Caller holds db.mu.
 func (db *DB) scheduleFlushLocked() {
-	if db.sched == nil || db.flushActive || len(db.imm) == 0 {
+	if db.flushActive || len(db.imm) == 0 {
 		return
 	}
 	db.flushActive = true
@@ -106,10 +35,9 @@ func (db *DB) scheduleFlushLocked() {
 	}
 }
 
-// flushTask is the pool-scheduled counterpart of flushWorker: one task
-// drains the whole immutable queue, so a burst of seals costs one pool
-// slot, and — like the classic worker — it keeps draining after Close
-// flips db.closed, since a sealed memtable's flush must not be lost.
+// flushTask drains the whole immutable queue, so a burst of seals costs
+// one pool slot, and keeps draining after Close flips db.closed, since a
+// sealed memtable's flush must not be lost.
 func (db *DB) flushTask() {
 	db.mu.Lock()
 	for {
@@ -144,15 +72,10 @@ func (db *DB) flushTask() {
 	}
 }
 
-// requestCompactLocked asks for a background compaction round: in
-// classic mode it arms the compaction worker's flag; in pool mode it
-// queues one compaction task, classed by urgency — L0 at its trigger
-// outranks deeper-level shaping. Caller holds db.mu.
+// requestCompactLocked asks for a background compaction round: it queues
+// one compaction task, classed by urgency — L0 at its trigger outranks
+// deeper-level shaping. Caller holds db.mu.
 func (db *DB) requestCompactLocked() {
-	if db.sched == nil {
-		db.compactRequested = true
-		return
-	}
 	if db.compactQueued || db.closed || db.opts.DisableAutoCompaction || db.opts.DisableBackgroundIO {
 		return
 	}
@@ -194,8 +117,7 @@ func (db *DB) compactTask() {
 }
 
 // drainImmutablesOnClose flushes (or discards) whatever the purged
-// flush task left queued, preserving the classic worker's close-time
-// guarantee that no sealed memtable is dropped.
+// flush task left queued, so no sealed memtable is dropped.
 func (db *DB) drainImmutablesOnClose() {
 	db.mu.Lock()
 	for len(db.imm) > 0 && db.bgErr == nil {

@@ -95,11 +95,6 @@ type Options struct {
 	// tenant handle on it and releases only its own blocks at Close; the
 	// caller keeps ownership of the cache itself.
 	BlockCache *sstable.Cache
-	// PlainBlockCache disables the scan-resistant admission policy on the
-	// DB-private cache built from BlockCacheBytes (single-segment plain
-	// LRU — the pre-PR-7 behaviour, kept for baselines). Ignored when
-	// BlockCache is set.
-	PlainBlockCache bool
 
 	// SizeTieredCompaction switches from leveled to a Cassandra-style
 	// size-tiered strategy (§2 of the paper notes TRIAD adapts to it;
@@ -109,20 +104,19 @@ type Options struct {
 	// MinMergeWidth / MaxMergeWidth bound a size-tiered merge.
 	MinMergeWidth, MaxMergeWidth int
 
-	// Scheduler, when non-nil, replaces the engine's two private
-	// background goroutines with tasks on a shared worker pool: flushes
-	// and compaction rounds are submitted by priority class (flush >
-	// L0→L1 > deeper levels), labeled with EventShard for per-shard
-	// fairness, and large leveled compactions split into parallel
-	// subcompaction slices (see MaxSubcompactions). The caller owns the
-	// pool; the sharded store injects one store-wide pool so N shards'
-	// background I/O is centrally arbitrated. nil preserves the classic
-	// two-goroutine-per-DB behaviour, kept as the measurable baseline.
+	// Scheduler is the worker pool the engine's background work runs on:
+	// flushes and compaction rounds are submitted by priority class
+	// (flush > L0→L1 > deeper levels), labeled with EventShard for
+	// per-shard fairness, and large leveled compactions split into
+	// parallel subcompaction slices (see MaxSubcompactions). The caller
+	// owns an injected pool; the sharded store injects one store-wide
+	// pool so N shards' background I/O is centrally arbitrated. With nil
+	// the engine builds a pool of bgsched.DefaultWorkers(1) workers of
+	// its own and closes it with the DB.
 	Scheduler *bgsched.Pool
 	// MaxSubcompactions caps how many parallel key-range slices one
 	// leveled compaction may split into. 0 means "up to the pool's
-	// worker count"; 1 disables splitting. Only consulted when
-	// Scheduler is set — the baseline's compactions are monolithic.
+	// worker count"; 1 disables splitting.
 	MaxSubcompactions int
 
 	// DisableBackgroundIO reproduces Figure 2's "RocksDB No BG I/O":

@@ -122,9 +122,9 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 }
 
 // TestSubcompactionEqualsMonolithic: the same workload compacted with
-// parallel key-range slices and with the legacy monolithic merge yields
-// the identical key/value sequence, and a snapshot pinned across the
-// split compactions keeps its frozen view.
+// parallel key-range slices and with MaxSubcompactions = 1 (one merge
+// per compaction) yields the identical key/value sequence, and a
+// snapshot pinned across the split compactions keeps its frozen view.
 func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	type entry struct{ k, v string }
 	load := func(t *testing.T, db *DB) *Snapshot {
@@ -184,23 +184,32 @@ func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	snapA := load(t, dbA)
 	defer snapA.Close()
 
-	// Monolithic: the legacy nil-scheduler engine.
-	fsB := vfs.NewMemFS()
-	oB := smallOptions(fsB)
+	// Monolithic: the same pool, but splitting off. (A bare engine would
+	// slice on its own pool, and the differential would compare sliced
+	// with sliced.)
+	oB := smallOptions(vfs.NewMemFS())
+	oB.Scheduler = pool
+	oB.MaxSubcompactions = 1
 	oB.DisableAutoCompaction = true
+	oB.Events = obs.NewJournal(256)
 	dbB := mustOpen(t, oB)
 	defer dbB.Close()
 	snapB := load(t, dbB)
 	defer snapB.Close()
 
-	split := false
-	for _, e := range oA.Events.Events(0) {
-		if e.Kind == obs.EventCompaction && strings.Contains(e.Detail, "subcompaction") {
-			split = true
+	split := func(j *obs.Journal) bool {
+		for _, e := range j.Events(0) {
+			if e.Kind == obs.EventCompaction && strings.Contains(e.Detail, "subcompaction") {
+				return true
+			}
 		}
+		return false
 	}
-	if !split {
+	if !split(oA.Events) {
 		t.Fatal("no compaction actually split into subcompactions; differential is vacuous")
+	}
+	if split(oB.Events) {
+		t.Fatal("a compaction split with MaxSubcompactions = 1; both sides are sliced")
 	}
 
 	gotA, gotB := dump(t, dbA), dump(t, dbB)
@@ -244,9 +253,10 @@ func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	}
 }
 
-// TestSchedulerModeBasics runs the bread-and-butter lifecycle on a
-// pool-backed DB: writes, flush, auto-compaction, reopen-recovery.
-func TestSchedulerModeBasics(t *testing.T) {
+// TestInjectedPoolOutlivesDB: an engine on a caller's pool flushes on
+// it, leaves it running at Close, and a reopen on the same pool recovers
+// the data and keeps flushing there.
+func TestInjectedPoolOutlivesDB(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o, pool := schedOptions(fs, 2)
 	defer pool.Close()
@@ -260,14 +270,14 @@ func TestSchedulerModeBasics(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Metrics().Flushes == 0 {
+	if db.Metrics().Flushes == 0 || pool.Stats().Completed == 0 {
 		t.Fatal("no flush ran on the pool")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Recovery reopens on the same pool.
+	// Recovery reopens on the same pool, which the Close left alone.
 	o2 := smallOptions(fs)
 	o2.Scheduler = pool
 	db2 := mustOpen(t, o2)
@@ -281,5 +291,15 @@ func TestSchedulerModeBasics(t *testing.T) {
 		if want := fmt.Sprintf("v%d", i); string(v) != want {
 			t.Fatalf("after reopen, %s = %q, want %q", k, v, want)
 		}
+	}
+	done := pool.Stats().Completed
+	if err := db2.Put([]byte("after"), []byte("reopen")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Stats().Completed == done {
+		t.Fatal("the reopened engine's flush did not run on the injected pool")
 	}
 }

@@ -378,10 +378,9 @@ func (c *conn) get(key []byte, tr *obs.Trace) resp.Value {
 	}
 }
 
-// write routes entries through the group committer (or applies them
-// directly when group commit is off). Keys are validated here, before
-// they can reach the shared batch: one connection's empty key must fail
-// that connection's command, not everybody's group.
+// write routes entries through the group committer. Keys are validated
+// here, before they can reach the shared batch: one connection's empty
+// key must fail that connection's command, not everybody's group.
 func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs.Family, start time.Time, tr *obs.Trace) {
 	for _, k := range keys {
 		if len(k) == 0 {
@@ -393,19 +392,6 @@ func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs
 	if len(keys) > 0 {
 		key = keys[0]
 	}
-	if c.srv.gc == nil {
-		var b lsm.Batch
-		for _, e := range entries {
-			b.PutEntry(e)
-		}
-		err := c.applyDirect(&b, tr)
-		if err != nil {
-			c.replies <- reply{v: resp.Error(fmtErr(err)), tr: tr}
-			return
-		}
-		c.sendTracked(ok, fam, start, key, tr)
-		return
-	}
 	pb, err := c.srv.gc.enqueue(entries, tr)
 	if err != nil {
 		c.replies <- reply{v: resp.Error(fmtErr(err)), tr: tr}
@@ -413,25 +399,6 @@ func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs
 	}
 	c.lastWrite = pb
 	c.replies <- reply{pb: pb, ok: ok, fam: fam, start: start, key: key, tracked: c.srv.ob != nil, tr: tr}
-}
-
-// applyDirect commits a batch outside the group committer (group commit
-// disabled). An unsampled write takes the store's one-call Apply; a
-// sampled one runs Prepare/Commit by hand so the trace rides the batch
-// into the engine and the commit span is recorded.
-func (c *conn) applyDirect(b *lsm.Batch, tr *obs.Trace) error {
-	if tr == nil {
-		return c.srv.store.Apply(b)
-	}
-	cm, err := c.srv.store.Prepare(b)
-	if err != nil {
-		return err
-	}
-	cm.Trace(obs.Traces{tr})
-	cs := time.Now()
-	err = cm.Commit()
-	tr.Span(obs.SpanCommit, cs, "")
-	return err
 }
 
 // scanCount parses the optional COUNT argument, capped at the server's

@@ -127,16 +127,14 @@ func (s *Server) MetricsText() string {
 	p.CounterF("triad_write_stall_seconds_total", "Total wall time writers spent blocked in stalls.", "", m.WriteStallTime.Seconds())
 	p.Gauge("triad_compaction_backlog_bytes", "Store-wide pending-compaction byte estimate (L0 at trigger plus per-level excess over target).", "", s.store.CompactionDebt())
 
-	if ps := s.store.Scheduler(); ps != nil {
-		bs := ps.Stats()
-		p.Gauge("triad_bg_workers", "Background pool worker count.", "", int64(bs.Workers))
-		p.Gauge("triad_bg_workers_busy", "Background pool workers currently running a task.", "", int64(bs.Busy))
-		for c := 0; c < bgsched.NumClasses; c++ {
-			p.Gauge("triad_bg_queue_depth", "Tasks queued in the background pool by priority class.",
-				fmt.Sprintf("class=%q", bgsched.Class(c)), int64(bs.Queued[c]))
-		}
-		p.Counter("triad_bg_tasks_completed_total", "Background pool tasks run to completion.", "", bs.Completed)
+	bs := s.store.Scheduler().Stats()
+	p.Gauge("triad_bg_workers", "Background pool worker count.", "", int64(bs.Workers))
+	p.Gauge("triad_bg_workers_busy", "Background pool workers currently running a task.", "", int64(bs.Busy))
+	for c := 0; c < bgsched.NumClasses; c++ {
+		p.Gauge("triad_bg_queue_depth", "Tasks queued in the background pool by priority class.",
+			fmt.Sprintf("class=%q", bgsched.Class(c)), int64(bs.Queued[c]))
 	}
+	p.Counter("triad_bg_tasks_completed_total", "Background pool tasks run to completion.", "", bs.Completed)
 
 	cs := s.store.BlockCacheStats()
 	p.Counter("triad_block_cache_hits_total", "Block-cache lookups served from memory.", "", cs.Hits)

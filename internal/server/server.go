@@ -52,11 +52,10 @@ type Store interface {
 	// the untraced path): disk reads the lookup performs are recorded as
 	// sstable_read spans.
 	GetTraced(key []byte, tr *obs.Trace) ([]byte, error)
-	Apply(b *lsm.Batch) error
 	// Prepare stages a batch in the store's commit pipeline, fixing its
-	// epoch; Commit applies it. Apply is Prepare+Commit. The group
-	// committer uses the staged form so it can publish a group's epoch
-	// to waiters at coalesce time and pipeline the applies.
+	// epoch; Commit applies it. The group committer uses the staged form
+	// so it can publish a group's epoch to waiters at coalesce time and
+	// pipeline the applies.
 	Prepare(b *lsm.Batch) (*shard.Commit, error)
 	// WaitCommitted blocks until every epoch at or below epoch has
 	// committed — the read-your-writes barrier.
@@ -91,9 +90,8 @@ type Store interface {
 	// breakdowns ride ShardStats. All-zero when observability is
 	// disabled.
 	IOBySource() obs.LedgerSnapshot
-	// Scheduler is the store's shared background worker pool, exported
-	// as the triad_bg_* series. Nil when the store runs the legacy
-	// per-shard background goroutines.
+	// Scheduler is the store's background worker pool, exported as the
+	// triad_bg_* series.
 	Scheduler() *bgsched.Pool
 	// CompactionDebt is the store-wide pending-compaction byte
 	// estimate — the backlog the background pool is draining.
@@ -106,10 +104,6 @@ var _ Store = (*shard.DB)(nil)
 // commit on with no artificial delay (leader-based batching), 4096-op /
 // 1 MiB batches, pipeline depth 1024.
 type Config struct {
-	// DisableGroupCommit applies every write in its own Apply call on
-	// the connection's reader goroutine (the one-Apply-per-connection
-	// mode the net benchmark compares against).
-	DisableGroupCommit bool
 	// CommitDelay holds each write group open for a window from its
 	// first write before committing, trading latency for batch size.
 	// Default 0: commit as soon as the committer goroutine is free —
@@ -213,7 +207,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	store   Store
 	cfg     Config
-	gc      *committer // nil when group commit is disabled
+	gc      *committer
 	cursors *registry  // server-side SCAN cursors
 	ob      *serverObs // nil when Config.DisableObservability
 
@@ -240,9 +234,7 @@ func New(store Store, cfg Config) *Server {
 	if !s.cfg.DisableObservability {
 		s.ob = newServerObs(s.cfg)
 	}
-	if !s.cfg.DisableGroupCommit {
-		s.gc = newCommitter(store, s.cfg, s.ob)
-	}
+	s.gc = newCommitter(store, s.cfg, s.ob)
 	s.cursors = newRegistry(s.cfg)
 	return s
 }
@@ -375,9 +367,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	if s.gc != nil {
-		s.gc.close()
-	}
+	s.gc.close()
 	s.cursors.close()
 	close(s.drained)
 	return err
@@ -392,11 +382,8 @@ func (s *Server) Close() error {
 
 // GroupCommitStats reports how many Apply batches the committer issued
 // and how many write operations they carried; ops/batches is the
-// realized group size. Zeros when group commit is disabled.
+// realized group size.
 func (s *Server) GroupCommitStats() (batches, ops int64) {
-	if s.gc == nil {
-		return 0, 0
-	}
 	return s.gc.batches.Load(), s.gc.ops.Load()
 }
 

@@ -424,24 +424,6 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitMode: the one-Apply-per-command mode serves the same
-// semantics (it is the benchmark baseline).
-func TestNoGroupCommitMode(t *testing.T) {
-	db := newTestStore(t, 4)
-	srv, addr := startServer(t, db, server.Config{DisableGroupCommit: true})
-	c := dial(t, addr)
-	if err := c.Set([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	v, found, err := c.Get([]byte("k"))
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("%q %v %v", v, found, err)
-	}
-	if batches, ops := srv.GroupCommitStats(); batches != 0 || ops != 0 {
-		t.Fatalf("group commit stats nonzero in disabled mode: %d/%d", batches, ops)
-	}
-}
-
 // TestScanAllWithSmallServerCap: ScanAll must page to exhaustion even
 // when the server's per-reply cap is smaller than the client's page
 // size (termination is on an empty page, not a short one).

@@ -71,10 +71,6 @@ type Options struct {
 	// instead of building one (callers embedding several stores can pool
 	// even wider). The store does not own it; it is not closed on Close.
 	BlockCache *sstable.Cache
-	// SplitBlockCache restores the pre-PR-7 layout: every shard builds
-	// its own private plain-LRU cache of Engine.BlockCacheBytes. Kept as
-	// the measurable baseline for the shared-cache comparison.
-	SplitBlockCache bool
 	// NewFS returns shard i's filesystem; required. Every shard needs a
 	// namespace of its own — MemFS and DirFS are ready-made factories.
 	NewFS func(i int) (vfs.FS, error)
@@ -94,17 +90,11 @@ type Options struct {
 	// shared by every shard's flushes and compactions (with priority
 	// classes and per-shard fairness; see internal/bgsched). 0 means
 	// the default min(GOMAXPROCS, shards+2), floored at 2; a negative
-	// value disables the pool and keeps the seed's two private
-	// goroutines per shard — the measurable baseline. Ignored when
-	// Scheduler is set.
+	// value is an error.
 	BackgroundWorkers int
-	// Scheduler, when non-nil, is a caller-owned pool shared even wider
-	// than this store (e.g. several stores on one machine). The store
-	// does not close it.
-	Scheduler *bgsched.Pool
 	// MaxSubcompactions caps how many parallel key-range slices one
 	// compaction may split into; 0 means up to the pool's worker count,
-	// 1 disables splitting. Meaningless without a pool.
+	// 1 disables splitting.
 	MaxSubcompactions int
 }
 
@@ -180,14 +170,12 @@ type DB struct {
 	ledgers []*obs.Ledger
 
 	// cache is the store-wide block cache every shard draws from (nil
-	// when caching is disabled or SplitBlockCache keeps per-shard LRUs).
+	// when caching is disabled).
 	cache *sstable.Cache
 
-	// sched is the store-wide background worker pool (nil in the
-	// legacy two-goroutines-per-shard mode); ownSched records whether
-	// Close should tear it down (false when the caller injected it).
-	sched    *bgsched.Pool
-	ownSched bool
+	// sched is the store-wide background worker pool, closed after the
+	// shards.
+	sched *bgsched.Pool
 }
 
 // Open opens (creating or recovering) every shard. Recovery is
@@ -203,6 +191,9 @@ func Open(o Options) (*DB, error) {
 	}
 	if o.NewFS == nil {
 		return nil, errors.New("shard: Options.NewFS is required")
+	}
+	if o.BackgroundWorkers < 0 {
+		return nil, fmt.Errorf("shard: Options.BackgroundWorkers is %d; want 0 (default size) or a positive worker count", o.BackgroundWorkers)
 	}
 	fses := make([]vfs.FS, o.Shards)
 	for i := range fses {
@@ -232,25 +223,18 @@ func Open(o Options) (*DB, error) {
 		}
 	}
 	// Pool the per-shard cache shares into one store-wide cache (same
-	// aggregate bytes, no pre-split) unless the caller injected a cache
-	// or explicitly asked for the old split layout.
+	// aggregate bytes, no pre-split) unless the caller injected a cache.
 	db.cache = o.BlockCache
-	if db.cache == nil && !o.SplitBlockCache && o.Engine.BlockCacheBytes > 0 {
+	if db.cache == nil {
 		db.cache = sstable.NewCache(o.Engine.BlockCacheBytes * int64(o.Shards))
 	}
 	// One store-wide background pool arbitrates every shard's flushes
-	// and compactions (the same centralization PR 7 gave the block
-	// cache); a caller-supplied pool wins, a negative worker count
-	// keeps the legacy two-goroutines-per-shard plane.
-	db.sched = o.Scheduler
-	if db.sched == nil && o.BackgroundWorkers >= 0 {
-		w := o.BackgroundWorkers
-		if w == 0 {
-			w = bgsched.DefaultWorkers(o.Shards)
-		}
-		db.sched = bgsched.NewPool(w)
-		db.ownSched = true
+	// and compactions (the same centralization the block cache has).
+	w := o.BackgroundWorkers
+	if w == 0 {
+		w = bgsched.DefaultWorkers(o.Shards)
 	}
+	db.sched = bgsched.NewPool(w)
 	for i, fs := range fses {
 		eo := o.Engine
 		eo.FS = fs
@@ -261,9 +245,7 @@ func Open(o Options) (*DB, error) {
 		if db.ledgers != nil {
 			eo.Ledger = db.ledgers[i]
 		}
-		if db.cache != nil {
-			eo.BlockCache = db.cache
-		}
+		eo.BlockCache = db.cache
 		// Decorrelate the per-shard skiplist seeds so shards do not
 		// produce identical tower heights in lockstep.
 		eo.Seed = o.Engine.Seed + int64(i)*7919
@@ -616,15 +598,11 @@ func (db *DB) closeAll() error {
 	// The pool outlives the shards: each shard's Close cancels its own
 	// owner (waiting out its running tasks) first, so by now the pool
 	// is idle and tearing it down cannot strand engine work.
-	if db.ownSched && db.sched != nil {
-		db.sched.Close()
-		db.sched = nil
-	}
+	db.sched.Close()
 	return err
 }
 
-// Scheduler exposes the store-wide background pool (nil in the legacy
-// per-shard-goroutines mode).
+// Scheduler exposes the store-wide background pool.
 func (db *DB) Scheduler() *bgsched.Pool { return db.sched }
 
 // fanOut runs fn on every shard concurrently and returns the first

@@ -447,6 +447,10 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{Shards: 2, Engine: smallEngine()}); err == nil {
 		t.Fatal("Open without NewFS succeeded")
 	}
+	// A negative pool size is out of range, not a mode.
+	if _, err := Open(Options{Shards: 2, Engine: smallEngine(), NewFS: MemFS(), BackgroundWorkers: -1}); err == nil {
+		t.Fatal("Open with BackgroundWorkers -1 succeeded")
+	}
 	// A failing factory mid-open must close the shards already opened.
 	calls := 0
 	_, err := Open(Options{

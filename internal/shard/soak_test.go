@@ -72,8 +72,8 @@ func TestSchedulerSoak(t *testing.T) {
 	}
 
 	pool := db.Scheduler()
-	if pool == nil {
-		t.Fatal("store has no scheduler despite BackgroundWorkers=2")
+	if pool.Workers() != 2 {
+		t.Fatalf("pool has %d workers despite BackgroundWorkers=2", pool.Workers())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -34,29 +34,12 @@ func (db *DB) CacheStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// BlockCacheStats reports the store-wide block-cache counters. With the
-// shared cache (the default) Resident/Capacity/AdmissionRejects come
-// from the cache itself; in the split layout they are the sum of the
-// per-shard caches.
-func (db *DB) BlockCacheStats() sstable.CacheStats {
-	if db.cache != nil {
-		return db.cache.Stats()
-	}
-	var out sstable.CacheStats
-	for _, s := range db.shards {
-		st := s.BlockCacheStats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Resident += st.Resident
-		out.Evictions += st.Evictions
-		out.AdmissionRejects += st.AdmissionRejects
-		out.Capacity += st.Capacity
-	}
-	return out
-}
+// BlockCacheStats reports the store-wide block-cache counters (zero when
+// caching is disabled).
+func (db *DB) BlockCacheStats() sstable.CacheStats { return db.cache.Stats() }
 
 // BlockCache exposes the store-wide shared cache (nil when caching is
-// disabled or per-shard split caches are in use).
+// disabled).
 func (db *DB) BlockCache() *sstable.Cache { return db.cache }
 
 // NumLevelFiles reports the per-level table count summed across shards.
@@ -202,14 +185,12 @@ func (db *DB) Stats() string {
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
 		db.CompactionDebt(), m.WriteStalls, m.WriteStallTime)
-	if ps := db.sched; ps != nil {
-		s := ps.Stats()
-		fmt.Fprintf(&b, "background pool: %d workers (%d busy), queued", s.Workers, s.Busy)
-		for c := 0; c < bgsched.NumClasses; c++ {
-			fmt.Fprintf(&b, " %s=%d", bgsched.Class(c), s.Queued[c])
-		}
-		fmt.Fprintf(&b, ", %d tasks completed\n", s.Completed)
+	ps := db.sched.Stats()
+	fmt.Fprintf(&b, "background pool: %d workers (%d busy), queued", ps.Workers, ps.Busy)
+	for c := 0; c < bgsched.NumClasses; c++ {
+		fmt.Fprintf(&b, " %s=%d", bgsched.Class(c), ps.Queued[c])
 	}
+	fmt.Fprintf(&b, ", %d tasks completed\n", ps.Completed)
 	if io := db.IOBySource(); io[obs.SrcUser] > 0 {
 		ub := float64(io[obs.SrcUser])
 		fmt.Fprintf(&b, "WA decomposition (per user byte): wal %.2f + flush %.2f + compaction %.2f  [compaction read %d B, snapshot-gc reclaimed %d B]\n",
@@ -217,12 +198,8 @@ func (db *DB) Stats() string {
 			io[obs.SrcCompactionRead], io[obs.SrcSnapshotGC])
 	}
 	if cs := db.BlockCacheStats(); cs.Hits+cs.Misses > 0 || cs.Capacity > 0 {
-		kind := "split per-shard"
-		if db.cache != nil {
-			kind = "shared"
-		}
-		fmt.Fprintf(&b, "block cache (%s): %d hits, %d misses (%.1f%% hit rate)  %d/%d B resident  %d evictions, %d scan rejects\n",
-			kind, cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Resident, cs.Capacity, cs.Evictions, cs.AdmissionRejects)
+		fmt.Fprintf(&b, "block cache: %d hits, %d misses (%.1f%% hit rate)  %d/%d B resident  %d evictions, %d scan rejects\n",
+			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Resident, cs.Capacity, cs.Evictions, cs.AdmissionRejects)
 	}
 	fmt.Fprintf(&b, "commit epoch: %d  snapshots: %d open, %d leaked  overlay: %d entries\n",
 		db.CommittedEpoch(), db.OpenSnapshots(), db.LeakedSnapshots(), db.OverlayEntries())

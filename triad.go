@@ -92,16 +92,14 @@ type Options struct {
 	// i owns [RangeSplits[i-1], RangeSplits[i]), the last shard owns the
 	// tail. Ignored by "hash".
 	RangeSplits [][]byte
-	// BackgroundWorkers sizes the store's shared background worker pool:
-	// one bounded pool runs every shard's flushes and compactions with
-	// flush-first priority and per-shard fairness, instead of two free
-	// goroutines per shard. 0 sizes it min(GOMAXPROCS, shards+2) with a
-	// floor of 2; negative restores the legacy per-shard goroutines (no
-	// pool, no parallel subcompactions).
+	// BackgroundWorkers sizes the store's background worker pool: one
+	// bounded pool runs every shard's flushes and compactions with
+	// flush-first priority and per-shard fairness. 0 sizes it
+	// min(GOMAXPROCS, shards+2) with a floor of 2; negative is an error.
 	BackgroundWorkers int
 	// MaxSubcompactions caps how many parallel slices one leveled
-	// compaction may split into when the pool is on. 0 allows up to the
-	// pool's worker count; 1 keeps compactions monolithic.
+	// compaction may split into. 0 allows up to the pool's worker count;
+	// 1 keeps compactions monolithic.
 	MaxSubcompactions int
 	// Advanced, when non-nil, is used verbatim (FS must still be set;
 	// under Shards > 1 it is the per-shard template instead).
@@ -191,8 +189,9 @@ type DB struct {
 	inner   engine
 	newIter func(start, limit []byte) (Iterator, error)
 	newSnap func() (*Snapshot, error)
-	// ownPool is the private background pool built for an unsharded
-	// store (the shard layer owns its own); closed after the engine.
+	// ownPool is the pool built for an unsharded store opened with an
+	// explicit BackgroundWorkers (otherwise the engine sizes and owns its
+	// own, as the shard layer does); closed after the engine.
 	ownPool *bgsched.Pool
 }
 
@@ -233,6 +232,9 @@ func Open(o Options) (*DB, error) {
 	if o.Shards > 1 && o.ShardFS == nil {
 		return nil, errors.New("triad: Shards > 1 requires ShardFS (use ShardMemFS or ShardDirs)")
 	}
+	if o.BackgroundWorkers < 0 {
+		return nil, fmt.Errorf("triad: BackgroundWorkers is %d; want 0 (default size) or a positive worker count", o.BackgroundWorkers)
+	}
 	// Validate the partitioner knobs whether or not they will be used:
 	// silently dropping a requested routing configuration is exactly the
 	// misconfiguration class the store metadata exists to fail fast on.
@@ -272,16 +274,12 @@ func Open(o Options) (*DB, error) {
 			newSnap: wrapSnap(inner.NewSnapshot, (*shard.Snapshot).NewIterator, (*shard.Snapshot).Epoch),
 		}, nil
 	}
-	// Unsharded stores get a private pool of their own (closed with the
-	// DB) unless the caller opted back into the legacy goroutines or
-	// supplied a pool through Advanced.
+	// An unsharded engine builds a default-sized pool itself; only an
+	// explicit size (and no pool supplied through Advanced) needs one
+	// made here.
 	var ownPool *bgsched.Pool
-	if opts.Scheduler == nil && o.BackgroundWorkers >= 0 {
-		w := o.BackgroundWorkers
-		if w == 0 {
-			w = bgsched.DefaultWorkers(1)
-		}
-		ownPool = bgsched.NewPool(w)
+	if opts.Scheduler == nil && o.BackgroundWorkers > 0 {
+		ownPool = bgsched.NewPool(o.BackgroundWorkers)
 		opts.Scheduler = ownPool
 	}
 	if opts.MaxSubcompactions == 0 {

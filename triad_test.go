@@ -227,8 +227,36 @@ func TestPublicAPIPersistence(t *testing.T) {
 	}
 }
 
-func TestOpenWithoutFSFails(t *testing.T) {
-	if _, err := Open(Options{}); err == nil {
-		t.Fatal("Open without FS succeeded")
+func TestOpenRejectsBadOptions(t *testing.T) {
+	for name, o := range map[string]Options{
+		"no FS":                                 {},
+		"negative BackgroundWorkers, unsharded": {FS: vfs.NewMemFS(), BackgroundWorkers: -1},
+		"negative BackgroundWorkers, sharded":   {Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: -1},
+	} {
+		if db, err := Open(o); err == nil {
+			db.Close()
+			t.Errorf("%s: Open succeeded", name)
+		}
+	}
+}
+
+// TestOpenBackgroundWorkers: an unsharded store honours an explicit pool
+// size and closes the pool it built for it.
+func TestOpenBackgroundWorkers(t *testing.T) {
+	db, err := Open(Options{FS: vfs.NewMemFS(), BackgroundWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.ownPool.Workers(); got != 3 {
+		t.Errorf("pool of %d workers, want 3", got)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
