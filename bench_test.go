@@ -252,27 +252,6 @@ func BenchmarkAblationMaxL0(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHotFraction sweeps TRIAD-MEM's hot-set budget under
-// the 20%-80% skew where the hot set cannot fully fit (paper §5.3's WS2
-// robustness argument).
-func BenchmarkAblationHotFraction(b *testing.B) {
-	s := benchScale()
-	dist := workload.HotCold{N: s.Keys, HotFraction: 0.20, HotAccess: 0.80}
-	for _, hf := range []float64{0.01, 0.10, 0.50} {
-		b.Run(fmt.Sprintf("hot=%.2f", hf), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runCustom(b, s, dist, 0.1, func(o *lsm.Options) {
-					o.TriadMem = true
-					o.HotPolicy = 0 // HotTopK
-					o.HotFraction = hf
-				})
-				b.ReportMetric(res.WA, "wa")
-				b.ReportMetric(res.KOPS, "kops")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationFlushTH sweeps TRIAD-MEM's FLUSH_TH small-memtable
 // skip on the highly skewed workload that triggers log-full flushes.
 func BenchmarkAblationFlushTH(b *testing.B) {
@@ -319,30 +298,6 @@ func BenchmarkSizeTiered(b *testing.B) {
 				b.ReportMetric(res.KOPS, "kops")
 				b.ReportMetric(res.WA, "wa")
 				b.ReportMetric(res.RA, "ra")
-			}
-		})
-	}
-}
-
-// BenchmarkAutoTuneHotFraction compares a badly sized fixed hot budget
-// against the hill-climbing tuner (§4.1 future work) on a 10%-hot skew.
-func BenchmarkAutoTuneHotFraction(b *testing.B) {
-	s := benchScale()
-	dist := workload.HotCold{N: s.Keys, HotFraction: 0.10, HotAccess: 0.90}
-	for _, v := range []struct {
-		name string
-		auto bool
-	}{{"fixed-bad", false}, {"auto-tuned", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runCustom(b, s, dist, 0.1, func(o *lsm.Options) {
-					o.TriadMem = true
-					o.HotPolicy = 0 // HotTopK, the budgeted policy
-					o.HotFraction = 0.002
-					o.AutoTuneHotFraction = v.auto
-				})
-				b.ReportMetric(res.WA, "wa")
-				b.ReportMetric(res.FlushedMB, "flushedMB")
 			}
 		})
 	}
@@ -415,7 +370,6 @@ func benchShardEngine(s harness.Scale) lsm.Options {
 	o.FlushThresholdBytes = s.MemtableBytes / 2
 	o.BaseLevelBytes = 8 * s.MemtableBytes
 	o.TargetFileBytes = s.MemtableBytes
-	o.HotPolicy = HotAboveMean
 	return o
 }
 
@@ -928,7 +882,6 @@ func runCustom(b *testing.B, s harness.Scale, dist workload.KeyDist, readFrac fl
 	o.FlushThresholdBytes = s.MemtableBytes / 2
 	o.BaseLevelBytes = 8 * s.MemtableBytes
 	o.TargetFileBytes = s.MemtableBytes
-	o.HotPolicy = HotAboveMean
 	tweak(&o)
 	res, err := harness.Run(harness.Spec{
 		Name:                "bench",

@@ -167,7 +167,6 @@ func TestServerSmoke(t *testing.T) {
 		`triad_commit_stage_latency_seconds_bucket{stage="coalesce",le="+Inf"}`,
 		`triad_commit_stage_latency_seconds_bucket{stage="commit",le="+Inf"}`,
 		`triad_apply_latency_seconds_count`,
-		`triad_shard_hot_budget{shard="0"}`,
 		`triad_shard_write_amplification{shard="1"}`,
 		`triad_io_bytes_total{shard="0",source="wal"}`,
 		`triad_io_bytes_total{shard="1",source="user_write"}`,

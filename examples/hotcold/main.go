@@ -27,7 +27,6 @@ func run(name string, profile triad.Profile) {
 	opts.FlushThresholdBytes = 128 << 10
 	opts.BaseLevelBytes = 2 << 20
 	opts.TargetFileBytes = 256 << 10
-	opts.HotPolicy = triad.HotAboveMean
 
 	db, err := triad.Open(triad.Options{FS: fs, Advanced: &opts})
 	if err != nil {

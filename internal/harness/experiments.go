@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/lsm"
-	"repro/internal/memtable"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -73,10 +72,6 @@ func (s Scale) engine(mode string) lsm.Options {
 	o.BaseLevelBytes = 8 * s.MemtableBytes
 	o.TargetFileBytes = s.MemtableBytes
 	o.LevelMultiplier = 10
-	// Above-mean hot detection: §4.1 reports it "is effective in all
-	// workloads" and it needs no per-workload K tuning.
-	o.HotPolicy = memtable.HotAboveMean
-	o.HotFraction = 0.25
 	switch mode {
 	case "triad":
 		o.TriadMem, o.TriadDisk, o.TriadLog = true, true, true

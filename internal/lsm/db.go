@@ -46,6 +46,8 @@ var ErrClosed = errors.New("lsm: database closed")
 type immutable struct {
 	mem *memtable.Memtable
 	log *wal.Writer
+	// trigger is what sealed it: "log-full", "memtable-full" or "explicit".
+	trigger string
 }
 
 // memView is one published state of the memtable stack; it is never
@@ -112,7 +114,6 @@ type DB struct {
 
 	flushing    int // immutables currently being flushed
 	seedCounter int64
-	hotFrac     float64 // live TRIAD-MEM hot budget (auto-tunable)
 
 	// l0Count caches len(version.Levels[0]) for the write-stall check
 	// without taking versionMu on the write path.
@@ -229,7 +230,11 @@ func (db *DB) recover() error {
 	}
 
 	// Replay unpinned logs (sealed-but-unflushed or current at crash)
-	// oldest-first into a fresh memtable.
+	// into a fresh memtable. A key's record with the highest sequence wins,
+	// whichever file holds it: a flush skip that crashed mid-rewrite leaves
+	// a newer file with older records than the log that went on receiving
+	// writes. Records of one sequence are one batch, in order within one
+	// file, so among equals the later one wins.
 	logNames, err := db.fs.List("")
 	if err != nil {
 		return err
@@ -247,7 +252,9 @@ func (db *DB) recover() error {
 			if e.Seq > db.seq {
 				db.seq = e.Seq
 			}
-			db.mem.Set(e.Key, e.Value, e.Seq, e.Kind, 0, 0)
+			if cur, ok := db.mem.Get(e.Key); !ok || e.Seq >= cur.Seq {
+				db.mem.Set(e.Key, e.Value, e.Seq, e.Kind, 0, 0)
+			}
 			return nil
 		})
 		if err != nil {
@@ -266,7 +273,7 @@ func (db *DB) recover() error {
 		return err
 	}
 	if db.mem.Len() > 0 {
-		if err := db.populateLog(db.log, db.mem); err != nil {
+		if _, err := db.populateLog(db.log, db.mem); err != nil {
 			return err
 		}
 	}
@@ -302,25 +309,24 @@ func (db *DB) allocFileID() uint64 {
 }
 
 // populateLog appends every entry of mem to w — one batch, one device
-// write — and updates the entries' commit-log positions (Algorithm 1,
-// populateLog + CLUpdateOffset). Caller holds db.mu if mem is reachable
-// by anyone else: the position updates are memtable writes.
-func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable) error {
-	entries := mem.All()
-	recs := make([]base.Entry, len(entries))
-	for i, e := range entries {
-		recs[i] = e.Base()
+// write — and re-points the entries at their new records (Algorithm 1,
+// populateLog + CLUpdateOffset), returning the bytes appended. Caller
+// holds db.mu if mem is reachable by anyone else: the position updates
+// are memtable writes.
+func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable) (int, error) {
+	recs := make([]base.Entry, 0, mem.Len())
+	for it := mem.NewIter(); it.Next(); {
+		e := it.Entry()
+		recs = append(recs, e.Base())
 	}
 	offs, n, err := w.AppendBatch(recs)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	db.met.BytesLogged.Add(int64(n))
 	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
-	for i, e := range entries {
-		mem.SetLogPos(e, w.ID(), offs[i])
-	}
-	return nil
+	mem.Relog(w.ID(), offs)
+	return n, nil
 }
 
 // Put associates value with key.
@@ -427,42 +433,65 @@ func (db *DB) stallLocked() error {
 // maybeRotateLocked seals the memtable when it or the commit log is full
 // (paper §2, Flushing). Caller holds db.mu.
 func (db *DB) maybeRotateLocked() error {
-	memFull := db.mem.ApproxSize() >= db.opts.MemtableBytes
-	logFull := db.log.Size() >= db.opts.CommitLogBytes
-	if !memFull && !logFull {
+	size := db.mem.ApproxSize()
+	if size >= db.opts.MemtableBytes {
+		return db.sealLocked("memtable-full")
+	}
+	if db.log.Size() < db.opts.CommitLogBytes {
 		return nil
 	}
-	// TRIAD-MEM small-memtable skip (Algorithm 1): a log-full flush with
-	// a small memtable rewrites a compact log instead of flushing, so
-	// very skewed workloads do not litter L0 with tiny files.
-	if db.opts.TriadMem && logFull && db.mem.ApproxSize() < db.opts.FlushThresholdBytes {
-		newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
-		if err != nil {
-			return err
+	// TRIAD-MEM flush skip (Algorithm 1): the log filled first, which is
+	// what skew does. A flush would keep the hot keys and write only the
+	// cold part to L0; while that part is under FLUSH_TH the file is not
+	// worth making, and the log is rewritten compactly instead. The
+	// rewrite is the memtable once over (size bounds it: the accounting
+	// overhead exceeds a record header), so it must leave half the log
+	// for new writes or it would come round again within a few puts.
+	if db.opts.TriadMem && size <= db.opts.CommitLogBytes/2 {
+		if cold := db.mem.ColdBytes(); cold < db.opts.FlushThresholdBytes {
+			return db.skipFlushLocked(size, cold)
 		}
-		oldLog := db.log
-		if err := db.populateLog(newLog, db.mem); err != nil {
-			newLog.Close()
-			return err
-		}
-		db.log = newLog
-		db.met.FlushSkips.Add(1)
-		if err := oldLog.Close(); err != nil {
-			return err
-		}
-		return db.fs.Remove(wal.FileName(oldLog.ID()))
 	}
-	return db.sealLocked()
+	return db.sealLocked("log-full")
 }
 
-// sealLocked moves the live (memtable, log) pair onto the flush queue and
-// installs fresh ones. Caller holds db.mu.
-func (db *DB) sealLocked() error {
+// skipFlushLocked replaces the full commit log with a fresh one holding
+// one record per memtable entry. size and cold are the memtable's
+// accounted bytes and the cold part of them. Caller holds db.mu.
+func (db *DB) skipFlushLocked(size, cold int64) error {
+	start := time.Now()
 	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log})
+	relogged, err := db.populateLog(newLog, db.mem)
+	if err != nil {
+		// The old log still holds every record and stays current. Whatever
+		// part of the copy reached the file must not outlive this call: it
+		// would be replayed beside a log that has since moved on.
+		return errors.Join(err, newLog.Close(), db.fs.Remove(wal.FileName(newLog.ID())))
+	}
+	oldLog := db.log
+	db.log = newLog
+	db.met.FlushSkips.Add(1)
+	db.opts.Events.Add(obs.Event{
+		Kind: obs.EventFlush, Shard: db.opts.EventShard, Level: -1,
+		Dur: time.Since(start), In: size,
+		Detail: fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d, %d entries / %d bytes re-logged",
+			cold, size, db.opts.FlushThresholdBytes, db.mem.Len(), relogged),
+	})
+	return db.dropLog(oldLog)
+}
+
+// sealLocked moves the live (memtable, log) pair onto the flush queue and
+// installs fresh ones; trigger names the cause for the flush's journal
+// entry. Caller holds db.mu.
+func (db *DB) sealLocked(trigger string) error {
+	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
+	if err != nil {
+		return err
+	}
+	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, trigger: trigger})
 	db.mem = memtable.New(db.nextSeed())
 	db.log = newLog
 	db.publishViewLocked()
@@ -531,7 +560,7 @@ func (db *DB) Flush() error {
 		return ErrClosed
 	}
 	if db.mem.Len() > 0 {
-		if err := db.sealLocked(); err != nil {
+		if err := db.sealLocked("explicit"); err != nil {
 			db.mu.Unlock()
 			return err
 		}

@@ -162,16 +162,21 @@ func (db *DB) flushImmutable(imm *immutable) error {
 	defer func() { db.met.FlushNanos.Add(time.Since(start).Nanoseconds()) }()
 
 	inBytes := imm.mem.ApproxSize()
-	entries := imm.mem.All()
-	if len(entries) == 0 {
+	if imm.mem.Len() == 0 {
 		return db.dropLog(imm.log)
 	}
 
-	toFlush := entries
-	if db.opts.TriadMem {
-		sep := imm.mem.SeparateKeys(db.opts.HotPolicy, db.currentHotFraction())
-		db.autoTuneHot(sep, len(entries))
-		toFlush = sep.Cold
+	var toFlush []*memtable.Entry
+	var detail string
+	if !db.opts.TriadMem {
+		toFlush = imm.mem.All()
+		detail = fmt.Sprintf("%s: %d entries", imm.trigger, len(toFlush))
+	} else {
+		cold := imm.mem.ColdBytes() // before the separation resets the counters it reads
+		sep := imm.mem.SeparateKeys(memtable.HotAboveMean, 0)
+		detail = fmt.Sprintf("%s: cold %d of %d B, %d cold / %d hot entries",
+			imm.trigger, cold, inBytes, len(sep.Cold), len(sep.Hot))
+		toFlush = sep.Cold // never empty: no memtable is all above its own mean
 		db.met.HotKeysKeptInMem.Add(int64(len(sep.Hot)))
 		if len(sep.Hot) > 0 {
 			// Keep hot entries in the new memtable and write them back
@@ -227,17 +232,6 @@ func (db *DB) flushImmutable(imm *immutable) error {
 		}
 	}
 	db.met.ColdEntriesFlushed.Add(int64(len(toFlush)))
-	hot := len(entries) - len(toFlush)
-	if len(toFlush) == 0 {
-		db.met.Flushes.Add(1)
-		db.opts.Events.Add(obs.Event{
-			Kind: obs.EventFlush, Shard: db.opts.EventShard, Level: -1,
-			Dur: time.Since(start), In: inBytes,
-			Detail: fmt.Sprintf("all %d entries hot, nothing reached L0", hot),
-		})
-		return db.dropLog(imm.log)
-	}
-
 	var (
 		meta    manifest.FileMeta
 		written int64
@@ -257,10 +251,6 @@ func (db *DB) flushImmutable(imm *immutable) error {
 
 	if err := db.installFlush(meta); err != nil {
 		return err
-	}
-	detail := fmt.Sprintf("%d cold entries", len(toFlush))
-	if db.opts.TriadMem {
-		detail = fmt.Sprintf("%d cold / %d hot entries", len(toFlush), hot)
 	}
 	if db.opts.TriadLog {
 		detail += ", CL-SSTable index only"

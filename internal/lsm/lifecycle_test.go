@@ -143,7 +143,7 @@ func TestOpenCloseChurn(t *testing.T) {
 			}
 		}
 		db.mu.Lock()
-		err := db.sealLocked() // queues the flush
+		err := db.sealLocked("explicit") // queues the flush
 		db.requestCompactLocked()
 		db.mu.Unlock()
 		if err != nil {

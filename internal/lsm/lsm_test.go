@@ -20,7 +20,6 @@ func smallOptions(fs *vfs.MemFS) Options {
 	o.BaseLevelBytes = 64 << 10
 	o.TargetFileBytes = 16 << 10
 	o.BlockBytes = 1 << 10
-	o.HotFraction = 0.10
 	o.Seed = 42
 	return o
 }

@@ -3,7 +3,6 @@ package lsm
 import (
 	"repro/internal/bgsched"
 	"repro/internal/compaction"
-	"repro/internal/memtable"
 	"repro/internal/obs"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
@@ -12,7 +11,7 @@ import (
 // Options configures a DB. The zero value is not usable; start from
 // DefaultOptions (the RocksDB-like baseline) or TriadOptions (all three
 // techniques on, with the paper's parameters: overlap threshold 0.4, max 6
-// L0 files, top-1% hot keys).
+// L0 files; hot keys are those updated more often than the memtable's mean).
 type Options struct {
 	// FS is the filesystem; required.
 	FS vfs.FS
@@ -29,28 +28,21 @@ type Options struct {
 	// the paper's batched logging).
 	SyncWAL bool
 
-	// TriadMem enables hot/cold key separation at flush (§4.1).
+	// TriadMem enables hot/cold key separation at flush (§4.1): entries
+	// updated more often than the memtable's mean stay in memory and only
+	// the cold part — the rest — reaches L0.
 	TriadMem bool
 	// TriadDisk enables HLL-based deferred L0 compaction (§4.2).
 	TriadDisk bool
 	// TriadLog enables CL-SSTable index-only flushes (§4.3).
 	TriadLog bool
 
-	// HotFraction is TRIAD-MEM's PERC_HOT: the fraction of memtable
-	// entries eligible to stay hot (paper's evaluation: top 1%).
-	HotFraction float64
-	// HotPolicy selects the hot-key detector (§4.1 discusses top-K and
-	// above-mean selection).
-	HotPolicy memtable.HotPolicy
-	// FlushThresholdBytes is FLUSH_TH: when a log-full flush fires with a
-	// memtable smaller than this, TRIAD-MEM skips the flush and rewrites
-	// a compact commit log instead (Algorithm 1).
+	// FlushThresholdBytes is FLUSH_TH: when the commit log fills while the
+	// memtable's cold part — what a flush would write to L0 — is smaller
+	// than this, TRIAD-MEM skips the flush and rewrites a compact commit
+	// log instead (Algorithm 1), provided that log leaves at least half of
+	// CommitLogBytes free.
 	FlushThresholdBytes int64
-	// AutoTuneHotFraction enables the hill-climbing K tuner the paper
-	// sketches as future work (§4.1): the hot budget grows while
-	// multi-update keys keep spilling to disk and shrinks while it sits
-	// unused. HotFraction is the starting point.
-	AutoTuneHotFraction bool
 
 	// OverlapRatioThreshold is TRIAD-DISK's compaction gate (paper: 0.4).
 	OverlapRatioThreshold float64
@@ -152,7 +144,6 @@ func DefaultOptions(fs vfs.FS) Options {
 		FS:                    fs,
 		MemtableBytes:         4 << 20,
 		CommitLogBytes:        16 << 20,
-		HotFraction:           0.01,
 		FlushThresholdBytes:   2 << 20,
 		OverlapRatioThreshold: 0.4,
 		MaxFilesL0:            6,
@@ -185,9 +176,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.FlushThresholdBytes <= 0 {
 		o.FlushThresholdBytes = o.MemtableBytes / 2
-	}
-	if o.HotFraction <= 0 {
-		o.HotFraction = 0.01
 	}
 	if o.OverlapRatioThreshold <= 0 {
 		o.OverlapRatioThreshold = 0.4

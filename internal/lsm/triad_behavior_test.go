@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memtable"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -41,7 +40,6 @@ func TestTriadMemKeepsHotKeysInMemory(t *testing.T) {
 		fs := vfs.NewMemFS()
 		o := smallOptions(fs)
 		o.TriadMem = triadMem
-		o.HotPolicy = memtable.HotAboveMean
 		db := mustOpen(t, o)
 		defer db.Close()
 		drive(t, db, skewed(5000), 30000, 0.1, 7)
@@ -63,7 +61,6 @@ func TestTriadMemFlushSkip(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
 	o.TriadMem = true
-	o.HotPolicy = memtable.HotAboveMean
 	// Tiny log budget, large memtable: log-full flushes with a small
 	// memtable are guaranteed.
 	o.MemtableBytes = 1 << 20
@@ -471,7 +468,6 @@ func TestHotKeySkipDuringCompaction(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
 	o.TriadMem = true
-	o.HotPolicy = memtable.HotAboveMean
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
 	defer db.Close()

@@ -12,6 +12,7 @@
 package memtable
 
 import (
+	"bytes"
 	"sort"
 	"sync/atomic"
 
@@ -44,11 +45,14 @@ func (e *Entry) Base() base.Entry {
 // skiplist node itself.
 const entryOverhead = 48
 
+// size is what e adds to ApproxSize.
+func (e *Entry) size() int64 { return int64(len(e.Key)+len(e.Value)) + entryOverhead }
+
 // Memtable is a mutable sorted map with one writer and lock-free readers
-// (see package skiplist). Set, SetLogPos and SeparateKeys are writes: at
-// most one goroutine may be inside any of them at a time — the engine
-// holds its commit lock around the first two, and only the flush of a
-// sealed memtable calls the third. Get, Len, ApproxSize, All, SeekAll and
+// (see package skiplist). Set, Relog and SeparateKeys are writes: at most
+// one goroutine may be inside any of them at a time — the engine holds its
+// commit lock around the first two, and only the flush of a sealed memtable
+// calls the third. Get, Len, ApproxSize, ColdBytes, All, SeekAll and
 // iterators may run concurrently with the writer and take no lock.
 //
 // Entries are copy-on-write: a write publishes a fresh *Entry and never
@@ -72,7 +76,7 @@ func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint
 	m.list.Put(key, func(cur *Entry) *Entry {
 		e := &Entry{Key: key, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
 		if cur == nil {
-			m.size.Add(int64(len(key)+len(value)) + entryOverhead)
+			m.size.Add(e.size())
 			return e
 		}
 		e.Key, e.Updates = cur.Key, cur.Updates+1
@@ -81,14 +85,17 @@ func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint
 	})
 }
 
-// SetLogPos moves the commit-log position of e's key, leaving the rest of
-// its current version as it is. e must have come from this memtable.
-func (m *Memtable) SetLogPos(e *Entry, logID uint64, off int64) {
-	m.list.Put(e.Key, func(cur *Entry) *Entry {
-		moved := *cur
-		moved.LogID, moved.LogOffset = logID, off
-		return &moved
-	})
+// Relog re-points every entry at its record in commit log logID, leaving
+// the rest of its current version as it is: offs[i] is where the i-th
+// entry in key order — the order of All — was appended. One walk along
+// the bottom of the list, no descent per key.
+func (m *Memtable) Relog(logID uint64, offs []int64) {
+	it := m.list.NewIterator()
+	for i := 0; it.Next(); i++ {
+		moved := *it.Value()
+		moved.LogID, moved.LogOffset = logID, offs[i]
+		it.Set(&moved)
+	}
 }
 
 // Get returns a copy of the entry stored under key.
@@ -178,9 +185,41 @@ const (
 	HotTopK HotPolicy = iota
 	// HotAboveMean keeps entries updated strictly more often than the
 	// mean update frequency — the variant §4.1 reports "is effective in
-	// all workloads".
+	// all workloads", and the one the engine uses.
 	HotAboveMean
 )
+
+// meanUpdates is the above-mean rule for one state of the memtable: the
+// sum of its update counters over its entry count.
+type meanUpdates struct{ updates, entries uint64 }
+
+func (m *Memtable) meanUpdates() meanUpdates {
+	var r meanUpdates
+	it := m.list.NewIterator()
+	for it.Next() {
+		r.updates += uint64(it.Value().Updates)
+		r.entries++
+	}
+	return r
+}
+
+// hot reports whether e was updated strictly more often than the mean.
+func (r meanUpdates) hot(e *Entry) bool { return uint64(e.Updates)*r.entries > r.updates }
+
+// ColdBytes reports how much of ApproxSize a flush would send to L0 now:
+// the accounted size of the entries SeparateKeys(HotAboveMean, _) would
+// return as Cold. It walks the entries twice and changes nothing.
+func (m *Memtable) ColdBytes() int64 {
+	rule := m.meanUpdates()
+	var n int64
+	it := m.list.NewIterator()
+	for it.Next() {
+		if e := it.Value(); !rule.hot(e) {
+			n += e.size()
+		}
+	}
+	return n
+}
 
 // Separation is the result of hot/cold key separation.
 type Separation struct {
@@ -197,54 +236,48 @@ type Separation struct {
 // captured this memtable before it was sealed (the TRIAD-MEM compaction
 // skip check) are not disturbed.
 func (m *Memtable) SeparateKeys(policy HotPolicy, hotFraction float64) Separation {
-	all := m.All()
-	if len(all) == 0 {
-		return Separation{}
-	}
-	var hotSet map[*Entry]bool
-	switch policy {
-	case HotAboveMean:
-		var sum uint64
-		for _, e := range all {
-			sum += uint64(e.Updates)
-		}
-		mean := float64(sum) / float64(len(all))
-		hotSet = make(map[*Entry]bool)
-		for _, e := range all {
-			if float64(e.Updates) > mean {
-				hotSet[e] = true
-			}
-		}
-	default: // HotTopK
-		k := int(float64(len(all)) * hotFraction)
-		if k <= 0 {
-			break
-		}
-		byUpdates := append([]*Entry(nil), all...)
-		sort.SliceStable(byUpdates, func(i, j int) bool {
-			return byUpdates[i].Updates > byUpdates[j].Updates
-		})
-		// Entries updated exactly once were never re-written; keeping
-		// them hot buys nothing and costs write-back, so the hot set
-		// stops at the first single-update entry.
-		hotSet = make(map[*Entry]bool, k)
-		for _, e := range byUpdates[:k] {
-			if e.Updates <= 1 {
-				break
-			}
-			hotSet[e] = true
-		}
+	var hot func(*Entry) bool
+	if policy == HotTopK {
+		hot = m.topK(hotFraction)
+	} else {
+		hot = m.meanUpdates().hot
 	}
 	var sep Separation
-	for _, e := range all {
-		if hotSet[e] {
-			reset := *e
-			reset.Updates = 0 // reset hotness
-			m.list.Put(e.Key, func(*Entry) *Entry { return &reset })
-			sep.Hot = append(sep.Hot, &reset)
-		} else {
+	it := m.list.NewIterator()
+	for it.Next() {
+		e := it.Value()
+		if !hot(e) {
 			sep.Cold = append(sep.Cold, e)
+			continue
 		}
+		reset := *e
+		reset.Updates = 0 // reset hotness
+		it.Set(&reset)
+		sep.Hot = append(sep.Hot, &reset)
 	}
 	return sep
+}
+
+// topK is the HotTopK rule: the hotFraction of the entries updated most
+// often, earlier keys first among equals. Entries updated exactly once
+// were never re-written; keeping them hot buys nothing and costs
+// write-back, so the hot set stops at the first single-update entry.
+func (m *Memtable) topK(hotFraction float64) func(*Entry) bool {
+	byUpdates := m.All()
+	k := int(float64(len(byUpdates)) * hotFraction)
+	sort.SliceStable(byUpdates, func(i, j int) bool {
+		return byUpdates[i].Updates > byUpdates[j].Updates
+	})
+	for k > 0 && byUpdates[k-1].Updates <= 1 {
+		k--
+	}
+	if k <= 0 {
+		return func(*Entry) bool { return false }
+	}
+	// The k-th entry closes the hot set: everything updated more often is
+	// in, and of its equals those whose keys sort at or before its own.
+	last := byUpdates[k-1]
+	return func(e *Entry) bool {
+		return e.Updates > last.Updates || (e.Updates == last.Updates && bytes.Compare(e.Key, last.Key) <= 0)
+	}
 }

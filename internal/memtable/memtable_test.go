@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestSeparateKeysZeroFraction(t *testing.T) {
 }
 
 // TestOneWriterManyReaders is the memtable's concurrency contract, run
-// under -race in CI: one goroutine writes (Set, tombstones, SetLogPos,
+// under -race in CI: one goroutine writes (Set, tombstones, Relog,
 // SeparateKeys) while readers and an iterator run free. Every version the
 // writer publishes carries its sequence in its value and in its log
 // offset, so a reader can tell a torn entry — the value of one version
@@ -205,7 +206,7 @@ func TestOneWriterManyReaders(t *testing.T) {
 		case e.Kind == base.KindDelete && e.Value != nil:
 			return fmt.Errorf("key %q: tombstone seq %d with value %q", e.Key, e.Seq, e.Value)
 		case e.LogID == 1 && e.LogOffset != int64(e.Seq)*100, // as Set logged it
-			e.LogID == 2 && e.LogOffset != int64(e.Seq)*100+1, // as SetLogPos moved it
+			e.LogID == 2 && e.LogOffset != int64(e.Seq)*100+1, // as Relog moved it
 			e.LogID != 1 && e.LogID != 2:
 			return fmt.Errorf("key %q: seq %d at log %d offset %d", e.Key, e.Seq, e.LogID, e.LogOffset)
 		}
@@ -299,11 +300,13 @@ func TestOneWriterManyReaders(t *testing.T) {
 		case op < 99:
 			if v.seq == 0 {
 				delete(oracle, string(k))
-				return nil
 			}
-			e, _ := m.Get(k)
-			m.SetLogPos(&e, 2, int64(e.Seq)*100+1)
-			v.logID = 2
+			var offs []int64
+			for _, e := range m.All() {
+				offs = append(offs, int64(e.Seq)*100+1)
+				oracle[string(e.Key)].logID = 2
+			}
+			m.Relog(2, offs)
 		default:
 			sep := m.SeparateKeys(HotAboveMean, 0)
 			if len(sep.Hot)+len(sep.Cold) != m.Len() {
@@ -341,6 +344,78 @@ func TestOneWriterManyReaders(t *testing.T) {
 		}
 		if v == nil || e.Seq != v.seq || e.Kind != v.kind || e.Updates != v.updates || e.LogID != v.logID {
 			t.Fatalf("key %q: table has %+v, oracle %+v", e.Key, *e, v)
+		}
+	}
+}
+
+// TestColdBytesIsWhatSeparationFlushes: over random update histories,
+// ColdBytes — what the engine holds against FLUSH_TH — is the accounted
+// size of exactly the entries SeparateKeys(HotAboveMean) hands to the
+// flush, hot and cold together account for ApproxSize, and both stay true
+// once a separation has reset the survivors' counters and after further
+// updates land on top of the reset ones.
+func TestColdBytesIsWhatSeparationFlushes(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := New(seed)
+		keys, seq := 1+rng.Intn(300), uint64(0)
+		write := func(n int) {
+			for i := 0; i < n; i++ {
+				k := rng.Intn(keys)
+				if rng.Intn(2) == 0 {
+					k = rng.Intn(1 + keys/10) // half the writes go to a tenth of the keys
+				}
+				seq++
+				if rng.Intn(10) == 0 {
+					m.Set([]byte(fmt.Sprintf("key-%04d", k)), nil, seq, base.KindDelete, 1, int64(seq))
+				} else {
+					m.Set([]byte(fmt.Sprintf("key-%04d", k)), make([]byte, rng.Intn(200)), seq, base.KindSet, 1, int64(seq))
+				}
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			want := m.ColdBytes()
+			sep := m.SeparateKeys(HotAboveMean, 0)
+			var cold, hot int64
+			for _, e := range sep.Cold {
+				cold += e.size()
+			}
+			for _, e := range sep.Hot {
+				hot += e.size()
+			}
+			if cold != want {
+				t.Fatalf("seed %d, %s: ColdBytes = %d, separation flushes %d (%d cold / %d hot entries)",
+					seed, when, want, cold, len(sep.Cold), len(sep.Hot))
+			}
+			if cold+hot != m.ApproxSize() {
+				t.Fatalf("seed %d, %s: cold %d + hot %d != ApproxSize %d", seed, when, cold, hot, m.ApproxSize())
+			}
+		}
+		check("empty")
+		write(rng.Intn(3000))
+		check("first separation")
+		check("counters just reset")
+		write(rng.Intn(3000))
+		check("updates on top of reset counters")
+	}
+}
+
+// TestRelogMovesEveryEntry: Relog re-points every entry, in key order, and
+// touches nothing else.
+func TestRelogMovesEveryEntry(t *testing.T) {
+	m := makeSkewed(t)
+	before := m.All()
+	offs := make([]int64, len(before))
+	for i := range offs {
+		offs[i] = int64(1000 + i)
+	}
+	m.Relog(9, offs)
+	for i, e := range m.All() {
+		want := *before[i]
+		want.LogID, want.LogOffset = 9, offs[i]
+		if !reflect.DeepEqual(*e, want) {
+			t.Fatalf("entry %d after Relog = %+v, want %+v", i, *e, want)
 		}
 	}
 }

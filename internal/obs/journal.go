@@ -13,7 +13,9 @@ type EventKind uint8
 // The event kinds the engine emits.
 const (
 	// EventFlush is one memtable flush: In = memtable bytes consumed,
-	// Out = bytes written to L0 (0 when TRIAD-MEM kept everything hot).
+	// Out = bytes written to L0, Detail = what sealed the memtable and how
+	// it split. At Level -1 it is a flush TRIAD-MEM skipped: nothing
+	// reached L0, the commit log was rewritten, Detail says why.
 	EventFlush EventKind = iota
 	// EventCompaction is one compaction: In = input table bytes,
 	// Out = output table bytes, Level = input level, Files = input count.
@@ -62,7 +64,7 @@ type Event struct {
 	// Files counts the table files involved (compaction inputs,
 	// snapshot-GC deletions).
 	Files int
-	// Detail is a short free-form annotation ("L0->L1", "all hot").
+	// Detail is a short free-form annotation ("L0->L1", "log-full: ...").
 	Detail string
 }
 

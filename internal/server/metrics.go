@@ -153,7 +153,6 @@ func (s *Server) MetricsText() string {
 		p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
-		p.GaugeF("triad_shard_hot_budget", "The shard's current TRIAD-MEM hot fraction (auto-tuned when enabled).", l, st.HotBudget)
 		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
 		p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
 		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())

@@ -132,7 +132,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 
 	// The required series: one histogram per command family, one per
-	// pipeline stage, per-shard WA/RA/hot-budget gauges, apply latency.
+	// pipeline stage, per-shard WA/RA gauges, apply latency.
 	for _, fam := range []string{"get", "set", "del", "mget", "mset", "scan"} {
 		want := fmt.Sprintf(`triad_cmd_latency_seconds_bucket{cmd="%s",le="+Inf"}`, fam)
 		if !strings.Contains(text, want) {
@@ -146,7 +146,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		}
 	}
 	for shardN := 0; shardN < 2; shardN++ {
-		for _, g := range []string{"triad_shard_write_amplification", "triad_shard_read_amplification", "triad_shard_hot_budget", "triad_shard_disk_bytes"} {
+		for _, g := range []string{"triad_shard_write_amplification", "triad_shard_read_amplification", "triad_shard_disk_bytes"} {
 			want := fmt.Sprintf(`%s{shard="%d"}`, g, shardN)
 			if !strings.Contains(text, want) {
 				t.Errorf("dump missing %s", want)

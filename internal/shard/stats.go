@@ -99,10 +99,6 @@ type ShardStat struct {
 	WriteStallTime time.Duration
 	// WA and RA are the shard's own write and read amplification.
 	WA, RA float64
-	// HotBudget is the shard's current TRIAD-MEM hot fraction (the
-	// auto-tuner moves it per shard; static configurations report the
-	// configured value).
-	HotBudget float64
 	// OpenSnapshots is the shard's live snapshot-pin count;
 	// LeakedSnapshots counts pins the finalizer reclaimed instead of an
 	// explicit Close; OverlayEntries is how many preserved old versions
@@ -142,7 +138,6 @@ func (db *DB) ShardStats() []ShardStat {
 			WriteStallTime:  m.WriteStallTime,
 			WA:              m.WriteAmplification(),
 			RA:              m.ReadAmplification(),
-			HotBudget:       s.HotFraction(),
 			OpenSnapshots:   s.OpenSnapshots(),
 			LeakedSnapshots: s.LeakedSnapshots(),
 			OverlayEntries:  s.OverlaySize(),
@@ -208,10 +203,10 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "apply latency: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
 			h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 	}
-	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk, WA, RA, hot budget, debt, stalls, snaps, overlay, cache):\n")
+	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk, WA, RA, debt, stalls, snaps, overlay, cache):\n")
 	for _, st := range db.ShardStats() {
-		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B  WA=%.2f RA=%.2f  hot=%.4f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
-			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.WA, st.RA, st.HotBudget,
+		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
+			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
 			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
 	}

@@ -5,14 +5,14 @@
 // zero value is not usable; use New.
 //
 // Concurrency: one writer, any number of readers, no locks (LevelDB's
-// memtable discipline). Put must be called by at most one goroutine at a
-// time — the memtable's callers serialize it behind the engine's commit
-// lock — while Get and iterators may run concurrently with it and with
-// each other. A node is fully built before the store that links it at
-// level 0, links and values are published with atomic stores and read with
-// atomic loads, and nodes are never unlinked, so a reader sees each key
-// either absent or with a complete value, and an iterator's position stays
-// valid for as long as it is held.
+// memtable discipline). Put and Iterator.Set must be called by at most one
+// goroutine at a time — the memtable's callers serialize them behind the
+// engine's commit lock — while Get and iterators may run concurrently with
+// them and with each other. A node is fully built before the store that
+// links it at level 0, links and values are published with atomic stores
+// and read with atomic loads, and nodes are never unlinked, so a reader
+// sees each key either absent or with a complete value, and an iterator's
+// position stays valid for as long as it is held.
 package skiplist
 
 import (
@@ -158,3 +158,8 @@ func (it *Iterator[V]) Key() []byte { return it.node.key }
 
 // Value returns the current value. Valid only after a true Next/SeekGE.
 func (it *Iterator[V]) Value() *V { return it.node.value.Load() }
+
+// Set replaces the current entry's value, as Put under its key would but
+// without the descent. It is a write: only the list's one writer may call
+// it. Valid only after a true Next/SeekGE.
+func (it *Iterator[V]) Set(v *V) { it.node.value.Store(v) }

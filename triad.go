@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/bgsched"
 	"repro/internal/lsm"
-	"repro/internal/memtable"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -453,19 +452,9 @@ func (db *DB) Close() error {
 	return err
 }
 
-// Re-exported tuning types for Advanced configuration.
-type (
-	// EngineOptions is the full engine knob set.
-	EngineOptions = lsm.Options
-	// HotPolicy selects TRIAD-MEM's hot-key detector.
-	HotPolicy = memtable.HotPolicy
-)
-
-// Hot-key detector choices (TRIAD-MEM).
-const (
-	HotTopK      = memtable.HotTopK
-	HotAboveMean = memtable.HotAboveMean
-)
+// EngineOptions is the full engine knob set, re-exported for Advanced
+// configuration.
+type EngineOptions = lsm.Options
 
 // BaselineEngineOptions returns the baseline knob set for Advanced use.
 func BaselineEngineOptions(fs vfs.FS) lsm.Options { return lsm.DefaultOptions(fs) }

@@ -70,8 +70,6 @@ func TestPublicAPIAdvanced(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := TriadEngineOptions(fs)
 	opts.MemtableBytes = 64 << 10
-	opts.HotPolicy = HotTopK
-	opts.HotFraction = 0.2
 	db, err := Open(Options{Advanced: &opts})
 	if err != nil {
 		t.Fatal(err)
