@@ -126,8 +126,8 @@ func main() {
 		fmt.Printf("level files: %v\n", db.NumLevelFiles())
 		fmt.Printf("flushes: %d (skipped: %d)  compactions: %d (deferred: %d)\n",
 			m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred)
-		fmt.Printf("bytes: logged %d  flushed %d  compacted %d\n",
-			m.BytesLogged, m.BytesFlushed, m.BytesCompacted)
+		fmt.Printf("bytes: logged %d (relogged %d)  flushed %d  compacted %d\n",
+			m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted)
 		fmt.Printf("WA: %.2f  RA: %.2f\n", m.WriteAmplification(), m.ReadAmplification())
 		if *shards > 1 {
 			// The sharded engine's dump adds the partitioner, the

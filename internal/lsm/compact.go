@@ -10,7 +10,6 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
-	"repro/internal/wal"
 )
 
 // compactOnceLocked picks and runs one compaction under compactionMu. It
@@ -475,7 +474,7 @@ func (db *DB) removeTableFiles(f *manifest.FileMeta) error {
 		if err := db.fs.Remove(sstable.CLIndexFileName(f.ID)); err != nil {
 			return err
 		}
-		return db.fs.Remove(wal.FileName(f.LogID))
+		return db.retireLogs(f.LogID)
 	default:
 		return db.fs.Remove(sstable.FileName(f.ID))
 	}

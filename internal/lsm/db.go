@@ -20,6 +20,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +43,14 @@ var ErrNotFound = errors.New("lsm: key not found")
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("lsm: database closed")
 
-// immutable is a sealed (memtable, commit log) pair queued for flush.
+// immutable is a sealed memtable and the commit logs that back it, queued
+// for flush: log, which was current when it was sealed and is still open
+// (the flush task may append to it), and prev, the closed log before it,
+// nil if no entry can point there.
 type immutable struct {
-	mem *memtable.Memtable
-	log *wal.Writer
+	mem       *memtable.Memtable
+	log, prev *wal.Writer
+	logBytes  int64 // in the two of them when it was sealed
 	// trigger is what sealed it: "log-full", "memtable-full" or "explicit".
 	trigger string
 }
@@ -74,11 +79,16 @@ type DB struct {
 	met    metrics.Metrics
 
 	// mu guards the mutable write-side state and the background queue.
+	// Every entry of mem points into log, which commits append to, or into
+	// prev: the log the last flush skip filled and closed, kept on disk
+	// until the next skip has carried what still points into it; nil after
+	// a seal or a recovery.
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled on queue/state changes
 	mem    *memtable.Memtable
 	imm    []*immutable
 	log    *wal.Writer
+	prev   *wal.Writer
 	seq    uint64
 	nextID uint64
 	closed bool
@@ -229,12 +239,12 @@ func (db *DB) recover() error {
 		}
 	}
 
-	// Replay unpinned logs (sealed-but-unflushed or current at crash)
-	// into a fresh memtable. A key's record with the highest sequence wins,
-	// whichever file holds it: a flush skip that crashed mid-rewrite leaves
-	// a newer file with older records than the log that went on receiving
-	// writes. Records of one sequence are one batch, in order within one
-	// file, so among equals the later one wins.
+	// Replay unpinned logs (current and previous at crash, or sealed but
+	// unflushed) into a fresh memtable. A key's record with the highest
+	// sequence wins, whichever file holds it: what a flush skip or a flush
+	// carried into a newer file is older than the records around it.
+	// Records of one sequence are one batch, in order within one file, so
+	// among equals the later one wins.
 	logNames, err := db.fs.List("")
 	if err != nil {
 		return err
@@ -265,24 +275,17 @@ func (db *DB) recover() error {
 		}
 	}
 
-	// Start a fresh log and rewrite the recovered entries into it so the
-	// TRIAD-LOG invariant (every memtable entry's offset points into the
-	// current log) holds; then the replayed logs can go.
+	// Start a fresh log and rewrite the recovered entries (log 0: they point
+	// nowhere yet) into it, so that the memtable is again backed by the logs
+	// the engine holds; then the replayed logs can go.
 	db.log, err = wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	if db.mem.Len() > 0 {
-		if _, err := db.populateLog(db.log, db.mem); err != nil {
-			return err
-		}
+	if _, err := db.populateLog(db.log, db.mem, 0, pointingInto(db.mem, 0)); err != nil {
+		return err
 	}
-	for _, id := range replayIDs {
-		if err := db.fs.Remove(wal.FileName(id)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.retireLogs(replayIDs...)
 }
 
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
@@ -308,25 +311,64 @@ func (db *DB) allocFileID() uint64 {
 	return id
 }
 
-// populateLog appends every entry of mem to w — one batch, one device
-// write — and re-points the entries at their new records (Algorithm 1,
-// populateLog + CLUpdateOffset), returning the bytes appended. Caller
-// holds db.mu if mem is reachable by anyone else: the position updates
-// are memtable writes.
-func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable) (int, error) {
-	recs := make([]base.Entry, 0, mem.Len())
+// pointingInto lists, in key order, the current record of every entry of
+// mem whose LogID is from.
+func pointingInto(mem *memtable.Memtable, from uint64) []base.Entry {
+	var recs []base.Entry
 	for it := mem.NewIter(); it.Next(); {
-		e := it.Entry()
-		recs = append(recs, e.Base())
+		if e := it.Entry(); e.LogID == from {
+			recs = append(recs, e.Base())
+		}
+	}
+	return recs
+}
+
+// populateLog carries the entries of mem that point into log from — recs,
+// as pointingInto listed them — over to w: one batch, one device write,
+// made durable, and the entries re-pointed at their new records (Algorithm
+// 1, populateLog + CLUpdateOffset). Once it returns, no entry of mem needs
+// log from. It returns the bytes appended. Caller holds db.mu if mem is
+// live: the position updates are memtable writes.
+func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from uint64, recs []base.Entry) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
 	}
 	offs, n, err := w.AppendBatch(recs)
+	if err == nil && !db.opts.SyncWAL {
+		err = w.Sync() // log from is about to be removed on the strength of this copy
+	}
 	if err != nil {
 		return 0, err
 	}
-	db.met.BytesLogged.Add(int64(n))
-	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
-	mem.Relog(w.ID(), offs)
+	db.noteRelogged(n)
+	mem.Relog(from, w.ID(), offs)
 	return n, nil
+}
+
+// noteRelogged accounts n bytes the engine appended to a commit log on its
+// own behalf — carried across a rotation, into a sealed log or out of
+// recovery, or a flush's hot write-back — not for a user's commit.
+func (db *DB) noteRelogged(n int) {
+	db.met.BytesLogged.Add(int64(n))
+	db.met.BytesRelogged.Add(int64(n))
+	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
+}
+
+// retireLogs removes commit logs the engine no longer needs, oldest first.
+// It is the only place a log is removed, and the order is what makes any
+// crash between two removals recoverable: replay keeps a key's record with
+// the highest sequence over all logs it finds, so a log may go only when
+// every record that still matters in it is in a newer log or in a table,
+// and an older log left behind by itself would put stale versions over
+// the tables the newer one was flushed into.
+func (db *DB) retireLogs(ids ...uint64) error {
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := db.fs.Remove(wal.FileName(id)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Put associates value with key.
@@ -443,57 +485,76 @@ func (db *DB) maybeRotateLocked() error {
 	// TRIAD-MEM flush skip (Algorithm 1): the log filled first, which is
 	// what skew does. A flush would keep the hot keys and write only the
 	// cold part to L0; while that part is under FLUSH_TH the file is not
-	// worth making, and the log is rewritten compactly instead. The
-	// rewrite is the memtable once over (size bounds it: the accounting
-	// overhead exceeds a record header), so it must leave half the log
-	// for new writes or it would come round again within a few puts.
-	if db.opts.TriadMem && size <= db.opts.CommitLogBytes/2 {
+	// worth making, and the full log is retired lazily instead: it stays
+	// behind as prev, and only what still points into the prev before it —
+	// entries nobody rewrote for a whole generation — is carried into the
+	// fresh log. That copy must leave half the log for new writes or the
+	// skip would come round again within a few puts.
+	if db.opts.TriadMem {
 		if cold := db.mem.ColdBytes(); cold < db.opts.FlushThresholdBytes {
-			return db.skipFlushLocked(size, cold)
+			var carry []base.Entry
+			if db.prev != nil {
+				carry = pointingInto(db.mem, db.prev.ID())
+			}
+			if int64(wal.BatchSize(carry)) <= db.opts.CommitLogBytes/2 {
+				return db.skipFlushLocked(size, cold, carry)
+			}
 		}
 	}
 	return db.sealLocked("log-full")
 }
 
-// skipFlushLocked replaces the full commit log with a fresh one holding
-// one record per memtable entry. size and cold are the memtable's
-// accounted bytes and the cold part of them. Caller holds db.mu.
-func (db *DB) skipFlushLocked(size, cold int64) error {
+// skipFlushLocked opens a fresh commit log, carries into it the entries
+// that still point into prev (carry), removes that log and keeps the full
+// one as the new prev. size and cold are the memtable's accounted bytes and
+// the cold part of them. Caller holds db.mu.
+func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
 	start := time.Now()
 	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	relogged, err := db.populateLog(newLog, db.mem)
-	if err != nil {
-		// The old log still holds every record and stays current. Whatever
-		// part of the copy reached the file must not outlive this call: it
-		// would be replayed beside a log that has since moved on.
-		return errors.Join(err, newLog.Close(), db.fs.Remove(wal.FileName(newLog.ID())))
+	var carried int
+	if db.prev != nil {
+		if carried, err = db.populateLog(newLog, db.mem, db.prev.ID(), carry); err != nil {
+			// prev and the current log still hold every record between them
+			// and stay as they are. Whatever part of the copy reached the
+			// file must not outlive this call: it would be replayed beside
+			// logs that have since moved on.
+			return errors.Join(err, newLog.Close(), db.retireLogs(newLog.ID()))
+		}
 	}
-	oldLog := db.log
-	db.log = newLog
+	// The memtable now points into the current log and the fresh one only.
+	full, stale := db.log, db.prev
+	db.prev, db.log = full, newLog
+	err = full.Close()
+	detail := fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d bytes",
+		cold, size, db.opts.FlushThresholdBytes, len(carry), db.mem.Len(), carried)
+	if stale == nil {
+		detail += fmt.Sprintf("; log %d retained", full.ID())
+	} else {
+		err = errors.Join(err, db.retireLogs(stale.ID()))
+		detail += fmt.Sprintf(" from log %d; log %d retained, log %d removed", stale.ID(), full.ID(), stale.ID())
+	}
 	db.met.FlushSkips.Add(1)
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventFlush, Shard: db.opts.EventShard, Level: -1,
-		Dur: time.Since(start), In: size,
-		Detail: fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d, %d entries / %d bytes re-logged",
-			cold, size, db.opts.FlushThresholdBytes, db.mem.Len(), relogged),
+		Dur: time.Since(start), In: size, Detail: detail,
 	})
-	return db.dropLog(oldLog)
+	return err
 }
 
-// sealLocked moves the live (memtable, log) pair onto the flush queue and
-// installs fresh ones; trigger names the cause for the flush's journal
-// entry. Caller holds db.mu.
+// sealLocked moves the live memtable and the logs backing it onto the flush
+// queue and installs fresh ones; trigger names the cause for the flush's
+// journal entry. Caller holds db.mu.
 func (db *DB) sealLocked(trigger string) error {
 	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, trigger: trigger})
+	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, prev: db.prev, logBytes: db.liveLogBytesLocked(), trigger: trigger})
 	db.mem = memtable.New(db.nextSeed())
-	db.log = newLog
+	db.log, db.prev = newLog, nil
 	db.publishViewLocked()
 	db.cond.Broadcast()
 	db.scheduleFlushLocked()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memtable"
 	"repro/internal/obs"
 	"repro/internal/sstable"
-	"repro/internal/wal"
 )
 
 // The engine's background plane is a set of tasks on a bgsched worker
@@ -147,13 +146,8 @@ func (db *DB) popImmLocked() {
 }
 
 // discardImmutable implements Figure 2's "No BG I/O" variant: the sealed
-// memtable is dropped and its log removed; nothing reaches L0.
-func (db *DB) discardImmutable(imm *immutable) error {
-	if err := imm.log.Close(); err != nil {
-		return err
-	}
-	return db.fs.Remove(wal.FileName(imm.log.ID()))
-}
+// memtable is dropped and its logs removed; nothing reaches L0.
+func (db *DB) discardImmutable(imm *immutable) error { return db.dropLogs(imm) }
 
 // flushImmutable writes one sealed memtable to L0 (paper §2 Flushing,
 // §4.1 Algorithm 1 and §4.3 Figure 6 depending on the enabled techniques).
@@ -163,7 +157,19 @@ func (db *DB) flushImmutable(imm *immutable) error {
 
 	inBytes := imm.mem.ApproxSize()
 	if imm.mem.Len() == 0 {
-		return db.dropLog(imm.log)
+		return db.dropLogs(imm)
+	}
+	if db.opts.TriadLog && imm.prev != nil {
+		// A CL-SSTable pins exactly one log: carry what still points into
+		// prev over to the sealed log — here, not under the commit lock —
+		// and prev, the older of the two, can go before the table exists.
+		prev := imm.prev.ID()
+		if _, err := db.populateLog(imm.log, imm.mem, prev, pointingInto(imm.mem, prev)); err != nil {
+			return err
+		}
+		if err := db.retireLogs(prev); err != nil {
+			return err
+		}
 	}
 
 	var toFlush []*memtable.Entry
@@ -223,8 +229,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 				db.mu.Unlock()
 				return err
 			}
-			db.met.BytesLogged.Add(int64(n))
-			db.opts.Ledger.Add(obs.SrcWAL, int64(n))
+			db.noteRelogged(n)
 			for i, h := range recs {
 				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
 			}
@@ -261,19 +266,23 @@ func (db *DB) flushImmutable(imm *immutable) error {
 		Files: 1, Detail: detail,
 	})
 	if !db.opts.TriadLog {
-		// The memtable contents are durable in the SSTable; the log can
+		// The memtable contents are durable in the SSTable; the logs can
 		// go. Under TRIAD-LOG the log *is* the table's value store and
 		// stays pinned until compaction consumes it.
-		return db.dropLog(imm.log)
+		return db.dropLogs(imm)
 	}
 	return imm.log.Close()
 }
 
-func (db *DB) dropLog(log *wal.Writer) error {
-	if err := log.Close(); err != nil {
+// dropLogs closes a sealed memtable's log and removes the logs backing it.
+func (db *DB) dropLogs(imm *immutable) error {
+	if err := imm.log.Close(); err != nil {
 		return err
 	}
-	return db.fs.Remove(wal.FileName(log.ID()))
+	if imm.prev == nil {
+		return db.retireLogs(imm.log.ID())
+	}
+	return db.retireLogs(imm.prev.ID(), imm.log.ID())
 }
 
 // writeSSTable emits a classic L0 table from sorted memtable entries.

@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,9 +43,10 @@ func checkAgainst(t *testing.T, db *DB, oracle map[string]string) {
 // TestFlushDecidedByColdPart: a hot set that is rewritten constantly plus a
 // 1 % trickle of new keys fills the commit log long before the memtable.
 // The flush decision looks at what would reach L0 — the cold part — so the
-// log is rewritten many times per flush, every log-full flush that does
+// log is rotated many times per flush, every log-full flush that does
 // happen carries at least FLUSH_TH of cold data, the journal says so for
-// each decision, and nothing is lost across a Close/reopen in the middle.
+// each decision — and which log a skip carried entries out of, retained and
+// removed — and nothing is lost across a Close/reopen in the middle.
 func TestFlushDecidedByColdPart(t *testing.T) {
 	fs := vfs.NewMemFS()
 	events := obs.NewJournal(4096)
@@ -88,23 +90,41 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 		}
 	}
 	if flushes == 0 || skips <= flushes {
-		t.Fatalf("%d skips, %d flushes: want the log rewritten more often than the memtable is flushed", skips, flushes)
+		t.Fatalf("%d skips, %d flushes: want the log rotated more often than the memtable is flushed", skips, flushes)
 	}
 
-	var skipEvents, logFullFlushes int64
-	for _, e := range events.Events(0) {
+	var skipEvents, logFullFlushes, carrying int64
+	var retained uint64 // by the skip before
+	all := events.Events(0)
+	for i := len(all) - 1; i >= 0; i-- { // oldest first
+		e := all[i]
 		if e.Kind != obs.EventFlush {
 			continue
 		}
 		var cold, size, th int64
 		switch {
 		case e.Level == -1:
-			if _, err := fmt.Sscanf(e.Detail, "skipped: cold %d of %d B under FLUSH_TH %d,", &cold, &size, &th); err != nil {
+			var carried, entries, bytes int64
+			head, tail, _ := strings.Cut(e.Detail, " bytes")
+			if _, err := fmt.Sscanf(head, "skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d",
+				&cold, &size, &th, &carried, &entries, &bytes); err != nil {
 				t.Fatalf("skip event %q: %v", e.Detail, err)
 			}
-			if cold >= th || th != o.FlushThresholdBytes || size != e.In {
+			if cold >= th || th != o.FlushThresholdBytes || size != e.In || carried > entries || (carried == 0) != (bytes == 0) {
 				t.Fatalf("skip event does not explain itself: %s", e)
 			}
+			// The first skip of a memtable has no log before last to empty;
+			// every later one empties exactly the log the skip before it kept.
+			var from, kept, removed uint64
+			if _, err := fmt.Sscanf(tail, " from log %d; log %d retained, log %d removed", &from, &kept, &removed); err == nil {
+				if from != retained || removed != from || kept <= from {
+					t.Fatalf("skip after one that retained log %d: %s", retained, e)
+				}
+				carrying++
+			} else if _, err := fmt.Sscanf(tail, "; log %d retained", &kept); err != nil || carried != 0 {
+				t.Fatalf("skip event %q names no retained log", e.Detail)
+			}
+			retained = kept
 			skipEvents++
 		case strings.HasPrefix(e.Detail, "log-full"):
 			if _, err := fmt.Sscanf(e.Detail, "log-full: cold %d of %d B,", &cold, &size); err != nil {
@@ -118,30 +138,34 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 			t.Fatalf("flush event names no trigger: %s", e)
 		}
 	}
-	if events.Dropped() != 0 || skipEvents != skips || logFullFlushes == 0 {
-		t.Fatalf("journal has %d skip events (%d dropped) for %d skips, %d log-full flushes", skipEvents, events.Dropped(), skips, logFullFlushes)
+	if events.Dropped() != 0 || skipEvents != skips || logFullFlushes == 0 || carrying == 0 {
+		t.Fatalf("journal has %d skip events (%d dropped, %d emptied a log) for %d skips, %d log-full flushes",
+			skipEvents, events.Dropped(), carrying, skips, logFullFlushes)
 	}
 }
 
-// TestSkipNeedsRoomInLog: with a commit log no larger than the memtable, a
-// skip whose rewrite would fill most of the new log is not taken — it
-// would come round again every few puts, re-logging the memtable each
-// time — while a memtable that fits in half the log still skips.
+// TestSkipNeedsRoomInLog: with a commit log much smaller than the memtable,
+// a skip that would have to carry most of a log's worth of entries into the
+// new one is not taken — it would come round again every few puts, copying
+// the same entries each time. New keys that nobody rewrites are exactly
+// that: their first log is retained for free, the second rotation flushes
+// instead of carrying it, and not a byte is logged twice. A hot set that
+// fits in half the log goes on skipping.
 func TestSkipNeedsRoomInLog(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		keys      int // distinct keys, written round-robin
-		wantSkips bool
+		name        string
+		keys        int // distinct keys, written round-robin
+		wantFlushes bool
 	}{
-		{"new keys outgrow half the log", 1 << 30, false},
-		{"hot set within half the log", 60, true},
+		{"new keys outgrow half the log", 1 << 30, true},
+		{"hot set within half the log", 60, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := smallOptions(vfs.NewMemFS())
 			o.TriadMem = true
-			o.MemtableBytes = 64 << 10
+			o.MemtableBytes = 256 << 10
 			o.CommitLogBytes = 32 << 10
-			o.FlushThresholdBytes = 64 << 10
+			o.FlushThresholdBytes = 256 << 10
 			db := mustOpen(t, o)
 			defer db.Close()
 			for i := 0; i < 5000; i++ {
@@ -150,20 +174,29 @@ func TestSkipNeedsRoomInLog(t *testing.T) {
 				}
 			}
 			m := db.Metrics()
-			if ratio := float64(m.BytesLogged) / float64(m.UserBytes); ratio >= 2.5 {
-				t.Fatalf("logged %d B for %d user bytes (%.2fx) over %d skips", m.BytesLogged, m.UserBytes, ratio, m.FlushSkips)
+			if ratio := float64(m.BytesLogged) / float64(m.UserBytes); ratio >= 1.15 || m.BytesRelogged != 0 {
+				t.Fatalf("logged %d B (%d of them twice) for %d user bytes (%.2fx) over %d skips",
+					m.BytesLogged, m.BytesRelogged, m.UserBytes, ratio, m.FlushSkips)
 			}
-			if (m.FlushSkips > 0) != tc.wantSkips {
-				t.Fatalf("%d skips, want skips: %v", m.FlushSkips, tc.wantSkips)
+			if err := db.Flush(); err != nil { // drains the queue, and is one flush itself
+				t.Fatal(err)
+			}
+			flushes := db.Metrics().Flushes - 1
+			if m.FlushSkips == 0 || (flushes > 0) != tc.wantFlushes {
+				t.Fatalf("%d skips, %d log-full flushes, want flushes: %v", m.FlushSkips, flushes, tc.wantFlushes)
+			}
+			if tc.wantFlushes && m.FlushSkips > flushes+1 {
+				t.Fatalf("%d skips for %d flushes: a memtable of unrewritten keys was skipped twice", m.FlushSkips, flushes)
 			}
 		})
 	}
 }
 
-// TestFailedSkipLeavesNoOrphanLog: a skip whose rewrite fails must not
-// leave the new log behind, and recovery must not let any log — such an
-// orphan on a filesystem that tears writes, planted here by hand — put an
-// older record over a newer one.
+// TestFailedSkipLeavesNoOrphanLog: a skip whose copy into the new log fails
+// must not leave that log behind and must leave the two logs it found as
+// they were, and recovery must not let any log — such an orphan on a
+// filesystem that tears writes, planted here by hand — put an older record
+// over a newer one.
 func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
@@ -173,24 +206,44 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	o.FlushThresholdBytes = 32 << 10
 	db := mustOpen(t, o)
 	oracle := map[string]string{}
+	created := fs.Stats.FilesCreated.Load()
 	fs.FailEveryNthWrite(7)
 	var failed int
 	for i := 0; i < 3000; i++ {
+		// Every 150th put is a key nobody writes again: something for each
+		// skip to carry, so that the carrying can fail.
 		k, v := fmt.Sprintf("hot-%d", i%10), fmt.Sprintf("%0100d", i)
+		if i%150 == 149 {
+			k = fmt.Sprintf("once-%d", i)
+		}
 		// A put that reports an error may or may not have been applied;
 		// the retry that succeeds settles the key.
 		for db.Put([]byte(k), []byte(v)) != nil {
 			failed++
+			// Whatever failed, the memtable is backed by the logs the engine
+			// holds and nothing else is on disk.
+			want := []string{wal.FileName(db.log.ID())}
+			if db.prev != nil {
+				want = []string{wal.FileName(db.prev.ID()), want[0]}
+			}
+			if logs := logFiles(t, fs); !slices.Equal(logs, want) {
+				t.Fatalf("log files after a failed put: %v, want previous and current %v", logs, want)
+			}
+			for it := db.mem.NewIter(); it.Next(); {
+				if e := it.Entry(); e.LogID != db.log.ID() && (db.prev == nil || e.LogID != db.prev.ID()) {
+					t.Fatalf("after a failed put %q points into log %d, held: %v", e.Key, e.LogID, want)
+				}
+			}
 		}
 		oracle[k] = v
 	}
 	fs.FailEveryNthWrite(0)
 	m := db.Metrics()
-	if failed == 0 || m.FlushSkips == 0 || m.Flushes != 0 {
-		t.Fatalf("%d failed puts, %d skips, %d flushes: the test needs failures and skips only", failed, m.FlushSkips, m.Flushes)
-	}
-	if logs := logFiles(t, fs); len(logs) != 1 {
-		t.Fatalf("log files after failed skips: %v, want only the live log", logs)
+	// Every log this run created was one skip's, taken or failed.
+	failedSkips := fs.Stats.FilesCreated.Load() - created - m.FlushSkips
+	if failed == 0 || failedSkips == 0 || m.FlushSkips == 0 || m.BytesRelogged == 0 || m.Flushes != 0 {
+		t.Fatalf("%d failed puts, %d failed skips, %d skips carrying %d B, %d flushes: the test needs failures and carrying skips only",
+			failed, failedSkips, m.FlushSkips, m.BytesRelogged, m.Flushes)
 	}
 	checkAgainst(t, db, oracle)
 

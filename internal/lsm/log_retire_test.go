@@ -1,0 +1,436 @@
+package lsm
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/manifest"
+	"repro/internal/vfs"
+	"repro/internal/wal"
+)
+
+// unpinnedLogs lists the commit-log files in fs that no CL-SSTable of db's
+// current version pins.
+func unpinnedLogs(t *testing.T, db *DB, fs vfs.FS) []string {
+	t.Helper()
+	pinned := map[string]bool{}
+	db.versionMu.RLock()
+	for _, files := range db.version.Levels {
+		for _, f := range files {
+			if f.Kind == manifest.KindCLSST {
+				pinned[wal.FileName(f.LogID)] = true
+			}
+		}
+	}
+	db.versionMu.RUnlock()
+	return slices.DeleteFunc(logFiles(t, fs), func(name string) bool { return pinned[name] })
+}
+
+// TestHotKeysRelogThemselves: a hot set that is rewritten all the time needs
+// no help moving from one commit log to the next — by the time a log is
+// removed, two logs later, every key has a newer record. Rotations copy next
+// to nothing and the log costs its framing, not a second copy of the
+// memtable per rotation.
+func TestHotKeysRelogThemselves(t *testing.T) {
+	o := smallOptions(vfs.NewMemFS())
+	o.TriadMem = true
+	o.MemtableBytes = 64 << 10
+	o.CommitLogBytes = 64 << 10
+	o.FlushThresholdBytes = 64 << 10
+	db := mustOpen(t, o)
+	defer db.Close()
+	rng := rand.New(rand.NewSource(1))
+	for db.Metrics().FlushSkips < 50 {
+		if err := db.Put([]byte(fmt.Sprintf("k%07d", rng.Intn(60))), make([]byte, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := db.Metrics()
+	if m.Flushes != 0 {
+		t.Fatalf("%d flushes of a 60-key working set", m.Flushes)
+	}
+	if m.BytesRelogged*100 > m.BytesLogged {
+		t.Fatalf("50 rotations copied %d B of %d B logged, want at most 1%%", m.BytesRelogged, m.BytesLogged)
+	}
+	if ratio := float64(m.BytesLogged) / float64(m.UserBytes); ratio >= 1.15 {
+		t.Fatalf("logged %d B for %d user bytes: %.3fx", m.BytesLogged, m.UserBytes, ratio)
+	}
+}
+
+// TestAtMostTwoLogsBackTheMemtable: after every commit, every entry of the
+// live memtable points into the current log or the previous one, and the
+// only other unpinned logs on disk belong to memtables still queued for
+// flush; once the queue has drained, the current and the previous log are
+// exactly what is there.
+func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
+	for _, triadLog := range []bool{false, true} {
+		t.Run(fmt.Sprintf("TriadLog=%v", triadLog), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			o := smallOptions(fs)
+			o.TriadMem, o.TriadLog = true, triadLog
+			o.CommitLogBytes = 8 << 10
+			o.FlushThresholdBytes = 4 << 10
+			// A compaction unpins a log a moment before it removes it.
+			o.DisableAutoCompaction = true
+			db := mustOpen(t, o)
+			defer db.Close()
+			rng := rand.New(rand.NewSource(2))
+			twoLogs := 0
+			for i := 0; i < 6000; i++ {
+				k := fmt.Sprintf("hot-%02d", rng.Intn(20))
+				if i%25 == 24 {
+					k = fmt.Sprintf("cold-%06d", i)
+				}
+				if err := db.Put([]byte(k), make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+				if i%1500 == 1499 {
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				db.mu.Lock()
+				held := map[uint64]bool{db.log.ID(): true}
+				if db.prev != nil {
+					held[db.prev.ID()] = true
+					twoLogs++
+				}
+				for it := db.mem.NewIter(); it.Next(); {
+					if e := it.Entry(); !held[e.LogID] {
+						t.Fatalf("put %d: %q points into log %d, current and previous are %v", i, e.Key, e.LogID, held)
+					}
+				}
+				// The flush task only ever takes logs away from here on, so
+				// the queue as it is now bounds what the listing finds.
+				queued, drained := 0, len(db.imm) == 0 && db.flushing == 0
+				for _, imm := range db.imm {
+					queued++
+					if imm.prev != nil {
+						queued++
+					}
+				}
+				db.mu.Unlock()
+				logs := unpinnedLogs(t, db, fs)
+				if len(logs) > len(held)+queued || (drained && len(logs) != len(held)) {
+					t.Fatalf("put %d: unpinned logs %v with %d held by the memtable and %d by the flush queue", i, logs, len(held), queued)
+				}
+			}
+			m := db.Metrics()
+			if m.FlushSkips == 0 || m.Flushes < 5 || m.BytesRelogged == 0 || twoLogs == 0 {
+				t.Fatalf("%d skips, %d flushes, %d B carried, %d commits over two logs: the test needs all of them", m.FlushSkips, m.Flushes, m.BytesRelogged, twoLogs)
+			}
+		})
+	}
+}
+
+// TestSealCarriesStragglersIntoIndex: a cold entry nobody rewrote is carried
+// from log to log by the skips and, when its memtable is sealed while it
+// still points into the previous log, by the flush into the sealed log — so
+// the CL-SSTable pins one log, the previous one is gone, and the entry is
+// served from the table, before and after a reopen.
+func TestSealCarriesStragglersIntoIndex(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	if err := db.Put([]byte("straggler"), []byte("written once")); err != nil {
+		t.Fatal(err)
+	}
+	// Three skips: retained, carried by the second, retained again by the
+	// third — it now points into the previous log.
+	for i := 0; db.Metrics().FlushSkips < 3; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, ok := db.mem.Get([]byte("straggler"))
+	if !ok || db.prev == nil || e.LogID != db.prev.ID() || db.Metrics().BytesRelogged == 0 {
+		t.Fatalf("straggler %+v (in memtable: %v) should have been carried once and point into the previous log %v", e, ok, db.prev)
+	}
+	prev, cur := db.prev.ID(), db.log.ID()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.mem.Get([]byte("straggler")); ok {
+		t.Fatal("the cold straggler stayed in the memtable across the flush")
+	}
+	db.versionMu.RLock()
+	l0 := db.version.Levels[0]
+	db.versionMu.RUnlock()
+	if len(l0) != 1 || l0[0].Kind != manifest.KindCLSST || l0[0].LogID != cur {
+		t.Fatalf("L0 after the flush: %v, want one CL-SSTable over log %d", l0, cur)
+	}
+	if fs.Exists(wal.FileName(prev)) || !fs.Exists(wal.FileName(cur)) {
+		t.Fatalf("logs after the flush: %v, want %d pinned and %d gone", logFiles(t, fs), cur, prev)
+	}
+	for _, reopened := range []bool{false, true} {
+		if reopened {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = mustOpen(t, o)
+			defer db.Close()
+		}
+		if v, err := db.Get([]byte("straggler")); err != nil || string(v) != "written once" {
+			t.Fatalf("Get(straggler) = %q, %v (reopened: %v)", v, err, reopened)
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRelogAccountsForEverythingButCommits: BytesRelogged is every byte the
+// engine appended to a log on its own account — carried by skips, flushes
+// and recovery, hot keys written back — so what is left of BytesLogged is the
+// user's bytes and one record header each, exactly.
+func TestRelogAccountsForEverythingButCommits(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	const keyLen, valLen, header = 10, 90, 21
+	var user, logged, relogged int64
+	for half := 0; half < 2; half++ {
+		db := mustOpen(t, o)
+		if m := db.Metrics(); m.BytesLogged != m.BytesRelogged || (half == 1) != (m.BytesRelogged > 0) {
+			t.Fatalf("open %d logged %d B, %d of them its own", half, m.BytesLogged, m.BytesRelogged)
+		}
+		rng := rand.New(rand.NewSource(int64(half)))
+		for i := 0; i < 20000; i++ {
+			k := fmt.Sprintf("hot-%06d", rng.Intn(20))
+			if i%50 == 49 {
+				k = fmt.Sprintf("cold%06d", i)
+			}
+			if err := db.Put([]byte(k), make([]byte, valLen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m := db.Metrics()
+		if m.FlushSkips == 0 || m.Flushes == 0 || m.HotKeysKeptInMem == 0 {
+			t.Fatalf("%d skips, %d flushes, %d hot keys written back: the test needs all three", m.FlushSkips, m.Flushes, m.HotKeysKeptInMem)
+		}
+		user, logged, relogged = user+m.UserBytes, logged+m.BytesLogged, relogged+m.BytesRelogged
+	}
+	if relogged == 0 || (logged-relogged)*(keyLen+valLen) != user*(header+keyLen+valLen) {
+		t.Fatalf("logged %d B, %d of them re-logged, for %d user bytes: the rest is not %d/%d of the user's",
+			logged, relogged, user, header+keyLen+valLen, keyLen+valLen)
+	}
+}
+
+// crashFS is a MemFS that hands onImage a copy of itself after every
+// operation that changes what is on disk. Operations and the copying are
+// serialized, so every image is a state the filesystem was in.
+type crashFS struct {
+	*vfs.MemFS
+	mu      sync.Mutex
+	onImage func(op string, image *vfs.MemFS)
+}
+
+func (fs *crashFS) changed(op string) {
+	image := vfs.NewMemFS()
+	names, _ := fs.MemFS.List("")
+	for _, name := range names {
+		src, err := fs.MemFS.Open(name)
+		if err != nil {
+			panic(err)
+		}
+		size, _ := src.Size()
+		buf := make([]byte, size)
+		if size > 0 {
+			if _, err := src.ReadAt(buf, 0); err != nil {
+				panic(err)
+			}
+		}
+		dst, _ := image.Create(name)
+		dst.Write(buf)
+		dst.Close()
+		src.Close()
+	}
+	fs.onImage(op, image)
+}
+
+func (fs *crashFS) Create(name string) (vfs.File, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f, err := fs.MemFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	fs.changed("create " + name)
+	return &crashFile{File: f, fs: fs, name: name}, nil
+}
+
+func (fs *crashFS) Remove(name string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	err := fs.MemFS.Remove(name)
+	if err == nil {
+		fs.changed("remove " + name)
+	}
+	return err
+}
+
+func (fs *crashFS) Rename(oldname, newname string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	err := fs.MemFS.Rename(oldname, newname)
+	if err == nil {
+		fs.changed("rename " + oldname)
+	}
+	return err
+}
+
+type crashFile struct {
+	vfs.File
+	fs   *crashFS
+	name string
+}
+
+func (f *crashFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	n, err := f.File.Write(p)
+	if err == nil {
+		f.fs.changed("write " + f.name)
+	}
+	return n, err
+}
+
+// TestLogRetirementCrashPoints crashes a skewed run — flush skips that carry
+// stragglers, log-full and explicit flushes, every append synced — after
+// every single change it makes to the filesystem, and reopens each image.
+// Whatever was being retired at that moment, the store must come back
+// consistent with every acknowledged write readable at its latest value (a
+// log removed too early loses one; a log removed too late, or out of order,
+// is replayed over the table its successor was flushed into and serves a
+// stale one), and with no log on disk but the pinned ones and the fresh one.
+func TestLogRetirementCrashPoints(t *testing.T) {
+	for _, triadLog := range []bool{false, true} {
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("TriadLog=%v/seed=%d", triadLog, seed), func(t *testing.T) {
+				crashPoints(t, triadLog, seed)
+			})
+		}
+	}
+}
+
+func crashPoints(t *testing.T, triadLog bool, seed int64) {
+	// The whole run is laid out beforehand: images are checked on whichever
+	// goroutine changed the filesystem, against a history nobody is writing.
+	type op struct{ key, value string } // value "" deletes
+	const puts = 1500
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]op, puts)
+	for i := range ops {
+		v := fmt.Sprintf("%040d", i)
+		switch r := rng.Intn(100); {
+		case r < 55: // hot: rewritten in every log
+			ops[i] = op{fmt.Sprintf("hot-%d", rng.Intn(5)), v}
+		case r < 88: // warm: a version in every other log or so, and cold
+			ops[i] = op{fmt.Sprintf("warm-%02d", rng.Intn(30)), v}
+		case r < 91:
+			ops[i] = op{fmt.Sprintf("warm-%02d", rng.Intn(30)), ""}
+		default: // written once: carried from log to log until a flush
+			ops[i] = op{fmt.Sprintf("once-%04d", i), v}
+		}
+	}
+
+	cfs := &crashFS{MemFS: vfs.NewMemFS()}
+	o := smallOptions(cfs.MemFS)
+	o.FS = cfs
+	o.TriadMem, o.TriadLog = true, triadLog
+	o.SyncWAL = true
+	o.CommitLogBytes = 4 << 10
+	o.FlushThresholdBytes = 4 << 10
+	// This test is about the logs that back memtables. A compaction retires
+	// pinned ones, and not crash-safely yet: its manifest edit unpins a log a
+	// step before the file goes, and recovery replays whatever is unpinned.
+	// With compactions on, both seeds fail under TriadLog at the first one
+	// (ROADMAP, crash consistency).
+	o.DisableAutoCompaction = true
+
+	var acked atomic.Int64 // ops[:acked] returned; ops[acked] may be in flight
+	state := map[string]string{}
+	applied, images := 0, 0
+	failed := false
+	cfs.onImage = func(what string, image *vfs.MemFS) {
+		if failed {
+			return
+		}
+		fail := func(format string, args ...any) {
+			failed = true
+			t.Errorf("crash after %q, image %d, %d writes acknowledged: %s", what, images, applied, fmt.Sprintf(format, args...))
+		}
+		images++
+		for n := int(acked.Load()); applied < n; applied++ {
+			state[ops[applied].key] = ops[applied].value
+		}
+		ro := o
+		ro.FS = image
+		db, err := Open(ro)
+		if err != nil {
+			fail("Open: %v", err)
+			return
+		}
+		defer db.Close()
+		if err := db.CheckConsistency(); err != nil {
+			fail("CheckConsistency: %v", err)
+			return
+		}
+		if logs := unpinnedLogs(t, db, image); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
+			fail("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
+			return
+		}
+		check := func(key, want string) bool {
+			got, err := db.Get([]byte(key))
+			if want == "" {
+				return errors.Is(err, ErrNotFound)
+			}
+			return err == nil && string(got) == want
+		}
+		for key, want := range state {
+			if applied < len(ops) && key == ops[applied].key && check(key, ops[applied].value) {
+				continue // the write in flight made it
+			}
+			if !check(key, want) {
+				got, err := db.Get([]byte(key))
+				fail("Get(%q) = %q, %v; acknowledged %q", key, got, err, want)
+				return
+			}
+		}
+	}
+
+	db := mustOpen(t, o)
+	for i, op := range ops {
+		var err error
+		if op.value == "" {
+			err = db.Delete([]byte(op.key))
+		} else {
+			err = db.Put([]byte(op.key), []byte(op.value))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked.Store(int64(i + 1))
+		if i%400 == 399 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := db.Metrics()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.FlushSkips < 10 || m.Flushes < 6 || m.BytesRelogged == 0 || images < puts {
+		t.Fatalf("%d skips, %d flushes, %d B carried, %d images: the run has to exercise all of it", m.FlushSkips, m.Flushes, m.BytesRelogged, images)
+	}
+}

@@ -39,9 +39,10 @@ type Options struct {
 
 	// FlushThresholdBytes is FLUSH_TH: when the commit log fills while the
 	// memtable's cold part — what a flush would write to L0 — is smaller
-	// than this, TRIAD-MEM skips the flush and rewrites a compact commit
-	// log instead (Algorithm 1), provided that log leaves at least half of
-	// CommitLogBytes free.
+	// than this, TRIAD-MEM skips the flush and starts a fresh commit log
+	// instead (Algorithm 1), keeping the full one until the next skip and
+	// carrying over only what still needs the one before it — provided
+	// that leaves at least half of CommitLogBytes free.
 	FlushThresholdBytes int64
 
 	// OverlapRatioThreshold is TRIAD-DISK's compaction gate (paper: 0.4).

@@ -56,7 +56,8 @@ func TestTriadMemKeepsHotKeysInMemory(t *testing.T) {
 
 // TestTriadMemFlushSkip: the FLUSH_TH path fires when the commit log
 // fills while the memtable is still small (extremely skewed workload),
-// and no L0 file is produced by the skipped flushes.
+// no L0 file is produced by the skipped flushes, and keys rewritten in
+// every log are never copied from one to the next.
 func TestTriadMemFlushSkip(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
@@ -78,8 +79,11 @@ func TestTriadMemFlushSkip(t *testing.T) {
 	if m.FlushSkips == 0 {
 		t.Fatal("no FLUSH_TH skips on an extreme-skew workload")
 	}
-	if m.Flushes > m.FlushSkips {
-		t.Fatalf("flushes (%d) dominate skips (%d) despite tiny working set", m.Flushes, m.FlushSkips)
+	if m.Flushes != 0 || m.BytesRelogged != 0 {
+		t.Fatalf("%d flushes, %d B re-logged over %d skips of a ten-key working set", m.Flushes, m.BytesRelogged, m.FlushSkips)
+	}
+	if logs := logFiles(t, fs); len(logs) != 2 {
+		t.Fatalf("log files %v, want the current log and the one before it", logs)
 	}
 	// All ten keys still readable with the freshest value.
 	for i := 0; i < 10; i++ {

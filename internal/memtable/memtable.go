@@ -51,9 +51,10 @@ func (e *Entry) size() int64 { return int64(len(e.Key)+len(e.Value)) + entryOver
 // Memtable is a mutable sorted map with one writer and lock-free readers
 // (see package skiplist). Set, Relog and SeparateKeys are writes: at most
 // one goroutine may be inside any of them at a time — the engine holds its
-// commit lock around the first two, and only the flush of a sealed memtable
-// calls the third. Get, Len, ApproxSize, ColdBytes, All, SeekAll and
-// iterators may run concurrently with the writer and take no lock.
+// commit lock around the first two while the memtable is live, and only the
+// flush task touches a sealed one (Relog, then SeparateKeys). Get, Len,
+// ApproxSize, ColdBytes, All, SeekAll and iterators may run concurrently
+// with the writer and take no lock.
 //
 // Entries are copy-on-write: a write publishes a fresh *Entry and never
 // modifies one a reader may hold, so every Entry a reader obtains is one
@@ -85,16 +86,21 @@ func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint
 	})
 }
 
-// Relog re-points every entry at its record in commit log logID, leaving
-// the rest of its current version as it is: offs[i] is where the i-th
-// entry in key order — the order of All — was appended. One walk along
-// the bottom of the list, no descent per key.
-func (m *Memtable) Relog(logID uint64, offs []int64) {
+// Relog re-points the entries whose newest record is in commit log from at
+// the copies appended to log to, leaving the rest of their current version
+// as it is: offs[i] is where the i-th such entry in key order — the order
+// of All — was appended. Entries in any other log are not touched. One walk
+// along the bottom of the list, no descent per key.
+func (m *Memtable) Relog(from, to uint64, offs []int64) {
 	it := m.list.NewIterator()
-	for i := 0; it.Next(); i++ {
+	for i := 0; it.Next(); {
+		if it.Value().LogID != from {
+			continue
+		}
 		moved := *it.Value()
-		moved.LogID, moved.LogOffset = logID, offs[i]
+		moved.LogID, moved.LogOffset = to, offs[i]
 		it.Set(&moved)
+		i++
 	}
 }
 

@@ -205,9 +205,9 @@ func TestOneWriterManyReaders(t *testing.T) {
 			return fmt.Errorf("key %q: value %q with seq %d", e.Key, e.Value, e.Seq)
 		case e.Kind == base.KindDelete && e.Value != nil:
 			return fmt.Errorf("key %q: tombstone seq %d with value %q", e.Key, e.Seq, e.Value)
-		case e.LogID == 1 && e.LogOffset != int64(e.Seq)*100, // as Set logged it
-			e.LogID == 2 && e.LogOffset != int64(e.Seq)*100+1, // as Relog moved it
-			e.LogID != 1 && e.LogID != 2:
+		// Set logs into log 1; Relog carries log 1's entries into log 2 and
+		// log 2's into log 3.
+		case e.LogID < 1 || e.LogID > 3 || e.LogOffset != int64(e.Seq)*100+int64(e.LogID-1):
 			return fmt.Errorf("key %q: seq %d at log %d offset %d", e.Key, e.Seq, e.LogID, e.LogOffset)
 		}
 		return nil
@@ -301,12 +301,16 @@ func TestOneWriterManyReaders(t *testing.T) {
 			if v.seq == 0 {
 				delete(oracle, string(k))
 			}
+			// Only the entries still in log from move; the rest stay put.
+			from := uint64(1 + rng.Intn(2))
 			var offs []int64
 			for _, e := range m.All() {
-				offs = append(offs, int64(e.Seq)*100+1)
-				oracle[string(e.Key)].logID = 2
+				if e.LogID == from {
+					offs = append(offs, int64(e.Seq)*100+int64(from))
+					oracle[string(e.Key)].logID = from + 1
+				}
 			}
-			m.Relog(2, offs)
+			m.Relog(from, from+1, offs)
 		default:
 			sep := m.SeparateKeys(HotAboveMean, 0)
 			if len(sep.Hot)+len(sep.Cold) != m.Len() {
@@ -401,19 +405,29 @@ func TestColdBytesIsWhatSeparationFlushes(t *testing.T) {
 	}
 }
 
-// TestRelogMovesEveryEntry: Relog re-points every entry, in key order, and
-// touches nothing else.
-func TestRelogMovesEveryEntry(t *testing.T) {
+// TestRelogMovesOneLogsEntries: Relog re-points the entries of one log, in
+// key order, and touches nothing else — neither their other fields nor the
+// entries of any other log.
+func TestRelogMovesOneLogsEntries(t *testing.T) {
 	m := makeSkewed(t)
-	before := m.All()
-	offs := make([]int64, len(before))
-	for i := range offs {
-		offs[i] = int64(1000 + i)
+	for i, e := range m.All() { // every third entry was last written to log 7
+		if i%3 == 0 {
+			m.Set(e.Key, e.Value, e.Seq, e.Kind, 7, int64(i))
+		}
 	}
-	m.Relog(9, offs)
+	before := m.All()
+	var offs []int64
+	for i, e := range before {
+		if e.LogID == 7 {
+			offs = append(offs, int64(1000+i))
+		}
+	}
+	m.Relog(7, 9, offs)
 	for i, e := range m.All() {
 		want := *before[i]
-		want.LogID, want.LogOffset = 9, offs[i]
+		if want.LogID == 7 {
+			want.LogID, want.LogOffset = 9, int64(1000+i)
+		}
 		if !reflect.DeepEqual(*e, want) {
 			t.Fatalf("entry %d after Relog = %+v, want %+v", i, *e, want)
 		}

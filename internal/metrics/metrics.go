@@ -21,7 +21,8 @@ type Metrics struct {
 	TableDiskReads atomic.Int64 // data-block/log reads performed by Gets
 
 	// Storage-side writes, by origin.
-	BytesLogged    atomic.Int64 // commit-log appends (incl. TRIAD-MEM write-back)
+	BytesLogged    atomic.Int64 // commit-log appends, the engine's own included
+	BytesRelogged  atomic.Int64 // of those, not a user's commit: carried by a log rotation, a flush or recovery, or a flush's hot write-back
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
 	BytesCompacted atomic.Int64 // compaction output
 
@@ -50,6 +51,7 @@ type Snapshot struct {
 	UserWrites, UserReads, UserBytes          int64
 	ReadsFromMem, TableDiskReads              int64
 	BytesLogged, BytesFlushed, BytesCompacted int64
+	BytesRelogged                             int64
 	Flushes, FlushSkips                       int64
 	Compactions, CompactionsDeferred          int64
 	TrivialMoves                              int64
@@ -69,6 +71,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ReadsFromMem:        m.ReadsFromMem.Load(),
 		TableDiskReads:      m.TableDiskReads.Load(),
 		BytesLogged:         m.BytesLogged.Load(),
+		BytesRelogged:       m.BytesRelogged.Load(),
 		BytesFlushed:        m.BytesFlushed.Load(),
 		BytesCompacted:      m.BytesCompacted.Load(),
 		Flushes:             m.Flushes.Load(),
@@ -96,6 +99,7 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		ReadsFromMem:        s.ReadsFromMem - earlier.ReadsFromMem,
 		TableDiskReads:      s.TableDiskReads - earlier.TableDiskReads,
 		BytesLogged:         s.BytesLogged - earlier.BytesLogged,
+		BytesRelogged:       s.BytesRelogged - earlier.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed - earlier.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted - earlier.BytesCompacted,
 		Flushes:             s.Flushes - earlier.Flushes,
@@ -124,6 +128,7 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		ReadsFromMem:        s.ReadsFromMem + other.ReadsFromMem,
 		TableDiskReads:      s.TableDiskReads + other.TableDiskReads,
 		BytesLogged:         s.BytesLogged + other.BytesLogged,
+		BytesRelogged:       s.BytesRelogged + other.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed + other.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted + other.BytesCompacted,
 		Flushes:             s.Flushes + other.Flushes,

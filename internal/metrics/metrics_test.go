@@ -87,17 +87,17 @@ func TestConcurrentCounters(t *testing.T) {
 // TestSnapshotAdd: Add is the shard roll-up; it must be counter-wise,
 // invert Sub, and leave derived metrics computed on the aggregate.
 func TestSnapshotAdd(t *testing.T) {
-	a := Snapshot{UserWrites: 10, UserBytes: 1000, BytesLogged: 500,
+	a := Snapshot{UserWrites: 10, UserBytes: 1000, BytesLogged: 500, BytesRelogged: 40,
 		BytesFlushed: 300, BytesCompacted: 200, Flushes: 2,
 		FlushTime: time.Second, HotKeysKeptInMem: 7}
-	b := Snapshot{UserWrites: 5, UserBytes: 500, BytesLogged: 250,
+	b := Snapshot{UserWrites: 5, UserBytes: 500, BytesLogged: 250, BytesRelogged: 20,
 		BytesFlushed: 150, BytesCompacted: 100, Flushes: 1,
 		FlushTime: 2 * time.Second, HotKeysKeptInMem: 3}
 	sum := a.Add(b)
 	if sum.UserWrites != 15 || sum.UserBytes != 1500 || sum.Flushes != 3 {
 		t.Fatalf("Add: %+v", sum)
 	}
-	if sum.FlushTime != 3*time.Second || sum.HotKeysKeptInMem != 10 {
+	if sum.FlushTime != 3*time.Second || sum.HotKeysKeptInMem != 10 || sum.BytesRelogged != 60 {
 		t.Fatalf("Add: %+v", sum)
 	}
 	if got := sum.Sub(b); got != a {

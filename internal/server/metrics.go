@@ -114,10 +114,11 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_user_reads_total", "User Get operations served by the store.", "", m.UserReads)
 	p.Counter("triad_user_bytes_total", "Key+value bytes written by users.", "", m.UserBytes)
 	p.Counter("triad_bytes_logged_total", "Bytes appended to commit logs.", "", m.BytesLogged)
+	p.Counter("triad_bytes_relogged_total", "Of the bytes logged, those no user commit wrote: entries carried by log rotations, flushes and recovery, and hot keys written back.", "", m.BytesRelogged)
 	p.Counter("triad_bytes_flushed_total", "Bytes written to L0 by flushes.", "", m.BytesFlushed)
 	p.Counter("triad_bytes_compacted_total", "Bytes written by compactions.", "", m.BytesCompacted)
 	p.Counter("triad_flushes_total", "Memtable flushes completed.", "", m.Flushes)
-	p.Counter("triad_flush_skips_total", "TRIAD-MEM small-memtable flush skips (commit-log rewrites).", "", m.FlushSkips)
+	p.Counter("triad_flush_skips_total", "TRIAD-MEM small-memtable flush skips (commit-log rotations without a flush).", "", m.FlushSkips)
 	p.Counter("triad_compactions_total", "Compactions completed.", "", m.Compactions)
 	p.Counter("triad_compactions_deferred_total", "TRIAD-DISK compaction deferrals (insufficient key overlap).", "", m.CompactionsDeferred)
 	p.Counter("triad_compaction_moves_total", "Files relinked one level down by a manifest edit because nothing there overlapped them.", "", m.TrivialMoves)

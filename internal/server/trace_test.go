@@ -274,6 +274,10 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 		}
 	}
 
+	if got := series["triad_bytes_relogged_total"]; got != float64(m.BytesRelogged) || m.BytesRelogged >= m.BytesLogged {
+		t.Fatalf("triad_bytes_relogged_total = %g, engine re-logged %d of %d B logged", got, m.BytesRelogged, m.BytesLogged)
+	}
+
 	// The per-level series decompose the same totals by level: bytes
 	// held sum to the shards' disk bytes, bytes compacted out of each
 	// level to the compaction counter, and every level below L0 carries

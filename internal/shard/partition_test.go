@@ -581,6 +581,10 @@ func TestShardStats(t *testing.T) {
 	if stats[0].Writes != 500 || stats[0].WriteBytes == 0 || stats[0].Reads != 1 {
 		t.Fatalf("shard 0 stats = %+v", stats[0])
 	}
+	// Only shard 0 has anything in a commit log.
+	if stats[0].RetainedLogBytes == 0 || stats[1].RetainedLogBytes != 0 {
+		t.Fatalf("retained log bytes %d (shard 0) and %d (shard 1)", stats[0].RetainedLogBytes, stats[1].RetainedLogBytes)
+	}
 	for i := 1; i < 4; i++ {
 		if stats[i].Writes != 0 {
 			t.Fatalf("shard %d absorbed %d writes, want 0", i, stats[i].Writes)
@@ -593,7 +597,7 @@ func TestShardStats(t *testing.T) {
 	if stats[0].Files == 0 || stats[0].DiskBytes == 0 || stats[0].WA == 0 {
 		t.Fatalf("shard 0 post-flush stats = %+v", stats[0])
 	}
-	if !strings.Contains(db.Stats(), "per-shard balance") {
+	if !strings.Contains(db.Stats(), "per-shard balance") || !strings.Contains(db.Stats(), " logs=0 B") {
 		t.Fatalf("Stats missing balance table:\n%s", db.Stats())
 	}
 	if _, err := db.Get([]byte("missing")); !errors.Is(err, lsm.ErrNotFound) {

@@ -86,6 +86,9 @@ type ShardStat struct {
 	Files int
 	// DiskBytes is the shard's total on-disk byte size.
 	DiskBytes int64
+	// RetainedLogBytes is the commit log the shard keeps beside its tables
+	// because a memtable is still backed by it (lsm.DB.RetainedLogBytes).
+	RetainedLogBytes int64
 	// Levels is the shard's tree, level by level: what each level holds,
 	// the target the picker currently allows it and the resulting score.
 	Levels []lsm.LevelStat
@@ -146,6 +149,7 @@ func (db *DB) ShardStats() []ShardStat {
 			CacheBytes:      cs.Resident,
 			Levels:          s.LevelStats(),
 		}
+		st.RetainedLogBytes = s.RetainedLogBytes()
 		if db.ledgers != nil {
 			st.IO = db.ledgers[i].Snapshot()
 		}
@@ -174,8 +178,8 @@ func (db *DB) Stats() string {
 	}
 	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
-	fmt.Fprintf(&b, "bytes: user %d  logged %d  flushed %d  compacted %d\n",
-		m.UserBytes, m.BytesLogged, m.BytesFlushed, m.BytesCompacted)
+	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  compacted %d\n",
+		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
@@ -203,10 +207,10 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "apply latency: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
 			h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 	}
-	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk, WA, RA, debt, stalls, snaps, overlay, cache):\n")
+	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, WA, RA, debt, stalls, snaps, overlay, cache):\n")
 	for _, st := range db.ShardStats() {
-		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
-			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.WA, st.RA,
+		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
+			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
 			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
 	}

@@ -80,6 +80,15 @@ func (w *Writer) Append(e base.Entry) (offset int64, n int, err error) {
 	return offs[0], n, nil
 }
 
+// BatchSize is how many bytes AppendBatch(recs) adds to a log: the records
+// and their headers.
+func BatchSize(recs []base.Entry) (n int) {
+	for i := range recs {
+		n += headerSize + len(recs[i].Key) + len(recs[i].Value)
+	}
+	return n
+}
+
 // AppendBatch writes recs as consecutive records — each framed and
 // checksummed exactly as by Append — with one write to the file, and
 // returns the byte offset of each record and the total bytes appended.
@@ -88,9 +97,7 @@ func (w *Writer) Append(e base.Entry) (offset int64, n int, err error) {
 // the log or, after a crash mid-write, a prefix of them and one torn
 // record that replay discards.
 func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err error) {
-	for i := range recs {
-		n += headerSize + len(recs[i].Key) + len(recs[i].Value)
-	}
+	n = BatchSize(recs)
 	if n == 0 {
 		return nil, 0, nil
 	}
