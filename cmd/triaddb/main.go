@@ -24,8 +24,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -38,26 +38,44 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main, factored for the test: it returns the exit code (0 ok,
+// 1 a store or I/O error, 2 a usage error).
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fl := flag.NewFlagSet("triaddb", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		dir         = flag.String("dir", "triaddb-data", "database directory")
-		baseline    = flag.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
-		shards      = flag.Int("shards", 1, "partition the keyspace across N engine instances under DIR/shard-NNN (must match the count the store was created with)")
-		partitioner = flag.String("partitioner", "", "shard router: hash (default for new stores) or range; an existing store's stored partitioner is adopted when empty")
-		splits      = flag.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards), e.g. -splits g,n,t")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
-		bgWorkers   = flag.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
-		subcomp     = flag.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
+		dir         = fl.String("dir", "triaddb-data", "database directory")
+		baseline    = fl.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
+		shards      = fl.Int("shards", 1, "partition the keyspace across N engine instances under DIR/shard-NNN (must match the count the store was created with)")
+		partitioner = fl.String("partitioner", "", "shard router: hash (default for new stores) or range; an existing store's stored partitioner is adopted when empty")
+		splits      = fl.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards), e.g. -splits g,n,t")
+		cacheBytes  = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
+		bgWorkers   = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
+		subcomp     = fl.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
 	)
-	flag.Parse()
-	if *bgWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "triaddb: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
-		flag.Usage()
-		os.Exit(2)
+	if err := fl.Parse(args); err != nil {
+		return 2
 	}
-	args := flag.Args()
+	if *bgWorkers < 0 {
+		fmt.Fprintf(stderr, "triaddb: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
+		fl.Usage()
+		return 2
+	}
+	args = fl.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] [-partitioner hash|range] [-splits a,b,c] put|get|del|scan|stats|bench ...")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] [-partitioner hash|range] [-splits a,b,c] put|get|del|scan|stats|bench ...")
+		return 2
+	}
+	usage := func(u string) int {
+		fmt.Fprintf(stderr, "usage: triaddb %s\n", u)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "triaddb:", err)
+		return 1
 	}
 
 	profile := triad.ProfileTriad
@@ -77,36 +95,44 @@ func main() {
 		opts.Shards = *shards
 		opts.ShardFS = triad.ShardDirs(*dir)
 	} else {
-		// Refuse to open the root of a sharded store as one instance:
-		// the shard subdirectories would be invisible and every key
-		// would read as missing.
-		if st, err := os.Stat(filepath.Join(*dir, "shard-000")); err == nil && st.IsDir() {
-			fatalIf(fmt.Errorf("store at %s was created sharded (found shard-000/); pass -shards with the original count", *dir))
-		}
 		fs, err := vfs.NewOSFS(*dir)
-		fatalIf(err)
+		if err != nil {
+			return fail(err)
+		}
 		opts.FS = fs
 	}
 	db, err := triad.Open(opts)
-	fatalIf(err)
-	defer func() { fatalIf(db.Close()) }()
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := db.Close(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
 
 	switch args[0] {
 	case "put":
-		need(args, 3, "put <key> <value>")
-		fatalIf(db.Put([]byte(args[1]), []byte(args[2])))
-	case "get":
-		need(args, 2, "get <key>")
-		v, err := db.Get([]byte(args[1]))
-		if errors.Is(err, triad.ErrNotFound) {
-			fmt.Println("(not found)")
-			return
+		if len(args) < 3 {
+			return usage("put <key> <value>")
 		}
-		fatalIf(err)
-		fmt.Println(string(v))
+		err = db.Put([]byte(args[1]), []byte(args[2]))
+	case "get":
+		if len(args) < 2 {
+			return usage("get <key>")
+		}
+		var v []byte
+		if v, err = db.Get([]byte(args[1])); err == nil {
+			fmt.Fprintln(stdout, string(v))
+		} else if errors.Is(err, triad.ErrNotFound) {
+			fmt.Fprintln(stdout, "(not found)")
+			err = nil
+		}
 	case "del":
-		need(args, 2, "del <key>")
-		fatalIf(db.Delete([]byte(args[1])))
+		if len(args) < 2 {
+			return usage("del <key>")
+		}
+		err = db.Delete([]byte(args[1]))
 	case "scan":
 		var start, limit []byte
 		if len(args) > 1 {
@@ -115,101 +141,80 @@ func main() {
 		if len(args) > 2 {
 			limit = []byte(args[2])
 		}
-		it, err := db.NewIterator(start, limit)
-		fatalIf(err)
-		for it.Next() {
-			fmt.Printf("%s = %s\n", it.Key(), it.Value())
-		}
-		fatalIf(it.Close())
-	case "stats":
-		m := db.Metrics()
-		fmt.Printf("level files: %v\n", db.NumLevelFiles())
-		fmt.Printf("flushes: %d (skipped: %d)  compactions: %d (deferred: %d)\n",
-			m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred)
-		fmt.Printf("bytes: logged %d (relogged %d)  flushed %d  compacted %d\n",
-			m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted)
-		fmt.Printf("WA: %.2f  RA: %.2f\n", m.WriteAmplification(), m.ReadAmplification())
-		if *shards > 1 {
-			// The sharded engine's dump adds the partitioner, the
-			// per-shard balance table, and the ledger's WA decomposition
-			// (user/WAL/flush/compaction bytes by source).
-			fmt.Print(db.Stats())
-		}
-		if h := db.ApplyLatency(); h != nil && h.Count() > 0 {
-			printQuantiles("apply latency", h.Snapshot())
-		}
-		if j := db.Events(); j != nil && j.Total() > 0 {
-			fmt.Printf("background events (%d total, newest first):\n", j.Total())
-			for _, e := range j.Events(5) {
-				fmt.Println(" ", e)
+		var it triad.Iterator
+		if it, err = db.NewIterator(start, limit); err == nil {
+			for it.Next() {
+				fmt.Fprintf(stdout, "%s = %s\n", it.Key(), it.Value())
 			}
+			err = it.Close()
 		}
+	case "stats":
+		fmt.Fprint(stdout, db.Stats())
 	case "bench":
-		fsBench := flag.NewFlagSet("bench", flag.ExitOnError)
+		fsBench := flag.NewFlagSet("bench", flag.ContinueOnError)
+		fsBench.SetOutput(stderr)
 		n := fsBench.Int64("n", 100_000, "operations")
 		keys := fsBench.Uint64("keys", 50_000, "key-space size")
 		reads := fsBench.Float64("reads", 0.1, "read fraction")
-		fatalIf(fsBench.Parse(args[1:]))
-		mix := workload.Mix{Dist: workload.HotCold{N: *keys, HotFraction: 0.01, HotAccess: 0.99}, ReadFraction: *reads}
-		stream := mix.NewStream(1)
-		// SIGINT/SIGTERM stop the loop instead of killing the process,
-		// so the deferred Close flushes buffered work to disk.
-		ctx, stop := shutdown.Notify()
-		defer stop()
-		getLat, putLat := obs.NewHist(), obs.NewHist()
-		start := time.Now()
-		done := int64(0)
-		for ; done < *n; done++ {
-			if done%1024 == 0 && ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "triaddb: interrupted, flushing")
-				break
-			}
-			op := stream.Next()
-			opStart := time.Now()
-			if op.Read {
-				if _, err := db.Get(op.Key); err != nil && !errors.Is(err, triad.ErrNotFound) {
-					fatalIf(err)
-				}
-				getLat.Record(time.Since(opStart))
-			} else {
-				fatalIf(db.Put(op.Key, op.Value))
-				putLat.Record(time.Since(opStart))
-			}
+		if fsBench.Parse(args[1:]) != nil {
+			return 2
 		}
-		el := time.Since(start)
-		fmt.Printf("%d ops in %s = %.1f KOPS\n", done, el.Round(time.Millisecond), float64(done)/el.Seconds()/1000)
-		printQuantiles("get latency", getLat.Snapshot())
-		printQuantiles("put latency", putLat.Snapshot())
-		if h := db.ApplyLatency(); h != nil {
-			printQuantiles("apply latency", h.Snapshot())
-		}
+		err = bench(db, workload.Mix{Dist: workload.HotCold{N: *keys, HotFraction: 0.01, HotAccess: 0.99}, ReadFraction: *reads}, *n, stdout, stderr)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown command %q\n", args[0])
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown command %q\n", args[0])
+		return 2
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// bench runs n operations of mix against db and prints throughput and
+// latency quantiles.
+func bench(db *triad.DB, mix workload.Mix, n int64, stdout, stderr io.Writer) error {
+	stream := mix.NewStream(1)
+	// SIGINT/SIGTERM stop the loop instead of killing the process, so the
+	// caller's Close flushes buffered work to disk.
+	ctx, stop := shutdown.Notify()
+	defer stop()
+	getLat, putLat := obs.NewHist(), obs.NewHist()
+	start := time.Now()
+	done := int64(0)
+	for ; done < n; done++ {
+		if done%1024 == 0 && ctx.Err() != nil {
+			fmt.Fprintln(stderr, "triaddb: interrupted, flushing")
+			break
+		}
+		op := stream.Next()
+		opStart := time.Now()
+		if op.Read {
+			if _, err := db.Get(op.Key); err != nil && !errors.Is(err, triad.ErrNotFound) {
+				return err
+			}
+			getLat.Record(time.Since(opStart))
+		} else {
+			if err := db.Put(op.Key, op.Value); err != nil {
+				return err
+			}
+			putLat.Record(time.Since(opStart))
+		}
+	}
+	el := time.Since(start)
+	fmt.Fprintf(stdout, "%d ops in %s = %.1f KOPS\n", done, el.Round(time.Millisecond), float64(done)/el.Seconds()/1000)
+	printQuantiles(stdout, "get latency", getLat.Snapshot())
+	printQuantiles(stdout, "put latency", putLat.Snapshot())
+	printQuantiles(stdout, "apply latency", db.ApplyLatency().Snapshot())
+	return nil
 }
 
 // printQuantiles renders one latency distribution as a quantile line;
 // empty distributions print nothing.
-func printQuantiles(name string, h histogram.H) {
+func printQuantiles(w io.Writer, name string, h histogram.H) {
 	if h.Count() == 0 {
 		return
 	}
-	fmt.Printf("%s: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
+	fmt.Fprintf(w, "%s: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
 		name, h.Count(), h.Quantile(0.50), h.Quantile(0.90),
 		h.Quantile(0.99), h.Quantile(0.999), h.Max())
-}
-
-func need(args []string, n int, usage string) {
-	if len(args) < n {
-		fmt.Fprintf(os.Stderr, "usage: triaddb %s\n", usage)
-		os.Exit(2)
-	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triaddb:", err)
-		os.Exit(1)
-	}
 }

@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// triaddb runs one invocation; every call reopens the store.
+func triaddb(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestCommandsAcrossReopens drives put/get/del/scan/stats on a
+// root-layout store, one process-equivalent per command, so every read
+// is served by a recovered store.
+func TestCommandsAcrossReopens(t *testing.T) {
+	dir := t.TempDir()
+	for _, kv := range [][2]string{{"apple", "red"}, {"banana", "yellow"}, {"cherry", "dark"}} {
+		if code, _, stderr := triaddb(t, "-dir", dir, "put", kv[0], kv[1]); code != 0 {
+			t.Fatalf("put %s: exit %d: %s", kv[0], code, stderr)
+		}
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "get", "banana"); code != 0 || stdout != "yellow\n" {
+		t.Fatalf("get banana: exit %d, %q", code, stdout)
+	}
+	if code, _, stderr := triaddb(t, "-dir", dir, "del", "banana"); code != 0 {
+		t.Fatalf("del: exit %d: %s", code, stderr)
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "get", "banana"); code != 0 || stdout != "(not found)\n" {
+		t.Fatalf("get deleted: exit %d, %q", code, stdout)
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "scan"); code != 0 || stdout != "apple = red\ncherry = dark\n" {
+		t.Fatalf("scan: exit %d, %q", code, stdout)
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "scan", "b", "d"); code != 0 || stdout != "cherry = dark\n" {
+		t.Fatalf("bounded scan: exit %d, %q", code, stdout)
+	}
+	code, stdout, _ := triaddb(t, "-dir", dir, "stats")
+	if code != 0 {
+		t.Fatalf("stats: exit %d", code)
+	}
+	for _, want := range []string{"shards: 1", "flushes:", "WA:", "per-shard balance"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stats lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestUsageErrors: malformed invocations exit 2 and say why.
+func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-dir", dir, "-bg-workers", "-1", "get", "k"}, "-bg-workers -1"},
+		{[]string{"-dir", dir}, "usage: triaddb"},
+		{[]string{"-dir", dir, "put", "k"}, "usage: triaddb put"},
+		{[]string{"-dir", dir, "frobnicate"}, "unknown command"},
+	} {
+		if code, _, stderr := triaddb(t, tc.args...); code != 2 || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.stderr)
+		}
+	}
+}
+
+// TestRefusesShardedRoot: the root of a store created with -shards opened
+// without it is refused, not served empty; with the count it reads back.
+func TestRefusesShardedRoot(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := triaddb(t, "-dir", dir, "-shards", "3", "put", "k", "v"); code != 0 {
+		t.Fatalf("sharded put: exit %d: %s", code, stderr)
+	}
+	if code, _, stderr := triaddb(t, "-dir", dir, "get", "k"); code != 1 || !strings.Contains(stderr, "created sharded") {
+		t.Fatalf("open of a sharded root without -shards: exit %d, stderr %q", code, stderr)
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "-shards", "3", "get", "k"); code != 0 || stdout != "v\n" {
+		t.Fatalf("sharded get: exit %d, %q", code, stdout)
+	}
+}

@@ -18,8 +18,7 @@
 //	redis-cli -p 6379 GET user:1
 //
 // Group commit coalesces writes from all connections into shard-split
-// batches; tune with -commit-delay / -commit-ops / -commit-bytes /
-// -commit-pipeline.
+// batches: each group is what arrived while the previous ones committed.
 //
 // SIGINT/SIGTERM drain gracefully: stop accepting, finish in-flight
 // pipelines (committing their writes), flush memtables, close the store.
@@ -27,14 +26,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -64,10 +61,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		splits      = fs.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards)")
 		cacheBytes  = fs.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile's per-shard default, pooled)")
 		syncWAL     = fs.Bool("sync", false, "fsync the commit log on every group commit")
-		commitDelay = fs.Duration("commit-delay", 0, "hold each write group open this long before committing (0: commit as soon as the committer is free)")
-		commitOps   = fs.Int("commit-ops", 4096, "commit the pending group at this many operations")
-		commitBytes = fs.Int64("commit-bytes", 1<<20, "commit the pending group at this many payload bytes")
-		commitPipe  = fs.Int("commit-pipeline", 4, "sealed write groups applying concurrently (epoch order keeps them serialized; 1 = one apply at a time)")
 		metricsAddr = fs.String("metrics", "", "HTTP listen address for the Prometheus /metrics and /stats dump (empty: disabled)")
 		enablePprof = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the -metrics listener (off by default: profiling endpoints let any client with HTTP access run CPU/heap captures, so bind -metrics to localhost when enabling)")
 		noObs       = fs.Bool("no-observability", false, "disable latency histograms, stage timing, event journal and slowlog (overhead comparison)")
@@ -95,10 +88,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 	}
 
 	srv := server.New(db, server.Config{
-		CommitDelay:          *commitDelay,
-		CommitMaxOps:         *commitOps,
-		CommitMaxBytes:       *commitBytes,
-		CommitPipeline:       *commitPipe,
 		CursorTTL:            *cursorTTL,
 		MaxCursorsPerConn:    *maxCursors,
 		DisableObservability: *noObs,
@@ -204,49 +193,24 @@ func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, spli
 		cache = sstable.NewCache(cacheBytes)
 	}
 
-	var part shard.Partitioner
 	var splitKeys [][]byte
 	if splits != "" {
 		for _, s := range strings.Split(splits, ",") {
 			splitKeys = append(splitKeys, []byte(s))
 		}
 	}
-	switch partitioner {
-	case "":
-		if len(splitKeys) > 0 {
-			var err error
-			if part, err = shard.NewRange(splitKeys...); err != nil {
-				return nil, err
-			}
-		}
-	case "hash":
-		part = shard.FNV{}
-	case "range":
-		if len(splitKeys) == 0 {
-			return nil, errors.New(`-partitioner range requires -splits (N-1 ascending keys)`)
-		}
-		var err error
-		if part, err = shard.NewRange(splitKeys...); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown -partitioner %q (want hash or range)", partitioner)
+	part, err := shard.ParsePartitioner(partitioner, splitKeys)
+	if err != nil {
+		return nil, err
 	}
 
 	newFS := shard.MemFS()
 	if dir != "" {
 		newFS = shard.DirFS(dir)
 		if shards <= 1 {
-			// Refuse to open the root of a sharded store as one shard:
-			// the shard subdirectories hold no STORE record at the root,
-			// so the open would look like a fresh create and every key
-			// would silently read as missing.
-			if st, err := os.Stat(filepath.Join(dir, "shard-000")); err == nil && st.IsDir() {
-				return nil, fmt.Errorf("store at %s was created sharded (found shard-000/); pass -shards with the original count", dir)
-			}
-			// Match triaddb's unsharded layout (files at the directory
+			// Match triaddb's one-shard layout (files at the directory
 			// root, no shard-000/), so the two binaries can serve the
-			// same single-shard store.
+			// same store.
 			newFS = func(int) (vfs.FS, error) { return vfs.NewOSFS(dir) }
 		}
 	}

@@ -43,7 +43,7 @@ func TestServerSmoke(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run(
-			[]string{"-addr", "127.0.0.1:0", "-shards", "2", "-commit-delay", "100us", "-metrics", "127.0.0.1:0", "-trace-sample", "1"},
+			[]string{"-addr", "127.0.0.1:0", "-shards", "2", "-metrics", "127.0.0.1:0", "-trace-sample", "1"},
 			&stdout, &stderr,
 			func(addr string) { ready <- addr },
 		)
@@ -236,9 +236,10 @@ func TestBadFlags(t *testing.T) {
 		code   int
 		stderr string // substring the diagnostic must carry
 	}{
-		{"bogus partitioner", []string{"-partitioner", "bogus"}, 1, "unknown -partitioner"},
-		{"range without splits", []string{"-partitioner", "range"}, 1, "requires -splits"},
+		{"bogus partitioner", []string{"-partitioner", "bogus"}, 1, "unknown partitioner"},
+		{"range without splits", []string{"-partitioner", "range"}, 1, "requires split keys"},
 		{"unknown flag", []string{"-not-a-flag"}, 2, "Usage of triadserver"},
+		{"removed commit flag", []string{"-commit-delay", "1ms"}, 2, "Usage of triadserver"},
 		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},
 		{"negative bg-workers names the flag", []string{"-bg-workers=-3"}, 2, "-bg-workers -3"},
 	} {

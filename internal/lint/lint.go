@@ -13,7 +13,7 @@
 //     handed to a tracked owner.
 //   - nilsafeobs: the observability layer compiles down to pointer
 //     tests when disabled, which only works if every exported method
-//     on obs.Hist/Tracer/Trace/Journal/SlowLog/Ledger guards the nil
+//     on obs.Hist/Tracer/Trace/Journal/SlowLog guards the nil
 //     receiver before touching a field — and nothing outside
 //     internal/obs touches those fields at all.
 //   - atomicfield: a struct field accessed through sync/atomic

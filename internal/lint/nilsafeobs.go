@@ -10,7 +10,7 @@ import (
 // documented no-op: `-no-observability` (and a nil Tracer from
 // sampling-off) rely on every exported method compiling down to a
 // pointer test, so instrumentation call sites never branch.
-var obsNilSafeTypes = []string{"Hist", "Tracer", "Trace", "Journal", "SlowLog", "Ledger"}
+var obsNilSafeTypes = []string{"Hist", "Tracer", "Trace", "Journal", "SlowLog"}
 
 // NilSafeObs enforces the obs layer's nil-receiver contract:
 //

@@ -72,7 +72,10 @@ func (tr *Tracer) begin() *Trace {
 	return &Trace{}
 }
 
-type Journal struct{ events []string }
+type Journal struct {
+	events  []string
+	dropped int64
+}
 
 // Append panics instead of returning: any terminating guard body
 // counts.
@@ -83,6 +86,16 @@ func (j *Journal) Append(ev string) {
 	j.events = append(j.events, ev)
 }
 
+// AddDropped may run statements that do not touch the receiver before
+// the guard.
+func (j *Journal) AddDropped(n int64) {
+	total := n
+	if j == nil {
+		return
+	}
+	j.dropped += total
+}
+
 type SlowLog struct{ thresh int64 }
 
 // Observe checks the wrong condition first: the nil test must lead
@@ -91,18 +104,6 @@ func (l *SlowLog) Observe(d int64) {
 	if d < l.thresh || l == nil { // want `SlowLog\.Observe accesses field thresh before guarding the nil receiver`
 		return
 	}
-}
-
-type Ledger struct{ reads int64 }
-
-// AddRead may run statements that do not touch the receiver before
-// the guard.
-func (g *Ledger) AddRead(n int64) {
-	total := n
-	if g == nil {
-		return
-	}
-	g.reads += total
 }
 
 // Prom is the Prometheus exposition sink; it is not a nil-safe type,

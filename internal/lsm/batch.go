@@ -181,8 +181,6 @@ func (db *DB) commitLocked(seq uint64, b *Batch, trs obs.Traces) error {
 	db.met.BytesLogged.Add(int64(walBytes))
 	db.met.UserWrites.Add(int64(len(b.ops)))
 	db.met.UserBytes.Add(userBytes)
-	db.opts.Ledger.Add(obs.SrcWAL, int64(walBytes))
-	db.opts.Ledger.Add(obs.SrcUser, userBytes)
 	if traced {
 		detail := fmt.Sprintf("shard %d, %d ops, %dB", db.opts.EventShard, b.Len(), walBytes)
 		trs.SpanAt(obs.SpanWALAppend, t0, t1.Sub(t0), detail)

@@ -204,12 +204,11 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	db.compactedFrom[job.Level].Add(written)
 	db.met.EntriesCompacted.Add(merged)
 	db.met.EntriesDiscarded.Add(discarded)
-	db.opts.Ledger.Add(obs.SrcCompactionWrite, written)
 
 	if err := db.installCompaction(all, outputs); err != nil {
 		return err
 	}
-	db.opts.Ledger.Add(obs.SrcCompactionRead, inBytes)
+	db.met.BytesCompactionRead.Add(inBytes)
 	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(outputs), job.Why())
 	if plan.singleOutput {
 		detail = fmt.Sprintf("size-tiered %d-way, %d outputs", len(all), len(outputs))

@@ -356,7 +356,6 @@ func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from uint64, re
 func (db *DB) noteRelogged(n int) {
 	db.met.BytesLogged.Add(int64(n))
 	db.met.BytesRelogged.Add(int64(n))
-	db.opts.Ledger.Add(obs.SrcWAL, int64(n))
 }
 
 // retireLogs removes commit logs the engine no longer needs, oldest first.

@@ -308,30 +308,3 @@ func TestSizeTieredTriadDiskDefers(t *testing.T) {
 		t.Fatal("size-tiered TRIAD-DISK did not merge duplicate-dense bucket")
 	}
 }
-
-// --- Stats dump ---
-
-func TestStatsString(t *testing.T) {
-	fs := vfs.NewMemFS()
-	db := mustOpen(t, triadSmall(fs))
-	defer db.Close()
-	for i := 0; i < 1000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%04d", i)), make([]byte, 64))
-	}
-	db.Flush()
-	s := db.Stats()
-	for _, want := range []string{"levels", "flushes", "compactions", "WA", "RA"} {
-		if !containsStr(s, want) {
-			t.Fatalf("Stats() missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

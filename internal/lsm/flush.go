@@ -251,7 +251,6 @@ func (db *DB) flushImmutable(imm *immutable) error {
 		return err
 	}
 	db.met.BytesFlushed.Add(written)
-	db.opts.Ledger.Add(obs.SrcFlush, written)
 	db.met.Flushes.Add(1)
 
 	if err := db.installFlush(meta); err != nil {

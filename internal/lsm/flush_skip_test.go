@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +143,58 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 	if events.Dropped() != 0 || skipEvents != skips || logFullFlushes == 0 || carrying == 0 {
 		t.Fatalf("journal has %d skip events (%d dropped, %d emptied a log) for %d skips, %d log-full flushes",
 			skipEvents, events.Dropped(), carrying, skips, logFullFlushes)
+	}
+}
+
+// TestTriadMemAtBenchGeometry is update_skewed on one shard of the
+// registered benchmark (bench/store.go: memtable 256 KiB, log 1 MiB,
+// FLUSH_TH 128 KiB; 8 B keys, 255 B values; 375 hot keys take 99 % of the
+// puts; every 18 000 puts a drain), where the log fills long before the
+// memtable: the engine must skip flushes, keep the hot set in memory
+// across the flushes it makes — drains included — and not copy the
+// memtable into the next log on a skip (the log then costs its framing
+// plus the few stragglers a skip carries).
+func TestTriadMemAtBenchGeometry(t *testing.T) {
+	o := TriadOptions(vfs.NewMemFS())
+	o.MemtableBytes = 256 << 10
+	o.CommitLogBytes = 1 << 20
+	o.FlushThresholdBytes = 128 << 10
+	o.TargetFileBytes = 256 << 10
+	o.BaseLevelBytes = 2 << 20
+	o.BlockBytes = 4 << 10
+	db := mustOpen(t, o)
+	defer db.Close()
+	const hot, cold, rounds, perRound = 375, 124_625, 4, 18_000
+	rng := rand.New(rand.NewSource(1))
+	key, val := make([]byte, 8), make([]byte, 255)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			k := rng.Intn(hot)
+			if rng.Float64() >= 0.99 {
+				k = hot + rng.Intn(cold)
+			}
+			binary.BigEndian.PutUint64(key, uint64(k))
+			rng.Read(val)
+			if err := db.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := db.Metrics()
+	kept := float64(m.HotKeysKeptInMem) / float64(m.Flushes)
+	wal := float64(m.BytesLogged) / float64(m.UserBytes)
+	t.Logf("%d skips, %d flushes, %.0f hot keys kept per flush, wal %.3f per user byte", m.FlushSkips, m.Flushes, kept, wal)
+	if m.FlushSkips == 0 || kept <= 100 {
+		t.Fatalf("TRIAD-MEM idle: %d flush skips, %.0f hot keys kept per flush", m.FlushSkips, kept)
+	}
+	if wal >= 1.175 {
+		t.Fatalf("wal %.3f bytes per user byte, want under 1.175: skips are copying the memtable", wal)
 	}
 }
 

@@ -126,12 +126,6 @@ type Options struct {
 	Events *obs.Journal
 	// EventShard is the shard index stamped on emitted events.
 	EventShard int
-	// Ledger, when non-nil, is charged with every disk byte the engine
-	// moves, classified by source (user payload, WAL, flush, compaction
-	// read/write, snapshot-GC reclaim). Sharded stores pass one ledger
-	// per shard, which is what turns the aggregate WA number into a
-	// per-shard decomposition.
-	Ledger *obs.Ledger
 }
 
 // DefaultOptions returns the baseline engine configuration ("RocksDB" in

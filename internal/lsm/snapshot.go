@@ -274,7 +274,7 @@ func (db *DB) releaseSnapshot(s *Snapshot) {
 		freed += f.Size
 	}
 	if len(free) > 0 {
-		db.opts.Ledger.Add(obs.SrcSnapshotGC, freed)
+		db.met.BytesSnapshotGC.Add(freed)
 		db.opts.Events.Add(obs.Event{
 			Kind: obs.EventSnapshotGC, Shard: db.opts.EventShard, Level: -1,
 			Dur: time.Since(start), In: freed, Files: len(free),

@@ -170,6 +170,9 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	if len(afterClose) >= len(beforeClose) {
 		t.Fatalf("closing the snapshot freed no files: %d before, %d after", len(beforeClose), len(afterClose))
 	}
+	if m := db.Metrics(); m.BytesSnapshotGC == 0 || m.BytesCompactionRead == 0 {
+		t.Fatalf("snapshot GC reclaimed %d B, compactions read %d B: want both counted", m.BytesSnapshotGC, m.BytesCompactionRead)
+	}
 	if db.OpenSnapshots() != 0 {
 		t.Fatalf("OpenSnapshots = %d after close", db.OpenSnapshots())
 	}

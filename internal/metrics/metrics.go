@@ -26,6 +26,10 @@ type Metrics struct {
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
 	BytesCompacted atomic.Int64 // compaction output
 
+	// Storage-side reads and reclaims.
+	BytesCompactionRead atomic.Int64 // compaction input
+	BytesSnapshotGC     atomic.Int64 // zombie tables deleted once no snapshot pins them
+
 	// Background operation counts and wall time.
 	Flushes            atomic.Int64
 	FlushSkips         atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
@@ -52,6 +56,7 @@ type Snapshot struct {
 	ReadsFromMem, TableDiskReads              int64
 	BytesLogged, BytesFlushed, BytesCompacted int64
 	BytesRelogged                             int64
+	BytesCompactionRead, BytesSnapshotGC      int64
 	Flushes, FlushSkips                       int64
 	Compactions, CompactionsDeferred          int64
 	TrivialMoves                              int64
@@ -74,6 +79,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		BytesRelogged:       m.BytesRelogged.Load(),
 		BytesFlushed:        m.BytesFlushed.Load(),
 		BytesCompacted:      m.BytesCompacted.Load(),
+		BytesCompactionRead: m.BytesCompactionRead.Load(),
+		BytesSnapshotGC:     m.BytesSnapshotGC.Load(),
 		Flushes:             m.Flushes.Load(),
 		FlushSkips:          m.FlushSkips.Load(),
 		Compactions:         m.Compactions.Load(),
@@ -102,6 +109,8 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		BytesRelogged:       s.BytesRelogged - earlier.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed - earlier.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted - earlier.BytesCompacted,
+		BytesCompactionRead: s.BytesCompactionRead - earlier.BytesCompactionRead,
+		BytesSnapshotGC:     s.BytesSnapshotGC - earlier.BytesSnapshotGC,
 		Flushes:             s.Flushes - earlier.Flushes,
 		FlushSkips:          s.FlushSkips - earlier.FlushSkips,
 		Compactions:         s.Compactions - earlier.Compactions,
@@ -131,6 +140,8 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		BytesRelogged:       s.BytesRelogged + other.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed + other.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted + other.BytesCompacted,
+		BytesCompactionRead: s.BytesCompactionRead + other.BytesCompactionRead,
+		BytesSnapshotGC:     s.BytesSnapshotGC + other.BytesSnapshotGC,
 		Flushes:             s.Flushes + other.Flushes,
 		FlushSkips:          s.FlushSkips + other.FlushSkips,
 		Compactions:         s.Compactions + other.Compactions,

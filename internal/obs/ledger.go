@@ -1,12 +1,10 @@
 package obs
 
-import "sync/atomic"
-
 // Source classifies where a disk byte came from: the attribution axis
-// of the I/O ledger. TRIAD's whole design is about moving bytes
-// between these buckets (keeping hot keys out of flush, embedding the
-// log, deferring compaction), so a per-shard breakdown is the live
-// form of the paper's write-amplification argument.
+// of the I/O ledger (LedgerSnapshot). TRIAD's whole design is about
+// moving bytes between these buckets (keeping hot keys out of flush,
+// embedding the log, deferring compaction), so a per-shard breakdown is
+// the live form of the paper's write-amplification argument.
 type Source int
 
 // The attribution sources, in exposition order.
@@ -50,52 +48,7 @@ func (s Source) String() string {
 	}
 }
 
-// Ledger attributes disk bytes to sources. Add is one atomic add; a
-// nil *Ledger drops everything, so the engine charges bytes with a
-// pointer test when observability is off.
-type Ledger struct {
-	c [NumSources]atomic.Int64
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{} }
-
-// Add charges n bytes to the source. Nil-safe.
-func (l *Ledger) Add(s Source, n int64) {
-	if l == nil || n == 0 {
-		return
-	}
-	l.c[s].Add(n)
-}
-
-// Bytes reports the total charged to the source.
-func (l *Ledger) Bytes(s Source) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.c[s].Load()
-}
-
-// Snapshot captures every source's total at one instant-ish point
-// (each counter is read atomically; the set is not a fenced cut).
-func (l *Ledger) Snapshot() LedgerSnapshot {
-	var ls LedgerSnapshot
-	if l == nil {
-		return ls
-	}
-	for s := Source(0); s < NumSources; s++ {
-		ls[s] = l.c[s].Load()
-	}
-	return ls
-}
-
-// LedgerSnapshot is a point-in-time copy of a ledger's totals,
-// indexable by Source.
+// LedgerSnapshot attributes disk bytes to sources, indexable by Source.
+// The sharded store builds it from each shard's engine counters
+// (shard.DB.IOBySource, ShardStat.IO), so it is exact, not sampled.
 type LedgerSnapshot [NumSources]int64
-
-// AddSnapshot accumulates other into ls (for cross-shard roll-ups).
-func (ls *LedgerSnapshot) AddSnapshot(other LedgerSnapshot) {
-	for s := range ls {
-		ls[s] += other[s]
-	}
-}

@@ -59,8 +59,8 @@ func TestTracerNilSafety(t *testing.T) {
 
 // TestTraceUnsampledZeroAlloc is the acceptance guard for the hot path:
 // an unsampled command must cost zero allocations at every trace point
-// it crosses — the sampling decision, the nil-trace span calls, the
-// nil-Traces fan-out, and the nil-ledger charge.
+// it crosses — the sampling decision, the nil-trace span calls and the
+// nil-Traces fan-out.
 func TestTraceUnsampledZeroAlloc(t *testing.T) {
 	tracer := NewTracer(1e-18, 8) // live tracer, rejects ~everything
 	begin := time.Now()
@@ -84,13 +84,6 @@ func TestTraceUnsampledZeroAlloc(t *testing.T) {
 		trs.SpanAt(SpanCommit, begin, time.Millisecond, "")
 	}); n != 0 {
 		t.Fatalf("nil-Traces SpanAt allocates %v/op, want 0", n)
-	}
-
-	var led *Ledger
-	if n := testing.AllocsPerRun(1000, func() {
-		led.Add(SrcWAL, 128)
-	}); n != 0 {
-		t.Fatalf("nil-ledger Add allocates %v/op, want 0", n)
 	}
 }
 
@@ -235,39 +228,18 @@ func TestTraceConcurrentRecordAndScrape(t *testing.T) {
 	}
 }
 
+// TestLedger: every attribution source has its own exposition name.
 func TestLedger(t *testing.T) {
-	var nilLed *Ledger
-	nilLed.Add(SrcWAL, 100) // no-op
-	if nilLed.Bytes(SrcWAL) != 0 {
-		t.Fatal("nil ledger holds bytes")
-	}
-	var zero LedgerSnapshot
-	if nilLed.Snapshot() != zero {
-		t.Fatal("nil ledger snapshot nonzero")
-	}
-
-	led := NewLedger()
-	led.Add(SrcUser, 100)
-	led.Add(SrcWAL, 120)
-	led.Add(SrcWAL, 30)
-	led.Add(SrcFlush, 0) // zero is a no-op, not a counter touch
-	if got := led.Bytes(SrcWAL); got != 150 {
-		t.Fatalf("Bytes(wal) = %d, want 150", got)
-	}
-	snap := led.Snapshot()
-	if snap[SrcUser] != 100 || snap[SrcWAL] != 150 || snap[SrcFlush] != 0 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	var sum LedgerSnapshot
-	sum.AddSnapshot(snap)
-	sum.AddSnapshot(snap)
-	if sum[SrcWAL] != 300 {
-		t.Fatalf("AddSnapshot sum = %v", sum)
-	}
+	seen := map[string]Source{}
 	for s := Source(0); s < NumSources; s++ {
-		if s.String() == "other" {
+		name := s.String()
+		if name == "other" {
 			t.Fatalf("source %d has no name", s)
 		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("sources %d and %d share the name %q", prev, s, name)
+		}
+		seen[name] = s
 	}
 }
 

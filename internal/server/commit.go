@@ -33,29 +33,31 @@ type pending struct {
 	traced []tracedOp // sampled ops in the group (usually empty)
 }
 
+// commitPipeline is how many prepared write groups may be applying at
+// once. Their epochs are fixed at Prepare, and the store clock commits
+// them in epoch order on every shard they share, so the depth bounds
+// memory and goroutines, never ordering.
+const commitPipeline = 4
+
 // committer coalesces writes from every connection into shard-split
 // batches and feeds them to the store's commit pipeline. Batching is
-// leader-based: by default (CommitDelay 0) the loop seals the open
-// group the moment it is free, and the ops that arrive while a commit
-// is in flight simply form the next group — under load the batches grow
-// toward CommitMaxOps/CommitMaxBytes with no latency added to a quiet
-// server. A positive CommitDelay instead holds each group open for a
-// fixed window from its first write (deliberately trading latency for
-// larger batches; note Go's netpoller rounds sub-millisecond sleeps up
-// toward a millisecond on an idle process, so tiny windows cost more
-// than they read).
+// leader-based: the loop seals the open group the moment a pipeline slot
+// is free, and the ops that arrive while commits are in flight form the
+// next group — batches grow with load and a quiet server adds no latency.
+// A group is bounded by what can be outstanding, not by a cap: every
+// write command in it holds an unanswered reply, and a connection queues
+// at most Config.MaxPipeline of those (plus the one its writer waits on),
+// so a group carries about connections × MaxPipeline write commands — an
+// MSET counting once, with all its keys.
 //
 // The committer is a stage of the store's commit pipeline, not an
 // ordering layer of its own: the loop Prepares each detached group —
 // fixing its store-clock epoch in detach order — and then runs the
-// Commit on a pooled goroutine, up to CommitPipeline groups in flight
+// Commit on a pooled goroutine, up to commitPipeline groups in flight
 // at once. Epoch order, enforced per shard by the store clock, is what
-// keeps overlapping commits strictly ordered; the old single-goroutine
-// one-Apply-at-a-time rule existed only to provide that ordering and is
-// gone.
+// keeps overlapping commits strictly ordered.
 type committer struct {
 	store Store
-	cfg   Config
 	ob    *serverObs // nil when observability is disabled
 
 	mu     sync.Mutex
@@ -63,7 +65,6 @@ type committer struct {
 	closed bool
 
 	kick     chan struct{} // a new group opened
-	full     chan struct{} // the current group hit a size limit
 	quit     chan struct{}
 	wg       sync.WaitGroup
 	inflight chan struct{}  // semaphore: groups between Prepare and Commit-done
@@ -73,15 +74,13 @@ type committer struct {
 	ops     atomic.Int64
 }
 
-func newCommitter(store Store, cfg Config, ob *serverObs) *committer {
+func newCommitter(store Store, ob *serverObs) *committer {
 	c := &committer{
 		store:    store,
-		cfg:      cfg,
 		ob:       ob,
 		kick:     make(chan struct{}, 1),
-		full:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
-		inflight: make(chan struct{}, cfg.CommitPipeline),
+		inflight: make(chan struct{}, commitPipeline),
 	}
 	c.wg.Add(1)
 	go c.loop()
@@ -113,12 +112,6 @@ func (c *committer) enqueue(entries []base.Entry, tr *obs.Trace) (*pending, erro
 	if tr != nil {
 		pb.traced = append(pb.traced, tracedOp{tr: tr, enq: time.Now()})
 	}
-	if pb.batch.Len() >= c.cfg.CommitMaxOps || pb.batch.Bytes() >= c.cfg.CommitMaxBytes {
-		select {
-		case c.full <- struct{}{}:
-		default:
-		}
-	}
 	c.mu.Unlock()
 	return pb, nil
 }
@@ -131,46 +124,18 @@ func (c *committer) loop() {
 			c.commit()
 			return
 		case <-c.kick:
+			c.commit()
 		}
-		c.mu.Lock()
-		pb := c.cur
-		c.mu.Unlock()
-		if pb == nil {
-			// Stale kick: the group it announced was already committed
-			// by a size trigger.
-			continue
-		}
-		if wait := c.cfg.CommitDelay - time.Since(pb.start); c.cfg.CommitDelay > 0 && wait > 0 && !c.isFull(pb) {
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-c.full:
-				t.Stop()
-			case <-c.quit:
-				t.Stop()
-				c.commit()
-				return
-			}
-		}
-		c.commit()
 	}
-}
-
-func (c *committer) isFull(pb *pending) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return pb.batch.Len() >= c.cfg.CommitMaxOps || pb.batch.Bytes() >= c.cfg.CommitMaxBytes
 }
 
 // commit waits for a pipeline slot, then detaches the open group,
 // Prepares it (assigning its epoch — waiters unblock on sealed the
 // moment the position in the commit order is known), and hands the
 // Commit to a pipelined goroutine. Acquiring the slot before detaching
-// is what preserves leader-based batching: while every slot is busy,
-// the open group keeps absorbing arrivals, so batches still grow with
-// load exactly as when one blocking Apply gated the loop. A leftover
-// full token from a group that was committed by the timer can close the
-// next window early; that costs one smaller batch, never correctness.
+// is what makes batching leader-based: while every slot is busy, the
+// open group keeps absorbing arrivals, so batches grow with load. On
+// quit there may be no open group to detach.
 func (c *committer) commit() {
 	c.inflight <- struct{}{}
 	c.mu.Lock()
@@ -181,9 +146,9 @@ func (c *committer) commit() {
 		<-c.inflight
 		return
 	}
-	// Stage timing: coalesce is group open -> detach (the batching
-	// window, pipeline-slot wait included), epoch_wait is detach ->
-	// ticket assigned, commit is ticket -> durable.
+	// Stage timing: coalesce is group open -> detach (the pipeline-slot
+	// wait the group grew during), epoch_wait is detach -> ticket
+	// assigned, commit is ticket -> durable.
 	var detached time.Time
 	if c.ob != nil {
 		detached = time.Now()
@@ -221,7 +186,7 @@ func (c *committer) commit() {
 		cm.Trace(trs)
 	}
 	// Bounded pipelining: the loop goes back to coalescing while up to
-	// CommitPipeline prepared groups apply concurrently. Their epochs
+	// commitPipeline prepared groups apply concurrently. Their epochs
 	// are already ordered, so the store commits them in sealing order on
 	// every shard they share.
 	c.cwg.Add(1)

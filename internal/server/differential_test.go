@@ -13,11 +13,12 @@ import (
 )
 
 // TestDifferentialClientVsEmbedded applies one randomized workload two
-// ways — through internal/client against a live sharded server, and
-// through an embedded unsharded triad.DB — and requires identical
-// Get/MGet/Scan results. The two paths share no routing, batching or
-// transport code above the engine, so a divergence pinpoints a bug in
-// the server, codec, client or shard router.
+// ways — through internal/client against a live 4-shard server, and
+// through an embedded one-shard triad.DB — and requires identical
+// Get/MGet/Scan results. The two paths share no batching or transport
+// code, and the embedded store routes every key to its one shard, so a
+// divergence pinpoints a bug in the server, codec, client or shard
+// router.
 func TestDifferentialClientVsEmbedded(t *testing.T) {
 	db := newTestStore(t, 4)
 	_, addr := startServer(t, db, server.Config{})

@@ -13,7 +13,7 @@
 //   - Cross-connection group commit. Writes from all connections are
 //     coalesced into shared batches that ride the store's commit
 //     pipeline: each group's epoch is fixed when the committer seals it,
-//     and up to CommitPipeline sealed groups apply concurrently —
+//     and up to four sealed groups apply concurrently —
 //     amortizing the commit-log append and the memtable mutex exactly
 //     where TRIAD says the write-path costs live, while the store clock
 //     (not the committer) keeps overlapping groups ordered per shard.
@@ -87,8 +87,7 @@ type Store interface {
 	// May return nil (observability disabled).
 	ApplyLatency() *obs.Hist
 	// IOBySource is the store-wide I/O attribution roll-up; per-shard
-	// breakdowns ride ShardStats. All-zero when observability is
-	// disabled.
+	// breakdowns ride ShardStats.
 	IOBySource() obs.LedgerSnapshot
 	// Scheduler is the store's background worker pool, exported as the
 	// triad_bg_* series.
@@ -101,30 +100,12 @@ type Store interface {
 var _ Store = (*shard.DB)(nil)
 
 // Config tunes the server. The zero value is production-shaped: group
-// commit on with no artificial delay (leader-based batching), 4096-op /
-// 1 MiB batches, pipeline depth 1024.
+// commit on (leader-based, no artificial delay), pipeline depth 1024.
 type Config struct {
-	// CommitDelay holds each write group open for a window from its
-	// first write before committing, trading latency for batch size.
-	// Default 0: commit as soon as the committer goroutine is free —
-	// writes arriving during the previous Apply form the next batch, so
-	// batching scales with load and a quiet server pays no extra
-	// latency.
-	CommitDelay time.Duration
-	// CommitMaxOps commits the pending group when it reaches this many
-	// operations. Default 4096.
-	CommitMaxOps int
-	// CommitMaxBytes commits the pending group when it reaches this many
-	// payload bytes. Default 1 MiB.
-	CommitMaxBytes int64
-	// CommitPipeline is how many sealed write groups may be applying
-	// concurrently. Their epochs are assigned at coalesce time, and the
-	// store clock commits them in epoch order on every shard they
-	// share, so pipelining cannot reorder writes. Default 4.
-	CommitPipeline int
 	// MaxPipeline bounds a connection's outstanding replies; a client
 	// that pipelines deeper blocks until replies drain (backpressure).
-	// Default 1024.
+	// It is also what bounds a group commit: about connections ×
+	// MaxPipeline write commands. Default 1024.
 	MaxPipeline int
 	// ScanMaxEntries caps one SCAN reply page; clients page through the
 	// rest with SCAN CONT on the returned cursor. Default 4096.
@@ -161,18 +142,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CommitDelay < 0 {
-		c.CommitDelay = 0
-	}
-	if c.CommitMaxOps <= 0 {
-		c.CommitMaxOps = 4096
-	}
-	if c.CommitMaxBytes <= 0 {
-		c.CommitMaxBytes = 1 << 20
-	}
-	if c.CommitPipeline <= 0 {
-		c.CommitPipeline = 4
-	}
 	if c.MaxPipeline <= 0 {
 		c.MaxPipeline = 1024
 	}
@@ -234,7 +203,7 @@ func New(store Store, cfg Config) *Server {
 	if !s.cfg.DisableObservability {
 		s.ob = newServerObs(s.cfg)
 	}
-	s.gc = newCommitter(store, s.cfg, s.ob)
+	s.gc = newCommitter(store, s.ob)
 	s.cursors = newRegistry(s.cfg)
 	return s
 }

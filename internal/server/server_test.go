@@ -3,10 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +38,14 @@ func newTestStore(t *testing.T, shards int) *shard.DB {
 // the test.
 func startServer(t *testing.T, db *shard.DB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
-	srv := server.New(db, cfg)
+	return serveStore(t, db, db, cfg)
+}
+
+// serveStore is startServer over any view of db (store); db is what the
+// teardown closes.
+func serveStore(t *testing.T, store server.Store, db *shard.DB, cfg server.Config) (*server.Server, string) {
+	t.Helper()
+	srv := server.New(store, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +66,45 @@ func startServer(t *testing.T, db *shard.DB, cfg server.Config) (*server.Server,
 		}
 	})
 	return srv, ln.Addr().String()
+}
+
+// gatedStore holds every Prepare until open is closed. While it is
+// shut, the group committer cannot seal a group, so whatever the
+// connections send meanwhile piles into the open group and nothing
+// reaches the store — group commit and the read-your-writes barrier
+// become observable without a timing window.
+type gatedStore struct {
+	*shard.DB
+	held chan struct{} // a token when a Prepare reaches the shut gate
+	open chan struct{} // closed to let every Prepare through
+}
+
+func newGatedStore(db *shard.DB) *gatedStore {
+	return &gatedStore{DB: db, held: make(chan struct{}, 1), open: make(chan struct{})}
+}
+
+func (s *gatedStore) Prepare(b *lsm.Batch) (*shard.Commit, error) {
+	select {
+	case s.held <- struct{}{}:
+	default:
+	}
+	<-s.open
+	return s.DB.Prepare(b)
+}
+
+// waitCommands blocks until the server has read n commands. A command is
+// counted before it is dispatched, so the count reaching n means every
+// command before the n-th has been executed (a write: enqueued).
+func waitCommands(t *testing.T, srv *server.Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if _, _, cmds := srv.ConnStats(); cmds >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never read %d commands", n)
+		}
+	}
 }
 
 func dial(t *testing.T, addr string) *client.Conn {
@@ -235,58 +283,81 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
-// TestReadYourWrites: with a long commit window, a GET right after a SET
-// on the same connection must still see the value (the connection
-// barrier), and the group must carry both pipelined writes in one batch.
+// TestReadYourWrites: a GET pipelined right behind a SET on the same
+// connection is read while the SET's group is held before commit — the
+// value is not in the store yet — and must still return it: the
+// connection barrier waits for the group's epoch to commit.
 func TestReadYourWrites(t *testing.T) {
 	db := newTestStore(t, 2)
-	srv, addr := startServer(t, db, server.Config{CommitDelay: 50 * time.Millisecond})
+	gs := newGatedStore(db)
+	srv, addr := serveStore(t, gs, db, server.Config{})
 	c := dial(t, addr)
 
-	start := time.Now()
-	if err := c.Set([]byte("ryw"), []byte("v1")); err != nil {
+	if err := c.Send("SET", []byte("ryw"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := c.Get([]byte("ryw"))
-	if err != nil || !found || string(v) != "v1" {
-		t.Fatalf("read-your-writes: %q %v %v", v, found, err)
-	}
-	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
-		t.Fatalf("commit window not honored: round trip took %s", elapsed)
-	}
-	batches, ops := srv.GroupCommitStats()
-	if batches == 0 || ops == 0 {
-		t.Fatalf("no group commits recorded: batches=%d ops=%d", batches, ops)
-	}
-}
-
-// TestGroupCommitCoalesces: a pipelined burst of writes from one
-// connection must land in far fewer Apply batches than ops.
-func TestGroupCommitCoalesces(t *testing.T) {
-	db := newTestStore(t, 4)
-	srv, addr := startServer(t, db, server.Config{CommitDelay: 2 * time.Millisecond})
-	c := dial(t, addr)
-
-	const n = 400
-	for i := 0; i < n; i++ {
-		if err := c.Send("SET", []byte(fmt.Sprintf("burst-%04d", i)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Send("GET", []byte("ryw")); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
+	<-gs.held               // the SET's group is sealing, held at Prepare
+	waitCommands(t, srv, 2) // the GET has been read and dispatched
+	if _, err := db.Get([]byte("ryw")); !errors.Is(err, lsm.ErrNotFound) {
+		t.Fatalf("store holds the write before its group committed: %v", err)
+	}
+	close(gs.open)
+	if ok, err := c.Receive(); err != nil || ok.Text() != "OK" {
+		t.Fatalf("SET: %v %v", ok, err)
+	}
+	if v, err := c.Receive(); err != nil || v.Text() != "v1" {
+		t.Fatalf("read-your-writes: GET = %v, %v", v, err)
+	}
+	batches, ops := srv.GroupCommitStats()
+	if batches != 1 || ops != 1 {
+		t.Fatalf("group commits: batches=%d ops=%d, want 1 and 1", batches, ops)
+	}
+}
+
+// TestGroupCommitCoalesces: a pipelined burst that arrives while a group
+// is committing lands in one group — n writes, two batches.
+func TestGroupCommitCoalesces(t *testing.T) {
+	db := newTestStore(t, 4)
+	gs := newGatedStore(db)
+	srv, addr := serveStore(t, gs, db, server.Config{})
+	c := dial(t, addr)
+
+	const n = 400
+	set := func(i int) {
+		if err := c.Send("SET", []byte(fmt.Sprintf("burst-%04d", i)), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(0)
+	<-gs.held // the first write's group is committing
+	for i := 1; i < n; i++ {
+		set(i)
+	}
+	if err := c.Send("PING"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitCommands(t, srv, n+1) // the burst is enqueued, behind the held group
+	close(gs.open)
+	for i := 0; i <= n; i++ {
 		if _, err := c.Receive(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batches, ops := srv.GroupCommitStats()
-	if ops != n {
-		t.Fatalf("ops = %d, want %d", ops, n)
-	}
-	if batches >= n/4 {
-		t.Fatalf("group commit barely coalesced: %d batches for %d ops", batches, ops)
+	if ops != n || batches != 2 {
+		t.Fatalf("%d ops in %d batches, want %d in 2: the burst did not coalesce", ops, batches, n)
 	}
 }
 
@@ -342,11 +413,13 @@ func TestConcurrentConnections(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown: writes accepted before Shutdown commit; the
+// TestGracefulShutdown: writes accepted but not yet committed when
+// Shutdown starts are committed and answered before it returns; the
 // store is intact afterwards.
 func TestGracefulShutdown(t *testing.T) {
 	db := newTestStore(t, 2)
-	srv := server.New(db, server.Config{CommitDelay: 20 * time.Millisecond})
+	gs := newGatedStore(db)
+	srv := server.New(gs, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -365,22 +438,31 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := c.Send("PING"); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Collect all replies so the writes are known-accepted, then stop.
-	for i := 0; i < n; i++ {
-		if v, err := c.Receive(); err != nil || v.Text() != "OK" {
-			t.Fatalf("reply %d: %v %v", i, v, err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	<-gs.held
+	waitCommands(t, srv, n+1) // every write is accepted; none has committed
+	shutErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutErr <- srv.Shutdown(ctx)
+	}()
+	close(gs.open)
+	if err := <-shutErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve returned %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if v, err := c.Receive(); err != nil || v.Text() != "OK" {
+			t.Fatalf("reply %d: %v %v", i, v, err)
+		}
 	}
 	for i := 0; i < n; i++ {
 		if _, err := db.Get([]byte(fmt.Sprintf("shut-%03d", i))); err != nil {

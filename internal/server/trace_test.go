@@ -210,10 +210,10 @@ func promSeries(t *testing.T, text string) map[string]float64 {
 	return out
 }
 
-// TestMetricsLedgerConsistency is the acceptance check tying the
-// attribution ledger to the engine's own counters: after quiescing,
-// the per-shard triad_io_bytes_total series must sum exactly to the
-// store-wide byte counters WA is computed from.
+// TestMetricsLedgerConsistency: after quiescing, the per-shard
+// triad_io_bytes_total series must sum exactly to the store-wide byte
+// counters WA is computed from, and the per-level series to the disk and
+// compaction totals.
 func TestMetricsLedgerConsistency(t *testing.T) {
 	db := newTestStore(t, 2)
 	srv, addr := startServer(t, db, server.Config{})
@@ -231,26 +231,11 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-
-	io := db.IOBySource()
 	m := db.Metrics()
-	if io[obs.SrcUser] != m.UserBytes {
-		t.Fatalf("ledger user_write %d != UserBytes %d", io[obs.SrcUser], m.UserBytes)
-	}
-	if io[obs.SrcWAL] != m.BytesLogged {
-		t.Fatalf("ledger wal %d != BytesLogged %d", io[obs.SrcWAL], m.BytesLogged)
-	}
-	if io[obs.SrcFlush] != m.BytesFlushed {
-		t.Fatalf("ledger flush %d != BytesFlushed %d", io[obs.SrcFlush], m.BytesFlushed)
-	}
-	if io[obs.SrcCompactionWrite] != m.BytesCompacted {
-		t.Fatalf("ledger compaction_write %d != BytesCompacted %d", io[obs.SrcCompactionWrite], m.BytesCompacted)
-	}
-	if io[obs.SrcUser] == 0 || io[obs.SrcWAL] == 0 || io[obs.SrcFlush] == 0 {
-		t.Fatalf("ledger recorded nothing: %v", io)
+	if io := db.IOBySource(); io[obs.SrcUser] == 0 || io[obs.SrcWAL] == 0 || io[obs.SrcFlush] == 0 {
+		t.Fatalf("attribution recorded nothing: %v", io)
 	}
 
-	// The same identities must hold for the exposed series.
 	series := promSeries(t, srv.MetricsText())
 	sumSrc := func(src string) (total float64) {
 		for name, v := range series {

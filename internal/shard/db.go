@@ -83,7 +83,8 @@ type Options struct {
 	// latency recorder nil: every instrumentation point degrades to a
 	// pointer test (the configuration the overhead benchmark compares
 	// against). Engine.Events, when set, still wins over the built-in
-	// journal.
+	// journal. I/O attribution (IOBySource, ShardStat.IO) is read from
+	// the engine's own counters and stays on.
 	DisableObservability bool
 
 	// BackgroundWorkers sizes the store-wide background worker pool
@@ -163,11 +164,6 @@ type DB struct {
 	// commit execution. Both nil when Options.DisableObservability.
 	events   *obs.Journal
 	applyLat *obs.Hist
-	// ledgers attribute each shard's disk bytes by source (user write,
-	// WAL, flush, compaction read/write, snapshot-GC). With range
-	// partitioning, shards are tenants, so this is also the per-tenant
-	// I/O bill. Nil when Options.DisableObservability.
-	ledgers []*obs.Ledger
 
 	// cache is the store-wide block cache every shard draws from (nil
 	// when caching is disabled).
@@ -217,10 +213,6 @@ func Open(o Options) (*DB, error) {
 			db.events = obs.NewJournal(0)
 		}
 		db.applyLat = obs.NewHist()
-		db.ledgers = make([]*obs.Ledger, o.Shards)
-		for i := range db.ledgers {
-			db.ledgers[i] = obs.NewLedger()
-		}
 	}
 	// Pool the per-shard cache shares into one store-wide cache (same
 	// aggregate bytes, no pre-split) unless the caller injected a cache.
@@ -242,9 +234,6 @@ func Open(o Options) (*DB, error) {
 		eo.MaxSubcompactions = o.MaxSubcompactions
 		eo.Events = db.events
 		eo.EventShard = i
-		if db.ledgers != nil {
-			eo.Ledger = db.ledgers[i]
-		}
 		eo.BlockCache = db.cache
 		// Decorrelate the per-shard skiplist seeds so shards do not
 		// produce identical tower heights in lockstep.
@@ -276,7 +265,10 @@ func Open(o Options) (*DB, error) {
 // records on the shard filesystems: validates count and routing on
 // reopen, adopts the stored partitioner when none was requested, and
 // writes records where absent (store creation, or a store predating the
-// metadata format — the one case that cannot be validated).
+// metadata format — the one case that cannot be validated). A filesystem
+// with no record that holds a shard-000/ is the root of a sharded store
+// (DirFS) opened as a shard: refused, since every key would read as
+// missing.
 func resolvePartitioner(fses []vfs.FS, requested Partitioner) (Partitioner, error) {
 	n := len(fses)
 	metas := make([]*storeMeta, n)
@@ -287,6 +279,9 @@ func resolvePartitioner(fses []vfs.FS, requested Partitioner) (Partitioner, erro
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		if !ok {
+			if fs.Exists("shard-000") {
+				return nil, fmt.Errorf("shard %d: store was created sharded (found shard-000/); open it with the original shard count", i)
+			}
 			continue
 		}
 		if m.Shard != i {

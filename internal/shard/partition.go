@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,6 +33,30 @@ type Partitioner interface {
 	// on (the Range partitioner's Name includes its split keys), so
 	// equal names imply identical routing.
 	Name() string
+}
+
+// ParsePartitioner maps a partitioner name and split keys, as a caller's
+// configuration spells them, onto a Partitioner: "hash" is FNV, "range"
+// is NewRange(splits...), and "" is range when splits are given and
+// otherwise nil — adopt the store's recorded partitioner (FNV for a new
+// store).
+func ParsePartitioner(name string, splits [][]byte) (Partitioner, error) {
+	switch name {
+	case "":
+		if len(splits) == 0 {
+			return nil, nil
+		}
+		return NewRange(splits...)
+	case "hash":
+		return FNV{}, nil
+	case "range":
+		if len(splits) == 0 {
+			return nil, errors.New(`shard: partitioner "range" requires split keys (shards-1 ascending keys)`)
+		}
+		return NewRange(splits...)
+	default:
+		return nil, fmt.Errorf(`shard: unknown partitioner %q (want "hash" or "range")`, name)
+	}
 }
 
 // FNV hash-partitions keys with 64-bit FNV-1a. It is the default: cheap

@@ -10,8 +10,44 @@ import (
 	"testing"
 
 	"repro/internal/lsm"
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
+
+// TestParsePartitioner: the configuration spelling every front door
+// shares — names, the implied range, adoption, and the two misuses.
+func TestParsePartitioner(t *testing.T) {
+	splits := [][]byte{[]byte("g"), []byte("n")}
+	for _, tc := range []struct {
+		name   string
+		splits [][]byte
+		want   string // Partitioner.Name(); "" for nil (adopt the stored one)
+		err    string
+	}{
+		{"", nil, "", ""},
+		{"", splits, "range(67,6e)", ""},
+		{"hash", nil, "fnv", ""},
+		{"hash", splits, "fnv", ""},
+		{"range", splits, "range(67,6e)", ""},
+		{"range", nil, "", "requires split keys"},
+		{"mod17", nil, "", "unknown partitioner"},
+	} {
+		p, err := ParsePartitioner(tc.name, tc.splits)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParsePartitioner(%q, %q) error = %v, want %q", tc.name, tc.splits, err, tc.err)
+			}
+			continue
+		}
+		got := ""
+		if p != nil {
+			got = p.Name()
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParsePartitioner(%q, %q) = %q, %v; want %q", tc.name, tc.splits, got, err, tc.want)
+		}
+	}
+}
 
 // TestNewRangeValidation: splits must be non-empty and strictly
 // ascending.
@@ -596,6 +632,16 @@ func TestShardStats(t *testing.T) {
 	stats = db.ShardStats()
 	if stats[0].Files == 0 || stats[0].DiskBytes == 0 || stats[0].WA == 0 {
 		t.Fatalf("shard 0 post-flush stats = %+v", stats[0])
+	}
+	// The I/O bill follows the writes: all of it on shard 0.
+	if io := stats[0].IO; io[obs.SrcUser] != stats[0].WriteBytes || io[obs.SrcWAL] == 0 || io[obs.SrcFlush] == 0 {
+		t.Fatalf("shard 0 I/O attribution %v for %d user bytes", io, stats[0].WriteBytes)
+	}
+	if stats[1].IO != (obs.LedgerSnapshot{}) {
+		t.Fatalf("idle shard 1 billed %v", stats[1].IO)
+	}
+	if db.IOBySource() != stats[0].IO {
+		t.Fatalf("store-wide I/O %v != shard 0's %v", db.IOBySource(), stats[0].IO)
 	}
 	if !strings.Contains(db.Stats(), "per-shard balance") || !strings.Contains(db.Stats(), " logs=0 B") {
 		t.Fatalf("Stats missing balance table:\n%s", db.Stats())

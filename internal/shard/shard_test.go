@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -382,8 +383,10 @@ func TestFlushAndAggregates(t *testing.T) {
 		t.Fatal("LevelStats bytes sum to zero after Flush")
 	}
 	stats := db.Stats()
-	if !bytes.Contains([]byte(stats), []byte("shards: 4 (fnv partitioner)")) {
-		t.Fatalf("Stats missing shard header:\n%s", stats)
+	for _, want := range []string{"shards: 4 (fnv partitioner)", "levels", "flushes", "compactions", "WA", "RA"} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("Stats missing %q:\n%s", want, stats)
+		}
 	}
 	// Per-shard flushes happened on more than one shard (the keyspace is
 	// hashed, so no shard stays empty at this volume).

@@ -118,7 +118,8 @@ type ShardStat struct {
 	CacheBytes             int64
 	// IO attributes the shard's disk bytes by source (user write, WAL,
 	// flush, compaction read/write, snapshot-GC reclaim) — the per-shard
-	// WA decomposition. All-zero when observability is disabled.
+	// WA decomposition. With range partitioning, shards are tenants, so
+	// this is also the per-tenant I/O bill.
 	IO obs.LedgerSnapshot
 }
 
@@ -148,11 +149,9 @@ func (db *DB) ShardStats() []ShardStat {
 			CacheMisses:     cs.Misses,
 			CacheBytes:      cs.Resident,
 			Levels:          s.LevelStats(),
+			IO:              ioBySource(m),
 		}
 		st.RetainedLogBytes = s.RetainedLogBytes()
-		if db.ledgers != nil {
-			st.IO = db.ledgers[i].Snapshot()
-		}
 		for _, ls := range st.Levels {
 			st.Files += ls.Files
 			st.DiskBytes += ls.Bytes
@@ -163,7 +162,7 @@ func (db *DB) ShardStats() []ShardStat {
 }
 
 // Stats renders the aggregate tree shape and counters plus a per-shard
-// balance table, in the spirit of lsm.DB.Stats.
+// balance table, in the spirit of RocksDB's GetProperty("rocksdb.stats").
 func (db *DB) Stats() string {
 	var b strings.Builder
 	m := db.Metrics()
@@ -233,14 +232,20 @@ func (db *DB) CompactionDebt() int64 {
 	return n
 }
 
-// IOBySource reports the store-wide I/O attribution: every shard's
-// ledger summed. All-zero when observability is disabled.
-func (db *DB) IOBySource() obs.LedgerSnapshot {
-	var out obs.LedgerSnapshot
-	for _, l := range db.ledgers {
-		out.AddSnapshot(l.Snapshot())
+// IOBySource reports the store-wide I/O attribution, read from the
+// engine counters every shard keeps anyway.
+func (db *DB) IOBySource() obs.LedgerSnapshot { return ioBySource(db.Metrics()) }
+
+// ioBySource attributes a counter snapshot's disk bytes by source.
+func ioBySource(m metrics.Snapshot) obs.LedgerSnapshot {
+	return obs.LedgerSnapshot{
+		obs.SrcUser:            m.UserBytes,
+		obs.SrcWAL:             m.BytesLogged,
+		obs.SrcFlush:           m.BytesFlushed,
+		obs.SrcCompactionRead:  m.BytesCompactionRead,
+		obs.SrcCompactionWrite: m.BytesCompacted,
+		obs.SrcSnapshotGC:      m.BytesSnapshotGC,
 	}
-	return out
 }
 
 // LeakedSnapshots reports, summed across shards, how many snapshot pins

@@ -24,9 +24,7 @@ package triad
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/bgsched"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -48,9 +46,14 @@ const (
 
 // Options configures Open. Zero-valued fields take the profile defaults;
 // Advanced overrides everything when non-nil.
+//
+// Every store is the sharded store (internal/shard): FS opens it as one
+// shard rooted at that filesystem, ShardFS as Shards shards.
 type Options struct {
-	// FS is where the store lives. Use vfs.NewMemFS() for an ephemeral
-	// store or vfs.NewOSFS(dir) for a durable one. Required.
+	// FS is where a one-shard store lives: its files, STORE record
+	// included, sit at the root of FS. Use vfs.NewMemFS() for an
+	// ephemeral store or vfs.NewOSFS(dir) for a durable one. Required
+	// unless ShardFS (or Advanced.FS) is set.
 	FS vfs.FS
 	// Profile picks the baseline or TRIAD configuration.
 	Profile Profile
@@ -72,13 +75,12 @@ type Options struct {
 	// ignored); the byte budgets above apply to each shard. The shard
 	// count must be stable across opens of the same store.
 	Shards int
-	// ShardFS supplies shard i's filesystem when Shards > 1. Use
-	// ShardMemFS() for an ephemeral store or ShardDirs(dir) to root each
-	// shard in its own subdirectory of dir. When ShardFS is set, the
-	// store always opens through the shard layer (even at Shards <= 1)
-	// so the persisted store metadata is validated: reopening with a
-	// shard count or partitioner different from creation returns an
-	// error instead of silently misrouting keys.
+	// ShardFS supplies shard i's filesystem. Use ShardMemFS() for an
+	// ephemeral store or ShardDirs(dir) to root each shard in its own
+	// subdirectory of dir. The persisted store metadata is validated on
+	// every open: reopening with a shard count or partitioner different
+	// from creation returns an error instead of silently misrouting keys,
+	// and so does opening the root of a ShardDirs store through FS.
 	ShardFS func(i int) (vfs.FS, error)
 	// Partitioner selects how keys map to shards when sharded: "hash"
 	// (FNV-1a; balanced point ops, scans merge across all shards) or
@@ -98,10 +100,12 @@ type Options struct {
 	BackgroundWorkers int
 	// MaxSubcompactions caps how many parallel slices one leveled
 	// compaction may split into. 0 allows up to the pool's worker count;
-	// 1 keeps compactions monolithic.
+	// 1 keeps compactions monolithic. A nonzero
+	// Advanced.MaxSubcompactions wins.
 	MaxSubcompactions int
-	// Advanced, when non-nil, is used verbatim (FS must still be set;
-	// under Shards > 1 it is the per-shard template instead).
+	// Advanced, when non-nil, is the per-shard engine template, used
+	// verbatim (its FS, when set, stands in for Options.FS) except for
+	// what the store supplies: the background pool and the block cache.
 	Advanced *lsm.Options
 }
 
@@ -140,58 +144,30 @@ type Iterator interface {
 // serialized epoch order. A snapshot pins memory and on-disk files
 // until Close.
 type Snapshot struct {
-	get     func(key []byte) ([]byte, error)
-	newIter func(start, limit []byte) (Iterator, error)
-	close   func() error
-	epoch   uint64
+	s *shard.Snapshot
 }
 
 // Epoch reports the snapshot's position in the store's total commit
-// order: the snapshot observes exactly the commits at or below it. On
-// an unsharded store this is the engine's sequence number — the same
-// clock, viewed from one shard.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
+// order: the snapshot observes exactly the commits at or below it.
+func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 
 // Get returns the value stored under key as of the snapshot, or
 // ErrNotFound; ErrSnapshotClosed after Close.
-func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.get(key) }
+func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.s.Get(key) }
 
 // NewIterator returns a streaming scan of [start, limit) (nil bounds
 // are unbounded) over the snapshot's frozen view. Iterators opened
 // before Close stay valid until they close.
 func (s *Snapshot) NewIterator(start, limit []byte) (Iterator, error) {
-	return s.newIter(start, limit)
+	return s.s.NewIterator(start, limit)
 }
 
 // Close releases the snapshot's pin. Idempotent.
-func (s *Snapshot) Close() error { return s.close() }
-
-// engine is the surface shared by the single-instance and sharded
-// backends (*lsm.DB and *shard.DB).
-type engine interface {
-	Put(key, value []byte) error
-	Get(key []byte) ([]byte, error)
-	Delete(key []byte) error
-	Apply(*lsm.Batch) error
-	Flush() error
-	Stats() string
-	CacheStats() (hits, misses int64)
-	BlockCacheStats() sstable.CacheStats
-	Metrics() metrics.Snapshot
-	NumLevelFiles() []int
-	OpenSnapshots() int
-	Close() error
-}
+func (s *Snapshot) Close() error { return s.s.Close() }
 
 // DB is a TRIAD key-value store. All methods are safe for concurrent use.
 type DB struct {
-	inner   engine
-	newIter func(start, limit []byte) (Iterator, error)
-	newSnap func() (*Snapshot, error)
-	// ownPool is the pool built for an unsharded store opened with an
-	// explicit BackgroundWorkers (otherwise the engine sizes and owns its
-	// own, as the shard layer does); closed after the engine.
-	ownPool *bgsched.Pool
+	inner *shard.DB
 }
 
 // ErrNotFound is returned by Get for absent or deleted keys.
@@ -201,21 +177,17 @@ var ErrNotFound = lsm.ErrNotFound
 var ErrSnapshotClosed = lsm.ErrSnapshotClosed
 
 // Open opens or creates a store. An existing store recovers its tree from
-// the manifest and replays the commit log (each shard independently when
-// sharded).
+// the manifest and replays the commit log, each shard independently.
 func Open(o Options) (*DB, error) {
 	var opts lsm.Options
 	if o.Advanced != nil {
 		opts = *o.Advanced
-		if opts.FS == nil {
-			opts.FS = o.FS
-		}
 	} else {
 		switch o.Profile {
 		case ProfileBaseline:
-			opts = lsm.DefaultOptions(o.FS)
+			opts = lsm.DefaultOptions(nil)
 		default:
-			opts = lsm.TriadOptions(o.FS)
+			opts = lsm.TriadOptions(nil)
 		}
 		if o.MemtableBytes > 0 {
 			opts.MemtableBytes = o.MemtableBytes
@@ -228,134 +200,50 @@ func Open(o Options) (*DB, error) {
 		}
 		opts.SyncWAL = o.SyncWAL
 	}
-	if o.Shards > 1 && o.ShardFS == nil {
-		return nil, errors.New("triad: Shards > 1 requires ShardFS (use ShardMemFS or ShardDirs)")
-	}
-	if o.BackgroundWorkers < 0 {
-		return nil, fmt.Errorf("triad: BackgroundWorkers is %d; want 0 (default size) or a positive worker count", o.BackgroundWorkers)
-	}
-	// Validate the partitioner knobs whether or not they will be used:
-	// silently dropping a requested routing configuration is exactly the
-	// misconfiguration class the store metadata exists to fail fast on.
-	part, err := o.partitioner()
-	if err != nil {
-		return nil, err
-	}
-	if o.ShardFS == nil && (o.Partitioner != "" || len(o.RangeSplits) > 0) {
-		return nil, errors.New("triad: Partitioner/RangeSplits apply to sharded stores only — set Shards and ShardFS")
-	}
-	if o.ShardFS != nil {
-		// Every ShardFS store — including a caller parameterizing the
-		// shard count down to one — opens through the shard layer, which
-		// owns the durable store metadata and its reopen validation.
-		opts.FS = nil
-		so := shard.Options{
-			Shards:            o.Shards,
-			Engine:            opts,
-			NewFS:             o.ShardFS,
-			Partitioner:       part,
-			BackgroundWorkers: o.BackgroundWorkers,
-			MaxSubcompactions: o.MaxSubcompactions,
-		}
-		if opts.BlockCacheBytes > 0 {
-			// BlockCacheBytes is the store-wide budget, not a per-shard
-			// slice: build the shared cache at exactly that size instead
-			// of letting the shard layer multiply a per-shard share.
-			so.BlockCache = sstable.NewCache(opts.BlockCacheBytes)
-		}
-		inner, err := shard.Open(so)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{
-			inner:   inner,
-			newIter: wrapIter(inner.NewIterator),
-			newSnap: wrapSnap(inner.NewSnapshot, (*shard.Snapshot).NewIterator, (*shard.Snapshot).Epoch),
-		}, nil
-	}
-	// An unsharded engine builds a default-sized pool itself; only an
-	// explicit size (and no pool supplied through Advanced) needs one
-	// made here.
-	var ownPool *bgsched.Pool
-	if opts.Scheduler == nil && o.BackgroundWorkers > 0 {
-		ownPool = bgsched.NewPool(o.BackgroundWorkers)
-		opts.Scheduler = ownPool
-	}
 	if opts.MaxSubcompactions == 0 {
 		opts.MaxSubcompactions = o.MaxSubcompactions
 	}
-	inner, err := lsm.Open(opts)
-	if err != nil {
-		if ownPool != nil {
-			ownPool.Close()
+	newFS := o.ShardFS
+	if newFS == nil {
+		if o.Shards > 1 {
+			return nil, errors.New("triad: Shards > 1 requires ShardFS (use ShardMemFS or ShardDirs)")
 		}
+		if o.Partitioner != "" || len(o.RangeSplits) > 0 {
+			return nil, errors.New("triad: Partitioner/RangeSplits apply to sharded stores only — set Shards and ShardFS")
+		}
+		fs := opts.FS
+		if fs == nil {
+			fs = o.FS
+		}
+		if fs == nil {
+			return nil, errors.New("triad: Options.FS (or ShardFS) is required")
+		}
+		newFS = func(int) (vfs.FS, error) { return fs, nil }
+	}
+	opts.FS = nil
+	part, err := shard.ParsePartitioner(o.Partitioner, o.RangeSplits)
+	if err != nil {
 		return nil, err
 	}
-	return &DB{
-		inner:   inner,
-		newIter: wrapIter(inner.NewIterator),
-		newSnap: wrapSnap(inner.NewSnapshot, (*lsm.Snapshot).NewIterator, (*lsm.Snapshot).Seq),
-		ownPool: ownPool,
-	}, nil
-}
-
-// wrapIter adapts a backend's concrete iterator constructor to the
-// public Iterator interface. The error path must return an explicit
-// nil: boxing a typed-nil concrete iterator would pass callers'
-// `it != nil` checks and panic on use.
-func wrapIter[I Iterator](newIter func(start, limit []byte) (I, error)) func(start, limit []byte) (Iterator, error) {
-	return func(start, limit []byte) (Iterator, error) {
-		it, err := newIter(start, limit)
-		if err != nil {
-			return nil, err
-		}
-		return it, nil
+	so := shard.Options{
+		Shards:            o.Shards,
+		Engine:            opts,
+		NewFS:             newFS,
+		Partitioner:       part,
+		BackgroundWorkers: o.BackgroundWorkers,
+		MaxSubcompactions: opts.MaxSubcompactions,
 	}
-}
-
-// wrapSnap adapts a backend's snapshot constructor (and its iterator
-// and epoch methods) to the public Snapshot wrapper — shared by the
-// sharded and unsharded backends, whose snapshot APIs are structurally
-// identical but nominally distinct types.
-func wrapSnap[S interface {
-	Get(key []byte) ([]byte, error)
-	Close() error
-}, I Iterator](newSnap func() (S, error), newIter func(S, []byte, []byte) (I, error), epoch func(S) uint64) func() (*Snapshot, error) {
-	return func() (*Snapshot, error) {
-		s, err := newSnap()
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{
-			get: s.Get,
-			newIter: wrapIter(func(start, limit []byte) (I, error) {
-				return newIter(s, start, limit)
-			}),
-			close: s.Close,
-			epoch: epoch(s),
-		}, nil
+	if opts.BlockCacheBytes > 0 {
+		// BlockCacheBytes is the store-wide budget, not a per-shard
+		// slice: build the shared cache at exactly that size instead of
+		// letting the shard layer multiply a per-shard share.
+		so.BlockCache = sstable.NewCache(opts.BlockCacheBytes)
 	}
-}
-
-// partitioner maps the string-typed Options knobs onto a shard-layer
-// partitioner; nil means "adopt the stored one, defaulting to hash".
-func (o Options) partitioner() (shard.Partitioner, error) {
-	switch o.Partitioner {
-	case "":
-		if len(o.RangeSplits) == 0 {
-			return nil, nil
-		}
-		return shard.NewRange(o.RangeSplits...)
-	case "hash":
-		return shard.FNV{}, nil
-	case "range":
-		if len(o.RangeSplits) == 0 {
-			return nil, errors.New(`triad: Partitioner "range" requires RangeSplits (Shards-1 ascending keys)`)
-		}
-		return shard.NewRange(o.RangeSplits...)
-	default:
-		return nil, fmt.Errorf("triad: unknown Partitioner %q (want \"hash\" or \"range\")", o.Partitioner)
+	inner, err := shard.Open(so)
+	if err != nil {
+		return nil, err
 	}
+	return &DB{inner: inner}, nil
 }
 
 // Put associates value with key.
@@ -374,18 +262,24 @@ func (db *DB) Delete(key []byte) error { return db.inner.Delete(key) }
 // globally sorted stream; a scan spanning several shards is pinned at
 // one global instant (see NewSnapshot).
 func (db *DB) NewIterator(start, limit []byte) (Iterator, error) {
-	return db.newIter(start, limit)
+	return db.inner.NewIterator(start, limit)
 }
 
 // NewSnapshot pins the store's current state as a frozen read view.
 // Reads through the snapshot ignore all later writes; background
 // flushes and compactions keep running, but the files the snapshot
 // reads survive until it closes. The snapshot must be Closed.
-func (db *DB) NewSnapshot() (*Snapshot, error) { return db.newSnap() }
+func (db *DB) NewSnapshot() (*Snapshot, error) {
+	s, err := db.inner.NewSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{s: s}, nil
+}
 
 // OpenSnapshots reports the number of live (unclosed) snapshots
 // (observability; includes the single-use snapshots of open iterators
-// on unsharded stores).
+// that span shards).
 func (db *DB) OpenSnapshots() int { return db.inner.OpenSnapshots() }
 
 // Flush forces the memtable to disk and waits for it.
@@ -421,36 +315,16 @@ func (db *DB) Metrics() metrics.Snapshot { return db.inner.Metrics() }
 // NumLevelFiles reports the table count per LSM level.
 func (db *DB) NumLevelFiles() []int { return db.inner.NumLevelFiles() }
 
-// ApplyLatency returns the store's per-batch commit latency recorder,
-// or nil when the backend does not keep one (unsharded stores, or
-// sharded stores opened with observability disabled). Snapshot it for
-// quantiles; Record on it is not for callers.
-func (db *DB) ApplyLatency() *obs.Hist {
-	if s, ok := db.inner.(*shard.DB); ok {
-		return s.ApplyLatency()
-	}
-	return nil
-}
+// ApplyLatency returns the store's per-batch commit latency recorder.
+// Snapshot it for quantiles; Record on it is not for callers.
+func (db *DB) ApplyLatency() *obs.Hist { return db.inner.ApplyLatency() }
 
 // Events returns the store's background-event journal (flushes,
-// compactions, snapshot GC, write stalls), or nil when the backend does
-// not keep one (unsharded stores, or observability disabled).
-func (db *DB) Events() *obs.Journal {
-	if s, ok := db.inner.(*shard.DB); ok {
-		return s.Events()
-	}
-	return nil
-}
+// compactions, snapshot GC, write stalls).
+func (db *DB) Events() *obs.Journal { return db.inner.Events() }
 
 // Close flushes background state and releases all resources.
-func (db *DB) Close() error {
-	err := db.inner.Close()
-	if db.ownPool != nil {
-		db.ownPool.Close()
-		db.ownPool = nil
-	}
-	return err
-}
+func (db *DB) Close() error { return db.inner.Close() }
 
 // EngineOptions is the full engine knob set, re-exported for Advanced
 // configuration.

@@ -77,14 +77,14 @@ func TestOpenRangePartitioned(t *testing.T) {
 	if _, err := Open(Options{Shards: 3, ShardFS: ShardMemFS(), Partitioner: "mod17"}); err == nil {
 		t.Fatal("unknown partitioner name accepted")
 	}
-	// Routing knobs on an unsharded store are a misconfiguration, not a
-	// silent no-op.
+	// Routing knobs on a one-shard FS store are a misconfiguration, not
+	// a silent no-op.
 	if _, err := Open(Options{FS: vfs.NewMemFS(), Partitioner: "hash"}); err == nil ||
 		!strings.Contains(err.Error(), "sharded stores only") {
-		t.Fatalf("unsharded Partitioner = %v, want misconfiguration error", err)
+		t.Fatalf("FS store Partitioner = %v, want misconfiguration error", err)
 	}
 	if _, err := Open(Options{FS: vfs.NewMemFS(), RangeSplits: [][]byte{[]byte("m")}}); err == nil {
-		t.Fatal("unsharded RangeSplits accepted")
+		t.Fatal("FS store RangeSplits accepted")
 	}
 	// RangeSplits alone implies the range partitioner.
 	db, err := Open(Options{

@@ -3,8 +3,10 @@ package triad
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/lsm"
 	"repro/internal/vfs"
 )
 
@@ -118,9 +120,9 @@ func TestPublicAPIIterator(t *testing.T) {
 	}
 }
 
-// TestPublicAPISnapshot exercises the snapshot surface on both the
-// unsharded and sharded backends: frozen Get and scan, ErrSnapshotClosed
-// after Close, and the open-snapshot gauge.
+// TestPublicAPISnapshot exercises the snapshot surface on a one-shard
+// (FS) and a four-shard (ShardFS) store: frozen Get and scan,
+// ErrSnapshotClosed after Close, and the open-snapshot gauge.
 func TestPublicAPISnapshot(t *testing.T) {
 	open := func(sharded bool) (*DB, error) {
 		if sharded {
@@ -227,9 +229,9 @@ func TestPublicAPIPersistence(t *testing.T) {
 
 func TestOpenRejectsBadOptions(t *testing.T) {
 	for name, o := range map[string]Options{
-		"no FS":                                 {},
-		"negative BackgroundWorkers, unsharded": {FS: vfs.NewMemFS(), BackgroundWorkers: -1},
-		"negative BackgroundWorkers, sharded":   {Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: -1},
+		"no FS":                               {},
+		"negative BackgroundWorkers, FS":      {FS: vfs.NewMemFS(), BackgroundWorkers: -1},
+		"negative BackgroundWorkers, ShardFS": {Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: -1},
 	} {
 		if db, err := Open(o); err == nil {
 			db.Close()
@@ -238,23 +240,119 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestOpenBackgroundWorkers: an unsharded store honours an explicit pool
-// size and closes the pool it built for it.
+// TestOpenBackgroundWorkers: an explicit pool size reaches the store's
+// one background pool, on FS and ShardFS stores alike.
 func TestOpenBackgroundWorkers(t *testing.T) {
-	db, err := Open(Options{FS: vfs.NewMemFS(), BackgroundWorkers: 3})
+	for _, o := range []Options{
+		{FS: vfs.NewMemFS(), BackgroundWorkers: 3},
+		{Shards: 2, ShardFS: ShardMemFS(), BackgroundWorkers: 3},
+	} {
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.inner.Scheduler().Workers(); got != 3 {
+			t.Errorf("%d shard(s): pool of %d workers, want 3", db.inner.NumShards(), got)
+		}
+		if err := db.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenRootLayoutCompat: a store written by a bare engine at the root
+// of a directory — the layout FS stores had before they opened through
+// the shard layer, with no STORE record — opens through Open and reads
+// back whole, and after Open has added its STORE record the bare engine
+// still opens it.
+func TestOpenRootLayoutCompat(t *testing.T) {
+	dir := t.TempDir()
+	osfs := func() vfs.FS {
+		fs, err := vfs.NewOSFS(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	const n = 3000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	val := func(i int) string { return fmt.Sprintf("value-%d", i) }
+	readAll := func(get func([]byte) ([]byte, error)) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if v, err := get(key(i)); err != nil || string(v) != val(i) {
+				t.Fatalf("Get(%s) = %q, %v", key(i), v, err)
+			}
+		}
+	}
+	engine := func() lsm.Options {
+		o := lsm.TriadOptions(osfs())
+		o.MemtableBytes = 64 << 10
+		o.CommitLogBytes = 256 << 10
+		return o
+	}
+
+	bare, err := lsm.Open(engine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ownPool.Workers(); got != 3 {
-		t.Errorf("pool of %d workers, want 3", got)
+	for i := 0; i < n; i++ {
+		if err := bare.Put(key(i), []byte(val(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bare.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Open(Options{FS: osfs(), MemtableBytes: 64 << 10, CommitLogBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(db.Get)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bare, err = lsm.Open(engine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	readAll(bare.Get)
+	if err := bare.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesShardedRoot: the root of a ShardDirs store opened
+// through FS is refused, not served as an empty one-shard store.
+func TestOpenRefusesShardedRoot(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Shards: 2, ShardFS: ShardDirs(dir)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	fs, err := vfs.NewOSFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{FS: fs}); err == nil {
+		db.Close()
+		t.Fatal("opened the root of a 2-shard store as one shard")
+	} else if !strings.Contains(err.Error(), "created sharded") {
+		t.Fatalf("Open = %v, want a sharded-root error", err)
 	}
 }
