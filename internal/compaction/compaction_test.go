@@ -262,7 +262,7 @@ func TestPickerBaselineOneL0FileAtATime(t *testing.T) {
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
 		fm(10, 1, "a", "m", 100), fm(11, 1, "n", "z", 100),
 	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil })
+	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v", job)
 	}
@@ -283,7 +283,7 @@ func TestPickerTriadCompactsAllL0Together(t *testing.T) {
 		fm(4, 0, "a", "z", 100), fm(3, 0, "a", "z", 100),
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
 	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return shared })
+	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return shared }, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want a real job", job)
 	}
@@ -299,9 +299,15 @@ func TestPickerTriadDefersLowOverlap(t *testing.T) {
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
 	)
 	// Disjoint sketches: overlap ≈ 0 < 0.4 → defer.
-	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) })
-	if job == nil || !job.Deferred {
+	disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+	job := p.Pick(v, disjoint, false)
+	if job == nil || !job.Deferred || len(job.Inputs) != 0 {
 		t.Fatalf("job = %+v, want deferred", job)
+	}
+	// Forced, the deferred merge itself: every L0 file, still marked.
+	job = p.Pick(v, disjoint, true)
+	if job == nil || !job.Deferred || len(job.Inputs) != 4 || job.OutputLevel != 1 {
+		t.Fatalf("forced job = %+v, want the deferred merge of all 4 L0 files", job)
 	}
 }
 
@@ -313,7 +319,7 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 	}
 	v := version(files...)
 	// Still disjoint, but MAX_FILES_L0 reached → compact anyway.
-	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) })
+	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want forced compaction", job)
 	}
@@ -328,7 +334,7 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 		fm(1, 1, "a", "m", 800), fm(2, 1, "n", "z", 900), // L1 = 1700 > 1000
 		fm(3, 2, "a", "z", 500),
 	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil })
+	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false)
 	if job == nil || job.Level != 1 || len(job.Inputs) != 1 {
 		t.Fatalf("job = %+v", job)
 	}
@@ -340,7 +346,7 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 func TestPickerNothingToDo(t *testing.T) {
 	p := NewPicker(DefaultPickerOptions())
 	v := version(fm(1, 1, "a", "m", 100))
-	if job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }); job != nil {
+	if job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false); job != nil {
 		t.Fatalf("job = %+v, want nil", job)
 	}
 }
@@ -410,7 +416,7 @@ func TestPickerMinOverlap(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v := version(append(tc.files, bottom)...)
 			for lap := 0; lap < 2; lap++ { // the choice carries no state
-				job := deepPicker().Pick(v, nil)
+				job := deepPicker().Pick(v, nil, false)
 				if job == nil || job.Level != 1 || job.OutputLevel != 2 || len(job.Inputs) != 1 {
 					t.Fatalf("job = %+v", job)
 				}
@@ -426,6 +432,136 @@ func TestPickerMinOverlap(t *testing.T) {
 				}
 				if job.Move != tc.move {
 					t.Fatalf("Move = %v, want %v", job.Move, tc.move)
+				}
+			}
+		})
+	}
+}
+
+// TestPickerSpill: a baseline L0 merge (the oldest L0 file, the batch)
+// into an L1 it would leave over its 1000-byte target spills the consumed
+// L1 files that cost the fewest L2 bytes per own byte, until their bytes
+// plus the batch's share of them cover the overflow, together with exactly
+// the L2 files under them — unless L2 is the bottom level.
+func TestPickerSpill(t *testing.T) {
+	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 1000, Multiplier: 10})
+	// batch returns the four L0 files; the oldest, id 1, spans [lo, hi].
+	batch := func(lo, hi string, size int64) []*manifest.FileMeta {
+		return []*manifest.FileMeta{fm(1, 0, lo, hi, size), fm(2, 0, "a", "z", 1), fm(3, 0, "a", "z", 1), fm(4, 0, "a", "z", 1)}
+	}
+	bottom := fm(90, 3, "a", "z", 50_000) // makes L2 intermediate
+	cases := []struct {
+		name                    string
+		files                   []*manifest.FileMeta
+		spill, spillUnder, kept []uint64
+	}{
+		{
+			name: "L1 stays within its target: no spill",
+			files: append(batch("a", "z", 300),
+				fm(10, 1, "a", "f", 200), fm(11, 1, "g", "m", 200), fm(12, 1, "n", "z", 200),
+				fm(20, 2, "a", "z", 900), bottom),
+		},
+		{
+			name: "no spill into the bottom level",
+			files: append(batch("a", "z", 300),
+				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
+				fm(20, 2, "h", "i", 10)),
+		},
+		{
+			// Overflow 500+500+500+300-1000 = 800; each file covers 500 x
+			// (1 + 300/1500) = 600, so the two cheapest go: 11 (0.2), 12 (0.8).
+			name: "min-overlap order until the overflow is covered",
+			files: append(batch("a", "z", 300),
+				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
+				fm(20, 2, "a", "c", 800), fm(21, 2, "h", "i", 100), fm(22, 2, "o", "z", 400), bottom),
+			spill: []uint64{11, 12}, spillUnder: []uint64{21, 22},
+		},
+		{
+			// Overflow 600+600+600+100-1000 = 900; one file covers 633.
+			name: "ties go to the smallest key",
+			files: append(batch("a", "z", 100),
+				fm(10, 1, "a", "f", 600), fm(11, 1, "g", "m", 600), fm(12, 1, "n", "z", 600),
+				fm(20, 2, "a", "f", 600), fm(21, 2, "g", "m", 600), fm(22, 2, "n", "z", 600), bottom),
+			spill: []uint64{10, 11}, spillUnder: []uint64{20, 21},
+		},
+		{
+			name: "an L2 file under two spilled ranges is taken once",
+			files: append(batch("a", "z", 300),
+				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
+				fm(20, 2, "e", "h", 100), fm(21, 2, "p", "q", 2000), bottom),
+			spill: []uint64{10, 11}, spillUnder: []uint64{20},
+		},
+		{
+			// 10 and 12 (0.2 each) cover the overflow of 800; 11 (4.0)
+			// stays in L1, and so does the L2 file under it alone.
+			name: "an L2 file between two spilled ranges is kept",
+			files: append(batch("a", "z", 300),
+				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
+				fm(20, 2, "a", "c", 100), fm(21, 2, "h", "i", 2000), fm(22, 2, "o", "z", 100), bottom),
+			spill: []uint64{10, 12}, spillUnder: []uint64{20, 22}, kept: []uint64{21},
+		},
+		{
+			// Only 10 is consumed; 11 and 12 would be cheaper but are not
+			// the merge's. 10 covers 500 x (1 + 300/500) = 800, the overflow.
+			name: "only what the merge consumes",
+			files: append(batch("a", "e", 300),
+				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
+				fm(20, 2, "a", "c", 400), fm(21, 2, "d", "f", 400), bottom),
+			spill: []uint64{10}, spillUnder: []uint64{20, 21},
+		},
+	}
+	ids := func(files []*manifest.FileMeta) []uint64 {
+		var out []uint64
+		for _, f := range files {
+			out = append(out, f.ID)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := version(tc.files...)
+			job := p.Pick(v, nil, false)
+			if job == nil || job.Level != 0 || job.OutputLevel != 1 || len(job.Inputs) != 1 || job.Inputs[0].ID != 1 {
+				t.Fatalf("job = %+v, want the oldest L0 file into L1", job)
+			}
+			if got := ids(job.Spill); fmt.Sprint(got) != fmt.Sprint(tc.spill) {
+				t.Fatalf("spilled %v, want %v", got, tc.spill)
+			}
+			if got := ids(job.SpillOverlaps); fmt.Sprint(got) != fmt.Sprint(tc.spillUnder) {
+				t.Fatalf("spilled over %v, want %v", got, tc.spillUnder)
+			}
+			// Spill ⊆ Overlaps, and the L2 files are exactly those under
+			// the spilled ranges.
+			consumed := map[uint64]bool{}
+			for _, f := range job.Overlaps {
+				consumed[f.ID] = true
+			}
+			under := map[uint64]bool{}
+			for _, s := range job.Spill {
+				if !consumed[s.ID] {
+					t.Fatalf("spilled file %d is not among the merge's L1 files %v", s.ID, ids(job.Overlaps))
+				}
+				for _, f := range v.Overlap(2, s.Smallest, s.Largest) {
+					under[f.ID] = true
+				}
+			}
+			if len(under) != len(job.SpillOverlaps) {
+				t.Fatalf("spilled over %v, but the spilled ranges overlap %v", ids(job.SpillOverlaps), under)
+			}
+			for _, f := range job.SpillOverlaps {
+				if !under[f.ID] {
+					t.Fatalf("L2 file %d is under no spilled range", f.ID)
+				}
+			}
+			// The kept files are the rest of L2 between the spilled ranges.
+			if got := ids(job.SpillKept); fmt.Sprint(got) != fmt.Sprint(tc.kept) {
+				t.Fatalf("kept %v, want %v", got, tc.kept)
+			}
+			if len(job.Spill) > 0 {
+				between := v.Overlap(2, job.Spill[0].Smallest, job.Spill[len(job.Spill)-1].Largest)
+				if len(between) != len(job.SpillOverlaps)+len(job.SpillKept) {
+					t.Fatalf("L2 between the spilled ranges is %v, but the job takes %v and keeps %v",
+						ids(between), ids(job.SpillOverlaps), ids(job.SpillKept))
 				}
 			}
 		})
@@ -482,7 +618,7 @@ func TestPickerBottommostPushCyclesKeySpace(t *testing.T) {
 	var last []byte // largest key of the previous push
 	push := func() *manifest.FileMeta {
 		t.Helper()
-		job := p.Pick(v, nil)
+		job := p.Pick(v, nil, false)
 		if job == nil || job.Level != 1 || job.Rule != RuleBottomPush {
 			t.Fatalf("job = %+v", job)
 		}
@@ -642,19 +778,32 @@ func sweepLevels(n, m int) *manifest.Version {
 
 // BenchmarkPickMinOverlap: one pick sweeps both levels once, so the cost
 // per file must not grow with the level sizes (an O(n*m) pick would make
-// the 2000x4000 case ten times dearer per file than the 200x400 one).
+// the 2000x4000 case ten times dearer per file than the 200x400 one). Each
+// iteration makes both min-overlap choices: the push out of L1, and the L1
+// ranges a baseline L0 merge over the whole key space, eight L1 files
+// large, spills into L2 when L1 is at its target.
 func BenchmarkPickMinOverlap(b *testing.B) {
 	for _, size := range []struct{ n, m int }{{200, 400}, {2000, 4000}} {
 		b.Run(fmt.Sprintf("%dx%d", size.n, size.m), func(b *testing.B) {
 			v := sweepLevels(size.n, size.m)
-			p := deepPicker()
+			push := deepPicker()
+			withL0, err := v.Apply(manifest.Edit{Added: []manifest.FileMeta{
+				*fm(11, 0, "0", "9", 8000), *fm(12, 0, "0", "9", 1), *fm(13, 0, "0", "9", 1), *fm(14, 0, "0", "9", 1),
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			spill := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: v.LevelSize(1), Multiplier: 1000})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if job := p.Pick(v, nil); job == nil || job.Level != 1 {
+				if job := push.Pick(v, nil, false); job == nil || job.Level != 1 {
 					b.Fatalf("job = %+v", job)
 				}
+				if job := spill.Pick(withL0, nil, false); job == nil || job.Level != 0 || len(job.Spill) == 0 {
+					b.Fatalf("job = %+v, want an L0 merge that spills", job)
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size.n+size.m), "ns/file")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*(size.n+size.m)), "ns/file")
 		})
 	}
 }

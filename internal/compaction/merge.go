@@ -19,9 +19,10 @@ import (
 // comes out first, which lets the consumer keep the first and discard the
 // rest, exactly the "merge sort discarding stale values" of paper §2.
 type MergeIterator struct {
-	h   mergeHeap
-	cur base.Entry
-	err error
+	h      mergeHeap
+	cur    base.Entry
+	curSrc int
+	err    error
 	// inputs retained for Close.
 	inputs []sstable.Iterator
 }
@@ -68,7 +69,7 @@ func (m *MergeIterator) Next() bool {
 		return false
 	}
 	top := m.h.Peek()
-	m.cur = top.entry
+	m.cur, m.curSrc = top.entry, top.rank
 	if top.it.Next() {
 		top.entry = top.it.Entry()
 		heap.Fix(&m.h, 0)
@@ -84,6 +85,10 @@ func (m *MergeIterator) Next() bool {
 
 // Entry returns the current entry.
 func (m *MergeIterator) Entry() base.Entry { return m.cur }
+
+// Source returns the index, in the iterators NewMergeIterator was given, of
+// the one the current entry came from.
+func (m *MergeIterator) Source() int { return m.curSrc }
 
 // Err returns the first error from any input.
 func (m *MergeIterator) Err() error { return m.err }
@@ -149,6 +154,10 @@ func (d *DedupIterator) Discarded() int64 { return d.discarded }
 
 // Entry returns the current entry.
 func (d *DedupIterator) Entry() base.Entry { return d.cur }
+
+// Source returns the index of the merged iterator the current entry came
+// from (MergeIterator.Source).
+func (d *DedupIterator) Source() int { return d.m.Source() }
 
 // Err returns the first error from the merge.
 func (d *DedupIterator) Err() error { return d.m.Err() }

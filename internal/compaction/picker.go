@@ -2,8 +2,10 @@ package compaction
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/hll"
@@ -80,8 +82,18 @@ type Job struct {
 	OutputLevel int
 	Inputs      []*manifest.FileMeta
 	Overlaps    []*manifest.FileMeta
-	// Deferred reports (for observability) that L0 compaction was
-	// considered but deferred by TRIAD-DISK this round.
+	// Spill is the part of Overlaps, in key order, whose key ranges the
+	// merge writes one level deeper, to OutputLevel+1, and SpillOverlaps
+	// are the files of OutputLevel+1 those ranges overlap, in key order;
+	// the merge consumes them too. SpillKept are the files of OutputLevel+1
+	// between the spilled ranges that the merge leaves in place, in key
+	// order: an output there ends before one, so that it never spans it.
+	// All three are empty unless the merge would leave OutputLevel over its
+	// target (see Picker.Pick).
+	Spill, SpillOverlaps, SpillKept []*manifest.FileMeta
+	// Deferred reports (for observability) that TRIAD-DISK deferred the L0
+	// compaction this round. The job is empty unless Pick was forced, in
+	// which case it is the merge that was deferred.
 	Deferred bool
 	// WholeTree reports that the job merges every file in the tree, so
 	// tombstones may be dropped even when the output stays in L0
@@ -235,16 +247,17 @@ func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64,
 }
 
 // Debt estimates the bytes of compaction work v owes before Pick returns
-// nil: all of L0 once it has reached the compaction trigger, plus each
-// deeper level's excess over its target (the last level has nowhere to
-// go). Size-tiered trees have no per-level targets and report 0.
+// nil: all of L0 once it has reached the compaction trigger, in the bytes
+// it will take up as sorted tables (logicalBytes), plus each deeper level's
+// excess over its target (the last level has nowhere to go). Size-tiered
+// trees have no per-level targets and report 0.
 func (p *Picker) Debt(v *manifest.Version) int64 {
 	if p.opts.Strategy == SizeTiered {
 		return 0
 	}
 	var debt int64
 	if len(v.Levels[0]) >= p.opts.L0CompactionTrigger {
-		debt += v.LevelSize(0)
+		debt += logicalBytes(v, v.Levels[0])
 	}
 	targets := p.Targets(v)
 	for l := 1; l < manifest.NumLevels-1; l++ {
@@ -281,15 +294,23 @@ func OverlapRatioL0(sketches []*hll.Sketch) float64 { return hll.OverlapRatio(sk
 
 // Pick returns the next compaction job for version v, or nil if the tree
 // is in shape. sketchOf must return the HLL sketch of an L0 file (used
-// only when TRIAD-DISK is on).
-func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch) *Job {
+// only when TRIAD-DISK is on). force overrides a TRIAD-DISK deferral: the
+// job is then the merge that was deferred, still marked Deferred. An L0
+// merge that would overfill L1 sends part of it straight to L2 (see spill)
+// instead of writing it into L1 only for the next push to carry it there.
+func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	if p.opts.Strategy == SizeTiered {
-		return p.pickSizeTiered(v, sketchOf)
+		return p.pickSizeTiered(v, sketchOf, force)
 	}
-	_, scores := p.Scores(v)
+	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
 	l0 := v.Levels[0]
 	if len(l0) >= p.opts.L0CompactionTrigger {
+		// Baseline behaviour per §3(2): "files in L0 are compacted to
+		// higher levels one at a time, resulting in several consecutive
+		// compaction operations" — merge the oldest L0 file alone.
+		inputs := l0[len(l0)-1:] // L0 is ordered newest-first
+		deferred := false
 		if p.opts.TriadDisk {
 			sketches := make([]*hll.Sketch, 0, len(l0))
 			for _, f := range l0 {
@@ -297,20 +318,23 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 					sketches = append(sketches, s)
 				}
 			}
-			if p.ShouldDeferL0(len(l0), sketches) {
+			if deferred = p.ShouldDeferL0(len(l0), sketches); deferred && !force {
 				return &Job{Level: 0, Deferred: true}
 			}
 			// TRIAD-DISK compacts every L0 file together (one multi-way
 			// merge) so a key occurring in several L0 files is compacted
 			// once — the premature/iterative compaction fix of §3(2).
-			lo, hi := KeyRangeOf(l0)
-			return &Job{Level: 0, OutputLevel: 1, Inputs: append([]*manifest.FileMeta(nil), l0...), Overlaps: v.Overlap(1, lo, hi), Score: scores[0]}
+			inputs = l0
 		}
-		// Baseline behaviour per §3(2): "files in L0 are compacted to
-		// higher levels one at a time, resulting in several consecutive
-		// compaction operations" — merge the oldest L0 file alone.
-		oldest := l0[len(l0)-1] // L0 is ordered newest-first
-		return &Job{Level: 0, OutputLevel: 1, Inputs: []*manifest.FileMeta{oldest}, Overlaps: v.Overlap(1, oldest.Smallest, oldest.Largest), Score: scores[0]}
+		lo, hi := KeyRangeOf(inputs)
+		job := &Job{
+			Level: 0, OutputLevel: 1,
+			Inputs:   append([]*manifest.FileMeta(nil), inputs...),
+			Overlaps: v.Overlap(1, lo, hi),
+			Score:    scores[0], Deferred: deferred,
+		}
+		p.spill(v, job, targets[1])
+		return job
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
 	bestLevel, bestScore := -1, 1.0
@@ -354,37 +378,140 @@ func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*ma
 		p.cursor[l] = in.Largest
 		return in, v.Overlap(l+1, in.Smallest, in.Largest), RuleBottomPush
 	}
-	// One sweep over the two sorted levels: j trails at the first next-
-	// level file that can still overlap files[i]; a next-level file is
-	// revisited only when it spans the gap between two inputs, so the
-	// whole pick is O(len(files)+len(next)). Ties go to the smallest key.
+	// One sweep over the two sorted levels. Ties go to the smallest key.
 	best, bestLo, bestHi := -1, 0, 0
 	var bestRatio float64
-	j := 0
+	c := nextCursor{next: next}
 	for i, f := range files {
-		for j < len(next) && bytes.Compare(next[j].Largest, f.Smallest) < 0 {
-			j++
-		}
-		k := j
-		var overlapped int64
-		for k < len(next) && bytes.Compare(next[k].Smallest, f.Largest) <= 0 {
-			overlapped += next[k].Size
-			k++
-		}
+		lo, hi, overlapped := c.overlap(f)
 		ratio := float64(overlapped) / float64(max(f.Size, 1))
 		if best < 0 || ratio < bestRatio {
-			best, bestRatio, bestLo, bestHi = i, ratio, j, k
+			best, bestRatio, bestLo, bestHi = i, ratio, lo, hi
 		}
 	}
 	return files[best], next[bestLo:bestHi:bestHi], RuleMinOverlap
+}
+
+// nextCursor finds the files of the next level that each file of a level
+// overlaps, for files visited in key order: lo trails at the first
+// next-level file that can still overlap, and a next-level file is
+// revisited only when it spans the gap between two files, so one pass over
+// a level costs O(len(files)+len(next)).
+type nextCursor struct {
+	next []*manifest.FileMeta
+	lo   int
+}
+
+// overlap returns the range next[lo:hi] that f overlaps and its bytes.
+func (c *nextCursor) overlap(f *manifest.FileMeta) (lo, hi int, overlapped int64) {
+	for c.lo < len(c.next) && bytes.Compare(c.next[c.lo].Largest, f.Smallest) < 0 {
+		c.lo++
+	}
+	hi = c.lo
+	for hi < len(c.next) && bytes.Compare(c.next[hi].Smallest, f.Largest) <= 0 {
+		overlapped += c.next[hi].Size
+		hi++
+	}
+	return c.lo, hi, overlapped
+}
+
+// spill fills in job.Spill, SpillOverlaps and SpillKept for a merge into
+// level n = job.OutputLevel. When the merge would leave n over target, and n+1 is
+// an intermediate level (the bottom push keeps its key-space walk), the
+// n-files the merge consumes are taken in min-overlap order — fewest n+1
+// bytes per byte of their own, the smallest key on ties — until their
+// bytes plus the batch's share of them cover the overflow. The batch is
+// the inputs' logical bytes, shared among the consumed files in proportion
+// to their sizes; a merge cannot spill more than it consumes.
+func (p *Picker) spill(v *manifest.Version, job *Job, target int64) {
+	n, consumed := job.OutputLevel, job.Overlaps
+	if n+1 >= bottomLevel(v) || len(consumed) == 0 {
+		return
+	}
+	batch := logicalBytes(v, job.Inputs)
+	overflow := v.LevelSize(n) + batch - target
+	if overflow <= 0 {
+		return
+	}
+	// consumed[i] overlaps next[lo:hi], whose bytes are ratio times its own.
+	type candidate struct {
+		i, lo, hi int
+		ratio     float64
+	}
+	next := v.Levels[n+1]
+	cands := make([]candidate, len(consumed))
+	c := nextCursor{next: next}
+	var consumedBytes int64
+	for i, f := range consumed {
+		lo, hi, overlapped := c.overlap(f)
+		cands[i] = candidate{i, lo, hi, float64(overlapped) / float64(max(f.Size, 1))}
+		consumedBytes += f.Size
+	}
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.ratio, b.ratio), a.i-b.i)
+	})
+	perByte := 1 + float64(batch)/float64(max(consumedBytes, 1))
+	chosen := 0
+	for covered := 0.0; chosen < len(cands) && covered < float64(overflow); chosen++ {
+		covered += float64(consumed[cands[chosen].i].Size) * perByte
+	}
+	spilled := cands[:chosen]
+	slices.SortFunc(spilled, func(a, b candidate) int { return a.i - b.i })
+	end := -1 // next[:end] are taken, or -1 before the first spilled file
+	for _, s := range spilled {
+		lo := s.lo
+		if end >= 0 {
+			// The files between two spilled ranges stay; a file spanning
+			// the gap overlaps both ranges and is taken once.
+			lo = max(lo, end)
+			job.SpillKept = append(job.SpillKept, next[end:lo]...)
+		}
+		job.Spill = append(job.Spill, consumed[s.i])
+		job.SpillOverlaps = append(job.SpillOverlaps, next[lo:s.hi]...)
+		end = s.hi
+	}
+}
+
+// logicalBytes estimates the bytes files will take up as sorted tables.
+// An SSTable counts at its size. A TRIAD-LOG CL-SSTable holds only an
+// index (its values stay in the commit log), so it counts as its entries
+// times the tree's measured bytes per entry over its SSTables — or, with
+// no SSTable to measure yet, at its size.
+func logicalBytes(v *manifest.Version, files []*manifest.FileMeta) int64 {
+	var sized, clBytes, clEntries int64
+	for _, f := range files {
+		if f.Kind == manifest.KindCLSST {
+			clBytes += f.Size
+			clEntries += int64(f.NumEntries)
+		} else {
+			sized += f.Size
+		}
+	}
+	if clEntries == 0 {
+		return sized + clBytes
+	}
+	var treeBytes, treeEntries int64
+	for _, level := range v.Levels {
+		for _, f := range level {
+			if f.Kind == manifest.KindSST {
+				treeBytes += f.Size
+				treeEntries += int64(f.NumEntries)
+			}
+		}
+	}
+	if treeEntries == 0 {
+		return sized + clBytes
+	}
+	return sized + int64(float64(clEntries)*float64(treeBytes)/float64(treeEntries))
 }
 
 // pickSizeTiered implements the size-tiered strategy: bucket the (single
 // level of) tables by similar size; merge the fullest eligible bucket.
 // With TRIAD-DISK, the bucket with the highest HLL overlap ratio is
 // preferred (Cassandra's use of HLL, §6) and a bucket whose overlap is
-// below the threshold is deferred unless it has reached MaxMergeWidth.
-func (p *Picker) pickSizeTiered(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch) *Job {
+// below the threshold is deferred unless it has reached MaxMergeWidth;
+// force turns a deferral into a merge of the whole tree.
+func (p *Picker) pickSizeTiered(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	files := append([]*manifest.FileMeta(nil), v.Levels[0]...)
 	if len(files) < p.opts.MinMergeWidth {
 		return nil
@@ -437,10 +564,13 @@ func (p *Picker) pickSizeTiered(v *manifest.Version, sketchOf func(*manifest.Fil
 		}
 	}
 	if best == nil {
-		if deferred {
+		if !deferred {
+			return nil
+		}
+		if !force {
 			return &Job{Level: 0, Deferred: true}
 		}
-		return nil
+		return &Job{Level: 0, OutputLevel: 0, Inputs: files, WholeTree: true, Deferred: true}
 	}
 	return &Job{
 		Level:       0,

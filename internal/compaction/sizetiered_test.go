@@ -25,7 +25,7 @@ func stFile(id uint64, size int64) *manifest.FileMeta {
 func TestSizeTieredTooFewFiles(t *testing.T) {
 	p := stPicker(false)
 	v := version(stFile(1, 100), stFile(2, 100), stFile(3, 100))
-	if job := p.Pick(v, nil); job != nil {
+	if job := p.Pick(v, nil, false); job != nil {
 		t.Fatalf("job = %+v, want nil below MinMergeWidth", job)
 	}
 }
@@ -37,7 +37,7 @@ func TestSizeTieredBucketsBySize(t *testing.T) {
 		stFile(1, 100), stFile(2, 110), stFile(3, 120), stFile(4, 130),
 		stFile(5, 100_000), stFile(6, 110_000),
 	)
-	job := p.Pick(v, nil)
+	job := p.Pick(v, nil, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v", job)
 	}
@@ -60,7 +60,7 @@ func TestSizeTieredBucketsBySize(t *testing.T) {
 func TestSizeTieredWholeTree(t *testing.T) {
 	p := stPicker(false)
 	v := version(stFile(1, 100), stFile(2, 100), stFile(3, 100), stFile(4, 100))
-	job := p.Pick(v, nil)
+	job := p.Pick(v, nil, false)
 	if job == nil || !job.WholeTree {
 		t.Fatalf("job = %+v, want WholeTree", job)
 	}
@@ -73,7 +73,7 @@ func TestSizeTieredMaxMergeWidth(t *testing.T) {
 		files = append(files, stFile(id, 100))
 	}
 	v := version(files...)
-	job := p.Pick(v, nil)
+	job := p.Pick(v, nil, false)
 	if job == nil || len(job.Inputs) != 8 {
 		t.Fatalf("merge width = %d, want MaxMergeWidth 8", len(job.Inputs))
 	}
@@ -86,13 +86,13 @@ func TestSizeTieredTriadDiskDefersLowOverlap(t *testing.T) {
 	p := stPicker(true)
 	v := version(stFile(1, 100), stFile(2, 100), stFile(3, 100), stFile(4, 100))
 	// Disjoint sketches → defer.
-	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) })
+	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }, false)
 	if job == nil || !job.Deferred {
 		t.Fatalf("job = %+v, want deferred", job)
 	}
 	// Identical sketches → merge.
 	shared := sketchWith(1000, 0)
-	job = p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return shared })
+	job = p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return shared }, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want merge on high overlap", job)
 	}
@@ -106,7 +106,7 @@ func TestSizeTieredTriadDiskForcedAtMaxWidth(t *testing.T) {
 	}
 	v := version(files...)
 	// Disjoint, but the bucket is at MaxMergeWidth → forced merge.
-	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(500, int(f.ID)) })
+	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(500, int(f.ID)) }, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want forced merge at MaxMergeWidth", job)
 	}

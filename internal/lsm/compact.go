@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/hll"
 	"repro/internal/manifest"
@@ -16,7 +17,7 @@ import (
 // reports false when the tree is in shape or TRIAD-DISK defers (paper
 // §4.2: "If the L0 and L1 SSTables do not have enough key overlap,
 // compaction is delayed until more L0 SSTables are generated"); force
-// bypasses a deferral by merging whatever L0 holds.
+// bypasses a deferral by running the merge that was deferred.
 func (db *DB) compactOnceLocked(force bool) (bool, error) {
 	db.compactionMu.Lock()
 	defer db.compactionMu.Unlock()
@@ -26,7 +27,7 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 			return t.Sketch()
 		}
 		return nil
-	})
+	}, force)
 	db.versionMu.RUnlock()
 	if job == nil {
 		return false, nil
@@ -36,16 +37,6 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 		if !force {
 			return false, nil
 		}
-		db.versionMu.RLock()
-		l0 := append([]*manifest.FileMeta(nil), db.version.Levels[0]...)
-		if db.opts.SizeTieredCompaction {
-			job = &compaction.Job{Level: 0, OutputLevel: 0, Inputs: l0, WholeTree: true}
-		} else {
-			lo, hi := compaction.KeyRangeOf(l0)
-			_, scores := db.picker.Scores(db.version)
-			job = &compaction.Job{Level: 0, OutputLevel: 1, Inputs: l0, Overlaps: db.version.Overlap(1, lo, hi), Score: scores[0]}
-		}
-		db.versionMu.RUnlock()
 	}
 	return true, db.runCompaction(job)
 }
@@ -76,6 +67,11 @@ func (db *DB) CompactAll() error {
 // durable in the current commit log). A job the picker marked Move has
 // nothing to merge with and is relinked instead (moveFile).
 //
+// A job with a spill also consumes job.SpillOverlaps (level L+2) and writes
+// every surviving entry to the deeper of the level it came from and its
+// route: L+2 inside the key range of a job.Spill file, L+1 elsewhere. The
+// outputs of both levels install as one manifest edit.
+//
 // A large leveled compaction is partitioned
 // into disjoint key-range slices (boundaries from the input tables'
 // block indexes) merged in parallel on the pool; the slices' outputs
@@ -94,20 +90,27 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	if outLevel < job.Level {
 		outLevel = job.Level + 1
 	}
-	all := append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...)
+	all := append(append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...), job.SpillOverlaps...)
 	// Size-tiered merges (output level == input level) must stay
 	// monolithic and produce exactly one table — splitting would
 	// recreate same-sized files for the bucketer to merge again,
 	// forever; tiers are supposed to grow.
-	plan := mergePlan{shared: new(sstable.Merge), outLevel: outLevel, singleOutput: outLevel == job.Level}
+	plan := mergePlan{
+		shared: new(sstable.Merge), singleOutput: outLevel == job.Level,
+		outs: []levelOut{{level: outLevel}}, spill: job.Spill,
+	}
+	if len(job.Spill) > 0 {
+		plan.outs = append(plan.outs, levelOut{level: outLevel + 1, kept: job.SpillKept})
+	}
 	defer plan.shared.Close()
 
 	// Resolve tables newest-first: L0 inputs are already newest-first in
-	// the version; the next level's files are strictly older. The inputs
+	// the version; each next level's files are strictly older. The inputs
 	// cannot be closed mid-compaction — only a compaction consumes live
 	// tables, and compactionMu serializes them.
 	db.versionMu.RLock()
 	plan.tabs = make([]sstable.Table, 0, len(all))
+	plan.srcLevel = make([]int, 0, len(all))
 	for _, f := range all {
 		t, ok := db.tables[f.ID]
 		if !ok {
@@ -115,6 +118,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 			return errClosedTable(f.ID)
 		}
 		plan.tabs = append(plan.tabs, t)
+		plan.srcLevel = append(plan.srcLevel, f.Level)
 	}
 	lo, hi := compaction.KeyRangeOf(all)
 	// Tombstones may be dropped only when nothing outside the merge can
@@ -122,17 +126,20 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	// nothing below the output level overlaps; for a size-tiered merge,
 	// only when the whole tree participates.
 	if plan.singleOutput {
-		plan.drop = job.WholeTree
+		plan.outs[0].drop = job.WholeTree
 	} else {
-		plan.drop = true
-		for l := outLevel + 1; l < manifest.NumLevels; l++ {
-			if len(db.version.Overlap(l, lo, hi)) > 0 {
-				plan.drop = false
-				break
+		for i := range plan.outs {
+			o := &plan.outs[i]
+			o.drop = true
+			for l := o.level + 1; l < manifest.NumLevels; l++ {
+				if len(db.version.Overlap(l, lo, hi)) > 0 {
+					o.drop = false
+					break
+				}
 			}
-		}
-		if outLevel+1 < manifest.NumLevels {
-			plan.grandparents = db.version.Overlap(outLevel+1, lo, hi)
+			if o.level+1 < manifest.NumLevels {
+				o.grandparents = db.version.Overlap(o.level+1, lo, hi)
+			}
 		}
 	}
 	db.versionMu.RUnlock()
@@ -180,7 +187,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	}
 
 	var outputs []manifest.FileMeta
-	var written, merged, discarded int64
+	var written, spilled, merged, discarded int64
 	var firstErr error
 	for _, r := range results {
 		if r.err != nil && firstErr == nil {
@@ -188,11 +195,12 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		}
 		outputs = append(outputs, r.outputs...)
 		written += r.written
+		spilled += r.spilled
 		merged += r.merged
 		discarded += r.discarded
 	}
 	if firstErr != nil {
-		// Every slice aborted its own partial writer; finished slices'
+		// Every slice aborted its own partial writers; finished slices'
 		// outputs were never installed, so remove their files.
 		for _, o := range outputs {
 			f := o
@@ -201,6 +209,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		return firstErr
 	}
 	db.met.BytesCompacted.Add(written)
+	db.met.BytesSpilled.Add(spilled)
 	db.compactedFrom[job.Level].Add(written)
 	db.met.EntriesCompacted.Add(merged)
 	db.met.EntriesDiscarded.Add(discarded)
@@ -212,6 +221,10 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(outputs), job.Why())
 	if plan.singleOutput {
 		detail = fmt.Sprintf("size-tiered %d-way, %d outputs", len(all), len(outputs))
+	}
+	if len(job.Spill) > 0 {
+		detail += fmt.Sprintf(", %d L%d ranges spilled to L%d (%.1f MB)",
+			len(job.Spill), outLevel, outLevel+1, float64(spilled)/1e6)
 	}
 	detail += fmt.Sprintf(", %d of %d entries discarded", discarded, merged)
 	if len(slices) > 1 {
@@ -264,128 +277,196 @@ func (db *DB) moveFile(job *compaction.Job) error {
 
 // mergePlan is what every slice of one compaction shares.
 type mergePlan struct {
-	shared       *sstable.Merge  // what the slices' iterators share
-	tabs         []sstable.Table // newest source first
-	outLevel     int
+	shared       *sstable.Merge    // what the slices' iterators share
+	tabs         []sstable.Table   // newest source first
+	srcLevel     []int             // the level of each of tabs
 	singleOutput bool              // size-tiered: never roll the output
-	drop         bool              // tombstones may be dropped
 	skip         func([]byte) bool // TRIAD-MEM hot keys (nil: none)
-	// grandparents are the files of outLevel+1 under the merge's key
-	// range, in key order: output files end where one of them ends, so
-	// a later push of an output never straddles two of them.
+	// outs[0] is the job's output level; outs[1], present when the job
+	// spills, the level below it, which receives the spill ranges.
+	outs  []levelOut
+	spill []*manifest.FileMeta // in key order
+}
+
+// levelOut is how a merge writes one output level.
+type levelOut struct {
+	level int
+	drop  bool // tombstones may be dropped
+	// grandparents are the files of level+1 under the merge's key range,
+	// in key order: output files end where one of them ends, so a later
+	// push of an output never straddles two of them.
 	grandparents []*manifest.FileMeta
+	// kept are the files of this level, in key order, that lie between
+	// the ranges the merge writes here and that it does not consume: an
+	// output ends before one, so that it never spans it.
+	kept []*manifest.FileMeta
 }
 
 // sliceResult is one subcompaction slice's contribution: its output
-// tables in key order, the bytes it wrote, and how many entries its
-// merge consumed and how many of those it dropped.
+// tables in key order per level, the bytes it wrote (spilled: of those,
+// the bytes written below the job's output level), and how many entries
+// its merge consumed and how many of those it dropped.
 type sliceResult struct {
 	outputs           []manifest.FileMeta
-	written           int64
+	written, spilled  int64
 	merged, discarded int64
 	err               error
 }
 
 // runSlice merges one key-range slice of the plan's tables into fresh
-// tables at the output level. With the zero Slice it is the whole
-// (monolithic) compaction.
-//
-// A leveled output file ends where the merge passes the end of a
-// grandparent file, once it holds at least 3/4 of TargetFileBytes; with
-// no such boundary in reach it is cut at 1.5x. Cutting by byte count
-// alone leaves most outputs straddling two grandparents, and every later
-// push of such a file rewrites both.
+// tables at the output levels. With the zero Slice it is the whole
+// (monolithic) compaction. Keys ascend within a slice, so which level an
+// entry goes to is found by a cursor over the spilled ranges.
 func (db *DB) runSlice(p *mergePlan, slc compaction.Slice) sliceResult {
 	merge, err := compaction.NewSliceMerge(p.shared, p.tabs, slc)
 	if err != nil {
 		return sliceResult{err: err}
 	}
-	dedup := compaction.NewDedupIterator(merge, p.drop, p.skip)
+	// Tombstones are dropped below, by the level each one goes to.
+	dedup := compaction.NewDedupIterator(merge, false, p.skip)
 	defer dedup.Close()
 
-	var (
-		res   sliceResult
-		w     *sstable.Writer
-		first []byte
-		count uint64
-		gi    int // grandparents[:gi] end before the current key
-	)
-	alignedMin, hardCap := db.opts.TargetFileBytes*3/4, db.opts.TargetFileBytes*3/2
-	finish := func() error {
-		if w == nil {
-			return nil
-		}
-		n, err := w.Finish()
-		if err != nil {
-			w.Abort(db.fs)
-			return err
-		}
-		res.written += n
-		res.merged += int64(count)
-		res.outputs = append(res.outputs, manifest.FileMeta{
-			ID:         w.ID(),
-			Kind:       manifest.KindSST,
-			Level:      p.outLevel,
-			Size:       n,
-			NumEntries: count,
-			Smallest:   first,
-			Largest:    append([]byte(nil), w.LastKey()...),
-		})
-		w = nil
-		return nil
+	sw := sliceWriter{db: db, p: p, outs: make([]rollingOutput, len(p.outs))}
+	for i := range sw.outs {
+		sw.outs[i].levelOut = &p.outs[i]
 	}
+	var dropped int64
+	si := 0 // p.spill[:si] end before the current key
 	for dedup.Next() {
 		e := dedup.Entry()
-		crossed := false
-		for gi < len(p.grandparents) && bytes.Compare(p.grandparents[gi].Largest, e.Key) < 0 {
-			gi++
-			crossed = true
-		}
-		if crossed && w != nil && w.EstimatedSize() >= alignedMin {
-			if err := finish(); err != nil {
-				res.err = err
-				return res
+		o := &sw.outs[0]
+		if len(p.spill) > 0 {
+			for si < len(p.spill) && bytes.Compare(p.spill[si].Largest, e.Key) < 0 {
+				si++
+			}
+			spilled := si < len(p.spill) && bytes.Compare(p.spill[si].Smallest, e.Key) <= 0
+			if spilled || p.srcLevel[dedup.Source()] > o.level {
+				o = &sw.outs[1]
 			}
 		}
-		if w == nil {
-			db.mu.Lock()
-			id := db.allocFileID()
-			db.mu.Unlock()
-			w, err = sstable.NewWriter(db.fs, id, db.opts.BlockBytes)
-			if err != nil {
-				res.err = err
-				return res
-			}
-			if p.outLevel > 0 {
-				w.OmitSketch() // only L0 sketches are ever consulted
-			}
-			first = append([]byte(nil), e.Key...)
-			count = 0
+		if e.Kind == base.KindDelete && o.drop {
+			dropped++
+			continue
 		}
-		if err := w.Add(e); err != nil {
-			w.Abort(db.fs)
-			res.err = err
-			return res
-		}
-		count++
-		if !p.singleOutput && w.EstimatedSize() >= hardCap {
-			if err := finish(); err != nil {
-				res.err = err
-				return res
-			}
+		if err := sw.add(o, e); err != nil {
+			return sw.abort(err)
 		}
 	}
 	if err := dedup.Err(); err != nil {
-		if w != nil {
-			w.Abort(db.fs)
-		}
-		res.err = err
-		return res
+		return sw.abort(err)
 	}
-	res.err = finish()
-	res.discarded = dedup.Discarded()
-	res.merged += res.discarded
-	return res
+	for i := range sw.outs {
+		if err := sw.finish(&sw.outs[i]); err != nil {
+			return sw.abort(err)
+		}
+	}
+	sw.res.discarded = dedup.Discarded() + dropped
+	sw.res.merged += sw.res.discarded
+	return sw.res
+}
+
+// sliceWriter writes one slice's surviving entries, through one rolling
+// output per level of the plan.
+type sliceWriter struct {
+	db   *DB
+	p    *mergePlan
+	outs []rollingOutput
+	res  sliceResult
+}
+
+// rollingOutput is the output file a slice is writing to one level.
+type rollingOutput struct {
+	*levelOut
+	w      *sstable.Writer
+	first  []byte
+	count  uint64
+	gi, ki int // grandparents[:gi] and kept[:ki] end before the last key
+}
+
+// add appends e to o's current file, first ending that file where a
+// leveled output ends: once it holds at least 3/4 of TargetFileBytes, where
+// the merge passes the end of a grandparent file; at once where it passes
+// a kept file; at 1.5x the target with no such boundary in reach. Cutting
+// by byte count alone leaves most outputs straddling two grandparents, and
+// every later push of such a file rewrites both.
+func (sw *sliceWriter) add(o *rollingOutput, e base.Entry) error {
+	db := sw.db
+	crossed, passedKept := false, false
+	for o.gi < len(o.grandparents) && bytes.Compare(o.grandparents[o.gi].Largest, e.Key) < 0 {
+		o.gi++
+		crossed = true
+	}
+	for o.ki < len(o.kept) && bytes.Compare(o.kept[o.ki].Largest, e.Key) < 0 {
+		o.ki++
+		passedKept = true
+	}
+	if o.w != nil && (passedKept || crossed && o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/4) {
+		if err := sw.finish(o); err != nil {
+			return err
+		}
+	}
+	if o.w == nil {
+		db.mu.Lock()
+		id := db.allocFileID()
+		db.mu.Unlock()
+		w, err := sstable.NewWriter(db.fs, id, db.opts.BlockBytes)
+		if err != nil {
+			return err
+		}
+		if o.level > 0 {
+			w.OmitSketch() // only L0 sketches are ever consulted
+		}
+		o.w, o.first, o.count = w, append([]byte(nil), e.Key...), 0
+	}
+	if err := o.w.Add(e); err != nil {
+		return err
+	}
+	o.count++
+	if !sw.p.singleOutput && o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
+		return sw.finish(o)
+	}
+	return nil
+}
+
+// finish completes o's current file, if any, and records it as an output.
+func (sw *sliceWriter) finish(o *rollingOutput) error {
+	if o.w == nil {
+		return nil
+	}
+	w := o.w
+	n, err := w.Finish()
+	if err != nil {
+		return err // abort discards w
+	}
+	o.w = nil
+	sw.res.written += n
+	if o.level > sw.p.outs[0].level {
+		sw.res.spilled += n
+	}
+	sw.res.merged += int64(o.count)
+	sw.res.outputs = append(sw.res.outputs, manifest.FileMeta{
+		ID:         w.ID(),
+		Kind:       manifest.KindSST,
+		Level:      o.level,
+		Size:       n,
+		NumEntries: o.count,
+		Smallest:   o.first,
+		Largest:    append([]byte(nil), w.LastKey()...),
+	})
+	return nil
+}
+
+// abort discards the files the slice has open and fails it with err; the
+// outputs it finished are the caller's to remove.
+func (sw *sliceWriter) abort(err error) sliceResult {
+	for i := range sw.outs {
+		if w := sw.outs[i].w; w != nil {
+			w.Abort(sw.db.fs)
+			sw.outs[i].w = nil
+		}
+	}
+	sw.res.err = err
+	return sw.res
 }
 
 // installCompaction journals the edit, swaps the version, and removes the

@@ -66,15 +66,17 @@ func sameLines(t *testing.T, what string, got, want []string) {
 
 // cutStats counts how the output files of the compactions seen so far
 // ended.
-type cutStats struct{ aligned, capped, unaligned int }
+type cutStats struct{ aligned, capped, kept, unaligned int }
 
 // checkCuts inspects the one compaction that turned before into after:
 // between two consecutive output files at level L, either a file of
 // level L+1 (as it was before; the merge does not touch it) ends in the
 // gap and the first output had reached 3/4 of the target, or the first
-// output hit the 1.5x cap. At most slack cuts may be neither (the joints
-// between subcompaction slices fall where the block index says). No output may pass the cap by more
-// than its own metadata.
+// output hit the 1.5x cap, or a file of level L the compaction left in
+// place lies in the gap (a spill writes disjoint ranges of L, and its
+// consumed coverage of L ends there). At most slack cuts may be none of
+// these (the joints between subcompaction slices fall where the block
+// index says). No output may pass the cap by more than its own metadata.
 func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slack int, st *cutStats) {
 	t.Helper()
 	old := map[uint64]bool{}
@@ -85,10 +87,19 @@ func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slac
 	}
 	hardCap := target * 3 / 2
 	for l := 1; l < manifest.NumLevels; l++ {
-		var outs []*manifest.FileMeta // a moved file keeps its ID and is no output
+		var outs, kept []*manifest.FileMeta // a moved file keeps its ID and is no output
 		for _, f := range after.Levels[l] {
 			if !old[f.ID] {
 				outs = append(outs, f)
+			}
+		}
+		left := map[uint64]bool{}
+		for _, f := range after.Levels[l] {
+			left[f.ID] = true
+		}
+		for _, f := range before.Levels[l] {
+			if left[f.ID] {
+				kept = append(kept, f)
 			}
 		}
 		var grandparents []*manifest.FileMeta
@@ -105,6 +116,17 @@ func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slac
 			}
 			if f.Size >= hardCap {
 				st.capped++
+				continue
+			}
+			between := false
+			for _, g := range kept {
+				if bytes.Compare(f.Largest, g.Smallest) < 0 && bytes.Compare(g.Largest, outs[i+1].Smallest) < 0 {
+					between = true
+					break
+				}
+			}
+			if between {
+				st.kept++
 				continue
 			}
 			ends := false
@@ -157,8 +179,11 @@ func settle(t *testing.T, db *DB, slack int, st *cutStats) {
 // with snapshots held open across compactions, into a store that splits
 // compactions into up to three slices and one that never splits. After
 // every single compaction the level invariants hold and every output
-// file ends at a grandparent boundary or at the cap; at the end both
-// stores, and every snapshot, scan equal to a map oracle.
+// file ends at a grandparent boundary, at the cap or before a file its
+// level keeps; at the end both stores, and every snapshot, scan equal to
+// a map oracle. The sliced store's journal shows a merge by every rule:
+// an L0 merge, an L0 merge spilling into L2, a min-overlap push and a
+// bottom push.
 func TestCompactionShapeRandomized(t *testing.T) {
 	pool := bgsched.NewPool(3)
 	defer pool.Close()
@@ -196,9 +221,16 @@ func TestCompactionShapeRandomized(t *testing.T) {
 		pinned = pinned[1:]
 	}
 	val := make([]byte, 60)
-	for step := 0; step < 40; step++ {
+	// Over 6000 keys the tree grows to L3, and every L0 merge spills into
+	// the intermediate L2. Widening the key space then opens L4: L3 turns
+	// intermediate, and L2's pushes into it are chosen by min-overlap.
+	for step := 0; step < 70; step++ {
+		keySpace := 6000
+		if step >= 40 {
+			keySpace = 30000
+		}
 		for i := 0; i < 300; i++ {
-			k := fmt.Sprintf("k%05d", rng.Intn(6000))
+			k := fmt.Sprintf("k%05d", rng.Intn(keySpace))
 			if rng.Intn(5) == 0 {
 				delete(oracle, k)
 				for _, s := range sides {
@@ -282,8 +314,11 @@ func TestCompactionShapeRandomized(t *testing.T) {
 		if strings.Contains(e.Detail, "trivial move") == strings.Contains(e.Detail, "entries discarded") {
 			t.Fatalf("compaction entry is neither a move nor a merge with its discard count: %q", e.Detail)
 		}
-		for _, rule := range []string{"overlap ratio", "min-overlap ratio", "bottom-push ratio"} {
-			if strings.Contains(e.Detail, ", "+rule) {
+		if strings.Contains(e.Detail, "trivial move") {
+			continue // each rule below must have run a merge, not a relink
+		}
+		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", ", bottom-push ratio", " L1 ranges spilled to L2 ("} {
+			if strings.Contains(e.Detail, rule) {
 				why[rule] = true
 			}
 		}
@@ -291,8 +326,13 @@ func TestCompactionShapeRandomized(t *testing.T) {
 	if !split {
 		t.Fatal("no compaction split into subcompactions; the differential is vacuous")
 	}
-	if len(why) != 3 {
-		t.Fatalf("journal does not show all three rules (L0 overlap, min-overlap, bottom-push): %v", why)
+	if len(why) != 4 {
+		t.Fatalf("journal does not show merges by all four rules (L0 overlap, min-overlap, bottom-push, spill): %v", why)
+	}
+	for i, s := range sides {
+		if s.db.Metrics().BytesSpilled == 0 {
+			t.Fatalf("side %d: no L0 merge spilled; the check of the spill's cuts is vacuous", i)
+		}
 	}
 }
 

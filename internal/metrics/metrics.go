@@ -25,6 +25,7 @@ type Metrics struct {
 	BytesRelogged  atomic.Int64 // of those, not a user's commit: carried by a log rotation, a flush or recovery, or a flush's hot write-back
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
 	BytesCompacted atomic.Int64 // compaction output
+	BytesSpilled   atomic.Int64 // of that, written a level below the merge's output level by an L0 merge's spill
 
 	// Storage-side reads and reclaims.
 	BytesCompactionRead atomic.Int64 // compaction input
@@ -55,7 +56,7 @@ type Snapshot struct {
 	UserWrites, UserReads, UserBytes          int64
 	ReadsFromMem, TableDiskReads              int64
 	BytesLogged, BytesFlushed, BytesCompacted int64
-	BytesRelogged                             int64
+	BytesRelogged, BytesSpilled               int64
 	BytesCompactionRead, BytesSnapshotGC      int64
 	Flushes, FlushSkips                       int64
 	Compactions, CompactionsDeferred          int64
@@ -79,6 +80,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		BytesRelogged:       m.BytesRelogged.Load(),
 		BytesFlushed:        m.BytesFlushed.Load(),
 		BytesCompacted:      m.BytesCompacted.Load(),
+		BytesSpilled:        m.BytesSpilled.Load(),
 		BytesCompactionRead: m.BytesCompactionRead.Load(),
 		BytesSnapshotGC:     m.BytesSnapshotGC.Load(),
 		Flushes:             m.Flushes.Load(),
@@ -109,6 +111,7 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		BytesRelogged:       s.BytesRelogged - earlier.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed - earlier.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted - earlier.BytesCompacted,
+		BytesSpilled:        s.BytesSpilled - earlier.BytesSpilled,
 		BytesCompactionRead: s.BytesCompactionRead - earlier.BytesCompactionRead,
 		BytesSnapshotGC:     s.BytesSnapshotGC - earlier.BytesSnapshotGC,
 		Flushes:             s.Flushes - earlier.Flushes,
@@ -140,6 +143,7 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		BytesRelogged:       s.BytesRelogged + other.BytesRelogged,
 		BytesFlushed:        s.BytesFlushed + other.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted + other.BytesCompacted,
+		BytesSpilled:        s.BytesSpilled + other.BytesSpilled,
 		BytesCompactionRead: s.BytesCompactionRead + other.BytesCompactionRead,
 		BytesSnapshotGC:     s.BytesSnapshotGC + other.BytesSnapshotGC,
 		Flushes:             s.Flushes + other.Flushes,

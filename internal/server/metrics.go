@@ -155,6 +155,7 @@ func (s *Server) MetricsText() string {
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
 		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
+		p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges wrote straight into L2 because L1 had no room for them.", l, st.BytesSpilled)
 		p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
 		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
 		p.Gauge("triad_shard_snapshots_open", "Live snapshot pins on the shard.", l, int64(st.OpenSnapshots))

@@ -100,6 +100,9 @@ type ShardStat struct {
 	// episodes and their wall time, the user-facing cost of that debt.
 	WriteStalls    int64
 	WriteStallTime time.Duration
+	// BytesSpilled is the part of the shard's compaction output that L0
+	// merges wrote straight into the level below L1, where L1 had no room.
+	BytesSpilled int64
 	// WA and RA are the shard's own write and read amplification.
 	WA, RA float64
 	// OpenSnapshots is the shard's live snapshot-pin count;
@@ -140,6 +143,7 @@ func (db *DB) ShardStats() []ShardStat {
 			CompactionDebt:  s.CompactionDebt(),
 			WriteStalls:     m.WriteStalls,
 			WriteStallTime:  m.WriteStallTime,
+			BytesSpilled:    m.BytesSpilled,
 			WA:              m.WriteAmplification(),
 			RA:              m.ReadAmplification(),
 			OpenSnapshots:   s.OpenSnapshots(),
@@ -177,8 +181,8 @@ func (db *DB) Stats() string {
 	}
 	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
-	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  compacted %d\n",
-		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted)
+	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  compacted %d (spilled past L1 %d)\n",
+		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted, m.BytesSpilled)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
