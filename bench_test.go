@@ -189,16 +189,17 @@ func BenchmarkPutPath(b *testing.B) {
 // --- Background-scheduler benchmarks ---
 
 // BenchmarkSubcompaction times one full-tree compaction of the same
-// settled store, monolithic vs split into parallel key-range slices on
-// a 4-worker pool. The timed region is CompactAll only; load and flush
-// happen outside the timer. Meaningful at -cpu 2,4: with one core the
-// sliced row degenerates to sequential merges plus split overhead,
-// with spare cores it should approach a worker-count speedup.
+// settled store on a 1-worker pool (monolithic: one merge per compaction)
+// vs a 4-worker pool (split into up to four parallel key-range slices).
+// The timed region is CompactAll only; load and flush happen outside the
+// timer. Meaningful at -cpu 2,4: with one core the sliced row degenerates
+// to sequential merges plus split overhead, with spare cores it should
+// approach a worker-count speedup.
 func BenchmarkSubcompaction(b *testing.B) {
 	const keys = 60_000
 	for _, v := range []struct {
 		name    string
-		subcomp int
+		workers int
 	}{
 		{"monolithic", 1},
 		{"sliced-4", 4},
@@ -206,14 +207,13 @@ func BenchmarkSubcompaction(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				pool := bgsched.NewPool(4)
+				pool := bgsched.NewPool(v.workers)
 				o := lsm.TriadOptions(vfs.NewMemFS())
 				o.MemtableBytes = 256 << 10
 				o.TargetFileBytes = 64 << 10
 				o.BaseLevelBytes = 512 << 10
 				o.DisableAutoCompaction = true
 				o.Scheduler = pool
-				o.MaxSubcompactions = v.subcomp
 				db, err := lsm.Open(o)
 				if err != nil {
 					b.Fatal(err)

@@ -45,7 +45,6 @@ var experiments = []experiment{
 	{"fig10", "per-technique throughput breakdown", cells(harness.Fig10)},
 	{"fig11", "per-technique WA and RA breakdown", cells(harness.Fig11)},
 	{"fig10dev", "the fig10 uniform breakdown with device time charged per byte", cells(harness.Fig10Device)},
-	{"sizetiered", "leveled vs size-tiered compaction, with and without TRIAD-DISK", cells(harness.SizeTiered)},
 }
 
 // experimentNames joins every experiment name, plus "all", with sep.

@@ -78,7 +78,7 @@ func TestSelected(t *testing.T) {
 		"fig9c":      {"fig9b"}, // one run prints 9B and 9C
 		"fig9b":      {"fig9b"},
 		"Fig10Dev":   {"fig10dev"},
-		"sizetiered": {"sizetiered"},
+		"sizetiered": nil,
 		"conflict":   nil,
 		"":           nil,
 	} {

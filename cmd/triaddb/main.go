@@ -53,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		partitioner = fl.String("partitioner", "", "shard router: hash (default for new stores) or range; an existing store's stored partitioner is adopted when empty")
 		splits      = fl.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards), e.g. -splits g,n,t")
 		cacheBytes  = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
-		bgWorkers   = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
-		subcomp     = fl.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
+		bgWorkers   = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards, and the most slices one compaction splits into (1: monolithic merges; 0: min(GOMAXPROCS, shards+2), floor 2)")
 	)
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -84,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	opts := triad.Options{
 		Profile: profile, Partitioner: *partitioner, BlockCacheBytes: *cacheBytes,
-		BackgroundWorkers: *bgWorkers, MaxSubcompactions: *subcomp,
+		BackgroundWorkers: *bgWorkers,
 	}
 	if *splits != "" {
 		for _, s := range strings.Split(*splits, ",") {

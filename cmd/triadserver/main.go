@@ -69,8 +69,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
 		maxCursors  = fs.Int("max-cursors", 16, "cap on open SCAN cursors per connection")
-		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards (0: min(GOMAXPROCS, shards+2), floor 2)")
-		subcomp     = fs.Int("subcompactions", 0, "max parallel slices one leveled compaction may split into (0: up to the pool size; 1: monolithic)")
+		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards, and the most slices one compaction splits into (1: monolithic merges; 0: min(GOMAXPROCS, shards+2), floor 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		return 2
 	}
 
-	db, err := openStore(*dir, *baseline, *syncWAL, *shards, *partitioner, *splits, *noObs, *cacheBytes, *bgWorkers, *subcomp)
+	db, err := openStore(*dir, *baseline, *syncWAL, *shards, *partitioner, *splits, *noObs, *cacheBytes, *bgWorkers)
 	if err != nil {
 		fmt.Fprintln(stderr, "triadserver:", err)
 		return 1
@@ -178,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 // openStore opens the sharded engine the server fronts. The shard layer
 // is used even at one shard so STATS carries the per-shard table and
 // durable stores get the STORE metadata validation.
-func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, splits string, noObs bool, cacheBytes int64, bgWorkers, subcompactions int) (*shard.DB, error) {
+func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, splits string, noObs bool, cacheBytes int64, bgWorkers int) (*shard.DB, error) {
 	engine := lsm.TriadOptions(nil)
 	if baseline {
 		engine = lsm.DefaultOptions(nil)
@@ -222,6 +221,5 @@ func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, spli
 		BlockCache:           cache,
 		DisableObservability: noObs,
 		BackgroundWorkers:    bgWorkers,
-		MaxSubcompactions:    subcompactions,
 	})
 }

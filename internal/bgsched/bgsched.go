@@ -35,8 +35,7 @@ const (
 	// in flight releases its inputs (and its workers) sooner than
 	// starting new work would.
 	ClassSlice
-	// ClassL0 is an L0→L1 compaction (or a size-tiered merge while L0
-	// is at its file trigger) — the compactions that drain the
+	// ClassL0 is an L0→L1 compaction — the compactions that drain the
 	// stop-writes file count.
 	ClassL0
 	// ClassDeep is a compaction between deeper levels, shaping the tree

@@ -344,7 +344,10 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 }
 
 func TestPickerNothingToDo(t *testing.T) {
-	p := NewPicker(DefaultPickerOptions())
+	p := NewPicker(PickerOptions{
+		L0CompactionTrigger: 4, BaseLevelBytes: 8 << 20, Multiplier: 10,
+		TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6,
+	})
 	v := version(fm(1, 1, "a", "m", 100))
 	if job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false); job != nil {
 		t.Fatalf("job = %+v, want nil", job)

@@ -12,27 +12,8 @@ import (
 	"repro/internal/manifest"
 )
 
-// Strategy selects the compaction layout policy.
-type Strategy uint8
-
-const (
-	// Leveled is the RocksDB-style leveled compaction the paper's
-	// substrate and TRIAD both use.
-	Leveled Strategy = iota
-	// SizeTiered is a Cassandra-style size-tiered strategy: every table
-	// lives in L0 (overlapping ranges allowed) and groups of
-	// similar-sized tables are merged into one larger table. The paper
-	// (§2) notes TRIAD's techniques "could easily be adapted to
-	// size-tiered approaches"; this strategy is that adaptation —
-	// TRIAD-DISK's HLL overlap estimate picks the most duplicate-dense
-	// bucket, the same use Cassandra put HLL to (§6).
-	SizeTiered
-)
-
 // PickerOptions configures compaction triggering.
 type PickerOptions struct {
-	// Strategy selects leveled (default) or size-tiered compaction.
-	Strategy Strategy
 	// L0CompactionTrigger is the L0 file count at which a baseline engine
 	// compacts L0 into L1 (RocksDB default: 4).
 	L0CompactionTrigger int
@@ -53,26 +34,6 @@ type PickerOptions struct {
 	OverlapRatioThreshold float64
 	// MaxFilesL0 is the hard cap on L0 files (paper: 6).
 	MaxFilesL0 int
-
-	// MinMergeWidth / MaxMergeWidth bound a size-tiered merge
-	// (Cassandra defaults: 4 and 32).
-	MinMergeWidth int
-	MaxMergeWidth int
-	// BucketRatio is the size similarity bound: a bucket holds files
-	// within [avg/BucketRatio, avg*BucketRatio] (default 2.0).
-	BucketRatio float64
-}
-
-// DefaultPickerOptions mirrors the paper's configuration.
-func DefaultPickerOptions() PickerOptions {
-	return PickerOptions{
-		L0CompactionTrigger:   4,
-		BaseLevelBytes:        8 << 20,
-		Multiplier:            10,
-		TriadDisk:             true,
-		OverlapRatioThreshold: 0.4,
-		MaxFilesL0:            6,
-	}
 }
 
 // Job describes one compaction: merge Inputs (level Level) with Overlaps
@@ -95,10 +56,6 @@ type Job struct {
 	// compaction this round. The job is empty unless Pick was forced, in
 	// which case it is the merge that was deferred.
 	Deferred bool
-	// WholeTree reports that the job merges every file in the tree, so
-	// tombstones may be dropped even when the output stays in L0
-	// (size-tiered full compaction).
-	WholeTree bool
 	// Move reports that the single input (level >= 1) overlaps nothing in
 	// the output level, so it can be relinked there by a manifest edit
 	// instead of being rewritten.
@@ -107,7 +64,7 @@ type Job struct {
 	// bytes over its target, or for L0 its file count over the trigger.
 	Score float64
 	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap
-	// or RuleBottomPush); empty for L0 and size-tiered jobs.
+	// or RuleBottomPush); empty for L0 jobs.
 	Rule string
 }
 
@@ -171,15 +128,6 @@ func NewPicker(opts PickerOptions) *Picker {
 	if opts.MaxFilesL0 <= 0 {
 		opts.MaxFilesL0 = 6
 	}
-	if opts.MinMergeWidth <= 0 {
-		opts.MinMergeWidth = 4
-	}
-	if opts.MaxMergeWidth <= 0 {
-		opts.MaxMergeWidth = 32
-	}
-	if opts.BucketRatio <= 1 {
-		opts.BucketRatio = 2.0
-	}
 	return &Picker{opts: opts}
 }
 
@@ -232,12 +180,8 @@ func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
 
 // Scores returns every level's target (Targets) and its compaction
 // pressure: bytes over target, or for L0 its file count over the
-// compaction trigger. Above 1 the level is owed a compaction. Size-tiered
-// trees have neither and report zeros.
+// compaction trigger. Above 1 the level is owed a compaction.
 func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64, scores [manifest.NumLevels]float64) {
-	if p.opts.Strategy == SizeTiered {
-		return targets, scores
-	}
 	targets = p.Targets(v)
 	scores[0] = float64(len(v.Levels[0])) / float64(p.opts.L0CompactionTrigger)
 	for l := 1; l < manifest.NumLevels; l++ {
@@ -249,12 +193,8 @@ func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64,
 // Debt estimates the bytes of compaction work v owes before Pick returns
 // nil: all of L0 once it has reached the compaction trigger, in the bytes
 // it will take up as sorted tables (logicalBytes), plus each deeper level's
-// excess over its target (the last level has nowhere to go). Size-tiered
-// trees have no per-level targets and report 0.
+// excess over its target (the last level has nowhere to go).
 func (p *Picker) Debt(v *manifest.Version) int64 {
-	if p.opts.Strategy == SizeTiered {
-		return 0
-	}
 	var debt int64
 	if len(v.Levels[0]) >= p.opts.L0CompactionTrigger {
 		debt += logicalBytes(v, v.Levels[0])
@@ -289,9 +229,6 @@ func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
 	return ratio < p.opts.OverlapRatioThreshold
 }
 
-// OverlapRatioL0 reports the current HLL overlap ratio (observability).
-func OverlapRatioL0(sketches []*hll.Sketch) float64 { return hll.OverlapRatio(sketches) }
-
 // Pick returns the next compaction job for version v, or nil if the tree
 // is in shape. sketchOf must return the HLL sketch of an L0 file (used
 // only when TRIAD-DISK is on). force overrides a TRIAD-DISK deferral: the
@@ -299,9 +236,6 @@ func OverlapRatioL0(sketches []*hll.Sketch) float64 { return hll.OverlapRatio(sk
 // merge that would overfill L1 sends part of it straight to L2 (see spill)
 // instead of writing it into L1 only for the next push to carry it there.
 func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
-	if p.opts.Strategy == SizeTiered {
-		return p.pickSizeTiered(v, sketchOf, force)
-	}
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
 	l0 := v.Levels[0]
@@ -503,81 +437,6 @@ func logicalBytes(v *manifest.Version, files []*manifest.FileMeta) int64 {
 		return sized + clBytes
 	}
 	return sized + int64(float64(clEntries)*float64(treeBytes)/float64(treeEntries))
-}
-
-// pickSizeTiered implements the size-tiered strategy: bucket the (single
-// level of) tables by similar size; merge the fullest eligible bucket.
-// With TRIAD-DISK, the bucket with the highest HLL overlap ratio is
-// preferred (Cassandra's use of HLL, §6) and a bucket whose overlap is
-// below the threshold is deferred unless it has reached MaxMergeWidth;
-// force turns a deferral into a merge of the whole tree.
-func (p *Picker) pickSizeTiered(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
-	files := append([]*manifest.FileMeta(nil), v.Levels[0]...)
-	if len(files) < p.opts.MinMergeWidth {
-		return nil
-	}
-	// Sort by size ascending, then group into similarity buckets.
-	sort.Slice(files, func(i, j int) bool { return files[i].Size < files[j].Size })
-	var buckets [][]*manifest.FileMeta
-	cur := []*manifest.FileMeta{files[0]}
-	for _, f := range files[1:] {
-		if float64(f.Size) <= p.opts.BucketRatio*float64(cur[0].Size) {
-			cur = append(cur, f)
-			continue
-		}
-		buckets = append(buckets, cur)
-		cur = []*manifest.FileMeta{f}
-	}
-	buckets = append(buckets, cur)
-
-	var (
-		best        []*manifest.FileMeta
-		bestOverlap = -1.0
-		deferred    bool
-	)
-	for _, b := range buckets {
-		if len(b) < p.opts.MinMergeWidth {
-			continue
-		}
-		if len(b) > p.opts.MaxMergeWidth {
-			b = b[:p.opts.MaxMergeWidth]
-		}
-		if !p.opts.TriadDisk {
-			if best == nil || len(b) > len(best) {
-				best = b
-			}
-			continue
-		}
-		sketches := make([]*hll.Sketch, 0, len(b))
-		for _, f := range b {
-			if s := sketchOf(f); s != nil {
-				sketches = append(sketches, s)
-			}
-		}
-		ratio := hll.OverlapRatio(sketches)
-		if ratio < p.opts.OverlapRatioThreshold && len(b) < p.opts.MaxMergeWidth {
-			deferred = true // not enough duplication yet; wait
-			continue
-		}
-		if ratio > bestOverlap {
-			best, bestOverlap = b, ratio
-		}
-	}
-	if best == nil {
-		if !deferred {
-			return nil
-		}
-		if !force {
-			return &Job{Level: 0, Deferred: true}
-		}
-		return &Job{Level: 0, OutputLevel: 0, Inputs: files, WholeTree: true, Deferred: true}
-	}
-	return &Job{
-		Level:       0,
-		OutputLevel: 0,
-		Inputs:      best,
-		WholeTree:   len(best) == len(files),
-	}
 }
 
 // KeyRangeOf returns the union key range of files.

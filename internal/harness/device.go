@@ -71,44 +71,3 @@ func Fig10Device(s Scale, w io.Writer) ([]Cell, error) {
 	}
 	return cells, tw.Flush()
 }
-
-// SizeTiered compares leveled vs size-tiered compaction, both with and
-// without TRIAD-DISK's HLL-guided bucket selection — the adaptation §2
-// says is straightforward. Not a paper figure; an extension experiment.
-func SizeTiered(s Scale, w io.Writer) ([]Cell, error) {
-	variants := []struct {
-		label      string
-		sizeTiered bool
-		triadDisk  bool
-	}{
-		{"leveled", false, false},
-		{"leveled+disk", false, true},
-		{"size-tiered", true, false},
-		{"size-tiered+disk", true, true},
-	}
-	var cells []Cell
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Size-tiered extension: 20%-80% skew, 10r-90w (KOPS / WA / RA)")
-	fmt.Fprintln(tw, "strategy\tKOPS\tWA\tRA\tdeferrals")
-	for _, v := range variants {
-		o := s.engine("baseline")
-		o.SizeTieredCompaction = v.sizeTiered
-		o.TriadDisk = v.triadDisk
-		spec := Spec{
-			Name:                v.label,
-			Engine:              o,
-			Mix:                 workload.Mix{Dist: s.ws2(), ReadFraction: 0.1},
-			Threads:             s.Threads,
-			Ops:                 s.Ops,
-			PrepopulateFraction: 0.5,
-			Seed:                1,
-		}
-		res, err := Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.label, err)
-		}
-		cells = append(cells, Cell{Label: v.label, Res: res})
-		fmt.Fprintf(tw, "%s\t%.1f\t%.2f\t%.2f\t%d\n", v.label, res.KOPS, res.WA, res.RA, res.Deferred)
-	}
-	return cells, tw.Flush()
-}

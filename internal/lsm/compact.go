@@ -72,9 +72,9 @@ func (db *DB) CompactAll() error {
 // route: L+2 inside the key range of a job.Spill file, L+1 elsewhere. The
 // outputs of both levels install as one manifest edit.
 //
-// A large leveled compaction is partitioned
-// into disjoint key-range slices (boundaries from the input tables'
-// block indexes) merged in parallel on the pool; the slices' outputs
+// A large compaction is partitioned into up to one disjoint key-range
+// slice per pool worker (boundaries from the input tables' block indexes),
+// merged in parallel on the pool; the slices' outputs
 // are concatenated — they are disjoint and in key order — and installed
 // as the same single atomic manifest edit a monolithic merge produces,
 // so snapshots and zombie refcounts never see a half-installed split.
@@ -87,18 +87,8 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	db.met.Compactions.Add(1)
 
 	outLevel := job.OutputLevel
-	if outLevel < job.Level {
-		outLevel = job.Level + 1
-	}
 	all := append(append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...), job.SpillOverlaps...)
-	// Size-tiered merges (output level == input level) must stay
-	// monolithic and produce exactly one table — splitting would
-	// recreate same-sized files for the bucketer to merge again,
-	// forever; tiers are supposed to grow.
-	plan := mergePlan{
-		shared: new(sstable.Merge), singleOutput: outLevel == job.Level,
-		outs: []levelOut{{level: outLevel}}, spill: job.Spill,
-	}
+	plan := mergePlan{shared: new(sstable.Merge), outs: []levelOut{{level: outLevel}}, spill: job.Spill}
 	if len(job.Spill) > 0 {
 		plan.outs = append(plan.outs, levelOut{level: outLevel + 1, kept: job.SpillKept})
 	}
@@ -122,24 +112,19 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	}
 	lo, hi := compaction.KeyRangeOf(all)
 	// Tombstones may be dropped only when nothing outside the merge can
-	// still hold an older version of a key in range: for leveled output,
-	// nothing below the output level overlaps; for a size-tiered merge,
-	// only when the whole tree participates.
-	if plan.singleOutput {
-		plan.outs[0].drop = job.WholeTree
-	} else {
-		for i := range plan.outs {
-			o := &plan.outs[i]
-			o.drop = true
-			for l := o.level + 1; l < manifest.NumLevels; l++ {
-				if len(db.version.Overlap(l, lo, hi)) > 0 {
-					o.drop = false
-					break
-				}
+	// still hold an older version of a key in range: nothing below the
+	// output level overlaps.
+	for i := range plan.outs {
+		o := &plan.outs[i]
+		o.drop = true
+		for l := o.level + 1; l < manifest.NumLevels; l++ {
+			if len(db.version.Overlap(l, lo, hi)) > 0 {
+				o.drop = false
+				break
 			}
-			if o.level+1 < manifest.NumLevels {
-				o.grandparents = db.version.Overlap(o.level+1, lo, hi)
-			}
+		}
+		if o.level+1 < manifest.NumLevels {
+			o.grandparents = db.version.Overlap(o.level+1, lo, hi)
 		}
 	}
 	db.versionMu.RUnlock()
@@ -160,19 +145,9 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	for _, f := range all {
 		inBytes += f.Size
 	}
-	slices := []compaction.Slice{{}}
-	if !plan.singleOutput {
-		maxSub := db.opts.MaxSubcompactions
-		if maxSub <= 0 {
-			maxSub = db.pool.Workers()
-		}
-		// Don't split below about one output file of input per slice —
-		// the split overhead would outweigh the parallelism.
-		if perSlice := int(inBytes / db.opts.TargetFileBytes); perSlice < maxSub {
-			maxSub = perSlice
-		}
-		slices = compaction.SplitJob(plan.tabs, maxSub)
-	}
+	// One slice per pool worker, but not below about one output file of
+	// input per slice — the split overhead would outweigh the parallelism.
+	slices := compaction.SplitJob(plan.tabs, min(db.pool.Workers(), int(inBytes/db.opts.TargetFileBytes)))
 
 	results := make([]sliceResult, len(slices))
 	if len(slices) == 1 {
@@ -219,9 +194,6 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	}
 	db.met.BytesCompactionRead.Add(inBytes)
 	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(outputs), job.Why())
-	if plan.singleOutput {
-		detail = fmt.Sprintf("size-tiered %d-way, %d outputs", len(all), len(outputs))
-	}
 	if len(job.Spill) > 0 {
 		detail += fmt.Sprintf(", %d L%d ranges spilled to L%d (%.1f MB)",
 			len(job.Spill), outLevel, outLevel+1, float64(spilled)/1e6)
@@ -277,11 +249,10 @@ func (db *DB) moveFile(job *compaction.Job) error {
 
 // mergePlan is what every slice of one compaction shares.
 type mergePlan struct {
-	shared       *sstable.Merge    // what the slices' iterators share
-	tabs         []sstable.Table   // newest source first
-	srcLevel     []int             // the level of each of tabs
-	singleOutput bool              // size-tiered: never roll the output
-	skip         func([]byte) bool // TRIAD-MEM hot keys (nil: none)
+	shared   *sstable.Merge    // what the slices' iterators share
+	tabs     []sstable.Table   // newest source first
+	srcLevel []int             // the level of each of tabs
+	skip     func([]byte) bool // TRIAD-MEM hot keys (nil: none)
 	// outs[0] is the job's output level; outs[1], present when the job
 	// spills, the level below it, which receives the spill ranges.
 	outs  []levelOut
@@ -422,7 +393,7 @@ func (sw *sliceWriter) add(o *rollingOutput, e base.Entry) error {
 		return err
 	}
 	o.count++
-	if !sw.p.singleOutput && o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
+	if o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
 		return sw.finish(o)
 	}
 	return nil

@@ -176,8 +176,9 @@ func settle(t *testing.T, db *DB, slack int, st *cutStats) {
 }
 
 // TestCompactionShapeRandomized drives the same random put/delete stream,
-// with snapshots held open across compactions, into a store that splits
-// compactions into up to three slices and one that never splits. After
+// with snapshots held open across compactions, into a store on a 3-worker
+// pool, which splits compactions into up to three slices, and one on a
+// 1-worker pool, which never splits. After
 // every single compaction the level invariants hold and every output
 // file ends at a grandparent boundary, at the cap or before a file its
 // level keeps; at the end both stores, and every snapshot, scan equal to
@@ -185,20 +186,19 @@ func settle(t *testing.T, db *DB, slack int, st *cutStats) {
 // an L0 merge, an L0 merge spilling into L2, a min-overlap push and a
 // bottom push.
 func TestCompactionShapeRandomized(t *testing.T) {
-	pool := bgsched.NewPool(3)
-	defer pool.Close()
 	type side struct {
 		db    *DB
 		slack int
 		cuts  cutStats
 		snaps []*Snapshot
 	}
-	open := func(maxSub int) *side {
+	open := func(workers int) *side {
+		pool := bgsched.NewPool(workers)
+		t.Cleanup(pool.Close)
 		o := deepOptions(vfs.NewMemFS())
 		o.Scheduler = pool
-		o.MaxSubcompactions = maxSub
 		o.Events = obs.NewJournal(4096)
-		return &side{db: mustOpen(t, o), slack: maxSub - 1}
+		return &side{db: mustOpen(t, o), slack: pool.Workers() - 1}
 	}
 	sides := []*side{open(3), open(1)}
 	for _, s := range sides {
@@ -302,7 +302,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 	split := false
 	why := map[string]bool{}
 	for _, e := range sides[0].db.opts.Events.Events(0) {
-		split = split || strings.Contains(e.Detail, "subcompactions")
+		split = split || slicesOf(e) > 1
 		// Every compaction's entry explains itself: score, rule and
 		// overlap of the pick, and what a merge dropped.
 		if e.Kind != obs.EventCompaction {

@@ -439,10 +439,7 @@ func (db *DB) WaitWritable() error {
 // reaches user-facing throughput (§3). Caller holds db.mu.
 func (db *DB) stallLocked() error {
 	l0Stall := func() bool {
-		// Size-tiered keeps its whole tree in L0 by design; only the
-		// immutable-queue backpressure applies there.
-		return !db.opts.SizeTieredCompaction &&
-			!db.noBackgroundIO && !db.opts.DisableAutoCompaction &&
+		return !db.noBackgroundIO && !db.opts.DisableAutoCompaction &&
 			int(db.l0Count.Load()) >= db.opts.L0StallFiles
 	}
 	var stallStart time.Time
@@ -659,8 +656,7 @@ type LevelStat struct {
 	Bytes int64
 	// Target is the byte budget the picker currently allows the level
 	// (compaction.Picker.Targets; it moves with the bottom level's size).
-	// Zero for L0, which is triggered by file count, and for size-tiered
-	// trees, which have no per-level targets.
+	// Zero for L0, which is triggered by file count.
 	Target int64
 	// Score is the level's compaction pressure (compaction.Picker.Scores):
 	// Bytes over Target, or for L0 its file count over

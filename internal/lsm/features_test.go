@@ -120,191 +120,3 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 		t.Fatalf("cache did not reduce RA: %.3f >= %.3f", raHot, raCold)
 	}
 }
-
-// --- Size-tiered compaction ---
-
-func sizeTieredOpts(fs *vfs.MemFS) Options {
-	o := smallOptions(fs)
-	o.SizeTieredCompaction = true
-	o.MinMergeWidth = 4
-	return o
-}
-
-func TestSizeTieredBasic(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := sizeTieredOpts(fs)
-	db := mustOpen(t, o)
-	defer db.Close()
-	for i := 0; i < 6000; i++ {
-		key := fmt.Sprintf("key-%05d", i%1000)
-		if err := db.Put([]byte(key), []byte(fmt.Sprintf("v-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CompactAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Everything lives in L0; deeper levels stay empty.
-	files := db.NumLevelFiles()
-	for l := 1; l < len(files); l++ {
-		if files[l] != 0 {
-			t.Fatalf("size-tiered put files on L%d: %v", l, files)
-		}
-	}
-	if db.Metrics().Compactions == 0 {
-		t.Fatal("no size-tiered merge ran")
-	}
-	// Latest values win.
-	for i := 5000; i < 6000; i++ {
-		key := fmt.Sprintf("key-%05d", i%1000)
-		v, err := db.Get([]byte(key))
-		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
-			t.Fatalf("Get(%s) = %q, %v; want v-%d", key, v, err, i)
-		}
-	}
-}
-
-func TestSizeTieredModelBased(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := sizeTieredOpts(fs)
-	o.TriadMem, o.TriadDisk, o.TriadLog = true, true, true
-	db := mustOpen(t, o)
-	defer db.Close()
-	oracle := map[string]string{}
-	for i := 0; i < 6000; i++ {
-		k := fmt.Sprintf("key-%04d", (i*37)%400)
-		switch i % 11 {
-		case 0:
-			if err := db.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		default:
-			v := fmt.Sprintf("v-%d", i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			oracle[k] = v
-		}
-	}
-	for k, want := range oracle {
-		got, err := db.Get([]byte(k))
-		if err != nil || string(got) != want {
-			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, want)
-		}
-	}
-	// Deleted keys stay deleted.
-	for i := 0; i < 400; i++ {
-		k := fmt.Sprintf("key-%04d", i)
-		if _, live := oracle[k]; live {
-			continue
-		}
-		if _, err := db.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("deleted key %s resurrected: %v", k, err)
-		}
-	}
-}
-
-// TestSizeTieredMergeConvergesWithSmallTargetFile is a regression test:
-// size-tiered merges must emit one output table even when it exceeds
-// TargetFileBytes, otherwise the split recreates same-sized files that
-// the bucketer re-merges forever.
-func TestSizeTieredMergeConvergesWithSmallTargetFile(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := sizeTieredOpts(fs)
-	o.TargetFileBytes = 8 << 10 // far below the merged output size
-	o.DisableAutoCompaction = true
-	db := mustOpen(t, o)
-	defer db.Close()
-	for batch := 0; batch < 6; batch++ {
-		for i := 0; i < 300; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k-%d-%04d", batch, i)), make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Must terminate (the package test timeout is the guard).
-	if err := db.CompactAll(); err != nil {
-		t.Fatal(err)
-	}
-	files := db.NumLevelFiles()[0]
-	if files > 2 {
-		t.Fatalf("size-tiered CompactAll left %d files", files)
-	}
-	compactions := db.Metrics().Compactions
-	if compactions > 10 {
-		t.Fatalf("size-tiered needed %d merges; loop suspected", compactions)
-	}
-}
-
-func TestSizeTieredRecovery(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := sizeTieredOpts(fs)
-	db := mustOpen(t, o)
-	for i := 0; i < 3000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%04d", i%500)), []byte(fmt.Sprintf("v-%d", i)))
-	}
-	db.Close()
-	db2 := mustOpen(t, o)
-	defer db2.Close()
-	for i := 2500; i < 3000; i++ {
-		key := fmt.Sprintf("key-%04d", i%500)
-		v, err := db2.Get([]byte(key))
-		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
-			t.Fatalf("recovered Get(%s) = %q, %v", key, v, err)
-		}
-	}
-}
-
-// TestSizeTieredTriadDiskPicksDuplicateDenseBuckets: with duplicate-heavy
-// L0 contents TRIAD-DISK merges; with disjoint contents it defers.
-func TestSizeTieredTriadDiskDefers(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := sizeTieredOpts(fs)
-	o.TriadDisk = true
-	o.MaxMergeWidth = 16
-	o.DisableAutoCompaction = true
-	db := mustOpen(t, o)
-	defer db.Close()
-	// Four similar-size files with disjoint keys.
-	for batch := 0; batch < 4; batch++ {
-		for i := 0; i < 200; i++ {
-			db.Put([]byte(fmt.Sprintf("b%d-%04d", batch, i)), make([]byte, 64))
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ran, err := db.CompactOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("size-tiered TRIAD-DISK merged disjoint files")
-	}
-	if db.Metrics().CompactionsDeferred == 0 {
-		t.Fatal("no deferral recorded")
-	}
-	// Now four files with identical key sets → overlap high → merge.
-	for batch := 0; batch < 4; batch++ {
-		for i := 0; i < 200; i++ {
-			db.Put([]byte(fmt.Sprintf("dup-%04d", i)), make([]byte, 64))
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ran, err = db.CompactOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("size-tiered TRIAD-DISK did not merge duplicate-dense bucket")
-	}
-}

@@ -89,28 +89,16 @@ type Options struct {
 	// caller keeps ownership of the cache itself.
 	BlockCache *sstable.Cache
 
-	// SizeTieredCompaction switches from leveled to a Cassandra-style
-	// size-tiered strategy (§2 of the paper notes TRIAD adapts to it;
-	// TRIAD-DISK then uses its HLL sketches to pick the most
-	// duplicate-dense merge bucket). All tables live in L0.
-	SizeTieredCompaction bool
-	// MinMergeWidth / MaxMergeWidth bound a size-tiered merge.
-	MinMergeWidth, MaxMergeWidth int
-
 	// Scheduler is the worker pool the engine's background work runs on:
 	// flushes and compaction rounds are submitted by priority class
 	// (flush > L0→L1 > deeper levels), labeled with EventShard for
-	// per-shard fairness, and large leveled compactions split into
-	// parallel subcompaction slices (see MaxSubcompactions). The caller
-	// owns an injected pool; the sharded store injects one store-wide
-	// pool so N shards' background I/O is centrally arbitrated. With nil
-	// the engine builds a pool of bgsched.DefaultWorkers(1) workers of
-	// its own and closes it with the DB.
+	// per-shard fairness, and a large compaction splits into up to one
+	// parallel key-range slice per worker. The caller owns an injected
+	// pool; the sharded store injects one store-wide pool so N shards'
+	// background I/O is centrally arbitrated. With nil the engine builds a
+	// pool of bgsched.DefaultWorkers(1) workers of its own and closes it
+	// with the DB.
 	Scheduler *bgsched.Pool
-	// MaxSubcompactions caps how many parallel key-range slices one
-	// leveled compaction may split into. 0 means "up to the pool's
-	// worker count"; 1 disables splitting.
-	MaxSubcompactions int
 
 	// DisableAutoCompaction leaves compaction to explicit CompactOnce /
 	// CompactAll calls (used by tests).
@@ -201,19 +189,12 @@ func (o *Options) withDefaults() {
 }
 
 func (o Options) pickerOptions() compaction.PickerOptions {
-	strategy := compaction.Leveled
-	if o.SizeTieredCompaction {
-		strategy = compaction.SizeTiered
-	}
 	return compaction.PickerOptions{
-		Strategy:              strategy,
 		L0CompactionTrigger:   o.L0CompactionTrigger,
 		BaseLevelBytes:        o.BaseLevelBytes,
 		Multiplier:            o.LevelMultiplier,
 		TriadDisk:             o.TriadDisk,
 		OverlapRatioThreshold: o.OverlapRatioThreshold,
 		MaxFilesL0:            o.MaxFilesL0,
-		MinMergeWidth:         o.MinMergeWidth,
-		MaxMergeWidth:         o.MaxMergeWidth,
 	}
 }

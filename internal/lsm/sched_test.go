@@ -3,7 +3,8 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,6 +20,19 @@ func schedOptions(fs *vfs.MemFS, workers int) (Options, *bgsched.Pool) {
 	pool := bgsched.NewPool(workers)
 	o.Scheduler = pool
 	return o, pool
+}
+
+var slicesRE = regexp.MustCompile(`(\d+) subcompactions`)
+
+// slicesOf returns how many key-range slices the compaction a journal
+// entry describes ran as (1: a monolithic merge).
+func slicesOf(e obs.Event) int {
+	m := slicesRE.FindStringSubmatch(e.Detail)
+	if m == nil {
+		return 1
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
 }
 
 // TestSchedulerStallLifecycle: while the pool's only worker is occupied
@@ -121,9 +135,10 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	}
 }
 
-// TestSubcompactionEqualsMonolithic: the same workload compacted with
-// parallel key-range slices and with MaxSubcompactions = 1 (one merge
-// per compaction) yields the identical key/value sequence, and a
+// TestSubcompactionEqualsMonolithic: the same workload compacted on a
+// 4-worker pool (up to four parallel key-range slices per compaction) and
+// on a 1-worker pool (one merge per compaction) yields the identical
+// key/value sequence, no compaction splits wider than its pool, and a
 // snapshot pinned across the split compactions keeps its frozen view.
 func TestSubcompactionEqualsMonolithic(t *testing.T) {
 	type entry struct{ k, v string }
@@ -172,44 +187,30 @@ func TestSubcompactionEqualsMonolithic(t *testing.T) {
 		return out
 	}
 
-	// Sliced: pool-backed with up to 4 parallel slices per compaction.
-	fsA := vfs.NewMemFS()
-	oA, pool := schedOptions(fsA, 4)
-	defer pool.Close()
-	oA.MaxSubcompactions = 4
-	oA.DisableAutoCompaction = true // compact only via CompactAll, deterministically
-	oA.Events = obs.NewJournal(256)
-	dbA := mustOpen(t, oA)
-	defer dbA.Close()
-	snapA := load(t, dbA)
-	defer snapA.Close()
-
-	// Monolithic: the same pool, but splitting off. (A bare engine would
-	// slice on its own pool, and the differential would compare sliced
-	// with sliced.)
-	oB := smallOptions(vfs.NewMemFS())
-	oB.Scheduler = pool
-	oB.MaxSubcompactions = 1
-	oB.DisableAutoCompaction = true
-	oB.Events = obs.NewJournal(256)
-	dbB := mustOpen(t, oB)
-	defer dbB.Close()
-	snapB := load(t, dbB)
-	defer snapB.Close()
-
-	split := func(j *obs.Journal) bool {
-		for _, e := range j.Events(0) {
-			if e.Kind == obs.EventCompaction && strings.Contains(e.Detail, "subcompaction") {
-				return true
+	open := func(workers int) (*DB, *Snapshot, int) {
+		o, pool := schedOptions(vfs.NewMemFS(), workers)
+		t.Cleanup(pool.Close)
+		o.DisableAutoCompaction = true // compact only via CompactAll, deterministically
+		o.Events = obs.NewJournal(256)
+		db := mustOpen(t, o)
+		t.Cleanup(func() { db.Close() })
+		snap := load(t, db)
+		t.Cleanup(func() { snap.Close() })
+		widest := 0
+		for _, e := range o.Events.Events(0) {
+			if e.Kind == obs.EventCompaction {
+				widest = max(widest, slicesOf(e))
 			}
 		}
-		return false
+		if widest > workers {
+			t.Fatalf("a compaction ran as %d slices on a %d-worker pool", widest, workers)
+		}
+		return db, snap, widest
 	}
-	if !split(oA.Events) {
+	dbA, snapA, widestA := open(4) // sliced
+	dbB, snapB, _ := open(1)       // monolithic
+	if widestA < 2 {
 		t.Fatal("no compaction actually split into subcompactions; differential is vacuous")
-	}
-	if split(oB.Events) {
-		t.Fatal("a compaction split with MaxSubcompactions = 1; both sides are sliced")
 	}
 
 	gotA, gotB := dump(t, dbA), dump(t, dbB)

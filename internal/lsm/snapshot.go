@@ -308,27 +308,6 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 	if v == nil {
 		v = db.version
 	}
-	if db.opts.SizeTieredCompaction {
-		// Size-tiered files in L0 are not in strict freshness order (a
-		// merged table has a new file ID but old contents), so resolve
-		// by sequence number across every overlapping file.
-		var best base.Entry
-		var bestFound bool
-		for _, f := range v.Levels[0] {
-			e, found, reads, err := db.tables[f.ID].Get(key, tr)
-			db.met.TableDiskReads.Add(int64(reads))
-			if err != nil {
-				return nil, err
-			}
-			if found && (!bestFound || e.Seq > best.Seq) {
-				best, bestFound = e, true
-			}
-		}
-		if bestFound {
-			return entryValue(best)
-		}
-		return nil, ErrNotFound
-	}
 	// L0: newest to oldest, all files (overlapping ranges).
 	for _, f := range v.Levels[0] {
 		e, found, reads, err := db.tables[f.ID].Get(key, tr)

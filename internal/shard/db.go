@@ -89,14 +89,11 @@ type Options struct {
 
 	// BackgroundWorkers sizes the store-wide background worker pool
 	// shared by every shard's flushes and compactions (with priority
-	// classes and per-shard fairness; see internal/bgsched). 0 means
-	// the default min(GOMAXPROCS, shards+2), floored at 2; a negative
-	// value is an error.
+	// classes and per-shard fairness; see internal/bgsched), and the most
+	// key-range slices one compaction splits into (1: every merge is
+	// monolithic). 0 means the default min(GOMAXPROCS, shards+2), floored
+	// at 2; a negative value is an error.
 	BackgroundWorkers int
-	// MaxSubcompactions caps how many parallel key-range slices one
-	// compaction may split into; 0 means up to the pool's worker count,
-	// 1 disables splitting.
-	MaxSubcompactions int
 }
 
 // MemFS returns a NewFS factory handing every shard a fresh in-memory
@@ -231,7 +228,6 @@ func Open(o Options) (*DB, error) {
 		eo := o.Engine
 		eo.FS = fs
 		eo.Scheduler = db.sched
-		eo.MaxSubcompactions = o.MaxSubcompactions
 		eo.Events = db.events
 		eo.EventShard = i
 		eo.BlockCache = db.cache

@@ -24,7 +24,6 @@ func TestSchedulerSoak(t *testing.T) {
 		Engine:            eng,
 		NewFS:             MemFS(),
 		BackgroundWorkers: 2,
-		MaxSubcompactions: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,8 @@ type Profile int
 
 const (
 	// ProfileTriad enables all three TRIAD techniques with the paper's
-	// parameters (overlap threshold 0.4, max 6 L0 files, top-1% hot set).
+	// parameters (overlap threshold 0.4, max 6 L0 files); hot keys are
+	// those updated more often than the memtable's mean (lsm.Options.TriadMem).
 	ProfileTriad Profile = iota
 	// ProfileBaseline is the RocksDB-like leveled-compaction baseline.
 	ProfileBaseline
@@ -95,14 +96,11 @@ type Options struct {
 	RangeSplits [][]byte
 	// BackgroundWorkers sizes the store's background worker pool: one
 	// bounded pool runs every shard's flushes and compactions with
-	// flush-first priority and per-shard fairness. 0 sizes it
-	// min(GOMAXPROCS, shards+2) with a floor of 2; negative is an error.
+	// flush-first priority and per-shard fairness, and one compaction
+	// splits into at most that many parallel slices (1 keeps compactions
+	// monolithic). 0 sizes it min(GOMAXPROCS, shards+2) with a floor of 2;
+	// negative is an error.
 	BackgroundWorkers int
-	// MaxSubcompactions caps how many parallel slices one leveled
-	// compaction may split into. 0 allows up to the pool's worker count;
-	// 1 keeps compactions monolithic. A nonzero
-	// Advanced.MaxSubcompactions wins.
-	MaxSubcompactions int
 	// Advanced, when non-nil, is the per-shard engine template, used
 	// verbatim (its FS, when set, stands in for Options.FS) except for
 	// what the store supplies: the background pool and the block cache.
@@ -200,9 +198,6 @@ func Open(o Options) (*DB, error) {
 		}
 		opts.SyncWAL = o.SyncWAL
 	}
-	if opts.MaxSubcompactions == 0 {
-		opts.MaxSubcompactions = o.MaxSubcompactions
-	}
 	newFS := o.ShardFS
 	if newFS == nil {
 		if o.Shards > 1 {
@@ -231,7 +226,6 @@ func Open(o Options) (*DB, error) {
 		NewFS:             newFS,
 		Partitioner:       part,
 		BackgroundWorkers: o.BackgroundWorkers,
-		MaxSubcompactions: opts.MaxSubcompactions,
 	}
 	if opts.BlockCacheBytes > 0 {
 		// BlockCacheBytes is the store-wide budget, not a per-shard
