@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -325,6 +326,93 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 	}
 	if len(job.Inputs) != 6 {
 		t.Fatalf("forced compaction picked %d inputs, want 6", len(job.Inputs))
+	}
+}
+
+// TestPickerFoldOrMerge: where L0 can fold (L0LogBytes set, every L0 file
+// a CL-SSTable), TRIAD-DISK's act on L0 folds it until the folds' rent
+// reaches the L1 bytes a merge rewrites, or one more full log could take
+// L0 past its log ceiling — which also acts below the file trigger — and a
+// drain always merges. Anywhere else L0 merges as it always has.
+func TestPickerFoldOrMerge(t *testing.T) {
+	const logBytes = 1000 // CommitLogBytes; the ceiling is 6 of them
+	cl := func(id uint64, kind manifest.TableKind, logs, rent int64) *manifest.FileMeta {
+		f := fm(id, 0, "a", "z", 100)
+		f.Kind, f.LogBytes, f.FoldBytes, f.MaxSeq = kind, logs, rent, id
+		if kind == manifest.KindCLSST {
+			f.LogID = 100 + id
+		} else if kind == manifest.KindCLFold {
+			f.LogIDs = []uint64{100 + id, 200 + id}
+		}
+		return f
+	}
+	flushes := func(n int) []*manifest.FileMeta {
+		var files []*manifest.FileMeta
+		for id := 1; id <= n; id++ {
+			files = append(files, cl(uint64(id), manifest.KindCLSST, 300, 0))
+		}
+		return files
+	}
+	l1 := []*manifest.FileMeta{fm(20, 1, "a", "m", 400), fm(21, 1, "n", "z", 500)} // price 900
+	cases := []struct {
+		name      string
+		l0        []*manifest.FileMeta
+		l1        []*manifest.FileMeta
+		ceiling   int64
+		force     bool
+		want      string // "" no job, "deferred", or the job's rule ("merge" if none)
+		wantInput int
+	}{
+		{"four flushes below MaxFilesL0 defer", flushes(4), l1, 6 * logBytes, false, "deferred", 0},
+		{"MaxFilesL0 flushes fold", flushes(6), l1, 6 * logBytes, false, RuleFold, 6},
+		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, 6 * logBytes, false, RuleFold, 6},
+		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, 6 * logBytes, false, RuleRentPaid, 6},
+		{"nothing below to rewrite merges", flushes(6), nil, 6 * logBytes, false, RuleRentPaid, 6},
+		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, 6 * logBytes, false, RuleLogCeiling, 2},
+		{"just under the ceiling waits", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4700, 10)}, l1, 6 * logBytes, false, "", 0},
+		{"a drain merges one file", flushes(1), l1, 6 * logBytes, true, RuleDrain, 1},
+		{"a drain merges a deferred L0", flushes(4), l1, 6 * logBytes, true, RuleDrain, 4},
+		{"a sorted table in L0 merges", append(flushes(5), fm(9, 0, "a", "z", 100)), l1, 6 * logBytes, false, "merge", 6},
+		{"no folds without a ceiling", flushes(6), l1, 0, false, "merge", 6},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPicker(PickerOptions{
+				L0CompactionTrigger: 4, BaseLevelBytes: 1 << 20, Multiplier: 10,
+				TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6, L0LogBytes: c.ceiling,
+			})
+			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), c.l1...)...)
+			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+			job := p.Pick(v, disjoint, c.force)
+			switch {
+			case c.want == "":
+				if job != nil {
+					t.Fatalf("job %+v, want none", job)
+				}
+				return
+			case job == nil:
+				t.Fatalf("no job, want %s", c.want)
+			case c.want == "deferred":
+				if !job.Deferred || len(job.Inputs) != 0 {
+					t.Fatalf("job %+v, want a deferral", job)
+				}
+				return
+			}
+			rule := job.Rule
+			if rule == "" {
+				rule = "merge"
+			}
+			if rule != c.want || len(job.Inputs) != c.wantInput || job.Level != 0 {
+				t.Fatalf("job %s on %d inputs (%s), want %s on %d", rule, len(job.Inputs), job.Why(), c.want, c.wantInput)
+			}
+			if job.Fold != (rule == RuleFold) || job.Fold && (job.OutputLevel != 0 || len(job.Overlaps) != 0) ||
+				!job.Fold && (job.OutputLevel != 1 || len(job.Overlaps) != len(c.l1)) {
+				t.Fatalf("%s job: fold %v, output L%d, %d overlaps", rule, job.Fold, job.OutputLevel, len(job.Overlaps))
+			}
+			if c.ceiling > 0 && rule != "merge" && !strings.Contains(job.Why(), "rent ") {
+				t.Fatalf("Why %q does not explain the %s", job.Why(), rule)
+			}
+		})
 	}
 }
 

@@ -30,10 +30,16 @@ type PickerOptions struct {
 	// TriadDisk enables the deferred-compaction policy.
 	TriadDisk bool
 	// OverlapRatioThreshold is the minimum HLL overlap ratio among L0
-	// files required to compact before MaxFilesL0 forces it (paper: 0.4).
+	// files required to act on L0 before MaxFilesL0 forces it (paper: 0.4).
 	OverlapRatioThreshold float64
-	// MaxFilesL0 is the hard cap on L0 files (paper: 6).
+	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
+	// whatever the overlap (paper: 6): it merges L0 into L1 or, where L0
+	// can fold, folds it.
 	MaxFilesL0 int
+	// L0LogBytes is the most commit-log bytes L0 may pin, and nonzero
+	// only where L0 can fold (TRIAD-DISK with TRIAD-LOG): MaxFilesL0 times
+	// the commit-log size, what MaxFilesL0 full CL-SSTables pin. See Pick.
+	L0LogBytes int64
 }
 
 // Job describes one compaction: merge Inputs (level Level) with Overlaps
@@ -56,6 +62,10 @@ type Job struct {
 	// compaction this round. The job is empty unless Pick was forced, in
 	// which case it is the merge that was deferred.
 	Deferred bool
+	// Fold reports an L0 job that folds Inputs, all of L0, into one
+	// CL-SSTable in L0 by merging their indexes, instead of merging them
+	// into L1 (see Pick). OutputLevel is 0 and Overlaps empty.
+	Fold bool
 	// Move reports that the single input (level >= 1) overlaps nothing in
 	// the output level, so it can be relinked there by a manifest edit
 	// instead of being rewritten.
@@ -64,14 +74,25 @@ type Job struct {
 	// bytes over its target, or for L0 its file count over the trigger.
 	Score float64
 	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap
-	// or RuleBottomPush); empty for L0 jobs.
-	Rule string
+	// or RuleBottomPush), or for an L0 job where L0 can fold, why it folds
+	// or merges (RuleFold, RuleRentPaid, RuleLogCeiling, RuleDrain), which
+	// Note backs with the rent paid against the merge's price and the logs
+	// pinned against their ceiling. Empty for other L0 jobs.
+	Rule, Note string
 }
 
 // The two ways Picker chooses the file to push out of an over-target level.
 const (
 	RuleMinOverlap = "min-overlap"
 	RuleBottomPush = "bottom-push"
+)
+
+// Why an L0 that can fold is folded or merged (see Pick).
+const (
+	RuleFold       = "fold"
+	RuleRentPaid   = "rent paid"
+	RuleLogCeiling = "log ceiling"
+	RuleDrain      = "drain"
 )
 
 // OverlapRatio is the output-level bytes the job rewrites per input byte.
@@ -87,13 +108,21 @@ func (j *Job) OverlapRatio() float64 {
 }
 
 // Why renders the reason the job ran for the journal: the score that
-// triggered it, the rule that chose the input and the overlap it costs.
+// triggered it, the rule that chose the input and the overlap it costs —
+// or, for L0 where it can fold, the rule that folded or merged it and the
+// numbers that rule compared.
 func (j *Job) Why() string {
-	rule := j.Rule
-	if rule == "" {
-		rule = "overlap"
+	if j.Fold {
+		return fmt.Sprintf("fold %d->1, %s", len(j.Inputs), j.Note)
 	}
-	return fmt.Sprintf("score %.2f, %s ratio %.2f", j.Score, rule, j.OverlapRatio())
+	if j.Level == 0 {
+		why := fmt.Sprintf("score %.2f, overlap ratio %.2f", j.Score, j.OverlapRatio())
+		if j.Rule != "" {
+			why += fmt.Sprintf(", merge: %s, %s", j.Rule, j.Note)
+		}
+		return why
+	}
+	return fmt.Sprintf("score %.2f, %s ratio %.2f", j.Score, j.Rule, j.OverlapRatio())
 }
 
 // Picker decides what to compact next. Below L0 every choice is a
@@ -231,29 +260,46 @@ func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
 
 // Pick returns the next compaction job for version v, or nil if the tree
 // is in shape. sketchOf must return the HLL sketch of an L0 file (used
-// only when TRIAD-DISK is on). force overrides a TRIAD-DISK deferral: the
-// job is then the merge that was deferred, still marked Deferred. An L0
-// merge that would overfill L1 sends part of it straight to L2 (see spill)
-// instead of writing it into L1 only for the next push to carry it there.
+// only when TRIAD-DISK is on). force drains L0: it overrides a TRIAD-DISK
+// deferral (the job is then the merge that was deferred, still marked
+// Deferred) and merges L0 below its trigger. An L0 merge that would
+// overfill L1 sends part of it straight to L2 (see spill) instead of
+// writing it into L1 only for the next push to carry it there.
+//
+// Where L0 can fold — TRIAD-DISK and TRIAD-LOG, every L0 table a
+// CL-SSTable — L0 that TRIAD-DISK would merge is folded instead (Job.Fold:
+// an index-only merge that writes no sorted table and retires no log),
+// unless one of two things holds. Either the folds have paid for the
+// merge: the index bytes they wrote since L0 was last merged have reached
+// the L1 bytes the merge rewrites — the rent-or-buy rule, which spends on
+// folds at most what it saves by merging less often. Or L0 pins so much
+// commit log that one more full log could take it past L0LogBytes, which
+// also makes L0 act below its trigger.
 func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
 	l0 := v.Levels[0]
-	if len(l0) >= p.opts.L0CompactionTrigger {
+	canFold, rent, logs := p.l0Folds(l0)
+	// A flush adds at most about one full log: act before it could carry
+	// L0 past the ceiling.
+	atCeiling := canFold && logs+p.opts.L0LogBytes/int64(p.opts.MaxFilesL0) > p.opts.L0LogBytes
+	if len(l0) >= p.opts.L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
 		// Baseline behaviour per §3(2): "files in L0 are compacted to
 		// higher levels one at a time, resulting in several consecutive
 		// compaction operations" — merge the oldest L0 file alone.
 		inputs := l0[len(l0)-1:] // L0 is ordered newest-first
 		deferred := false
 		if p.opts.TriadDisk {
-			sketches := make([]*hll.Sketch, 0, len(l0))
-			for _, f := range l0 {
-				if s := sketchOf(f); s != nil {
-					sketches = append(sketches, s)
+			if len(l0) >= p.opts.L0CompactionTrigger && !atCeiling {
+				sketches := make([]*hll.Sketch, 0, len(l0))
+				for _, f := range l0 {
+					if s := sketchOf(f); s != nil {
+						sketches = append(sketches, s)
+					}
 				}
-			}
-			if deferred = p.ShouldDeferL0(len(l0), sketches); deferred && !force {
-				return &Job{Level: 0, Deferred: true}
+				if deferred = p.ShouldDeferL0(len(l0), sketches); deferred && !force {
+					return &Job{Level: 0, Deferred: true}
+				}
 			}
 			// TRIAD-DISK compacts every L0 file together (one multi-way
 			// merge) so a key occurring in several L0 files is compacted
@@ -266,6 +312,25 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 			Inputs:   append([]*manifest.FileMeta(nil), inputs...),
 			Overlaps: v.Overlap(1, lo, hi),
 			Score:    scores[0], Deferred: deferred,
+		}
+		if canFold {
+			var price int64
+			for _, f := range job.Overlaps {
+				price += f.Size
+			}
+			job.Note = fmt.Sprintf("rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
+				float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(p.opts.L0LogBytes)/(1<<20))
+			switch {
+			case force:
+				job.Rule = RuleDrain
+			case atCeiling:
+				job.Rule = RuleLogCeiling
+			case rent >= price:
+				job.Rule = RuleRentPaid
+			default:
+				job.Rule, job.Fold, job.OutputLevel, job.Overlaps = RuleFold, true, 0, nil
+				return job
+			}
 		}
 		p.spill(v, job, targets[1])
 		return job
@@ -406,6 +471,23 @@ func (p *Picker) spill(v *manifest.Version, job *Job, target int64) {
 	}
 }
 
+// l0Folds reports whether L0 can fold — folds are on (L0LogBytes) and
+// every L0 file is a CL-SSTable — and, if so, the rent L0 has paid (the
+// index bytes folds wrote since its last merge) and the log bytes it pins.
+func (p *Picker) l0Folds(l0 []*manifest.FileMeta) (canFold bool, rent, logs int64) {
+	if p.opts.L0LogBytes == 0 || len(l0) == 0 {
+		return false, 0, 0
+	}
+	for _, f := range l0 {
+		if f.Logs() == nil {
+			return false, 0, 0
+		}
+		rent += f.FoldBytes
+		logs += f.LogBytes
+	}
+	return true, rent, logs
+}
+
 // logicalBytes estimates the bytes files will take up as sorted tables.
 // An SSTable counts at its size. A TRIAD-LOG CL-SSTable holds only an
 // index (its values stay in the commit log), so it counts as its entries
@@ -414,7 +496,7 @@ func (p *Picker) spill(v *manifest.Version, job *Job, target int64) {
 func logicalBytes(v *manifest.Version, files []*manifest.FileMeta) int64 {
 	var sized, clBytes, clEntries int64
 	for _, f := range files {
-		if f.Kind == manifest.KindCLSST {
+		if f.Logs() != nil {
 			clBytes += f.Size
 			clEntries += int64(f.NumEntries)
 		} else {
@@ -424,15 +506,7 @@ func logicalBytes(v *manifest.Version, files []*manifest.FileMeta) int64 {
 	if clEntries == 0 {
 		return sized + clBytes
 	}
-	var treeBytes, treeEntries int64
-	for _, level := range v.Levels {
-		for _, f := range level {
-			if f.Kind == manifest.KindSST {
-				treeBytes += f.Size
-				treeEntries += int64(f.NumEntries)
-			}
-		}
-	}
+	treeBytes, treeEntries := v.SSTTotals()
 	if treeEntries == 0 {
 		return sized + clBytes
 	}

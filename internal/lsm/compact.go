@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/base"
@@ -49,7 +50,9 @@ func (db *DB) CompactOnce() (bool, error) {
 }
 
 // CompactAll drains all pending compactions synchronously, ignoring
-// TRIAD-DISK deferral (used to settle the tree before measurements).
+// TRIAD-DISK deferral, and merges all of L0 into the levels below, folded
+// or not and however few its files: a settled tree has no L0, so it pins
+// no commit log (used to settle the tree before measurements).
 func (db *DB) CompactAll() error {
 	for {
 		ran, err := db.compactOnceLocked(true)
@@ -78,9 +81,13 @@ func (db *DB) CompactAll() error {
 // are concatenated — they are disjoint and in key order — and installed
 // as the same single atomic manifest edit a monolithic merge produces,
 // so snapshots and zombie refcounts never see a half-installed split.
+// A job the picker marked Fold folds L0 instead (fold).
 func (db *DB) runCompaction(job *compaction.Job) error {
 	if job.Move {
 		return db.moveFile(job)
+	}
+	if job.Fold {
+		return db.fold(job)
 	}
 	start := time.Now()
 	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
@@ -178,8 +185,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		// Every slice aborted its own partial writers; finished slices'
 		// outputs were never installed, so remove their files.
 		for _, o := range outputs {
-			f := o
-			_ = db.removeTableFiles(&f)
+			_ = db.fs.Remove(sstable.FileName(o.ID))
 		}
 		return firstErr
 	}
@@ -206,6 +212,96 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: job.Level,
 		Dur: time.Since(start), In: inBytes, Out: written,
 		Files: len(all), Detail: detail,
+	})
+	return nil
+}
+
+// fold is the index-only merge of L0 (compaction.Job.Fold, TRIAD-DISK
+// with TRIAD-LOG): the inputs' indexes are merged newest-first into one
+// CL-SSTable over all of their commit logs, dropping shadowed versions and
+// keeping tombstones. It reads no log byte, writes no sorted table and
+// retires no log — every log of an input is one of the output's, used or
+// not, so no fold unpins one — and it installs like a merge, so an input a
+// snapshot pins stays behind as a zombie.
+func (db *DB) fold(job *compaction.Job) error {
+	start := time.Now()
+	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
+	db.versionMu.RLock()
+	tabs := make([]*sstable.CLReader, len(job.Inputs))
+	for i, f := range job.Inputs {
+		t, _ := db.tables[f.ID].(*sstable.CLReader)
+		if t == nil {
+			db.versionMu.RUnlock()
+			return errClosedTable(f.ID)
+		}
+		tabs[i] = t
+	}
+	db.versionMu.RUnlock()
+
+	meta := manifest.FileMeta{Kind: manifest.KindCLFold, Level: 0}
+	var inBytes int64
+	for _, f := range job.Inputs {
+		meta.LogIDs = append(meta.LogIDs, f.Logs()...)
+		meta.LogBytes += f.LogBytes
+		meta.FoldBytes += f.FoldBytes
+		meta.MaxSeq = max(meta.MaxSeq, f.MaxSeq)
+		inBytes += f.Size
+	}
+	slices.Sort(meta.LogIDs) // distinct: each log is one flush's
+	its := make([]sstable.Iterator, len(tabs))
+	for i, t := range tabs {
+		its[i] = t.NewIndexIterator()
+	}
+	dedup := compaction.NewDedupIterator(compaction.NewMergeIterator(its), false, nil)
+	defer dedup.Close()
+	db.mu.Lock()
+	meta.ID = db.allocFileID()
+	db.mu.Unlock()
+	w, err := sstable.NewCLWriter(db.fs, meta.ID, meta.LogIDs, db.opts.BlockBytes)
+	if err != nil {
+		return err
+	}
+	for dedup.Next() {
+		e := dedup.Entry()
+		log, off, err := tabs[dedup.Source()].Pointer(e.Value)
+		if err == nil {
+			err = w.Add(e.Key, e.Seq, e.Kind, log, off)
+		}
+		if err != nil {
+			w.Abort(db.fs)
+			return err
+		}
+		if meta.Smallest == nil {
+			meta.Smallest = append([]byte(nil), e.Key...)
+		}
+		// Tables from before MaxSeq have none to carry; their entries
+		// still bound the fold's from below.
+		meta.MaxSeq = max(meta.MaxSeq, e.Seq)
+	}
+	if err := dedup.Err(); err != nil {
+		w.Abort(db.fs)
+		return err
+	}
+	meta.NumEntries = w.NumEntries()
+	meta.Largest = append([]byte(nil), w.LastKey()...)
+	written, err := w.Finish()
+	if err != nil {
+		w.Abort(db.fs)
+		return err
+	}
+	meta.Size = written
+	meta.FoldBytes += written
+	if err := db.installCompaction(job.Inputs, []manifest.FileMeta{meta}); err != nil {
+		return err
+	}
+	db.met.Folds.Add(1)
+	db.met.BytesFolded.Add(written)
+	discarded := dedup.Discarded()
+	db.opts.Events.Add(obs.Event{
+		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: 0,
+		Dur: time.Since(start), In: inBytes, Out: written, Files: len(job.Inputs),
+		Detail: fmt.Sprintf("L0->L0, %s, %d of %d entries discarded",
+			job.Why(), discarded, int64(meta.NumEntries)+discarded),
 	})
 	return nil
 }
@@ -441,7 +537,8 @@ func (sw *sliceWriter) abort(err error) sliceResult {
 }
 
 // installCompaction journals the edit, swaps the version, and removes the
-// consumed files (for CL-SSTables: the index and its pinned commit log).
+// consumed files (for CL-SSTables: the index, and the commit logs no other
+// table pins).
 func (db *DB) installCompaction(consumed []*manifest.FileMeta, outputs []manifest.FileMeta) error {
 	newTables := make(map[uint64]sstable.Table, len(outputs))
 	for i := range outputs {
@@ -494,6 +591,7 @@ func (db *DB) installCompaction(consumed []*manifest.FileMeta, outputs []manifes
 		}
 		free = append(free, f)
 	}
+	logs := db.unpinnedLogsLocked(free)
 	for id, t := range newTables {
 		db.tables[id] = t
 	}
@@ -509,26 +607,55 @@ func (db *DB) installCompaction(consumed []*manifest.FileMeta, outputs []manifes
 	for _, f := range free {
 		db.cache.EvictTable(f.ID)
 	}
-	for _, f := range free {
-		if err := db.removeTableFiles(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.removeTableFiles(free, logs)
 }
 
-// removeTableFiles deletes a table's on-disk files (for CL-SSTables: the
-// index and the commit log it pins).
-func (db *DB) removeTableFiles(f *manifest.FileMeta) error {
-	switch f.Kind {
-	case manifest.KindCLSST:
-		if err := db.fs.Remove(sstable.CLIndexFileName(f.ID)); err != nil {
+// unpinnedLogsLocked returns the commit logs of files, tables that have
+// just left both the version and the zombies, that no table left in
+// either still pins: the logs to retire with the files. Only L0 holds
+// CL-SSTables. A log is shared between tables only by a fold's output and
+// its inputs, so the inputs of a fold never free one, while the output's
+// merge frees those no zombie input still pins and the last such zombie
+// frees the rest. Caller holds versionMu, so that whoever drops a log's
+// last table is the one to retire it.
+func (db *DB) unpinnedLogsLocked(files []*manifest.FileMeta) []uint64 {
+	var logs []uint64
+	for _, f := range files {
+		logs = append(logs, f.Logs()...)
+	}
+	if len(logs) == 0 {
+		return nil
+	}
+	pinned := map[uint64]bool{}
+	for _, f := range db.version.Levels[0] {
+		for _, id := range f.Logs() {
+			pinned[id] = true
+		}
+	}
+	for _, f := range db.zombies {
+		for _, id := range f.Logs() {
+			pinned[id] = true
+		}
+	}
+	slices.Sort(logs)
+	logs = slices.Compact(logs)
+	return slices.DeleteFunc(logs, func(id uint64) bool { return pinned[id] })
+}
+
+// removeTableFiles deletes the files of tables that have left the tree and
+// then retires logs, the commit logs unpinnedLogsLocked found they were the
+// last to pin.
+func (db *DB) removeTableFiles(files []*manifest.FileMeta, logs []uint64) error {
+	for _, f := range files {
+		name := sstable.FileName(f.ID)
+		if f.Logs() != nil {
+			name = sstable.CLIndexFileName(f.ID)
+		}
+		if err := db.fs.Remove(name); err != nil {
 			return err
 		}
-		return db.retireLogs(f.LogID)
-	default:
-		return db.fs.Remove(sstable.FileName(f.ID))
 	}
+	return db.retireLogs(logs...)
 }
 
 func closeAll(its []sstable.Iterator) {

@@ -50,7 +50,8 @@ var ErrClosed = errors.New("lsm: database closed")
 type immutable struct {
 	mem       *memtable.Memtable
 	log, prev *wal.Writer
-	logBytes  int64 // in the two of them when it was sealed
+	logBytes  int64  // in the two of them when it was sealed
+	seq       uint64 // the store's sequence when it was sealed
 	// trigger is what sealed it: "log-full", "memtable-full" or "explicit".
 	trigger string
 }
@@ -235,8 +236,15 @@ func (db *DB) recover() error {
 				return fmt.Errorf("lsm: recover table %d: %w", f.ID, err)
 			}
 			db.tables[f.ID] = t
-			if f.Kind == manifest.KindCLSST {
-				pinnedLogs[f.LogID] = true
+			for _, id := range f.Logs() {
+				pinnedLogs[id] = true
+			}
+			if f.Kind == manifest.KindCLSST && f.LogBytes == 0 {
+				// Written before tables recorded it; nothing else can
+				// see the version yet.
+				if f.LogBytes, err = t.(*sstable.CLReader).LogBytes(); err != nil {
+					return fmt.Errorf("lsm: recover table %d: %w", f.ID, err)
+				}
 			}
 			if f.ID >= db.nextID {
 				db.nextID = f.ID + 1
@@ -295,10 +303,12 @@ func (db *DB) recover() error {
 
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
 	switch f.Kind {
-	case manifest.KindCLSST:
+	case manifest.KindSST:
+		return sstable.OpenWithCache(db.fs, f.ID, db.cache)
+	case manifest.KindCLSST, manifest.KindCLFold:
 		return sstable.OpenCLWithCache(db.fs, f.ID, db.cache)
 	default:
-		return sstable.OpenWithCache(db.fs, f.ID, db.cache)
+		return nil, fmt.Errorf("lsm: table %d of unknown kind %d", f.ID, f.Kind)
 	}
 }
 
@@ -408,7 +418,7 @@ func (db *DB) preserveLocked(key []byte) {
 		return
 	}
 	if old, ok := db.mem.Get(key); ok && old.Seq <= db.maxPinned {
-		db.overlay.preserve(old.Base())
+		db.overlay.preserve(db.mem, old.Base())
 	}
 }
 
@@ -553,7 +563,7 @@ func (db *DB) sealLocked(trigger string) error {
 	if err != nil {
 		return err
 	}
-	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, prev: db.prev, logBytes: db.liveLogBytesLocked(), trigger: trigger})
+	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, prev: db.prev, logBytes: db.liveLogBytesLocked(), seq: db.seq, trigger: trigger})
 	db.mem = memtable.New(db.nextSeed())
 	db.log, db.prev = newLog, nil
 	db.publishViewLocked()
@@ -653,7 +663,9 @@ func (db *DB) CompactionDebt() int64 {
 // LevelStat is one level of the tree as the picker sees it.
 type LevelStat struct {
 	Files int
-	Bytes int64
+	// Bytes is what the level holds on disk: its tables and, for L0, the
+	// commit logs its CL-SSTables pin, of which LogBytes is the part.
+	Bytes, LogBytes int64
 	// Target is the byte budget the picker currently allows the level
 	// (compaction.Picker.Targets; it moves with the bottom level's size).
 	// Zero for L0, which is triggered by file count.
@@ -682,6 +694,10 @@ func (db *DB) LevelStats() []LevelStat {
 			CompactedBytes: db.compactedFrom[l].Load(),
 		}
 	}
+	for _, f := range v.Levels[0] {
+		out[0].LogBytes += f.LogBytes
+	}
+	out[0].Bytes += out[0].LogBytes
 	return out
 }
 
@@ -752,12 +768,14 @@ func (db *DB) release() error {
 		keep(t.Close())
 	}
 	db.tables = nil
-	zombies := db.zombies
-	db.zombies = map[uint64]*manifest.FileMeta{}
-	db.versionMu.Unlock()
-	for _, f := range zombies {
-		keep(db.removeTableFiles(f))
+	var zombies []*manifest.FileMeta
+	for _, f := range db.zombies {
+		zombies = append(zombies, f)
 	}
+	db.zombies = map[uint64]*manifest.FileMeta{}
+	logs := db.unpinnedLogsLocked(zombies)
+	db.versionMu.Unlock()
+	keep(db.removeTableFiles(zombies, logs))
 	// A long-lived store-wide cache must not accumulate blocks of closed
 	// shards.
 	db.cache.Release()

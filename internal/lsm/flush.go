@@ -220,7 +220,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 				// The write-back overwrites the live memtable's version
 				// in place; keep it for any snapshot that pinned it.
 				if curOK && db.maxPinned != 0 && cur.Seq <= db.maxPinned {
-					db.overlay.preserve(cur.Base())
+					db.overlay.preserve(mem, cur.Base())
 				}
 				recs = append(recs, h.Base())
 			}
@@ -250,6 +250,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 	if err != nil {
 		return err
 	}
+	meta.MaxSeq = imm.seq
 	db.met.BytesFlushed.Add(written)
 	db.met.Flushes.Add(1)
 
@@ -323,17 +324,12 @@ func (db *DB) writeCLSSTable(imm *immutable, entries []*memtable.Entry) (manifes
 	db.mu.Lock()
 	id := db.allocFileID()
 	db.mu.Unlock()
-	w, err := sstable.NewCLWriter(db.fs, id, imm.log.ID(), db.opts.BlockBytes)
+	w, err := sstable.NewCLWriter(db.fs, id, []uint64{imm.log.ID()}, db.opts.BlockBytes)
 	if err != nil {
 		return manifest.FileMeta{}, 0, err
 	}
 	for _, e := range entries {
-		if e.LogID != imm.log.ID() {
-			w.Abort(db.fs)
-			return manifest.FileMeta{}, 0, fmt.Errorf(
-				"lsm: entry %q points at log %d, expected %d", e.Key, e.LogID, imm.log.ID())
-		}
-		if err := w.Add(e.Key, e.Seq, e.Kind, e.LogOffset); err != nil {
+		if err := w.Add(e.Key, e.Seq, e.Kind, e.LogID, e.LogOffset); err != nil {
 			w.Abort(db.fs)
 			return manifest.FileMeta{}, 0, err
 		}
@@ -352,6 +348,7 @@ func (db *DB) writeCLSSTable(imm *immutable, entries []*memtable.Entry) (manifes
 		Smallest:   append([]byte(nil), entries[0].Key...),
 		Largest:    append([]byte(nil), entries[len(entries)-1].Key...),
 		LogID:      imm.log.ID(),
+		LogBytes:   imm.log.Size(),
 	}, written, nil
 }
 

@@ -1,0 +1,440 @@
+package lsm
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/manifest"
+	"repro/internal/obs"
+	"repro/internal/vfs"
+	"repro/internal/wal"
+)
+
+// l0Logs returns the commit logs db's L0 pins and the bytes it records
+// for them.
+func l0Logs(db *DB) (logs []uint64, recorded int64) {
+	db.versionMu.RLock()
+	defer db.versionMu.RUnlock()
+	for _, f := range db.version.Levels[0] {
+		logs = append(logs, f.Logs()...)
+		recorded += f.LogBytes
+	}
+	return logs, recorded
+}
+
+// checkReads compares get against want for every key of the key space.
+func checkReads(t *testing.T, what string, keys int, get func([]byte) ([]byte, error), want map[string]string) {
+	t.Helper()
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("k%05d", i)
+		v, err := get([]byte(k))
+		w, ok := want[k]
+		if !ok && !errors.Is(err, ErrNotFound) || ok && (err != nil || string(v) != w) {
+			t.Fatalf("%s: Get(%s) = %q, %v; want %q (present %v)", what, k, v, err, w, ok)
+		}
+	}
+}
+
+// TestFoldMatchesOracle: a TRIAD store under random puts and deletes, with
+// folds and merges running in the background and snapshots held across
+// folds, reads what a map reads — live, through every snapshot, and after
+// a reopen — and its tree stays consistent.
+func TestFoldMatchesOracle(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	db := mustOpen(t, o)
+	defer func() { db.Close() }()
+	const keys = 3000
+	rng := rand.New(rand.NewSource(7))
+	oracle := map[string]string{}
+	type held struct {
+		s      *Snapshot
+		frozen map[string]string
+		folds  int64
+	}
+	var snaps []held
+	heldAcrossFold := 0
+	release := func(h held) {
+		checkReads(t, "snapshot", keys, h.s.Get, h.frozen)
+		if db.Metrics().Folds > h.folds {
+			heldAcrossFold++
+		}
+		if err := h.s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40000; i++ {
+		k := fmt.Sprintf("k%05d", rng.Intn(keys))
+		switch r := rng.Intn(10); {
+		case r < 7:
+			v := fmt.Sprintf("%s@%d-%s", k, i, strings.Repeat("v", rng.Intn(60)))
+			oracle[k] = v
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		case r < 8:
+			delete(oracle, k)
+			if err := db.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			v, err := db.Get([]byte(k))
+			if w, ok := oracle[k]; !ok && !errors.Is(err, ErrNotFound) || ok && (err != nil || string(v) != w) {
+				t.Fatalf("op %d: Get(%s) = %q, %v; want %q (present %v)", i, k, v, err, w, ok)
+			}
+		}
+		if i%4000 == 3999 {
+			s, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, held{s, maps.Clone(oracle), db.Metrics().Folds})
+			if len(snaps) > 3 {
+				release(snaps[0])
+				snaps = snaps[1:]
+			}
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range snaps {
+		release(h)
+	}
+	checkReads(t, "live", keys, db.Get, oracle)
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	m := db.Metrics()
+	if m.Folds == 0 || m.Compactions == 0 || heldAcrossFold == 0 || m.BytesFolded == 0 {
+		t.Fatalf("%d folds (%d B), %d compactions, %d snapshots held across a fold: the test needs all of them",
+			m.Folds, m.BytesFolded, m.Compactions, heldAcrossFold)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, o)
+	checkReads(t, "reopened", keys, db.Get, oracle)
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gateFS holds the first CL index file created once it is armed, until
+// release is closed.
+type gateFS struct {
+	*vfs.MemFS
+	armed   atomic.Bool
+	held    chan struct{} // closed once a Create is being held
+	release chan struct{}
+}
+
+func (fs *gateFS) Create(name string) (vfs.File, error) {
+	if strings.HasSuffix(name, ".clidx") && fs.armed.CompareAndSwap(true, false) {
+		close(fs.held)
+		<-fs.release
+	}
+	return fs.MemFS.Create(name)
+}
+
+// TestFoldRacesFlush: a flush allocates its file id, a fold of the L0 it
+// has not reached yet allocates a higher one and installs first, and then
+// the flush installs. L0 must still read the flush's newer values first:
+// it is ordered by the sequence its tables were sealed at, not by id.
+func TestFoldRacesFlush(t *testing.T) {
+	gfs := &gateFS{MemFS: vfs.NewMemFS(), held: make(chan struct{}), release: make(chan struct{})}
+	o := triadSmall(gfs.MemFS)
+	o.FS = gfs
+	o.TriadMem = false // every key reaches the flush
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	defer func() { db.Close() }()
+	write := func(version string) {
+		t.Helper()
+		for i := 0; i < 200; i++ { // one memtable's worth
+			if err := db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte(version)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write("v0")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactAll(); err != nil { // an L1 for a merge to rewrite
+		t.Fatal(err)
+	}
+	for r := 1; r <= o.L0CompactionTrigger; r++ {
+		write(fmt.Sprintf("v%d", r))
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("newest")
+	gfs.armed.Store(true)
+	flushed := make(chan error, 1)
+	go func() { flushed <- db.Flush() }()
+	<-gfs.held // the flush has its id and is creating its index
+	ran, err := db.CompactOnce()
+	if err != nil || !ran || db.Metrics().Folds != 1 {
+		t.Fatalf("CompactOnce = %v, %v with %d folds: want the L0 folded", ran, err, db.Metrics().Folds)
+	}
+	close(gfs.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	db.versionMu.RLock()
+	l0 := slices.Clone(db.version.Levels[0])
+	db.versionMu.RUnlock()
+	if len(l0) != 2 || l0[0].Kind != manifest.KindCLSST || l0[1].Kind != manifest.KindCLFold || l0[0].ID > l0[1].ID {
+		t.Fatalf("L0 after the race: %v; want the flush, with the lower id, before the fold", l0)
+	}
+	for reopened := false; ; reopened = true {
+		for i := 0; i < 200; i++ {
+			if v, err := db.Get([]byte(fmt.Sprintf("k%05d", i))); err != nil || string(v) != "newest" {
+				t.Fatalf("Get(k%05d) = %q, %v (reopened %v); want the flush's value", i, v, err, reopened)
+			}
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if reopened {
+			return
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = mustOpen(t, o)
+	}
+}
+
+// TestFoldOnlyUnderDiskAndLog: L0 folds only with both TRIAD-DISK and
+// TRIAD-LOG, so the baseline and the single-technique engines compact as
+// they did; and in every engine CompactAll leaves no L0, so no commit log
+// but those behind the memtable outlives a drain.
+func TestFoldOnlyUnderDiskAndLog(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		mem, disk, logs bool
+	}{
+		{"baseline", false, false, false},
+		{"mem", true, false, false},
+		{"disk", false, true, false},
+		{"log", false, false, true},
+		{"disk+log", false, true, true},
+		{"triad", true, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			o := smallOptions(fs)
+			o.TriadMem, o.TriadDisk, o.TriadLog = c.mem, c.disk, c.logs
+			db := mustOpen(t, o)
+			defer db.Close()
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 15000; i++ {
+				if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(4000))), make([]byte, 60)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if folds := db.Metrics().Folds; (folds > 0) != (c.disk && c.logs) {
+				t.Fatalf("%d folds with TRIAD-DISK %v and TRIAD-LOG %v", folds, c.disk, c.logs)
+			}
+			if err := db.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			if n := db.NumLevelFiles()[0]; n != 0 {
+				t.Fatalf("%d L0 files after CompactAll", n)
+			}
+			if logs := logFiles(t, fs); len(logs) > 2 {
+				t.Fatalf("logs after CompactAll: %v, want only those behind the memtable", logs)
+			}
+		})
+	}
+}
+
+// TestL0LogCeiling: L0 folds and merges under the rule's two conditions,
+// and whatever it does, a settled L0 never pins more than MaxFilesL0 ×
+// CommitLogBytes of commit log, its tables record exactly the bytes their
+// logs hold, and no fold removes a log.
+func TestL0LogCeiling(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	o.TriadMem = false
+	o.BaseLevelBytes = 1 << 20 // a large L1: the log ceiling binds before the rent
+	o.DisableAutoCompaction = true
+	o.Events = obs.NewJournal(10000)
+	db := mustOpen(t, o)
+	defer db.Close()
+	ceiling := int64(o.MaxFilesL0) * o.CommitLogBytes
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 60; round++ {
+		for i := 0; i < 400; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(20000))), make([]byte, 60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil { // no flush runs while L0 settles
+			t.Fatal(err)
+		}
+		for {
+			before := logFiles(t, fs)
+			folds := db.Metrics().Folds
+			ran, err := db.CompactOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+			if db.Metrics().Folds > folds {
+				if after := logFiles(t, fs); !slices.Equal(after, before) {
+					t.Fatalf("round %d: a fold changed the logs on disk from %v to %v", round, before, after)
+				}
+			}
+		}
+		logs, recorded := l0Logs(db)
+		var onDisk int64
+		for _, id := range logs {
+			f, err := fs.Open(wal.FileName(id))
+			if err != nil {
+				t.Fatalf("round %d: L0 log %d: %v", round, id, err)
+			}
+			n, _ := f.Size()
+			f.Close()
+			onDisk += n
+		}
+		if onDisk != recorded || recorded > ceiling {
+			t.Fatalf("round %d: L0 pins %d B of log (%d B recorded), ceiling %d", round, onDisk, recorded, ceiling)
+		}
+	}
+	var folds, atCeiling int
+	for _, e := range o.Events.Events(0) {
+		folds += strings.Count(e.Detail, "L0->L0, fold")
+		atCeiling += strings.Count(e.Detail, "merge: log ceiling")
+	}
+	if folds == 0 || atCeiling == 0 || db.Metrics().Folds != int64(folds) {
+		t.Fatalf("%d folds journaled (%d counted), %d merges at the log ceiling: the test needs both",
+			folds, db.Metrics().Folds, atCeiling)
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// prefoldOp is the i-th write of the store in testdata/prefold.
+func prefoldOp(i int) (key, value string, del bool) {
+	key = fmt.Sprintf("k%04d", (i*7919)%500)
+	return key, fmt.Sprintf("v%05d-%s", i, key), i%11 == 10
+}
+
+// TestReopenStoreFromBeforeFolds: testdata/prefold was written by the
+// engine before folds existed — 2400 writes of prefoldOp, a CompactAll of
+// the first 1200 that left L0 non-empty, seven single-log CL-SSTables in
+// L0 that record neither MaxSeq nor LogBytes, and an unflushed memtable.
+// It opens with every write readable, its L0 folds and merges on top of
+// tables newer ones outrank by sequence, and it drains and reopens clean.
+func TestReopenStoreFromBeforeFolds(t *testing.T) {
+	fs := vfs.NewMemFS()
+	names, err := filepath.Glob(filepath.Join("testdata", "prefold", "*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("fixture: %v, %v", names, err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := fs.Create(filepath.Base(name))
+		f.Write(b)
+		f.Close()
+	}
+	o := triadSmall(fs)
+	o.MemtableBytes, o.CommitLogBytes, o.FlushThresholdBytes = 8<<10, 32<<10, 4<<10
+	o.BaseLevelBytes, o.TargetFileBytes = 32<<10, 8<<10
+	oracle := map[string]string{}
+	apply := func(i int) {
+		k, v, del := prefoldOp(i)
+		if del {
+			delete(oracle, k)
+		} else {
+			oracle[k] = v
+		}
+	}
+	for i := 0; i < 2400; i++ {
+		apply(i)
+	}
+	check := func(what string, db *DB) {
+		t.Helper()
+		for i := 0; i < 500; i++ {
+			k := fmt.Sprintf("k%04d", i)
+			v, err := db.Get([]byte(k))
+			if w, ok := oracle[k]; !ok && !errors.Is(err, ErrNotFound) || ok && (err != nil || string(v) != w) {
+				t.Fatalf("%s: Get(%s) = %q, %v; want %q (present %v)", what, k, v, err, w, ok)
+			}
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	db.versionMu.RLock()
+	legacy := 0
+	for _, f := range db.version.Levels[0] {
+		if f.Kind == manifest.KindCLSST && f.MaxSeq == 0 && f.LogBytes > 0 {
+			legacy++
+		}
+	}
+	db.versionMu.RUnlock()
+	if legacy < 4 {
+		t.Fatalf("%d legacy CL-SSTables in L0 with their log bytes recovered; the fixture should have seven", legacy)
+	}
+	check("opened", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o.DisableAutoCompaction = false
+	db = mustOpen(t, o)
+	for i := 2400; i < 9000; i++ {
+		k, v, del := prefoldOp(i)
+		apply(i)
+		if del {
+			err = db.Delete([]byte(k))
+		} else {
+			err = db.Put([]byte(k), []byte(v))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("written on", db)
+	if db.Metrics().Folds == 0 {
+		t.Fatal("no fold over the reopened store")
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("drained", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, o)
+	defer db.Close()
+	check("reopened", db)
+}

@@ -219,6 +219,7 @@ func (m *memSourceIter) Close() error           { return nil }
 // live memtable's history (inserted after capture) are skipped — older
 // versions, if any, live in the immutables or tables behind this source.
 type snapMemIter struct {
+	mem    *memtable.Memtable
 	it     *memtable.Iter
 	ov     *overlay
 	maxSeq uint64
@@ -226,7 +227,7 @@ type snapMemIter struct {
 }
 
 func newSnapMemIter(m *memtable.Memtable, ov *overlay, maxSeq uint64) sstable.Iterator {
-	return &snapMemIter{it: m.NewIter(), ov: ov, maxSeq: maxSeq}
+	return &snapMemIter{mem: m, it: m.NewIter(), ov: ov, maxSeq: maxSeq}
 }
 
 func (s *snapMemIter) Next() bool {
@@ -256,7 +257,7 @@ func (s *snapMemIter) admit() bool {
 		s.cur = e.Base()
 		return true
 	}
-	if oe, ok := s.ov.get(e.Key, s.maxSeq); ok {
+	if oe, ok := s.ov.get(s.mem, e.Key, s.maxSeq); ok {
 		s.cur = oe
 		return true
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -22,13 +23,35 @@ func unpinnedLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 	db.versionMu.RLock()
 	for _, files := range db.version.Levels {
 		for _, f := range files {
-			if f.Kind == manifest.KindCLSST {
-				pinned[wal.FileName(f.LogID)] = true
+			for _, id := range f.Logs() {
+				pinned[wal.FileName(id)] = true
 			}
 		}
 	}
 	db.versionMu.RUnlock()
 	return slices.DeleteFunc(logFiles(t, fs), func(name string) bool { return pinned[name] })
+}
+
+// foldL0 folds all of db's L0, CL-SSTables, as a compaction round would,
+// and fails if the fold changed which commit logs are on disk. Nothing
+// else may be writing to db meanwhile.
+func foldL0(t *testing.T, db *DB, fs vfs.FS) {
+	t.Helper()
+	db.compactionMu.Lock()
+	defer db.compactionMu.Unlock()
+	db.versionMu.RLock()
+	l0 := slices.Clone(db.version.Levels[0])
+	db.versionMu.RUnlock()
+	if len(l0) < 2 {
+		return
+	}
+	before := logFiles(t, fs)
+	if err := db.fold(&compaction.Job{Level: 0, Inputs: l0, Fold: true, Rule: compaction.RuleFold}); err != nil {
+		t.Fatal(err)
+	}
+	if after := logFiles(t, fs); !slices.Equal(before, after) {
+		t.Fatalf("a fold changed the logs on disk from %v to %v", before, after)
+	}
 }
 
 // TestHotKeysRelogThemselves: a hot set that is rewritten all the time needs
@@ -305,8 +328,9 @@ func (f *crashFile) Write(p []byte) (int, error) {
 }
 
 // TestLogRetirementCrashPoints crashes a skewed run — flush skips that carry
-// stragglers, log-full and explicit flushes, every append synced — after
-// every single change it makes to the filesystem, and reopens each image.
+// stragglers, log-full and explicit flushes, under TRIAD-LOG folds of L0,
+// every append synced — after every single change it makes to the
+// filesystem, and reopens each image.
 // Whatever was being retired at that moment, the store must come back
 // consistent with every acknowledged write readable at its latest value (a
 // log removed too early loses one; a log removed too late, or out of order,
@@ -420,9 +444,14 @@ func crashPoints(t *testing.T, triadLog bool, seed int64) {
 			t.Fatal(err)
 		}
 		acked.Store(int64(i + 1))
-		if i%400 == 399 {
+		if i%200 == 199 {
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
+			}
+			if triadLog && i%400 == 199 {
+				// The flush queue is drained and this goroutine is the only
+				// writer: nothing but the fold touches the filesystem.
+				foldL0(t, db, cfs)
 			}
 		}
 	}
@@ -430,7 +459,8 @@ func crashPoints(t *testing.T, triadLog bool, seed int64) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m.FlushSkips < 10 || m.Flushes < 6 || m.BytesRelogged == 0 || images < puts {
-		t.Fatalf("%d skips, %d flushes, %d B carried, %d images: the run has to exercise all of it", m.FlushSkips, m.Flushes, m.BytesRelogged, images)
+	if m.FlushSkips < 10 || m.Flushes < 6 || m.BytesRelogged == 0 || images < puts || triadLog && m.Folds < 3 {
+		t.Fatalf("%d skips, %d flushes, %d folds, %d B carried, %d images: the run has to exercise all of it",
+			m.FlushSkips, m.Flushes, m.Folds, m.BytesRelogged, images)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Options configures a DB. The zero value is not usable; start from
 // DefaultOptions (the RocksDB-like baseline) or TriadOptions (all three
 // techniques on, with the paper's parameters: overlap threshold 0.4, max 6
-// L0 files; hot keys are those updated more often than the memtable's mean).
+// L0 files; hot keys are those updated more often than the memtable's
+// mean; see TriadOptions for where the engine goes past the paper).
 type Options struct {
 	// FS is the filesystem; required.
 	FS vfs.FS
@@ -47,7 +48,12 @@ type Options struct {
 
 	// OverlapRatioThreshold is TRIAD-DISK's compaction gate (paper: 0.4).
 	OverlapRatioThreshold float64
-	// MaxFilesL0 forces compaction regardless of overlap (paper: 6).
+	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
+	// regardless of overlap (paper: 6): it merges L0 into L1, or with
+	// TRIAD-LOG may fold it into one CL-SSTable instead, and then L0 is
+	// merged once the folds' index bytes reach the L1 bytes the merge
+	// rewrites, or once L0 pins MaxFilesL0 × CommitLogBytes of commit log
+	// (compaction.Picker.Pick).
 	MaxFilesL0 int
 	// L0CompactionTrigger is the baseline L0 file-count trigger
 	// (RocksDB default: 4).
@@ -137,7 +143,13 @@ func DefaultOptions(fs vfs.FS) Options {
 }
 
 // TriadOptions returns the full-TRIAD configuration with the paper's
-// parameters (§5.1).
+// parameters (§5.1). Where TRIAD-DISK and TRIAD-LOG meet, the engine goes
+// past the paper: an L0 that TRIAD-DISK would merge into L1 is folded —
+// its CL-SSTables' indexes merged into one CL-SSTable over all of their
+// commit logs, no value read or rewritten — until the index bytes the
+// folds wrote reach the L1 bytes a merge would rewrite, or L0 pins
+// MaxFilesL0 × CommitLogBytes of log; each L1 rewrite so takes in a larger
+// batch of L0 than MaxFilesL0 flushes.
 func TriadOptions(fs vfs.FS) Options {
 	o := DefaultOptions(fs)
 	o.TriadMem = true
@@ -196,5 +208,16 @@ func (o Options) pickerOptions() compaction.PickerOptions {
 		TriadDisk:             o.TriadDisk,
 		OverlapRatioThreshold: o.OverlapRatioThreshold,
 		MaxFilesL0:            o.MaxFilesL0,
+		L0LogBytes:            o.l0LogBytes(),
 	}
+}
+
+// l0LogBytes is the most commit log L0 may pin where it can fold, which
+// takes TRIAD-DISK (to defer) and TRIAD-LOG (for indexes to fold): what
+// MaxFilesL0 full CL-SSTables pin. Zero, no folds, otherwise.
+func (o Options) l0LogBytes() int64 {
+	if !o.TriadDisk || !o.TriadLog {
+		return 0
+	}
+	return int64(o.MaxFilesL0) * o.CommitLogBytes
 }

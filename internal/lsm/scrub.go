@@ -3,8 +3,9 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
-	"repro/internal/manifest"
+	"repro/internal/sstable"
 	"repro/internal/wal"
 )
 
@@ -61,8 +62,14 @@ func (db *DB) CheckConsistency() error {
 				return fmt.Errorf("lsm: L%d table %d: iterated %d entries, manifest says %d",
 					level, f.ID, count, f.NumEntries)
 			}
-			if f.Kind == manifest.KindCLSST && !db.fs.Exists(wal.FileName(f.LogID)) {
-				return fmt.Errorf("lsm: L%d CL-SSTable %d: pinned log %d missing", level, f.ID, f.LogID)
+			if cl, ok := t.(*sstable.CLReader); ok && !slices.Equal(cl.LogIDs(), f.Logs()) {
+				return fmt.Errorf("lsm: L%d CL-SSTable %d: manifest pins logs %v, index points into %v",
+					level, f.ID, f.Logs(), cl.LogIDs())
+			}
+			for _, id := range f.Logs() {
+				if !db.fs.Exists(wal.FileName(id)) {
+					return fmt.Errorf("lsm: L%d CL-SSTable %d: pinned log %d missing", level, f.ID, id)
+				}
 			}
 		}
 	}

@@ -164,7 +164,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if e, ok := s.mem.Get(key); ok {
 		if e.Seq <= s.seq {
 			consider(e.Base())
-		} else if oe, ok := db.overlay.get(key, s.seq); ok {
+		} else if oe, ok := db.overlay.get(s.mem, key, s.seq); ok {
 			consider(oe)
 		}
 	}
@@ -265,14 +265,15 @@ func (db *DB) releaseSnapshot(s *Snapshot) {
 			}
 		}
 	}
+	logs := db.unpinnedLogsLocked(free)
 	db.versionMu.Unlock()
 	var freed int64
 	start := time.Now()
 	for _, f := range free {
 		db.cache.EvictTable(f.ID)
-		db.removeTableFiles(f)
 		freed += f.Size
 	}
+	db.removeTableFiles(free, logs)
 	if len(free) > 0 {
 		db.met.BytesSnapshotGC.Add(freed)
 		db.opts.Events.Add(obs.Event{
@@ -346,34 +347,47 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 // find a too-new version in the live memtable look up the newest
 // preserved version at or below their pinned sequence instead. Entries
 // are dropped as the snapshots needing them close.
+//
+// A version is kept with the memtable it was overwritten in and is only
+// ever read back through that memtable: a version preserved from an
+// older live memtable is not the snapshot's version of a key its own
+// memtable did not hold at capture, and would hide a newer one in an
+// immutable memtable or a table.
 type overlay struct {
 	mu sync.RWMutex
 	// versions maps key -> preserved versions in ascending Seq order
 	// (preservation happens in commit order).
-	versions map[string][]base.Entry
+	versions map[string][]preserved
 	n        int
 }
 
-// preserve records e (the entry being overwritten). Caller has checked
-// that some active snapshot pins a sequence >= e.Seq.
-func (o *overlay) preserve(e base.Entry) {
+// preserved is one overwritten version and the memtable it lived in.
+type preserved struct {
+	mem *memtable.Memtable
+	base.Entry
+}
+
+// preserve records e, the entry of mem being overwritten. Caller has
+// checked that some active snapshot pins a sequence >= e.Seq.
+func (o *overlay) preserve(mem *memtable.Memtable, e base.Entry) {
 	o.mu.Lock()
 	if o.versions == nil {
-		o.versions = make(map[string][]base.Entry)
+		o.versions = make(map[string][]preserved)
 	}
-	o.versions[string(e.Key)] = append(o.versions[string(e.Key)], e)
+	o.versions[string(e.Key)] = append(o.versions[string(e.Key)], preserved{mem, e})
 	o.n++
 	o.mu.Unlock()
 }
 
-// get returns the newest preserved version of key with Seq <= maxSeq.
-func (o *overlay) get(key []byte, maxSeq uint64) (base.Entry, bool) {
+// get returns the newest version of key preserved from mem with Seq <=
+// maxSeq.
+func (o *overlay) get(mem *memtable.Memtable, key []byte, maxSeq uint64) (base.Entry, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	vs := o.versions[string(key)]
 	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].Seq <= maxSeq {
-			return vs[i], true
+		if vs[i].mem == mem && vs[i].Seq <= maxSeq {
+			return vs[i].Entry, true
 		}
 	}
 	return base.Entry{}, false

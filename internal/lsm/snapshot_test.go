@@ -382,3 +382,61 @@ func TestIteratorStreamsLazily(t *testing.T) {
 		t.Fatalf("short scan allocated %.0f objects — iterator is materializing the range", allocs)
 	}
 }
+
+// TestSnapshotOverlayIsPerMemtable: a version preserved for one snapshot
+// when an older live memtable overwrote it must not answer for a later
+// snapshot whose own memtable did not hold the key at capture — that
+// snapshot's version is in a table, and newer.
+func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
+	o := smallOptions(vfs.NewMemFS())
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	defer db.Close()
+	k := []byte("k")
+	put := func(v string) {
+		t.Helper()
+		if err := db.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("v1")
+	s0, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s0.Close()
+	put("v2") // overwrites v1 in place: preserved for s0
+	flush()
+	put("v3")
+	flush()
+	s1, err := db.NewSnapshot() // its memtable does not hold k
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	put("v4")
+	for _, c := range []struct {
+		s    *Snapshot
+		want string
+	}{{s0, "v1"}, {s1, "v3"}} {
+		if v, err := c.s.Get(k); err != nil || string(v) != c.want {
+			t.Fatalf("snapshot at %d: Get = %q, %v; want %q", c.s.Seq(), v, err, c.want)
+		}
+		it, err := c.s.NewIterator(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !it.Next() || string(it.Value()) != c.want || it.Next() {
+			t.Fatalf("snapshot at %d: scan reads %q, want only %q", c.s.Seq(), it.Value(), c.want)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -4,8 +4,12 @@ import "fmt"
 
 // String renders the level the way STATS lists it.
 func (ls LevelStat) String() string {
-	return fmt.Sprintf("%d files, %d bytes, target %d, score %.2f, compacted %d",
-		ls.Files, ls.Bytes, ls.Target, ls.Score, ls.CompactedBytes)
+	logs := ""
+	if ls.LogBytes > 0 {
+		logs = fmt.Sprintf(" (%d of them pinned logs)", ls.LogBytes)
+	}
+	return fmt.Sprintf("%d files, %d bytes%s, target %d, score %.2f, compacted %d",
+		ls.Files, ls.Bytes, logs, ls.Target, ls.Score, ls.CompactedBytes)
 }
 
 // RetainedLogBytes reports the bytes of commit log the engine keeps because

@@ -18,7 +18,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// TableKind discriminates the two L0 table formats.
+// TableKind discriminates the table formats.
 type TableKind uint8
 
 const (
@@ -26,7 +26,41 @@ const (
 	KindSST TableKind = 1
 	// KindCLSST is a TRIAD-LOG CL-SSTable (index + commit-log pair).
 	KindCLSST TableKind = 2
+	// KindCLFold is a CL-SSTable over several commit logs, written by a
+	// fold of L0's CL-SSTables. It has a kind of its own so that a binary
+	// that predates folds fails to open it instead of reading its offsets
+	// against one log.
+	KindCLFold TableKind = 3
 )
+
+// clFoldJSON is how the journal writes KindCLFold. The other kinds are
+// numbers; this one is a string, so that a binary that predates folds
+// fails to decode the edit — and refuses the store — before it rewrites
+// the journal without the fields it does not know, a fold's logs among
+// them.
+const clFoldJSON = `"cl-fold"`
+
+// MarshalJSON implements json.Marshaler.
+func (k TableKind) MarshalJSON() ([]byte, error) {
+	if k == KindCLFold {
+		return []byte(clFoldJSON), nil
+	}
+	return json.Marshal(uint8(k))
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (k *TableKind) UnmarshalJSON(b []byte) error {
+	if string(b) == clFoldJSON {
+		*k = KindCLFold
+		return nil
+	}
+	var n uint8
+	if err := json.Unmarshal(b, &n); err != nil {
+		return err
+	}
+	*k = TableKind(n)
+	return nil
+}
 
 // FileMeta describes one table file.
 type FileMeta struct {
@@ -37,8 +71,55 @@ type FileMeta struct {
 	NumEntries uint64    `json:"entries"`
 	Smallest   []byte    `json:"smallest"`
 	Largest    []byte    `json:"largest"`
-	// LogID is the commit log a CL-SSTable references (zero otherwise).
+	// LogID is the commit log a KindCLSST table references (zero otherwise).
 	LogID uint64 `json:"log_id,omitempty"`
+	// LogIDs are the commit logs a KindCLFold table references.
+	LogIDs []uint64 `json:"log_ids,omitempty"`
+	// LogBytes is the size of the commit logs a CL-SSTable pins.
+	LogBytes int64 `json:"log_bytes,omitempty"`
+	// MaxSeq orders L0 (see Version.Apply): for a flushed table, the
+	// sequence the store had reached when its memtable was sealed, at or
+	// above every entry of it and below every entry written after; for a
+	// fold, the largest over its inputs and entries. Zero for tables
+	// written before L0 was ordered by it, and below L0.
+	MaxSeq uint64 `json:"max_seq,omitempty"`
+	// FoldBytes is the index bytes written by the folds that made this
+	// table, its inputs' included: the rent L0 has paid since it was last
+	// merged into L1.
+	FoldBytes int64 `json:"fold_bytes,omitempty"`
+}
+
+// Logs returns the commit logs the table pins: none unless it is a
+// CL-SSTable.
+func (f *FileMeta) Logs() []uint64 {
+	switch f.Kind {
+	case KindCLSST:
+		return []uint64{f.LogID}
+	case KindCLFold:
+		return f.LogIDs
+	}
+	return nil
+}
+
+// newerL0 reports whether L0 file a holds newer data than b, the order
+// every L0 read and merge relies on: a key's first hit in L0 is its newest
+// version. File ids do not give it, since a fold allocates its id after a
+// flush that installs later with newer data may have allocated its own.
+// Sealing order does: by MaxSeq, and between a fold and a flush sealed
+// with no write since the fold's newest input, the flush (a fold only
+// takes tables already in L0). Tables without a MaxSeq, written before it
+// existed, are older than every table with one and ordered by id, as
+// flushes alone were.
+func newerL0(a, b *FileMeta) bool {
+	if a.MaxSeq != 0 && b.MaxSeq != 0 {
+		if a.MaxSeq != b.MaxSeq {
+			return a.MaxSeq > b.MaxSeq
+		}
+		if af, bf := a.Kind == KindCLFold, b.Kind == KindCLFold; af != bf {
+			return bf
+		}
+	}
+	return a.ID > b.ID
 }
 
 // Edit is one atomic change to the tree: files added and files deleted.
@@ -56,10 +137,13 @@ type Edit struct {
 // ordered by Smallest with disjoint ranges.
 type Version struct {
 	Levels [][]*FileMeta
-	// sizes[l] is the byte total of Levels[l], maintained by Apply: level
-	// scores, targets, debt and stats read every level's size on every
-	// pick, which must not cost a walk over the level's files.
-	sizes [NumLevels]int64
+	// sizes[l] is the byte total of Levels[l], and sstBytes and sstEntries
+	// the byte and entry totals of the classic tables over all levels, all
+	// maintained by Apply: level scores, targets, debt, stats and the
+	// bytes a CL-SSTable will take up as a sorted table are read on every
+	// pick, which must not cost a walk over the tree's files.
+	sizes                [NumLevels]int64
+	sstBytes, sstEntries int64
 }
 
 // NumLevels is the fixed depth of the tree (L0..L6), matching RocksDB's
@@ -78,6 +162,7 @@ func (v *Version) Clone() *Version {
 		nv.Levels[i] = append([]*FileMeta(nil), v.Levels[i]...)
 	}
 	nv.sizes = v.sizes
+	nv.sstBytes, nv.sstEntries = v.sstBytes, v.sstEntries
 	return nv
 }
 
@@ -96,7 +181,7 @@ func (v *Version) Apply(e Edit) (*Version, error) {
 					keep = append(keep, f)
 				} else {
 					delete(del, f.ID)
-					nv.sizes[l] -= f.Size
+					nv.count(f, -1)
 				}
 			}
 			nv.Levels[l] = keep
@@ -112,12 +197,11 @@ func (v *Version) Apply(e Edit) (*Version, error) {
 		}
 		fm := f
 		nv.Levels[f.Level] = append(nv.Levels[f.Level], &fm)
-		nv.sizes[f.Level] += f.Size
+		nv.count(&fm, 1)
 	}
-	// Keep L0 newest-first (higher IDs are newer) and deeper levels
-	// sorted by smallest key.
+	// Keep L0 newest-first and deeper levels sorted by smallest key.
 	sort.Slice(nv.Levels[0], func(i, j int) bool {
-		return nv.Levels[0][i].ID > nv.Levels[0][j].ID
+		return newerL0(nv.Levels[0][i], nv.Levels[0][j])
 	})
 	for l := 1; l < NumLevels; l++ {
 		sort.Slice(nv.Levels[l], func(i, j int) bool {
@@ -125,6 +209,15 @@ func (v *Version) Apply(e Edit) (*Version, error) {
 		})
 	}
 	return nv, nil
+}
+
+// count adds (sign 1) or removes (sign -1) f in the running totals.
+func (v *Version) count(f *FileMeta, sign int64) {
+	v.sizes[f.Level] += sign * f.Size
+	if f.Kind == KindSST {
+		v.sstBytes += sign * f.Size
+		v.sstEntries += sign * int64(f.NumEntries)
+	}
 }
 
 func keys(m map[uint64]bool) []uint64 {
@@ -136,17 +229,32 @@ func keys(m map[uint64]bool) []uint64 {
 	return out
 }
 
-// CheckInvariants verifies the level structure: deeper levels must hold
-// disjoint, sorted ranges, and every level's running byte total must equal
-// the sum over its files. Used by tests and the engine's paranoid mode.
+// CheckInvariants verifies the level structure: L0 must be newest-first,
+// deeper levels must hold disjoint, sorted ranges, and every running total
+// must equal the sum over its files. Used by tests and the engine's
+// paranoid mode.
 func (v *Version) CheckInvariants() error {
+	var sstBytes, sstEntries int64
 	for l, files := range v.Levels {
 		var sum int64
 		for _, f := range files {
 			sum += f.Size
+			if f.Kind == KindSST {
+				sstBytes += f.Size
+				sstEntries += int64(f.NumEntries)
+			}
 		}
 		if sum != v.sizes[l] {
 			return fmt.Errorf("L%d: byte total %d, files sum to %d", l, v.sizes[l], sum)
+		}
+	}
+	if sstBytes != v.sstBytes || sstEntries != v.sstEntries {
+		return fmt.Errorf("sorted tables: totals %d B / %d entries, files sum to %d B / %d entries",
+			v.sstBytes, v.sstEntries, sstBytes, sstEntries)
+	}
+	for i := 1; i < len(v.Levels[0]); i++ {
+		if newerL0(v.Levels[0][i], v.Levels[0][i-1]) {
+			return fmt.Errorf("L0 file %d is newer than file %d before it", v.Levels[0][i].ID, v.Levels[0][i-1].ID)
 		}
 	}
 	for l := 1; l < len(v.Levels); l++ {
@@ -165,6 +273,10 @@ func (v *Version) CheckInvariants() error {
 
 // LevelSize returns the total byte size of level l.
 func (v *Version) LevelSize(l int) int64 { return v.sizes[l] }
+
+// SSTTotals returns the bytes and entries of the classic sorted tables
+// over all levels.
+func (v *Version) SSTTotals() (bytes, entries int64) { return v.sstBytes, v.sstEntries }
 
 // firstEndingAtOrAfter returns the index of the first file in the sorted,
 // disjoint level files whose Largest is >= key (len(files) if none).
@@ -215,20 +327,33 @@ func (v *Version) Overlap(l int, lo, hi []byte) []*FileMeta {
 
 const logName = "MANIFEST"
 
-// Log journals version edits and replays them at startup.
+// rollFactor bounds the journal: an edit that finds it holding more than
+// rollFactor times the bytes of the snapshot it started from first rolls
+// it into a fresh snapshot (Log.roll). The journal so stays within that
+// factor of the tree's own encoding, and rewriting it costs at most
+// 1/(rollFactor-1) of the bytes journaled.
+const rollFactor = 4
+
+// Log journals version edits and replays them at startup. It keeps the
+// tree the journal describes, so that it can rewrite the journal as one
+// snapshot of it.
 type Log struct {
-	mu sync.Mutex
-	fs vfs.FS
-	f  vfs.File
-	w  *bufio.Writer
+	mu    sync.Mutex
+	fs    vfs.FS
+	f     vfs.File
+	w     *bufio.Writer
+	v     *Version
+	state Edit // NextFileID and LastSeq as journaled
+	// size is the journal's bytes, snapSize those of the snapshot it
+	// starts with.
+	size, snapSize int64
 }
 
 // OpenLog opens (appending) or creates the manifest log.
 //
 // Appending to an existing log is modelled by replaying the old log into a
 // fresh file: vfs.FS has create/truncate semantics only, and rewriting also
-// compacts the journal, which is what production stores periodically do
-// anyway.
+// compacts the journal, as every roll does (Log.roll).
 func OpenLog(fs vfs.FS) (*Log, *Version, Edit, error) {
 	state := Edit{}
 	v := NewVersion()
@@ -239,25 +364,42 @@ func OpenLog(fs vfs.FS) (*Log, *Version, Edit, error) {
 			return nil, nil, Edit{}, err
 		}
 	}
-	f, err := fs.Create(logName + ".new")
-	if err != nil {
+	l := &Log{fs: fs, v: v, state: state}
+	if err := l.roll(); err != nil {
 		return nil, nil, Edit{}, err
 	}
-	l := &Log{fs: fs, f: f, w: bufio.NewWriter(f)}
-	// Re-journal the recovered state as a single snapshot edit.
-	snap := Edit{NextFileID: state.NextFileID, LastSeq: state.LastSeq}
-	for _, files := range v.Levels {
+	return l, v, state, nil
+}
+
+// roll writes the tree as a single snapshot edit to a fresh journal, makes
+// it durable and renames it over the old one. A crash before the rename
+// leaves the old journal whole; the next roll truncates the orphan.
+func (l *Log) roll() error {
+	f, err := l.fs.Create(logName + ".new")
+	if err != nil {
+		return err
+	}
+	snap := Edit{NextFileID: l.state.NextFileID, LastSeq: l.state.LastSeq}
+	for _, files := range l.v.Levels {
 		for _, fm := range files {
 			snap.Added = append(snap.Added, *fm)
 		}
 	}
-	if err := l.append(snap); err != nil {
-		return nil, nil, Edit{}, err
+	w := bufio.NewWriter(f)
+	n, err := writeEdit(w, f, snap)
+	if err == nil {
+		err = l.fs.Rename(logName+".new", logName)
 	}
-	if err := fs.Rename(logName+".new", logName); err != nil {
-		return nil, nil, Edit{}, err
+	if err != nil {
+		f.Close()
+		return err
 	}
-	return l, v, state, nil
+	if l.f != nil {
+		_ = l.f.Close() // the replaced journal; nothing in it is needed
+	}
+	l.f, l.w = f, w
+	l.size, l.snapSize = n, n
+	return nil
 }
 
 func replay(fs vfs.FS) (*Version, Edit, error) {
@@ -306,25 +448,46 @@ func replay(fs vfs.FS) (*Version, Edit, error) {
 	return v, state, nil
 }
 
-// Append journals one edit durably.
+// Append journals one edit durably, first rolling the journal into a
+// snapshot if it has outgrown its bound. An edit that the tree as
+// journaled cannot take (it deletes a file not in it) is refused.
 func (l *Log) Append(e Edit) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.append(e)
-}
-
-func (l *Log) append(e Edit) error {
-	b, err := json.Marshal(e)
+	nv, err := l.v.Apply(e)
 	if err != nil {
 		return err
 	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
+	if l.size > rollFactor*l.snapSize {
+		if err := l.roll(); err != nil {
+			return err
+		}
+	}
+	n, err := writeEdit(l.w, l.f, e)
+	if err != nil {
 		return err
 	}
-	if err := l.w.Flush(); err != nil {
-		return err
+	l.size += n
+	l.v = nv
+	l.state.NextFileID = max(l.state.NextFileID, e.NextFileID)
+	l.state.LastSeq = max(l.state.LastSeq, e.LastSeq)
+	return nil
+}
+
+// writeEdit appends e to the journal behind w (writing f) and syncs it,
+// returning the bytes written.
+func writeEdit(w *bufio.Writer, f vfs.File, e Edit) (int64, error) {
+	b, err := json.Marshal(e)
+	if err != nil {
+		return 0, err
 	}
-	return l.f.Sync()
+	if _, err := w.Write(append(b, '\n')); err != nil {
+		return 0, err
+	}
+	if err := w.Flush(); err != nil {
+		return 0, err
+	}
+	return int64(len(b) + 1), f.Sync()
 }
 
 // Close closes the journal.

@@ -2,6 +2,8 @@ package manifest
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -264,5 +266,222 @@ func TestLogTornTailTolerated(t *testing.T) {
 	}
 	if len(v.Levels[0]) != 1 {
 		t.Fatalf("recovered %d L0 files, want 1", len(v.Levels[0]))
+	}
+}
+
+// TestL0OrderedBySealSequence: L0 is newest-first by the sequence its
+// tables were sealed at, not by file id — a fold allocates its id after a
+// flush that installs later with newer data — a flush sealed with no write
+// since a fold's newest input is newer than the fold, and tables from
+// before MaxSeq existed are the oldest, in id order. CheckInvariants
+// notices an L0 out of that order.
+func TestL0OrderedBySealSequence(t *testing.T) {
+	cl := func(id, maxSeq uint64, kind TableKind) FileMeta {
+		f := fm(id, 0, "a", "z")
+		f.Kind, f.MaxSeq = kind, maxSeq
+		return f
+	}
+	v, err := NewVersion().Apply(Edit{Added: []FileMeta{
+		cl(1, 0, KindCLSST), cl(2, 0, KindCLSST), // written before MaxSeq
+		cl(9, 20, KindCLFold), // folded 1, 2 and a flush sealed at 20
+		cl(8, 30, KindCLSST),  // allocated its id before the fold did
+		cl(7, 20, KindCLSST),  // sealed with no write since the fold's inputs
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, f := range v.Levels[0] {
+		got = append(got, f.ID)
+	}
+	if fmt.Sprint(got) != "[8 7 9 2 1]" {
+		t.Fatalf("L0 order %v, want [8 7 9 2 1]", got)
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	v.Levels[0][0], v.Levels[0][2] = v.Levels[0][2], v.Levels[0][0]
+	if err := v.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted an L0 that is not newest-first")
+	}
+}
+
+// TestSSTTotals: the byte and entry totals of the classic tables follow
+// every add and delete, ignore CL-SSTables, and CheckInvariants notices a
+// total that has drifted from its files.
+func TestSSTTotals(t *testing.T) {
+	sst := func(id uint64, level int, entries uint64) FileMeta {
+		f := fm(id, level, fmt.Sprint(id), fmt.Sprint(id))
+		f.NumEntries = entries
+		return f
+	}
+	index := fm(4, 0, "a", "z")
+	index.Kind, index.LogID, index.NumEntries = KindCLSST, 3, 1000
+	v, err := NewVersion().Apply(Edit{Added: []FileMeta{sst(1, 1, 10), sst(2, 2, 20), index}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, e := v.SSTTotals(); b != 200 || e != 30 {
+		t.Fatalf("totals %d B / %d entries, want 200 / 30", b, e)
+	}
+	v, err = v.Apply(Edit{Deleted: []uint64{1, 4}, Added: []FileMeta{sst(5, 1, 7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, e := v.SSTTotals(); b != 200 || e != 27 {
+		t.Fatalf("totals after delete %d B / %d entries, want 200 / 27", b, e)
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	v.sstEntries++
+	if err := v.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted an entry total that differs from the files")
+	}
+}
+
+// copyFS returns a copy of every file in fs.
+func copyFS(t *testing.T, fs *vfs.MemFS) *vfs.MemFS {
+	t.Helper()
+	out := vfs.NewMemFS()
+	names, _ := fs.List("")
+	for _, name := range names {
+		src, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := src.Size()
+		buf := make([]byte, size)
+		if size > 0 {
+			if _, err := src.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.Close()
+		dst, _ := out.Create(name)
+		dst.Write(buf)
+		dst.Close()
+	}
+	return out
+}
+
+// renameImageFS hands onRename a copy of itself before every rename.
+type renameImageFS struct {
+	*vfs.MemFS
+	t        *testing.T
+	onRename func(image *vfs.MemFS)
+}
+
+func (fs *renameImageFS) Rename(oldname, newname string) error {
+	fs.onRename(copyFS(fs.t, fs.MemFS))
+	return fs.MemFS.Rename(oldname, newname)
+}
+
+// TestJournalRollsAtBound: under churn that keeps the tree small, the
+// journal never holds more than rollFactor times its snapshot plus the
+// edit that finds it there, and a crash between writing the rolled
+// journal and renaming it over the old one recovers the tree journaled so
+// far; so does a clean reopen at the end.
+func TestJournalRollsAtBound(t *testing.T) {
+	fs := &renameImageFS{MemFS: vfs.NewMemFS(), t: t}
+	var want *Version
+	images := 0
+	fs.onRename = func(image *vfs.MemFS) {
+		images++
+		if want == nil {
+			return // OpenLog's own roll
+		}
+		l, got, _, err := OpenLog(image)
+		if err != nil {
+			t.Fatalf("image %d: %v", images, err)
+		}
+		l.Close()
+		if fmt.Sprint(levelIDs(got)) != fmt.Sprint(levelIDs(want)) {
+			t.Fatalf("image %d recovers %v, journaled %v", images, levelIDs(got), levelIDs(want))
+		}
+	}
+	l, v, _, err := OpenLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = v
+	rng := rand.New(rand.NewSource(1))
+	var live []uint64
+	var maxEdit int64
+	for id := uint64(1); id <= 400; id++ {
+		e := Edit{Added: []FileMeta{fm(id, 0, "a", "z")}, NextFileID: id + 1, LastSeq: id * 10}
+		if len(live) > 8 {
+			i := rng.Intn(len(live))
+			e.Deleted = []uint64{live[i]}
+			live = append(live[:i], live[i+1:]...)
+		}
+		live = append(live, id)
+		b, _ := json.Marshal(e)
+		maxEdit = max(maxEdit, int64(len(b)+1))
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = want.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := fs.Open("MANIFEST")
+		size, _ := f.Size()
+		f.Close()
+		if size != l.size || size > rollFactor*l.snapSize+maxEdit {
+			t.Fatalf("edit %d: journal of %d B (%d counted) over %d× its %d B snapshot plus one edit", id, size, l.size, rollFactor, l.snapSize)
+		}
+	}
+	if images < 20 {
+		t.Fatalf("%d rolls in 400 edits over a tree of 9 files", images)
+	}
+	l.Close()
+	_, got, state, err := OpenLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(levelIDs(got)) != fmt.Sprint(levelIDs(want)) || state.NextFileID != 401 || state.LastSeq != 4000 {
+		t.Fatalf("reopened %v (%+v), journaled %v", levelIDs(got), state, levelIDs(want))
+	}
+}
+
+func levelIDs(v *Version) [][]uint64 {
+	out := make([][]uint64, len(v.Levels))
+	for l, files := range v.Levels {
+		for _, f := range files {
+			out[l] = append(out[l], f.ID)
+		}
+	}
+	return out
+}
+
+// TestFoldKindRefusedByOlderDecoder: an edit adding a fold table round
+// trips, while a decoder that knows the kind only as a number — a binary
+// that predates folds — fails on it with a type error, which such a
+// binary's replay reports instead of taking it for a torn tail and
+// rewriting the journal without the fold's logs. The older kinds are still
+// written as numbers.
+func TestFoldKindRefusedByOlderDecoder(t *testing.T) {
+	fold := fm(9, 0, "a", "z")
+	fold.Kind, fold.LogIDs = KindCLFold, []uint64{3, 5}
+	b, err := json.Marshal(Edit{Added: []FileMeta{fm(4, 1, "a", "b"), fold}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Edit
+	if err := json.Unmarshal(b, &e); err != nil || e.Added[0].Kind != KindSST || e.Added[1].Kind != KindCLFold ||
+		fmt.Sprint(e.Added[1].LogIDs) != "[3 5]" {
+		t.Fatalf("round trip of %s: %+v, %v", b, e, err)
+	}
+	var older struct {
+		Added []struct {
+			Kind uint8 `json:"kind"`
+		} `json:"added"`
+	}
+	var typeErr *json.UnmarshalTypeError
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&older); !errors.As(err, &typeErr) {
+		t.Fatalf("a numeric kind decodes %s with %v, want a type error", b, err)
+	}
+	if !bytes.Contains(b, []byte(`"kind":1`)) {
+		t.Fatalf("a sorted table's kind is no longer a number: %s", b)
 	}
 }

@@ -24,6 +24,7 @@ type Metrics struct {
 	BytesLogged    atomic.Int64 // commit-log appends, the engine's own included
 	BytesRelogged  atomic.Int64 // of those, not a user's commit: carried by a log rotation, a flush or recovery, or a flush's hot write-back
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
+	BytesFolded    atomic.Int64 // fold output: the CL indexes L0's CL-SSTables were folded into
 	BytesCompacted atomic.Int64 // compaction output
 	BytesSpilled   atomic.Int64 // of that, written a level below the merge's output level by an L0 merge's spill
 
@@ -36,9 +37,10 @@ type Metrics struct {
 	FlushSkips         atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
 	Compactions        atomic.Int64
 	CompactionsDefer   atomic.Int64 // TRIAD-DISK deferrals
+	Folds              atomic.Int64 // L0 folded into one CL-SSTable instead of merged into L1
 	TrivialMoves       atomic.Int64 // zero-overlap files relinked a level down, not rewritten
 	FlushNanos         atomic.Int64
-	CompactionNanos    atomic.Int64
+	CompactionNanos    atomic.Int64 // compaction-path wall time, folds included
 	EntriesCompacted   atomic.Int64 // entries consumed by compaction merges
 	EntriesDiscarded   atomic.Int64 // of those, dropped: shadowed versions, hot-key skips, dead tombstones
 	HotKeysKeptInMem   atomic.Int64 // TRIAD-MEM hot survivors across flushes
@@ -56,10 +58,10 @@ type Snapshot struct {
 	UserWrites, UserReads, UserBytes          int64
 	ReadsFromMem, TableDiskReads              int64
 	BytesLogged, BytesFlushed, BytesCompacted int64
-	BytesRelogged, BytesSpilled               int64
+	BytesRelogged, BytesSpilled, BytesFolded  int64
 	BytesCompactionRead, BytesSnapshotGC      int64
 	Flushes, FlushSkips                       int64
-	Compactions, CompactionsDeferred          int64
+	Compactions, CompactionsDeferred, Folds   int64
 	TrivialMoves                              int64
 	FlushTime, CompactionTime                 time.Duration
 	EntriesCompacted, EntriesDiscarded        int64
@@ -81,12 +83,14 @@ func (m *Metrics) Snapshot() Snapshot {
 		BytesFlushed:        m.BytesFlushed.Load(),
 		BytesCompacted:      m.BytesCompacted.Load(),
 		BytesSpilled:        m.BytesSpilled.Load(),
+		BytesFolded:         m.BytesFolded.Load(),
 		BytesCompactionRead: m.BytesCompactionRead.Load(),
 		BytesSnapshotGC:     m.BytesSnapshotGC.Load(),
 		Flushes:             m.Flushes.Load(),
 		FlushSkips:          m.FlushSkips.Load(),
 		Compactions:         m.Compactions.Load(),
 		CompactionsDeferred: m.CompactionsDefer.Load(),
+		Folds:               m.Folds.Load(),
 		TrivialMoves:        m.TrivialMoves.Load(),
 		FlushTime:           time.Duration(m.FlushNanos.Load()),
 		CompactionTime:      time.Duration(m.CompactionNanos.Load()),
@@ -112,12 +116,14 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		BytesFlushed:        s.BytesFlushed - earlier.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted - earlier.BytesCompacted,
 		BytesSpilled:        s.BytesSpilled - earlier.BytesSpilled,
+		BytesFolded:         s.BytesFolded - earlier.BytesFolded,
 		BytesCompactionRead: s.BytesCompactionRead - earlier.BytesCompactionRead,
 		BytesSnapshotGC:     s.BytesSnapshotGC - earlier.BytesSnapshotGC,
 		Flushes:             s.Flushes - earlier.Flushes,
 		FlushSkips:          s.FlushSkips - earlier.FlushSkips,
 		Compactions:         s.Compactions - earlier.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred - earlier.CompactionsDeferred,
+		Folds:               s.Folds - earlier.Folds,
 		TrivialMoves:        s.TrivialMoves - earlier.TrivialMoves,
 		FlushTime:           s.FlushTime - earlier.FlushTime,
 		CompactionTime:      s.CompactionTime - earlier.CompactionTime,
@@ -144,12 +150,14 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		BytesFlushed:        s.BytesFlushed + other.BytesFlushed,
 		BytesCompacted:      s.BytesCompacted + other.BytesCompacted,
 		BytesSpilled:        s.BytesSpilled + other.BytesSpilled,
+		BytesFolded:         s.BytesFolded + other.BytesFolded,
 		BytesCompactionRead: s.BytesCompactionRead + other.BytesCompactionRead,
 		BytesSnapshotGC:     s.BytesSnapshotGC + other.BytesSnapshotGC,
 		Flushes:             s.Flushes + other.Flushes,
 		FlushSkips:          s.FlushSkips + other.FlushSkips,
 		Compactions:         s.Compactions + other.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred + other.CompactionsDeferred,
+		Folds:               s.Folds + other.Folds,
 		TrivialMoves:        s.TrivialMoves + other.TrivialMoves,
 		FlushTime:           s.FlushTime + other.FlushTime,
 		CompactionTime:      s.CompactionTime + other.CompactionTime,
@@ -163,23 +171,24 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 }
 
 // WriteAmplification is the system-wide WA: every byte the store wrote
-// (log + flush + compaction) per user byte. This is the conventional
-// whole-system definition; it subsumes the paper's flush-relative formula
-// and produces the same orderings.
+// (log + flush + fold + compaction) per user byte. This is the
+// conventional whole-system definition; it subsumes the paper's
+// flush-relative formula and produces the same orderings.
 func (s Snapshot) WriteAmplification() float64 {
 	if s.UserBytes == 0 {
 		return 0
 	}
-	return float64(s.BytesLogged+s.BytesFlushed+s.BytesCompacted) / float64(s.UserBytes)
+	return float64(s.BytesLogged+s.BytesFlushed+s.BytesFolded+s.BytesCompacted) / float64(s.UserBytes)
 }
 
-// FlushRelativeWA is the paper's §5.1 formula:
-// (Bytes_flushed + Bytes_compacted) / Bytes_flushed.
+// FlushRelativeWA is the paper's §5.1 formula,
+// (Bytes_flushed + Bytes_compacted) / Bytes_flushed, with the bytes of
+// folds — which the paper does not have — counted as compacted.
 func (s Snapshot) FlushRelativeWA() float64 {
 	if s.BytesFlushed == 0 {
 		return 0
 	}
-	return float64(s.BytesFlushed+s.BytesCompacted) / float64(s.BytesFlushed)
+	return float64(s.BytesFlushed+s.BytesFolded+s.BytesCompacted) / float64(s.BytesFlushed)
 }
 
 // ReadAmplification is the average number of disk accesses per Get.

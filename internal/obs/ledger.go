@@ -17,6 +17,8 @@ const (
 	SrcWAL
 	// SrcFlush counts sstable bytes written by memtable flushes.
 	SrcFlush
+	// SrcFold counts CL-SSTable index bytes written by L0 folds.
+	SrcFold
 	// SrcCompactionRead counts table bytes read as compaction inputs.
 	SrcCompactionRead
 	// SrcCompactionWrite counts table bytes written as compaction
@@ -37,6 +39,8 @@ func (s Source) String() string {
 		return "wal"
 	case SrcFlush:
 		return "flush"
+	case SrcFold:
+		return "fold"
 	case SrcCompactionRead:
 		return "compaction_read"
 	case SrcCompactionWrite:

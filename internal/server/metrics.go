@@ -116,13 +116,15 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_bytes_logged_total", "Bytes appended to commit logs.", "", m.BytesLogged)
 	p.Counter("triad_bytes_relogged_total", "Of the bytes logged, those no user commit wrote: entries carried by log rotations, flushes and recovery, and hot keys written back.", "", m.BytesRelogged)
 	p.Counter("triad_bytes_flushed_total", "Bytes written to L0 by flushes.", "", m.BytesFlushed)
+	p.Counter("triad_bytes_folded_total", "CL-SSTable index bytes written by L0 folds.", "", m.BytesFolded)
 	p.Counter("triad_bytes_compacted_total", "Bytes written by compactions.", "", m.BytesCompacted)
 	p.Counter("triad_flushes_total", "Memtable flushes completed.", "", m.Flushes)
 	p.Counter("triad_flush_skips_total", "TRIAD-MEM small-memtable flush skips (commit-log rotations without a flush).", "", m.FlushSkips)
 	p.Counter("triad_compactions_total", "Compactions completed.", "", m.Compactions)
 	p.Counter("triad_compactions_deferred_total", "TRIAD-DISK compaction deferrals (insufficient key overlap).", "", m.CompactionsDeferred)
 	p.Counter("triad_compaction_moves_total", "Files relinked one level down by a manifest edit because nothing there overlapped them.", "", m.TrivialMoves)
-	p.GaugeF("triad_write_amplification", "Store-wide write amplification: (logged+flushed+compacted)/user bytes.", "", m.WriteAmplification())
+	p.Counter("triad_folds_total", "L0 folds: L0's CL-SSTables merged by index into one, instead of into L1.", "", m.Folds)
+	p.GaugeF("triad_write_amplification", "Store-wide write amplification: (logged+flushed+folded+compacted)/user bytes.", "", m.WriteAmplification())
 	p.GaugeF("triad_read_amplification", "Store-wide read amplification: disk reads per user read.", "", m.ReadAmplification())
 	p.Counter("triad_write_stalls_total", "Write-stall episodes: writers blocked on memtable or L0 backpressure.", "", m.WriteStalls)
 	p.CounterF("triad_write_stall_seconds_total", "Total wall time writers spent blocked in stalls.", "", m.WriteStallTime.Seconds())
@@ -150,7 +152,7 @@ func (s *Server) MetricsText() string {
 		l := fmt.Sprintf("shard=%q", strconv.Itoa(st.Shard))
 		p.Counter("triad_shard_writes_total", "User write operations routed to the shard.", l, st.Writes)
 		p.Counter("triad_shard_reads_total", "User read operations routed to the shard.", l, st.Reads)
-		p.Gauge("triad_shard_disk_bytes", "On-disk table bytes held by the shard.", l, st.DiskBytes)
+		p.Gauge("triad_shard_disk_bytes", "On-disk bytes held by the shard: its tables and the commit logs its L0 CL-SSTables pin.", l, st.DiskBytes)
 		p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
@@ -167,14 +169,14 @@ func (s *Server) MetricsText() string {
 		for lvl, ls := range st.Levels {
 			ll := fmt.Sprintf("%s,level=%q", l, strconv.Itoa(lvl))
 			p.Gauge("triad_level_files", "Table files on the level.", ll, int64(ls.Files))
-			p.Gauge("triad_level_bytes", "Table bytes on the level.", ll, ls.Bytes)
+			p.Gauge("triad_level_bytes", "Bytes on the level: its tables and, for L0, the commit logs its CL-SSTables pin.", ll, ls.Bytes)
 			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count).", ll, ls.Target)
 			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
 			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
 		}
 		for src := obs.Source(0); src < obs.NumSources; src++ {
 			p.Counter("triad_io_bytes_total",
-				"Disk bytes attributed by shard and source. user_write is WA's denominator; wal+flush+compaction_write its numerator; compaction_read is merge input, snapshot_gc zombie bytes reclaimed.",
+				"Disk bytes attributed by shard and source. user_write is WA's denominator; wal+flush+fold+compaction_write its numerator; compaction_read is merge input, snapshot_gc zombie bytes reclaimed.",
 				fmt.Sprintf("shard=%q,source=%q", strconv.Itoa(st.Shard), src.String()), st.IO[src])
 		}
 	}

@@ -251,6 +251,7 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 		{"user_write", "triad_user_bytes_total"},
 		{"wal", "triad_bytes_logged_total"},
 		{"flush", "triad_bytes_flushed_total"},
+		{"fold", "triad_bytes_folded_total"},
 		{"compaction_write", "triad_bytes_compacted_total"},
 	} {
 		if got, want := sumSrc(check.src), series[check.counter]; got != want {
@@ -259,6 +260,9 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 		}
 	}
 
+	if got := series["triad_folds_total"]; got != float64(m.Folds) {
+		t.Fatalf("triad_folds_total = %g, engine folded %d times", got, m.Folds)
+	}
 	if got := series["triad_bytes_relogged_total"]; got != float64(m.BytesRelogged) || m.BytesRelogged >= m.BytesLogged {
 		t.Fatalf("triad_bytes_relogged_total = %g, engine re-logged %d of %d B logged", got, m.BytesRelogged, m.BytesLogged)
 	}

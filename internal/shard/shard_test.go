@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/lsm"
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -481,5 +482,63 @@ func TestOpenValidation(t *testing.T) {
 	defer db.Close()
 	if db.NumShards() != 1 {
 		t.Fatalf("NumShards = %d, want 1", db.NumShards())
+	}
+}
+
+// TestL0FoldsObservable: folds show on every surface — counters, the I/O
+// attribution, the journal (each fold and each L0 merge says why), STATS —
+// and L0's level stats count the commit logs its CL-SSTables pin, which a
+// drain leaves none of.
+func TestL0FoldsObservable(t *testing.T) {
+	db := openMem(t, 2)
+	defer db.Close()
+	rng := rand.New(rand.NewSource(1))
+	sawL0, sawStats := false, false // L0 is empty now and then: sample it
+	for i := 0; i < 60000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", rng.Intn(20000))), bytes.Repeat([]byte("x"), 64)); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 999 {
+			l0 := db.LevelStats()[0]
+			sawL0 = sawL0 || l0.Files > 0 && l0.LogBytes > 0 && l0.Bytes > l0.LogBytes
+			sawStats = sawStats || strings.Contains(db.Stats(), "pinned logs")
+		}
+	}
+	if !sawL0 || !sawStats {
+		t.Fatalf("L0 never showed the logs it pins: in its level stats %v, in STATS %v", sawL0, sawStats)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	m := db.Metrics()
+	if m.Folds == 0 || m.BytesFolded == 0 || ioBySource(m)[obs.SrcFold] != m.BytesFolded {
+		t.Fatalf("%d folds, %d B folded, %d B attributed to folds", m.Folds, m.BytesFolded, ioBySource(m)[obs.SrcFold])
+	}
+	if written := m.BytesLogged + m.BytesFlushed + m.BytesFolded + m.BytesCompacted; m.WriteAmplification() != float64(written)/float64(m.UserBytes) {
+		t.Fatalf("WA %.3f leaves out some of the %d B written", m.WriteAmplification(), written)
+	}
+	var folds, merges int
+	for _, e := range db.Events().Events(0) {
+		if strings.Contains(e.Detail, "fold ") && strings.Contains(e.Detail, "rent ") {
+			folds++
+		}
+		if strings.Contains(e.Detail, "merge: ") && strings.Contains(e.Detail, "logs ") {
+			merges++
+		}
+	}
+	if folds == 0 || merges == 0 {
+		t.Fatalf("journal explains %d folds and %d L0 merges", folds, merges)
+	}
+	stats := db.Stats()
+	for _, want := range []string{"L0 folds: ", "folded ", "+ fold "} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("Stats missing %q:\n%s", want, stats)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if l0 := db.LevelStats()[0]; l0.Files != 0 || l0.Bytes != 0 || l0.LogBytes != 0 {
+		t.Fatalf("L0 after a drain: %+v", l0)
 	}
 }

@@ -62,6 +62,7 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 		for l, ls := range s.LevelStats() {
 			out[l].Files += ls.Files
 			out[l].Bytes += ls.Bytes
+			out[l].LogBytes += ls.LogBytes
 			out[l].Target += ls.Target
 			out[l].CompactedBytes += ls.CompactedBytes
 			out[l].Score = max(out[l].Score, ls.Score)
@@ -84,7 +85,8 @@ type ShardStat struct {
 	// Files and DiskBytes are the shard's on-disk table count and size,
 	// summed over levels.
 	Files int
-	// DiskBytes is the shard's total on-disk byte size.
+	// DiskBytes is the shard's total on-disk byte size: its tables and the
+	// commit logs its L0 CL-SSTables pin.
 	DiskBytes int64
 	// RetainedLogBytes is the commit log the shard keeps beside its tables
 	// because a memtable is still backed by it (lsm.DB.RetainedLogBytes).
@@ -179,10 +181,10 @@ func (db *DB) Stats() string {
 		}
 		fmt.Fprintf(&b, "  L%d: %s\n", l, ls)
 	}
-	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
-		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
-	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  compacted %d (spilled past L1 %d)\n",
-		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesCompacted, m.BytesSpilled)
+	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)  L0 folds: %d\n",
+		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves, m.Folds)
+	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  folded %d  compacted %d (spilled past L1 %d)\n",
+		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesFolded, m.BytesCompacted, m.BytesSpilled)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
@@ -195,8 +197,8 @@ func (db *DB) Stats() string {
 	fmt.Fprintf(&b, ", %d tasks completed\n", ps.Completed)
 	if io := db.IOBySource(); io[obs.SrcUser] > 0 {
 		ub := float64(io[obs.SrcUser])
-		fmt.Fprintf(&b, "WA decomposition (per user byte): wal %.2f + flush %.2f + compaction %.2f  [compaction read %d B, snapshot-gc reclaimed %d B]\n",
-			float64(io[obs.SrcWAL])/ub, float64(io[obs.SrcFlush])/ub, float64(io[obs.SrcCompactionWrite])/ub,
+		fmt.Fprintf(&b, "WA decomposition (per user byte): wal %.2f + flush %.2f + fold %.2f + compaction %.2f  [compaction read %d B, snapshot-gc reclaimed %d B]\n",
+			float64(io[obs.SrcWAL])/ub, float64(io[obs.SrcFlush])/ub, float64(io[obs.SrcFold])/ub, float64(io[obs.SrcCompactionWrite])/ub,
 			io[obs.SrcCompactionRead], io[obs.SrcSnapshotGC])
 	}
 	if cs := db.BlockCacheStats(); cs.Hits+cs.Misses > 0 || cs.Capacity > 0 {
@@ -246,6 +248,7 @@ func ioBySource(m metrics.Snapshot) obs.LedgerSnapshot {
 		obs.SrcUser:            m.UserBytes,
 		obs.SrcWAL:             m.BytesLogged,
 		obs.SrcFlush:           m.BytesFlushed,
+		obs.SrcFold:            m.BytesFolded,
 		obs.SrcCompactionRead:  m.BytesCompactionRead,
 		obs.SrcCompactionWrite: m.BytesCompacted,
 		obs.SrcSnapshotGC:      m.BytesSnapshotGC,

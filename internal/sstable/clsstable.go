@@ -18,19 +18,31 @@ import (
 // CL-SSTable (paper §4.3, Figure 6): the sealed commit log is adopted as
 // the value store of an L0 table, and flushing writes only a sorted
 // (key → log offset) index. The index reuses the classic table container —
-// blocks, Bloom filter, HLL sketch, footer — with the 8-byte log offset
-// stored in the entry's value slot, so the whole format stack is shared.
-// The paper's example keeps exactly this pair: for each key, the memtable
-// value plus the CL name and offset of its most recent update.
+// blocks, Bloom filter, HLL sketch, footer — with the log offset stored in
+// the entry's value slot, so the whole format stack is shared. The paper's
+// example keeps exactly this pair: for each key, the memtable value plus
+// the CL name and offset of its most recent update.
+//
+// A flush's table points into one log. A fold (lsm) merges several of
+// them into one table over all of their logs by merging their indexes
+// alone: the properties list the table's logs, and each entry's value is
+// its 8-byte offset followed, when the table has more than one log, by the
+// uvarint position of its log in that list. A single-log table is
+// byte-for-byte the format that predates folds.
 
-// CLWriter builds the index file of a CL-SSTable over log file logID.
+// CLWriter builds the index file of a CL-SSTable over a list of logs.
 type CLWriter struct {
 	inner *Writer
-	logID uint64
+	logs  map[uint64]int // log id → its position in the table's list
+	value [8 + binary.MaxVarintLen64]byte
 }
 
-// NewCLWriter creates CL-SSTable index file id referencing log logID.
-func NewCLWriter(fs vfs.FS, id, logID uint64, blockSize int) (*CLWriter, error) {
+// NewCLWriter creates CL-SSTable index file id whose entries point into
+// the commit logs logIDs (at least one).
+func NewCLWriter(fs vfs.FS, id uint64, logIDs []uint64, blockSize int) (*CLWriter, error) {
+	if len(logIDs) == 0 {
+		return nil, fmt.Errorf("cl-sstable %d: no log", id)
+	}
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
@@ -39,23 +51,38 @@ func NewCLWriter(fs vfs.FS, id, logID uint64, blockSize int) (*CLWriter, error) 
 		return nil, err
 	}
 	w := &Writer{f: f, id: id, blockSize: blockSize, sketch: mustSketch()}
-	w.props.logID = logID
-	return &CLWriter{inner: w, logID: logID}, nil
+	w.props.logIDs = append([]uint64(nil), logIDs...)
+	logs := make(map[uint64]int, len(logIDs))
+	for i, l := range logIDs {
+		logs[l] = i
+	}
+	return &CLWriter{inner: w, logs: logs}, nil
 }
 
 // Add records that key's most recent update (with the given seq and kind)
-// lives at byte offset off in the log. Keys must be strictly ascending.
-func (w *CLWriter) Add(key []byte, seq uint64, kind base.Kind, off int64) error {
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], uint64(off))
-	return w.inner.Add(base.Entry{Key: key, Value: v[:], Seq: seq, Kind: kind})
+// lives at byte offset off of log logID, one of the table's. Keys must be
+// strictly ascending.
+func (w *CLWriter) Add(key []byte, seq uint64, kind base.Kind, logID uint64, off int64) error {
+	i, ok := w.logs[logID]
+	if !ok {
+		return fmt.Errorf("cl-sstable %d: %q points into log %d, not one of %v", w.inner.id, key, logID, w.inner.props.logIDs)
+	}
+	v := binary.LittleEndian.AppendUint64(w.value[:0], uint64(off)) // Writer.Add copies it
+	if len(w.logs) > 1 {
+		v = binary.AppendUvarint(v, uint64(i))
+	}
+	return w.inner.Add(base.Entry{Key: key, Value: v, Seq: seq, Kind: kind})
 }
 
 // NumEntries reports entries added so far.
 func (w *CLWriter) NumEntries() uint64 { return w.inner.NumEntries() }
 
+// LastKey returns the most recently added key (aliasing an internal
+// buffer; callers must copy to retain).
+func (w *CLWriter) LastKey() []byte { return w.inner.LastKey() }
+
 // Finish completes the index and returns the bytes written — the only
-// bytes a TRIAD-LOG flush costs.
+// bytes a TRIAD-LOG flush or a fold costs.
 func (w *CLWriter) Finish() (int64, error) { return w.inner.Finish() }
 
 // Abort removes a partially written index.
@@ -69,10 +96,10 @@ func (w *CLWriter) Abort(fs vfs.FS) {
 
 func mustSketch() *hll.Sketch { return hll.MustNew(hll.DefaultPrecision) }
 
-// CLReader reads a CL-SSTable: the index plus the shared log file.
+// CLReader reads a CL-SSTable: the index plus the logs it points into.
 type CLReader struct {
-	idx *Reader
-	log vfs.File
+	idx  *Reader
+	logs []vfs.File // in the order of idx.props.logIDs
 }
 
 var _ Table = (*CLReader)(nil)
@@ -82,10 +109,10 @@ func OpenCL(fs vfs.FS, id uint64) (*CLReader, error) {
 	return OpenCLWithCache(fs, id, nil)
 }
 
-// OpenCLWithCache opens CL-SSTable id in fs. The log file it references
-// must still exist; the engine keeps it alive until the table is
-// compacted away. Index blocks are served through the (possibly nil)
-// block-cache handle; log records are not cached.
+// OpenCLWithCache opens CL-SSTable id in fs. The logs it references must
+// still exist; the engine keeps them alive until the table is compacted
+// away. Index blocks are served through the (possibly nil) block-cache
+// handle; log records are not cached.
 func OpenCLWithCache(fs vfs.FS, id uint64, cache *Handle) (*CLReader, error) {
 	f, err := fs.Open(CLIndexFileName(id))
 	if err != nil {
@@ -96,16 +123,37 @@ func OpenCLWithCache(fs vfs.FS, id uint64, cache *Handle) (*CLReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("cl-sstable %d: %w", id, err)
 	}
-	log, err := fs.Open(wal.FileName(idx.props.logID))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cl-sstable %d: open log %d: %w", id, idx.props.logID, err)
+	r := &CLReader{idx: idx}
+	for _, l := range idx.props.logIDs {
+		log, err := fs.Open(wal.FileName(l))
+		if err != nil {
+			r.Close()
+			return nil, fmt.Errorf("cl-sstable %d: open log %d: %w", id, l, err)
+		}
+		r.logs = append(r.logs, log)
 	}
-	return &CLReader{idx: idx, log: log}, nil
+	if len(r.logs) == 0 {
+		r.Close()
+		return nil, fmt.Errorf("cl-sstable %d: no log", id)
+	}
+	return r, nil
 }
 
-// LogID returns the commit-log file this table's offsets point into.
-func (r *CLReader) LogID() uint64 { return r.idx.props.logID }
+// LogIDs returns the commit-log files this table's offsets point into.
+func (r *CLReader) LogIDs() []uint64 { return r.idx.props.logIDs }
+
+// LogBytes returns the bytes of the logs the table pins.
+func (r *CLReader) LogBytes() (int64, error) {
+	var n int64
+	for _, l := range r.logs {
+		size, err := l.Size()
+		if err != nil {
+			return 0, err
+		}
+		n += size
+	}
+	return n, nil
+}
 
 // ID implements Table.
 func (r *CLReader) ID() uint64 { return r.idx.id }
@@ -134,12 +182,44 @@ func (r *CLReader) BlockSeparators() [][]byte { return r.idx.BlockSeparators() }
 
 // Close implements Table.
 func (r *CLReader) Close() error {
-	err1 := r.idx.Close()
-	err2 := r.log.Close()
-	if err1 != nil {
-		return err1
+	err := r.idx.Close()
+	for _, l := range r.logs {
+		if e := l.Close(); err == nil {
+			err = e
+		}
 	}
-	return err2
+	return err
+}
+
+// Pointer decodes the value of one of the table's index entries (as
+// NewIndexIterator yields them) into the log and the offset in it that
+// hold the entry's record.
+func (r *CLReader) Pointer(v []byte) (logID uint64, off int64, err error) {
+	i, off, err := r.pointer(v)
+	if err != nil {
+		return 0, 0, err
+	}
+	return r.idx.props.logIDs[i], off, nil
+}
+
+// pointer decodes an index entry's value into the position of its log in
+// the table's list and the offset in that log.
+func (r *CLReader) pointer(v []byte) (int, int64, error) {
+	if len(v) < 8 {
+		return 0, 0, fmt.Errorf("cl-sstable %d: index value of %d bytes", r.idx.id, len(v))
+	}
+	off := int64(binary.LittleEndian.Uint64(v))
+	i := uint64(0)
+	if len(v) > 8 {
+		var n int
+		if i, n = binary.Uvarint(v[8:]); n <= 0 {
+			return 0, 0, fmt.Errorf("cl-sstable %d: bad log index", r.idx.id)
+		}
+	}
+	if i >= uint64(len(r.logs)) {
+		return 0, 0, fmt.Errorf("cl-sstable %d: log index %d of %d logs", r.idx.id, i, len(r.logs))
+	}
+	return int(i), off, nil
 }
 
 // resolve fetches the real entry behind an index entry, charging disk
@@ -147,24 +227,27 @@ func (r *CLReader) Close() error {
 // sstable_read span (log records are uncached, so every resolve of a
 // live value is a device-model read).
 func (r *CLReader) resolve(ie base.Entry, tr *obs.Trace) (base.Entry, int, error) {
-	off := int64(binary.LittleEndian.Uint64(ie.Value))
 	if ie.Kind == base.KindDelete {
 		// Tombstone: no value to fetch.
 		return base.Entry{Key: ie.Key, Seq: ie.Seq, Kind: base.KindDelete}, 0, nil
+	}
+	i, off, err := r.pointer(ie.Value)
+	if err != nil {
+		return base.Entry{}, 0, err
 	}
 	var rs time.Time
 	if tr != nil {
 		rs = time.Now()
 	}
-	rec, n, err := wal.ReadRecordAt(r.log, off)
+	rec, n, err := wal.ReadRecordAt(r.logs[i], off)
 	if tr != nil {
-		tr.Span(obs.SpanSSTableRead, rs, fmt.Sprintf("cl-table %06d log@%d %dB", r.idx.id, off, n))
+		tr.Span(obs.SpanSSTableRead, rs, fmt.Sprintf("cl-table %06d log %d@%d %dB", r.idx.id, r.idx.props.logIDs[i], off, n))
 	}
 	if err != nil {
-		return base.Entry{}, 1, fmt.Errorf("cl-sstable %d: log offset %d: %w", r.idx.id, off, err)
+		return base.Entry{}, 1, fmt.Errorf("cl-sstable %d: log %d offset %d: %w", r.idx.id, r.idx.props.logIDs[i], off, err)
 	}
 	if !bytes.Equal(rec.Key, ie.Key) {
-		return base.Entry{}, 1, fmt.Errorf("cl-sstable %d: index/log key mismatch at offset %d", r.idx.id, off)
+		return base.Entry{}, 1, fmt.Errorf("cl-sstable %d: index/log key mismatch at log %d offset %d", r.idx.id, r.idx.props.logIDs[i], off)
 	}
 	return rec, 1, nil
 }
@@ -182,39 +265,51 @@ func (r *CLReader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, int, error)
 }
 
 // NewIterator implements Table. The index is sorted, so iteration (and the
-// L0→L1 merge during compaction) proceeds merge-sort style. The sealed log
-// is read into memory once — a single sequential read, which is how a real
+// L0→L1 merge during compaction) proceeds merge-sort style. Each log is
+// read into memory once — a single sequential read, which is how a real
 // merge would stream it — rather than one random read per record.
 func (r *CLReader) NewIterator() (Iterator, error) {
 	inner, err := r.idx.NewIterator()
 	if err != nil {
 		return nil, err
 	}
-	buf, err := r.readLog(nil)
-	if err != nil {
-		return nil, err
+	bufs := make([][]byte, len(r.logs))
+	for i, l := range r.logs {
+		if bufs[i], err = readLog(l, nil); err != nil {
+			return nil, err
+		}
 	}
-	return &clIter{r: r, inner: inner, logBuf: buf}, nil
+	return &clIter{r: r, inner: inner, logBufs: bufs}, nil
 }
 
 // NewMergeIterator implements Table: every iterator m opens on this table
-// decodes from the one log image m holds.
+// decodes from the one image m holds of each of its logs.
 func (r *CLReader) NewMergeIterator(m *Merge) (Iterator, error) {
 	inner, err := r.idx.NewMergeIterator(m)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := m.logImage(r)
-	if err != nil {
-		return nil, err
+	bufs := make([][]byte, len(r.logs))
+	for i, l := range r.logs {
+		if bufs[i], err = m.logImage(r.idx.props.logIDs[i], l); err != nil {
+			return nil, err
+		}
 	}
-	return &clIter{r: r, inner: inner, logBuf: buf}, nil
+	return &clIter{r: r, inner: inner, logBufs: bufs}, nil
 }
 
-// readLog returns the whole log, read with one sequential read into buf
-// if that is large enough and into a fresh buffer if not.
-func (r *CLReader) readLog(buf []byte) ([]byte, error) {
-	size, err := r.log.Size()
+// NewIndexIterator iterates the table's index entries as they are stored,
+// reading no log byte: a fold merges CL-SSTables by merging their indexes
+// and decodes each surviving entry's value with Pointer. Like a merge's
+// iterators, it does not fill the block cache.
+func (r *CLReader) NewIndexIterator() Iterator {
+	return &readerIter{r: r.idx, block: -1, merge: true}
+}
+
+// readLog returns the whole of log, read with one sequential read into
+// buf if that is large enough and into a fresh buffer if not.
+func readLog(log vfs.File, buf []byte) ([]byte, error) {
+	size, err := log.Size()
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +318,7 @@ func (r *CLReader) readLog(buf []byte) ([]byte, error) {
 	}
 	buf = buf[:size]
 	if size > 0 {
-		if n, err := r.log.ReadAt(buf, 0); err != nil && !(err == io.EOF && n == len(buf)) {
+		if n, err := log.ReadAt(buf, 0); err != nil && !(err == io.EOF && n == len(buf)) {
 			return nil, err
 		}
 	}
@@ -231,27 +326,27 @@ func (r *CLReader) readLog(buf []byte) ([]byte, error) {
 }
 
 // Merge is what the iterators of one background merge share: the image of
-// each input CL-SSTable's commit log, read once — by whichever slice of
-// the merge asks first — instead of once per slice, into a buffer drawn
-// from a pool. A slice of a skewed table decodes a few percent of the
-// log it would otherwise read and allocate whole. The zero value is
-// ready; Close returns the buffers, after which no entry of the merge's
-// iterators may be used.
+// each commit log its input CL-SSTables point into, read once — by
+// whichever slice of the merge asks first — instead of once per slice,
+// into a buffer drawn from a pool. A slice of a skewed table decodes a few
+// percent of the log it would otherwise read and allocate whole. The zero
+// value is ready; Close returns the buffers, after which no entry of the
+// merge's iterators may be used.
 type Merge struct {
 	mu   sync.Mutex
-	logs map[*CLReader]*[]byte
+	logs map[uint64]*[]byte // by log id
 }
 
 // logPool recycles log images (*[]byte) between merges.
 var logPool sync.Pool
 
-// logImage returns the merge's image of r's log, reading it if this is
-// the first request. The lock is held across the read: every slice wants
-// every image, so there is nothing to overlap it with.
-func (m *Merge) logImage(r *CLReader) ([]byte, error) {
+// logImage returns the merge's image of log id, reading it from f if this
+// is the first request. The lock is held across the read: every slice
+// wants every image, so there is nothing to overlap it with.
+func (m *Merge) logImage(id uint64, f vfs.File) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if img := m.logs[r]; img != nil {
+	if img := m.logs[id]; img != nil {
 		return *img, nil
 	}
 	img, _ := logPool.Get().(*[]byte)
@@ -259,13 +354,13 @@ func (m *Merge) logImage(r *CLReader) ([]byte, error) {
 		img = new([]byte)
 	}
 	var err error
-	if *img, err = r.readLog(*img); err != nil {
+	if *img, err = readLog(f, *img); err != nil {
 		return nil, err
 	}
 	if m.logs == nil {
-		m.logs = make(map[*CLReader]*[]byte)
+		m.logs = make(map[uint64]*[]byte)
 	}
-	m.logs[r] = img
+	m.logs[id] = img
 	return *img, nil
 }
 
@@ -280,11 +375,11 @@ func (m *Merge) Close() {
 }
 
 type clIter struct {
-	r      *CLReader
-	inner  Iterator
-	logBuf []byte
-	cur    base.Entry
-	err    error
+	r       *CLReader
+	inner   Iterator
+	logBufs [][]byte // in the order of the table's logs
+	cur     base.Entry
+	err     error
 }
 
 func (it *clIter) fill() bool {
@@ -293,14 +388,18 @@ func (it *clIter) fill() bool {
 		it.cur = base.Entry{Key: ie.Key, Seq: ie.Seq, Kind: base.KindDelete}
 		return true
 	}
-	off := int64(binary.LittleEndian.Uint64(ie.Value))
-	rec, _, err := wal.DecodeRecord(it.logBuf, off)
+	i, off, err := it.r.pointer(ie.Value)
 	if err != nil {
-		it.err = fmt.Errorf("cl-sstable %d: log offset %d: %w", it.r.idx.id, off, err)
+		it.err = err
+		return false
+	}
+	rec, _, err := wal.DecodeRecord(it.logBufs[i], off)
+	if err != nil {
+		it.err = fmt.Errorf("cl-sstable %d: log %d offset %d: %w", it.r.idx.id, it.r.idx.props.logIDs[i], off, err)
 		return false
 	}
 	if !bytes.Equal(rec.Key, ie.Key) {
-		it.err = fmt.Errorf("cl-sstable %d: index/log key mismatch at offset %d", it.r.idx.id, off)
+		it.err = fmt.Errorf("cl-sstable %d: index/log key mismatch at log %d offset %d", it.r.idx.id, it.r.idx.props.logIDs[i], off)
 		return false
 	}
 	it.cur = rec

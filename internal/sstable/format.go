@@ -130,9 +130,11 @@ type props struct {
 	numEntries uint64
 	smallest   []byte
 	largest    []byte
-	// logID is the commit-log file a CL-SSTable's offsets point into;
-	// zero for classic tables.
-	logID uint64
+	// logIDs are the commit-log files a CL-SSTable's offsets point into;
+	// none for classic tables. Encoded as the first id (zero for none),
+	// then, only for more than one, the count of the rest and the rest —
+	// so a single-log table reads as it did before tables had several.
+	logIDs []uint64
 }
 
 func (p props) encode() []byte {
@@ -142,7 +144,17 @@ func (p props) encode() []byte {
 	out = append(out, p.smallest...)
 	out = binary.AppendUvarint(out, uint64(len(p.largest)))
 	out = append(out, p.largest...)
-	out = binary.AppendUvarint(out, p.logID)
+	var first uint64
+	if len(p.logIDs) > 0 {
+		first = p.logIDs[0]
+	}
+	out = binary.AppendUvarint(out, first)
+	if len(p.logIDs) > 1 {
+		out = binary.AppendUvarint(out, uint64(len(p.logIDs)-1))
+		for _, id := range p.logIDs[1:] {
+			out = binary.AppendUvarint(out, id)
+		}
+	}
 	return out
 }
 
@@ -175,9 +187,30 @@ func decodeProps(b []byte) (props, error) {
 	}
 	p.largest = append([]byte(nil), b[off:off+int(ll)]...)
 	off += int(ll)
-	p.logID, n = binary.Uvarint(b[off:])
+	first, n := binary.Uvarint(b[off:])
 	if n <= 0 {
 		return p, errTruncated
+	}
+	off += n
+	if first == 0 {
+		return p, nil
+	}
+	p.logIDs = []uint64{first}
+	if off == len(b) {
+		return p, nil
+	}
+	rest, n := binary.Uvarint(b[off:])
+	if n <= 0 || rest > uint64(len(b)) {
+		return p, errTruncated
+	}
+	off += n
+	for i := uint64(0); i < rest; i++ {
+		id, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			return p, errTruncated
+		}
+		off += n
+		p.logIDs = append(p.logIDs, id)
 	}
 	return p, nil
 }

@@ -255,11 +255,22 @@ func (it *readerIter) Next() bool {
 				return false
 			}
 			it.off = next
-			it.cur = e.Clone()
+			it.cur = it.own(e)
 			it.valid = true
 			return true
 		}
 	}
+}
+
+// own returns e as the iterator yields it. A merge's entries alias their
+// block: blocks are never written once read or cached, and a merge's
+// entries need only outlive the merge (Table.NewMergeIterator), so the
+// copy every other reader gets is not worth its allocation there.
+func (it *readerIter) own(e base.Entry) base.Entry {
+	if it.merge {
+		return e
+	}
+	return e.Clone()
 }
 
 func (it *readerIter) SeekGE(key []byte) bool {
@@ -286,7 +297,7 @@ func (it *readerIter) SeekGE(key []byte) bool {
 		}
 		if bytes.Compare(e.Key, key) >= 0 {
 			it.off = next
-			it.cur = e.Clone()
+			it.cur = it.own(e)
 			it.valid = true
 			return true
 		}

@@ -3,6 +3,8 @@ package sstable
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -287,14 +289,14 @@ func buildCL(t testing.TB, fs vfs.FS, clID, logID uint64, n int) *CLReader {
 	if err := lw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cw, err := NewCLWriter(fs, clID, logID, 512)
+	cw, err := NewCLWriter(fs, clID, []uint64{logID}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%05d", i)
 		p := latest[key]
-		if err := cw.Add([]byte(key), p.seq, p.kind, p.off); err != nil {
+		if err := cw.Add([]byte(key), p.seq, p.kind, logID, p.off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,8 +314,8 @@ func TestCLSSTableGet(t *testing.T) {
 	fs := vfs.NewMemFS()
 	r := buildCL(t, fs, 10, 5, 200)
 	defer r.Close()
-	if r.LogID() != 5 {
-		t.Fatalf("LogID = %d", r.LogID())
+	if ids := r.LogIDs(); len(ids) != 1 || ids[0] != 5 {
+		t.Fatalf("LogIDs = %v", ids)
 	}
 	e, found, reads, err := r.Get([]byte("key-00007"), nil)
 	if err != nil || !found {
@@ -395,12 +397,12 @@ func TestCLSSTableMuchSmallerThanData(t *testing.T) {
 		offs[i] = off
 	}
 	lw.Close()
-	cw, err := NewCLWriter(fs, 10, 5, 0)
+	cw, err := NewCLWriter(fs, 10, []uint64{5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := cw.Add([]byte(fmt.Sprintf("%08d", i)), uint64(i+1), base.KindSet, offs[i]); err != nil {
+		if err := cw.Add([]byte(fmt.Sprintf("%08d", i)), uint64(i+1), base.KindSet, 5, offs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,7 +508,7 @@ func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
 	fs := vfs.NewMemFS()
 	r := buildCL(t, fs, 10, 5, 100)
 	defer r.Close()
-	logSize, _ := r.log.Size()
+	logSize, _ := r.logs[0].Size()
 	entries := func(it Iterator) []string {
 		t.Helper()
 		defer it.Close()
@@ -544,5 +546,133 @@ func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
 			}
 		}
 		m.Close()
+	}
+}
+
+// TestCLMultiLogTable: a CL-SSTable over several logs — what a fold
+// writes — resolves every entry against the log it names, through Get,
+// a plain iterator and a merge's iterators (which read each log once), and
+// its index iterator yields pointers back to the same log and offset. A
+// single-log table's properties keep the encoding that predates it.
+func TestCLMultiLogTable(t *testing.T) {
+	fs := vfs.NewMemFS()
+	type rec struct {
+		key   string
+		log   uint64
+		off   int64
+		value string
+	}
+	var recs []rec
+	for parity, logID := range []uint64{5, 9} { // log 5: even keys, log 9: odd keys
+		lw, err := wal.NewWriter(fs, logID, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if i%2 != parity {
+				continue
+			}
+			key, value := fmt.Sprintf("key-%05d", i), fmt.Sprintf("log%d-%d", logID, i)
+			off, _, err := lw.Append(base.Entry{Key: []byte(key), Value: []byte(value), Seq: uint64(i + 1), Kind: base.KindSet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec{key, logID, off, value})
+		}
+		if err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.SortFunc(recs, func(a, b rec) int { return strings.Compare(a.key, b.key) })
+	cw, err := NewCLWriter(fs, 20, []uint64{5, 9}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Add([]byte("key-?"), 1, base.KindSet, 7, 0); err == nil {
+		t.Fatal("Add accepted a pointer into a log the table does not list")
+	}
+	for i, r := range recs {
+		if err := cw.Add([]byte(r.key), uint64(i+1), base.KindSet, r.log, r.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenCL(fs, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if ids := r.LogIDs(); fmt.Sprint(ids) != "[5 9]" {
+		t.Fatalf("LogIDs = %v", ids)
+	}
+	for _, want := range recs {
+		e, found, _, err := r.Get([]byte(want.key), nil)
+		if err != nil || !found || string(e.Value) != want.value {
+			t.Fatalf("Get(%s) = %q, %v, %v; want %q", want.key, e.Value, found, err, want.value)
+		}
+	}
+	values := func(it Iterator) {
+		t.Helper()
+		defer it.Close()
+		i := 0
+		for ; it.Next(); i++ {
+			if e := it.Entry(); string(e.Key) != recs[i].key || string(e.Value) != recs[i].value {
+				t.Fatalf("entry %d = %s=%s, want %s=%s", i, e.Key, e.Value, recs[i].key, recs[i].value)
+			}
+		}
+		if err := it.Err(); err != nil || i != len(recs) {
+			t.Fatalf("iterated %d of %d entries: %v", i, len(recs), err)
+		}
+	}
+	it, err := r.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values(it)
+	var logBytes int64
+	for _, l := range r.logs {
+		n, _ := l.Size()
+		logBytes += n
+	}
+	if n, err := r.LogBytes(); err != nil || n != logBytes {
+		t.Fatalf("LogBytes = %d, %v; the logs hold %d", n, err, logBytes)
+	}
+	var m Merge
+	for slice := 0; slice < 2; slice++ {
+		before := fs.Stats.BytesRead.Load()
+		it, err := r.NewMergeIterator(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read := fs.Stats.BytesRead.Load() - before; slice == 0 && read != logBytes || slice > 0 && read != 0 {
+			t.Fatalf("merge iterator %d read %d bytes of logs holding %d", slice, read, logBytes)
+		}
+		values(it)
+	}
+	m.Close()
+	idx := r.NewIndexIterator()
+	for i := 0; idx.Next(); i++ {
+		log, off, err := r.Pointer(idx.Entry().Value)
+		if err != nil || log != recs[i].log || off != recs[i].off {
+			t.Fatalf("pointer %d = log %d @%d, %v; want log %d @%d", i, log, off, err, recs[i].log, recs[i].off)
+		}
+	}
+	idx.Close()
+	if _, _, err := r.Pointer([]byte{1, 2, 3, 4, 5, 6, 7, 8, 2}); err == nil {
+		t.Fatal("Pointer accepted a log index past the table's logs")
+	}
+
+	one := props{numEntries: 3, smallest: []byte("a"), largest: []byte("c"), logIDs: []uint64{300}}
+	old := []byte{3, 1, 'a', 1, 'c', 0xac, 0x02}
+	if got := one.encode(); !bytes.Equal(got, old) {
+		t.Fatalf("single-log properties encode as %v, want %v", got, old)
+	}
+	for _, p := range []props{one, {numEntries: 1, smallest: []byte("k"), largest: []byte("k")}, {logIDs: []uint64{5, 9, 12}}} {
+		got, err := decodeProps(p.encode())
+		if err != nil || fmt.Sprint(got.logIDs) != fmt.Sprint(p.logIDs) {
+			t.Fatalf("properties with logs %v decode to %v, %v", p.logIDs, got.logIDs, err)
+		}
 	}
 }
