@@ -10,14 +10,10 @@
 //	triaddb -dir /tmp/db stats
 //	triaddb -dir /tmp/db bench -n 100000
 //
-// Sharded stores: -shards N partitions the keyspace across N engine
-// instances under DIR/shard-NNN. -partitioner range -splits g,n,t
-// creates a range-partitioned store (scans stay shard-local); the
-// partitioner and shard count are persisted in each shard's STORE
-// record, so reopening with a different -shards or -partitioner fails
-// with a descriptive error instead of silently misrouting keys. An
-// existing store reopens with its stored partitioner when the flag is
-// left empty.
+// Sharded stores: -shards N hash-partitions the keyspace across N engine
+// instances under DIR/shard-NNN. The shard count is persisted in each
+// shard's STORE record, so reopening with a different -shards fails with
+// a descriptive error instead of silently misrouting keys.
 package main
 
 import (
@@ -26,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	triad "repro"
@@ -47,13 +42,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fl := flag.NewFlagSet("triaddb", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var (
-		dir         = fl.String("dir", "triaddb-data", "database directory")
-		baseline    = fl.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
-		shards      = fl.Int("shards", 1, "partition the keyspace across N engine instances under DIR/shard-NNN (must match the count the store was created with)")
-		partitioner = fl.String("partitioner", "", "shard router: hash (default for new stores) or range; an existing store's stored partitioner is adopted when empty")
-		splits      = fl.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards), e.g. -splits g,n,t")
-		cacheBytes  = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
-		bgWorkers   = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards, and the most slices one compaction splits into (1: monolithic merges; 0: min(GOMAXPROCS, shards+2), floor 2)")
+		dir        = fl.String("dir", "triaddb-data", "database directory")
+		baseline   = fl.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
+		shards     = fl.Int("shards", 1, "hash-partition the keyspace across N engine instances under DIR/shard-NNN (must match the count the store was created with)")
+		cacheBytes = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
+		bgWorkers  = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards, and the most slices one compaction splits into (1: monolithic merges; 0: min(GOMAXPROCS, shards+2), floor 2)")
 	)
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -65,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	args = fl.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] [-partitioner hash|range] [-splits a,b,c] put|get|del|scan|stats|bench ...")
+		fmt.Fprintln(stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] put|get|del|scan|stats|bench ...")
 		return 2
 	}
 	usage := func(u string) int {
@@ -81,15 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *baseline {
 		profile = triad.ProfileBaseline
 	}
-	opts := triad.Options{
-		Profile: profile, Partitioner: *partitioner, BlockCacheBytes: *cacheBytes,
-		BackgroundWorkers: *bgWorkers,
-	}
-	if *splits != "" {
-		for _, s := range strings.Split(*splits, ",") {
-			opts.RangeSplits = append(opts.RangeSplits, []byte(s))
-		}
-	}
+	opts := triad.Options{Profile: profile, BlockCacheBytes: *cacheBytes, BackgroundWorkers: *bgWorkers}
 	if *shards > 1 {
 		opts.Shards = *shards
 		opts.ShardFS = triad.ShardDirs(*dir)

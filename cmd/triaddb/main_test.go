@@ -58,6 +58,7 @@ func TestUsageErrors(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-dir", dir, "-bg-workers", "-1", "get", "k"}, "-bg-workers -1"},
+		{[]string{"-dir", dir, "-partitioner", "range", "get", "k"}, "flag provided but not defined: -partitioner"},
 		{[]string{"-dir", dir}, "usage: triaddb"},
 		{[]string{"-dir", dir, "put", "k"}, "usage: triaddb put"},
 		{[]string{"-dir", dir, "frobnicate"}, "unknown command"},

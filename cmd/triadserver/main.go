@@ -6,8 +6,7 @@
 //
 //	triadserver -addr :6379                          # ephemeral in-memory store
 //	triadserver -addr :6379 -dir /var/lib/triad      # durable store
-//	triadserver -addr :6379 -dir d -shards 4         # sharded under d/shard-NNN
-//	triadserver -addr :6379 -dir d -shards 4 -partitioner range -splits g,n,t
+//	triadserver -addr :6379 -dir d -shards 4         # hash-sharded under d/shard-NNN
 //	triadserver -addr :6379 -metrics 127.0.0.1:9379  # plain-text /metrics dump
 //
 // Commands: GET, SET, DEL, MGET, MSET, SCAN, EVENTS, SLOWLOG, TRACE,
@@ -32,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/lsm"
@@ -56,9 +54,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		addr        = fs.String("addr", ":6379", "TCP listen address for the RESP protocol")
 		dir         = fs.String("dir", "", "database directory (empty: ephemeral in-memory store)")
 		baseline    = fs.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
-		shards      = fs.Int("shards", 1, "partition the keyspace across N engine instances (DIR/shard-NNN when durable)")
-		partitioner = fs.String("partitioner", "", "shard router: hash (default for new stores) or range; a durable store's stored partitioner is adopted when empty")
-		splits      = fs.String("splits", "", "comma-separated ascending split keys for -partitioner range (N-1 keys for N shards)")
+		shards      = fs.Int("shards", 1, "hash-partition the keyspace across N engine instances (DIR/shard-NNN when durable)")
 		cacheBytes  = fs.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile's per-shard default, pooled)")
 		syncWAL     = fs.Bool("sync", false, "fsync the commit log on every group commit")
 		metricsAddr = fs.String("metrics", "", "HTTP listen address for the Prometheus /metrics and /stats dump (empty: disabled)")
@@ -80,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		return 2
 	}
 
-	db, err := openStore(*dir, *baseline, *syncWAL, *shards, *partitioner, *splits, *noObs, *cacheBytes, *bgWorkers)
+	db, err := openStore(*dir, *baseline, *syncWAL, *shards, *noObs, *cacheBytes, *bgWorkers)
 	if err != nil {
 		fmt.Fprintln(stderr, "triadserver:", err)
 		return 1
@@ -177,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 // openStore opens the sharded engine the server fronts. The shard layer
 // is used even at one shard so STATS carries the per-shard table and
 // durable stores get the STORE metadata validation.
-func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, splits string, noObs bool, cacheBytes int64, bgWorkers int) (*shard.DB, error) {
+func openStore(dir string, baseline, syncWAL bool, shards int, noObs bool, cacheBytes int64, bgWorkers int) (*shard.DB, error) {
 	engine := lsm.TriadOptions(nil)
 	if baseline {
 		engine = lsm.DefaultOptions(nil)
@@ -190,17 +186,6 @@ func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, spli
 	var cache *sstable.Cache
 	if cacheBytes > 0 {
 		cache = sstable.NewCache(cacheBytes)
-	}
-
-	var splitKeys [][]byte
-	if splits != "" {
-		for _, s := range strings.Split(splits, ",") {
-			splitKeys = append(splitKeys, []byte(s))
-		}
-	}
-	part, err := shard.ParsePartitioner(partitioner, splitKeys)
-	if err != nil {
-		return nil, err
 	}
 
 	newFS := shard.MemFS()
@@ -217,7 +202,6 @@ func openStore(dir string, baseline, syncWAL bool, shards int, partitioner, spli
 		Shards:               shards,
 		Engine:               engine,
 		NewFS:                newFS,
-		Partitioner:          part,
 		BlockCache:           cache,
 		DisableObservability: noObs,
 		BackgroundWorkers:    bgWorkers,

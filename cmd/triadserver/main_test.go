@@ -226,9 +226,8 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
-// TestBadFlags: configuration errors are exit code 1, malformed or
-// out-of-range flags exit 2 with the usage text — none of them hang, and
-// none selects a hidden mode.
+// TestBadFlags: malformed, removed or out-of-range flags exit 2 with the
+// usage text — none of them hang, and none selects a hidden mode.
 func TestBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -236,8 +235,8 @@ func TestBadFlags(t *testing.T) {
 		code   int
 		stderr string // substring the diagnostic must carry
 	}{
-		{"bogus partitioner", []string{"-partitioner", "bogus"}, 1, "unknown partitioner"},
-		{"range without splits", []string{"-partitioner", "range"}, 1, "requires split keys"},
+		{"removed partitioner flag", []string{"-partitioner", "range"}, 2, "Usage of triadserver"},
+		{"removed splits flag", []string{"-splits", "g,n"}, 2, "Usage of triadserver"},
 		{"unknown flag", []string{"-not-a-flag"}, 2, "Usage of triadserver"},
 		{"removed commit flag", []string{"-commit-delay", "1ms"}, 2, "Usage of triadserver"},
 		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},

@@ -105,6 +105,9 @@ type DB struct {
 	versionMu sync.RWMutex
 	version   *manifest.Version
 	tables    map[uint64]sstable.Table
+	// logNumber is the manifest's LogNumber as journaled: recovery would
+	// delete an unpinned log below it rather than replay it.
+	logNumber uint64
 
 	manifest *manifest.Log
 	cache    *sstable.Handle // this DB's tenant view of the block cache
@@ -222,6 +225,7 @@ func (db *DB) recover() error {
 	db.l0Count.Store(int32(len(v.Levels[0])))
 	db.seq = state.LastSeq
 	db.nextID = state.NextFileID
+	db.logNumber = state.LogNumber
 	if db.nextID == 0 {
 		db.nextID = 1
 	}
@@ -257,15 +261,23 @@ func (db *DB) recover() error {
 	// sequence wins, whichever file holds it: what a flush skip or a flush
 	// carried into a newer file is older than the records around it.
 	// Records of one sequence are one batch, in order within one file, so
-	// among equals the later one wins.
+	// among equals the later one wins. An unpinned log below the log
+	// number is not replayed but deleted: its tables have left the tree
+	// (a merge, or a crash between a flush's edit and the removal of the
+	// logs it superseded), and its records are older than theirs.
 	logNames, err := db.fs.List("")
 	if err != nil {
 		return err
 	}
-	var replayIDs []uint64
+	var replayIDs, staleIDs []uint64
 	for _, name := range logNames {
 		var id uint64
-		if _, err := fmt.Sscanf(name, "%d.log", &id); err == nil && name == wal.FileName(id) && !pinnedLogs[id] {
+		if _, err := fmt.Sscanf(name, "%d.log", &id); err != nil || name != wal.FileName(id) || pinnedLogs[id] {
+			continue
+		}
+		if id < db.logNumber {
+			staleIDs = append(staleIDs, id)
+		} else {
 			replayIDs = append(replayIDs, id)
 		}
 	}
@@ -298,7 +310,7 @@ func (db *DB) recover() error {
 	if _, err := db.populateLog(db.log, db.mem, 0, pointingInto(db.mem, 0)); err != nil {
 		return err
 	}
-	return db.retireLogs(replayIDs...)
+	return db.retireLogs(append(staleIDs, replayIDs...)...)
 }
 
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
@@ -374,7 +386,8 @@ func (db *DB) noteRelogged(n int) {
 // the highest sequence over all logs it finds, so a log may go only when
 // every record that still matters in it is in a newer log or in a table,
 // and an older log left behind by itself would put stale versions over
-// the tables the newer one was flushed into.
+// the tables the newer one was flushed into. A log below the manifest's
+// log number is safe to leave behind in any order: recovery deletes it.
 func (db *DB) retireLogs(ids ...uint64) error {
 	slices.Sort(ids)
 	for _, id := range ids {

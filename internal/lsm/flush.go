@@ -254,7 +254,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 	db.met.BytesFlushed.Add(written)
 	db.met.Flushes.Add(1)
 
-	if err := db.installFlush(meta); err != nil {
+	if err := db.installFlush(imm, meta); err != nil {
 		return err
 	}
 	if db.opts.TriadLog {
@@ -352,14 +352,15 @@ func (db *DB) writeCLSSTable(imm *immutable, entries []*memtable.Entry) (manifes
 	}, written, nil
 }
 
-// installFlush journals and publishes a new L0 table.
-func (db *DB) installFlush(meta manifest.FileMeta) error {
+// installFlush journals and publishes imm's L0 table, meta, with the log
+// number its edit advances to.
+func (db *DB) installFlush(imm *immutable, meta manifest.FileMeta) error {
 	t, err := db.openTable(&meta)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
-	edit := manifest.Edit{Added: []manifest.FileMeta{meta}, NextFileID: db.nextID, LastSeq: db.seq}
+	edit := manifest.Edit{Added: []manifest.FileMeta{meta}, NextFileID: db.nextID, LastSeq: db.seq, LogNumber: db.logNumberLocked(imm)}
 	db.mu.Unlock()
 	if err := db.manifest.Append(edit); err != nil {
 		t.Close()
@@ -374,7 +375,32 @@ func (db *DB) installFlush(meta manifest.FileMeta) error {
 	}
 	db.version = nv
 	db.tables[meta.ID] = t
+	db.logNumber = max(db.logNumber, edit.LogNumber)
 	db.l0Count.Store(int32(len(nv.Levels[0])))
 	db.versionMu.Unlock()
 	return nil
+}
+
+// logNumberLocked returns the oldest commit log a memtable other than
+// flushing still needs: the live log and its predecessor, and both logs of
+// every other sealed memtable. All of them are newer than flushing's, the
+// head of the flush queue. Once flushing's table is journaled, every older
+// log is pinned by a table or is no longer needed: that table or one
+// flushed before it holds its records, or a newer log does. Caller holds
+// db.mu.
+func (db *DB) logNumberLocked(flushing *immutable) uint64 {
+	n := db.log.ID()
+	if db.prev != nil {
+		n = min(n, db.prev.ID())
+	}
+	for _, q := range db.imm {
+		if q == flushing {
+			continue
+		}
+		n = min(n, q.log.ID())
+		if q.prev != nil {
+			n = min(n, q.prev.ID())
+		}
+	}
+	return n
 }

@@ -15,8 +15,10 @@ import (
 	"repro/internal/wal"
 )
 
-// unpinnedLogs lists the commit-log files in fs that no CL-SSTable of db's
-// current version pins.
+// unpinnedLogs lists the commit-log files in fs that recovery would replay:
+// those no CL-SSTable of db's current version pins, at or above its log
+// number. (A merge unpins a log a moment before it removes the file; below
+// the log number, such a log is already as good as gone.)
 func unpinnedLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 	t.Helper()
 	pinned := map[string]bool{}
@@ -28,8 +30,13 @@ func unpinnedLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 			}
 		}
 	}
+	logNumber := db.logNumber
 	db.versionMu.RUnlock()
-	return slices.DeleteFunc(logFiles(t, fs), func(name string) bool { return pinned[name] })
+	return slices.DeleteFunc(logFiles(t, fs), func(name string) bool {
+		var id uint64
+		fmt.Sscanf(name, "%d.log", &id)
+		return pinned[name] || id < logNumber
+	})
 }
 
 // foldL0 folds all of db's L0, CL-SSTables, as a compaction round would,
@@ -98,8 +105,6 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 			o.TriadMem, o.TriadLog = true, triadLog
 			o.CommitLogBytes = 8 << 10
 			o.FlushThresholdBytes = 4 << 10
-			// A compaction unpins a log a moment before it removes it.
-			o.DisableAutoCompaction = true
 			db := mustOpen(t, o)
 			defer db.Close()
 			rng := rand.New(rand.NewSource(2))
@@ -160,7 +165,6 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := triadSmall(fs)
-	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
 	if err := db.Put([]byte("straggler"), []byte("written once")); err != nil {
 		t.Fatal(err)
@@ -245,6 +249,87 @@ func TestRelogAccountsForEverythingButCommits(t *testing.T) {
 	if relogged == 0 || (logged-relogged)*(keyLen+valLen) != user*(header+keyLen+valLen) {
 		t.Fatalf("logged %d B, %d of them re-logged, for %d user bytes: the rest is not %d/%d of the user's",
 			logged, relogged, user, header+keyLen+valLen, keyLen+valLen)
+	}
+}
+
+// TestMergedLogsStayRetired: a merge of L0's CL-SSTables into L1 journals
+// its edit a step before it removes the commit logs they pinned. A crash in
+// between, while a flush carries on and installs a newer version of a key,
+// leaves those logs on disk and unpinned. Recovery must delete them by the
+// log number the flush journaled, not replay their superseded records over
+// the newer table.
+func TestMergedLogsStayRetired(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	o.DisableAutoCompaction = true // the merge runs when the test says
+	db := mustOpen(t, o)
+	flushVersion := func(v string) {
+		t.Helper()
+		// Filler written once each, like the key: nothing is hot, so the
+		// key goes to the table rather than staying in the memtable.
+		for i := 0; i < 20; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("filler-%s-%02d", v, i)), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Put([]byte("k"), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushVersion("v1")
+	flushVersion("v2")
+	merged := map[string][]byte{}
+	for _, name := range logFiles(t, fs) {
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Size()
+		merged[name] = make([]byte, size)
+		if _, err := f.ReadAt(merged[name], 0); err != nil && size > 0 {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.NumLevelFiles()[0]; n != 0 {
+		t.Fatalf("%d tables left in L0 by the merge", n)
+	}
+	flushVersion("v3")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The crash image: the logs the merge retired are back on disk.
+	var restored []string
+	for name, b := range merged {
+		if fs.Exists(name) {
+			continue // the live log, which the merge did not retire
+		}
+		f, _ := fs.Create(name)
+		f.Write(b)
+		f.Close()
+		restored = append(restored, name)
+	}
+	if len(restored) < 2 {
+		t.Fatalf("the merge retired logs %v, want the two its tables pinned", restored)
+	}
+	db = mustOpen(t, o)
+	defer db.Close()
+	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v3" {
+		t.Fatalf("Get(k) = %q, %v after recovery; want v3, the version flushed after the merge", v, err)
+	}
+	for _, name := range restored {
+		if fs.Exists(name) {
+			t.Fatalf("retired log %s outlived recovery", name)
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -374,12 +459,6 @@ func crashPoints(t *testing.T, triadLog bool, seed int64) {
 	o.SyncWAL = true
 	o.CommitLogBytes = 4 << 10
 	o.FlushThresholdBytes = 4 << 10
-	// This test is about the logs that back memtables. A compaction retires
-	// pinned ones, and not crash-safely yet: its manifest edit unpins a log a
-	// step before the file goes, and recovery replays whatever is unpinned.
-	// With compactions on, both seeds fail under TriadLog at the first one
-	// (ROADMAP, crash consistency).
-	o.DisableAutoCompaction = true
 
 	var acked atomic.Int64 // ops[:acked] returned; ops[acked] may be in flight
 	state := map[string]string{}

@@ -130,6 +130,14 @@ type Edit struct {
 	NextFileID uint64 `json:"next_file_id,omitempty"`
 	// LastSeq persists the sequence-number allocator.
 	LastSeq uint64 `json:"last_seq,omitempty"`
+	// LogNumber is LevelDB's log_number: the oldest commit log recovery
+	// may replay. A flush records it; every log below it is pinned by a
+	// table or was retired, so an unpinned one still on disk is one a
+	// crash kept from being removed, and replaying it would put
+	// superseded values over newer tables. Zero — journals written
+	// before it, which older binaries also ignore — replays every
+	// unpinned log.
+	LogNumber uint64 `json:"log_number,omitempty"`
 }
 
 // Version is an immutable snapshot of the level structure. Levels[0] is
@@ -343,7 +351,7 @@ type Log struct {
 	f     vfs.File
 	w     *bufio.Writer
 	v     *Version
-	state Edit // NextFileID and LastSeq as journaled
+	state Edit // NextFileID, LastSeq and LogNumber as journaled
 	// size is the journal's bytes, snapSize those of the snapshot it
 	// starts with.
 	size, snapSize int64
@@ -379,7 +387,7 @@ func (l *Log) roll() error {
 	if err != nil {
 		return err
 	}
-	snap := Edit{NextFileID: l.state.NextFileID, LastSeq: l.state.LastSeq}
+	snap := l.state
 	for _, files := range l.v.Levels {
 		for _, fm := range files {
 			snap.Added = append(snap.Added, *fm)
@@ -438,14 +446,17 @@ func replay(fs vfs.FS) (*Version, Edit, error) {
 			return nil, Edit{}, err
 		}
 		v = nv
-		if e.NextFileID > state.NextFileID {
-			state.NextFileID = e.NextFileID
-		}
-		if e.LastSeq > state.LastSeq {
-			state.LastSeq = e.LastSeq
-		}
+		state.advance(e)
 	}
 	return v, state, nil
+}
+
+// advance raises the allocators and the log number s journals to e's
+// where e's are higher. The tree's files are not s's to keep.
+func (s *Edit) advance(e Edit) {
+	s.NextFileID = max(s.NextFileID, e.NextFileID)
+	s.LastSeq = max(s.LastSeq, e.LastSeq)
+	s.LogNumber = max(s.LogNumber, e.LogNumber)
 }
 
 // Append journals one edit durably, first rolling the journal into a
@@ -469,8 +480,7 @@ func (l *Log) Append(e Edit) error {
 	}
 	l.size += n
 	l.v = nv
-	l.state.NextFileID = max(l.state.NextFileID, e.NextFileID)
-	l.state.LastSeq = max(l.state.LastSeq, e.LastSeq)
+	l.state.advance(e)
 	return nil
 }
 

@@ -381,7 +381,8 @@ func (fs *renameImageFS) Rename(oldname, newname string) error {
 // journal never holds more than rollFactor times its snapshot plus the
 // edit that finds it there, and a crash between writing the rolled
 // journal and renaming it over the old one recovers the tree journaled so
-// far; so does a clean reopen at the end.
+// far; so does a clean reopen at the end, with the log number only the
+// first edits recorded, which every roll since has had to carry.
 func TestJournalRollsAtBound(t *testing.T) {
 	fs := &renameImageFS{MemFS: vfs.NewMemFS(), t: t}
 	var want *Version
@@ -410,6 +411,9 @@ func TestJournalRollsAtBound(t *testing.T) {
 	var maxEdit int64
 	for id := uint64(1); id <= 400; id++ {
 		e := Edit{Added: []FileMeta{fm(id, 0, "a", "z")}, NextFileID: id + 1, LastSeq: id * 10}
+		if id <= 10 {
+			e.LogNumber = id
+		}
 		if len(live) > 8 {
 			i := rng.Intn(len(live))
 			e.Deleted = []uint64{live[i]}
@@ -439,8 +443,35 @@ func TestJournalRollsAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(levelIDs(got)) != fmt.Sprint(levelIDs(want)) || state.NextFileID != 401 || state.LastSeq != 4000 {
+	if fmt.Sprint(levelIDs(got)) != fmt.Sprint(levelIDs(want)) || state.NextFileID != 401 || state.LastSeq != 4000 || state.LogNumber != 10 {
 		t.Fatalf("reopened %v (%+v), journaled %v", levelIDs(got), state, levelIDs(want))
+	}
+}
+
+// TestLogNumberNeedsNoFlagDay: a journal written before the log number
+// existed replays with LogNumber 0 — recovery's old rule, every unpinned
+// log replayed — and an edit carrying one decodes without error where the
+// field is unknown, as in an older binary.
+func TestLogNumberNeedsNoFlagDay(t *testing.T) {
+	fs := vfs.NewMemFS()
+	f, _ := fs.Create("MANIFEST")
+	f.Write([]byte(`{"added":[{"id":4,"kind":2,"level":0,"size":10,"entries":1,"smallest":"YQ==","largest":"YQ==","log_id":3}],"next_file_id":6,"last_seq":9}` + "\n"))
+	f.Close()
+	l, v, state, err := OpenLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(v.Levels[0]) != 1 || state.NextFileID != 6 || state.LastSeq != 9 || state.LogNumber != 0 {
+		t.Fatalf("journal without a log number recovered %v, %+v", levelIDs(v), state)
+	}
+	b, _ := json.Marshal(Edit{NextFileID: 8, LogNumber: 7})
+	var older struct {
+		NextFileID uint64 `json:"next_file_id"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if err := dec.Decode(&older); err != nil || older.NextFileID != 8 || !bytes.Contains(b, []byte(`"log_number":7`)) {
+		t.Fatalf("an older decoder read %s as %+v, %v", b, older, err)
 	}
 }
 

@@ -9,21 +9,18 @@
 // pipelines, while TRIAD's three techniques (hot/cold flush separation,
 // HLL-gated L0 compaction, CL-SSTables) compose per shard unchanged.
 //
-// Two partitioners route keys to shards. FNV (the default) hashes, which
-// balances any keyspace but scatters contiguous ranges over every shard;
-// Range routes by sorted split keys, keeping contiguous ranges on one
-// shard so scans stay shard-local. The active partitioner and shard
-// count are persisted in a checksummed STORE record on every shard's
-// filesystem; Open validates it on reopen and fails fast on a mismatch
-// instead of silently misrouting keys.
+// Keys route to shards by an FNV-1a hash, which balances any keyspace but
+// scatters contiguous ranges over every shard. The shard count and the
+// routing's name are persisted in a checksummed STORE record on every
+// shard's filesystem; Open validates it on reopen and fails fast on a
+// mismatch — or on a record naming another partitioner, as stores of
+// older builds may — instead of silently misrouting keys.
 //
 // shard.DB exposes the same surface as lsm.DB: point operations route to
 // the owning shard, Apply splits a batch into per-shard sub-batches
-// applied concurrently, NewIterator plans the scan with the
-// partitioner's ownership query (one shard: that shard's iterator,
-// verbatim; several contiguous shards: concatenation in key order;
-// hashed: a k-way heap merge), and Flush/CompactAll/Close fan out to
-// every shard and drain them.
+// applied concurrently, NewIterator merges the shards' iterators with a
+// k-way heap (a one-shard store returns its shard's iterator verbatim),
+// and Flush/CompactAll/Close fan out to every shard and drain them.
 //
 // Two lifetime invariants here are machine-checked by triadlint (see
 // internal/lint): every *Commit ticket minted by Prepare must reach
@@ -74,11 +71,6 @@ type Options struct {
 	// NewFS returns shard i's filesystem; required. Every shard needs a
 	// namespace of its own — MemFS and DirFS are ready-made factories.
 	NewFS func(i int) (vfs.FS, error)
-	// Partitioner routes keys to shards. nil adopts the partitioner the
-	// store's STORE metadata records (new stores default to FNV{}); a
-	// non-nil partitioner must match what the store was created with,
-	// or Open fails rather than misroute.
-	Partitioner Partitioner
 	// DisableObservability leaves the store's event journal and apply
 	// latency recorder nil: every instrumentation point degrades to a
 	// pointer test (the configuration the overhead benchmark compares
@@ -142,7 +134,6 @@ func DivideBudgets(o lsm.Options, n int) lsm.Options {
 // the same shard commit in store-clock epoch order.
 type DB struct {
 	shards []*lsm.DB
-	part   Partitioner
 
 	// clk is the store-wide commit clock: every write (single- or
 	// cross-shard) and every snapshot holds one epoch ticket, and per
@@ -176,8 +167,9 @@ type DB struct {
 // store-wide configuration is checked first: on create, a STORE metadata
 // record (shard count + partitioner) is written to every shard's
 // filesystem; on reopen, the records are validated against Options and
-// a mismatched shard count or partitioner is an error — the alternative
-// is serving reads that silently miss the keys routed elsewhere.
+// a mismatched shard count, or a partitioner other than FNV, is an error
+// — the alternative is serving reads that silently miss the keys routed
+// elsewhere.
 func Open(o Options) (*DB, error) {
 	if o.Shards < 1 {
 		o.Shards = 1
@@ -199,11 +191,10 @@ func Open(o Options) (*DB, error) {
 		}
 		fses[i] = fs
 	}
-	part, err := resolvePartitioner(fses, o.Partitioner)
-	if err != nil {
+	if err := checkStoreMeta(fses); err != nil {
 		return nil, err
 	}
-	db := &DB{part: part, shards: make([]*lsm.DB, 0, o.Shards)}
+	db := &DB{shards: make([]*lsm.DB, 0, o.Shards)}
 	if !o.DisableObservability {
 		db.events = o.Engine.Events // a caller-supplied journal wins
 		if db.events == nil {
@@ -257,72 +248,55 @@ func Open(o Options) (*DB, error) {
 	return db, nil
 }
 
-// resolvePartitioner reconciles the requested partitioner with the STORE
-// records on the shard filesystems: validates count and routing on
-// reopen, adopts the stored partitioner when none was requested, and
-// writes records where absent (store creation, or a store predating the
-// metadata format — the one case that cannot be validated). A filesystem
-// with no record that holds a shard-000/ is the root of a sharded store
-// (DirFS) opened as a shard: refused, since every key would read as
-// missing.
-func resolvePartitioner(fses []vfs.FS, requested Partitioner) (Partitioner, error) {
+// checkStoreMeta validates the STORE records on the shard filesystems
+// against the shard count, and writes records where absent (store
+// creation, or a store predating the metadata format — the one case that
+// cannot be validated). A record naming a partitioner other than FNV is
+// refused: this build cannot route that store's keys. So is a filesystem
+// with no record that holds a shard-000/: the root of a sharded store
+// (DirFS) opened as a shard, where every key would read as missing.
+func checkStoreMeta(fses []vfs.FS) error {
 	n := len(fses)
-	metas := make([]*storeMeta, n)
+	recorded := make([]bool, n)
 	var ref *storeMeta
 	for i, fs := range fses {
 		m, ok, err := readStoreMeta(fs)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if !ok {
 			if fs.Exists("shard-000") {
-				return nil, fmt.Errorf("shard %d: store was created sharded (found shard-000/); open it with the original shard count", i)
+				return fmt.Errorf("shard %d: store was created sharded (found shard-000/); open it with the original shard count", i)
 			}
 			continue
+		}
+		if m.Partitioner != fnvName {
+			return fmt.Errorf("shard %d: store was created with partitioner %q, which this build cannot route (it routes by %q only)", i, m.Partitioner, fnvName)
 		}
 		if m.Shard != i {
-			return nil, fmt.Errorf("shard: shard %d's filesystem holds shard %d's metadata — shard directories shuffled or miswired", i, m.Shard)
+			return fmt.Errorf("shard: shard %d's filesystem holds shard %d's metadata — shard directories shuffled or miswired", i, m.Shard)
 		}
-		metas[i] = &m
+		recorded[i] = true
 		if ref == nil {
 			ref = &m
-		} else if m.Shards != ref.Shards || m.Partitioner != ref.Partitioner {
-			return nil, fmt.Errorf("shard: shards disagree on store metadata (shard %d: %d shards, partitioner %q; shard %d: %d shards, partitioner %q)",
-				ref.Shard, ref.Shards, ref.Partitioner, i, m.Shards, m.Partitioner)
+		} else if m.Shards != ref.Shards {
+			return fmt.Errorf("shard: shards disagree on store metadata (shard %d: %d shards; shard %d: %d shards)",
+				ref.Shard, ref.Shards, i, m.Shards)
 		}
 	}
-	part := requested
-	if ref != nil {
-		if ref.Shards != n {
-			return nil, fmt.Errorf("shard: store was created with %d shards (partitioner %q); reopening with %d shards would misroute keys — pass the original shard count",
-				ref.Shards, ref.Partitioner, n)
-		}
-		if part == nil {
-			var err error
-			part, err = partitionerFromName(ref.Partitioner)
-			if err != nil {
-				return nil, err
-			}
-		} else if part.Name() != ref.Partitioner {
-			return nil, fmt.Errorf("shard: store was created with partitioner %q; reopening with %q would misroute keys",
-				ref.Partitioner, part.Name())
-		}
-	}
-	if part == nil {
-		part = FNV{}
-	}
-	if r, ok := part.(*Range); ok && r.NumShards() != n {
-		return nil, fmt.Errorf("shard: range partitioner implies %d shards (splits+1), Options.Shards is %d", r.NumShards(), n)
+	if ref != nil && ref.Shards != n {
+		return fmt.Errorf("shard: store was created with %d shards; reopening with %d shards would misroute keys — pass the original shard count",
+			ref.Shards, n)
 	}
 	for i, fs := range fses {
-		if metas[i] != nil {
+		if recorded[i] {
 			continue
 		}
-		if err := writeStoreMeta(fs, metaFor(part, n, i)); err != nil {
-			return nil, fmt.Errorf("shard %d: write store metadata: %w", i, err)
+		if err := writeStoreMeta(fs, storeMeta{Shards: n, Shard: i, Partitioner: fnvName}); err != nil {
+			return fmt.Errorf("shard %d: write store metadata: %w", i, err)
 		}
 	}
-	return part, nil
+	return nil
 }
 
 // NumShards reports the shard count.
@@ -330,9 +304,6 @@ func (db *DB) NumShards() int { return len(db.shards) }
 
 // Shard exposes shard i (observability and tests).
 func (db *DB) Shard(i int) *lsm.DB { return db.shards[i] }
-
-// Partitioner reports the active partitioner.
-func (db *DB) Partitioner() Partitioner { return db.part }
 
 // Events returns the store's background-event journal (nil when
 // observability is disabled).
@@ -344,7 +315,7 @@ func (db *DB) ApplyLatency() *obs.Hist { return db.applyLat }
 
 // pick returns the shard owning key.
 func (db *DB) pick(key []byte) *lsm.DB {
-	return db.shards[db.part.Partition(key, len(db.shards))]
+	return db.shards[fnv(key, len(db.shards))]
 }
 
 // Put associates value with key on the owning shard, committing at a
@@ -373,7 +344,7 @@ func (db *DB) Delete(key []byte) error {
 // three locks (the shard's commit lock, the engine's, the watermark's)
 // and parks nowhere.
 func (db *DB) writeOne(key, value []byte, kind base.Kind) error {
-	i := db.part.Partition(key, len(db.shards))
+	i := fnv(key, len(db.shards))
 	s := db.shards[i]
 	// Absorb write stalls before taking the ticket: a stalled commit
 	// holding the shard's commit lock would block every ticket behind it
@@ -440,7 +411,7 @@ func (db *DB) Prepare(b *Batch) (*Commit, error) {
 		subs[0] = b
 	} else {
 		for _, e := range b.Ops() {
-			i := db.part.Partition(e.Key, len(db.shards))
+			i := fnv(e.Key, len(db.shards))
 			if subs[i] == nil {
 				subs[i] = &lsm.Batch{}
 			}

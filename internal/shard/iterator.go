@@ -8,15 +8,9 @@ import (
 )
 
 // Iter is the iterator surface DB.NewIterator and Snapshot.NewIterator
-// return: a streaming, ascending scan. Which concrete type backs it
-// depends on what the partitioner's ownership query says about the scan
-// bounds:
-//
-//   - one shard can hold the range  → that shard's *lsm.Iterator,
-//     verbatim (no cross-shard machinery at all);
-//   - several shards, in key order  → *Concat, per-shard iterators
-//     visited back to back;
-//   - hashed (any shard, any order) → *Merged, a k-way heap merge.
+// return: a streaming, ascending scan. A one-shard store's scan is that
+// shard's *lsm.Iterator, verbatim (no cross-shard machinery at all); any
+// other is a *Merged, a k-way heap merge of the shards' iterators.
 type Iter interface {
 	// Next advances; the iterator starts before the first entry.
 	Next() bool
@@ -31,20 +25,18 @@ type Iter interface {
 }
 
 // NewIterator returns a streaming scan of [start, limit) (nil bounds
-// are unbounded). A scan a single shard can serve skips the cross-shard
+// are unbounded). Empty bounds do no shard work, and in particular take
+// no cross-shard barrier. A one-shard store skips the cross-shard
 // snapshot entirely (per-shard commits are atomic, so one shard's view
 // is always consistent); a scan spanning shards is taken on a pinned
 // cross-shard snapshot that dies with the iterator, so it can never
 // observe half of a concurrent cross-shard Apply.
 func (db *DB) NewIterator(start, limit []byte) (Iter, error) {
-	idx, ordered := db.part.Ranges(start, limit, len(db.shards))
-	switch len(idx) {
-	case 0:
-		// Nothing owns the range (inverted or empty bounds): no shard
-		// work, and in particular no cross-shard barrier.
-		return &Concat{}, nil
-	case 1:
-		it, err := db.shards[idx[0]].NewIterator(start, limit)
+	switch {
+	case emptyRange(start, limit):
+		return &Merged{}, nil
+	case len(db.shards) == 1:
+		it, err := db.shards[0].NewIterator(start, limit)
 		if err != nil {
 			// Return an explicit nil: a typed-nil *lsm.Iterator inside
 			// the interface would pass callers' `it != nil` checks.
@@ -56,79 +48,19 @@ func (db *DB) NewIterator(start, limit []byte) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.newIteratorPlanned(start, limit, idx, ordered, s)
+	return s.newIterator(start, limit, s)
 }
 
-// Concat visits per-shard iterators back to back. It is correct exactly
-// when the partitioner guarantees the shards hold disjoint contiguous
-// key slices in visiting order (Ranges reported ordered == true), which
-// makes every advance O(1) — no comparisons, no heap — while still
-// yielding one globally sorted stream.
-type Concat struct {
-	its    []*lsm.Iterator
-	pos    int
-	snap   *Snapshot // owned single-use snapshot, nil otherwise
-	err    error
-	closed bool
-}
-
-// NewConcat builds a concatenation over iterators whose key ranges are
-// disjoint and ascending in slice order.
-func NewConcat(its []*lsm.Iterator) *Concat {
-	return &Concat{its: its}
-}
-
-// Next advances; the iterator starts before the first entry.
-func (c *Concat) Next() bool {
-	if c.closed || c.err != nil {
-		return false
-	}
-	for c.pos < len(c.its) {
-		if c.its[c.pos].Next() {
-			return true
-		}
-		if err := c.its[c.pos].Err(); err != nil {
-			c.err = err
-			return false
-		}
-		c.pos++
-	}
-	return false
-}
-
-// Key returns the current key.
-func (c *Concat) Key() []byte { return c.its[c.pos].Key() }
-
-// Value returns the current value.
-func (c *Concat) Value() []byte { return c.its[c.pos].Value() }
-
-// Err returns the first error the scan encountered.
-func (c *Concat) Err() error { return c.err }
-
-// Close releases the per-shard iterators (and the owned snapshot when
-// DB.NewIterator created one). Idempotent; returns Err() like
-// lsm.Iterator.Close.
-func (c *Concat) Close() error {
-	if c.closed {
-		return c.err
-	}
-	c.closed = true
-	for _, it := range c.its {
-		if err := it.Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	if c.snap != nil {
-		c.snap.Close()
-	}
-	return c.err
+// emptyRange reports whether [start, limit) can hold no key.
+func emptyRange(start, limit []byte) bool {
+	return start != nil && limit != nil && bytes.Compare(start, limit) >= 0
 }
 
 // Merged is an ascending, globally sorted scan across shards whose key
-// ownership is scattered (hash partitioning), produced by a k-way heap
-// merge of the per-shard snapshot iterators. Each key lives on exactly
-// one shard, so the merge needs no deduplication; ordering is by key
-// alone.
+// ownership is scattered by the hash, produced by a k-way heap merge of
+// the per-shard snapshot iterators. Each key lives on exactly one shard,
+// so the merge needs no deduplication; ordering is by key alone. The
+// zero Merged is an empty scan.
 type Merged struct {
 	all    []*lsm.Iterator
 	h      iterHeap

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,10 +14,10 @@ import (
 // The STORE record is the durable identity of a sharded store. One copy
 // lives on every shard's filesystem alongside that shard's MANIFEST, so
 // any single shard directory is self-describing. It persists the
-// store-wide facts routing depends on — shard count, partitioner name
-// (which, for the range partitioner, encodes the split keys) — plus the
-// shard's own index, so a shuffled or miscounted reopen fails fast
-// instead of silently misrouting keys into invisibility.
+// store-wide facts routing depends on — shard count and partitioner name
+// ("fnv"; older builds also wrote range partitioners, whose stores are
+// refused) — plus the shard's own index, so a shuffled or miscounted
+// reopen fails fast instead of silently misrouting keys into invisibility.
 //
 // Format: one line of text,
 //
@@ -39,29 +38,12 @@ type storeMeta struct {
 	Shards int `json:"shards"`
 	// Shard is the index of the shard whose filesystem holds this copy.
 	Shard int `json:"shard"`
-	// Partitioner is Partitioner.Name() at creation time; equal names
-	// imply identical routing.
+	// Partitioner names the routing the store was created with; this
+	// build opens only fnvName.
 	Partitioner string `json:"partitioner"`
-	// Splits are the range partitioner's split keys, hex-encoded
-	// ascending (absent for hash partitioners). They also appear inside
-	// Partitioner's name; this field keeps them machine-readable for
-	// tooling and the future resharding path.
-	Splits []string `json:"splits,omitempty"`
 }
 
 var storeCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// metaFor builds shard i's STORE record for a store of n shards routed
-// by part.
-func metaFor(part Partitioner, n, i int) storeMeta {
-	m := storeMeta{Shards: n, Shard: i, Partitioner: part.Name()}
-	if r, ok := part.(*Range); ok {
-		for _, s := range r.Splits() {
-			m.Splits = append(m.Splits, hex.EncodeToString(s))
-		}
-	}
-	return m
-}
 
 // writeStoreMeta durably writes m as fs's STORE record (atomically, via
 // a temporary file and rename).
@@ -139,19 +121,4 @@ func readStoreMeta(fs vfs.FS) (m storeMeta, ok bool, err error) {
 		return storeMeta{}, false, fmt.Errorf("shard: %s record is inconsistent (%+v)", storeMetaName, m)
 	}
 	return m, true, nil
-}
-
-// partitionerFromName reconstructs the partitioner a STORE record names,
-// for reopening with Options.Partitioner == nil. Only the built-in
-// partitioners can be reconstructed; a store created with a custom one
-// must be reopened with that implementation passed explicitly.
-func partitionerFromName(name string) (Partitioner, error) {
-	switch {
-	case name == FNV{}.Name():
-		return FNV{}, nil
-	case strings.HasPrefix(name, "range("):
-		return parseRangeName(name)
-	default:
-		return nil, fmt.Errorf("shard: store was created with custom partitioner %q; pass it in Options.Partitioner", name)
-	}
 }

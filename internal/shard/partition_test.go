@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"strings"
@@ -14,293 +15,86 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestParsePartitioner: the configuration spelling every front door
-// shares — names, the implied range, adoption, and the two misuses.
-func TestParsePartitioner(t *testing.T) {
-	splits := [][]byte{[]byte("g"), []byte("n")}
-	for _, tc := range []struct {
-		name   string
-		splits [][]byte
-		want   string // Partitioner.Name(); "" for nil (adopt the stored one)
-		err    string
-	}{
-		{"", nil, "", ""},
-		{"", splits, "range(67,6e)", ""},
-		{"hash", nil, "fnv", ""},
-		{"hash", splits, "fnv", ""},
-		{"range", splits, "range(67,6e)", ""},
-		{"range", nil, "", "requires split keys"},
-		{"mod17", nil, "", "unknown partitioner"},
-	} {
-		p, err := ParsePartitioner(tc.name, tc.splits)
-		if tc.err != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.err) {
-				t.Errorf("ParsePartitioner(%q, %q) error = %v, want %q", tc.name, tc.splits, err, tc.err)
-			}
-			continue
-		}
-		got := ""
-		if p != nil {
-			got = p.Name()
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePartitioner(%q, %q) = %q, %v; want %q", tc.name, tc.splits, got, err, tc.want)
-		}
-	}
-}
-
-// TestNewRangeValidation: splits must be non-empty and strictly
-// ascending.
-func TestNewRangeValidation(t *testing.T) {
-	if _, err := NewRange(); err == nil {
-		t.Fatal("NewRange() with no splits succeeded")
-	}
-	if _, err := NewRange([]byte("a"), []byte("")); err == nil {
-		t.Fatal("empty split accepted")
-	}
-	if _, err := NewRange([]byte("b"), []byte("a")); err == nil {
-		t.Fatal("descending splits accepted")
-	}
-	if _, err := NewRange([]byte("a"), []byte("a")); err == nil {
-		t.Fatal("duplicate splits accepted")
-	}
-	r, err := NewRange([]byte("g"), []byte("n"), []byte("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", r.NumShards())
-	}
-}
-
-// TestRangePartitionBoundaries: keys route by binary search over the
-// splits, with a split key itself belonging to the shard it starts.
-func TestRangePartitionBoundaries(t *testing.T) {
-	r, err := NewRange([]byte("g"), []byte("n"), []byte("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		key  string
-		want int
-	}{
-		{"", 0}, {"a", 0}, {"fzzz", 0},
-		{"g", 1}, {"ga", 1}, {"mzzz", 1},
-		{"n", 2}, {"szzz", 2},
-		{"t", 3}, {"zzzz", 3},
-	}
-	for _, c := range cases {
-		if got := r.Partition([]byte(c.key), 4); got != c.want {
-			t.Fatalf("Partition(%q) = %d, want %d", c.key, got, c.want)
-		}
-	}
-	// Stability: same key, same shard, always.
-	for _, c := range cases {
-		if r.Partition([]byte(c.key), 4) != r.Partition([]byte(c.key), 4) {
-			t.Fatalf("unstable partition for %q", c.key)
-		}
-	}
-}
-
-// TestRangeRangesQuery covers the ownership query's edges: unbounded
-// sides, bounds exactly on split keys, and empty ranges.
-func TestRangeRangesQuery(t *testing.T) {
-	r, err := NewRange([]byte("g"), []byte("n"), []byte("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		start, limit string
-		want         []int
-	}{
-		{"", "", []int{0, 1, 2, 3}},     // unbounded
-		{"a", "f", []int{0}},            // inside shard 0
-		{"a", "g", []int{0}},            // limit exactly on a split: shard 1 excluded
-		{"g", "n", []int{1}},            // one whole slice
-		{"a", "ga", []int{0, 1}},        // straddles the g split
-		{"h", "", []int{1, 2, 3}},       // unbounded right
-		{"", "n", []int{0, 1}},          // unbounded left, limit on split
-		{"t", "", []int{3}},             // last slice
-		{"tzz", "tzzz", []int{3}},       // inside last slice
-		{"x", "x", nil},                 // empty range
-		{"z", "a", nil},                 // inverted range
-		{"g", "g", nil},                 // empty range on a split
-		{"zz", "zzz", []int{3}},         // above every split
-		{"a", "zzz", []int{0, 1, 2, 3}}, // everything
-	}
-	for _, c := range cases {
-		var start, limit []byte
-		if c.start != "" {
-			start = []byte(c.start)
-		}
-		if c.limit != "" {
-			limit = []byte(c.limit)
-		}
-		got, ordered := r.Ranges(start, limit, 4)
-		if !ordered {
-			t.Fatalf("Ranges(%q, %q) not ordered", c.start, c.limit)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Fatalf("Ranges(%q, %q) = %v, want %v", c.start, c.limit, got, c.want)
-		}
-	}
-}
-
-// TestRangeNameRoundTrip: Name() encodes the boundaries; parseRangeName
-// reconstructs an identically routing partitioner.
-func TestRangeNameRoundTrip(t *testing.T) {
-	// Splits with bytes hostile to the name encoding: NULs, commas, a
-	// closing paren.
-	r, err := NewRange([]byte{0x00, 0x2c}, []byte("g"), []byte("t,)x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := r.Name()
-	if !strings.HasPrefix(name, "range(") {
-		t.Fatalf("Name = %q", name)
-	}
-	r2, err := parseRangeName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Name() != name {
-		t.Fatalf("round trip changed name: %q -> %q", name, r2.Name())
-	}
-	for _, k := range []string{"", "a", "g", "gz", "t,)x", "zz", "\x00,"} {
-		if r.Partition([]byte(k), 4) != r2.Partition([]byte(k), 4) {
-			t.Fatalf("round-tripped partitioner routes %q differently", k)
-		}
-	}
-	if _, err := parseRangeName("fnv"); err == nil {
-		t.Fatal("parseRangeName accepted a non-range name")
-	}
-	if _, err := parseRangeName("range(zz)"); err == nil {
-		t.Fatal("parseRangeName accepted invalid hex")
-	}
-}
-
-// TestFNVRanges: a hashed scan may touch every shard and is unordered
-// except in the trivial single-shard store.
+// TestFNVRanges: which shards a scan under FNV routing touches — none
+// for empty or inverted bounds (no snapshot, no barrier), every shard
+// merged otherwise, and a one-shard store's own iterator verbatim.
 func TestFNVRanges(t *testing.T) {
-	p := FNV{}
-	shards, ordered := p.Ranges([]byte("a"), []byte("b"), 4)
-	if len(shards) != 4 || ordered {
-		t.Fatalf("FNV.Ranges = %v ordered=%v, want all 4 unordered", shards, ordered)
-	}
-	if _, ordered := p.Ranges(nil, nil, 1); !ordered {
-		t.Fatal("single-shard FNV must be ordered")
-	}
-	if shards, _ := p.Ranges([]byte("b"), []byte("a"), 4); shards != nil {
-		t.Fatalf("inverted range = %v, want nil", shards)
-	}
-}
-
-// openRange opens an n-shard range-partitioned store over the "key-%05d"
-// keyspace with even splits.
-func openRange(t *testing.T, n int, keys int) *DB {
-	t.Helper()
-	splits := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		splits = append(splits, []byte(fmt.Sprintf("key-%05d", keys*i/n)))
-	}
-	r, err := NewRange(splits...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(Options{Shards: n, Engine: smallEngine(), NewFS: MemFS(), Partitioner: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
-// TestSingleShardScanFastPath is the acceptance check for the scan
-// refactor: a range-partitioned scan whose bounds fall inside one
-// shard's slice returns that shard's iterator verbatim — the concrete
-// *lsm.Iterator, not a merge or concat wrapper — while the hash store
-// keeps the merged path and cross-slice scans concatenate.
-func TestSingleShardScanFastPath(t *testing.T) {
-	const keys = 4000
-	db := openRange(t, 4, keys)
+	db := openMem(t, 4)
 	defer db.Close()
-	for i := 0; i < keys; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+	for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
+		it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.OpenSnapshots() != 0 || it.Next() {
+			t.Fatalf("[%q, %q): %d snapshots pinned, or an entry yielded", b[0], b[1], db.OpenSnapshots())
+		}
+		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bounds inside shard 0's slice: the raw lsm iterator, no heap.
-	it, err := db.NewIterator([]byte("key-00100"), []byte("key-00200"))
+	it, err := db.NewIterator([]byte("a"), []byte("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*lsm.Iterator); !ok {
-		t.Fatalf("single-slice scan returned %T, want *lsm.Iterator", it)
+	if m, ok := it.(*Merged); !ok || len(m.all) != 4 || db.OpenSnapshots() != 1 {
+		t.Fatalf("bounded hash scan = %T over %d snapshots, want a merge of all 4 shards", it, db.OpenSnapshots())
 	}
-	n := 0
-	for it.Next() {
-		n++
+	if err := it.Close(); err != nil || db.OpenSnapshots() != 0 {
+		t.Fatalf("Close = %v with %d snapshots left", err, db.OpenSnapshots())
 	}
-	if n != 100 {
-		t.Fatalf("fast-path scan saw %d keys, want 100", n)
-	}
+}
 
-	// Bounds spanning two slices: concatenation, still no heap.
-	it, err = db.NewIterator([]byte("key-00900"), []byte("key-01100"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := it.(*Concat); !ok {
-		t.Fatalf("cross-slice scan returned %T, want *Concat", it)
-	}
-	var prev []byte
-	n = 0
-	for it.Next() {
-		if prev != nil && bytes.Compare(it.Key(), prev) <= 0 {
-			t.Fatalf("concat out of order: %q after %q", it.Key(), prev)
+// TestSingleShardScanFastPath: a one-shard store's scan is its shard's
+// iterator verbatim — the concrete *lsm.Iterator, not a merge wrapper —
+// while a multi-shard store merges.
+func TestSingleShardScanFastPath(t *testing.T) {
+	const keys = 4000
+	one := openMem(t, 1)
+	defer one.Close()
+	for i := 0; i < keys; i++ {
+		if err := one.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
-		prev = append(prev[:0], it.Key()...)
-		n++
 	}
-	if n != 200 {
-		t.Fatalf("concat scan saw %d keys, want 200", n)
+	if err := one.Flush(); err != nil {
+		t.Fatal(err)
 	}
-
-	// Unbounded scan: all four slices, concatenated.
-	it, err = db.NewIterator(nil, nil)
+	for _, b := range [][2][]byte{{nil, nil}, {[]byte("key-00100"), []byte("key-00200")}} {
+		it, err := one.NewIterator(b[0], b[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := it.(*lsm.Iterator); !ok {
+			t.Fatalf("1-shard scan returned %T, want *lsm.Iterator", it)
+		}
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: keys, false: 100}[b[0] == nil]; n != want {
+			t.Fatalf("fast-path scan [%q, %q) saw %d keys, want %d", b[0], b[1], n, want)
+		}
+	}
+	// The snapshot's scan takes the same path.
+	s, err := one.NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*Concat); !ok {
-		t.Fatalf("full range scan returned %T, want *Concat", it)
-	}
-	n = 0
-	for it.Next() {
-		n++
-	}
-	if n != keys {
-		t.Fatalf("full scan saw %d keys, want %d", n, keys)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Empty range: no iterator machinery at all.
-	it, err = db.NewIterator([]byte("key-00500"), []byte("key-00500"))
+	sit, err := s.NewIterator(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.Next() {
-		t.Fatal("empty range yielded an entry")
+	if _, ok := sit.(*lsm.Iterator); !ok {
+		t.Fatalf("1-shard snapshot scan returned %T, want *lsm.Iterator", sit)
 	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sit.Close()
+	s.Close()
 
-	// The hash store keeps the merged path for multi-shard stores...
+	// The hash store keeps the merged path for multi-shard stores.
 	hdb := openMem(t, 4)
 	defer hdb.Close()
 	if err := hdb.Put([]byte("a"), []byte("v")); err != nil {
@@ -314,43 +108,16 @@ func TestSingleShardScanFastPath(t *testing.T) {
 	if _, ok := hit.(*Merged); !ok {
 		t.Fatalf("hash scan returned %T, want *Merged", hit)
 	}
-	// ...but a single-shard store is trivially ordered and skips it.
-	one := openMem(t, 1)
-	defer one.Close()
-	oit, err := one.NewIterator(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oit.Close()
-	if _, ok := oit.(*lsm.Iterator); !ok {
-		t.Fatalf("1-shard scan returned %T, want *lsm.Iterator", oit)
-	}
 }
 
-// TestScanDifferential drives identical random workloads into a
-// hash-partitioned store, a range-partitioned store (with splits that
-// leave shards empty), and a map oracle, then compares randomized
-// bounded scans — including bounds exactly on split keys and inverted
-// bounds — entry for entry across all three.
+// TestScanDifferential drives a random workload into a hash-partitioned
+// store and a map oracle, then compares randomized bounded scans —
+// including bounds on existing keys, past the keyspace and inverted
+// bounds — entry for entry.
 func TestScanDifferential(t *testing.T) {
 	const keyspace = 3000
 	hdb := openMem(t, 4)
 	defer hdb.Close()
-	// Splits at 1/3 and 2/3 plus one above every real key, so the last
-	// shard stays empty and the middle boundary keys get exercised.
-	r, err := NewRange(
-		[]byte(fmt.Sprintf("key-%05d", keyspace/3)),
-		[]byte(fmt.Sprintf("key-%05d", 2*keyspace/3)),
-		[]byte("key-99999"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdb, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: MemFS(), Partitioner: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdb.Close()
 
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(7))
@@ -361,9 +128,6 @@ func TestScanDifferential(t *testing.T) {
 			if err := hdb.Delete([]byte(k)); err != nil {
 				t.Fatal(err)
 			}
-			if err := rdb.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
 			continue
 		}
 		v := fmt.Sprintf("v%d", i)
@@ -371,14 +135,8 @@ func TestScanDifferential(t *testing.T) {
 		if err := hdb.Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
-		if err := rdb.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := hdb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rdb.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -418,8 +176,8 @@ func TestScanDifferential(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0:
 			return nil
-		case 1: // exactly a split key
-			return []byte(fmt.Sprintf("key-%05d", []int{keyspace / 3, 2 * keyspace / 3}[rng.Intn(2)]))
+		case 1: // a key the store holds
+			return []byte(sorted[rng.Intn(len(sorted))])
 		default:
 			return []byte(fmt.Sprintf("key-%05d", rng.Intn(keyspace+10)))
 		}
@@ -431,29 +189,21 @@ func TestScanDifferential(t *testing.T) {
 			t.Fatalf("trial %d [%q,%q): hash scan diverged from oracle\n got %d entries\nwant %d entries",
 				trial, lo, hi, len(got), len(want))
 		}
-		if got := collect(rdb, lo, hi); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d [%q,%q): range scan diverged from oracle\n got %d entries\nwant %d entries",
-				trial, lo, hi, len(got), len(want))
-		}
 	}
 }
 
 // TestReopenMismatchFailsFast is the metadata regression suite: a store
-// created with 4 shards refuses to open with 2 or 8, with a changed
-// partitioner, or with shard directories swapped — and reopens cleanly
-// with the original configuration or with none (stored adoption).
+// created with 4 shards writes the STORE record older builds write,
+// refuses to open with 2 or 8 shards or with shard directories swapped,
+// and reopens cleanly with the original count.
 func TestReopenMismatchFailsFast(t *testing.T) {
 	fses := make([]vfs.FS, 8)
 	for i := range fses {
 		fses[i] = vfs.NewMemFS()
 	}
 	newFS := func(i int) (vfs.FS, error) { return fses[i], nil }
-	r4, err := NewRange([]byte("b"), []byte("c"), []byte("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	db, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS, Partitioner: r4})
+	db, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,6 +214,11 @@ func TestReopenMismatchFailsFast(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Byte for byte the record of a hash store from before range
+	// partitioning was removed, so stores open in both directions.
+	if got := readRecord(t, fses[1]); got != "TRIADSTORE v1 80f929ff {\"shards\":4,\"shard\":1,\"partitioner\":\"fnv\"}\n" {
+		t.Fatalf("STORE record %q", got)
 	}
 
 	// Fewer shards than creation.
@@ -476,19 +231,6 @@ func TestReopenMismatchFailsFast(t *testing.T) {
 		!strings.Contains(err.Error(), "created with 4 shards") {
 		t.Fatalf("reopen with 8 shards: %v", err)
 	}
-	// Different partitioner at the right count.
-	if _, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS, Partitioner: FNV{}}); err == nil ||
-		!strings.Contains(err.Error(), "partitioner") {
-		t.Fatalf("reopen with fnv: %v", err)
-	}
-	// Different splits at the right count.
-	rBad, err := NewRange([]byte("x"), []byte("y"), []byte("z"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS, Partitioner: rBad}); err == nil {
-		t.Fatal("reopen with different splits succeeded")
-	}
 	// Shuffled shard directories.
 	swapped := func(i int) (vfs.FS, error) { return fses[[4]int{1, 0, 2, 3}[i]], nil }
 	if _, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: swapped}); err == nil ||
@@ -496,17 +238,14 @@ func TestReopenMismatchFailsFast(t *testing.T) {
 		t.Fatalf("shuffled reopen: %v", err)
 	}
 
-	// nil partitioner adopts the stored range layout; reads route right.
+	// The original count reopens; reads route right.
 	db, err = Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Partitioner().Name() != r4.Name() {
-		t.Fatalf("adopted %q, want %q", db.Partitioner().Name(), r4.Name())
-	}
 	for _, k := range []string{"apple", "banana", "cherry", "date"} {
 		if v, err := db.Get([]byte(k)); err != nil || string(v) != k {
-			t.Fatalf("after adoption Get(%s) = %q, %v", k, v, err)
+			t.Fatalf("after reopen Get(%s) = %q, %v", k, v, err)
 		}
 	}
 	if err := db.Close(); err != nil {
@@ -541,7 +280,7 @@ func TestReopenMismatchFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err = Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS, Partitioner: r4})
+	db, err = Open(Options{Shards: 4, Engine: smallEngine(), NewFS: newFS})
 	if err != nil {
 		t.Fatalf("legacy store reopen: %v", err)
 	}
@@ -555,59 +294,86 @@ func TestReopenMismatchFailsFast(t *testing.T) {
 	}
 }
 
-// TestCustomPartitionerMetadata: a store created with a custom
-// partitioner reopens with the same implementation, but cannot be
-// reconstructed from metadata alone.
-func TestCustomPartitionerMetadata(t *testing.T) {
-	fses := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS(), vfs.NewMemFS()}
-	newFS := func(i int) (vfs.FS, error) { return fses[i], nil }
-	opts := Options{Shards: 3, Engine: smallEngine(), NewFS: newFS, Partitioner: modPartitioner{}}
-	db, err := Open(opts)
+// readRecord returns fs's STORE record as stored.
+func readRecord(t *testing.T, fs vfs.FS) string {
+	t.Helper()
+	f, err := fs.Open(storeMetaName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	defer f.Close()
+	size, _ := f.Size()
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Same implementation: fine.
-	if db, err = Open(opts); err != nil {
+	return string(buf)
+}
+
+// writeRecord stores payload as fs's STORE record, checksummed the way
+// every build writes it.
+func writeRecord(t *testing.T, fs vfs.FS, payload string) {
+	t.Helper()
+	f, err := fs.Create(storeMetaName)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	defer f.Close()
+	if _, err := fmt.Fprintf(f, "TRIADSTORE v1 %08x %s\n", crc32.Checksum([]byte(payload), storeCRC), payload); err != nil {
 		t.Fatal(err)
-	}
-	// nil cannot reconstruct a custom partitioner.
-	if _, err := Open(Options{Shards: 3, Engine: smallEngine(), NewFS: newFS}); err == nil ||
-		!strings.Contains(err.Error(), "custom partitioner") {
-		t.Fatalf("custom adoption: %v", err)
 	}
 }
 
-// TestRangeShardCountMismatch: a Range whose implied count differs from
-// Options.Shards is rejected up front.
-func TestRangeShardCountMismatch(t *testing.T) {
-	r, err := NewRange([]byte("m"))
-	if err != nil {
-		t.Fatal(err)
+// TestCustomPartitionerMetadata: a store whose STORE records name a
+// partitioner other than FNV — a custom one, or the range partitioner
+// older builds offered — is refused with an error naming it, before any
+// shard opens, rather than having its keys misrouted.
+func TestCustomPartitionerMetadata(t *testing.T) {
+	for _, name := range []string{"mod-last-byte", "range(67,6e)"} {
+		fses := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS(), vfs.NewMemFS()}
+		for i, fs := range fses {
+			writeRecord(t, fs, fmt.Sprintf(`{"shards":3,"shard":%d,"partitioner":%q}`, i, name))
+		}
+		_, err := Open(Options{Shards: 3, Engine: smallEngine(), NewFS: func(i int) (vfs.FS, error) { return fses[i], nil }})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("partitioner %q", name)) {
+			t.Fatalf("open of a %q store: %v", name, err)
+		}
+		if fses[0].Exists("MANIFEST") {
+			t.Fatalf("a shard of the refused %q store was opened", name)
+		}
 	}
-	if _, err := Open(Options{Shards: 4, Engine: smallEngine(), NewFS: MemFS(), Partitioner: r}); err == nil ||
-		!strings.Contains(err.Error(), "implies 2 shards") {
-		t.Fatalf("count mismatch: %v", err)
+}
+
+// TestRangeShardCountMismatch: a range-partitioned store written by an
+// older build (its record carries the split keys too) is refused for its
+// partitioner even when the shard count is wrong as well — the count
+// would not be the reason it cannot open.
+func TestRangeShardCountMismatch(t *testing.T) {
+	fses := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS()}
+	for i, fs := range fses {
+		writeRecord(t, fs, fmt.Sprintf(`{"shards":2,"shard":%d,"partitioner":"range(6d)","splits":["6d"]}`, i))
+	}
+	for _, n := range []int{1, 2} {
+		_, err := Open(Options{Shards: n, Engine: smallEngine(), NewFS: func(i int) (vfs.FS, error) { return fses[i], nil }})
+		if err == nil || !strings.Contains(err.Error(), `partitioner "range(6d)"`) {
+			t.Fatalf("open of the range store with %d shards: %v", n, err)
+		}
 	}
 }
 
 // TestShardStats: the per-shard balance surface reports each shard's
-// writes, and a range store shows the skew hash hides.
+// writes, and a keyset that hashes to one shard shows there alone.
 func TestShardStats(t *testing.T) {
-	db := openRange(t, 4, 4000)
+	db := openMem(t, 4)
 	defer db.Close()
-	// All writes land below the first split: shard 0 takes everything.
-	for i := 0; i < 500; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 32)); err != nil {
+	// 500 keys that all hash to shard 0: it takes everything.
+	keys := keysOn(db, 0, 500, "key")
+	for _, k := range keys {
+		if err := db.Put(k, bytes.Repeat([]byte("x"), 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Get([]byte("key-00001")); err != nil {
+	if _, err := db.Get(keys[1]); err != nil {
 		t.Fatal(err)
 	}
 	stats := db.ShardStats()

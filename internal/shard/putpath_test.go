@@ -15,7 +15,7 @@ func keysOn(db *DB, i, n int, prefix string) [][]byte {
 	var out [][]byte
 	for j := 0; len(out) < n; j++ {
 		k := []byte(fmt.Sprintf("%s-%06d", prefix, j))
-		if db.part.Partition(k, len(db.shards)) == i {
+		if fnv(k, len(db.shards)) == i {
 			out = append(out, k)
 		}
 	}

@@ -17,7 +17,7 @@ func conflictKeySet(t *testing.T, n, shards int) [][]byte {
 	hit := make(map[int]bool)
 	for i := 0; len(keys) < n; i++ {
 		k := []byte(fmt.Sprintf("conflict-%04d", i))
-		hit[(FNV{}).Partition(k, shards)] = true
+		hit[fnv(k, shards)] = true
 		keys = append(keys, k)
 	}
 	if len(hit) != shards {

@@ -209,11 +209,10 @@ func TestBatchFanout(t *testing.T) {
 func TestPartitionerDistributionAndStability(t *testing.T) {
 	const n, keys = 8, 20_000
 	counts := make([]int, n)
-	p := FNV{}
 	for i := 0; i < keys; i++ {
 		k := []byte(fmt.Sprintf("user:%d", i))
-		s := p.Partition(k, n)
-		if s2 := p.Partition(k, n); s2 != s {
+		s := fnv(k, n)
+		if s2 := fnv(k, n); s2 != s {
 			t.Fatalf("unstable partition for %s: %d then %d", k, s, s2)
 		}
 		counts[s]++
@@ -224,51 +223,8 @@ func TestPartitionerDistributionAndStability(t *testing.T) {
 			t.Fatalf("shard %d holds %d of %d keys (want ~%d): %v", i, c, keys, want, counts)
 		}
 	}
-	if p.Partition([]byte("x"), 1) != 0 {
+	if fnv([]byte("x"), 1) != 0 {
 		t.Fatal("n=1 must route to shard 0")
-	}
-}
-
-// modPartitioner routes by the last key byte — a stand-in for a custom
-// (e.g. range) partitioner plugged through the interface.
-type modPartitioner struct{}
-
-func (modPartitioner) Partition(key []byte, n int) int {
-	if len(key) == 0 {
-		return 0
-	}
-	return int(key[len(key)-1]) % n
-}
-func (modPartitioner) Ranges(start, limit []byte, n int) ([]int, bool) {
-	shards := make([]int, n)
-	for i := range shards {
-		shards[i] = i
-	}
-	return shards, n <= 1
-}
-func (modPartitioner) Name() string { return "mod-last-byte" }
-
-func TestCustomPartitioner(t *testing.T) {
-	db, err := Open(Options{
-		Shards:      3,
-		Engine:      smallEngine(),
-		NewFS:       MemFS(),
-		Partitioner: modPartitioner{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 300; i++ {
-		k := []byte(fmt.Sprintf("k-%03d", i))
-		if err := db.Put(k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		// The owning shard must hold the key; a direct read against it
-		// proves the router and the partitioner agree.
-		if _, err := db.Shard(modPartitioner{}.Partition(k, 3)).Get(k); err != nil {
-			t.Fatalf("key %s not on its partitioned shard: %v", k, err)
-		}
 	}
 }
 

@@ -63,13 +63,13 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // Get returns the value stored under key as of the snapshot, or
 // lsm.ErrNotFound; lsm.ErrSnapshotClosed after Close.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	return s.snaps[s.db.part.Partition(key, len(s.snaps))].Get(key)
+	return s.snaps[fnv(key, len(s.snaps))].Get(key)
 }
 
 // NewIterator returns a streaming scan of [start, limit) over the
-// snapshot's pinned views, planned like DB.NewIterator: one owning
-// shard yields that shard's iterator verbatim, contiguous slices are
-// concatenated, hashed ownership is merged by a k-way heap.
+// snapshot's pinned views, planned like DB.NewIterator: empty bounds do
+// no shard work, one shard yields its iterator verbatim, and several are
+// merged by a k-way heap.
 func (s *Snapshot) NewIterator(start, limit []byte) (Iter, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -77,29 +77,24 @@ func (s *Snapshot) NewIterator(start, limit []byte) (Iter, error) {
 		return nil, lsm.ErrSnapshotClosed
 	}
 	s.mu.Unlock()
-	idx, ordered := s.db.part.Ranges(start, limit, len(s.snaps))
-	return s.newIteratorPlanned(start, limit, idx, ordered, nil)
+	if emptyRange(start, limit) {
+		return &Merged{}, nil
+	}
+	return s.newIterator(start, limit, nil)
 }
 
-// newIteratorPlanned builds the iterator for an already-planned scan
-// (idx/ordered from the partitioner's Ranges); owned, when non-nil, is
-// a single-use snapshot the iterator must close with itself.
-func (s *Snapshot) newIteratorPlanned(start, limit []byte, idx []int, ordered bool, owned *Snapshot) (Iter, error) {
-	if len(idx) == 0 {
-		if owned != nil {
-			owned.Close()
-		}
-		return &Concat{}, nil
-	}
-	its := make([]*lsm.Iterator, len(idx))
-	errs := make([]error, len(idx))
+// newIterator scans [start, limit) on every shard; owned, when non-nil,
+// is a single-use snapshot the iterator must close with itself.
+func (s *Snapshot) newIterator(start, limit []byte, owned *Snapshot) (Iter, error) {
+	its := make([]*lsm.Iterator, len(s.snaps))
+	errs := make([]error, len(s.snaps))
 	var wg sync.WaitGroup
-	for j, i := range idx {
+	for i := range s.snaps {
 		wg.Add(1)
-		go func(j, i int) {
+		go func(i int) {
 			defer wg.Done()
-			its[j], errs[j] = s.snaps[i].NewIterator(start, limit)
-		}(j, i)
+			its[i], errs[i] = s.snaps[i].NewIterator(start, limit)
+		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
@@ -113,15 +108,11 @@ func (s *Snapshot) newIteratorPlanned(start, limit []byte, idx []int, ordered bo
 		}
 		return nil, err
 	}
-	if ordered {
-		if len(its) == 1 && owned == nil {
-			// Single-shard fast path: the scan is entirely one shard's,
-			// so its iterator is the scan — no wrapper at all. (A
-			// single-use snapshot still needs the wrapper to die with
-			// the iterator.)
-			return its[0], nil
-		}
-		return &Concat{its: its, snap: owned}, nil
+	if len(its) == 1 && owned == nil {
+		// Single-shard fast path: the scan is entirely one shard's, so
+		// its iterator is the scan — no wrapper at all. (A single-use
+		// snapshot still needs the wrapper to die with the iterator.)
+		return its[0], nil
 	}
 	return newMerged(its, owned), nil
 }

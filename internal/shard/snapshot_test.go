@@ -20,7 +20,7 @@ func distinctShardPairs(t *testing.T, n, shards int) [][2]string {
 	for i := 0; len(out) < n; i++ {
 		a := fmt.Sprintf("acct-a-%03d", i)
 		b := fmt.Sprintf("acct-b-%03d", i)
-		if (FNV{}).Partition([]byte(a), shards) != (FNV{}).Partition([]byte(b), shards) {
+		if fnv([]byte(a), shards) != fnv([]byte(b), shards) {
 			out = append(out, [2]string{a, b})
 		}
 		if i > 10*n+100 {

@@ -71,9 +71,9 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 	return out
 }
 
-// ShardStat is one shard's share of the load, for observing hash-vs-
-// range imbalance: how many writes and bytes the shard absorbed, how
-// much disk it holds, and its individual amplifications.
+// ShardStat is one shard's share of the load, for observing imbalance
+// between shards: how many writes and bytes the shard absorbed, how much
+// disk it holds, and its individual amplifications.
 type ShardStat struct {
 	// Shard is the shard index.
 	Shard int
@@ -123,15 +123,13 @@ type ShardStat struct {
 	CacheBytes             int64
 	// IO attributes the shard's disk bytes by source (user write, WAL,
 	// flush, compaction read/write, snapshot-GC reclaim) — the per-shard
-	// WA decomposition. With range partitioning, shards are tenants, so
-	// this is also the per-tenant I/O bill.
+	// WA decomposition.
 	IO obs.LedgerSnapshot
 }
 
 // ShardStats reports every shard's share of the load, in shard order.
-// Under the hash partitioner the shares should be near-uniform; under
-// the range partitioner they mirror the keyspace skew, which is exactly
-// what this surface exists to make visible.
+// Under the hash the shares should be near-uniform; a hot key shows as
+// one shard's excess, which is what this surface exists to make visible.
 func (db *DB) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(db.shards))
 	for i, s := range db.shards {
@@ -173,7 +171,7 @@ func (db *DB) Stats() string {
 	var b strings.Builder
 	m := db.Metrics()
 
-	fmt.Fprintf(&b, "shards: %d (%s partitioner)\n", len(db.shards), db.part.Name())
+	fmt.Fprintf(&b, "shards: %d (%s partitioner)\n", len(db.shards), fnvName)
 	fmt.Fprintf(&b, "levels (all shards: files/bytes, target, highest shard score, bytes compacted out of the level):\n")
 	for l, ls := range db.LevelStats() {
 		if ls.Files == 0 && ls.CompactedBytes == 0 {

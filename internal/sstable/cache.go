@@ -25,11 +25,12 @@ import (
 //   - Scan resistance. Each segment is a segmented LRU (a probation
 //     queue for new arrivals, a protected queue for re-referenced
 //     blocks) guarded by a TinyLFU-style 4-bit frequency sketch: a block
-//     is admitted over a resident victim only if it has been touched
-//     more often. A full-keyspace streaming scan or a compaction
-//     read-through touches each block once, so its blocks lose the
-//     admission comparison against the resident hot set and the hot
-//     set's hit rate survives the scan.
+//     is admitted over a resident victim only if it has been touched at
+//     least as often (a tie goes to the newcomer, as LRU would). A
+//     full-keyspace streaming scan touches each block once, so its blocks
+//     displace only each other in probation and lose the admission
+//     comparison against the resident hot set, whose hit rate survives
+//     the scan. (A compaction's read-through does not touch the cache.)
 //
 //   - Per-shard accounting. Every engine sharing the cache draws blocks
 //     through its own Handle, which counts hits, misses, evictions and
@@ -302,9 +303,11 @@ func (h *Handle) Peek(table, offset uint64) []byte {
 
 // Put inserts a block. New blocks enter the probation queue; when the
 // segment is full, the frequency sketch arbitrates between the new
-// block and the eviction victim, and the less-used of the two loses —
-// which is what keeps one-touch scan traffic from flushing the
-// resident hot set. Blocks larger than a whole segment are not admitted.
+// block and the eviction victim, and the less-used of the two loses, the
+// victim on a tie — which is what keeps one-touch scan traffic from
+// flushing the resident hot set while a working set larger than the
+// cache still cycles through it. Blocks larger than a whole segment are
+// not admitted.
 func (h *Handle) Put(table, offset uint64, block []byte) {
 	if h == nil {
 		return
@@ -338,15 +341,18 @@ func (h *Handle) Put(table, offset uint64, block []byte) {
 		return
 	}
 	// Admission: evict victims until the block fits, unless a victim is
-	// used at least as often as the candidate — then the candidate is
-	// the one that loses.
+	// used more often than the candidate — then the candidate is the one
+	// that loses. A tie goes to the candidate, the more recent of the two:
+	// the sketch cannot tell them apart, and two blocks read once each
+	// always tie, so refusing ties would freeze the cache on whatever
+	// arrived first once the working set outgrows it.
 	for s.used+sz > s.cap {
 		vel := s.victim()
 		if vel == nil {
 			break
 		}
 		ve := vel.Value.(*centry)
-		if !s.plain && s.sketch.estimate(hv) <= s.sketch.estimate(ve.hash) {
+		if !s.plain && s.sketch.estimate(hv) < s.sketch.estimate(ve.hash) {
 			s.rejects++
 			h.rejects.Add(1)
 			return

@@ -204,6 +204,35 @@ func TestCacheScanResistance(t *testing.T) {
 	}
 }
 
+// TestCacheWorkingSetLargerThanCacheEvicts: blocks read once each tie in
+// the frequency sketch, and a tie admits the newcomer, so a stream of
+// one-touch reads larger than the cache cycles through it instead of the
+// cache freezing on whatever arrived first and refusing everything after.
+// (Sketch collisions still make some victims look used, so not every
+// newcomer gets in.)
+func TestCacheWorkingSetLargerThanCacheEvicts(t *testing.T) {
+	const block, blocks, reads = 1 << 10, 8, 64
+	c := NewCacheOpts(CacheOptions{Bytes: blocks * block, Segments: 1})
+	h := c.NewHandle()
+	defer h.Release()
+	for i := uint64(0); i < reads; i++ {
+		if h.Get(1, i*block) == nil {
+			h.Put(1, i*block, make([]byte, block))
+		}
+	}
+	st := h.Stats()
+	resident := 0
+	for i := uint64(0); i < blocks; i++ {
+		if h.Get(1, i*block) != nil {
+			resident++
+		}
+	}
+	if st.Evictions < (reads-blocks)/2 || resident > blocks/2 {
+		t.Fatalf("streaming %d one-touch blocks through a %d-block cache: %d evictions, %d rejects, %d of the first %d blocks still resident",
+			reads, blocks, st.Evictions, st.AdmissionRejects, resident, blocks)
+	}
+}
+
 // TestCacheProtectedPromotion checks the SLRU mechanics: a block
 // touched twice moves to the protected queue and outlives a burst of
 // one-touch arrivals that flows through probation.

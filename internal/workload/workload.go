@@ -137,56 +137,6 @@ func (z Zipf) Keys() uint64 { return z.N }
 // Name implements KeyDist.
 func (z Zipf) Name() string { return fmt.Sprintf("zipf(s=%g)", z.S) }
 
-// MultiTenant models several tenants sharing one store, with traffic
-// skewed across tenants: tenant ranks are drawn Zipf(TenantS), and the
-// chosen tenant then draws a key from its own contiguous slice of the
-// keyspace using the inner PerTenant distribution. Pairing it with a
-// range-partitioned store whose splits align with the tenant slices
-// turns tenant skew into shard skew — the hot-shard/cold-shard imbalance
-// the shared block cache exists to absorb.
-type MultiTenant struct {
-	// Tenants is the tenant count; tenant t owns key indexes
-	// [t*PerTenant.Keys(), (t+1)*PerTenant.Keys()).
-	Tenants int
-	// TenantS is the Zipf exponent over tenant ranks (> 1; larger is
-	// more skewed toward tenant 0).
-	TenantS float64
-	// PerTenant picks the key within the chosen tenant's slice.
-	PerTenant KeyDist
-}
-
-// Next implements KeyDist.
-func (m MultiTenant) Next(rng *rand.Rand) uint64 {
-	var t uint64
-	if m.Tenants > 1 {
-		if zf := zipfFor(rng, uint64(m.Tenants), m.TenantS); zf != nil {
-			t = zf.Uint64()
-		}
-	}
-	return t*m.PerTenant.Keys() + m.PerTenant.Next(rng)
-}
-
-// Keys implements KeyDist.
-func (m MultiTenant) Keys() uint64 { return uint64(m.Tenants) * m.PerTenant.Keys() }
-
-// Name implements KeyDist.
-func (m MultiTenant) Name() string {
-	return fmt.Sprintf("multitenant(%d x %s, s=%g)", m.Tenants, m.PerTenant.Name(), m.TenantS)
-}
-
-// TenantSplits returns the Tenants-1 split keys (of keySize bytes)
-// aligning a range partitioner's shard boundaries with the tenant
-// slices, so each tenant's traffic lands on its own shard.
-func (m MultiTenant) TenantSplits(keySize int) [][]byte {
-	splits := make([][]byte, 0, m.Tenants-1)
-	for t := 1; t < m.Tenants; t++ {
-		k := make([]byte, keySize)
-		EncodeKey(k, uint64(t)*m.PerTenant.Keys())
-		splits = append(splits, k)
-	}
-	return splits
-}
-
 // Production approximates one of the four Nutanix metadata workloads
 // (paper §5.2). Figure 7 shows two families of popularity curves — W2 and
 // W4 have "more skew", W1 and W3 "less skew" — and Figure 8 gives the key

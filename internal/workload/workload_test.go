@@ -274,46 +274,6 @@ func TestZipfReproducible(t *testing.T) {
 	}
 }
 
-func TestMultiTenantSkewAndRanges(t *testing.T) {
-	d := MultiTenant{Tenants: 8, TenantS: 2.0, PerTenant: Zipf{N: 1000, S: 1.2}}
-	if d.Keys() != 8000 {
-		t.Fatalf("Keys = %d, want 8000", d.Keys())
-	}
-	rng := rand.New(rand.NewSource(11))
-	perTenant := make([]int, 8)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		k := d.Next(rng)
-		if k >= d.Keys() {
-			t.Fatalf("key %d out of range", k)
-		}
-		perTenant[k/1000]++
-	}
-	// Tenant 0 must dominate and the tail must still see traffic spread
-	// over the slices (the hot/cold shard imbalance the cache bench uses).
-	if frac := float64(perTenant[0]) / n; frac < 0.5 {
-		t.Fatalf("tenant 0 drew only %.2f of traffic, want > 0.5", frac)
-	}
-	if perTenant[0] <= perTenant[7] {
-		t.Fatalf("tenant skew inverted: %v", perTenant)
-	}
-}
-
-func TestMultiTenantSplitsAlignWithSlices(t *testing.T) {
-	d := MultiTenant{Tenants: 4, TenantS: 1.5, PerTenant: Uniform{N: 100}}
-	splits := d.TenantSplits(8)
-	if len(splits) != 3 {
-		t.Fatalf("got %d splits, want 3", len(splits))
-	}
-	for i, want := range []uint64{100, 200, 300} {
-		k := make([]byte, 8)
-		EncodeKey(k, want)
-		if !bytes.Equal(splits[i], k) {
-			t.Fatalf("split %d = %x, want encoding of %d", i, splits[i], want)
-		}
-	}
-}
-
 // BenchmarkZipfNext measures the per-sample cost with the cached
 // sampler; BenchmarkZipfNextRebuild is the old behaviour (a fresh
 // rand.NewZipf per draw) kept inline for comparison.

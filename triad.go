@@ -79,21 +79,11 @@ type Options struct {
 	// ShardFS supplies shard i's filesystem. Use ShardMemFS() for an
 	// ephemeral store or ShardDirs(dir) to root each shard in its own
 	// subdirectory of dir. The persisted store metadata is validated on
-	// every open: reopening with a shard count or partitioner different
-	// from creation returns an error instead of silently misrouting keys,
-	// and so does opening the root of a ShardDirs store through FS.
+	// every open: reopening with a shard count different from creation
+	// returns an error instead of silently misrouting keys, and so do
+	// opening the root of a ShardDirs store through FS and opening a store
+	// an older build created range-partitioned.
 	ShardFS func(i int) (vfs.FS, error)
-	// Partitioner selects how keys map to shards when sharded: "hash"
-	// (FNV-1a; balanced point ops, scans merge across all shards) or
-	// "range" (sorted RangeSplits; contiguous scans stay shard-local).
-	// Empty adopts whatever a durable store was created with, defaulting
-	// to hash for new stores — or to range when RangeSplits is set.
-	Partitioner string
-	// RangeSplits are the Shards-1 strictly ascending split keys of the
-	// "range" partitioner: shard 0 owns keys below RangeSplits[0], shard
-	// i owns [RangeSplits[i-1], RangeSplits[i]), the last shard owns the
-	// tail. Ignored by "hash".
-	RangeSplits [][]byte
 	// BackgroundWorkers sizes the store's background worker pool: one
 	// bounded pool runs every shard's flushes and compactions with
 	// flush-first priority and per-shard fairness, and one compaction
@@ -203,9 +193,6 @@ func Open(o Options) (*DB, error) {
 		if o.Shards > 1 {
 			return nil, errors.New("triad: Shards > 1 requires ShardFS (use ShardMemFS or ShardDirs)")
 		}
-		if o.Partitioner != "" || len(o.RangeSplits) > 0 {
-			return nil, errors.New("triad: Partitioner/RangeSplits apply to sharded stores only — set Shards and ShardFS")
-		}
 		fs := opts.FS
 		if fs == nil {
 			fs = o.FS
@@ -216,15 +203,10 @@ func Open(o Options) (*DB, error) {
 		newFS = func(int) (vfs.FS, error) { return fs, nil }
 	}
 	opts.FS = nil
-	part, err := shard.ParsePartitioner(o.Partitioner, o.RangeSplits)
-	if err != nil {
-		return nil, err
-	}
 	so := shard.Options{
 		Shards:            o.Shards,
 		Engine:            opts,
 		NewFS:             newFS,
-		Partitioner:       part,
 		BackgroundWorkers: o.BackgroundWorkers,
 	}
 	if opts.BlockCacheBytes > 0 {
