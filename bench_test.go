@@ -1,6 +1,6 @@
-// Benchmarks that time one layer or one mechanism: the put path,
-// subcompactions, the public Put/Get/scan surface, and what observability
-// and tracing cost the loopback server. The paper's figures are
+// Benchmarks that time one layer or one mechanism: the put path, the
+// public Put/Get/scan surface, and what observability and tracing cost
+// the loopback server. The paper's figures are
 // triadbench's (go run ./cmd/triadbench -h); the gated end-to-end numbers
 // are bench/'s. Run
 //
@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bgsched"
 	"repro/internal/harness"
 	"repro/internal/lsm"
 	"repro/internal/shard"
@@ -184,62 +183,6 @@ func BenchmarkPutPath(b *testing.B) {
 		}
 		wg.Wait()
 	})
-}
-
-// --- Background-scheduler benchmarks ---
-
-// BenchmarkSubcompaction times one full-tree compaction of the same
-// settled store on a 1-worker pool (monolithic: one merge per compaction)
-// vs a 4-worker pool (split into up to four parallel key-range slices).
-// The timed region is CompactAll only; load and flush happen outside the
-// timer. Meaningful at -cpu 2,4: with one core the sliced row degenerates
-// to sequential merges plus split overhead, with spare cores it should
-// approach a worker-count speedup.
-func BenchmarkSubcompaction(b *testing.B) {
-	const keys = 60_000
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{
-		{"monolithic", 1},
-		{"sliced-4", 4},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pool := bgsched.NewPool(v.workers)
-				o := lsm.TriadOptions(vfs.NewMemFS())
-				o.MemtableBytes = 256 << 10
-				o.TargetFileBytes = 64 << 10
-				o.BaseLevelBytes = 512 << 10
-				o.DisableAutoCompaction = true
-				o.Scheduler = pool
-				db, err := lsm.Open(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				val := []byte("0123456789abcdef0123456789abcdef0123456789abcdef")
-				for k := 0; k < keys; k++ {
-					if err := db.Put([]byte(fmt.Sprintf("key-%08d", k)), val); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := db.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := db.CompactAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-				pool.Close()
-				b.StartTimer()
-			}
-		})
-	}
 }
 
 // --- Micro-benchmarks for the public API ---

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
 		maxCursors  = fs.Int("max-cursors", 16, "cap on open SCAN cursors per connection")
-		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards, and the most slices one compaction splits into (1: monolithic merges; 0: min(GOMAXPROCS, shards+2), floor 2)")
+		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards; each task is one flush or one whole compaction (0: min(GOMAXPROCS, shards+2), floor 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -2,12 +2,12 @@
 // bounded worker pool shared by every shard's engine.
 //
 // The pool dispatches by priority class — flushes first (they unblock
-// write stalls directly), then compaction slices (finishing an
-// in-flight compaction frees its inputs and its claim on the pool),
-// then L0→L1 compactions (they gate the stop-writes trigger), then
-// deeper-level compactions — and within a class round-robins across
-// shards, so one hot shard's backlog cannot starve the others'
-// flushes.
+// write stalls directly), then L0→L1 compactions (they gate the
+// stop-writes trigger), then deeper-level compactions — and within a
+// class round-robins across shards, so one hot shard's backlog cannot
+// starve the others' flushes. A task is one flush or one whole
+// compaction: the pool's parallelism is across shards, and between
+// flushes and the merges they run beside.
 //
 // Each engine holds an Owner handle; submitting through the owner lets
 // Close cancel the engine's queued work and wait out its running work
@@ -30,11 +30,6 @@ const (
 	// ClassFlush is an immutable-memtable flush: the highest priority,
 	// because a full flush queue stalls user writes immediately.
 	ClassFlush Class = iota
-	// ClassSlice is one key-range slice of an already-running parallel
-	// subcompaction. Slices outrank whole compactions: finishing work
-	// in flight releases its inputs (and its workers) sooner than
-	// starting new work would.
-	ClassSlice
 	// ClassL0 is an L0→L1 compaction — the compactions that drain the
 	// stop-writes file count.
 	ClassL0
@@ -51,8 +46,6 @@ func (c Class) String() string {
 	switch c {
 	case ClassFlush:
 		return "flush"
-	case ClassSlice:
-		return "slice"
 	case ClassL0:
 		return "l0"
 	case ClassDeep:
@@ -213,41 +206,6 @@ func (p *Pool) submit(o *Owner, c Class, shard int, fn func()) bool {
 	return true
 }
 
-// RunSlices runs every fn, using pool workers for parallelism where
-// available while the calling goroutine always participates: slices are
-// claimed from a shared counter, so the call completes even when every
-// worker is busy (or the owner is closing and the helpers never run) —
-// the caller just drains the remaining slices itself. Used by parallel
-// subcompactions; returns when all fns have finished.
-func (p *Pool) RunSlices(o *Owner, shard int, fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	var next atomic.Int64
-	var done sync.WaitGroup
-	claim := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(fns) {
-				return
-			}
-			fns[i]()
-			done.Done()
-		}
-	}
-	done.Add(len(fns))
-	for i := 1; i < len(fns); i++ {
-		if !p.submit(o, ClassSlice, shard, claim) {
-			break // closing: the caller claims everything below
-		}
-	}
-	claim()
-	// Every slice has been claimed by someone running (helpers that
-	// arrive after the counter is exhausted no-op; purged helpers never
-	// claimed anything); wait for the claimed ones to finish.
-	done.Wait()
-}
-
 // Stats is a point-in-time view of the pool.
 type Stats struct {
 	// Workers is the pool size; Busy is how many are running a task
@@ -296,12 +254,6 @@ func (p *Pool) NewOwner() *Owner { return &Owner{pool: p} }
 // closed; the task will then never run.
 func (o *Owner) Submit(c Class, shard int, fn func()) bool {
 	return o.pool.submit(o, c, shard, fn)
-}
-
-// RunSlices runs fns through the pool with the calling goroutine
-// participating; see Pool.RunSlices.
-func (o *Owner) RunSlices(shard int, fns []func()) {
-	o.pool.RunSlices(o, shard, fns)
 }
 
 // Close cancels the owner's queued tasks (they never run) and waits for

@@ -43,7 +43,7 @@ func TestPriorityOrder(t *testing.T) {
 	if !o.Submit(ClassDeep, 0, func() { <-gate }) {
 		t.Fatal("submit failed")
 	}
-	for _, c := range []Class{ClassDeep, ClassL0, ClassSlice, ClassFlush} {
+	for _, c := range []Class{ClassDeep, ClassL0, ClassFlush} {
 		if !o.Submit(c, 0, record(c)) {
 			t.Fatalf("submit %v failed", c)
 		}
@@ -51,7 +51,7 @@ func TestPriorityOrder(t *testing.T) {
 	close(gate)
 	drain(t, p)
 
-	want := []Class{ClassFlush, ClassSlice, ClassL0, ClassDeep}
+	want := []Class{ClassFlush, ClassL0, ClassDeep}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != len(want) {
@@ -143,69 +143,6 @@ func TestOwnerClosePurgesQueuedAndWaitsRunning(t *testing.T) {
 	drain(t, p)
 	if !otherRan.Load() {
 		t.Fatal("another owner's queued task was purged")
-	}
-}
-
-func TestRunSlicesCompletesWithBusyPool(t *testing.T) {
-	// All workers blocked: the caller must drain every slice itself.
-	p := NewPool(2)
-	defer p.Close()
-	o := p.NewOwner()
-	defer o.Close()
-
-	gate := make(chan struct{})
-	o.Submit(ClassDeep, 0, func() { <-gate })
-	o.Submit(ClassDeep, 0, func() { <-gate })
-
-	var ran atomic.Int64
-	fns := make([]func(), 8)
-	for i := range fns {
-		fns[i] = func() { ran.Add(1) }
-	}
-	doneCh := make(chan struct{})
-	go func() {
-		o.RunSlices(0, fns)
-		close(doneCh)
-	}()
-	select {
-	case <-doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunSlices deadlocked with a saturated pool")
-	}
-	if got := ran.Load(); got != int64(len(fns)) {
-		t.Fatalf("ran %d slices, want %d", got, len(fns))
-	}
-	close(gate)
-	drain(t, p)
-}
-
-func TestRunSlicesParallel(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	o := p.NewOwner()
-	defer o.Close()
-
-	// Slices that block until at least two run concurrently would hang
-	// a serial executor; bound the check with a timeout instead of
-	// asserting exact parallelism.
-	var peak, cur atomic.Int64
-	fns := make([]func(), 6)
-	for i := range fns {
-		fns[i] = func() {
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-			cur.Add(-1)
-		}
-	}
-	o.RunSlices(0, fns)
-	if peak.Load() < 2 {
-		t.Logf("slices never overlapped (peak=%d) — legal but unexpected on a 4-worker pool", peak.Load())
 	}
 }
 

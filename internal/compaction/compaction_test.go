@@ -1,7 +1,6 @@
 package compaction
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -448,10 +447,10 @@ func deepPicker() *Picker {
 	return NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 100, Multiplier: 1000})
 }
 
-// TestPickerMinOverlap: a push into an intermediate level (something
-// lives below the output level) takes the file with the smallest
-// overlapped-bytes / own-bytes ratio, first such file on ties, and a
-// file with nothing under it becomes a move.
+// TestPickerMinOverlap: a push takes the file with the smallest
+// overlapped-bytes / own-bytes ratio, first such file on ties, whether the
+// output level is an intermediate one or the bottom level, and a file with
+// nothing under it becomes a move.
 func TestPickerMinOverlap(t *testing.T) {
 	bottom := fm(90, 3, "a", "z", 5000) // makes L2 intermediate
 	cases := []struct {
@@ -505,24 +504,31 @@ func TestPickerMinOverlap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := version(append(tc.files, bottom)...)
-			for lap := 0; lap < 2; lap++ { // the choice carries no state
-				job := deepPicker().Pick(v, nil, false)
-				if job == nil || job.Level != 1 || job.OutputLevel != 2 || len(job.Inputs) != 1 {
-					t.Fatalf("job = %+v", job)
+			for _, intermediate := range []bool{true, false} {
+				files := tc.files
+				if intermediate {
+					files = append(files[:len(files):len(files)], bottom)
 				}
-				if job.Inputs[0].ID != tc.wantID {
-					t.Fatalf("picked file %d, want %d", job.Inputs[0].ID, tc.wantID)
-				}
-				var got []uint64
-				for _, f := range job.Overlaps {
-					got = append(got, f.ID)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(tc.overlaps) {
-					t.Fatalf("overlaps = %v, want %v", got, tc.overlaps)
-				}
-				if job.Move != tc.move {
-					t.Fatalf("Move = %v, want %v", job.Move, tc.move)
+				v := version(files...)
+				p := deepPicker()
+				for lap := 0; lap < 2; lap++ { // the choice carries no state
+					job := p.Pick(v, nil, false)
+					if job == nil || job.Level != 1 || job.OutputLevel != 2 || len(job.Inputs) != 1 || job.Rule != RuleMinOverlap {
+						t.Fatalf("intermediate=%v: job = %+v", intermediate, job)
+					}
+					if job.Inputs[0].ID != tc.wantID {
+						t.Fatalf("intermediate=%v: picked file %d, want %d", intermediate, job.Inputs[0].ID, tc.wantID)
+					}
+					var got []uint64
+					for _, f := range job.Overlaps {
+						got = append(got, f.ID)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(tc.overlaps) {
+						t.Fatalf("intermediate=%v: overlaps = %v, want %v", intermediate, got, tc.overlaps)
+					}
+					if job.Move != tc.move {
+						t.Fatalf("intermediate=%v: Move = %v, want %v", intermediate, job.Move, tc.move)
+					}
 				}
 			}
 		})
@@ -656,111 +662,6 @@ func TestPickerSpill(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// applyPush installs job the way the engine does: inputs and overlapped
-// files leave the tree, and one output covering their union range (or the
-// moved input itself) joins the output level.
-func applyPush(t *testing.T, v *manifest.Version, job *Job, nextID *uint64) *manifest.Version {
-	t.Helper()
-	all := append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...)
-	lo, hi := KeyRangeOf(all)
-	out := manifest.FileMeta{Kind: manifest.KindSST, Level: job.OutputLevel, Smallest: lo, Largest: hi}
-	var edit manifest.Edit
-	for _, f := range all {
-		edit.Deleted = append(edit.Deleted, f.ID)
-		out.Size += f.Size
-	}
-	out.ID = *nextID
-	*nextID++
-	if job.Move {
-		out.ID = job.Inputs[0].ID
-	}
-	edit.Added = []manifest.FileMeta{out}
-	nv, err := v.Apply(edit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nv.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	return nv
-}
-
-// TestPickerBottommostPushCyclesKeySpace: nothing lives below the output
-// level, so the push walks the key space in order even though one file
-// would win every min-overlap pick. Every pick is applied — the pushed
-// file leaves L1 — and the next pick must be the first file starting after
-// it in key order: an index cursor takes files[1] of the shrunken level
-// next and so skips every other file. A refill mid-lap with different file
-// boundaries (an L0->L1 merge landing) must not reset or derail the walk.
-func TestPickerBottommostPushCyclesKeySpace(t *testing.T) {
-	var files []*manifest.FileMeta
-	for i := 0; i < 8; i++ {
-		lo, hi := fmt.Sprintf("%c0", 'a'+i), fmt.Sprintf("%c9", 'a'+i)
-		files = append(files, fm(uint64(1+i), 1, lo, hi, 100))
-	}
-	files = append(files, fm(20, 2, "a0", "b9", 900), fm(21, 2, "c0", "c9", 10), fm(22, 2, "d0", "e9", 900))
-	v := version(files...)
-	p := deepPicker()
-	nextID := uint64(100)
-
-	var last []byte // largest key of the previous push
-	push := func() *manifest.FileMeta {
-		t.Helper()
-		job := p.Pick(v, nil, false)
-		if job == nil || job.Level != 1 || job.Rule != RuleBottomPush {
-			t.Fatalf("job = %+v", job)
-		}
-		want := v.Levels[1][0] // wraps to the first file
-		for _, f := range v.Levels[1] {
-			if last != nil && bytes.Compare(f.Smallest, last) > 0 {
-				want = f
-				break
-			}
-		}
-		in := job.Inputs[0]
-		if in.ID != want.ID {
-			t.Fatalf("after %q picked file %d [%s,%s], want the next in key order, %d [%s,%s]",
-				last, in.ID, in.Smallest, in.Largest, want.ID, want.Smallest, want.Largest)
-		}
-		if wantOv := v.Overlap(2, in.Smallest, in.Largest); fmt.Sprint(job.Overlaps) != fmt.Sprint(wantOv) {
-			t.Fatalf("file %d: overlaps = %v, want %v", in.ID, job.Overlaps, wantOv)
-		}
-		if job.Move != (len(job.Overlaps) == 0) {
-			t.Fatalf("file %d: Move = %v with %d overlaps", in.ID, job.Move, len(job.Overlaps))
-		}
-		last = in.Largest
-		v = applyPush(t, v, job, &nextID)
-		return in
-	}
-
-	// Lap 1: a..d in order, one push each.
-	for _, want := range []string{"a0", "b0", "c0", "d0"} {
-		if in := push(); string(in.Smallest) != want {
-			t.Fatalf("pushed [%s,%s], want the file starting at %s", in.Smallest, in.Largest, want)
-		}
-	}
-	// An L0->L1 merge rewrites what is left of L1 with new boundaries and
-	// brings back the ranges already pushed.
-	edit := manifest.Edit{}
-	for _, f := range v.Levels[1] {
-		edit.Deleted = append(edit.Deleted, f.ID)
-	}
-	for i, r := range [][2]string{{"a0", "b4"}, {"b5", "d4"}, {"d5", "f4"}, {"f5", "g4"}, {"g5", "h9"}} {
-		edit.Added = append(edit.Added, *fm(uint64(200+i), 1, r[0], r[1], 100))
-	}
-	var err error
-	if v, err = v.Apply(edit); err != nil {
-		t.Fatal(err)
-	}
-	// The walk resumes after d9 — past the file straddling it, whose head
-	// was pushed a moment ago — runs to the end and wraps.
-	for _, want := range []string{"f5", "g5", "a0", "b5"} {
-		if in := push(); string(in.Smallest) != want {
-			t.Fatalf("pushed [%s,%s], want the file starting at %s", in.Smallest, in.Largest, want)
-		}
 	}
 }
 

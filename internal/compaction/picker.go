@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/hll"
 	"repro/internal/manifest"
@@ -73,19 +72,18 @@ type Job struct {
 	// Score is the pressure that triggered the job: the input level's
 	// bytes over its target, or for L0 its file count over the trigger.
 	Score float64
-	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap
-	// or RuleBottomPush), or for an L0 job where L0 can fold, why it folds
-	// or merges (RuleFold, RuleRentPaid, RuleLogCeiling, RuleDrain), which
-	// Note backs with the rent paid against the merge's price and the logs
-	// pinned against their ceiling. Empty for other L0 jobs.
+	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap),
+	// or for an L0 job where L0 can fold, why it folds or merges (RuleFold,
+	// RuleRentPaid, RuleLogCeiling, RuleDrain), which Note backs with the
+	// rent paid against the merge's price and the logs pinned against their
+	// ceiling. Empty for other L0 jobs.
 	Rule, Note string
 }
 
-// The two ways Picker chooses the file to push out of an over-target level.
-const (
-	RuleMinOverlap = "min-overlap"
-	RuleBottomPush = "bottom-push"
-)
+// RuleMinOverlap is how Picker chooses the file to push out of an
+// over-target level below L0: the one that drags in the fewest next-level
+// bytes per byte of its own.
+const RuleMinOverlap = "min-overlap"
 
 // Why an L0 that can fold is folded or merged (see Pick).
 const (
@@ -126,21 +124,12 @@ func (j *Job) Why() string {
 }
 
 // Picker decides what to compact next. Below L0 every choice is a
-// function of next-level overlap: a push into an intermediate level takes
-// the file that drags in the fewest next-level bytes per byte of its own
-// (RocksDB's kMinOverlappingRatio); only the push into the bottommost
-// non-empty level walks the level's key space in order, so that every key
-// range reaches the level where its stale versions are finally dropped.
+// function of next-level overlap: a push takes the file that drags in the
+// fewest next-level bytes per byte of its own (RocksDB's
+// kMinOverlappingRatio). A Picker holds no state between picks: the job
+// is a function of the version alone.
 type Picker struct {
 	opts PickerOptions
-	// cursor holds, per level, the largest key of the file last pushed
-	// into the bottommost level (LevelDB's compact_pointer); the next push
-	// takes the first file that starts after it, wrapping at the end. A
-	// key, not an index: the pushed file leaves the level, so an index
-	// would skip the file that slides into its place. A file straddling
-	// the cursor waits for the next lap: its head was pushed a moment
-	// ago, and pushing it now would rewrite the output just written.
-	cursor [manifest.NumLevels][]byte
 }
 
 // NewPicker returns a Picker with the given options.
@@ -345,7 +334,7 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 	if bestLevel < 0 {
 		return nil
 	}
-	in, overlaps, rule := p.pickFile(v, bestLevel)
+	in, overlaps := p.pickFile(v, bestLevel)
 	return &Job{
 		Level:       bestLevel,
 		OutputLevel: bestLevel + 1,
@@ -353,30 +342,15 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 		Overlaps:    overlaps,
 		Move:        len(overlaps) == 0,
 		Score:       bestScore,
-		Rule:        rule,
+		Rule:        RuleMinOverlap,
 	}
 }
 
 // pickFile chooses which file of the (non-empty, over-target) level l to
-// push into l+1, and returns it with the l+1 files it overlaps and the
-// rule that chose it.
-func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*manifest.FileMeta, string) {
+// push into l+1 — the min-overlap one — and returns it with the l+1 files
+// it overlaps.
+func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*manifest.FileMeta) {
 	files, next := v.Levels[l], v.Levels[l+1]
-	if l+1 >= bottomLevel(v) {
-		// Bottommost push: min-overlap here would keep choosing the
-		// sparse key ranges, and the dense ones would never reach the
-		// level where their stale versions are finally dropped.
-		i := 0
-		if last := p.cursor[l]; last != nil {
-			i = sort.Search(len(files), func(i int) bool { return bytes.Compare(files[i].Smallest, last) > 0 })
-			if i == len(files) {
-				i = 0
-			}
-		}
-		in := files[i]
-		p.cursor[l] = in.Largest
-		return in, v.Overlap(l+1, in.Smallest, in.Largest), RuleBottomPush
-	}
 	// One sweep over the two sorted levels. Ties go to the smallest key.
 	best, bestLo, bestHi := -1, 0, 0
 	var bestRatio float64
@@ -388,7 +362,7 @@ func (p *Picker) pickFile(v *manifest.Version, l int) (*manifest.FileMeta, []*ma
 			best, bestRatio, bestLo, bestHi = i, ratio, lo, hi
 		}
 	}
-	return files[best], next[bestLo:bestHi:bestHi], RuleMinOverlap
+	return files[best], next[bestLo:bestHi:bestHi]
 }
 
 // nextCursor finds the files of the next level that each file of a level
@@ -416,7 +390,7 @@ func (c *nextCursor) overlap(f *manifest.FileMeta) (lo, hi int, overlapped int64
 
 // spill fills in job.Spill, SpillOverlaps and SpillKept for a merge into
 // level n = job.OutputLevel. When the merge would leave n over target, and n+1 is
-// an intermediate level (the bottom push keeps its key-space walk), the
+// an intermediate level (a spill never writes into the bottom level), the
 // n-files the merge consumes are taken in min-overlap order — fewest n+1
 // bytes per byte of their own, the smallest key on ties — until their
 // bytes plus the batch's share of them cover the overflow. The batch is

@@ -128,8 +128,11 @@ func TestRunWithDeletes(t *testing.T) {
 }
 
 // TestFig2Shape runs the (tiny) Figure 2 experiment and checks the
-// paper's claim: removing background I/O never hurts throughput, and
-// helps clearly on the uniform write-heavy workload.
+// paper's claim: removing background I/O helps throughput clearly on the
+// uniform write-heavy workload. The race detector slows every cell alike
+// and leaves that ratio to noise, so under it only the counts are checked:
+// a no-BG cell flushes and compacts nothing, while its uniform write-heavy
+// BG counterpart compacts.
 func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
@@ -143,9 +146,17 @@ func TestFig2Shape(t *testing.T) {
 	if len(cells) != 8 {
 		t.Fatalf("Fig2 returned %d cells", len(cells))
 	}
+	for i := 1; i < len(cells); i += 2 {
+		if m := cells[i].Res.Snap; m.Compactions != 0 || m.Flushes != 0 {
+			t.Errorf("%s: %d compactions, %d flushes with background I/O off", cells[i].Label, m.Compactions, m.Flushes)
+		}
+	}
 	// Uniform 10r-90w pair: no-BG should be clearly faster.
 	base, nobg := cells[2].Res, cells[3].Res
-	if nobg.KOPS < base.KOPS*1.1 {
+	if base.Snap.Compactions == 0 {
+		t.Errorf("%s ran no compaction: nothing for the no-BG cell to save", cells[2].Label)
+	}
+	if !raceEnabled && nobg.KOPS < base.KOPS*1.1 {
 		t.Errorf("no-BG speedup only %.2fx on uniform 10r-90w", nobg.KOPS/base.KOPS)
 	}
 }

@@ -75,7 +75,7 @@ var MustClose = &Analyzer{
 			{
 				pkgSuffix: "internal/compaction",
 				typeName:  "MergeIterator",
-				creators:  []string{"NewMergeIterator", "NewSliceMerge"},
+				creators:  []string{"NewMergeIterator"},
 				releases:  []string{"Close"},
 				what:      "compaction merge iterator (*compaction.MergeIterator)",
 				verb:      "closed",

@@ -6,7 +6,6 @@ type Class int
 
 const (
 	ClassFlush Class = iota
-	ClassSlice
 	ClassL0
 	ClassDeep
 )

@@ -1,6 +1,6 @@
 // Package compaction is a stub of repro/internal/compaction for
-// analyzer golden tests: the merge/dedup iterator lifetime surface
-// used by subcompaction slices.
+// analyzer golden tests: the merge/dedup iterator lifetime surface of a
+// compaction.
 package compaction
 
 type Entry struct{ Key, Value []byte }
@@ -12,17 +12,9 @@ type Iterator interface {
 	Close() error
 }
 
-type Table struct{}
-
-type Slice struct{ Lo, Hi []byte }
-
 type MergeIterator struct{}
 
 func NewMergeIterator(its []Iterator) *MergeIterator { return &MergeIterator{} }
-
-func NewSliceMerge(tables []Table, slc Slice) (*MergeIterator, error) {
-	return &MergeIterator{}, nil
-}
 
 func (m *MergeIterator) Next() bool   { return false }
 func (m *MergeIterator) Entry() Entry { return Entry{} }

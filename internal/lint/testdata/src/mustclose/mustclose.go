@@ -234,28 +234,22 @@ func ownerDeferClose(p *bgsched.Pool) {
 	o.Submit(bgsched.ClassDeep, 1, func() {})
 }
 
-// --- compaction slice iterators ---
+// --- compaction merge iterators ---
 
-// leakSliceMerge forgets the merge (and with it every input table
-// iterator) when the entry count comes up empty.
-func leakSliceMerge(tables []compaction.Table, slc compaction.Slice) (int, error) {
-	m, err := compaction.NewSliceMerge(tables, slc) // want `compaction merge iterator \(\*compaction\.MergeIterator\) may not be closed`
-	if err != nil {
-		return 0, err
-	}
+// leakMerge forgets the merge (and with it every input table iterator)
+// when the entry count comes up empty.
+func leakMerge(its []compaction.Iterator) int {
+	m := compaction.NewMergeIterator(its) // want `compaction merge iterator \(\*compaction\.MergeIterator\) may not be closed`
 	n := 0
 	for m.Next() {
 		n++
 	}
-	return n, nil
+	return n
 }
 
-// sliceMergeDeferClose is the correct subcompaction shape.
-func sliceMergeDeferClose(tables []compaction.Table, slc compaction.Slice) (int, error) {
-	m, err := compaction.NewSliceMerge(tables, slc)
-	if err != nil {
-		return 0, err
-	}
+// mergeDeferClose is the correct shape.
+func mergeDeferClose(its []compaction.Iterator) (int, error) {
+	m := compaction.NewMergeIterator(its)
 	defer m.Close()
 	n := 0
 	for m.Next() {

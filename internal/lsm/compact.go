@@ -68,20 +68,16 @@ func (db *DB) CompactAll() error {
 // "during compaction, the hot keys are skipped, similarly to the duplicate
 // updates"; safe because the memtable version is strictly newer and is
 // durable in the current commit log). A job the picker marked Move has
-// nothing to merge with and is relinked instead (moveFile).
+// nothing to merge with and is relinked instead (moveFile); one it marked
+// Fold folds L0 instead (fold).
 //
 // A job with a spill also consumes job.SpillOverlaps (level L+2) and writes
 // every surviving entry to the deeper of the level it came from and its
 // route: L+2 inside the key range of a job.Spill file, L+1 elsewhere. The
 // outputs of both levels install as one manifest edit.
 //
-// A large compaction is partitioned into up to one disjoint key-range
-// slice per pool worker (boundaries from the input tables' block indexes),
-// merged in parallel on the pool; the slices' outputs
-// are concatenated — they are disjoint and in key order — and installed
-// as the same single atomic manifest edit a monolithic merge produces,
-// so snapshots and zombie refcounts never see a half-installed split.
-// A job the picker marked Fold folds L0 instead (fold).
+// The merge runs on the calling worker, as one pass over its inputs; the
+// pool's parallelism comes from shards and from flushes running beside it.
 func (db *DB) runCompaction(job *compaction.Job) error {
 	if job.Move {
 		return db.moveFile(job)
@@ -95,34 +91,33 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 
 	outLevel := job.OutputLevel
 	all := append(append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...), job.SpillOverlaps...)
-	plan := mergePlan{shared: new(sstable.Merge), outs: []levelOut{{level: outLevel}}, spill: job.Spill}
+	m := merger{db: db, spill: job.Spill, outs: []rollingOutput{{level: outLevel}}}
 	if len(job.Spill) > 0 {
-		plan.outs = append(plan.outs, levelOut{level: outLevel + 1, kept: job.SpillKept})
+		m.outs = append(m.outs, rollingOutput{level: outLevel + 1, kept: job.SpillKept})
 	}
-	defer plan.shared.Close()
 
 	// Resolve tables newest-first: L0 inputs are already newest-first in
 	// the version; each next level's files are strictly older. The inputs
 	// cannot be closed mid-compaction — only a compaction consumes live
 	// tables, and compactionMu serializes them.
 	db.versionMu.RLock()
-	plan.tabs = make([]sstable.Table, 0, len(all))
-	plan.srcLevel = make([]int, 0, len(all))
+	tabs := make([]sstable.Table, 0, len(all))
+	m.srcLevel = make([]int, 0, len(all))
 	for _, f := range all {
 		t, ok := db.tables[f.ID]
 		if !ok {
 			db.versionMu.RUnlock()
 			return errClosedTable(f.ID)
 		}
-		plan.tabs = append(plan.tabs, t)
-		plan.srcLevel = append(plan.srcLevel, f.Level)
+		tabs = append(tabs, t)
+		m.srcLevel = append(m.srcLevel, f.Level)
 	}
 	lo, hi := compaction.KeyRangeOf(all)
 	// Tombstones may be dropped only when nothing outside the merge can
 	// still hold an older version of a key in range: nothing below the
 	// output level overlaps.
-	for i := range plan.outs {
-		o := &plan.outs[i]
+	for i := range m.outs {
+		o := &m.outs[i]
 		o.drop = true
 		for l := o.level + 1; l < manifest.NumLevels; l++ {
 			if len(db.version.Overlap(l, lo, hi)) > 0 {
@@ -136,81 +131,42 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	}
 	db.versionMu.RUnlock()
 
+	var skip func([]byte) bool
 	if db.opts.TriadMem && job.Level == 0 {
 		db.mu.Lock()
 		mem := db.mem
 		db.mu.Unlock()
-		// Memtable reads are lock-free, so concurrent subcompaction
-		// slices may share this closure.
-		plan.skip = func(key []byte) bool {
+		skip = func(key []byte) bool {
 			_, ok := mem.Get(key)
 			return ok
 		}
 	}
-
+	if err := m.run(tabs, skip); err != nil {
+		return err
+	}
 	var inBytes int64
 	for _, f := range all {
 		inBytes += f.Size
 	}
-	// One slice per pool worker, but not below about one output file of
-	// input per slice — the split overhead would outweigh the parallelism.
-	slices := compaction.SplitJob(plan.tabs, min(db.pool.Workers(), int(inBytes/db.opts.TargetFileBytes)))
+	db.met.BytesCompacted.Add(m.written)
+	db.met.BytesSpilled.Add(m.spilled)
+	db.compactedFrom[job.Level].Add(m.written)
+	db.met.EntriesCompacted.Add(m.merged)
+	db.met.EntriesDiscarded.Add(m.discarded)
 
-	results := make([]sliceResult, len(slices))
-	if len(slices) == 1 {
-		results[0] = db.runSlice(&plan, slices[0])
-	} else {
-		fns := make([]func(), len(slices))
-		for i := range slices {
-			i := i
-			fns[i] = func() { results[i] = db.runSlice(&plan, slices[i]) }
-		}
-		db.sched.RunSlices(db.opts.EventShard, fns)
-	}
-
-	var outputs []manifest.FileMeta
-	var written, spilled, merged, discarded int64
-	var firstErr error
-	for _, r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		outputs = append(outputs, r.outputs...)
-		written += r.written
-		spilled += r.spilled
-		merged += r.merged
-		discarded += r.discarded
-	}
-	if firstErr != nil {
-		// Every slice aborted its own partial writers; finished slices'
-		// outputs were never installed, so remove their files.
-		for _, o := range outputs {
-			_ = db.fs.Remove(sstable.FileName(o.ID))
-		}
-		return firstErr
-	}
-	db.met.BytesCompacted.Add(written)
-	db.met.BytesSpilled.Add(spilled)
-	db.compactedFrom[job.Level].Add(written)
-	db.met.EntriesCompacted.Add(merged)
-	db.met.EntriesDiscarded.Add(discarded)
-
-	if err := db.installCompaction(all, outputs); err != nil {
+	if err := db.installCompaction(all, m.outputs); err != nil {
 		return err
 	}
 	db.met.BytesCompactionRead.Add(inBytes)
-	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(outputs), job.Why())
+	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(m.outputs), job.Why())
 	if len(job.Spill) > 0 {
 		detail += fmt.Sprintf(", %d L%d ranges spilled to L%d (%.1f MB)",
-			len(job.Spill), outLevel, outLevel+1, float64(spilled)/1e6)
+			len(job.Spill), outLevel, outLevel+1, float64(m.spilled)/1e6)
 	}
-	detail += fmt.Sprintf(", %d of %d entries discarded", discarded, merged)
-	if len(slices) > 1 {
-		detail += fmt.Sprintf(", %d subcompactions", len(slices))
-	}
+	detail += fmt.Sprintf(", %d of %d entries discarded", m.discarded, m.merged)
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: job.Level,
-		Dur: time.Since(start), In: inBytes, Out: written,
+		Dur: time.Since(start), In: inBytes, Out: m.written,
 		Files: len(all), Detail: detail,
 	})
 	return nil
@@ -343,20 +299,28 @@ func (db *DB) moveFile(job *compaction.Job) error {
 	return nil
 }
 
-// mergePlan is what every slice of one compaction shares.
-type mergePlan struct {
-	shared   *sstable.Merge    // what the slices' iterators share
-	tabs     []sstable.Table   // newest source first
-	srcLevel []int             // the level of each of tabs
-	skip     func([]byte) bool // TRIAD-MEM hot keys (nil: none)
+// merger writes one compaction's surviving entries through one rolling
+// output per level, and accounts for what it wrote.
+type merger struct {
+	db       *DB
+	srcLevel []int // the level of each input table, newest first
 	// outs[0] is the job's output level; outs[1], present when the job
 	// spills, the level below it, which receives the spill ranges.
-	outs  []levelOut
+	outs  []rollingOutput
 	spill []*manifest.FileMeta // in key order
+
+	// outputs are the tables written, in key order per level; written
+	// their bytes (spilled: of those, the bytes written below the job's
+	// output level); merged the entries the merge consumed and discarded
+	// how many of those it dropped.
+	outputs           []manifest.FileMeta
+	written, spilled  int64
+	merged, discarded int64
 }
 
-// levelOut is how a merge writes one output level.
-type levelOut struct {
+// rollingOutput is the output file a merge is writing to one level, and
+// how that level is written.
+type rollingOutput struct {
 	level int
 	drop  bool // tombstones may be dropped
 	// grandparents are the files of level+1 under the merge's key range,
@@ -367,87 +331,70 @@ type levelOut struct {
 	// the ranges the merge writes here and that it does not consume: an
 	// output ends before one, so that it never spans it.
 	kept []*manifest.FileMeta
+
+	w      *sstable.Writer
+	first  []byte
+	count  uint64
+	gi, ki int // grandparents[:gi] and kept[:ki] end before the last key
 }
 
-// sliceResult is one subcompaction slice's contribution: its output
-// tables in key order per level, the bytes it wrote (spilled: of those,
-// the bytes written below the job's output level), and how many entries
-// its merge consumed and how many of those it dropped.
-type sliceResult struct {
-	outputs           []manifest.FileMeta
-	written, spilled  int64
-	merged, discarded int64
-	err               error
-}
-
-// runSlice merges one key-range slice of the plan's tables into fresh
-// tables at the output levels. With the zero Slice it is the whole
-// (monolithic) compaction. Keys ascend within a slice, so which level an
-// entry goes to is found by a cursor over the spilled ranges.
-func (db *DB) runSlice(p *mergePlan, slc compaction.Slice) sliceResult {
-	merge, err := compaction.NewSliceMerge(p.shared, p.tabs, slc)
-	if err != nil {
-		return sliceResult{err: err}
+// run merges tabs, newest first, into fresh tables at the output levels.
+// Keys ascend, so which level an entry goes to is found by a cursor over
+// the spilled ranges. On failure it removes every file it wrote.
+func (m *merger) run(tabs []sstable.Table, skip func([]byte) bool) (err error) {
+	var shared sstable.Merge
+	defer shared.Close()
+	its := make([]sstable.Iterator, 0, len(tabs))
+	for _, t := range tabs {
+		it, err := t.NewMergeIterator(&shared)
+		if err != nil {
+			closeAll(its)
+			return err
+		}
+		its = append(its, it)
 	}
 	// Tombstones are dropped below, by the level each one goes to.
-	dedup := compaction.NewDedupIterator(merge, false, p.skip)
+	dedup := compaction.NewDedupIterator(compaction.NewMergeIterator(its), false, skip)
 	defer dedup.Close()
+	defer func() {
+		if err != nil {
+			m.abort()
+		}
+	}()
 
-	sw := sliceWriter{db: db, p: p, outs: make([]rollingOutput, len(p.outs))}
-	for i := range sw.outs {
-		sw.outs[i].levelOut = &p.outs[i]
-	}
 	var dropped int64
-	si := 0 // p.spill[:si] end before the current key
+	si := 0 // m.spill[:si] end before the current key
 	for dedup.Next() {
 		e := dedup.Entry()
-		o := &sw.outs[0]
-		if len(p.spill) > 0 {
-			for si < len(p.spill) && bytes.Compare(p.spill[si].Largest, e.Key) < 0 {
+		o := &m.outs[0]
+		if len(m.spill) > 0 {
+			for si < len(m.spill) && bytes.Compare(m.spill[si].Largest, e.Key) < 0 {
 				si++
 			}
-			spilled := si < len(p.spill) && bytes.Compare(p.spill[si].Smallest, e.Key) <= 0
-			if spilled || p.srcLevel[dedup.Source()] > o.level {
-				o = &sw.outs[1]
+			spilled := si < len(m.spill) && bytes.Compare(m.spill[si].Smallest, e.Key) <= 0
+			if spilled || m.srcLevel[dedup.Source()] > o.level {
+				o = &m.outs[1]
 			}
 		}
 		if e.Kind == base.KindDelete && o.drop {
 			dropped++
 			continue
 		}
-		if err := sw.add(o, e); err != nil {
-			return sw.abort(err)
+		if err := m.add(o, e); err != nil {
+			return err
 		}
 	}
 	if err := dedup.Err(); err != nil {
-		return sw.abort(err)
+		return err
 	}
-	for i := range sw.outs {
-		if err := sw.finish(&sw.outs[i]); err != nil {
-			return sw.abort(err)
+	for i := range m.outs {
+		if err := m.finish(&m.outs[i]); err != nil {
+			return err
 		}
 	}
-	sw.res.discarded = dedup.Discarded() + dropped
-	sw.res.merged += sw.res.discarded
-	return sw.res
-}
-
-// sliceWriter writes one slice's surviving entries, through one rolling
-// output per level of the plan.
-type sliceWriter struct {
-	db   *DB
-	p    *mergePlan
-	outs []rollingOutput
-	res  sliceResult
-}
-
-// rollingOutput is the output file a slice is writing to one level.
-type rollingOutput struct {
-	*levelOut
-	w      *sstable.Writer
-	first  []byte
-	count  uint64
-	gi, ki int // grandparents[:gi] and kept[:ki] end before the last key
+	m.discarded = dedup.Discarded() + dropped
+	m.merged += m.discarded
+	return nil
 }
 
 // add appends e to o's current file, first ending that file where a
@@ -456,8 +403,8 @@ type rollingOutput struct {
 // a kept file; at 1.5x the target with no such boundary in reach. Cutting
 // by byte count alone leaves most outputs straddling two grandparents, and
 // every later push of such a file rewrites both.
-func (sw *sliceWriter) add(o *rollingOutput, e base.Entry) error {
-	db := sw.db
+func (m *merger) add(o *rollingOutput, e base.Entry) error {
+	db := m.db
 	crossed, passedKept := false, false
 	for o.gi < len(o.grandparents) && bytes.Compare(o.grandparents[o.gi].Largest, e.Key) < 0 {
 		o.gi++
@@ -468,7 +415,7 @@ func (sw *sliceWriter) add(o *rollingOutput, e base.Entry) error {
 		passedKept = true
 	}
 	if o.w != nil && (passedKept || crossed && o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/4) {
-		if err := sw.finish(o); err != nil {
+		if err := m.finish(o); err != nil {
 			return err
 		}
 	}
@@ -490,13 +437,13 @@ func (sw *sliceWriter) add(o *rollingOutput, e base.Entry) error {
 	}
 	o.count++
 	if o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
-		return sw.finish(o)
+		return m.finish(o)
 	}
 	return nil
 }
 
 // finish completes o's current file, if any, and records it as an output.
-func (sw *sliceWriter) finish(o *rollingOutput) error {
+func (m *merger) finish(o *rollingOutput) error {
 	if o.w == nil {
 		return nil
 	}
@@ -506,12 +453,12 @@ func (sw *sliceWriter) finish(o *rollingOutput) error {
 		return err // abort discards w
 	}
 	o.w = nil
-	sw.res.written += n
-	if o.level > sw.p.outs[0].level {
-		sw.res.spilled += n
+	m.written += n
+	if o.level > m.outs[0].level {
+		m.spilled += n
 	}
-	sw.res.merged += int64(o.count)
-	sw.res.outputs = append(sw.res.outputs, manifest.FileMeta{
+	m.merged += int64(o.count)
+	m.outputs = append(m.outputs, manifest.FileMeta{
 		ID:         w.ID(),
 		Kind:       manifest.KindSST,
 		Level:      o.level,
@@ -523,17 +470,19 @@ func (sw *sliceWriter) finish(o *rollingOutput) error {
 	return nil
 }
 
-// abort discards the files the slice has open and fails it with err; the
-// outputs it finished are the caller's to remove.
-func (sw *sliceWriter) abort(err error) sliceResult {
-	for i := range sw.outs {
-		if w := sw.outs[i].w; w != nil {
-			w.Abort(sw.db.fs)
-			sw.outs[i].w = nil
+// abort discards the files the merge has open and removes the ones it
+// finished: none of them was installed.
+func (m *merger) abort() {
+	for i := range m.outs {
+		if w := m.outs[i].w; w != nil {
+			w.Abort(m.db.fs)
+			m.outs[i].w = nil
 		}
 	}
-	sw.res.err = err
-	return sw.res
+	for _, o := range m.outputs {
+		_ = m.db.fs.Remove(sstable.FileName(o.ID))
+	}
+	m.outputs = nil
 }
 
 // installCompaction journals the edit, swaps the version, and removes the
@@ -647,11 +596,7 @@ func (db *DB) unpinnedLogsLocked(files []*manifest.FileMeta) []uint64 {
 // last to pin.
 func (db *DB) removeTableFiles(files []*manifest.FileMeta, logs []uint64) error {
 	for _, f := range files {
-		name := sstable.FileName(f.ID)
-		if f.Logs() != nil {
-			name = sstable.CLIndexFileName(f.ID)
-		}
-		if err := db.fs.Remove(name); err != nil {
+		if err := db.fs.Remove(tableFileName(f)); err != nil {
 			return err
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgsched"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
@@ -66,7 +65,7 @@ func sameLines(t *testing.T, what string, got, want []string) {
 
 // cutStats counts how the output files of the compactions seen so far
 // ended.
-type cutStats struct{ aligned, capped, kept, unaligned int }
+type cutStats struct{ aligned, capped, kept int }
 
 // checkCuts inspects the one compaction that turned before into after:
 // between two consecutive output files at level L, either a file of
@@ -74,10 +73,9 @@ type cutStats struct{ aligned, capped, kept, unaligned int }
 // gap and the first output had reached 3/4 of the target, or the first
 // output hit the 1.5x cap, or a file of level L the compaction left in
 // place lies in the gap (a spill writes disjoint ranges of L, and its
-// consumed coverage of L ends there). At most slack cuts may be none of
-// these (the joints between subcompaction slices fall where the block
-// index says). No output may pass the cap by more than its own metadata.
-func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slack int, st *cutStats) {
+// consumed coverage of L ends there). No cut may be none of these, and no
+// output may pass the cap by more than its own metadata.
+func checkCuts(t *testing.T, before, after *manifest.Version, target int64, st *cutStats) {
 	t.Helper()
 	old := map[uint64]bool{}
 	for _, files := range before.Levels {
@@ -106,7 +104,6 @@ func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slac
 		if l+1 < manifest.NumLevels {
 			grandparents = before.Levels[l+1]
 		}
-		unaligned := 0
 		for i, f := range outs {
 			if f.Size > hardCap+target/4 {
 				t.Fatalf("L%d output %d is %d bytes, cap %d", l, f.ID, f.Size, hardCap)
@@ -136,23 +133,18 @@ func checkCuts(t *testing.T, before, after *manifest.Version, target int64, slac
 					break
 				}
 			}
-			if ends && f.Size >= target*3/4 {
-				st.aligned++
-			} else {
-				unaligned++
+			if !ends || f.Size < target*3/4 {
+				t.Fatalf("L%d: output %d of %d (%d bytes) ends neither at a grandparent boundary, nor at the cap, nor before a kept file",
+					l, i, len(outs), f.Size)
 			}
+			st.aligned++
 		}
-		if unaligned > slack {
-			t.Fatalf("L%d: %d of %d outputs end neither at a grandparent boundary nor at the cap (allowed %d)",
-				l, unaligned, len(outs), slack)
-		}
-		st.unaligned += unaligned
 	}
 }
 
 // settle runs compactions one at a time until the picker is done,
 // checking the tree after every install.
-func settle(t *testing.T, db *DB, slack int, st *cutStats) {
+func settle(t *testing.T, db *DB, st *cutStats) {
 	t.Helper()
 	for {
 		db.versionMu.RLock()
@@ -171,54 +163,35 @@ func settle(t *testing.T, db *DB, slack int, st *cutStats) {
 		if err := after.CheckInvariants(); err != nil {
 			t.Fatalf("after install: %v", err)
 		}
-		checkCuts(t, before, after, db.opts.TargetFileBytes, slack, st)
+		checkCuts(t, before, after, db.opts.TargetFileBytes, st)
 	}
 }
 
-// TestCompactionShapeRandomized drives the same random put/delete stream,
-// with snapshots held open across compactions, into a store on a 3-worker
-// pool, which splits compactions into up to three slices, and one on a
-// 1-worker pool, which never splits. After
-// every single compaction the level invariants hold and every output
-// file ends at a grandparent boundary, at the cap or before a file its
-// level keeps; at the end both stores, and every snapshot, scan equal to
-// a map oracle. The sliced store's journal shows a merge by every rule:
-// an L0 merge, an L0 merge spilling into L2, a min-overlap push and a
-// bottom push.
+// TestCompactionShapeRandomized drives a random put/delete stream, with
+// snapshots held open across compactions, into a store that compacts one
+// merge at a time. After every single compaction the level invariants hold
+// and every output file ends at a grandparent boundary, at the cap or
+// before a file its level keeps; at the end the store, and every snapshot,
+// scan equal to a map oracle. The journal shows a merge by every rule: an
+// L0 merge, an L0 merge spilling into L2 and a min-overlap push.
 func TestCompactionShapeRandomized(t *testing.T) {
-	type side struct {
-		db    *DB
-		slack int
-		cuts  cutStats
-		snaps []*Snapshot
-	}
-	open := func(workers int) *side {
-		pool := bgsched.NewPool(workers)
-		t.Cleanup(pool.Close)
-		o := deepOptions(vfs.NewMemFS())
-		o.Scheduler = pool
-		o.Events = obs.NewJournal(4096)
-		return &side{db: mustOpen(t, o), slack: pool.Workers() - 1}
-	}
-	sides := []*side{open(3), open(1)}
-	for _, s := range sides {
-		defer s.db.Close()
-	}
+	o := deepOptions(vfs.NewMemFS())
+	o.Events = obs.NewJournal(4096)
+	db := mustOpen(t, o)
+	defer db.Close()
+	var cuts cutStats
+	var snaps []*Snapshot
 
 	rng := rand.New(rand.NewSource(14))
 	oracle := map[string]string{}
 	var pinned []map[string]string // the oracle as of each held snapshot
 	release := func() {
-		want := oracleLines(pinned[0])
-		for i, s := range sides {
-			it, err := s.snaps[0].NewIterator(nil, nil)
-			sameLines(t, fmt.Sprintf("side %d snapshot", i), scan(t, it, err), want)
-			if err := s.snaps[0].Close(); err != nil {
-				t.Fatal(err)
-			}
-			s.snaps = s.snaps[1:]
+		it, err := snaps[0].NewIterator(nil, nil)
+		sameLines(t, "snapshot", scan(t, it, err), oracleLines(pinned[0]))
+		if err := snaps[0].Close(); err != nil {
+			t.Fatal(err)
 		}
-		pinned = pinned[1:]
+		snaps, pinned = snaps[1:], pinned[1:]
 	}
 	val := make([]byte, 60)
 	// Over 6000 keys the tree grows to L3, and every L0 merge spills into
@@ -233,10 +206,8 @@ func TestCompactionShapeRandomized(t *testing.T) {
 			k := fmt.Sprintf("k%05d", rng.Intn(keySpace))
 			if rng.Intn(5) == 0 {
 				delete(oracle, k)
-				for _, s := range sides {
-					if err := s.db.Delete([]byte(k)); err != nil {
-						t.Fatal(err)
-					}
+				if err := db.Delete([]byte(k)); err != nil {
+					t.Fatal(err)
 				}
 				continue
 			}
@@ -244,10 +215,8 @@ func TestCompactionShapeRandomized(t *testing.T) {
 				val[j] = 'a' + byte(rng.Intn(26))
 			}
 			oracle[k] = string(val)
-			for _, s := range sides {
-				if err := s.db.Put([]byte(k), val); err != nil {
-					t.Fatal(err)
-				}
+			if err := db.Put([]byte(k), val); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if step%5 == 2 {
@@ -256,53 +225,41 @@ func TestCompactionShapeRandomized(t *testing.T) {
 				frozen[k] = v
 			}
 			pinned = append(pinned, frozen)
-			for _, s := range sides {
-				snap, err := s.db.NewSnapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.snaps = append(s.snaps, snap)
+			snap, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
+			snaps = append(snaps, snap)
 			if len(pinned) > 3 {
 				release()
 			}
 		}
-		for _, s := range sides {
-			if err := s.db.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			settle(t, s.db, s.slack, &s.cuts)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
 		}
+		settle(t, db, &cuts)
 	}
 	for len(pinned) > 0 {
 		release()
 	}
 
-	want := oracleLines(oracle)
-	for i, s := range sides {
-		it, err := s.db.NewIterator(nil, nil)
-		sameLines(t, fmt.Sprintf("side %d", i), scan(t, it, err), want)
-		if err := s.db.CheckConsistency(); err != nil {
-			t.Fatalf("side %d: %v", i, err)
-		}
-		if files := s.db.NumLevelFiles(); files[3] == 0 {
-			t.Fatalf("side %d: tree has no L3 (%v); no compaction had grandparents to align to", i, files)
-		}
-		if s.cuts.aligned == 0 {
-			t.Fatalf("side %d: no output ended at a grandparent boundary (%+v); check is vacuous", i, s.cuts)
-		}
-		if s.db.OpenSnapshots() != 0 {
-			t.Fatalf("side %d: %d snapshots still open", i, s.db.OpenSnapshots())
-		}
+	it, err := db.NewIterator(nil, nil)
+	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("cuts: sliced %+v, monolithic %+v", sides[0].cuts, sides[1].cuts)
-	if sides[1].cuts.unaligned != 0 {
-		t.Fatalf("monolithic side made %d unaligned cuts", sides[1].cuts.unaligned)
+	if files := db.NumLevelFiles(); files[3] == 0 {
+		t.Fatalf("tree has no L3 (%v); no compaction had grandparents to align to", files)
 	}
-	split := false
+	if cuts.aligned == 0 {
+		t.Fatalf("no output ended at a grandparent boundary (%+v); check is vacuous", cuts)
+	}
+	if db.OpenSnapshots() != 0 {
+		t.Fatalf("%d snapshots still open", db.OpenSnapshots())
+	}
+	t.Logf("cuts: %+v", cuts)
 	why := map[string]bool{}
-	for _, e := range sides[0].db.opts.Events.Events(0) {
-		split = split || slicesOf(e) > 1
+	for _, e := range o.Events.Events(0) {
 		// Every compaction's entry explains itself: score, rule and
 		// overlap of the pick, and what a merge dropped.
 		if e.Kind != obs.EventCompaction {
@@ -317,22 +274,17 @@ func TestCompactionShapeRandomized(t *testing.T) {
 		if strings.Contains(e.Detail, "trivial move") {
 			continue // each rule below must have run a merge, not a relink
 		}
-		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", ", bottom-push ratio", " L1 ranges spilled to L2 ("} {
+		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", " L1 ranges spilled to L2 ("} {
 			if strings.Contains(e.Detail, rule) {
 				why[rule] = true
 			}
 		}
 	}
-	if !split {
-		t.Fatal("no compaction split into subcompactions; the differential is vacuous")
+	if len(why) != 3 {
+		t.Fatalf("journal does not show merges by all three rules (L0 overlap, min-overlap, spill): %v", why)
 	}
-	if len(why) != 4 {
-		t.Fatalf("journal does not show merges by all four rules (L0 overlap, min-overlap, bottom-push, spill): %v", why)
-	}
-	for i, s := range sides {
-		if s.db.Metrics().BytesSpilled == 0 {
-			t.Fatalf("side %d: no L0 merge spilled; the check of the spill's cuts is vacuous", i)
-		}
+	if db.Metrics().BytesSpilled == 0 {
+		t.Fatal("no L0 merge spilled; the check of the spill's cuts is vacuous")
 	}
 }
 
@@ -714,10 +666,10 @@ func TestDeepeningRebalances(t *testing.T) {
 	}
 	why := false
 	for _, e := range o.Events.Events(0) {
-		why = why || (strings.Contains(e.Detail, "trivial move") && strings.Contains(e.Detail, "bottom-push"))
+		why = why || (strings.Contains(e.Detail, "trivial move") && strings.Contains(e.Detail, "min-overlap"))
 	}
 	if !why {
-		t.Fatal("no journal entry explains a move as a bottom-push")
+		t.Fatal("no journal entry explains a move as a min-overlap pick")
 	}
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)

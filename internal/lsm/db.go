@@ -144,8 +144,10 @@ type DB struct {
 	view atomic.Pointer[memView]
 
 	// compactedFrom[l] totals the bytes written by compactions whose
-	// input level was l (LevelStat.CompactedBytes).
+	// input level was l (LevelStat.CompactedBytes), and gets[l] what
+	// lookups cost on level l.
 	compactedFrom [manifest.NumLevels]atomic.Int64
+	gets          [manifest.NumLevels]levelGets
 
 	// Snapshot state. snaps and maxPinned are guarded by mu (the write
 	// path consults maxPinned while already holding it); refs and
@@ -233,6 +235,7 @@ func (db *DB) recover() error {
 	// Open every table the manifest references; remember which commit
 	// logs are pinned by CL-SSTables.
 	pinnedLogs := map[uint64]bool{}
+	listed := map[string]bool{}
 	for _, files := range v.Levels {
 		for _, f := range files {
 			t, err := db.openTable(f)
@@ -240,6 +243,7 @@ func (db *DB) recover() error {
 				return fmt.Errorf("lsm: recover table %d: %w", f.ID, err)
 			}
 			db.tables[f.ID] = t
+			listed[tableFileName(f)] = true
 			for _, id := range f.Logs() {
 				pinnedLogs[id] = true
 			}
@@ -265,14 +269,29 @@ func (db *DB) recover() error {
 	// number is not replayed but deleted: its tables have left the tree
 	// (a merge, or a crash between a flush's edit and the removal of the
 	// logs it superseded), and its records are older than theirs.
-	logNames, err := db.fs.List("")
+	//
+	// A table file no level lists is deleted (LevelDB's
+	// RemoveObsoleteFiles): the output of a flush, fold or merge that
+	// crashed before its manifest edit, or an input of one that crashed
+	// between its edit and the input's removal. No snapshot outlives the
+	// process, so none of them is a zombie.
+	names, err := db.fs.List("")
 	if err != nil {
 		return err
 	}
 	var replayIDs, staleIDs []uint64
-	for _, name := range logNames {
+	for _, name := range names {
 		var id uint64
-		if _, err := fmt.Sscanf(name, "%d.log", &id); err != nil || name != wal.FileName(id) || pinnedLogs[id] {
+		if _, err := fmt.Sscanf(name, "%d.", &id); err != nil {
+			continue
+		}
+		if (name == sstable.FileName(id) || name == sstable.CLIndexFileName(id)) && !listed[name] {
+			if err := db.fs.Remove(name); err != nil {
+				return err
+			}
+			continue
+		}
+		if name != wal.FileName(id) || pinnedLogs[id] {
 			continue
 		}
 		if id < db.logNumber {
@@ -311,6 +330,15 @@ func (db *DB) recover() error {
 		return err
 	}
 	return db.retireLogs(append(staleIDs, replayIDs...)...)
+}
+
+// tableFileName returns the name of the file that holds table f: for a
+// CL-SSTable, its index.
+func tableFileName(f *manifest.FileMeta) string {
+	if f.Logs() != nil {
+		return sstable.CLIndexFileName(f.ID)
+	}
+	return sstable.FileName(f.ID)
 }
 
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
@@ -691,6 +719,14 @@ type LevelStat struct {
 	// their input from this level since the DB opened; over all levels it
 	// sums to the BytesCompacted counter.
 	CompactedBytes int64
+	// Probes counts the level's tables that lookups (Get, snapshot Get)
+	// consulted since the DB opened: every L0 table down to the one that
+	// held the key, and the one table of a deeper level whose range holds
+	// it. FilterNegatives are the probes a Bloom filter turned away, having
+	// read nothing. BlockReads and LogReads are the disk reads the probes
+	// charged: blocks the cache did not hold, and the commit-log records of
+	// CL-SSTable values. Over all levels the two sum to TableDiskReads.
+	Probes, FilterNegatives, BlockReads, LogReads int64
 }
 
 // LevelStats reports every level's shape, target and pressure, indexed by
@@ -704,7 +740,11 @@ func (db *DB) LevelStats() []LevelStat {
 	for l := range out {
 		out[l] = LevelStat{
 			Files: len(v.Levels[l]), Bytes: v.LevelSize(l), Target: targets[l], Score: scores[l],
-			CompactedBytes: db.compactedFrom[l].Load(),
+			CompactedBytes:  db.compactedFrom[l].Load(),
+			Probes:          db.gets[l].probes.Load(),
+			FilterNegatives: db.gets[l].filterNegatives.Load(),
+			BlockReads:      db.gets[l].blockReads.Load(),
+			LogReads:        db.gets[l].logReads.Load(),
 		}
 	}
 	for _, f := range v.Levels[0] {

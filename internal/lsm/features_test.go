@@ -120,3 +120,74 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 		t.Fatalf("cache did not reduce RA: %.3f >= %.3f", raHot, raCold)
 	}
 }
+
+// --- Lookup cost by level ---
+
+// TestGetsDecomposeByLevel: every table a lookup probes is charged to its
+// level, with the probes its filter turned away and the disk reads it
+// cost, block and log reads apart. Log reads happen only where
+// CL-SSTables live (L0 under TRIAD-LOG), and over all levels the reads sum
+// exactly to TableDiskReads — snapshot lookups included.
+func TestGetsDecomposeByLevel(t *testing.T) {
+	o := triadSmall(vfs.NewMemFS())
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	defer db.Close()
+	put := func(from, to int, value string) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(value)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 2000, "old")
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	put(500, 700, "new") // an L0 CL-SSTable over part of the tree
+	if files := db.NumLevelFiles(); files[0] == 0 || files[1]+files[2] == 0 {
+		t.Fatalf("want L0 over deeper levels, have %v", files)
+	}
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for i := 0; i < 2000; i += 3 {
+		key := []byte(fmt.Sprintf("key-%05d", i))
+		want := "old"
+		if i >= 500 && i < 700 {
+			want = "new"
+		}
+		for _, get := range []func([]byte) ([]byte, error){db.Get, snap.Get} {
+			if v, err := get(key); err != nil || string(v) != want {
+				t.Fatalf("Get(%s) = %q, %v; want %q", key, v, err, want)
+			}
+			if _, err := get(append(key, '~')); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get(%s~) = %v, want not found", key, err)
+			}
+		}
+	}
+
+	var reads, negatives int64
+	for l, ls := range db.LevelStats() {
+		reads += ls.BlockReads + ls.LogReads
+		negatives += ls.FilterNegatives
+		if ls.FilterNegatives > ls.Probes || ls.Probes > 0 && ls.Files == 0 {
+			t.Fatalf("L%d: %+v", l, ls)
+		}
+		if l == 0 && ls.LogReads == 0 || l > 0 && ls.LogReads != 0 {
+			t.Fatalf("L%d charged %d log reads; only L0's CL-SSTables hold values in logs", l, ls.LogReads)
+		}
+	}
+	if m := db.Metrics(); reads != m.TableDiskReads || reads == 0 {
+		t.Fatalf("levels charged %d reads, TableDiskReads = %d", reads, m.TableDiskReads)
+	}
+	if negatives == 0 {
+		t.Fatal("no filter turned an absent key away")
+	}
+}

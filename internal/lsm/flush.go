@@ -16,10 +16,9 @@ import (
 // pool (RocksDB's multi-threaded background work, which §6 credits):
 // flushes at the highest priority class, so a flush never queues behind
 // a long compaction and write stalls reflect flush speed, then
-// compaction rounds, which may fan out into parallel subcompaction
-// slices. Exactly one compaction runs per engine at a time
-// (compactionMu), which keeps the paper's "% time spent in compaction"
-// directly comparable to wall time.
+// compaction rounds, each one merge on the worker that runs it. Exactly
+// one compaction runs per engine at a time (compactionMu), which keeps the
+// paper's "% time spent in compaction" directly comparable to wall time.
 
 // scheduleFlushLocked queues a flush task on the pool unless one is
 // already draining the queue. Caller holds db.mu.

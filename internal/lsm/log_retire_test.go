@@ -334,15 +334,26 @@ func TestMergedLogsStayRetired(t *testing.T) {
 }
 
 // crashFS is a MemFS that hands onImage a copy of itself after every
-// operation that changes what is on disk. Operations and the copying are
-// serialized, so every image is a state the filesystem was in.
+// operation that changes what is on disk, while onImage is set. Operations
+// and the copying are serialized, so every image is a state the filesystem
+// was in.
 type crashFS struct {
 	*vfs.MemFS
 	mu      sync.Mutex
 	onImage func(op string, image *vfs.MemFS)
 }
 
+// arm sets onImage; nil stops the imaging.
+func (fs *crashFS) arm(onImage func(op string, image *vfs.MemFS)) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.onImage = onImage
+}
+
 func (fs *crashFS) changed(op string) {
+	if fs.onImage == nil {
+		return
+	}
 	image := vfs.NewMemFS()
 	names, _ := fs.MemFS.List("")
 	for _, name := range names {

@@ -98,12 +98,11 @@ type Options struct {
 	// Scheduler is the worker pool the engine's background work runs on:
 	// flushes and compaction rounds are submitted by priority class
 	// (flush > L0→L1 > deeper levels), labeled with EventShard for
-	// per-shard fairness, and a large compaction splits into up to one
-	// parallel key-range slice per worker. The caller owns an injected
-	// pool; the sharded store injects one store-wide pool so N shards'
-	// background I/O is centrally arbitrated. With nil the engine builds a
-	// pool of bgsched.DefaultWorkers(1) workers of its own and closes it
-	// with the DB.
+	// per-shard fairness; a compaction is one merge on one worker. The
+	// caller owns an injected pool; the sharded store injects one
+	// store-wide pool so N shards' background I/O is centrally arbitrated.
+	// With nil the engine builds a pool of bgsched.DefaultWorkers(1)
+	// workers of its own and closes it with the DB.
 	Scheduler *bgsched.Pool
 
 	// DisableAutoCompaction leaves compaction to explicit CompactOnce /

@@ -3,8 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"regexp"
-	"strconv"
 	"testing"
 	"time"
 
@@ -20,19 +18,6 @@ func schedOptions(fs *vfs.MemFS, workers int) (Options, *bgsched.Pool) {
 	pool := bgsched.NewPool(workers)
 	o.Scheduler = pool
 	return o, pool
-}
-
-var slicesRE = regexp.MustCompile(`(\d+) subcompactions`)
-
-// slicesOf returns how many key-range slices the compaction a journal
-// entry describes ran as (1: a monolithic merge).
-func slicesOf(e obs.Event) int {
-	m := slicesRE.FindStringSubmatch(e.Detail)
-	if m == nil {
-		return 1
-	}
-	n, _ := strconv.Atoi(m[1])
-	return n
 }
 
 // TestSchedulerStallLifecycle: while the pool's only worker is occupied
@@ -132,125 +117,6 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	// The DB's owner settled at Close: nothing still queued or running.
 	if s := pool.Stats(); s.Busy != 0 || s.QueuedTotal() != 0 {
 		t.Fatalf("pool not drained after Close: %+v", s)
-	}
-}
-
-// TestSubcompactionEqualsMonolithic: the same workload compacted on a
-// 4-worker pool (up to four parallel key-range slices per compaction) and
-// on a 1-worker pool (one merge per compaction) yields the identical
-// key/value sequence, no compaction splits wider than its pool, and a
-// snapshot pinned across the split compactions keeps its frozen view.
-func TestSubcompactionEqualsMonolithic(t *testing.T) {
-	type entry struct{ k, v string }
-	load := func(t *testing.T, db *DB) *Snapshot {
-		t.Helper()
-		var snap *Snapshot
-		for i := 0; i < 4000; i++ {
-			k := fmt.Sprintf("key-%05d", i%2500) // overwrites past 2500
-			v := fmt.Sprintf("val-%05d", i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			if i%7 == 0 {
-				if err := db.Delete([]byte(fmt.Sprintf("key-%05d", (i+13)%2500))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i == 2000 {
-				var err error
-				if snap, err = db.NewSnapshot(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.CompactAll(); err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	dump := func(t *testing.T, db *DB) []entry {
-		t.Helper()
-		it, err := db.NewIterator(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []entry
-		for it.Next() {
-			out = append(out, entry{string(it.Key()), string(it.Value())})
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	open := func(workers int) (*DB, *Snapshot, int) {
-		o, pool := schedOptions(vfs.NewMemFS(), workers)
-		t.Cleanup(pool.Close)
-		o.DisableAutoCompaction = true // compact only via CompactAll, deterministically
-		o.Events = obs.NewJournal(256)
-		db := mustOpen(t, o)
-		t.Cleanup(func() { db.Close() })
-		snap := load(t, db)
-		t.Cleanup(func() { snap.Close() })
-		widest := 0
-		for _, e := range o.Events.Events(0) {
-			if e.Kind == obs.EventCompaction {
-				widest = max(widest, slicesOf(e))
-			}
-		}
-		if widest > workers {
-			t.Fatalf("a compaction ran as %d slices on a %d-worker pool", widest, workers)
-		}
-		return db, snap, widest
-	}
-	dbA, snapA, widestA := open(4) // sliced
-	dbB, snapB, _ := open(1)       // monolithic
-	if widestA < 2 {
-		t.Fatal("no compaction actually split into subcompactions; differential is vacuous")
-	}
-
-	gotA, gotB := dump(t, dbA), dump(t, dbB)
-	if len(gotA) != len(gotB) {
-		t.Fatalf("entry counts differ: sliced %d vs monolithic %d", len(gotA), len(gotB))
-	}
-	for i := range gotA {
-		if gotA[i] != gotB[i] {
-			t.Fatalf("entry %d differs: sliced %v vs monolithic %v", i, gotA[i], gotB[i])
-		}
-	}
-
-	// The snapshots were pinned before the compactions ran; their frozen
-	// views must agree with each other entry for entry.
-	dumpSnap := func(t *testing.T, s *Snapshot) []entry {
-		t.Helper()
-		it, err := s.NewIterator(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []entry
-		for it.Next() {
-			out = append(out, entry{string(it.Key()), string(it.Value())})
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	sA, sB := dumpSnap(t, snapA), dumpSnap(t, snapB)
-	if len(sA) != len(sB) {
-		t.Fatalf("snapshot entry counts differ: sliced %d vs monolithic %d", len(sA), len(sB))
-	}
-	for i := range sA {
-		if sA[i] != sB[i] {
-			t.Fatalf("snapshot entry %d differs: sliced %v vs monolithic %v", i, sA[i], sB[i])
-		}
-	}
-	if len(sA) == 0 {
-		t.Fatal("pinned snapshots saw no data; test ineffective")
 	}
 }
 

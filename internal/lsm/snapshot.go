@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/base"
@@ -311,8 +312,7 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 	}
 	// L0: newest to oldest, all files (overlapping ranges).
 	for _, f := range v.Levels[0] {
-		e, found, reads, err := db.tables[f.ID].Get(key, tr)
-		db.met.TableDiskReads.Add(int64(reads))
+		e, found, err := db.probe(0, f, key, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -326,8 +326,7 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 		if f == nil {
 			continue
 		}
-		e, found, reads, err := db.tables[f.ID].Get(key, tr)
-		db.met.TableDiskReads.Add(int64(reads))
+		e, found, err := db.probe(l, f, key, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -336,6 +335,35 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 		}
 	}
 	return nil, ErrNotFound
+}
+
+// levelGets counts what lookups cost on one level: the tables they probed,
+// the probes a Bloom filter turned away, and the disk reads they charged,
+// block and log reads apart (LevelStat).
+type levelGets struct {
+	probes, filterNegatives, blockReads, logReads atomic.Int64
+}
+
+// probe looks key up in table f of level l, charging what it cost to the
+// level's counters and its disk reads to TableDiskReads. Caller holds
+// versionMu.
+func (db *DB) probe(l int, f *manifest.FileMeta, key []byte, tr *obs.Trace) (base.Entry, bool, error) {
+	e, found, p, err := db.tables[f.ID].Get(key, tr)
+	g := &db.gets[l]
+	g.probes.Add(1)
+	if p.FilterNegative {
+		g.filterNegatives.Add(1)
+	}
+	if p.BlockReads > 0 {
+		g.blockReads.Add(int64(p.BlockReads))
+	}
+	if p.LogReads > 0 {
+		g.logReads.Add(int64(p.LogReads))
+	}
+	if n := p.Reads(); n > 0 {
+		db.met.TableDiskReads.Add(int64(n))
+	}
+	return e, found, err
 }
 
 // overlay preserves old versions of live-memtable entries for the

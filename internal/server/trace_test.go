@@ -212,8 +212,8 @@ func promSeries(t *testing.T, text string) map[string]float64 {
 
 // TestMetricsLedgerConsistency: after quiescing, the per-shard
 // triad_io_bytes_total series must sum exactly to the store-wide byte
-// counters WA is computed from, and the per-level series to the disk and
-// compaction totals.
+// counters WA is computed from, and the per-level series to the disk,
+// compaction and lookup-read totals.
 func TestMetricsLedgerConsistency(t *testing.T) {
 	db := newTestStore(t, 2)
 	srv, addr := startServer(t, db, server.Config{})
@@ -230,6 +230,16 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	}
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
+	}
+	// Lookups of present and absent keys, so that the tables probe, read
+	// and turn keys away.
+	for i := 0; i < 400; i += 7 {
+		if _, found, err := c.Get([]byte(fmt.Sprintf("ledger-%04d", i))); err != nil || !found {
+			t.Fatalf("Get(ledger-%04d) = %v, %v", i, found, err)
+		}
+		if _, found, err := c.Get([]byte(fmt.Sprintf("ledger-%04d-absent", i))); err != nil || found {
+			t.Fatalf("Get(ledger-%04d-absent) = %v, %v", i, found, err)
+		}
 	}
 	m := db.Metrics()
 	if io := db.IOBySource(); io[obs.SrcUser] == 0 || io[obs.SrcWAL] == 0 || io[obs.SrcFlush] == 0 {
@@ -288,6 +298,14 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	if series[`triad_level_target_bytes{shard="0",level="1"}`] == 0 || series[`triad_level_target_bytes{shard="1",level="2"}`] == 0 {
 		t.Fatalf("per-level targets missing from /metrics")
 	}
+	// The lookups' disk reads, by level and source, sum to the engine's
+	// total, the numerator of read amplification.
+	if got, want := sumPrefix("triad_get_reads_total{"), float64(m.TableDiskReads); got != want || got == 0 {
+		t.Fatalf("sum(triad_get_reads_total) = %g, want the engine's %g table reads, non-zero", got, want)
+	}
+	if probes, negatives := sumPrefix("triad_get_probes_total{"), sumPrefix("triad_get_filter_negatives_total{"); negatives == 0 || probes <= negatives {
+		t.Fatalf("lookups probed %g tables, %g of them turned away by a filter; want some of each", probes, negatives)
+	}
 
 	// And STATS carries the human-readable decomposition and the tree.
 	stats, err := c.Stats()
@@ -299,5 +317,8 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	}
 	if !strings.Contains(stats, "target ") || !strings.Contains(stats, "score ") {
 		t.Fatalf("STATS levels carry no target/score:\n%s", stats)
+	}
+	if !strings.Contains(stats, " probes, ") || !strings.Contains(stats, " filter negatives, ") {
+		t.Fatalf("STATS has no per-level lookup line:\n%s", stats)
 	}
 }

@@ -81,10 +81,9 @@ type Options struct {
 
 	// BackgroundWorkers sizes the store-wide background worker pool
 	// shared by every shard's flushes and compactions (with priority
-	// classes and per-shard fairness; see internal/bgsched), and the most
-	// key-range slices one compaction splits into (1: every merge is
-	// monolithic). 0 means the default min(GOMAXPROCS, shards+2), floored
-	// at 2; a negative value is an error.
+	// classes and per-shard fairness; see internal/bgsched), each one
+	// task. 0 means the default min(GOMAXPROCS, shards+2), floored at 2; a
+	// negative value is an error.
 	BackgroundWorkers int
 }
 

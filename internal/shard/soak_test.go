@@ -10,8 +10,8 @@ import (
 // TestSchedulerSoak is the race-detector soak gate for the shared
 // background pool: aggressive concurrent ingest into tiny memtables
 // with a low stop-writes trigger, so sealing, flush scheduling,
-// subcompaction slicing and write stalls all fire constantly across
-// shards contending for two workers — then a clean Close with nothing
+// compactions and write stalls all fire constantly across shards
+// contending for two workers — then a clean Close with nothing
 // left queued, running or lost.
 func TestSchedulerSoak(t *testing.T) {
 	eng := smallEngine()

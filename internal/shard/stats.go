@@ -54,8 +54,9 @@ func (db *DB) NumLevelFiles() []int {
 }
 
 // LevelStats reports the tree shape per level over all shards: files,
-// bytes, targets and compacted bytes are sums; Score is the highest of
-// any shard's, since a level is in shape only when it is on every shard.
+// bytes, targets, compacted bytes and the lookup counts are sums; Score is
+// the highest of any shard's, since a level is in shape only when it is on
+// every shard.
 func (db *DB) LevelStats() []lsm.LevelStat {
 	out := make([]lsm.LevelStat, manifest.NumLevels)
 	for _, s := range db.shards {
@@ -65,6 +66,10 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 			out[l].LogBytes += ls.LogBytes
 			out[l].Target += ls.Target
 			out[l].CompactedBytes += ls.CompactedBytes
+			out[l].Probes += ls.Probes
+			out[l].FilterNegatives += ls.FilterNegatives
+			out[l].BlockReads += ls.BlockReads
+			out[l].LogReads += ls.LogReads
 			out[l].Score = max(out[l].Score, ls.Score)
 		}
 	}
@@ -173,11 +178,20 @@ func (db *DB) Stats() string {
 
 	fmt.Fprintf(&b, "shards: %d (%s partitioner)\n", len(db.shards), fnvName)
 	fmt.Fprintf(&b, "levels (all shards: files/bytes, target, highest shard score, bytes compacted out of the level):\n")
-	for l, ls := range db.LevelStats() {
+	levels := db.LevelStats()
+	for l, ls := range levels {
 		if ls.Files == 0 && ls.CompactedBytes == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "  L%d: %s\n", l, ls)
+	}
+	fmt.Fprintf(&b, "gets by level (all shards: tables probed, of them turned away by the filter, disk reads charged):\n")
+	for l, ls := range levels {
+		if ls.Probes == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "  L%d: %d probes, %d filter negatives, %d block reads, %d log reads\n",
+			l, ls.Probes, ls.FilterNegatives, ls.BlockReads, ls.LogReads)
 	}
 	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)  L0 folds: %d\n",
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves, m.Folds)

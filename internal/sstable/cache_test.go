@@ -398,13 +398,13 @@ func TestReaderServesFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	_, found, reads1, _ := r.Get([]byte("key-0100"), nil)
-	if !found || reads1 != 1 {
-		t.Fatalf("cold Get: found=%v reads=%d", found, reads1)
+	_, found, cold, _ := r.Get([]byte("key-0100"), nil)
+	if !found || cold.BlockReads != 1 {
+		t.Fatalf("cold Get: found=%v cost %+v", found, cold)
 	}
-	_, found, reads2, _ := r.Get([]byte("key-0100"), nil)
-	if !found || reads2 != 0 {
-		t.Fatalf("warm Get: found=%v reads=%d (want 0)", found, reads2)
+	_, found, warm, _ := r.Get([]byte("key-0100"), nil)
+	if !found || warm.Reads() != 0 {
+		t.Fatalf("warm Get: found=%v cost %+v (want no read)", found, warm)
 	}
 	if cache.Stats().Hits == 0 {
 		t.Fatal("no cache hits recorded")
@@ -462,8 +462,8 @@ func TestMergeIteratorLeavesCacheAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, found, reads, _ := r.Get([]byte("key-0100"), nil); !found || reads != 1 {
-		t.Fatalf("cold Get: found=%v reads=%d", found, reads)
+	if _, found, p, _ := r.Get([]byte("key-0100"), nil); !found || p.Reads() != 1 {
+		t.Fatalf("cold Get: found=%v cost %+v", found, p)
 	}
 	before := cache.Stats()
 	readsBefore := fs.Stats.ReadOps.Load()
@@ -490,7 +490,7 @@ func TestMergeIteratorLeavesCacheAlone(t *testing.T) {
 	if got, want := fs.Stats.ReadOps.Load()-readsBefore, int64(len(r.index)-1); got != want {
 		t.Fatalf("merge pass made %d device reads over %d blocks with one cached, want %d", got, len(r.index), want)
 	}
-	if _, found, reads, _ := r.Get([]byte("key-0100"), nil); !found || reads != 0 {
-		t.Fatalf("Get after the merge pass: found=%v reads=%d, want the block still cached", found, reads)
+	if _, found, p, _ := r.Get([]byte("key-0100"), nil); !found || p.Reads() != 0 {
+		t.Fatalf("Get after the merge pass: found=%v cost %+v, want the block still cached", found, p)
 	}
 }

@@ -175,11 +175,6 @@ func (r *CLReader) FileSize() int64 { return r.idx.size }
 // Sketch implements Table.
 func (r *CLReader) Sketch() *hll.Sketch { return r.idx.sketch }
 
-// BlockSeparators returns the last key of every index block, ascending
-// (see Reader.BlockSeparators) — the key distribution of the index is
-// the key distribution of the table.
-func (r *CLReader) BlockSeparators() [][]byte { return r.idx.BlockSeparators() }
-
 // Close implements Table.
 func (r *CLReader) Close() error {
 	err := r.idx.Close()
@@ -255,13 +250,14 @@ func (r *CLReader) resolve(ie base.Entry, tr *obs.Trace) (base.Entry, int, error
 // Get implements Table: search the index, then read the log at the
 // recorded offset (paper: "the index is searched for the key, and, if
 // found, the CL-SSTable is accessed at the corresponding offset").
-func (r *CLReader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, int, error) {
-	ie, found, reads, err := r.idx.Get(key, tr)
+func (r *CLReader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, error) {
+	ie, found, p, err := r.idx.Get(key, tr)
 	if err != nil || !found {
-		return base.Entry{}, false, reads, err
+		return base.Entry{}, false, p, err
 	}
-	e, extra, err := r.resolve(ie, tr)
-	return e, err == nil, reads + extra, err
+	e, logReads, err := r.resolve(ie, tr)
+	p.LogReads = logReads
+	return e, err == nil, p, err
 }
 
 // NewIterator implements Table. The index is sorted, so iteration (and the
@@ -326,14 +322,11 @@ func readLog(log vfs.File, buf []byte) ([]byte, error) {
 }
 
 // Merge is what the iterators of one background merge share: the image of
-// each commit log its input CL-SSTables point into, read once — by
-// whichever slice of the merge asks first — instead of once per slice,
-// into a buffer drawn from a pool. A slice of a skewed table decodes a few
-// percent of the log it would otherwise read and allocate whole. The zero
-// value is ready; Close returns the buffers, after which no entry of the
-// merge's iterators may be used.
+// each commit log its input CL-SSTables point into, read once into a
+// buffer drawn from a pool that outlives the merge. The zero value is
+// ready; Close returns the buffers, after which no entry of the merge's
+// iterators may be used.
 type Merge struct {
-	mu   sync.Mutex
 	logs map[uint64]*[]byte // by log id
 }
 
@@ -341,11 +334,8 @@ type Merge struct {
 var logPool sync.Pool
 
 // logImage returns the merge's image of log id, reading it from f if this
-// is the first request. The lock is held across the read: every slice
-// wants every image, so there is nothing to overlap it with.
+// is the first request.
 func (m *Merge) logImage(id uint64, f vfs.File) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if img := m.logs[id]; img != nil {
 		return *img, nil
 	}
@@ -366,8 +356,6 @@ func (m *Merge) logImage(id uint64, f vfs.File) ([]byte, error) {
 
 // Close releases what the merge's iterators shared.
 func (m *Merge) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, img := range m.logs {
 		logPool.Put(img)
 	}

@@ -136,25 +136,26 @@ func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
 func (r *Reader) Close() error { return r.f.Close() }
 
 // Get implements Table.
-func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, int, error) {
+func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, error) {
+	var p Probe
 	if bytes.Compare(key, r.props.smallest) < 0 || bytes.Compare(key, r.props.largest) > 0 {
-		return base.Entry{}, false, 0, nil
+		return base.Entry{}, false, p, nil
 	}
 	if !r.filter.MayContain(key) {
-		return base.Entry{}, false, 0, nil
+		p.FilterNegative = true
+		return base.Entry{}, false, p, nil
 	}
 	bi := seekBlocks(r.index, key)
 	if bi >= len(r.index) {
-		return base.Entry{}, false, 0, nil
+		return base.Entry{}, false, p, nil
 	}
 	var rs time.Time
 	if tr != nil {
 		rs = time.Now()
 	}
 	blk, cached, err := r.block(r.index[bi].handle)
-	reads := 1
-	if cached {
-		reads = 0
+	if !cached {
+		p.BlockReads = 1
 	}
 	if tr != nil && !cached {
 		// The block came off the device model, not the cache: this is
@@ -162,22 +163,22 @@ func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, int, error) {
 		tr.Span(obs.SpanSSTableRead, rs, fmt.Sprintf("table %06d block@%d %dB", r.id, r.index[bi].handle.offset, len(blk)))
 	}
 	if err != nil {
-		return base.Entry{}, false, reads, err
+		return base.Entry{}, false, p, err
 	}
 	for off := 0; off < len(blk); {
 		e, next, err := decodeEntry(blk, off)
 		if err != nil {
-			return base.Entry{}, false, reads, err
+			return base.Entry{}, false, p, err
 		}
 		switch bytes.Compare(e.Key, key) {
 		case 0:
-			return e.Clone(), true, reads, nil
+			return e.Clone(), true, p, nil
 		case 1:
-			return base.Entry{}, false, reads, nil
+			return base.Entry{}, false, p, nil
 		}
 		off = next
 	}
-	return base.Entry{}, false, reads, nil
+	return base.Entry{}, false, p, nil
 }
 
 // NewIterator implements Table.
@@ -188,19 +189,6 @@ func (r *Reader) NewIterator() (Iterator, error) {
 // NewMergeIterator implements Table.
 func (r *Reader) NewMergeIterator(*Merge) (Iterator, error) {
 	return &readerIter{r: r, block: -1, merge: true}, nil
-}
-
-// BlockSeparators returns the last key of every data block, ascending —
-// the table's natural key-range partition points. The compaction
-// splitter uses them as subcompaction slice boundaries: they come from
-// the already-loaded sparse index, so choosing boundaries costs no I/O.
-// The returned slices alias the index; callers must not mutate them.
-func (r *Reader) BlockSeparators() [][]byte {
-	out := make([][]byte, len(r.index))
-	for i := range r.index {
-		out[i] = r.index[i].lastKey
-	}
-	return out
 }
 
 type readerIter struct {

@@ -52,15 +52,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	for _, i := range []int{0, 1, 499, 500, 998, 999} {
 		key := []byte(fmt.Sprintf("key-%05d", i))
-		e, found, reads, err := r.Get(key, nil)
+		e, found, p, err := r.Get(key, nil)
 		if err != nil || !found {
 			t.Fatalf("Get(%s) = found=%v err=%v", key, found, err)
 		}
 		if string(e.Value) != fmt.Sprintf("value-%d", i*3) {
 			t.Fatalf("Get(%s) value = %q", key, e.Value)
 		}
-		if reads != 1 {
-			t.Fatalf("Get(%s) disk reads = %d, want 1", key, reads)
+		if p != (Probe{BlockReads: 1}) {
+			t.Fatalf("Get(%s) cost %+v, want one block read", key, p)
 		}
 	}
 }
@@ -69,27 +69,34 @@ func TestGetAbsent(t *testing.T) {
 	fs := vfs.NewMemFS()
 	r := buildTable(t, fs, 1, 100)
 	defer r.Close()
-	// Out of range: zero disk reads.
-	_, found, reads, _ := r.Get([]byte("aaa"), nil)
-	if found || reads != 0 {
-		t.Fatalf("below-range Get: found=%v reads=%d", found, reads)
+	// Out of range: no filter probe, zero disk reads.
+	_, found, p, _ := r.Get([]byte("aaa"), nil)
+	if found || p != (Probe{}) {
+		t.Fatalf("below-range Get: found=%v cost %+v", found, p)
 	}
-	_, found, reads, _ = r.Get([]byte("zzz"), nil)
-	if found || reads != 0 {
-		t.Fatalf("above-range Get: found=%v reads=%d", found, reads)
+	_, found, p, _ = r.Get([]byte("zzz"), nil)
+	if found || p != (Probe{}) {
+		t.Fatalf("above-range Get: found=%v cost %+v", found, p)
 	}
 	// In range but absent: the Bloom filter should usually skip (0
-	// reads); occasionally a false positive costs 1. Never found.
-	fpReads := 0
-	for i := 0; i < 1000; i++ {
-		_, found, reads, err := r.Get([]byte(fmt.Sprintf("key-%05d-x", i)), nil)
+	// reads, a filter negative); occasionally a false positive costs 1.
+	// Never found.
+	fpReads, negatives := 0, 0
+	for i := 0; i < 99; i++ {
+		_, found, p, err := r.Get([]byte(fmt.Sprintf("key-%05d-x", i)), nil)
 		if err != nil || found {
 			t.Fatalf("absent Get: found=%v err=%v", found, err)
 		}
-		fpReads += reads
+		if p.FilterNegative {
+			negatives++
+			if p.Reads() != 0 {
+				t.Fatalf("a filter negative cost %+v", p)
+			}
+		}
+		fpReads += p.Reads()
 	}
-	if fpReads > 100 {
-		t.Fatalf("absent in-range probes cost %d reads; bloom filter broken?", fpReads)
+	if fpReads > 10 || negatives+fpReads != 99 {
+		t.Fatalf("99 absent in-range probes: %d filter negatives, %d reads; bloom filter broken?", negatives, fpReads)
 	}
 }
 
@@ -317,23 +324,23 @@ func TestCLSSTableGet(t *testing.T) {
 	if ids := r.LogIDs(); len(ids) != 1 || ids[0] != 5 {
 		t.Fatalf("LogIDs = %v", ids)
 	}
-	e, found, reads, err := r.Get([]byte("key-00007"), nil)
+	e, found, p, err := r.Get([]byte("key-00007"), nil)
 	if err != nil || !found {
 		t.Fatalf("Get: found=%v err=%v", found, err)
 	}
 	if string(e.Value) != "r1-value-7" {
 		t.Fatalf("Get returned stale value %q", e.Value)
 	}
-	if reads != 2 { // one index block + one log record
-		t.Fatalf("disk reads = %d, want 2", reads)
+	if p != (Probe{BlockReads: 1, LogReads: 1}) { // one index block + one log record
+		t.Fatalf("Get cost %+v, want one block and one log read", p)
 	}
 	// Deleted key resolves to a tombstone without touching the log.
-	e, found, reads, err = r.Get([]byte("key-00010"), nil)
+	e, found, p, err = r.Get([]byte("key-00010"), nil)
 	if err != nil || !found || e.Kind != base.KindDelete {
 		t.Fatalf("tombstone Get = %+v found=%v err=%v", e, found, err)
 	}
-	if reads != 1 {
-		t.Fatalf("tombstone disk reads = %d, want 1 (no log access)", reads)
+	if p != (Probe{BlockReads: 1}) {
+		t.Fatalf("tombstone Get cost %+v, want one block read (no log access)", p)
 	}
 	if _, found, _, _ := r.Get([]byte("nope"), nil); found {
 		t.Fatal("absent key found")
@@ -500,8 +507,7 @@ func BenchmarkCLTableGet(b *testing.B) {
 }
 
 // TestCLMergeIteratorsShareOneLogImage: however many iterators one merge
-// opens over a CL-SSTable — one per subcompaction slice — the commit log
-// is read from the device once, all of them decode the same entries a
+// opens over a CL-SSTable, the commit log is read from the device once, all of them decode the same entries a
 // plain iterator does, and the next merge over the table reads it again
 // (the image goes back to the pool on Close, it is not kept).
 func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
@@ -530,7 +536,7 @@ func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		var m Merge
-		for slice := 0; slice < 4; slice++ {
+		for i := 0; i < 4; i++ {
 			before := fs.Stats.BytesRead.Load()
 			it, err := r.NewMergeIterator(&m)
 			if err != nil {
@@ -538,11 +544,11 @@ func TestCLMergeIteratorsShareOneLogImage(t *testing.T) {
 			}
 			// Opening reads no index block, so what it read is log.
 			opened := fs.Stats.BytesRead.Load() - before
-			if slice == 0 && opened != logSize || slice > 0 && opened != 0 {
-				t.Fatalf("round %d: opening iterator %d read %d bytes, log is %d", round, slice, opened, logSize)
+			if i == 0 && opened != logSize || i > 0 && opened != 0 {
+				t.Fatalf("round %d: opening iterator %d read %d bytes, log is %d", round, i, opened, logSize)
 			}
 			if got := entries(it); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("round %d: merge iterator %d yielded %d entries differing from the plain iterator's %d", round, slice, len(got), len(want))
+				t.Fatalf("round %d: merge iterator %d yielded %d entries differing from the plain iterator's %d", round, i, len(got), len(want))
 			}
 		}
 		m.Close()
@@ -640,14 +646,14 @@ func TestCLMultiLogTable(t *testing.T) {
 		t.Fatalf("LogBytes = %d, %v; the logs hold %d", n, err, logBytes)
 	}
 	var m Merge
-	for slice := 0; slice < 2; slice++ {
+	for i := 0; i < 2; i++ {
 		before := fs.Stats.BytesRead.Load()
 		it, err := r.NewMergeIterator(&m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if read := fs.Stats.BytesRead.Load() - before; slice == 0 && read != logBytes || slice > 0 && read != 0 {
-			t.Fatalf("merge iterator %d read %d bytes of logs holding %d", slice, read, logBytes)
+		if read := fs.Stats.BytesRead.Load() - before; i == 0 && read != logBytes || i > 0 && read != 0 {
+			t.Fatalf("merge iterator %d read %d bytes of logs holding %d", i, read, logBytes)
 		}
 		values(it)
 	}

@@ -30,18 +30,16 @@ import (
 type Table interface {
 	// ID is the table's file number.
 	ID() uint64
-	// Get returns the entry for key if present. diskReads reports how
-	// many distinct disk reads the lookup performed (0 when the Bloom
-	// filter excluded the key), which feeds read amplification. tr, when
-	// non-nil, receives an sstable_read span per disk read (the usual
-	// caller passes nil).
-	Get(key []byte, tr *obs.Trace) (e base.Entry, found bool, diskReads int, err error)
+	// Get returns the entry for key if present, and what the lookup cost:
+	// whether the Bloom filter excluded the key, and the disk reads it
+	// performed, which feed read amplification. tr, when non-nil, receives
+	// an sstable_read span per disk read (the usual caller passes nil).
+	Get(key []byte, tr *obs.Trace) (e base.Entry, found bool, p Probe, err error)
 	// NewIterator iterates all entries in ascending key order.
 	NewIterator() (Iterator, error)
 	// NewMergeIterator is NewIterator for one input of the background
-	// merge m (a compaction, however many slices it runs as): blocks it
-	// reads are not offered to the block cache, and what the merge's
-	// iterators over one table can share, they read once (see Merge). Its
+	// merge m (a compaction): blocks it reads are not offered to the block
+	// cache, and a CL-SSTable's logs are read whole, once (see Merge). Its
 	// entries are valid until m is closed.
 	NewMergeIterator(m *Merge) (Iterator, error)
 	// Smallest and Largest bound the key range (inclusive).
@@ -57,6 +55,20 @@ type Table interface {
 	// Close releases file handles.
 	Close() error
 }
+
+// Probe is what one Table.Get cost.
+type Probe struct {
+	// FilterNegative reports that the key lay in the table's key range and
+	// its Bloom filter ruled it out, so the lookup read nothing.
+	FilterNegative bool
+	// BlockReads counts the blocks the lookup read from the device (a block
+	// the cache held costs none). LogReads counts the commit-log records it
+	// read: a CL-SSTable's values, which are never cached.
+	BlockReads, LogReads int
+}
+
+// Reads is every disk read the lookup performed.
+func (p Probe) Reads() int { return p.BlockReads + p.LogReads }
 
 // Iterator walks a table in ascending key order.
 //

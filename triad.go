@@ -85,11 +85,9 @@ type Options struct {
 	// an older build created range-partitioned.
 	ShardFS func(i int) (vfs.FS, error)
 	// BackgroundWorkers sizes the store's background worker pool: one
-	// bounded pool runs every shard's flushes and compactions with
-	// flush-first priority and per-shard fairness, and one compaction
-	// splits into at most that many parallel slices (1 keeps compactions
-	// monolithic). 0 sizes it min(GOMAXPROCS, shards+2) with a floor of 2;
-	// negative is an error.
+	// bounded pool runs every shard's flushes and compactions, each one
+	// task, with flush-first priority and per-shard fairness. 0 sizes it
+	// min(GOMAXPROCS, shards+2) with a floor of 2; negative is an error.
 	BackgroundWorkers int
 	// Advanced, when non-nil, is the per-shard engine template, used
 	// verbatim (its FS, when set, stands in for Options.FS) except for
