@@ -1,6 +1,6 @@
 // Benchmarks that time one layer or one mechanism: the put path, the
-// public Put/Get/scan surface, and what observability and tracing cost
-// the loopback server. The paper's figures are
+// public Put/Get/scan surface, and what tracing costs the loopback
+// server. The paper's figures are
 // triadbench's (go run ./cmd/triadbench -h); the gated end-to-end numbers
 // are bench/'s. Run
 //
@@ -22,56 +22,29 @@ import (
 	"repro/internal/workload"
 )
 
-// netScale sizes the loopback server runs of the overhead benchmarks.
+// netScale sizes the loopback server runs of the tracing benchmark.
 func netScale() harness.Scale {
 	return harness.Scale{Keys: 20_000, Ops: 40_000, MemtableBytes: 384 << 10}
 }
 
-// BenchmarkNetObsOverhead is the acceptance benchmark for the
-// observability layer: the 8-connection loopback server run with the
-// full instrumentation (per-command histograms, stage timing, event
-// journal, apply latency) against the -no-observability configuration
-// where every recorder is nil. The instrumented kops must stay within
-// a few percent of no-op recording — compare the two cells' kops.
-func BenchmarkNetObsOverhead(b *testing.B) {
-	s := netScale()
-	for _, v := range []struct {
-		name  string
-		noObs bool
-	}{{"instrumented", false}, {"no-op", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.NetRun(s, 4, 8, v.noObs, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.KOPS, "kops")
-				b.ReportMetric(float64(res.P99.Nanoseconds())/1000, "p99_us")
-			}
-		})
-	}
-}
-
 // BenchmarkTraceOverhead is the acceptance benchmark for request
 // tracing: the 8-connection loopback server run at -trace-sample 0 (tracer
-// off entirely), 0.01 (a production-reasonable rate, which must stay
-// within noise of the no-observability floor), and 1.0 (every command
-// traced — the worst case, quantifying what full tracing costs).
+// off entirely, the floor), 0.01 (a production-reasonable rate, which
+// must stay within noise of that floor), and 1.0 (every command traced —
+// the worst case, quantifying what full tracing costs).
 func BenchmarkTraceOverhead(b *testing.B) {
 	s := netScale()
 	for _, v := range []struct {
 		name   string
-		noObs  bool
 		sample float64
 	}{
-		{"no-observability", true, 0},
-		{"sample-0", false, 0},
-		{"sample-0.01", false, 0.01},
-		{"sample-1", false, 1},
+		{"sample-0", 0},
+		{"sample-0.01", 0.01},
+		{"sample-1", 1},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.NetRun(s, 4, 8, v.noObs, v.sample)
+				res, err := harness.NetRun(s, 4, 8, v.sample)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,7 +70,7 @@ func BenchmarkPutPath(b *testing.B) {
 	engine.FlushThresholdBytes = memtable / 2
 	engine.BaseLevelBytes = 8 * memtable
 	engine.TargetFileBytes = memtable
-	openStore := func(b *testing.B) *shard.DB {
+	openDB := func(b *testing.B) *shard.DB {
 		db, err := shard.Open(shard.Options{
 			Shards: shards,
 			Engine: shard.DivideBudgets(engine, shards),
@@ -112,7 +85,7 @@ func BenchmarkPutPath(b *testing.B) {
 	val := make([]byte, 255)
 	const hotKeys = 256
 	b.Run("put/hot", func(b *testing.B) {
-		db := openStore(b)
+		db := openDB(b)
 		defer db.Close()
 		keys := make([][]byte, hotKeys)
 		for i := range keys {
@@ -127,7 +100,7 @@ func BenchmarkPutPath(b *testing.B) {
 		}
 	})
 	b.Run("put/new", func(b *testing.B) {
-		db := openStore(b)
+		db := openDB(b)
 		defer db.Close()
 		k := key(0)
 		b.ReportAllocs()
@@ -140,7 +113,7 @@ func BenchmarkPutPath(b *testing.B) {
 		}
 	})
 	b.Run("apply/64", func(b *testing.B) {
-		db := openStore(b)
+		db := openDB(b)
 		defer db.Close()
 		k := key(0)
 		b.ReportAllocs()
@@ -157,7 +130,7 @@ func BenchmarkPutPath(b *testing.B) {
 		}
 	})
 	b.Run("put/w2-s2", func(b *testing.B) {
-		db := openStore(b)
+		db := openDB(b)
 		defer db.Close()
 		const writers = 2
 		b.ReportAllocs()
@@ -257,7 +230,7 @@ func BenchmarkGet(b *testing.B) {
 // op and first-entry latency in ns, both O(sources) rather than O(range).
 func BenchmarkSnapshotScan(b *testing.B) {
 	const keys = 100_000
-	openStore := func(b *testing.B) *DB {
+	openDB := func(b *testing.B) *DB {
 		db, err := Open(Options{FS: vfs.NewMemFS(), Profile: ProfileTriad, MemtableBytes: 1 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -274,7 +247,7 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		return db
 	}
 	b.Run("streaming-first10", func(b *testing.B) {
-		db := openStore(b)
+		db := openDB(b)
 		defer db.Close()
 		var firstEntryNS int64
 		b.ReportAllocs()

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		dir        = fl.String("dir", "triaddb-data", "database directory")
 		baseline   = fl.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
 		shards     = fl.Int("shards", 1, "hash-partition the keyspace across N engine instances under DIR/shard-NNN (must match the count the store was created with)")
-		cacheBytes = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile default)")
+		cacheBytes = fl.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: no block cache)")
 		bgWorkers  = fl.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards; each task is one flush or one whole compaction (0: min(GOMAXPROCS, shards+2), floor 2)")
 	)
 	if err := fl.Parse(args); err != nil {

@@ -33,11 +33,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/lsm"
+	triad "repro"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/shutdown"
-	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -55,12 +53,11 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		dir         = fs.String("dir", "", "database directory (empty: ephemeral in-memory store)")
 		baseline    = fs.Bool("baseline", false, "use the RocksDB-like baseline profile instead of TRIAD")
 		shards      = fs.Int("shards", 1, "hash-partition the keyspace across N engine instances (DIR/shard-NNN when durable)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: the profile's per-shard default, pooled)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "store-wide block-cache budget in bytes, shared by all shards (0: no block cache)")
 		syncWAL     = fs.Bool("sync", false, "fsync the commit log on every group commit")
 		metricsAddr = fs.String("metrics", "", "HTTP listen address for the Prometheus /metrics and /stats dump (empty: disabled)")
 		enablePprof = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the -metrics listener (off by default: profiling endpoints let any client with HTTP access run CPU/heap captures, so bind -metrics to localhost when enabling)")
-		noObs       = fs.Bool("no-observability", false, "disable latency histograms, stage timing, event journal and slowlog (overhead comparison)")
-		slowlogThr  = fs.Duration("slowlog-threshold", 10*time.Millisecond, "record commands slower than this in SLOWLOG (negative: disable the slowlog)")
+		slowlogThr  = fs.Duration("slowlog-threshold", 10*time.Millisecond, "record commands slower than this in SLOWLOG")
 		traceSample = fs.Float64("trace-sample", 0, "sample this fraction of commands for end-to-end tracing (0: off, 1: every command); inspect with TRACE RECENT / TRACE GET / /debug/trace")
 		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
@@ -75,20 +72,46 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		fs.Usage()
 		return 2
 	}
+	if *slowlogThr < 0 {
+		fmt.Fprintf(stderr, "triadserver: -slowlog-threshold %v: want a non-negative duration\n", *slowlogThr)
+		fs.Usage()
+		return 2
+	}
 
-	db, err := openStore(*dir, *baseline, *syncWAL, *shards, *noObs, *cacheBytes, *bgWorkers)
+	profile := triad.ProfileTriad
+	if *baseline {
+		profile = triad.ProfileBaseline
+	}
+	opts := triad.Options{Profile: profile, BlockCacheBytes: *cacheBytes, SyncWAL: *syncWAL, BackgroundWorkers: *bgWorkers}
+	// One shard keeps its files at the root of -dir, the layout triaddb
+	// writes too, so the two binaries can serve the same store.
+	switch {
+	case *shards > 1 && *dir == "":
+		opts.Shards, opts.ShardFS = *shards, triad.ShardMemFS()
+	case *shards > 1:
+		opts.Shards, opts.ShardFS = *shards, triad.ShardDirs(*dir)
+	case *dir == "":
+		opts.FS = vfs.NewMemFS()
+	default:
+		osfs, err := vfs.NewOSFS(*dir)
+		if err != nil {
+			fmt.Fprintln(stderr, "triadserver:", err)
+			return 1
+		}
+		opts.FS = osfs
+	}
+	db, err := triad.Open(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "triadserver:", err)
 		return 1
 	}
 
 	srv := server.New(db, server.Config{
-		CursorTTL:            *cursorTTL,
-		MaxCursorsPerConn:    *maxCursors,
-		DisableObservability: *noObs,
-		SlowlogThreshold:     *slowlogThr,
-		TraceSample:          *traceSample,
-		TraceKeep:            *traceKeep,
+		CursorTTL:         *cursorTTL,
+		MaxCursorsPerConn: *maxCursors,
+		SlowlogThreshold:  *slowlogThr,
+		TraceSample:       *traceSample,
+		TraceKeep:         *traceKeep,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)
 		},
@@ -120,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(stdout, "triadserver listening on %s (%d shard(s))\n", ln.Addr(), max(*shards, 1))
+	fmt.Fprintf(stdout, "triadserver listening on %s (%d shard(s))\n", ln.Addr(), db.NumShards())
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
@@ -168,42 +191,4 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 	fmt.Fprintf(stdout, "triadserver: served %d commands over %d connections (%d group commits, %d ops)\n",
 		cmds, conns, batches, ops)
 	return exit
-}
-
-// openStore opens the sharded engine the server fronts. The shard layer
-// is used even at one shard so STATS carries the per-shard table and
-// durable stores get the STORE metadata validation.
-func openStore(dir string, baseline, syncWAL bool, shards int, noObs bool, cacheBytes int64, bgWorkers int) (*shard.DB, error) {
-	engine := lsm.TriadOptions(nil)
-	if baseline {
-		engine = lsm.DefaultOptions(nil)
-	}
-	engine.SyncWAL = syncWAL
-
-	// -cache-bytes is a store-wide budget: build the shared cache at
-	// exactly that size rather than letting the shard layer pool the
-	// profile's per-shard share times the shard count.
-	var cache *sstable.Cache
-	if cacheBytes > 0 {
-		cache = sstable.NewCache(cacheBytes)
-	}
-
-	newFS := shard.MemFS()
-	if dir != "" {
-		newFS = shard.DirFS(dir)
-		if shards <= 1 {
-			// Match triaddb's one-shard layout (files at the directory
-			// root, no shard-000/), so the two binaries can serve the
-			// same store.
-			newFS = func(int) (vfs.FS, error) { return vfs.NewOSFS(dir) }
-		}
-	}
-	return shard.Open(shard.Options{
-		Shards:               shards,
-		Engine:               engine,
-		NewFS:                newFS,
-		BlockCache:           cache,
-		DisableObservability: noObs,
-		BackgroundWorkers:    bgWorkers,
-	})
 }

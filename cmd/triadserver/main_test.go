@@ -6,13 +6,17 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	triad "repro"
 	"repro/internal/client"
+	"repro/internal/vfs"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: run() writes from the
@@ -241,6 +245,7 @@ func TestBadFlags(t *testing.T) {
 		{"removed commit flag", []string{"-commit-delay", "1ms"}, 2, "Usage of triadserver"},
 		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},
 		{"negative bg-workers names the flag", []string{"-bg-workers=-3"}, 2, "-bg-workers -3"},
+		{"negative slowlog-threshold", []string{"-slowlog-threshold", "-1ms"}, 2, "-slowlog-threshold -1ms"},
 	} {
 		var stdout, stderr syncBuffer
 		if code := run(tc.args, &stdout, &stderr, nil); code != tc.code {
@@ -266,5 +271,112 @@ func TestRefusesShardedDirUnsharded(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "created sharded") {
 		t.Fatalf("missing guidance in error: %s", stderr.String())
+	}
+}
+
+// serve runs the server on a loopback port with args until the returned
+// stop, which delivers SIGTERM and requires a clean exit. It returns the
+// RESP address and, with -metrics, the /metrics URL.
+func serve(t *testing.T, args ...string) (addr, metricsURL string, stop func()) {
+	t.Helper()
+	var stdout, stderr syncBuffer
+	ready := make(chan string, 1)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), &stdout, &stderr,
+			func(addr string) { ready <- addr })
+	}()
+	select {
+	case addr = <-ready:
+	case code := <-exit:
+		t.Fatalf("server exited early with %d\nstderr: %s", code, stderr.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never became ready")
+	}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "metrics on "); ok {
+			metricsURL = rest
+		}
+	}
+	return addr, metricsURL, func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case code := <-exit:
+			if code != 0 {
+				t.Fatalf("exit code %d\nstderr: %s", code, stderr.String())
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("server did not exit on SIGTERM")
+		}
+	}
+}
+
+// TestServesTriaddbStores: triadserver serves the stores triaddb writes,
+// both open through triad.Open with the same layout — one shard with its
+// files at the root of the directory, N shards under shard-NNN.
+func TestServesTriaddbStores(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		dir := t.TempDir()
+		// What `triaddb -dir DIR [-shards N] put k v` does.
+		opts := triad.Options{Profile: triad.ProfileTriad}
+		if shards > 1 {
+			opts.Shards, opts.ShardFS = shards, triad.ShardDirs(dir)
+		} else {
+			fs, err := vfs.NewOSFS(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.FS = fs
+		}
+		db, err := triad.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rootErr := os.Stat(filepath.Join(dir, "STORE"))
+		_, shardErr := os.Stat(filepath.Join(dir, "shard-000"))
+		if (shards == 1) != (rootErr == nil) || (shards == 1) == (shardErr == nil) {
+			t.Fatalf("%d shard(s): STORE at the root: %v, shard-000/: %v", shards, rootErr == nil, shardErr == nil)
+		}
+
+		addr, _, stop := serve(t, "-dir", dir, "-shards", strconv.Itoa(shards))
+		var v []byte
+		var found bool
+		c, err := client.Dial(addr)
+		if err == nil {
+			v, found, err = c.Get([]byte("k"))
+			c.Close()
+		}
+		stop()
+		if err != nil || !found || string(v) != "v" {
+			t.Fatalf("%d shard(s): GET k = %q, found=%v, err=%v", shards, v, found, err)
+		}
+	}
+}
+
+// TestCacheBytesIsStoreWide: -cache-bytes sizes the one cache every
+// shard shares, so two shards report the budget, not twice it.
+func TestCacheBytesIsStoreWide(t *testing.T) {
+	_, metricsURL, stop := serve(t, "-shards", "2", "-cache-bytes", "1048576", "-metrics", "127.0.0.1:0")
+	defer stop()
+	res, err := http.Get(metricsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\ntriad_block_cache_capacity_bytes 1048576\n") {
+		t.Fatalf("metrics lack a 1048576-byte store-wide cache capacity:\n%s", body)
 	}
 }

@@ -120,7 +120,7 @@ func Run(spec Spec) (Result, error) {
 		threads = 1
 	}
 	before := db.Metrics()
-	hitsBefore, missesBefore := db.CacheStats()
+	cacheBefore := db.BlockCacheStats()
 	start := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, threads)
@@ -161,7 +161,7 @@ func Run(spec Spec) (Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	after := db.Metrics()
-	hitsAfter, missesAfter := db.CacheStats()
+	cacheAfter := db.BlockCacheStats()
 	select {
 	case err := <-errCh:
 		return Result{}, err
@@ -186,8 +186,8 @@ func Run(spec Spec) (Result, error) {
 		PctBackground: 100 * float64(snap.BackgroundTime()) / float64(elapsed),
 		Deferred:      snap.CompactionsDeferred,
 		FlushSkips:    snap.FlushSkips,
-		CacheHits:     hitsAfter - hitsBefore,
-		CacheMisses:   missesAfter - missesBefore,
+		CacheHits:     cacheAfter.Hits - cacheBefore.Hits,
+		CacheMisses:   cacheAfter.Misses - cacheBefore.Misses,
 		Snap:          snap,
 	}
 	if lookups := res.CacheHits + res.CacheMisses; lookups > 0 {

@@ -22,15 +22,12 @@ const netDepth = 16
 // NetRun starts a real server over an in-memory sharded store and
 // drives a 90% SET / 10% GET workload through conns pipelined client
 // connections over loopback TCP, reporting kops/s and per-op latency.
-// The observability and tracing overhead benchmarks use it to compare
-// the instrumented server against the same server with nil recorders
-// and against various -trace-sample rates.
-func NetRun(s Scale, shards, conns int, disableObs bool, traceSample float64) (Result, error) {
+// The tracing overhead benchmark uses it to compare -trace-sample rates.
+func NetRun(s Scale, shards, conns int, traceSample float64) (Result, error) {
 	db, err := shard.Open(shard.Options{
-		Shards:               shards,
-		Engine:               shard.DivideBudgets(s.engine("triad"), shards),
-		NewFS:                shard.MemFS(),
-		DisableObservability: disableObs,
+		Shards: shards,
+		Engine: shard.DivideBudgets(s.engine("triad"), shards),
+		NewFS:  shard.MemFS(),
 	})
 	if err != nil {
 		return Result{}, err
@@ -48,7 +45,7 @@ func NetRun(s Scale, shards, conns int, disableObs bool, traceSample float64) (R
 		return Result{}, err
 	}
 
-	srv := server.New(db, server.Config{DisableObservability: disableObs, TraceSample: traceSample})
+	srv := server.New(db, server.Config{TraceSample: traceSample})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return Result{}, err

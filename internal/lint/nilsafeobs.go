@@ -7,9 +7,11 @@ import (
 )
 
 // obsNilSafeTypes are the observability types whose nil receiver is a
-// documented no-op: `-no-observability` (and a nil Tracer from
-// sampling-off) rely on every exported method compiling down to a
-// pointer test, so instrumentation call sites never branch.
+// documented no-op. Nil receivers still occur — an unsampled request's
+// Trace, the Tracer of a server at -trace-sample 0, and the Journal of a
+// bare engine outside the sharded store — and rely on every exported
+// method compiling down to a pointer test, so instrumentation call sites
+// never branch.
 var obsNilSafeTypes = []string{"Hist", "Tracer", "Trace", "Journal", "SlowLog"}
 
 // NilSafeObs enforces the obs layer's nil-receiver contract:
@@ -21,8 +23,8 @@ var obsNilSafeTypes = []string{"Hist", "Tracer", "Trace", "Journal", "SlowLog"}
 //     as the callee guards);
 //  2. outside internal/obs, code must never access fields of these
 //     types directly — only methods keep the nil contract, so a field
-//     poked from a caller is one `-no-observability` run away from a
-//     nil dereference.
+//     poked from a caller is one unsampled request (or one bare engine)
+//     away from a nil dereference.
 var NilSafeObs = &Analyzer{
 	Name: "nilsafeobs",
 	Doc:  "obs nil-safe types must guard the nil receiver before field access; callers must not touch their fields",

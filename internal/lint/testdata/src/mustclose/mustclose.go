@@ -13,6 +13,7 @@ import (
 	"lsm"
 	"shard"
 	"sstable"
+	"triad"
 )
 
 var cond bool
@@ -189,6 +190,52 @@ func closureCapture(db *lsm.DB) (func() error, error) {
 		return nil, err
 	}
 	return func() error { return s.Close() }, nil
+}
+
+// --- the public package's aliases ---
+
+// aliasSnapshotLeak: triad.DB is an alias of shard.DB, so a snapshot
+// taken through it is the store's snapshot and leaks the same way.
+func aliasSnapshotLeak(db *triad.DB) error {
+	var s *triad.Snapshot
+	s, err := db.NewSnapshot() // want `store snapshot \(\*shard\.Snapshot\) may not be closed`
+	if err != nil {
+		return err
+	}
+	_, err = s.Get(nil)
+	return err
+}
+
+// aliasIteratorLeak: an iterator opened on a triad.Snapshot and held
+// as a triad.Iterator is the store's iterator, and is tracked as one.
+func aliasIteratorLeak(s *triad.Snapshot) int {
+	var it triad.Iterator
+	it, err := s.NewIterator(nil, nil) // want `store iterator \(shard\.Iter\) may not be closed`
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for it.Next() {
+		n++
+	}
+	return n
+}
+
+// aliasDeferClose is the correct shape through the aliases.
+func aliasDeferClose(db *triad.DB) error {
+	s, err := db.NewSnapshot()
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	it, err := s.NewIterator(nil, nil)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for it.Next() {
+	}
+	return nil
 }
 
 // --- background scheduler handles ---

@@ -1,7 +1,8 @@
 // Package nilsafeobs is the caller-side golden target for the
 // nilsafeobs analyzer: outside internal/obs, code must go through the
-// nil-safe methods — a direct field access is one `-no-observability`
-// run away from a nil dereference.
+// nil-safe methods — a direct field access is one nil receiver (an
+// unsampled trace, a tracer at sample 0, a bare engine's journal) away
+// from a nil dereference.
 package nilsafeobs
 
 import "obs"

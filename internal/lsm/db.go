@@ -352,9 +352,6 @@ func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
 	}
 }
 
-// CacheStats reports block-cache hits and misses (zero when disabled).
-func (db *DB) CacheStats() (hits, misses int64) { return db.cache.HitMiss() }
-
 // BlockCacheStats reports this DB's full block-cache counters: its own
 // hits/misses/evictions and the bytes it holds resident. When the cache
 // is shared, Resident is this tenant's slice of it, not the whole cache.

@@ -105,8 +105,7 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 				}
 			}
 		}
-		h, _ := db.CacheStats()
-		return db.Metrics().ReadAmplification(), h
+		return db.Metrics().ReadAmplification(), db.BlockCacheStats().Hits
 	}
 	raCold, hitsCold := run(0)
 	raHot, hitsHot := run(4 << 20)

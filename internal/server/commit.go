@@ -46,8 +46,8 @@ const commitPipeline = 4
 // next group — batches grow with load and a quiet server adds no latency.
 // A group is bounded by what can be outstanding, not by a cap: every
 // write command in it holds an unanswered reply, and a connection queues
-// at most Config.MaxPipeline of those (plus the one its writer waits on),
-// so a group carries about connections × MaxPipeline write commands — an
+// at most maxPipeline of those (plus the one its writer waits on), so a
+// group carries about connections × maxPipeline write commands — an
 // MSET counting once, with all its keys.
 //
 // The committer is a stage of the store's commit pipeline, not an
@@ -58,7 +58,7 @@ const commitPipeline = 4
 // keeps overlapping commits strictly ordered.
 type committer struct {
 	store Store
-	ob    *serverObs // nil when observability is disabled
+	ob    *serverObs
 
 	mu     sync.Mutex
 	cur    *pending
@@ -149,11 +149,8 @@ func (c *committer) commit() {
 	// Stage timing: coalesce is group open -> detach (the pipeline-slot
 	// wait the group grew during), epoch_wait is detach -> ticket
 	// assigned, commit is ticket -> durable.
-	var detached time.Time
-	if c.ob != nil {
-		detached = time.Now()
-		c.ob.stage[obs.StageCoalesce].Record(detached.Sub(pb.start))
-	}
+	detached := time.Now()
+	c.ob.stage[obs.StageCoalesce].Record(detached.Sub(pb.start))
 	for _, to := range pb.traced {
 		to.tr.SpanAt(obs.SpanCoalesce, to.enq, detached.Sub(to.enq),
 			fmt.Sprintf("group of %d ops", pb.batch.Len()))
@@ -168,11 +165,8 @@ func (c *committer) commit() {
 	}
 	pb.epoch = cm.Epoch()
 	close(pb.sealed)
-	var prepared time.Time
-	if c.ob != nil {
-		prepared = time.Now()
-		c.ob.stage[obs.StageEpochWait].Record(prepared.Sub(detached))
-	}
+	prepared := time.Now()
+	c.ob.stage[obs.StageEpochWait].Record(prepared.Sub(detached))
 	var trs obs.Traces
 	if len(pb.traced) > 0 {
 		trs = make(obs.Traces, 0, len(pb.traced))
@@ -193,9 +187,7 @@ func (c *committer) commit() {
 	go func() {
 		defer c.cwg.Done()
 		pb.err = cm.Commit()
-		if c.ob != nil {
-			c.ob.stage[obs.StageCommit].Record(time.Since(prepared))
-		}
+		c.ob.stage[obs.StageCommit].Record(time.Since(prepared))
 		if len(trs) > 0 {
 			trs.SpanAt(obs.SpanCommit, prepared, time.Since(prepared), "")
 		}

@@ -63,7 +63,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		nc:      nc,
 		r:       resp.NewReader(nc),
 		w:       resp.NewWriter(nc),
-		replies: make(chan reply, s.cfg.MaxPipeline),
+		replies: make(chan reply, maxPipeline),
 	}
 }
 
@@ -117,20 +117,15 @@ func (c *conn) writeLoop() {
 		// Flush when the pipeline is momentarily empty: one syscall per
 		// burst instead of one per reply.
 		if len(c.replies) == 0 {
-			var fs time.Time
-			if ob != nil {
-				fs = time.Now()
-			}
+			fs := time.Now()
 			err := c.w.Flush()
-			if ob != nil {
-				fd := time.Since(fs)
-				ob.stage[obs.StageReplyFlush].Record(fd)
-				for _, tr := range ftr {
-					tr.SpanAt(obs.SpanReplyFlush, fs, fd, "")
-					ob.tracer.Finish(tr)
-				}
-				ftr = ftr[:0]
+			fd := time.Since(fs)
+			ob.stage[obs.StageReplyFlush].Record(fd)
+			for _, tr := range ftr {
+				tr.SpanAt(obs.SpanReplyFlush, fs, fd, "")
+				ob.tracer.Finish(tr)
 			}
+			ftr = ftr[:0]
 			if err != nil {
 				// Client gone: closing the socket unblocks the reader;
 				// keep draining the queue so it never blocks either.
@@ -150,10 +145,7 @@ func (c *conn) readLoop() {
 		// parseStart is taken before the blocking read so a sampled
 		// trace's decode span covers socket wait + RESP parse — the
 		// request's true server-side beginning.
-		var parseStart time.Time
-		if c.srv.ob != nil {
-			parseStart = time.Now()
-		}
+		parseStart := time.Now()
 		args, err := c.r.ReadCommand()
 		if err != nil {
 			var pe *resp.ProtocolError
@@ -181,18 +173,14 @@ func (c *conn) send(v resp.Value) { c.replies <- reply{v: v} }
 // at send time under the command's family (tr: the command's sampled
 // trace, nil when unsampled).
 func (c *conn) sendTracked(v resp.Value, fam obs.Family, start time.Time, key []byte, tr *obs.Trace) {
-	c.replies <- reply{v: v, fam: fam, start: start, key: key, tracked: c.srv.ob != nil, tr: tr}
+	c.replies <- reply{v: v, fam: fam, start: start, key: key, tracked: true, tr: tr}
 }
 
 // trace samples a trace for the command, recording the decode span
-// (socket wait + parse, parseStart -> now). Nil when unsampled or
-// observability is off — the common case, costing one random draw.
+// (socket wait + parse, parseStart -> now). Nil when unsampled — the
+// common case, costing one random draw.
 func (c *conn) trace(cmd string, key []byte, parseStart, now time.Time) *obs.Trace {
-	ob := c.srv.ob
-	if ob == nil {
-		return nil
-	}
-	tr := ob.tracer.Start(cmd, key, parseStart)
+	tr := c.srv.ob.tracer.Start(cmd, key, parseStart)
 	if tr != nil {
 		tr.SpanAt(obs.SpanDecode, parseStart, now.Sub(parseStart), "")
 	}
@@ -201,10 +189,7 @@ func (c *conn) trace(cmd string, key []byte, parseStart, now time.Time) *obs.Tra
 
 // dispatch executes one parsed command. Commands are case-insensitive.
 func (c *conn) dispatch(args [][]byte, parseStart time.Time) {
-	var start time.Time
-	if c.srv.ob != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	switch cmd := asciiUpper(args[0]); cmd {
 	case "PING":
 		if len(args) > 1 {
@@ -398,7 +383,7 @@ func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs
 		return
 	}
 	c.lastWrite = pb
-	c.replies <- reply{pb: pb, ok: ok, fam: fam, start: start, key: key, tracked: c.srv.ob != nil, tr: tr}
+	c.replies <- reply{pb: pb, ok: ok, fam: fam, start: start, key: key, tracked: true, tr: tr}
 }
 
 // scanCount parses the optional COUNT argument, capped at the server's
@@ -496,8 +481,7 @@ func (c *conn) scanClose(id []byte) {
 }
 
 // events serves EVENTS [count]: the store's background-event journal,
-// newest first, one bulk string per event. An engine without a journal
-// (observability disabled) replies with an empty array.
+// newest first, one bulk string per event.
 func (c *conn) events(args [][]byte) {
 	maxN := 0
 	if len(args) > 0 {
@@ -519,10 +503,7 @@ func (c *conn) events(args [][]byte) {
 // slowlog serves SLOWLOG [GET [count] | LEN | RESET] over the server's
 // slow-command ring (redis-flavored surface, same semantics).
 func (c *conn) slowlog(args [][]byte) {
-	var log *obs.SlowLog
-	if c.srv.ob != nil {
-		log = c.srv.ob.slow
-	}
+	log := c.srv.ob.slow
 	sub := "GET"
 	if len(args) > 0 {
 		sub = asciiUpper(args[0])
@@ -560,10 +541,7 @@ func (c *conn) slowlog(args [][]byte) {
 // trace=#N). With tracing off (-trace-sample 0) RECENT replies with an
 // empty array and GET with a null bulk.
 func (c *conn) traceCmd(args [][]byte) {
-	var tracer *obs.Tracer
-	if c.srv.ob != nil {
-		tracer = c.srv.ob.tracer
-	}
+	tracer := c.srv.ob.tracer
 	switch asciiUpper(args[0]) {
 	case "RECENT":
 		maxN := 0

@@ -64,10 +64,7 @@ func (s *Server) MetricsHandler(enablePprof bool) http.Handler {
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var tracer *obs.Tracer
-		if s.ob != nil {
-			tracer = s.ob.tracer
-		}
+		tracer := s.ob.tracer
 		maxN := 0
 		if q := r.URL.Query().Get("n"); q != "" {
 			if n, err := strconv.Atoi(q); err == nil && n > 0 {
@@ -82,10 +79,7 @@ func (s *Server) MetricsHandler(enablePprof bool) http.Handler {
 	})
 	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var log *obs.SlowLog
-		if s.ob != nil {
-			log = s.ob.slow
-		}
+		log := s.ob.slow
 		fmt.Fprintf(w, "# threshold %s, %d slow commands total\n", log.Threshold(), log.Total())
 		for _, e := range log.Entries(0) {
 			fmt.Fprintln(w, e)
@@ -205,18 +199,15 @@ func (s *Server) MetricsText() string {
 		p.GaugeF("triad_server_group_commit_mean_size", "Realized mean group size (ops per batch).", "", float64(ops)/float64(batches))
 	}
 
-	// Latency histograms. With observability disabled the recorders are
-	// nil and every series renders all-zero, so scrapers see a stable
-	// series set either way.
 	for f := obs.FamGet; f < obs.NumFamilies; f++ {
 		p.Histogram("triad_cmd_latency_seconds",
 			"Server-side command latency (dispatch to reply resolution) by command family.",
-			fmt.Sprintf("cmd=%q", f.String()), s.ob.cmdHist(f))
+			fmt.Sprintf("cmd=%q", f.String()), s.ob.cmd[f])
 	}
 	for st := obs.StageCoalesce; st < obs.NumStages; st++ {
 		p.Histogram("triad_commit_stage_latency_seconds",
 			"Commit-pipeline stage latency: coalesce (batching window), epoch_wait (Prepare), commit (WAL+memtable), reply_flush (socket flush).",
-			fmt.Sprintf("stage=%q", st.String()), s.ob.stageHist(st))
+			fmt.Sprintf("stage=%q", st.String()), s.ob.stage[st])
 	}
 	p.Histogram("triad_apply_latency_seconds",
 		"Store-level batch commit execution latency (ticket wait + WAL append + memtable insert).",
@@ -225,17 +216,9 @@ func (s *Server) MetricsText() string {
 	ev := s.store.Events()
 	p.Counter("triad_events_total", "Background events (flush/compaction/snapshot-gc/stall) ever journaled.", "", int64(ev.Total()))
 	p.Counter("triad_journal_dropped_total", "Background events overwritten in the ring before any reader saw them.", "", int64(ev.Dropped()))
-	var slow *obs.SlowLog
-	if s.ob != nil {
-		slow = s.ob.slow
-	}
-	p.Counter("triad_server_slow_commands_total", "Commands that exceeded the slowlog threshold.", "", int64(slow.Total()))
-	var tracer *obs.Tracer
-	if s.ob != nil {
-		tracer = s.ob.tracer
-	}
-	p.Counter("triad_traces_sampled_total", "Commands sampled for end-to-end tracing.", "", int64(tracer.Sampled()))
-	p.Counter("triad_traces_finished_total", "Sampled traces finished and retained in the TRACE ring.", "", int64(tracer.Finished()))
+	p.Counter("triad_server_slow_commands_total", "Commands that exceeded the slowlog threshold.", "", int64(s.ob.slow.Total()))
+	p.Counter("triad_traces_sampled_total", "Commands sampled for end-to-end tracing.", "", int64(s.ob.tracer.Sampled()))
+	p.Counter("triad_traces_finished_total", "Sampled traces finished and retained in the TRACE ring.", "", int64(s.ob.tracer.Finished()))
 	return b.String()
 }
 

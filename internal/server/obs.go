@@ -9,10 +9,8 @@ import (
 )
 
 // serverObs bundles the server's latency instrumentation: one recorder
-// per command family, one per commit-pipeline stage, and the slowlog.
-// A nil *serverObs (Config.DisableObservability) turns every
-// instrumentation point into a pointer test and skips the time.Now
-// calls — the configuration the overhead benchmark compares against.
+// per command family, one per commit-pipeline stage, the slowlog, and
+// the request tracer.
 type serverObs struct {
 	cmd    [obs.NumFamilies]*obs.Hist
 	stage  [obs.NumStages]*obs.Hist
@@ -21,11 +19,10 @@ type serverObs struct {
 }
 
 func newServerObs(cfg Config) *serverObs {
-	o := &serverObs{}
-	if cfg.SlowlogThreshold >= 0 {
-		o.slow = obs.NewSlowLog(cfg.SlowlogSize, cfg.SlowlogThreshold)
+	o := &serverObs{
+		slow:   obs.NewSlowLog(slowlogSize, cfg.SlowlogThreshold),
+		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceKeep),
 	}
-	o.tracer = obs.NewTracer(cfg.TraceSample, cfg.TraceKeep)
 	for f := range o.cmd {
 		o.cmd[f] = obs.NewHist()
 	}
@@ -40,38 +37,15 @@ func newServerObs(cfg Config) *serverObs {
 // id when it happened to be sampled (the slowest commands thereby link
 // to their full span breakdown).
 func (o *serverObs) observe(fam obs.Family, key []byte, start time.Time, tr *obs.Trace) {
-	if o == nil {
-		return
-	}
 	d := time.Since(start)
 	o.cmd[fam].Record(d)
 	o.slow.Observe(fam.String(), key, d, tr.ID())
 }
 
-// cmdHist returns the family's recorder (nil when disabled), for the
-// exposition and quantile table.
-func (o *serverObs) cmdHist(f obs.Family) *obs.Hist {
-	if o == nil {
-		return nil
-	}
-	return o.cmd[f]
-}
-
-// stageHist returns the stage's recorder (nil when disabled).
-func (o *serverObs) stageHist(s obs.Stage) *obs.Hist {
-	if o == nil {
-		return nil
-	}
-	return o.stage[s]
-}
-
 // quantileTable renders the per-family latency quantiles as an aligned
 // text table (the STATS / triaddb stats surface). Empty when nothing was
-// recorded or observability is off.
+// recorded.
 func (o *serverObs) quantileTable() string {
-	if o == nil {
-		return ""
-	}
 	var b strings.Builder
 	wrote := false
 	for f := obs.FamGet; f < obs.NumFamilies; f++ {

@@ -10,10 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/lsm"
 	"repro/internal/resp"
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // scrape fetches path from the server's metrics handler.
@@ -335,41 +333,5 @@ func TestStatsQuantileTable(t *testing.T) {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS missing %q:\n%s", want, stats)
 		}
-	}
-}
-
-// TestDisableObservability checks the off switch: commands still work,
-// the latency series render all-zero, and EVENTS/SLOWLOG reply empty
-// rather than erroring.
-func TestDisableObservability(t *testing.T) {
-	opts := lsm.TriadOptions(nil)
-	opts.MemtableBytes = 256 << 10
-	db, err := shard.Open(shard.Options{
-		Shards: 1, Engine: opts, NewFS: shard.MemFS(),
-		DisableObservability: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, addr := startServer(t, db, server.Config{DisableObservability: true})
-	c := dial(t, addr)
-	if err := c.Set([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FlushStore(); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := c.Do("EVENTS"); err != nil || v.IsError() || len(v.Elems) != 0 {
-		t.Fatalf("EVENTS with observability off = %v (err %v), want empty array", v, err)
-	}
-	if v, err := c.Do("SLOWLOG", []byte("GET")); err != nil || v.IsError() || len(v.Elems) != 0 {
-		t.Fatalf("SLOWLOG with observability off = %v (err %v), want empty array", v, err)
-	}
-	_, text := scrape(t, srv, false, "/metrics")
-	if !strings.Contains(text, `triad_cmd_latency_seconds_count{cmd="set"} 0`) {
-		t.Error("disabled observability should render all-zero histograms")
-	}
-	if !strings.Contains(text, "triad_user_writes_total 1") {
-		t.Error("engine counters must survive observability off")
 	}
 }

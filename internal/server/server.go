@@ -42,9 +42,9 @@ import (
 	"repro/internal/sstable"
 )
 
-// Store is the engine surface the server fronts. *shard.DB implements it
-// (open the store with shard.Open, Shards >= 1); the shard layer is used
-// even for one shard so STATS always carries the per-shard table and the
+// Store is the engine surface the server fronts. The store triad.Open
+// returns implements it (a *triad.DB is a *shard.DB), at any shard count,
+// so STATS always carries the per-shard table and a durable store the
 // STORE metadata validation.
 type Store interface {
 	Get(key []byte) ([]byte, error)
@@ -81,10 +81,9 @@ type Store interface {
 	OverlayEntries() int
 	// Events is the store's background-event journal (flushes,
 	// compactions, snapshot GC, stalls), served by EVENTS and
-	// /debug/events. May return nil (observability disabled).
+	// /debug/events.
 	Events() *obs.Journal
 	// ApplyLatency is the store's per-batch commit-execution recorder.
-	// May return nil (observability disabled).
 	ApplyLatency() *obs.Hist
 	// IOBySource is the store-wide I/O attribution roll-up; per-shard
 	// breakdowns ride ShardStats.
@@ -99,14 +98,19 @@ type Store interface {
 
 var _ Store = (*shard.DB)(nil)
 
+// maxPipeline bounds a connection's outstanding replies; a client that
+// pipelines deeper blocks until replies drain (backpressure). It is also
+// what bounds a group commit: about connections × maxPipeline write
+// commands.
+const maxPipeline = 1024
+
+// slowlogSize is the slowlog ring capacity.
+const slowlogSize = 128
+
 // Config tunes the server. The zero value is production-shaped: group
-// commit on (leader-based, no artificial delay), pipeline depth 1024.
+// commit on (leader-based, no artificial delay), full instrumentation,
+// tracing off.
 type Config struct {
-	// MaxPipeline bounds a connection's outstanding replies; a client
-	// that pipelines deeper blocks until replies drain (backpressure).
-	// It is also what bounds a group commit: about connections ×
-	// MaxPipeline write commands. Default 1024.
-	MaxPipeline int
 	// ScanMaxEntries caps one SCAN reply page; clients page through the
 	// rest with SCAN CONT on the returned cursor. Default 4096.
 	ScanMaxEntries int
@@ -119,17 +123,9 @@ type Config struct {
 	// Logf, when set, receives connection-level diagnostics (protocol
 	// errors, accept failures). Default: discard.
 	Logf func(format string, args ...any)
-	// DisableObservability turns off the server's latency recorders,
-	// stage timing, and slowlog: every instrumentation point degrades to
-	// a pointer test (the overhead benchmark's baseline). The store's
-	// own journal is unaffected — disable it via shard.Options.
-	DisableObservability bool
 	// SlowlogThreshold is the server-side latency above which a command
-	// is recorded in the slowlog. Default 10ms; negative disables the
-	// slowlog while keeping the histograms.
+	// is recorded in the slowlog. Default (any value <= 0) 10ms.
 	SlowlogThreshold time.Duration
-	// SlowlogSize is the slowlog ring capacity. Default 128.
-	SlowlogSize int
 	// TraceSample is the fraction of commands given an end-to-end trace
 	// (spans at decode, coalesce, epoch wait, WAL append, memtable
 	// apply, commit, sstable reads, reply flush), served by TRACE and
@@ -142,9 +138,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxPipeline <= 0 {
-		c.MaxPipeline = 1024
-	}
 	if c.ScanMaxEntries <= 0 {
 		c.ScanMaxEntries = 4096
 	}
@@ -157,11 +150,8 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.SlowlogThreshold == 0 {
+	if c.SlowlogThreshold <= 0 {
 		c.SlowlogThreshold = 10 * time.Millisecond
-	}
-	if c.SlowlogSize <= 0 {
-		c.SlowlogSize = 128
 	}
 	if c.TraceKeep <= 0 {
 		c.TraceKeep = 256
@@ -177,8 +167,8 @@ type Server struct {
 	store   Store
 	cfg     Config
 	gc      *committer
-	cursors *registry  // server-side SCAN cursors
-	ob      *serverObs // nil when Config.DisableObservability
+	cursors *registry // server-side SCAN cursors
+	ob      *serverObs
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -194,14 +184,13 @@ type Server struct {
 
 // New returns a Server over store.
 func New(store Store, cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
 		store:   store,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
+		ob:      newServerObs(cfg),
 		conns:   make(map[*conn]struct{}),
 		drained: make(chan struct{}),
-	}
-	if !s.cfg.DisableObservability {
-		s.ob = newServerObs(s.cfg)
 	}
 	s.gc = newCommitter(store, s.ob)
 	s.cursors = newRegistry(s.cfg)

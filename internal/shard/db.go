@@ -53,10 +53,12 @@ type Options struct {
 	// mean 1. The count must be stable across opens of the same store.
 	Shards int
 	// Engine is the per-shard engine configuration template. Engine.FS
-	// is ignored (NewFS supplies each shard's filesystem) and Engine.Seed
-	// is decorrelated per shard. Budgets in the template (memtable,
-	// commit log, block cache, ...) apply to each shard individually;
-	// use DivideBudgets to split one store-wide budget evenly.
+	// and Engine.Events are overwritten per shard (NewFS supplies each
+	// shard's filesystem; every shard journals into the store's one
+	// event journal) and Engine.Seed is decorrelated per shard. Budgets
+	// in the template (memtable, commit log, block cache, ...) apply to
+	// each shard individually; use DivideBudgets to split one store-wide
+	// budget evenly.
 	//
 	// Engine.BlockCacheBytes is the per-shard share, but by default the
 	// store pools the shares: Open builds ONE store-wide block cache of
@@ -71,14 +73,6 @@ type Options struct {
 	// NewFS returns shard i's filesystem; required. Every shard needs a
 	// namespace of its own — MemFS and DirFS are ready-made factories.
 	NewFS func(i int) (vfs.FS, error)
-	// DisableObservability leaves the store's event journal and apply
-	// latency recorder nil: every instrumentation point degrades to a
-	// pointer test (the configuration the overhead benchmark compares
-	// against). Engine.Events, when set, still wins over the built-in
-	// journal. I/O attribution (IOBySource, ShardStat.IO) is read from
-	// the engine's own counters and stays on.
-	DisableObservability bool
-
 	// BackgroundWorkers sizes the store-wide background worker pool
 	// shared by every shard's flushes and compactions (with priority
 	// classes and per-shard fairness; see internal/bgsched), each one
@@ -148,7 +142,7 @@ type DB struct {
 
 	// events receives every shard's background events (flush, compaction,
 	// snapshot GC, stall), labeled by shard; applyLat times each batch's
-	// commit execution. Both nil when Options.DisableObservability.
+	// commit execution.
 	events   *obs.Journal
 	applyLat *obs.Hist
 
@@ -193,13 +187,10 @@ func Open(o Options) (*DB, error) {
 	if err := checkStoreMeta(fses); err != nil {
 		return nil, err
 	}
-	db := &DB{shards: make([]*lsm.DB, 0, o.Shards)}
-	if !o.DisableObservability {
-		db.events = o.Engine.Events // a caller-supplied journal wins
-		if db.events == nil {
-			db.events = obs.NewJournal(0)
-		}
-		db.applyLat = obs.NewHist()
+	db := &DB{
+		shards:   make([]*lsm.DB, 0, o.Shards),
+		events:   obs.NewJournal(0),
+		applyLat: obs.NewHist(),
 	}
 	// Pool the per-shard cache shares into one store-wide cache (same
 	// aggregate bytes, no pre-split) unless the caller injected a cache.
@@ -304,12 +295,11 @@ func (db *DB) NumShards() int { return len(db.shards) }
 // Shard exposes shard i (observability and tests).
 func (db *DB) Shard(i int) *lsm.DB { return db.shards[i] }
 
-// Events returns the store's background-event journal (nil when
-// observability is disabled).
+// Events returns the store's background-event journal.
 func (db *DB) Events() *obs.Journal { return db.events }
 
-// ApplyLatency returns the recorder timing each batch's commit execution
-// (nil when observability is disabled).
+// ApplyLatency returns the recorder timing each batch's commit
+// execution. Snapshot it for quantiles; Record on it is not for callers.
 func (db *DB) ApplyLatency() *obs.Hist { return db.applyLat }
 
 // pick returns the shard owning key.
@@ -352,17 +342,12 @@ func (db *DB) writeOne(key, value []byte, kind base.Kind) error {
 	if err := s.WaitWritable(); err != nil {
 		return err
 	}
-	var start time.Time
-	if db.applyLat != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	epoch := db.clk.acquire([]int{i})
 	err := s.WriteAt(epoch, key, value, kind)
 	db.clk.release(i)
 	db.clk.finish(epoch)
-	if db.applyLat != nil {
-		db.applyLat.Record(time.Since(start))
-	}
+	db.applyLat.Record(time.Since(start))
 	return err
 }
 
@@ -455,10 +440,7 @@ func (c *Commit) Commit() error {
 	}
 	c.used = true
 	db := c.db
-	var start time.Time
-	if db.applyLat != nil && len(c.shards) > 0 {
-		start = time.Now()
-	}
+	start := time.Now()
 	var err error
 	switch len(c.shards) {
 	case 0: // empty batch: the ticket is just a watermark event
@@ -481,7 +463,7 @@ func (c *Commit) Commit() error {
 		err = errors.Join(errs...)
 	}
 	db.clk.finish(c.epoch)
-	if !start.IsZero() {
+	if len(c.shards) > 0 {
 		db.applyLat.Record(time.Since(start))
 	}
 	if err != nil {

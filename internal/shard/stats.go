@@ -24,16 +24,6 @@ func (db *DB) Metrics() metrics.Snapshot {
 	return out
 }
 
-// CacheStats reports block-cache hits and misses summed across shards.
-func (db *DB) CacheStats() (hits, misses int64) {
-	for _, s := range db.shards {
-		h, m := s.CacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
 // BlockCacheStats reports the store-wide block-cache counters (zero when
 // caching is disabled).
 func (db *DB) BlockCacheStats() sstable.CacheStats { return db.cache.Stats() }

@@ -215,15 +215,6 @@ func (h *Handle) Stats() CacheStats {
 	}
 }
 
-// HitMiss reports cumulative hits and misses (the legacy two-value
-// surface).
-func (h *Handle) HitMiss() (hits, misses int64) {
-	if h == nil {
-		return 0, 0
-	}
-	return h.hits.Load(), h.misses.Load()
-}
-
 type cacheKey struct {
 	id     uint64 // handle (tenant) id
 	table  uint64

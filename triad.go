@@ -13,6 +13,10 @@
 // The same engine with all techniques disabled behaves like the paper's
 // RocksDB baseline, which is what the benchmark harness compares against.
 //
+// DB, Snapshot and Iterator are the store's own types (internal/shard's
+// DB, Snapshot and Iter), re-exported as aliases rather than wrapped: the
+// *DB that Open returns is the same value the network server fronts.
+//
 // Basic usage:
 //
 //	db, err := triad.Open(triad.Options{FS: vfs.NewMemFS(), Profile: triad.ProfileTriad})
@@ -26,8 +30,6 @@ import (
 	"errors"
 
 	"repro/internal/lsm"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
@@ -101,26 +103,9 @@ func ShardMemFS() func(int) (vfs.FS, error) { return shard.MemFS() }
 // ShardDirs returns a ShardFS factory rooting shard i at dir/shard-NNN.
 func ShardDirs(dir string) func(int) (vfs.FS, error) { return shard.DirFS(dir) }
 
-// Iterator is an ascending, streaming point-in-time scan; see
-// DB.NewIterator and Snapshot.NewIterator. Entries are produced lazily
-// (nothing is materialized at creation); Close releases the underlying
-// snapshot pin and must be called.
-//
-// Usage: for it.Next() { it.Key(), it.Value() }; check Err, then Close.
-type Iterator interface {
-	// Next advances; the iterator starts before the first entry.
-	Next() bool
-	// Key returns the current key (valid until Close).
-	Key() []byte
-	// Value returns the current value (valid until Close).
-	Value() []byte
-	// Err returns the first error the scan encountered (nil on clean
-	// exhaustion).
-	Err() error
-	// Close releases the scan's resources and snapshot pin. Idempotent;
-	// returns Err().
-	Close() error
-}
+// DB is the store: internal/shard's DB, re-exported. Every method is
+// safe for concurrent use; see Open.
+type DB = shard.DB
 
 // Snapshot is a pinned, point-in-time read view of the whole store; see
 // DB.NewSnapshot. Reads on it never observe later writes; on a sharded
@@ -129,38 +114,28 @@ type Iterator interface {
 // invisible, and concurrent conflicting batches appear in their
 // serialized epoch order. A snapshot pins memory and on-disk files
 // until Close.
-type Snapshot struct {
-	s *shard.Snapshot
-}
+type Snapshot = shard.Snapshot
 
-// Epoch reports the snapshot's position in the store's total commit
-// order: the snapshot observes exactly the commits at or below it.
-func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
-
-// Get returns the value stored under key as of the snapshot, or
-// ErrNotFound; ErrSnapshotClosed after Close.
-func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.s.Get(key) }
-
-// NewIterator returns a streaming scan of [start, limit) (nil bounds
-// are unbounded) over the snapshot's frozen view. Iterators opened
-// before Close stay valid until they close.
-func (s *Snapshot) NewIterator(start, limit []byte) (Iterator, error) {
-	return s.s.NewIterator(start, limit)
-}
-
-// Close releases the snapshot's pin. Idempotent.
-func (s *Snapshot) Close() error { return s.s.Close() }
-
-// DB is a TRIAD key-value store. All methods are safe for concurrent use.
-type DB struct {
-	inner *shard.DB
-}
+// Iterator is an ascending, streaming point-in-time scan; see
+// DB.NewIterator and Snapshot.NewIterator. Entries are produced lazily
+// (nothing is materialized at creation); Close releases the underlying
+// snapshot pin and must be called.
+//
+// Usage: for it.Next() { it.Key(), it.Value() }; check Err, then Close.
+type Iterator = shard.Iter
 
 // ErrNotFound is returned by Get for absent or deleted keys.
 var ErrNotFound = lsm.ErrNotFound
 
 // ErrSnapshotClosed is returned by reads on a Snapshot after Close.
 var ErrSnapshotClosed = lsm.ErrSnapshotClosed
+
+// Batch is a set of writes applied atomically with DB.Apply.
+type Batch = lsm.Batch
+
+// BlockCacheStats re-exports the cache counter type for callers of
+// DB.BlockCacheStats.
+type BlockCacheStats = sstable.CacheStats
 
 // Open opens or creates a store. An existing store recovers its tree from
 // the manifest and replays the commit log, each shard independently.
@@ -213,92 +188,8 @@ func Open(o Options) (*DB, error) {
 		// letting the shard layer multiply a per-shard share.
 		so.BlockCache = sstable.NewCache(opts.BlockCacheBytes)
 	}
-	inner, err := shard.Open(so)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{inner: inner}, nil
+	return shard.Open(so)
 }
-
-// Put associates value with key.
-func (db *DB) Put(key, value []byte) error { return db.inner.Put(key, value) }
-
-// Get returns the value stored under key, or ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) { return db.inner.Get(key) }
-
-// Delete removes key.
-func (db *DB) Delete(key []byte) error { return db.inner.Delete(key) }
-
-// NewIterator returns an ascending, streaming point-in-time scan of
-// [start, limit); nil bounds are unbounded. It is sugar for a
-// single-use snapshot iterator: the snapshot is taken now and released
-// by Close. On a sharded store the per-shard views are merged into one
-// globally sorted stream; a scan spanning several shards is pinned at
-// one global instant (see NewSnapshot).
-func (db *DB) NewIterator(start, limit []byte) (Iterator, error) {
-	return db.inner.NewIterator(start, limit)
-}
-
-// NewSnapshot pins the store's current state as a frozen read view.
-// Reads through the snapshot ignore all later writes; background
-// flushes and compactions keep running, but the files the snapshot
-// reads survive until it closes. The snapshot must be Closed.
-func (db *DB) NewSnapshot() (*Snapshot, error) {
-	s, err := db.inner.NewSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{s: s}, nil
-}
-
-// OpenSnapshots reports the number of live (unclosed) snapshots
-// (observability; includes the single-use snapshots of open iterators
-// that span shards).
-func (db *DB) OpenSnapshots() int { return db.inner.OpenSnapshots() }
-
-// Flush forces the memtable to disk and waits for it.
-func (db *DB) Flush() error { return db.inner.Flush() }
-
-// Batch is a set of writes applied atomically with Apply.
-type Batch = lsm.Batch
-
-// Apply commits a batch of writes atomically with respect to concurrent
-// readers and writers. On a sharded store the batch is split and each
-// per-shard sub-batch commits atomically on its shard.
-func (db *DB) Apply(b *Batch) error { return db.inner.Apply(b) }
-
-// Stats returns a human-readable dump of the tree shape and counters.
-func (db *DB) Stats() string { return db.inner.Stats() }
-
-// CacheStats reports block-cache hits and misses (zeros when the cache is
-// disabled, the default).
-func (db *DB) CacheStats() (hits, misses int64) { return db.inner.CacheStats() }
-
-// BlockCacheStats reports the full block-cache counters: hits, misses,
-// resident and capacity bytes, evictions, and scan-admission rejects.
-func (db *DB) BlockCacheStats() sstable.CacheStats { return db.inner.BlockCacheStats() }
-
-// BlockCacheStats re-exports the cache counter type for callers of
-// DB.BlockCacheStats.
-type BlockCacheStats = sstable.CacheStats
-
-// Metrics snapshots the engine counters (write/read amplification,
-// flush/compaction bytes and times).
-func (db *DB) Metrics() metrics.Snapshot { return db.inner.Metrics() }
-
-// NumLevelFiles reports the table count per LSM level.
-func (db *DB) NumLevelFiles() []int { return db.inner.NumLevelFiles() }
-
-// ApplyLatency returns the store's per-batch commit latency recorder.
-// Snapshot it for quantiles; Record on it is not for callers.
-func (db *DB) ApplyLatency() *obs.Hist { return db.inner.ApplyLatency() }
-
-// Events returns the store's background-event journal (flushes,
-// compactions, snapshot GC, write stalls).
-func (db *DB) Events() *obs.Journal { return db.inner.Events() }
-
-// Close flushes background state and releases all resources.
-func (db *DB) Close() error { return db.inner.Close() }
 
 // EngineOptions is the full engine knob set, re-exported for Advanced
 // configuration.

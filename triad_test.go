@@ -251,8 +251,8 @@ func TestOpenBackgroundWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := db.inner.Scheduler().Workers(); got != 3 {
-			t.Errorf("%d shard(s): pool of %d workers, want 3", db.inner.NumShards(), got)
+		if got := db.Scheduler().Workers(); got != 3 {
+			t.Errorf("%d shard(s): pool of %d workers, want 3", db.NumShards(), got)
 		}
 		if err := db.Put([]byte("k"), []byte("v")); err != nil {
 			t.Fatal(err)
