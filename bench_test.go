@@ -192,12 +192,12 @@ func BenchmarkPut(b *testing.B) {
 func BenchmarkGet(b *testing.B) {
 	for _, mode := range []string{"baseline", "triad"} {
 		b.Run(mode, func(b *testing.B) {
-			fs := vfs.NewMemFS()
-			profile := ProfileTriad
+			engine := lsm.TriadOptions(vfs.NewMemFS())
 			if mode == "baseline" {
-				profile = ProfileBaseline
+				engine = lsm.DefaultOptions(engine.FS)
 			}
-			db, err := Open(Options{FS: fs, Profile: profile, MemtableBytes: 512 << 10})
+			engine.MemtableBytes = 512 << 10
+			db, err := Open(Options{Advanced: &engine})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -231,7 +231,9 @@ func BenchmarkGet(b *testing.B) {
 func BenchmarkSnapshotScan(b *testing.B) {
 	const keys = 100_000
 	openDB := func(b *testing.B) *DB {
-		db, err := Open(Options{FS: vfs.NewMemFS(), Profile: ProfileTriad, MemtableBytes: 1 << 20})
+		engine := lsm.TriadOptions(vfs.NewMemFS())
+		engine.MemtableBytes = 1 << 20
+		db, err := Open(Options{Advanced: &engine})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,6 @@
 //	triaddb -dir /tmp/db del <key>
 //	triaddb -dir /tmp/db scan [start [limit]]
 //	triaddb -dir /tmp/db stats
-//	triaddb -dir /tmp/db bench -n 100000
 //
 // Sharded stores: -shards N hash-partitions the keyspace across N engine
 // instances under DIR/shard-NNN. The shard count is persisted in each
@@ -22,14 +21,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	triad "repro"
-	"repro/internal/histogram"
-	"repro/internal/obs"
-	"repro/internal/shutdown"
 	"repro/internal/vfs"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -58,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	args = fl.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] put|get|del|scan|stats|bench ...")
+		fmt.Fprintln(stderr, "usage: triaddb [-dir DIR] [-baseline] [-shards N] put|get|del|scan|stats ...")
 		return 2
 	}
 	usage := func(u string) int {
@@ -134,16 +128,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	case "stats":
 		fmt.Fprint(stdout, db.Stats())
-	case "bench":
-		fsBench := flag.NewFlagSet("bench", flag.ContinueOnError)
-		fsBench.SetOutput(stderr)
-		n := fsBench.Int64("n", 100_000, "operations")
-		keys := fsBench.Uint64("keys", 50_000, "key-space size")
-		reads := fsBench.Float64("reads", 0.1, "read fraction")
-		if fsBench.Parse(args[1:]) != nil {
-			return 2
-		}
-		err = bench(db, workload.Mix{Dist: workload.HotCold{N: *keys, HotFraction: 0.01, HotAccess: 0.99}, ReadFraction: *reads}, *n, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "unknown command %q\n", args[0])
 		return 2
@@ -152,53 +136,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 	return 0
-}
-
-// bench runs n operations of mix against db and prints throughput and
-// latency quantiles.
-func bench(db *triad.DB, mix workload.Mix, n int64, stdout, stderr io.Writer) error {
-	stream := mix.NewStream(1)
-	// SIGINT/SIGTERM stop the loop instead of killing the process, so the
-	// caller's Close flushes buffered work to disk.
-	ctx, stop := shutdown.Notify()
-	defer stop()
-	getLat, putLat := obs.NewHist(), obs.NewHist()
-	start := time.Now()
-	done := int64(0)
-	for ; done < n; done++ {
-		if done%1024 == 0 && ctx.Err() != nil {
-			fmt.Fprintln(stderr, "triaddb: interrupted, flushing")
-			break
-		}
-		op := stream.Next()
-		opStart := time.Now()
-		if op.Read {
-			if _, err := db.Get(op.Key); err != nil && !errors.Is(err, triad.ErrNotFound) {
-				return err
-			}
-			getLat.Record(time.Since(opStart))
-		} else {
-			if err := db.Put(op.Key, op.Value); err != nil {
-				return err
-			}
-			putLat.Record(time.Since(opStart))
-		}
-	}
-	el := time.Since(start)
-	fmt.Fprintf(stdout, "%d ops in %s = %.1f KOPS\n", done, el.Round(time.Millisecond), float64(done)/el.Seconds()/1000)
-	printQuantiles(stdout, "get latency", getLat.Snapshot())
-	printQuantiles(stdout, "put latency", putLat.Snapshot())
-	printQuantiles(stdout, "apply latency", db.ApplyLatency().Snapshot())
-	return nil
-}
-
-// printQuantiles renders one latency distribution as a quantile line;
-// empty distributions print nothing.
-func printQuantiles(w io.Writer, name string, h histogram.H) {
-	if h.Count() == 0 {
-		return
-	}
-	fmt.Fprintf(w, "%s: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
-		name, h.Count(), h.Quantile(0.50), h.Quantile(0.90),
-		h.Quantile(0.99), h.Quantile(0.999), h.Max())
 }

@@ -62,6 +62,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-dir", dir}, "usage: triaddb"},
 		{[]string{"-dir", dir, "put", "k"}, "usage: triaddb put"},
 		{[]string{"-dir", dir, "frobnicate"}, "unknown command"},
+		{[]string{"-dir", dir, "bench"}, "unknown command"},
 	} {
 		if code, _, stderr := triaddb(t, tc.args...); code != 2 || !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.stderr)

@@ -256,7 +256,7 @@ func sketchWith(n, salt int) *hll.Sketch {
 }
 
 func TestPickerBaselineOneL0FileAtATime(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, TriadDisk: false})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20})
 	v := version(
 		fm(4, 0, "a", "z", 100), fm(3, 0, "a", "z", 100),
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
@@ -276,7 +276,7 @@ func TestPickerBaselineOneL0FileAtATime(t *testing.T) {
 }
 
 func TestPickerTriadCompactsAllL0Together(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	// Four L0 files over the same keys: overlap ratio ≈ 0.75 ≥ 0.4.
 	shared := sketchWith(1000, 0)
 	v := version(
@@ -293,7 +293,7 @@ func TestPickerTriadCompactsAllL0Together(t *testing.T) {
 }
 
 func TestPickerTriadDefersLowOverlap(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	v := version(
 		fm(4, 0, "a", "z", 100), fm(3, 0, "a", "z", 100),
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
@@ -312,7 +312,7 @@ func TestPickerTriadDefersLowOverlap(t *testing.T) {
 }
 
 func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	var files []*manifest.FileMeta
 	for id := uint64(1); id <= 6; id++ {
 		files = append(files, fm(id, 0, "a", "z", 100))
@@ -334,7 +334,8 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 // L0 past its log ceiling — which also acts below the file trigger — and a
 // drain always merges. Anywhere else L0 merges as it always has.
 func TestPickerFoldOrMerge(t *testing.T) {
-	const logBytes = 1000 // CommitLogBytes; the ceiling is 6 of them
+	const logBytes = 1000 // CommitLogBytes
+	const ceiling = MaxFilesL0 * logBytes
 	cl := func(id uint64, kind manifest.TableKind, logs, rent int64) *manifest.FileMeta {
 		f := fm(id, 0, "a", "z", 100)
 		f.Kind, f.LogBytes, f.FoldBytes, f.MaxSeq = kind, logs, rent, id
@@ -362,23 +363,22 @@ func TestPickerFoldOrMerge(t *testing.T) {
 		want      string // "" no job, "deferred", or the job's rule ("merge" if none)
 		wantInput int
 	}{
-		{"four flushes below MaxFilesL0 defer", flushes(4), l1, 6 * logBytes, false, "deferred", 0},
-		{"MaxFilesL0 flushes fold", flushes(6), l1, 6 * logBytes, false, RuleFold, 6},
-		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, 6 * logBytes, false, RuleFold, 6},
-		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, 6 * logBytes, false, RuleRentPaid, 6},
-		{"nothing below to rewrite merges", flushes(6), nil, 6 * logBytes, false, RuleRentPaid, 6},
-		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, 6 * logBytes, false, RuleLogCeiling, 2},
-		{"just under the ceiling waits", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4700, 10)}, l1, 6 * logBytes, false, "", 0},
-		{"a drain merges one file", flushes(1), l1, 6 * logBytes, true, RuleDrain, 1},
-		{"a drain merges a deferred L0", flushes(4), l1, 6 * logBytes, true, RuleDrain, 4},
-		{"a sorted table in L0 merges", append(flushes(5), fm(9, 0, "a", "z", 100)), l1, 6 * logBytes, false, "merge", 6},
+		{"four flushes below MaxFilesL0 defer", flushes(4), l1, ceiling, false, "deferred", 0},
+		{"MaxFilesL0 flushes fold", flushes(6), l1, ceiling, false, RuleFold, 6},
+		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, ceiling, false, RuleFold, 6},
+		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, ceiling, false, RuleRentPaid, 6},
+		{"nothing below to rewrite merges", flushes(6), nil, ceiling, false, RuleRentPaid, 6},
+		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, ceiling, false, RuleLogCeiling, 2},
+		{"just under the ceiling waits", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4700, 10)}, l1, ceiling, false, "", 0},
+		{"a drain merges one file", flushes(1), l1, ceiling, true, RuleDrain, 1},
+		{"a drain merges a deferred L0", flushes(4), l1, ceiling, true, RuleDrain, 4},
+		{"a sorted table in L0 merges", append(flushes(5), fm(9, 0, "a", "z", 100)), l1, ceiling, false, "merge", 6},
 		{"no folds without a ceiling", flushes(6), l1, 0, false, "merge", 6},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewPicker(PickerOptions{
-				L0CompactionTrigger: 4, BaseLevelBytes: 1 << 20, Multiplier: 10,
-				TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6, L0LogBytes: c.ceiling,
+				BaseLevelBytes: 1 << 20, TriadDisk: true, L0LogBytes: c.ceiling,
 			})
 			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), c.l1...)...)
 			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
@@ -416,7 +416,7 @@ func TestPickerFoldOrMerge(t *testing.T) {
 }
 
 func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 1000, Multiplier: 10})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 1000})
 	v := version(
 		fm(1, 1, "a", "m", 800), fm(2, 1, "n", "z", 900), // L1 = 1700 > 1000
 		fm(3, 2, "a", "z", 500),
@@ -431,10 +431,7 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 }
 
 func TestPickerNothingToDo(t *testing.T) {
-	p := NewPicker(PickerOptions{
-		L0CompactionTrigger: 4, BaseLevelBytes: 8 << 20, Multiplier: 10,
-		TriadDisk: true, OverlapRatioThreshold: 0.4, MaxFilesL0: 6,
-	})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	v := version(fm(1, 1, "a", "m", 100))
 	if job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false); job != nil {
 		t.Fatalf("job = %+v, want nil", job)
@@ -444,7 +441,7 @@ func TestPickerNothingToDo(t *testing.T) {
 // deepPicker has L1 over its 100-byte target, so Pick always pushes an
 // L1 file into L2.
 func deepPicker() *Picker {
-	return NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 100, Multiplier: 1000})
+	return NewPicker(PickerOptions{BaseLevelBytes: 100})
 }
 
 // TestPickerMinOverlap: a push takes the file with the smallest
@@ -541,7 +538,7 @@ func TestPickerMinOverlap(t *testing.T) {
 // plus the batch's share of them cover the overflow, together with exactly
 // the L2 files under them — unless L2 is the bottom level.
 func TestPickerSpill(t *testing.T) {
-	p := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: 1000, Multiplier: 10})
+	p := NewPicker(PickerOptions{BaseLevelBytes: 1000})
 	// batch returns the four L0 files; the oldest, id 1, spans [lo, hi].
 	batch := func(lo, hi string, size int64) []*manifest.FileMeta {
 		return []*manifest.FileMeta{fm(1, 0, lo, hi, size), fm(2, 0, "a", "z", 1), fm(3, 0, "a", "z", 1), fm(4, 0, "a", "z", 1)}
@@ -666,10 +663,10 @@ func TestPickerSpill(t *testing.T) {
 }
 
 // TestTargets pins the sizing rule on hand-made trees (base 1000,
-// multiplier 10; sizes are whole-level byte totals).
+// LevelMultiplier 10; sizes are whole-level byte totals).
 func TestTargets(t *testing.T) {
 	const l1 = 1000
-	p := NewPicker(PickerOptions{BaseLevelBytes: l1, Multiplier: 10})
+	p := NewPicker(PickerOptions{BaseLevelBytes: l1})
 	static := [manifest.NumLevels]int64{0, l1, 10 * l1, 100 * l1, 1000 * l1, 10000 * l1, 100000 * l1}
 	cases := []struct {
 		name  string
@@ -710,15 +707,15 @@ func TestTargets(t *testing.T) {
 
 // TestTargetsProperties: on random trees L1's target is BaseLevelBytes,
 // targets never decrease with depth, no level above the bottom one is more
-// than Multiplier times the one above it, none is larger than the static
+// than LevelMultiplier times the one above it, none is larger than the static
 // ladder allowed, and a tree at most two levels deep gets exactly the
 // static ladder.
 func TestTargetsProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 2000; trial++ {
 		l1 := int64(1 + rng.Intn(1<<20))
-		mult := int64(2 + rng.Intn(19))
-		p := NewPicker(PickerOptions{BaseLevelBytes: l1, Multiplier: mult})
+		const mult = LevelMultiplier
+		p := NewPicker(PickerOptions{BaseLevelBytes: l1})
 		depth := rng.Intn(manifest.NumLevels) // deepest non-empty level, 0 = none
 		var files []*manifest.FileMeta
 		for l := 1; l <= depth; l++ {
@@ -785,7 +782,7 @@ func BenchmarkPickMinOverlap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			spill := NewPicker(PickerOptions{L0CompactionTrigger: 4, BaseLevelBytes: v.LevelSize(1), Multiplier: 1000})
+			spill := NewPicker(PickerOptions{BaseLevelBytes: v.LevelSize(1)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if job := push.Pick(v, nil, false); job == nil || job.Level != 1 {

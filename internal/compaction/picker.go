@@ -11,30 +11,37 @@ import (
 	"repro/internal/manifest"
 )
 
+// The L0 limits and the level fan-out are constants, not options: the paper
+// runs TRIAD-DISK at one setting (§4.2, §5.1) and its RocksDB baseline at
+// stock triggers, and so does every caller.
+const (
+	// L0CompactionTrigger is the L0 file count at which L0 is owed a merge
+	// into L1, and TRIAD-DISK first weighs deferring it (RocksDB's
+	// level0_file_num_compaction_trigger default).
+	L0CompactionTrigger = 4
+	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
+	// whatever the overlap (paper §4.2: 6): it merges L0 into L1 or, where
+	// L0 can fold, folds it.
+	MaxFilesL0 = 6
+	// OverlapRatioThreshold is the least HLL overlap ratio among L0 files at
+	// which TRIAD-DISK acts on L0 before MaxFilesL0 forces it (paper §4.2).
+	OverlapRatioThreshold = 0.4
+	// LevelMultiplier is the largest fan-out between adjacent levels before
+	// a level is added (RocksDB's max_bytes_for_level_multiplier default):
+	// the deepest level opens the next one when it outgrows
+	// BaseLevelBytes * LevelMultiplier^(level-1), and no level's target
+	// exceeds LevelMultiplier times the one above it.
+	LevelMultiplier = 10
+)
+
 // PickerOptions configures compaction triggering.
 type PickerOptions struct {
-	// L0CompactionTrigger is the L0 file count at which a baseline engine
-	// compacts L0 into L1 (RocksDB default: 4).
-	L0CompactionTrigger int
 	// BaseLevelBytes is the target size of L1, the one fixed rung of the
 	// ladder; the levels between L1 and the deepest non-empty level are
-	// sized from that level's bytes (see Picker.Targets).
+	// sized from that level's bytes (see Picker.Targets). Required.
 	BaseLevelBytes int64
-	// Multiplier is the largest fan-out between adjacent levels before a
-	// level is added (RocksDB default: 10): the deepest level opens the
-	// next one when it outgrows BaseLevelBytes * Multiplier^(level-1), and
-	// no level's target exceeds Multiplier times the one above it.
-	Multiplier int64
-
 	// TriadDisk enables the deferred-compaction policy.
 	TriadDisk bool
-	// OverlapRatioThreshold is the minimum HLL overlap ratio among L0
-	// files required to act on L0 before MaxFilesL0 forces it (paper: 0.4).
-	OverlapRatioThreshold float64
-	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
-	// whatever the overlap (paper: 6): it merges L0 into L1 or, where L0
-	// can fold, folds it.
-	MaxFilesL0 int
 	// L0LogBytes is the most commit-log bytes L0 may pin, and nonzero
 	// only where L0 can fold (TRIAD-DISK with TRIAD-LOG): MaxFilesL0 times
 	// the commit-log size, what MaxFilesL0 full CL-SSTables pin. See Pick.
@@ -134,18 +141,6 @@ type Picker struct {
 
 // NewPicker returns a Picker with the given options.
 func NewPicker(opts PickerOptions) *Picker {
-	if opts.L0CompactionTrigger <= 0 {
-		opts.L0CompactionTrigger = 4
-	}
-	if opts.Multiplier <= 0 {
-		opts.Multiplier = 10
-	}
-	if opts.BaseLevelBytes <= 0 {
-		opts.BaseLevelBytes = 8 << 20
-	}
-	if opts.MaxFilesL0 <= 0 {
-		opts.MaxFilesL0 = 6
-	}
 	return &Picker{opts: opts}
 }
 
@@ -168,18 +163,18 @@ func bottomLevel(v *manifest.Version) int {
 // L0 is triggered by file count). The tree is sized from its bottom: with
 // b the deepest non-empty level, L1's target is BaseLevelBytes, the levels
 // between L1 and b grow by the equal fan-out that reaches b's actual size
-// in b-1 steps (never more than Multiplier), and b itself — like the empty
-// levels below it — gets BaseLevelBytes * Multiplier^(l-1), the size at
-// which it opens the next level. Equal fan-out is the write-optimal split
-// of a fixed depth, and every byte an intermediate level may not hold is a
-// stale version the bottom level gets to drop. With b <= 2 there is no
+// in b-1 steps (never more than LevelMultiplier), and b itself — like the
+// empty levels below it — gets BaseLevelBytes * LevelMultiplier^(l-1), the
+// size at which it opens the next level. Equal fan-out is the write-optimal
+// split of a fixed depth, and every byte an intermediate level may not hold
+// is a stale version the bottom level gets to drop. With b <= 2 there is no
 // intermediate level and the targets are the plain geometric ladder.
 func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
 	var t [manifest.NumLevels]int64
 	limit := p.opts.BaseLevelBytes
 	for l := 1; l < manifest.NumLevels; l++ {
 		t[l] = limit
-		limit *= p.opts.Multiplier
+		limit *= LevelMultiplier
 	}
 	b := bottomLevel(v)
 	if b <= 2 {
@@ -187,7 +182,7 @@ func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
 	}
 	base := float64(p.opts.BaseLevelBytes)
 	fanout := math.Pow(float64(v.LevelSize(b))/base, 1/float64(b-1))
-	fanout = max(minFanout, min(fanout, float64(p.opts.Multiplier)))
+	fanout = max(minFanout, min(fanout, LevelMultiplier))
 	size := base
 	for l := 2; l < b; l++ {
 		size *= fanout
@@ -201,7 +196,7 @@ func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
 // compaction trigger. Above 1 the level is owed a compaction.
 func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64, scores [manifest.NumLevels]float64) {
 	targets = p.Targets(v)
-	scores[0] = float64(len(v.Levels[0])) / float64(p.opts.L0CompactionTrigger)
+	scores[0] = float64(len(v.Levels[0])) / L0CompactionTrigger
 	for l := 1; l < manifest.NumLevels; l++ {
 		scores[l] = float64(v.LevelSize(l)) / float64(targets[l])
 	}
@@ -214,7 +209,7 @@ func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64,
 // excess over its target (the last level has nowhere to go).
 func (p *Picker) Debt(v *manifest.Version) int64 {
 	var debt int64
-	if len(v.Levels[0]) >= p.opts.L0CompactionTrigger {
+	if len(v.Levels[0]) >= L0CompactionTrigger {
 		debt += logicalBytes(v, v.Levels[0])
 	}
 	targets := p.Targets(v)
@@ -233,7 +228,7 @@ func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
 	if !p.opts.TriadDisk {
 		return false
 	}
-	if numL0 >= p.opts.MaxFilesL0 {
+	if numL0 >= MaxFilesL0 {
 		return false // forced
 	}
 	var total float64
@@ -244,7 +239,7 @@ func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
 		return true
 	}
 	ratio := hll.OverlapRatio(sketches)
-	return ratio < p.opts.OverlapRatioThreshold
+	return ratio < OverlapRatioThreshold
 }
 
 // Pick returns the next compaction job for version v, or nil if the tree
@@ -271,15 +266,15 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 	canFold, rent, logs := p.l0Folds(l0)
 	// A flush adds at most about one full log: act before it could carry
 	// L0 past the ceiling.
-	atCeiling := canFold && logs+p.opts.L0LogBytes/int64(p.opts.MaxFilesL0) > p.opts.L0LogBytes
-	if len(l0) >= p.opts.L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
+	atCeiling := canFold && logs+p.opts.L0LogBytes/MaxFilesL0 > p.opts.L0LogBytes
+	if len(l0) >= L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
 		// Baseline behaviour per §3(2): "files in L0 are compacted to
 		// higher levels one at a time, resulting in several consecutive
 		// compaction operations" — merge the oldest L0 file alone.
 		inputs := l0[len(l0)-1:] // L0 is ordered newest-first
 		deferred := false
 		if p.opts.TriadDisk {
-			if len(l0) >= p.opts.L0CompactionTrigger && !atCeiling {
+			if len(l0) >= L0CompactionTrigger && !atCeiling {
 				sketches := make([]*hll.Sketch, 0, len(l0))
 				for _, f := range l0 {
 					if s := sketchOf(f); s != nil {

@@ -62,7 +62,6 @@ func (s Scale) engine(mode string) lsm.Options {
 	o.FlushThresholdBytes = s.MemtableBytes / 2
 	o.BaseLevelBytes = 8 * s.MemtableBytes
 	o.TargetFileBytes = s.MemtableBytes
-	o.LevelMultiplier = 10
 	switch mode {
 	case "triad":
 		o.TriadMem, o.TriadDisk, o.TriadLog = true, true, true

@@ -43,8 +43,8 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 }
 
 // CompactOnce runs at most one compaction synchronously and reports
-// whether one ran (false also when TRIAD-DISK deferred). For tests and
-// the tuning example; normal operation compacts in the background.
+// whether one ran (false also when TRIAD-DISK deferred). For tests;
+// normal operation compacts in the background.
 func (db *DB) CompactOnce() (bool, error) {
 	return db.compactOnceLocked(false)
 }

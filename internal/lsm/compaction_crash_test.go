@@ -151,9 +151,9 @@ func TestCompactionCrashPoints(t *testing.T) {
 	})
 	t.Run("spill-merge-move", func(t *testing.T) {
 		options := func(fs *vfs.MemFS) Options {
-			o := deepOptions(fs)
-			o.BlockBytes = 4 << 10      // fewer writes per table, fewer images
-			o.BaseLevelBytes = 16 << 10 // L3 opens within ten drains
+			o := ladderOptions(fs)
+			o.BlockBytes = 4 << 10     // fewer writes per table, fewer images
+			o.BaseLevelBytes = 8 << 10 // L3 opens within ten drains
 			return o
 		}
 		events, images := compactAllCrashPoints(t, options, func(db *DB) map[string]string {

@@ -9,20 +9,32 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
-// deepOptions shrinks the level targets so a few thousand small writes
-// build a four-level tree, and leaves compaction to the test.
-func deepOptions(fs *vfs.MemFS) Options {
+// ladderOptions shrinks the level targets to KiB and leaves compaction to
+// the test. Its static ladder would be 32 / 320 / 3200 KiB: the third level
+// opens once L2 outgrows 320 KiB, and a bottom level of ~16x BaseLevelBytes
+// then sizes L2 at a quarter of that.
+func ladderOptions(fs *vfs.MemFS) Options {
 	o := smallOptions(fs)
 	o.TargetFileBytes = 8 << 10
 	o.BaseLevelBytes = 32 << 10
-	o.LevelMultiplier = 4
 	o.DisableAutoCompaction = true
+	return o
+}
+
+// deepOptions shrinks L1 to 6 KiB (a 6 / 60 / 600 KiB ladder) and the
+// files with it, so that a few thousand small writes build a three-level
+// tree and thirty thousand a four-level one.
+func deepOptions(fs *vfs.MemFS) Options {
+	o := ladderOptions(fs)
+	o.TargetFileBytes = 3 << 10
+	o.BaseLevelBytes = 6 << 10
 	return o
 }
 
@@ -172,8 +184,9 @@ func settle(t *testing.T, db *DB, st *cutStats) {
 // merge at a time. After every single compaction the level invariants hold
 // and every output file ends at a grandparent boundary, at the cap or
 // before a file its level keeps; at the end the store, and every snapshot,
-// scan equal to a map oracle. The journal shows a merge by every rule: an
-// L0 merge, an L0 merge spilling into L2 and a min-overlap push.
+// scan equal to a map oracle. The journal shows a merge by every rule — an
+// L0 merge, an L0 merge spilling into L2 and a min-overlap push — and a
+// trivial move.
 func TestCompactionShapeRandomized(t *testing.T) {
 	o := deepOptions(vfs.NewMemFS())
 	o.Events = obs.NewJournal(4096)
@@ -272,6 +285,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 			t.Fatalf("compaction entry is neither a move nor a merge with its discard count: %q", e.Detail)
 		}
 		if strings.Contains(e.Detail, "trivial move") {
+			why["trivial move"] = true
 			continue // each rule below must have run a merge, not a relink
 		}
 		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", " L1 ranges spilled to L2 ("} {
@@ -280,8 +294,8 @@ func TestCompactionShapeRandomized(t *testing.T) {
 			}
 		}
 	}
-	if len(why) != 3 {
-		t.Fatalf("journal does not show merges by all three rules (L0 overlap, min-overlap, spill): %v", why)
+	if len(why) != 4 {
+		t.Fatalf("journal does not show all four rules (L0 overlap, min-overlap and spill merges, a move): %v", why)
 	}
 	if db.Metrics().BytesSpilled == 0 {
 		t.Fatal("no L0 merge spilled; the check of the spill's cuts is vacuous")
@@ -487,15 +501,6 @@ func TestGetZeroAllocLevels(t *testing.T) {
 	}
 }
 
-// ladderOptions is a tree whose static ladder would be 32 / 320 / 3200
-// KiB: the third level opens once L2 outgrows 320 KiB, and a bottom level
-// of ~16x BaseLevelBytes then sizes L2 at a quarter of that.
-func ladderOptions(fs *vfs.MemFS) Options {
-	o := deepOptions(fs)
-	o.LevelMultiplier = 10
-	return o
-}
-
 // bottomOf returns the deepest non-empty level and the bytes held above it.
 func bottomOf(levels []LevelStat) (bottom int, above int64) {
 	for l, ls := range levels {
@@ -577,8 +582,8 @@ func TestLadderFollowsBottomLevel(t *testing.T) {
 	if limit := levels[3].Bytes * 45 / 100; above > limit {
 		t.Fatalf("%d bytes above the bottom level's %d, want at most %d: %+v", above, levels[3].Bytes, limit, levels)
 	}
-	if levels[1].Target != o.BaseLevelBytes || levels[2].Target >= o.BaseLevelBytes*o.LevelMultiplier ||
-		levels[3].Target != o.BaseLevelBytes*o.LevelMultiplier*o.LevelMultiplier {
+	if levels[1].Target != o.BaseLevelBytes || levels[2].Target >= o.BaseLevelBytes*compaction.LevelMultiplier ||
+		levels[3].Target != o.BaseLevelBytes*compaction.LevelMultiplier*compaction.LevelMultiplier {
 		t.Fatalf("targets not sized from the bottom level: %+v", levels)
 	}
 	var compacted int64

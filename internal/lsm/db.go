@@ -470,7 +470,7 @@ func (db *DB) WaitWritable() error {
 	// Neither stall condition can hold below these two counts, and the
 	// commit checks again under its lock, so the usual answer costs two
 	// atomic loads and no lock.
-	if v := db.view.Load(); v != nil && len(v.imms) <= db.opts.MaxImmutableMemtables && int(db.l0Count.Load()) < db.opts.L0StallFiles {
+	if v := db.view.Load(); v != nil && len(v.imms) <= maxImmutableMemtables && db.l0Count.Load() < l0StallFiles {
 		return nil
 	}
 	db.mu.Lock()
@@ -482,17 +482,17 @@ func (db *DB) WaitWritable() error {
 }
 
 // stallLocked applies write backpressure: writers wait while the flush
-// queue is full or L0 has accumulated L0StallFiles tables (RocksDB's
+// queue is full or L0 has accumulated l0StallFiles tables (RocksDB's
 // stop-writes trigger) — the mechanism through which background-I/O debt
 // reaches user-facing throughput (§3). Caller holds db.mu.
 func (db *DB) stallLocked() error {
 	l0Stall := func() bool {
 		return !db.noBackgroundIO && !db.opts.DisableAutoCompaction &&
-			int(db.l0Count.Load()) >= db.opts.L0StallFiles
+			db.l0Count.Load() >= l0StallFiles
 	}
 	var stallStart time.Time
 	var reason string
-	for !db.closed && (len(db.imm) > db.opts.MaxImmutableMemtables || l0Stall()) {
+	for !db.closed && (len(db.imm) > maxImmutableMemtables || l0Stall()) {
 		if stallStart.IsZero() {
 			stallStart = time.Now()
 			if l0Stall() {
@@ -710,20 +710,23 @@ type LevelStat struct {
 	Target int64
 	// Score is the level's compaction pressure (compaction.Picker.Scores):
 	// Bytes over Target, or for L0 its file count over
-	// L0CompactionTrigger. Above 1 the picker owes the level a compaction.
+	// compaction.L0CompactionTrigger. Above 1 the picker owes the level a
+	// compaction.
 	Score float64
 	// CompactedBytes totals the bytes written by compactions that took
 	// their input from this level since the DB opened; over all levels it
 	// sums to the BytesCompacted counter.
 	CompactedBytes int64
 	// Probes counts the level's tables that lookups (Get, snapshot Get)
-	// consulted since the DB opened: every L0 table down to the one that
-	// held the key, and the one table of a deeper level whose range holds
-	// it. FilterNegatives are the probes a Bloom filter turned away, having
-	// read nothing. BlockReads and LogReads are the disk reads the probes
-	// charged: blocks the cache did not hold, and the commit-log records of
+	// consulted since the DB opened: the tables whose range holds the key,
+	// in L0 down to the one that held it. Each probe is a filter negative,
+	// a filter false positive or a hit: FilterNegatives are the probes a
+	// Bloom filter turned away, having read nothing, and
+	// FilterFalsePositives those it passed for a key the table does not
+	// hold. BlockReads and LogReads are the disk reads the probes charged:
+	// blocks the cache did not hold, and the commit-log records of
 	// CL-SSTable values. Over all levels the two sum to TableDiskReads.
-	Probes, FilterNegatives, BlockReads, LogReads int64
+	Probes, FilterNegatives, FilterFalsePositives, BlockReads, LogReads int64
 }
 
 // LevelStats reports every level's shape, target and pressure, indexed by
@@ -737,11 +740,12 @@ func (db *DB) LevelStats() []LevelStat {
 	for l := range out {
 		out[l] = LevelStat{
 			Files: len(v.Levels[l]), Bytes: v.LevelSize(l), Target: targets[l], Score: scores[l],
-			CompactedBytes:  db.compactedFrom[l].Load(),
-			Probes:          db.gets[l].probes.Load(),
-			FilterNegatives: db.gets[l].filterNegatives.Load(),
-			BlockReads:      db.gets[l].blockReads.Load(),
-			LogReads:        db.gets[l].logReads.Load(),
+			CompactedBytes:       db.compactedFrom[l].Load(),
+			Probes:               db.gets[l].probes.Load(),
+			FilterNegatives:      db.gets[l].filterNegatives.Load(),
+			FilterFalsePositives: db.gets[l].falsePositives.Load(),
+			BlockReads:           db.gets[l].blockReads.Load(),
+			LogReads:             db.gets[l].logReads.Load(),
 		}
 	}
 	for _, f := range v.Levels[0] {

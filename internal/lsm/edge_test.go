@@ -92,7 +92,6 @@ func TestWriteBackpressure(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
 	o.MemtableBytes = 4 << 10 // rotate constantly
-	o.MaxImmutableMemtables = 1
 	db := mustOpen(t, o)
 	defer db.Close()
 	var wg sync.WaitGroup
@@ -113,7 +112,7 @@ func TestWriteBackpressure(t *testing.T) {
 	db.mu.Lock()
 	queued := len(db.imm)
 	db.mu.Unlock()
-	if queued > o.MaxImmutableMemtables+1 {
+	if queued > maxImmutableMemtables+1 {
 		t.Fatalf("flush queue grew to %d", queued)
 	}
 	for w := 0; w < 4; w++ {
@@ -131,9 +130,7 @@ func TestWriteBackpressure(t *testing.T) {
 // bound (the flush worker alone could outrun compaction forever).
 func TestL0StallBoundsFileCount(t *testing.T) {
 	fs := vfs.NewMemFS()
-	o := smallOptions(fs)
-	o.L0StallFiles = 6
-	db := mustOpen(t, o)
+	db := mustOpen(t, smallOptions(fs))
 	defer db.Close()
 	maxL0 := 0
 	for i := 0; i < 10000; i++ {
@@ -147,8 +144,8 @@ func TestL0StallBoundsFileCount(t *testing.T) {
 		}
 	}
 	// A small overshoot is possible (flushes in flight while stalled).
-	if maxL0 > o.L0StallFiles+o.MaxImmutableMemtables+1 {
-		t.Fatalf("L0 grew to %d files despite stall trigger %d", maxL0, o.L0StallFiles)
+	if maxL0 > l0StallFiles+maxImmutableMemtables+1 {
+		t.Fatalf("L0 grew to %d files despite stall trigger %d", maxL0, l0StallFiles)
 	}
 	if maxL0 == 0 {
 		t.Fatal("workload never built L0 files; test ineffective")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/manifest"
 	"repro/internal/vfs"
 )
 
@@ -123,10 +124,11 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 // --- Lookup cost by level ---
 
 // TestGetsDecomposeByLevel: every table a lookup probes is charged to its
-// level, with the probes its filter turned away and the disk reads it
-// cost, block and log reads apart. Log reads happen only where
-// CL-SSTables live (L0 under TRIAD-LOG), and over all levels the reads sum
-// exactly to TableDiskReads — snapshot lookups included.
+// level, with the disk reads it cost, block and log reads apart, and each
+// probe is exactly one of a filter negative, a filter false positive or the
+// hit that answers the lookup. Log reads happen only where CL-SSTables live
+// (L0 under TRIAD-LOG), and over all levels the reads sum exactly to
+// TableDiskReads — snapshot lookups included.
 func TestGetsDecomposeByLevel(t *testing.T) {
 	o := triadSmall(vfs.NewMemFS())
 	o.DisableAutoCompaction = true
@@ -156,6 +158,9 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
+	// hits[l] counts the lookups level l answers: L0 holds the new values,
+	// and an old one is in the first deeper level that has it.
+	var hits [manifest.NumLevels]int64
 	for i := 0; i < 2000; i += 3 {
 		key := []byte(fmt.Sprintf("key-%05d", i))
 		want := "old"
@@ -170,14 +175,27 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 				t.Fatalf("Get(%s~) = %v, want not found", key, err)
 			}
 		}
+		home := 0
+		for l := 1; want == "old" && l < manifest.NumLevels; l++ {
+			if _, ok := entryAt(t, db, l, key); ok {
+				home = l
+				break
+			}
+		}
+		hits[home] += 2 // db.Get and snap.Get
 	}
 
-	var reads, negatives int64
+	var reads, negatives, falsePositives int64
 	for l, ls := range db.LevelStats() {
 		reads += ls.BlockReads + ls.LogReads
 		negatives += ls.FilterNegatives
-		if ls.FilterNegatives > ls.Probes || ls.Probes > 0 && ls.Files == 0 {
+		falsePositives += ls.FilterFalsePositives
+		if ls.Probes > 0 && ls.Files == 0 {
 			t.Fatalf("L%d: %+v", l, ls)
+		}
+		if ls.FilterNegatives+ls.FilterFalsePositives+hits[l] != ls.Probes {
+			t.Fatalf("L%d: %d probes are not %d filter negatives + %d false positives + %d hits", l,
+				ls.Probes, ls.FilterNegatives, ls.FilterFalsePositives, hits[l])
 		}
 		if l == 0 && ls.LogReads == 0 || l > 0 && ls.LogReads != 0 {
 			t.Fatalf("L%d charged %d log reads; only L0's CL-SSTables hold values in logs", l, ls.LogReads)
@@ -186,7 +204,7 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 	if m := db.Metrics(); reads != m.TableDiskReads || reads == 0 {
 		t.Fatalf("levels charged %d reads, TableDiskReads = %d", reads, m.TableDiskReads)
 	}
-	if negatives == 0 {
-		t.Fatal("no filter turned an absent key away")
+	if negatives == 0 || falsePositives == 0 {
+		t.Fatalf("%d filter negatives, %d false positives: want both", negatives, falsePositives)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/bgsched"
+	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
 	"repro/internal/obs"
@@ -78,7 +79,7 @@ func (db *DB) requestCompactLocked() {
 		return
 	}
 	class := bgsched.ClassDeep
-	if int(db.l0Count.Load()) >= db.opts.L0CompactionTrigger {
+	if db.l0Count.Load() >= compaction.L0CompactionTrigger {
 		class = bgsched.ClassL0
 	}
 	db.compactQueued = true

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -172,7 +173,7 @@ func TestFoldRacesFlush(t *testing.T) {
 	if err := db.CompactAll(); err != nil { // an L1 for a merge to rewrite
 		t.Fatal(err)
 	}
-	for r := 1; r <= o.L0CompactionTrigger; r++ {
+	for r := 1; r <= compaction.L0CompactionTrigger; r++ {
 		write(fmt.Sprintf("v%d", r))
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -276,7 +277,7 @@ func TestL0LogCeiling(t *testing.T) {
 	o.Events = obs.NewJournal(10000)
 	db := mustOpen(t, o)
 	defer db.Close()
-	ceiling := int64(o.MaxFilesL0) * o.CommitLogBytes
+	ceiling := compaction.MaxFilesL0 * o.CommitLogBytes
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 60; round++ {
 		for i := 0; i < 400; i++ {

@@ -423,6 +423,63 @@ func (f *crashFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// kv is one write of a crash run; value "" deletes the key.
+type kv struct{ key, value string }
+
+// crashImage is one image of a crash run: the filesystem as it stood after
+// one change, the options it reopens under, and what it must recover —
+// every acknowledged write at its latest value (acked, "" deleted), except
+// that the write in flight when the image was taken (inflight, if any) may
+// or may not have made it.
+type crashImage struct {
+	n        int    // 1 for the run's first image
+	what     string // the change after which it was taken
+	fs       *vfs.MemFS
+	o        Options
+	acked    map[string]string
+	inflight *kv
+}
+
+// check reopens the image and reports what it did not recover: the store
+// must be consistent and hold every acknowledged write, with no table file
+// its levels do not list and no unpinned log but the fresh one.
+func (img crashImage) check(t *testing.T) error {
+	ro := img.o
+	ro.FS, ro.Events = img.fs, nil
+	ro.DisableAutoCompaction = true // the files checked are recovery's alone
+	db, err := Open(ro)
+	if err != nil {
+		return fmt.Errorf("Open: %w", err)
+	}
+	defer db.Close()
+	if err := db.CheckConsistency(); err != nil {
+		return fmt.Errorf("CheckConsistency: %w", err)
+	}
+	if tables := unlistedTables(t, db, img.fs); len(tables) > 0 {
+		return fmt.Errorf("table files no level lists after recovery: %v", tables)
+	}
+	if logs := unpinnedLogs(t, db, img.fs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
+		return fmt.Errorf("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
+	}
+	holds := func(key, want string) bool {
+		got, err := db.Get([]byte(key))
+		if want == "" {
+			return errors.Is(err, ErrNotFound)
+		}
+		return err == nil && string(got) == want
+	}
+	for key, want := range img.acked {
+		if in := img.inflight; in != nil && key == in.key && holds(key, in.value) {
+			continue // the write in flight made it
+		}
+		if !holds(key, want) {
+			got, err := db.Get([]byte(key))
+			return fmt.Errorf("Get(%q) = %q, %v; acknowledged %q", key, got, err, want)
+		}
+	}
+	return nil
+}
+
 // TestLogRetirementCrashPoints crashes a skewed run — flush skips that carry
 // stragglers, log-full and explicit flushes, under TRIAD-LOG folds of L0,
 // every append synced — after every single change it makes to the
@@ -436,30 +493,41 @@ func TestLogRetirementCrashPoints(t *testing.T) {
 	for _, triadLog := range []bool{false, true} {
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("TriadLog=%v/seed=%d", triadLog, seed), func(t *testing.T) {
-				crashPoints(t, triadLog, seed)
+				failed := false
+				retireRun(t, triadLog, seed, func(img crashImage) {
+					if failed {
+						return
+					}
+					if err := img.check(t); err != nil {
+						failed = true
+						t.Errorf("crash after %q, image %d: %v", img.what, img.n, err)
+					}
+				})
 			})
 		}
 	}
 }
 
-func crashPoints(t *testing.T, triadLog bool, seed int64) {
+// retireRun runs TestLogRetirementCrashPoints' skewed workload over a
+// crashFS and hands onImage every image of it. The acked map of an image is
+// the run's own and changes once onImage returns.
+func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)) {
 	// The whole run is laid out beforehand: images are checked on whichever
 	// goroutine changed the filesystem, against a history nobody is writing.
-	type op struct{ key, value string } // value "" deletes
 	const puts = 1500
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]op, puts)
+	ops := make([]kv, puts)
 	for i := range ops {
 		v := fmt.Sprintf("%040d", i)
 		switch r := rng.Intn(100); {
 		case r < 55: // hot: rewritten in every log
-			ops[i] = op{fmt.Sprintf("hot-%d", rng.Intn(5)), v}
+			ops[i] = kv{fmt.Sprintf("hot-%d", rng.Intn(5)), v}
 		case r < 88: // warm: a version in every other log or so, and cold
-			ops[i] = op{fmt.Sprintf("warm-%02d", rng.Intn(30)), v}
+			ops[i] = kv{fmt.Sprintf("warm-%02d", rng.Intn(30)), v}
 		case r < 91:
-			ops[i] = op{fmt.Sprintf("warm-%02d", rng.Intn(30)), ""}
+			ops[i] = kv{fmt.Sprintf("warm-%02d", rng.Intn(30)), ""}
 		default: // written once: carried from log to log until a flush
-			ops[i] = op{fmt.Sprintf("once-%04d", i), v}
+			ops[i] = kv{fmt.Sprintf("once-%04d", i), v}
 		}
 	}
 
@@ -474,52 +542,16 @@ func crashPoints(t *testing.T, triadLog bool, seed int64) {
 	var acked atomic.Int64 // ops[:acked] returned; ops[acked] may be in flight
 	state := map[string]string{}
 	applied, images := 0, 0
-	failed := false
 	cfs.onImage = func(what string, image *vfs.MemFS) {
-		if failed {
-			return
-		}
-		fail := func(format string, args ...any) {
-			failed = true
-			t.Errorf("crash after %q, image %d, %d writes acknowledged: %s", what, images, applied, fmt.Sprintf(format, args...))
-		}
 		images++
 		for n := int(acked.Load()); applied < n; applied++ {
 			state[ops[applied].key] = ops[applied].value
 		}
-		ro := o
-		ro.FS = image
-		db, err := Open(ro)
-		if err != nil {
-			fail("Open: %v", err)
-			return
+		img := crashImage{n: images, what: what, fs: image, o: o, acked: state}
+		if applied < len(ops) {
+			img.inflight = &ops[applied]
 		}
-		defer db.Close()
-		if err := db.CheckConsistency(); err != nil {
-			fail("CheckConsistency: %v", err)
-			return
-		}
-		if logs := unpinnedLogs(t, db, image); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
-			fail("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
-			return
-		}
-		check := func(key, want string) bool {
-			got, err := db.Get([]byte(key))
-			if want == "" {
-				return errors.Is(err, ErrNotFound)
-			}
-			return err == nil && string(got) == want
-		}
-		for key, want := range state {
-			if applied < len(ops) && key == ops[applied].key && check(key, ops[applied].value) {
-				continue // the write in flight made it
-			}
-			if !check(key, want) {
-				got, err := db.Get([]byte(key))
-				fail("Get(%q) = %q, %v; acknowledged %q", key, got, err, want)
-				return
-			}
-		}
+		onImage(img)
 	}
 
 	db := mustOpen(t, o)

@@ -8,6 +8,19 @@ import (
 	"repro/internal/vfs"
 )
 
+// Writers wait on two constants, not options.
+const (
+	// l0StallFiles stops writes while L0 holds at least this many files
+	// (RocksDB's level0_stop_writes_trigger, at LevelDB's value): the
+	// backpressure that makes user throughput feel compaction debt (paper
+	// §3's bottleneck). It exceeds compaction.MaxFilesL0 so that TRIAD-DISK
+	// can still defer (TestEngineConstants).
+	l0StallFiles = 12
+	// maxImmutableMemtables bounds the flush queue; writers stall beyond it
+	// (RocksDB's write-stall behaviour).
+	maxImmutableMemtables = 2
+)
+
 // Options configures a DB. The zero value is not usable; start from
 // DefaultOptions (the RocksDB-like baseline) or TriadOptions (all three
 // techniques on, with the paper's parameters: overlap threshold 0.4, max 6
@@ -46,42 +59,16 @@ type Options struct {
 	// that leaves at least half of CommitLogBytes free.
 	FlushThresholdBytes int64
 
-	// OverlapRatioThreshold is TRIAD-DISK's compaction gate (paper: 0.4).
-	OverlapRatioThreshold float64
-	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
-	// regardless of overlap (paper: 6): it merges L0 into L1, or with
-	// TRIAD-LOG may fold it into one CL-SSTable instead, and then L0 is
-	// merged once the folds' index bytes reach the L1 bytes the merge
-	// rewrites, or once L0 pins MaxFilesL0 × CommitLogBytes of commit log
-	// (compaction.Picker.Pick).
-	MaxFilesL0 int
-	// L0CompactionTrigger is the baseline L0 file-count trigger
-	// (RocksDB default: 4).
-	L0CompactionTrigger int
-	// L0StallFiles stops writes while L0 holds at least this many files,
-	// RocksDB's level0_stop_writes_trigger: the backpressure that makes
-	// user throughput feel compaction debt (paper §3's bottleneck).
-	// It must exceed MaxFilesL0 so TRIAD-DISK can still defer.
-	L0StallFiles int
-
 	// BaseLevelBytes is the L1 size target, the only level whose target
 	// is a constant: the levels between L1 and the deepest non-empty
 	// level are sized from that level's actual bytes, by equal fan-out
 	// (compaction.Picker.Targets), so they never hold more than the
 	// bottom level's size calls for.
 	BaseLevelBytes int64
-	// LevelMultiplier is the largest fan-out between adjacent levels
-	// before a level is added: the deepest level opens the next one when
-	// it outgrows BaseLevelBytes * LevelMultiplier^(level-1).
-	LevelMultiplier int64
 	// TargetFileBytes caps each compaction output file.
 	TargetFileBytes int64
 	// BlockBytes is the SSTable data-block size.
 	BlockBytes int
-
-	// MaxImmutableMemtables bounds the flush queue; writers stall beyond
-	// it (RocksDB's write-stall behaviour).
-	MaxImmutableMemtables int
 
 	// BlockCacheBytes sizes the data-block cache (0 disables it). Cache
 	// hits do not count as disk accesses for read amplification, matching
@@ -125,19 +112,13 @@ type Options struct {
 // the figures): leveled compaction, classic flushes, no TRIAD techniques.
 func DefaultOptions(fs vfs.FS) Options {
 	return Options{
-		FS:                    fs,
-		MemtableBytes:         4 << 20,
-		CommitLogBytes:        16 << 20,
-		FlushThresholdBytes:   2 << 20,
-		OverlapRatioThreshold: 0.4,
-		MaxFilesL0:            6,
-		L0CompactionTrigger:   4,
-		L0StallFiles:          12,
-		BaseLevelBytes:        8 << 20,
-		LevelMultiplier:       10,
-		TargetFileBytes:       2 << 20,
-		BlockBytes:            4 << 10,
-		MaxImmutableMemtables: 2,
+		FS:                  fs,
+		MemtableBytes:       4 << 20,
+		CommitLogBytes:      16 << 20,
+		FlushThresholdBytes: 2 << 20,
+		BaseLevelBytes:      8 << 20,
+		TargetFileBytes:     2 << 20,
+		BlockBytes:          4 << 10,
 	}
 }
 
@@ -147,8 +128,8 @@ func DefaultOptions(fs vfs.FS) Options {
 // its CL-SSTables' indexes merged into one CL-SSTable over all of their
 // commit logs, no value read or rewritten — until the index bytes the
 // folds wrote reach the L1 bytes a merge would rewrite, or L0 pins
-// MaxFilesL0 × CommitLogBytes of log; each L1 rewrite so takes in a larger
-// batch of L0 than MaxFilesL0 flushes.
+// compaction.MaxFilesL0 × CommitLogBytes of log; each L1 rewrite so takes in
+// a larger batch of L0 than MaxFilesL0 flushes.
 func TriadOptions(fs vfs.FS) Options {
 	o := DefaultOptions(fs)
 	o.TriadMem = true
@@ -167,26 +148,8 @@ func (o *Options) withDefaults() {
 	if o.FlushThresholdBytes <= 0 {
 		o.FlushThresholdBytes = o.MemtableBytes / 2
 	}
-	if o.OverlapRatioThreshold <= 0 {
-		o.OverlapRatioThreshold = 0.4
-	}
-	if o.MaxFilesL0 <= 0 {
-		o.MaxFilesL0 = 6
-	}
-	if o.L0CompactionTrigger <= 0 {
-		o.L0CompactionTrigger = 4
-	}
-	if o.L0StallFiles <= 0 {
-		o.L0StallFiles = 12
-	}
-	if o.L0StallFiles <= o.MaxFilesL0 {
-		o.L0StallFiles = o.MaxFilesL0 + 2
-	}
 	if o.BaseLevelBytes <= 0 {
 		o.BaseLevelBytes = 8 << 20
-	}
-	if o.LevelMultiplier <= 0 {
-		o.LevelMultiplier = 10
 	}
 	if o.TargetFileBytes <= 0 {
 		o.TargetFileBytes = 2 << 20
@@ -194,20 +157,13 @@ func (o *Options) withDefaults() {
 	if o.BlockBytes <= 0 {
 		o.BlockBytes = 4 << 10
 	}
-	if o.MaxImmutableMemtables <= 0 {
-		o.MaxImmutableMemtables = 2
-	}
 }
 
 func (o Options) pickerOptions() compaction.PickerOptions {
 	return compaction.PickerOptions{
-		L0CompactionTrigger:   o.L0CompactionTrigger,
-		BaseLevelBytes:        o.BaseLevelBytes,
-		Multiplier:            o.LevelMultiplier,
-		TriadDisk:             o.TriadDisk,
-		OverlapRatioThreshold: o.OverlapRatioThreshold,
-		MaxFilesL0:            o.MaxFilesL0,
-		L0LogBytes:            o.l0LogBytes(),
+		BaseLevelBytes: o.BaseLevelBytes,
+		TriadDisk:      o.TriadDisk,
+		L0LogBytes:     o.l0LogBytes(),
 	}
 }
 
@@ -218,5 +174,5 @@ func (o Options) l0LogBytes() int64 {
 	if !o.TriadDisk || !o.TriadLog {
 		return 0
 	}
-	return int64(o.MaxFilesL0) * o.CommitLogBytes
+	return compaction.MaxFilesL0 * o.CommitLogBytes
 }

@@ -30,7 +30,6 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	o, pool := schedOptions(fs, 1)
 	defer pool.Close()
 	o.MemtableBytes = 2 << 10
-	o.MaxImmutableMemtables = 1
 	o.DisableAutoCompaction = true // isolate the flush-queue stall path
 	o.Events = obs.NewJournal(256)
 
@@ -60,7 +59,7 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		db.mu.Lock()
-		wedged := len(db.imm) > o.MaxImmutableMemtables
+		wedged := len(db.imm) > maxImmutableMemtables
 		db.mu.Unlock()
 		if wedged {
 			break

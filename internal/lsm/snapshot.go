@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -310,8 +311,12 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 	if v == nil {
 		v = db.version
 	}
-	// L0: newest to oldest, all files (overlapping ranges).
+	// L0: newest to oldest, every file whose range holds the key (the
+	// ranges overlap).
 	for _, f := range v.Levels[0] {
+		if bytes.Compare(key, f.Smallest) < 0 || bytes.Compare(key, f.Largest) > 0 {
+			continue
+		}
 		e, found, err := db.probe(0, f, key, tr)
 		if err != nil {
 			return nil, err
@@ -338,10 +343,10 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, tr *obs.Trace) ([]
 }
 
 // levelGets counts what lookups cost on one level: the tables they probed,
-// the probes a Bloom filter turned away, and the disk reads they charged,
-// block and log reads apart (LevelStat).
+// the probes a Bloom filter turned away or passed in vain, and the disk
+// reads they charged, block and log reads apart (LevelStat).
 type levelGets struct {
-	probes, filterNegatives, blockReads, logReads atomic.Int64
+	probes, filterNegatives, falsePositives, blockReads, logReads atomic.Int64
 }
 
 // probe looks key up in table f of level l, charging what it cost to the
@@ -353,6 +358,9 @@ func (db *DB) probe(l int, f *manifest.FileMeta, key []byte, tr *obs.Trace) (bas
 	g.probes.Add(1)
 	if p.FilterNegative {
 		g.filterNegatives.Add(1)
+	}
+	if p.FalsePositive {
+		g.falsePositives.Add(1)
 	}
 	if p.BlockReads > 0 {
 		g.blockReads.Add(int64(p.BlockReads))

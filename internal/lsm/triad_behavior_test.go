@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compaction"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -93,29 +94,45 @@ func TestTriadMemFlushSkip(t *testing.T) {
 	}
 }
 
-// TestTriadDiskDefersCompaction: on a uniform workload (low L0 overlap),
-// TRIAD-DISK records deferrals and tolerates more L0 files than the
-// baseline trigger.
-func TestTriadDiskDefersCompaction(t *testing.T) {
-	fs := vfs.NewMemFS()
+// diskOptions is a TRIAD-DISK store that compacts only when asked, with a
+// memtable large enough that every flushL0 makes exactly one L0 file.
+func diskOptions(fs *vfs.MemFS) Options {
 	o := smallOptions(fs)
 	o.TriadDisk = true
-	o.L0CompactionTrigger = 2
-	o.MaxFilesL0 = 8
+	o.MemtableBytes = 1 << 20
+	o.CommitLogBytes = 4 << 20
 	o.DisableAutoCompaction = true
-	db := mustOpen(t, o)
-	defer db.Close()
-	// Three flushes of disjoint key ranges → negligible overlap.
-	for batch := 0; batch < 3; batch++ {
-		for i := 0; i < 200; i++ {
-			key := fmt.Sprintf("b%d-key-%04d", batch, i)
-			if err := db.Put([]byte(key), make([]byte, 64)); err != nil {
+	return o
+}
+
+// flushL0 writes the 150 keys of each batch and flushes them into one L0
+// file.
+func flushL0(t *testing.T, db *DB, batches ...int) {
+	t.Helper()
+	for _, b := range batches {
+		for i := 0; i < 150; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("b%d-key-%04d", b, i)), make([]byte, 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTriadDiskDefersCompaction: on a uniform workload (low L0 overlap),
+// TRIAD-DISK records deferrals and tolerates more L0 files than the
+// baseline trigger, and it merges all of L0 once the overlap reaches the
+// threshold, before MaxFilesL0 forces it.
+func TestTriadDiskDefersCompaction(t *testing.T) {
+	db := mustOpen(t, diskOptions(vfs.NewMemFS()))
+	defer db.Close()
+	// L0CompactionTrigger flushes of disjoint key ranges → negligible overlap.
+	var batches []int
+	for b := 0; b < compaction.L0CompactionTrigger; b++ {
+		flushL0(t, db, b)
+		batches = append(batches, b)
 	}
 	ran, err := db.CompactOnce()
 	if err != nil {
@@ -128,17 +145,11 @@ func TestTriadDiskDefersCompaction(t *testing.T) {
 		t.Fatal("no deferral recorded")
 	}
 
-	// Now overlap: rewrite the same ranges → high overlap ratio.
-	for batch := 0; batch < 3; batch++ {
-		for i := 0; i < 200; i++ {
-			key := fmt.Sprintf("b%d-key-%04d", batch, i)
-			if err := db.Put([]byte(key), make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	// One more file holding every key of the others: the ratio is
+	// 1 - 600/1200 = 0.5, over the threshold, with L0 still under MaxFilesL0.
+	flushL0(t, db, batches...)
+	if n := db.NumLevelFiles()[0]; n >= compaction.MaxFilesL0 {
+		t.Fatalf("setup failed: %d L0 files would force the merge", n)
 	}
 	ran, err = db.CompactOnce()
 	if err != nil {
@@ -156,27 +167,17 @@ func TestTriadDiskDefersCompaction(t *testing.T) {
 // TestTriadDiskForcedAtMaxFiles: L0 never exceeds MaxFilesL0 even with
 // zero overlap.
 func TestTriadDiskForcedAtMaxFiles(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := smallOptions(fs)
-	o.TriadDisk = true
-	o.L0CompactionTrigger = 2
-	o.MaxFilesL0 = 4
-	o.DisableAutoCompaction = true
-	db := mustOpen(t, o)
+	db := mustOpen(t, diskOptions(vfs.NewMemFS()))
 	defer db.Close()
-	for batch := 0; batch < 4; batch++ {
-		for i := 0; i < 150; i++ {
-			key := fmt.Sprintf("b%d-key-%04d", batch, i)
-			if err := db.Put([]byte(key), make([]byte, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	for b := 0; b < compaction.MaxFilesL0-1; b++ {
+		flushL0(t, db, b)
 	}
-	if got := db.NumLevelFiles()[0]; got < 4 {
-		t.Fatalf("setup failed: only %d L0 files", got)
+	if ran, err := db.CompactOnce(); err != nil || ran {
+		t.Fatalf("CompactOnce below MaxFilesL0 = %v, %v; want a deferral", ran, err)
+	}
+	flushL0(t, db, compaction.MaxFilesL0-1)
+	if got := db.NumLevelFiles()[0]; got != compaction.MaxFilesL0 {
+		t.Fatalf("setup failed: %d L0 files, want %d", got, compaction.MaxFilesL0)
 	}
 	ran, err := db.CompactOnce()
 	if err != nil {
@@ -274,7 +275,7 @@ func TestTriadLogCompactionReclaimsLogs(t *testing.T) {
 	}
 	// Without TRIAD-DISK the baseline policy compacts one L0 file at a
 	// time until the level is back under its trigger.
-	if got := db.NumLevelFiles()[0]; got >= o.L0CompactionTrigger {
+	if got := db.NumLevelFiles()[0]; got >= compaction.L0CompactionTrigger {
 		t.Fatalf("L0 still at/over trigger after CompactAll: %d files", got)
 	}
 	// Everything still readable from the compacted classic tables.

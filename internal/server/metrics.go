@@ -167,8 +167,9 @@ func (s *Server) MetricsText() string {
 			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count).", ll, ls.Target)
 			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
 			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
-			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: every L0 table down to the one holding the key, one table per deeper level.", ll, ls.Probes)
+			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: in L0 every table whose range holds the key down to the one holding it, one table per deeper level.", ll, ls.Probes)
 			p.Counter("triad_get_filter_negatives_total", "Of the level's probes, those its Bloom filters turned away without a read.", ll, ls.FilterNegatives)
+			p.Counter("triad_get_filter_false_positives_total", "Of the level's probes, those its Bloom filters passed for a key the table does not hold; the rest of the probes past the filter found the key.", ll, ls.FilterFalsePositives)
 			getReads := "Disk reads lookups charged on the level, by source: block (a block the cache did not hold) or log (a CL-SSTable value's commit-log record); sums over levels and sources to the reads behind triad_read_amplification."
 			p.Counter("triad_get_reads_total", getReads, ll+`,source="block"`, ls.BlockReads)
 			p.Counter("triad_get_reads_total", getReads, ll+`,source="log"`, ls.LogReads)

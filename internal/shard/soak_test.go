@@ -9,16 +9,14 @@ import (
 
 // TestSchedulerSoak is the race-detector soak gate for the shared
 // background pool: aggressive concurrent ingest into tiny memtables
-// with a low stop-writes trigger, so sealing, flush scheduling,
-// compactions and write stalls all fire constantly across shards
+// so sealing, flush scheduling, compactions and write stalls all fire
+// constantly across shards
 // contending for two workers — then a clean Close with nothing
 // left queued, running or lost.
 func TestSchedulerSoak(t *testing.T) {
 	eng := smallEngine()
-	eng.MemtableBytes = 8 << 10
-	eng.FlushThresholdBytes = 4 << 10
-	eng.MaxImmutableMemtables = 1
-	eng.L0StallFiles = 4
+	eng.MemtableBytes = 4 << 10
+	eng.FlushThresholdBytes = 2 << 10
 	db, err := Open(Options{
 		Shards:            4,
 		Engine:            eng,
@@ -60,6 +58,8 @@ func TestSchedulerSoak(t *testing.T) {
 	// exercised nothing.
 	if m := db.Metrics(); m.WriteStalls == 0 {
 		t.Error("soak never stalled a writer; tighten the configuration")
+	} else {
+		t.Logf("%d write stalls", m.WriteStalls)
 	}
 
 	// Spot-check that the last write of every writer survived the churn.

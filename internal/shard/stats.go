@@ -58,6 +58,7 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 			out[l].CompactedBytes += ls.CompactedBytes
 			out[l].Probes += ls.Probes
 			out[l].FilterNegatives += ls.FilterNegatives
+			out[l].FilterFalsePositives += ls.FilterFalsePositives
 			out[l].BlockReads += ls.BlockReads
 			out[l].LogReads += ls.LogReads
 			out[l].Score = max(out[l].Score, ls.Score)
@@ -175,13 +176,13 @@ func (db *DB) Stats() string {
 		}
 		fmt.Fprintf(&b, "  L%d: %s\n", l, ls)
 	}
-	fmt.Fprintf(&b, "gets by level (all shards: tables probed, of them turned away by the filter, disk reads charged):\n")
+	fmt.Fprintf(&b, "gets by level (all shards: tables probed, of them turned away by the filter or passed by it for an absent key, disk reads charged):\n")
 	for l, ls := range levels {
 		if ls.Probes == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  L%d: %d probes, %d filter negatives, %d block reads, %d log reads\n",
-			l, ls.Probes, ls.FilterNegatives, ls.BlockReads, ls.LogReads)
+		fmt.Fprintf(&b, "  L%d: %d probes, %d filter negatives, %d false positives, %d block reads, %d log reads\n",
+			l, ls.Probes, ls.FilterNegatives, ls.FilterFalsePositives, ls.BlockReads, ls.LogReads)
 	}
 	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)  L0 folds: %d\n",
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves, m.Folds)

@@ -1,8 +1,8 @@
-// Package shutdown is the small signal-handling helper shared by the
-// binaries (triadserver, triaddb): a context that cancels on SIGINT or
-// SIGTERM so main loops can drain and close the store cleanly instead of
-// dying mid-write. A second signal force-exits with the conventional
-// status 130 — the escape hatch when a drain hangs.
+// Package shutdown is triadserver's small signal-handling helper: a
+// context that cancels on SIGINT or SIGTERM so main loops can drain and
+// close the store cleanly instead of dying mid-write. A second signal
+// force-exits with the conventional status 130 — the escape hatch when a
+// drain hangs.
 package shutdown
 
 import (

@@ -46,62 +46,36 @@ type Cache struct {
 	nextID  atomic.Uint64
 }
 
-// CacheOptions configures NewCacheOpts.
-type CacheOptions struct {
-	// Bytes is the total capacity across all segments; <= 0 disables the
-	// cache (NewCacheOpts returns nil).
-	Bytes int64
-	// Segments is the lock-stripe count, rounded up to a power of two;
-	// 0 means 16. Small capacities collapse to fewer segments so each
-	// stripe stays big enough to hold several blocks.
-	Segments int
-	// PlainLRU disables the frequency-sketch admission filter and the
-	// probation/protected segmentation, leaving a plain LRU per segment.
-	// Combined with Segments: 1 this reproduces the engine's previous
-	// single-mutex LRU cache; it exists as the comparison baseline for
-	// the scan-resistance tests and contention benchmarks.
-	PlainLRU bool
-}
+const (
+	// cacheSegments is the lock-stripe count.
+	cacheSegments = 16
+	// minSegmentBytes keeps each stripe large enough for a handful of
+	// typical 4 KiB blocks; caches smaller than cacheSegments*minSegmentBytes
+	// get fewer stripes rather than degenerate ones.
+	minSegmentBytes = 32 << 10
+)
 
-// minSegmentBytes keeps each stripe large enough for a handful of
-// typical 4 KiB blocks; caches smaller than Segments*minSegmentBytes
-// get fewer stripes rather than degenerate ones.
-const minSegmentBytes = 32 << 10
-
-// NewCache returns a store-wide cache bounded to capacity bytes with
-// the default configuration (16 stripes, scan-resistant admission).
-// capacity <= 0 returns nil (caching disabled).
+// NewCache returns a store-wide cache bounded to capacity bytes, or nil
+// (caching disabled) when capacity <= 0.
 func NewCache(capacity int64) *Cache {
-	return NewCacheOpts(CacheOptions{Bytes: capacity})
-}
-
-// NewCacheOpts returns a cache configured by o, or nil when o.Bytes <= 0.
-func NewCacheOpts(o CacheOptions) *Cache {
-	if o.Bytes <= 0 {
+	if capacity <= 0 {
 		return nil
 	}
-	n := o.Segments
-	if n <= 0 {
-		n = 16
-	}
-	segs := 1
-	for segs < n {
-		segs <<= 1
-	}
-	for segs > 1 && o.Bytes/int64(segs) < minSegmentBytes {
+	segs := cacheSegments
+	for segs > 1 && capacity/int64(segs) < minSegmentBytes {
 		segs >>= 1
 	}
-	c := &Cache{segs: make([]*segment, segs), segMask: uint64(segs - 1), cap: o.Bytes}
-	per := o.Bytes / int64(segs)
+	c := &Cache{segs: make([]*segment, segs), segMask: uint64(segs - 1), cap: capacity}
+	per := capacity / int64(segs)
 	// Distribute the rounding remainder so segment capacities sum to the
 	// configured total.
-	rem := o.Bytes - per*int64(segs)
+	rem := capacity - per*int64(segs)
 	for i := range c.segs {
 		cap := per
 		if int64(i) < rem {
 			cap++
 		}
-		c.segs[i] = newSegment(cap, o.PlainLRU)
+		c.segs[i] = newSegment(cap)
 	}
 	return c
 }
@@ -253,7 +227,7 @@ func (h *Handle) Get(table, offset uint64) []byte {
 	var block []byte
 	if ok {
 		e := el.Value.(*centry)
-		if s.plain || e.prot {
+		if e.prot {
 			e.home(s).MoveToFront(el)
 		} else {
 			s.promote(el, e)
@@ -343,7 +317,7 @@ func (h *Handle) Put(table, offset uint64, block []byte) {
 			break
 		}
 		ve := vel.Value.(*centry)
-		if !s.plain && s.sketch.estimate(hv) < s.sketch.estimate(ve.hash) {
+		if s.sketch.estimate(hv) < s.sketch.estimate(ve.hash) {
 			s.rejects++
 			h.rejects.Add(1)
 			return
@@ -417,7 +391,6 @@ type segment struct {
 	protCap   int64 // protected-queue budget (80% of cap)
 	used      int64
 	protUsed  int64
-	plain     bool
 	probation list.List
 	protected list.List
 	items     map[cacheKey]*list.Element
@@ -426,16 +399,14 @@ type segment struct {
 	hits, misses, evictions, rejects int64
 }
 
-func newSegment(capacity int64, plain bool) *segment {
-	s := &segment{cap: capacity, protCap: capacity * 4 / 5, plain: plain}
+func newSegment(capacity int64) *segment {
+	s := &segment{cap: capacity, protCap: capacity * 4 / 5}
 	s.probation.Init()
 	s.protected.Init()
 	s.items = make(map[cacheKey]*list.Element)
-	if !plain {
-		// Size the sketch to roughly the number of 1 KiB granules the
-		// segment can hold — a few counters per typical 4 KiB block.
-		s.sketch = newSketch(int(capacity / 1024))
-	}
+	// Size the sketch to roughly the number of 1 KiB granules the segment
+	// can hold — a few counters per typical 4 KiB block.
+	s.sketch = newSketch(int(capacity / 1024))
 	return s
 }
 
@@ -527,9 +498,6 @@ func (sk *sketch) index(h uint64, i int) uint32 {
 
 // touch records one access.
 func (sk *sketch) touch(h uint64) {
-	if sk.words == nil {
-		return
-	}
 	added := false
 	for i := 0; i < 4; i++ {
 		idx := sk.index(h, i)
@@ -549,9 +517,6 @@ func (sk *sketch) touch(h uint64) {
 // estimate returns the key's approximate touch count in the current
 // window (min over the four probes).
 func (sk *sketch) estimate(h uint64) uint64 {
-	if sk.words == nil {
-		return 0
-	}
 	min := uint64(15)
 	for i := 0; i < 4; i++ {
 		idx := sk.index(h, i)

@@ -10,15 +10,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// plainLRU returns the pre-scan-resistant configuration: one segment,
-// one mutex, no admission filter — the engine's previous per-shard
-// cache, kept as the behavioural baseline.
-func plainLRU(capacity int64) *Cache {
-	return NewCacheOpts(CacheOptions{Bytes: capacity, Segments: 1, PlainLRU: true})
-}
-
+// TestBlockCacheLRU: a newcomer displaces the resident block nobody read
+// again, not the one a Get touched since.
 func TestBlockCacheLRU(t *testing.T) {
-	h := plainLRU(100).NewHandle()
+	h := NewCache(100).NewHandle()
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 40))
 	h.Put(1, 40, make([]byte, 40))
@@ -47,7 +42,7 @@ func TestBlockCacheLRU(t *testing.T) {
 }
 
 func TestBlockCacheOversizedNotAdmitted(t *testing.T) {
-	c := plainLRU(10)
+	c := NewCache(10)
 	h := c.NewHandle()
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
@@ -57,7 +52,7 @@ func TestBlockCacheOversizedNotAdmitted(t *testing.T) {
 }
 
 func TestBlockCacheReplaceSameKey(t *testing.T) {
-	c := plainLRU(1000)
+	c := NewCache(1000)
 	h := c.NewHandle()
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
@@ -146,10 +141,9 @@ func TestCacheTenantIsolation(t *testing.T) {
 // TestCacheScanResistance is the regression gate for the admission
 // filter: fill a hot working set, hammer it until it is established,
 // stream a full-keyspace one-touch scan 16x the cache size through the
-// same cache, then re-read the hot set. The scan-resistant default must
-// keep serving the hot set; the plain-LRU baseline must fail the same
-// floor (verifying the test has teeth — this is the behaviour the old
-// per-shard caches had).
+// same cache, then re-read the hot set. The cache must keep serving the
+// hot set; a set read only once must fail the same floor, so it is the
+// reads, not the scan's size, that keep the hot set.
 func TestCacheScanResistance(t *testing.T) {
 	const (
 		blockSize = 4 << 10
@@ -158,13 +152,13 @@ func TestCacheScanResistance(t *testing.T) {
 		scanSpan  = 4096 // 16 MiB of one-touch traffic
 		floor     = 0.75
 	)
-	hotRate := func(c *Cache) float64 {
+	hotRate := func(c *Cache, rounds int) float64 {
 		h := c.NewHandle()
 		defer h.Release()
 		blk := make([]byte, blockSize)
-		// Establish the hot set: enough rounds for promotion into the
-		// protected queue and a solid frequency-sketch footprint.
-		for round := 0; round < 8; round++ {
+		// Establish the hot set: with 8 rounds, enough for promotion into
+		// the protected queue and a solid frequency-sketch footprint.
+		for round := 0; round < rounds; round++ {
 			for i := uint64(0); i < hotBlocks; i++ {
 				if h.Get(1, i*blockSize) == nil {
 					h.Put(1, i*blockSize, blk)
@@ -185,15 +179,15 @@ func TestCacheScanResistance(t *testing.T) {
 		}
 		return float64(hits) / hotBlocks
 	}
-	if rate := hotRate(NewCache(capacity)); rate < floor {
-		t.Errorf("scan-resistant cache: hot hit rate %.2f after scan, want >= %.2f", rate, floor)
+	if rate := hotRate(NewCache(capacity), 8); rate < floor {
+		t.Errorf("hot hit rate %.2f after scan, want >= %.2f", rate, floor)
 	}
-	if rate := hotRate(plainLRU(capacity)); rate >= floor {
-		t.Errorf("plain LRU unexpectedly scan-resistant (hot rate %.2f) — the regression floor has no teeth", rate)
+	if rate := hotRate(NewCache(capacity), 1); rate >= floor {
+		t.Errorf("a set read once survived the scan (hit rate %.2f) — the regression floor has no teeth", rate)
 	}
 	// The deflected scan traffic must be visible in the stats.
 	c := NewCache(capacity)
-	_ = hotRate(c)
+	_ = hotRate(c, 8)
 	if st := c.Stats(); st.AdmissionRejects == 0 {
 		t.Error("no admission rejects recorded during the scan")
 	} else if st.Resident > st.Capacity {
@@ -209,7 +203,7 @@ func TestCacheScanResistance(t *testing.T) {
 // newcomer gets in.)
 func TestCacheWorkingSetLargerThanCacheEvicts(t *testing.T) {
 	const block, blocks, reads = 1 << 10, 8, 64
-	c := NewCacheOpts(CacheOptions{Bytes: blocks * block, Segments: 1})
+	c := NewCache(blocks * block) // one segment
 	h := c.NewHandle()
 	defer h.Release()
 	for i := uint64(0); i < reads; i++ {
@@ -234,8 +228,8 @@ func TestCacheWorkingSetLargerThanCacheEvicts(t *testing.T) {
 // touched twice moves to the protected queue and outlives a burst of
 // one-touch arrivals that flows through probation.
 func TestCacheProtectedPromotion(t *testing.T) {
-	// One segment so queue behaviour is exact; admission on.
-	c := NewCacheOpts(CacheOptions{Bytes: 8 << 10, Segments: 1})
+	// Small enough for one segment, so queue behaviour is exact.
+	c := NewCache(8 << 10)
 	h := c.NewHandle()
 	defer h.Release()
 	blk := make([]byte, 1<<10)

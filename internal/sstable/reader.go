@@ -145,6 +145,7 @@ func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, error)
 		p.FilterNegative = true
 		return base.Entry{}, false, p, nil
 	}
+	p.FalsePositive = true // until the key turns up
 	bi := seekBlocks(r.index, key)
 	if bi >= len(r.index) {
 		return base.Entry{}, false, p, nil
@@ -172,6 +173,7 @@ func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, error)
 		}
 		switch bytes.Compare(e.Key, key) {
 		case 0:
+			p.FalsePositive = false
 			return e.Clone(), true, p, nil
 		case 1:
 			return base.Entry{}, false, p, nil

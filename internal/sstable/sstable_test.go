@@ -80,18 +80,18 @@ func TestGetAbsent(t *testing.T) {
 	}
 	// In range but absent: the Bloom filter should usually skip (0
 	// reads, a filter negative); occasionally a false positive costs 1.
-	// Never found.
+	// Never found, and always exactly one of the two.
 	fpReads, negatives := 0, 0
 	for i := 0; i < 99; i++ {
 		_, found, p, err := r.Get([]byte(fmt.Sprintf("key-%05d-x", i)), nil)
 		if err != nil || found {
 			t.Fatalf("absent Get: found=%v err=%v", found, err)
 		}
+		if p.FilterNegative == p.FalsePositive || p.FalsePositive != (p.Reads() == 1) {
+			t.Fatalf("an absent in-range probe cost %+v", p)
+		}
 		if p.FilterNegative {
 			negatives++
-			if p.Reads() != 0 {
-				t.Fatalf("a filter negative cost %+v", p)
-			}
 		}
 		fpReads += p.Reads()
 	}

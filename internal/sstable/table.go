@@ -60,7 +60,10 @@ type Table interface {
 type Probe struct {
 	// FilterNegative reports that the key lay in the table's key range and
 	// its Bloom filter ruled it out, so the lookup read nothing.
-	FilterNegative bool
+	// FalsePositive reports that the filter passed the key but the table
+	// holds no entry for it. A lookup of a key in the table's range is
+	// exactly one of the two, or found.
+	FilterNegative, FalsePositive bool
 	// BlockReads counts the blocks the lookup read from the device (a block
 	// the cache held costs none). LogReads counts the commit-log records it
 	// read: a CL-SSTable's values, which are never cached.

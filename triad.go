@@ -60,10 +60,6 @@ type Options struct {
 	FS vfs.FS
 	// Profile picks the baseline or TRIAD configuration.
 	Profile Profile
-	// MemtableBytes overrides the memory-component budget when > 0.
-	MemtableBytes int64
-	// CommitLogBytes overrides the commit-log budget when > 0.
-	CommitLogBytes int64
 	// BlockCacheBytes, when > 0, is the STORE-WIDE data-block cache
 	// budget: one lock-striped, scan-resistant cache shared by all shards
 	// (not a per-shard slice), so cache memory follows whichever shards
@@ -75,8 +71,8 @@ type Options struct {
 	// independent engine instances — each with its own commit log,
 	// memtable, levels and background workers — multiplying the write
 	// paths for concurrent workloads. ShardFS must then be set (FS is
-	// ignored); the byte budgets above apply to each shard. The shard
-	// count must be stable across opens of the same store.
+	// ignored); the engine's memtable and commit-log budgets apply to each
+	// shard. The shard count must be stable across opens of the same store.
 	Shards int
 	// ShardFS supplies shard i's filesystem. Use ShardMemFS() for an
 	// ephemeral store or ShardDirs(dir) to root each shard in its own
@@ -149,12 +145,6 @@ func Open(o Options) (*DB, error) {
 			opts = lsm.DefaultOptions(nil)
 		default:
 			opts = lsm.TriadOptions(nil)
-		}
-		if o.MemtableBytes > 0 {
-			opts.MemtableBytes = o.MemtableBytes
-		}
-		if o.CommitLogBytes > 0 {
-			opts.CommitLogBytes = o.CommitLogBytes
 		}
 		if o.BlockCacheBytes > 0 {
 			opts.BlockCacheBytes = o.BlockCacheBytes

@@ -35,13 +35,13 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublicAPIOverrides: budgets set on an Advanced template reach the
+// store: a small memtable flushes.
 func TestPublicAPIOverrides(t *testing.T) {
-	db, err := Open(Options{
-		FS:             vfs.NewMemFS(),
-		Profile:        ProfileTriad,
-		MemtableBytes:  64 << 10,
-		CommitLogBytes: 256 << 10,
-	})
+	engine := TriadEngineOptions(nil)
+	engine.MemtableBytes = 64 << 10
+	engine.CommitLogBytes = 256 << 10
+	db, err := Open(Options{FS: vfs.NewMemFS(), Advanced: &engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,8 @@ func TestOpenRootLayoutCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err := Open(Options{FS: osfs(), MemtableBytes: 64 << 10, CommitLogBytes: 256 << 10})
+	eo := engine()
+	db, err := Open(Options{Advanced: &eo})
 	if err != nil {
 		t.Fatal(err)
 	}
