@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		enablePprof = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the -metrics listener (off by default: profiling endpoints let any client with HTTP access run CPU/heap captures, so bind -metrics to localhost when enabling)")
 		slowlogThr  = fs.Duration("slowlog-threshold", 10*time.Millisecond, "record commands slower than this in SLOWLOG")
 		traceSample = fs.Float64("trace-sample", 0, "sample this fraction of commands for end-to-end tracing (0: off, 1: every command); inspect with TRACE RECENT / TRACE GET / /debug/trace")
-		traceKeep   = fs.Int("trace-keep", 256, "finished traces retained in the TRACE ring")
 		cursorTTL   = fs.Duration("cursor-ttl", 60*time.Second, "close idle SCAN cursors (and release their pinned snapshots) after this long")
 		maxCursors  = fs.Int("max-cursors", 16, "cap on open SCAN cursors per connection")
 		bgWorkers   = fs.Int("bg-workers", 0, "background flush/compaction worker pool size shared by all shards; each task is one flush or one whole compaction (0: min(GOMAXPROCS, shards+2), floor 2)")
@@ -74,6 +73,21 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 	}
 	if *slowlogThr < 0 {
 		fmt.Fprintf(stderr, "triadserver: -slowlog-threshold %v: want a non-negative duration\n", *slowlogThr)
+		fs.Usage()
+		return 2
+	}
+	if *traceSample < 0 || *traceSample > 1 {
+		fmt.Fprintf(stderr, "triadserver: -trace-sample %v: want a fraction from 0 (off) to 1 (every command)\n", *traceSample)
+		fs.Usage()
+		return 2
+	}
+	if *cursorTTL <= 0 {
+		fmt.Fprintf(stderr, "triadserver: -cursor-ttl %v: want a positive duration\n", *cursorTTL)
+		fs.Usage()
+		return 2
+	}
+	if *maxCursors <= 0 {
+		fmt.Fprintf(stderr, "triadserver: -max-cursors %d: want a positive cursor count\n", *maxCursors)
 		fs.Usage()
 		return 2
 	}
@@ -111,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		MaxCursorsPerConn: *maxCursors,
 		SlowlogThreshold:  *slowlogThr,
 		TraceSample:       *traceSample,
-		TraceKeep:         *traceKeep,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)
 		},

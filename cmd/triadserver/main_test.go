@@ -246,6 +246,13 @@ func TestBadFlags(t *testing.T) {
 		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},
 		{"negative bg-workers names the flag", []string{"-bg-workers=-3"}, 2, "-bg-workers -3"},
 		{"negative slowlog-threshold", []string{"-slowlog-threshold", "-1ms"}, 2, "-slowlog-threshold -1ms"},
+		{"removed trace-keep flag", []string{"-trace-keep", "64"}, 2, "flag provided but not defined: -trace-keep"},
+		{"zero max-cursors", []string{"-max-cursors", "0"}, 2, "-max-cursors 0"},
+		{"negative max-cursors", []string{"-max-cursors", "-2"}, 2, "-max-cursors -2"},
+		{"zero cursor-ttl", []string{"-cursor-ttl", "0s"}, 2, "-cursor-ttl 0s"},
+		{"negative cursor-ttl", []string{"-cursor-ttl", "-5s"}, 2, "-cursor-ttl -5s"},
+		{"negative trace-sample", []string{"-trace-sample", "-0.5"}, 2, "-trace-sample -0.5"},
+		{"trace-sample above 1", []string{"-trace-sample", "1.5"}, 2, "-trace-sample 1.5"},
 	} {
 		var stdout, stderr syncBuffer
 		if code := run(tc.args, &stdout, &stderr, nil); code != tc.code {

@@ -1,5 +1,5 @@
-// Package client is the pooled, pipelining RESP client for triadserver,
-// used by the tests, the benchmark harness and the examples.
+// Package client is the pipelining RESP client for triadserver, used by
+// the tests, the benchmark harness and the examples.
 //
 // A Conn is one connection with two layers of API. The synchronous
 // helpers (Get, Set, Del, MGet, MSet, Scan, ...) issue one command and
@@ -15,18 +15,14 @@
 //		if _, err := c.Receive(); err != nil { ... }
 //	}
 //
-// A Pool holds idle connections for concurrent callers (checkout with
-// Get, return with Put). A Conn is not safe for concurrent use; a Pool
-// is.
+// A Conn is not safe for concurrent use: concurrent callers dial one
+// each.
 package client
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/resp"
@@ -38,53 +34,22 @@ type ServerError string
 // Error implements error.
 func (e ServerError) Error() string { return "server: " + string(e) }
 
-// ErrPoolClosed is returned by Pool.Get after Close.
-var ErrPoolClosed = errors.New("client: pool closed")
-
-// Conn is one client connection. Not safe for concurrent use — use a
-// Pool to share connections across goroutines.
+// Conn is one client connection. Not safe for concurrent use.
 type Conn struct {
 	nc net.Conn
-	cr *countingReader // wraps nc so retries can tell whether reply bytes arrived
 	r  *resp.Reader
 	w  *resp.Writer
 	// inflight counts sent-but-unreceived commands, to catch misuse.
 	inflight int
-	broken   bool // protocol or I/O error: the stream can no longer be trusted
 }
 
-// countingReader counts the bytes pulled off the wire, so a failed
-// reply read can prove no byte of the reply was consumed (making one
-// retry safe — the stream is still in sync).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Dial connects to a triadserver at addr.
+// Dial connects to a triadserver at addr, giving up after 5s.
 func Dial(addr string) (*Conn, error) {
-	return DialTimeout(addr, 5*time.Second)
-}
-
-// DialTimeout connects with a dial timeout.
-func DialTimeout(addr string, d time.Duration) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, d)
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(nc), nil
-}
-
-// NewConn wraps an established connection (tests use net.Pipe).
-func NewConn(nc net.Conn) *Conn {
-	cr := &countingReader{r: nc}
-	return &Conn{nc: nc, cr: cr, r: resp.NewReader(cr), w: resp.NewWriter(nc)}
+	return &Conn{nc: nc, r: resp.NewReader(nc), w: resp.NewWriter(nc)}, nil
 }
 
 // Close closes the connection.
@@ -96,7 +61,6 @@ func (c *Conn) Send(cmd string, args ...[]byte) error {
 	full = append(full, []byte(cmd))
 	full = append(full, args...)
 	if err := c.w.WriteCommand(full...); err != nil {
-		c.broken = true
 		return err
 	}
 	c.inflight++
@@ -104,20 +68,13 @@ func (c *Conn) Send(cmd string, args ...[]byte) error {
 }
 
 // Flush pushes queued commands to the server.
-func (c *Conn) Flush() error {
-	if err := c.w.Flush(); err != nil {
-		c.broken = true
-		return err
-	}
-	return nil
-}
+func (c *Conn) Flush() error { return c.w.Flush() }
 
 // Receive reads the next reply in pipeline order. Error replies are
 // returned as ServerError; the connection stays usable after them.
 func (c *Conn) Receive() (resp.Value, error) {
 	v, err := c.r.ReadReply()
 	if err != nil {
-		c.broken = true
 		return resp.Value{}, err
 	}
 	if c.inflight > 0 {
@@ -203,9 +160,8 @@ func (c *Conn) MSet(pairs ...[]byte) error {
 const DoneCursor = "0"
 
 // parseScanReply splits a SCAN/SCAN CONT reply [cursor, k1, v1, ...].
-func (c *Conn) parseScanReply(v resp.Value) (cursor string, keys, vals [][]byte, err error) {
+func parseScanReply(v resp.Value) (cursor string, keys, vals [][]byte, err error) {
 	if len(v.Elems) == 0 || len(v.Elems)%2 != 1 {
-		c.broken = true
 		return "", nil, nil, errors.New("client: malformed SCAN reply")
 	}
 	cursor = string(v.Elems[0].Str)
@@ -233,103 +189,22 @@ func (c *Conn) ScanOpen(start, limit []byte, count int) (cursor string, keys, va
 	if err != nil {
 		return "", nil, nil, err
 	}
-	return c.parseScanReply(v)
+	return parseScanReply(v)
 }
 
 // ScanCont fetches the next page of an open cursor. The returned cursor
 // is DoneCursor once the scan is exhausted (the server has already
 // released it).
-//
-// Unlike the other helpers, ScanCont retries its Flush and Receive once
-// on a transient connection error (a timeout): abandoning a ScanCont
-// midway strands the server-side cursor — and the snapshot it pins —
-// until the idle TTL reaps it, so one retry is worth the wire cost. The
-// retry never desynchronizes the pipeline: a failed command write
-// resumes from the exact byte offset already sent, and a failed reply
-// read is retried only when provably no reply byte had been consumed.
 func (c *Conn) ScanCont(cursor string, count int) (next string, keys, vals [][]byte, err error) {
-	args := [][]byte{[]byte("SCAN"), []byte("CONT"), []byte(cursor)}
+	args := [][]byte{[]byte("CONT"), []byte(cursor)}
 	if count > 0 {
 		args = append(args, []byte(fmt.Sprint(count)))
 	}
-	v, err := c.doRetryOnce(args)
+	v, err := c.Do("SCAN", args...)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	return c.parseScanReply(v)
-}
-
-// isTransient reports whether err is a transient connection error — a
-// timeout — after which the connection may still be intact.
-func isTransient(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// retryGrace is the deadline extension granted to a ScanCont retry. A
-// timeout usually means the caller's deadline on the net.Conn has
-// already passed, and an expired deadline fails every subsequent I/O
-// instantly — so without re-arming it, a retry could never succeed.
-const retryGrace = 2 * time.Second
-
-// rearm pushes the expired deadline forward by retryGrace so the retry
-// gets a real chance. Callers that manage deadlines set them per
-// operation, so granting one bounded grace window here does not disturb
-// their discipline; connections with no deadline support ignore the
-// error.
-func (c *Conn) rearm() {
-	_ = c.nc.SetDeadline(time.Now().Add(retryGrace))
-}
-
-// doRetryOnce issues one command like Do, but retries the flush and the
-// receive once each on a transient error. The command is encoded into a
-// standalone buffer and written directly to the connection: unlike a
-// buffered-writer Flush (whose error is sticky), a plain write can
-// resume from the offset it reached, so the retry cannot duplicate or
-// tear the command on the wire.
-func (c *Conn) doRetryOnce(args [][]byte) (resp.Value, error) {
-	if c.inflight != 0 {
-		return resp.Value{}, fmt.Errorf("client: command with %d replies outstanding (finish the pipeline first)", c.inflight)
-	}
-	var buf bytes.Buffer
-	bw := resp.NewWriter(&buf)
-	bw.WriteCommand(args...)
-	if err := bw.Flush(); err != nil { // unreachable on a bytes.Buffer
-		return resp.Value{}, err
-	}
-	data := buf.Bytes()
-	for sent, attempt := 0, 0; sent < len(data); attempt++ {
-		n, err := c.nc.Write(data[sent:])
-		sent += n
-		if err != nil {
-			if attempt == 0 && isTransient(err) {
-				c.rearm()
-				continue
-			}
-			c.broken = true
-			return resp.Value{}, err
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		pulled := c.cr.n
-		buffered := c.r.Buffered()
-		v, err := c.r.ReadReply()
-		if err == nil {
-			if v.IsError() {
-				return v, ServerError(v.Str)
-			}
-			return v, nil
-		}
-		// Safe to retry only when the reply hadn't started arriving: no
-		// byte was buffered before the read and none was pulled off the
-		// wire during it — the failed read consumed nothing.
-		if attempt == 0 && isTransient(err) && buffered == 0 && c.cr.n == pulled {
-			c.rearm()
-			continue
-		}
-		c.broken = true
-		return resp.Value{}, err
-	}
+	return parseScanReply(v)
 }
 
 // ScanClose releases an open cursor and its pinned snapshot.
@@ -460,105 +335,4 @@ func emptyOK(b []byte) []byte {
 		return []byte{}
 	}
 	return b
-}
-
-// Pool is a fixed-target pool of connections to one server. Get returns
-// an idle connection or dials a new one; Put returns it (broken
-// connections are dropped and redialed on demand). Safe for concurrent
-// use.
-type Pool struct {
-	addr string
-	size int
-
-	mu     sync.Mutex
-	idle   []*Conn
-	closed bool
-}
-
-// NewPool returns a pool keeping up to size idle connections to addr.
-func NewPool(addr string, size int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	return &Pool{addr: addr, size: size}
-}
-
-// Get checks out a connection (dialing if no idle one is available).
-func (p *Pool) Get() (*Conn, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if n := len(p.idle); n > 0 {
-		c := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return c, nil
-	}
-	p.mu.Unlock()
-	return Dial(p.addr)
-}
-
-// Put returns a connection to the pool. Broken connections (failed I/O,
-// desynchronized pipeline) and overflow beyond the pool size are closed.
-func (p *Pool) Put(c *Conn) {
-	if c == nil {
-		return
-	}
-	if c.broken || c.inflight != 0 {
-		c.Close()
-		return
-	}
-	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.size {
-		p.mu.Unlock()
-		c.Close()
-		return
-	}
-	p.idle = append(p.idle, c)
-	p.mu.Unlock()
-}
-
-// Close closes all idle connections; checked-out connections are closed
-// as they are Put back.
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	idle := p.idle
-	p.idle = nil
-	p.closed = true
-	p.mu.Unlock()
-	for _, c := range idle {
-		c.Close()
-	}
-	return nil
-}
-
-// Do checks out a connection, runs one command, and returns it.
-func (p *Pool) Do(cmd string, args ...[]byte) (resp.Value, error) {
-	c, err := p.Get()
-	if err != nil {
-		return resp.Value{}, err
-	}
-	v, err := c.Do(cmd, args...)
-	p.Put(c)
-	return v, err
-}
-
-// Set stores value under key via a pooled connection.
-func (p *Pool) Set(key, value []byte) error {
-	_, err := p.Do("SET", key, value)
-	return err
-}
-
-// Get fetches key via a pooled connection.
-func (p *Pool) GetKey(key []byte) (value []byte, found bool, err error) {
-	v, err := p.Do("GET", key)
-	if err != nil {
-		return nil, false, err
-	}
-	if v.Null {
-		return nil, false, nil
-	}
-	return v.Str, true, nil
 }

@@ -2,14 +2,16 @@ package client_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/lsm"
+	"repro/internal/resp"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -45,58 +47,96 @@ func startServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestPool: concurrent checkouts share a bounded idle set, broken
-// connections are dropped, and the convenience wrappers work.
-func TestPool(t *testing.T) {
-	addr := startServer(t)
-	p := client.NewPool(addr, 4)
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				key := []byte(fmt.Sprintf("pool-w%d-%d", w, i))
-				if err := p.Set(key, []byte("v")); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	v, found, err := p.GetKey([]byte("pool-w7-49"))
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("GetKey = %q, %v, %v", v, found, err)
-	}
-	if _, found, err = p.GetKey([]byte("absent")); err != nil || found {
-		t.Fatalf("absent key: found=%v err=%v", found, err)
-	}
-
-	// A connection with outstanding replies must not re-enter the pool.
-	c, err := p.Get()
+// fakeServer accepts one connection on loopback, reads one command and
+// hands the connection to reply, which scripts the server's answer.
+func fakeServer(t *testing.T, reply func(nc net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send("PING"); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(c) // inflight != 0: dropped, not pooled
-	if _, err := p.Do("PING"); err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := resp.NewReader(nc).ReadCommand(); err != nil {
+			return
+		}
+		reply(nc)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
 
-	p.Close()
-	if _, err := p.Get(); err != client.ErrPoolClosed {
-		t.Fatalf("Get after Close: %v", err)
+// TestScanContStillTalksToRealServer: ScanCont resumes a cursor opened by
+// ScanOpen against a real server, page after page, to DoneCursor.
+func TestScanContStillTalksToRealServer(t *testing.T) {
+	addr := startServer(t)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 25
+	for i := 0; i < n; i++ {
+		if err := c.Set([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursor, keys, _, err := c.ScanOpen(nil, nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pages := 1; cursor != client.DoneCursor; pages++ {
+		if pages > n {
+			t.Fatalf("cursor %q never finished", cursor)
+		}
+		var ks [][]byte
+		cursor, ks, _, err = c.ScanCont(cursor, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, ks...)
+	}
+	if len(keys) != n || string(keys[n-1]) != fmt.Sprintf("k%02d", n-1) {
+		t.Fatalf("paged %d keys, last %q; want %d", len(keys), keys[len(keys)-1], n)
+	}
+}
+
+// TestScanContNoRetryPermanent: a connection the server drops surfaces
+// as ScanCont's error at once; nothing is retried or resent.
+func TestScanContNoRetryPermanent(t *testing.T) {
+	addr := fakeServer(t, func(net.Conn) {}) // hangs up without a reply
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, _, err := c.ScanCont("c7", 10); !errors.Is(err, io.EOF) {
+		t.Fatalf("ScanCont on a dropped connection = %v, want EOF", err)
+	}
+}
+
+// TestScanContNoRetryMidReply: a reply torn partway through surfaces as
+// an error, never as a page parsed from half a reply.
+func TestScanContNoRetryMidReply(t *testing.T) {
+	addr := fakeServer(t, func(nc net.Conn) {
+		io.WriteString(nc, "*3\r\n$2\r\nc7\r\n$2\r\nk") // cut inside the key
+	})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, keys, _, err := c.ScanCont("c7", 10); err == nil || keys != nil {
+		t.Fatalf("ScanCont on a torn reply = %q, %v; want no keys and an error", keys, err)
 	}
 }
 

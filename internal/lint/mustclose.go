@@ -5,8 +5,10 @@ package lint
 // sstables, iterators own snapshots, block-cache handles own a
 // tenant's resident bytes, background pools own worker goroutines,
 // scheduler owner handles pin queued/running tasks, and compaction
-// merge/dedup iterators own every input table iterator under them;
-// each is reclaimed only by an explicit Close/Release (the finalizer
+// merge/dedup iterators own every input table iterator under them, and
+// client connections own a socket plus, on the server, the cursors and
+// pinned snapshots opened through them; each is reclaimed only by an
+// explicit Close/Release/Quit (the finalizer
 // safety net exists to count leaks, not to excuse them). Every
 // constructor result must therefore be closed/released on all
 // control-flow paths or escape to a tracked owner (returned, stored
@@ -15,7 +17,7 @@ package lint
 // shard specs cover them: type matching looks through aliases.
 var MustClose = &Analyzer{
 	Name: "mustclose",
-	Doc:  "snapshots, iterators, cache handles, pools and merge iterators must be closed/released or escape to an owner",
+	Doc:  "snapshots, iterators, cache handles, pools, merge iterators and client connections must be closed/released or escape to an owner",
 	Run: func(pass *Pass) {
 		runResourceSpecs(pass, []*resourceSpec{
 			{
@@ -88,6 +90,14 @@ var MustClose = &Analyzer{
 				creators:  []string{"NewDedupIterator"},
 				releases:  []string{"Close"},
 				what:      "compaction dedup iterator (*compaction.DedupIterator)",
+				verb:      "closed",
+			},
+			{
+				pkgSuffix: "internal/client",
+				typeName:  "Conn",
+				creators:  []string{"Dial"},
+				releases:  []string{"Close", "Quit"},
+				what:      "client connection (*client.Conn)",
 				verb:      "closed",
 			},
 		})

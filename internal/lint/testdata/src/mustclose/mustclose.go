@@ -9,6 +9,7 @@ package mustclose
 
 import (
 	"bgsched"
+	"client"
 	"compaction"
 	"lsm"
 	"shard"
@@ -326,4 +327,48 @@ func leakDedup(its []compaction.Iterator) int {
 		n++
 	}
 	return n
+}
+
+// --- client connections ---
+
+// leakConn pings and walks away: the socket, and every cursor the server
+// keeps for it, stay open.
+func leakConn(addr string) error {
+	c, err := client.Dial(addr) // want `client connection \(\*client\.Conn\) may not be closed`
+	if err != nil {
+		return err
+	}
+	return c.Ping()
+}
+
+// leakConnOnEarlyReturn quits on the happy path only.
+func leakConnOnEarlyReturn(addr string) error {
+	c, err := client.Dial(addr) // want `client connection \(\*client\.Conn\) may not be closed`
+	if err != nil {
+		return err
+	}
+	if err := c.Ping(); err != nil {
+		return err // connection leaks here
+	}
+	return c.Quit()
+}
+
+// connDeferClose is the canonical correct shape.
+func connDeferClose(addr string) error {
+	c, err := client.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.Ping()
+}
+
+// connQuit: QUIT closes the connection too.
+func connQuit(addr string) error {
+	c, err := client.Dial(addr)
+	if err != nil {
+		return err
+	}
+	c.Ping()
+	return c.Quit()
 }

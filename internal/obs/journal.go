@@ -96,8 +96,7 @@ func (e Event) String() string {
 // *Journal drops everything.
 type Journal struct {
 	mu   sync.Mutex
-	ring []Event
-	next uint64 // events ever added; ring[(next-1) % len] is newest
+	ring ring[Event]
 }
 
 // NewJournal returns a journal keeping the most recent n events.
@@ -105,7 +104,7 @@ func NewJournal(n int) *Journal {
 	if n <= 0 {
 		n = 1024
 	}
-	return &Journal{ring: make([]Event, n)}
+	return &Journal{ring: newRing[Event](n)}
 }
 
 // Add appends e, stamping Seq (and Time when unset). Nil-safe.
@@ -117,9 +116,8 @@ func (j *Journal) Add(e Event) {
 		e.Time = time.Now()
 	}
 	j.mu.Lock()
-	j.next++
-	e.Seq = j.next
-	j.ring[(j.next-1)%uint64(len(j.ring))] = e
+	e.Seq = j.ring.n + 1
+	j.ring.push(e)
 	j.mu.Unlock()
 }
 
@@ -131,7 +129,7 @@ func (j *Journal) Total() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.next
+	return j.ring.n
 }
 
 // Dropped reports how many events the ring has overwritten: a nonzero
@@ -142,10 +140,7 @@ func (j *Journal) Dropped() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.next > uint64(len(j.ring)) {
-		return j.next - uint64(len(j.ring))
-	}
-	return 0
+	return j.ring.dropped()
 }
 
 // Events returns up to max retained events, newest first (max <= 0:
@@ -156,16 +151,5 @@ func (j *Journal) Events(max int) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := j.next
-	if n > uint64(len(j.ring)) {
-		n = uint64(len(j.ring))
-	}
-	if max > 0 && uint64(max) < n {
-		n = uint64(max)
-	}
-	out := make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, j.ring[(j.next-1-i)%uint64(len(j.ring))])
-	}
-	return out
+	return j.ring.newest(max, 0)
 }

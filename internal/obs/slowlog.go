@@ -43,9 +43,8 @@ const maxSlowKeyBytes = 64
 type SlowLog struct {
 	thresh atomic.Int64 // nanoseconds
 	mu     sync.Mutex
-	ring   []SlowEntry
-	next   uint64
-	since  uint64 // next at the last Reset; earlier entries are dropped
+	ring   ring[SlowEntry]
+	since  uint64 // entries pushed before the last Reset; they are dropped
 }
 
 // NewSlowLog returns a slowlog keeping n entries over threshold.
@@ -53,7 +52,7 @@ func NewSlowLog(n int, threshold time.Duration) *SlowLog {
 	if n <= 0 {
 		n = 128
 	}
-	l := &SlowLog{ring: make([]SlowEntry, n)}
+	l := &SlowLog{ring: newRing[SlowEntry](n)}
 	l.thresh.Store(int64(threshold))
 	return l
 }
@@ -70,9 +69,8 @@ func (l *SlowLog) Observe(cmd string, key []byte, d time.Duration, trace uint64)
 	}
 	e := SlowEntry{Time: time.Now(), Dur: d, Cmd: cmd, Key: string(key), Trace: trace}
 	l.mu.Lock()
-	l.next++
-	e.ID = l.next
-	l.ring[(l.next-1)%uint64(len(l.ring))] = e
+	e.ID = l.ring.n + 1
+	l.ring.push(e)
 	l.mu.Unlock()
 }
 
@@ -91,7 +89,7 @@ func (l *SlowLog) Total() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.next
+	return l.ring.n
 }
 
 // Entries returns up to max retained entries, newest first (max <= 0:
@@ -102,18 +100,7 @@ func (l *SlowLog) Entries(max int) []SlowEntry {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.next - l.since
-	if n > uint64(len(l.ring)) {
-		n = uint64(len(l.ring))
-	}
-	if max > 0 && uint64(max) < n {
-		n = uint64(max)
-	}
-	out := make([]SlowEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, l.ring[(l.next-1-i)%uint64(len(l.ring))])
-	}
-	return out
+	return l.ring.newest(max, l.since)
 }
 
 // Reset drops the retained entries; lifetime IDs keep counting.
@@ -122,6 +109,6 @@ func (l *SlowLog) Reset() {
 		return
 	}
 	l.mu.Lock()
-	l.since = l.next
+	l.since = l.ring.n
 	l.mu.Unlock()
 }

@@ -224,8 +224,7 @@ type Tracer struct {
 	ids       atomic.Uint64
 
 	mu   sync.Mutex
-	ring []*Trace
-	next uint64
+	ring ring[*Trace]
 }
 
 // NewTracer returns a tracer sampling the given fraction of commands
@@ -243,7 +242,7 @@ func NewTracer(sample float64, keep int) *Tracer {
 	if sample < 1 {
 		th = uint64(sample * float64(1<<63) * 2)
 	}
-	return &Tracer{threshold: th, ring: make([]*Trace, keep)}
+	return &Tracer{threshold: th, ring: newRing[*Trace](keep)}
 }
 
 // Start begins a trace for the command if it is sampled, returning nil
@@ -279,8 +278,7 @@ func (t *Tracer) Finish(tr *Trace) {
 	tr.dur = time.Since(tr.time)
 	tr.mu.Unlock()
 	t.mu.Lock()
-	t.next++
-	t.ring[(t.next-1)%uint64(len(t.ring))] = tr
+	t.ring.push(tr)
 	t.mu.Unlock()
 }
 
@@ -299,7 +297,7 @@ func (t *Tracer) Finished() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.next
+	return t.ring.n
 }
 
 // Recent returns up to max retained finished traces, newest first
@@ -310,18 +308,7 @@ func (t *Tracer) Recent(max int) []*Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.next
-	if n > uint64(len(t.ring)) {
-		n = uint64(len(t.ring))
-	}
-	if max > 0 && uint64(max) < n {
-		n = uint64(max)
-	}
-	out := make([]*Trace, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, t.ring[(t.next-1-i)%uint64(len(t.ring))])
-	}
-	return out
+	return t.ring.newest(max, 0)
 }
 
 // Get returns the retained trace with the given id, or nil if it has
@@ -332,7 +319,7 @@ func (t *Tracer) Get(id uint64) *Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, tr := range t.ring {
+	for _, tr := range t.ring.slots {
 		if tr != nil && tr.id == id {
 			return tr
 		}

@@ -110,12 +110,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 32<<10)}
 }
 
-// Buffered reports the bytes read from the stream but not yet consumed
-// by decoding. A client deciding whether a failed read left the stream
-// in sync (nothing partially consumed) checks it alongside its own
-// count of bytes pulled off the wire.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
-
 // readLine reads one CRLF-terminated line of at most max payload bytes
 // and returns the payload (a fresh slice, CRLF stripped). When lenient,
 // a bare LF terminator is accepted (inline commands, telnet clients).
@@ -422,44 +416,14 @@ func (w *Writer) writeLine(t byte, s []byte) {
 	w.crlf()
 }
 
-// WriteSimple writes a simple-string reply (+s).
-func (w *Writer) WriteSimple(s string) error {
-	w.writeLine('+', []byte(s))
-	return w.err
-}
-
-// WriteError writes an error reply (-s).
-func (w *Writer) WriteError(s string) error {
-	w.writeLine('-', []byte(s))
-	return w.err
-}
-
-// WriteInt writes an integer reply (:n).
-func (w *Writer) WriteInt(n int64) error {
-	w.writeHeader(':', n)
-	return w.err
-}
-
 // WriteBulk writes a bulk-string reply.
 func (w *Writer) WriteBulk(b []byte) error {
 	w.writeBulkBytes(b)
 	return w.err
 }
 
-// WriteNullBulk writes the null bulk reply ($-1).
-func (w *Writer) WriteNullBulk() error {
-	w.writeHeader('$', -1)
-	return w.err
-}
-
-// WriteArrayHeader writes an array header (*n); the caller then writes
-// the n elements.
-func (w *Writer) WriteArrayHeader(n int) error {
-	w.writeHeader('*', int64(n))
-	return w.err
-}
-
-// WriteValue encodes an arbitrary reply value.
+// WriteValue encodes one reply value; it is the encoder for every reply
+// type.
 func (w *Writer) WriteValue(v Value) error {
 	switch v.Type {
 	case TypeSimple:

@@ -132,18 +132,17 @@ func assertValueEqual(t *testing.T, got, want Value) {
 	}
 }
 
-// TestWriterHelpers checks the dedicated reply writers against exact
-// wire bytes.
+// TestWriterHelpers checks WriteValue, once per reply type, and
+// WriteBulk against exact wire bytes.
 func TestWriterHelpers(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteSimple("OK")
-	w.WriteError("ERR nope")
-	w.WriteInt(12)
+	w.WriteValue(Simple("OK"))
+	w.WriteValue(Error("ERR nope"))
+	w.WriteValue(Int(12))
 	w.WriteBulk([]byte("hi"))
-	w.WriteNullBulk()
-	w.WriteArrayHeader(1)
-	w.WriteBulk(nil)
+	w.WriteValue(NullBulk())
+	w.WriteValue(Array(Bulk(nil)))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestWriterHelpers(t *testing.T) {
 func TestWriterSanitizesLineReplies(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteError("ERR bad\r\nkey")
+	w.WriteValue(Error("ERR bad\r\nkey"))
 	w.Flush()
 	if got, want := buf.String(), "-ERR bad  key\r\n"; got != want {
 		t.Fatalf("got %q, want %q", got, want)

@@ -98,16 +98,15 @@ func (c *conn) writeLoop() {
 	// ends them, so the reply_flush span and Finish happen there.
 	var ftr []*obs.Trace
 	for rep := range c.replies {
+		v := rep.v
 		if rep.pb != nil {
 			<-rep.pb.done
+			v = rep.ok
 			if rep.pb.err != nil {
-				c.w.WriteError(fmtErr(rep.pb.err))
-			} else {
-				c.w.WriteValue(rep.ok)
+				v = resp.Error(fmtErr(rep.pb.err))
 			}
-		} else {
-			c.w.WriteValue(rep.v)
 		}
+		c.w.WriteValue(v)
 		if rep.tracked {
 			ob.observe(rep.fam, rep.key, rep.start, rep.tr)
 		}
@@ -186,6 +185,10 @@ func (c *conn) trace(cmd string, key []byte, parseStart, now time.Time) *obs.Tra
 	}
 	return tr
 }
+
+// maxEchoedName bounds how much of an unknown command name its error
+// reply echoes.
+const maxEchoedName = 64
 
 // dispatch executes one parsed command. Commands are case-insensitive.
 func (c *conn) dispatch(args [][]byte, parseStart time.Time) {
@@ -310,7 +313,12 @@ func (c *conn) dispatch(args [][]byte, parseStart time.Time) {
 		}
 		c.send(resp.Simple("OK"))
 	default:
-		c.send(resp.Error(fmt.Sprintf("ERR unknown command '%s'", sanitize(cmd))))
+		// Hostile names reach the reply bounded and escaped: no control
+		// byte (CR/LF included) survives into the line.
+		if len(cmd) > maxEchoedName {
+			cmd = cmd[:maxEchoedName]
+		}
+		c.send(resp.Error(fmt.Sprintf("ERR unknown command '%s'", obs.EscapeText(cmd))))
 	}
 }
 
@@ -389,7 +397,7 @@ func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs
 // scanCount parses the optional COUNT argument, capped at the server's
 // per-page maximum.
 func (c *conn) scanCount(args [][]byte) (int, bool) {
-	count := c.srv.cfg.ScanMaxEntries
+	count := scanPageMax
 	if len(args) > 0 {
 		n, err := strconv.Atoi(string(args[0]))
 		if err != nil || n <= 0 {
@@ -596,18 +604,4 @@ func asciiUpper(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// sanitize keeps hostile command names printable inside error replies.
-func sanitize(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if c < 0x20 || c > 0x7e {
-			out[i] = '?'
-		}
-	}
-	if len(out) > 64 {
-		out = out[:64]
-	}
-	return string(out)
 }

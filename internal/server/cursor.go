@@ -50,7 +50,7 @@ type cursor struct {
 	owner *conn
 
 	// mu serializes page reads with the sweeper/teardown close. Page
-	// reads are bounded (ScanMaxEntries), so the hold is short.
+	// reads are bounded (scanPageMax), so the hold is short.
 	mu     sync.Mutex
 	snap   *shard.Snapshot
 	it     shard.Iter

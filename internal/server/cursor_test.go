@@ -290,6 +290,17 @@ func TestStatsAndMetricsReportCursors(t *testing.T) {
 	if !strings.Contains(stats, "1 cursors open") {
 		t.Fatalf("STATS missing cursor line:\n%s", stats)
 	}
+	// Store-wide snapshot hygiene is printed once, by the store; the
+	// per-shard rows ("  sN: ... snaps=open/leaked") carry their own.
+	hygiene := 0
+	for _, line := range strings.Split(stats, "\n") {
+		if strings.Contains(line, "leaked") && !strings.HasPrefix(line, "  s") {
+			hygiene++
+		}
+	}
+	if hygiene != 1 {
+		t.Fatalf("STATS prints store-wide snapshot hygiene %d times, want once:\n%s", hygiene, stats)
+	}
 	text := srv.MetricsText()
 	for _, want := range []string{"triad_server_cursors_open 1", "triad_snapshots_open", "triad_server_cursors_total 1"} {
 		if !strings.Contains(text, want) {

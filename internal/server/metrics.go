@@ -223,11 +223,11 @@ func (s *Server) MetricsText() string {
 	return b.String()
 }
 
-// statsText is the STATS / /stats body: the engine dump, the latency
-// quantile tables, and the server's own snapshot/cursor accounting.
+// statsText is the STATS / /stats body: the engine dump (snapshot
+// hygiene included), the latency quantile tables, and the server's
+// cursor counts.
 func (s *Server) statsText() string {
 	curOpen, curTotal := s.CursorStats()
 	return s.store.Stats() + s.ob.quantileTable() +
-		fmt.Sprintf("server: %d cursors open (%d lifetime), %d store snapshots open (%d leaked), %d overlay entries\n",
-			curOpen, curTotal, s.store.OpenSnapshots(), s.store.LeakedSnapshots(), s.store.OverlayEntries())
+		fmt.Sprintf("server: %d cursors open (%d lifetime)\n", curOpen, curTotal)
 }

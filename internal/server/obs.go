@@ -21,7 +21,7 @@ type serverObs struct {
 func newServerObs(cfg Config) *serverObs {
 	o := &serverObs{
 		slow:   obs.NewSlowLog(slowlogSize, cfg.SlowlogThreshold),
-		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceKeep),
+		tracer: obs.NewTracer(cfg.TraceSample, traceKeep),
 	}
 	for f := range o.cmd {
 		o.cmd[f] = obs.NewHist()

@@ -107,13 +107,17 @@ const maxPipeline = 1024
 // slowlogSize is the slowlog ring capacity.
 const slowlogSize = 128
 
+// scanPageMax caps one SCAN reply page; clients page through the rest
+// with SCAN CONT on the returned cursor.
+const scanPageMax = 4096
+
+// traceKeep is how many finished traces the server retains.
+const traceKeep = 256
+
 // Config tunes the server. The zero value is production-shaped: group
 // commit on (leader-based, no artificial delay), full instrumentation,
 // tracing off.
 type Config struct {
-	// ScanMaxEntries caps one SCAN reply page; clients page through the
-	// rest with SCAN CONT on the returned cursor. Default 4096.
-	ScanMaxEntries int
 	// CursorTTL closes a SCAN cursor (releasing its pinned snapshot)
 	// after this much idle time. Default 60s.
 	CursorTTL time.Duration
@@ -132,15 +136,9 @@ type Config struct {
 	// /debug/trace. 0 (the default) disables tracing; unsampled
 	// commands pay one random draw and zero allocations.
 	TraceSample float64
-	// TraceKeep is how many finished traces the server retains.
-	// Default 256.
-	TraceKeep int
 }
 
 func (c Config) withDefaults() Config {
-	if c.ScanMaxEntries <= 0 {
-		c.ScanMaxEntries = 4096
-	}
 	if c.CursorTTL <= 0 {
 		c.CursorTTL = 60 * time.Second
 	}
@@ -152,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowlogThreshold <= 0 {
 		c.SlowlogThreshold = 10 * time.Millisecond
-	}
-	if c.TraceKeep <= 0 {
-		c.TraceKeep = 256
 	}
 	return c
 }

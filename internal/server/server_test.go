@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -506,17 +507,26 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestScanAllWithSmallServerCap: ScanAll must page to exhaustion even
-// when the server's per-reply cap is smaller than the client's page
-// size (termination is on an empty page, not a short one).
+// TestScanAllWithSmallServerCap: a SCAN over more pairs than the
+// server's page cap (4096) returns one full page and a live cursor,
+// whether the client named no count or a larger one, and ScanAll pages
+// on to the end of the range.
 func TestScanAllWithSmallServerCap(t *testing.T) {
 	db := newTestStore(t, 4)
-	_, addr := startServer(t, db, server.Config{ScanMaxEntries: 7})
+	_, addr := startServer(t, db, server.Config{})
 	c := dial(t, addr)
 
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := c.Set([]byte(fmt.Sprintf("cap-%03d", i)), []byte("v")); err != nil {
+	const pageCap, n = 4096, 4200
+	fillStore(t, c, n)
+	for _, count := range []int{0, 2 * pageCap} {
+		cursor, keys, _, err := c.ScanOpen(nil, nil, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cursor == client.DoneCursor || len(keys) != pageCap {
+			t.Fatalf("count %d: cursor %q with %d keys, want a live cursor and %d keys", count, cursor, len(keys), pageCap)
+		}
+		if err := c.ScanClose(cursor); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -528,9 +538,43 @@ func TestScanAllWithSmallServerCap(t *testing.T) {
 		t.Fatalf("ScanAll returned %d keys, want %d", len(keys), n)
 	}
 	for i, k := range keys {
-		if want := fmt.Sprintf("cap-%03d", i); string(k) != want {
+		if want := fmt.Sprintf("key-%05d", i); string(k) != want {
 			t.Fatalf("key %d = %q, want %q", i, k, want)
 		}
+	}
+}
+
+// TestHostileCommandName: an unknown command 200 bytes long, full of
+// control bytes (CR and LF among them), earns one error line that
+// echoes only the name's first 64 bytes, escaped; the next reply is
+// still in sync.
+func TestHostileCommandName(t *testing.T) {
+	db := newTestStore(t, 1)
+	_, addr := startServer(t, db, server.Config{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	name := bytes.Repeat([]byte("Z\x00\r\n\x1b\xff"), 34)[:200]
+	w := resp.NewWriter(nc)
+	w.WriteCommand(name)
+	w.WriteCommand([]byte("PING"))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "-ERR unknown command '" + strings.Repeat(`Z\x00\x0d\x0a\x1b\xff`, 10) + `Z\x00\x0d\x0a` + "'\r\n"
+	if line != want {
+		t.Fatalf("reply line\n got %q\nwant %q", line, want)
+	}
+	if pong, err := br.ReadString('\n'); err != nil || pong != "+PONG\r\n" {
+		t.Fatalf("reply after the error = %q, %v; want +PONG", pong, err)
 	}
 }
 

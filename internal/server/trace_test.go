@@ -39,7 +39,7 @@ func parseSpanLines(t *testing.T, rendered string) (offs []time.Duration, kinds 
 // monotone offsets and the expected pipeline spans, and /debug/trace.
 func TestTraceRoundTrip(t *testing.T) {
 	db := newTestStore(t, 4)
-	srv, addr := startServer(t, db, server.Config{TraceSample: 1, TraceKeep: 64})
+	srv, addr := startServer(t, db, server.Config{TraceSample: 1})
 	c := dial(t, addr)
 
 	for i := 0; i < 5; i++ {
