@@ -5,10 +5,9 @@ package lint
 // testdata/src/<name>/ containing seeded violations annotated with
 // `// want "regexp"` comments on the line the diagnostic is reported
 // at, plus known-good code that must stay silent. Stub dependencies
-// (shard, lsm, sstable, obs, sync/atomic) live beside the targets and
-// are resolved by import path relative to testdata/src, so the
-// analyzers bind to them through the same suffix matching they use on
-// the real tree.
+// (shard, lsm, sstable, obs) live beside the targets and are resolved
+// by import path relative to testdata/src, so the analyzers bind to
+// them through the same suffix matching they use on the real tree.
 
 import (
 	"fmt"
@@ -26,9 +25,7 @@ import (
 )
 
 // stubLoader type-checks packages rooted at testdata/src, resolving
-// imports among them (including the sync/atomic stub, whose import
-// path must be exactly "sync/atomic" for the analyzers' package-path
-// tests to hold).
+// imports among them.
 type stubLoader struct {
 	fset *token.FileSet
 	root string

@@ -11,19 +11,20 @@
 //     resources (memtable overlays, zombie sstables, cache bytes);
 //     each constructor result must be closed/released on all paths or
 //     handed to a tracked owner.
-//   - nilsafeobs: the observability layer compiles down to pointer
-//     tests when disabled, which only works if every exported method
-//     on obs.Hist/Tracer/Trace/Journal/SlowLog guards the nil
-//     receiver before touching a field — and nothing outside
-//     internal/obs touches those fields at all.
-//   - atomicfield: a struct field accessed through sync/atomic
-//     anywhere must be accessed atomically everywhere, and raw 64-bit
-//     atomic fields must sit at 8-byte-aligned offsets on 32-bit
-//     targets.
+//   - nilsafeobs: tracing and the event journal compile down to
+//     pointer tests where they record nothing (an unsampled command,
+//     tracing off, a bare engine), which only works if every exported
+//     method on obs.Tracer/Trace/Journal guards the nil receiver
+//     before touching a field — and nothing outside internal/obs
+//     touches those fields at all.
 //   - metricname: metric names handed to the obs.Prom emission
 //     methods must be compile-time constants in triad_* snake_case
 //     with the conventional unit suffixes, so a new series cannot
 //     dodge the promlint exposition test.
+//
+// A rule too small for an analyzer lives in TestTreeIsClean: no file
+// uses a sync/atomic function, only the typed atomics, which cannot be
+// read plainly and are 8-byte aligned on every target.
 //
 // The suite is built directly on go/ast and go/types (the repository
 // is deliberately dependency-free, so golang.org/x/tools/go/analysis
@@ -43,7 +44,6 @@ func Analyzers() []*Analyzer {
 		TicketLeak,
 		MustClose,
 		NilSafeObs,
-		AtomicField,
 		MetricName,
 	}
 }

@@ -6,10 +6,9 @@ import "testing"
 // testdata/src: seeded violations must be reported (the `// want`
 // annotations) and the pinned-good idioms must stay silent.
 
-func TestTicketLeak(t *testing.T)  { runGolden(t, TicketLeak, "ticketleak") }
-func TestMustClose(t *testing.T)   { runGolden(t, MustClose, "mustclose") }
-func TestAtomicField(t *testing.T) { runGolden(t, AtomicField, "atomicfield") }
-func TestMetricName(t *testing.T)  { runGolden(t, MetricName, "metricname") }
+func TestTicketLeak(t *testing.T) { runGolden(t, TicketLeak, "ticketleak") }
+func TestMustClose(t *testing.T)  { runGolden(t, MustClose, "mustclose") }
+func TestMetricName(t *testing.T) { runGolden(t, MetricName, "metricname") }
 
 // nilsafeobs has two sides: the guard discipline inside the obs
 // package itself, and the no-direct-field-access rule for callers.
@@ -27,7 +26,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"ticketleak", "mustclose", "nilsafeobs", "atomicfield", "metricname"} {
+	for _, want := range []string{"ticketleak", "mustclose", "nilsafeobs", "metricname"} {
 		if !names[want] {
 			t.Errorf("analyzer %q not registered", want)
 		}

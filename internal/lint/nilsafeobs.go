@@ -7,12 +7,14 @@ import (
 )
 
 // obsNilSafeTypes are the observability types whose nil receiver is a
-// documented no-op. Nil receivers still occur — an unsampled request's
-// Trace, the Tracer of a server at -trace-sample 0, and the Journal of a
-// bare engine outside the sharded store — and rely on every exported
-// method compiling down to a pointer test, so instrumentation call sites
-// never branch.
-var obsNilSafeTypes = []string{"Hist", "Tracer", "Trace", "Journal", "SlowLog"}
+// documented no-op. Each is nil on a path that records nothing: an
+// unsampled request's Trace (Tracer.Start), the Tracer of a server at
+// -trace-sample 0 (NewTracer), and the Journal of a bare engine outside
+// the sharded store (lsm.Options.Events unset). Those rely on every
+// exported method compiling down to a pointer test, so instrumentation
+// call sites never branch. Hist and SlowLog are not listed: every one
+// comes from NewHist or NewSlowLog.
+var obsNilSafeTypes = []string{"Tracer", "Trace", "Journal"}
 
 // NilSafeObs enforces the obs layer's nil-receiver contract:
 //

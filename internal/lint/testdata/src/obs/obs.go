@@ -6,40 +6,16 @@
 // annotations; everything else must stay silent.
 package obs
 
-// Hist mirrors the latency histogram. Count is exported so the
-// caller-side golden test can attempt a direct field access.
+// Hist mirrors the latency histogram, which is not nil-safe: every one
+// comes from its constructor, so its methods need no guard and callers
+// may touch its fields.
 type Hist struct {
 	Count int64
 	sum   int64
 }
 
-// Observe guards before touching fields: the canonical shape.
-func (h *Hist) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.Count++
-	h.sum += v
-}
-
-// Sum forgot the guard.
 func (h *Hist) Sum() int64 {
-	return h.sum // want `Hist\.Sum accesses field sum before guarding the nil receiver`
-}
-
-// Mean reads a field in an expression before the guard statement.
-func (h *Hist) Mean() int64 {
-	n := h.Count // want `Hist\.Mean accesses field Count before guarding the nil receiver`
-	if h == nil {
-		return 0
-	}
-	return h.sum / n
-}
-
-// reset is unexported: the contract covers the exported API only.
-func (h *Hist) reset() {
-	h.sum = 0
-	h.Count = 0
+	return h.sum
 }
 
 type Trace struct {
@@ -54,6 +30,11 @@ func (t *Trace) Step() {
 		return
 	}
 	t.n++
+}
+
+// Len forgot the guard.
+func (t *Trace) Len() int {
+	return t.n // want `Trace\.Len accesses field n before guarding the nil receiver`
 }
 
 type Tracer struct{ sampled uint64 }
@@ -72,7 +53,19 @@ func (tr *Tracer) begin() *Trace {
 	return &Trace{}
 }
 
+// Sampled checks the wrong condition first: the nil test must lead
+// the short-circuit spine.
+func (tr *Tracer) Sampled(every uint64) bool {
+	if tr.sampled%every != 0 || tr == nil { // want `Tracer\.Sampled accesses field sampled before guarding the nil receiver`
+		return false
+	}
+	return true
+}
+
+// Journal's Total is exported so the caller-side golden test can
+// attempt a direct field access.
 type Journal struct {
+	Total   int64
 	events  []string
 	dropped int64
 }
@@ -84,6 +77,7 @@ func (j *Journal) Append(ev string) {
 		panic("nil journal")
 	}
 	j.events = append(j.events, ev)
+	j.Total++
 }
 
 // AddDropped may run statements that do not touch the receiver before
@@ -96,14 +90,19 @@ func (j *Journal) AddDropped(n int64) {
 	j.dropped += total
 }
 
-type SlowLog struct{ thresh int64 }
-
-// Observe checks the wrong condition first: the nil test must lead
-// the short-circuit spine.
-func (l *SlowLog) Observe(d int64) {
-	if d < l.thresh || l == nil { // want `SlowLog\.Observe accesses field thresh before guarding the nil receiver`
-		return
+// DropRate reads a field in an expression before the guard statement.
+func (j *Journal) DropRate() int64 {
+	n := j.Total // want `Journal\.DropRate accesses field Total before guarding the nil receiver`
+	if j == nil {
+		return 0
 	}
+	return j.dropped / n
+}
+
+// reset is unexported: the contract covers the exported API only.
+func (j *Journal) reset() {
+	j.events = nil
+	j.Total = 0
 }
 
 // Prom is the Prometheus exposition sink; it is not a nil-safe type,

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -154,7 +155,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	db.met.EntriesCompacted.Add(m.merged)
 	db.met.EntriesDiscarded.Add(m.discarded)
 
-	if err := db.installCompaction(all, m.outputs); err != nil {
+	if err := db.install(manifest.Edit{Added: m.outputs}, all, nil); err != nil {
 		return err
 	}
 	db.met.BytesCompactionRead.Add(inBytes)
@@ -247,7 +248,7 @@ func (db *DB) fold(job *compaction.Job) error {
 	}
 	meta.Size = written
 	meta.FoldBytes += written
-	if err := db.installCompaction(job.Inputs, []manifest.FileMeta{meta}); err != nil {
+	if err := db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, job.Inputs, nil); err != nil {
 		return err
 	}
 	db.met.Folds.Add(1)
@@ -272,22 +273,7 @@ func (db *DB) moveFile(job *compaction.Job) error {
 	f := job.Inputs[0]
 	moved := *f
 	moved.Level = job.OutputLevel
-	db.mu.Lock()
-	edit := manifest.Edit{
-		Deleted: []uint64{f.ID}, Added: []manifest.FileMeta{moved},
-		NextFileID: db.nextID, LastSeq: db.seq,
-	}
-	db.mu.Unlock()
-	if err := db.manifest.Append(edit); err != nil {
-		return err
-	}
-	db.versionMu.Lock()
-	nv, err := db.version.Apply(edit)
-	if err == nil {
-		db.version = nv
-	}
-	db.versionMu.Unlock()
-	if err != nil {
+	if err := db.install(manifest.Edit{Added: []manifest.FileMeta{moved}}, job.Inputs, nil); err != nil {
 		return err
 	}
 	db.met.TrivialMoves.Add(1)
@@ -485,65 +471,73 @@ func (m *merger) abort() {
 	m.outputs = nil
 }
 
-// installCompaction journals the edit, swaps the version, and removes the
-// consumed files (for CL-SSTables: the index, and the commit logs no other
-// table pins).
-func (db *DB) installCompaction(consumed []*manifest.FileMeta, outputs []manifest.FileMeta) error {
-	newTables := make(map[uint64]sstable.Table, len(outputs))
-	for i := range outputs {
-		t, err := db.openTable(&outputs[i])
-		if err != nil {
-			for _, nt := range newTables {
-				nt.Close()
-			}
-			return err
-		}
-		newTables[outputs[i].ID] = t
-	}
-	db.mu.Lock()
-	edit := manifest.Edit{Added: outputs, NextFileID: db.nextID, LastSeq: db.seq}
-	db.mu.Unlock()
+// install is the one way an edit reaches the tree: a flush's (flushing is
+// the memtable it wrote), a merge's, a fold's and a trivial move's. It
+// opens the tables edit adds, journals edit with the file and sequence
+// counters and, for a flush, the log number it advances to, publishes the
+// version and retires consumed, the files the edit deletes. A consumed
+// file the edit adds again has moved and keeps its open table, its cached
+// blocks and its snapshot pins. One a snapshot still pins becomes a zombie:
+// it leaves the version but keeps its open table and on-disk bytes until
+// the last pinning snapshot closes. The rest go at once, with the commit
+// logs only they pinned.
+func (db *DB) install(edit manifest.Edit, consumed []*manifest.FileMeta, flushing *immutable) error {
+	leaving := make(map[uint64]bool, len(consumed))
 	for _, f := range consumed {
 		edit.Deleted = append(edit.Deleted, f.ID)
+		leaving[f.ID] = true
 	}
-	if err := db.manifest.Append(edit); err != nil {
-		for _, nt := range newTables {
-			nt.Close()
+	opened := make(map[uint64]sstable.Table, len(edit.Added))
+	closeOpened := func() {
+		for _, t := range opened {
+			t.Close()
 		}
+	}
+	for i := range edit.Added {
+		f := &edit.Added[i]
+		if leaving[f.ID] {
+			delete(leaving, f.ID) // a move: the table is open and stays
+			continue
+		}
+		t, err := db.openTable(f)
+		if err != nil {
+			closeOpened()
+			return err
+		}
+		opened[f.ID] = t
+	}
+	db.mu.Lock()
+	edit.NextFileID, edit.LastSeq = db.nextID, db.seq
+	if flushing != nil {
+		edit.LogNumber = db.logNumberLocked(flushing)
+	}
+	db.mu.Unlock()
+	if err := db.manifest.Append(edit); err != nil {
+		closeOpened()
 		return err
 	}
 	db.versionMu.Lock()
 	nv, err := db.version.Apply(edit)
 	if err != nil {
 		db.versionMu.Unlock()
-		for _, nt := range newTables {
-			nt.Close()
-		}
+		closeOpened()
 		return err
 	}
 	db.version = nv
-	var closeErr error
-	// A consumed file a snapshot still pins becomes a zombie: it leaves
-	// the version but keeps its open table and on-disk bytes until the
-	// last pinning snapshot closes. Unpinned files go immediately.
+	maps.Copy(db.tables, opened)
+	db.logNumber = max(db.logNumber, edit.LogNumber)
 	var free []*manifest.FileMeta
 	for _, f := range consumed {
+		if !leaving[f.ID] {
+			continue // moved
+		}
 		if db.refs[f.ID] > 0 {
 			db.zombies[f.ID] = f
 			continue
 		}
-		if t, ok := db.tables[f.ID]; ok {
-			if err := t.Close(); err != nil && closeErr == nil {
-				closeErr = err
-			}
-			delete(db.tables, f.ID)
-		}
 		free = append(free, f)
 	}
-	logs := db.unpinnedLogsLocked(free)
-	for id, t := range newTables {
-		db.tables[id] = t
-	}
+	logs, closeErr := db.dropTablesLocked(free)
 	db.l0Count.Store(int32(len(nv.Levels[0])))
 	db.versionMu.Unlock()
 	// Wake writers stalled on the L0 file count.
@@ -553,10 +547,26 @@ func (db *DB) installCompaction(consumed []*manifest.FileMeta, outputs []manifes
 	if closeErr != nil {
 		return closeErr
 	}
-	for _, f := range free {
-		db.cache.EvictTable(f.ID)
+	_, err = db.removeTables(free, logs)
+	return err
+}
+
+// dropTablesLocked takes files, tables that have just left both the
+// version and the zombies, out of the open-table map, closing those still
+// open, and returns the commit logs only they pinned and the first close
+// error. Together with removeTables it is the one way a table leaves the
+// tree. Caller holds versionMu.
+func (db *DB) dropTablesLocked(files []*manifest.FileMeta) ([]uint64, error) {
+	var err error
+	for _, f := range files {
+		if t, ok := db.tables[f.ID]; ok {
+			if e := t.Close(); e != nil && err == nil {
+				err = e
+			}
+			delete(db.tables, f.ID)
+		}
 	}
-	return db.removeTableFiles(free, logs)
+	return db.unpinnedLogsLocked(files), err
 }
 
 // unpinnedLogsLocked returns the commit logs of files, tables that have
@@ -591,16 +601,20 @@ func (db *DB) unpinnedLogsLocked(files []*manifest.FileMeta) []uint64 {
 	return slices.DeleteFunc(logs, func(id uint64) bool { return pinned[id] })
 }
 
-// removeTableFiles deletes the files of tables that have left the tree and
-// then retires logs, the commit logs unpinnedLogsLocked found they were the
-// last to pin.
-func (db *DB) removeTableFiles(files []*manifest.FileMeta, logs []uint64) error {
+// removeTables evicts the blocks of files, tables dropTablesLocked took out
+// of the tree, deletes their files and then retires logs, the commit logs it
+// found they were the last to pin. It reports how many of the files it
+// deleted before the first error.
+func (db *DB) removeTables(files []*manifest.FileMeta, logs []uint64) (int, error) {
 	for _, f := range files {
+		db.cache.EvictTable(f.ID)
+	}
+	for i, f := range files {
 		if err := db.fs.Remove(tableFileName(f)); err != nil {
-			return err
+			return i, err
 		}
 	}
-	return db.retireLogs(logs...)
+	return len(files), db.retireLogs(logs...)
 }
 
 func closeAll(its []sstable.Iterator) {

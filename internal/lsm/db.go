@@ -20,6 +20,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -781,7 +782,7 @@ func (db *DB) Close() error {
 	// immutables a purged flush task left behind: a sealed memtable's
 	// flush must not be lost.
 	db.sched.Close()
-	db.drainImmutablesOnClose()
+	db.flushTask()
 
 	// Live snapshots cannot be read once the tables close; unregister
 	// them so their eventual Close/finalizer is a no-op, and reclaim the
@@ -822,14 +823,13 @@ func (db *DB) release() error {
 		keep(t.Close())
 	}
 	db.tables = nil
-	var zombies []*manifest.FileMeta
-	for _, f := range db.zombies {
-		zombies = append(zombies, f)
-	}
+	zombies := slices.Collect(maps.Values(db.zombies))
 	db.zombies = map[uint64]*manifest.FileMeta{}
-	logs := db.unpinnedLogsLocked(zombies)
+	logs, e := db.dropTablesLocked(zombies)
+	keep(e)
 	db.versionMu.Unlock()
-	keep(db.removeTableFiles(zombies, logs))
+	_, e = db.removeTables(zombies, logs)
+	keep(e)
 	// A long-lived store-wide cache must not accumulate blocks of closed
 	// shards.
 	db.cache.Release()

@@ -36,7 +36,8 @@ func (db *DB) scheduleFlushLocked() {
 
 // flushTask drains the whole immutable queue, so a burst of seals costs
 // one pool slot, and keeps draining after Close flips db.closed, since a
-// sealed memtable's flush must not be lost.
+// sealed memtable's flush must not be lost: Close runs it once more,
+// inline, for whatever a purged task left queued.
 func (db *DB) flushTask() {
 	db.mu.Lock()
 	for {
@@ -53,13 +54,16 @@ func (db *DB) flushTask() {
 
 		var err error
 		if disable {
-			err = db.discardImmutable(imm)
+			// Figure 2's "No BG I/O" variant: the sealed memtable is
+			// dropped with its logs; nothing reaches L0.
+			err = db.dropLogs(imm)
 		} else {
 			err = db.flushImmutable(imm)
 		}
 
 		db.mu.Lock()
-		db.popImmLocked()
+		db.imm = db.imm[1:]
+		db.publishViewLocked()
 		db.flushing--
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
@@ -114,40 +118,6 @@ func (db *DB) compactTask() {
 		db.requestCompactLocked()
 	}
 }
-
-// drainImmutablesOnClose flushes (or discards) whatever the purged
-// flush task left queued, so no sealed memtable is dropped.
-func (db *DB) drainImmutablesOnClose() {
-	db.mu.Lock()
-	for len(db.imm) > 0 && db.bgErr == nil {
-		imm := db.imm[0]
-		disable := db.noBackgroundIO
-		db.mu.Unlock()
-		var err error
-		if disable {
-			err = db.discardImmutable(imm)
-		} else {
-			err = db.flushImmutable(imm)
-		}
-		db.mu.Lock()
-		db.popImmLocked()
-		if err != nil && db.bgErr == nil {
-			db.bgErr = err
-		}
-	}
-	db.mu.Unlock()
-}
-
-// popImmLocked dequeues the flushed head of the immutable queue. Caller
-// holds db.mu.
-func (db *DB) popImmLocked() {
-	db.imm = db.imm[1:]
-	db.publishViewLocked()
-}
-
-// discardImmutable implements Figure 2's "No BG I/O" variant: the sealed
-// memtable is dropped and its logs removed; nothing reaches L0.
-func (db *DB) discardImmutable(imm *immutable) error { return db.dropLogs(imm) }
 
 // flushImmutable writes one sealed memtable to L0 (paper §2 Flushing,
 // §4.1 Algorithm 1 and §4.3 Figure 6 depending on the enabled techniques).
@@ -254,7 +224,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 	db.met.BytesFlushed.Add(written)
 	db.met.Flushes.Add(1)
 
-	if err := db.installFlush(imm, meta); err != nil {
+	if err := db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, nil, imm); err != nil {
 		return err
 	}
 	if db.opts.TriadLog {
@@ -350,35 +320,6 @@ func (db *DB) writeCLSSTable(imm *immutable, entries []*memtable.Entry) (manifes
 		LogID:      imm.log.ID(),
 		LogBytes:   imm.log.Size(),
 	}, written, nil
-}
-
-// installFlush journals and publishes imm's L0 table, meta, with the log
-// number its edit advances to.
-func (db *DB) installFlush(imm *immutable, meta manifest.FileMeta) error {
-	t, err := db.openTable(&meta)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	edit := manifest.Edit{Added: []manifest.FileMeta{meta}, NextFileID: db.nextID, LastSeq: db.seq, LogNumber: db.logNumberLocked(imm)}
-	db.mu.Unlock()
-	if err := db.manifest.Append(edit); err != nil {
-		t.Close()
-		return err
-	}
-	db.versionMu.Lock()
-	nv, err := db.version.Apply(edit)
-	if err != nil {
-		db.versionMu.Unlock()
-		t.Close()
-		return err
-	}
-	db.version = nv
-	db.tables[meta.ID] = t
-	db.logNumber = max(db.logNumber, edit.LogNumber)
-	db.l0Count.Store(int32(len(nv.Levels[0])))
-	db.versionMu.Unlock()
-	return nil
 }
 
 // logNumberLocked returns the oldest commit log a memtable other than

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -91,7 +92,7 @@ func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 		s.imms = append(s.imms, db.imm[i].mem)
 	}
 	// Capture the version and take a reference on every file it names
-	// under versionMu so a racing installCompaction either sees the refs
+	// under versionMu so a racing install either sees the refs
 	// (and zombies the files) or completes before the capture.
 	db.versionMu.Lock()
 	s.version = db.version
@@ -257,33 +258,33 @@ func (db *DB) releaseSnapshot(s *Snapshot) {
 			delete(db.refs, f.ID)
 			if z, ok := db.zombies[f.ID]; ok {
 				delete(db.zombies, f.ID)
-				if db.tables != nil {
-					if t, ok := db.tables[f.ID]; ok {
-						t.Close()
-						delete(db.tables, f.ID)
-					}
-					free = append(free, z)
-				}
+				free = append(free, z)
 			}
 		}
 	}
-	logs := db.unpinnedLogsLocked(free)
+	logs, err := db.dropTablesLocked(free)
 	db.versionMu.Unlock()
-	var freed int64
+	if len(free) == 0 {
+		return
+	}
+	// A failed removal is not fatal: what it leaves behind is in no
+	// version, so the next Open deletes it.
 	start := time.Now()
-	for _, f := range free {
-		db.cache.EvictTable(f.ID)
+	n, rerr := db.removeTables(free, logs)
+	err = cmp.Or(err, rerr)
+	var freed int64
+	for _, f := range free[:n] {
 		freed += f.Size
 	}
-	db.removeTableFiles(free, logs)
-	if len(free) > 0 {
-		db.met.BytesSnapshotGC.Add(freed)
-		db.opts.Events.Add(obs.Event{
-			Kind: obs.EventSnapshotGC, Shard: db.opts.EventShard, Level: -1,
-			Dur: time.Since(start), In: freed, Files: len(free),
-			Detail: "zombie tables reclaimed",
-		})
+	detail := "zombie tables reclaimed"
+	if err != nil {
+		detail = fmt.Sprintf("%d of %d zombie tables reclaimed: %v", n, len(free), err)
 	}
+	db.met.BytesSnapshotGC.Add(freed)
+	db.opts.Events.Add(obs.Event{
+		Kind: obs.EventSnapshotGC, Shard: db.opts.EventShard, Level: -1,
+		Dur: time.Since(start), In: freed, Files: n, Detail: detail,
+	})
 }
 
 // OpenSnapshots reports the number of live (unreleased) snapshots.

@@ -4,10 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // TestSnapshotFrozenView: a snapshot's Get and iterator ignore every
@@ -175,6 +180,157 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	}
 	if db.OpenSnapshots() != 0 {
 		t.Fatalf("OpenSnapshots = %d after close", db.OpenSnapshots())
+	}
+}
+
+// zombieStore opens a store with o, pins a snapshot on its flushed tables,
+// then overwrites every key and compacts the whole tree: the tables the
+// merges consume stay on disk as zombies only the snapshot keeps.
+func zombieStore(t *testing.T, o Options) (*DB, *Snapshot) {
+	t.Helper()
+	db := mustOpen(t, o)
+	fill := func(round int) {
+		for i := 0; i < 2000; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v%d-%d", round, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(1)
+	s, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(2)
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	return db, s
+}
+
+// strayLogs lists the commit logs in fs that neither a table db's version
+// lists pins nor back its memtable.
+func strayLogs(t *testing.T, db *DB, fs vfs.FS) []string {
+	t.Helper()
+	keep := map[string]bool{}
+	db.mu.Lock()
+	keep[wal.FileName(db.log.ID())] = true
+	if db.prev != nil {
+		keep[wal.FileName(db.prev.ID())] = true
+	}
+	db.mu.Unlock()
+	db.versionMu.RLock()
+	for _, files := range db.version.Levels {
+		for _, f := range files {
+			for _, id := range f.Logs() {
+				keep[wal.FileName(id)] = true
+			}
+		}
+	}
+	db.versionMu.RUnlock()
+	return slices.DeleteFunc(logFiles(t, fs), func(name string) bool { return keep[name] })
+}
+
+// TestCloseRetiresZombies: a store closed while a snapshot still pins
+// zombies removes them, and under TRIAD-LOG the commit logs only they
+// pinned. Afterwards every table file on disk is listed, and every commit
+// log is pinned by a listed CL-SSTable or backs the memtable.
+func TestCloseRetiresZombies(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		options func(*vfs.MemFS) Options
+	}{{"default", smallOptions}, {"triad", triadSmall}} {
+		t.Run(mode.name, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			db, s := zombieStore(t, mode.options(fs))
+			defer s.Close()
+			if len(unlistedTables(t, db, fs)) == 0 {
+				t.Fatal("no zombie table on disk before Close")
+			}
+			if mode.name == "triad" && len(strayLogs(t, db, fs)) == 0 {
+				t.Fatal("no commit log only zombies pin before Close")
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if names := unlistedTables(t, db, fs); len(names) > 0 {
+				t.Errorf("table files no level lists after Close: %v", names)
+			}
+			if names := strayLogs(t, db, fs); len(names) > 0 {
+				t.Errorf("commit logs neither pinned nor backing the memtable after Close: %v", names)
+			}
+		})
+	}
+}
+
+// tableRemoveFS is a MemFS whose removals of table files fail while
+// refusing is set.
+type tableRemoveFS struct {
+	*vfs.MemFS
+	refusing atomic.Bool
+}
+
+var errRemoveRefused = errors.New("table removal refused")
+
+func (fs *tableRemoveFS) Remove(name string) error {
+	if fs.refusing.Load() && (strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".clidx")) {
+		return errRemoveRefused
+	}
+	return fs.MemFS.Remove(name)
+}
+
+// TestSnapshotGCRemovalFailure: when the last pinning snapshot cannot
+// remove its zombies, its Close still succeeds; the snapshot_gc event
+// names the error and counts no byte it did not free, and the next Open
+// deletes what was left behind.
+func TestSnapshotGCRemovalFailure(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		options func(*vfs.MemFS) Options
+	}{{"default", smallOptions}, {"triad", triadSmall}} {
+		t.Run(mode.name, func(t *testing.T) {
+			fs := &tableRemoveFS{MemFS: vfs.NewMemFS()}
+			o := mode.options(fs.MemFS)
+			o.FS = fs
+			o.DisableAutoCompaction = true // no merge may meet the refusal
+			o.Events = obs.NewJournal(64)
+			db, s := zombieStore(t, o)
+			zombies := unlistedTables(t, db, fs)
+			if len(zombies) == 0 {
+				t.Fatal("no zombie table on disk")
+			}
+			fs.refusing.Store(true)
+			if err := s.Close(); err != nil {
+				t.Fatalf("snapshot Close = %v, want nil", err)
+			}
+			fs.refusing.Store(false)
+			ev := o.Events.Events(1)[0]
+			if ev.Kind != obs.EventSnapshotGC || !strings.Contains(ev.Detail, errRemoveRefused.Error()) {
+				t.Fatalf("last event %v %q, want a snapshot_gc naming %q", ev.Kind, ev.Detail, errRemoveRefused)
+			}
+			if gc := db.Metrics().BytesSnapshotGC; ev.In != 0 || gc != 0 {
+				t.Fatalf("snapshot GC counted %d B (event %d B) with nothing removed", gc, ev.In)
+			}
+			if left := unlistedTables(t, db, fs); !slices.Equal(left, zombies) {
+				t.Fatalf("unlisted tables %v after the refused removal, want %v", left, zombies)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			o.Events = nil
+			db = mustOpen(t, o)
+			defer db.Close()
+			if left := unlistedTables(t, db, fs); len(left) > 0 {
+				t.Errorf("table files no level lists after reopen: %v", left)
+			}
+			if names := strayLogs(t, db, fs); len(names) > 0 {
+				t.Errorf("commit logs neither pinned nor backing the memtable after reopen: %v", names)
+			}
+		})
 	}
 }
 

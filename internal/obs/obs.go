@@ -10,9 +10,11 @@
 //   - SlowLog, a ring of the slowest commands the server has seen;
 //   - the Prometheus text-exposition helpers in prom.go.
 //
-// Every type is nil-safe on its write path (a nil *Hist, *Journal or
-// *SlowLog records nothing), so instrumentation can be compiled down to
-// a pointer test where a caller opts out.
+// Journal, Tracer and Trace are nil-safe (a nil one records nothing),
+// because nil is what a caller that records nothing holds: a bare
+// engine's journal, a server's tracer with tracing off, an unsampled
+// command's trace. Hist and SlowLog are not: every one comes from
+// NewHist or NewSlowLog.
 //
 // That contract is machine-checked by triadlint (see internal/lint):
 // nilsafeobs requires every exported pointer-receiver method on the
@@ -46,7 +48,7 @@ type stripe struct {
 // number of goroutines concurrently with Snapshot and never allocates;
 // there is no lock anywhere — each observation is one atomic add into a
 // randomly chosen stripe (per-bucket counters), plus sum/min/max
-// maintenance. A nil *Hist records nothing.
+// maintenance.
 type Hist struct {
 	stripes []stripe
 	mask    uint64
@@ -67,11 +69,8 @@ func NewHist() *Hist {
 	return h
 }
 
-// Record adds one observation. Nil-safe, lock-free, zero allocations.
+// Record adds one observation. Lock-free, zero allocations.
 func (h *Hist) Record(d time.Duration) {
-	if h == nil {
-		return
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -97,9 +96,6 @@ func (h *Hist) Record(d time.Duration) {
 
 // Count reports the number of observations so far.
 func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
 	var n uint64
 	for i := range h.stripes {
 		s := &h.stripes[i]
@@ -112,9 +108,6 @@ func (h *Hist) Count() uint64 {
 
 // Sum reports the exact total of all recorded durations.
 func (h *Hist) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
 	var n int64
 	for i := range h.stripes {
 		n += h.stripes[i].sum.Load()
@@ -127,9 +120,6 @@ func (h *Hist) Sum() time.Duration {
 // may not be included; the result is always internally consistent
 // (counts observed are counts that happened).
 func (h *Hist) Snapshot() histogram.H {
-	if h == nil {
-		return histogram.H{}
-	}
 	var counts [histogram.NumBuckets]uint64
 	min, max := unsetMin, int64(0)
 	for i := range h.stripes {

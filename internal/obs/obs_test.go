@@ -49,17 +49,6 @@ func TestHistBasic(t *testing.T) {
 	}
 }
 
-func TestHistNilIsNoop(t *testing.T) {
-	var h *Hist
-	h.Record(time.Millisecond) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil Hist reported observations")
-	}
-	if snap := h.Snapshot(); snap.Count() != 0 {
-		t.Fatal("nil Hist snapshot non-empty")
-	}
-}
-
 // TestHistConcurrent hammers one recorder from many goroutines while a
 // scraper takes snapshots; run under -race this is the data-race proof,
 // and the final counts must be exact.
@@ -269,11 +258,6 @@ func TestSlowLog(t *testing.T) {
 	l.Observe("del", nil, time.Second, 0)
 	if es := l.Entries(0); len(es) != 1 || es[0].ID != 7 {
 		t.Fatalf("post-Reset Entries = %v", es)
-	}
-	var nilL *SlowLog
-	nilL.Observe("get", nil, time.Hour, 0)
-	if nilL.Total() != 0 || nilL.Entries(0) != nil || nilL.Threshold() != 0 {
-		t.Fatal("nil SlowLog retained state")
 	}
 }
 

@@ -37,9 +37,8 @@ const maxSlowKeyBytes = 64
 
 // SlowLog keeps the most recent N commands slower than a threshold,
 // redis-SLOWLOG style. Observe's fast path — the one every command
-// takes — is a nil test and one atomic load; the ring mutex and the key
-// copy are only touched by commands that were already slow. A nil
-// *SlowLog records nothing.
+// takes — is one atomic load; the ring mutex and the key copy are only
+// touched by commands that were already slow.
 type SlowLog struct {
 	thresh atomic.Int64 // nanoseconds
 	mu     sync.Mutex
@@ -61,7 +60,7 @@ func NewSlowLog(n int, threshold time.Duration) *SlowLog {
 // nil; it is copied (truncated to a preview) only on the slow path.
 // trace links the entry to a sampled trace id (0: untraced).
 func (l *SlowLog) Observe(cmd string, key []byte, d time.Duration, trace uint64) {
-	if l == nil || int64(d) < l.thresh.Load() {
+	if int64(d) < l.thresh.Load() {
 		return
 	}
 	if len(key) > maxSlowKeyBytes {
@@ -76,17 +75,11 @@ func (l *SlowLog) Observe(cmd string, key []byte, d time.Duration, trace uint64)
 
 // Threshold reports the current slow threshold.
 func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
 	return time.Duration(l.thresh.Load())
 }
 
 // Total reports how many slow commands were ever observed.
 func (l *SlowLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ring.n
@@ -95,9 +88,6 @@ func (l *SlowLog) Total() uint64 {
 // Entries returns up to max retained entries, newest first (max <= 0:
 // all retained).
 func (l *SlowLog) Entries(max int) []SlowEntry {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ring.newest(max, l.since)
@@ -105,9 +95,6 @@ func (l *SlowLog) Entries(max int) []SlowEntry {
 
 // Reset drops the retained entries; lifetime IDs keep counting.
 func (l *SlowLog) Reset() {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	l.since = l.ring.n
 	l.mu.Unlock()

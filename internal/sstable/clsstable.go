@@ -104,11 +104,6 @@ type CLReader struct {
 
 var _ Table = (*CLReader)(nil)
 
-// OpenCL opens CL-SSTable id in fs with no block cache.
-func OpenCL(fs vfs.FS, id uint64) (*CLReader, error) {
-	return OpenCLWithCache(fs, id, nil)
-}
-
 // OpenCLWithCache opens CL-SSTable id in fs. The logs it references must
 // still exist; the engine keeps them alive until the table is compacted
 // away. Index blocks are served through the (possibly nil) block-cache

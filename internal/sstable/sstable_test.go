@@ -310,7 +310,7 @@ func buildCL(t testing.TB, fs vfs.FS, clID, logID uint64, n int) *CLReader {
 	if _, err := cw.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenCL(fs, clID)
+	r, err := OpenCLWithCache(fs, clID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +432,8 @@ func TestCLOpenWithoutLogFails(t *testing.T) {
 	if err := fs.Remove(wal.FileName(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCL(fs, 10); err == nil {
-		t.Fatal("OpenCL without backing log succeeded")
+	if _, err := OpenCLWithCache(fs, 10, nil); err == nil {
+		t.Fatal("OpenCLWithCache without backing log succeeded")
 	}
 }
 
@@ -605,7 +605,7 @@ func TestCLMultiLogTable(t *testing.T) {
 	if _, err := cw.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenCL(fs, 20)
+	r, err := OpenCLWithCache(fs, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
