@@ -92,7 +92,7 @@ func Run(spec Spec) (Result, error) {
 	opts := spec.Engine
 	opts.Seed = spec.Seed
 	fs := vfs.NewMemFS()
-	fs.Latency = spec.Latency
+	fs.SetHooks(vfs.Hooks{Before: spec.Latency.Before})
 	opts.FS = fs
 	db, err := lsm.Open(opts)
 	if err != nil {

@@ -3,14 +3,12 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // unlistedTables lists the table files in fs that no level of db's version
@@ -42,67 +40,42 @@ func unlistedTables(t *testing.T, db *DB, fs vfs.FS) []string {
 	return out
 }
 
-// compactAllCrashPoints opens a store with options over a crashFS, fills it with
-// load, then runs one CompactAll and crashes it after every change it
-// makes to the filesystem. Each image must reopen consistent, scanning
-// equal to the oracle load returns, with no table file its levels do not
-// list and no commit log but the pinned ones and the fresh one. It returns the journal entries of the CompactAll,
-// oldest first, and how many images it checked.
+// compactAllCrashPoints opens a store with options, fills it with load,
+// then runs one CompactAll and crashes it after every change it makes to
+// the filesystem. Each image must pass crashImage.check with the oracle
+// load returns acknowledged and nothing in flight: it reopens consistent,
+// scanning equal to the oracle. It returns the journal entries of the
+// CompactAll, oldest first, and how many images it checked.
 func compactAllCrashPoints(t *testing.T, options func(*vfs.MemFS) Options, load func(db *DB) map[string]string) ([]obs.Event, int) {
 	t.Helper()
-	cfs := &crashFS{MemFS: vfs.NewMemFS()}
-	o := options(cfs.MemFS)
-	o.FS = cfs
+	fs := vfs.NewMemFS()
+	o := options(fs)
 	o.DisableAutoCompaction = true // the one CompactAll is all the compaction there is
 	o.Events = obs.NewJournal(4096)
 	db := mustOpen(t, o)
 	defer db.Close()
-	want := oracleLines(load(db))
+	acked := load(db)
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	images := 0
 	failed := false
-	cfs.arm(func(what string, image *vfs.MemFS) {
+	imageChanges(fs, func(what string, image *vfs.MemFS) {
 		if failed {
 			return
 		}
 		images++
-		fail := func(format string, args ...any) {
+		if err := (crashImage{n: images, what: what, fs: image, o: o, acked: acked}).check(t); err != nil {
 			failed = true
-			t.Errorf("crash after %q, image %d: %s", what, images, fmt.Sprintf(format, args...))
-		}
-		ro := o
-		ro.FS, ro.Events = image, nil
-		db, err := Open(ro)
-		if err != nil {
-			fail("Open: %v", err)
-			return
-		}
-		defer db.Close()
-		if err := db.CheckConsistency(); err != nil {
-			fail("CheckConsistency: %v", err)
-			return
-		}
-		if orphans := unlistedTables(t, db, image); len(orphans) > 0 {
-			fail("%d table files no level lists after recovery: %v", len(orphans), orphans)
-			return
-		}
-		if logs := unpinnedLogs(t, db, image); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
-			fail("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
-			return
-		}
-		it, err := db.NewIterator(nil, nil)
-		if got := scan(t, it, err); !slices.Equal(got, want) {
-			fail("the store scans %d entries, %d acknowledged", len(got), len(want))
+			t.Errorf("crash after %q, image %d: %v", what, images, err)
 		}
 	})
 	before := o.Events.Total()
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	cfs.arm(nil)
+	fs.SetHooks(vfs.Hooks{})
 	events := o.Events.Events(int(o.Events.Total() - before))
 	for i, j := 0, len(events)-1; i < j; i, j = i+1, j-1 {
 		events[i], events[j] = events[j], events[i]

@@ -261,7 +261,7 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	db := mustOpen(t, o)
 	oracle := map[string]string{}
 	created := fs.Stats.FilesCreated.Load()
-	fs.FailEveryNthWrite(7)
+	failEveryNthWrite(fs, 7)
 	var failed int
 	for i := 0; i < 3000; i++ {
 		// Every 150th put is a key nobody writes again: something for each
@@ -291,7 +291,7 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 		}
 		oracle[k] = v
 	}
-	fs.FailEveryNthWrite(0)
+	fs.SetHooks(vfs.Hooks{})
 	m := db.Metrics()
 	// Every log this run created was one skip's, taken or failed.
 	failedSkips := fs.Stats.FilesCreated.Load() - created - m.FlushSkips

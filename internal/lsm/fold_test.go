@@ -129,31 +129,24 @@ func TestFoldMatchesOracle(t *testing.T) {
 	}
 }
 
-// gateFS holds the first CL index file created once it is armed, until
-// release is closed.
-type gateFS struct {
-	*vfs.MemFS
-	armed   atomic.Bool
-	held    chan struct{} // closed once a Create is being held
-	release chan struct{}
-}
-
-func (fs *gateFS) Create(name string) (vfs.File, error) {
-	if strings.HasSuffix(name, ".clidx") && fs.armed.CompareAndSwap(true, false) {
-		close(fs.held)
-		<-fs.release
-	}
-	return fs.MemFS.Create(name)
-}
-
 // TestFoldRacesFlush: a flush allocates its file id, a fold of the L0 it
 // has not reached yet allocates a higher one and installs first, and then
 // the flush installs. L0 must still read the flush's newer values first:
 // it is ordered by the sequence its tables were sealed at, not by id.
 func TestFoldRacesFlush(t *testing.T) {
-	gfs := &gateFS{MemFS: vfs.NewMemFS(), held: make(chan struct{}), release: make(chan struct{})}
-	o := triadSmall(gfs.MemFS)
-	o.FS = gfs
+	// Once armed, the filesystem parks the first CL index file created,
+	// until release is closed.
+	var armed atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	fs := vfs.NewMemFS()
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpCreate && strings.HasSuffix(op.Name, ".clidx") && armed.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+		return nil
+	}})
+	o := triadSmall(fs)
 	o.TriadMem = false // every key reaches the flush
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
@@ -180,15 +173,15 @@ func TestFoldRacesFlush(t *testing.T) {
 		}
 	}
 	write("newest")
-	gfs.armed.Store(true)
+	armed.Store(true)
 	flushed := make(chan error, 1)
 	go func() { flushed <- db.Flush() }()
-	<-gfs.held // the flush has its id and is creating its index
+	<-held // the flush has its id and is creating its index
 	ran, err := db.CompactOnce()
 	if err != nil || !ran || db.Metrics().Folds != 1 {
 		t.Fatalf("CompactOnce = %v, %v with %d folds: want the L0 folded", ran, err, db.Metrics().Folds)
 	}
-	close(gfs.release)
+	close(release)
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}

@@ -4,44 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
-
-// countingFS counts the file handles the engine holds open, which MemFS
-// itself does not track.
-type countingFS struct {
-	vfs.FS
-	open atomic.Int64
-}
-
-type countedFile struct {
-	vfs.File
-	fs     *countingFS
-	closed atomic.Bool
-}
-
-func (fs *countingFS) wrap(f vfs.File, err error) (vfs.File, error) {
-	if err != nil {
-		return nil, err
-	}
-	fs.open.Add(1)
-	return &countedFile{File: f, fs: fs}, nil
-}
-
-func (fs *countingFS) Create(name string) (vfs.File, error) { return fs.wrap(fs.FS.Create(name)) }
-func (fs *countingFS) Open(name string) (vfs.File, error)   { return fs.wrap(fs.FS.Open(name)) }
-
-func (f *countedFile) Close() error {
-	if f.closed.CompareAndSwap(false, true) {
-		f.fs.open.Add(-1)
-	}
-	return f.File.Close()
-}
 
 // waitGoroutines polls until the goroutine count is back at (or below)
 // want: a closed pool's workers have signalled done but may not have
@@ -100,14 +68,14 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		f.Close()
 
 		before := runtime.NumGoroutine()
-		fs := &countingFS{FS: mem}
+		open := countHandles(mem)
 		cache := sstable.NewCache(1 << 20)
-		o.FS, o.BlockCache = fs, cache
+		o.BlockCache = cache
 		if db, err := Open(o); err == nil {
 			db.Close()
 			t.Fatalf("triad=%v: Open succeeded over a truncated %s", triad, victim)
 		}
-		if n := fs.open.Load(); n != 0 {
+		if n := open.Load(); n != 0 {
 			t.Errorf("triad=%v: failed Open left %d file handles open", triad, n)
 		}
 		if st := cache.Stats(); st.Resident != 0 {

@@ -3,9 +3,9 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -333,94 +333,43 @@ func TestMergedLogsStayRetired(t *testing.T) {
 	}
 }
 
-// crashFS is a MemFS that hands onImage a copy of itself after every
-// operation that changes what is on disk, while onImage is set. Operations
-// and the copying are serialized, so every image is a state the filesystem
-// was in.
-type crashFS struct {
-	*vfs.MemFS
-	mu      sync.Mutex
-	onImage func(op string, image *vfs.MemFS)
-}
-
-// arm sets onImage; nil stops the imaging.
-func (fs *crashFS) arm(onImage func(op string, image *vfs.MemFS)) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.onImage = onImage
-}
-
-func (fs *crashFS) changed(op string) {
-	if fs.onImage == nil {
-		return
-	}
-	image := vfs.NewMemFS()
-	names, _ := fs.MemFS.List("")
-	for _, name := range names {
-		src, err := fs.MemFS.Open(name)
-		if err != nil {
-			panic(err)
+// imageChanges hands onImage a copy of fs after every call that changes
+// what is on disk, until fs's hooks are replaced. Every image is a state the
+// filesystem was in (vfs.Hooks.After).
+func imageChanges(fs *vfs.MemFS, onImage func(what string, image *vfs.MemFS)) {
+	fs.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
+		switch op.Kind {
+		case vfs.OpCreate, vfs.OpWrite, vfs.OpRemove, vfs.OpRename:
+			onImage(op.Kind.String()+" "+op.Name, fs.Clone())
 		}
-		size, _ := src.Size()
-		buf := make([]byte, size)
-		if size > 0 {
-			if _, err := src.ReadAt(buf, 0); err != nil {
-				panic(err)
-			}
+	}})
+}
+
+// countHandles counts the file handles open on fs from now on, which MemFS
+// itself does not track. It replaces fs's hooks.
+func countHandles(fs *vfs.MemFS) *atomic.Int64 {
+	var open atomic.Int64
+	fs.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
+		switch op.Kind {
+		case vfs.OpCreate, vfs.OpOpen:
+			open.Add(1)
+		case vfs.OpClose:
+			open.Add(-1)
 		}
-		dst, _ := image.Create(name)
-		dst.Write(buf)
-		dst.Close()
-		src.Close()
-	}
-	fs.onImage(op, image)
+	}})
+	return &open
 }
 
-func (fs *crashFS) Create(name string) (vfs.File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, err := fs.MemFS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	fs.changed("create " + name)
-	return &crashFile{File: f, fs: fs, name: name}, nil
-}
-
-func (fs *crashFS) Remove(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	err := fs.MemFS.Remove(name)
-	if err == nil {
-		fs.changed("remove " + name)
-	}
-	return err
-}
-
-func (fs *crashFS) Rename(oldname, newname string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	err := fs.MemFS.Rename(oldname, newname)
-	if err == nil {
-		fs.changed("rename " + oldname)
-	}
-	return err
-}
-
-type crashFile struct {
-	vfs.File
-	fs   *crashFS
-	name string
-}
-
-func (f *crashFile) Write(p []byte) (int, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	n, err := f.File.Write(p)
-	if err == nil {
-		f.fs.changed("write " + f.name)
-	}
-	return n, err
+// failEveryNthWrite makes every nth write to fs fail with vfs.ErrInjected
+// until fs's hooks are replaced.
+func failEveryNthWrite(fs *vfs.MemFS, n int64) {
+	var writes atomic.Int64
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpWrite && writes.Add(1)%n == 0 {
+			return vfs.ErrInjected
+		}
+		return nil
+	}})
 }
 
 // kv is one write of a crash run; value "" deletes the key.
@@ -430,7 +379,8 @@ type kv struct{ key, value string }
 // one change, the options it reopens under, and what it must recover —
 // every acknowledged write at its latest value (acked, "" deleted), except
 // that the write in flight when the image was taken (inflight, if any) may
-// or may not have made it.
+// or may not have made it. With none in flight, the store must also scan
+// exactly as acknowledged.
 type crashImage struct {
 	n        int    // 1 for the run's first image
 	what     string // the change after which it was taken
@@ -442,11 +392,18 @@ type crashImage struct {
 
 // check reopens the image and reports what it did not recover: the store
 // must be consistent and hold every acknowledged write, with no table file
-// its levels do not list and no unpinned log but the fresh one.
-func (img crashImage) check(t *testing.T) error {
+// its levels do not list and no unpinned log but the fresh one, and leave
+// no file handle open once closed (or once its Open has failed).
+func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
 	ro.FS, ro.Events = img.fs, nil
 	ro.DisableAutoCompaction = true // the files checked are recovery's alone
+	open := countHandles(img.fs)
+	defer func() {
+		if n := open.Load(); n != 0 {
+			err = errors.Join(err, fmt.Errorf("%d file handles left open", n))
+		}
+	}()
 	db, err := Open(ro)
 	if err != nil {
 		return fmt.Errorf("Open: %w", err)
@@ -460,6 +417,14 @@ func (img crashImage) check(t *testing.T) error {
 	}
 	if logs := unpinnedLogs(t, db, img.fs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
 		return fmt.Errorf("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
+	}
+	if img.inflight == nil {
+		want := maps.Clone(img.acked)
+		maps.DeleteFunc(want, func(_, v string) bool { return v == "" })
+		it, err := db.NewIterator(nil, nil)
+		if got := scan(t, it, err); !slices.Equal(got, oracleLines(want)) {
+			return fmt.Errorf("the store scans %d entries, %d acknowledged", len(got), len(want))
+		}
 	}
 	holds := func(key, want string) bool {
 		got, err := db.Get([]byte(key))
@@ -508,9 +473,9 @@ func TestLogRetirementCrashPoints(t *testing.T) {
 	}
 }
 
-// retireRun runs TestLogRetirementCrashPoints' skewed workload over a
-// crashFS and hands onImage every image of it. The acked map of an image is
-// the run's own and changes once onImage returns.
+// retireRun runs TestLogRetirementCrashPoints' skewed workload and hands
+// onImage every image of it. The acked map of an image is the run's own
+// and changes once onImage returns.
 func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)) {
 	// The whole run is laid out beforehand: images are checked on whichever
 	// goroutine changed the filesystem, against a history nobody is writing.
@@ -531,9 +496,8 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 		}
 	}
 
-	cfs := &crashFS{MemFS: vfs.NewMemFS()}
-	o := smallOptions(cfs.MemFS)
-	o.FS = cfs
+	fs := vfs.NewMemFS()
+	o := smallOptions(fs)
 	o.TriadMem, o.TriadLog = true, triadLog
 	o.SyncWAL = true
 	o.CommitLogBytes = 4 << 10
@@ -542,7 +506,7 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 	var acked atomic.Int64 // ops[:acked] returned; ops[acked] may be in flight
 	state := map[string]string{}
 	applied, images := 0, 0
-	cfs.onImage = func(what string, image *vfs.MemFS) {
+	imageChanges(fs, func(what string, image *vfs.MemFS) {
 		images++
 		for n := int(acked.Load()); applied < n; applied++ {
 			state[ops[applied].key] = ops[applied].value
@@ -552,7 +516,7 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 			img.inflight = &ops[applied]
 		}
 		onImage(img)
-	}
+	})
 
 	db := mustOpen(t, o)
 	for i, op := range ops {
@@ -573,7 +537,7 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 			if triadLog && i%400 == 199 {
 				// The flush queue is drained and this goroutine is the only
 				// writer: nothing but the fold touches the filesystem.
-				foldL0(t, db, cfs)
+				foldL0(t, db, fs)
 			}
 		}
 	}

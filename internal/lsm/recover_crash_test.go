@@ -13,12 +13,12 @@ import (
 // TestRecoverCrashPoints crashes recovery itself. It samples, with a fixed
 // seed, the crash images of TestLogRetirementCrashPoints' TRIAD-LOG run:
 // images with unflushed logs, with a journaled log number, and with a table
-// that a flush or a fold wrote but never listed. It reopens each sample over
-// a crashFS that images every change recovery makes — removing the unlisted
-// tables, rewriting the manifest journal, creating the fresh log and
-// carrying the replayed records into it, retiring the replayed logs — and
-// every one of those nested images must recover what the sample had to,
-// with no unlisted table and no unpinned log but the fresh one.
+// that a flush or a fold wrote but never listed. It reopens each sample and
+// images every change recovery makes — removing the unlisted tables,
+// rewriting the manifest journal, creating the fresh log and carrying the
+// replayed records into it, retiring the replayed logs — and every one of
+// those nested images must recover what the sample had to, with no
+// unlisted table and no unpinned log but the fresh one.
 func TestRecoverCrashPoints(t *testing.T) {
 	const seed = 29
 	rng := rand.New(rand.NewSource(seed))
@@ -39,13 +39,12 @@ func TestRecoverCrashPoints(t *testing.T) {
 	// What recovery did, over all samples.
 	var removedTables, rolledJournals, carried, retired, logNumbers, nested int
 	for _, s := range samples {
-		cfs := &crashFS{MemFS: s.fs}
 		ro := s.o
-		ro.FS, ro.Events = cfs, nil
+		ro.FS, ro.Events = s.fs, nil
 		ro.DisableAutoCompaction = true // the changes imaged are recovery's alone
 		fresh := ""
 		failed := false
-		cfs.arm(func(what string, image *vfs.MemFS) {
+		imageChanges(s.fs, func(what string, image *vfs.MemFS) {
 			nested++
 			switch op, name, _ := strings.Cut(what, " "); {
 			case op == "create" && strings.HasSuffix(name, ".log"):
@@ -70,14 +69,14 @@ func TestRecoverCrashPoints(t *testing.T) {
 			}
 		})
 		db, err := Open(ro)
-		cfs.arm(nil)
+		s.fs.SetHooks(vfs.Hooks{})
 		if err != nil {
 			t.Fatalf("image %d (after %q): Open: %v", s.n, s.what, err)
 		}
 		if db.logNumber > 0 {
 			logNumbers++
 		}
-		if logs := unpinnedLogs(t, db, cfs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
+		if logs := unpinnedLogs(t, db, s.fs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
 			t.Errorf("image %d (after %q): unpinned logs after recovery %v, want only the fresh log %d", s.n, s.what, logs, db.log.ID())
 		}
 		if err := db.Close(); err != nil {

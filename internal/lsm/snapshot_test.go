@@ -266,21 +266,7 @@ func TestCloseRetiresZombies(t *testing.T) {
 	}
 }
 
-// tableRemoveFS is a MemFS whose removals of table files fail while
-// refusing is set.
-type tableRemoveFS struct {
-	*vfs.MemFS
-	refusing atomic.Bool
-}
-
 var errRemoveRefused = errors.New("table removal refused")
-
-func (fs *tableRemoveFS) Remove(name string) error {
-	if fs.refusing.Load() && (strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".clidx")) {
-		return errRemoveRefused
-	}
-	return fs.MemFS.Remove(name)
-}
 
 // TestSnapshotGCRemovalFailure: when the last pinning snapshot cannot
 // remove its zombies, its Close still succeeds; the snapshot_gc event
@@ -292,9 +278,16 @@ func TestSnapshotGCRemovalFailure(t *testing.T) {
 		options func(*vfs.MemFS) Options
 	}{{"default", smallOptions}, {"triad", triadSmall}} {
 		t.Run(mode.name, func(t *testing.T) {
-			fs := &tableRemoveFS{MemFS: vfs.NewMemFS()}
-			o := mode.options(fs.MemFS)
-			o.FS = fs
+			// While refusing is set, removals of table files fail.
+			var refusing atomic.Bool
+			fs := vfs.NewMemFS()
+			fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+				if refusing.Load() && op.Kind == vfs.OpRemove && (strings.HasSuffix(op.Name, ".sst") || strings.HasSuffix(op.Name, ".clidx")) {
+					return errRemoveRefused
+				}
+				return nil
+			}})
+			o := mode.options(fs)
 			o.DisableAutoCompaction = true // no merge may meet the refusal
 			o.Events = obs.NewJournal(64)
 			db, s := zombieStore(t, o)
@@ -302,11 +295,11 @@ func TestSnapshotGCRemovalFailure(t *testing.T) {
 			if len(zombies) == 0 {
 				t.Fatal("no zombie table on disk")
 			}
-			fs.refusing.Store(true)
+			refusing.Store(true)
 			if err := s.Close(); err != nil {
 				t.Fatalf("snapshot Close = %v, want nil", err)
 			}
-			fs.refusing.Store(false)
+			refusing.Store(false)
 			ev := o.Events.Events(1)[0]
 			if ev.Kind != obs.EventSnapshotGC || !strings.Contains(ev.Detail, errRemoveRefused.Error()) {
 				t.Fatalf("last event %v %q, want a snapshot_gc naming %q", ev.Kind, ev.Detail, errRemoveRefused)

@@ -381,11 +381,11 @@ func TestWALFaultSurfacesError(t *testing.T) {
 	if err := db.Put([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	fs.FailEveryNthWrite(1)
+	failEveryNthWrite(fs, 1)
 	if err := db.Put([]byte("boom"), []byte("v")); err == nil {
 		t.Fatal("write with failing FS succeeded")
 	}
-	fs.FailEveryNthWrite(0)
+	fs.SetHooks(vfs.Hooks{})
 	if err := db.Put([]byte("ok2"), []byte("v")); err != nil {
 		t.Fatalf("write after clearing fault: %v", err)
 	}
@@ -403,9 +403,9 @@ func TestFlushFaultSetsBackgroundError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs.FailEveryNthWrite(3)
+	failEveryNthWrite(fs, 3)
 	db.Flush() // may or may not error directly
-	fs.FailEveryNthWrite(0)
+	fs.SetHooks(vfs.Hooks{})
 	// Eventually the background error must surface on the write path.
 	var sawErr bool
 	for i := 0; i < 100 && !sawErr; i++ {

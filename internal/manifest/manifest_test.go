@@ -340,43 +340,6 @@ func TestSSTTotals(t *testing.T) {
 	}
 }
 
-// copyFS returns a copy of every file in fs.
-func copyFS(t *testing.T, fs *vfs.MemFS) *vfs.MemFS {
-	t.Helper()
-	out := vfs.NewMemFS()
-	names, _ := fs.List("")
-	for _, name := range names {
-		src, err := fs.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size, _ := src.Size()
-		buf := make([]byte, size)
-		if size > 0 {
-			if _, err := src.ReadAt(buf, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src.Close()
-		dst, _ := out.Create(name)
-		dst.Write(buf)
-		dst.Close()
-	}
-	return out
-}
-
-// renameImageFS hands onRename a copy of itself before every rename.
-type renameImageFS struct {
-	*vfs.MemFS
-	t        *testing.T
-	onRename func(image *vfs.MemFS)
-}
-
-func (fs *renameImageFS) Rename(oldname, newname string) error {
-	fs.onRename(copyFS(fs.t, fs.MemFS))
-	return fs.MemFS.Rename(oldname, newname)
-}
-
 // TestJournalRollsAtBound: under churn that keeps the tree small, the
 // journal never holds more than rollFactor times its snapshot plus the
 // edit that finds it there, and a crash between writing the rolled
@@ -384,15 +347,19 @@ func (fs *renameImageFS) Rename(oldname, newname string) error {
 // far; so does a clean reopen at the end, with the log number only the
 // first edits recorded, which every roll since has had to carry.
 func TestJournalRollsAtBound(t *testing.T) {
-	fs := &renameImageFS{MemFS: vfs.NewMemFS(), t: t}
+	fs := vfs.NewMemFS()
 	var want *Version
 	images := 0
-	fs.onRename = func(image *vfs.MemFS) {
+	// Image the filesystem before every rename.
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind != vfs.OpRename {
+			return nil
+		}
 		images++
 		if want == nil {
-			return // OpenLog's own roll
+			return nil // OpenLog's own roll
 		}
-		l, got, _, err := OpenLog(image)
+		l, got, _, err := OpenLog(fs.Clone())
 		if err != nil {
 			t.Fatalf("image %d: %v", images, err)
 		}
@@ -400,7 +367,8 @@ func TestJournalRollsAtBound(t *testing.T) {
 		if fmt.Sprint(levelIDs(got)) != fmt.Sprint(levelIDs(want)) {
 			t.Fatalf("image %d recovers %v, journaled %v", images, levelIDs(got), levelIDs(want))
 		}
-	}
+		return nil
+	}})
 	l, v, _, err := OpenLog(fs)
 	if err != nil {
 		t.Fatal(err)

@@ -55,37 +55,6 @@ func TestOnePoolPerStore(t *testing.T) {
 	}
 }
 
-// countingFS counts the file handles the store holds open, which MemFS
-// itself does not track.
-type countingFS struct {
-	vfs.FS
-	open *atomic.Int64
-}
-
-type countedFile struct {
-	vfs.File
-	open   *atomic.Int64
-	closed atomic.Bool
-}
-
-func (fs countingFS) wrap(f vfs.File, err error) (vfs.File, error) {
-	if err != nil {
-		return nil, err
-	}
-	fs.open.Add(1)
-	return &countedFile{File: f, open: fs.open}, nil
-}
-
-func (fs countingFS) Create(name string) (vfs.File, error) { return fs.wrap(fs.FS.Create(name)) }
-func (fs countingFS) Open(name string) (vfs.File, error)   { return fs.wrap(fs.FS.Open(name)) }
-
-func (f *countedFile) Close() error {
-	if f.closed.CompareAndSwap(false, true) {
-		f.open.Add(-1)
-	}
-	return f.File.Close()
-}
-
 // TestFailedOpenClosesEarlierShards: when the last shard's recovery
 // fails, Open closes the shards it had already opened and the store's
 // pool — no file handle and no goroutine is left behind.
@@ -133,10 +102,20 @@ func TestFailedOpenClosesEarlierShards(t *testing.T) {
 	f.Close()
 
 	before := runtime.NumGoroutine()
+	// Count the file handles the store holds open, which MemFS itself
+	// does not track.
 	var open atomic.Int64
-	_, err = Open(Options{Shards: shards, Engine: smallEngine(), NewFS: func(i int) (vfs.FS, error) {
-		return countingFS{FS: mems[i], open: &open}, nil
-	}})
+	for _, mem := range mems {
+		mem.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
+			switch op.Kind {
+			case vfs.OpCreate, vfs.OpOpen:
+				open.Add(1)
+			case vfs.OpClose:
+				open.Add(-1)
+			}
+		}})
+	}
+	_, err = Open(Options{Shards: shards, Engine: smallEngine(), NewFS: memFS})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard %d", shards-1)) {
 		t.Fatalf("Open over a truncated %s in the last shard: %v", victim, err)
 	}

@@ -86,31 +86,26 @@ func TestPutPathBudget(t *testing.T) {
 	}
 }
 
-// gateFS holds back the creation of table files while its gate is shut,
-// which wedges the shard's flushes — and, once the flush queue is full,
-// stalls its writers.
-type gateFS struct {
-	vfs.FS
-	gate chan struct{} // closed = open
-}
-
-func (g *gateFS) Create(name string) (vfs.File, error) {
-	if strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".clidx") {
-		<-g.gate
-	}
-	return g.FS.Create(name)
-}
-
 // TestStalledShardDoesNotBlockOtherShard: with shard 0 stalled for as
 // long as the test likes (its flushes cannot create their tables), puts
 // to shard 1 keep completing — also while a cross-shard batch is waiting
 // for shard 0, because a ticket absorbs its shards' stalls before it takes
 // any shard's commit lock. Once the gate opens everything drains.
 func TestStalledShardDoesNotBlockOtherShard(t *testing.T) {
+	// Shard 0's filesystem parks the creation of table files until gate is
+	// closed, which wedges the shard's flushes — and, once the flush queue
+	// is full, stalls its writers.
 	gate := make(chan struct{})
+	gated := vfs.NewMemFS()
+	gated.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpCreate && (strings.HasSuffix(op.Name, ".sst") || strings.HasSuffix(op.Name, ".clidx")) {
+			<-gate
+		}
+		return nil
+	}})
 	db, err := Open(Options{Shards: 2, Engine: smallEngine(), NewFS: func(i int) (vfs.FS, error) {
 		if i == 0 {
-			return &gateFS{FS: vfs.NewMemFS(), gate: gate}, nil
+			return gated, nil
 		}
 		return vfs.NewMemFS(), nil
 	}})

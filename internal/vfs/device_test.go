@@ -8,7 +8,7 @@ import (
 
 func TestLatencyModelChargesTime(t *testing.T) {
 	fs := NewMemFS()
-	fs.Latency = LatencyModel{PerOp: 2 * time.Millisecond}
+	fs.SetHooks(Hooks{Before: LatencyModel{PerOp: 2 * time.Millisecond}.Before})
 	f, _ := fs.Create("x")
 	start := time.Now()
 	f.Write([]byte("data"))

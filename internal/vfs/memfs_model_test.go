@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// TestMemFSModel drives random Create/Write/ReadAt/Size/Rename/Remove
+// TestMemFSModel drives random Create/Write/ReadAt/Size/Rename/Remove/Clone
 // sequences against a map of byte buffers. Write sizes and read windows
 // are drawn around the extent size, so appends fill, exactly reach and
 // overflow an extent, and reads start, end and straddle at extent
 // boundaries; every read and every size must match the oracle, and the
-// I/O counters must equal what the oracle saw move.
+// I/O counters must equal what the oracle saw move. Every clone must still
+// hold, at the end, exactly the files the oracle held when it was taken.
 func TestMemFSModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -21,6 +22,11 @@ func TestMemFSModel(t *testing.T) {
 		files := map[string]File{}
 		oracle := map[string]*bytes.Buffer{}
 		var wroteBytes, wroteOps, readBytes, readOps int64
+		type clone struct {
+			fs    *MemFS
+			files map[string][]byte
+		}
+		var clones []clone
 		names := []string{"a", "b", "c", "d"}
 		// length draws a size that is small, or within a few bytes of a
 		// multiple of the extent size.
@@ -33,7 +39,13 @@ func TestMemFSModel(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			name := names[rng.Intn(len(names))]
 			want, live := oracle[name]
-			switch op := rng.Intn(100); {
+			switch op := rng.Intn(102); {
+			case op >= 100:
+				c := clone{fs.Clone(), map[string][]byte{}}
+				for name, b := range oracle {
+					c.files[name] = bytes.Clone(b.Bytes())
+				}
+				clones = append(clones, c)
 			case op < 5 || !live && op < 60: // create (or truncate)
 				f, err := fs.Create(name)
 				if err != nil {
@@ -121,6 +133,21 @@ func TestMemFSModel(t *testing.T) {
 			t.Fatalf("seed %d: stats wrote %d B / %d ops, read %d B / %d ops; oracle %d / %d, %d / %d", seed,
 				st.BytesWritten.Load(), st.WriteOps.Load(), st.BytesRead.Load(), st.ReadOps.Load(),
 				wroteBytes, wroteOps, readBytes, readOps)
+		}
+		for i, c := range clones {
+			if got, _ := c.fs.List(""); len(got) != len(c.files) {
+				t.Fatalf("seed %d clone %d: List = %v, oracle had %d files", seed, i, got, len(c.files))
+			}
+			for name, want := range c.files {
+				n := c.fs.files[name]
+				got := make([]byte, n.size)
+				if n.readAt(got, 0); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d clone %d: %q (%d bytes) differs from the oracle's %d bytes", seed, i, name, n.size, len(want))
+				}
+			}
+		}
+		if len(clones) == 0 {
+			t.Fatalf("seed %d: no clone taken", seed)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package vfs provides the filesystem abstraction used by the LSM engine.
 //
 // Two implementations are provided: MemFS, an in-memory filesystem with
-// byte-accurate I/O accounting, an optional latency model and fault
-// injection (used by experiments and tests), and OSFS, a thin wrapper over
-// the real filesystem (used by cmd/triaddb and the examples that persist
-// data).
+// byte-accurate I/O accounting and one way to intercept its calls
+// (SetHooks: fail, park or charge a call, or Clone the state it left), used
+// by experiments and tests; and OSFS, a thin wrapper over the real
+// filesystem (used by cmd/triaddb and the examples that persist data).
 //
 // All engine I/O goes through this interface so that write amplification
 // and read amplification can be measured exactly, independent of the
@@ -69,9 +69,10 @@ type Stats struct {
 	FilesRemoved atomic.Int64
 }
 
-// LatencyModel charges simulated time for I/O against a MemFS. A zero model
-// charges nothing. Charges are busy-free: the goroutine sleeps, modelling a
-// device with the given throughput and per-operation overhead.
+// LatencyModel charges simulated time for I/O against a MemFS whose Before
+// hook is its Before method. A zero model charges nothing. Charges are
+// busy-free: the goroutine sleeps, modelling a device with the given
+// throughput and per-operation overhead.
 //
 // When Device is set, charges additionally serialize through it: a shared
 // token-bucket of device time, so concurrent foreground and background I/O
@@ -87,19 +88,22 @@ type LatencyModel struct {
 	Device *Device
 }
 
-func (m LatencyModel) charge(n int) {
-	if m.PerOp == 0 && m.PerByte == 0 {
-		return
+// Before charges op's device time: PerOp plus PerByte for each requested
+// byte of a Write or ReadAt, PerOp for a Sync, nothing for other calls. It
+// never fails a call.
+func (m LatencyModel) Before(op Op) error {
+	if op.Kind != OpWrite && op.Kind != OpReadAt && op.Kind != OpSync {
+		return nil
 	}
-	d := m.PerOp + time.Duration(n)*m.PerByte
-	if d <= 0 {
-		return
-	}
-	if m.Device != nil {
+	d := m.PerOp + time.Duration(op.N)*m.PerByte
+	switch {
+	case d <= 0:
+	case m.Device != nil:
 		m.Device.Occupy(d)
-		return
+	default:
+		time.Sleep(d)
 	}
-	time.Sleep(d)
+	return nil
 }
 
 // Device models one storage device's serial service queue. Every charge
@@ -141,12 +145,10 @@ type MemFS struct {
 
 	// Stats is updated on every operation.
 	Stats Stats
-	// Latency, if non-zero, charges simulated device time.
-	Latency LatencyModel
 
-	// failEvery, when > 0, makes every Nth write return an injected error.
-	failEvery atomic.Int64
-	writeSeq  atomic.Int64
+	hooks atomic.Pointer[Hooks]
+	// step runs each call with its After as one step while After is set.
+	step sync.Mutex
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -154,12 +156,94 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memNode)}
 }
 
-// ErrInjected is the error returned by fault-injected operations.
+// ErrInjected is the error a Before hook returns to fail a call.
 var ErrInjected = errors.New("vfs: injected fault")
 
-// FailEveryNthWrite arranges for every nth write to fail with ErrInjected.
-// n <= 0 disables injection.
-func (fs *MemFS) FailEveryNthWrite(n int) { fs.failEvery.Store(int64(n)) }
+// OpKind is the kind of a MemFS call its hooks see. List, Exists and Size
+// are not intercepted.
+type OpKind int
+
+const (
+	OpCreate OpKind = iota
+	OpOpen
+	OpWrite
+	OpReadAt
+	OpSync
+	OpClose // a handle's first Close only
+	OpRemove
+	OpRename
+)
+
+func (k OpKind) String() string {
+	return [...]string{"create", "open", "write", "readat", "sync", "close", "remove", "rename"}[k]
+}
+
+// Op is one MemFS call. Name is the file it is on (a handle's, the name it
+// was created or opened under; a Rename's old name), and N the bytes a
+// Write or ReadAt asks for in Before and moved in After.
+type Op struct {
+	Kind OpKind
+	Name string
+	N    int
+}
+
+// Hooks intercept the calls of a MemFS.
+type Hooks struct {
+	// Before, if set, runs before each call, outside every lock of the
+	// MemFS. It may block, which parks the call. A non-nil error fails the
+	// call with that error, leaving the files and Stats as they were.
+	Before func(Op) error
+	// After, if set, runs once a call has taken effect. While After is
+	// set, each call and its After run as one step against every other
+	// call, so a Clone taken in After is exactly the state the call left.
+	// After must not make an intercepted call on the same MemFS.
+	After func(Op)
+}
+
+// SetHooks replaces fs's hooks; the zero Hooks removes them.
+func (fs *MemFS) SetHooks(h Hooks) { fs.hooks.Store(&h) }
+
+// do runs call as op under fs's hooks. call returns the bytes it moved.
+func (fs *MemFS) do(op Op, call func() (int, error)) (int, error) {
+	h := fs.hooks.Load()
+	if h == nil {
+		return call()
+	}
+	if h.Before != nil {
+		if err := h.Before(op); err != nil {
+			return 0, err
+		}
+	}
+	if h.After == nil {
+		return call()
+	}
+	fs.step.Lock()
+	defer fs.step.Unlock()
+	n, err := call()
+	if err == nil || err == io.EOF && n > 0 {
+		op.N = n
+		h.After(op)
+	}
+	return n, err
+}
+
+// Clone returns a copy of every file in fs, taken under fs's locks, with
+// no hooks and zero Stats.
+func (fs *MemFS) Clone() *MemFS {
+	out := NewMemFS()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	for name, n := range fs.files {
+		c := &memNode{}
+		n.mu.RLock()
+		for _, e := range n.ext {
+			c.write(e)
+		}
+		n.mu.RUnlock()
+		out.files[name] = c
+	}
+	return out
+}
 
 // extentSize is the fixed length of every extent of a MemFS file but its
 // last. It is the largest size the Go allocator serves from its
@@ -201,49 +285,63 @@ func (n *memNode) readAt(p []byte, off int64) int {
 }
 
 // Create implements FS.
-func (fs *MemFS) Create(name string) (File, error) {
-	fs.mu.Lock()
-	n := &memNode{}
-	fs.files[name] = n
-	fs.mu.Unlock()
-	fs.Stats.FilesCreated.Add(1)
-	return &memFile{fs: fs, node: n, writable: true}, nil
+func (fs *MemFS) Create(name string) (f File, err error) {
+	_, err = fs.do(Op{Kind: OpCreate, Name: name}, func() (int, error) {
+		n := &memNode{}
+		fs.mu.Lock()
+		fs.files[name] = n
+		fs.mu.Unlock()
+		fs.Stats.FilesCreated.Add(1)
+		f = &memFile{fs: fs, node: n, name: name}
+		return 0, nil
+	})
+	return f, err
 }
 
 // Open implements FS.
-func (fs *MemFS) Open(name string) (File, error) {
-	fs.mu.RLock()
-	n, ok := fs.files[name]
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, &os.PathError{Op: "open", Path: name, Err: ErrNotFound}
-	}
-	return &memFile{fs: fs, node: n}, nil
+func (fs *MemFS) Open(name string) (f File, err error) {
+	_, err = fs.do(Op{Kind: OpOpen, Name: name}, func() (int, error) {
+		fs.mu.RLock()
+		n, ok := fs.files[name]
+		fs.mu.RUnlock()
+		if !ok {
+			return 0, &os.PathError{Op: "open", Path: name, Err: ErrNotFound}
+		}
+		f = &memFile{fs: fs, node: n, name: name}
+		return 0, nil
+	})
+	return f, err
 }
 
 // Remove implements FS.
 func (fs *MemFS) Remove(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
-		return &os.PathError{Op: "remove", Path: name, Err: ErrNotFound}
-	}
-	delete(fs.files, name)
-	fs.Stats.FilesRemoved.Add(1)
-	return nil
+	_, err := fs.do(Op{Kind: OpRemove, Name: name}, func() (int, error) {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		if _, ok := fs.files[name]; !ok {
+			return 0, &os.PathError{Op: "remove", Path: name, Err: ErrNotFound}
+		}
+		delete(fs.files, name)
+		fs.Stats.FilesRemoved.Add(1)
+		return 0, nil
+	})
+	return err
 }
 
 // Rename implements FS.
 func (fs *MemFS) Rename(oldname, newname string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, ok := fs.files[oldname]
-	if !ok {
-		return &os.PathError{Op: "rename", Path: oldname, Err: ErrNotFound}
-	}
-	delete(fs.files, oldname)
-	fs.files[newname] = n
-	return nil
+	_, err := fs.do(Op{Kind: OpRename, Name: oldname}, func() (int, error) {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		n, ok := fs.files[oldname]
+		if !ok {
+			return 0, &os.PathError{Op: "rename", Path: oldname, Err: ErrNotFound}
+		}
+		delete(fs.files, oldname)
+		fs.files[newname] = n
+		return 0, nil
+	})
+	return err
 }
 
 // List implements FS.
@@ -269,61 +367,66 @@ func (fs *MemFS) Exists(name string) bool {
 }
 
 type memFile struct {
-	fs       *MemFS
-	node     *memNode
-	writable bool
-	closed   bool
+	fs     *MemFS
+	node   *memNode
+	name   string
+	closed bool
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	if fe := f.fs.failEvery.Load(); fe > 0 {
-		if f.fs.writeSeq.Add(1)%fe == 0 {
-			return 0, ErrInjected
-		}
-	}
-	f.node.mu.Lock()
-	f.node.write(p)
-	f.node.mu.Unlock()
-	f.fs.Stats.BytesWritten.Add(int64(len(p)))
-	f.fs.Stats.WriteOps.Add(1)
-	f.fs.Latency.charge(len(p))
-	return len(p), nil
+	return f.fs.do(Op{Kind: OpWrite, Name: f.name, N: len(p)}, func() (int, error) {
+		f.node.mu.Lock()
+		f.node.write(p)
+		f.node.mu.Unlock()
+		f.fs.Stats.BytesWritten.Add(int64(len(p)))
+		f.fs.Stats.WriteOps.Add(1)
+		return len(p), nil
+	})
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	f.node.mu.RLock()
-	defer f.node.mu.RUnlock()
-	if off >= f.node.size {
-		return 0, io.EOF
-	}
-	n := f.node.readAt(p, off)
-	f.fs.Stats.BytesRead.Add(int64(n))
-	f.fs.Stats.ReadOps.Add(1)
-	f.fs.Latency.charge(n)
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return f.fs.do(Op{Kind: OpReadAt, Name: f.name, N: len(p)}, func() (int, error) {
+		f.node.mu.RLock()
+		defer f.node.mu.RUnlock()
+		if off >= f.node.size {
+			return 0, io.EOF
+		}
+		n := f.node.readAt(p, off)
+		f.fs.Stats.BytesRead.Add(int64(n))
+		f.fs.Stats.ReadOps.Add(1)
+		if n < len(p) {
+			return n, io.EOF
+		}
+		return n, nil
+	})
 }
 
 func (f *memFile) Close() error {
-	f.closed = true
-	return nil
+	if f.closed {
+		return nil
+	}
+	_, err := f.fs.do(Op{Kind: OpClose, Name: f.name}, func() (int, error) {
+		f.closed = true
+		return 0, nil
+	})
+	return err
 }
 
 func (f *memFile) Sync() error {
 	if f.closed {
 		return ErrClosed
 	}
-	f.fs.Stats.Syncs.Add(1)
-	f.fs.Latency.charge(0)
-	return nil
+	_, err := f.fs.do(Op{Kind: OpSync, Name: f.name}, func() (int, error) {
+		f.fs.Stats.Syncs.Add(1)
+		return 0, nil
+	})
+	return err
 }
 
 func (f *memFile) Size() (int64, error) {
@@ -349,10 +452,15 @@ func NewOSFS(dir string) (*OSFS, error) {
 
 func (fs *OSFS) path(name string) string { return filepath.Join(fs.Dir, name) }
 
-// Create implements FS.
+// Create implements FS. It syncs the directory, so that the new entry
+// survives a power cut.
 func (fs *OSFS) Create(name string) (File, error) {
 	f, err := os.Create(fs.path(name))
 	if err != nil {
+		return nil, err
+	}
+	if err := fs.syncDir(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return osFile{f}, nil
@@ -370,9 +478,23 @@ func (fs *OSFS) Open(name string) (File, error) {
 // Remove implements FS.
 func (fs *OSFS) Remove(name string) error { return os.Remove(fs.path(name)) }
 
-// Rename implements FS.
+// Rename implements FS. It syncs the directory, as Create does.
 func (fs *OSFS) Rename(oldname, newname string) error {
-	return os.Rename(fs.path(oldname), fs.path(newname))
+	if err := os.Rename(fs.path(oldname), fs.path(newname)); err != nil {
+		return err
+	}
+	return fs.syncDir()
+}
+
+// syncDir makes Dir's entries durable. Remove does not call it: recovery
+// deletes whatever a lost removal leaves behind.
+func (fs *OSFS) syncDir() error {
+	d, err := os.Open(fs.Dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // List implements FS.

@@ -3,7 +3,11 @@ package vfs
 import (
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestMemFSCreateWriteRead(t *testing.T) {
@@ -112,23 +116,129 @@ func TestMemFSStats(t *testing.T) {
 	}
 }
 
+// TestMemFSFaultInjection: a call its Before fails returns that error and
+// changes nothing — no byte, no name, no Stats counter, and a refused Close
+// leaves the handle open. A Before can aim its faults, here at every third
+// write.
 func TestMemFSFaultInjection(t *testing.T) {
 	fs := NewMemFS()
-	fs.FailEveryNthWrite(3)
-	f, _ := fs.Create("x")
+	f, _ := fs.Create("a")
+	f.Write([]byte("hello"))
+	r, _ := fs.Open("a")
+	stats := func() [7]int64 {
+		st := &fs.Stats
+		return [7]int64{st.BytesWritten.Load(), st.BytesRead.Load(), st.WriteOps.Load(), st.ReadOps.Load(),
+			st.Syncs.Load(), st.FilesCreated.Load(), st.FilesRemoved.Load()}
+	}
+	before := stats()
+	var seen []OpKind
+	fs.SetHooks(Hooks{Before: func(op Op) error {
+		seen = append(seen, op.Kind)
+		return ErrInjected
+	}})
+	_, createErr := fs.Create("a") // would truncate
+	_, openErr := fs.Open("a")
+	_, writeErr := f.Write([]byte("!"))
+	_, readErr := r.ReadAt(make([]byte, 5), 0)
+	for i, err := range []error{createErr, openErr, writeErr, readErr, f.Sync(), f.Close(), fs.Remove("a"), fs.Rename("a", "b")} {
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("call %d = %v, want ErrInjected", i, err)
+		}
+	}
+	if want := []OpKind{OpCreate, OpOpen, OpWrite, OpReadAt, OpSync, OpClose, OpRemove, OpRename}; !slices.Equal(seen, want) {
+		t.Fatalf("Before saw %v, want %v", seen, want)
+	}
+	if got := stats(); got != before {
+		t.Fatalf("Stats %v after refused calls, %v before", got, before)
+	}
+
+	writes := 0
+	fs.SetHooks(Hooks{Before: func(op Op) error {
+		if op.Kind == OpWrite {
+			if writes++; writes%3 == 0 {
+				return ErrInjected
+			}
+		}
+		return nil
+	}})
 	var fails int
 	for i := 0; i < 9; i++ {
-		if _, err := f.Write([]byte("a")); errors.Is(err, ErrInjected) {
+		if _, err := f.Write([]byte("!")); errors.Is(err, ErrInjected) { // the handle is still open
 			fails++
 		}
 	}
 	if fails != 3 {
 		t.Fatalf("injected failures = %d, want 3", fails)
 	}
-	fs.FailEveryNthWrite(0)
-	if _, err := f.Write([]byte("a")); err != nil {
+	fs.SetHooks(Hooks{})
+	if _, err := f.Write([]byte("!")); err != nil {
 		t.Fatalf("write after disabling injection failed: %v", err)
 	}
+	buf := make([]byte, 20)
+	if n, _ := r.ReadAt(buf, 0); string(buf[:n]) != "hello!!!!!!!" || !fs.Exists("a") || fs.Exists("b") {
+		t.Fatalf("a holds %q after 7 writes got through, want hello!!!!!!!", buf[:n])
+	}
+}
+
+// TestMemFSHooksConcurrent: four writers race, and the first write of one
+// of them is parked in Before until the other three are done — a parked
+// call holds up no other. The Clone each write's After takes holds exactly
+// that write and the ones whose After ran before it, never a write still
+// in flight on another file.
+func TestMemFSHooksConcurrent(t *testing.T) {
+	fs := NewMemFS()
+	names := []string{"parked", "b", "c", "d"}
+	files := make([]File, len(names))
+	for i, name := range names {
+		files[i], _ = fs.Create(name)
+	}
+	var others sync.WaitGroup
+	others.Add(len(names) - 1)
+	var park sync.Once
+	// MemFS runs the Afters one at a time already; mu makes a MemFS that
+	// does not fail on the assertion below rather than on a map race.
+	var mu sync.Mutex
+	sizes := map[string]int64{}
+	fs.SetHooks(Hooks{
+		Before: func(op Op) error {
+			if op.Kind == OpWrite && op.Name == "parked" {
+				park.Do(others.Wait)
+			}
+			return nil
+		},
+		After: func(op Op) {
+			mu.Lock()
+			defer mu.Unlock()
+			sizes[op.Name] += int64(op.N)
+			img := fs.Clone()
+			for _, name := range names {
+				if got := img.files[name].size; got != sizes[name] {
+					t.Errorf("after a write of %d B to %s, the clone holds %d B of %s; %d B were written",
+						op.N, op.Name, got, name, sizes[name])
+				}
+			}
+		},
+	})
+	watchdog := time.AfterFunc(time.Minute, func() { panic("writers waited for a parked Before") })
+	defer watchdog.Stop()
+	var all sync.WaitGroup
+	for i, name := range names {
+		all.Add(1)
+		go func() {
+			defer all.Done()
+			if name != "parked" {
+				defer others.Done()
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			for w := 0; w < 100; w++ {
+				if _, err := files[i].Write(make([]byte, 1+rng.Intn(300))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	all.Wait()
 }
 
 func TestClosedFile(t *testing.T) {

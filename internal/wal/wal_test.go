@@ -455,11 +455,16 @@ func TestAppendBatchFailedWrite(t *testing.T) {
 	recs := batchRecords(8)
 	fs := vfs.NewMemFS()
 	w, _ := NewWriter(fs, 1, false)
-	fs.FailEveryNthWrite(1)
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpWrite {
+			return vfs.ErrInjected
+		}
+		return nil
+	}})
 	if _, n, err := w.AppendBatch(recs); err == nil || n != 0 || w.Size() != 0 {
 		t.Fatalf("refused batch = %d bytes, %v, Size %d", n, err, w.Size())
 	}
-	fs.FailEveryNthWrite(0)
+	fs.SetHooks(vfs.Hooks{})
 	offs, _, err := w.AppendBatch(recs)
 	if err != nil || offs[0] != 0 {
 		t.Fatalf("batch after a refused one at %v, %v", offs, err)
