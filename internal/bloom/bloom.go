@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 )
 
 // Filter is an immutable Bloom filter built by a Builder.
@@ -17,19 +18,31 @@ type Filter struct {
 	nBits uint64
 }
 
-// Builder accumulates keys and produces a Filter.
+// Builder accumulates keys and produces a Filter. Its hash buffer comes
+// from a pool on the first Add and goes back to it at Build.
 type Builder struct {
 	hashes []uint64
 }
 
+// hashBufs holds the hash buffers of builders that have built: each one
+// has grown to a table's keys, which the next table reuses.
+var hashBufs sync.Pool // of *[]uint64
+
 // Add records a key.
-func (b *Builder) Add(key []byte) { b.hashes = append(b.hashes, bloomHash(key)) }
+func (b *Builder) Add(key []byte) {
+	if b.hashes == nil {
+		if buf, _ := hashBufs.Get().(*[]uint64); buf != nil {
+			b.hashes = (*buf)[:0]
+		}
+	}
+	b.hashes = append(b.hashes, bloomHash(key))
+}
 
 // N reports the number of keys added.
 func (b *Builder) N() int { return len(b.hashes) }
 
 // Build constructs a filter with the given bits budget per key (typically
-// 10, giving ~1% false positives).
+// 10, giving ~1% false positives) and empties the builder.
 func (b *Builder) Build(bitsPerKey int) *Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
@@ -54,6 +67,11 @@ func (b *Builder) Build(bitsPerKey int) *Filter {
 	for _, h := range b.hashes {
 		f.insert(h)
 	}
+	if cap(b.hashes) > 0 {
+		buf := b.hashes[:0]
+		hashBufs.Put(&buf)
+	}
+	b.hashes = nil
 	return f
 }
 

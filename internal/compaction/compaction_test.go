@@ -415,6 +415,83 @@ func TestPickerFoldOrMerge(t *testing.T) {
 	}
 }
 
+// TestPickerL0Depth: where L0 can fold, L0 is counted by read depth, not
+// files. Eight key-disjoint CL-SSTables, a sequential load's L0, have
+// depth 1: below the log ceiling they owe nothing, and at it they merge
+// (the ceiling is what bounds them). The same eight over overlapping
+// ranges have depth 8 and fold, as a file count would have it. Without a
+// ceiling to bound it, L0 stays counted by files.
+func TestPickerL0Depth(t *testing.T) {
+	const logBytes = 1000
+	const ceiling = MaxFilesL0 * logBytes
+	eight := func(disjoint bool, logs int64) []*manifest.FileMeta {
+		var files []*manifest.FileMeta
+		for i := 0; i < 8; i++ {
+			lo, hi := "a", "z"
+			if disjoint {
+				lo, hi = fmt.Sprintf("k%d0", 7-i), fmt.Sprintf("k%d9", 7-i) // newest first, like L0
+			}
+			f := fm(uint64(8-i), 0, lo, hi, 100)
+			f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, uint64(108-i), logs, uint64(8-i)
+			files = append(files, f)
+		}
+		return files
+	}
+	l1 := []*manifest.FileMeta{fm(20, 1, "a", "m", 400), fm(21, 1, "n", "z", 500)}
+	cases := []struct {
+		name      string
+		l0        []*manifest.FileMeta
+		ceiling   int64
+		wantDepth int
+		want      string // "" no job, else the job's rule ("merge" if none)
+	}{
+		{"disjoint below the ceiling owes nothing", eight(true, 300), ceiling, 1, ""},
+		{"overlapping folds", eight(false, 300), ceiling, 8, RuleFold},
+		{"disjoint at the ceiling merges", eight(true, 700), ceiling, 1, RuleLogCeiling},
+		{"disjoint without folds counts files", eight(true, 300), 0, 1, "merge"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPicker(PickerOptions{BaseLevelBytes: 1 << 20, TriadDisk: true, L0LogBytes: c.ceiling})
+			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), l1...)...)
+			if got := L0Depth(v.Levels[0]); got != c.wantDepth {
+				t.Fatalf("L0Depth = %d, want %d", got, c.wantDepth)
+			}
+			pressure := c.wantDepth
+			if c.ceiling == 0 {
+				pressure = len(c.l0)
+			}
+			if got := p.L0Pressure(v.Levels[0]); got != pressure {
+				t.Fatalf("L0Pressure = %d, want %d", got, pressure)
+			}
+			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+			job := p.Pick(v, disjoint, false)
+			if c.want == "" {
+				if job != nil {
+					t.Fatalf("job %+v (%s), want none", job, job.Why())
+				}
+				if debt := p.Debt(v); debt != 0 {
+					t.Fatalf("debt %d, want none", debt)
+				}
+				return
+			}
+			if job == nil || job.Deferred {
+				t.Fatalf("job %+v, want %s", job, c.want)
+			}
+			rule := job.Rule
+			if rule == "" {
+				rule = "merge"
+			}
+			if rule != c.want || len(job.Inputs) != len(c.l0) {
+				t.Fatalf("job %s on %d inputs (%s), want %s on all %d", rule, len(job.Inputs), job.Why(), c.want, len(c.l0))
+			}
+			if note := fmt.Sprintf("depth %d of %d files", c.wantDepth, len(c.l0)); !strings.Contains(job.Why(), note) {
+				t.Fatalf("Why %q does not say %q", job.Why(), note)
+			}
+		})
+	}
+}
+
 func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 	p := NewPicker(PickerOptions{BaseLevelBytes: 1000})
 	v := version(

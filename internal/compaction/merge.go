@@ -8,7 +8,6 @@ package compaction
 
 import (
 	"bytes"
-	"container/heap"
 
 	"repro/internal/base"
 	"repro/internal/sstable"
@@ -34,19 +33,34 @@ type mergeItem struct {
 	rank int
 }
 
+// mergeHeap is a binary min-heap of the inputs by their current entry,
+// sifted directly rather than through container/heap's interface calls.
 type mergeHeap []*mergeItem
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
+func (h mergeHeap) less(i, j int) bool {
 	if c := base.Compare(h[i].entry, h[j].entry); c != 0 {
 		return c < 0
 	}
 	return h[i].rank < h[j].rank
 }
-func (h mergeHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)      { *h = append(*h, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() any        { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h mergeHeap) Peek() *mergeItem { return h[0] }
+
+// down sifts h[i] down to its place.
+func (h mergeHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // NewMergeIterator merges its, where its[0] is the newest source (rank 0).
 // It takes ownership of the iterators.
@@ -59,27 +73,30 @@ func NewMergeIterator(its []sstable.Iterator) *MergeIterator {
 			m.err = err
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.h.down(i)
+	}
 	return m
 }
 
 // Next advances to the next entry in merged order.
 func (m *MergeIterator) Next() bool {
-	if m.err != nil || m.h.Len() == 0 {
+	if m.err != nil || len(m.h) == 0 {
 		return false
 	}
-	top := m.h.Peek()
+	top := m.h[0]
 	m.cur, m.curSrc = top.entry, top.rank
 	if top.it.Next() {
 		top.entry = top.it.Entry()
-		heap.Fix(&m.h, 0)
 	} else {
 		if err := top.it.Err(); err != nil {
 			m.err = err
 			return false
 		}
-		heap.Pop(&m.h)
+		last := len(m.h) - 1
+		m.h[0], m.h = m.h[last], m.h[:last]
 	}
+	m.h.down(0)
 	return true
 }
 

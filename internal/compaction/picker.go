@@ -15,13 +15,13 @@ import (
 // runs TRIAD-DISK at one setting (§4.2, §5.1) and its RocksDB baseline at
 // stock triggers, and so does every caller.
 const (
-	// L0CompactionTrigger is the L0 file count at which L0 is owed a merge
-	// into L1, and TRIAD-DISK first weighs deferring it (RocksDB's
-	// level0_file_num_compaction_trigger default).
+	// L0CompactionTrigger is the L0 pressure (Picker.L0Pressure) at which
+	// L0 is owed a merge into L1, and TRIAD-DISK first weighs deferring it
+	// (RocksDB's level0_file_num_compaction_trigger default).
 	L0CompactionTrigger = 4
-	// MaxFilesL0 is the L0 file count at which TRIAD-DISK acts on L0
-	// whatever the overlap (paper §4.2: 6): it merges L0 into L1 or, where
-	// L0 can fold, folds it.
+	// MaxFilesL0 is the L0 pressure at which TRIAD-DISK acts on L0
+	// whatever the overlap (paper §4.2: 6 files): it merges L0 into L1 or,
+	// where L0 can fold, folds it.
 	MaxFilesL0 = 6
 	// OverlapRatioThreshold is the least HLL overlap ratio among L0 files at
 	// which TRIAD-DISK acts on L0 before MaxFilesL0 forces it (paper §4.2).
@@ -77,13 +77,14 @@ type Job struct {
 	// instead of being rewritten.
 	Move bool
 	// Score is the pressure that triggered the job: the input level's
-	// bytes over its target, or for L0 its file count over the trigger.
+	// bytes over its target, or for L0 its pressure over the trigger.
 	Score float64
 	// Rule names how a leveled input below L0 was chosen (RuleMinOverlap),
 	// or for an L0 job where L0 can fold, why it folds or merges (RuleFold,
-	// RuleRentPaid, RuleLogCeiling, RuleDrain), which Note backs with the
-	// rent paid against the merge's price and the logs pinned against their
-	// ceiling. Empty for other L0 jobs.
+	// RuleRentPaid, RuleLogCeiling, RuleDrain); empty for other L0 jobs.
+	// Note backs an L0 job with L0's read depth against its file count
+	// and, where L0 can fold, the rent paid against the merge's price and
+	// the logs pinned against their ceiling.
 	Rule, Note string
 }
 
@@ -123,9 +124,9 @@ func (j *Job) Why() string {
 	if j.Level == 0 {
 		why := fmt.Sprintf("score %.2f, overlap ratio %.2f", j.Score, j.OverlapRatio())
 		if j.Rule != "" {
-			why += fmt.Sprintf(", merge: %s, %s", j.Rule, j.Note)
+			why += ", merge: " + j.Rule
 		}
-		return why
+		return why + ", " + j.Note
 	}
 	return fmt.Sprintf("score %.2f, %s ratio %.2f", j.Score, j.Rule, j.OverlapRatio())
 }
@@ -160,7 +161,7 @@ func bottomLevel(v *manifest.Version) int {
 }
 
 // Targets returns the byte target of every level of v (index 0 is unused:
-// L0 is triggered by file count). The tree is sized from its bottom: with
+// L0 is triggered by L0Pressure). The tree is sized from its bottom: with
 // b the deepest non-empty level, L1's target is BaseLevelBytes, the levels
 // between L1 and b grow by the equal fan-out that reaches b's actual size
 // in b-1 steps (never more than LevelMultiplier), and b itself — like the
@@ -192,11 +193,11 @@ func (p *Picker) Targets(v *manifest.Version) [manifest.NumLevels]int64 {
 }
 
 // Scores returns every level's target (Targets) and its compaction
-// pressure: bytes over target, or for L0 its file count over the
+// pressure: bytes over target, or for L0 its L0Pressure over the
 // compaction trigger. Above 1 the level is owed a compaction.
 func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64, scores [manifest.NumLevels]float64) {
 	targets = p.Targets(v)
-	scores[0] = float64(len(v.Levels[0])) / L0CompactionTrigger
+	scores[0] = float64(p.L0Pressure(v.Levels[0])) / L0CompactionTrigger
 	for l := 1; l < manifest.NumLevels; l++ {
 		scores[l] = float64(v.LevelSize(l)) / float64(targets[l])
 	}
@@ -204,12 +205,12 @@ func (p *Picker) Scores(v *manifest.Version) (targets [manifest.NumLevels]int64,
 }
 
 // Debt estimates the bytes of compaction work v owes before Pick returns
-// nil: all of L0 once it has reached the compaction trigger, in the bytes
-// it will take up as sorted tables (logicalBytes), plus each deeper level's
-// excess over its target (the last level has nowhere to go).
+// nil: all of L0 once its pressure has reached the compaction trigger, in
+// the bytes it will take up as sorted tables (logicalBytes), plus each
+// deeper level's excess over its target (the last level has nowhere to go).
 func (p *Picker) Debt(v *manifest.Version) int64 {
 	var debt int64
-	if len(v.Levels[0]) >= L0CompactionTrigger {
+	if p.L0Pressure(v.Levels[0]) >= L0CompactionTrigger {
 		debt += logicalBytes(v, v.Levels[0])
 	}
 	targets := p.Targets(v)
@@ -220,15 +221,16 @@ func (p *Picker) Debt(v *manifest.Version) int64 {
 }
 
 // ShouldDeferL0 implements Algorithm 2's deferCompaction: true means "wait
-// for more L0 files". sketches are the HLL sketches of the current L0
-// files (paper: the overlap ratio is computed over the L0 files; Figure 5
-// also folds in the overlapping L1 files — we follow Algorithm 2, which
-// uses the L0 files, and expose the policy for ablation).
-func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
+// for more L0 files". pressure is L0's L0Pressure — its file count, or
+// where L0 can fold its read depth — and forces the act at MaxFilesL0.
+// sketches are the HLL sketches of the current L0 files (paper: the
+// overlap ratio is computed over the L0 files; Figure 5 also folds in the
+// overlapping L1 files — we follow Algorithm 2, which uses the L0 files).
+func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 	if !p.opts.TriadDisk {
 		return false
 	}
-	if numL0 >= MaxFilesL0 {
+	if pressure >= MaxFilesL0 {
 		return false // forced
 	}
 	var total float64
@@ -259,29 +261,35 @@ func (p *Picker) ShouldDeferL0(numL0 int, sketches []*hll.Sketch) bool {
 // folds at most what it saves by merging less often. Or L0 pins so much
 // commit log that one more full log could take it past L0LogBytes, which
 // also makes L0 act below its trigger.
+//
+// L0's trigger, TRIAD-DISK's force and its deferral count L0Pressure: the
+// file count, or where L0 can fold the read depth. A key-disjoint L0, such
+// as a sequential load's, is then neither folded nor merged by its trigger
+// and leaves through the log ceiling; the ceiling is what bounds it.
 func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
 	l0 := v.Levels[0]
 	canFold, rent, logs := p.l0Folds(l0)
+	pressure := l0Pressure(l0, canFold)
 	// A flush adds at most about one full log: act before it could carry
 	// L0 past the ceiling.
 	atCeiling := canFold && logs+p.opts.L0LogBytes/MaxFilesL0 > p.opts.L0LogBytes
-	if len(l0) >= L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
+	if pressure >= L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
 		// Baseline behaviour per §3(2): "files in L0 are compacted to
 		// higher levels one at a time, resulting in several consecutive
 		// compaction operations" — merge the oldest L0 file alone.
 		inputs := l0[len(l0)-1:] // L0 is ordered newest-first
 		deferred := false
 		if p.opts.TriadDisk {
-			if len(l0) >= L0CompactionTrigger && !atCeiling {
+			if pressure >= L0CompactionTrigger && !atCeiling {
 				sketches := make([]*hll.Sketch, 0, len(l0))
 				for _, f := range l0 {
 					if s := sketchOf(f); s != nil {
 						sketches = append(sketches, s)
 					}
 				}
-				if deferred = p.ShouldDeferL0(len(l0), sketches); deferred && !force {
+				if deferred = p.ShouldDeferL0(pressure, sketches); deferred && !force {
 					return &Job{Level: 0, Deferred: true}
 				}
 			}
@@ -297,12 +305,13 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 			Overlaps: v.Overlap(1, lo, hi),
 			Score:    scores[0], Deferred: deferred,
 		}
+		job.Note = fmt.Sprintf("depth %d of %d files", L0Depth(l0), len(l0))
 		if canFold {
 			var price int64
 			for _, f := range job.Overlaps {
 				price += f.Size
 			}
-			job.Note = fmt.Sprintf("rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
+			job.Note += fmt.Sprintf(", rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
 				float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(p.opts.L0LogBytes)/(1<<20))
 			switch {
 			case force:
@@ -455,6 +464,43 @@ func (p *Picker) l0Folds(l0 []*manifest.FileMeta) (canFold bool, rent, logs int6
 		logs += f.LogBytes
 	}
 	return true, rent, logs
+}
+
+// L0Pressure is what L0's trigger, force, deferral, score and debt count,
+// and the engine's write stop with them: where L0 can fold, its read depth
+// (L0Depth); elsewhere its file count. Only where L0 can fold does the
+// log ceiling bound a key-disjoint L0, so only there may its files
+// outnumber its depth without limit.
+func (p *Picker) L0Pressure(l0 []*manifest.FileMeta) int {
+	canFold, _, _ := p.l0Folds(l0)
+	return l0Pressure(l0, canFold)
+}
+
+func l0Pressure(l0 []*manifest.FileMeta, canFold bool) int {
+	if canFold {
+		return L0Depth(l0)
+	}
+	return len(l0)
+}
+
+// L0Depth is L0's read depth: the most L0 tables whose key range holds any
+// one key, which is what a lookup may probe (Pebble counts L0 by the same
+// measure, its sublevels). A sequential load's tables are disjoint and
+// have depth 1; tables that each span the key space have depth len(l0).
+// The most ranges that share a key always share some range's smallest key,
+// so those are the only keys counted.
+func L0Depth(l0 []*manifest.FileMeta) int {
+	depth := 0
+	for _, f := range l0 {
+		n := 0
+		for _, g := range l0 {
+			if bytes.Compare(g.Smallest, f.Smallest) <= 0 && bytes.Compare(f.Smallest, g.Largest) <= 0 {
+				n++
+			}
+		}
+		depth = max(depth, n)
+	}
+	return depth
 }
 
 // logicalBytes estimates the bytes files will take up as sorted tables.

@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/base"
@@ -23,22 +24,25 @@ type Batch struct {
 
 // Put queues a key/value write.
 func (b *Batch) Put(key, value []byte) {
-	e := base.Entry{
-		Key:  append([]byte(nil), key...),
-		Kind: base.KindSet,
-	}
-	if value != nil {
-		e.Value = append([]byte(nil), value...)
-	}
-	b.ops = append(b.ops, e)
-	b.byteSize += e.Size()
+	b.PutEntry(copyEntry(key, value, base.KindSet))
 }
 
 // Delete queues a tombstone.
 func (b *Batch) Delete(key []byte) {
-	e := base.Entry{Key: append([]byte(nil), key...), Kind: base.KindDelete}
-	b.ops = append(b.ops, e)
-	b.byteSize += e.Size()
+	b.PutEntry(copyEntry(key, nil, base.KindDelete))
+}
+
+// copyEntry is the defensive copy of a write: key and value share one
+// allocation. A nil value stays nil.
+func copyEntry(key, value []byte, kind base.Kind) base.Entry {
+	kv := make([]byte, len(key)+len(value))
+	n := copy(kv, key)
+	copy(kv[n:], value)
+	e := base.Entry{Key: kv[:n:n], Kind: kind}
+	if value != nil {
+		e.Value = kv[n:]
+	}
+	return e
 }
 
 // PutEntry queues an already-copied entry without re-copying its key and
@@ -50,6 +54,10 @@ func (b *Batch) PutEntry(e base.Entry) {
 	b.ops = append(b.ops, e)
 	b.byteSize += e.Size()
 }
+
+// Grow makes room for n more operations, so that queuing them does not
+// reallocate the batch.
+func (b *Batch) Grow(n int) { b.ops = slices.Grow(b.ops, n) }
 
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }

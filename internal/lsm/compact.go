@@ -137,10 +137,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		db.mu.Lock()
 		mem := db.mem
 		db.mu.Unlock()
-		skip = func(key []byte) bool {
-			_, ok := mem.Get(key)
-			return ok
-		}
+		skip = mem.ContainsAscending() // merged keys ascend
 	}
 	if err := m.run(tabs, skip); err != nil {
 		return err
@@ -157,6 +154,14 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 
 	if err := db.install(manifest.Edit{Added: m.outputs}, all, nil); err != nil {
 		return err
+	}
+	switch job.Rule {
+	case compaction.RuleRentPaid:
+		db.met.MergesRentPaid.Add(1)
+	case compaction.RuleLogCeiling:
+		db.met.MergesLogCeiling.Add(1)
+	case compaction.RuleDrain:
+		db.met.MergesDrain.Add(1)
 	}
 	db.met.BytesCompactionRead.Add(inBytes)
 	detail := fmt.Sprintf("L%d->L%d, %d outputs, %s", job.Level, outLevel, len(m.outputs), job.Why())
@@ -538,9 +543,9 @@ func (db *DB) install(edit manifest.Edit, consumed []*manifest.FileMeta, flushin
 		free = append(free, f)
 	}
 	logs, closeErr := db.dropTablesLocked(free)
-	db.l0Count.Store(int32(len(nv.Levels[0])))
+	db.l0Pressure.Store(int32(db.picker.L0Pressure(nv.Levels[0])))
 	db.versionMu.Unlock()
-	// Wake writers stalled on the L0 file count.
+	// Wake writers stalled on L0's pressure.
 	db.mu.Lock()
 	db.cond.Broadcast()
 	db.mu.Unlock()

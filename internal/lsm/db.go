@@ -135,9 +135,10 @@ type DB struct {
 	flushing    int // immutables currently being flushed
 	seedCounter int64
 
-	// l0Count caches len(version.Levels[0]) for the write-stall check
-	// without taking versionMu on the write path.
-	l0Count atomic.Int32
+	// l0Pressure caches the picker's L0Pressure of the version (L0's file
+	// count, or where L0 can fold its read depth) for the write-stall check
+	// and the compaction class, without taking versionMu on the write path.
+	l0Pressure atomic.Int32
 
 	// view is the memtable stack as readers see it: republished (under
 	// mu) whenever mem or imm changes, nil once the DB is closed. A Get
@@ -225,7 +226,7 @@ func (db *DB) recover() error {
 	}
 	db.manifest = ml
 	db.version = v
-	db.l0Count.Store(int32(len(v.Levels[0])))
+	db.l0Pressure.Store(int32(db.picker.L0Pressure(v.Levels[0])))
 	db.seq = state.LastSeq
 	db.nextID = state.NextFileID
 	db.logNumber = state.LogNumber
@@ -439,10 +440,7 @@ func (db *DB) Delete(key []byte) error {
 // an externally assigned sequence as for CommitAt, or 0 for the next
 // internal one.
 func (db *DB) WriteAt(seq uint64, key, value []byte, kind base.Kind) error {
-	ops := [1]base.Entry{{Key: append([]byte(nil), key...), Kind: kind}}
-	if value != nil {
-		ops[0].Value = append([]byte(nil), value...)
-	}
+	ops := [1]base.Entry{copyEntry(key, value, kind)}
 	return db.commit(seq, &Batch{ops: ops[:]}, nil)
 }
 
@@ -471,7 +469,7 @@ func (db *DB) WaitWritable() error {
 	// Neither stall condition can hold below these two counts, and the
 	// commit checks again under its lock, so the usual answer costs two
 	// atomic loads and no lock.
-	if v := db.view.Load(); v != nil && len(v.imms) <= maxImmutableMemtables && db.l0Count.Load() < l0StallFiles {
+	if v := db.view.Load(); v != nil && len(v.imms) <= maxImmutableMemtables && db.l0Pressure.Load() < l0StallFiles {
 		return nil
 	}
 	db.mu.Lock()
@@ -483,13 +481,13 @@ func (db *DB) WaitWritable() error {
 }
 
 // stallLocked applies write backpressure: writers wait while the flush
-// queue is full or L0 has accumulated l0StallFiles tables (RocksDB's
+// queue is full or L0's pressure has reached l0StallFiles (RocksDB's
 // stop-writes trigger) — the mechanism through which background-I/O debt
 // reaches user-facing throughput (§3). Caller holds db.mu.
 func (db *DB) stallLocked() error {
 	l0Stall := func() bool {
 		return !db.noBackgroundIO && !db.opts.DisableAutoCompaction &&
-			db.l0Count.Load() >= l0StallFiles
+			db.l0Pressure.Load() >= l0StallFiles
 	}
 	var stallStart time.Time
 	var reason string
@@ -702,15 +700,19 @@ func (db *DB) CompactionDebt() int64 {
 // LevelStat is one level of the tree as the picker sees it.
 type LevelStat struct {
 	Files int
+	// Depth is, for L0, its read depth (compaction.L0Depth): the most of
+	// its tables whose key range holds any one key. Zero below L0.
+	Depth int
 	// Bytes is what the level holds on disk: its tables and, for L0, the
 	// commit logs its CL-SSTables pin, of which LogBytes is the part.
 	Bytes, LogBytes int64
 	// Target is the byte budget the picker currently allows the level
 	// (compaction.Picker.Targets; it moves with the bottom level's size).
-	// Zero for L0, which is triggered by file count.
+	// Zero for L0, which is triggered by its pressure instead
+	// (compaction.Picker.L0Pressure: Depth where L0 can fold, else Files).
 	Target int64
 	// Score is the level's compaction pressure (compaction.Picker.Scores):
-	// Bytes over Target, or for L0 its file count over
+	// Bytes over Target, or for L0 its pressure over
 	// compaction.L0CompactionTrigger. Above 1 the picker owes the level a
 	// compaction.
 	Score float64
@@ -752,6 +754,7 @@ func (db *DB) LevelStats() []LevelStat {
 	for _, f := range v.Levels[0] {
 		out[0].LogBytes += f.LogBytes
 	}
+	out[0].Depth = compaction.L0Depth(v.Levels[0])
 	out[0].Bytes += out[0].LogBytes
 	return out
 }

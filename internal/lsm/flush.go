@@ -83,7 +83,7 @@ func (db *DB) requestCompactLocked() {
 		return
 	}
 	class := bgsched.ClassDeep
-	if db.l0Count.Load() >= compaction.L0CompactionTrigger {
+	if db.l0Pressure.Load() >= compaction.L0CompactionTrigger {
 		class = bgsched.ClassL0
 	}
 	db.compactQueued = true

@@ -10,11 +10,12 @@ import (
 
 // Writers wait on two constants, not options.
 const (
-	// l0StallFiles stops writes while L0 holds at least this many files
-	// (RocksDB's level0_stop_writes_trigger, at LevelDB's value): the
-	// backpressure that makes user throughput feel compaction debt (paper
-	// §3's bottleneck). It exceeds compaction.MaxFilesL0 so that TRIAD-DISK
-	// can still defer (TestEngineConstants).
+	// l0StallFiles stops writes while L0's pressure — its file count, or
+	// where L0 can fold its read depth (compaction.Picker.L0Pressure) — is
+	// at least this (RocksDB's level0_stop_writes_trigger, at LevelDB's
+	// value): the backpressure that makes user throughput feel compaction
+	// debt (paper §3's bottleneck). It exceeds compaction.MaxFilesL0 so
+	// that TRIAD-DISK can still defer (TestEngineConstants).
 	l0StallFiles = 12
 	// maxImmutableMemtables bounds the flush queue; writers stall beyond it
 	// (RocksDB's write-stall behaviour).

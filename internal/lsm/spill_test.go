@@ -370,10 +370,12 @@ func TestDebtCountsL0AtDataSize(t *testing.T) {
 
 	val := bytes.Repeat([]byte{'v'}, 200)
 	n := 0
+	// Each batch's keys interleave with every other batch's, so that the
+	// L0 tables overlap and L0 is at its trigger by read depth too.
 	batch := func() {
 		t.Helper()
 		for i := 0; i < 1000; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k%06d", n)), val); err != nil {
+			if err := db.Put([]byte(fmt.Sprintf("k%06d", n%1000*8+n/1000)), val); err != nil {
 				t.Fatal(err)
 			}
 			n++

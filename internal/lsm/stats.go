@@ -8,8 +8,12 @@ func (ls LevelStat) String() string {
 	if ls.LogBytes > 0 {
 		logs = fmt.Sprintf(" (%d of them pinned logs)", ls.LogBytes)
 	}
-	return fmt.Sprintf("%d files, %d bytes%s, target %d, score %.2f, compacted %d",
-		ls.Files, ls.Bytes, logs, ls.Target, ls.Score, ls.CompactedBytes)
+	depth := ""
+	if ls.Depth > 0 {
+		depth = fmt.Sprintf(" (depth %d)", ls.Depth)
+	}
+	return fmt.Sprintf("%d files%s, %d bytes%s, target %d, score %.2f, compacted %d",
+		ls.Files, depth, ls.Bytes, logs, ls.Target, ls.Score, ls.CompactedBytes)
 }
 
 // RetainedLogBytes reports the bytes of commit log the engine keeps because

@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -505,5 +506,85 @@ func TestHotKeySkipDuringCompaction(t *testing.T) {
 	}
 	if db.Metrics().EntriesDiscarded == 0 {
 		t.Fatal("no hot-key versions were skipped during compaction")
+	}
+}
+
+// TestMergeSkipsExactlyTheMemtableKeys: L0 merges under TRIAD-MEM drop
+// exactly the keys the live memtable holds, which the skip finds by
+// walking one memtable iterator alongside each merge. Checked against a
+// map: L1 afterwards holds every other key once, at its newest flushed
+// version, and every Get still answers the newest write.
+func TestMergeSkipsExactlyTheMemtableKeys(t *testing.T) {
+	o := smallOptions(vfs.NewMemFS())
+	o.TriadMem = true
+	o.MemtableBytes, o.CommitLogBytes = 1<<20, 4<<20
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	defer db.Close()
+	const keys = 600
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	newest := map[string]string{}
+	put := func(i int, v string) {
+		t.Helper()
+		if err := db.Put(key(i), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		newest[string(key(i))] = v
+	}
+	// Three overlapping flushes, each a different subset of the keys.
+	for round := 0; round < 3; round++ {
+		for i := round; i < keys; i += round + 1 {
+			put(i, fmt.Sprintf("flush-%d", round))
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := maps.Clone(newest)
+	// The memtable then holds every seventh key, and keys no table has.
+	held := map[string]bool{}
+	for i := 0; i < keys+50; i += 7 {
+		put(i, "memtable")
+		held[string(key(i))] = true
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if files := db.NumLevelFiles(); files[0] != 0 || files[1] == 0 || files[2] != 0 {
+		t.Fatalf("levels %v after the merges, want L0 merged into L1 alone", files)
+	}
+
+	want := map[string]string{}
+	for k, v := range flushed {
+		if !held[k] {
+			want[k] = v
+		}
+	}
+	got := map[string]string{}
+	db.versionMu.RLock()
+	for _, f := range db.version.Levels[1] {
+		it, err := db.tables[f.ID].NewIterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.Next() {
+			e := it.Entry()
+			if _, dup := got[string(e.Key)]; dup {
+				t.Errorf("L1 holds %s twice", e.Key)
+			}
+			got[string(e.Key)] = string(e.Value)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.versionMu.RUnlock()
+	if !maps.Equal(got, want) {
+		t.Fatalf("L1 holds %d keys, want the %d flushed keys the memtable does not hold", len(got), len(want))
+	}
+	for k, v := range newest {
+		if g, err := db.Get([]byte(k)); err != nil || string(g) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, g, err, v)
+		}
 	}
 }

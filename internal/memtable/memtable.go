@@ -71,16 +71,17 @@ func New(seed int64) *Memtable {
 
 // Set inserts or updates key. For an update the value is replaced, the
 // update counter is incremented and the commit-log position is advanced
-// to the new record (Algorithm 1, Update); the stored key stays the one
-// first inserted.
+// to the new record (Algorithm 1, Update). Every version's Key is the
+// skiplist's own copy of key, so the caller may reuse key once Set
+// returns; value is kept as given and must not change.
 func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint64, logOff int64) {
-	m.list.Put(key, func(cur *Entry) *Entry {
-		e := &Entry{Key: key, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
+	m.list.Put(key, func(stored []byte, cur *Entry) *Entry {
+		e := &Entry{Key: stored, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
 		if cur == nil {
 			m.size.Add(e.size())
 			return e
 		}
-		e.Key, e.Updates = cur.Key, cur.Updates+1
+		e.Updates = cur.Updates + 1
 		m.size.Add(int64(len(value)) - int64(len(cur.Value)))
 		return e
 	})
@@ -101,6 +102,31 @@ func (m *Memtable) Relog(from, to uint64, offs []int64) {
 		moved.LogID, moved.LogOffset = to, offs[i]
 		it.Set(&moved)
 		i++
+	}
+}
+
+// ContainsAscending returns a lookup for keys asked in ascending order:
+// whether m holds key, exactly as Get would answer at the time of the
+// call. It keeps its place at the last entry below the previous key asked
+// and walks on from there, one list walk in all instead of a descent per
+// key; the link after that place is loaded afresh on every call, so a key
+// inserted since the previous call is seen.
+func (m *Memtable) ContainsAscending() func(key []byte) bool {
+	below := *m.list.NewIterator()
+	return func(key []byte) bool {
+		for {
+			next := below
+			if !next.Next() {
+				return false
+			}
+			switch c := bytes.Compare(next.Key(), key); {
+			case c == 0:
+				return true
+			case c > 0:
+				return false
+			}
+			below = next
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -430,6 +431,66 @@ func TestRelogMovesOneLogsEntries(t *testing.T) {
 		}
 		if !reflect.DeepEqual(*e, want) {
 			t.Fatalf("entry %d after Relog = %+v, want %+v", i, *e, want)
+		}
+	}
+}
+
+// TestOverwriteRetainsOneValue: overwriting one key leaves only the newest
+// value reachable. Every write publishes a fresh copy-on-write Entry, and
+// once replaced, it and the value it held are garbage: the skiplist's
+// slabs hold nodes and keys, never versions.
+func TestOverwriteRetainsOneValue(t *testing.T) {
+	m := New(1)
+	key := []byte("hot")
+	overwrite := func(i int) {
+		m.Set(key, make([]byte, 4<<10), uint64(i), base.KindSet, 1, int64(i))
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	overwrite(1)
+	once := heap()
+	for i := 2; i <= 10000; i++ {
+		overwrite(i)
+	}
+	if grew := heap() - once; grew > 1<<20 {
+		t.Fatalf("10000 overwrites of a 4 KiB value left %d more bytes live than one", grew)
+	}
+	if e, ok := m.Get(key); !ok || e.Seq != 10000 || m.Len() != 1 {
+		t.Fatalf("Get = %+v, %v with %d entries; want the last of 10000 writes", e, ok, m.Len())
+	}
+}
+
+// TestContainsAscending: for keys asked in ascending order the lookup
+// answers as Get does at the time of each call, also for a key inserted
+// since the previous call between that key and the next one it held.
+func TestContainsAscending(t *testing.T) {
+	m := New(1)
+	for _, k := range []string{"a", "c", "g"} {
+		put(m, k, "v", 1)
+	}
+	has := m.ContainsAscending()
+	for _, c := range []struct {
+		key    string
+		insert bool // insert key before asking
+		want   bool
+	}{
+		{"a", false, true},
+		{"b", false, false},
+		{"d", true, true},
+		{"e", false, false},
+		{"f", true, true}, // between e, the last key asked, and g, the next held
+		{"g", false, true},
+		{"h", false, false},
+	} {
+		if c.insert {
+			put(m, c.key, "v", 2)
+		}
+		if got := has([]byte(c.key)); got != c.want {
+			t.Fatalf("ContainsAscending(%q) = %v, want %v", c.key, got, c.want)
 		}
 	}
 }

@@ -46,6 +46,11 @@ type Metrics struct {
 	HotKeysKeptInMem   atomic.Int64 // TRIAD-MEM hot survivors across flushes
 	ColdEntriesFlushed atomic.Int64
 
+	// L0 merges where L0 can fold, by the rule that merged it instead of
+	// folding it (compaction.RuleRentPaid, RuleLogCeiling, RuleDrain);
+	// Folds counts the fourth rule, RuleFold.
+	MergesRentPaid, MergesLogCeiling, MergesDrain atomic.Int64
+
 	// Write-stall accounting: how often writers blocked on backpressure
 	// (flush queue full or L0 at its stop-writes trigger) and for how
 	// long in total — the user-visible cost of background-I/O debt.
@@ -62,7 +67,8 @@ type Snapshot struct {
 	BytesCompactionRead, BytesSnapshotGC      int64
 	Flushes, FlushSkips                       int64
 	Compactions, CompactionsDeferred, Folds   int64
-	TrivialMoves                              int64
+	MergesRentPaid, MergesLogCeiling          int64
+	MergesDrain, TrivialMoves                 int64
 	FlushTime, CompactionTime                 time.Duration
 	EntriesCompacted, EntriesDiscarded        int64
 	HotKeysKeptInMem, ColdEntriesFlushed      int64
@@ -91,6 +97,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		Compactions:         m.Compactions.Load(),
 		CompactionsDeferred: m.CompactionsDefer.Load(),
 		Folds:               m.Folds.Load(),
+		MergesRentPaid:      m.MergesRentPaid.Load(),
+		MergesLogCeiling:    m.MergesLogCeiling.Load(),
+		MergesDrain:         m.MergesDrain.Load(),
 		TrivialMoves:        m.TrivialMoves.Load(),
 		FlushTime:           time.Duration(m.FlushNanos.Load()),
 		CompactionTime:      time.Duration(m.CompactionNanos.Load()),
@@ -124,6 +133,9 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		Compactions:         s.Compactions - earlier.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred - earlier.CompactionsDeferred,
 		Folds:               s.Folds - earlier.Folds,
+		MergesRentPaid:      s.MergesRentPaid - earlier.MergesRentPaid,
+		MergesLogCeiling:    s.MergesLogCeiling - earlier.MergesLogCeiling,
+		MergesDrain:         s.MergesDrain - earlier.MergesDrain,
 		TrivialMoves:        s.TrivialMoves - earlier.TrivialMoves,
 		FlushTime:           s.FlushTime - earlier.FlushTime,
 		CompactionTime:      s.CompactionTime - earlier.CompactionTime,
@@ -158,6 +170,9 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		Compactions:         s.Compactions + other.Compactions,
 		CompactionsDeferred: s.CompactionsDeferred + other.CompactionsDeferred,
 		Folds:               s.Folds + other.Folds,
+		MergesRentPaid:      s.MergesRentPaid + other.MergesRentPaid,
+		MergesLogCeiling:    s.MergesLogCeiling + other.MergesLogCeiling,
+		MergesDrain:         s.MergesDrain + other.MergesDrain,
 		TrivialMoves:        s.TrivialMoves + other.TrivialMoves,
 		FlushTime:           s.FlushTime + other.FlushTime,
 		CompactionTime:      s.CompactionTime + other.CompactionTime,

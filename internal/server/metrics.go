@@ -118,6 +118,11 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_compactions_deferred_total", "TRIAD-DISK compaction deferrals (insufficient key overlap).", "", m.CompactionsDeferred)
 	p.Counter("triad_compaction_moves_total", "Files relinked one level down by a manifest edit because nothing there overlapped them.", "", m.TrivialMoves)
 	p.Counter("triad_folds_total", "L0 folds: L0's CL-SSTables merged by index into one, instead of into L1.", "", m.Folds)
+	l0Jobs := "L0 jobs where L0 can fold, by the rule that chose them: folded, or merged into L1 because the folds paid the merge's rent, L0 reached its log ceiling, or a drain."
+	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="fold"`, m.Folds)
+	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="rent_paid"`, m.MergesRentPaid)
+	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="log_ceiling"`, m.MergesLogCeiling)
+	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="drain"`, m.MergesDrain)
 	p.GaugeF("triad_write_amplification", "Store-wide write amplification: (logged+flushed+folded+compacted)/user bytes.", "", m.WriteAmplification())
 	p.GaugeF("triad_read_amplification", "Store-wide read amplification: disk reads per user read.", "", m.ReadAmplification())
 	p.Counter("triad_write_stalls_total", "Write-stall episodes: writers blocked on memtable or L0 backpressure.", "", m.WriteStalls)
@@ -148,6 +153,7 @@ func (s *Server) MetricsText() string {
 		p.Counter("triad_shard_reads_total", "User read operations routed to the shard.", l, st.Reads)
 		p.Gauge("triad_shard_disk_bytes", "On-disk bytes held by the shard: its tables and the commit logs its L0 CL-SSTables pin.", l, st.DiskBytes)
 		p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
+		p.Gauge("triad_l0_depth", "The shard's L0 read depth: the most L0 tables whose key range holds any one key. Where L0 can fold, its compaction trigger and write stop count this instead of files.", l, int64(st.Levels[0].Depth))
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
 		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
@@ -164,8 +170,8 @@ func (s *Server) MetricsText() string {
 			ll := fmt.Sprintf("%s,level=%q", l, strconv.Itoa(lvl))
 			p.Gauge("triad_level_files", "Table files on the level.", ll, int64(ls.Files))
 			p.Gauge("triad_level_bytes", "Bytes on the level: its tables and, for L0, the commit logs its CL-SSTables pin.", ll, ls.Bytes)
-			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count).", ll, ls.Target)
-			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
+			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count, or where it can fold by read depth).", ll, ls.Target)
+			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files, or where it can fold read depth, over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
 			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
 			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: in L0 every table whose range holds the key down to the one holding it, one table per deeper level.", ll, ls.Probes)
 			p.Counter("triad_get_filter_negatives_total", "Of the level's probes, those its Bloom filters turned away without a read.", ll, ls.FilterNegatives)

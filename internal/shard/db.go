@@ -394,14 +394,21 @@ func (db *DB) Prepare(b *Batch) (*Commit, error) {
 		// Single-shard store: the batch is its own sub-batch, no split.
 		subs[0] = b
 	} else {
+		// Size every sub-batch before filling it, so none reallocates.
+		counts := make([]int, len(db.shards))
 		for _, e := range b.Ops() {
-			i := fnv(e.Key, len(db.shards))
-			if subs[i] == nil {
+			counts[fnv(e.Key, len(db.shards))]++
+		}
+		for i, n := range counts {
+			if n > 0 {
 				subs[i] = &lsm.Batch{}
+				subs[i].Grow(n)
 			}
+		}
+		for _, e := range b.Ops() {
 			// The outer batch's Put/Delete already made defensive
 			// copies; PutEntry re-queues them without copying again.
-			subs[i].PutEntry(e)
+			subs[fnv(e.Key, len(db.shards))].PutEntry(e)
 		}
 	}
 	var idxs []int
@@ -450,15 +457,21 @@ func (c *Commit) Commit() error {
 		db.clk.release(i)
 	default:
 		errs := make([]error, len(c.shards))
-		var wg sync.WaitGroup
-		for j, i := range c.shards {
-			wg.Add(1)
-			go func(j, i int) {
-				defer wg.Done()
-				errs[j] = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
-				db.clk.release(i)
-			}(j, i)
+		run := func(j, i int) {
+			errs[j] = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
+			db.clk.release(i)
 		}
+		// The last sub-batch commits on this goroutine, the others beside it.
+		last := len(c.shards) - 1
+		var wg sync.WaitGroup
+		for j, i := range c.shards[:last] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(j, i)
+			}()
+		}
+		run(last, c.shards[last])
 		wg.Wait()
 		err = errors.Join(errs...)
 	}

@@ -44,9 +44,9 @@ func (db *DB) NumLevelFiles() []int {
 }
 
 // LevelStats reports the tree shape per level over all shards: files,
-// bytes, targets, compacted bytes and the lookup counts are sums; Score is
-// the highest of any shard's, since a level is in shape only when it is on
-// every shard.
+// bytes, targets, compacted bytes and the lookup counts are sums; Score and
+// L0's Depth are the highest of any shard's, since a level is in shape only
+// when it is on every shard and a lookup probes one shard.
 func (db *DB) LevelStats() []lsm.LevelStat {
 	out := make([]lsm.LevelStat, manifest.NumLevels)
 	for _, s := range db.shards {
@@ -62,6 +62,7 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 			out[l].BlockReads += ls.BlockReads
 			out[l].LogReads += ls.LogReads
 			out[l].Score = max(out[l].Score, ls.Score)
+			out[l].Depth = max(out[l].Depth, ls.Depth)
 		}
 	}
 	return out
@@ -168,7 +169,7 @@ func (db *DB) Stats() string {
 	m := db.Metrics()
 
 	fmt.Fprintf(&b, "shards: %d (%s partitioner)\n", len(db.shards), fnvName)
-	fmt.Fprintf(&b, "levels (all shards: files/bytes, target, highest shard score, bytes compacted out of the level):\n")
+	fmt.Fprintf(&b, "levels (all shards: files (L0: deepest shard's read depth)/bytes, target, highest shard score, bytes compacted out of the level):\n")
 	levels := db.LevelStats()
 	for l, ls := range levels {
 		if ls.Files == 0 && ls.CompactedBytes == 0 {
@@ -184,8 +185,10 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "  L%d: %d probes, %d filter negatives, %d false positives, %d block reads, %d log reads\n",
 			l, ls.Probes, ls.FilterNegatives, ls.FilterFalsePositives, ls.BlockReads, ls.LogReads)
 	}
-	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)  L0 folds: %d\n",
-		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves, m.Folds)
+	fmt.Fprintf(&b, "flushes: %d (skipped: %d)  compactions: %d (deferred: %d, trivial moves: %d)\n",
+		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
+	fmt.Fprintf(&b, "L0 jobs by rule: L0 folds: %d, merges: rent paid %d, log ceiling %d, drain %d\n",
+		m.Folds, m.MergesRentPaid, m.MergesLogCeiling, m.MergesDrain)
 	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  folded %d  compacted %d (spilled past L1 %d)\n",
 		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesFolded, m.BytesCompacted, m.BytesSpilled)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",

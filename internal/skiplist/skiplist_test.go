@@ -1,17 +1,19 @@
 package skiplist
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
 // set stores v under key, replacing any current value.
 func set(l *List[int], key []byte, v int) {
-	l.Put(key, func(*int) *int { return &v })
+	l.Put(key, func([]byte, *int) *int { return &v })
 }
 
 func TestEmpty(t *testing.T) {
@@ -32,7 +34,7 @@ func TestPutGetReplace(t *testing.T) {
 	l := New[int](1)
 	var seen []*int
 	put := func(v int) {
-		l.Put([]byte("k"), func(cur *int) *int {
+		l.Put([]byte("k"), func(_ []byte, cur *int) *int {
 			seen = append(seen, cur)
 			return &v
 		})
@@ -247,5 +249,120 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Get(keys[i%len(keys)])
+	}
+}
+
+// TestRandomizedAgainstMap inserts in four orders — ascending, descending,
+// random, and an ascending run repeated three times — against a map
+// oracle, through one reused key buffer, while readers look keys up and
+// scan. Ascending inserts always start from the last insert's splice,
+// descending ones never can, and the random and repeated orders mix new
+// keys with updates on both sides of it. A reader must find every key put
+// before it looked, with that put's value or a later one, and see sorted
+// scans of complete entries; afterwards the list must equal the oracle.
+func TestRandomizedAgainstMap(t *testing.T) {
+	const n, readers = 6000, 2
+	orders := map[string]func(rng *rand.Rand) []int{
+		"ascending": func(*rand.Rand) []int {
+			out := make([]int, n)
+			for i := range out {
+				out[i] = i
+			}
+			return out
+		},
+		"descending": func(*rand.Rand) []int {
+			out := make([]int, n)
+			for i := range out {
+				out[i] = n - i
+			}
+			return out
+		},
+		"random": func(rng *rand.Rand) []int {
+			out := make([]int, n)
+			for i := range out {
+				out[i] = rng.Intn(n / 2)
+			}
+			return out
+		},
+		"repeated": func(*rand.Rand) []int {
+			out := make([]int, n)
+			for i := range out {
+				out[i] = i % (n / 3)
+			}
+			return out
+		},
+	}
+	for name, order := range orders {
+		t.Run(name, func(t *testing.T) {
+			keys := order(rand.New(rand.NewSource(11)))
+			key := func(k int) []byte { return []byte(fmt.Sprintf("%06d", k)) }
+			l := New[int](int64(len(name)))
+			var done atomic.Int64 // keys[:done] have been put
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						d := int(done.Load())
+						if d == 0 {
+							continue
+						}
+						i := rng.Intn(d)
+						if v := l.Get(key(keys[i])); v == nil || *v < i {
+							t.Errorf("key %06d, put by op %d, read back as %v", keys[i], i, v)
+							return
+						}
+						it := l.NewIterator()
+						var prev []byte
+						for ok, steps := it.SeekGE(key(keys[i])), 0; ok && steps < 64; ok, steps = it.Next(), steps+1 {
+							if prev != nil && bytes.Compare(it.Key(), prev) <= 0 || it.Value() == nil {
+								t.Errorf("scan: %q (value %v) after %q", it.Key(), it.Value(), prev)
+								return
+							}
+							prev = it.Key()
+						}
+					}
+				}()
+			}
+			oracle := map[string]int{}
+			buf := make([]byte, 0, 16)
+			for i, k := range keys {
+				buf = fmt.Appendf(buf[:0], "%06d", k)
+				set(l, buf, i)
+				oracle[string(buf)] = i
+				done.Store(int64(i + 1))
+			}
+			close(stop)
+			wg.Wait()
+
+			if l.Len() != len(oracle) {
+				t.Fatalf("Len = %d, oracle holds %d", l.Len(), len(oracle))
+			}
+			want := make([]string, 0, len(oracle))
+			for k := range oracle {
+				want = append(want, k)
+			}
+			sort.Strings(want)
+			it := l.NewIterator()
+			for _, k := range want {
+				if !it.Next() || string(it.Key()) != k || *it.Value() != oracle[k] {
+					t.Fatalf("scan diverges from the oracle at %s", k)
+				}
+				if v := l.Get([]byte(k)); v == nil || *v != oracle[k] {
+					t.Fatalf("Get(%s) = %v, want %d", k, v, oracle[k])
+				}
+			}
+			if it.Next() {
+				t.Fatalf("scan holds %q beyond the oracle", it.Key())
+			}
+		})
 	}
 }

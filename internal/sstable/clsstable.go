@@ -50,7 +50,7 @@ func NewCLWriter(fs vfs.FS, id uint64, logIDs []uint64, blockSize int) (*CLWrite
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, id: id, blockSize: blockSize, sketch: mustSketch()}
+	w := &Writer{f: f, id: id, blockSize: blockSize}
 	w.props.logIDs = append([]uint64(nil), logIDs...)
 	logs := make(map[uint64]int, len(logIDs))
 	for i, l := range logIDs {
@@ -93,8 +93,6 @@ func (w *CLWriter) Abort(fs vfs.FS) {
 	}
 	_ = fs.Remove(CLIndexFileName(w.inner.id))
 }
-
-func mustSketch() *hll.Sketch { return hll.MustNew(hll.DefaultPrecision) }
 
 // CLReader reads a CL-SSTable: the index plus the logs it points into.
 type CLReader struct {

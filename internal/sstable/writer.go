@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/base"
 	"repro/internal/bloom"
@@ -33,8 +34,10 @@ type Writer struct {
 	offset  uint64
 
 	filter bloom.Builder
-	sketch *hll.Sketch
-	props  props
+	// sketch is made at the first Add, unless OmitSketch was called.
+	sketch     *hll.Sketch
+	omitSketch bool
+	props      props
 
 	written int64
 	closed  bool
@@ -49,14 +52,15 @@ func NewWriter(fs vfs.FS, id uint64, blockSize int) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, id: id, blockSize: blockSize, sketch: hll.MustNew(hll.DefaultPrecision)}, nil
+	return &Writer{f: f, id: id, blockSize: blockSize}, nil
 }
 
 // OmitSketch makes the table carry an empty sketch block (its reader's
 // Sketch is nil). Only L0 tables' sketches are ever consulted, so
-// compaction outputs for deeper levels skip the 4 KiB on disk and in
-// every open reader. Call before the first Add.
-func (w *Writer) OmitSketch() { w.sketch = nil }
+// compaction outputs for deeper levels skip the 4 KiB on disk, in every
+// open reader and in the writer, which then never makes one. Call before
+// the first Add.
+func (w *Writer) OmitSketch() { w.omitSketch = true }
 
 // Add appends one entry. Keys must be strictly ascending.
 func (w *Writer) Add(e base.Entry) error {
@@ -68,6 +72,9 @@ func (w *Writer) Add(e base.Entry) error {
 	}
 	if w.props.numEntries == 0 {
 		w.props.smallest = append([]byte(nil), e.Key...)
+		if !w.omitSketch {
+			w.sketch = hll.MustNew(hll.DefaultPrecision)
+		}
 	}
 	w.lastKey = append(w.lastKey[:0], e.Key...)
 	w.props.numEntries++
@@ -82,15 +89,12 @@ func (w *Writer) Add(e base.Entry) error {
 	return nil
 }
 
-// writeBlock writes data plus its CRC trailer and returns its handle.
+// writeBlock appends the CRC trailer to data, writes both in one call and
+// returns the block's handle. It may overwrite data's spare capacity.
 func (w *Writer) writeBlock(data []byte) (blockHandle, error) {
 	h := blockHandle{offset: w.offset, length: uint64(len(data)) + blockTrailerLen}
-	var trailer [blockTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(data))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 	if _, err := w.f.Write(data); err != nil {
-		return blockHandle{}, err
-	}
-	if _, err := w.f.Write(trailer[:]); err != nil {
 		return blockHandle{}, err
 	}
 	w.offset += h.length
@@ -102,6 +106,7 @@ func (w *Writer) flushBlock() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
+	w.buf = slices.Grow(w.buf, blockTrailerLen) // room for writeBlock's trailer
 	h, err := w.writeBlock(w.buf)
 	if err != nil {
 		return err
@@ -146,8 +151,11 @@ func (w *Writer) Finish() (int64, error) {
 		return 0, err
 	}
 	var sketch []byte
-	if w.sketch != nil {
+	switch {
+	case w.sketch != nil:
 		sketch = w.sketch.Marshal()
+	case !w.omitSketch: // a table with no entries
+		sketch = hll.MustNew(hll.DefaultPrecision).Marshal()
 	}
 	if ftr.sketch, err = writeMeta(sketch); err != nil {
 		return 0, err
