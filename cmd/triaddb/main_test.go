@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,5 +84,24 @@ func TestRefusesShardedRoot(t *testing.T) {
 	}
 	if code, stdout, _ := triaddb(t, "-dir", dir, "-shards", "3", "get", "k"); code != 0 || stdout != "v\n" {
 		t.Fatalf("sharded get: exit %d, %q", code, stdout)
+	}
+}
+
+// TestRefusesShardsOverRoot: -shards over a store created without it is
+// refused with exit 1, creates no shard directory, and the key still reads
+// without -shards.
+func TestRefusesShardsOverRoot(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := triaddb(t, "-dir", dir, "put", "k", "v"); code != 0 {
+		t.Fatalf("put: exit %d: %s", code, stderr)
+	}
+	if code, stdout, stderr := triaddb(t, "-dir", dir, "-shards", "2", "get", "k"); code != 1 || !strings.Contains(stderr, "created with 1 shard") {
+		t.Fatalf("-shards 2 over a root store: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-000")); !os.IsNotExist(err) {
+		t.Fatalf("the refused open left shard-000: %v", err)
+	}
+	if code, stdout, _ := triaddb(t, "-dir", dir, "get", "k"); code != 0 || stdout != "v\n" {
+		t.Fatalf("get without -shards: exit %d, %q", code, stdout)
 	}
 }

@@ -825,11 +825,12 @@ func TestTargetsProperties(t *testing.T) {
 }
 
 // sweepLevels builds an n-file level over an m-file level covering the
-// same key space, both sorted and disjoint, with a bottom level below them
-// large enough that L2 is within its target and L1 is the level to push.
+// same key space, both sorted and disjoint, over a bottom level at its
+// target (BaseLevelBytes × LevelMultiplier² of deepPicker), so that L1,
+// the furthest over its target, is the level to push.
 func sweepLevels(n, m int) *manifest.Version {
 	const span = 1 << 20
-	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 50_000_000)}
+	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 10_000)}
 	add := func(level, count int, idBase uint64) {
 		for i := 0; i < count; i++ {
 			lo, hi := i*span/count, (i+1)*span/count-1

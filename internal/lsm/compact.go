@@ -210,58 +210,46 @@ func (db *DB) fold(job *compaction.Job) error {
 		inBytes += f.Size
 	}
 	slices.Sort(meta.LogIDs) // distinct: each log is one flush's
-	its := make([]sstable.Iterator, len(tabs))
-	for i, t := range tabs {
-		its[i] = t.NewIndexIterator()
-	}
-	dedup := compaction.NewDedupIterator(compaction.NewMergeIterator(its), false, nil)
-	defer dedup.Close()
-	db.mu.Lock()
-	meta.ID = db.allocFileID()
-	db.mu.Unlock()
-	w, err := sstable.NewCLWriter(db.fs, meta.ID, meta.LogIDs, db.opts.BlockBytes)
+	t, err := db.newTable(meta)
 	if err != nil {
 		return err
 	}
+	defer t.abort()
+	its := make([]sstable.Iterator, len(tabs))
+	for i, tab := range tabs {
+		its[i] = tab.NewIndexIterator()
+	}
+	dedup := compaction.NewDedupIterator(compaction.NewMergeIterator(its), false, nil)
+	defer dedup.Close()
 	for dedup.Next() {
 		e := dedup.Entry()
 		log, off, err := tabs[dedup.Source()].Pointer(e.Value)
 		if err == nil {
-			err = w.Add(e.Key, e.Seq, e.Kind, log, off)
+			err = t.add(e, log, off)
 		}
 		if err != nil {
-			w.Abort(db.fs)
 			return err
-		}
-		if meta.Smallest == nil {
-			meta.Smallest = append([]byte(nil), e.Key...)
 		}
 		// Tables from before MaxSeq have none to carry; their entries
 		// still bound the fold's from below.
-		meta.MaxSeq = max(meta.MaxSeq, e.Seq)
+		t.meta.MaxSeq = max(t.meta.MaxSeq, e.Seq)
 	}
 	if err := dedup.Err(); err != nil {
-		w.Abort(db.fs)
 		return err
 	}
-	meta.NumEntries = w.NumEntries()
-	meta.Largest = append([]byte(nil), w.LastKey()...)
-	written, err := w.Finish()
-	if err != nil {
-		w.Abort(db.fs)
+	if meta, err = t.finish(); err != nil {
 		return err
 	}
-	meta.Size = written
-	meta.FoldBytes += written
+	meta.FoldBytes += meta.Size
 	if err := db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, job.Inputs, nil); err != nil {
 		return err
 	}
 	db.met.Folds.Add(1)
-	db.met.BytesFolded.Add(written)
+	db.met.BytesFolded.Add(meta.Size)
 	discarded := dedup.Discarded()
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: 0,
-		Dur: time.Since(start), In: inBytes, Out: written, Files: len(job.Inputs),
+		Dur: time.Since(start), In: inBytes, Out: meta.Size, Files: len(job.Inputs),
 		Detail: fmt.Sprintf("L0->L0, %s, %d of %d entries discarded",
 			job.Why(), discarded, int64(meta.NumEntries)+discarded),
 	})
@@ -323,10 +311,8 @@ type rollingOutput struct {
 	// output ends before one, so that it never spans it.
 	kept []*manifest.FileMeta
 
-	w      *sstable.Writer
-	first  []byte
-	count  uint64
-	gi, ki int // grandparents[:gi] and kept[:ki] end before the last key
+	t      *tableWriter // the file being written, if any
+	gi, ki int          // grandparents[:gi] and kept[:ki] end before the last key
 }
 
 // run merges tabs, newest first, into fresh tables at the output levels.
@@ -405,29 +391,22 @@ func (m *merger) add(o *rollingOutput, e base.Entry) error {
 		o.ki++
 		passedKept = true
 	}
-	if o.w != nil && (passedKept || crossed && o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/4) {
+	if o.t != nil && (passedKept || crossed && o.t.w.EstimatedSize() >= db.opts.TargetFileBytes*3/4) {
 		if err := m.finish(o); err != nil {
 			return err
 		}
 	}
-	if o.w == nil {
-		db.mu.Lock()
-		id := db.allocFileID()
-		db.mu.Unlock()
-		w, err := sstable.NewWriter(db.fs, id, db.opts.BlockBytes)
+	if o.t == nil {
+		t, err := db.newTable(manifest.FileMeta{Kind: manifest.KindSST, Level: o.level})
 		if err != nil {
 			return err
 		}
-		if o.level > 0 {
-			w.OmitSketch() // only L0 sketches are ever consulted
-		}
-		o.w, o.first, o.count = w, append([]byte(nil), e.Key...), 0
+		o.t = t
 	}
-	if err := o.w.Add(e); err != nil {
+	if err := o.t.add(e, 0, 0); err != nil {
 		return err
 	}
-	o.count++
-	if o.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
+	if o.t.w.EstimatedSize() >= db.opts.TargetFileBytes*3/2 {
 		return m.finish(o)
 	}
 	return nil
@@ -435,29 +414,20 @@ func (m *merger) add(o *rollingOutput, e base.Entry) error {
 
 // finish completes o's current file, if any, and records it as an output.
 func (m *merger) finish(o *rollingOutput) error {
-	if o.w == nil {
+	if o.t == nil {
 		return nil
 	}
-	w := o.w
-	n, err := w.Finish()
+	meta, err := o.t.finish()
 	if err != nil {
-		return err // abort discards w
+		return err // abort discards o.t
 	}
-	o.w = nil
-	m.written += n
+	o.t = nil
+	m.written += meta.Size
 	if o.level > m.outs[0].level {
-		m.spilled += n
+		m.spilled += meta.Size
 	}
-	m.merged += int64(o.count)
-	m.outputs = append(m.outputs, manifest.FileMeta{
-		ID:         w.ID(),
-		Kind:       manifest.KindSST,
-		Level:      o.level,
-		Size:       n,
-		NumEntries: o.count,
-		Smallest:   o.first,
-		Largest:    append([]byte(nil), w.LastKey()...),
-	})
+	m.merged += int64(meta.NumEntries)
+	m.outputs = append(m.outputs, meta)
 	return nil
 }
 
@@ -465,9 +435,9 @@ func (m *merger) finish(o *rollingOutput) error {
 // finished: none of them was installed.
 func (m *merger) abort() {
 	for i := range m.outs {
-		if w := m.outs[i].w; w != nil {
-			w.Abort(m.db.fs)
-			m.outs[i].w = nil
+		if t := m.outs[i].t; t != nil {
+			t.abort()
+			m.outs[i].t = nil
 		}
 	}
 	for _, o := range m.outputs {

@@ -483,7 +483,9 @@ func (db *DB) WaitWritable() error {
 // stallLocked applies write backpressure: writers wait while the flush
 // queue is full or L0's pressure has reached l0StallFiles (RocksDB's
 // stop-writes trigger) — the mechanism through which background-I/O debt
-// reaches user-facing throughput (§3). Caller holds db.mu.
+// reaches user-facing throughput (§3). A background error stops the
+// background work that would end the stall, so it ends the wait with that
+// error. Caller holds db.mu.
 func (db *DB) stallLocked() error {
 	l0Stall := func() bool {
 		return !db.noBackgroundIO && !db.opts.DisableAutoCompaction &&
@@ -491,7 +493,7 @@ func (db *DB) stallLocked() error {
 	}
 	var stallStart time.Time
 	var reason string
-	for !db.closed && (len(db.imm) > maxImmutableMemtables || l0Stall()) {
+	for !db.closed && db.bgErr == nil && (len(db.imm) > maxImmutableMemtables || l0Stall()) {
 		if stallStart.IsZero() {
 			stallStart = time.Now()
 			if l0Stall() {
@@ -517,7 +519,7 @@ func (db *DB) stallLocked() error {
 	if db.closed {
 		return ErrClosed
 	}
-	return nil
+	return db.bgErr
 }
 
 // maybeRotateLocked seals the memtable when it or the commit log is full
@@ -805,7 +807,7 @@ func (db *DB) Close() error {
 	return err
 }
 
-// release gives back everything Open acquired — the commit log, the open
+// release gives back everything Open acquired — the commit logs, the open
 // tables (and the zombie files only snapshots were keeping), this tenant's
 // blocks in the (possibly shared) cache, the manifest, the engine's own
 // pool — and reports the first error. It is the tail of Close and the
@@ -820,6 +822,10 @@ func (db *DB) release() error {
 	}
 	if db.log != nil {
 		keep(db.log.Close())
+	}
+	// A memtable a failed flush left queued still holds its log open.
+	for _, imm := range db.imm {
+		keep(imm.log.Close())
 	}
 	db.versionMu.Lock()
 	for _, t := range db.tables {

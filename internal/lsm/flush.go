@@ -11,6 +11,7 @@ import (
 	"repro/internal/memtable"
 	"repro/internal/obs"
 	"repro/internal/sstable"
+	"repro/internal/vfs"
 )
 
 // The engine's background plane is a set of tasks on a bgsched worker
@@ -62,8 +63,12 @@ func (db *DB) flushTask() {
 		}
 
 		db.mu.Lock()
-		db.imm = db.imm[1:]
-		db.publishViewLocked()
+		// A failed flush leaves its memtable queued, readable and backed
+		// by its logs, which a reopen replays.
+		if err == nil {
+			db.imm = db.imm[1:]
+			db.publishViewLocked()
+		}
 		db.flushing--
 		if err != nil && db.bgErr == nil {
 			db.bgErr = err
@@ -207,32 +212,36 @@ func (db *DB) flushImmutable(imm *immutable) error {
 		}
 	}
 	db.met.ColdEntriesFlushed.Add(int64(len(toFlush)))
-	var (
-		meta    manifest.FileMeta
-		written int64
-		err     error
-	)
+	// TRIAD-LOG converts the sealed commit log into a CL-SSTable: "instead
+	// of copying Cm to disk", the flush writes only the sorted offset index
+	// over it — with TRIAD-MEM, of its cold part alone.
+	meta := manifest.FileMeta{Kind: manifest.KindSST, MaxSeq: imm.seq}
 	if db.opts.TriadLog {
-		meta, written, err = db.writeCLSSTable(imm, toFlush)
-	} else {
-		meta, written, err = db.writeSSTable(toFlush)
+		meta.Kind, meta.LogID, meta.LogBytes = manifest.KindCLSST, imm.log.ID(), imm.log.Size()
+		detail += ", CL-SSTable index only"
 	}
+	t, err := db.newTable(meta)
 	if err != nil {
 		return err
 	}
-	meta.MaxSeq = imm.seq
-	db.met.BytesFlushed.Add(written)
+	defer t.abort()
+	for _, e := range toFlush {
+		if err := t.add(e.Base(), e.LogID, e.LogOffset); err != nil {
+			return err
+		}
+	}
+	if meta, err = t.finish(); err != nil {
+		return err
+	}
+	db.met.BytesFlushed.Add(meta.Size)
 	db.met.Flushes.Add(1)
 
 	if err := db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, nil, imm); err != nil {
 		return err
 	}
-	if db.opts.TriadLog {
-		detail += ", CL-SSTable index only"
-	}
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventFlush, Shard: db.opts.EventShard, Level: 0,
-		Dur: time.Since(start), In: inBytes, Out: written,
+		Dur: time.Since(start), In: inBytes, Out: meta.Size,
 		Files: 1, Detail: detail,
 	})
 	if !db.opts.TriadLog {
@@ -255,71 +264,66 @@ func (db *DB) dropLogs(imm *immutable) error {
 	return db.retireLogs(imm.prev.ID(), imm.log.ID())
 }
 
-// writeSSTable emits a classic L0 table from sorted memtable entries.
-func (db *DB) writeSSTable(entries []*memtable.Entry) (manifest.FileMeta, int64, error) {
-	db.mu.Lock()
-	id := db.allocFileID()
-	db.mu.Unlock()
-	w, err := sstable.NewWriter(db.fs, id, db.opts.BlockBytes)
-	if err != nil {
-		return manifest.FileMeta{}, 0, err
-	}
-	for _, e := range entries {
-		if err := w.Add(e.Base()); err != nil {
-			w.Abort(db.fs)
-			return manifest.FileMeta{}, 0, err
-		}
-	}
-	written, err := w.Finish()
-	if err != nil {
-		w.Abort(db.fs)
-		return manifest.FileMeta{}, 0, err
-	}
-	return manifest.FileMeta{
-		ID:         id,
-		Kind:       manifest.KindSST,
-		Level:      0,
-		Size:       written,
-		NumEntries: uint64(len(entries)),
-		Smallest:   append([]byte(nil), entries[0].Key...),
-		Largest:    append([]byte(nil), entries[len(entries)-1].Key...),
-	}, written, nil
+// tableWriter makes one table: a flush's, a fold's or one output of a
+// merge. It is the one way the engine writes a table file.
+type tableWriter struct {
+	fs   vfs.FS
+	w    *sstable.Writer
+	cl   *sstable.CLWriter // a CL-SSTable's, whose container w is
+	meta manifest.FileMeta
+	done bool
 }
 
-// writeCLSSTable emits only the sorted offset index over the sealed log
-// (TRIAD-LOG): "instead of copying Cm to disk, we convert the commit log
-// into a CL-SSTable". With TRIAD-MEM, only the cold part of the index is
-// flushed; the hot keys' offsets are ignored.
-func (db *DB) writeCLSSTable(imm *immutable, entries []*memtable.Entry) (manifest.FileMeta, int64, error) {
+// newTable opens a writer for a table described by meta (its kind, level,
+// logs and what else the caller knows of it) under a fresh file number.
+// Only L0's sketches are ever consulted, so a table below it carries none.
+// The caller defers abort.
+func (db *DB) newTable(meta manifest.FileMeta) (*tableWriter, error) {
 	db.mu.Lock()
-	id := db.allocFileID()
+	meta.ID = db.allocFileID()
 	db.mu.Unlock()
-	w, err := sstable.NewCLWriter(db.fs, id, []uint64{imm.log.ID()}, db.opts.BlockBytes)
+	t := &tableWriter{fs: db.fs, meta: meta}
+	var err error
+	if logs := meta.Logs(); logs == nil {
+		t.w, err = sstable.NewWriter(db.fs, meta.ID, db.opts.BlockBytes)
+	} else if t.cl, err = sstable.NewCLWriter(db.fs, meta.ID, logs, db.opts.BlockBytes); err == nil {
+		t.w = t.cl.Writer
+	}
 	if err != nil {
-		return manifest.FileMeta{}, 0, err
+		return nil, err
 	}
-	for _, e := range entries {
-		if err := w.Add(e.Key, e.Seq, e.Kind, e.LogID, e.LogOffset); err != nil {
-			w.Abort(db.fs)
-			return manifest.FileMeta{}, 0, err
-		}
+	if meta.Level > 0 {
+		t.w.OmitSketch()
 	}
-	written, err := w.Finish()
+	return t, nil
+}
+
+// add appends e, or to a CL-SSTable that e's record lives at byte off of
+// log. Keys must ascend.
+func (t *tableWriter) add(e base.Entry, log uint64, off int64) error {
+	if t.cl != nil {
+		return t.cl.Add(e.Key, e.Seq, e.Kind, log, off)
+	}
+	return t.w.Add(e)
+}
+
+// finish completes the table and returns its metadata.
+func (t *tableWriter) finish() (manifest.FileMeta, error) {
+	n, err := t.w.Finish()
 	if err != nil {
-		w.Abort(db.fs)
-		return manifest.FileMeta{}, 0, err
+		return manifest.FileMeta{}, err
 	}
-	return manifest.FileMeta{
-		ID:         id,
-		Kind:       manifest.KindCLSST,
-		Level:      0,
-		Size:       written,
-		NumEntries: uint64(len(entries)),
-		Smallest:   append([]byte(nil), entries[0].Key...),
-		Largest:    append([]byte(nil), entries[len(entries)-1].Key...),
-		LogID:      imm.log.ID(),
-		LogBytes:   imm.log.Size(),
-	}, written, nil
+	t.done = true
+	t.meta.Size, t.meta.NumEntries = n, t.w.NumEntries()
+	t.meta.Smallest, t.meta.Largest = t.w.KeyRange()
+	return t.meta, nil
+}
+
+// abort closes and removes the file, unless finish completed it.
+func (t *tableWriter) abort() {
+	if !t.done {
+		t.w.Abort(t.fs)
+	}
 }
 
 // logNumberLocked returns the oldest commit log a memtable other than

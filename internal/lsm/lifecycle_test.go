@@ -2,8 +2,11 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +71,7 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		f.Close()
 
 		before := runtime.NumGoroutine()
-		open := countHandles(mem)
+		open := countHandles(mem, nil)
 		cache := sstable.NewCache(1 << 20)
 		o.BlockCache = cache
 		if db, err := Open(o); err == nil {
@@ -133,5 +136,166 @@ func TestOpenCloseChurn(t *testing.T) {
 	}
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// isTable reports whether name is a table file: an SSTable or a
+// CL-SSTable's index.
+func isTable(name string) bool {
+	return strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".clidx")
+}
+
+// TestFailedFlushKeepsWritesReadable: a flush whose table fails to sync
+// leaves its memtable queued, so every acknowledged write still reads
+// through Get and through a snapshot taken after the failure, and a
+// reopen finds them all.
+func TestFailedFlushKeepsWritesReadable(t *testing.T) {
+	for _, triad := range []bool{false, true} {
+		fs := vfs.NewMemFS()
+		o := DefaultOptions(fs)
+		if triad {
+			o = TriadOptions(fs)
+		}
+		db := mustOpen(t, o)
+		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+		val := func(i int) string { return fmt.Sprintf("value-%03d", i) }
+		for i := 0; i < 100; i++ {
+			if err := db.Put(key(i), []byte(val(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+			if op.Kind == vfs.OpSync && isTable(op.Name) {
+				return vfs.ErrInjected
+			}
+			return nil
+		}})
+		if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("triad=%v: Flush with failing table syncs: %v", triad, err)
+		}
+		snap, err := db.NewSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if v, err := db.Get(key(i)); err != nil || string(v) != val(i) {
+				t.Fatalf("triad=%v: Get(%s) after the failed flush: %q, %v", triad, key(i), v, err)
+			}
+			if v, err := snap.Get(key(i)); err != nil || string(v) != val(i) {
+				t.Fatalf("triad=%v: snapshot Get(%s) after the failed flush: %q, %v", triad, key(i), v, err)
+			}
+		}
+		snap.Close()
+		if err := db.Close(); !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("triad=%v: Close after the failed flush: %v", triad, err)
+		}
+		fs.SetHooks(vfs.Hooks{})
+		db = mustOpen(t, o)
+		for i := 0; i < 100; i++ {
+			if v, err := db.Get(key(i)); err != nil || string(v) != val(i) {
+				t.Fatalf("triad=%v: Get(%s) after reopen: %q, %v", triad, key(i), v, err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStalledWriterGetsFlushError: a writer stalled on a full flush queue
+// returns the error of the flush that failed instead of waiting on a queue
+// that no longer drains.
+func TestStalledWriterGetsFlushError(t *testing.T) {
+	for _, triad := range []bool{false, true} {
+		fs := vfs.NewMemFS()
+		o := smallOptions(fs)
+		if triad {
+			o = triadSmall(fs)
+		}
+		o.DisableAutoCompaction = true
+		fail := make(chan struct{})
+		fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+			if op.Kind == vfs.OpCreate && isTable(op.Name) {
+				<-fail // the first flush parks until the queue is full
+				return vfs.ErrInjected
+			}
+			return nil
+		}})
+		db := mustOpen(t, o)
+		done := make(chan error, 1)
+		go func() {
+			val := bytes.Repeat([]byte{5}, 100)
+			for i := 0; ; i++ {
+				if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), val); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		for full := false; !full; time.Sleep(time.Millisecond) {
+			db.mu.Lock()
+			full = len(db.imm) > maxImmutableMemtables
+			db.mu.Unlock()
+		}
+		close(fail)
+		select {
+		case err := <-done:
+			if !errors.Is(err, vfs.ErrInjected) {
+				t.Errorf("triad=%v: stalled writer returned %v, want the flush's error", triad, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("triad=%v: writer still stalled 10 s after its flush failed", triad)
+		}
+		db.Close()
+	}
+}
+
+// TestFaultsLeaveNoHandleOpen fails every write or every sync to one kind
+// of file from halfway through a load on: the Flush and Close that follow
+// leave no file handle open, and a reopen without faults reads every write
+// that was acknowledged.
+func TestFaultsLeaveNoHandleOpen(t *testing.T) {
+	const puts = 3000
+	for _, file := range []string{".log", ".sst", ".clidx", "MANIFEST"} {
+		for _, kind := range []vfs.OpKind{vfs.OpWrite, vfs.OpSync} {
+			for _, triad := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/triad=%v", file, kind, triad), func(t *testing.T) {
+					fs := vfs.NewMemFS()
+					o := smallOptions(fs)
+					if triad {
+						o = triadSmall(fs)
+					}
+					var armed atomic.Bool
+					open := countHandles(fs, func(op vfs.Op) error {
+						if armed.Load() && op.Kind == kind && strings.Contains(op.Name, file) {
+							return vfs.ErrInjected
+						}
+						return nil
+					})
+					db := mustOpen(t, o)
+					acked := map[string]string{}
+					for i := 0; i < puts; i++ {
+						armed.Store(i >= puts/2)
+						k, v := fmt.Sprintf("key-%05d", i*7919%puts), fmt.Sprintf("value-%05d-%s", i, bytes.Repeat([]byte{'v'}, 80))
+						if db.Put([]byte(k), []byte(v)) == nil {
+							acked[k] = v
+						}
+					}
+					_ = db.Flush() // the errors are the point; the handles are checked
+					_ = db.Close()
+					if n := open.Load(); n != 0 {
+						t.Errorf("%d file handles left open", n)
+					}
+					fs.SetHooks(vfs.Hooks{})
+					db = mustOpen(t, o)
+					defer db.Close()
+					for k, v := range acked {
+						if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
+							t.Fatalf("acknowledged %s after reopen: %.20q, %v", k, got, err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -346,10 +346,11 @@ func imageChanges(fs *vfs.MemFS, onImage func(what string, image *vfs.MemFS)) {
 }
 
 // countHandles counts the file handles open on fs from now on, which MemFS
-// itself does not track. It replaces fs's hooks.
-func countHandles(fs *vfs.MemFS) *atomic.Int64 {
+// itself does not track. It replaces fs's hooks; before, if not nil, is the
+// new Before hook.
+func countHandles(fs *vfs.MemFS, before func(vfs.Op) error) *atomic.Int64 {
 	var open atomic.Int64
-	fs.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
+	fs.SetHooks(vfs.Hooks{Before: before, After: func(op vfs.Op) {
 		switch op.Kind {
 		case vfs.OpCreate, vfs.OpOpen:
 			open.Add(1)
@@ -398,7 +399,7 @@ func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
 	ro.FS, ro.Events = img.fs, nil
 	ro.DisableAutoCompaction = true // the files checked are recovery's alone
-	open := countHandles(img.fs)
+	open := countHandles(img.fs, nil)
 	defer func() {
 		if n := open.Load(); n != 0 {
 			err = errors.Join(err, fmt.Errorf("%d file handles left open", n))

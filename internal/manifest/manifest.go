@@ -355,6 +355,10 @@ type Log struct {
 	// size is the journal's bytes, snapSize those of the snapshot it
 	// starts with.
 	size, snapSize int64
+	// err is the first failed write. The journal may hold an edit that v
+	// lacks, so it takes no further edit: one computed without it,
+	// journaled after it, would not replay.
+	err error
 }
 
 // OpenLog opens (appending) or creates the manifest log.
@@ -461,21 +465,27 @@ func (s *Edit) advance(e Edit) {
 
 // Append journals one edit durably, first rolling the journal into a
 // snapshot if it has outgrown its bound. An edit that the tree as
-// journaled cannot take (it deletes a file not in it) is refused.
+// journaled cannot take (it deletes a file not in it) is refused, and so
+// is every edit after one that failed to be written.
 func (l *Log) Append(e Edit) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
 	nv, err := l.v.Apply(e)
 	if err != nil {
 		return err
 	}
 	if l.size > rollFactor*l.snapSize {
-		if err := l.roll(); err != nil {
-			return err
-		}
+		err = l.roll()
 	}
-	n, err := writeEdit(l.w, l.f, e)
+	var n int64
+	if err == nil {
+		n, err = writeEdit(l.w, l.f, e)
+	}
 	if err != nil {
+		l.err = err
 		return err
 	}
 	l.size += n
@@ -500,12 +510,13 @@ func writeEdit(w *bufio.Writer, f vfs.File, e Edit) (int64, error) {
 	return int64(len(b) + 1), f.Sync()
 }
 
-// Close closes the journal.
+// Close closes the journal, even when what it buffered fails to reach it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
+	err := l.w.Flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return l.f.Close()
+	return err
 }

@@ -226,6 +226,43 @@ func TestLogPersistRecover(t *testing.T) {
 	}
 }
 
+// TestLogRefusesAfterFailedWrite: an edit whose sync fails may still be in
+// the journal, so the journal refuses the next edit, here the same one
+// retried, which would not replay after it.
+func TestLogRefusesAfterFailedWrite(t *testing.T) {
+	fs := vfs.NewMemFS()
+	l, _, _, err := OpenLog(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Edit{Added: []FileMeta{fm(1, 0, "a", "m")}, NextFileID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.roll(); err != nil { // so that the next append writes its edit at once
+		t.Fatal(err)
+	}
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpSync {
+			return vfs.ErrInjected
+		}
+		return nil
+	}})
+	merge := Edit{Deleted: []uint64{1}, Added: []FileMeta{fm(2, 1, "a", "m")}, NextFileID: 3}
+	if err := l.Append(merge); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("append with a failing sync: %v", err)
+	}
+	fs.SetHooks(vfs.Hooks{})
+	if err := l.Append(merge); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("append after a failed one: %v, want the first failure", err)
+	}
+	l.Close()
+	if _, v, _, err := OpenLog(fs); err != nil {
+		t.Fatalf("reopen: %v", err)
+	} else if len(v.Levels[0]) != 0 || len(v.Levels[1]) != 1 || v.Levels[1][0].ID != 2 {
+		t.Fatalf("recovered %v, want the merge applied once", levelIDs(v))
+	}
+}
+
 func TestLogRecoverCLSST(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _, _, _ := OpenLog(fs)

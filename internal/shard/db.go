@@ -88,9 +88,18 @@ func MemFS() func(int) (vfs.FS, error) {
 }
 
 // DirFS returns a NewFS factory rooting shard i at dir/shard-NNN
-// (durable stores).
+// (durable stores). It refuses a dir that itself holds a STORE record: the
+// root of a store opened without shard directories, whose keys shards
+// under it would not see.
 func DirFS(dir string) func(int) (vfs.FS, error) {
 	return func(i int) (vfs.FS, error) {
+		m, ok, err := readStoreMeta(&vfs.OSFS{Dir: dir})
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return nil, fmt.Errorf("store at %s was created with %d shard(s) at its root (found %s); open it with the original shard count", dir, m.Shards, storeMetaName)
+		}
 		return vfs.NewOSFS(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)))
 	}
 }

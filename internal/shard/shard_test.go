@@ -441,6 +441,44 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
+// TestDirFSRefusesRootStore: shard directories under the root of a store
+// opened without them are refused, naming the store's shard count, and
+// none is created; the store still opens at its root.
+func TestDirFSRefusesRootStore(t *testing.T) {
+	dir := t.TempDir()
+	root, err := vfs.NewOSFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(Options{Engine: smallEngine(), NewFS: func(int) (vfs.FS, error) { return root, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Shards: 2, Engine: smallEngine(), NewFS: DirFS(dir)}); err == nil {
+		db.Close()
+		t.Fatal("Open with shard directories over a root store succeeded")
+	} else if !strings.Contains(err.Error(), "created with 1 shard") {
+		t.Fatalf("refusal does not name the store's shard count: %v", err)
+	}
+	if root.Exists("shard-000") {
+		t.Fatal("the refused open created shard-000")
+	}
+	db, err = Open(Options{Engine: smallEngine(), NewFS: func(int) (vfs.FS, error) { return root, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("root store after the refusal: %q, %v", v, err)
+	}
+}
+
 // TestL0FoldsObservable: folds show on every surface — counters, the I/O
 // attribution, the journal (each fold and each L0 merge says why), STATS —
 // and L0's level stats count the commit logs its CL-SSTables pin, which a

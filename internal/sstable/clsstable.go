@@ -30,9 +30,10 @@ import (
 // uvarint position of its log in that list. A single-log table is
 // byte-for-byte the format that predates folds.
 
-// CLWriter builds the index file of a CL-SSTable over a list of logs.
+// CLWriter builds the index file of a CL-SSTable over a list of logs. It
+// is a Writer whose Add takes a log position in place of a value.
 type CLWriter struct {
-	inner *Writer
+	*Writer
 	logs  map[uint64]int // log id → its position in the table's list
 	value [8 + binary.MaxVarintLen64]byte
 }
@@ -43,20 +44,16 @@ func NewCLWriter(fs vfs.FS, id uint64, logIDs []uint64, blockSize int) (*CLWrite
 	if len(logIDs) == 0 {
 		return nil, fmt.Errorf("cl-sstable %d: no log", id)
 	}
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	f, err := fs.Create(CLIndexFileName(id))
+	w, err := newWriter(fs, CLIndexFileName(id), blockSize)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, id: id, blockSize: blockSize}
 	w.props.logIDs = append([]uint64(nil), logIDs...)
 	logs := make(map[uint64]int, len(logIDs))
 	for i, l := range logIDs {
 		logs[l] = i
 	}
-	return &CLWriter{inner: w, logs: logs}, nil
+	return &CLWriter{Writer: w, logs: logs}, nil
 }
 
 // Add records that key's most recent update (with the given seq and kind)
@@ -65,33 +62,13 @@ func NewCLWriter(fs vfs.FS, id uint64, logIDs []uint64, blockSize int) (*CLWrite
 func (w *CLWriter) Add(key []byte, seq uint64, kind base.Kind, logID uint64, off int64) error {
 	i, ok := w.logs[logID]
 	if !ok {
-		return fmt.Errorf("cl-sstable %d: %q points into log %d, not one of %v", w.inner.id, key, logID, w.inner.props.logIDs)
+		return fmt.Errorf("%s: %q points into log %d, not one of %v", w.name, key, logID, w.props.logIDs)
 	}
 	v := binary.LittleEndian.AppendUint64(w.value[:0], uint64(off)) // Writer.Add copies it
 	if len(w.logs) > 1 {
 		v = binary.AppendUvarint(v, uint64(i))
 	}
-	return w.inner.Add(base.Entry{Key: key, Value: v, Seq: seq, Kind: kind})
-}
-
-// NumEntries reports entries added so far.
-func (w *CLWriter) NumEntries() uint64 { return w.inner.NumEntries() }
-
-// LastKey returns the most recently added key (aliasing an internal
-// buffer; callers must copy to retain).
-func (w *CLWriter) LastKey() []byte { return w.inner.LastKey() }
-
-// Finish completes the index and returns the bytes written — the only
-// bytes a TRIAD-LOG flush or a fold costs.
-func (w *CLWriter) Finish() (int64, error) { return w.inner.Finish() }
-
-// Abort removes a partially written index.
-func (w *CLWriter) Abort(fs vfs.FS) {
-	if !w.inner.closed {
-		w.inner.closed = true
-		w.inner.f.Close()
-	}
-	_ = fs.Remove(CLIndexFileName(w.inner.id))
+	return w.Writer.Add(base.Entry{Key: key, Value: v, Seq: seq, Kind: kind})
 }
 
 // CLReader reads a CL-SSTable: the index plus the logs it points into.

@@ -25,7 +25,7 @@ const DefaultBloomBitsPerKey = 10
 // guarantee this).
 type Writer struct {
 	f         vfs.File
-	id        uint64
+	name      string // a table's file, or a CL-SSTable's index
 	blockSize int
 
 	buf     []byte // current data block
@@ -45,14 +45,18 @@ type Writer struct {
 
 // NewWriter creates SSTable file id in fs.
 func NewWriter(fs vfs.FS, id uint64, blockSize int) (*Writer, error) {
+	return newWriter(fs, FileName(id), blockSize)
+}
+
+func newWriter(fs vfs.FS, name string, blockSize int) (*Writer, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	f, err := fs.Create(FileName(id))
+	f, err := fs.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, id: id, blockSize: blockSize}, nil
+	return &Writer{f: f, name: name, blockSize: blockSize}, nil
 }
 
 // OmitSketch makes the table carry an empty sketch block (its reader's
@@ -119,23 +123,27 @@ func (w *Writer) flushBlock() error {
 // NumEntries reports the entries added so far.
 func (w *Writer) NumEntries() uint64 { return w.props.numEntries }
 
-// ID returns the table's file number.
-func (w *Writer) ID() uint64 { return w.id }
-
-// LastKey returns the most recently added key (aliasing an internal
-// buffer; callers must copy to retain).
-func (w *Writer) LastKey() []byte { return w.lastKey }
+// KeyRange returns the smallest and the largest key of a finished table.
+func (w *Writer) KeyRange() (smallest, largest []byte) {
+	return w.props.smallest, w.props.largest
+}
 
 // EstimatedSize reports bytes written plus the buffered block.
 func (w *Writer) EstimatedSize() int64 { return w.written + int64(len(w.buf)) }
 
 // Finish flushes metadata and closes the file, returning the total bytes
-// written (the flush/compaction byte accounting).
-func (w *Writer) Finish() (int64, error) {
+// written (the flush/compaction byte accounting). The file is closed
+// whether or not Finish succeeds.
+func (w *Writer) Finish() (n int64, err error) {
 	if w.closed {
 		return 0, errors.New("sstable: writer closed")
 	}
 	w.closed = true
+	defer func() {
+		if cerr := w.f.Close(); err == nil && cerr != nil {
+			n, err = 0, cerr
+		}
+	}()
 	if err := w.flushBlock(); err != nil {
 		return 0, err
 	}
@@ -143,7 +151,6 @@ func (w *Writer) Finish() (int64, error) {
 
 	var ftr footer
 	writeMeta := w.writeBlock
-	var err error
 	if ftr.index, err = writeMeta(encodeIndex(w.index)); err != nil {
 		return 0, err
 	}
@@ -170,9 +177,6 @@ func (w *Writer) Finish() (int64, error) {
 	if err := w.f.Sync(); err != nil {
 		return 0, err
 	}
-	if err := w.f.Close(); err != nil {
-		return 0, err
-	}
 	return w.written, nil
 }
 
@@ -182,5 +186,5 @@ func (w *Writer) Abort(fs vfs.FS) {
 		w.closed = true
 		w.f.Close()
 	}
-	_ = fs.Remove(FileName(w.id))
+	_ = fs.Remove(w.name)
 }

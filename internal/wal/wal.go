@@ -135,14 +135,16 @@ func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err err
 // Sync flushes the log to stable storage.
 func (w *Writer) Sync() error { return w.f.Sync() }
 
-// Close syncs and closes the file. The file remains on disk; the engine
-// removes it once its contents are durable elsewhere (or retains it as a
-// CL-SSTable value store under TRIAD-LOG).
+// Close syncs and closes the file, which it closes even when the sync
+// fails. The file remains on disk; the engine removes it once its contents
+// are durable elsewhere (or retains it as a CL-SSTable value store under
+// TRIAD-LOG).
 func (w *Writer) Close() error {
-	if err := w.f.Sync(); err != nil {
-		return err
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
 // ReadRecordAt decodes the record at offset off in file f. It returns the
