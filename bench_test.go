@@ -225,20 +225,23 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotScan measures reading the first 10 entries of a
-// 100k-key store through the streaming snapshot iterator: allocations per
-// op and first-entry latency in ns, both O(sources) rather than O(range).
+// BenchmarkSnapshotScan measures opening a streaming scan and reading from
+// it: the first 10 entries of a 100k-key store (allocations per op and
+// first-entry latency in ns), then the first 10 entries and the whole of a
+// 4-shard store of 100k keys per shard, whose scans merge every shard's
+// sources. Opening a scan costs one seek per source, plus a whole read of
+// each L0 CL-SSTable's commit logs.
 func BenchmarkSnapshotScan(b *testing.B) {
 	const keys = 100_000
-	openDB := func(b *testing.B) *DB {
-		engine := lsm.TriadOptions(vfs.NewMemFS())
+	openDB := func(b *testing.B, shards int) *DB {
+		engine := lsm.TriadOptions(nil)
 		engine.MemtableBytes = 1 << 20
-		db, err := Open(Options{Advanced: &engine})
+		db, err := Open(Options{Shards: shards, ShardFS: ShardMemFS(), Advanced: &engine})
 		if err != nil {
 			b.Fatal(err)
 		}
 		val := []byte("0123456789abcdef0123456789abcdef")
-		for i := 0; i < keys; i++ {
+		for i := 0; i < keys*shards; i++ {
 			if err := db.Put([]byte(fmt.Sprintf("key-%08d", i)), val); err != nil {
 				b.Fatal(err)
 			}
@@ -248,9 +251,8 @@ func BenchmarkSnapshotScan(b *testing.B) {
 		}
 		return db
 	}
-	b.Run("streaming-first10", func(b *testing.B) {
-		db := openDB(b)
-		defer db.Close()
+	// first10 times opening a scan of db and reading 10 entries.
+	first10 := func(b *testing.B, db *DB) {
 		var firstEntryNS int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -274,5 +276,33 @@ func BenchmarkSnapshotScan(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(firstEntryNS)/float64(b.N), "first-entry-ns")
+	}
+	b.Run("streaming-first10", func(b *testing.B) {
+		db := openDB(b, 1)
+		defer db.Close()
+		first10(b, db)
+	})
+
+	sharded := openDB(b, 4)
+	defer sharded.Close()
+	b.Run("4-shards-first10", func(b *testing.B) { first10(b, sharded) })
+	b.Run("4-shards-full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			it, err := sharded.NewIterator(nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for it.Next() {
+				n++
+			}
+			if err := it.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if n != 4*keys {
+				b.Fatalf("full scan saw %d keys, want %d", n, 4*keys)
+			}
+		}
 	})
 }

@@ -455,8 +455,17 @@ func (m *merger) abort() {
 // blocks and its snapshot pins. One a snapshot still pins becomes a zombie:
 // it leaves the version but keeps its open table and on-disk bytes until
 // the last pinning snapshot closes. The rest go at once, with the commit
-// logs only they pinned.
+// logs only they pinned. It refuses, journaling nothing, a flush's edit
+// that names a byte of the flushing log the log has not synced.
 func (db *DB) install(edit manifest.Edit, consumed []*manifest.FileMeta, flushing *immutable) error {
+	if flushing != nil {
+		for _, f := range edit.Added {
+			if slices.Contains(f.Logs(), flushing.log.ID()) && f.LogBytes > flushing.log.Synced() {
+				return fmt.Errorf("%w: table %d names %d bytes of log %d, of which %d are synced",
+					errInvariant, f.ID, f.LogBytes, flushing.log.ID(), flushing.log.Synced())
+			}
+		}
+	}
 	leaving := make(map[uint64]bool, len(consumed))
 	for _, f := range consumed {
 		edit.Deleted = append(edit.Deleted, f.ID)

@@ -44,6 +44,10 @@ var ErrNotFound = errors.New("lsm: key not found")
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("lsm: database closed")
 
+// errInvariant wraps the refusal of a change that would break an invariant
+// of the store: a bug in the engine, never an I/O failure.
+var errInvariant = errors.New("lsm: invariant violated")
+
 // immutable is a sealed memtable and the commit logs that back it, queued
 // for flush: log, which was current when it was sealed and is still open
 // (the flush task may append to it), and prev, the closed log before it,

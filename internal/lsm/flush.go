@@ -200,6 +200,11 @@ func (db *DB) flushImmutable(imm *immutable) error {
 				recs = append(recs, h.Base())
 			}
 			offs, n, err := log.AppendBatch(recs)
+			if err == nil && n > 0 && !db.opts.SyncWAL {
+				// The flush's edit moves the log number past the only
+				// other copy of these entries.
+				err = log.Sync()
+			}
 			if err != nil {
 				db.mu.Unlock()
 				return err
@@ -217,6 +222,11 @@ func (db *DB) flushImmutable(imm *immutable) error {
 	// over it — with TRIAD-MEM, of its cold part alone.
 	meta := manifest.FileMeta{Kind: manifest.KindSST, MaxSeq: imm.seq}
 	if db.opts.TriadLog {
+		// The table's edit names the log's bytes and moves the log number
+		// past it, so the bytes must be durable first (install checks).
+		if err := imm.log.Sync(); err != nil {
+			return err
+		}
 		meta.Kind, meta.LogID, meta.LogBytes = manifest.KindCLSST, imm.log.ID(), imm.log.Size()
 		detail += ", CL-SSTable index only"
 	}

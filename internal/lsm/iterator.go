@@ -2,6 +2,9 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
+	"slices"
+	"sync"
 
 	"repro/internal/base"
 	"repro/internal/compaction"
@@ -10,36 +13,91 @@ import (
 )
 
 // Iterator is an ascending, point-in-time range scan over the live keys
-// of a snapshot. It is a *streaming* k-way merge over the pinned
-// memtable stack and the pinned version's tables: entries are produced
-// lazily, O(log sources) amortized per step, with nothing materialized
-// up front — creation costs one seek per source, not one copy per entry
-// in the range. The snapshot's pin keeps every source alive (including
-// files a concurrent compaction has since consumed), so flushes and
-// compactions proceed untouched underneath a long scan.
+// of one or more snapshots. It is a *streaming* k-way merge over the
+// pinned memtable stacks and the pinned versions' tables — the merge a
+// compaction runs (compaction.MergeIterator + DedupIterator): entries are
+// produced lazily, O(log sources) amortized per step, with nothing
+// materialized up front. Creation costs one seek per source, and each L0
+// CL-SSTable source reads its commit logs whole. The iterator's own pin
+// on each snapshot keeps every source alive (including files a concurrent
+// compaction has since consumed), so flushes and compactions proceed
+// untouched underneath a long scan, and the snapshots may close first.
 //
 // Usage: for it.Next() { it.Key(), it.Value() }; check Err, then Close.
-// Close releases the pin reference; an iterator opened via DB.NewIterator
-// owns a single-use snapshot and releases it too. Key and Value return
-// slices that stay valid until Close (they alias the pinned sources).
+// Key and Value return slices that stay valid until Close (they alias the
+// pinned sources).
 type Iterator struct {
-	snap     *Snapshot
-	ownsSnap bool
-	dedup    *compaction.DedupIterator
-	cur      base.Entry
-	err      error
-	closed   bool
+	snaps   []*Snapshot  // one pin each
+	one     [1]*Snapshot // snaps of a one-snapshot scan, which allocates none
+	release func()
+	dedup   *compaction.DedupIterator
+	cur     base.Entry
+	err     error
+	closed  bool
 }
 
 // NewIterator returns a streaming scan of [start, limit) (nil bounds are
-// unbounded) over the snapshot's pinned view.
-func (s *Snapshot) NewIterator(start, limit []byte) (*Iterator, error) {
-	if err := s.addRef(); err != nil {
+// unbounded) over the union of snaps: one DB's snapshot, or one snapshot
+// per shard of a store, whose keys are disjoint. The iterator takes a pin
+// of its own on each snapshot. release, if not nil, runs at Close, or
+// before NewIterator returns an error. An empty range opens no source.
+func NewIterator(snaps []*Snapshot, start, limit []byte, release func()) (*Iterator, error) {
+	it := &Iterator{release: release}
+	it.snaps = append(it.one[:0], snaps...)
+	for i, s := range snaps {
+		if err := s.addRef(); err != nil {
+			it.snaps = it.snaps[:i]
+			it.Close()
+			return nil, err
+		}
+	}
+	var its []sstable.Iterator
+	var err error
+	switch {
+	case start != nil && limit != nil && bytes.Compare(start, limit) >= 0:
+	case len(snaps) == 1:
+		its, err = snaps[0].sources(start, limit)
+	default:
+		its, err = sources(snaps, start, limit)
+	}
+	if err != nil {
+		it.Close()
 		return nil, err
 	}
+	it.dedup = compaction.NewDedupIterator(compaction.NewMergeIterator(its), true, nil)
+	return it, nil
+}
+
+// sources opens the sources of every snapshot in snaps, all at once: a
+// CL-SSTable source reads its logs whole. The snapshots' keys are
+// disjoint, so their sources may come in any order. On failure it closes
+// what it opened.
+func sources(snaps []*Snapshot, start, limit []byte) ([]sstable.Iterator, error) {
+	srcs := make([][]sstable.Iterator, len(snaps))
+	errs := make([]error, len(snaps))
+	var wg sync.WaitGroup
+	for i, s := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srcs[i], errs[i] = s.sources(start, limit)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for _, src := range srcs {
+			closeAll(src)
+		}
+		return nil, err
+	}
+	return slices.Concat(srcs...), nil
+}
+
+// sources opens s's sources over [start, limit), newest-first: the merge
+// resolves same-key ties by source rank, so fresher sources must come
+// earlier. On failure it closes what it opened.
+func (s *Snapshot) sources(start, limit []byte) ([]sstable.Iterator, error) {
 	db := s.db
-	// Sources newest-first: the merge resolves same-key ties by source
-	// rank, so fresher sources must come earlier.
 	its := []sstable.Iterator{newSnapMemIter(s.mem, &db.overlay, s.seq)}
 	for _, m := range s.imms {
 		its = append(its, &memSourceIter{it: m.NewIter()})
@@ -47,54 +105,41 @@ func (s *Snapshot) NewIterator(start, limit []byte) (*Iterator, error) {
 	db.versionMu.RLock()
 	if db.tables == nil {
 		db.versionMu.RUnlock()
-		s.unref()
 		return nil, ErrClosed
 	}
-	fail := func(err error) (*Iterator, error) {
-		db.versionMu.RUnlock()
-		closeAll(its)
-		s.unref()
-		return nil, err
-	}
-	for _, f := range s.version.Levels[0] {
-		it, err := db.tables[f.ID].NewIterator()
-		if err != nil {
-			return fail(err)
-		}
-		its = append(its, it)
-	}
-	for l := 1; l < len(s.version.Levels); l++ {
-		for _, f := range s.version.Levels[l] {
+	for _, files := range s.version.Levels {
+		for _, f := range files {
 			it, err := db.tables[f.ID].NewIterator()
 			if err != nil {
-				return fail(err)
+				db.versionMu.RUnlock()
+				closeAll(its)
+				return nil, err
 			}
 			its = append(its, it)
 		}
 	}
 	db.versionMu.RUnlock()
-
 	for i := range its {
 		its[i] = &boundedIter{in: its[i], start: start, limit: limit}
 	}
-	merge := compaction.NewMergeIterator(its)
-	return &Iterator{snap: s, dedup: compaction.NewDedupIterator(merge, true, nil)}, nil
+	return its, nil
 }
 
-// NewIterator returns a streaming scan of [start, limit) over a
-// single-use snapshot taken now; closing the iterator releases it.
+// NewIterator returns a streaming scan of [start, limit) (nil bounds are
+// unbounded) over the snapshot's pinned view.
+func (s *Snapshot) NewIterator(start, limit []byte) (*Iterator, error) {
+	return NewIterator([]*Snapshot{s}, start, limit, nil)
+}
+
+// NewIterator returns a streaming scan of [start, limit) over a snapshot
+// taken now, which lives as long as the iterator.
 func (db *DB) NewIterator(start, limit []byte) (*Iterator, error) {
 	s, err := db.NewSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	it, err := s.NewIterator(start, limit)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	it.ownsSnap = true
-	return it, nil
+	defer s.Close()
+	return s.NewIterator(start, limit)
 }
 
 // Next advances; the iterator starts before the first entry.
@@ -120,22 +165,25 @@ func (it *Iterator) Value() []byte { return it.cur.Value }
 // exhaustion).
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the iterator's sources and its snapshot pin (and the
-// whole snapshot, when DB.NewIterator created it). Idempotent. It
-// returns Err() so `defer it.Close()` users still surface scan errors
-// when they check the return.
+// Close releases the iterator's sources and its snapshot pins, then runs
+// its release. Idempotent. It returns Err() so `defer it.Close()` users
+// still surface scan errors when they check the return.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err
 	}
 	it.closed = true
-	if err := it.dedup.Close(); err != nil && it.err == nil {
-		it.err = err
+	if it.dedup != nil {
+		if err := it.dedup.Close(); err != nil && it.err == nil {
+			it.err = err
+		}
 	}
-	if it.ownsSnap {
-		it.snap.Close()
+	for _, s := range it.snaps {
+		s.unref()
 	}
-	it.snap.unref()
+	if it.release != nil {
+		it.release()
+	}
 	return it.err
 }
 

@@ -18,9 +18,10 @@
 //
 // shard.DB exposes the same surface as lsm.DB: point operations route to
 // the owning shard, Apply splits a batch into per-shard sub-batches
-// applied concurrently, NewIterator merges the shards' iterators with a
-// k-way heap (a one-shard store returns its shard's iterator verbatim),
-// and Flush/CompactAll/Close fan out to every shard and drain them.
+// applied concurrently, NewIterator is one lsm.Iterator over every
+// shard's sources on one store snapshot (a one-shard store scans through
+// its shard's own snapshot), and Flush/CompactAll/Close fan out to every
+// shard and drain them.
 //
 // Two lifetime invariants here are machine-checked by triadlint (see
 // internal/lint): every *Commit ticket minted by Prepare must reach

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/lsm"
@@ -17,7 +19,8 @@ import (
 
 // TestFNVRanges: which shards a scan under FNV routing touches — none
 // for empty or inverted bounds (no snapshot, no barrier), every shard
-// merged otherwise, and a one-shard store's own iterator verbatim.
+// otherwise, through one lsm.Iterator on one store snapshot that dies
+// with it.
 func TestFNVRanges(t *testing.T) {
 	db := openMem(t, 4)
 	defer db.Close()
@@ -37,17 +40,22 @@ func TestFNVRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := it.(*Merged); !ok || len(m.all) != 4 || db.OpenSnapshots() != 1 {
-		t.Fatalf("bounded hash scan = %T over %d snapshots, want a merge of all 4 shards", it, db.OpenSnapshots())
+	if _, ok := it.(*lsm.Iterator); !ok || db.OpenSnapshots() != 1 {
+		t.Fatalf("bounded hash scan = %T over %d snapshots, want an *lsm.Iterator over 1", it, db.OpenSnapshots())
+	}
+	for i, s := range db.shards {
+		if n := s.OpenSnapshots(); n != 1 {
+			t.Fatalf("shard %d: %d snapshots pinned during the scan, want 1", i, n)
+		}
 	}
 	if err := it.Close(); err != nil || db.OpenSnapshots() != 0 {
 		t.Fatalf("Close = %v with %d snapshots left", err, db.OpenSnapshots())
 	}
 }
 
-// TestSingleShardScanFastPath: a one-shard store's scan is its shard's
-// iterator verbatim — the concrete *lsm.Iterator, not a merge wrapper —
-// while a multi-shard store merges.
+// TestSingleShardScanFastPath: a one-shard store scans through its
+// shard's own snapshot, with no store snapshot, and a multi-shard store
+// through one store snapshot; both return an *lsm.Iterator.
 func TestSingleShardScanFastPath(t *testing.T) {
 	const keys = 4000
 	one := openMem(t, 1)
@@ -65,8 +73,9 @@ func TestSingleShardScanFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := it.(*lsm.Iterator); !ok {
-			t.Fatalf("1-shard scan returned %T, want *lsm.Iterator", it)
+		if _, ok := it.(*lsm.Iterator); !ok || one.OpenSnapshots() != 0 || one.shards[0].OpenSnapshots() != 1 {
+			t.Fatalf("1-shard scan returned %T with %d store snapshots and %d shard snapshots, want *lsm.Iterator on 0 and 1",
+				it, one.OpenSnapshots(), one.shards[0].OpenSnapshots())
 		}
 		n := 0
 		for it.Next() {
@@ -94,7 +103,7 @@ func TestSingleShardScanFastPath(t *testing.T) {
 	sit.Close()
 	s.Close()
 
-	// The hash store keeps the merged path for multi-shard stores.
+	// A multi-shard store's scan is one iterator on one store snapshot.
 	hdb := openMem(t, 4)
 	defer hdb.Close()
 	if err := hdb.Put([]byte("a"), []byte("v")); err != nil {
@@ -104,38 +113,142 @@ func TestSingleShardScanFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hit.Close()
-	if _, ok := hit.(*Merged); !ok {
-		t.Fatalf("hash scan returned %T, want *Merged", hit)
+	if _, ok := hit.(*lsm.Iterator); !ok || hdb.OpenSnapshots() != 1 {
+		t.Fatalf("hash scan returned %T with %d snapshots, want *lsm.Iterator on 1", hit, hdb.OpenSnapshots())
+	}
+	if err := hit.Close(); err != nil || hdb.OpenSnapshots() != 0 {
+		t.Fatalf("Close = %v with %d snapshots left", err, hdb.OpenSnapshots())
+	}
+}
+
+// TestScanFailedSourceOpen: when one shard's source fails to open — here
+// a CL-SSTable's commit-log read — NewIterator returns the error and
+// leaves no snapshot pinned on any shard and no file handle open, and the
+// store still scans once the fault clears.
+func TestScanFailedSourceOpen(t *testing.T) {
+	const shards, keys = 4, 2000
+	var open atomic.Int64
+	var failing atomic.Bool
+	engine := smallEngine()
+	engine.DisableAutoCompaction = true
+	db, err := Open(Options{Shards: shards, Engine: engine, NewFS: func(i int) (vfs.FS, error) {
+		mem := vfs.NewMemFS()
+		mem.SetHooks(vfs.Hooks{
+			Before: func(op vfs.Op) error {
+				if i == 2 && failing.Load() && op.Kind == vfs.OpReadAt && strings.HasSuffix(op.Name, ".log") {
+					return vfs.ErrInjected
+				}
+				return nil
+			},
+			After: func(op vfs.Op) {
+				switch op.Kind {
+				case vfs.OpCreate, vfs.OpOpen:
+					open.Add(1)
+				case vfs.OpClose:
+					open.Add(-1)
+				}
+			},
+		})
+		return mem, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// fail opens a scan with the fault armed; pins is how many snapshots
+	// the store and each shard held before.
+	fail := func(what string, scan func(lo, hi []byte) (Iter, error), pins int) {
+		t.Helper()
+		failing.Store(true)
+		defer failing.Store(false)
+		handles := open.Load()
+		it, err := scan(nil, nil)
+		if !errors.Is(err, vfs.ErrInjected) || it != nil {
+			t.Fatalf("%s scan over a failing log read = %v, %v; want the injected fault", what, it, err)
+		}
+		if n := db.OpenSnapshots(); n != pins {
+			t.Fatalf("%s scan failed with %d store snapshots open, want %d", what, n, pins)
+		}
+		for i, s := range db.shards {
+			if n := s.OpenSnapshots(); n != pins {
+				t.Fatalf("%s scan failed with %d snapshots pinned on shard %d, want %d", what, n, i, pins)
+			}
+		}
+		if n := open.Load(); n != handles {
+			t.Fatalf("%s scan failed with %d file handles left open", what, n-handles)
+		}
+	}
+	fail("store", db.NewIterator, 0)
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail("snapshot", snap.NewIterator, 1)
+	failing.Store(false)
+	it, err := snap.NewIterator(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for it.Next() {
+		n++
+	}
+	if err := it.Close(); err != nil || n != keys {
+		t.Fatalf("scan after the fault cleared: %d keys, %v; want %d", n, err, keys)
+	}
+	snap.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d file handles left open after Close", n)
 	}
 }
 
 // TestScanDifferential drives a random workload into a hash-partitioned
-// store and a map oracle, then compares randomized bounded scans —
-// including bounds on existing keys, past the keyspace and inverted
-// bounds — entry for entry.
+// store of 1 and of 4 shards and into a map oracle, then compares
+// randomized bounded scans — including bounds on existing keys, past the
+// keyspace and inverted bounds — entry for entry. A snapshot taken after
+// the first write phase is held across a second phase, a Flush and a
+// CompactAll, and its scans must still equal the first phase's oracle.
 func TestScanDifferential(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { scanDifferential(t, shards) })
+	}
+}
+
+func scanDifferential(t *testing.T, shards int) {
 	const keyspace = 3000
-	hdb := openMem(t, 4)
+	hdb := openMem(t, shards)
 	defer hdb.Close()
 
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 15_000; i++ {
-		k := fmt.Sprintf("key-%05d", rng.Intn(keyspace))
-		if rng.Intn(10) == 0 {
-			delete(oracle, k)
-			if err := hdb.Delete([]byte(k)); err != nil {
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("key-%05d", rng.Intn(keyspace))
+			if rng.Intn(10) == 0 {
+				delete(oracle, k)
+				if err := hdb.Delete([]byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			v := fmt.Sprintf("v%d", rng.Int63())
+			oracle[k] = v
+			if err := hdb.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		v := fmt.Sprintf("v%d", i)
-		oracle[k] = v
-		if err := hdb.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
 		}
 	}
+	write(15_000)
 	if err := hdb.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +258,7 @@ func TestScanDifferential(t *testing.T) {
 		sorted = append(sorted, k)
 	}
 	sort.Strings(sorted)
+	first := maps.Clone(oracle)
 
 	expect := func(lo, hi []byte) [][2]string {
 		var out [][2]string
@@ -155,12 +269,11 @@ func TestScanDifferential(t *testing.T) {
 			if hi != nil && k >= string(hi) {
 				break
 			}
-			out = append(out, [2]string{k, oracle[k]})
+			out = append(out, [2]string{k, first[k]})
 		}
 		return out
 	}
-	collect := func(db *DB, lo, hi []byte) [][2]string {
-		it, err := db.NewIterator(lo, hi)
+	collect := func(it Iter, err error) [][2]string {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,6 +281,9 @@ func TestScanDifferential(t *testing.T) {
 		var out [][2]string
 		for it.Next() {
 			out = append(out, [2]string{string(it.Key()), string(it.Value())})
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}
@@ -182,14 +298,35 @@ func TestScanDifferential(t *testing.T) {
 			return []byte(fmt.Sprintf("key-%05d", rng.Intn(keyspace+10)))
 		}
 	}
-	for trial := 0; trial < 60; trial++ {
-		lo, hi := bound(), bound()
-		want := expect(lo, hi)
-		if got := collect(hdb, lo, hi); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d [%q,%q): hash scan diverged from oracle\n got %d entries\nwant %d entries",
-				trial, lo, hi, len(got), len(want))
+	check := func(what string, scan func(lo, hi []byte) (Iter, error)) {
+		t.Helper()
+		for trial := 0; trial < 60; trial++ {
+			lo, hi := bound(), bound()
+			want := expect(lo, hi)
+			if got := collect(scan(lo, hi)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s trial %d [%q,%q): scan diverged from oracle\n got %d entries\nwant %d entries",
+					what, trial, lo, hi, len(got), len(want))
+			}
 		}
 	}
+	check("store", hdb.NewIterator)
+
+	snap, err := hdb.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	check("snapshot", snap.NewIterator)
+	write(15_000)
+	check("snapshot after writes", snap.NewIterator)
+	if err := hdb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot after Flush", snap.NewIterator)
+	if err := hdb.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot after CompactAll", snap.NewIterator)
 }
 
 // TestReopenMismatchFailsFast is the metadata regression suite: a store

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/lsm"
@@ -67,54 +66,10 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 }
 
 // NewIterator returns a streaming scan of [start, limit) over the
-// snapshot's pinned views, planned like DB.NewIterator: empty bounds do
-// no shard work, one shard yields its iterator verbatim, and several are
-// merged by a k-way heap.
+// snapshot's pinned views: one merge over every shard's sources. Empty
+// bounds open no source.
 func (s *Snapshot) NewIterator(start, limit []byte) (Iter, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, lsm.ErrSnapshotClosed
-	}
-	s.mu.Unlock()
-	if emptyRange(start, limit) {
-		return &Merged{}, nil
-	}
-	return s.newIterator(start, limit, nil)
-}
-
-// newIterator scans [start, limit) on every shard; owned, when non-nil,
-// is a single-use snapshot the iterator must close with itself.
-func (s *Snapshot) newIterator(start, limit []byte, owned *Snapshot) (Iter, error) {
-	its := make([]*lsm.Iterator, len(s.snaps))
-	errs := make([]error, len(s.snaps))
-	var wg sync.WaitGroup
-	for i := range s.snaps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			its[i], errs[i] = s.snaps[i].NewIterator(start, limit)
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		for _, it := range its {
-			if it != nil {
-				it.Close()
-			}
-		}
-		if owned != nil {
-			owned.Close()
-		}
-		return nil, err
-	}
-	if len(its) == 1 && owned == nil {
-		// Single-shard fast path: the scan is entirely one shard's, so
-		// its iterator is the scan — no wrapper at all. (A single-use
-		// snapshot still needs the wrapper to die with the iterator.)
-		return its[0], nil
-	}
-	return newMerged(its, owned), nil
+	return iter(lsm.NewIterator(s.snaps, start, limit, nil))
 }
 
 // Close releases every shard's pin. Idempotent; open iterators stay

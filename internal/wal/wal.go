@@ -41,13 +41,16 @@ func FileName(id uint64) string { return fmt.Sprintf("%06d.log", id) }
 // file (Close) only after the last append, so a lock of the writer's own
 // would be taken and never contended.
 type Writer struct {
-	f    vfs.File
-	id   uint64
-	off  int64
-	buf  []byte        // the records of one AppendBatch, reused
-	offs []int64       // their offsets, reused
-	one  [1]base.Entry // Append's batch of one
-	sync bool
+	f   vfs.File
+	id  uint64
+	off int64
+	// synced is the length of the file at its last successful sync: the
+	// bytes a power cut cannot take.
+	synced int64
+	buf    []byte        // the records of one AppendBatch, reused
+	offs   []int64       // their offsets, reused
+	one    [1]base.Entry // Append's batch of one
+	sync   bool
 }
 
 // NewWriter creates log file id in fs. If syncOnAppend is true every
@@ -67,6 +70,10 @@ func (w *Writer) ID() uint64 { return w.id }
 
 // Size returns the number of bytes appended so far.
 func (w *Writer) Size() int64 { return w.off }
+
+// Synced returns the number of bytes appended before the last successful
+// sync: those that survive a power cut.
+func (w *Writer) Synced() int64 { return w.synced }
 
 // Append writes one record and returns the byte offset it was written at
 // (the offset TRIAD-LOG stores in the memtable) and the number of bytes
@@ -125,22 +132,32 @@ func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err err
 	}
 	w.off += int64(n)
 	if w.sync {
-		if err := w.f.Sync(); err != nil {
+		if err := w.Sync(); err != nil {
 			return nil, 0, err
 		}
 	}
 	return w.offs, n, nil
 }
 
-// Sync flushes the log to stable storage.
-func (w *Writer) Sync() error { return w.f.Sync() }
+// Sync flushes the log to stable storage. It does nothing when every
+// appended byte already is.
+func (w *Writer) Sync() error {
+	if w.synced == w.off {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.synced = w.off
+	return nil
+}
 
 // Close syncs and closes the file, which it closes even when the sync
 // fails. The file remains on disk; the engine removes it once its contents
 // are durable elsewhere (or retains it as a CL-SSTable value store under
 // TRIAD-LOG).
 func (w *Writer) Close() error {
-	err := w.f.Sync()
+	err := w.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
