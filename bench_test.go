@@ -188,6 +188,55 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
+// BenchmarkPutUnderSnapshots measures BenchmarkPut's triad write path while
+// snapshots read the store: none, one held throughout, and one reopened
+// every 100 puts (the next opens, then the last closes). An overwrite keeps
+// the version an open snapshot reads behind the new entry.
+func BenchmarkPutUnderSnapshots(b *testing.B) {
+	for _, mode := range []string{"none", "held", "churn"} {
+		b.Run(mode, func(b *testing.B) {
+			db, err := Open(Options{FS: vfs.NewMemFS(), Profile: ProfileTriad})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			var snap *Snapshot
+			reopen := func() {
+				next, err := db.NewSnapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if snap != nil {
+					snap.Close()
+				}
+				snap = next
+			}
+			if mode != "none" {
+				reopen()
+			}
+			defer func() {
+				if snap != nil {
+					snap.Close()
+				}
+			}()
+			key := make([]byte, 8)
+			val := make([]byte, 255)
+			b.SetBytes(263)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "churn" && i%100 == 0 {
+					reopen()
+				}
+				workload.EncodeKey(key, uint64(i%100_000))
+				if err := db.Put(key, val); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGet measures point lookups over a settled multi-level tree.
 func BenchmarkGet(b *testing.B) {
 	for _, mode := range []string{"baseline", "triad"} {

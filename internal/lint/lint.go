@@ -8,7 +8,7 @@
 //     paths. A leaked ticket parks the committed watermark forever —
 //     every later write and snapshot queued behind it stalls.
 //   - mustclose: snapshots, iterators and block-cache handles pin real
-//     resources (memtable overlays, zombie sstables, cache bytes);
+//     resources (memtable versions, zombie sstables, cache bytes);
 //     each constructor result must be closed/released on all paths or
 //     handed to a tracked owner.
 //   - nilsafeobs: tracing and the event journal compile down to

@@ -1,7 +1,7 @@
 package lint
 
 // MustClose enforces the lifetime conventions of the store's pinning
-// handles. Snapshots pin memtable overlay versions and zombie
+// handles. Snapshots pin the memtable versions they read and zombie
 // sstables, iterators own snapshots, block-cache handles own a
 // tenant's resident bytes, background pools own worker goroutines,
 // scheduler owner handles pin queued/running tasks, and compaction

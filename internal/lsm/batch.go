@@ -182,8 +182,7 @@ func (db *DB) commitLocked(seq uint64, b *Batch, trs obs.Traces) error {
 	var userBytes int64
 	for i := range b.ops {
 		e := &b.ops[i]
-		db.preserveLocked(e.Key)
-		db.mem.Set(e.Key, e.Value, seq, e.Kind, db.log.ID(), offs[i])
+		db.mem.SetPinned(e.Key, e.Value, seq, e.Kind, db.log.ID(), offs[i], db.pinned)
 		userBytes += e.Size()
 	}
 	db.met.BytesLogged.Add(int64(walBytes))

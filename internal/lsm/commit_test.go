@@ -116,7 +116,7 @@ func TestNewSnapshotAtBounds(t *testing.T) {
 	}
 	defer s.Close()
 	// A later commit (epoch 30 > pin 25) is invisible, and the pinned
-	// version of the in-place-overwritten key survives via the overlay.
+	// version of the in-place-overwritten key stays behind the new entry.
 	b2 := &Batch{}
 	b2.Put([]byte("k"), []byte("v2"))
 	if err := db.CommitAt(30, b2); err != nil {

@@ -10,8 +10,8 @@
 // compaction gate, and the L0 table format — leaving everything else
 // byte-identical, which is what makes the ablation meaningful.
 //
-// Snapshots and iterators pin engine state (memtable overlay versions,
-// zombie sstables) until closed; triadlint's mustclose analyzer (see
+// Snapshots and iterators pin engine state (the memtable versions they
+// read, zombie sstables) until closed; triadlint's mustclose analyzer (see
 // internal/lint) enforces that every NewSnapshot/NewSnapshotAt/
 // NewIterator result is closed on all control-flow paths or escapes to
 // a tracked owner.
@@ -155,13 +155,12 @@ type DB struct {
 	compactedFrom [manifest.NumLevels]atomic.Int64
 	gets          [manifest.NumLevels]levelGets
 
-	// Snapshot state. snaps and maxPinned are guarded by mu (the write
-	// path consults maxPinned while already holding it); refs and
-	// zombies are guarded by versionMu alongside the version and table
-	// map they qualify; the overlay carries its own lock.
+	// Snapshot state. snaps and pinned are guarded by mu (the write path
+	// hands pinned to memtable.SetPinned while already holding it); refs
+	// and zombies are guarded by versionMu alongside the version and table
+	// map they qualify.
 	snaps     map[*snapPin]struct{}
-	maxPinned uint64 // highest pinned seq among active snapshots; 0 = none
-	overlay   overlay
+	pinned    []uint64 // the sequences of snaps, ascending
 	snapLeaks atomic.Int64
 
 	// refs counts snapshot pins per table file; zombies holds files a
@@ -446,21 +445,6 @@ func (db *DB) Delete(key []byte) error {
 func (db *DB) WriteAt(seq uint64, key, value []byte, kind base.Kind) error {
 	ops := [1]base.Entry{copyEntry(key, value, kind)}
 	return db.commit(seq, &Batch{ops: ops[:]}, nil)
-}
-
-// preserveLocked copies the live memtable's current version of key into
-// the snapshot overlay before an in-place overwrite destroys it, when an
-// active snapshot could still read it (its pinned sequence is at or
-// above the version's). Must run before the corresponding mem.Set so a
-// concurrent snapshot read that observes the new version always finds
-// the preserved one. Caller holds db.mu.
-func (db *DB) preserveLocked(key []byte) {
-	if db.maxPinned == 0 {
-		return
-	}
-	if old, ok := db.mem.Get(key); ok && old.Seq <= db.maxPinned {
-		db.overlay.preserve(db.mem, old.Base())
-	}
 }
 
 // WaitWritable blocks until the engine would accept a write without
@@ -798,12 +782,9 @@ func (db *DB) Close() error {
 	// files only they were pinning.
 	db.mu.Lock()
 	err := db.bgErr
-	for s := range db.snaps {
-		delete(db.snaps, s)
-	}
-	db.maxPinned = 0
+	clear(db.snaps)
+	db.pinned = nil
 	db.mu.Unlock()
-	db.overlay.gc(0)
 
 	if e := db.release(); err == nil {
 		err = e

@@ -284,3 +284,47 @@ func TestInstallRefusesUnsyncedLog(t *testing.T) {
 		t.Fatalf("%d L0 tables after Flush, want 1", n)
 	}
 }
+
+// TestUnsyncedLogBytes: the commit-log bytes a power cut could take are
+// more than 0 after puts with SyncWAL off and 0 once Flush returns; under
+// SyncWAL they are 0 after every put, while flushes, flush skips and hot
+// write-backs run underneath.
+func TestUnsyncedLogBytes(t *testing.T) {
+	for _, triad := range []bool{false, true} {
+		for _, syncWAL := range []bool{false, true} {
+			fs := vfs.NewMemFS()
+			o := smallOptions(fs)
+			if triad {
+				o = triadSmall(fs)
+			}
+			o.SyncWAL = syncWAL
+			db := mustOpen(t, o)
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 1500; i++ {
+					k := fmt.Sprintf("key-%04d", i%400)
+					if i%3 == 0 {
+						k = fmt.Sprintf("key-%04d", i%20) // hot
+					}
+					if err := db.Put([]byte(k), []byte(fmt.Sprintf("%d-%d-%080d", round, i, i))); err != nil {
+						t.Fatal(err)
+					}
+					if n := db.UnsyncedLogBytes(); syncWAL && n != 0 {
+						t.Fatalf("triad=%v SyncWAL: %d log bytes unsynced after put %d", triad, n, i)
+					}
+				}
+				if n := db.UnsyncedLogBytes(); !syncWAL && n == 0 {
+					t.Fatalf("triad=%v: no log bytes unsynced after puts with SyncWAL off", triad)
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := db.UnsyncedLogBytes(); n != 0 {
+					t.Fatalf("triad=%v SyncWAL=%v: %d log bytes unsynced once Flush returned", triad, syncWAL, n)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -178,8 +178,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			// batch, then apply them.
 			var recs []base.Entry
 			for _, h := range sep.Hot {
-				cur, curOK := mem.Get(h.Key)
-				if curOK && cur.Seq >= h.Seq {
+				if cur, ok := mem.Get(h.Key); ok && cur.Seq >= h.Seq {
 					continue // superseded while the flush was queued
 				}
 				superseded := false
@@ -191,11 +190,6 @@ func (db *DB) flushImmutable(imm *immutable) error {
 				}
 				if superseded {
 					continue
-				}
-				// The write-back overwrites the live memtable's version
-				// in place; keep it for any snapshot that pinned it.
-				if curOK && db.maxPinned != 0 && cur.Seq <= db.maxPinned {
-					db.overlay.preserve(mem, cur.Base())
 				}
 				recs = append(recs, h.Base())
 			}
@@ -211,7 +205,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			}
 			db.noteRelogged(n)
 			for i, h := range recs {
-				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
+				mem.SetPinned(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i], db.pinned)
 			}
 			db.mu.Unlock()
 		}

@@ -98,9 +98,9 @@ func sources(snaps []*Snapshot, start, limit []byte) ([]sstable.Iterator, error)
 // earlier. On failure it closes what it opened.
 func (s *Snapshot) sources(start, limit []byte) ([]sstable.Iterator, error) {
 	db := s.db
-	its := []sstable.Iterator{newSnapMemIter(s.mem, &db.overlay, s.seq)}
-	for _, m := range s.imms {
-		its = append(its, &memSourceIter{it: m.NewIter()})
+	var its []sstable.Iterator
+	for _, m := range s.mems {
+		its = append(its, &memIter{it: m.NewIter(), seq: s.seq})
 	}
 	db.versionMu.RLock()
 	if db.tables == nil {
@@ -245,73 +245,41 @@ func (b *boundedIter) Entry() base.Entry { return b.in.Entry() }
 func (b *boundedIter) Err() error        { return b.in.Err() }
 func (b *boundedIter) Close() error      { return b.in.Close() }
 
-// memSourceIter adapts a streaming memtable iterator to the table
-// iterator interface (immutable memtables need no sequence filtering:
-// they were sealed before the snapshot was taken).
-type memSourceIter struct {
-	it *memtable.Iter
+// memIter streams a memtable as of sequence seq: each key's newest
+// version at or below it (memtable.Entry.At). A key with none — written
+// after seq — is skipped; its older versions, if any, are in the sources
+// behind this one.
+type memIter struct {
+	it  *memtable.Iter
+	seq uint64
+	cur base.Entry
 }
 
-func (m *memSourceIter) Next() bool             { return m.it.Next() }
-func (m *memSourceIter) SeekGE(key []byte) bool { return m.it.SeekGE(key) }
-func (m *memSourceIter) Entry() base.Entry      { e := m.it.Entry(); return e.Base() }
-func (m *memSourceIter) Err() error             { return nil }
-func (m *memSourceIter) Close() error           { return nil }
-
-// snapMemIter streams the live-at-capture memtable as of sequence
-// maxSeq. The memtable updates entries in place, so a key overwritten
-// after the capture shows a too-new sequence; the overlay preserved the
-// snapshot's version at overwrite time (the write path does so before
-// the in-place update commits), and this iterator substitutes it at
-// yield time. Keys with no version at or below maxSeq anywhere in the
-// live memtable's history (inserted after capture) are skipped — older
-// versions, if any, live in the immutables or tables behind this source.
-type snapMemIter struct {
-	mem    *memtable.Memtable
-	it     *memtable.Iter
-	ov     *overlay
-	maxSeq uint64
-	cur    base.Entry
-}
-
-func newSnapMemIter(m *memtable.Memtable, ov *overlay, maxSeq uint64) sstable.Iterator {
-	return &snapMemIter{mem: m, it: m.NewIter(), ov: ov, maxSeq: maxSeq}
-}
-
-func (s *snapMemIter) Next() bool {
-	for s.it.Next() {
-		if s.admit() {
+func (m *memIter) Next() bool {
+	for m.it.Next() {
+		if m.admit() {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *snapMemIter) SeekGE(key []byte) bool {
-	if !s.it.SeekGE(key) {
+func (m *memIter) SeekGE(key []byte) bool {
+	if !m.it.SeekGE(key) {
 		return false
 	}
-	if s.admit() {
-		return true
-	}
-	return s.Next()
+	return m.admit() || m.Next()
 }
 
-// admit resolves the iterator's current raw entry against the snapshot
-// horizon, setting cur when a version <= maxSeq exists.
-func (s *snapMemIter) admit() bool {
-	e := s.it.Entry()
-	if e.Seq <= s.maxSeq {
-		s.cur = e.Base()
-		return true
+// admit sets cur to the current entry's version at seq, if it has one.
+func (m *memIter) admit() bool {
+	e, ok := m.it.At(m.seq)
+	if ok {
+		m.cur = e.Base()
 	}
-	if oe, ok := s.ov.get(s.mem, e.Key, s.maxSeq); ok {
-		s.cur = oe
-		return true
-	}
-	return false
+	return ok
 }
 
-func (s *snapMemIter) Entry() base.Entry { return s.cur }
-func (s *snapMemIter) Err() error        { return nil }
-func (s *snapMemIter) Close() error      { return nil }
+func (m *memIter) Entry() base.Entry { return m.cur }
+func (m *memIter) Err() error        { return nil }
+func (m *memIter) Close() error      { return nil }

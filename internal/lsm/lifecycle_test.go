@@ -250,14 +250,18 @@ func TestStalledWriterGetsFlushError(t *testing.T) {
 	}
 }
 
-// TestFaultsLeaveNoHandleOpen fails every write or every sync to one kind
-// of file from halfway through a load on: the Flush and Close that follow
-// leave no file handle open, and a reopen without faults reads every write
-// that was acknowledged.
+// TestFaultsLeaveNoHandleOpen fails every write, sync, create, remove or
+// rename of one kind of file from halfway through a load on: the Flush and
+// Close that follow return within 10 s and leave no file handle open, and
+// a reopen without faults reads every write that was acknowledged. Only
+// the journal is ever renamed, so no other file has a rename cell.
 func TestFaultsLeaveNoHandleOpen(t *testing.T) {
 	const puts = 3000
 	for _, file := range []string{".log", ".sst", ".clidx", "MANIFEST"} {
-		for _, kind := range []vfs.OpKind{vfs.OpWrite, vfs.OpSync} {
+		for _, kind := range []vfs.OpKind{vfs.OpWrite, vfs.OpSync, vfs.OpCreate, vfs.OpRemove, vfs.OpRename} {
+			if kind == vfs.OpRename && file != "MANIFEST" {
+				continue
+			}
 			for _, triad := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/triad=%v", file, kind, triad), func(t *testing.T) {
 					fs := vfs.NewMemFS()
@@ -281,8 +285,17 @@ func TestFaultsLeaveNoHandleOpen(t *testing.T) {
 							acked[k] = v
 						}
 					}
-					_ = db.Flush() // the errors are the point; the handles are checked
-					_ = db.Close()
+					closed := make(chan struct{})
+					go func() {
+						_ = db.Flush() // the errors are the point; the handles are checked
+						_ = db.Close()
+						close(closed)
+					}()
+					select {
+					case <-closed:
+					case <-time.After(10 * time.Second):
+						t.Fatal("Flush and Close still running 10 s after the faults")
+					}
 					if n := open.Load(); n != 0 {
 						t.Errorf("%d file handles left open", n)
 					}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +26,12 @@ var ErrSnapshotClosed = errors.New("lsm: snapshot closed")
 // three things alive until Close:
 //
 //   - the pinned sequence number, which filters out newer versions;
-//   - the memtable stack (live + immutables) of that instant — in-place
-//     updates the live memtable absorbs afterwards are compensated by
-//     the version overlay (see overlay);
+//   - the memtable stack (live + immutables) of that instant — while the
+//     pin is registered, an overwrite keeps the version a read at its
+//     sequence returns behind the entry that replaced it
+//     (memtable.SetPinned), where memtable.Entry.At finds it; a version
+//     kept for a snapshot that has closed goes with the next overwrite of
+//     its key, or with its memtable;
 //   - the manifest version, whose table files are reference-counted so
 //     flushes and compactions cannot delete a file the snapshot still
 //     reads (a consumed-but-pinned file becomes a "zombie" and is
@@ -37,10 +41,11 @@ var ErrSnapshotClosed = errors.New("lsm: snapshot closed")
 // the underlying pin alive even if the Snapshot is closed first; the
 // resources are released when the last of them closes.
 type Snapshot struct {
-	db      *DB
-	seq     uint64
-	mem     *memtable.Memtable
-	imms    []*memtable.Memtable // newest-first, sealed before capture
+	db  *DB
+	seq uint64
+	// mems is the memtable stack, newest first: the live one at capture,
+	// then those sealed before it.
+	mems    []*memtable.Memtable
 	version *manifest.Version
 	// pin is the registration token held by db.snaps. The DB must not
 	// reference the Snapshot itself: that would keep it reachable and
@@ -87,9 +92,10 @@ func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	s := &Snapshot{db: db, seq: seq, mem: db.mem, refs: 1, pin: &snapPin{seq: seq}}
+	s := &Snapshot{db: db, seq: seq, refs: 1, pin: &snapPin{seq: seq}}
+	s.mems = append(make([]*memtable.Memtable, 0, 1+len(db.imm)), db.mem)
 	for i := len(db.imm) - 1; i >= 0; i-- {
-		s.imms = append(s.imms, db.imm[i].mem)
+		s.mems = append(s.mems, db.imm[i].mem)
 	}
 	// Capture the version and take a reference on every file it names
 	// under versionMu so a racing install either sees the refs
@@ -103,9 +109,8 @@ func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 	}
 	db.versionMu.Unlock()
 	db.snaps[s.pin] = struct{}{}
-	if s.seq > db.maxPinned {
-		db.maxPinned = s.seq
-	}
+	i, _ := slices.BinarySearch(db.pinned, seq)
+	db.pinned = slices.Insert(db.pinned, i, seq)
 	// A leaked snapshot would pin files and memtables forever; the
 	// finalizer is the backstop (and the accounting for the leak tests).
 	runtime.SetFinalizer(s, (*Snapshot).finalize)
@@ -153,28 +158,18 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	db := s.db
 	db.met.UserReads.Add(1)
 
-	// Memory tier: the live-at-capture memtable (with the overlay
-	// compensating post-capture in-place overwrites), then the pinned
-	// immutables, newest first. Candidates are compared by sequence so
-	// the code does not depend on subtle cross-memtable orderings.
+	// Memory tier: in each pinned memtable, the key's version at the
+	// pinned sequence. Candidates are compared by sequence so the code
+	// does not depend on subtle cross-memtable orderings.
 	var best base.Entry
 	var found bool
-	consider := func(e base.Entry) {
-		if e.Seq <= s.seq && (!found || e.Seq > best.Seq) {
-			best, found = e, true
+	for _, m := range s.mems {
+		e, ok := m.Get(key)
+		if !ok {
+			continue
 		}
-	}
-	if e, ok := s.mem.Get(key); ok {
-		if e.Seq <= s.seq {
-			consider(e.Base())
-		} else if oe, ok := db.overlay.get(s.mem, key, s.seq); ok {
-			consider(oe)
-		}
-	}
-	for _, m := range s.imms {
-		if e, ok := m.Get(key); ok {
-			consider(e.Base())
-			break // older imms hold only older versions
+		if v, ok := e.At(s.seq); ok && (!found || v.Seq > best.Seq) {
+			best, found = v.Base(), true
 		}
 	}
 	if found {
@@ -224,8 +219,8 @@ func (s *Snapshot) addRef() error {
 	return nil
 }
 
-// releaseSnapshot unregisters s, garbage-collects the overlay, drops the
-// file references and deletes any zombie files whose last pin this was.
+// releaseSnapshot unregisters s, drops the file references and deletes any
+// zombie files whose last pin this was.
 func (db *DB) releaseSnapshot(s *Snapshot) {
 	db.mu.Lock()
 	if _, ok := db.snaps[s.pin]; !ok {
@@ -234,17 +229,8 @@ func (db *DB) releaseSnapshot(s *Snapshot) {
 		return
 	}
 	delete(db.snaps, s.pin)
-	db.maxPinned = 0
-	for other := range db.snaps {
-		if other.seq > db.maxPinned {
-			db.maxPinned = other.seq
-		}
-	}
-	// The overlay GC must run while db.mu is still held: with the lock
-	// released, a newer snapshot could register and a writer preserve a
-	// version for it between our maxPinned read and the sweep — which
-	// would then drop that version and tear the new snapshot's view.
-	db.overlay.gc(db.maxPinned)
+	i, _ := slices.BinarySearch(db.pinned, s.pin.seq)
+	db.pinned = slices.Delete(db.pinned, i, i+1)
 	db.mu.Unlock()
 
 	db.versionMu.Lock()
@@ -294,9 +280,20 @@ func (db *DB) OpenSnapshots() int {
 	return len(db.snaps)
 }
 
-// OverlaySize reports how many preserved old versions the snapshot
-// overlay currently holds (observability and leak tests).
-func (db *DB) OverlaySize() int { return db.overlay.size() }
+// OverlaySize reports how many replaced versions the memtables keep behind
+// their entries for snapshots (memtable.SetPinned), counted by a walk of
+// the live and queued memtables (observability and leak tests).
+func (db *DB) OverlaySize() int {
+	v := db.view.Load()
+	if v == nil {
+		return 0
+	}
+	n := v.mem.Kept()
+	for _, imm := range v.imms {
+		n += imm.mem.Kept()
+	}
+	return n
+}
 
 // getFromVersion walks the disk component of version v for key (nil
 // means the current version, resolved under the lock). It is the shared
@@ -373,94 +370,4 @@ func (db *DB) probe(l int, f *manifest.FileMeta, key []byte, tr *obs.Trace) (bas
 		db.met.TableDiskReads.Add(int64(n))
 	}
 	return e, found, err
-}
-
-// overlay preserves old versions of live-memtable entries for the
-// snapshots that still need them. The memtable absorbs updates in place
-// (the TRIAD premise), so without help the version a snapshot pinned
-// would be destroyed by the next write to the same key. The write path
-// calls preserve (under db.mu) with the about-to-be-overwritten entry
-// whenever an active snapshot could still read it; snapshot reads that
-// find a too-new version in the live memtable look up the newest
-// preserved version at or below their pinned sequence instead. Entries
-// are dropped as the snapshots needing them close.
-//
-// A version is kept with the memtable it was overwritten in and is only
-// ever read back through that memtable: a version preserved from an
-// older live memtable is not the snapshot's version of a key its own
-// memtable did not hold at capture, and would hide a newer one in an
-// immutable memtable or a table.
-type overlay struct {
-	mu sync.RWMutex
-	// versions maps key -> preserved versions in ascending Seq order
-	// (preservation happens in commit order).
-	versions map[string][]preserved
-	n        int
-}
-
-// preserved is one overwritten version and the memtable it lived in.
-type preserved struct {
-	mem *memtable.Memtable
-	base.Entry
-}
-
-// preserve records e, the entry of mem being overwritten. Caller has
-// checked that some active snapshot pins a sequence >= e.Seq.
-func (o *overlay) preserve(mem *memtable.Memtable, e base.Entry) {
-	o.mu.Lock()
-	if o.versions == nil {
-		o.versions = make(map[string][]preserved)
-	}
-	o.versions[string(e.Key)] = append(o.versions[string(e.Key)], preserved{mem, e})
-	o.n++
-	o.mu.Unlock()
-}
-
-// get returns the newest version of key preserved from mem with Seq <=
-// maxSeq.
-func (o *overlay) get(mem *memtable.Memtable, key []byte, maxSeq uint64) (base.Entry, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	vs := o.versions[string(key)]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].mem == mem && vs[i].Seq <= maxSeq {
-			return vs[i].Entry, true
-		}
-	}
-	return base.Entry{}, false
-}
-
-// gc drops versions no snapshot can still need: everything when no
-// snapshot remains, otherwise versions newer than the highest pinned
-// sequence (a version is only readable by snapshots pinned at or above
-// its own sequence).
-func (o *overlay) gc(maxPinned uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if maxPinned == 0 {
-		o.versions = nil
-		o.n = 0
-		return
-	}
-	for k, vs := range o.versions {
-		keep := vs[:0]
-		for _, v := range vs {
-			if v.Seq <= maxPinned {
-				keep = append(keep, v)
-			}
-		}
-		o.n -= len(vs) - len(keep)
-		if len(keep) == 0 {
-			delete(o.versions, k)
-		} else {
-			o.versions[k] = keep
-		}
-	}
-}
-
-// size reports the number of preserved versions.
-func (o *overlay) size() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.n
 }

@@ -3,6 +3,8 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -17,7 +19,8 @@ import (
 
 // TestSnapshotFrozenView: a snapshot's Get and iterator ignore every
 // write that lands after the pin — including in-place overwrites of
-// live-memtable entries (the overlay path), new keys, and deletes.
+// live-memtable entries (the versions kept behind them), new keys, and
+// deletes.
 func TestSnapshotFrozenView(t *testing.T) {
 	for _, mode := range []string{"baseline", "triad"} {
 		t.Run(mode, func(t *testing.T) {
@@ -415,7 +418,7 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 		t.Fatalf("last snapshot close freed no files (%d -> %d)", len(before), len(after))
 	}
 	if db.OverlaySize() != 0 {
-		t.Fatalf("overlay not drained: %d preserved versions", db.OverlaySize())
+		t.Fatalf("memtables keep %d versions after Flush", db.OverlaySize())
 	}
 }
 
@@ -532,8 +535,8 @@ func TestIteratorStreamsLazily(t *testing.T) {
 	}
 }
 
-// TestSnapshotOverlayIsPerMemtable: a version preserved for one snapshot
-// when an older live memtable overwrote it must not answer for a later
+// TestSnapshotOverlayIsPerMemtable: a version kept for one snapshot when
+// an older live memtable overwrote it must not answer for a later
 // snapshot whose own memtable did not hold the key at capture — that
 // snapshot's version is in a table, and newer.
 func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
@@ -585,6 +588,177 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 			t.Fatalf("snapshot at %d: scan reads %q, want only %q", c.s.Seq(), it.Value(), c.want)
 		}
 		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKeptVersionsBoundedByOpenSnapshots hands one snapshot over each
+// round — the next one opens, then the last one closes — and overwrites
+// 100 keys five times a round. The memtables keep at most the one version
+// of each key that the open snapshot reads, and none once a Flush has
+// emptied them, however many rounds and flushes went before.
+func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
+	for _, triad := range []bool{false, true} {
+		fs := vfs.NewMemFS()
+		o := DefaultOptions(fs) // memtables no round fills: only Flush seals
+		if triad {
+			o = TriadOptions(fs)
+		}
+		o.DisableAutoCompaction = true
+		db := mustOpen(t, o)
+		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+		var snap *Snapshot
+		for round := 1; round <= 40; round++ {
+			next, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap != nil {
+				snap.Close()
+			}
+			snap = next
+			for i := 0; i < 500; i++ {
+				k := i % 100
+				if i >= 400 {
+					k = i % 10 // hot keys, which a TRIAD-MEM flush writes back
+				}
+				if err := db.Put(key(k), []byte(fmt.Sprintf("r%d-%d", round, i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := db.OverlaySize(); n > 100 {
+				t.Fatalf("triad=%v round %d: %d versions kept for one snapshot over 100 keys", triad, round, n)
+			}
+			if want := fmt.Sprintf("r%d-490", round-1); round > 1 {
+				if v, err := snap.Get(key(0)); err != nil || string(v) != want {
+					t.Fatalf("triad=%v round %d: snapshot Get = %q, %v; want %q", triad, round, v, err, want)
+				}
+			}
+			if round%10 == 0 {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := db.OverlaySize(); n != 0 {
+					t.Fatalf("triad=%v round %d: %d versions kept after Flush", triad, round, n)
+				}
+			}
+		}
+		snap.Close()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotVersionsMatchOracle runs random puts and deletes over 50
+// keys under TRIAD's small geometry, so that flushes, flush skips, hot
+// write-backs and folds run underneath, while one to four snapshots open
+// and close at random and Flush and CompactAll run now and then. Every
+// open snapshot's Get and scans read exactly a map oracle as of its
+// sequence. The memtables keep at most one version per key for each
+// snapshot open since the last Flush: one open then, or opened after.
+func TestSnapshotVersionsMatchOracle(t *testing.T) {
+	const keys = 50
+	type pinned struct {
+		s    *Snapshot
+		want map[string]string
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := vfs.NewMemFS()
+		db := mustOpen(t, triadSmall(fs))
+		key := func(i int) string { return fmt.Sprintf("key-%02d", i) }
+		check := func(step int, p pinned, full bool) {
+			t.Helper()
+			for i := 0; i < keys; i++ {
+				if !full && rng.Intn(10) > 0 {
+					continue
+				}
+				want, ok := p.want[key(i)]
+				v, err := p.s.Get([]byte(key(i)))
+				if ok && (err != nil || string(v) != want) || !ok && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("seed %d step %d: snapshot at %d Get(%s) = %.12q, %v; want %.12q (present %v)",
+						seed, step, p.s.Seq(), key(i), v, err, want, ok)
+				}
+			}
+			lo, hi := rng.Intn(keys), rng.Intn(keys+1)
+			start, limit := []byte(key(lo)), []byte(key(hi))
+			if full {
+				start, limit = nil, nil
+			}
+			it, err := p.s.NewIterator(start, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for it.Next() {
+				got = append(got, string(it.Key())+"="+string(it.Value()))
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for k, v := range p.want {
+				if full || k >= string(start) && k < string(limit) {
+					want = append(want, k+"="+v)
+				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: snapshot at %d scans [%s, %s) to %d entries, want %d",
+					seed, step, p.s.Seq(), start, limit, len(got), len(want))
+			}
+		}
+		live := map[string]string{}
+		var open []pinned
+		sinceFlush := 0 // snapshots open at the last Flush or opened since
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 5 && len(open) < 4 || len(open) == 0:
+				s, err := db.NewSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				open = append(open, pinned{s, maps.Clone(live)})
+				sinceFlush++
+			case r < 10 && len(open) > 1:
+				i := rng.Intn(len(open))
+				check(step, open[i], true)
+				open[i].s.Close()
+				open = slices.Delete(open, i, i+1)
+			case r < 11:
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				sinceFlush = len(open)
+			case r < 12:
+				if err := db.CompactAll(); err != nil {
+					t.Fatal(err)
+				}
+			case r < 25:
+				k := key(rng.Intn(keys))
+				if err := db.Delete([]byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, k)
+			default:
+				k, v := key(rng.Intn(keys)), fmt.Sprintf("%d-%s", step, strings.Repeat("v", rng.Intn(300)))
+				if err := db.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				live[k] = v
+			}
+			check(step, open[rng.Intn(len(open))], step%100 == 0)
+			if n := db.OverlaySize(); n > keys*sinceFlush {
+				t.Fatalf("seed %d step %d: %d versions kept for %d snapshots over %d keys", seed, step, n, sinceFlush, keys)
+			}
+		}
+		for _, p := range open {
+			check(-1, p, true)
+			p.s.Close()
+		}
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

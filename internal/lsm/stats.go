@@ -35,6 +35,21 @@ func (db *DB) retainedLogBytesLocked() int64 {
 	return n
 }
 
+// UnsyncedLogBytes reports the bytes appended to the live commit log and to
+// the logs of the memtables queued for flush that a power cut could still
+// take: each log's size less its length at its last sync. With SyncWAL it
+// is 0 unless a sync failed; without, it is 0 once Flush returns, if no
+// write raced it.
+func (db *DB) UnsyncedLogBytes() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := db.log.Unsynced()
+	for _, imm := range db.imm {
+		n += imm.log.Unsynced()
+	}
+	return n
+}
+
 // liveLogBytesLocked is the size of the logs backing the live memtable.
 func (db *DB) liveLogBytesLocked() int64 {
 	if db.prev == nil {

@@ -8,7 +8,9 @@
 // Updates are absorbed in place (Algorithm 1, Update): a second write to a
 // key replaces the value and increments the counter rather than appending a
 // version, which is precisely why a skewed workload fills the commit log
-// faster than the memtable.
+// faster than the memtable. The one exception is a version an open snapshot
+// still reads: SetPinned keeps it behind the entry that replaced it, where
+// Entry.At finds it, until no snapshot can read it.
 package memtable
 
 import (
@@ -33,6 +35,21 @@ type Entry struct {
 	// the commit log (TRIAD-LOG).
 	LogID     uint64
 	LogOffset int64
+	// older is the newest of the versions this one replaced that a snapshot
+	// still reads, and older's older the next such, newest first; nil when
+	// none is. Like the rest of an entry it never changes once published.
+	older *Entry
+}
+
+// At returns the newest version of e's key at or below seq: e itself, or
+// one of the versions kept behind it for a snapshot.
+func (e *Entry) At(seq uint64) (*Entry, bool) {
+	for v := e; v != nil; v = v.older {
+		if v.Seq <= seq {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // Base converts to the shared record type.
@@ -49,12 +66,12 @@ const entryOverhead = 48
 func (e *Entry) size() int64 { return int64(len(e.Key)+len(e.Value)) + entryOverhead }
 
 // Memtable is a mutable sorted map with one writer and lock-free readers
-// (see package skiplist). Set, Relog and SeparateKeys are writes: at most
-// one goroutine may be inside any of them at a time — the engine holds its
-// commit lock around the first two while the memtable is live, and only the
-// flush task touches a sealed one (Relog, then SeparateKeys). Get, Len,
-// ApproxSize, ColdBytes, All, SeekAll and iterators may run concurrently
-// with the writer and take no lock.
+// (see package skiplist). Set, SetPinned, Relog and SeparateKeys are
+// writes: at most one goroutine may be inside any of them at a time — the
+// engine holds its commit lock around the first three while the memtable
+// is live, and only the flush task touches a sealed one (Relog, then
+// SeparateKeys). Get, Len, ApproxSize, ColdBytes, Kept, All and iterators
+// may run concurrently with the writer and take no lock.
 //
 // Entries are copy-on-write: a write publishes a fresh *Entry and never
 // modifies one a reader may hold, so every Entry a reader obtains is one
@@ -75,6 +92,16 @@ func New(seed int64) *Memtable {
 // skiplist's own copy of key, so the caller may reuse key once Set
 // returns; value is kept as given and must not change.
 func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint64, logOff int64) {
+	m.SetPinned(key, value, seq, kind, logID, logOff, nil)
+}
+
+// SetPinned is Set while snapshots read the memtable: pinned holds their
+// sequences, ascending. For each one below seq, the version a read there
+// returns stays behind the new entry, which is published with it in one
+// store; the versions none of them returns go. So a version kept for a
+// snapshot that has closed goes with the next overwrite of its key, or with
+// the memtable.
+func (m *Memtable) SetPinned(key, value []byte, seq uint64, kind base.Kind, logID uint64, logOff int64, pinned []uint64) {
 	m.list.Put(key, func(stored []byte, cur *Entry) *Entry {
 		e := &Entry{Key: stored, Value: value, Seq: seq, Kind: kind, Updates: 1, LogID: logID, LogOffset: logOff}
 		if cur == nil {
@@ -82,9 +109,36 @@ func (m *Memtable) Set(key, value []byte, seq uint64, kind base.Kind, logID uint
 			return e
 		}
 		e.Updates = cur.Updates + 1
+		e.older = behind(seq, cur, pinned)
 		m.size.Add(int64(len(value)) - int64(len(cur.Value)))
 		return e
 	})
+}
+
+// behind returns what to keep behind a version at seq that replaced v: of
+// the versions from v down, those that reads at the pinned sequences
+// (ascending) below seq return, newest first. It shares the longest tail
+// of v's chain that it keeps whole and copies the versions above that
+// tail, since a published entry never changes.
+func behind(seq uint64, v *Entry, pinned []uint64) *Entry {
+	n := len(pinned)
+	for n > 0 && pinned[n-1] >= seq {
+		n-- // reads the version at seq
+	}
+	if n == 0 {
+		return nil
+	}
+	v, ok := v.At(pinned[n-1])
+	if !ok {
+		return nil
+	}
+	older := behind(v.Seq, v.older, pinned[:n])
+	if older == v.older {
+		return v
+	}
+	c := *v
+	c.older = older
+	return &c
 }
 
 // Relog re-points the entries whose newest record is in commit log from at
@@ -155,18 +209,17 @@ func (m *Memtable) All() []*Entry {
 	return out
 }
 
-// SeekAll returns entries with key >= from, ascending.
-func (m *Memtable) SeekAll(from []byte) []*Entry {
-	var out []*Entry
+// Kept reports how many replaced versions the memtable keeps behind its
+// entries for snapshots (SetPinned). It walks every entry.
+func (m *Memtable) Kept() int {
+	n := 0
 	it := m.list.NewIterator()
-	if !it.SeekGE(from) {
-		return nil
-	}
-	out = append(out, it.Value())
 	for it.Next() {
-		out = append(out, it.Value())
+		for v := it.Value().older; v != nil; v = v.older {
+			n++
+		}
 	}
-	return out
+	return n
 }
 
 // Iter is a streaming iterator over the memtable in ascending key order.
@@ -175,7 +228,8 @@ func (m *Memtable) SeekAll(from []byte) []*Entry {
 // stays valid across concurrent inserts. Keys inserted mid-iteration
 // behind the current position are not revisited; updates ahead of it are
 // observed with their new sequence number — callers needing a
-// point-in-time view filter by sequence (the snapshot layer does).
+// point-in-time view read each entry's version At their sequence (the
+// snapshot layer does).
 type Iter struct {
 	it  *skiplist.Iterator[Entry]
 	cur *Entry
@@ -207,6 +261,9 @@ func (it *Iter) SeekGE(key []byte) bool {
 // Entry returns a copy of the current entry (valid after a true
 // Next/SeekGE): the version that was current when the iterator reached it.
 func (it *Iter) Entry() Entry { return *it.cur }
+
+// At is Entry.At of the current entry.
+func (it *Iter) At(seq uint64) (*Entry, bool) { return it.cur.At(seq) }
 
 // HotPolicy selects how SeparateKeys picks hot entries.
 type HotPolicy uint8

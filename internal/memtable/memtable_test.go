@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/base"
@@ -92,18 +93,157 @@ func TestAllSorted(t *testing.T) {
 	}
 }
 
-func TestSeekAll(t *testing.T) {
+// TestSetPinnedKeepsWhatSnapshotsRead overwrites a few keys while
+// snapshots open at the current sequence and close at random. After every
+// write, each open snapshot reads through At the newest version at or
+// below its sequence; the written key keeps no more versions behind it
+// than there are open snapshots below its sequence; and no version
+// published before the write changed.
+func TestSetPinnedKeepsWhatSnapshotsRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	m := New(1)
-	for i := 0; i < 10; i++ {
-		put(m, fmt.Sprintf("%02d", i), "v", uint64(i+1))
+	keys := []string{"a", "b", "c"}
+	history := map[string][]uint64{} // the sequences written, ascending
+	var pinned []uint64
+	for seq := uint64(1); seq <= 2000; seq++ {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			pinned = append(pinned, seq-1) // already ascending
+		case r < 4 && len(pinned) > 0:
+			i := rng.Intn(len(pinned))
+			pinned = append(pinned[:i], pinned[i+1:]...)
+		}
+		k := keys[rng.Intn(len(keys))]
+		var before []Entry
+		cur, _ := m.Get([]byte(k))
+		for v := cur.older; v != nil; v = v.older {
+			before = append(before, *v)
+		}
+		m.SetPinned([]byte(k), []byte(fmt.Sprint(seq)), seq, base.KindSet, 1, 0, pinned)
+		history[k] = append(history[k], seq)
+
+		i := 0
+		for v := cur.older; v != nil; v = v.older {
+			if !reflect.DeepEqual(*v, before[i]) {
+				t.Fatalf("seq %d: a published version of %s changed", seq, k)
+			}
+			i++
+		}
+		e, _ := m.Get([]byte(k))
+		if n := len(chain(&e)) - 1; n > len(pinned) {
+			t.Fatalf("seq %d: %s keeps %d versions for %d snapshots", seq, k, n, len(pinned))
+		}
+		for _, k := range keys {
+			e, ok := m.Get([]byte(k))
+			if !ok {
+				continue
+			}
+			for _, p := range pinned {
+				want := uint64(0)
+				for _, s := range history[k] {
+					if s <= p {
+						want = s
+					}
+				}
+				v, ok := e.At(p)
+				if got := uint64(0); ok != (want != 0) || ok && v.Seq != want {
+					if ok {
+						got = v.Seq
+					}
+					t.Fatalf("seq %d: %s at %d reads version %d, want %d", seq, k, p, got, want)
+				}
+				if ok && string(v.Value) != fmt.Sprint(want) {
+					t.Fatalf("seq %d: %s at %d reads value %q, want %d", seq, k, p, v.Value, want)
+				}
+			}
+		}
 	}
-	got := m.SeekAll([]byte("05"))
-	if len(got) != 5 || string(got[0].Key) != "05" {
-		t.Fatalf("SeekAll(05) = %d entries starting %q", len(got), got[0].Key)
+}
+
+// TestPinnedVersionsWhileOverwritten: readers at three pinned sequences
+// read through At the version each pinned, while one writer overwrites
+// every key round after round and the pins are taken under it.
+func TestPinnedVersionsWhileOverwritten(t *testing.T) {
+	const keys, rounds, readers, pins = 50, 300, 3, 3
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%02d", i)) }
+	// Round r (from 1) writes key i at (r-1)*keys+i+1; the pin taken after
+	// round r is at r*keys and reads round r's versions.
+	seqOf := func(r, i int) uint64 { return uint64((r-1)*keys + i + 1) }
+	m := New(1)
+	var published atomic.Int32 // pins taken so far
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := int(published.Load())
+				if n == 0 {
+					continue
+				}
+				round, i := 1+rng.Intn(n), rng.Intn(keys)
+				e, _ := m.Get(key(i))
+				v, ok := e.At(uint64(round * keys))
+				if want := seqOf(round, i); !ok || v.Seq != want || string(v.Value) != fmt.Sprint(want) {
+					t.Errorf("key %d at pin %d: %+v, %v; want version %d", i, round, v, ok, want)
+					return
+				}
+			}
+		}(r)
 	}
-	if m.SeekAll([]byte("99")) != nil {
-		t.Fatal("SeekAll past end returned entries")
+	var pinned []uint64
+	for r := 1; r <= rounds; r++ {
+		for i := 0; i < keys; i++ {
+			seq := seqOf(r, i)
+			m.SetPinned(key(i), []byte(fmt.Sprint(seq)), seq, base.KindSet, 1, 0, pinned)
+		}
+		if r <= pins {
+			pinned = append(pinned, uint64(r*keys))
+			published.Store(int32(r))
+		}
 	}
+	close(stop)
+	wg.Wait()
+	if n := m.Kept(); n != keys*pins {
+		t.Fatalf("Kept = %d, want %d: one version per key for each pin", n, keys*pins)
+	}
+}
+
+// TestSetKeepsNoVersion: with no snapshot, an overwrite leaves nothing
+// behind, and Kept counts what SetPinned leaves.
+func TestSetKeepsNoVersion(t *testing.T) {
+	m := New(1)
+	for seq := uint64(1); seq <= 10; seq++ {
+		put(m, "k", fmt.Sprint(seq), seq)
+	}
+	if n := m.Kept(); n != 0 {
+		t.Fatalf("Kept = %d after plain overwrites, want 0", n)
+	}
+	m.SetPinned([]byte("k"), []byte("11"), 11, base.KindSet, 1, 0, []uint64{3, 10})
+	m.SetPinned([]byte("j"), []byte("12"), 12, base.KindSet, 1, 0, []uint64{3, 10})
+	if n := m.Kept(); n != 1 {
+		t.Fatalf("Kept = %d, want 1: the version read at 10 (nothing of k is at or below 3)", n)
+	}
+	put(m, "k", "13", 13)
+	if n := m.Kept(); n != 0 {
+		t.Fatalf("Kept = %d after an overwrite with no snapshot, want 0", n)
+	}
+}
+
+// chain lists e and the versions kept behind it, newest first.
+func chain(e *Entry) []*Entry {
+	var out []*Entry
+	for v := e; v != nil; v = v.older {
+		out = append(out, v)
+	}
+	return out
 }
 
 func makeSkewed(t *testing.T) *Memtable {

@@ -162,7 +162,8 @@ func (s *Server) MetricsText() string {
 		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
 		p.Gauge("triad_shard_snapshots_open", "Live snapshot pins on the shard.", l, int64(st.OpenSnapshots))
 		p.Counter("triad_shard_snapshots_leaked_total", "Snapshot pins reclaimed by finalizer instead of Close.", l, st.LeakedSnapshots)
-		p.Gauge("triad_shard_overlay_entries", "Preserved old versions in the shard's snapshot overlay.", l, int64(st.OverlayEntries))
+		p.Gauge("triad_shard_unsynced_log_bytes", "Commit-log bytes the shard acknowledged that a power cut could still take: the live log's and each queued memtable's log's size less its length at its last sync.", l, st.UnsyncedLogBytes)
+		p.Gauge("triad_shard_overlay_entries", "Replaced versions the shard's memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", l, int64(st.OverlayEntries))
 		p.Counter("triad_shard_cache_hits_total", "Block-cache lookups by this shard served from memory.", l, st.CacheHits)
 		p.Counter("triad_shard_cache_misses_total", "Block-cache lookups by this shard that went to disk.", l, st.CacheMisses)
 		p.Gauge("triad_shard_cache_resident_bytes", "Shared-cache bytes currently held by this shard's blocks.", l, st.CacheBytes)
@@ -190,7 +191,7 @@ func (s *Server) MetricsText() string {
 	p.Gauge("triad_commit_epoch", "Store-wide commit watermark (every epoch at or below has committed).", "", int64(s.store.CommittedEpoch()))
 	p.Gauge("triad_snapshots_open", "Live cross-shard snapshots.", "", int64(s.store.OpenSnapshots()))
 	p.Counter("triad_snapshots_leaked_total", "Cross-shard snapshots reclaimed by finalizer instead of Close.", "", s.store.LeakedSnapshots())
-	p.Gauge("triad_overlay_entries", "Preserved old versions across all snapshot overlays.", "", int64(s.store.OverlayEntries()))
+	p.Gauge("triad_overlay_entries", "Replaced versions all memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", "", int64(s.store.OverlayEntries()))
 
 	open, total, commands := s.ConnStats()
 	p.Gauge("triad_server_connections_open", "Currently open client connections.", "", int64(open))

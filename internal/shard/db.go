@@ -28,8 +28,8 @@
 // Commit or Abort on all control-flow paths (ticketleak — an
 // unsettled ticket holds the epoch pipeline open forever), and every
 // Snapshot and Iter must be closed or handed to a tracked owner
-// (mustclose — snapshots pin memtable overlays and zombie sstables
-// until released).
+// (mustclose — snapshots pin the memtable versions they read and
+// zombie sstables until released).
 package shard
 
 import (

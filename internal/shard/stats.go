@@ -88,6 +88,9 @@ type ShardStat struct {
 	// RetainedLogBytes is the commit log the shard keeps beside its tables
 	// because a memtable is still backed by it (lsm.DB.RetainedLogBytes).
 	RetainedLogBytes int64
+	// UnsyncedLogBytes is the part of the commit log the shard acknowledged
+	// that a power cut could still take (lsm.DB.UnsyncedLogBytes).
+	UnsyncedLogBytes int64
 	// Levels is the shard's tree, level by level: what each level holds,
 	// the target the picker currently allows it and the resulting score.
 	Levels []lsm.LevelStat
@@ -106,9 +109,10 @@ type ShardStat struct {
 	WA, RA float64
 	// OpenSnapshots is the shard's live snapshot-pin count;
 	// LeakedSnapshots counts pins the finalizer reclaimed instead of an
-	// explicit Close; OverlayEntries is how many preserved old versions
-	// the shard's snapshot overlay holds right now. Together they make
-	// snapshot hygiene observable per shard instead of internal-only.
+	// explicit Close; OverlayEntries is how many replaced versions the
+	// shard's memtables keep behind their entries for snapshots right now.
+	// Together they make snapshot hygiene observable per shard instead of
+	// internal-only.
 	OpenSnapshots   int
 	LeakedSnapshots int64
 	OverlayEntries  int
@@ -153,6 +157,7 @@ func (db *DB) ShardStats() []ShardStat {
 			IO:              ioBySource(m),
 		}
 		st.RetainedLogBytes = s.RetainedLogBytes()
+		st.UnsyncedLogBytes = s.UnsyncedLogBytes()
 		for _, ls := range st.Levels {
 			st.Files += ls.Files
 			st.DiskBytes += ls.Bytes
@@ -218,10 +223,10 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "apply latency: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
 			h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 	}
-	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, WA, RA, debt, stalls, snaps, overlay, cache):\n")
+	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, of them unsynced, WA, RA, debt, stalls, snaps, overlay, cache):\n")
 	for _, st := range db.ShardStats() {
-		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
-			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.WA, st.RA,
+		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B (unsynced %d B)  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
+			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.UnsyncedLogBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
 			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
 	}
@@ -271,8 +276,8 @@ func (db *DB) LeakedSnapshots() int64 {
 	return n
 }
 
-// OverlayEntries reports, summed across shards, how many preserved old
-// versions the snapshot overlays currently hold.
+// OverlayEntries reports, summed across shards, how many replaced
+// versions the memtables keep behind their entries for snapshots.
 func (db *DB) OverlayEntries() int {
 	n := 0
 	for _, s := range db.shards {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/base"
 	"repro/internal/vfs"
@@ -39,14 +40,15 @@ func FileName(id uint64) string { return fmt.Sprintf("%06d.log", id) }
 // Writer appends records to one commit log file. It is not safe for
 // concurrent use: the engine appends under its commit lock and seals the
 // file (Close) only after the last append, so a lock of the writer's own
-// would be taken and never contended.
+// would be taken and never contended. Size, Synced and Unsynced are the
+// exception: any goroutine may call them at any time.
 type Writer struct {
 	f   vfs.File
 	id  uint64
-	off int64
+	off atomic.Int64
 	// synced is the length of the file at its last successful sync: the
 	// bytes a power cut cannot take.
-	synced int64
+	synced atomic.Int64
 	buf    []byte        // the records of one AppendBatch, reused
 	offs   []int64       // their offsets, reused
 	one    [1]base.Entry // Append's batch of one
@@ -69,11 +71,20 @@ func NewWriter(fs vfs.FS, id uint64, syncOnAppend bool) (*Writer, error) {
 func (w *Writer) ID() uint64 { return w.id }
 
 // Size returns the number of bytes appended so far.
-func (w *Writer) Size() int64 { return w.off }
+func (w *Writer) Size() int64 { return w.off.Load() }
 
 // Synced returns the number of bytes appended before the last successful
 // sync: those that survive a power cut.
-func (w *Writer) Synced() int64 { return w.synced }
+func (w *Writer) Synced() int64 { return w.synced.Load() }
+
+// Unsynced returns the bytes appended since the last successful sync: those
+// a power cut could take.
+func (w *Writer) Unsynced() int64 {
+	// The size first: a batch synced as it is appended publishes its synced
+	// length before its size, so at worst synced is read ahead of off.
+	off := w.off.Load()
+	return max(0, off-w.synced.Load())
+}
 
 // Append writes one record and returns the byte offset it was written at
 // (the offset TRIAD-LOG stores in the memtable) and the number of bytes
@@ -113,10 +124,11 @@ func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err err
 	}
 	buf := w.buf[:n]
 	w.offs = w.offs[:0]
+	off := w.off.Load()
 	at := 0
 	for i := range recs {
 		e := &recs[i]
-		w.offs = append(w.offs, w.off+int64(at))
+		w.offs = append(w.offs, off+int64(at))
 		b := buf[at : at+headerSize+len(e.Key)+len(e.Value)]
 		binary.LittleEndian.PutUint64(b[4:12], e.Seq)
 		b[12] = byte(e.Kind)
@@ -130,11 +142,18 @@ func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err err
 	if _, err := w.f.Write(buf); err != nil {
 		return nil, 0, err
 	}
-	w.off += int64(n)
+	off += int64(n)
 	if w.sync {
-		if err := w.Sync(); err != nil {
-			return nil, 0, err
+		// The synced length moves first, so that Unsynced never counts a
+		// batch this call syncs.
+		err = w.f.Sync()
+		if err == nil {
+			w.synced.Store(off)
 		}
+	}
+	w.off.Store(off)
+	if err != nil {
+		return nil, 0, err
 	}
 	return w.offs, n, nil
 }
@@ -142,13 +161,14 @@ func (w *Writer) AppendBatch(recs []base.Entry) (offsets []int64, n int, err err
 // Sync flushes the log to stable storage. It does nothing when every
 // appended byte already is.
 func (w *Writer) Sync() error {
-	if w.synced == w.off {
+	off := w.off.Load()
+	if w.synced.Load() == off {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.synced = w.off
+	w.synced.Store(off)
 	return nil
 }
 
