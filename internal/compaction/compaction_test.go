@@ -330,9 +330,11 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 
 // TestPickerFoldOrMerge: where L0 can fold (L0LogBytes set, every L0 file
 // a CL-SSTable), TRIAD-DISK's act on L0 folds it until the folds' rent
-// reaches the L1 bytes a merge rewrites, or one more full log could take
-// L0 past its log ceiling — which also acts below the file trigger — and a
-// drain always merges. Anywhere else L0 merges as it always has.
+// reaches the merge's price — the L1 bytes it rewrites and the L2 bytes
+// under its spill — or one more full log could take L0 past its log
+// ceiling — which also acts below the file trigger — and a drain always
+// merges. The ceiling is L0LogBytes, or L0LogPerPriceByte times the price
+// if more. Anywhere else L0 merges as it always has.
 func TestPickerFoldOrMerge(t *testing.T) {
 	const logBytes = 1000 // CommitLogBytes
 	const ceiling = MaxFilesL0 * logBytes
@@ -354,33 +356,53 @@ func TestPickerFoldOrMerge(t *testing.T) {
 		return files
 	}
 	l1 := []*manifest.FileMeta{fm(20, 1, "a", "m", 400), fm(21, 1, "n", "z", 500)} // price 900
+	// L1 over its 1 MiB target, so a merge spills the a–m range (the file
+	// with the fewer L2 bytes per byte) into L2, which is not the bottom
+	// level: price 1.2 MB of L1 and 0.6 MB of L2.
+	spilling := []*manifest.FileMeta{
+		fm(20, 1, "a", "m", 600_000), fm(21, 1, "n", "z", 600_000),
+		fm(30, 2, "a", "f", 300_000), fm(31, 2, "g", "m", 300_000), fm(32, 2, "n", "z", 900_000),
+		fm(40, 3, "a", "z", 100<<20),
+	}
+	// L1 bytes worth three full logs: price 3000, so the ceiling is 9000.
+	priced := []*manifest.FileMeta{fm(20, 1, "a", "m", 2000), fm(21, 1, "n", "z", 1000)}
+	// Two key-disjoint tables below every L1 key: price 0.
+	outside := []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}
+	outside[0].Smallest, outside[0].Largest = []byte("0"), []byte("5")
+	outside[1].Smallest, outside[1].Largest = []byte("6"), []byte("9")
 	cases := []struct {
 		name      string
 		l0        []*manifest.FileMeta
-		l1        []*manifest.FileMeta
+		below     []*manifest.FileMeta
 		ceiling   int64
 		force     bool
 		want      string // "" no job, "deferred", or the job's rule ("merge" if none)
 		wantInput int
+		wantSpill int // L2 files the merge consumes
 	}{
-		{"four flushes below MaxFilesL0 defer", flushes(4), l1, ceiling, false, "deferred", 0},
-		{"MaxFilesL0 flushes fold", flushes(6), l1, ceiling, false, RuleFold, 6},
-		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, ceiling, false, RuleFold, 6},
-		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, ceiling, false, RuleRentPaid, 6},
-		{"nothing below to rewrite merges", flushes(6), nil, ceiling, false, RuleRentPaid, 6},
-		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, ceiling, false, RuleLogCeiling, 2},
-		{"just under the ceiling waits", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4700, 10)}, l1, ceiling, false, "", 0},
-		{"a drain merges one file", flushes(1), l1, ceiling, true, RuleDrain, 1},
-		{"a drain merges a deferred L0", flushes(4), l1, ceiling, true, RuleDrain, 4},
-		{"a sorted table in L0 merges", append(flushes(5), fm(9, 0, "a", "z", 100)), l1, ceiling, false, "merge", 6},
-		{"no folds without a ceiling", flushes(6), l1, 0, false, "merge", 6},
+		{"four flushes below MaxFilesL0 defer", flushes(4), l1, ceiling, false, "deferred", 0, 0},
+		{"MaxFilesL0 flushes fold", flushes(6), l1, ceiling, false, RuleFold, 6, 0},
+		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, ceiling, false, RuleFold, 6, 0},
+		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, ceiling, false, RuleRentPaid, 6, 0},
+		{"nothing below to rewrite merges", flushes(6), nil, ceiling, false, RuleRentPaid, 6, 0},
+		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, ceiling, false, RuleLogCeiling, 2, 0},
+		{"just under the ceiling waits", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4700, 10)}, l1, ceiling, false, "", 0, 0},
+		{"a drain merges one file", flushes(1), l1, ceiling, true, RuleDrain, 1, 0},
+		{"a drain merges a deferred L0", flushes(4), l1, ceiling, true, RuleDrain, 4, 0},
+		{"a sorted table in L0 merges", append(flushes(5), fm(9, 0, "a", "z", 100)), l1, ceiling, false, "merge", 6, 0},
+		{"no folds without a ceiling", flushes(6), l1, 0, false, "merge", 6, 0},
+		{"the spill's L2 bytes count in the price", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 1_500_000)), spilling, ceiling, false, RuleFold, 6, 0},
+		{"rent paid for L1 and the spill merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 1_800_000)), spilling, ceiling, false, RuleRentPaid, 6, 2},
+		{"a priced L0 waits past the floor", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 7700, 10)}, priced, ceiling, false, "", 0, 0},
+		{"a priced L0 merges at its ceiling", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 7800, 10)}, priced, ceiling, false, RuleLogCeiling, 2, 0},
+		{"a key-disjoint L0 merges at the floor", outside, priced, ceiling, false, RuleLogCeiling, 2, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewPicker(PickerOptions{
 				BaseLevelBytes: 1 << 20, TriadDisk: true, L0LogBytes: c.ceiling,
 			})
-			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), c.l1...)...)
+			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), c.below...)...)
 			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
 			job := p.Pick(v, disjoint, c.force)
 			switch {
@@ -404,15 +426,99 @@ func TestPickerFoldOrMerge(t *testing.T) {
 			if rule != c.want || len(job.Inputs) != c.wantInput || job.Level != 0 {
 				t.Fatalf("job %s on %d inputs (%s), want %s on %d", rule, len(job.Inputs), job.Why(), c.want, c.wantInput)
 			}
-			if job.Fold != (rule == RuleFold) || job.Fold && (job.OutputLevel != 0 || len(job.Overlaps) != 0) ||
-				!job.Fold && (job.OutputLevel != 1 || len(job.Overlaps) != len(c.l1)) {
-				t.Fatalf("%s job: fold %v, output L%d, %d overlaps", rule, job.Fold, job.OutputLevel, len(job.Overlaps))
+			lo, hi := KeyRangeOf(c.l0)
+			overlaps := len(v.Overlap(1, lo, hi))
+			if job.Fold != (rule == RuleFold) || job.Fold && (job.OutputLevel != 0 || len(job.Overlaps)+len(job.Spill)+len(job.SpillOverlaps) != 0) ||
+				!job.Fold && (job.OutputLevel != 1 || len(job.Overlaps) != overlaps || len(job.SpillOverlaps) != c.wantSpill) {
+				t.Fatalf("%s job: fold %v, output L%d, %d overlaps, %d spilled over", rule, job.Fold, job.OutputLevel, len(job.Overlaps), len(job.SpillOverlaps))
 			}
-			if c.ceiling > 0 && rule != "merge" && !strings.Contains(job.Why(), "rent ") {
+			if c.ceiling == 0 || rule == "merge" {
+				return
+			}
+			if !strings.Contains(job.Why(), "rent ") {
 				t.Fatalf("Why %q does not explain the %s", job.Why(), rule)
+			}
+			if job.Fold {
+				return
+			}
+			// The merge is the one that was priced: its note's price is the
+			// bytes of its own overlaps and spill.
+			var price int64
+			for _, f := range append(append([]*manifest.FileMeta(nil), job.Overlaps...), job.SpillOverlaps...) {
+				price += f.Size
+			}
+			ceiling := max(c.ceiling, L0LogPerPriceByte*price)
+			if note := fmt.Sprintf("/%.2f MB, logs ", float64(price)/1e6); !strings.Contains(job.Note, note) {
+				t.Fatalf("note %q does not price the merge's %d B of overlaps and spill", job.Note, price)
+			}
+			if note := fmt.Sprintf("/%.2f MiB", float64(ceiling)/(1<<20)); !strings.Contains(job.Note, note) {
+				t.Fatalf("note %q does not show the ceiling %d B", job.Note, ceiling)
+			}
+			if got := p.L0LogCeiling(v); got != ceiling {
+				t.Fatalf("L0LogCeiling = %d, the merge was priced at ceiling %d", got, ceiling)
 			}
 		})
 	}
+}
+
+// TestL0LogPerPriceByte states why L0LogPerPriceByte is 3: it is the
+// least whole multiple of the price at which the rent, not the ceiling,
+// merges the L0 of ingest_uniform. The model is one of its shards, as
+// measured: 1 MiB commit logs (a 6 MiB floor), flushes that each pin
+// 0.23 MiB of log and index 0.06 B of it per byte, folds forced at
+// MaxFilesL0 because a flush's keys barely overlap the next one's, and a
+// typical merge that rewrites 2.0 MB of L1 and 5.3 MB of L2 under its
+// spill. Its folds pay that price once L0 pins between two and three
+// times it, so a ceiling of twice the price would merge L0 before the
+// rent is paid.
+func TestL0LogPerPriceByte(t *testing.T) {
+	const (
+		logBytes   = 1 << 20
+		flushLog   = 230 << 10
+		flushIndex = flushLog * 6 / 100
+		price      = 7_300_000
+	)
+	p := NewPicker(PickerOptions{BaseLevelBytes: 64 << 20, TriadDisk: true, L0LogBytes: MaxFilesL0 * logBytes})
+	below := []*manifest.FileMeta{fm(1000, 1, "a", "m", price/2), fm(1001, 1, "n", "z", price-price/2)}
+	var l0 []*manifest.FileMeta // newest first
+	disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+	for id := uint64(1); id < 1000; id++ {
+		f := fm(id, 0, "a", "z", flushIndex)
+		f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, id, flushLog, id
+		l0 = append([]*manifest.FileMeta{f}, l0...)
+		job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), disjoint, false)
+		switch {
+		case job == nil || job.Deferred:
+			continue
+		case job.Fold:
+			fold := fm(id, 0, "a", "z", 0)
+			fold.Kind, fold.MaxSeq = manifest.KindCLFold, id
+			for _, in := range l0 {
+				fold.Size += in.Size
+				fold.FoldBytes += in.FoldBytes
+				fold.LogBytes += in.LogBytes
+				fold.LogIDs = append(fold.LogIDs, in.Logs()...)
+			}
+			fold.FoldBytes += fold.Size
+			l0 = []*manifest.FileMeta{fold}
+			continue
+		}
+		var logs int64
+		for _, f := range l0 {
+			logs += f.LogBytes
+		}
+		if job.Rule != RuleRentPaid || job.rewrites() != price {
+			t.Fatalf("%s merge (%s), want the rent paid on a %d B price", job.Rule, job.Why(), price)
+		}
+		// A ceiling one price lower would have been reached by now: that
+		// L0 would have merged at it, before its rent was paid.
+		if logs+logBytes <= (L0LogPerPriceByte-1)*price {
+			t.Fatalf("rent paid at %d B of log: a ceiling of %d times the %d B price would not bind", logs, L0LogPerPriceByte-1, price)
+		}
+		t.Logf("rent paid at %.1f MiB of log, %.2f times the price", float64(logs)/(1<<20), float64(logs)/price)
+		return
+	}
+	t.Fatal("L0 never merged")
 }
 
 // TestPickerL0Depth: where L0 can fold, L0 is counted by read depth, not

@@ -42,9 +42,11 @@ type PickerOptions struct {
 	BaseLevelBytes int64
 	// TriadDisk enables the deferred-compaction policy.
 	TriadDisk bool
-	// L0LogBytes is the most commit-log bytes L0 may pin, and nonzero
-	// only where L0 can fold (TRIAD-DISK with TRIAD-LOG): MaxFilesL0 times
-	// the commit-log size, what MaxFilesL0 full CL-SSTables pin. See Pick.
+	// L0LogBytes is the floor of L0's log ceiling (Picker.L0LogCeiling),
+	// the commit-log bytes L0 may pin whatever its merge would rewrite, and
+	// nonzero only where L0 can fold (TRIAD-DISK with TRIAD-LOG):
+	// MaxFilesL0 times the commit-log size, what MaxFilesL0 full
+	// CL-SSTables pin. See Pick.
 	L0LogBytes int64
 }
 
@@ -257,10 +259,11 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 // an index-only merge that writes no sorted table and retires no log),
 // unless one of two things holds. Either the folds have paid for the
 // merge: the index bytes they wrote since L0 was last merged have reached
-// the L1 bytes the merge rewrites — the rent-or-buy rule, which spends on
+// its price, every byte of existing tables it rewrites (the L1 overlap and
+// the L2 files under its spill) — the rent-or-buy rule, which spends on
 // folds at most what it saves by merging less often. Or L0 pins so much
-// commit log that one more full log could take it past L0LogBytes, which
-// also makes L0 act below its trigger.
+// commit log that one more full log could take it past its ceiling
+// (L0LogCeiling), which also makes L0 act below its trigger.
 //
 // L0's trigger, TRIAD-DISK's force and its deferral count L0Pressure: the
 // file count, or where L0 can fold the read depth. A key-disjoint L0, such
@@ -269,63 +272,7 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
-	l0 := v.Levels[0]
-	canFold, rent, logs := p.l0Folds(l0)
-	pressure := l0Pressure(l0, canFold)
-	// A flush adds at most about one full log: act before it could carry
-	// L0 past the ceiling.
-	atCeiling := canFold && logs+p.opts.L0LogBytes/MaxFilesL0 > p.opts.L0LogBytes
-	if pressure >= L0CompactionTrigger || atCeiling || force && len(l0) > 0 {
-		// Baseline behaviour per §3(2): "files in L0 are compacted to
-		// higher levels one at a time, resulting in several consecutive
-		// compaction operations" — merge the oldest L0 file alone.
-		inputs := l0[len(l0)-1:] // L0 is ordered newest-first
-		deferred := false
-		if p.opts.TriadDisk {
-			if pressure >= L0CompactionTrigger && !atCeiling {
-				sketches := make([]*hll.Sketch, 0, len(l0))
-				for _, f := range l0 {
-					if s := sketchOf(f); s != nil {
-						sketches = append(sketches, s)
-					}
-				}
-				if deferred = p.ShouldDeferL0(pressure, sketches); deferred && !force {
-					return &Job{Level: 0, Deferred: true}
-				}
-			}
-			// TRIAD-DISK compacts every L0 file together (one multi-way
-			// merge) so a key occurring in several L0 files is compacted
-			// once — the premature/iterative compaction fix of §3(2).
-			inputs = l0
-		}
-		lo, hi := KeyRangeOf(inputs)
-		job := &Job{
-			Level: 0, OutputLevel: 1,
-			Inputs:   append([]*manifest.FileMeta(nil), inputs...),
-			Overlaps: v.Overlap(1, lo, hi),
-			Score:    scores[0], Deferred: deferred,
-		}
-		job.Note = fmt.Sprintf("depth %d of %d files", L0Depth(l0), len(l0))
-		if canFold {
-			var price int64
-			for _, f := range job.Overlaps {
-				price += f.Size
-			}
-			job.Note += fmt.Sprintf(", rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
-				float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(p.opts.L0LogBytes)/(1<<20))
-			switch {
-			case force:
-				job.Rule = RuleDrain
-			case atCeiling:
-				job.Rule = RuleLogCeiling
-			case rent >= price:
-				job.Rule = RuleRentPaid
-			default:
-				job.Rule, job.Fold, job.OutputLevel, job.Overlaps = RuleFold, true, 0, nil
-				return job
-			}
-		}
-		p.spill(v, job, targets[1])
+	if job := p.pickL0(v, sketchOf, force, targets[1], scores[0]); job != nil {
 		return job
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
@@ -348,6 +295,132 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 		Score:       bestScore,
 		Rule:        RuleMinOverlap,
 	}
+}
+
+// pickL0 returns L0's job — a merge, a fold or a deferral — or nil if L0
+// owes none. target is L1's.
+func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool, target int64, score float64) *Job {
+	l0 := v.Levels[0]
+	canFold, rent, logs := p.l0Folds(l0)
+	pressure := l0Pressure(l0, canFold)
+	// L0LogBytes is the least the ceiling can be: below it, L0 owes
+	// nothing its trigger does not.
+	if pressure < L0CompactionTrigger && !(canFold && p.nearCeiling(logs, p.opts.L0LogBytes)) && !(force && len(l0) > 0) {
+		return nil
+	}
+	// Baseline behaviour per §3(2): "files in L0 are compacted to higher
+	// levels one at a time, resulting in several consecutive compaction
+	// operations" — merge the oldest L0 file alone. TRIAD-DISK compacts
+	// every L0 file together (one multi-way merge) so a key occurring in
+	// several L0 files is compacted once — the premature/iterative
+	// compaction fix of §3(2).
+	inputs := l0[len(l0)-1:] // L0 is ordered newest-first
+	if p.opts.TriadDisk {
+		inputs = l0
+	}
+	// The spill is worked out once: it prices the merge, and the merge is
+	// the job.
+	job := p.l0Merge(v, inputs, target)
+	job.Score = score
+	job.Note = fmt.Sprintf("depth %d of %d files", L0Depth(l0), len(l0))
+	atCeiling := false
+	var price, ceiling int64
+	if canFold {
+		price = job.rewrites()
+		ceiling = p.l0LogCeiling(price)
+		atCeiling = p.nearCeiling(logs, ceiling)
+		if pressure < L0CompactionTrigger && !atCeiling && !force {
+			return nil
+		}
+	}
+	if p.opts.TriadDisk && pressure >= L0CompactionTrigger && !atCeiling {
+		sketches := make([]*hll.Sketch, 0, len(l0))
+		for _, f := range l0 {
+			if s := sketchOf(f); s != nil {
+				sketches = append(sketches, s)
+			}
+		}
+		if job.Deferred = p.ShouldDeferL0(pressure, sketches); job.Deferred && !force {
+			return &Job{Level: 0, Deferred: true}
+		}
+	}
+	if !canFold {
+		return job
+	}
+	job.Note += fmt.Sprintf(", rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
+		float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(ceiling)/(1<<20))
+	switch {
+	case force:
+		job.Rule = RuleDrain
+	case atCeiling:
+		job.Rule = RuleLogCeiling
+	case rent >= price:
+		job.Rule = RuleRentPaid
+	default:
+		job.Rule, job.Fold, job.OutputLevel = RuleFold, true, 0
+		job.Overlaps, job.Spill, job.SpillOverlaps, job.SpillKept = nil, nil, nil, nil
+	}
+	return job
+}
+
+// l0Merge returns the merge of inputs, L0 files, into L1, with its spill.
+// target is L1's.
+func (p *Picker) l0Merge(v *manifest.Version, inputs []*manifest.FileMeta, target int64) *Job {
+	lo, hi := KeyRangeOf(inputs)
+	job := &Job{
+		Level: 0, OutputLevel: 1,
+		Inputs:   append([]*manifest.FileMeta(nil), inputs...),
+		Overlaps: v.Overlap(1, lo, hi),
+	}
+	p.spill(v, job, target)
+	return job
+}
+
+// rewrites is the bytes of existing tables the job rewrites: its overlaps
+// and, with a spill, the files under the spilled ranges.
+func (j *Job) rewrites() int64 {
+	var n int64
+	for _, f := range j.Overlaps {
+		n += f.Size
+	}
+	for _, f := range j.SpillOverlaps {
+		n += f.Size
+	}
+	return n
+}
+
+// L0LogPerPriceByte is the commit log L0 may pin per byte of its merge's
+// price, above the L0LogBytes floor (see L0LogCeiling). It is the least
+// whole multiple at which the rent-or-buy rule, not the ceiling, merges an
+// overlapping L0 (TestL0LogPerPriceByte); a key-disjoint L0 rewrites
+// nothing and keeps the floor.
+const L0LogPerPriceByte = 3
+
+// l0LogCeiling is the most commit log an L0 whose merge rewrites price
+// bytes may pin.
+func (p *Picker) l0LogCeiling(price int64) int64 {
+	return max(p.opts.L0LogBytes, L0LogPerPriceByte*price)
+}
+
+// nearCeiling reports whether one more flush, which adds at most about one
+// full log, could carry L0's logs past ceiling.
+func (p *Picker) nearCeiling(logs, ceiling int64) bool {
+	return logs+p.opts.L0LogBytes/MaxFilesL0 > ceiling
+}
+
+// L0LogCeiling is the most commit log L0 may pin in v before it merges
+// whatever its rent: L0LogBytes, or L0LogPerPriceByte times the bytes of
+// existing tables a merge of all of L0 would rewrite if that is more. Zero
+// where L0 cannot fold: folds are off or L0 holds a sorted table.
+func (p *Picker) L0LogCeiling(v *manifest.Version) int64 {
+	l0 := v.Levels[0]
+	if len(l0) == 0 {
+		return p.opts.L0LogBytes
+	}
+	if canFold, _, _ := p.l0Folds(l0); !canFold {
+		return 0
+	}
+	return p.l0LogCeiling(p.l0Merge(v, l0, p.Targets(v)[1]).rewrites())
 }
 
 // pickFile chooses which file of the (non-empty, over-target) level l to

@@ -696,6 +696,10 @@ type LevelStat struct {
 	// Bytes is what the level holds on disk: its tables and, for L0, the
 	// commit logs its CL-SSTables pin, of which LogBytes is the part.
 	Bytes, LogBytes int64
+	// LogCeiling is, for L0 where it can fold, the most commit log it may
+	// pin before it merges whatever its rent (compaction.Picker.L0LogCeiling):
+	// it moves with the bytes L0's merge would rewrite. Zero elsewhere.
+	LogCeiling int64
 	// Target is the byte budget the picker currently allows the level
 	// (compaction.Picker.Targets; it moves with the bottom level's size).
 	// Zero for L0, which is triggered by its pressure instead
@@ -746,6 +750,7 @@ func (db *DB) LevelStats() []LevelStat {
 	}
 	out[0].Depth = compaction.L0Depth(v.Levels[0])
 	out[0].Bytes += out[0].LogBytes
+	out[0].LogCeiling = db.picker.L0LogCeiling(v)
 	return out
 }
 

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/base"
@@ -162,15 +163,23 @@ func (db *DB) flushImmutable(imm *immutable) error {
 		if len(sep.Hot) > 0 {
 			// Keep hot entries in the new memtable and write them back
 			// to the current commit log so no information is lost
-			// (Figure 3). A newer user write — which may live in the
-			// live memtable or in a memtable sealed after this one —
-			// wins by sequence number.
+			// (Figure 3), unless a newer memtable — the live one or one
+			// sealed after this one — holds the key. A newer memtable's
+			// version is always the newer one: memtables flush one at a
+			// time, oldest first (flushTask), and a write-back goes into
+			// the live memtable only where no memtable after the flushing
+			// one holds the key, so no memtable holds an older version of
+			// a key than one sealed before it. A write-back therefore
+			// never replaces an entry, and there is no replaced version
+			// for a snapshot to keep: it writes with Set.
 			db.mu.Lock()
 			log, mem := db.log, db.mem
-			var laterImms []*immutable
+			newer := []*memtable.Memtable{mem}
 			for i, q := range db.imm {
 				if q == imm {
-					laterImms = append([]*immutable(nil), db.imm[i+1:]...)
+					for _, later := range db.imm[i+1:] {
+						newer = append(newer, later.mem)
+					}
 					break
 				}
 			}
@@ -178,20 +187,12 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			// batch, then apply them.
 			var recs []base.Entry
 			for _, h := range sep.Hot {
-				if cur, ok := mem.Get(h.Key); ok && cur.Seq >= h.Seq {
-					continue // superseded while the flush was queued
+				if !slices.ContainsFunc(newer, func(m *memtable.Memtable) bool {
+					_, ok := m.Get(h.Key)
+					return ok
+				}) {
+					recs = append(recs, h.Base())
 				}
-				superseded := false
-				for _, q := range laterImms {
-					if cur, ok := q.mem.Get(h.Key); ok && cur.Seq >= h.Seq {
-						superseded = true
-						break
-					}
-				}
-				if superseded {
-					continue
-				}
-				recs = append(recs, h.Base())
 			}
 			offs, n, err := log.AppendBatch(recs)
 			if err == nil && n > 0 && !db.opts.SyncWAL {
@@ -205,7 +206,7 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			}
 			db.noteRelogged(n)
 			for i, h := range recs {
-				mem.SetPinned(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i], db.pinned)
+				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
 			}
 			db.mu.Unlock()
 		}

@@ -4,12 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/base"
+	"repro/internal/memtable"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -333,4 +338,118 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	if err := errors.Join(db.Close(), db2.Close()); err != nil { // the abandoned handles' pools
 		t.Fatal(err)
 	}
+}
+
+// TestHotWriteBackIsTheNewestVersion holds the invariant that lets a
+// TRIAD-MEM flush write its hot entries back with a plain Set: no memtable
+// holds an older version of a key than a memtable sealed before it, so a
+// write-back, which goes only where no newer memtable holds the key, never
+// replaces a version. A skewed load keeps hot keys hot across flushes; a
+// flush is parked until the flush queue is full, so the flushes after it
+// write back with later sealed memtables queued; and snapshots stay open
+// throughout. Every snapshot reads what it froze.
+func TestHotWriteBackIsTheNewestVersion(t *testing.T) {
+	// While gate holds a channel, a flush parks before it creates its
+	// table until the channel is closed.
+	var gate atomic.Pointer[chan struct{}]
+	fs := vfs.NewMemFS()
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if ch := gate.Load(); ch != nil && op.Kind == vfs.OpCreate && strings.HasSuffix(op.Name, ".clidx") {
+			<-*ch
+		}
+		return nil
+	}})
+	o := triadSmall(fs)
+	o.DisableAutoCompaction = true // no fold creates a table, no L0 write stop
+	db := mustOpen(t, o)
+	defer func() { db.Close() }()
+	queued := func() int {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return len(db.imm)
+	}
+	done := make(chan struct{})
+	var full atomic.Int64 // times the queue filled behind a parked flush
+	var unparked sync.WaitGroup
+	defer unparked.Wait()
+	defer close(done) // before Close, which waits for the flush
+	park := func() {
+		ch := make(chan struct{})
+		gate.Store(&ch)
+		unparked.Add(1)
+		go func() { // the writer stalls once the queue is full
+			defer unparked.Done()
+			defer func() { gate.Store(nil); close(ch) }()
+			for queued() <= maxImmutableMemtables {
+				select {
+				case <-done:
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+			full.Add(1)
+		}()
+	}
+	const keys = 3000
+	rng := rand.New(rand.NewSource(13))
+	oracle := map[string]string{}
+	type held struct {
+		s      *Snapshot
+		frozen map[string]string
+	}
+	var snaps []held
+	for i := 0; i < 30000; i++ {
+		k := fmt.Sprintf("k%05d", rng.Intn(keys))
+		if rng.Intn(10) < 8 {
+			k = fmt.Sprintf("k%05d", rng.Intn(40)) // hot
+		}
+		v := fmt.Sprintf("%s@%d", k, i)
+		oracle[k] = v
+		if err := db.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 999 {
+			s, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, held{s, maps.Clone(oracle)})
+			if len(snaps) > 3 {
+				checkReads(t, "snapshot", keys, snaps[0].s.Get, snaps[0].frozen)
+				snaps[0].s.Close()
+				snaps = snaps[1:]
+			}
+		}
+		if i%300 == 0 && gate.Load() == nil {
+			park()
+		}
+		if i%10 != 0 {
+			continue
+		}
+		db.mu.Lock()
+		mems := []*memtable.Memtable{}
+		for _, q := range db.imm {
+			mems = append(mems, q.mem)
+		}
+		mems = append(mems, db.mem)
+		for a, older := range mems {
+			for _, e := range older.All() {
+				for _, newer := range mems[a+1:] {
+					if cur, ok := newer.Get(e.Key); ok && cur.Seq < e.Seq {
+						db.mu.Unlock()
+						t.Fatalf("put %d: %s at seq %d in a newer memtable, %d in an older one", i, e.Key, cur.Seq, e.Seq)
+					}
+				}
+			}
+		}
+		db.mu.Unlock()
+	}
+	for _, h := range snaps {
+		checkReads(t, "snapshot", keys, h.s.Get, h.frozen)
+		h.s.Close()
+	}
+	if kept, n := db.Metrics().HotKeysKeptInMem, full.Load(); kept == 0 || n < 5 {
+		t.Fatalf("%d hot keys written back, the flush queue full %d times: the test needs both", kept, n)
+	}
+	checkReads(t, "live", keys, db.Get, oracle)
 }

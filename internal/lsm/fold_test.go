@@ -258,29 +258,26 @@ func TestFoldOnlyUnderDiskAndLog(t *testing.T) {
 }
 
 // TestL0LogCeiling: L0 folds and merges under the rule's two conditions,
-// and whatever it does, a settled L0 never pins more than MaxFilesL0 ×
-// CommitLogBytes of commit log, its tables record exactly the bytes their
-// logs hold, and no fold removes a log.
+// and whatever it does, a settled L0 never pins more commit log than the
+// ceiling the picker reports for the tree it settled into
+// (compaction.Picker.L0LogCeiling), its tables record exactly the bytes
+// their logs hold, and no fold removes a log. Random overwrites give an
+// overlapping L0 whose merge rewrites L1 and L2, so its folds pay the rent
+// before the price-sized ceiling binds; a sequential load past every key
+// then gives a key-disjoint L0 over nothing, which merges at the floor.
 func TestL0LogCeiling(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := triadSmall(fs)
 	o.TriadMem = false
-	o.BaseLevelBytes = 1 << 20 // a large L1: the log ceiling binds before the rent
+	o.BaseLevelBytes = 1 << 20 // a large L1, which prices L0's merge past the floor
 	o.DisableAutoCompaction = true
 	o.Events = obs.NewJournal(10000)
 	db := mustOpen(t, o)
 	defer db.Close()
-	ceiling := compaction.MaxFilesL0 * o.CommitLogBytes
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 60; round++ {
-		for i := 0; i < 400; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(20000))), make([]byte, 60)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil { // no flush runs while L0 settles
-			t.Fatal(err)
-		}
+	floor := compaction.MaxFilesL0 * o.CommitLogBytes
+	priced := false // a settled L0 pinned more than the floor
+	settle := func(round int) {
+		t.Helper()
 		for {
 			before := logFiles(t, fs)
 			folds := db.Metrics().Folds
@@ -308,19 +305,106 @@ func TestL0LogCeiling(t *testing.T) {
 			f.Close()
 			onDisk += n
 		}
-		if onDisk != recorded || recorded > ceiling {
-			t.Fatalf("round %d: L0 pins %d B of log (%d B recorded), ceiling %d", round, onDisk, recorded, ceiling)
+		ceiling := db.LevelStats()[0].LogCeiling
+		if onDisk != recorded || recorded > ceiling || ceiling < floor {
+			t.Fatalf("round %d: L0 pins %d B of log (%d B recorded), ceiling %d (floor %d)", round, onDisk, recorded, ceiling, floor)
 		}
+		priced = priced || recorded > floor
 	}
-	var folds, atCeiling int
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 80; round++ {
+		for i := 0; i < 400; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(20000))), make([]byte, 60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil { // no flush runs while L0 settles
+			t.Fatal(err)
+		}
+		settle(round)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 400; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("s%05d", 400*round+i)), make([]byte, 60)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		settle(80 + round)
+	}
+	var folds, rentPaid, atCeiling int
 	for _, e := range o.Events.Events(0) {
 		folds += strings.Count(e.Detail, "L0->L0, fold")
+		rentPaid += strings.Count(e.Detail, "merge: rent paid")
 		atCeiling += strings.Count(e.Detail, "merge: log ceiling")
 	}
-	if folds == 0 || atCeiling == 0 || db.Metrics().Folds != int64(folds) {
-		t.Fatalf("%d folds journaled (%d counted), %d merges at the log ceiling: the test needs both",
-			folds, db.Metrics().Folds, atCeiling)
+	if folds == 0 || rentPaid == 0 || atCeiling == 0 || !priced || db.Metrics().Folds != int64(folds) {
+		t.Fatalf("%d folds journaled (%d counted), %d merges with the rent paid, %d at the log ceiling, L0 past the floor %v: the test needs all",
+			folds, db.Metrics().Folds, rentPaid, atCeiling, priced)
 	}
+	t.Logf("%d folds, %d merges with the rent paid, %d at the log ceiling", folds, rentPaid, atCeiling)
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUniformOverwritesStayUnderTheCeiling: uniform overwrites under
+// TRIAD with auto-compaction on. Whenever the background has caught up
+// with the writes, L0 pins no more commit log than the ceiling the picker
+// reports for the tree, and STATS reports what the tables record; after a
+// drain the store reads what a map reads and is consistent.
+func TestUniformOverwritesStayUnderTheCeiling(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	o.BaseLevelBytes = 1 << 20 // a large L1, which prices L0's merge past the floor
+	db := mustOpen(t, o)
+	defer func() { db.Close() }()
+	const keys = 20000
+	rng := rand.New(rand.NewSource(11))
+	oracle := map[string]string{}
+	var most int64
+	for batch := 0; batch < 60; batch++ {
+		for i := 0; i < 1000; i++ {
+			k := fmt.Sprintf("k%05d", rng.Intn(keys))
+			v := fmt.Sprintf("%s@%d-%s", k, batch, strings.Repeat("v", rng.Intn(60)))
+			oracle[k] = v
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for { // catch up with the background
+			ran, err := db.CompactOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+		}
+		_, recorded := l0Logs(db)
+		l0 := db.LevelStats()[0]
+		if l0.LogBytes != recorded || recorded > l0.LogCeiling {
+			t.Fatalf("batch %d: L0 pins %d B of log (%d B in STATS), ceiling %d", batch, recorded, l0.LogBytes, l0.LogCeiling)
+		}
+		most = max(most, recorded)
+	}
+	m := db.Metrics()
+	if m.Folds == 0 || m.MergesRentPaid == 0 || most <= compaction.MaxFilesL0*o.CommitLogBytes {
+		t.Fatalf("%d folds, %d merges with the rent paid, at most %d B of log pinned: the test needs folds, paid rent and L0 past the floor",
+			m.Folds, m.MergesRentPaid, most)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkReads(t, "drained", keys, db.Get, oracle)
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}

@@ -128,9 +128,9 @@ func DefaultOptions(fs vfs.FS) Options {
 // past the paper: an L0 that TRIAD-DISK would merge into L1 is folded —
 // its CL-SSTables' indexes merged into one CL-SSTable over all of their
 // commit logs, no value read or rewritten — until the index bytes the
-// folds wrote reach the L1 bytes a merge would rewrite, or L0 pins
-// compaction.MaxFilesL0 × CommitLogBytes of log; each L1 rewrite so takes in
-// a larger batch of L0 than MaxFilesL0 flushes.
+// folds wrote reach the L1 and L2 bytes a merge would rewrite, or L0 pins
+// its log ceiling (compaction.Picker.L0LogCeiling); each L1 rewrite so
+// takes in a larger batch of L0 than MaxFilesL0 flushes.
 func TriadOptions(fs vfs.FS) Options {
 	o := DefaultOptions(fs)
 	o.TriadMem = true
@@ -168,9 +168,11 @@ func (o Options) pickerOptions() compaction.PickerOptions {
 	}
 }
 
-// l0LogBytes is the most commit log L0 may pin where it can fold, which
+// l0LogBytes is the floor of L0's log ceiling where it can fold, which
 // takes TRIAD-DISK (to defer) and TRIAD-LOG (for indexes to fold): what
-// MaxFilesL0 full CL-SSTables pin. Zero, no folds, otherwise.
+// MaxFilesL0 full CL-SSTables pin. The ceiling rises above it with the
+// bytes L0's merge would rewrite (compaction.Picker.L0LogCeiling). Zero, no
+// folds, otherwise.
 func (o Options) l0LogBytes() int64 {
 	if !o.TriadDisk || !o.TriadLog {
 		return 0

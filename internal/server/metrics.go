@@ -154,6 +154,8 @@ func (s *Server) MetricsText() string {
 		p.Gauge("triad_shard_disk_bytes", "On-disk bytes held by the shard: its tables and the commit logs its L0 CL-SSTables pin.", l, st.DiskBytes)
 		p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
 		p.Gauge("triad_l0_depth", "The shard's L0 read depth: the most L0 tables whose key range holds any one key. Where L0 can fold, its compaction trigger and write stop count this instead of files.", l, int64(st.Levels[0].Depth))
+		p.Gauge("triad_l0_log_bytes", "Commit-log bytes the shard's L0 CL-SSTables pin.", l, st.Levels[0].LogBytes)
+		p.Gauge("triad_l0_log_ceiling_bytes", "Where L0 can fold, the commit-log bytes the shard's L0 may pin before it merges whatever its rent: six full logs, or three times the bytes its merge would rewrite if more. Zero where L0 cannot fold.", l, st.Levels[0].LogCeiling)
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
 		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)

@@ -335,3 +335,59 @@ func TestStatsQuantileTable(t *testing.T) {
 		}
 	}
 }
+
+// gaugeOf returns the value of series in a /metrics dump.
+func gaugeOf(t *testing.T, text, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("dump missing %s", series)
+	return 0
+}
+
+// TestL0LogGauges: per shard, triad_l0_log_bytes is the commit log the
+// shard's L0 CL-SSTables pin and triad_l0_log_ceiling_bytes the ceiling
+// the picker holds it to, at least six full logs; STATS says the same,
+// and a drain leaves L0 pinning nothing.
+func TestL0LogGauges(t *testing.T) {
+	db := newTestStore(t, 2)
+	srv, _ := startServer(t, db, server.Config{})
+	for i := 0; i < 4000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("g-%05d", i)), []byte(strings.Repeat("v", 100))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const floor = 6 << 20 // newTestStore's 1 MiB logs
+	_, text := scrape(t, srv, false, "/metrics")
+	for i := 0; i < 2; i++ {
+		l0 := db.Shard(i).LevelStats()[0]
+		logs := gaugeOf(t, text, fmt.Sprintf(`triad_l0_log_bytes{shard="%d"}`, i))
+		ceiling := gaugeOf(t, text, fmt.Sprintf(`triad_l0_log_ceiling_bytes{shard="%d"}`, i))
+		if logs == 0 || logs != l0.LogBytes || ceiling != l0.LogCeiling || ceiling < floor {
+			t.Fatalf("shard %d: gauges say L0 pins %d B of a %d B ceiling; its level stats say %d B of %d B",
+				i, logs, ceiling, l0.LogBytes, l0.LogCeiling)
+		}
+	}
+	if _, stats := scrape(t, srv, false, "/stats"); !strings.Contains(stats, "s1: L0 pins ") {
+		t.Fatalf("/stats does not show what L0 pins:\n%s", stats)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	_, text = scrape(t, srv, false, "/metrics")
+	for i := 0; i < 2; i++ {
+		if logs := gaugeOf(t, text, fmt.Sprintf(`triad_l0_log_bytes{shard="%d"}`, i)); logs != 0 {
+			t.Fatalf("shard %d: L0 pins %d B of log after a drain", i, logs)
+		}
+	}
+}

@@ -44,9 +44,10 @@ func (db *DB) NumLevelFiles() []int {
 }
 
 // LevelStats reports the tree shape per level over all shards: files,
-// bytes, targets, compacted bytes and the lookup counts are sums; Score and
-// L0's Depth are the highest of any shard's, since a level is in shape only
-// when it is on every shard and a lookup probes one shard.
+// bytes, targets, L0's log ceilings, compacted bytes and the lookup counts
+// are sums; Score and L0's Depth are the highest of any shard's, since a
+// level is in shape only when it is on every shard and a lookup probes one
+// shard.
 func (db *DB) LevelStats() []lsm.LevelStat {
 	out := make([]lsm.LevelStat, manifest.NumLevels)
 	for _, s := range db.shards {
@@ -54,6 +55,7 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 			out[l].Files += ls.Files
 			out[l].Bytes += ls.Bytes
 			out[l].LogBytes += ls.LogBytes
+			out[l].LogCeiling += ls.LogCeiling
 			out[l].Target += ls.Target
 			out[l].CompactedBytes += ls.CompactedBytes
 			out[l].Probes += ls.Probes
@@ -224,11 +226,19 @@ func (db *DB) Stats() string {
 			h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 	}
 	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, of them unsynced, WA, RA, debt, stalls, snaps, overlay, cache):\n")
-	for _, st := range db.ShardStats() {
+	shards := db.ShardStats()
+	for _, st := range shards {
 		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B (unsynced %d B)  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
 			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.UnsyncedLogBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
 			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
+	}
+	if levels[0].LogCeiling > 0 {
+		fmt.Fprintf(&b, "L0 commit log per shard (pinned of the ceiling at which L0 merges whatever its rent):\n")
+		for _, st := range shards {
+			fmt.Fprintf(&b, "  s%d: L0 pins %.2f of %.2f MiB of log\n",
+				st.Shard, float64(st.Levels[0].LogBytes)/(1<<20), float64(st.Levels[0].LogCeiling)/(1<<20))
+		}
 	}
 	if ev := db.events; ev.Total() > 0 {
 		fmt.Fprintf(&b, "background events: %d total, newest first:\n", ev.Total())
