@@ -31,11 +31,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	triad "repro"
 	"repro/internal/server"
-	"repro/internal/shutdown"
 	"repro/internal/vfs"
 )
 
@@ -151,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", mln.Addr())
 	}
 
-	ctx, stop := shutdown.Notify()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	serveErr := make(chan error, 1)
@@ -180,6 +181,7 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 		// may still be live; drain them before touching the store.
 		drain()
 	case <-ctx.Done():
+		stop() // a second signal kills the process: the way out of a drain that hangs
 		fmt.Fprintln(stdout, "triadserver: draining...")
 		drain()
 		if err := <-serveErr; err != nil {

@@ -35,7 +35,7 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 		return false, nil
 	}
 	if job.Deferred {
-		db.met.CompactionsDefer.Add(1)
+		db.met.CompactionsDeferred.Add(1)
 		if !force {
 			return false, nil
 		}
@@ -87,7 +87,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		return db.fold(job)
 	}
 	start := time.Now()
-	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
+	defer func() { db.met.CompactionTime.Add(time.Since(start).Nanoseconds()) }()
 	db.met.Compactions.Add(1)
 
 	outLevel := job.OutputLevel
@@ -187,7 +187,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 // snapshot pins stays behind as a zombie.
 func (db *DB) fold(job *compaction.Job) error {
 	start := time.Now()
-	defer func() { db.met.CompactionNanos.Add(time.Since(start).Nanoseconds()) }()
+	defer func() { db.met.CompactionTime.Add(time.Since(start).Nanoseconds()) }()
 	db.versionMu.RLock()
 	tabs := make([]*sstable.CLReader, len(job.Inputs))
 	for i, f := range job.Inputs {

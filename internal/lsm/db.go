@@ -50,13 +50,14 @@ var errInvariant = errors.New("lsm: invariant violated")
 
 // immutable is a sealed memtable and the commit logs that back it, queued
 // for flush: log, which was current when it was sealed and is still open
-// (the flush task may append to it), and prev, the closed log before it,
-// nil if no entry can point there.
+// (the flush task may append to it), and prev, the closed logs before it
+// (DB.prev when it was sealed).
 type immutable struct {
-	mem       *memtable.Memtable
-	log, prev *wal.Writer
-	logBytes  int64  // in the two of them when it was sealed
-	seq       uint64 // the store's sequence when it was sealed
+	mem      *memtable.Memtable
+	log      *wal.Writer
+	prev     []uint64
+	logBytes int64  // in all of them when it was sealed
+	seq      uint64 // the store's sequence when it was sealed
 	// trigger is what sealed it: "log-full", "memtable-full" or "explicit".
 	trigger string
 }
@@ -86,18 +87,21 @@ type DB struct {
 
 	// mu guards the mutable write-side state and the background queue.
 	// Every entry of mem points into log, which commits append to, or into
-	// prev: the log the last flush skip filled and closed, kept on disk
-	// until the next skip has carried what still points into it; nil after
-	// a seal or a recovery.
+	// one of prev: closed and synced logs, kept on disk until a carry has
+	// moved what still points into them — the log the last flush skip
+	// filled, or the logs a reopened memtable was replayed from; none after
+	// a seal.
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled on queue/state changes
 	mem    *memtable.Memtable
 	imm    []*immutable
 	log    *wal.Writer
-	prev   *wal.Writer
+	prev   []uint64
 	seq    uint64
 	nextID uint64
 	closed bool
+	// prevBytes is the size of the logs of prev.
+	prevBytes int64
 	// noBackgroundIO is Figure 2's "RocksDB No BG I/O", set by
 	// SetDisableBackgroundIO: sealed memtables are discarded instead of
 	// flushed and no compaction runs, so reads are served from the tree
@@ -307,34 +311,42 @@ func (db *DB) recover() error {
 	}
 	db.mem = memtable.New(db.nextSeed())
 	for _, id := range replayIDs {
-		err := wal.Replay(db.fs, id, func(e base.Entry, _ int64) error {
-			if e.Seq > db.seq {
-				db.seq = e.Seq
-			}
+		err := wal.Replay(db.fs, id, func(e base.Entry, off int64) error {
+			db.seq = max(db.seq, e.Seq)
 			if cur, ok := db.mem.Get(e.Key); !ok || e.Seq >= cur.Seq {
-				db.mem.Set(e.Key, e.Value, e.Seq, e.Kind, 0, 0)
+				db.mem.Set(e.Key, e.Value, e.Seq, e.Kind, id, off)
 			}
 			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("lsm: replay log %d: %w", id, err)
 		}
-		if id >= db.nextID {
-			db.nextID = id + 1
-		}
+		db.nextID = max(db.nextID, id+1)
 	}
 
-	// Start a fresh log and rewrite the recovered entries (log 0: they point
-	// nowhere yet) into it, so that the memtable is again backed by the logs
-	// the engine holds; then the replayed logs can go.
-	db.log, err = wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
-	if err != nil {
+	// The replayed logs an entry points into stay behind the memtable, as a
+	// flush skip's full log does, until a carry retires them; they are
+	// synced first, since a process crash may have left their tails in
+	// memory. The others go with the stale ones.
+	backing := map[uint64]bool{}
+	for _, e := range db.mem.All() {
+		backing[e.LogID] = true
+	}
+	for _, id := range replayIDs {
+		if !backing[id] {
+			staleIDs = append(staleIDs, id)
+			continue
+		}
+		size, err := wal.Sync(db.fs, id)
+		if err != nil {
+			return fmt.Errorf("lsm: sync replayed log %d: %w", id, err)
+		}
+		db.prev, db.prevBytes = append(db.prev, id), db.prevBytes+size
+	}
+	if db.log, err = wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL); err != nil {
 		return err
 	}
-	if _, err := db.populateLog(db.log, db.mem, 0, pointingInto(db.mem, 0)); err != nil {
-		return err
-	}
-	return db.retireLogs(append(staleIDs, replayIDs...)...)
+	return db.retireLogs(staleIDs...)
 }
 
 // tableFileName returns the name of the file that holds table f: for a
@@ -369,30 +381,33 @@ func (db *DB) allocFileID() uint64 {
 }
 
 // pointingInto lists, in key order, the current record of every entry of
-// mem whose LogID is from.
-func pointingInto(mem *memtable.Memtable, from uint64) []base.Entry {
+// mem whose LogID is one of from.
+func pointingInto(mem *memtable.Memtable, from []uint64) []base.Entry {
+	if len(from) == 0 {
+		return nil
+	}
 	var recs []base.Entry
 	for it := mem.NewIter(); it.Next(); {
-		if e := it.Entry(); e.LogID == from {
+		if e := it.Entry(); slices.Contains(from, e.LogID) {
 			recs = append(recs, e.Base())
 		}
 	}
 	return recs
 }
 
-// populateLog carries the entries of mem that point into log from — recs,
-// as pointingInto listed them — over to w: one batch, one device write,
-// made durable, and the entries re-pointed at their new records (Algorithm
-// 1, populateLog + CLUpdateOffset). Once it returns, no entry of mem needs
-// log from. It returns the bytes appended. Caller holds db.mu if mem is
-// live: the position updates are memtable writes.
-func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from uint64, recs []base.Entry) (int, error) {
+// populateLog carries the entries of mem that point into the logs from —
+// recs, as pointingInto listed them — over to w: one batch, one device
+// write, made durable, and the entries re-pointed at their new records
+// (Algorithm 1, populateLog + CLUpdateOffset). Once it returns, no entry of
+// mem needs the logs from. It returns the bytes appended. Caller holds
+// db.mu if mem is live: the position updates are memtable writes.
+func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from []uint64, recs []base.Entry) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
 	offs, n, err := w.AppendBatch(recs)
 	if err == nil && !db.opts.SyncWAL {
-		err = w.Sync() // log from is about to be removed on the strength of this copy
+		err = w.Sync() // the logs from are about to be removed on the strength of this copy
 	}
 	if err != nil {
 		return 0, err
@@ -403,8 +418,8 @@ func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from uint64, re
 }
 
 // noteRelogged accounts n bytes the engine appended to a commit log on its
-// own behalf — carried across a rotation, into a sealed log or out of
-// recovery, or a flush's hot write-back — not for a user's commit.
+// own behalf — carried across a rotation or into a sealed log, or a
+// flush's hot write-back — not for a user's commit.
 func (db *DB) noteRelogged(n int) {
 	db.met.BytesLogged.Add(int64(n))
 	db.met.BytesRelogged.Add(int64(n))
@@ -495,7 +510,7 @@ func (db *DB) stallLocked() error {
 	if !stallStart.IsZero() {
 		d := time.Since(stallStart)
 		db.met.WriteStalls.Add(1)
-		db.met.WriteStallNanos.Add(d.Nanoseconds())
+		db.met.WriteStallTime.Add(d.Nanoseconds())
 		db.opts.Events.Add(obs.Event{
 			Kind:   obs.EventStall,
 			Shard:  db.opts.EventShard,
@@ -524,16 +539,14 @@ func (db *DB) maybeRotateLocked() error {
 	// what skew does. A flush would keep the hot keys and write only the
 	// cold part to L0; while that part is under FLUSH_TH the file is not
 	// worth making, and the full log is retired lazily instead: it stays
-	// behind as prev, and only what still points into the prev before it —
-	// entries nobody rewrote for a whole generation — is carried into the
-	// fresh log. That copy must leave half the log for new writes or the
-	// skip would come round again within a few puts.
+	// behind as prev, and only what still points into the logs of prev
+	// before it — entries nobody rewrote for a whole generation, or since a
+	// reopen — is carried into the fresh log. That copy must leave half the
+	// log for new writes or the skip would come round again within a few
+	// puts.
 	if db.opts.TriadMem {
 		if cold := db.mem.ColdBytes(); cold < db.opts.FlushThresholdBytes {
-			var carry []base.Entry
-			if db.prev != nil {
-				carry = pointingInto(db.mem, db.prev.ID())
-			}
+			carry := pointingInto(db.mem, db.prev)
 			if int64(wal.BatchSize(carry)) <= db.opts.CommitLogBytes/2 {
 				return db.skipFlushLocked(size, cold, carry)
 			}
@@ -543,7 +556,7 @@ func (db *DB) maybeRotateLocked() error {
 }
 
 // skipFlushLocked opens a fresh commit log, carries into it the entries
-// that still point into prev (carry), removes that log and keeps the full
+// that still point into prev (carry), removes those logs and keeps the full
 // one as the new prev. size and cold are the memtable's accounted bytes and
 // the cold part of them. Caller holds db.mu.
 func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
@@ -552,28 +565,21 @@ func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
 	if err != nil {
 		return err
 	}
-	var carried int
-	if db.prev != nil {
-		if carried, err = db.populateLog(newLog, db.mem, db.prev.ID(), carry); err != nil {
-			// prev and the current log still hold every record between them
-			// and stay as they are. Whatever part of the copy reached the
-			// file must not outlive this call: it would be replayed beside
-			// logs that have since moved on.
-			return errors.Join(err, newLog.Close(), db.retireLogs(newLog.ID()))
-		}
+	carried, err := db.populateLog(newLog, db.mem, db.prev, carry)
+	if err != nil {
+		// prev and the current log still hold every record between them and
+		// stay as they are. Whatever part of the copy reached the file must
+		// not outlive this call: it would be replayed beside logs that have
+		// since moved on.
+		return errors.Join(err, newLog.Close(), db.retireLogs(newLog.ID()))
 	}
 	// The memtable now points into the current log and the fresh one only.
 	full, stale := db.log, db.prev
-	db.prev, db.log = full, newLog
+	db.log, db.prev, db.prevBytes = newLog, []uint64{full.ID()}, full.Size()
 	err = full.Close()
-	detail := fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d bytes",
-		cold, size, db.opts.FlushThresholdBytes, len(carry), db.mem.Len(), carried)
-	if stale == nil {
-		detail += fmt.Sprintf("; log %d retained", full.ID())
-	} else {
-		err = errors.Join(err, db.retireLogs(stale.ID()))
-		detail += fmt.Sprintf(" from log %d; log %d retained, log %d removed", stale.ID(), full.ID(), stale.ID())
-	}
+	detail := fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d bytes from logs %v; log %d retained",
+		cold, size, db.opts.FlushThresholdBytes, len(carry), db.mem.Len(), carried, stale, full.ID())
+	err = errors.Join(err, db.retireLogs(stale...))
 	db.met.FlushSkips.Add(1)
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventFlush, Shard: db.opts.EventShard, Level: -1,
@@ -592,7 +598,7 @@ func (db *DB) sealLocked(trigger string) error {
 	}
 	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, prev: db.prev, logBytes: db.liveLogBytesLocked(), seq: db.seq, trigger: trigger})
 	db.mem = memtable.New(db.nextSeed())
-	db.log, db.prev = newLog, nil
+	db.log, db.prev, db.prevBytes = newLog, nil, 0
 	db.publishViewLocked()
 	db.cond.Broadcast()
 	db.scheduleFlushLocked()

@@ -129,21 +129,20 @@ func (db *DB) compactTask() {
 // §4.1 Algorithm 1 and §4.3 Figure 6 depending on the enabled techniques).
 func (db *DB) flushImmutable(imm *immutable) error {
 	start := time.Now()
-	defer func() { db.met.FlushNanos.Add(time.Since(start).Nanoseconds()) }()
+	defer func() { db.met.FlushTime.Add(time.Since(start).Nanoseconds()) }()
 
 	inBytes := imm.mem.ApproxSize()
 	if imm.mem.Len() == 0 {
 		return db.dropLogs(imm)
 	}
-	if db.opts.TriadLog && imm.prev != nil {
+	if db.opts.TriadLog {
 		// A CL-SSTable pins exactly one log: carry what still points into
 		// prev over to the sealed log — here, not under the commit lock —
-		// and prev, the older of the two, can go before the table exists.
-		prev := imm.prev.ID()
-		if _, err := db.populateLog(imm.log, imm.mem, prev, pointingInto(imm.mem, prev)); err != nil {
+		// and prev, older than it, can go before the table exists.
+		if _, err := db.populateLog(imm.log, imm.mem, imm.prev, pointingInto(imm.mem, imm.prev)); err != nil {
 			return err
 		}
-		if err := db.retireLogs(prev); err != nil {
+		if err := db.retireLogs(imm.prev...); err != nil {
 			return err
 		}
 	}
@@ -263,10 +262,7 @@ func (db *DB) dropLogs(imm *immutable) error {
 	if err := imm.log.Close(); err != nil {
 		return err
 	}
-	if imm.prev == nil {
-		return db.retireLogs(imm.log.ID())
-	}
-	return db.retireLogs(imm.prev.ID(), imm.log.ID())
+	return db.retireLogs(append(imm.prev, imm.log.ID())...)
 }
 
 // tableWriter makes one table: a flush's, a fold's or one output of a
@@ -332,25 +328,18 @@ func (t *tableWriter) abort() {
 }
 
 // logNumberLocked returns the oldest commit log a memtable other than
-// flushing still needs: the live log and its predecessor, and both logs of
+// flushing still needs: the live log and those before it, and every log of
 // every other sealed memtable. All of them are newer than flushing's, the
 // head of the flush queue. Once flushing's table is journaled, every older
 // log is pinned by a table or is no longer needed: that table or one
 // flushed before it holds its records, or a newer log does. Caller holds
 // db.mu.
 func (db *DB) logNumberLocked(flushing *immutable) uint64 {
-	n := db.log.ID()
-	if db.prev != nil {
-		n = min(n, db.prev.ID())
-	}
+	logs := append(slices.Clone(db.prev), db.log.ID())
 	for _, q := range db.imm {
-		if q == flushing {
-			continue
-		}
-		n = min(n, q.log.ID())
-		if q.prev != nil {
-			n = min(n, q.prev.ID())
+		if q != flushing {
+			logs = append(append(logs, q.prev...), q.log.ID())
 		}
 	}
-	return n
+	return slices.Min(logs)
 }

@@ -61,6 +61,7 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 	o.Events = events
 	oracle := map[string]string{}
 	var skips, flushes int64
+	var reopened string // the logs the reopened memtable was replayed from
 	put := func(db *DB, k string, i int) {
 		v := fmt.Sprintf("%0100d", i)
 		if err := db.Put([]byte(k), []byte(v)); err != nil {
@@ -71,6 +72,9 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 	for half := 0; half < 2; half++ {
 		db := mustOpen(t, o)
 		checkAgainst(t, db, oracle) // what the first half wrote, recovered
+		if half == 1 {
+			reopened = fmt.Sprint(db.prev)
+		}
 		for i := half * 20000; i < (half+1)*20000; i++ {
 			if i%100 == 99 {
 				put(db, fmt.Sprintf("cold-%06d", i), i)
@@ -112,24 +116,34 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 		switch {
 		case e.Level == -1:
 			var carried, entries, bytes int64
-			head, tail, _ := strings.Cut(e.Detail, " bytes")
+			var kept uint64
+			head, tail, _ := strings.Cut(e.Detail, " bytes from logs ")
+			from, tail, _ := strings.Cut(tail, "; ")
 			if _, err := fmt.Sscanf(head, "skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d",
 				&cold, &size, &th, &carried, &entries, &bytes); err != nil {
 				t.Fatalf("skip event %q: %v", e.Detail, err)
+			}
+			if _, err := fmt.Sscanf(tail, "log %d retained", &kept); err != nil || kept <= retained {
+				t.Fatalf("skip event %q names no newer retained log than %d", e.Detail, retained)
 			}
 			if cold >= th || th != o.FlushThresholdBytes || size != e.In || carried > entries || (carried == 0) != (bytes == 0) {
 				t.Fatalf("skip event does not explain itself: %s", e)
 			}
 			// The first skip of a memtable has no log before last to empty;
-			// every later one empties exactly the log the skip before it kept.
-			var from, kept, removed uint64
-			if _, err := fmt.Sscanf(tail, " from log %d; log %d retained, log %d removed", &from, &kept, &removed); err == nil {
-				if from != retained || removed != from || kept <= from {
-					t.Fatalf("skip after one that retained log %d: %s", retained, e)
+			// every later one empties exactly the log the skip before it
+			// kept, and the first after the reopen the logs it replayed.
+			switch from {
+			case "[]":
+				if carried != 0 {
+					t.Fatalf("skip event %q carried out of no log", e.Detail)
 				}
+			case fmt.Sprint([]uint64{retained}):
 				carrying++
-			} else if _, err := fmt.Sscanf(tail, "; log %d retained", &kept); err != nil || carried != 0 {
-				t.Fatalf("skip event %q names no retained log", e.Detail)
+			case reopened:
+				reopened = ""
+				carrying++
+			default:
+				t.Fatalf("skip after one that retained log %d: %s", retained, e)
 			}
 			retained = kept
 			skipEvents++
@@ -281,15 +295,16 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 			failed++
 			// Whatever failed, the memtable is backed by the logs the engine
 			// holds and nothing else is on disk.
-			want := []string{wal.FileName(db.log.ID())}
-			if db.prev != nil {
-				want = []string{wal.FileName(db.prev.ID()), want[0]}
+			held := append(slices.Clone(db.prev), db.log.ID())
+			var want []string
+			for _, id := range held {
+				want = append(want, wal.FileName(id))
 			}
 			if logs := logFiles(t, fs); !slices.Equal(logs, want) {
 				t.Fatalf("log files after a failed put: %v, want previous and current %v", logs, want)
 			}
 			for it := db.mem.NewIter(); it.Next(); {
-				if e := it.Entry(); e.LogID != db.log.ID() && (db.prev == nil || e.LogID != db.prev.ID()) {
+				if e := it.Entry(); !slices.Contains(held, e.LogID) {
 					t.Fatalf("after a failed put %q points into log %d, held: %v", e.Key, e.LogID, want)
 				}
 			}

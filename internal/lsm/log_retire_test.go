@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/compaction"
 	"repro/internal/manifest"
+	"repro/internal/metrics"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -96,7 +97,8 @@ func TestHotKeysRelogThemselves(t *testing.T) {
 // live memtable points into the current log or the previous one, and the
 // only other unpinned logs on disk belong to memtables still queued for
 // flush; once the queue has drained, the current and the previous log are
-// exactly what is there.
+// exactly what is there. The one exception is a reopened memtable, which
+// points into every log it was replayed from until its first skip or seal.
 func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 	for _, triadLog := range []bool{false, true} {
 		t.Run(fmt.Sprintf("TriadLog=%v", triadLog), func(t *testing.T) {
@@ -106,10 +108,21 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 			o.CommitLogBytes = 8 << 10
 			o.FlushThresholdBytes = 4 << 10
 			db := mustOpen(t, o)
-			defer db.Close()
+			defer func() { db.Close() }()
 			rng := rand.New(rand.NewSource(2))
-			twoLogs := 0
+			twoLogs, moreLogs := 0, 0
+			var reopened uint64 // the reopened store's fresh log
+			var before metrics.Snapshot
 			for i := 0; i < 6000; i++ {
+				// Reopen once, mid-run, over a memtable backed by two logs.
+				if i >= 3700 && reopened == 0 && len(db.prev) == 1 && db.log.Size() > 0 {
+					before = db.Metrics()
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					db = mustOpen(t, o)
+					reopened = db.log.ID()
+				}
 				k := fmt.Sprintf("hot-%02d", rng.Intn(20))
 				if i%25 == 24 {
 					k = fmt.Sprintf("cold-%06d", i)
@@ -125,9 +138,16 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 
 				db.mu.Lock()
 				held := map[uint64]bool{db.log.ID(): true}
-				if db.prev != nil {
-					held[db.prev.ID()] = true
+				for _, id := range db.prev {
+					held[id] = true
+				}
+				switch {
+				case len(db.prev) == 1:
 					twoLogs++
+				case len(db.prev) > 1 && db.log.ID() == reopened:
+					moreLogs++
+				case len(db.prev) > 1:
+					t.Fatalf("put %d: the memtable is backed by logs %v and %d", i, db.prev, db.log.ID())
 				}
 				for it := db.mem.NewIter(); it.Next(); {
 					if e := it.Entry(); !held[e.LogID] {
@@ -138,10 +158,7 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 				// the queue as it is now bounds what the listing finds.
 				queued, drained := 0, len(db.imm) == 0 && db.flushing == 0
 				for _, imm := range db.imm {
-					queued++
-					if imm.prev != nil {
-						queued++
-					}
+					queued += 1 + len(imm.prev)
 				}
 				db.mu.Unlock()
 				logs := unpinnedLogs(t, db, fs)
@@ -149,9 +166,10 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 					t.Fatalf("put %d: unpinned logs %v with %d held by the memtable and %d by the flush queue", i, logs, len(held), queued)
 				}
 			}
-			m := db.Metrics()
-			if m.FlushSkips == 0 || m.Flushes < 5 || m.BytesRelogged == 0 || twoLogs == 0 {
-				t.Fatalf("%d skips, %d flushes, %d B carried, %d commits over two logs: the test needs all of them", m.FlushSkips, m.Flushes, m.BytesRelogged, twoLogs)
+			m := db.Metrics().Add(before)
+			if m.FlushSkips == 0 || m.Flushes < 5 || m.BytesRelogged == 0 || twoLogs == 0 || moreLogs == 0 {
+				t.Fatalf("%d skips, %d flushes, %d B carried, %d commits over two logs and %d over more after the reopen: the test needs all of them",
+					m.FlushSkips, m.Flushes, m.BytesRelogged, twoLogs, moreLogs)
 			}
 		})
 	}
@@ -177,10 +195,10 @@ func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 		}
 	}
 	e, ok := db.mem.Get([]byte("straggler"))
-	if !ok || db.prev == nil || e.LogID != db.prev.ID() || db.Metrics().BytesRelogged == 0 {
+	if !ok || len(db.prev) != 1 || e.LogID != db.prev[0] || db.Metrics().BytesRelogged == 0 {
 		t.Fatalf("straggler %+v (in memtable: %v) should have been carried once and point into the previous log %v", e, ok, db.prev)
 	}
-	prev, cur := db.prev.ID(), db.log.ID()
+	prev, cur := db.prev[0], db.log.ID()
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +232,11 @@ func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 }
 
 // TestRelogAccountsForEverythingButCommits: BytesRelogged is every byte the
-// engine appended to a log on its own account — carried by skips, flushes
-// and recovery, hot keys written back — so what is left of BytesLogged is the
-// user's bytes and one record header each, exactly.
+// engine appended to a log on its own account — carried by skips and
+// flushes, hot keys written back — so what is left of BytesLogged is the
+// user's bytes and one record header each, exactly. Open appends nothing,
+// a reopen included: the reopened memtable points into the logs it was
+// replayed from.
 func TestRelogAccountsForEverythingButCommits(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := triadSmall(fs)
@@ -224,8 +244,8 @@ func TestRelogAccountsForEverythingButCommits(t *testing.T) {
 	var user, logged, relogged int64
 	for half := 0; half < 2; half++ {
 		db := mustOpen(t, o)
-		if m := db.Metrics(); m.BytesLogged != m.BytesRelogged || (half == 1) != (m.BytesRelogged > 0) {
-			t.Fatalf("open %d logged %d B, %d of them its own", half, m.BytesLogged, m.BytesRelogged)
+		if m := db.Metrics(); m.BytesLogged != 0 {
+			t.Fatalf("open %d logged %d B", half, m.BytesLogged)
 		}
 		rng := rand.New(rand.NewSource(int64(half)))
 		for i := 0; i < 20000; i++ {
@@ -393,7 +413,8 @@ type crashImage struct {
 
 // check reopens the image and reports what it did not recover: the store
 // must be consistent and hold every acknowledged write, with no table file
-// its levels do not list and no unpinned log but the fresh one, and leave
+// its levels do not list, no byte appended to a log and no unpinned log but
+// the fresh one and the replayed ones its memtable points into, and leave
 // no file handle open once closed (or once its Open has failed).
 func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
@@ -416,8 +437,11 @@ func (img crashImage) check(t *testing.T) (err error) {
 	if tables := unlistedTables(t, db, img.fs); len(tables) > 0 {
 		return fmt.Errorf("table files no level lists after recovery: %v", tables)
 	}
-	if logs := unpinnedLogs(t, db, img.fs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
-		return fmt.Errorf("unpinned logs after recovery %v, want only the fresh log %d", logs, db.log.ID())
+	if n := db.Metrics().BytesLogged; n != 0 {
+		return fmt.Errorf("recovery appended %d B to the logs", n)
+	}
+	if logs, want := unpinnedLogs(t, db, img.fs), recoveredLogs(db); !slices.Equal(logs, want) {
+		return fmt.Errorf("unpinned logs after recovery %v, want the fresh log and the replayed ones the memtable points into %v", logs, want)
 	}
 	if img.inflight == nil {
 		want := maps.Clone(img.acked)
@@ -549,5 +573,59 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 	if m.FlushSkips < 10 || m.Flushes < 6 || m.BytesRelogged == 0 || images < puts || triadLog && m.Folds < 3 {
 		t.Fatalf("%d skips, %d flushes, %d folds, %d B carried, %d images: the run has to exercise all of it",
 			m.FlushSkips, m.Flushes, m.Folds, m.BytesRelogged, images)
+	}
+}
+
+// TestFlushSparesNewerLogs: a flush's edit journals a log number no higher
+// than any log a newer memtable still points into — the previous log of
+// the live memtable, or of a memtable queued behind the flushed one — or
+// recovery would delete that log and lose the entries only it holds. The
+// flush is parked at its table until the newer memtable has such a log,
+// then every change it makes is imaged and reopened.
+func TestFlushSparesNewerLogs(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			o := smallOptions(fs)
+			o.TriadMem = true
+			o.CommitLogBytes = 4 << 10 // the first fill is a skip, the second a seal
+			o.DisableAutoCompaction = true
+			release := parkTables(fs)
+			db := mustOpen(t, o)
+			defer db.Close()
+			acked := map[string]string{}
+			for ready := false; !ready; {
+				k, v := fmt.Sprintf("key-%06d", len(acked)), fmt.Sprintf("%0100d", len(acked))
+				if err := db.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				acked[k] = v
+				db.mu.Lock()
+				if queued {
+					ready = len(db.imm) == 2 && len(db.imm[1].prev) == 1
+				} else {
+					ready = len(db.imm) == 1 && len(db.prev) == 1
+				}
+				db.mu.Unlock()
+			}
+			images := 0
+			imageChanges(fs, func(what string, image *vfs.MemFS) {
+				images++
+				img := crashImage{n: images, what: what, fs: image, o: o, acked: acked}
+				if err := img.check(t); err != nil {
+					t.Errorf("crash after %q, image %d: %v", what, images, err)
+				}
+			})
+			release()
+			db.mu.Lock()
+			for len(db.imm) > 0 || db.flushing > 0 {
+				db.cond.Wait()
+			}
+			db.mu.Unlock()
+			fs.SetHooks(vfs.Hooks{})
+			if images == 0 || db.Metrics().Flushes == 0 {
+				t.Fatalf("%d images, %d flushes", images, db.Metrics().Flushes)
+			}
+		})
 	}
 }

@@ -221,8 +221,8 @@ func strayLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 	keep := map[string]bool{}
 	db.mu.Lock()
 	keep[wal.FileName(db.log.ID())] = true
-	if db.prev != nil {
-		keep[wal.FileName(db.prev.ID())] = true
+	for _, id := range db.prev {
+		keep[wal.FileName(id)] = true
 	}
 	db.mu.Unlock()
 	db.versionMu.RLock()

@@ -17,10 +17,11 @@ func (ls LevelStat) String() string {
 }
 
 // RetainedLogBytes reports the bytes of commit log the engine keeps because
-// a memtable is still backed by them: the current log, the previous one a
-// flush skip left behind (together up to twice CommitLogBytes) and those of
-// the memtables queued for flush. Logs pinned by CL-SSTables are table
-// bytes and not counted.
+// a memtable is still backed by them: the current log, the ones before it
+// that the live memtable still points into (the previous one a flush skip
+// left behind, together up to twice CommitLogBytes, or the logs a reopened
+// memtable was replayed from) and those of the memtables queued for flush.
+// Logs pinned by CL-SSTables are table bytes and not counted.
 func (db *DB) RetainedLogBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -51,9 +52,4 @@ func (db *DB) UnsyncedLogBytes() int64 {
 }
 
 // liveLogBytesLocked is the size of the logs backing the live memtable.
-func (db *DB) liveLogBytesLocked() int64 {
-	if db.prev == nil {
-		return db.log.Size()
-	}
-	return db.prev.Size() + db.log.Size()
-}
+func (db *DB) liveLogBytesLocked() int64 { return db.prevBytes + db.log.Size() }

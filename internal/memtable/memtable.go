@@ -15,6 +15,7 @@ package memtable
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -141,15 +142,15 @@ func behind(seq uint64, v *Entry, pinned []uint64) *Entry {
 	return &c
 }
 
-// Relog re-points the entries whose newest record is in commit log from at
-// the copies appended to log to, leaving the rest of their current version
-// as it is: offs[i] is where the i-th such entry in key order — the order
-// of All — was appended. Entries in any other log are not touched. One walk
-// along the bottom of the list, no descent per key.
-func (m *Memtable) Relog(from, to uint64, offs []int64) {
+// Relog re-points the entries whose newest record is in one of the commit
+// logs from at the copies appended to log to, leaving the rest of their
+// current version as it is: offs[i] is where the i-th such entry in key
+// order — the order of All — was appended. Entries in any other log are not
+// touched. One walk along the bottom of the list, no descent per key.
+func (m *Memtable) Relog(from []uint64, to uint64, offs []int64) {
 	it := m.list.NewIterator()
 	for i := 0; it.Next(); {
-		if it.Value().LogID != from {
+		if !slices.Contains(from, it.Value().LogID) {
 			continue
 		}
 		moved := *it.Value()

@@ -451,7 +451,7 @@ func TestOneWriterManyReaders(t *testing.T) {
 					oracle[string(e.Key)].logID = from + 1
 				}
 			}
-			m.Relog(from, from+1, offs)
+			m.Relog([]uint64{from}, from+1, offs)
 		default:
 			sep := m.SeparateKeys(HotAboveMean, 0)
 			if len(sep.Hot)+len(sep.Cold) != m.Len() {
@@ -563,7 +563,7 @@ func TestRelogMovesOneLogsEntries(t *testing.T) {
 			offs = append(offs, int64(1000+i))
 		}
 	}
-	m.Relog(7, 9, offs)
+	m.Relog([]uint64{7}, 9, offs)
 	for i, e := range m.All() {
 		want := *before[i]
 		if want.LogID == 7 {

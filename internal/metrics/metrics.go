@@ -6,12 +6,15 @@
 package metrics
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 )
 
 // Metrics is a set of cumulative counters. All methods are safe for
-// concurrent use. The zero value is ready.
+// concurrent use. The zero value is ready. Its fields are Snapshot's, by
+// name and in order (TestMetricsMirrorSnapshot); a duration counts
+// nanoseconds.
 type Metrics struct {
 	// User-side.
 	UserWrites     atomic.Int64 // Put/Delete operations
@@ -22,40 +25,41 @@ type Metrics struct {
 
 	// Storage-side writes, by origin.
 	BytesLogged    atomic.Int64 // commit-log appends, the engine's own included
-	BytesRelogged  atomic.Int64 // of those, not a user's commit: carried by a log rotation, a flush or recovery, or a flush's hot write-back
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
-	BytesFolded    atomic.Int64 // fold output: the CL indexes L0's CL-SSTables were folded into
 	BytesCompacted atomic.Int64 // compaction output
-	BytesSpilled   atomic.Int64 // of that, written a level below the merge's output level by an L0 merge's spill
+	BytesRelogged  atomic.Int64 // of BytesLogged, not a user's commit: carried by a log rotation or a flush, or a flush's hot write-back
+	BytesSpilled   atomic.Int64 // of BytesCompacted, written a level below the merge's output level by an L0 merge's spill
+	BytesFolded    atomic.Int64 // fold output: the CL indexes L0's CL-SSTables were folded into
 
 	// Storage-side reads and reclaims.
 	BytesCompactionRead atomic.Int64 // compaction input
 	BytesSnapshotGC     atomic.Int64 // zombie tables deleted once no snapshot pins them
 
 	// Background operation counts and wall time.
-	Flushes            atomic.Int64
-	FlushSkips         atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
-	Compactions        atomic.Int64
-	CompactionsDefer   atomic.Int64 // TRIAD-DISK deferrals
-	Folds              atomic.Int64 // L0 folded into one CL-SSTable instead of merged into L1
-	TrivialMoves       atomic.Int64 // zero-overlap files relinked a level down, not rewritten
-	FlushNanos         atomic.Int64
-	CompactionNanos    atomic.Int64 // compaction-path wall time, folds included
-	EntriesCompacted   atomic.Int64 // entries consumed by compaction merges
-	EntriesDiscarded   atomic.Int64 // of those, dropped: shadowed versions, hot-key skips, dead tombstones
-	HotKeysKeptInMem   atomic.Int64 // TRIAD-MEM hot survivors across flushes
-	ColdEntriesFlushed atomic.Int64
+	Flushes             atomic.Int64
+	FlushSkips          atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
+	Compactions         atomic.Int64
+	CompactionsDeferred atomic.Int64 // TRIAD-DISK deferrals
+	Folds               atomic.Int64 // L0 folded into one CL-SSTable instead of merged into L1
 
 	// L0 merges where L0 can fold, by the rule that merged it instead of
 	// folding it (compaction.RuleRentPaid, RuleLogCeiling, RuleDrain);
 	// Folds counts the fourth rule, RuleFold.
 	MergesRentPaid, MergesLogCeiling, MergesDrain atomic.Int64
 
+	TrivialMoves       atomic.Int64 // zero-overlap files relinked a level down, not rewritten
+	FlushTime          atomic.Int64
+	CompactionTime     atomic.Int64 // compaction-path wall time, folds included
+	EntriesCompacted   atomic.Int64 // entries consumed by compaction merges
+	EntriesDiscarded   atomic.Int64 // of those, dropped: shadowed versions, hot-key skips, dead tombstones
+	HotKeysKeptInMem   atomic.Int64 // TRIAD-MEM hot survivors across flushes
+	ColdEntriesFlushed atomic.Int64
+
 	// Write-stall accounting: how often writers blocked on backpressure
 	// (flush queue full or L0 at its stop-writes trigger) and for how
 	// long in total — the user-visible cost of background-I/O debt.
-	WriteStalls     atomic.Int64
-	WriteStallNanos atomic.Int64
+	WriteStalls    atomic.Int64
+	WriteStallTime atomic.Int64
 }
 
 // Snapshot is a point-in-time copy with derived metrics.
@@ -78,111 +82,28 @@ type Snapshot struct {
 
 // Snapshot captures the current counters.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		UserWrites:          m.UserWrites.Load(),
-		UserReads:           m.UserReads.Load(),
-		UserBytes:           m.UserBytes.Load(),
-		ReadsFromMem:        m.ReadsFromMem.Load(),
-		TableDiskReads:      m.TableDiskReads.Load(),
-		BytesLogged:         m.BytesLogged.Load(),
-		BytesRelogged:       m.BytesRelogged.Load(),
-		BytesFlushed:        m.BytesFlushed.Load(),
-		BytesCompacted:      m.BytesCompacted.Load(),
-		BytesSpilled:        m.BytesSpilled.Load(),
-		BytesFolded:         m.BytesFolded.Load(),
-		BytesCompactionRead: m.BytesCompactionRead.Load(),
-		BytesSnapshotGC:     m.BytesSnapshotGC.Load(),
-		Flushes:             m.Flushes.Load(),
-		FlushSkips:          m.FlushSkips.Load(),
-		Compactions:         m.Compactions.Load(),
-		CompactionsDeferred: m.CompactionsDefer.Load(),
-		Folds:               m.Folds.Load(),
-		MergesRentPaid:      m.MergesRentPaid.Load(),
-		MergesLogCeiling:    m.MergesLogCeiling.Load(),
-		MergesDrain:         m.MergesDrain.Load(),
-		TrivialMoves:        m.TrivialMoves.Load(),
-		FlushTime:           time.Duration(m.FlushNanos.Load()),
-		CompactionTime:      time.Duration(m.CompactionNanos.Load()),
-		EntriesCompacted:    m.EntriesCompacted.Load(),
-		EntriesDiscarded:    m.EntriesDiscarded.Load(),
-		HotKeysKeptInMem:    m.HotKeysKeptInMem.Load(),
-		ColdEntriesFlushed:  m.ColdEntriesFlushed.Load(),
-		WriteStalls:         m.WriteStalls.Load(),
-		WriteStallTime:      time.Duration(m.WriteStallNanos.Load()),
+	var s Snapshot
+	mv, sv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&s).Elem()
+	for i := range sv.NumField() {
+		sv.Field(i).SetInt(mv.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	return s
 }
 
 // Sub returns s - earlier, counter-wise (for measuring a window).
-func (s Snapshot) Sub(earlier Snapshot) Snapshot {
-	return Snapshot{
-		UserWrites:          s.UserWrites - earlier.UserWrites,
-		UserReads:           s.UserReads - earlier.UserReads,
-		UserBytes:           s.UserBytes - earlier.UserBytes,
-		ReadsFromMem:        s.ReadsFromMem - earlier.ReadsFromMem,
-		TableDiskReads:      s.TableDiskReads - earlier.TableDiskReads,
-		BytesLogged:         s.BytesLogged - earlier.BytesLogged,
-		BytesRelogged:       s.BytesRelogged - earlier.BytesRelogged,
-		BytesFlushed:        s.BytesFlushed - earlier.BytesFlushed,
-		BytesCompacted:      s.BytesCompacted - earlier.BytesCompacted,
-		BytesSpilled:        s.BytesSpilled - earlier.BytesSpilled,
-		BytesFolded:         s.BytesFolded - earlier.BytesFolded,
-		BytesCompactionRead: s.BytesCompactionRead - earlier.BytesCompactionRead,
-		BytesSnapshotGC:     s.BytesSnapshotGC - earlier.BytesSnapshotGC,
-		Flushes:             s.Flushes - earlier.Flushes,
-		FlushSkips:          s.FlushSkips - earlier.FlushSkips,
-		Compactions:         s.Compactions - earlier.Compactions,
-		CompactionsDeferred: s.CompactionsDeferred - earlier.CompactionsDeferred,
-		Folds:               s.Folds - earlier.Folds,
-		MergesRentPaid:      s.MergesRentPaid - earlier.MergesRentPaid,
-		MergesLogCeiling:    s.MergesLogCeiling - earlier.MergesLogCeiling,
-		MergesDrain:         s.MergesDrain - earlier.MergesDrain,
-		TrivialMoves:        s.TrivialMoves - earlier.TrivialMoves,
-		FlushTime:           s.FlushTime - earlier.FlushTime,
-		CompactionTime:      s.CompactionTime - earlier.CompactionTime,
-		EntriesCompacted:    s.EntriesCompacted - earlier.EntriesCompacted,
-		EntriesDiscarded:    s.EntriesDiscarded - earlier.EntriesDiscarded,
-		HotKeysKeptInMem:    s.HotKeysKeptInMem - earlier.HotKeysKeptInMem,
-		ColdEntriesFlushed:  s.ColdEntriesFlushed - earlier.ColdEntriesFlushed,
-		WriteStalls:         s.WriteStalls - earlier.WriteStalls,
-		WriteStallTime:      s.WriteStallTime - earlier.WriteStallTime,
-	}
-}
+func (s Snapshot) Sub(earlier Snapshot) Snapshot { return s.plus(earlier, -1) }
 
 // Add returns s + other, counter-wise — the roll-up used to aggregate
 // per-shard snapshots into one store-wide view.
-func (s Snapshot) Add(other Snapshot) Snapshot {
-	return Snapshot{
-		UserWrites:          s.UserWrites + other.UserWrites,
-		UserReads:           s.UserReads + other.UserReads,
-		UserBytes:           s.UserBytes + other.UserBytes,
-		ReadsFromMem:        s.ReadsFromMem + other.ReadsFromMem,
-		TableDiskReads:      s.TableDiskReads + other.TableDiskReads,
-		BytesLogged:         s.BytesLogged + other.BytesLogged,
-		BytesRelogged:       s.BytesRelogged + other.BytesRelogged,
-		BytesFlushed:        s.BytesFlushed + other.BytesFlushed,
-		BytesCompacted:      s.BytesCompacted + other.BytesCompacted,
-		BytesSpilled:        s.BytesSpilled + other.BytesSpilled,
-		BytesFolded:         s.BytesFolded + other.BytesFolded,
-		BytesCompactionRead: s.BytesCompactionRead + other.BytesCompactionRead,
-		BytesSnapshotGC:     s.BytesSnapshotGC + other.BytesSnapshotGC,
-		Flushes:             s.Flushes + other.Flushes,
-		FlushSkips:          s.FlushSkips + other.FlushSkips,
-		Compactions:         s.Compactions + other.Compactions,
-		CompactionsDeferred: s.CompactionsDeferred + other.CompactionsDeferred,
-		Folds:               s.Folds + other.Folds,
-		MergesRentPaid:      s.MergesRentPaid + other.MergesRentPaid,
-		MergesLogCeiling:    s.MergesLogCeiling + other.MergesLogCeiling,
-		MergesDrain:         s.MergesDrain + other.MergesDrain,
-		TrivialMoves:        s.TrivialMoves + other.TrivialMoves,
-		FlushTime:           s.FlushTime + other.FlushTime,
-		CompactionTime:      s.CompactionTime + other.CompactionTime,
-		EntriesCompacted:    s.EntriesCompacted + other.EntriesCompacted,
-		EntriesDiscarded:    s.EntriesDiscarded + other.EntriesDiscarded,
-		HotKeysKeptInMem:    s.HotKeysKeptInMem + other.HotKeysKeptInMem,
-		ColdEntriesFlushed:  s.ColdEntriesFlushed + other.ColdEntriesFlushed,
-		WriteStalls:         s.WriteStalls + other.WriteStalls,
-		WriteStallTime:      s.WriteStallTime + other.WriteStallTime,
+func (s Snapshot) Add(other Snapshot) Snapshot { return s.plus(other, 1) }
+
+// plus returns s + sign·o, counter-wise.
+func (s Snapshot) plus(o Snapshot, sign int64) Snapshot {
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(o)
+	for i := range sv.NumField() {
+		sv.Field(i).SetInt(sv.Field(i).Int() + sign*ov.Field(i).Int())
 	}
+	return s
 }
 
 // WriteAmplification is the system-wide WA: every byte the store wrote

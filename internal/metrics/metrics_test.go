@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,8 +17,8 @@ func TestSnapshotAndDerived(t *testing.T) {
 	m.BytesFlushed.Add(900)
 	m.BytesCompacted.Add(2100)
 	m.TableDiskReads.Add(12)
-	m.FlushNanos.Add(int64(200 * time.Millisecond))
-	m.CompactionNanos.Add(int64(300 * time.Millisecond))
+	m.FlushTime.Add(int64(200 * time.Millisecond))
+	m.CompactionTime.Add(int64(300 * time.Millisecond))
 
 	s := m.Snapshot()
 	if got := s.WriteAmplification(); got != 4.0 {
@@ -54,7 +56,7 @@ func TestSub(t *testing.T) {
 	before := m.Snapshot()
 	m.UserBytes.Add(50)
 	m.Flushes.Add(2)
-	m.CompactionNanos.Add(int64(time.Second))
+	m.CompactionTime.Add(int64(time.Second))
 	window := m.Snapshot().Sub(before)
 	if window.UserBytes != 50 || window.Flushes != 2 {
 		t.Fatalf("window = %+v", window)
@@ -106,5 +108,35 @@ func TestSnapshotAdd(t *testing.T) {
 	// Aggregate WA over the sum equals WA of the combined counters.
 	if got := sum.WriteAmplification(); got != float64(750+450+300)/1500 {
 		t.Fatalf("aggregate WA = %v", got)
+	}
+}
+
+// TestMetricsMirrorSnapshot: Snapshot, Sub and Add go field by field, so
+// Metrics must list Snapshot's fields, by name and in order, each an
+// atomic.Int64 under an int64 (or time.Duration) — and then every counter
+// reaches the snapshot as itself.
+func TestMetricsMirrorSnapshot(t *testing.T) {
+	var m Metrics
+	mt, st := reflect.TypeFor[Metrics](), reflect.TypeFor[Snapshot]()
+	if mt.NumField() != st.NumField() {
+		t.Fatalf("Metrics has %d fields, Snapshot %d", mt.NumField(), st.NumField())
+	}
+	mv := reflect.ValueOf(&m).Elem()
+	for i := range mt.NumField() {
+		mf, sf := mt.Field(i), st.Field(i)
+		if mf.Name != sf.Name || mf.Type != reflect.TypeFor[atomic.Int64]() || sf.Type.Kind() != reflect.Int64 {
+			t.Fatalf("field %d: Metrics.%s %v, Snapshot.%s %v", i, mf.Name, mf.Type, sf.Name, sf.Type)
+		}
+		mv.Field(i).Addr().Interface().(*atomic.Int64).Add(int64(i + 1))
+	}
+	s := m.Snapshot()
+	sv := reflect.ValueOf(s)
+	for i := range sv.NumField() {
+		if got := sv.Field(i).Int(); got != int64(i+1) {
+			t.Fatalf("Snapshot.%s = %d, want %d", st.Field(i).Name, got, i+1)
+		}
+	}
+	if got := s.Add(s).Sub(s); got != s {
+		t.Fatalf("Add then Sub: %+v, want %+v", got, s)
 	}
 }

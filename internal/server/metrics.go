@@ -108,7 +108,7 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_user_reads_total", "User Get operations served by the store.", "", m.UserReads)
 	p.Counter("triad_user_bytes_total", "Key+value bytes written by users.", "", m.UserBytes)
 	p.Counter("triad_bytes_logged_total", "Bytes appended to commit logs.", "", m.BytesLogged)
-	p.Counter("triad_bytes_relogged_total", "Of the bytes logged, those no user commit wrote: entries carried by log rotations, flushes and recovery, and hot keys written back.", "", m.BytesRelogged)
+	p.Counter("triad_bytes_relogged_total", "Of the bytes logged, those no user commit wrote: entries carried by log rotations and flushes, and hot keys written back.", "", m.BytesRelogged)
 	p.Counter("triad_bytes_flushed_total", "Bytes written to L0 by flushes.", "", m.BytesFlushed)
 	p.Counter("triad_bytes_folded_total", "CL-SSTable index bytes written by L0 folds.", "", m.BytesFolded)
 	p.Counter("triad_bytes_compacted_total", "Bytes written by compactions.", "", m.BytesCompacted)

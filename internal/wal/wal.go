@@ -184,6 +184,20 @@ func (w *Writer) Close() error {
 	return err
 }
 
+// Sync makes log id, which no writer appends to any more, durable as it
+// stands and returns its size.
+func Sync(fs vfs.FS, id uint64) (int64, error) {
+	f, err := fs.Open(FileName(id))
+	if err != nil {
+		return 0, err
+	}
+	size, err := f.Size()
+	if err == nil {
+		err = f.Sync()
+	}
+	return size, errors.Join(err, f.Close())
+}
+
 // ReadRecordAt decodes the record at offset off in file f. It returns the
 // entry and the total encoded length of the record.
 func ReadRecordAt(f vfs.File, off int64) (base.Entry, int, error) {
