@@ -329,12 +329,14 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 }
 
 // TestPickerFoldOrMerge: where L0 can fold (L0LogBytes set, every L0 file
-// a CL-SSTable), TRIAD-DISK's act on L0 folds it until the folds' rent
-// reaches the merge's price — the L1 bytes it rewrites and the L2 bytes
-// under its spill — or one more full log could take L0 past its log
-// ceiling — which also acts below the file trigger — and a drain always
-// merges. The ceiling is L0LogBytes, or L0LogPerPriceByte times the price
-// if more. Anywhere else L0 merges as it always has.
+// a CL-SSTable), TRIAD-DISK's act on L0 folds its newest run until the
+// folds' rent reaches the merge's price — the L1 bytes it rewrites and the
+// L2 bytes under its spill — or one more full log could take L0 past its
+// log ceiling — which also acts below the file trigger — and a drain
+// always merges. The run leaves L0 under its trigger and takes each next
+// older table whose index is no larger than the run's. The ceiling is
+// L0LogBytes, or L0LogPerPriceByte times the price if more. Anywhere else
+// L0 merges as it always has.
 func TestPickerFoldOrMerge(t *testing.T) {
 	const logBytes = 1000 // CommitLogBytes
 	const ceiling = MaxFilesL0 * logBytes
@@ -348,12 +350,19 @@ func TestPickerFoldOrMerge(t *testing.T) {
 		}
 		return f
 	}
+	// Flushes are newer than the folds below: their ids are 11 and up.
 	flushes := func(n int) []*manifest.FileMeta {
 		var files []*manifest.FileMeta
 		for id := 1; id <= n; id++ {
-			files = append(files, cl(uint64(id), manifest.KindCLSST, 300, 0))
+			files = append(files, cl(uint64(10+id), manifest.KindCLSST, 300, 0))
 		}
 		return files
+	}
+	// A fold of earlier flushes whose index is size bytes.
+	folded := func(id uint64, size, rent int64) *manifest.FileMeta {
+		f := cl(id, manifest.KindCLFold, 1500, rent)
+		f.Size = size
+		return f
 	}
 	l1 := []*manifest.FileMeta{fm(20, 1, "a", "m", 400), fm(21, 1, "n", "z", 500)} // price 900
 	// L1 over its 1 MiB target, so a merge spills the a–m range (the file
@@ -382,7 +391,9 @@ func TestPickerFoldOrMerge(t *testing.T) {
 	}{
 		{"four flushes below MaxFilesL0 defer", flushes(4), l1, ceiling, false, "deferred", 0, 0},
 		{"MaxFilesL0 flushes fold", flushes(6), l1, ceiling, false, RuleFold, 6, 0},
-		{"a fold and five flushes fold again", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 899)), l1, ceiling, false, RuleFold, 6, 0},
+		{"a fold and five flushes fold again", append(flushes(5), folded(9, 1000, 899)), l1, ceiling, false, RuleFold, 5, 0},
+		{"a run of four flushes leaves two larger folds", append(flushes(4), folded(9, 1000, 10), folded(8, 2000, 20)), l1, ceiling, false, RuleFold, 4, 0},
+		{"a run takes an older fold no larger than itself", append(flushes(4), folded(9, 400, 10), folded(8, 2000, 20)), l1, ceiling, false, RuleFold, 5, 0},
 		{"rent paid merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 900)), l1, ceiling, false, RuleRentPaid, 6, 0},
 		{"nothing below to rewrite merges", flushes(6), nil, ceiling, false, RuleRentPaid, 6, 0},
 		{"log ceiling merges below the trigger", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}, l1, ceiling, false, RuleLogCeiling, 2, 0},
@@ -439,6 +450,16 @@ func TestPickerFoldOrMerge(t *testing.T) {
 				t.Fatalf("Why %q does not explain the %s", job.Why(), rule)
 			}
 			if job.Fold {
+				// The run is the newest tables of L0, newest first.
+				l0 := v.Levels[0]
+				for i, f := range job.Inputs {
+					if f.ID != l0[i].ID {
+						t.Fatalf("fold input %d is table %d, want L0's %dth newest, table %d", i, f.ID, i+1, l0[i].ID)
+					}
+				}
+				if why := fmt.Sprintf("fold %d->1 of %d, left %d", c.wantInput, len(l0), len(l0)-c.wantInput); !strings.HasPrefix(job.Why(), why) {
+					t.Fatalf("Why %q, want it to start %q", job.Why(), why)
+				}
 				return
 			}
 			// The merge is the one that was priced: its note's price is the
@@ -461,64 +482,87 @@ func TestPickerFoldOrMerge(t *testing.T) {
 	}
 }
 
-// TestL0LogPerPriceByte states why L0LogPerPriceByte is 3: it is the
-// least whole multiple of the price at which the rent, not the ceiling,
-// merges the L0 of ingest_uniform. The model is one of its shards, as
-// measured: 1 MiB commit logs (a 6 MiB floor), flushes that each pin
-// 0.23 MiB of log and index 0.06 B of it per byte, folds forced at
-// MaxFilesL0 because a flush's keys barely overlap the next one's, and a
-// typical merge that rewrites 2.0 MB of L1 and 5.3 MB of L2 under its
-// spill. Its folds pay that price once L0 pins between two and three
-// times it, so a ceiling of twice the price would merge L0 before the
-// rent is paid.
+// TestL0LogPerPriceByte models one cycle of the L0 of an ingest_uniform
+// shard, from an empty L0 to its merge, as measured: 1 MiB commit logs (a
+// 6 MiB floor), flushes that each pin 0.23 MiB of log and index 0.06 B of
+// it per byte, folds forced at MaxFilesL0 because a flush's keys barely
+// overlap the next one's, and a typical merge that rewrites 2.0 MB of L1
+// and 5.3 MB of L2 under its spill. Each fold takes the picker's run. Its
+// folds write at most half the index bytes that folds of all of L0 would
+// write at the same points, so they pay that price slowly, and the log
+// ceiling, L0LogPerPriceByte times the price, ends the cycle: the multiple
+// is the log L0 takes in per byte its merge rewrites (see the constant).
+// The rent rule stays live: a merge priced below what the folds write
+// under the floor is still merged by its rent.
 func TestL0LogPerPriceByte(t *testing.T) {
 	const (
 		logBytes   = 1 << 20
+		floor      = MaxFilesL0 * logBytes
 		flushLog   = 230 << 10
 		flushIndex = flushLog * 6 / 100
-		price      = 7_300_000
 	)
-	p := NewPicker(PickerOptions{BaseLevelBytes: 64 << 20, TriadDisk: true, L0LogBytes: MaxFilesL0 * logBytes})
-	below := []*manifest.FileMeta{fm(1000, 1, "a", "m", price/2), fm(1001, 1, "n", "z", price-price/2)}
-	var l0 []*manifest.FileMeta // newest first
-	disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
-	for id := uint64(1); id < 1000; id++ {
-		f := fm(id, 0, "a", "z", flushIndex)
-		f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, id, flushLog, id
-		l0 = append([]*manifest.FileMeta{f}, l0...)
-		job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), disjoint, false)
-		switch {
-		case job == nil || job.Deferred:
-			continue
-		case job.Fold:
-			fold := fm(id, 0, "a", "z", 0)
-			fold.Kind, fold.MaxSeq = manifest.KindCLFold, id
-			for _, in := range l0 {
-				fold.Size += in.Size
-				fold.FoldBytes += in.FoldBytes
-				fold.LogBytes += in.LogBytes
-				fold.LogIDs = append(fold.LogIDs, in.Logs()...)
+	// cycle runs the model at a merge price and returns the merge, the
+	// index bytes its folds wrote, those folds of all of L0 would have
+	// written, the most rent an act on L0 found while one more log could
+	// not take L0 past the floor, and the log L0 pinned at the merge.
+	cycle := func(price int64) (job *Job, folded, allFolded, underFloor, logs int64) {
+		p := NewPicker(PickerOptions{BaseLevelBytes: 64 << 20, TriadDisk: true, L0LogBytes: floor})
+		below := []*manifest.FileMeta{fm(1000, 1, "a", "m", price/2), fm(1001, 1, "n", "z", price-price/2)}
+		var l0 []*manifest.FileMeta // newest first
+		disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+		for id := uint64(1); id < 1000; id++ {
+			f := fm(id, 0, "a", "z", flushIndex)
+			f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, id, flushLog, id
+			l0 = append([]*manifest.FileMeta{f}, l0...)
+			logs += flushLog
+			job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), disjoint, false)
+			switch {
+			case job == nil || job.Deferred:
+				continue
+			case job.Fold:
+				n := len(job.Inputs)
+				fold := fm(id, 0, "a", "z", 0)
+				fold.Kind, fold.MaxSeq = manifest.KindCLFold, id
+				for _, in := range l0[:n] {
+					fold.Size += in.Size
+					fold.FoldBytes += in.FoldBytes
+					fold.LogBytes += in.LogBytes
+					fold.LogIDs = append(fold.LogIDs, in.Logs()...)
+				}
+				fold.FoldBytes += fold.Size
+				l0 = append([]*manifest.FileMeta{fold}, l0[n:]...)
+				if logs+logBytes <= floor {
+					underFloor = folded // the rent this act found, below the floor's ceiling
+				}
+				folded += fold.Size
+				allFolded += int64(id) * flushIndex // every flush's index so far
+				continue
 			}
-			fold.FoldBytes += fold.Size
-			l0 = []*manifest.FileMeta{fold}
-			continue
+			return job, folded, allFolded, underFloor, logs
 		}
-		var logs int64
-		for _, f := range l0 {
-			logs += f.LogBytes
-		}
-		if job.Rule != RuleRentPaid || job.rewrites() != price {
-			t.Fatalf("%s merge (%s), want the rent paid on a %d B price", job.Rule, job.Why(), price)
-		}
-		// A ceiling one price lower would have been reached by now: that
-		// L0 would have merged at it, before its rent was paid.
-		if logs+logBytes <= (L0LogPerPriceByte-1)*price {
-			t.Fatalf("rent paid at %d B of log: a ceiling of %d times the %d B price would not bind", logs, L0LogPerPriceByte-1, price)
-		}
-		t.Logf("rent paid at %.1f MiB of log, %.2f times the price", float64(logs)/(1<<20), float64(logs)/price)
+		t.Fatal("L0 never merged")
 		return
 	}
-	t.Fatal("L0 never merged")
+
+	const price = 7_300_000
+	job, folded, allFolded, underFloor, logs := cycle(price)
+	t.Logf("%s: folds wrote %.2f MB, folds of all of L0 %.2f MB, %.2f MB under the floor", job.Why(), float64(folded)/1e6, float64(allFolded)/1e6, float64(underFloor)/1e6)
+	if 2*folded > allFolded {
+		t.Fatalf("the run folds wrote %d B, more than half of the %d B folds of all of L0 would", folded, allFolded)
+	}
+	if job.Rule != RuleLogCeiling || job.rewrites() != price || folded >= price {
+		t.Fatalf("%s merge (%s) with %d B of rent, want the ceiling to end the cycle before the %d B price is paid", job.Rule, job.Why(), folded, price)
+	}
+	if ceiling := int64(L0LogPerPriceByte * price); logs > ceiling || logs+logBytes <= ceiling {
+		t.Fatalf("merged at %d B of log, want within a log of the %d B ceiling", logs, ceiling)
+	}
+
+	cheap := underFloor / 2
+	job, _, _, _, logs = cycle(cheap)
+	if cheap == 0 || job.Rule != RuleRentPaid || logs > floor {
+		t.Fatalf("%s merge (%s) at %d B of log, want a %d B price paid under the floor", job.Rule, job.Why(), logs, cheap)
+	}
+	t.Logf("a %.2f MB price: %s", float64(cheap)/1e6, job.Why())
 }
 
 // TestPickerL0Depth: where L0 can fold, L0 is counted by read depth, not

@@ -178,13 +178,14 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	return nil
 }
 
-// fold is the index-only merge of L0 (compaction.Job.Fold, TRIAD-DISK
-// with TRIAD-LOG): the inputs' indexes are merged newest-first into one
-// CL-SSTable over all of their commit logs, dropping shadowed versions and
-// keeping tombstones. It reads no log byte, writes no sorted table and
-// retires no log — every log of an input is one of the output's, used or
-// not, so no fold unpins one — and it installs like a merge, so an input a
-// snapshot pins stays behind as a zombie.
+// fold is the index-only merge of L0's newest run (compaction.Job.Fold,
+// TRIAD-DISK with TRIAD-LOG): the inputs' indexes are merged newest-first
+// into one CL-SSTable over all of their commit logs, dropping shadowed
+// versions and keeping tombstones. The output is newer than every table
+// the run left, so L0 keeps its order. It reads no log byte, writes no
+// sorted table and retires no log — every log of an input is one of the
+// output's, used or not, so no fold unpins one — and it installs like a
+// merge, so an input a snapshot pins stays behind as a zombie.
 func (db *DB) fold(job *compaction.Job) error {
 	start := time.Now()
 	defer func() { db.met.CompactionTime.Add(time.Since(start).Nanoseconds()) }()

@@ -1,14 +1,19 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/hll"
+	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // unlistedTables lists the table files in fs that no level of db's version
@@ -201,4 +206,138 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatalf("the imaged CompactAll ran %v; it must spill, merge by min-overlap and move", seen)
 		}
 	})
+}
+
+// TestRunFoldCrashPoints crashes a TRIAD run through the folds the picker
+// chooses — folds of L0's newest run, which leave older folds behind — and
+// the merge of the L0 they built. From the first fold on, it images every
+// change the flushes, folds and merge make to the filesystem (the writes'
+// own log appends are TestLogRetirementCrashPoints') and reopens each
+// image (crashImage.check): consistent, with no table unlisted, every
+// acknowledged write at its latest value and L0 newest first. Some image
+// must hold two folds in L0. A snapshot is held across the run fold that
+// first leaves a fold behind and across the merge: the fold's inputs it
+// pins stay as zombies and keep their logs, which go only with the
+// snapshot.
+func TestRunFoldCrashPoints(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := runFoldOptions(fs)
+	o.SyncWAL = true
+	o.BlockBytes = 4 << 10 // fewer writes per table, fewer images
+	db := mustOpen(t, o)
+	defer db.Close()
+	base, ops := runFoldLoad(2, 30, 800)
+	acked := map[string]string{}
+	for _, op := range base {
+		if err := op.apply(db); err != nil {
+			t.Fatal(err)
+		}
+		acked[op.key] = op.value
+	}
+	if err := db.CompactAll(); err != nil { // an L1 to price L0's merge
+		t.Fatal(err)
+	}
+	l0Folds := func(db *DB) int {
+		db.versionMu.RLock()
+		defer db.versionMu.RUnlock()
+		n := 0
+		for _, f := range db.version.Levels[0] {
+			if f.Kind == manifest.KindCLFold {
+				n++
+			}
+		}
+		return n
+	}
+	images, mostFolds := 0, 0
+	failed := false
+	// imaged runs change, imaging it once L0 has been folded.
+	imaged := func(change func() error) {
+		t.Helper()
+		if db.Metrics().Folds == 0 {
+			if err := change(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		imageChanges(fs, func(what string, image *vfs.MemFS) {
+			if failed {
+				return
+			}
+			images++
+			img := crashImage{n: images, what: what, fs: image, o: o, acked: acked,
+				inspect: func(db *DB) { mostFolds = max(mostFolds, l0Folds(db)) }}
+			if err := img.check(t); err != nil {
+				failed = true
+				t.Errorf("crash after %q, image %d: %v", what, images, err)
+			}
+		})
+		defer fs.SetHooks(vfs.Hooks{})
+		if err := change(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var snap *Snapshot
+	var frozen map[string]string
+	var zombies []*manifest.FileMeta
+	for i, op := range ops {
+		if err := op.apply(db); err != nil {
+			t.Fatal(err)
+		}
+		acked[op.key] = op.value
+		if i%runFoldWrites != runFoldWrites-1 {
+			continue
+		}
+		imaged(db.Flush)
+		db.versionMu.RLock()
+		l0 := db.version.Levels[0]
+		job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch { return db.tables[f.ID].Sketch() }, false)
+		db.versionMu.RUnlock()
+		if snap == nil && job != nil && job.Fold && len(job.Inputs) < len(l0) {
+			var err error
+			if snap, err = db.NewSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			frozen, zombies = maps.Clone(acked), job.Inputs
+		}
+		imaged(func() error { compactWhilePicked(t, db); return nil })
+		if l0Folds(db) >= 2 {
+			break
+		}
+	}
+	if snap == nil || l0Folds(db) < 2 {
+		t.Fatalf("%d folds in L0, snapshot held %v: the run must fold a run that leaves a fold behind", l0Folds(db), snap != nil)
+	}
+	imaged(db.CompactAll)
+	m := db.Metrics()
+	t.Logf("%d images, %d folds, %d drain merges, at most %d folds in an image's L0", images, m.Folds, m.MergesDrain, mostFolds)
+	if mostFolds < 2 || m.MergesDrain == 0 {
+		t.Fatalf("at most %d folds in an image's L0, %d drain merges: the images must hold two folds, then their merge", mostFolds, m.MergesDrain)
+	}
+
+	// The merge consumed the fold's output, not the inputs the snapshot
+	// pins: their logs are still on disk, and read through.
+	for _, f := range zombies {
+		if !fs.Exists(wal.FileName(f.LogID)) {
+			t.Fatalf("log %d of zombie table %d retired under the snapshot", f.LogID, f.ID)
+		}
+	}
+	for k, want := range frozen {
+		got, err := snap.Get([]byte(k))
+		if want == "" && !errors.Is(err, ErrNotFound) || want != "" && (err != nil || string(got) != want) {
+			t.Fatalf("snapshot Get(%q) = %q, %v; want %q", k, got, err, want)
+		}
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range zombies {
+		if fs.Exists(wal.FileName(f.LogID)) {
+			t.Fatalf("log %d of zombie table %d outlived the snapshot", f.LogID, f.ID)
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -71,8 +71,8 @@ func (db *DB) flushTask() {
 			db.publishViewLocked()
 		}
 		db.flushing--
-		if err != nil && db.bgErr == nil {
-			db.bgErr = err
+		if err != nil {
+			db.setBgErrLocked("flush", err)
 		}
 		if err == nil && !db.opts.DisableAutoCompaction && !disable {
 			db.requestCompactLocked()
@@ -114,15 +114,35 @@ func (db *DB) compactTask() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err != nil {
-		if db.bgErr == nil {
-			db.bgErr = err
-		}
+		db.setBgErrLocked("compaction", err)
 		db.cond.Broadcast()
 		return
 	}
 	if ran {
 		db.requestCompactLocked()
 	}
+}
+
+// setBgErrLocked records err, the failure of a background job (what),
+// as the engine's background error unless it already has one, and
+// journals the first. Caller holds db.mu.
+func (db *DB) setBgErrLocked(what string, err error) {
+	if db.bgErr != nil {
+		return
+	}
+	db.bgErr = err
+	db.opts.Events.Add(obs.Event{
+		Kind: obs.EventBackgroundError, Shard: db.opts.EventShard, Level: -1,
+		Detail: fmt.Sprintf("%s failed: %v", what, err),
+	})
+}
+
+// BackgroundError returns the first background error, which every later
+// write returns; nil while background work succeeds.
+func (db *DB) BackgroundError() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.bgErr
 }
 
 // flushImmutable writes one sealed memtable to L0 (paper §2 Flushing,

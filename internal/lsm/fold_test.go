@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -380,15 +382,7 @@ func TestUniformOverwritesStayUnderTheCeiling(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for { // catch up with the background
-			ran, err := db.CompactOnce()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ran {
-				break
-			}
-		}
+		compactWhilePicked(t, db) // catch up with the background
 		_, recorded := l0Logs(db)
 		l0 := db.LevelStats()[0]
 		if l0.LogBytes != recorded || recorded > l0.LogCeiling {
@@ -515,4 +509,155 @@ func TestReopenStoreFromBeforeFolds(t *testing.T) {
 	db = mustOpen(t, o)
 	defer db.Close()
 	check("reopened", db)
+}
+
+// runFoldLoad is a write load that makes TRIAD fold L0's newest run and
+// leave older folds behind. base is 500 keys of valueBytes each for an L1,
+// which prices L0's merge past the rent its first folds pay. ops are then
+// flushes' worth of 100 writes each (a flush after every 100th): fresh keys
+// spread over the key space, so every flush spans it but its HLL sketch
+// barely overlaps the others' and TRIAD-DISK acts only at MaxFilesL0, with
+// every fifth write an overwrite of a base key and every fifteenth a
+// delete of one. A fold's index takes fewer bytes per entry than a
+// flush's, so the first folds take all of L0; from the third on, runs
+// leave older folds behind, stopped by the next older fold's size or, with
+// the least run the depth bound takes, at it.
+func runFoldLoad(seed int64, flushes, valueBytes int) (base, ops []kv) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 500; i++ {
+		base = append(base, kv{fmt.Sprintf("k%03d-b", i), fmt.Sprintf("base-%03d-%0*d", i, valueBytes, i)})
+	}
+	for i := 0; i < runFoldWrites*flushes; i++ {
+		switch k := fmt.Sprintf("k%03d", rng.Intn(500)); {
+		case i%15 == 14:
+			ops = append(ops, kv{k + "-b", ""})
+		case i%5 == 4:
+			ops = append(ops, kv{k + "-b", fmt.Sprintf("over-%05d", i)})
+		default:
+			ops = append(ops, kv{fmt.Sprintf("%s-%05d-%0100d", k, i, i), fmt.Sprintf("fresh-%05d", i)})
+		}
+	}
+	return base, ops
+}
+
+// runFoldWrites is the writes of runFoldLoad between two flushes.
+const runFoldWrites = 100
+
+// runFoldOptions are the options runFoldLoad is written for: TRIAD-DISK
+// and TRIAD-LOG without TRIAD-MEM, so that every write reaches its flush,
+// and an L1 large enough to hold base.
+func runFoldOptions(fs *vfs.MemFS) Options {
+	o := triadSmall(fs)
+	o.TriadMem = false
+	o.BaseLevelBytes = 4 << 20
+	o.DisableAutoCompaction = true
+	return o
+}
+
+// compactWhilePicked runs the compactions the picker chooses until it
+// chooses none.
+func compactWhilePicked(t *testing.T, db *DB) {
+	t.Helper()
+	for {
+		ran, err := db.CompactOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ran {
+			return
+		}
+	}
+}
+
+// foldNote matches a fold's journal entry and captures its run: the
+// tables folded, of how many, how many it left and, if it left any, why
+// the run stopped — the depth bound, which took no more than it needed to
+// leave L0 under its trigger, or not — and the next older table's index
+// against the run's.
+var foldNote = regexp.MustCompile(`^L0->L0, fold (\d+)->1 of (\d+), left (\d+)(?: \((depth bound; )?next older ([\d.e+-]+) MB > run ([\d.e+-]+) MB\))?, depth \d+ of \d+ files, rent \d+\.\d\d/\d+\.\d\d MB, logs \d+\.\d\d/\d+\.\d\d MiB, \d+ of \d+ entries discarded$`)
+
+func parseMB(s string) float64 {
+	f, _ := strconv.ParseFloat(s, 64)
+	return f
+}
+
+// TestFoldJournalExplainsItsRun: every fold the picker chooses says in the
+// journal how many of L0's tables it folded and left, and why its run
+// stopped where it did; L0 holds what the entry says it left, and the
+// load shows each of the reasons: all of L0, the next older table's size,
+// and the depth bound.
+func TestFoldJournalExplainsItsRun(t *testing.T) {
+	o := runFoldOptions(vfs.NewMemFS())
+	o.Events = obs.NewJournal(1000)
+	db := mustOpen(t, o)
+	defer db.Close()
+	base, ops := runFoldLoad(1, 40, 3000)
+	for _, op := range base {
+		if err := op.apply(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for i, op := range ops {
+		if err := op.apply(db); err != nil {
+			t.Fatal(err)
+		}
+		if i%runFoldWrites != runFoldWrites-1 {
+			continue
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before := o.Events.Total()
+		compactWhilePicked(t, db)
+		if o.Events.Total() == before {
+			continue
+		}
+		folded := -1 // the tables the round's fold left in L0
+		for _, e := range o.Events.Events(int(o.Events.Total() - before)) {
+			if !strings.HasPrefix(e.Detail, "L0->L0") {
+				continue
+			}
+			t.Log(e.Detail)
+			m := foldNote.FindStringSubmatch(e.Detail)
+			if m == nil {
+				t.Fatalf("fold entry %q does not explain its run", e.Detail)
+			}
+			n, _ := strconv.Atoi(m[1])
+			of, _ := strconv.Atoi(m[2])
+			left, _ := strconv.Atoi(m[3])
+			if n+left != of || e.Files != n || n < 2 || folded >= 0 {
+				t.Fatalf("entry %q over %d input files, after a fold that left %d", e.Detail, e.Files, folded)
+			}
+			folded = left
+			switch {
+			case left == 0:
+				seen["all"]++
+				if m[5] != "" {
+					t.Fatalf("entry %q left nothing, yet names a next older table", e.Detail)
+				}
+			case m[5] == "":
+				t.Fatalf("entry %q left %d tables and does not say why", e.Detail, left)
+			case (m[4] != "") != (of-n == compaction.L0CompactionTrigger-2):
+				t.Fatalf("entry %q: the depth bound leaves %d tables", e.Detail, compaction.L0CompactionTrigger-2)
+			case m[4] != "":
+				seen["depth bound"]++
+			default:
+				seen["size"]++
+			}
+			if next, run := parseMB(m[5]), parseMB(m[6]); next < run {
+				t.Fatalf("entry %q: the next older table is smaller than the run", e.Detail)
+			}
+		}
+		if files := db.NumLevelFiles()[0]; folded >= 0 && files != folded+1 {
+			t.Fatalf("L0 holds %d tables after a fold that left %d", files, folded)
+		}
+	}
+	t.Logf("folds by why their run stopped: %v", seen)
+	if len(seen) != 3 || db.Metrics().Folds < 3 {
+		t.Fatalf("folds by why their run stopped: %v; the load must show all three", seen)
+	}
 }

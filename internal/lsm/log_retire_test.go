@@ -396,6 +396,14 @@ func failEveryNthWrite(fs *vfs.MemFS, n int64) {
 // kv is one write of a crash run; value "" deletes the key.
 type kv struct{ key, value string }
 
+// apply writes op to db.
+func (op kv) apply(db *DB) error {
+	if op.value == "" {
+		return db.Delete([]byte(op.key))
+	}
+	return db.Put([]byte(op.key), []byte(op.value))
+}
+
 // crashImage is one image of a crash run: the filesystem as it stood after
 // one change, the options it reopens under, and what it must recover —
 // every acknowledged write at its latest value (acked, "" deleted), except
@@ -409,13 +417,16 @@ type crashImage struct {
 	o        Options
 	acked    map[string]string
 	inflight *kv
+	// inspect, if set, looks at the reopened store once it has passed.
+	inspect func(db *DB)
 }
 
 // check reopens the image and reports what it did not recover: the store
-// must be consistent and hold every acknowledged write, with no table file
-// its levels do not list, no byte appended to a log and no unpinned log but
-// the fresh one and the replayed ones its memtable points into, and leave
-// no file handle open once closed (or once its Open has failed).
+// must be consistent and hold every acknowledged write, with L0 newest
+// first by MaxSeq, no table file its levels do not list, no byte appended
+// to a log and no unpinned log but the fresh one and the replayed ones its
+// memtable points into, and leave no file handle open once closed (or once
+// its Open has failed).
 func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
 	ro.FS, ro.Events = img.fs, nil
@@ -433,6 +444,14 @@ func (img crashImage) check(t *testing.T) (err error) {
 	defer db.Close()
 	if err := db.CheckConsistency(); err != nil {
 		return fmt.Errorf("CheckConsistency: %w", err)
+	}
+	db.versionMu.RLock()
+	l0 := db.version.Levels[0]
+	db.versionMu.RUnlock()
+	for i := 1; i < len(l0); i++ {
+		if l0[i].MaxSeq > l0[i-1].MaxSeq {
+			return fmt.Errorf("L0 table %d (max seq %d) follows the older table %d (max seq %d)", l0[i].ID, l0[i].MaxSeq, l0[i-1].ID, l0[i-1].MaxSeq)
+		}
 	}
 	if tables := unlistedTables(t, db, img.fs); len(tables) > 0 {
 		return fmt.Errorf("table files no level lists after recovery: %v", tables)
@@ -466,6 +485,9 @@ func (img crashImage) check(t *testing.T) (err error) {
 			got, err := db.Get([]byte(key))
 			return fmt.Errorf("Get(%q) = %q, %v; acknowledged %q", key, got, err, want)
 		}
+	}
+	if img.inspect != nil {
+		img.inspect(db)
 	}
 	return nil
 }
@@ -545,13 +567,7 @@ func retireRun(t *testing.T, triadLog bool, seed int64, onImage func(crashImage)
 
 	db := mustOpen(t, o)
 	for i, op := range ops {
-		var err error
-		if op.value == "" {
-			err = db.Delete([]byte(op.key))
-		} else {
-			err = db.Put([]byte(op.key), []byte(op.value))
-		}
-		if err != nil {
+		if err := op.apply(db); err != nil {
 			t.Fatal(err)
 		}
 		acked.Store(int64(i + 1))

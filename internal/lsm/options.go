@@ -126,11 +126,12 @@ func DefaultOptions(fs vfs.FS) Options {
 // TriadOptions returns the full-TRIAD configuration with the paper's
 // parameters (§5.1). Where TRIAD-DISK and TRIAD-LOG meet, the engine goes
 // past the paper: an L0 that TRIAD-DISK would merge into L1 is folded —
-// its CL-SSTables' indexes merged into one CL-SSTable over all of their
-// commit logs, no value read or rewritten — until the index bytes the
-// folds wrote reach the L1 and L2 bytes a merge would rewrite, or L0 pins
-// its log ceiling (compaction.Picker.L0LogCeiling); each L1 rewrite so
-// takes in a larger batch of L0 than MaxFilesL0 flushes.
+// the indexes of its newest run of CL-SSTables merged into one CL-SSTable
+// over all of their commit logs, no value read or rewritten — until the
+// index bytes the folds wrote reach the L1 and L2 bytes a merge would
+// rewrite, or L0 pins its log ceiling (compaction.Picker.L0LogCeiling);
+// each L1 rewrite so takes in a larger batch of L0 than MaxFilesL0
+// flushes.
 func TriadOptions(fs vfs.FS) Options {
 	o := DefaultOptions(fs)
 	o.TriadMem = true

@@ -392,33 +392,6 @@ func TestWALFaultSurfacesError(t *testing.T) {
 	}
 }
 
-// TestFlushFaultSetsBackgroundError: a failure during flush is surfaced
-// on subsequent writes rather than silently dropped.
-func TestFlushFaultSetsBackgroundError(t *testing.T) {
-	fs := vfs.NewMemFS()
-	o := smallOptions(fs)
-	db := mustOpen(t, o)
-	defer db.Close()
-	for i := 0; i < 200; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), make([]byte, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	failEveryNthWrite(fs, 3)
-	db.Flush() // may or may not error directly
-	fs.SetHooks(vfs.Hooks{})
-	// Eventually the background error must surface on the write path.
-	var sawErr bool
-	for i := 0; i < 100 && !sawErr; i++ {
-		if err := db.Put([]byte("probe"), []byte("v")); err != nil && !errors.Is(err, ErrClosed) {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Skip("flush completed before fault injection engaged")
-	}
-}
-
 // TestTombstonesDroppedAtBottom: deleting everything and compacting to
 // the bottom level leaves zero entries on disk.
 func TestTombstonesDroppedAtBottom(t *testing.T) {

@@ -26,6 +26,10 @@ const (
 	// EventStall is one writer's backpressure wait (flush queue full or
 	// L0 at the stop-writes trigger): Dur is how long the writer stood.
 	EventStall
+	// EventBackgroundError is the first flush or compaction of a shard to
+	// fail: the shard's background work stops and every later write
+	// returns the error, Detail, until the store is reopened.
+	EventBackgroundError
 )
 
 // String returns the lower-case kind name.
@@ -39,6 +43,8 @@ func (k EventKind) String() string {
 		return "snapshot-gc"
 	case EventStall:
 		return "stall"
+	case EventBackgroundError:
+		return "background-error"
 	default:
 		return "other"
 	}

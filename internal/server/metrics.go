@@ -165,6 +165,11 @@ func (s *Server) MetricsText() string {
 		p.Gauge("triad_shard_snapshots_open", "Live snapshot pins on the shard.", l, int64(st.OpenSnapshots))
 		p.Counter("triad_shard_snapshots_leaked_total", "Snapshot pins reclaimed by finalizer instead of Close.", l, st.LeakedSnapshots)
 		p.Gauge("triad_shard_unsynced_log_bytes", "Commit-log bytes the shard acknowledged that a power cut could still take: the live log's and each queued memtable's log's size less its length at its last sync.", l, st.UnsyncedLogBytes)
+		bgErr := int64(0)
+		if st.BackgroundError != nil {
+			bgErr = 1
+		}
+		p.Gauge("triad_shard_background_error", "1 once a flush or compaction on the shard has failed: its background work has stopped and every write to it fails until the store is reopened; 0 otherwise.", l, bgErr)
 		p.Gauge("triad_shard_overlay_entries", "Replaced versions the shard's memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", l, int64(st.OverlayEntries))
 		p.Counter("triad_shard_cache_hits_total", "Block-cache lookups by this shard served from memory.", l, st.CacheHits)
 		p.Counter("triad_shard_cache_misses_total", "Block-cache lookups by this shard that went to disk.", l, st.CacheMisses)

@@ -128,6 +128,10 @@ type ShardStat struct {
 	// flush, compaction read/write, snapshot-GC reclaim) — the per-shard
 	// WA decomposition.
 	IO obs.LedgerSnapshot
+	// BackgroundError is the shard's first failed flush or compaction
+	// (lsm.DB.BackgroundError), which every later write to it returns;
+	// nil while its background work succeeds.
+	BackgroundError error
 }
 
 // ShardStats reports every shard's share of the load, in shard order.
@@ -157,6 +161,7 @@ func (db *DB) ShardStats() []ShardStat {
 			CacheBytes:      cs.Resident,
 			Levels:          s.LevelStats(),
 			IO:              ioBySource(m),
+			BackgroundError: s.BackgroundError(),
 		}
 		st.RetainedLogBytes = s.RetainedLogBytes()
 		st.UnsyncedLogBytes = s.UnsyncedLogBytes()
@@ -232,6 +237,9 @@ func (db *DB) Stats() string {
 			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.UnsyncedLogBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
 			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
+		if st.BackgroundError != nil {
+			fmt.Fprintf(&b, "  s%d: background error (writes fail until reopened): %v\n", st.Shard, st.BackgroundError)
+		}
 	}
 	if levels[0].LogCeiling > 0 {
 		fmt.Fprintf(&b, "L0 commit log per shard (pinned of the ceiling at which L0 merges whatever its rent):\n")
