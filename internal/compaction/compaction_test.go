@@ -486,12 +486,16 @@ func TestPickerFoldOrMerge(t *testing.T) {
 // shard, from an empty L0 to its merge, as measured: 1 MiB commit logs (a
 // 6 MiB floor), flushes that each pin 0.23 MiB of log and index 0.06 B of
 // it per byte, folds forced at MaxFilesL0 because a flush's keys barely
-// overlap the next one's, and a typical merge that rewrites 2.0 MB of L1
-// and 5.3 MB of L2 under its spill. Each fold takes the picker's run. Its
-// folds write at most half the index bytes that folds of all of L0 would
-// write at the same points, so they pay that price slowly, and the log
-// ceiling, L0LogPerPriceByte times the price, ends the cycle: the multiple
-// is the log L0 takes in per byte its merge rewrites (see the constant).
+// overlap the next one's, and a merge priced as measured: a merge into L1
+// would rewrite 1.4 MB of L1 (what a round's first merge leaves there,
+// once the drain before it has taken L0 deep and emptied L1) and 8.2 MB of
+// L2 under its spill. Each fold takes the picker's run. Its folds write at
+// most half the index bytes that folds of all of L0 would write at the
+// same points, so they pay that price slowly, and the log ceiling,
+// L0LogPerPriceByte times the price, ends the cycle at about 27 MiB of
+// log, past the 24 MiB at which the benchmark's rounds drain L0: the
+// multiple is the log L0 takes in per byte its merge rewrites (see the
+// constant).
 // The rent rule stays live: a merge priced below what the folds write
 // under the floor is still merged by its rent.
 func TestL0LogPerPriceByte(t *testing.T) {
@@ -544,7 +548,7 @@ func TestL0LogPerPriceByte(t *testing.T) {
 		return
 	}
 
-	const price = 7_300_000
+	const price = 9_600_000
 	job, folded, allFolded, underFloor, logs := cycle(price)
 	t.Logf("%s: folds wrote %.2f MB, folds of all of L0 %.2f MB, %.2f MB under the floor", job.Why(), float64(folded)/1e6, float64(allFolded)/1e6, float64(underFloor)/1e6)
 	if 2*folded > allFolded {
@@ -763,7 +767,7 @@ func TestPickerMinOverlap(t *testing.T) {
 // into an L1 it would leave over its 1000-byte target spills the consumed
 // L1 files that cost the fewest L2 bytes per own byte, until their bytes
 // plus the batch's share of them cover the overflow, together with exactly
-// the L2 files under them — unless L2 is the bottom level.
+// the L2 files under them, whether or not L2 is the bottom level.
 func TestPickerSpill(t *testing.T) {
 	p := NewPicker(PickerOptions{BaseLevelBytes: 1000})
 	// batch returns the four L0 files; the oldest, id 1, spans [lo, hi].
@@ -783,10 +787,13 @@ func TestPickerSpill(t *testing.T) {
 				fm(20, 2, "a", "z", 900), bottom),
 		},
 		{
-			name: "no spill into the bottom level",
+			// L2 is the bottom level: 10 and 12 (nothing under them) cover
+			// the overflow of 800 and go to it; the L2 file under 11 stays.
+			name: "a spill into the bottom level",
 			files: append(batch("a", "z", 300),
 				fm(10, 1, "a", "f", 500), fm(11, 1, "g", "m", 500), fm(12, 1, "n", "z", 500),
 				fm(20, 2, "h", "i", 10)),
+			spill: []uint64{10, 12}, kept: []uint64{20},
 		},
 		{
 			// Overflow 500+500+500+300-1000 = 800; each file covers 500 x
@@ -889,6 +896,122 @@ func TestPickerSpill(t *testing.T) {
 	}
 }
 
+// TestPickerDeepMerge: a baseline L0 merge (the oldest L0 file, the batch)
+// writes the deepest level above the bottom whose bytes under the merge's
+// key range, with those of every level above it, the batch at least
+// matches, and consumes them all: the L1 files under the batch, then the
+// L2 files under the union of their ranges. It spills that level's
+// overflow into the next, the bottom one too, in min-overlap order.
+func TestPickerDeepMerge(t *testing.T) {
+	p := NewPicker(PickerOptions{BaseLevelBytes: 1000})
+	batch := func(lo, hi string, size int64) []*manifest.FileMeta {
+		return []*manifest.FileMeta{fm(1, 0, lo, hi, size), fm(2, 0, "a", "z", 1), fm(3, 0, "a", "z", 1), fm(4, 0, "a", "z", 1)}
+	}
+	// L1 and L2 under a-m: 10 and 11 (11 reaches p), then 20-22 under a-p,
+	// 1100 bytes in all. L3, the bottom at 800 bytes, sizes L2 at 1250
+	// (the least fan-out): a merge bringing 1700 bytes into L2's 800 spills
+	// 1250, and each consumed L2 file covers 4.4 times its size.
+	tree := []*manifest.FileMeta{
+		fm(10, 1, "a", "f", 300), fm(11, 1, "g", "p", 300), fm(12, 1, "q", "z", 300),
+		fm(20, 2, "a", "c", 200), fm(21, 2, "d", "o", 200), fm(22, 2, "p", "r", 100), fm(23, 2, "s", "z", 300),
+		fm(30, 3, "a", "b", 400), fm(31, 3, "f", "g", 100), fm(33, 3, "x", "y", 300),
+	}
+	cases := []struct {
+		name                    string
+		files                   []*manifest.FileMeta
+		out                     int
+		overlaps                []uint64
+		spill, spillUnder, kept []uint64
+	}{
+		{
+			// Today's merge: into L1, which it overfills, so it spills
+			// both L1 files, 11 (ratio 1.0) first, into L2.
+			name:  "a batch below L1+L2 under its range goes to L1",
+			files: append(batch("a", "m", 1099), tree...),
+			out:   1, overlaps: []uint64{10, 11},
+			spill: []uint64{10, 11}, spillUnder: []uint64{20, 21, 22},
+		},
+		{
+			// 22 (ratio 0) and 21 (0.5) cover 1320 of the 1250; 20 (2.0),
+			// dearest, stays in L2.
+			name:  "a batch at L1+L2 under its range goes to L2 and spills into the bottom",
+			files: append(batch("a", "m", 1100), tree...),
+			out:   2, overlaps: []uint64{10, 11, 20, 21, 22},
+			spill: []uint64{21, 22}, spillUnder: []uint64{31},
+		},
+		{
+			name: "a skewed batch weighs only the bytes under its range",
+			files: append(batch("a", "b", 300),
+				fm(10, 1, "a", "c", 100), fm(11, 1, "d", "z", 5000),
+				fm(20, 2, "a", "c", 200), fm(21, 2, "d", "z", 9000),
+				fm(30, 3, "a", "z", 100_000)),
+			out: 2, overlaps: []uint64{10, 20},
+		},
+		{
+			name: "on four levels a batch outweighing L1+L2+L3 goes to L3",
+			files: append(batch("a", "z", 1000),
+				fm(10, 1, "a", "m", 100), fm(20, 2, "a", "z", 200), fm(30, 3, "a", "z", 700),
+				fm(40, 4, "a", "z", 100_000)),
+			out: 3, overlaps: []uint64{10, 20, 30},
+		},
+		{
+			// L2 is the bottom: the merge writes L1 and spills into L2.
+			name: "never into the bottom level",
+			files: append(batch("a", "z", 1000),
+				fm(10, 1, "a", "m", 100), fm(20, 2, "a", "z", 200)),
+			out: 1, overlaps: []uint64{10},
+			spill: []uint64{10}, spillUnder: []uint64{20},
+		},
+	}
+	ids := func(files []*manifest.FileMeta) string {
+		out := []uint64{}
+		for _, f := range files {
+			out = append(out, f.ID)
+		}
+		return fmt.Sprint(out)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := version(tc.files...)
+			job := p.Pick(v, nil, false)
+			if job == nil || job.Level != 0 || len(job.Inputs) != 1 || job.Inputs[0].ID != 1 {
+				t.Fatalf("job = %+v, want a merge of the oldest L0 file", job)
+			}
+			if job.OutputLevel != tc.out || ids(job.Overlaps) != ids(fms(tc.overlaps)) {
+				t.Fatalf("L0->L%d over %s, want L0->L%d over %s (%s)", job.OutputLevel, ids(job.Overlaps), tc.out, ids(fms(tc.overlaps)), job.Why())
+			}
+			if ids(job.Spill) != ids(fms(tc.spill)) || ids(job.SpillOverlaps) != ids(fms(tc.spillUnder)) || ids(job.SpillKept) != ids(fms(tc.kept)) {
+				t.Fatalf("spilled %s over %s keeping %s, want %v over %v keeping %v",
+					ids(job.Spill), ids(job.SpillOverlaps), ids(job.SpillKept), tc.spill, tc.spillUnder, tc.kept)
+			}
+			// No file left on the output level overlaps the merge's range.
+			taken := map[uint64]bool{}
+			for _, f := range job.Overlaps {
+				taken[f.ID] = true
+			}
+			lo, hi := KeyRangeOf(append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...))
+			for _, f := range v.Overlap(job.OutputLevel, lo, hi) {
+				if !taken[f.ID] {
+					t.Fatalf("L%d file %d is under the merge's range but not consumed", job.OutputLevel, f.ID)
+				}
+			}
+			deep := strings.HasPrefix(job.Note, "deep: ")
+			if deep != (tc.out > 1) {
+				t.Fatalf("note %q; a merge into L%d says why it went deep iff it did", job.Note, tc.out)
+			}
+		})
+	}
+}
+
+// fms returns files with the given IDs, for comparing ID lists.
+func fms(ids []uint64) []*manifest.FileMeta {
+	out := make([]*manifest.FileMeta, len(ids))
+	for i, id := range ids {
+		out[i] = &manifest.FileMeta{ID: id}
+	}
+	return out
+}
+
 // TestTargets pins the sizing rule on hand-made trees (base 1000,
 // LevelMultiplier 10; sizes are whole-level byte totals).
 func TestTargets(t *testing.T) {
@@ -974,13 +1097,13 @@ func TestTargetsProperties(t *testing.T) {
 	}
 }
 
-// sweepLevels builds an n-file level over an m-file level covering the
-// same key space, both sorted and disjoint, over a bottom level at its
-// target (BaseLevelBytes × LevelMultiplier² of deepPicker), so that L1,
-// the furthest over its target, is the level to push.
-func sweepLevels(n, m int) *manifest.Version {
+// sweepLevels builds an n-file L1 over an m-file L2 over a k-file bottom
+// L3, each covering the same key space with sorted, disjoint files. Under
+// deepPicker L1 is the furthest over its target, so it is the level to
+// push.
+func sweepLevels(n, m, k int) *manifest.Version {
 	const span = 1 << 20
-	files := []*manifest.FileMeta{fm(1, 3, "0", "9", 10_000)}
+	var files []*manifest.FileMeta
 	add := func(level, count int, idBase uint64) {
 		for i := 0; i < count; i++ {
 			lo, hi := i*span/count, (i+1)*span/count-1
@@ -990,37 +1113,48 @@ func sweepLevels(n, m int) *manifest.Version {
 	}
 	add(1, n, 1000)
 	add(2, m, 100000)
+	add(3, k, 1000000)
 	return version(files...)
 }
 
-// BenchmarkPickMinOverlap: one pick sweeps both levels once, so the cost
-// per file must not grow with the level sizes (an O(n*m) pick would make
-// the 2000x4000 case ten times dearer per file than the 200x400 one). Each
-// iteration makes both min-overlap choices: the push out of L1, and the L1
-// ranges a baseline L0 merge over the whole key space, eight L1 files
-// large, spills into L2 when L1 is at its target.
+// BenchmarkPickMinOverlap: one pick sweeps each level it reads once, so
+// the cost per file must not grow with the level sizes (an O(n*m) pick
+// would make the 2000x4000x16000 case ten times dearer per file than the
+// 200x400x1600 one). Each iteration makes every min-overlap choice: the
+// push out of L1; the L1 ranges a baseline L0 merge over the whole key
+// space, eight L1 files large, spills into L2 when L1 is at its target;
+// and a deep merge's pick, whose batch outweighs L1 and L2: its L1 and L2
+// overlaps and the L2 ranges it spills into the bottom level.
 func BenchmarkPickMinOverlap(b *testing.B) {
-	for _, size := range []struct{ n, m int }{{200, 400}, {2000, 4000}} {
-		b.Run(fmt.Sprintf("%dx%d", size.n, size.m), func(b *testing.B) {
-			v := sweepLevels(size.n, size.m)
+	for _, size := range []struct{ n, m, k int }{{200, 400, 1600}, {2000, 4000, 16000}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", size.n, size.m, size.k), func(b *testing.B) {
+			v := sweepLevels(size.n, size.m, size.k)
 			push := deepPicker()
-			withL0, err := v.Apply(manifest.Edit{Added: []manifest.FileMeta{
-				*fm(11, 0, "0", "9", 8000), *fm(12, 0, "0", "9", 1), *fm(13, 0, "0", "9", 1), *fm(14, 0, "0", "9", 1),
-			}})
-			if err != nil {
-				b.Fatal(err)
+			withL0 := func(batch int64) *manifest.Version {
+				nv, err := v.Apply(manifest.Edit{Added: []manifest.FileMeta{
+					*fm(11, 0, "0", "9", batch), *fm(12, 0, "0", "9", 1), *fm(13, 0, "0", "9", 1), *fm(14, 0, "0", "9", 1),
+				}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return nv
 			}
-			spill := NewPicker(PickerOptions{BaseLevelBytes: v.LevelSize(1)})
+			spilling, deep := withL0(8000), withL0(v.LevelSize(1)+v.LevelSize(2))
+			l0 := NewPicker(PickerOptions{BaseLevelBytes: v.LevelSize(1)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if job := push.Pick(v, nil, false); job == nil || job.Level != 1 {
 					b.Fatalf("job = %+v", job)
 				}
-				if job := spill.Pick(withL0, nil, false); job == nil || job.Level != 0 || len(job.Spill) == 0 {
+				if job := l0.Pick(spilling, nil, false); job == nil || job.Level != 0 || job.OutputLevel != 1 || len(job.Spill) == 0 {
 					b.Fatalf("job = %+v, want an L0 merge that spills", job)
 				}
+				if job := l0.Pick(deep, nil, false); job == nil || job.OutputLevel != 2 || len(job.Spill) == 0 {
+					b.Fatalf("job = %+v, want a deep L0 merge that spills into the bottom level", job)
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*(size.n+size.m)), "ns/file")
+			files := 3*(size.n+size.m) + size.k
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(files), "ns/file")
 		})
 	}
 }

@@ -51,20 +51,23 @@ type PickerOptions struct {
 }
 
 // Job describes one compaction: merge Inputs (level Level) with Overlaps
-// (level Level+1) into new tables at level OutputLevel.
+// into new tables at level OutputLevel. Overlaps are the files of levels
+// Level+1 to OutputLevel under the merge's key range, level by level and in
+// key order within a level; only an L0 merge that goes deep (see Pick)
+// spans more than one level.
 type Job struct {
 	Level       int
 	OutputLevel int
 	Inputs      []*manifest.FileMeta
 	Overlaps    []*manifest.FileMeta
-	// Spill is the part of Overlaps, in key order, whose key ranges the
-	// merge writes one level deeper, to OutputLevel+1, and SpillOverlaps
-	// are the files of OutputLevel+1 those ranges overlap, in key order;
-	// the merge consumes them too. SpillKept are the files of OutputLevel+1
-	// between the spilled ranges that the merge leaves in place, in key
-	// order: an output there ends before one, so that it never spans it.
-	// All three are empty unless the merge would leave OutputLevel over its
-	// target (see Picker.Pick).
+	// Spill is the part of Overlaps on OutputLevel, in key order, whose
+	// key ranges the merge writes one level deeper, to OutputLevel+1, and
+	// SpillOverlaps are the files of OutputLevel+1 those ranges overlap, in
+	// key order; the merge consumes them too. SpillKept are the files of
+	// OutputLevel+1 between the spilled ranges that the merge leaves in
+	// place, in key order: an output there ends before one, so that it
+	// never spans it. All three are empty unless the merge would leave
+	// OutputLevel over its target (see Picker.Pick).
 	Spill, SpillOverlaps, SpillKept []*manifest.FileMeta
 	// Deferred reports (for observability) that TRIAD-DISK deferred the L0
 	// compaction this round. The job is empty unless Pick was forced, in
@@ -251,9 +254,16 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 // is in shape. sketchOf must return the HLL sketch of an L0 file (used
 // only when TRIAD-DISK is on). force drains L0: it overrides a TRIAD-DISK
 // deferral (the job is then the merge that was deferred, still marked
-// Deferred) and merges L0 below its trigger. An L0 merge that would
-// overfill L1 sends part of it straight to L2 (see spill) instead of
-// writing it into L1 only for the next push to carry it there.
+// Deferred) and merges L0 below its trigger.
+//
+// An L0 merge goes deep: it writes the deepest level above the bottom one
+// whose bytes under its key range, together with those of every level
+// above it, the batch (L0's logicalBytes) at least matches, and consumes
+// those bytes on every level it passes (see deepen); otherwise it writes
+// L1. A merge that would overfill its output level sends part of it one
+// level deeper (see spill), into the bottom level too, instead of writing
+// it there only for the next push to carry it on. Nothing is written into
+// a level just to be pushed out of it.
 //
 // Where L0 can fold — TRIAD-DISK and TRIAD-LOG, every L0 table a
 // CL-SSTable — L0 that TRIAD-DISK would merge is folded instead (Job.Fold:
@@ -262,7 +272,9 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 // paid for the merge: the index bytes they wrote since L0 was last merged
 // have reached its price, every byte of existing tables it rewrites (the
 // L1 overlap and the L2 files under its spill) — the rent-or-buy rule,
-// which spends on folds at most what it saves by merging less often. Or L0 pins so much
+// which spends on folds at most what it saves by merging less often. The
+// price is that of the merge into L1, whether or not the merge goes deep.
+// Or L0 pins so much
 // commit log that one more full log could take it past its ceiling
 // (L0LogCeiling), which also makes L0 act below its trigger.
 //
@@ -273,7 +285,7 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
-	if job := p.pickL0(v, sketchOf, force, targets[1], scores[0]); job != nil {
+	if job := p.pickL0(v, sketchOf, force, targets, scores[0]); job != nil {
 		return job
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
@@ -299,8 +311,8 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 }
 
 // pickL0 returns L0's job — a merge, a fold or a deferral — or nil if L0
-// owes none. target is L1's.
-func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool, target int64, score float64) *Job {
+// owes none.
+func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool, targets [manifest.NumLevels]int64, score float64) *Job {
 	l0 := v.Levels[0]
 	canFold, rent, logs := p.l0Folds(l0)
 	pressure := l0Pressure(l0, canFold)
@@ -319,9 +331,9 @@ func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *
 	if p.opts.TriadDisk {
 		inputs = l0
 	}
-	// The spill is worked out once: it prices the merge, and the merge is
-	// the job.
-	job := p.l0Merge(v, inputs, target)
+	// The merge into L1 is worked out once: it prices L0, and it is the
+	// job unless the job goes deep.
+	job := p.l0Merge(v, inputs, targets[1])
 	job.Score = score
 	job.Note = fmt.Sprintf("depth %d of %d files", L0Depth(l0), len(l0))
 	atCeiling := false
@@ -345,24 +357,25 @@ func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *
 			return &Job{Level: 0, Deferred: true}
 		}
 	}
-	if !canFold {
-		return job
+	if canFold {
+		job.Note += fmt.Sprintf(", rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
+			float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(ceiling)/(1<<20))
+		switch {
+		case force:
+			job.Rule = RuleDrain
+		case atCeiling:
+			job.Rule = RuleLogCeiling
+		case rent >= price:
+			job.Rule = RuleRentPaid
+		default:
+			n, why := foldRun(l0)
+			job.Rule, job.Fold, job.OutputLevel = RuleFold, true, 0
+			job.Inputs, job.Note = l0[:n:n], fmt.Sprintf("fold %d->1 of %d, left %d%s, %s", n, len(l0), len(l0)-n, why, job.Note)
+			job.Overlaps, job.Spill, job.SpillOverlaps, job.SpillKept = nil, nil, nil, nil
+			return job
+		}
 	}
-	job.Note += fmt.Sprintf(", rent %.2f/%.2f MB, logs %.2f/%.2f MiB",
-		float64(rent)/1e6, float64(price)/1e6, float64(logs)/(1<<20), float64(ceiling)/(1<<20))
-	switch {
-	case force:
-		job.Rule = RuleDrain
-	case atCeiling:
-		job.Rule = RuleLogCeiling
-	case rent >= price:
-		job.Rule = RuleRentPaid
-	default:
-		n, why := foldRun(l0)
-		job.Rule, job.Fold, job.OutputLevel = RuleFold, true, 0
-		job.Inputs, job.Note = l0[:n:n], fmt.Sprintf("fold %d->1 of %d, left %d%s, %s", n, len(l0), len(l0)-n, why, job.Note)
-		job.Overlaps, job.Spill, job.SpillOverlaps, job.SpillKept = nil, nil, nil, nil
-	}
+	p.deepen(v, job, targets)
 	return job
 }
 
@@ -406,17 +419,50 @@ func (p *Picker) l0Merge(v *manifest.Version, inputs []*manifest.FileMeta, targe
 	return job
 }
 
-// rewrites is the bytes of existing tables the job rewrites: its overlaps
-// and, with a spill, the files under the spilled ranges.
-func (j *Job) rewrites() int64 {
-	var n int64
-	for _, f := range j.Overlaps {
-		n += f.Size
+// deepen sends job, the merge of L0 into L1, as deep as its batch allows:
+// to the deepest level d above the bottom level for which the batch, the
+// logical bytes of its inputs, is at least the bytes of L1 to d under the
+// merge's key range. Each level it passes adds the files under the key
+// range of the inputs and of the files taken above it, so that no file
+// left on the output level overlaps the merge. A merge that goes deeper
+// spills its new output level's overflow afresh. The key range widens only
+// with what the merge consumes, so a batch weighs only the bytes under its
+// own range (Dostoevsky's lazy leveling merges a run that holds its own
+// against the levels under it straight past them).
+func (p *Picker) deepen(v *manifest.Version, job *Job, targets [manifest.NumLevels]int64) {
+	batch := logicalBytes(v, job.Inputs)
+	under := sizeOf(job.Overlaps)
+	overlaps, out, levels := job.Overlaps, 1, "L1"
+	for l := 2; l < bottomLevel(v); l++ {
+		lo, hi := KeyRangeOf(append(append([]*manifest.FileMeta(nil), job.Inputs...), overlaps...))
+		next := v.Overlap(l, lo, hi)
+		if batch < under+sizeOf(next) {
+			break
+		}
+		overlaps = append(overlaps[:len(overlaps):len(overlaps)], next...)
+		out, under, levels = l, under+sizeOf(next), levels+fmt.Sprintf("+L%d", l)
 	}
-	for _, f := range j.SpillOverlaps {
+	if out == 1 {
+		return
+	}
+	job.OutputLevel, job.Overlaps = out, overlaps
+	job.Spill, job.SpillOverlaps, job.SpillKept = nil, nil, nil
+	job.Note = fmt.Sprintf("deep: batch %.3g MB ≥ %s under range %.3g MB, %s", float64(batch)/1e6, levels, float64(under)/1e6, job.Note)
+	p.spill(v, job, targets[out])
+}
+
+func sizeOf(files []*manifest.FileMeta) int64 {
+	var n int64
+	for _, f := range files {
 		n += f.Size
 	}
 	return n
+}
+
+// rewrites is the bytes of existing tables the job rewrites: its overlaps
+// and, with a spill, the files under the spilled ranges.
+func (j *Job) rewrites() int64 {
+	return sizeOf(j.Overlaps) + sizeOf(j.SpillOverlaps)
 }
 
 // L0LogPerPriceByte is the commit log L0 may pin per byte of its merge's
@@ -424,12 +470,16 @@ func (j *Job) rewrites() int64 {
 // newest run pay the rent slowly, so the ceiling, not the rent, ends the
 // cycle of an overlapping L0 like ingest_uniform's (TestL0LogPerPriceByte):
 // the multiple is the log L0 takes in per byte its merge rewrites, and it
-// trades merge bytes against the log, read depth and memory L0 holds. On
-// ingest_uniform (two cores, seeds 1 and 2) multiples of 2, 3, 4 and 6
-// gave write_amp 4.25, 3.82, 3.56 and 3.53 and read_amp 1.15, 1.21, 1.23
-// and 1.24: 3 keeps L0 a quarter below 4's log for 0.26 more write_amp,
-// and past 4 a higher ceiling buys nothing. A key-disjoint L0 rewrites
-// nothing and keeps the floor.
+// trades merge bytes against the log, read depth and memory L0 holds. A
+// larger L0 also goes deep more often (see Pick): on ingest_uniform L0
+// reaches about 24 MiB of log per shard by each round's drain, against a
+// 9.6 MB price, and outweighs the L1 and L2 bytes under it. There (two
+// cores, seeds 1 and 2) multiples of 2, 3, 4 and 6 gave write_amp
+// 4.02–4.22, 2.84–3.15, 2.82 and 2.82, read_amp 1.14–1.15, 1.22–1.25,
+// 1.25 and 1.25, and proc.rss_peak_mb 354–380, 514–537, 537–551 and
+// 544–560: at 2 L0 is too small to go deep, 3 keeps most of the saving
+// with the least log, and past 4 a higher ceiling buys nothing. A
+// key-disjoint L0 rewrites nothing and keeps the floor.
 const L0LogPerPriceByte = 3
 
 // l0LogCeiling is the most commit log an L0 whose merge rewrites price
@@ -502,19 +552,28 @@ func (c *nextCursor) overlap(f *manifest.FileMeta) (lo, hi int, overlapped int64
 }
 
 // spill fills in job.Spill, SpillOverlaps and SpillKept for a merge into
-// level n = job.OutputLevel. When the merge would leave n over target, and n+1 is
-// an intermediate level (a spill never writes into the bottom level), the
+// level n = job.OutputLevel. When the merge would leave n over target, the
 // n-files the merge consumes are taken in min-overlap order — fewest n+1
 // bytes per byte of their own, the smallest key on ties — until their
-// bytes plus the batch's share of them cover the overflow. The batch is
-// the inputs' logical bytes, shared among the consumed files in proportion
-// to their sizes; a merge cannot spill more than it consumes.
+// bytes plus the batch's share of them cover the overflow; n+1 may be the
+// bottom level. The batch is what the merge brings into n: the inputs'
+// logical bytes and the files it consumes above n, shared among the
+// consumed n-files in proportion to their sizes; a merge cannot spill more
+// than it consumes.
 func (p *Picker) spill(v *manifest.Version, job *Job, target int64) {
-	n, consumed := job.OutputLevel, job.Overlaps
-	if n+1 >= bottomLevel(v) || len(consumed) == 0 {
+	n := job.OutputLevel
+	batch := logicalBytes(v, job.Inputs)
+	var consumed []*manifest.FileMeta
+	for _, f := range job.Overlaps {
+		if f.Level == n {
+			consumed = append(consumed, f)
+		} else {
+			batch += f.Size
+		}
+	}
+	if len(consumed) == 0 {
 		return
 	}
-	batch := logicalBytes(v, job.Inputs)
 	overflow := v.LevelSize(n) + batch - target
 	if overflow <= 0 {
 		return

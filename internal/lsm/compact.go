@@ -63,8 +63,9 @@ func (db *DB) CompactAll() error {
 	}
 }
 
-// runCompaction merges job.Inputs (level L) with job.Overlaps (level L+1)
-// into fresh tables at L+1, discarding stale versions — and, with
+// runCompaction merges job.Inputs (level L) with job.Overlaps (levels L+1
+// to job.OutputLevel) into fresh tables at the output level, discarding
+// stale versions — and, with
 // TRIAD-MEM, versions of keys currently held hot in the memtable (§4.3:
 // "during compaction, the hot keys are skipped, similarly to the duplicate
 // updates"; safe because the memtable version is strictly newer and is
@@ -72,10 +73,11 @@ func (db *DB) CompactAll() error {
 // nothing to merge with and is relinked instead (moveFile); one it marked
 // Fold folds L0 instead (fold).
 //
-// A job with a spill also consumes job.SpillOverlaps (level L+2) and writes
-// every surviving entry to the deeper of the level it came from and its
-// route: L+2 inside the key range of a job.Spill file, L+1 elsewhere. The
-// outputs of both levels install as one manifest edit.
+// A job with a spill also consumes job.SpillOverlaps (the level below the
+// output level) and writes every surviving entry to the deeper of the
+// level it came from and its route: one level below the output level
+// inside the key range of a job.Spill file, the output level elsewhere.
+// The outputs of both levels install as one manifest edit.
 //
 // The merge runs on the calling worker, as one pass over its inputs; the
 // pool's parallelism comes from shards and from flushes running beside it.
@@ -149,6 +151,9 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	db.met.BytesCompacted.Add(m.written)
 	db.met.BytesSpilled.Add(m.spilled)
 	db.compactedFrom[job.Level].Add(m.written)
+	if job.Level == 0 {
+		db.l0MergesInto[outLevel].Add(1)
+	}
 	db.met.EntriesCompacted.Add(m.merged)
 	db.met.EntriesDiscarded.Add(m.discarded)
 

@@ -49,9 +49,10 @@ func unlistedTables(t *testing.T, db *DB, fs vfs.FS) []string {
 // then runs one CompactAll and crashes it after every change it makes to
 // the filesystem. Each image must pass crashImage.check with the oracle
 // load returns acknowledged and nothing in flight: it reopens consistent,
-// scanning equal to the oracle. It returns the journal entries of the
-// CompactAll, oldest first, and how many images it checked.
-func compactAllCrashPoints(t *testing.T, options func(*vfs.MemFS) Options, load func(db *DB) map[string]string) ([]obs.Event, int) {
+// scanning equal to the oracle. done, if set, then looks at the store
+// before it closes. It returns the journal entries of the CompactAll,
+// oldest first, and how many images it checked.
+func compactAllCrashPoints(t *testing.T, options func(*vfs.MemFS) Options, load func(db *DB) map[string]string, done func(db *DB, fs *vfs.MemFS)) ([]obs.Event, int) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	o := options(fs)
@@ -85,6 +86,9 @@ func compactAllCrashPoints(t *testing.T, options func(*vfs.MemFS) Options, load 
 	for i, j := 0, len(events)-1; i < j; i, j = i+1, j-1 {
 		events[i], events[j] = events[j], events[i]
 	}
+	if done != nil {
+		done(db, fs)
+	}
 	return events, images
 }
 
@@ -97,6 +101,10 @@ func compactAllCrashPoints(t *testing.T, options func(*vfs.MemFS) Options, load 
 // second drains a leveled tree through every kind of install below L0 —
 // an L0 merge that spills into L2 (two levels in one edit), a min-overlap
 // push that merges, and a trivial move — and the journal must show each.
+// The third drains an L0 that outweighs the L1 and L2 under it: the
+// picker's merge goes deep, into L2, and spills into the bottom level L3
+// (three levels in one edit), under a snapshot and past a key TRIAD-MEM
+// keeps hot in the memtable (deepCrashPoints).
 func TestCompactionCrashPoints(t *testing.T) {
 	t.Run("triad", func(t *testing.T) {
 		events, images := compactAllCrashPoints(t, triadSmall, func(db *DB) map[string]string {
@@ -115,7 +123,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 				}
 			}
 			return oracle
-		})
+		}, nil)
 		merges := 0
 		for _, e := range events {
 			if e.Kind == obs.EventCompaction && strings.HasPrefix(e.Detail, "L0->L1") {
@@ -185,7 +193,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 				t.Fatalf("no L3 before the imaged CompactAll: %v", files)
 			}
 			return oracle
-		})
+		}, nil)
 		seen := map[string]bool{}
 		for _, e := range events {
 			switch {
@@ -206,6 +214,154 @@ func TestCompactionCrashPoints(t *testing.T) {
 			t.Fatalf("the imaged CompactAll ran %v; it must spill, merge by min-overlap and move", seen)
 		}
 	})
+	t.Run("deep", deepCrashPoints)
+}
+
+// deepCrashPoints is TestCompactionCrashPoints/deep: the deep merge's
+// images, and what it leaves. A key that L1, L2 and L3 each hold a version
+// of, under ranges the merge consumes on all three levels, is made hot
+// before the last flush: TRIAD-MEM keeps it in the memtable, and the merge
+// skips all three versions. Every image reopens with the hot key at its
+// latest value (crashImage.check). A snapshot taken before the hot writes
+// pins the merge's inputs: they become zombies, its reads still find the
+// key's old value in them, and they are deleted when it closes.
+func deepCrashPoints(t *testing.T) {
+	options := func(fs *vfs.MemFS) Options {
+		o := ladderOptions(fs)
+		o.BlockBytes = 4 << 10      // fewer writes per table, fewer images
+		o.BaseLevelBytes = 16 << 10 // L3 opens within sixteen drains
+		o.TriadMem = true
+		o.TriadDisk = true // L0 merges all its tables at once: one batch
+		// Only the test's Flush calls seal a memtable, so that no flush
+		// runs beside the writes and the tree is the same on every run.
+		o.MemtableBytes, o.CommitLogBytes = 1<<20, 4<<20
+		return o
+	}
+	var (
+		snap             *Snapshot
+		hot, old         string
+		inputs, consumed []*manifest.FileMeta
+	)
+	events, images := compactAllCrashPoints(t, options, func(db *DB) map[string]string {
+		oracle := map[string]string{}
+		rng := rand.New(rand.NewSource(14))
+		val := make([]byte, 60)
+		put := func(k string) {
+			for j := range val {
+				val[j] = 'a' + byte(rng.Intn(26))
+			}
+			oracle[k] = string(val)
+			if err := db.Put([]byte(k), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Random overwrites of 3000 keys, compacted after every flush,
+		// build a tree down to L3 with L2 intermediate; smaller flushes,
+		// which L2 outweighs, then fill L1, and three more full flushes
+		// are left in L0, outweighing L1 and L2.
+		const build, fill = 16, 3
+		for step := 0; step < build+fill+3; step++ {
+			n := 300
+			if step >= build && step < build+fill {
+				n = 40
+			}
+			for i := 0; i < n; i++ {
+				put(fmt.Sprintf("k%05d", rng.Intn(3000)))
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if step < build+fill {
+				if err := db.CompactAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		db.versionMu.RLock()
+		job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch { return db.tables[f.ID].Sketch() }, true)
+		db.versionMu.RUnlock()
+		if job == nil || job.Level != 0 || job.OutputLevel != 2 || len(job.Spill) == 0 || len(db.version.Levels[4]) > 0 {
+			t.Fatalf("the drain's first merge is %+v over levels %v, want L0 gone deep into L2 and spilling into the bottom level L3", job, db.NumLevelFiles())
+		}
+		inputs = append(append(append([]*manifest.FileMeta(nil), job.Inputs...), job.Overlaps...), job.SpillOverlaps...)
+		// The hot key: one in a spilled range with a version on L1, L2
+		// and L3.
+		for _, s := range job.Spill {
+			for _, k := range tableKeys(t, db, s) {
+				_, inL1 := entryAt(t, db, 1, []byte(k))
+				_, inL3 := entryAt(t, db, 3, []byte(k))
+				if inL1 && inL3 {
+					hot = k
+					break
+				}
+			}
+			if hot != "" {
+				break
+			}
+		}
+		if hot == "" {
+			t.Fatal("no key of a spilled range has a version on L1, L2 and L3")
+		}
+		old = oracle[hot]
+		s, err := db.NewSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() }) // closed in done, unless the run fails first
+		snap = s
+		// Hot: updated far more often than the memtable's mean. The
+		// other keys are cold, and the last flush writes them to L0.
+		for i := 0; i < 40; i++ {
+			put(hot)
+			put(fmt.Sprintf("k%05d", rng.Intn(3000)))
+		}
+		return oracle
+	}, func(db *DB, fs *vfs.MemFS) {
+		if _, inMem := db.view.Load().mem.Get([]byte(hot)); !inMem {
+			t.Fatalf("%s is not in the memtable: TRIAD-MEM did not keep it hot", hot)
+		}
+		for l := 1; l < manifest.NumLevels; l++ {
+			if e, ok := entryAt(t, db, l, []byte(hot)); ok {
+				t.Fatalf("L%d still holds %s (%+v): the merge did not skip the hot key", l, hot, e)
+			}
+		}
+		if v, err := snap.Get([]byte(hot)); err != nil || string(v) != old {
+			t.Fatalf("snapshot Get(%s) = %q, %v; want its old value %q from the zombies", hot, v, err, old)
+		}
+		db.versionMu.RLock()
+		for _, f := range inputs {
+			if f.Level > 0 && db.zombies[f.ID] != nil {
+				consumed = append(consumed, f)
+			}
+		}
+		db.versionMu.RUnlock()
+		if err := snap.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(db.zombies) != 0 {
+			t.Fatalf("%d zombies after the snapshot closed", len(db.zombies))
+		}
+		for _, f := range consumed {
+			if fs.Exists(sstable.FileName(f.ID)) {
+				t.Fatalf("consumed L%d file %d still on disk", f.Level, f.ID)
+			}
+		}
+	})
+	levels := map[int]bool{}
+	for _, f := range consumed {
+		levels[f.Level] = true
+	}
+	deep := false
+	for _, e := range events {
+		deep = deep || strings.HasPrefix(e.Detail, "L0->L2") && strings.Contains(e.Detail, ", deep: batch ") && strings.Contains(e.Detail, " L2 ranges spilled to L3 (")
+	}
+	t.Logf("%d images, %d compaction events, hot key %s, %d zombies on levels %v", images, len(events), hot, len(consumed), levels)
+	if !deep || len(levels) != 3 {
+		for _, e := range events {
+			t.Log(e.Detail)
+		}
+		t.Fatalf("the journal shows no deep merge spilling into L3 (%v), or the snapshot pinned inputs on levels %v, not L1, L2 and L3", deep, levels)
+	}
 }
 
 // TestRunFoldCrashPoints crashes a TRIAD run through the folds the picker

@@ -185,8 +185,8 @@ func settle(t *testing.T, db *DB, st *cutStats) {
 // and every output file ends at a grandparent boundary, at the cap or
 // before a file its level keeps; at the end the store, and every snapshot,
 // scan equal to a map oracle. The journal shows a merge by every rule — an
-// L0 merge, an L0 merge spilling into L2 and a min-overlap push — and a
-// trivial move.
+// L0 merge, an L0 merge spilling into L2, an L0 merge gone deep and a
+// min-overlap push — and a trivial move.
 func TestCompactionShapeRandomized(t *testing.T) {
 	o := deepOptions(vfs.NewMemFS())
 	o.Events = obs.NewJournal(4096)
@@ -210,13 +210,19 @@ func TestCompactionShapeRandomized(t *testing.T) {
 	// Over 6000 keys the tree grows to L3, and every L0 merge spills into
 	// the intermediate L2. Widening the key space then opens L4: L3 turns
 	// intermediate, and L2's pushes into it are chosen by min-overlap.
+	// Every seventh step writes a window of 300 keys, whose L0 table
+	// outweighs the L1 and L2 bytes under it and goes deep.
 	for step := 0; step < 70; step++ {
 		keySpace := 6000
 		if step >= 40 {
 			keySpace = 30000
 		}
+		lo, span := 0, keySpace
+		if step%7 == 6 {
+			lo, span = rng.Intn(keySpace-300), 300
+		}
 		for i := 0; i < 300; i++ {
-			k := fmt.Sprintf("k%05d", rng.Intn(keySpace))
+			k := fmt.Sprintf("k%05d", lo+rng.Intn(span))
 			if rng.Intn(5) == 0 {
 				delete(oracle, k)
 				if err := db.Delete([]byte(k)); err != nil {
@@ -288,14 +294,14 @@ func TestCompactionShapeRandomized(t *testing.T) {
 			why["trivial move"] = true
 			continue // each rule below must have run a merge, not a relink
 		}
-		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", " L1 ranges spilled to L2 ("} {
+		for _, rule := range []string{", overlap ratio", ", min-overlap ratio", " L1 ranges spilled to L2 (", ", deep: batch "} {
 			if strings.Contains(e.Detail, rule) {
 				why[rule] = true
 			}
 		}
 	}
-	if len(why) != 4 {
-		t.Fatalf("journal does not show all four rules (L0 overlap, min-overlap and spill merges, a move): %v", why)
+	if len(why) != 5 {
+		t.Fatalf("journal does not show all five rules (L0 overlap, min-overlap, spill and deep merges, a move): %v", why)
 	}
 	if db.Metrics().BytesSpilled == 0 {
 		t.Fatal("no L0 merge spilled; the check of the spill's cuts is vacuous")

@@ -154,9 +154,11 @@ type DB struct {
 	view atomic.Pointer[memView]
 
 	// compactedFrom[l] totals the bytes written by compactions whose
-	// input level was l (LevelStat.CompactedBytes), and gets[l] what
-	// lookups cost on level l.
+	// input level was l (LevelStat.CompactedBytes), l0MergesInto[l] the
+	// L0 merges whose output level was l (LevelStat.L0Merges), and gets[l]
+	// what lookups cost on level l.
 	compactedFrom [manifest.NumLevels]atomic.Int64
+	l0MergesInto  [manifest.NumLevels]atomic.Int64
 	gets          [manifest.NumLevels]levelGets
 
 	// Snapshot state. snaps and pinned are guarded by mu (the write path
@@ -720,6 +722,10 @@ type LevelStat struct {
 	// their input from this level since the DB opened; over all levels it
 	// sums to the BytesCompacted counter.
 	CompactedBytes int64
+	// L0Merges counts the L0 merges that wrote this level as their output
+	// level since the DB opened: L1, or a deeper level when the merge went
+	// deep (compaction.Picker.Pick). Folds are not merges.
+	L0Merges int64
 	// Probes counts the level's tables that lookups (Get, snapshot Get)
 	// consulted since the DB opened: the tables whose range holds the key,
 	// in L0 down to the one that held it. Each probe is a filter negative,
@@ -744,6 +750,7 @@ func (db *DB) LevelStats() []LevelStat {
 		out[l] = LevelStat{
 			Files: len(v.Levels[l]), Bytes: v.LevelSize(l), Target: targets[l], Score: scores[l],
 			CompactedBytes:       db.compactedFrom[l].Load(),
+			L0Merges:             db.l0MergesInto[l].Load(),
 			Probes:               db.gets[l].probes.Load(),
 			FilterNegatives:      db.gets[l].filterNegatives.Load(),
 			FilterFalsePositives: db.gets[l].falsePositives.Load(),

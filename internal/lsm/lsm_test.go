@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -373,5 +376,47 @@ func TestUseAfterClose(t *testing.T) {
 func TestOpenRequiresFS(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without FS succeeded")
+	}
+}
+
+// TestTracedGetNamesLevel: a traced lookup's sstable_read spans name the
+// level of the table they read, a CL-SSTable's log record in L0 and a
+// block in L1.
+func TestTracedGetNamesLevel(t *testing.T) {
+	o := triadSmall(vfs.NewMemFS())
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	defer db.Close()
+	for i := 0; i < 200; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(1, 4)
+	reads := func(key string) []string {
+		t.Helper()
+		tr := tracer.Start("GET", []byte(key), time.Now())
+		if _, err := db.GetTraced([]byte(key), tr); err != nil {
+			t.Fatal(err)
+		}
+		var details []string
+		for _, sp := range tr.Spans() {
+			if sp.Kind == obs.SpanSSTableRead {
+				details = append(details, sp.Detail)
+			}
+		}
+		return details
+	}
+	if got := reads("k0007"); len(got) == 0 || !strings.HasPrefix(got[len(got)-1], "L0 cl-table ") {
+		t.Fatalf("L0 lookup spans %q, want the log read tagged L0", got)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reads("k0150"); len(got) == 0 || !strings.HasPrefix(got[0], "L1 table ") {
+		t.Fatalf("L1 lookup spans %q, want a block read tagged L1", got)
 	}
 }

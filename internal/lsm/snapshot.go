@@ -347,11 +347,15 @@ type levelGets struct {
 	probes, filterNegatives, falsePositives, blockReads, logReads atomic.Int64
 }
 
+// levelTags name each level in the sstable_read spans of its probes,
+// built once so that an untraced probe builds no string.
+var levelTags = [manifest.NumLevels]string{"L0", "L1", "L2", "L3", "L4", "L5", "L6"}
+
 // probe looks key up in table f of level l, charging what it cost to the
-// level's counters and its disk reads to TableDiskReads. Caller holds
-// versionMu.
+// level's counters and its disk reads to TableDiskReads, and tagging the
+// spans of those reads with the level. Caller holds versionMu.
 func (db *DB) probe(l int, f *manifest.FileMeta, key []byte, tr *obs.Trace) (base.Entry, bool, error) {
-	e, found, p, err := db.tables[f.ID].Get(key, tr)
+	e, found, p, err := db.tables[f.ID].Get(key, tr.Tagged(levelTags[l]))
 	g := &db.gets[l]
 	g.probes.Add(1)
 	if p.FilterNegative {

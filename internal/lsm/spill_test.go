@@ -18,10 +18,12 @@ import (
 // three levels deep (L2 intermediate) and most of it, over the whole key
 // space, is in L3, then writes
 // overwrites and deletes — one key in two — until the merge the picker
-// chooses is an L0 merge of one of those writes' files that spills,
-// running the merges before it. It returns the store, its options, the
-// oracle and that merge, not yet run.
-func spillReady(t *testing.T, fs *vfs.MemFS) (*DB, Options, map[string]string, *compaction.Job) {
+// chooses is an L0 merge of one of those writes' files into level out that
+// spills, running the merges before it. It returns the store, its options,
+// the oracle and that merge, not yet run. For out 2, a merge gone deep,
+// the writes fall in a window of a tenth of the keys, so that an L0 table
+// outweighs the L1 and L2 bytes under it.
+func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]string, *compaction.Job) {
 	t.Helper()
 	const keys = 6000
 	o := deepOptions(fs)
@@ -29,8 +31,8 @@ func spillReady(t *testing.T, fs *vfs.MemFS) (*DB, Options, map[string]string, *
 	rng := rand.New(rand.NewSource(1))
 	oracle := map[string]string{}
 	val := make([]byte, 60)
-	write := func(del bool) {
-		k := fmt.Sprintf("k%05d", rng.Intn(keys))
+	write := func(lo, span int, del bool) {
+		k := fmt.Sprintf("k%05d", lo+rng.Intn(span))
 		if del {
 			delete(oracle, k)
 			if err := db.Delete([]byte(k)); err != nil {
@@ -57,7 +59,7 @@ func spillReady(t *testing.T, fs *vfs.MemFS) (*DB, Options, map[string]string, *
 			t.Fatalf("no third level holding most of the tree: %+v", levels)
 		}
 		for i := 0; i < 1000; i++ {
-			write(false)
+			write(0, keys, false)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -75,20 +77,24 @@ func spillReady(t *testing.T, fs *vfs.MemFS) (*DB, Options, map[string]string, *
 	db.mu.Unlock()
 	for round := 0; round < 100; round++ {
 		if job := pickNext(db); job != nil {
-			if len(job.Spill) > 0 && job.Inputs[0].ID >= loaded {
+			if job.Level == 0 && job.OutputLevel == out && len(job.Spill) > 0 && job.Inputs[0].ID >= loaded {
 				return db, o, oracle, job
 			}
 			runJob(t, db, job)
 			continue
 		}
+		lo, span := 0, keys
+		if out > 1 {
+			lo, span = rng.Intn(keys-keys/4), keys/4
+		}
 		for i := 0; i < 300; i++ {
-			write(rng.Intn(2) == 0)
+			write(lo, span, rng.Intn(2) == 0)
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Fatalf("no L0 merge spilled: %+v", db.LevelStats())
+	t.Fatalf("no L0 merge into L%d spilled: %+v", out, db.LevelStats())
 	return nil, o, nil, nil
 }
 
@@ -148,7 +154,7 @@ func tableKeys(t *testing.T, db *DB, f *manifest.FileMeta) []string {
 // spilled range to L2 and the ones on either side of it to L1, and drops
 // none of them, because L3 still holds an older value of each key.
 func TestSpillKeepsTombstones(t *testing.T) {
-	db, _, oracle, job := spillReady(t, vfs.NewMemFS())
+	db, _, oracle, job := spillReady(t, vfs.NewMemFS(), 1)
 	defer db.Close()
 
 	spilled := func(key []byte) bool {
@@ -229,6 +235,90 @@ func TestSpillKeepsTombstones(t *testing.T) {
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 }
 
+// TestDeepSpillKeepsTombstones is TestSpillKeepsTombstones for an L0 merge
+// gone deep, into L2, that spills into the bottom level L3: a tombstone
+// outside the spilled ranges stays in L2, because L3 still holds an older
+// value of its key, while one inside a spilled range reaches the bottom
+// level together with the older value, and both are dropped.
+func TestDeepSpillKeepsTombstones(t *testing.T) {
+	db, _, oracle, job := spillReady(t, vfs.NewMemFS(), 2)
+	defer db.Close()
+	if files := db.NumLevelFiles(); files[4] != 0 {
+		t.Fatalf("L3 is not the bottom level: %v", files)
+	}
+	spilled := func(key []byte) bool {
+		for _, s := range job.Spill {
+			if bytes.Compare(s.Smallest, key) <= 0 && bytes.Compare(key, s.Largest) <= 0 {
+				return true
+			}
+		}
+		return false
+	}
+	// An L3 file under a spilled range may reach past it; the merge
+	// rewrites it whole.
+	rewritten := func(key []byte) bool {
+		f := db.version.Find(3, key)
+		for _, g := range job.SpillOverlaps {
+			if g.ID == f.ID {
+				return true
+			}
+		}
+		return false
+	}
+	// The deletes the merge carries that shadow a value in L3: outside
+	// the spilled ranges, over an L3 file the merge leaves, and inside.
+	var kept, dropped [][]byte
+	for i := 0; i < 6000; i++ {
+		k := []byte(fmt.Sprintf("k%05d", i))
+		if _, ok := oracle[string(k)]; ok {
+			continue
+		}
+		e, inBatch, _, err := db.tables[job.Inputs[0].ID].Get(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old, inL3 := entryAt(t, db, 3, k); inBatch && e.Kind == base.KindDelete && inL3 && old.Kind == base.KindSet {
+			switch {
+			case spilled(k):
+				dropped = append(dropped, k)
+			case !rewritten(k):
+				kept = append(kept, k)
+			}
+		}
+	}
+	if len(kept) == 0 || len(dropped) == 0 {
+		t.Fatalf("%d shadowing deletes outside the %d spilled ranges and %d inside; the check is vacuous", len(kept), len(job.Spill), len(dropped))
+	}
+
+	t.Logf("%s: %d shadowing deletes kept in L2, %d dropped in L3", job.Why(), len(kept), len(dropped))
+	runJob(t, db, job)
+	for _, k := range append(append([][]byte(nil), kept...), dropped...) {
+		if v, err := db.Get(k); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s) = %q, %v after the deep merge; want it deleted", k, v, err)
+		}
+	}
+	for _, k := range kept {
+		if e, ok := entryAt(t, db, 2, k); !ok || e.Kind != base.KindDelete {
+			t.Fatalf("%s: L2 holds %+v (found %v), want its tombstone", k, e, ok)
+		}
+		if e, ok := entryAt(t, db, 3, k); !ok || e.Kind != base.KindSet {
+			t.Fatalf("%s: the older value left L3; the check is vacuous", k)
+		}
+	}
+	for _, k := range dropped {
+		for l := 1; l <= 3; l++ {
+			if e, ok := entryAt(t, db, l, k); ok {
+				t.Fatalf("%s: L%d holds %+v; the bottom level drops a tombstone with the value it shadows", k, l, e)
+			}
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	it, err := db.NewIterator(nil, nil)
+	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
+}
+
 // TestSpillSurvivesRecovery: a spilled merge installs its outputs on L1 and
 // L2 as one manifest edit, and moves no key read from L2 up. A snapshot pinned before it keeps reading the
 // consumed files, which are deleted once it closes; a store reopened from
@@ -236,7 +326,7 @@ func TestSpillKeepsTombstones(t *testing.T) {
 // the same contents.
 func TestSpillSurvivesRecovery(t *testing.T) {
 	fs := vfs.NewMemFS()
-	db, o, oracle, job := spillReady(t, fs)
+	db, o, oracle, job := spillReady(t, fs, 1)
 	defer db.Close()
 
 	snap, err := db.NewSnapshot()

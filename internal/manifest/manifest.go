@@ -85,7 +85,7 @@ type FileMeta struct {
 	MaxSeq uint64 `json:"max_seq,omitempty"`
 	// FoldBytes is the index bytes written by the folds that made this
 	// table, its inputs' included: the rent L0 has paid since it was last
-	// merged into L1.
+	// merged.
 	FoldBytes int64 `json:"fold_bytes,omitempty"`
 }
 

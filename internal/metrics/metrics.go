@@ -28,7 +28,7 @@ type Metrics struct {
 	BytesFlushed   atomic.Int64 // flush output (SSTables, or CL indexes under TRIAD-LOG)
 	BytesCompacted atomic.Int64 // compaction output
 	BytesRelogged  atomic.Int64 // of BytesLogged, not a user's commit: carried by a log rotation or a flush, or a flush's hot write-back
-	BytesSpilled   atomic.Int64 // of BytesCompacted, written a level below the merge's output level by an L0 merge's spill
+	BytesSpilled   atomic.Int64 // of BytesCompacted, what L0 merges' spills wrote one level below the merge's output level
 	BytesFolded    atomic.Int64 // fold output: the CL indexes L0's CL-SSTables were folded into
 
 	// Storage-side reads and reclaims.
@@ -40,7 +40,7 @@ type Metrics struct {
 	FlushSkips          atomic.Int64 // TRIAD-MEM FLUSH_TH small-memtable skips
 	Compactions         atomic.Int64
 	CompactionsDeferred atomic.Int64 // TRIAD-DISK deferrals
-	Folds               atomic.Int64 // L0 folded into one CL-SSTable instead of merged into L1
+	Folds               atomic.Int64 // L0 folded into one CL-SSTable instead of merged
 
 	// L0 merges where L0 can fold, by the rule that merged it instead of
 	// folding it (compaction.RuleRentPaid, RuleLogCeiling, RuleDrain);

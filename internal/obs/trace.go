@@ -99,6 +99,22 @@ type Trace struct {
 	spans []Span
 	dur   time.Duration
 	done  bool
+
+	// parent, if set, receives this trace's spans with tag before their
+	// detail (see Tagged).
+	parent *Trace
+	tag    string
+}
+
+// Tagged returns a trace that records its spans into t with tag and a
+// space before each span's detail, so that a layer can say where the work
+// a lower layer records happened (the engine names the level of a table
+// read). Nil for a nil t, so the untraced path allocates nothing.
+func (t *Trace) Tagged(tag string) *Trace {
+	if t == nil {
+		return nil
+	}
+	return &Trace{id: t.id, time: t.time, parent: t, tag: tag}
 }
 
 // ID reports the trace's store-unique id (0 for a nil trace).
@@ -121,6 +137,10 @@ func (t *Trace) Span(kind SpanKind, start time.Time, detail string) {
 // may arrive from any goroutine and in any order.
 func (t *Trace) SpanAt(kind SpanKind, start time.Time, dur time.Duration, detail string) {
 	if t == nil {
+		return
+	}
+	if t.parent != nil {
+		t.parent.SpanAt(kind, start, dur, t.tag+" "+detail)
 		return
 	}
 	off := start.Sub(t.time)

@@ -49,7 +49,7 @@ func TestTracerNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Span(SpanDecode, time.Now(), "")
 	tr.SpanAt(SpanCommit, time.Now(), time.Millisecond, "")
-	if tr.ID() != 0 || tr.Dur() != 0 || tr.Spans() != nil {
+	if tr.ID() != 0 || tr.Dur() != 0 || tr.Spans() != nil || tr.Tagged("L1") != nil {
 		t.Fatal("nil trace accessors nonzero")
 	}
 
@@ -75,6 +75,7 @@ func TestTraceUnsampledZeroAlloc(t *testing.T) {
 	var tr *Trace
 	if n := testing.AllocsPerRun(1000, func() {
 		tr.SpanAt(SpanWALAppend, begin, time.Millisecond, "")
+		tr.Tagged("L1").SpanAt(SpanSSTableRead, begin, time.Millisecond, "")
 	}); n != 0 {
 		t.Fatalf("nil-trace SpanAt allocates %v/op, want 0", n)
 	}

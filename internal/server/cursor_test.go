@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/lsm"
 	"repro/internal/server"
+	"repro/internal/shard"
+	"repro/internal/vfs"
 )
 
 func fillStore(t *testing.T, c *client.Conn, n int) {
@@ -70,6 +73,52 @@ func TestScanCursorPaging(t *testing.T) {
 	}
 	if db.OpenSnapshots() != 0 {
 		t.Fatalf("store snapshots still open: %d", db.OpenSnapshots())
+	}
+}
+
+// TestScanIteratorFailureReleasesSnapshot: a SCAN whose iterator fails to
+// open — here a read of the commit log a flushed CL-SSTable points into —
+// replies with the error and releases the snapshot it pinned for the scan.
+func TestScanIteratorFailureReleasesSnapshot(t *testing.T) {
+	var fss []*vfs.MemFS
+	opts := lsm.TriadOptions(nil)
+	opts.MemtableBytes = 256 << 10
+	opts.CommitLogBytes = 1 << 20
+	db, err := shard.Open(shard.Options{Shards: 2, Engine: opts, NewFS: func(int) (vfs.FS, error) {
+		fs := vfs.NewMemFS()
+		fss = append(fss, fs)
+		return fs, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	fillStore(t, c, 300)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range fss {
+		fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+			if op.Kind == vfs.OpReadAt {
+				return vfs.ErrInjected
+			}
+			return nil
+		}})
+	}
+	_, _, _, err = c.ScanOpen(nil, nil, 10)
+	for _, fs := range fss {
+		fs.SetHooks(vfs.Hooks{})
+	}
+	if err == nil || !strings.Contains(err.Error(), vfs.ErrInjected.Error()) {
+		t.Fatalf("SCAN over failing reads = %v, want the injected fault", err)
+	}
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Fatalf("%d store snapshots open after the failed SCAN, want 0", n)
+	}
+	// The store still scans once its reads succeed.
+	if _, keys, _, err := c.ScanOpen(nil, nil, 10); err != nil || len(keys) != 10 {
+		t.Fatalf("SCAN after the fault: %d keys, %v", len(keys), err)
 	}
 }
 

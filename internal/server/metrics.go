@@ -118,7 +118,7 @@ func (s *Server) MetricsText() string {
 	p.Counter("triad_compactions_deferred_total", "TRIAD-DISK compaction deferrals (insufficient key overlap).", "", m.CompactionsDeferred)
 	p.Counter("triad_compaction_moves_total", "Files relinked one level down by a manifest edit because nothing there overlapped them.", "", m.TrivialMoves)
 	p.Counter("triad_folds_total", "L0 folds: L0's CL-SSTables merged by index into one, instead of into L1.", "", m.Folds)
-	l0Jobs := "L0 jobs where L0 can fold, by the rule that chose them: folded, or merged into L1 because the folds paid the merge's rent, L0 reached its log ceiling, or a drain."
+	l0Jobs := "L0 jobs where L0 can fold, by the rule that chose them: folded, or merged because the folds paid the merge's rent, L0 reached its log ceiling, or a drain."
 	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="fold"`, m.Folds)
 	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="rent_paid"`, m.MergesRentPaid)
 	p.Counter("triad_l0_jobs_total", l0Jobs, `rule="log_ceiling"`, m.MergesLogCeiling)
@@ -159,7 +159,7 @@ func (s *Server) MetricsText() string {
 		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
 		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
 		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
-		p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges wrote straight into L2 because L1 had no room for them.", l, st.BytesSpilled)
+		p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges' spills wrote one level below the merge's output level because the output level had no room for them.", l, st.BytesSpilled)
 		p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
 		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
 		p.Gauge("triad_shard_snapshots_open", "Live snapshot pins on the shard.", l, int64(st.OpenSnapshots))
@@ -180,6 +180,7 @@ func (s *Server) MetricsText() string {
 			p.Gauge("triad_level_bytes", "Bytes on the level: its tables and, for L0, the commit logs its CL-SSTables pin.", ll, ls.Bytes)
 			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count, or where it can fold by read depth).", ll, ls.Target)
 			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files, or where it can fold read depth, over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
+			p.Counter("triad_level_l0_merges_total", "L0 merges that wrote the level as their output level: L1, or a deeper level where the merge's batch outweighed the bytes under it down to that level.", ll, ls.L0Merges)
 			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
 			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: in L0 every table whose range holds the key down to the one holding it, one table per deeper level.", ll, ls.Probes)
 			p.Counter("triad_get_filter_negatives_total", "Of the level's probes, those its Bloom filters turned away without a read.", ll, ls.FilterNegatives)

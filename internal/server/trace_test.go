@@ -295,6 +295,11 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	if got, want := sumPrefix("triad_level_compacted_bytes_total{"), series["triad_bytes_compacted_total"]; got != want {
 		t.Fatalf("sum(triad_level_compacted_bytes_total) = %g, want triad_bytes_compacted_total = %g", got, want)
 	}
+	// Every L0 merge is counted once, at the level it wrote; where L0 can
+	// fold, each is also counted by the rule that merged it.
+	if got, want := sumPrefix("triad_level_l0_merges_total{"), float64(m.MergesRentPaid+m.MergesLogCeiling+m.MergesDrain); got != want || got == 0 {
+		t.Fatalf("sum(triad_level_l0_merges_total) = %g, want the %g L0 merges by rule, non-zero", got, want)
+	}
 	if series[`triad_level_target_bytes{shard="0",level="1"}`] == 0 || series[`triad_level_target_bytes{shard="1",level="2"}`] == 0 {
 		t.Fatalf("per-level targets missing from /metrics")
 	}
@@ -311,6 +316,9 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(stats, "L0 merges by output level: L1 ") {
+		t.Fatalf("STATS missing the L0 merges by output level:\n%s", stats)
 	}
 	if !strings.Contains(stats, "WA decomposition") {
 		t.Fatalf("STATS missing the WA decomposition:\n%s", stats)

@@ -58,6 +58,7 @@ func (db *DB) LevelStats() []lsm.LevelStat {
 			out[l].LogCeiling += ls.LogCeiling
 			out[l].Target += ls.Target
 			out[l].CompactedBytes += ls.CompactedBytes
+			out[l].L0Merges += ls.L0Merges
 			out[l].Probes += ls.Probes
 			out[l].FilterNegatives += ls.FilterNegatives
 			out[l].FilterFalsePositives += ls.FilterFalsePositives
@@ -105,7 +106,8 @@ type ShardStat struct {
 	WriteStalls    int64
 	WriteStallTime time.Duration
 	// BytesSpilled is the part of the shard's compaction output that L0
-	// merges wrote straight into the level below L1, where L1 had no room.
+	// merges' spills wrote one level below the merge's output level, where
+	// the output level had no room (metrics.Metrics.BytesSpilled).
 	BytesSpilled int64
 	// WA and RA are the shard's own write and read amplification.
 	WA, RA float64
@@ -201,7 +203,14 @@ func (db *DB) Stats() string {
 		m.Flushes, m.FlushSkips, m.Compactions, m.CompactionsDeferred, m.TrivialMoves)
 	fmt.Fprintf(&b, "L0 jobs by rule: L0 folds: %d, merges: rent paid %d, log ceiling %d, drain %d\n",
 		m.Folds, m.MergesRentPaid, m.MergesLogCeiling, m.MergesDrain)
-	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  folded %d  compacted %d (spilled past L1 %d)\n",
+	b.WriteString("L0 merges by output level:")
+	for l := 1; l < len(levels); l++ {
+		if n := levels[l].L0Merges; n > 0 || l == 1 {
+			fmt.Fprintf(&b, " L%d %d", l, n)
+		}
+	}
+	b.WriteString("\n")
+	fmt.Fprintf(&b, "bytes: user %d  logged %d (relogged %d)  flushed %d  folded %d  compacted %d (spilled below the output level %d)\n",
 		m.UserBytes, m.BytesLogged, m.BytesRelogged, m.BytesFlushed, m.BytesFolded, m.BytesCompacted, m.BytesSpilled)
 	fmt.Fprintf(&b, "WA: %.2f (flush-relative %.2f)  RA: %.2f\n",
 		m.WriteAmplification(), m.FlushRelativeWA(), m.ReadAmplification())
