@@ -1,15 +1,13 @@
 // Command triadlint runs TRIAD's own static-analysis suite — the
 // custom invariant checks in internal/lint — over a package pattern,
 // printing findings in file:line:col form and exiting non-zero when
-// there are any. It is the machine check for the conventions the
-// store's correctness rests on: epoch-ticket lifetimes, snapshot/
-// iterator/cache-handle closing, obs nil-receiver safety, atomic field
-// access discipline, and metric naming.
+// there are any. It is the machine check for the lifetime conventions
+// the store's correctness rests on: every epoch ticket reaches Commit
+// or Abort, and every snapshot, iterator and cache handle is closed.
 //
 // Usage:
 //
-//	triadlint [-only a,b] [packages]     (default ./...)
-//	triadlint -list
+//	triadlint [packages]     (default ./...)
 //
 // The driver is standalone rather than a `go vet -vettool` plugin
 // because the vet protocol lives in golang.org/x/tools and this
@@ -21,10 +19,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -33,39 +29,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
-	fs := flag.NewFlagSet("triadlint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fs.Parse(args)
-
-	analyzers := lint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, name := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(name)] = true
-		}
-		var sel []*lint.Analyzer
-		for _, a := range analyzers {
-			if keep[a.Name] {
-				sel = append(sel, a)
-				delete(keep, a.Name)
-			}
-		}
-		for name := range keep {
-			fmt.Fprintf(stderr, "triadlint: unknown analyzer %q (see -list)\n", name)
-			return 2
-		}
-		analyzers = sel
-	}
-
-	patterns := fs.Args()
+func run(patterns []string, stdout, stderr *os.File) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -76,7 +40,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "triadlint: %v\n", err)
 		return 2
 	}
-	diags := lint.Run(pkgs, analyzers)
+	diags := lint.Run(pkgs, lint.Analyzers())
 	for _, d := range diags {
 		fmt.Fprintf(stdout, "%s\n", d)
 	}

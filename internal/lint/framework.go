@@ -107,7 +107,7 @@ func dedupDiagnostics(diags []Diagnostic) []Diagnostic {
 
 // pkgMatches reports whether p's import path is path itself or ends in
 // "/"+path. Analyzers name packages by suffix ("internal/shard",
-// "internal/obs", ...) so the same analyzer binds to both the real
+// "internal/lsm", ...) so the same analyzer binds to both the real
 // tree (repro/internal/shard) and the stub packages under testdata
 // (shard — matched via their last path element).
 func pkgMatches(p *types.Package, suffix string) bool {

@@ -5,7 +5,7 @@ package lint
 // testdata/src/<name>/ containing seeded violations annotated with
 // `// want "regexp"` comments on the line the diagnostic is reported
 // at, plus known-good code that must stay silent. Stub dependencies
-// (shard, lsm, sstable, obs) live beside the targets and are resolved
+// (shard, lsm, sstable, ...) live beside the targets and are resolved
 // by import path relative to testdata/src, so the analyzers bind to
 // them through the same suffix matching they use on the real tree.
 

@@ -11,16 +11,11 @@
 //     resources (memtable versions, zombie sstables, cache bytes);
 //     each constructor result must be closed/released on all paths or
 //     handed to a tracked owner.
-//   - nilsafeobs: tracing and the event journal compile down to
-//     pointer tests where they record nothing (an unsampled command,
-//     tracing off, a bare engine), which only works if every exported
-//     method on obs.Tracer/Trace/Journal guards the nil receiver
-//     before touching a field — and nothing outside internal/obs
-//     touches those fields at all.
-//   - metricname: metric names handed to the obs.Prom emission
-//     methods must be compile-time constants in triad_* snake_case
-//     with the conventional unit suffixes, so a new series cannot
-//     dodge the promlint exposition test.
+//
+// An analyzer stays only while it catches a defect no test does. The
+// obs types' nil-receiver safety is checked by TestTracerNilSafety in
+// internal/obs, and metric naming by TestMetricsExpositionFormat in
+// internal/server, which run the code instead of reading it.
 //
 // A rule too small for an analyzer lives in TestTreeIsClean: no file
 // uses a sync/atomic function, only the typed atomics, which cannot be
@@ -43,7 +38,5 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		TicketLeak,
 		MustClose,
-		NilSafeObs,
-		MetricName,
 	}
 }

@@ -8,12 +8,6 @@ import "testing"
 
 func TestTicketLeak(t *testing.T) { runGolden(t, TicketLeak, "ticketleak") }
 func TestMustClose(t *testing.T)  { runGolden(t, MustClose, "mustclose") }
-func TestMetricName(t *testing.T) { runGolden(t, MetricName, "metricname") }
-
-// nilsafeobs has two sides: the guard discipline inside the obs
-// package itself, and the no-direct-field-access rule for callers.
-func TestNilSafeObsInPackage(t *testing.T) { runGolden(t, NilSafeObs, "obs") }
-func TestNilSafeObsCallers(t *testing.T)   { runGolden(t, NilSafeObs, "nilsafeobs") }
 
 func TestAnalyzersRegistered(t *testing.T) {
 	names := map[string]bool{}
@@ -26,7 +20,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"ticketleak", "mustclose", "nilsafeobs", "metricname"} {
+	for _, want := range []string{"ticketleak", "mustclose"} {
 		if !names[want] {
 			t.Errorf("analyzer %q not registered", want)
 		}

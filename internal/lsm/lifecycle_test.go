@@ -88,6 +88,43 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesCacheTenant: a store over a caller-owned block cache
+// gives back every block it cached when it closes, so a long-lived cache
+// shared by many stores does not keep the bytes of closed ones.
+func TestCloseReleasesCacheTenant(t *testing.T) {
+	cache := sstable.NewCache(1 << 20)
+	o := smallOptions(vfs.NewMemFS())
+	o.BlockCache = cache
+	db := mustOpen(t, o)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	val := bytes.Repeat([]byte{5}, 100)
+	for i := 0; i < 400; i++ {
+		if err := db.Put(key(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Repeat the reads so the admission policy lets the blocks in.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 400; i++ {
+			if _, err := db.Get(key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if cache.Used() == 0 {
+		t.Fatal("reads left no block resident in the cache")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Used(); n != 0 {
+		t.Fatalf("closed store left %d bytes resident in the shared cache", n)
+	}
+}
+
 // TestOpenCloseChurn opens and closes a bare engine (which owns its
 // pool) 50 times on one filesystem, each time closing with a sealed
 // memtable's flush and a compaction round still queued: no goroutine

@@ -16,12 +16,10 @@
 // command's trace. Hist and SlowLog are not: every one comes from
 // NewHist or NewSlowLog.
 //
-// That contract is machine-checked by triadlint (see internal/lint):
-// nilsafeobs requires every exported pointer-receiver method on the
-// nil-safe types to guard `recv == nil` before its first field access
-// and forbids callers outside this package from touching their fields,
-// and metricname vets the names handed to Prom's emission methods
-// (constant triad_* snake_case, conventional unit suffixes).
+// TestTracerNilSafety holds that contract: it calls every exported
+// method of the nil-safe types on a nil receiver. The names handed to
+// Prom are held to the Prometheus conventions by internal/server's
+// TestMetricsExpositionFormat, which scrapes every series it emits.
 package obs
 
 import (

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -33,12 +35,39 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
+// TestTracerNilSafety holds the nil-receiver contract of the types a
+// caller that records nothing holds as nil. It calls every exported
+// method of each with zero-valued arguments, so a method added later is
+// covered without an edit here, then pins the results callers rely on.
 func TestTracerNilSafety(t *testing.T) {
+	for _, nilValue := range []any{(*Tracer)(nil), (*Trace)(nil), (*Journal)(nil), Traces(nil)} {
+		v := reflect.ValueOf(nilValue)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := fmt.Sprintf("%T.%s", nilValue, v.Type().Method(i).Name)
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil receiver panics: %v", name, r)
+					}
+				}()
+				if m.Type().IsVariadic() {
+					m.CallSlice(args)
+				} else {
+					m.Call(args)
+				}
+			}()
+		}
+	}
+
 	var tracer *Tracer
 	if tr := tracer.Start("GET", []byte("k"), time.Now()); tr != nil {
 		t.Fatal("nil tracer Start != nil")
 	}
-	tracer.Finish(nil)
 	if tracer.Sampled() != 0 || tracer.Finished() != 0 {
 		t.Fatal("nil tracer counters nonzero")
 	}
@@ -47,14 +76,14 @@ func TestTracerNilSafety(t *testing.T) {
 	}
 
 	var tr *Trace
-	tr.Span(SpanDecode, time.Now(), "")
-	tr.SpanAt(SpanCommit, time.Now(), time.Millisecond, "")
 	if tr.ID() != 0 || tr.Dur() != 0 || tr.Spans() != nil || tr.Tagged("L1") != nil {
 		t.Fatal("nil trace accessors nonzero")
 	}
 
-	var trs Traces
-	trs.SpanAt(SpanCommit, time.Now(), time.Millisecond, "") // must not panic
+	var j *Journal
+	if j.Total() != 0 || j.Dropped() != 0 || j.Events(0) != nil {
+		t.Fatal("nil journal accessors nonzero")
+	}
 }
 
 // TestTraceUnsampledZeroAlloc is the acceptance guard for the hot path:

@@ -447,13 +447,7 @@ func (c *conn) scan(args [][]byte, start0 time.Time) {
 		c.send(resp.Error(fmtErr(err)))
 		return
 	}
-	cur, err := c.srv.cursors.open(c, snap, it)
-	if err != nil {
-		it.Close()
-		snap.Close()
-		c.send(resp.Error(fmtErr(err)))
-		return
-	}
+	cur := c.srv.cursors.open(c, snap, it)
 	v, _ := c.srv.cursors.readPage(cur, count)
 	c.sendTracked(v, obs.FamScan, start0, start, nil)
 }

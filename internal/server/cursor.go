@@ -86,22 +86,17 @@ func newRegistry(cfg Config) *registry {
 	return r
 }
 
-// errTooManyCursors is the reply for a connection at its cursor cap,
-// shared by the pre-check and the authoritative check in open.
+// errTooManyCursors is the reply for a connection at its cursor cap.
 func (r *registry) errTooManyCursors() error {
 	return fmt.Errorf("too many open cursors (max %d per connection); SCAN CLOSE one first", r.cfg.MaxCursorsPerConn)
 }
 
-// open registers a new cursor for c. The per-connection cap is enforced
-// here; the caller checks canOpen first to avoid building a snapshot it
-// will have to throw away, but the cap is only authoritative under the
-// registry lock.
-func (r *registry) open(c *conn, snap *shard.Snapshot, it shard.Iter) (*cursor, error) {
+// open registers a new cursor for c, which canOpen has let open one.
+// Only c's dispatch goroutine opens cursors for c, and every other path
+// only removes them, so c is still under its cap.
+func (r *registry) open(c *conn, snap *shard.Snapshot, it shard.Iter) *cursor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.perConn[c] >= r.cfg.MaxCursorsPerConn {
-		return nil, r.errTooManyCursors()
-	}
 	r.nextID++
 	cur := &cursor{
 		id:       "c" + strconv.FormatUint(r.nextID, 10),
@@ -113,7 +108,7 @@ func (r *registry) open(c *conn, snap *shard.Snapshot, it shard.Iter) (*cursor, 
 	r.cursors[cur.id] = cur
 	r.perConn[c]++
 	r.opened++
-	return cur, nil
+	return cur
 }
 
 // canOpen reports whether c may open another cursor.

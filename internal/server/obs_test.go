@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,13 +33,49 @@ func scrape(t *testing.T, srv *server.Server, pprof bool, path string) (*http.Re
 }
 
 // TestMetricsExpositionFormat is the promlint-style pin: it parses the
-// entire /metrics dump line by line and enforces the text-format 0.0.4
-// rules — every sample preceded by # HELP and # TYPE for its metric,
-// counter names ending in _total, histograms carrying cumulative
-// _bucket{le} / _sum / _count series, snake_case triad_* names, and the
-// versioned Content-Type.
+// entire /metrics dump of a 1-shard and a 3-shard store line by line and
+// enforces the text-format 0.0.4 rules and the Prometheus naming
+// conventions (see checkExposition). Every series the server emits is in
+// the scrape, so a new one is held to them without an edit here. Both
+// stores must expose the same families: a name built from a shard
+// number would grow the family set with the store instead of a label.
 func TestMetricsExpositionFormat(t *testing.T) {
-	db := newTestStore(t, 2)
+	families := map[int]map[string]bool{}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			families[shards] = checkExposition(t, shards)
+		})
+	}
+	if t.Failed() {
+		return
+	}
+	for a, b := range map[int]int{1: 3, 3: 1} {
+		for name := range families[a] {
+			if !families[b][name] {
+				t.Errorf("family %q is exposed by a %d-shard store but not by a %d-shard one", name, a, b)
+			}
+		}
+	}
+}
+
+// nonBaseUnits are unit suffixes Prometheus names spell in base units.
+var nonBaseUnits = []string{
+	"_ms", "_millis", "_milliseconds", "_us", "_micros", "_microseconds",
+	"_ns", "_nanos", "_nanoseconds", "_sec", "_secs",
+	"_byte", "_kb", "_mb", "_gb", "_kib", "_mib", "_gib",
+}
+
+var metricNameRE = regexp.MustCompile(`^triad(_[a-z0-9]+)+$`)
+
+// checkExposition scrapes a store of the given shard count after some
+// traffic and checks the dump: every sample preceded by # HELP and
+// # TYPE for its metric; triad_* snake_case names; _total on counters
+// and nowhere else; no non-base units; histograms named in _seconds or
+// _bytes and carrying cumulative _bucket{le} / _sum / _count series,
+// suffixes no other family may end in; and the versioned Content-Type.
+// It returns the set of family names.
+func checkExposition(t *testing.T, shards int) map[string]bool {
+	db := newTestStore(t, shards)
 	srv, addr := startServer(t, db, server.Config{})
 	c := dial(t, addr)
 	for i := 0; i < 64; i++ {
@@ -57,7 +94,8 @@ func TestMetricsExpositionFormat(t *testing.T) {
 
 	typeOf := map[string]string{} // metric name -> declared TYPE
 	helped := map[string]bool{}
-	// histState[name+labels-without-le] tracks cumulative bucket counts.
+	families := map[string]bool{}
+	// lastBucket[name|labels-without-le] tracks cumulative bucket counts.
 	lastBucket := map[string]uint64{}
 	for ln, line := range strings.Split(text, "\n") {
 		if line == "" {
@@ -70,14 +108,17 @@ func TestMetricsExpositionFormat(t *testing.T) {
 			}
 			if f[1] == "HELP" {
 				helped[f[2]] = true
-			} else {
-				switch f[3] {
-				case "counter", "gauge", "histogram":
-				default:
-					t.Fatalf("line %d: unknown TYPE %q", ln+1, f[3])
-				}
-				typeOf[f[2]] = f[3]
+				continue
 			}
+			name, typ := f[2], f[3]
+			switch typ {
+			case "counter", "gauge", "histogram":
+			default:
+				t.Fatalf("line %d: unknown TYPE %q", ln+1, typ)
+			}
+			typeOf[name] = typ
+			families[name] = true
+			checkMetricName(t, ln+1, name, typ)
 			continue
 		}
 		// Sample line: name{labels} value
@@ -103,18 +144,9 @@ func TestMetricsExpositionFormat(t *testing.T) {
 				base = strings.TrimSuffix(name, suf)
 			}
 		}
-		if !strings.HasPrefix(base, "triad_") {
-			t.Errorf("line %d: metric %q not triad_* prefixed", ln+1, base)
-		}
-		if strings.ToLower(base) != base || strings.Contains(base, "-") {
-			t.Errorf("line %d: metric %q not snake_case", ln+1, base)
-		}
 		typ, ok := typeOf[base]
 		if !ok || !helped[base] {
 			t.Fatalf("line %d: sample %q precedes its # HELP/# TYPE", ln+1, series)
-		}
-		if typ == "counter" && !strings.HasSuffix(base, "_total") {
-			t.Errorf("line %d: counter %q does not end in _total", ln+1, base)
 		}
 		if typ == "histogram" && strings.HasSuffix(name, "_bucket") {
 			if !strings.Contains(labels, `le="`) {
@@ -143,7 +175,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 			t.Errorf("dump missing %s", want)
 		}
 	}
-	for shardN := 0; shardN < 2; shardN++ {
+	for shardN := 0; shardN < shards; shardN++ {
 		for _, g := range []string{"triad_shard_write_amplification", "triad_shard_read_amplification", "triad_shard_disk_bytes"} {
 			want := fmt.Sprintf(`%s{shard="%d"}`, g, shardN)
 			if !strings.Contains(text, want) {
@@ -161,6 +193,37 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("dump:\n%s", text)
+	}
+	return families
+}
+
+// checkMetricName holds the family name declared on line ln to the
+// Prometheus naming conventions for its type.
+func checkMetricName(t *testing.T, ln int, name, typ string) {
+	t.Helper()
+	if !metricNameRE.MatchString(name) {
+		t.Errorf("line %d: metric %q is not triad_* snake_case", ln, name)
+	}
+	hasTotal := strings.HasSuffix(name, "_total")
+	if typ == "counter" && !hasTotal {
+		t.Errorf("line %d: counter %q does not end in _total", ln, name)
+	}
+	if typ != "counter" && hasTotal {
+		t.Errorf("line %d: %s %q ends in _total, the counter suffix", ln, typ, name)
+	}
+	unit := strings.TrimSuffix(name, "_total")
+	for _, bad := range nonBaseUnits {
+		if strings.HasSuffix(unit, bad) {
+			t.Errorf("line %d: metric %q has unit suffix %s; use _seconds or _bytes", ln, name, bad)
+		}
+	}
+	if typ == "histogram" && !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
+		t.Errorf("line %d: histogram %q does not end in _seconds or _bytes", ln, name)
+	}
+	for _, suf := range []string{"_bucket", "_sum", "_count"} {
+		if strings.HasSuffix(name, suf) {
+			t.Errorf("line %d: metric %q ends in %s, reserved for histogram series", ln, name, suf)
+		}
 	}
 }
 

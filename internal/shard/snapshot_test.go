@@ -212,3 +212,25 @@ func TestShardSnapshotFrozenAndClosed(t *testing.T) {
 		it2.Close()
 	}
 }
+
+// TestSnapshotReleasesShardsOnRefusal: when a later shard refuses its
+// pin, NewSnapshot gives back the pins it already took on the earlier
+// shards, which would otherwise hold their memtables and tables until
+// the store closes.
+func TestSnapshotReleasesShardsOnRefusal(t *testing.T) {
+	db := openMem(t, 2)
+	defer db.Close()
+	if err := db.shards[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := db.NewSnapshot(); err == nil {
+		s.Close()
+		t.Fatal("NewSnapshot succeeded over a closed shard")
+	}
+	if n := db.shards[0].OpenSnapshots(); n != 0 {
+		t.Fatalf("shard 0 holds %d snapshots after a refused NewSnapshot, want 0", n)
+	}
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Fatalf("OpenSnapshots = %d after a refused NewSnapshot, want 0", n)
+	}
+}
