@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	triad "repro"
+	"repro/internal/vfs"
 )
 
 // triaddb runs one invocation; every call reopens the store.
@@ -103,5 +107,50 @@ func TestRefusesShardsOverRoot(t *testing.T) {
 	}
 	if code, stdout, _ := triaddb(t, "-dir", dir, "get", "k"); code != 0 || stdout != "v\n" {
 		t.Fatalf("get without -shards: exit %d, %q", code, stdout)
+	}
+}
+
+// TestScanReportsReadError: a scan that hits a damaged table exits 1 and
+// says why, instead of printing the entries before the damage as the
+// whole range.
+func TestScanReportsReadError(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := vfs.NewOSFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := triad.Open(triad.Options{FS: fs, Profile: triad.ProfileBaseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite the start of every table's first data block: its entries
+	// no longer decode, while the footer and index Open reads stay whole.
+	tables, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil || len(tables) == 0 {
+		t.Fatalf("no table files in %s: %v", dir, err)
+	}
+	for _, name := range tables {
+		f, err := os.OpenFile(name, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if code, _, stderr := triaddb(t, "-dir", dir, "-baseline", "scan"); code != 1 || !strings.HasPrefix(stderr, "triaddb: ") {
+		t.Fatalf("scan over a damaged table: exit %d, stderr %q; want exit 1 and the error", code, stderr)
 	}
 }

@@ -52,6 +52,9 @@ func main() {
 	if err := it.Close(); err != nil {
 		log.Fatal(err)
 	}
+	// The scan's snapshot pinned the versions and files it reads until
+	// Close released it.
+	fmt.Printf("snapshots pinned after the scan: %d\n", db.ShardStats()[0].OpenSnapshots)
 
 	// Force the memtable down to L0 and look at the tree.
 	if err := db.Flush(); err != nil {

@@ -73,6 +73,8 @@ func main() {
 	if err := it.Close(); err != nil {
 		log.Fatal(err)
 	}
+	// The scan pinned one snapshot across the shards until Close.
+	fmt.Printf("snapshots open after the scan: %d\n", db.OpenSnapshots())
 
 	// Metrics aggregate across shards; 8 writers x 2500 + 100 batch ops.
 	m := db.Metrics()

@@ -96,4 +96,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("open snapshots after Close:  %d\n", db.OpenSnapshots())
+	// An iterator still open would keep its shards pinned past the
+	// snapshot's Close; this one was closed above.
+	pins := 0
+	for _, st := range db.ShardStats() {
+		pins += st.OpenSnapshots
+	}
+	fmt.Printf("shard pins after Close:      %d\n", pins)
 }

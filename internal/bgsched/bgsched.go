@@ -11,9 +11,9 @@
 //
 // Each engine holds an Owner handle; submitting through the owner lets
 // Close cancel the engine's queued work and wait out its running work
-// without touching other tenants. triadlint's mustclose analyzer (see
-// internal/lint) enforces that every NewOwner result is closed on all
-// control-flow paths or escapes to a tracked owner.
+// without touching other tenants. An unclosed owner or pool leaves its
+// goroutines or tasks behind; the tests' goroutine check
+// (internal/leakcheck) fails the package when one outlives its tests.
 package bgsched
 
 import (

@@ -118,6 +118,17 @@ func NetRun(s Scale, shards, conns int, traceSample float64) (Result, error) {
 		return Result{}, err
 	default:
 	}
+	// Every worker closed its connection; the server drops each once it
+	// reads the close. One it still counts is a connection left open.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		open, _, _ := srv.ConnStats()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return Result{}, fmt.Errorf("harness: %d client connections still open after the run", open)
+		}
+	}
 
 	totalOps := perConn * int64(conns)
 	res := Result{

@@ -381,7 +381,6 @@ func TestRunFoldCrashPoints(t *testing.T) {
 	o.SyncWAL = true
 	o.BlockBytes = 4 << 10 // fewer writes per table, fewer images
 	db := mustOpen(t, o)
-	defer db.Close()
 	base, ops := runFoldLoad(2, 30, 800)
 	acked := map[string]string{}
 	for _, op := range base {

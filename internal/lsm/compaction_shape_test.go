@@ -191,7 +191,6 @@ func TestCompactionShapeRandomized(t *testing.T) {
 	o := deepOptions(vfs.NewMemFS())
 	o.Events = obs.NewJournal(4096)
 	db := mustOpen(t, o)
-	defer db.Close()
 	var cuts cutStats
 	var snaps []*Snapshot
 
@@ -320,7 +319,6 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 	o.BaseLevelBytes = 32 << 10
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 
 	// Ascending keys: every L0 file is disjoint from the rest, L1 fills
 	// past its target, and L2 is empty — the first push out of L1 has
@@ -425,7 +423,6 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 
 	// Crash: reopen from what is on disk.
 	db2 := mustOpen(t, o)
-	defer db2.Close()
 	var found *manifest.FileMeta
 	for _, f := range db2.version.Levels[now.Level] {
 		if f.ID == now.ID {
@@ -448,7 +445,6 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 // binary search over the level, not a slice built per level.
 func TestGetZeroAllocLevels(t *testing.T) {
 	db := mustOpen(t, deepOptions(vfs.NewMemFS()))
-	defer db.Close()
 	rng := rand.New(rand.NewSource(3))
 	load := func(n int) {
 		t.Helper()
@@ -532,7 +528,6 @@ func TestLadderFollowsBottomLevel(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := ladderOptions(fs)
 	db := mustOpen(t, o)
-	defer func() { db.Close() }()
 
 	const keys = 7000
 	rng := rand.New(rand.NewSource(15))
@@ -620,7 +615,6 @@ func TestDeepeningRebalances(t *testing.T) {
 	o := ladderOptions(vfs.NewMemFS())
 	o.Events = obs.NewJournal(4096)
 	db := mustOpen(t, o)
-	defer db.Close()
 
 	rng := rand.New(rand.NewSource(16))
 	oracle := map[string]string{}

@@ -11,10 +11,8 @@
 // byte-identical, which is what makes the ablation meaningful.
 //
 // Snapshots and iterators pin engine state (the memtable versions they
-// read, zombie sstables) until closed; triadlint's mustclose analyzer (see
-// internal/lint) enforces that every NewSnapshot/NewSnapshotAt/
-// NewIterator result is closed on all control-flow paths or escapes to
-// a tracked owner.
+// read, zombie sstables) until closed; the tests' store opener checks
+// that none is left open when a test ends (README "Leak checks").
 package lsm
 
 import (

@@ -190,7 +190,6 @@ func TestFlushMakesHotKeysDurable(t *testing.T) {
 			// A quiescent store after Flush, so the image is exact.
 			o.DisableAutoCompaction = true
 			db := mustOpen(t, o)
-			defer db.Close()
 			want := map[string]string{}
 			put := func(k, v string) {
 				if err := db.Put([]byte(k), []byte(v)); err != nil {
@@ -247,7 +246,6 @@ func TestInstallRefusesUnsyncedLog(t *testing.T) {
 	o := triadSmall(fs)
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 func TestFlushEmptyDB(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,6 @@ func TestLargeValues(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
 	db := mustOpen(t, o)
-	defer db.Close()
 	// Values bigger than the memtable budget must still round-trip.
 	big := bytes.Repeat([]byte{0xAB}, int(o.MemtableBytes)+1000)
 	if err := db.Put([]byte("big"), big); err != nil {
@@ -48,7 +46,6 @@ func TestLargeValues(t *testing.T) {
 func TestEmptyValue(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	if err := db.Put([]byte("k"), []byte{}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,6 @@ func TestEmptyValue(t *testing.T) {
 func TestDeleteAbsentKey(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	if err := db.Delete([]byte("ghost")); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +89,6 @@ func TestWriteBackpressure(t *testing.T) {
 	o := smallOptions(fs)
 	o.MemtableBytes = 4 << 10 // rotate constantly
 	db := mustOpen(t, o)
-	defer db.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -131,7 +126,6 @@ func TestWriteBackpressure(t *testing.T) {
 func TestL0StallBoundsFileCount(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	maxL0 := 0
 	for i := 0; i < 10000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{1}, 150)); err != nil {
@@ -157,7 +151,6 @@ func TestL0StallBoundsFileCount(t *testing.T) {
 func TestIteratorDuringCompaction(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, triadSmall(fs))
-	defer db.Close()
 	for i := 0; i < 1000; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v1"))
 	}
@@ -237,7 +230,6 @@ func TestRecoveryTornLogTail(t *testing.T) {
 	w.Close()
 
 	db2 := mustOpen(t, smallOptions(fs))
-	defer db2.Close()
 	// All but (at most) the final record must be present.
 	missing := 0
 	for i := 0; i < 100; i++ {
@@ -258,7 +250,6 @@ func TestGetHonoursNewestVersionAcrossLevels(t *testing.T) {
 	o := smallOptions(fs)
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	// Version 1 → flushed to L0, compacted to L1.
 	db.Put([]byte("k"), []byte("v1"))
 	for i := 0; i < 200; i++ {
@@ -294,7 +285,6 @@ func TestLevelFillAndInvariants(t *testing.T) {
 	o := smallOptions(fs)
 	o.BaseLevelBytes = 32 << 10 // tiny L1 so L2 fills
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 6000; i++ {
 		key := fmt.Sprintf("key-%06d", i%2000)
 		if err := db.Put([]byte(key), make([]byte, 100)); err != nil {

@@ -14,7 +14,6 @@ import (
 func TestBatchAtomicVisibility(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	var b Batch
 	for i := 0; i < 100; i++ {
 		b.Put([]byte(fmt.Sprintf("b-%03d", i)), []byte("v"))
@@ -55,7 +54,6 @@ func TestBatchAtomicVisibility(t *testing.T) {
 func TestBatchEmptyKeyRejected(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	var b Batch
 	b.Put(nil, []byte("v"))
 	if err := db.Apply(&b); err == nil {
@@ -75,7 +73,6 @@ func TestBatchSurvivesRecovery(t *testing.T) {
 	}
 	db.Close()
 	db2 := mustOpen(t, triadSmall(fs))
-	defer db2.Close()
 	for i := 0; i < 500; i++ {
 		v, err := db2.Get([]byte(fmt.Sprintf("b-%04d", i)))
 		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
@@ -133,7 +130,6 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 	o := triadSmall(vfs.NewMemFS())
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	put := func(from, to int, value string) {
 		t.Helper()
 		for i := from; i < to; i++ {

@@ -182,7 +182,6 @@ func TestTriadMemAtBenchGeometry(t *testing.T) {
 	o.BaseLevelBytes = 2 << 20
 	o.BlockBytes = 4 << 10
 	db := mustOpen(t, o)
-	defer db.Close()
 	const hot, cold, rounds, perRound = 375, 124_625, 4, 18_000
 	rng := rand.New(rand.NewSource(1))
 	key, val := make([]byte, 8), make([]byte, 255)
@@ -240,7 +239,6 @@ func TestSkipNeedsRoomInLog(t *testing.T) {
 			o.CommitLogBytes = 32 << 10
 			o.FlushThresholdBytes = 256 << 10
 			db := mustOpen(t, o)
-			defer db.Close()
 			for i := 0; i < 5000; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("k%07d", i%tc.keys)), make([]byte, 200)); err != nil {
 					t.Fatal(err)
@@ -348,7 +346,6 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	}
 	oracle["twice"] = "second"
 	db3 := mustOpen(t, o)
-	defer db3.Close()
 	checkAgainst(t, db3, oracle)
 	if err := errors.Join(db.Close(), db2.Close()); err != nil { // the abandoned handles' pools
 		t.Fatal(err)
@@ -377,7 +374,6 @@ func TestHotWriteBackIsTheNewestVersion(t *testing.T) {
 	o := triadSmall(fs)
 	o.DisableAutoCompaction = true // no fold creates a table, no L0 write stop
 	db := mustOpen(t, o)
-	defer func() { db.Close() }()
 	queued := func() int {
 		db.mu.Lock()
 		defer db.mu.Unlock()

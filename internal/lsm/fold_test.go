@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -54,7 +55,6 @@ func TestFoldMatchesOracle(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := triadSmall(fs)
 	db := mustOpen(t, o)
-	defer func() { db.Close() }()
 	const keys = 3000
 	rng := rand.New(rand.NewSource(7))
 	oracle := map[string]string{}
@@ -152,7 +152,10 @@ func TestFoldRacesFlush(t *testing.T) {
 	o.TriadMem = false // every key reaches the flush
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer func() { db.Close() }()
+	// Registered after the store's cleanup, so it runs first: a failure
+	// while the flush is parked does not leave Close waiting on it.
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark)
 	write := func(version string) {
 		t.Helper()
 		for i := 0; i < 200; i++ { // one memtable's worth
@@ -183,7 +186,7 @@ func TestFoldRacesFlush(t *testing.T) {
 	if err != nil || !ran || db.Metrics().Folds != 1 {
 		t.Fatalf("CompactOnce = %v, %v with %d folds: want the L0 folded", ran, err, db.Metrics().Folds)
 	}
-	close(release)
+	unpark()
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,6 @@ func TestFoldOnlyUnderDiskAndLog(t *testing.T) {
 			o := smallOptions(fs)
 			o.TriadMem, o.TriadDisk, o.TriadLog = c.mem, c.disk, c.logs
 			db := mustOpen(t, o)
-			defer db.Close()
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 15000; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(4000))), make([]byte, 60)); err != nil {
@@ -275,7 +277,6 @@ func TestL0LogCeiling(t *testing.T) {
 	o.DisableAutoCompaction = true
 	o.Events = obs.NewJournal(10000)
 	db := mustOpen(t, o)
-	defer db.Close()
 	floor := compaction.MaxFilesL0 * o.CommitLogBytes
 	priced := false // a settled L0 pinned more than the floor
 	settle := func(round int) {
@@ -365,7 +366,6 @@ func TestUniformOverwritesStayUnderTheCeiling(t *testing.T) {
 	o := triadSmall(fs)
 	o.BaseLevelBytes = 1 << 20 // a large L1, which prices L0's merge past the floor
 	db := mustOpen(t, o)
-	defer func() { db.Close() }()
 	const keys = 20000
 	rng := rand.New(rand.NewSource(11))
 	oracle := map[string]string{}
@@ -507,7 +507,6 @@ func TestReopenStoreFromBeforeFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	db = mustOpen(t, o)
-	defer db.Close()
 	check("reopened", db)
 }
 
@@ -590,7 +589,6 @@ func TestFoldJournalExplainsItsRun(t *testing.T) {
 	o := runFoldOptions(vfs.NewMemFS())
 	o.Events = obs.NewJournal(1000)
 	db := mustOpen(t, o)
-	defer db.Close()
 	base, ops := runFoldLoad(1, 40, 3000)
 	for _, op := range base {
 		if err := op.apply(db); err != nil {

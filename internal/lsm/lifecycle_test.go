@@ -4,29 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
-
-// waitGoroutines polls until the goroutine count is back at (or below)
-// want: a closed pool's workers have signalled done but may not have
-// left the scheduler yet.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestFailedOpenReleasesEverything: a store whose manifest references a
 // truncated table fails to open, and the failed Open leaves no file
@@ -70,8 +56,7 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		}
 		f.Close()
 
-		before := runtime.NumGoroutine()
-		open := countHandles(mem, nil)
+		open := leakcheck.Handles(mem, nil)
 		cache := sstable.NewCache(1 << 20)
 		o.BlockCache = cache
 		if db, err := Open(o); err == nil {
@@ -84,7 +69,7 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		if st := cache.Stats(); st.Resident != 0 {
 			t.Errorf("triad=%v: failed Open left %d bytes resident in the shared cache", triad, st.Resident)
 		}
-		waitGoroutines(t, before)
+		leakcheck.NoGoroutines(t)
 	}
 }
 
@@ -133,7 +118,6 @@ func TestCloseReleasesCacheTenant(t *testing.T) {
 func TestOpenCloseChurn(t *testing.T) {
 	const rounds, perRound = 50, 60
 	fs := vfs.NewMemFS()
-	before := runtime.NumGoroutine()
 	key := func(r, i int) []byte { return []byte(fmt.Sprintf("r%02d-k%03d", r, i)) }
 	val := bytes.Repeat([]byte{3}, 120)
 	for r := 0; r < rounds; r++ {
@@ -160,10 +144,9 @@ func TestOpenCloseChurn(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("round %d: close: %v", r, err)
 		}
-		waitGoroutines(t, before)
+		leakcheck.NoGoroutines(t)
 	}
 	db := mustOpen(t, triadSmall(fs))
-	defer db.Close()
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < perRound; i++ {
 			if v, err := db.Get(key(r, i)); err != nil || !bytes.Equal(v, val) {
@@ -307,7 +290,7 @@ func TestFaultsLeaveNoHandleOpen(t *testing.T) {
 						o = triadSmall(fs)
 					}
 					var armed atomic.Bool
-					open := countHandles(fs, func(op vfs.Op) error {
+					open := leakcheck.Handles(fs, func(op vfs.Op) error {
 						if armed.Load() && op.Kind == kind && strings.Contains(op.Name, file) {
 							return vfs.ErrInjected
 						}
@@ -338,7 +321,6 @@ func TestFaultsLeaveNoHandleOpen(t *testing.T) {
 					}
 					fs.SetHooks(vfs.Hooks{})
 					db = mustOpen(t, o)
-					defer db.Close()
 					for k, v := range acked {
 						if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
 							t.Fatalf("acknowledged %s after reopen: %.20q, %v", k, got, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/compaction"
+	"repro/internal/leakcheck"
 	"repro/internal/manifest"
 	"repro/internal/metrics"
 	"repro/internal/vfs"
@@ -74,7 +75,6 @@ func TestHotKeysRelogThemselves(t *testing.T) {
 	o.CommitLogBytes = 64 << 10
 	o.FlushThresholdBytes = 64 << 10
 	db := mustOpen(t, o)
-	defer db.Close()
 	rng := rand.New(rand.NewSource(1))
 	for db.Metrics().FlushSkips < 50 {
 		if err := db.Put([]byte(fmt.Sprintf("k%07d", rng.Intn(60))), make([]byte, 200)); err != nil {
@@ -108,7 +108,6 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 			o.CommitLogBytes = 8 << 10
 			o.FlushThresholdBytes = 4 << 10
 			db := mustOpen(t, o)
-			defer func() { db.Close() }()
 			rng := rand.New(rand.NewSource(2))
 			twoLogs, moreLogs := 0, 0
 			var reopened uint64 // the reopened store's fresh log
@@ -220,7 +219,6 @@ func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			db = mustOpen(t, o)
-			defer db.Close()
 		}
 		if v, err := db.Get([]byte("straggler")); err != nil || string(v) != "written once" {
 			t.Fatalf("Get(straggler) = %q, %v (reopened: %v)", v, err, reopened)
@@ -339,7 +337,6 @@ func TestMergedLogsStayRetired(t *testing.T) {
 		t.Fatalf("the merge retired logs %v, want the two its tables pinned", restored)
 	}
 	db = mustOpen(t, o)
-	defer db.Close()
 	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v3" {
 		t.Fatalf("Get(k) = %q, %v after recovery; want v3, the version flushed after the merge", v, err)
 	}
@@ -363,22 +360,6 @@ func imageChanges(fs *vfs.MemFS, onImage func(what string, image *vfs.MemFS)) {
 			onImage(op.Kind.String()+" "+op.Name, fs.Clone())
 		}
 	}})
-}
-
-// countHandles counts the file handles open on fs from now on, which MemFS
-// itself does not track. It replaces fs's hooks; before, if not nil, is the
-// new Before hook.
-func countHandles(fs *vfs.MemFS, before func(vfs.Op) error) *atomic.Int64 {
-	var open atomic.Int64
-	fs.SetHooks(vfs.Hooks{Before: before, After: func(op vfs.Op) {
-		switch op.Kind {
-		case vfs.OpCreate, vfs.OpOpen:
-			open.Add(1)
-		case vfs.OpClose:
-			open.Add(-1)
-		}
-	}})
-	return &open
 }
 
 // failEveryNthWrite makes every nth write to fs fail with vfs.ErrInjected
@@ -431,7 +412,7 @@ func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
 	ro.FS, ro.Events = img.fs, nil
 	ro.DisableAutoCompaction = true // the files checked are recovery's alone
-	open := countHandles(img.fs, nil)
+	open := leakcheck.Handles(img.fs, nil)
 	defer func() {
 		if n := open.Load(); n != 0 {
 			err = errors.Join(err, fmt.Errorf("%d file handles left open", n))
@@ -608,7 +589,7 @@ func TestFlushSparesNewerLogs(t *testing.T) {
 			o.DisableAutoCompaction = true
 			release := parkTables(fs)
 			db := mustOpen(t, o)
-			defer db.Close()
+			t.Cleanup(release)
 			acked := map[string]string{}
 			for ready := false; !ready; {
 				k, v := fmt.Sprintf("key-%06d", len(acked)), fmt.Sprintf("%0100d", len(acked))

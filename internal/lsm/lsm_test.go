@@ -35,12 +35,34 @@ func triadSmall(fs *vfs.MemFS) Options {
 	return o
 }
 
+// mustOpen opens a store that the test's cleanup closes, after checking
+// that the test left no snapshot or iterator open on it: a leaked one pins
+// memtable versions, zombie tables and the logs their CL-SSTables index
+// until Close. A test may still Close the store itself, to reopen its
+// files; the check then has nothing left to see. A test that parks a
+// filesystem call registers the cleanup that unparks it after this one
+// (cleanups run last-registered first), so a failure while it is parked
+// does not leave Close waiting on it.
 func mustOpen(t testing.TB, o Options) *DB {
+	t.Helper()
+	db := mustOpenLeaking(t, o)
+	t.Cleanup(func() {
+		if n := db.OpenSnapshots(); n != 0 {
+			t.Errorf("%d snapshots (or iterators) still open when the test ended", n)
+		}
+	})
+	return db
+}
+
+// mustOpenLeaking is mustOpen without the check, for the tests that drop
+// snapshots on purpose to watch the finalizer reclaim them.
+func mustOpenLeaking(t testing.TB, o Options) *DB {
 	t.Helper()
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	return db
 }
 
@@ -53,7 +75,6 @@ func TestBasicPutGetDelete(t *testing.T) {
 				o = triadSmall(fs)
 			}
 			db := mustOpen(t, o)
-			defer db.Close()
 
 			if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
 				t.Fatal(err)
@@ -94,7 +115,6 @@ func TestFlushAndReadBack(t *testing.T) {
 				o = triadSmall(fs)
 			}
 			db := mustOpen(t, o)
-			defer db.Close()
 			for i := 0; i < 500; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
 					t.Fatal(err)
@@ -144,7 +164,6 @@ func TestModelBased(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fs := vfs.NewMemFS()
 			db := mustOpen(t, mk(fs))
-			defer db.Close()
 			oracle := map[string]string{}
 			rng := rand.New(rand.NewSource(99))
 			const keySpace = 400
@@ -233,7 +252,6 @@ func TestRecovery(t *testing.T) {
 			}
 
 			db2 := mustOpen(t, mk(fs))
-			defer db2.Close()
 			for k, want := range oracle {
 				got, err := db2.Get([]byte(k))
 				if err != nil || string(got) != want {
@@ -269,7 +287,6 @@ func TestRecoveryWithoutClose(t *testing.T) {
 	}
 	// Crash: no Close, no Flush. The commit log holds everything.
 	db2 := mustOpen(t, smallOptions(fs))
-	defer db2.Close()
 	for i := 0; i < 200; i++ {
 		if _, err := db2.Get([]byte(fmt.Sprintf("k%03d", i))); err != nil {
 			t.Fatalf("crash recovery lost k%03d: %v", i, err)
@@ -281,7 +298,6 @@ func TestRecoveryWithoutClose(t *testing.T) {
 func TestConcurrentReadersWriters(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, triadSmall(fs))
-	defer db.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for w := 0; w < 4; w++ {
@@ -329,7 +345,6 @@ func TestConcurrentReadersWriters(t *testing.T) {
 func TestIteratorRange(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("%03d", i)), []byte("v"))
 	}
@@ -386,7 +401,6 @@ func TestTracedGetNamesLevel(t *testing.T) {
 	o := triadSmall(vfs.NewMemFS())
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 200; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)

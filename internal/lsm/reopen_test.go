@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/vfs"
@@ -56,7 +57,6 @@ func TestReopenWritesNoLog(t *testing.T) {
 
 				o.FS = img
 				db := mustOpen(t, o)
-				defer db.Close()
 				if got := db.Metrics().BytesLogged; got != 0 {
 					t.Errorf("Open appended %d B to the logs", got)
 				}
@@ -104,6 +104,7 @@ func unflushedImage(t *testing.T, o Options, n int) (*vfs.MemFS, map[string]stri
 		release := parkTables(fs)
 		o.FS = fs
 		db := mustOpen(t, o)
+		t.Cleanup(release)
 		var img, last *vfs.MemFS // last: the newest image with n logs
 		var lastAcked map[string]string
 		for full := false; !full; {
@@ -137,6 +138,10 @@ func unflushedImage(t *testing.T, o Options, n int) (*vfs.MemFS, map[string]stri
 
 // parkTables replaces fs's hooks with one that holds up the creation of
 // every table file, and with it every flush, until release is called.
+// release may be called more than once. A test registers it with
+// t.Cleanup after opening the store (cleanups run last-registered first),
+// so that a failure while the gate is shut does not leave the store's
+// Close waiting on a parked flush.
 func parkTables(fs *vfs.MemFS) (release func()) {
 	park := make(chan struct{})
 	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
@@ -145,5 +150,5 @@ func parkTables(fs *vfs.MemFS) (release func()) {
 		}
 		return nil
 	}})
-	return func() { close(park) }
+	return sync.OnceFunc(func() { close(park) })
 }

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,5 +168,48 @@ func TestInjectedPoolOutlivesDB(t *testing.T) {
 	}
 	if pool.Stats().Completed == done {
 		t.Fatal("the reopened engine's flush did not run on the injected pool")
+	}
+}
+
+// TestCloseCancelsQueuedWork: a store on a caller's pool takes its queued
+// tasks back at Close (bgsched.Owner.Close). A flush queued behind a busy
+// worker must not run once the store has closed, since it would act on a
+// closed store; Close flushes the sealed memtable itself.
+func TestCloseCancelsQueuedWork(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o, pool := schedOptions(fs, 1)
+	defer pool.Close()
+	o.DisableAutoCompaction = true
+	blocker := pool.NewOwner()
+	defer blocker.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	blocker.Submit(bgsched.ClassDeep, 0, func() { close(started); <-release })
+	<-started
+
+	db := mustOpen(t, o)
+	for i := 0; i < 50; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.mu.Lock()
+	err := db.sealLocked("explicit") // queues the flush behind the blocker
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := pool.Stats().QueuedTotal(); q != 1 {
+		t.Fatalf("%d tasks queued behind the busy worker, want the flush", q)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if q := pool.Stats().QueuedTotal(); q != 0 {
+		t.Fatalf("the closed store left %d tasks queued on the pool", q)
+	}
+	if n := db.Metrics().Flushes; n != 1 {
+		t.Fatalf("%d flushes, want Close to have flushed the sealed memtable", n)
 	}
 }

@@ -16,7 +16,6 @@ func TestCheckConsistencyCleanTree(t *testing.T) {
 				o = triadSmall(fs)
 			}
 			db := mustOpen(t, o)
-			defer db.Close()
 			for i := 0; i < 3000; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("key-%05d", i%800)), make([]byte, 100)); err != nil {
 					t.Fatal(err)
@@ -47,7 +46,6 @@ func TestCheckConsistencyAfterRecovery(t *testing.T) {
 	}
 	db.Close()
 	db2 := mustOpen(t, o)
-	defer db2.Close()
 	if err := db2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,6 @@ func TestCheckConsistencyDetectsMissingPinnedLog(t *testing.T) {
 	o := triadSmall(fs)
 	o.DisableAutoCompaction = true // keep CL-SSTables in L0
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 2000; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%05d", i)), make([]byte, 100))
 	}

@@ -30,7 +30,6 @@ func TestSnapshotFrozenView(t *testing.T) {
 				mk = triadSmall
 			}
 			db := mustOpen(t, mk(fs))
-			defer db.Close()
 			for i := 0; i < 500; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
 					t.Fatal(err)
@@ -108,7 +107,6 @@ func TestSnapshotFrozenView(t *testing.T) {
 func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	for i := 0; i < 2000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
 			t.Fatal(err)
@@ -319,7 +317,6 @@ func TestSnapshotGCRemovalFailure(t *testing.T) {
 
 			o.Events = nil
 			db = mustOpen(t, o)
-			defer db.Close()
 			if left := unlistedTables(t, db, fs); len(left) > 0 {
 				t.Errorf("table files no level lists after reopen: %v", left)
 			}
@@ -335,7 +332,6 @@ func TestSnapshotGCRemovalFailure(t *testing.T) {
 // stay valid until they close (they hold their own pin).
 func TestSnapshotClosedErrors(t *testing.T) {
 	db := mustOpen(t, smallOptions(vfs.NewMemFS()))
-	defer db.Close()
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
@@ -379,7 +375,6 @@ func TestSnapshotClosedErrors(t *testing.T) {
 func TestSnapshotRefcountAccounting(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	for i := 0; i < 1000; i++ {
 		db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v1"))
 	}
@@ -428,8 +423,8 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 // references) are leaked along with it, or leaked after the snapshot
 // handle itself was closed.
 func TestSnapshotLeakFinalizer(t *testing.T) {
-	db := mustOpen(t, smallOptions(vfs.NewMemFS()))
-	defer db.Close()
+	// Leaks on purpose, so it opts out of mustOpen's open-snapshot check.
+	db := mustOpenLeaking(t, smallOptions(vfs.NewMemFS()))
 	db.Put([]byte("k"), []byte("v"))
 	waitReclaimed := func(wantLeaks int64) {
 		t.Helper()
@@ -442,13 +437,9 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	func() {
-		s, err := db.NewSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = s // dropped without Close
-	}()
+	if _, err := db.NewSnapshot(); err != nil { // dropped without Close
+		t.Fatal(err)
+	}
 	waitReclaimed(1)
 	func() {
 		// Snapshot handle AND an iterator (refs=2), both dropped.
@@ -456,11 +447,9 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := s.NewIterator(nil, nil)
-		if err != nil {
+		if _, err := s.NewIterator(nil, nil); err != nil { // both dropped
 			t.Fatal(err)
 		}
-		_ = it // dropped without Close
 	}()
 	waitReclaimed(2)
 	func() {
@@ -469,11 +458,9 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := s.NewIterator(nil, nil)
-		if err != nil {
+		if _, err := s.NewIterator(nil, nil); err != nil { // dropped without Close
 			t.Fatal(err)
 		}
-		_ = it // dropped without Close
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +495,6 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 // generous allocation bound rather than an exact count.
 func TestIteratorStreamsLazily(t *testing.T) {
 	db := mustOpen(t, smallOptions(vfs.NewMemFS()))
-	defer db.Close()
 	const keys = 50000
 	for i := 0; i < keys; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("0123456789abcdef")); err != nil {
@@ -543,7 +529,6 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 	o := smallOptions(vfs.NewMemFS())
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	k := []byte("k")
 	put := func(v string) {
 		t.Helper()

@@ -424,7 +424,6 @@ func TestSpillSurvivesRecovery(t *testing.T) {
 
 	// Crash: reopen from what is on disk.
 	db2 := mustOpen(t, o)
-	defer db2.Close()
 	for l := 1; l <= 2; l++ {
 		var was, now []uint64
 		for _, f := range after.Levels[l] {
@@ -456,7 +455,6 @@ func TestDebtCountsL0AtDataSize(t *testing.T) {
 	o.BaseLevelBytes = 64 << 20
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 
 	val := bytes.Repeat([]byte{'v'}, 200)
 	n := 0

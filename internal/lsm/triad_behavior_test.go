@@ -70,7 +70,6 @@ func TestTriadMemFlushSkip(t *testing.T) {
 	o.CommitLogBytes = 16 << 10
 	o.FlushThresholdBytes = 512 << 10
 	db := mustOpen(t, o)
-	defer db.Close()
 	// Hammer 10 keys.
 	for i := 0; i < 5000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
@@ -128,7 +127,6 @@ func flushL0(t *testing.T, db *DB, batches ...int) {
 // threshold, before MaxFilesL0 forces it.
 func TestTriadDiskDefersCompaction(t *testing.T) {
 	db := mustOpen(t, diskOptions(vfs.NewMemFS()))
-	defer db.Close()
 	// L0CompactionTrigger flushes of disjoint key ranges → negligible overlap.
 	var batches []int
 	for b := 0; b < compaction.L0CompactionTrigger; b++ {
@@ -169,7 +167,6 @@ func TestTriadDiskDefersCompaction(t *testing.T) {
 // zero overlap.
 func TestTriadDiskForcedAtMaxFiles(t *testing.T) {
 	db := mustOpen(t, diskOptions(vfs.NewMemFS()))
-	defer db.Close()
 	for b := 0; b < compaction.MaxFilesL0-1; b++ {
 		flushL0(t, db, b)
 	}
@@ -200,7 +197,6 @@ func TestTriadLogFlushWritesOnlyIndex(t *testing.T) {
 	o.MemtableBytes = 256 << 10
 	o.CommitLogBytes = 1 << 20
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%06d", i)
 		if err := db.Put([]byte(key), make([]byte, 200)); err != nil {
@@ -244,7 +240,6 @@ func TestTriadLogCompactionReclaimsLogs(t *testing.T) {
 	o.TriadLog = true
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 300; i++ {
 			key := fmt.Sprintf("key-%05d", i)
@@ -319,7 +314,6 @@ func TestRecoveryWithCLSSTables(t *testing.T) {
 	}
 
 	db2 := mustOpen(t, o)
-	defer db2.Close()
 	for i := 1500; i < 2000; i++ { // the final value of each key
 		key := fmt.Sprintf("key-%05d", i%500)
 		v, err := db2.Get([]byte(key))
@@ -338,7 +332,6 @@ func TestDisableBackgroundIO(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := smallOptions(fs)
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 1000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("stable")); err != nil {
 			t.Fatal(err)
@@ -378,7 +371,6 @@ func TestDisableBackgroundIO(t *testing.T) {
 func TestWALFaultSurfacesError(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	defer db.Close()
 	if err := db.Put([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +391,6 @@ func TestTombstonesDroppedAtBottom(t *testing.T) {
 	o := smallOptions(fs)
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	for i := 0; i < 300; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), make([]byte, 64)); err != nil {
 			t.Fatal(err)
@@ -449,7 +440,6 @@ func TestHotKeySkipDuringCompaction(t *testing.T) {
 	o.TriadMem = true
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	// Create L0 files containing old versions of "hot".
 	for round := 0; round < 3; round++ {
 		if err := db.Put([]byte("hot"), []byte(fmt.Sprintf("old-%d", round))); err != nil {
@@ -493,7 +483,6 @@ func TestMergeSkipsExactlyTheMemtableKeys(t *testing.T) {
 	o.MemtableBytes, o.CommitLogBytes = 1<<20, 4<<20
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	defer db.Close()
 	const keys = 600
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
 	newest := map[string]string{}

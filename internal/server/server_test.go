@@ -16,27 +16,72 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/leakcheck"
 	"repro/internal/lsm"
 	"repro/internal/resp"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
 
-// newTestStore opens an in-memory sharded store sized for tests.
+// newTestStore opens an in-memory sharded store sized for tests. Its
+// cleanup closes it and then checks that no file handle is left open on
+// any shard's filesystem.
 func newTestStore(t *testing.T, shards int) *shard.DB {
 	t.Helper()
 	opts := lsm.TriadOptions(nil)
 	opts.MemtableBytes = 256 << 10
 	opts.CommitLogBytes = 1 << 20
-	db, err := shard.Open(shard.Options{Shards: shards, Engine: opts, NewFS: shard.MemFS()})
+	newFS, checkClosed := leakcheck.ShardMemFS(t, shards)
+	db, err := shard.Open(shard.Options{Shards: shards, Engine: opts, NewFS: newFS})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		db.Close()
+		checkClosed()
+	})
 	return db
 }
 
+// checkReleased fails t if db has a snapshot, an iterator or an epoch
+// ticket outstanding. The ticket check takes a snapshot: it draws the next
+// epoch once every shard's commit lock is free, so with no ticket
+// outstanding it returns at once and the watermark reaches its epoch.
+func checkReleased(t *testing.T, db *shard.DB) {
+	t.Helper()
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Errorf("%d store snapshots still open", n)
+	}
+	for i := 0; i < db.NumShards(); i++ {
+		if n := db.Shard(i).OpenSnapshots(); n != 0 {
+			t.Errorf("shard %d: %d snapshots (or iterators) still open", i, n)
+		}
+	}
+	probe := make(chan *shard.Snapshot, 1)
+	go func() {
+		s, err := db.NewSnapshot()
+		if err != nil {
+			t.Errorf("snapshot after shutdown: %v", err)
+		}
+		probe <- s
+	}()
+	select {
+	case s := <-probe:
+		if s == nil {
+			return
+		}
+		s.Close()
+		if w := db.CommittedEpoch(); w != s.Epoch() {
+			t.Errorf("watermark at %d behind epoch %d: a ticket was never committed or aborted", w, s.Epoch())
+		}
+	case <-time.After(5 * time.Second):
+		t.Errorf("a snapshot waited 5 s for the commit locks: a ticket was never committed or aborted")
+	}
+}
+
 // startServer serves db on a random port and tears everything down with
-// the test.
+// the test: once the server has shut down, it checks that nothing the
+// server opened on db is left (checkReleased) and closes db.
 func startServer(t *testing.T, db *shard.DB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	return serveStore(t, db, db, cfg)
@@ -62,6 +107,7 @@ func serveStore(t *testing.T, store server.Store, db *shard.DB, cfg server.Confi
 		if err := <-serveErr; err != nil {
 			t.Errorf("serve: %v", err)
 		}
+		checkReleased(t, db)
 		if err := db.Close(); err != nil {
 			t.Errorf("close store: %v", err)
 		}

@@ -23,13 +23,12 @@
 // its shard's own snapshot), and Flush/CompactAll/Close fan out to every
 // shard and drain them.
 //
-// Two lifetime invariants here are machine-checked by triadlint (see
-// internal/lint): every *Commit ticket minted by Prepare must reach
-// Commit or Abort on all control-flow paths (ticketleak — an
-// unsettled ticket holds the epoch pipeline open forever), and every
-// Snapshot and Iter must be closed or handed to a tracked owner
-// (mustclose — snapshots pin the memtable versions they read and
-// zombie sstables until released).
+// Two lifetime invariants here are checked at runtime by the tests (see
+// README "Leak checks"): every *Commit ticket minted by Prepare must
+// reach Commit or Abort (an unsettled ticket holds the epoch pipeline
+// open forever), and every Snapshot and Iter must be closed (snapshots
+// pin the memtable versions they read and zombie sstables until
+// released).
 package shard
 
 import (

@@ -23,7 +23,6 @@ import (
 // with it.
 func TestFNVRanges(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 	for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
 		it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
 		if err != nil {
@@ -59,7 +58,6 @@ func TestFNVRanges(t *testing.T) {
 func TestSingleShardScanFastPath(t *testing.T) {
 	const keys = 4000
 	one := openMem(t, 1)
-	defer one.Close()
 	for i := 0; i < keys; i++ {
 		if err := one.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -105,7 +103,6 @@ func TestSingleShardScanFastPath(t *testing.T) {
 
 	// A multi-shard store's scan is one iterator on one store snapshot.
 	hdb := openMem(t, 4)
-	defer hdb.Close()
 	if err := hdb.Put([]byte("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +499,6 @@ func TestRangeShardCountMismatch(t *testing.T) {
 // writes, and a keyset that hashes to one shard shows there alone.
 func TestShardStats(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 	// 500 keys that all hash to shard 0: it takes everything.
 	keys := keysOn(db, 0, 500, "key")
 	for _, k := range keys {

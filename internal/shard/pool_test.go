@@ -7,25 +7,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/bgsched"
+	"repro/internal/leakcheck"
 	"repro/internal/vfs"
 )
-
-// waitGoroutines polls until the goroutine count is back at (or below)
-// want: a closed pool's workers have signalled done but may not have
-// left the scheduler yet.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestOnePoolPerStore: however many shards a store has, its background
 // plane is one pool of DefaultWorkers(shards) goroutines (or the size
@@ -51,7 +37,7 @@ func TestOnePoolPerStore(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		waitGoroutines(t, before)
+		leakcheck.NoGoroutines(t)
 	}
 }
 
@@ -101,26 +87,18 @@ func TestFailedOpenClosesEarlierShards(t *testing.T) {
 	}
 	f.Close()
 
-	before := runtime.NumGoroutine()
-	// Count the file handles the store holds open, which MemFS itself
-	// does not track.
-	var open atomic.Int64
+	var open []*atomic.Int64
 	for _, mem := range mems {
-		mem.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
-			switch op.Kind {
-			case vfs.OpCreate, vfs.OpOpen:
-				open.Add(1)
-			case vfs.OpClose:
-				open.Add(-1)
-			}
-		}})
+		open = append(open, leakcheck.Handles(mem, nil))
 	}
 	_, err = Open(Options{Shards: shards, Engine: smallEngine(), NewFS: memFS})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard %d", shards-1)) {
 		t.Fatalf("Open over a truncated %s in the last shard: %v", victim, err)
 	}
-	if n := open.Load(); n != 0 {
-		t.Errorf("failed Open left %d file handles open", n)
+	for i, n := range open {
+		if n.Load() != 0 {
+			t.Errorf("failed Open left %d file handles open on shard %d", n.Load(), i)
+		}
 	}
-	waitGoroutines(t, before)
+	leakcheck.NoGoroutines(t)
 }

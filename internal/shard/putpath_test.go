@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,7 +131,12 @@ func TestStalledShardDoesNotBlockOtherShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	// Cleanups run last-registered first: the gate opens before Close,
+	// which waits for the parked flushes, also when the test fails with
+	// the gate shut.
+	t.Cleanup(func() { db.Close() })
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(openGate)
 	val := make([]byte, 1<<10)
 
 	// Far more than shard 0 can absorb without a flush completing: the
@@ -186,7 +192,7 @@ func TestStalledShardDoesNotBlockOtherShard(t *testing.T) {
 	default:
 	}
 
-	close(gate)
+	openGate()
 	if err := <-stalledDone; err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func TestApplySerializableConflictingBatches(t *testing.T) {
 		reads   = 120 // per reader
 	)
 	db := openMem(t, shards)
-	defer db.Close()
 	keys := conflictKeySet(t, nkeys, shards)
 
 	// epochOf records every committed stamp's epoch (writers fill it;

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/lsm"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -27,13 +28,42 @@ func smallEngine() lsm.Options {
 	return o
 }
 
+// openMem opens an in-memory store that the test's cleanup closes. Before
+// it closes the store, the cleanup checks that the test left no snapshot
+// or iterator open on it and no epoch ticket outstanding (a Prepare never
+// committed nor aborted parks the commit watermark for good); after, that
+// no file handle is left open on any shard's filesystem.
 func openMem(t *testing.T, shards int) *DB {
 	t.Helper()
-	db, err := Open(Options{Shards: shards, Engine: smallEngine(), NewFS: MemFS()})
+	newFS, checkClosed := leakcheck.ShardMemFS(t, shards)
+	db, err := Open(Options{Shards: shards, Engine: smallEngine(), NewFS: newFS})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		checkReleased(t, db)
+		db.Close()
+		checkClosed()
+	})
 	return db
+}
+
+// checkReleased fails t if db has a snapshot, an iterator or an epoch
+// ticket outstanding. Close releases all of them, so after it there is
+// nothing to see.
+func checkReleased(t *testing.T, db *DB) {
+	t.Helper()
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Errorf("%d store snapshots still open", n)
+	}
+	for i, s := range db.shards {
+		if n := s.OpenSnapshots(); n != 0 {
+			t.Errorf("shard %d: %d snapshots (or iterators) still open", i, n)
+		}
+	}
+	if last, committed := db.clk.last.Load(), db.clk.committedEpoch(); last != committed {
+		t.Errorf("epoch %d handed out, watermark at %d: a ticket was never committed or aborted", last, committed)
+	}
 }
 
 // TestBehaviorParity drives the same pseudo-random put/delete/get
@@ -41,7 +71,6 @@ func openMem(t *testing.T, shards int) *DB {
 // and a full iteration — the same behavioral contract lsm.DB satisfies.
 func TestBehaviorParity(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(1))
@@ -99,7 +128,6 @@ func TestBehaviorParity(t *testing.T) {
 // yields the right entry count.
 func TestIteratorGloballySorted(t *testing.T) {
 	db := openMem(t, 8)
-	defer db.Close()
 
 	var keys []string
 	for i := 0; i < 3000; i++ {
@@ -160,7 +188,6 @@ func TestIteratorGloballySorted(t *testing.T) {
 // Reset.
 func TestBatchFanout(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 
 	var b Batch
 	for i := 0; i < 400; i++ {
@@ -200,6 +227,61 @@ func TestBatchFanout(t *testing.T) {
 	for i := 0; i < db.NumShards(); i++ {
 		if db.Shard(i).Metrics().UserWrites == 0 {
 			t.Fatalf("shard %d received no batch writes", i)
+		}
+	}
+}
+
+// TestApplyLeavesNoTicket drives Apply through every batch shape Prepare
+// accepts, and the ones it refuses, on a one-shard store (where the batch
+// is its own sub-batch) and a four-shard one: after each, every epoch
+// handed out has finished, so no ticket is left to park the commit
+// watermark and the writes and snapshots behind it.
+func TestApplyLeavesNoTicket(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		db := openMem(t, shards)
+		batch := func(keys ...[]byte) *Batch {
+			b := &Batch{}
+			for i, k := range keys {
+				if i%3 == 2 {
+					b.Delete(k)
+				} else {
+					b.Put(k, []byte("v"))
+				}
+			}
+			return b
+		}
+		var every [][]byte
+		for i := 0; i < shards; i++ {
+			every = append(every, keysOn(db, i, 2, "every")...)
+		}
+		del := &Batch{}
+		del.Delete([]byte("k"))
+		put := batch([]byte("k"))
+		for _, c := range []struct {
+			name   string
+			b      *Batch
+			refuse bool
+		}{
+			{"empty", &Batch{}, false},
+			{"one put", put, false},
+			{"one delete", del, false},
+			{"one shard", batch(keysOn(db, shards-1, 5, "one")...), false},
+			{"every shard", batch(every...), false},
+			{"already committed", put, true},
+			{"empty key", batch([]byte("a"), []byte{}), true},
+		} {
+			before := db.clk.last.Load()
+			err := db.Apply(c.b)
+			if (err != nil) != c.refuse {
+				t.Fatalf("%d shards, %s: Apply = %v", shards, c.name, err)
+			}
+			last, watermark := db.clk.last.Load(), db.clk.committedEpoch()
+			if !c.refuse && last == before {
+				t.Errorf("%d shards, %s: Apply drew no ticket", shards, c.name)
+			}
+			if last != watermark { // and the next Apply would wait for it forever
+				t.Fatalf("%d shards, %s: epoch %d handed out, watermark at %d", shards, c.name, last, watermark)
+			}
 		}
 	}
 }
@@ -276,7 +358,6 @@ func TestRecovery(t *testing.T) {
 // write exactly once.
 func TestConcurrentWriters(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
@@ -315,7 +396,6 @@ func TestConcurrentWriters(t *testing.T) {
 // memtable to disk, visible through the summed level counts.
 func TestFlushAndAggregates(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 	for i := 0; i < 4000; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 64)); err != nil {
 			t.Fatal(err)
@@ -485,7 +565,6 @@ func TestDirFSRefusesRootStore(t *testing.T) {
 // drain leaves none of.
 func TestL0FoldsObservable(t *testing.T) {
 	db := openMem(t, 2)
-	defer db.Close()
 	rng := rand.New(rand.NewSource(1))
 	sawL0, sawStats := false, false // L0 is empty now and then: sample it
 	for i := 0; i < 60000; i++ {

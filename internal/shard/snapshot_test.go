@@ -46,7 +46,6 @@ func TestSnapshotNoTornCrossShardBatch(t *testing.T) {
 		rounds  = 150
 	)
 	db := openMem(t, shards)
-	defer db.Close()
 	ps := distinctShardPairs(t, pairs, shards)
 	init := &Batch{}
 	for _, p := range ps {
@@ -153,7 +152,6 @@ func TestSnapshotNoTornCrossShardBatch(t *testing.T) {
 // openSnaps gauge tracks the lifecycle.
 func TestShardSnapshotFrozenAndClosed(t *testing.T) {
 	db := openMem(t, 4)
-	defer db.Close()
 	for i := 0; i < 400; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v1")); err != nil {
 			t.Fatal(err)
@@ -219,7 +217,6 @@ func TestShardSnapshotFrozenAndClosed(t *testing.T) {
 // the store closes.
 func TestSnapshotReleasesShardsOnRefusal(t *testing.T) {
 	db := openMem(t, 2)
-	defer db.Close()
 	if err := db.shards[1].Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@
 // format-agnostic.
 //
 // The shared block cache hands out per-tenant Handles whose resident
-// bytes are reclaimed only by Release; triadlint's mustclose analyzer
-// (see internal/lint) enforces that every NewHandle result is released
-// on all control-flow paths or escapes to a tracked owner.
+// bytes are reclaimed only by Release; TestCloseReleasesCacheTenant
+// (internal/lsm) checks that a closed store leaves none resident.
 package sstable
 
 import (
