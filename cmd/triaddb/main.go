@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if len(args) > 2 {
 			limit = []byte(args[2])
 		}
-		var it triad.Iterator
+		var it *triad.Iterator
 		if it, err = db.NewIterator(start, limit); err == nil {
 			for it.Next() {
 				fmt.Fprintf(stdout, "%s = %s\n", it.Key(), it.Value())

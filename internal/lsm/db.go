@@ -402,27 +402,31 @@ func pointingInto(mem *memtable.Memtable, from []uint64) []base.Entry {
 // mem needs the logs from. It returns the bytes appended. Caller holds
 // db.mu if mem is live: the position updates are memtable writes.
 func (db *DB) populateLog(w *wal.Writer, mem *memtable.Memtable, from []uint64, recs []base.Entry) (int, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	offs, n, err := w.AppendBatch(recs)
-	if err == nil && !db.opts.SyncWAL {
-		err = w.Sync() // the logs from are about to be removed on the strength of this copy
-	}
-	if err != nil {
+	offs, n, err := db.relog(w, recs)
+	if err != nil || n == 0 {
 		return 0, err
 	}
-	db.noteRelogged(n)
 	mem.Relog(from, w.ID(), offs)
 	return n, nil
 }
 
-// noteRelogged accounts n bytes the engine appended to a commit log on its
-// own behalf — carried across a rotation or into a sealed log, or a
-// flush's hot write-back — not for a user's commit.
-func (db *DB) noteRelogged(n int) {
+// relog appends recs to w as one batch the engine logs on its own behalf —
+// entries carried across a rotation or into a sealed log, or a flush's hot
+// write-back — not for a user's commit, and accounts it as relogged. The
+// batch is made durable: the caller is about to drop, or journal past, the
+// only other copy of these entries. It returns each record's offset (valid
+// until w's next append) and the bytes appended, 0 for no records.
+func (db *DB) relog(w *wal.Writer, recs []base.Entry) ([]int64, int, error) {
+	offs, n, err := w.AppendBatch(recs)
+	if err == nil && n > 0 && !db.opts.SyncWAL {
+		err = w.Sync()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
 	db.met.BytesLogged.Add(int64(n))
 	db.met.BytesRelogged.Add(int64(n))
+	return offs, n, nil
 }
 
 // retireLogs removes commit logs the engine no longer needs, oldest first.

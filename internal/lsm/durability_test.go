@@ -3,10 +3,8 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"repro/internal/manifest"
@@ -14,96 +12,13 @@ import (
 	"repro/internal/wal"
 )
 
-// syncTracker follows, per file of a MemFS, the bytes written and the
-// bytes a sync made durable, so that a power cut can be imaged: every file
-// cut back to its synced length.
-type syncTracker struct {
-	fs *vfs.MemFS
-
-	mu              sync.Mutex
-	written, synced map[string]int64
-	// renamed is set while the journal's handle, named MANIFEST.new when
-	// it was created, writes the file that the roll renamed to MANIFEST.
-	renamed bool
-}
-
-// trackSyncs replaces fs's hooks with a syncTracker's. onSync, if not nil,
-// runs after each successful sync, with the name of the file synced.
-func trackSyncs(fs *vfs.MemFS, onSync func(p *syncTracker, name string)) *syncTracker {
-	p := &syncTracker{fs: fs, written: map[string]int64{}, synced: map[string]int64{}}
-	const journal, rolled = "MANIFEST", "MANIFEST.new"
-	fs.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
-		p.mu.Lock()
-		if op.Kind == vfs.OpCreate && op.Name == rolled {
-			p.renamed = false
-		}
-		name := op.Name
-		if name == rolled && p.renamed {
-			name = journal
-		}
-		switch op.Kind {
-		case vfs.OpCreate:
-			p.written[name], p.synced[name] = 0, 0
-		case vfs.OpWrite:
-			p.written[name] += int64(op.N)
-		case vfs.OpSync:
-			p.synced[name] = p.written[name]
-		case vfs.OpRemove:
-			delete(p.written, name)
-			delete(p.synced, name)
-		case vfs.OpRename:
-			if name != rolled {
-				panic("syncTracker: rename of " + name)
-			}
-			p.renamed = true
-			p.written[journal], p.synced[journal] = p.written[name], p.synced[name]
-			delete(p.written, name)
-			delete(p.synced, name)
-		}
-		p.mu.Unlock()
-		if op.Kind == vfs.OpSync && onSync != nil {
-			onSync(p, name)
-		}
-	}})
-	return p
-}
-
-// image returns the filesystem a power cut would leave now: a copy of
-// every file cut to the bytes synced. Taken outside fs's hooks, it is only
-// exact while the store makes no call.
-func (p *syncTracker) image() *vfs.MemFS {
-	clone := p.fs.Clone()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := vfs.NewMemFS()
-	names, _ := clone.List("")
-	for _, name := range names {
-		in, err := clone.Open(name)
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, p.synced[name])
-		if n, err := in.ReadAt(buf, 0); err != nil && (err != io.EOF || n != len(buf)) && len(buf) > 0 {
-			panic(fmt.Sprintf("%s: read %d of %d synced bytes: %v", name, n, len(buf), err))
-		}
-		f, err := out.Create(name)
-		if err == nil {
-			_, err = f.Write(buf)
-		}
-		if err != nil {
-			panic(err)
-		}
-		f.Close()
-	}
-	return out
-}
-
-// TestFlushJournalsOnlySyncedLogBytes images the store at every MANIFEST
-// sync with every file cut to its synced length — a power cut right after
-// a manifest edit became durable — and reopens each image: it must be
-// consistent and answer every key with one of its written values or
-// not-found. Under TRIAD-LOG a flush's edit names the sealed commit log as
-// its table's values, so the log must be durable before the edit is.
+// TestFlushJournalsOnlySyncedLogBytes images the store at every sync of a
+// MANIFEST* file as a power cut leaves it — right after a manifest edit,
+// or a roll's fresh journal before its rename, became durable — and
+// reopens each image: it must pass crashImage.check with every key read as
+// one of its written values or not-found. Under TRIAD-LOG a flush's edit
+// names the sealed commit log as its table's values, so the log must be
+// durable before the edit is.
 func TestFlushJournalsOnlySyncedLogBytes(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -112,11 +27,15 @@ func TestFlushJournalsOnlySyncedLogBytes(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			fs := vfs.NewMemFS()
 			var images []*vfs.MemFS
-			trackSyncs(fs, func(p *syncTracker, name string) {
-				if name == "MANIFEST" {
-					images = append(images, p.image())
+			rolls := 0
+			fs.SetHooks(vfs.Hooks{After: func(op vfs.Op) {
+				if op.Kind == vfs.OpSync && strings.HasPrefix(op.Name, "MANIFEST") {
+					images = append(images, fs.Crash())
+					if fs.Exists("MANIFEST.new") {
+						rolls++
+					}
 				}
-			})
+			}})
 			o := mode.opts(fs)
 			db := mustOpen(t, o)
 			const keys = 1500
@@ -134,42 +53,20 @@ func TestFlushJournalsOnlySyncedLogBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.SetHooks(vfs.Hooks{})
+			if rolls == 0 {
+				t.Fatal("no image of a MANIFEST roll before its rename")
+			}
 			bad := 0
-			for i, img := range images {
-				if err := checkPowerCut(o, img, values); err != nil {
+			for i, cut := range images {
+				img := crashImage{n: i + 1, what: "a MANIFEST sync", fs: cut, o: o, maybe: values}
+				if err := img.check(t); err != nil {
 					bad++
 					t.Errorf("image %d of %d: %v", i+1, len(images), err)
 				}
 			}
-			t.Logf("%d of %d images bad", bad, len(images))
+			t.Logf("%d of %d images bad, %d of a roll", bad, len(images), rolls)
 		})
 	}
-}
-
-// checkPowerCut reopens img, with auto-compaction off, and checks that it
-// is consistent and answers every key of values with one of the values
-// written to it, or not-found.
-func checkPowerCut(o Options, img *vfs.MemFS, values map[string][]string) error {
-	o.FS, o.Events = img, nil
-	o.DisableAutoCompaction = true
-	db, err := Open(o)
-	if err != nil {
-		return fmt.Errorf("Open: %w", err)
-	}
-	defer db.Close()
-	if err := db.CheckConsistency(); err != nil {
-		return fmt.Errorf("CheckConsistency: %w", err)
-	}
-	for k, vs := range values {
-		v, err := db.Get([]byte(k))
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return fmt.Errorf("Get(%s): %w", k, err)
-		}
-		if err == nil && !slices.Contains(vs, string(v)) {
-			return fmt.Errorf("Get(%s) = %.20q..., a value never written to it", k, v)
-		}
-	}
-	return nil
 }
 
 // TestFlushMakesHotKeysDurable: with SyncWAL off, a write acknowledged
@@ -184,7 +81,6 @@ func TestFlushMakesHotKeysDurable(t *testing.T) {
 	}{{"mem", false}, {"mem+log", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			fs := vfs.NewMemFS()
-			p := trackSyncs(fs, nil)
 			o := smallOptions(fs)
 			o.TriadMem, o.TriadLog = true, mode.log
 			// A quiescent store after Flush, so the image is exact.
@@ -214,25 +110,9 @@ func TestFlushMakesHotKeysDurable(t *testing.T) {
 			if n := db.met.HotKeysKeptInMem.Load(); n < 20*39 {
 				t.Fatalf("flushes kept %d hot keys in memory, want at least %d", n, 20*39)
 			}
-			ro := o
-			ro.FS = p.image()
-			img, err := Open(ro)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer img.Close()
-			lost := 0
-			for k, v := range want {
-				got, err := img.Get([]byte(k))
-				if err != nil || string(got) != v {
-					lost++
-					if lost <= 3 {
-						t.Errorf("Get(%s) after the power cut = %q, %v; want %q", k, got, err, v)
-					}
-				}
-			}
-			if lost > 0 {
-				t.Errorf("%d of %d acknowledged keys lost", lost, len(want))
+			img := crashImage{n: 1, what: "the last Flush", fs: fs.Crash(), o: o, acked: want}
+			if err := img.check(t); err != nil {
+				t.Errorf("power cut after %s: %v", img.what, err)
 			}
 		})
 	}

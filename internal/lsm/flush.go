@@ -213,17 +213,13 @@ func (db *DB) flushImmutable(imm *immutable) error {
 					recs = append(recs, h.Base())
 				}
 			}
-			offs, n, err := log.AppendBatch(recs)
-			if err == nil && n > 0 && !db.opts.SyncWAL {
-				// The flush's edit moves the log number past the only
-				// other copy of these entries.
-				err = log.Sync()
-			}
+			// The flush's edit moves the log number past the only other
+			// copy of these entries.
+			offs, _, err := db.relog(log, recs)
 			if err != nil {
 				db.mu.Unlock()
 				return err
 			}
-			db.noteRelogged(n)
 			for i, h := range recs {
 				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
 			}

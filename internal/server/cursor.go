@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lsm"
 	"repro/internal/resp"
 	"repro/internal/shard"
 )
@@ -53,7 +54,7 @@ type cursor struct {
 	// reads are bounded (scanPageMax), so the hold is short.
 	mu     sync.Mutex
 	snap   *shard.Snapshot
-	it     shard.Iter
+	it     *lsm.Iterator
 	closed bool
 
 	lastUsed time.Time // guarded by the registry lock
@@ -94,7 +95,7 @@ func (r *registry) errTooManyCursors() error {
 // open registers a new cursor for c, which canOpen has let open one.
 // Only c's dispatch goroutine opens cursors for c, and every other path
 // only removes them, so c is still under its cap.
-func (r *registry) open(c *conn, snap *shard.Snapshot, it shard.Iter) *cursor {
+func (r *registry) open(c *conn, snap *shard.Snapshot, it *lsm.Iterator) *cursor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++

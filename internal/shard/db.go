@@ -26,7 +26,7 @@
 // Two lifetime invariants here are checked at runtime by the tests (see
 // README "Leak checks"): every *Commit ticket minted by Prepare must
 // reach Commit or Abort (an unsettled ticket holds the epoch pipeline
-// open forever), and every Snapshot and Iter must be closed (snapshots
+// open forever), and every Snapshot and iterator must be closed (snapshots
 // pin the memtable versions they read and zombie sstables until
 // released).
 package shard

@@ -39,8 +39,8 @@ func TestFNVRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*lsm.Iterator); !ok || db.OpenSnapshots() != 1 {
-		t.Fatalf("bounded hash scan = %T over %d snapshots, want an *lsm.Iterator over 1", it, db.OpenSnapshots())
+	if db.OpenSnapshots() != 1 {
+		t.Fatalf("bounded hash scan over %d snapshots, want 1", db.OpenSnapshots())
 	}
 	for i, s := range db.shards {
 		if n := s.OpenSnapshots(); n != 1 {
@@ -54,7 +54,7 @@ func TestFNVRanges(t *testing.T) {
 
 // TestSingleShardScanFastPath: a one-shard store scans through its
 // shard's own snapshot, with no store snapshot, and a multi-shard store
-// through one store snapshot; both return an *lsm.Iterator.
+// through one store snapshot.
 func TestSingleShardScanFastPath(t *testing.T) {
 	const keys = 4000
 	one := openMem(t, 1)
@@ -71,9 +71,9 @@ func TestSingleShardScanFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := it.(*lsm.Iterator); !ok || one.OpenSnapshots() != 0 || one.shards[0].OpenSnapshots() != 1 {
-			t.Fatalf("1-shard scan returned %T with %d store snapshots and %d shard snapshots, want *lsm.Iterator on 0 and 1",
-				it, one.OpenSnapshots(), one.shards[0].OpenSnapshots())
+		if one.OpenSnapshots() != 0 || one.shards[0].OpenSnapshots() != 1 {
+			t.Fatalf("1-shard scan with %d store snapshots and %d shard snapshots, want 0 and 1",
+				one.OpenSnapshots(), one.shards[0].OpenSnapshots())
 		}
 		n := 0
 		for it.Next() {
@@ -86,7 +86,7 @@ func TestSingleShardScanFastPath(t *testing.T) {
 			t.Fatalf("fast-path scan [%q, %q) saw %d keys, want %d", b[0], b[1], n, want)
 		}
 	}
-	// The snapshot's scan takes the same path.
+	// The snapshot's scan reads the snapshot's own pin.
 	s, err := one.NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestSingleShardScanFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sit.(*lsm.Iterator); !ok {
-		t.Fatalf("1-shard snapshot scan returned %T, want *lsm.Iterator", sit)
+	if n := one.shards[0].OpenSnapshots(); n != 1 {
+		t.Fatalf("1-shard snapshot scan with %d shard snapshots, want 1", n)
 	}
 	sit.Close()
 	s.Close()
@@ -110,8 +110,8 @@ func TestSingleShardScanFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := hit.(*lsm.Iterator); !ok || hdb.OpenSnapshots() != 1 {
-		t.Fatalf("hash scan returned %T with %d snapshots, want *lsm.Iterator on 1", hit, hdb.OpenSnapshots())
+	if hdb.OpenSnapshots() != 1 {
+		t.Fatalf("hash scan with %d snapshots, want 1", hdb.OpenSnapshots())
 	}
 	if err := hit.Close(); err != nil || hdb.OpenSnapshots() != 0 {
 		t.Fatalf("Close = %v with %d snapshots left", err, hdb.OpenSnapshots())
@@ -161,7 +161,7 @@ func TestScanFailedSourceOpen(t *testing.T) {
 	}
 	// fail opens a scan with the fault armed; pins is how many snapshots
 	// the store and each shard held before.
-	fail := func(what string, scan func(lo, hi []byte) (Iter, error), pins int) {
+	fail := func(what string, scan func(lo, hi []byte) (*lsm.Iterator, error), pins int) {
 		t.Helper()
 		failing.Store(true)
 		defer failing.Store(false)
@@ -270,7 +270,7 @@ func scanDifferential(t *testing.T, shards int) {
 		}
 		return out
 	}
-	collect := func(it Iter, err error) [][2]string {
+	collect := func(it *lsm.Iterator, err error) [][2]string {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func scanDifferential(t *testing.T, shards int) {
 			return []byte(fmt.Sprintf("key-%05d", rng.Intn(keyspace+10)))
 		}
 	}
-	check := func(what string, scan func(lo, hi []byte) (Iter, error)) {
+	check := func(what string, scan func(lo, hi []byte) (*lsm.Iterator, error)) {
 		t.Helper()
 		for trial := 0; trial < 60; trial++ {
 			lo, hi := bound(), bound()

@@ -353,6 +353,88 @@ func TestRecovery(t *testing.T) {
 	}
 }
 
+// TestPowerCutKeepsFlushedWrites: with SyncWAL off, a write a sharded
+// store acknowledged before Flush returned survives a power cut. Rounds of
+// cross-shard batches rewrite the hot keys three times and write cold ones
+// once, so each Flush keeps the hot keys in memory (TRIAD-MEM) and writes
+// them back to the live logs; then every shard's filesystem is cut to its
+// synced bytes (vfs.MemFS.Crash) and the store reopened. Every write must
+// read back, each shard must be consistent, and a full scan must equal the
+// oracle.
+func TestPowerCutKeepsFlushedWrites(t *testing.T) {
+	fses := []*vfs.MemFS{vfs.NewMemFS(), vfs.NewMemFS()}
+	opts := Options{Shards: 2, Engine: smallEngine()}
+	opts.Engine.SyncWAL = false
+	opts.NewFS = func(i int) (vfs.FS, error) { return fses[i], nil }
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	oracle := map[string]string{}
+	for round := 0; round < 20; round++ {
+		for pass := 0; pass < 3; pass++ {
+			var b Batch
+			put := func(k, v string) {
+				b.Put([]byte(k), []byte(v))
+				oracle[k] = v
+			}
+			for i := 0; i < 15; i++ {
+				put(fmt.Sprintf("hot-%02d", i), fmt.Sprintf("round %02d pass %d %090d", round, pass, i))
+			}
+			for c := pass; c < 50; c += 3 {
+				put(fmt.Sprintf("cold-%02d-%02d", round, c), fmt.Sprintf("%0100d", c))
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept := db.Metrics().HotKeysKeptInMem; kept < 15*19 {
+		t.Fatalf("flushes kept %d hot keys in memory, want at least %d", kept, 15*19)
+	}
+
+	opts.NewFS = func(i int) (vfs.FS, error) { return fses[i].Crash(), nil }
+	rdb, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	for i := 0; i < rdb.NumShards(); i++ {
+		if err := rdb.Shard(i).CheckConsistency(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	lost := 0
+	for k, want := range oracle {
+		if got, err := rdb.Get([]byte(k)); err != nil || string(got) != want {
+			if lost++; lost <= 3 {
+				t.Errorf("Get(%s) after the power cut = %.20q, %v; want %.20q", k, got, err, want)
+			}
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acknowledged keys lost", lost, len(oracle))
+	}
+	it, err := rdb.NewIterator(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	n := 0
+	for ; it.Next(); n++ {
+		if want, ok := oracle[string(it.Key())]; !ok || string(it.Value()) != want {
+			t.Fatalf("scan: %s = %.20q, oracle %.20q", it.Key(), it.Value(), want)
+		}
+	}
+	if err := it.Err(); err != nil || n != len(oracle) {
+		t.Fatalf("scan saw %d keys, %v; oracle has %d", n, err, len(oracle))
+	}
+}
+
 // TestConcurrentWriters hammers all shards from parallel goroutines
 // (run under -race in CI) and verifies the metrics roll-up sees every
 // write exactly once.

@@ -68,8 +68,8 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // NewIterator returns a streaming scan of [start, limit) over the
 // snapshot's pinned views: one merge over every shard's sources. Empty
 // bounds open no source.
-func (s *Snapshot) NewIterator(start, limit []byte) (Iter, error) {
-	return iter(lsm.NewIterator(s.snaps, start, limit, nil))
+func (s *Snapshot) NewIterator(start, limit []byte) (*lsm.Iterator, error) {
+	return lsm.NewIterator(s.snaps, start, limit, nil)
 }
 
 // Close releases every shard's pin. Idempotent; open iterators stay

@@ -8,23 +8,27 @@ import (
 	"testing"
 )
 
-// TestMemFSModel drives random Create/Write/ReadAt/Size/Rename/Remove/Clone
-// sequences against a map of byte buffers. Write sizes and read windows
-// are drawn around the extent size, so appends fill, exactly reach and
-// overflow an extent, and reads start, end and straddle at extent
-// boundaries; every read and every size must match the oracle, and the
+// TestMemFSModel drives random Create/Write/ReadAt/Size/Sync/Rename/Remove/
+// Clone/Crash sequences against a map of byte buffers and each file's
+// synced length. Write sizes and read windows are drawn around the extent
+// size, so appends fill, exactly reach and overflow an extent, reads start,
+// end and straddle at extent boundaries, and crashes cut files at and
+// beside them; every read and every size must match the oracle, and the
 // I/O counters must equal what the oracle saw move. Every clone must still
-// hold, at the end, exactly the files the oracle held when it was taken.
+// hold, at the end, exactly the files the oracle held when it was taken,
+// and every crash, and the Crash of every clone, those files cut to their
+// synced lengths.
 func TestMemFSModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := NewMemFS()
 		files := map[string]File{}
 		oracle := map[string]*bytes.Buffer{}
+		synced := map[string]int{}
 		var wroteBytes, wroteOps, readBytes, readOps int64
 		type clone struct {
-			fs    *MemFS
-			files map[string][]byte
+			fs, crash  *MemFS
+			files, cut map[string][]byte
 		}
 		var clones []clone
 		names := []string{"a", "b", "c", "d"}
@@ -41,9 +45,10 @@ func TestMemFSModel(t *testing.T) {
 			want, live := oracle[name]
 			switch op := rng.Intn(102); {
 			case op >= 100:
-				c := clone{fs.Clone(), map[string][]byte{}}
+				c := clone{fs.Clone(), fs.Crash(), map[string][]byte{}, map[string][]byte{}}
 				for name, b := range oracle {
 					c.files[name] = bytes.Clone(b.Bytes())
+					c.cut[name] = c.files[name][:synced[name]]
 				}
 				clones = append(clones, c)
 			case op < 5 || !live && op < 60: // create (or truncate)
@@ -51,7 +56,7 @@ func TestMemFSModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				files[name], oracle[name] = f, &bytes.Buffer{}
+				files[name], oracle[name], synced[name] = f, &bytes.Buffer{}, 0
 			case !live:
 				if _, err := fs.Open(name); err == nil {
 					t.Fatalf("seed %d step %d: open of absent %q succeeded", seed, step, name)
@@ -65,7 +70,7 @@ func TestMemFSModel(t *testing.T) {
 				want.Write(p)
 				wroteBytes += int64(len(p))
 				wroteOps++
-			case op < 90: // read a window through a fresh handle
+			case op < 80: // read a window through a fresh handle
 				f, err := fs.Open(name)
 				if err != nil {
 					t.Fatal(err)
@@ -105,6 +110,11 @@ func TestMemFSModel(t *testing.T) {
 					readOps++
 				}
 				f.Close()
+			case op < 90: // sync through the handle that wrote the file
+				if err := files[name].Sync(); err != nil {
+					t.Fatal(err)
+				}
+				synced[name] = want.Len()
 			case op < 95: // rename over another name; open handles follow the file
 				to := names[rng.Intn(len(names))]
 				if to == name {
@@ -113,15 +123,17 @@ func TestMemFSModel(t *testing.T) {
 				if err := fs.Rename(name, to); err != nil {
 					t.Fatal(err)
 				}
-				files[to], oracle[to] = files[name], want
+				files[to], oracle[to], synced[to] = files[name], want, synced[name]
 				delete(files, name)
 				delete(oracle, name)
+				delete(synced, name)
 			default:
 				if err := fs.Remove(name); err != nil {
 					t.Fatal(err)
 				}
 				delete(files, name)
 				delete(oracle, name)
+				delete(synced, name)
 			}
 		}
 		if got, _ := fs.List(""); len(got) != len(oracle) {
@@ -134,17 +146,26 @@ func TestMemFSModel(t *testing.T) {
 				st.BytesWritten.Load(), st.WriteOps.Load(), st.BytesRead.Load(), st.ReadOps.Load(),
 				wroteBytes, wroteOps, readBytes, readOps)
 		}
-		for i, c := range clones {
-			if got, _ := c.fs.List(""); len(got) != len(c.files) {
-				t.Fatalf("seed %d clone %d: List = %v, oracle had %d files", seed, i, got, len(c.files))
+		// holds fails t unless fs holds exactly the files of oracle.
+		holds := func(what string, i int, fs *MemFS, oracle map[string][]byte) {
+			if got, _ := fs.List(""); len(got) != len(oracle) {
+				t.Fatalf("seed %d %s %d: List = %v, oracle had %d files", seed, what, i, got, len(oracle))
 			}
-			for name, want := range c.files {
-				n := c.fs.files[name]
+			for name, want := range oracle {
+				n, ok := fs.files[name]
+				if !ok {
+					t.Fatalf("seed %d %s %d: no %q", seed, what, i, name)
+				}
 				got := make([]byte, n.size)
 				if n.readAt(got, 0); !bytes.Equal(got, want) {
-					t.Fatalf("seed %d clone %d: %q (%d bytes) differs from the oracle's %d bytes", seed, i, name, n.size, len(want))
+					t.Fatalf("seed %d %s %d: %q (%d bytes) differs from the oracle's %d bytes", seed, what, i, name, n.size, len(want))
 				}
 			}
+		}
+		for i, c := range clones {
+			holds("clone", i, c.fs, c.files)
+			holds("crash", i, c.crash, c.cut)
+			holds("crash of clone", i, c.fs.Crash(), c.cut)
 		}
 		if len(clones) == 0 {
 			t.Fatalf("seed %d: no clone taken", seed)

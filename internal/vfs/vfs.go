@@ -1,10 +1,11 @@
 // Package vfs provides the filesystem abstraction used by the LSM engine.
 //
 // Two implementations are provided: MemFS, an in-memory filesystem with
-// byte-accurate I/O accounting and one way to intercept its calls
-// (SetHooks: fail, park or charge a call, or Clone the state it left), used
-// by experiments and tests; and OSFS, a thin wrapper over the real
-// filesystem (used by cmd/triaddb and the examples that persist data).
+// byte-accurate I/O accounting, one way to intercept its calls (SetHooks:
+// fail, park or charge a call, or image the state it left) and two crash
+// images (Clone, what a process crash leaves; Crash, what a power cut
+// leaves), used by experiments and tests; and OSFS, a thin wrapper over the
+// real filesystem (used by cmd/triaddb and the examples that persist data).
 //
 // All engine I/O goes through this interface so that write amplification
 // and read amplification can be measured exactly, independent of the
@@ -228,17 +229,33 @@ func (fs *MemFS) do(op Op, call func() (int, error)) (int, error) {
 }
 
 // Clone returns a copy of every file in fs, taken under fs's locks, with
-// no hooks and zero Stats.
-func (fs *MemFS) Clone() *MemFS {
+// no hooks and zero Stats: what a process crash leaves. Each file keeps
+// its length at its last Sync, so a Crash of the copy is a Crash of fs.
+func (fs *MemFS) Clone() *MemFS { return fs.clone(false) }
+
+// Crash returns what a power cut leaves: a Clone with every file cut to
+// its length at its last Sync (0 if it never synced). Directory entries
+// stand as they are: OSFS syncs the directory on Create and Rename, and a
+// Remove a power cut undoes is not modelled.
+func (fs *MemFS) Crash() *MemFS { return fs.clone(true) }
+
+func (fs *MemFS) clone(cut bool) *MemFS {
 	out := NewMemFS()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	for name, n := range fs.files {
 		c := &memNode{}
 		n.mu.RLock()
-		for _, e := range n.ext {
-			c.write(e)
+		keep := n.size
+		if cut {
+			keep = n.synced
 		}
+		for _, e := range n.ext {
+			k := min(int64(len(e)), keep)
+			c.write(e[:k])
+			keep -= k
+		}
+		c.synced = n.synced
 		n.mu.RUnlock()
 		out.files[name] = c
 	}
@@ -258,6 +275,8 @@ type memNode struct {
 	mu   sync.RWMutex
 	ext  [][]byte
 	size int64
+	// synced is size at the file's last Sync: what a power cut keeps.
+	synced int64
 }
 
 // write adds p to the end of the file. Caller holds mu.
@@ -423,6 +442,9 @@ func (f *memFile) Sync() error {
 		return ErrClosed
 	}
 	_, err := f.fs.do(Op{Kind: OpSync, Name: f.name}, func() (int, error) {
+		f.node.mu.Lock()
+		f.node.synced = f.node.size
+		f.node.mu.Unlock()
 		f.fs.Stats.Syncs.Add(1)
 		return 0, nil
 	})

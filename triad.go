@@ -14,8 +14,9 @@
 // RocksDB baseline, which is what the benchmark harness compares against.
 //
 // DB, Snapshot and Iterator are the store's own types (internal/shard's
-// DB, Snapshot and Iter), re-exported as aliases rather than wrapped: the
-// *DB that Open returns is the same value the network server fronts.
+// DB and Snapshot, internal/lsm's Iterator), re-exported as aliases rather
+// than wrapped: the *DB that Open returns is the same value the network
+// server fronts.
 //
 // Basic usage:
 //
@@ -118,7 +119,7 @@ type Snapshot = shard.Snapshot
 // snapshot pin and must be called.
 //
 // Usage: for it.Next() { it.Key(), it.Value() }; check Err, then Close.
-type Iterator = shard.Iter
+type Iterator = lsm.Iterator
 
 // ErrNotFound is returned by Get for absent or deleted keys.
 var ErrNotFound = lsm.ErrNotFound
