@@ -112,15 +112,10 @@ func (db *DB) Apply(b *Batch) error { return db.commit(0, b, nil) }
 // clock rather than an independent allocator. seq must exceed every
 // sequence previously committed on this DB (the clock's per-shard
 // ticket ordering guarantees it); a regressing seq is an error and
-// commits nothing.
-func (db *DB) CommitAt(seq uint64, b *Batch) error {
-	return db.CommitAtTraced(seq, b, nil)
-}
-
-// CommitAtTraced is CommitAt with the group's sampled request traces
-// attached: the engine records aggregated wal_append and memtable_apply
-// spans into each. trs is nil for every untraced group.
-func (db *DB) CommitAtTraced(seq uint64, b *Batch, trs obs.Traces) error {
+// commits nothing. trs are the group's sampled request traces, into
+// each of which the engine records aggregated wal_append and
+// memtable_apply spans; nil for every untraced group.
+func (db *DB) CommitAt(seq uint64, b *Batch, trs obs.Traces) error {
 	if seq == 0 {
 		return errors.New("lsm: CommitAt requires a non-zero sequence")
 	}
@@ -172,7 +167,8 @@ func (db *DB) commitLocked(seq uint64, b *Batch, trs obs.Traces) error {
 	for i := range b.ops {
 		b.ops[i].Seq = seq
 	}
-	offs, walBytes, err := db.log.AppendBatch(b.ops)
+	live := db.liveLocked()
+	offs, walBytes, err := live.log.AppendBatch(b.ops)
 	if err != nil {
 		return err
 	}
@@ -182,7 +178,7 @@ func (db *DB) commitLocked(seq uint64, b *Batch, trs obs.Traces) error {
 	var userBytes int64
 	for i := range b.ops {
 		e := &b.ops[i]
-		db.mem.SetPinned(e.Key, e.Value, seq, e.Kind, db.log.ID(), offs[i], db.pinned)
+		live.mem.SetPinned(e.Key, e.Value, seq, e.Kind, live.log.ID(), offs[i], db.pinned)
 		userBytes += e.Size()
 	}
 	db.met.BytesLogged.Add(int64(walBytes))

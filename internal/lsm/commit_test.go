@@ -26,7 +26,7 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	b := &Batch{}
 	b.Put([]byte("a"), []byte("1"))
 	b.Put([]byte("b"), []byte("2"))
-	if err := db.CommitAt(10, b); err != nil {
+	if err := db.CommitAt(10, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.LastSeq(); got != 10 {
@@ -42,7 +42,7 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	// Regressing sequence: rejected, nothing written.
 	bad := &Batch{}
 	bad.Put([]byte("a"), []byte("overwrite"))
-	err := db.CommitAt(11, bad)
+	err := db.CommitAt(11, bad, nil)
 	if err == nil || !strings.Contains(err.Error(), "not after") {
 		t.Fatalf("CommitAt(11) after 11 = %v, want sequence-regression error", err)
 	}
@@ -52,7 +52,7 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	if v, err := db.Get([]byte("a")); err != nil || string(v) != "1" {
 		t.Fatalf("Get(a) = %q, %v; want 1", v, err)
 	}
-	if err := db.CommitAt(0, bad); err == nil {
+	if err := db.CommitAt(0, bad, nil); err == nil {
 		t.Fatal("CommitAt(0) succeeded, want error")
 	}
 }
@@ -65,7 +65,7 @@ func TestCommitAtBatchSharesSequence(t *testing.T) {
 	init := &Batch{}
 	init.Put([]byte("x"), []byte("old"))
 	init.Put([]byte("y"), []byte("old"))
-	if err := db.CommitAt(5, init); err != nil {
+	if err := db.CommitAt(5, init, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := db.NewSnapshotAt(7)
@@ -77,7 +77,7 @@ func TestCommitAtBatchSharesSequence(t *testing.T) {
 	b := &Batch{}
 	b.Put([]byte("x"), []byte("new"))
 	b.Put([]byte("y"), []byte("new"))
-	if err := db.CommitAt(8, b); err != nil {
+	if err := db.CommitAt(8, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, err := db.NewSnapshotAt(8)
@@ -103,7 +103,7 @@ func TestNewSnapshotAtBounds(t *testing.T) {
 	db := openCommitTestDB(t)
 	b := &Batch{}
 	b.Put([]byte("k"), []byte("v1"))
-	if err := db.CommitAt(20, b); err != nil {
+	if err := db.CommitAt(20, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s19, err := db.NewSnapshotAt(19); err == nil {
@@ -119,7 +119,7 @@ func TestNewSnapshotAtBounds(t *testing.T) {
 	// version of the in-place-overwritten key stays behind the new entry.
 	b2 := &Batch{}
 	b2.Put([]byte("k"), []byte("v2"))
-	if err := db.CommitAt(30, b2); err != nil {
+	if err := db.CommitAt(30, b2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v1" {

@@ -137,7 +137,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	var skip func([]byte) bool
 	if db.opts.TriadMem && job.Level == 0 {
 		db.mu.Lock()
-		mem := db.mem
+		mem := db.liveLocked().mem
 		db.mu.Unlock()
 		skip = mem.ContainsAscending() // merged keys ascend
 	}
@@ -463,7 +463,7 @@ func (m *merger) abort() {
 // the last pinning snapshot closes. The rest go at once, with the commit
 // logs only they pinned. It refuses, journaling nothing, a flush's edit
 // that names a byte of the flushing log the log has not synced.
-func (db *DB) install(edit manifest.Edit, consumed []*manifest.FileMeta, flushing *immutable) error {
+func (db *DB) install(edit manifest.Edit, consumed []*manifest.FileMeta, flushing *memRecord) error {
 	if flushing != nil {
 		for _, f := range edit.Added {
 			if slices.Contains(f.Logs(), flushing.log.ID()) && f.LogBytes > flushing.log.Synced() {

@@ -317,7 +317,7 @@ func deepCrashPoints(t *testing.T) {
 		}
 		return oracle
 	}, func(db *DB, fs *vfs.MemFS) {
-		if _, inMem := db.view.Load().mem.Get([]byte(hot)); !inMem {
+		if _, inMem := liveRecord(db).mem.Get([]byte(hot)); !inMem {
 			t.Fatalf("%s is not in the memtable: TRIAD-MEM did not keep it hot", hot)
 		}
 		for l := 1; l < manifest.NumLevels; l++ {

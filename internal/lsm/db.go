@@ -2,6 +2,14 @@
 // memtable absorbing updates, a commit log for durability, and a leveled
 // on-disk component maintained by background flushes and compactions.
 //
+// The memtables form one stack, oldest first (DB.mems): each record is a
+// memtable with the commit logs behind it, the top one is live and the
+// ones below it are the flush queue. A seal pushes a fresh record, a
+// flush pops the bottom one once its table is installed, and a TRIAD-MEM
+// flush skip moves the live record to a fresh log while the full one stays
+// behind it (§4.1 Algorithm 1). Readers see the stack's memtables through
+// a copy published on every change (DB.view).
+//
 // One engine serves as both sides of every experiment: with the three
 // technique toggles off it behaves like the paper's RocksDB baseline
 // (leveled compaction, one-file-at-a-time L0 merges, full memtable
@@ -46,34 +54,51 @@ var ErrClosed = errors.New("lsm: database closed")
 // of the store: a bug in the engine, never an I/O failure.
 var errInvariant = errors.New("lsm: invariant violated")
 
-// immutable is a sealed memtable and the commit logs that back it, queued
-// for flush: log, which was current when it was sealed and is still open
-// (the flush task may append to it), and prev, the closed logs before it
-// (DB.prev when it was sealed).
-type immutable struct {
-	mem      *memtable.Memtable
-	log      *wal.Writer
-	prev     []uint64
-	logBytes int64  // in all of them when it was sealed
-	seq      uint64 // the store's sequence when it was sealed
-	// trigger is what sealed it: "log-full", "memtable-full" or "explicit".
+// memRecord is one memtable of the stack and the commit logs that back it:
+// log, which commits append to while it is live and which stays open until
+// its flush is done (the flush task may append to it), and prev, closed and
+// synced logs its entries still point into, of prevBytes in all — the log
+// the last flush skip filled, or the logs a reopened memtable was replayed
+// from; none for the fresh memtable a seal pushes. Every entry of mem
+// points into log or one of prev. The rest is filled in when the memtable
+// is sealed.
+type memRecord struct {
+	mem       *memtable.Memtable
+	log       *wal.Writer
+	prev      []uint64
+	prevBytes int64
+	logBytes  int64  // in log and prev when it was sealed
+	seq       uint64 // the store's sequence when it was sealed
+	// trigger is what sealed it: "log-full", "memtable-full" or "explicit";
+	// "" while it is live.
 	trigger string
 }
 
-// memView is one published state of the memtable stack; it is never
-// modified after it is stored.
-type memView struct {
-	mem  *memtable.Memtable
-	imms []*immutable // oldest first, as db.imm
+// liveLocked returns the top of the stack, the memtable commits write to.
+// Caller holds db.mu.
+func (db *DB) liveLocked() *memRecord { return db.mems[len(db.mems)-1] }
+
+// retainedLogBytes is the size of the logs backing r: as it stands while r
+// is live (the flush task appends to a sealed log without db.mu), and as it
+// stood at the seal once r is queued. Caller holds db.mu.
+func (r *memRecord) retainedLogBytes() int64 {
+	if r.trigger == "" {
+		return r.prevBytes + r.log.Size()
+	}
+	return r.logBytes
 }
 
-// publishViewLocked makes the current mem and imm what readers see.
+// publishViewLocked makes the memtables of the stack what readers see.
 // Caller holds db.mu (or is Open, before anyone else can look).
 func (db *DB) publishViewLocked() {
 	if db.closed {
 		return // Close retired the view; its drain must not bring it back
 	}
-	db.view.Store(&memView{mem: db.mem, imms: append([]*immutable(nil), db.imm...)})
+	view := make([]*memtable.Memtable, len(db.mems))
+	for i, r := range db.mems {
+		view[i] = r.mem
+	}
+	db.view.Store(&view)
 }
 
 // DB is the key-value store.
@@ -84,22 +109,15 @@ type DB struct {
 	met    metrics.Metrics
 
 	// mu guards the mutable write-side state and the background queue.
-	// Every entry of mem points into log, which commits append to, or into
-	// one of prev: closed and synced logs, kept on disk until a carry has
-	// moved what still points into them — the log the last flush skip
-	// filled, or the logs a reopened memtable was replayed from; none after
-	// a seal.
-	mu     sync.Mutex
-	cond   *sync.Cond // signalled on queue/state changes
-	mem    *memtable.Memtable
-	imm    []*immutable
-	log    *wal.Writer
-	prev   []uint64
+	mu   sync.Mutex
+	cond *sync.Cond // signalled on queue/state changes
+	// mems is the memtable stack, oldest first: the last record is the live
+	// memtable, the ones before it the flush queue. A flush keeps its record
+	// queued until it is done, so an empty queue means no flush is running.
+	mems   []*memRecord
 	seq    uint64
 	nextID uint64
 	closed bool
-	// prevBytes is the size of the logs of prev.
-	prevBytes int64
 	// noBackgroundIO is Figure 2's "RocksDB No BG I/O", set by
 	// SetDisableBackgroundIO: sealed memtables are discarded instead of
 	// flushed and no compaction runs, so reads are served from the tree
@@ -138,7 +156,6 @@ type DB struct {
 	flushActive   bool
 	compactQueued bool
 
-	flushing    int // immutables currently being flushed
 	seedCounter int64
 
 	// l0Pressure caches the picker's L0Pressure of the version (L0's file
@@ -146,10 +163,11 @@ type DB struct {
 	// and the compaction class, without taking versionMu on the write path.
 	l0Pressure atomic.Int32
 
-	// view is the memtable stack as readers see it: republished (under
-	// mu) whenever mem or imm changes, nil once the DB is closed. A Get
-	// loads it instead of taking mu, so a read never waits for a commit.
-	view atomic.Pointer[memView]
+	// view is the memtables of the stack as readers see them, oldest
+	// first: republished (under mu) whenever the stack changes, nil once
+	// the DB is closed. A Get loads it instead of taking mu, so a read
+	// never waits for a commit.
+	view atomic.Pointer[[]*memtable.Memtable]
 
 	// compactedFrom[l] totals the bytes written by compactions whose
 	// input level was l (LevelStat.CompactedBytes), l0MergesInto[l] the
@@ -159,12 +177,12 @@ type DB struct {
 	l0MergesInto  [manifest.NumLevels]atomic.Int64
 	gets          [manifest.NumLevels]levelGets
 
-	// Snapshot state. snaps and pinned are guarded by mu (the write path
-	// hands pinned to memtable.SetPinned while already holding it); refs
-	// and zombies are guarded by versionMu alongside the version and table
-	// map they qualify.
-	snaps     map[*snapPin]struct{}
-	pinned    []uint64 // the sequences of snaps, ascending
+	// Snapshot state. pinned, the sequence of every open snapshot in
+	// ascending order, is guarded by mu (the write path hands it to
+	// memtable.SetPinned while already holding it); refs and zombies are
+	// guarded by versionMu alongside the version and table map they
+	// qualify.
+	pinned    []uint64
 	snapLeaks atomic.Int64
 
 	// refs counts snapshot pins per table file; zombies holds files a
@@ -193,7 +211,6 @@ func Open(opts Options) (*DB, error) {
 		picker:  compaction.NewPicker(opts.pickerOptions()),
 		tables:  make(map[uint64]sstable.Table),
 		cache:   cc.NewHandle(),
-		snaps:   make(map[*snapPin]struct{}),
 		refs:    make(map[uint64]int),
 		zombies: make(map[uint64]*manifest.FileMeta),
 	}
@@ -309,12 +326,12 @@ func (db *DB) recover() error {
 			replayIDs = append(replayIDs, id)
 		}
 	}
-	db.mem = memtable.New(db.nextSeed())
+	live := &memRecord{mem: memtable.New(db.nextSeed())}
 	for _, id := range replayIDs {
 		err := wal.Replay(db.fs, id, func(e base.Entry, off int64) error {
 			db.seq = max(db.seq, e.Seq)
-			if cur, ok := db.mem.Get(e.Key); !ok || e.Seq >= cur.Seq {
-				db.mem.Set(e.Key, e.Value, e.Seq, e.Kind, id, off)
+			if cur, ok := live.mem.Get(e.Key); !ok || e.Seq >= cur.Seq {
+				live.mem.Set(e.Key, e.Value, e.Seq, e.Kind, id, off)
 			}
 			return nil
 		})
@@ -329,7 +346,7 @@ func (db *DB) recover() error {
 	// synced first, since a process crash may have left their tails in
 	// memory. The others go with the stale ones.
 	backing := map[uint64]bool{}
-	for _, e := range db.mem.All() {
+	for _, e := range live.mem.All() {
 		backing[e.LogID] = true
 	}
 	for _, id := range replayIDs {
@@ -341,11 +358,12 @@ func (db *DB) recover() error {
 		if err != nil {
 			return fmt.Errorf("lsm: sync replayed log %d: %w", id, err)
 		}
-		db.prev, db.prevBytes = append(db.prev, id), db.prevBytes+size
+		live.prev, live.prevBytes = append(live.prev, id), live.prevBytes+size
 	}
-	if db.log, err = wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL); err != nil {
+	if live.log, err = wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL); err != nil {
 		return err
 	}
+	db.mems = []*memRecord{live}
 	return db.retireLogs(staleIDs...)
 }
 
@@ -476,7 +494,7 @@ func (db *DB) WaitWritable() error {
 	// Neither stall condition can hold below these two counts, and the
 	// commit checks again under its lock, so the usual answer costs two
 	// atomic loads and no lock.
-	if v := db.view.Load(); v != nil && len(v.imms) <= maxImmutableMemtables && db.l0Pressure.Load() < l0StallFiles {
+	if v := db.view.Load(); v != nil && len(*v) <= 1+maxImmutableMemtables && db.l0Pressure.Load() < l0StallFiles {
 		return nil
 	}
 	db.mu.Lock()
@@ -500,7 +518,7 @@ func (db *DB) stallLocked() error {
 	}
 	var stallStart time.Time
 	var reason string
-	for !db.closed && db.bgErr == nil && (len(db.imm) > maxImmutableMemtables || l0Stall()) {
+	for !db.closed && db.bgErr == nil && (len(db.mems) > 1+maxImmutableMemtables || l0Stall()) {
 		if stallStart.IsZero() {
 			stallStart = time.Now()
 			if l0Stall() {
@@ -532,11 +550,12 @@ func (db *DB) stallLocked() error {
 // maybeRotateLocked seals the memtable when it or the commit log is full
 // (paper §2, Flushing). Caller holds db.mu.
 func (db *DB) maybeRotateLocked() error {
-	size := db.mem.ApproxSize()
+	live := db.liveLocked()
+	size := live.mem.ApproxSize()
 	if size >= db.opts.MemtableBytes {
 		return db.sealLocked("memtable-full")
 	}
-	if db.log.Size() < db.opts.CommitLogBytes {
+	if live.log.Size() < db.opts.CommitLogBytes {
 		return nil
 	}
 	// TRIAD-MEM flush skip (Algorithm 1): the log filled first, which is
@@ -549,27 +568,27 @@ func (db *DB) maybeRotateLocked() error {
 	// log for new writes or the skip would come round again within a few
 	// puts.
 	if db.opts.TriadMem {
-		if cold := db.mem.ColdBytes(); cold < db.opts.FlushThresholdBytes {
-			carry := pointingInto(db.mem, db.prev)
+		if cold := live.mem.ColdBytes(); cold < db.opts.FlushThresholdBytes {
+			carry := pointingInto(live.mem, live.prev)
 			if int64(wal.BatchSize(carry)) <= db.opts.CommitLogBytes/2 {
-				return db.skipFlushLocked(size, cold, carry)
+				return db.skipFlushLocked(live, size, cold, carry)
 			}
 		}
 	}
 	return db.sealLocked("log-full")
 }
 
-// skipFlushLocked opens a fresh commit log, carries into it the entries
-// that still point into prev (carry), removes those logs and keeps the full
-// one as the new prev. size and cold are the memtable's accounted bytes and
-// the cold part of them. Caller holds db.mu.
-func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
+// skipFlushLocked opens a fresh commit log for live, carries into it the
+// entries that still point into live's prev (carry), removes those logs and
+// keeps the full one as the new prev. size and cold are the memtable's
+// accounted bytes and the cold part of them. Caller holds db.mu.
+func (db *DB) skipFlushLocked(live *memRecord, size, cold int64, carry []base.Entry) error {
 	start := time.Now()
 	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	carried, err := db.populateLog(newLog, db.mem, db.prev, carry)
+	carried, err := db.populateLog(newLog, live.mem, live.prev, carry)
 	if err != nil {
 		// prev and the current log still hold every record between them and
 		// stay as they are. Whatever part of the copy reached the file must
@@ -578,11 +597,11 @@ func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
 		return errors.Join(err, newLog.Close(), db.retireLogs(newLog.ID()))
 	}
 	// The memtable now points into the current log and the fresh one only.
-	full, stale := db.log, db.prev
-	db.log, db.prev, db.prevBytes = newLog, []uint64{full.ID()}, full.Size()
+	full, stale := live.log, live.prev
+	live.log, live.prev, live.prevBytes = newLog, []uint64{full.ID()}, full.Size()
 	err = full.Close()
 	detail := fmt.Sprintf("skipped: cold %d of %d B under FLUSH_TH %d; carried %d of %d entries / %d bytes from logs %v; log %d retained",
-		cold, size, db.opts.FlushThresholdBytes, len(carry), db.mem.Len(), carried, stale, full.ID())
+		cold, size, db.opts.FlushThresholdBytes, len(carry), live.mem.Len(), carried, stale, full.ID())
 	err = errors.Join(err, db.retireLogs(stale...))
 	db.met.FlushSkips.Add(1)
 	db.opts.Events.Add(obs.Event{
@@ -592,17 +611,17 @@ func (db *DB) skipFlushLocked(size, cold int64, carry []base.Entry) error {
 	return err
 }
 
-// sealLocked moves the live memtable and the logs backing it onto the flush
-// queue and installs fresh ones; trigger names the cause for the flush's
-// journal entry. Caller holds db.mu.
+// sealLocked makes the live memtable and the logs backing it the newest of
+// the flush queue by pushing a fresh memtable and log on top; trigger names
+// the cause for the flush's journal entry. Caller holds db.mu.
 func (db *DB) sealLocked(trigger string) error {
 	newLog, err := wal.NewWriter(db.fs, db.allocFileID(), db.opts.SyncWAL)
 	if err != nil {
 		return err
 	}
-	db.imm = append(db.imm, &immutable{mem: db.mem, log: db.log, prev: db.prev, logBytes: db.liveLogBytesLocked(), seq: db.seq, trigger: trigger})
-	db.mem = memtable.New(db.nextSeed())
-	db.log, db.prev, db.prevBytes = newLog, nil, 0
+	live := db.liveLocked()
+	live.logBytes, live.seq, live.trigger = live.retainedLogBytes(), db.seq, trigger
+	db.mems = append(db.mems, &memRecord{mem: memtable.New(db.nextSeed()), log: newLog})
 	db.publishViewLocked()
 	db.cond.Broadcast()
 	db.scheduleFlushLocked()
@@ -623,12 +642,8 @@ func (db *DB) GetTraced(key []byte, tr *obs.Trace) ([]byte, error) {
 	if v == nil {
 		return nil, ErrClosed
 	}
-	if e, ok := v.mem.Get(key); ok {
-		db.met.ReadsFromMem.Add(1)
-		return entryValue(e.Base())
-	}
-	for i := len(v.imms) - 1; i >= 0; i-- {
-		if e, ok := v.imms[i].mem.Get(key); ok {
+	for i := len(*v) - 1; i >= 0; i-- {
+		if e, ok := (*v)[i].Get(key); ok {
 			db.met.ReadsFromMem.Add(1)
 			return entryValue(e.Base())
 		}
@@ -665,13 +680,13 @@ func (db *DB) Flush() error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	if db.mem.Len() > 0 {
+	if db.liveLocked().mem.Len() > 0 {
 		if err := db.sealLocked("explicit"); err != nil {
 			db.mu.Unlock()
 			return err
 		}
 	}
-	for (len(db.imm) > 0 || db.flushing > 0) && db.bgErr == nil && !db.closed {
+	for len(db.mems) > 1 && db.bgErr == nil && !db.closed {
 		db.cond.Wait()
 	}
 	err := db.bgErr
@@ -792,17 +807,16 @@ func (db *DB) Close() error {
 	db.cond.Broadcast()
 	db.mu.Unlock()
 	// Cancel queued tasks and wait out running ones, then flush any
-	// immutables a purged flush task left behind: a sealed memtable's
+	// memtables a purged flush task left queued: a sealed memtable's
 	// flush must not be lost.
 	db.sched.Close()
 	db.flushTask()
 
-	// Live snapshots cannot be read once the tables close; unregister
-	// them so their eventual Close/finalizer is a no-op, and reclaim the
-	// files only they were pinning.
+	// Live snapshots cannot be read once the tables close; their eventual
+	// Close/finalizer is a no-op now that db.closed is set, and release
+	// reclaims the files only they were pinning.
 	db.mu.Lock()
 	err := db.bgErr
-	clear(db.snaps)
 	db.pinned = nil
 	db.mu.Unlock()
 
@@ -825,12 +839,10 @@ func (db *DB) release() error {
 			err = e
 		}
 	}
-	if db.log != nil {
-		keep(db.log.Close())
-	}
-	// A memtable a failed flush left queued still holds its log open.
-	for _, imm := range db.imm {
-		keep(imm.log.Close())
+	// The live memtable's log, and that of any memtable a failed flush left
+	// queued.
+	for _, r := range db.mems {
+		keep(r.log.Close())
 	}
 	db.versionMu.Lock()
 	for _, t := range db.tables {

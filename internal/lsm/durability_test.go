@@ -137,14 +137,14 @@ func TestInstallRefusesUnsyncedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, _, err := w.Append(db.mem.All()[0].Base()); err != nil {
+	if _, _, err := w.Append(liveRecord(db).mem.All()[0].Base()); err != nil {
 		t.Fatal(err)
 	}
 	meta := manifest.FileMeta{ID: id + 1, Kind: manifest.KindCLSST, LogID: id, LogBytes: w.Size(),
 		Smallest: []byte("k"), Largest: []byte("k"), MaxSeq: db.LastSeq()}
 	journal, _ := fs.Open("MANIFEST")
 	before, _ := journal.Size()
-	err = db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, nil, &immutable{log: w})
+	err = db.install(manifest.Edit{Added: []manifest.FileMeta{meta}}, nil, &memRecord{log: w})
 	if !errors.Is(err, errInvariant) {
 		t.Fatalf("install of a table over %d unsynced log bytes = %v, want an invariant error", w.Size(), err)
 	}

@@ -105,7 +105,7 @@ func TestWriteBackpressure(t *testing.T) {
 	}
 	wg.Wait()
 	db.mu.Lock()
-	queued := len(db.imm)
+	queued := len(db.mems) - 1
 	db.mu.Unlock()
 	if queued > maxImmutableMemtables+1 {
 		t.Fatalf("flush queue grew to %d", queued)

@@ -26,7 +26,7 @@ import (
 // scheduleFlushLocked queues a flush task on the pool unless one is
 // already draining the queue. Caller holds db.mu.
 func (db *DB) scheduleFlushLocked() {
-	if db.flushActive || len(db.imm) == 0 {
+	if db.flushActive || len(db.mems) == 1 {
 		return
 	}
 	db.flushActive = true
@@ -36,21 +36,21 @@ func (db *DB) scheduleFlushLocked() {
 	}
 }
 
-// flushTask drains the whole immutable queue, so a burst of seals costs
-// one pool slot, and keeps draining after Close flips db.closed, since a
-// sealed memtable's flush must not be lost: Close runs it once more,
-// inline, for whatever a purged task left queued.
+// flushTask drains the whole flush queue, oldest first, so a burst of
+// seals costs one pool slot, and keeps draining after Close flips
+// db.closed, since a sealed memtable's flush must not be lost: Close runs
+// it once more, inline, for whatever a purged task left queued. Each
+// memtable leaves the stack only once its flush is done.
 func (db *DB) flushTask() {
 	db.mu.Lock()
 	for {
-		if len(db.imm) == 0 || db.bgErr != nil {
+		if len(db.mems) == 1 || db.bgErr != nil {
 			db.flushActive = false
 			db.cond.Broadcast()
 			db.mu.Unlock()
 			return
 		}
-		imm := db.imm[0]
-		db.flushing++
+		r := db.mems[0]
 		disable := db.noBackgroundIO
 		db.mu.Unlock()
 
@@ -58,24 +58,22 @@ func (db *DB) flushTask() {
 		if disable {
 			// Figure 2's "No BG I/O" variant: the sealed memtable is
 			// dropped with its logs; nothing reaches L0.
-			err = db.dropLogs(imm)
+			err = db.dropLogs(r)
 		} else {
-			err = db.flushImmutable(imm)
+			err = db.flushImmutable(r)
 		}
 
 		db.mu.Lock()
-		// A failed flush leaves its memtable queued, readable and backed
-		// by its logs, which a reopen replays.
-		if err == nil {
-			db.imm = db.imm[1:]
-			db.publishViewLocked()
-		}
-		db.flushing--
 		if err != nil {
+			// A failed flush leaves its memtable queued, readable and
+			// backed by its logs, which a reopen replays.
 			db.setBgErrLocked("flush", err)
-		}
-		if err == nil && !db.opts.DisableAutoCompaction && !disable {
-			db.requestCompactLocked()
+		} else {
+			db.mems = db.mems[1:]
+			db.publishViewLocked()
+			if !db.opts.DisableAutoCompaction && !disable {
+				db.requestCompactLocked()
+			}
 		}
 		db.cond.Broadcast()
 	}
@@ -145,9 +143,10 @@ func (db *DB) BackgroundError() error {
 	return db.bgErr
 }
 
-// flushImmutable writes one sealed memtable to L0 (paper §2 Flushing,
-// §4.1 Algorithm 1 and §4.3 Figure 6 depending on the enabled techniques).
-func (db *DB) flushImmutable(imm *immutable) error {
+// flushImmutable writes imm, the oldest sealed memtable, to L0 (paper §2
+// Flushing, §4.1 Algorithm 1 and §4.3 Figure 6 depending on the enabled
+// techniques).
+func (db *DB) flushImmutable(imm *memRecord) error {
 	start := time.Now()
 	defer func() { db.met.FlushTime.Add(time.Since(start).Nanoseconds()) }()
 
@@ -192,22 +191,14 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			// never replaces an entry, and there is no replaced version
 			// for a snapshot to keep: it writes with Set.
 			db.mu.Lock()
-			log, mem := db.log, db.mem
-			newer := []*memtable.Memtable{mem}
-			for i, q := range db.imm {
-				if q == imm {
-					for _, later := range db.imm[i+1:] {
-						newer = append(newer, later.mem)
-					}
-					break
-				}
-			}
+			live := db.liveLocked()
+			newer := db.mems[slices.Index(db.mems, imm)+1:]
 			// Decide which hot entries still stand, log those as one
 			// batch, then apply them.
 			var recs []base.Entry
 			for _, h := range sep.Hot {
-				if !slices.ContainsFunc(newer, func(m *memtable.Memtable) bool {
-					_, ok := m.Get(h.Key)
+				if !slices.ContainsFunc(newer, func(r *memRecord) bool {
+					_, ok := r.mem.Get(h.Key)
 					return ok
 				}) {
 					recs = append(recs, h.Base())
@@ -215,13 +206,13 @@ func (db *DB) flushImmutable(imm *immutable) error {
 			}
 			// The flush's edit moves the log number past the only other
 			// copy of these entries.
-			offs, _, err := db.relog(log, recs)
+			offs, _, err := db.relog(live.log, recs)
 			if err != nil {
 				db.mu.Unlock()
 				return err
 			}
 			for i, h := range recs {
-				mem.Set(h.Key, h.Value, h.Seq, h.Kind, log.ID(), offs[i])
+				live.mem.Set(h.Key, h.Value, h.Seq, h.Kind, live.log.ID(), offs[i])
 			}
 			db.mu.Unlock()
 		}
@@ -274,11 +265,11 @@ func (db *DB) flushImmutable(imm *immutable) error {
 }
 
 // dropLogs closes a sealed memtable's log and removes the logs backing it.
-func (db *DB) dropLogs(imm *immutable) error {
-	if err := imm.log.Close(); err != nil {
+func (db *DB) dropLogs(r *memRecord) error {
+	if err := r.log.Close(); err != nil {
 		return err
 	}
-	return db.retireLogs(append(imm.prev, imm.log.ID())...)
+	return db.retireLogs(append(r.prev, r.log.ID())...)
 }
 
 // tableWriter makes one table: a flush's, a fold's or one output of a
@@ -343,18 +334,17 @@ func (t *tableWriter) abort() {
 	}
 }
 
-// logNumberLocked returns the oldest commit log a memtable other than
-// flushing still needs: the live log and those before it, and every log of
-// every other sealed memtable. All of them are newer than flushing's, the
-// head of the flush queue. Once flushing's table is journaled, every older
+// logNumberLocked returns the oldest commit log a memtable of the stack
+// other than flushing still needs. All of them are newer than flushing's,
+// the bottom of the stack. Once flushing's table is journaled, every older
 // log is pinned by a table or is no longer needed: that table or one
 // flushed before it holds its records, or a newer log does. Caller holds
 // db.mu.
-func (db *DB) logNumberLocked(flushing *immutable) uint64 {
-	logs := append(slices.Clone(db.prev), db.log.ID())
-	for _, q := range db.imm {
-		if q != flushing {
-			logs = append(append(logs, q.prev...), q.log.ID())
+func (db *DB) logNumberLocked(flushing *memRecord) uint64 {
+	var logs []uint64
+	for _, r := range db.mems {
+		if r != flushing {
+			logs = append(append(logs, r.prev...), r.log.ID())
 		}
 	}
 	return slices.Min(logs)

@@ -73,7 +73,7 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 		db := mustOpen(t, o)
 		checkAgainst(t, db, oracle) // what the first half wrote, recovered
 		if half == 1 {
-			reopened = fmt.Sprint(db.prev)
+			reopened = fmt.Sprint(liveRecord(db).prev)
 		}
 		for i := half * 20000; i < (half+1)*20000; i++ {
 			if i%100 == 99 {
@@ -293,7 +293,8 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 			failed++
 			// Whatever failed, the memtable is backed by the logs the engine
 			// holds and nothing else is on disk.
-			held := append(slices.Clone(db.prev), db.log.ID())
+			l := liveRecord(db)
+			held := append(slices.Clone(l.prev), l.log.ID())
 			var want []string
 			for _, id := range held {
 				want = append(want, wal.FileName(id))
@@ -301,7 +302,7 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 			if logs := logFiles(t, fs); !slices.Equal(logs, want) {
 				t.Fatalf("log files after a failed put: %v, want previous and current %v", logs, want)
 			}
-			for it := db.mem.NewIter(); it.Next(); {
+			for it := l.mem.NewIter(); it.Next(); {
 				if e := it.Entry(); !slices.Contains(held, e.LogID) {
 					t.Fatalf("after a failed put %q points into log %d, held: %v", e.Key, e.LogID, want)
 				}
@@ -377,7 +378,7 @@ func TestHotWriteBackIsTheNewestVersion(t *testing.T) {
 	queued := func() int {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		return len(db.imm)
+		return len(db.mems) - 1
 	}
 	done := make(chan struct{})
 	var full atomic.Int64 // times the queue filled behind a parked flush
@@ -439,10 +440,9 @@ func TestHotWriteBackIsTheNewestVersion(t *testing.T) {
 		}
 		db.mu.Lock()
 		mems := []*memtable.Memtable{}
-		for _, q := range db.imm {
-			mems = append(mems, q.mem)
+		for _, r := range db.mems {
+			mems = append(mems, r.mem)
 		}
-		mems = append(mems, db.mem)
 		for a, older := range mems {
 			for _, e := range older.All() {
 				for _, newer := range mems[a+1:] {

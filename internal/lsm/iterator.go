@@ -99,8 +99,8 @@ func sources(snaps []*Snapshot, start, limit []byte) ([]sstable.Iterator, error)
 func (s *Snapshot) sources(start, limit []byte) ([]sstable.Iterator, error) {
 	db := s.db
 	var its []sstable.Iterator
-	for _, m := range s.mems {
-		its = append(its, &memIter{it: m.NewIter(), seq: s.seq})
+	for i := len(s.mems) - 1; i >= 0; i-- {
+		its = append(its, &memIter{it: s.mems[i].NewIter(), seq: s.seq})
 	}
 	db.versionMu.RLock()
 	if db.tables == nil {

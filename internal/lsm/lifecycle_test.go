@@ -254,7 +254,7 @@ func TestStalledWriterGetsFlushError(t *testing.T) {
 		}()
 		for full := false; !full; time.Sleep(time.Millisecond) {
 			db.mu.Lock()
-			full = len(db.imm) > maxImmutableMemtables
+			full = len(db.mems) > 1+maxImmutableMemtables
 			db.mu.Unlock()
 		}
 		close(fail)

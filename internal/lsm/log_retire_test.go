@@ -114,13 +114,13 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 			var before metrics.Snapshot
 			for i := 0; i < 6000; i++ {
 				// Reopen once, mid-run, over a memtable backed by two logs.
-				if i >= 3700 && reopened == 0 && len(db.prev) == 1 && db.log.Size() > 0 {
+				if l := liveRecord(db); i >= 3700 && reopened == 0 && len(l.prev) == 1 && l.log.Size() > 0 {
 					before = db.Metrics()
 					if err := db.Close(); err != nil {
 						t.Fatal(err)
 					}
 					db = mustOpen(t, o)
-					reopened = db.log.ID()
+					reopened = liveRecord(db).log.ID()
 				}
 				k := fmt.Sprintf("hot-%02d", rng.Intn(20))
 				if i%25 == 24 {
@@ -136,28 +136,29 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 				}
 
 				db.mu.Lock()
-				held := map[uint64]bool{db.log.ID(): true}
-				for _, id := range db.prev {
+				l := db.liveLocked()
+				held := map[uint64]bool{l.log.ID(): true}
+				for _, id := range l.prev {
 					held[id] = true
 				}
 				switch {
-				case len(db.prev) == 1:
+				case len(l.prev) == 1:
 					twoLogs++
-				case len(db.prev) > 1 && db.log.ID() == reopened:
+				case len(l.prev) > 1 && l.log.ID() == reopened:
 					moreLogs++
-				case len(db.prev) > 1:
-					t.Fatalf("put %d: the memtable is backed by logs %v and %d", i, db.prev, db.log.ID())
+				case len(l.prev) > 1:
+					t.Fatalf("put %d: the memtable is backed by logs %v and %d", i, l.prev, l.log.ID())
 				}
-				for it := db.mem.NewIter(); it.Next(); {
+				for it := l.mem.NewIter(); it.Next(); {
 					if e := it.Entry(); !held[e.LogID] {
 						t.Fatalf("put %d: %q points into log %d, current and previous are %v", i, e.Key, e.LogID, held)
 					}
 				}
 				// The flush task only ever takes logs away from here on, so
 				// the queue as it is now bounds what the listing finds.
-				queued, drained := 0, len(db.imm) == 0 && db.flushing == 0
-				for _, imm := range db.imm {
-					queued += 1 + len(imm.prev)
+				queued, drained := 0, len(db.mems) == 1
+				for _, r := range db.mems[:len(db.mems)-1] {
+					queued += 1 + len(r.prev)
 				}
 				db.mu.Unlock()
 				logs := unpinnedLogs(t, db, fs)
@@ -193,15 +194,16 @@ func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, ok := db.mem.Get([]byte("straggler"))
-	if !ok || len(db.prev) != 1 || e.LogID != db.prev[0] || db.Metrics().BytesRelogged == 0 {
-		t.Fatalf("straggler %+v (in memtable: %v) should have been carried once and point into the previous log %v", e, ok, db.prev)
+	l := liveRecord(db)
+	e, ok := l.mem.Get([]byte("straggler"))
+	if !ok || len(l.prev) != 1 || e.LogID != l.prev[0] || db.Metrics().BytesRelogged == 0 {
+		t.Fatalf("straggler %+v (in memtable: %v) should have been carried once and point into the previous log %v", e, ok, l.prev)
 	}
-	prev, cur := db.prev[0], db.log.ID()
+	prev, cur := l.prev[0], l.log.ID()
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.mem.Get([]byte("straggler")); ok {
+	if _, ok := liveRecord(db).mem.Get([]byte("straggler")); ok {
 		t.Fatal("the cold straggler stayed in the memtable across the flush")
 	}
 	db.versionMu.RLock()
@@ -604,9 +606,9 @@ func TestFlushSparesNewerLogs(t *testing.T) {
 				acked[k] = v
 				db.mu.Lock()
 				if queued {
-					ready = len(db.imm) == 2 && len(db.imm[1].prev) == 1
+					ready = len(db.mems) == 3 && len(db.mems[1].prev) == 1
 				} else {
-					ready = len(db.imm) == 1 && len(db.prev) == 1
+					ready = len(db.mems) == 2 && len(db.liveLocked().prev) == 1
 				}
 				db.mu.Unlock()
 			}
@@ -620,7 +622,7 @@ func TestFlushSparesNewerLogs(t *testing.T) {
 			})
 			release()
 			db.mu.Lock()
-			for len(db.imm) > 0 || db.flushing > 0 {
+			for len(db.mems) > 1 {
 				db.cond.Wait()
 			}
 			db.mu.Unlock()

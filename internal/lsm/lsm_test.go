@@ -54,6 +54,16 @@ func mustOpen(t testing.TB, o Options) *DB {
 	return db
 }
 
+// liveRecord returns db's live memtable record, read under db.mu since the
+// flush task pops the stack below it. Its fields change only under a
+// commit, a skip or a seal, so a test that is the store's only writer may
+// read them.
+func liveRecord(db *DB) *memRecord {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.liveLocked()
+}
+
 // mustOpenLeaking is mustOpen without the check, for the tests that drop
 // snapshots on purpose to watch the finalizer reclaim them.
 func mustOpenLeaking(t testing.TB, o Options) *DB {

@@ -77,7 +77,7 @@ func TestRecoverCrashPoints(t *testing.T) {
 		if db.logNumber > 0 {
 			logNumbers++
 		}
-		if len(db.prev) > 0 {
+		if len(liveRecord(db).prev) > 0 {
 			kept++
 		}
 		if logs, want := unpinnedLogs(t, db, s.fs), recoveredLogs(db); !slices.Equal(logs, want) {
@@ -87,8 +87,8 @@ func TestRecoverCrashPoints(t *testing.T) {
 			t.Fatalf("image %d (after %q): Flush: %v", s.n, s.what, err)
 		}
 		s.fs.SetHooks(vfs.Hooks{})
-		if logs := unpinnedLogs(t, db, s.fs); len(logs) != 1 || logs[0] != wal.FileName(db.log.ID()) {
-			t.Errorf("image %d (after %q): unpinned logs after the first Flush %v, want only the live log %d", s.n, s.what, logs, db.log.ID())
+		if logs, id := unpinnedLogs(t, db, s.fs), liveRecord(db).log.ID(); len(logs) != 1 || logs[0] != wal.FileName(id) {
+			t.Errorf("image %d (after %q): unpinned logs after the first Flush %v, want only the live log %d", s.n, s.what, logs, id)
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
@@ -109,8 +109,9 @@ func TestRecoverCrashPoints(t *testing.T) {
 // leave unpinned: its fresh log and the replayed logs its memtable points
 // into.
 func recoveredLogs(db *DB) []string {
-	ids := map[uint64]bool{db.log.ID(): true}
-	for _, e := range db.mem.All() {
+	l := liveRecord(db)
+	ids := map[uint64]bool{l.log.ID(): true}
+	for _, e := range l.mem.All() {
 		ids[e.LogID] = true
 	}
 	var names []string

@@ -93,7 +93,7 @@ func unflushedImage(t *testing.T, o Options, n int) (*vfs.MemFS, map[string]stri
 				last, lastAcked = img, maps.Clone(acked)
 			}
 			db.mu.Lock()
-			full = len(db.imm) > maxImmutableMemtables
+			full = len(db.mems) > 1+maxImmutableMemtables
 			db.mu.Unlock()
 		}
 		release()

@@ -55,12 +55,12 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 		done <- nil
 	}()
 
-	// Wait until the writer is wedged: the immutable queue is over its
+	// Wait until the writer is wedged: the flush queue is over its
 	// cap and cannot drain while the blocker holds the worker.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		db.mu.Lock()
-		wedged := len(db.imm) > maxImmutableMemtables
+		wedged := len(db.mems) > 1+maxImmutableMemtables
 		db.mu.Unlock()
 		if wedged {
 			break

@@ -26,12 +26,12 @@ var ErrSnapshotClosed = errors.New("lsm: snapshot closed")
 // three things alive until Close:
 //
 //   - the pinned sequence number, which filters out newer versions;
-//   - the memtable stack (live + immutables) of that instant — while the
-//     pin is registered, an overwrite keeps the version a read at its
-//     sequence returns behind the entry that replaced it
-//     (memtable.SetPinned), where memtable.Entry.At finds it; a version
-//     kept for a snapshot that has closed goes with the next overwrite of
-//     its key, or with its memtable;
+//   - the memtables of the stack (live + queued for flush) at that
+//     instant — while the pin is registered, an overwrite keeps the
+//     version a read at its sequence returns behind the entry that
+//     replaced it (memtable.SetPinned), where memtable.Entry.At finds it;
+//     a version kept for a snapshot that has closed goes with the next
+//     overwrite of its key, or with its memtable;
 //   - the manifest version, whose table files are reference-counted so
 //     flushes and compactions cannot delete a file the snapshot still
 //     reads (a consumed-but-pinned file becomes a "zombie" and is
@@ -43,22 +43,15 @@ var ErrSnapshotClosed = errors.New("lsm: snapshot closed")
 type Snapshot struct {
 	db  *DB
 	seq uint64
-	// mems is the memtable stack, newest first: the live one at capture,
-	// then those sealed before it.
+	// mems is the memtable stack at capture, oldest first, as readers saw
+	// it (DB.view).
 	mems    []*memtable.Memtable
 	version *manifest.Version
-	// pin is the registration token held by db.snaps. The DB must not
-	// reference the Snapshot itself: that would keep it reachable and
-	// defeat the leak finalizer.
-	pin *snapPin
 
 	mu     sync.Mutex
 	refs   int // 1 for the handle + 1 per open iterator
 	closed bool
 }
-
-// snapPin is a snapshot's registration in the DB (guarded by db.mu).
-type snapPin struct{ seq uint64 }
 
 // NewSnapshot pins the store's current state. The snapshot must be
 // Closed, or its pinned files and memtables linger until a finalizer
@@ -92,11 +85,9 @@ func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	s := &Snapshot{db: db, seq: seq, refs: 1, pin: &snapPin{seq: seq}}
-	s.mems = append(make([]*memtable.Memtable, 0, 1+len(db.imm)), db.mem)
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		s.mems = append(s.mems, db.imm[i].mem)
-	}
+	// The view is published under db.mu whenever the stack changes, so
+	// it is the stack as it stands.
+	s := &Snapshot{db: db, seq: seq, refs: 1, mems: *db.view.Load()}
 	// Capture the version and take a reference on every file it names
 	// under versionMu so a racing install either sees the refs
 	// (and zombies the files) or completes before the capture.
@@ -108,7 +99,8 @@ func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 		}
 	}
 	db.versionMu.Unlock()
-	db.snaps[s.pin] = struct{}{}
+	// The DB registers the snapshot by its sequence alone: a reference to
+	// the Snapshot would keep it reachable and defeat the leak finalizer.
 	i, _ := slices.BinarySearch(db.pinned, seq)
 	db.pinned = slices.Insert(db.pinned, i, seq)
 	// A leaked snapshot would pin files and memtables forever; the
@@ -220,16 +212,16 @@ func (s *Snapshot) addRef() error {
 }
 
 // releaseSnapshot unregisters s, drops the file references and deletes any
-// zombie files whose last pin this was.
+// zombie files whose last pin this was. It runs once per snapshot, when the
+// last reference drops (unref) or the finalizer reclaims a leak. Once the
+// DB is closed it does nothing: Close's release reclaimed every zombie.
 func (db *DB) releaseSnapshot(s *Snapshot) {
 	db.mu.Lock()
-	if _, ok := db.snaps[s.pin]; !ok {
-		// Already released, or the DB was closed (Close cleaned up).
+	if db.closed {
 		db.mu.Unlock()
 		return
 	}
-	delete(db.snaps, s.pin)
-	i, _ := slices.BinarySearch(db.pinned, s.pin.seq)
+	i, _ := slices.BinarySearch(db.pinned, s.seq)
 	db.pinned = slices.Delete(db.pinned, i, i+1)
 	db.mu.Unlock()
 
@@ -277,7 +269,7 @@ func (db *DB) releaseSnapshot(s *Snapshot) {
 func (db *DB) OpenSnapshots() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return len(db.snaps)
+	return len(db.pinned)
 }
 
 // OverlaySize reports how many replaced versions the memtables keep behind
@@ -288,9 +280,9 @@ func (db *DB) OverlaySize() int {
 	if v == nil {
 		return 0
 	}
-	n := v.mem.Kept()
-	for _, imm := range v.imms {
-		n += imm.mem.Kept()
+	n := 0
+	for _, m := range *v {
+		n += m.Kept()
 	}
 	return n
 }

@@ -218,8 +218,9 @@ func strayLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 	t.Helper()
 	keep := map[string]bool{}
 	db.mu.Lock()
-	keep[wal.FileName(db.log.ID())] = true
-	for _, id := range db.prev {
+	l := db.liveLocked()
+	keep[wal.FileName(l.log.ID())] = true
+	for _, id := range l.prev {
 		keep[wal.FileName(id)] = true
 	}
 	db.mu.Unlock()
@@ -263,6 +264,71 @@ func TestCloseRetiresZombies(t *testing.T) {
 			if names := strayLogs(t, db, fs); len(names) > 0 {
 				t.Errorf("commit logs neither pinned nor backing the memtable after Close: %v", names)
 			}
+			// The snapshot outlived its store: its Close finds nothing left
+			// to reclaim.
+			files, _ := fs.List("")
+			gc := db.Metrics().BytesSnapshotGC
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := fs.List(""); !slices.Equal(after, files) {
+				t.Errorf("files %v after the snapshot closed, %v before", after, files)
+			}
+			if after := db.Metrics().BytesSnapshotGC; after != gc || db.OpenSnapshots() != 0 {
+				t.Errorf("snapshot GC %d B → %d B and %d snapshots open after a Close past the store's", gc, after, db.OpenSnapshots())
+			}
+		})
+	}
+}
+
+// TestSnapshotGCCrashPoints crashes the Close of the one snapshot that pins
+// zombies after every change it makes to the filesystem — the removal of
+// each zombie table and, under TRIAD-LOG, of each commit log only zombies
+// pinned — and reopens each image: every acknowledged write must be there,
+// and no table or log the reopened store does not need.
+func TestSnapshotGCCrashPoints(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		options func(*vfs.MemFS) Options
+	}{{"default", smallOptions}, {"triad", triadSmall}} {
+		t.Run(mode.name, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			o := mode.options(fs)
+			o.DisableAutoCompaction = true // nothing but the snapshot's Close changes the filesystem
+			db, s := zombieStore(t, o)
+			acked := map[string]string{}
+			for i := 0; i < 2000; i++ {
+				acked[fmt.Sprintf("key-%05d", i)] = fmt.Sprintf("v2-%d", i)
+			}
+			var logs []string
+			if mode.name == "triad" {
+				if logs = strayLogs(t, db, fs); len(logs) == 0 {
+					t.Fatal("no commit log only zombies pin")
+				}
+			}
+			zombies := unlistedTables(t, db, fs)
+			if len(zombies) == 0 {
+				t.Fatal("no zombie table on disk")
+			}
+			var removed []string
+			images := 0
+			imageChanges(fs, func(what string, image *vfs.MemFS) {
+				images++
+				removed = append(removed, strings.TrimPrefix(what, "remove "))
+				img := crashImage{n: images, what: what, fs: image, o: o, acked: acked}
+				if err := img.check(t); err != nil {
+					t.Errorf("crash after %q, image %d: %v", what, images, err)
+				}
+			})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fs.SetHooks(vfs.Hooks{})
+			slices.Sort(removed)
+			if want := slices.Sorted(slices.Values(append(zombies, logs...))); !slices.Equal(removed, want) {
+				t.Fatalf("the snapshot's Close made the changes %v, want the removal of %v", removed, want)
+			}
+			t.Logf("%d images, %d zombie tables, %d logs", images, len(zombies), len(logs))
 		})
 	}
 }
@@ -582,7 +648,10 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 // round — the next one opens, then the last one closes — and overwrites
 // 100 keys five times a round. The memtables keep at most the one version
 // of each key that the open snapshot reads, and none once a Flush has
-// emptied them, however many rounds and flushes went before.
+// emptied them, however many rounds and flushes went before. Every fifth
+// round a twin opens at the same sequence, and the round ends by closing
+// one twin, overwriting every key again and reading the versions the other
+// still pins, then closing the other.
 func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 	for _, triad := range []bool{false, true} {
 		fs := vfs.NewMemFS()
@@ -593,24 +662,39 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 		o.DisableAutoCompaction = true
 		db := mustOpen(t, o)
 		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+		latest := map[int]string{}
 		var snap *Snapshot
 		for round := 1; round <= 40; round++ {
 			next, err := db.NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
+			var twin *Snapshot
+			if round%10 == 5 {
+				if twin, err = db.NewSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if snap != nil {
 				snap.Close()
 			}
 			snap = next
+			pinned := maps.Clone(latest)
+			if twin != nil && (twin.Seq() != snap.Seq() || db.OpenSnapshots() != 2) {
+				t.Fatalf("triad=%v round %d: twins at %d and %d, %d snapshots open", triad, round, snap.Seq(), twin.Seq(), db.OpenSnapshots())
+			}
+			put := func(k int, v string) {
+				if err := db.Put(key(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				latest[k] = v
+			}
 			for i := 0; i < 500; i++ {
 				k := i % 100
 				if i >= 400 {
 					k = i % 10 // hot keys, which a TRIAD-MEM flush writes back
 				}
-				if err := db.Put(key(k), []byte(fmt.Sprintf("r%d-%d", round, i))); err != nil {
-					t.Fatal(err)
-				}
+				put(k, fmt.Sprintf("r%d-%d", round, i))
 			}
 			if n := db.OverlaySize(); n > 100 {
 				t.Fatalf("triad=%v round %d: %d versions kept for one snapshot over 100 keys", triad, round, n)
@@ -619,6 +703,25 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 				if v, err := snap.Get(key(0)); err != nil || string(v) != want {
 					t.Fatalf("triad=%v round %d: snapshot Get = %q, %v; want %q", triad, round, v, err, want)
 				}
+			}
+			if twin != nil {
+				snap.Close()
+				if n := db.OpenSnapshots(); n != 1 {
+					t.Fatalf("triad=%v round %d: %d snapshots open after one twin closed", triad, round, n)
+				}
+				for k, v := range maps.Clone(latest) {
+					put(k, v)
+				}
+				for k, v := range pinned {
+					if got, err := twin.Get(key(k)); err != nil || string(got) != v {
+						t.Fatalf("triad=%v round %d: twin Get(%s) = %q, %v; want %q", triad, round, key(k), got, err, v)
+					}
+				}
+				twin.Close()
+				if n := db.OpenSnapshots(); n != 0 {
+					t.Fatalf("triad=%v round %d: %d snapshots open after both twins closed", triad, round, n)
+				}
+				snap = nil
 			}
 			if round%10 == 0 {
 				if err := db.Flush(); err != nil {

@@ -25,13 +25,9 @@ func (ls LevelStat) String() string {
 func (db *DB) RetainedLogBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.retainedLogBytesLocked()
-}
-
-func (db *DB) retainedLogBytesLocked() int64 {
-	n := db.liveLogBytesLocked()
-	for _, imm := range db.imm {
-		n += imm.logBytes
+	var n int64
+	for _, r := range db.mems {
+		n += r.retainedLogBytes()
 	}
 	return n
 }
@@ -44,12 +40,9 @@ func (db *DB) retainedLogBytesLocked() int64 {
 func (db *DB) UnsyncedLogBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n := db.log.Unsynced()
-	for _, imm := range db.imm {
-		n += imm.log.Unsynced()
+	var n int64
+	for _, r := range db.mems {
+		n += r.log.Unsynced()
 	}
 	return n
 }
-
-// liveLogBytesLocked is the size of the logs backing the live memtable.
-func (db *DB) liveLogBytesLocked() int64 { return db.prevBytes + db.log.Size() }

@@ -462,12 +462,12 @@ func (c *Commit) Commit() error {
 	case 0: // empty batch: the ticket is just a watermark event
 	case 1:
 		i := c.shards[0]
-		err = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
+		err = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
 		db.clk.release(i)
 	default:
 		errs := make([]error, len(c.shards))
 		run := func(j, i int) {
-			errs[j] = db.shards[i].CommitAtTraced(c.epoch, c.subs[i], c.trs)
+			errs[j] = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
 			db.clk.release(i)
 		}
 		// The last sub-batch commits on this goroutine, the others beside it.
