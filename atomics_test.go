@@ -64,7 +64,23 @@ func TestTypedAtomicsOnly(t *testing.T) {
 	if uses, err := atomicCalls(fset, "seeded.go", seeded); err != nil || len(uses) != 1 {
 		t.Fatalf("the check finds %v (%v) in a file with one atomic.AddInt64", uses, err)
 	}
-	files := 0
+	for _, path := range moduleGoFiles(t) {
+		uses, err := atomicCalls(fset, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range uses {
+			t.Errorf("%s; use a typed atomic", u)
+		}
+	}
+}
+
+// moduleGoFiles returns the path of every Go file of this module, test
+// files included, skipping testdata, hidden and underscore directories and
+// nested modules.
+func moduleGoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -81,20 +97,16 @@ func TestTypedAtomicsOnly(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
 		}
-		files++
-		uses, err := atomicCalls(fset, path, nil)
-		for _, u := range uses {
-			t.Errorf("%s; use a typed atomic", u)
-		}
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files < 100 {
-		t.Fatalf("walked %d Go files; is the test running from the module root?", files)
+	if len(files) < 100 {
+		t.Fatalf("walked %d Go files; is the test running from the module root?", len(files))
 	}
+	return files
 }

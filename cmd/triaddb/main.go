@@ -45,6 +45,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
+	if *shards < 1 {
+		fmt.Fprintf(stderr, "triaddb: -shards %d: want a positive shard count\n", *shards)
+		fl.Usage()
+		return 2
+	}
+	if *cacheBytes < 0 {
+		fmt.Fprintf(stderr, "triaddb: -cache-bytes %d: want 0 (no block cache) or a positive byte count\n", *cacheBytes)
+		fl.Usage()
+		return 2
+	}
 	if *bgWorkers < 0 {
 		fmt.Fprintf(stderr, "triaddb: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
 		fl.Usage()

@@ -64,6 +64,10 @@ func TestUsageErrors(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-dir", dir, "-bg-workers", "-1", "get", "k"}, "-bg-workers -1"},
+		{[]string{"-dir", dir, "-shards", "0", "put", "a", "b"}, "-shards 0"},
+		{[]string{"-dir", dir, "-shards", "-2", "put", "a", "b"}, "-shards -2"},
+		{[]string{"-dir", dir, "-cache-bytes", "-5", "get", "k"}, "-cache-bytes -5"},
+		{[]string{"-dir", dir, "-cache-bytes", "-5", "get", "k"}, "Usage of triaddb"},
 		{[]string{"-dir", dir, "-partitioner", "range", "get", "k"}, "flag provided but not defined: -partitioner"},
 		{[]string{"-dir", dir}, "usage: triaddb"},
 		{[]string{"-dir", dir, "put", "k"}, "usage: triaddb put"},

@@ -67,6 +67,16 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string)) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *shards < 1 {
+		fmt.Fprintf(stderr, "triadserver: -shards %d: want a positive shard count\n", *shards)
+		fs.Usage()
+		return 2
+	}
+	if *cacheBytes < 0 {
+		fmt.Fprintf(stderr, "triadserver: -cache-bytes %d: want 0 (no block cache) or a positive byte count\n", *cacheBytes)
+		fs.Usage()
+		return 2
+	}
 	if *bgWorkers < 0 {
 		fmt.Fprintf(stderr, "triadserver: -bg-workers %d: want 0 (default size) or a positive worker count\n", *bgWorkers)
 		fs.Usage()

@@ -245,6 +245,10 @@ func TestBadFlags(t *testing.T) {
 		{"removed commit flag", []string{"-commit-delay", "1ms"}, 2, "Usage of triadserver"},
 		{"negative bg-workers", []string{"-bg-workers", "-1"}, 2, "Usage of triadserver"},
 		{"negative bg-workers names the flag", []string{"-bg-workers=-3"}, 2, "-bg-workers -3"},
+		{"zero shards", []string{"-shards", "0"}, 2, "-shards 0"},
+		{"negative shards", []string{"-shards", "-3"}, 2, "-shards -3"},
+		{"negative cache-bytes", []string{"-cache-bytes", "-5"}, 2, "-cache-bytes -5"},
+		{"negative cache-bytes prints usage", []string{"-cache-bytes", "-5"}, 2, "Usage of triadserver"},
 		{"negative slowlog-threshold", []string{"-slowlog-threshold", "-1ms"}, 2, "-slowlog-threshold -1ms"},
 		{"removed trace-keep flag", []string{"-trace-keep", "64"}, 2, "flag provided but not defined: -trace-keep"},
 		{"zero max-cursors", []string{"-max-cursors", "0"}, 2, "-max-cursors 0"},

@@ -4,9 +4,10 @@
 // amplification and read amplification.
 //
 // A Spec describes one run (engine configuration + workload + thread
-// count); Run executes it on one engine, as the paper's evaluation does,
-// over a fresh in-memory filesystem: pre-populate, settle the tree, then
-// drive the timed operation phase from N workers.
+// count); Run executes it on one engine, as the paper's evaluation does —
+// a one-shard store, opened as every other store is — over a fresh
+// in-memory filesystem: pre-populate, settle the tree, then drive the
+// timed operation phase from N workers.
 package harness
 
 import (
@@ -19,6 +20,7 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -27,7 +29,8 @@ import (
 type Spec struct {
 	// Name labels the run in tables.
 	Name string
-	// Engine is the engine configuration; FS is overwritten by Run.
+	// Engine is the engine configuration; Run opens it as a one-shard
+	// store, which supplies its FS.
 	Engine lsm.Options
 	// Mix is the operation mix (distribution, read fraction, sizes).
 	Mix workload.Mix
@@ -86,15 +89,19 @@ type Result struct {
 	Snap metrics.Snapshot
 }
 
-// Run executes one spec on one engine over a fresh MemFS charged by the
-// spec's latency model.
+// Run executes one spec on a one-shard store over a fresh MemFS charged by
+// the spec's latency model.
 func Run(spec Spec) (Result, error) {
 	opts := spec.Engine
 	opts.Seed = spec.Seed
-	fs := vfs.NewMemFS()
-	fs.SetHooks(vfs.Hooks{Before: spec.Latency.Before})
-	opts.FS = fs
-	db, err := lsm.Open(opts)
+	db, err := shard.Open(shard.Options{
+		Engine: opts,
+		NewFS: func(int) (vfs.FS, error) {
+			fs := vfs.NewMemFS()
+			fs.SetHooks(vfs.Hooks{Before: spec.Latency.Before})
+			return fs, nil
+		},
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -112,7 +119,7 @@ func Run(spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	if spec.DisableBGAfterLoad {
-		db.SetDisableBackgroundIO(true)
+		db.Shard(0).SetDisableBackgroundIO(true)
 	}
 
 	threads := spec.Threads

@@ -9,13 +9,7 @@ import (
 
 func openCommitTestDB(t *testing.T) *DB {
 	t.Helper()
-	o := TriadOptions(vfs.NewMemFS())
-	db, err := Open(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	return db
+	return mustOpen(t, TriadOptions(vfs.NewMemFS()))
 }
 
 // TestCommitAtExternalSequence: CommitAt commits at the given sequence,

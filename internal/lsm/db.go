@@ -144,14 +144,11 @@ type DB struct {
 
 	bgErr error // first background error; surfaced on subsequent ops
 
-	// pool runs this engine's flushes and compactions: Options.Scheduler,
-	// or a small pool of the engine's own (ownsPool) that Close tears
-	// down. sched is the engine's owner handle on it. flushActive and
-	// compactQueued (guarded by mu) keep at most one flush task draining
-	// the queue and one compaction task queued at a time, so a burst of
-	// seals does not pile duplicate tasks onto the pool.
-	pool          *bgsched.Pool
-	ownsPool      bool
+	// sched is the engine's owner handle on Options.Scheduler, the pool
+	// its flushes and compactions run on. flushActive and compactQueued
+	// (guarded by mu) keep at most one flush task draining the queue and
+	// one compaction task queued at a time, so a burst of seals does not
+	// pile duplicate tasks onto the pool.
 	sched         *bgsched.Owner
 	flushActive   bool
 	compactQueued bool
@@ -197,20 +194,16 @@ func Open(opts Options) (*DB, error) {
 	if opts.FS == nil {
 		return nil, errors.New("lsm: Options.FS is required")
 	}
-	opts.withDefaults()
-	// A caller-injected cache is shared across engines (table IDs are
-	// per-DB, so the tenant handle keys this DB's blocks apart); the
-	// fallback is a private cache sized from BlockCacheBytes.
-	cc := opts.BlockCache
-	if cc == nil {
-		cc = sstable.NewCache(opts.BlockCacheBytes)
+	if opts.Scheduler == nil {
+		return nil, errors.New("lsm: Options.Scheduler is required")
 	}
+	opts.withDefaults()
 	db := &DB{
 		opts:    opts,
 		fs:      opts.FS,
 		picker:  compaction.NewPicker(opts.pickerOptions()),
 		tables:  make(map[uint64]sstable.Table),
-		cache:   cc.NewHandle(),
+		cache:   opts.BlockCache.NewHandle(),
 		refs:    make(map[uint64]int),
 		zombies: make(map[uint64]*manifest.FileMeta),
 	}
@@ -220,15 +213,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.Join(err, db.release())
 	}
 	db.publishViewLocked()
-	// Background work runs as tasks on a worker pool: the caller's
-	// (the sharded store injects one store-wide pool), else a small one
-	// of the engine's own.
-	db.pool = opts.Scheduler
-	if db.pool == nil {
-		db.pool = bgsched.NewPool(bgsched.DefaultWorkers(1))
-		db.ownsPool = true
-	}
-	db.sched = db.pool.NewOwner()
+	db.sched = opts.Scheduler.NewOwner()
 	// A recovered tree may already be over its compaction triggers
 	// (e.g. many L0 files); queue a round immediately.
 	db.mu.Lock()
@@ -388,8 +373,8 @@ func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
 }
 
 // BlockCacheStats reports this DB's full block-cache counters: its own
-// hits/misses/evictions and the bytes it holds resident. When the cache
-// is shared, Resident is this tenant's slice of it, not the whole cache.
+// hits/misses/evictions and the bytes it holds resident. Resident is this
+// tenant's slice of the shared cache, not the whole cache.
 func (db *DB) BlockCacheStats() sstable.CacheStats { return db.cache.Stats() }
 
 func (db *DB) allocFileID() uint64 {
@@ -828,10 +813,9 @@ func (db *DB) Close() error {
 
 // release gives back everything Open acquired — the commit logs, the open
 // tables (and the zombie files only snapshots were keeping), this tenant's
-// blocks in the (possibly shared) cache, the manifest, the engine's own
-// pool — and reports the first error. It is the tail of Close and the
-// whole of a failed Open, where recover may have stopped anywhere, so
-// nothing here assumes a field was reached.
+// blocks in the shared cache, the manifest — and reports the first error.
+// It is the tail of Close and the whole of a failed Open, where recover
+// may have stopped anywhere, so nothing here assumes a field was reached.
 func (db *DB) release() error {
 	var err error
 	keep := func(e error) {
@@ -861,9 +845,6 @@ func (db *DB) release() error {
 	db.cache.Release()
 	if db.manifest != nil {
 		keep(db.manifest.Close())
-	}
-	if db.ownsPool {
-		db.pool.Close()
 	}
 	return err
 }

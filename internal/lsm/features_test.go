@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/manifest"
+	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -87,7 +88,7 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 	run := func(cacheBytes int64) (ra float64, hits int64) {
 		fs := vfs.NewMemFS()
 		o := smallOptions(fs)
-		o.BlockCacheBytes = cacheBytes
+		o.BlockCache = sstable.NewCache(cacheBytes)
 		db := mustOpen(t, o)
 		defer db.Close()
 		for i := 0; i < 1000; i++ {

@@ -9,14 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgsched"
 	"repro/internal/leakcheck"
 	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
 // TestFailedOpenReleasesEverything: a store whose manifest references a
-// truncated table fails to open, and the failed Open leaves no file
-// handle, no goroutine and no block of its tenant in a shared cache.
+// truncated table fails to open because of that table, and the failed Open
+// leaves no file handle, nothing of its own on the caller's pool, no
+// goroutine once that pool is closed and no block of its tenant in a
+// shared cache.
 func TestFailedOpenReleasesEverything(t *testing.T) {
 	for _, triad := range []bool{false, true} {
 		mem := vfs.NewMemFS()
@@ -25,6 +28,8 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 			o = triadSmall(mem)
 		}
 		o.DisableAutoCompaction = true // keep the flushed L0 tables where they are
+		pool := bgsched.NewPool(bgsched.DefaultWorkers(1))
+		o.Scheduler = pool
 		db := mustOpen(t, o)
 		val := bytes.Repeat([]byte{7}, 100)
 		for i := 0; i < 600; i++ {
@@ -59,9 +64,13 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		open := leakcheck.Handles(mem, nil)
 		cache := sstable.NewCache(1 << 20)
 		o.BlockCache = cache
-		if db, err := Open(o); err == nil {
+		db, err = Open(o)
+		if err == nil {
 			db.Close()
 			t.Fatalf("triad=%v: Open succeeded over a truncated %s", triad, victim)
+		}
+		if !strings.Contains(err.Error(), "recover table") {
+			t.Errorf("triad=%v: Open over a truncated %s failed for another reason: %v", triad, victim, err)
 		}
 		if n := open.Load(); n != 0 {
 			t.Errorf("triad=%v: failed Open left %d file handles open", triad, n)
@@ -69,6 +78,8 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		if st := cache.Stats(); st.Resident != 0 {
 			t.Errorf("triad=%v: failed Open left %d bytes resident in the shared cache", triad, st.Resident)
 		}
+		checkPoolIdle(t, pool)
+		pool.Close()
 		leakcheck.NoGoroutines(t)
 	}
 }
@@ -110,18 +121,22 @@ func TestCloseReleasesCacheTenant(t *testing.T) {
 	}
 }
 
-// TestOpenCloseChurn opens and closes a bare engine (which owns its
-// pool) 50 times on one filesystem, each time closing with a sealed
-// memtable's flush and a compaction round still queued: no goroutine
-// outlives a Close, and no sealed memtable is lost — every key of every
-// round is there at the end.
+// TestOpenCloseChurn opens and closes an engine 50 times on one
+// filesystem and one pool, each time closing with a sealed memtable's
+// flush and a compaction round still queued: no Close leaves a task of its
+// store queued or running on the pool, closing the pool then leaves no
+// goroutine, and no sealed memtable is lost — every key of every round is
+// there at the end.
 func TestOpenCloseChurn(t *testing.T) {
 	const rounds, perRound = 50, 60
 	fs := vfs.NewMemFS()
 	key := func(r, i int) []byte { return []byte(fmt.Sprintf("r%02d-k%03d", r, i)) }
 	val := bytes.Repeat([]byte{3}, 120)
+	o := triadSmall(fs)
+	pool := bgsched.NewPool(bgsched.DefaultWorkers(1))
+	o.Scheduler = pool
 	for r := 0; r < rounds; r++ {
-		db := mustOpen(t, triadSmall(fs))
+		db := mustOpen(t, o)
 		if r > 0 {
 			for i := 0; i < perRound; i++ {
 				if _, err := db.Get(key(r-1, i)); err != nil {
@@ -144,8 +159,10 @@ func TestOpenCloseChurn(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("round %d: close: %v", r, err)
 		}
-		leakcheck.NoGoroutines(t)
+		checkPoolIdle(t, pool)
 	}
+	pool.Close()
+	leakcheck.NoGoroutines(t)
 	db := mustOpen(t, triadSmall(fs))
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < perRound; i++ {
@@ -157,6 +174,40 @@ func TestOpenCloseChurn(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkPoolIdle fails t unless pool, whose only stores have closed, has no
+// task queued or running: a store's Close cancels its queued tasks and
+// waits out its running ones.
+func checkPoolIdle(t *testing.T, pool *bgsched.Pool) {
+	t.Helper()
+	if st := pool.Stats(); st.Busy != 0 || st.QueuedTotal() != 0 {
+		t.Errorf("closed stores left %d tasks running and %d queued on the pool", st.Busy, st.QueuedTotal())
+	}
+}
+
+// TestOpenRequiresScheduler: Open without a background pool fails with an
+// error that names the missing option, before it touches the filesystem,
+// and leaves no file handle open and no goroutine running.
+func TestOpenRequiresScheduler(t *testing.T) {
+	mem := vfs.NewMemFS()
+	var ops atomic.Int64
+	open := leakcheck.Handles(mem, func(vfs.Op) error { ops.Add(1); return nil })
+	db, err := Open(smallOptions(mem))
+	if err == nil {
+		db.Close()
+		t.Fatal("Open succeeded without a Scheduler")
+	}
+	if !strings.Contains(err.Error(), "Scheduler") {
+		t.Errorf("Open without a Scheduler: %v; want an error naming Options.Scheduler", err)
+	}
+	if n := ops.Load(); n != 0 {
+		t.Errorf("Open without a Scheduler made %d filesystem calls, want none", n)
+	}
+	if n := open.Load(); n != 0 {
+		t.Errorf("Open without a Scheduler left %d file handles open", n)
+	}
+	leakcheck.NoGoroutines(t)
 }
 
 // isTable reports whether name is a table file: an SSTable or a

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bgsched"
 	"repro/internal/compaction"
 	"repro/internal/leakcheck"
 	"repro/internal/manifest"
@@ -415,6 +416,10 @@ func (img crashImage) check(t *testing.T) (err error) {
 	ro := img.o
 	ro.FS, ro.Events = img.fs, nil
 	ro.DisableAutoCompaction = true // the files checked are recovery's alone
+	// A pool of the image's own, closed once the store is: check runs in
+	// filesystem hooks, on the workers of the store being imaged.
+	ro.Scheduler = bgsched.NewPool(bgsched.DefaultWorkers(1))
+	defer ro.Scheduler.Close()
 	open := leakcheck.Handles(img.fs, nil)
 	defer func() {
 		if n := open.Load(); n != 0 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bgsched"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -54,6 +55,15 @@ func mustOpen(t testing.TB, o Options) *DB {
 	return db
 }
 
+// testPool returns a background pool sized as a one-shard store's, which
+// t's cleanup closes after every store opened on it later: cleanups run
+// last-registered first.
+func testPool(t testing.TB) *bgsched.Pool {
+	p := bgsched.NewPool(bgsched.DefaultWorkers(1))
+	t.Cleanup(p.Close)
+	return p
+}
+
 // liveRecord returns db's live memtable record, read under db.mu since the
 // flush task pops the stack below it. Its fields change only under a
 // commit, a skip or a seal, so a test that is the store's only writer may
@@ -65,9 +75,13 @@ func liveRecord(db *DB) *memRecord {
 }
 
 // mustOpenLeaking is mustOpen without the check, for the tests that drop
-// snapshots on purpose to watch the finalizer reclaim them.
+// snapshots on purpose to watch the finalizer reclaim them. A store opened
+// without a Scheduler runs on a pool of its own (testPool).
 func mustOpenLeaking(t testing.TB, o Options) *DB {
 	t.Helper()
+	if o.Scheduler == nil {
+		o.Scheduler = testPool(t)
+	}
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)

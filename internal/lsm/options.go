@@ -71,26 +71,26 @@ type Options struct {
 	// BlockBytes is the SSTable data-block size.
 	BlockBytes int
 
-	// BlockCacheBytes sizes the data-block cache (0 disables it). Cache
-	// hits do not count as disk accesses for read amplification, matching
-	// the substrate's block-cache behaviour. Ignored when BlockCache is
-	// set.
+	// BlockCacheBytes is this engine's share of the data-block cache:
+	// shard.Open builds one store-wide cache of BlockCacheBytes x Shards
+	// and hands it to every shard as BlockCache. Open itself builds no
+	// cache and reads only BlockCache. Cache hits do not count as disk
+	// accesses for read amplification, matching the substrate's
+	// block-cache behaviour.
 	BlockCacheBytes int64
-	// BlockCache, when non-nil, is a caller-owned cache shared with other
-	// engines (the sharded store injects one store-wide cache so memory
-	// follows hot shards instead of being pre-split). The DB takes a
-	// tenant handle on it and releases only its own blocks at Close; the
-	// caller keeps ownership of the cache itself.
+	// BlockCache is the cache shared with other engines; nil caches
+	// nothing. The DB takes a tenant handle on it and releases only its
+	// own blocks at Close; the caller keeps ownership of the cache itself.
 	BlockCache *sstable.Cache
 
-	// Scheduler is the worker pool the engine's background work runs on:
-	// flushes and compaction rounds are submitted by priority class
-	// (flush > L0→L1 > deeper levels), labeled with EventShard for
+	// Scheduler is the worker pool the engine's background work runs on;
+	// required. Flushes and compaction rounds are submitted by priority
+	// class (flush > L0→L1 > deeper levels), labeled with EventShard for
 	// per-shard fairness; a compaction is one merge on one worker. The
-	// caller owns an injected pool; the sharded store injects one
-	// store-wide pool so N shards' background I/O is centrally arbitrated.
-	// With nil the engine builds a pool of bgsched.DefaultWorkers(1)
-	// workers of its own and closes it with the DB.
+	// caller owns the pool: Close cancels the engine's queued tasks and
+	// waits out its running ones, but leaves the pool open. shard.Open
+	// builds one store-wide pool so N shards' background I/O is centrally
+	// arbitrated.
 	Scheduler *bgsched.Pool
 
 	// DisableAutoCompaction leaves compaction to explicit CompactOnce /

@@ -43,7 +43,7 @@ func TestRecoverCrashPoints(t *testing.T) {
 	var removedTables, rolledJournals, kept, retired, logNumbers, nested int
 	for _, s := range samples {
 		ro := s.o
-		ro.FS, ro.Events = s.fs, nil
+		ro.FS, ro.Events, ro.Scheduler = s.fs, nil, testPool(t)
 		ro.DisableAutoCompaction = true // the changes imaged are recovery's and the Flush's alone
 		opened, failed := false, false
 		imageChanges(s.fs, func(what string, image *vfs.MemFS) {

@@ -11,8 +11,9 @@
 //   - the Prometheus text-exposition helpers in prom.go.
 //
 // Journal, Tracer and Trace are nil-safe (a nil one records nothing),
-// because nil is what a caller that records nothing holds: a bare
-// engine's journal, a server's tracer with tracing off, an unsampled
+// because nil is what a caller that records nothing holds: the journal
+// of an engine a test opens without one (shard.Open hands every shard
+// the store's), a server's tracer with tracing off, an unsampled
 // command's trace. Hist and SlowLog are not: every one comes from
 // NewHist or NewSlowLog.
 //

@@ -411,8 +411,8 @@ func (c *conn) scanCount(args [][]byte) (int, bool) {
 	return count, true
 }
 
-// scan serves SCAN [start [limit [count]]]: it pins a cross-shard
-// snapshot, opens a streaming iterator on it, and replies with
+// scan serves SCAN [start [limit [count]]]: it opens a streaming
+// iterator, which pins its own point-in-time view, and replies with
 // [cursor, k1, v1, ...] — the first page plus the cursor to resume
 // from. The cursor is "0" when the page already exhausted the range
 // (nothing is retained server-side); otherwise the snapshot stays
@@ -436,18 +436,12 @@ func (c *conn) scan(args [][]byte, start0 time.Time) {
 		c.send(resp.Error(fmtErr(c.srv.cursors.errTooManyCursors())))
 		return
 	}
-	snap, err := c.srv.store.NewSnapshot()
+	it, err := c.srv.store.NewIterator(start, limit)
 	if err != nil {
 		c.send(resp.Error(fmtErr(err)))
 		return
 	}
-	it, err := snap.NewIterator(start, limit)
-	if err != nil {
-		snap.Close()
-		c.send(resp.Error(fmtErr(err)))
-		return
-	}
-	cur := c.srv.cursors.open(c, snap, it)
+	cur := c.srv.cursors.open(c, it)
 	v, _ := c.srv.cursors.readPage(cur, count)
 	c.sendTracked(v, obs.FamScan, start0, start, nil)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/lsm"
 	"repro/internal/resp"
-	"repro/internal/shard"
 )
 
 // DoneCursor is the cursor id a SCAN reply carries when the scan is
@@ -38,8 +37,8 @@ func isCursorID(b []byte) bool {
 	return true
 }
 
-// cursor is one server-side scan: a pinned cross-shard snapshot plus a
-// streaming iterator positioned after the last page served. SCAN CONT
+// cursor is one server-side scan: a streaming iterator, which pins its
+// point-in-time view, positioned after the last page served. SCAN CONT
 // resumes it, which is what makes paging repeatable — every page comes
 // from the same frozen view, no matter how many writes land in between.
 //
@@ -53,7 +52,6 @@ type cursor struct {
 	// mu serializes page reads with the sweeper/teardown close. Page
 	// reads are bounded (scanPageMax), so the hold is short.
 	mu     sync.Mutex
-	snap   *shard.Snapshot
 	it     *lsm.Iterator
 	closed bool
 
@@ -95,14 +93,13 @@ func (r *registry) errTooManyCursors() error {
 // open registers a new cursor for c, which canOpen has let open one.
 // Only c's dispatch goroutine opens cursors for c, and every other path
 // only removes them, so c is still under its cap.
-func (r *registry) open(c *conn, snap *shard.Snapshot, it *lsm.Iterator) *cursor {
+func (r *registry) open(c *conn, it *lsm.Iterator) *cursor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
 	cur := &cursor{
 		id:       "c" + strconv.FormatUint(r.nextID, 10),
 		owner:    c,
-		snap:     snap,
 		it:       it,
 		lastUsed: time.Now(),
 	}
@@ -133,7 +130,7 @@ func (r *registry) lookup(c *conn, id string) (*cursor, bool) {
 	return cur, true
 }
 
-// remove unregisters cur and releases its snapshot and iterator.
+// remove unregisters cur and closes its iterator, releasing its view.
 func (r *registry) remove(cur *cursor) {
 	r.mu.Lock()
 	if _, ok := r.cursors[cur.id]; ok {
@@ -152,7 +149,6 @@ func (r *registry) remove(cur *cursor) {
 	}
 	cur.closed = true
 	cur.it.Close()
-	cur.snap.Close()
 }
 
 // removeConn closes every cursor the connection still owns (cursors die

@@ -70,10 +70,11 @@ type Store interface {
 	// (hits/misses/resident/capacity/evictions/admission rejects),
 	// exported as the triad_block_cache_* series.
 	BlockCacheStats() sstable.CacheStats
-	// NewSnapshot pins a cross-shard point-in-time view; every SCAN
-	// reads through one (cursors hold theirs open across pages, which
-	// is what makes paging repeatable).
-	NewSnapshot() (*shard.Snapshot, error)
+	// NewIterator opens a streaming scan of [start, limit) on a
+	// point-in-time view it pins until Close; every SCAN reads through
+	// one (cursors hold theirs open across pages, which is what makes
+	// paging repeatable).
+	NewIterator(start, limit []byte) (*lsm.Iterator, error)
 	// OpenSnapshots reports the store's live snapshot count (metrics);
 	// LeakedSnapshots and OverlayEntries surface snapshot hygiene.
 	OpenSnapshots() int
@@ -155,9 +156,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves the RESP front end over one Store. Create with New,
-// start with Serve or ListenAndServe, stop with Shutdown (graceful) or
-// Close (abrupt). The Store's lifecycle belongs to the caller: Shutdown
-// drains the server but does not close the engine.
+// start with Serve, stop with Shutdown (graceful) or Close (abrupt). The
+// Store's lifecycle belongs to the caller: Shutdown drains the server but
+// does not close the engine.
 type Server struct {
 	store   Store
 	cfg     Config
@@ -190,16 +191,6 @@ func New(store Store, cfg Config) *Server {
 	s.gc = newCommitter(store, s.ob)
 	s.cursors = newRegistry(s.cfg)
 	return s
-}
-
-// ListenAndServe listens on addr (e.g. ":6379", "127.0.0.1:0") and
-// serves until Shutdown or Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown or Close. It returns

@@ -52,24 +52,21 @@ type Options struct {
 	// Shards is the number of independent engine instances; values < 1
 	// mean 1. The count must be stable across opens of the same store.
 	Shards int
-	// Engine is the per-shard engine configuration template. Engine.FS
-	// and Engine.Events are overwritten per shard (NewFS supplies each
-	// shard's filesystem; every shard journals into the store's one
-	// event journal) and Engine.Seed is decorrelated per shard. Budgets
-	// in the template (memtable, commit log, block cache, ...) apply to
-	// each shard individually; use DivideBudgets to split one store-wide
-	// budget evenly.
+	// Engine is the per-shard engine configuration template. The store
+	// supplies five of its fields, overwriting what the template holds:
+	// FS (NewFS(i)), Scheduler (the store's one background pool),
+	// BlockCache (the store's one block cache), Events (the store's one
+	// event journal) and EventShard (i). Engine.Seed is decorrelated per
+	// shard. Budgets in the template (memtable, commit log, block cache,
+	// ...) apply to each shard individually; use DivideBudgets to split
+	// one store-wide budget evenly.
 	//
-	// Engine.BlockCacheBytes is the per-shard share, but by default the
-	// store pools the shares: Open builds ONE store-wide block cache of
+	// Engine.BlockCacheBytes is the per-shard share, but the store pools
+	// the shares: Open builds ONE store-wide block cache of
 	// Engine.BlockCacheBytes x Shards and hands every shard a tenant
-	// handle on it, so the aggregate memory matches the old per-shard
-	// design while the bytes follow whichever shards are hot.
+	// handle on it, so the aggregate memory matches a per-shard design
+	// while the bytes follow whichever shards are hot.
 	Engine lsm.Options
-	// BlockCache, when non-nil, is used as the store-wide block cache
-	// instead of building one (callers embedding several stores can pool
-	// even wider). The store does not own it; it is not closed on Close.
-	BlockCache *sstable.Cache
 	// NewFS returns shard i's filesystem; required. Every shard needs a
 	// namespace of its own — MemFS and DirFS are ready-made factories.
 	NewFS func(i int) (vfs.FS, error)
@@ -202,11 +199,8 @@ func Open(o Options) (*DB, error) {
 		applyLat: obs.NewHist(),
 	}
 	// Pool the per-shard cache shares into one store-wide cache (same
-	// aggregate bytes, no pre-split) unless the caller injected a cache.
-	db.cache = o.BlockCache
-	if db.cache == nil {
-		db.cache = sstable.NewCache(o.Engine.BlockCacheBytes * int64(o.Shards))
-	}
+	// aggregate bytes, no pre-split).
+	db.cache = sstable.NewCache(o.Engine.BlockCacheBytes * int64(o.Shards))
 	// One store-wide background pool arbitrates every shard's flushes
 	// and compactions (the same centralization the block cache has).
 	w := o.BackgroundWorkers

@@ -28,10 +28,6 @@ func (db *DB) Metrics() metrics.Snapshot {
 // caching is disabled).
 func (db *DB) BlockCacheStats() sstable.CacheStats { return db.cache.Stats() }
 
-// BlockCache exposes the store-wide shared cache (nil when caching is
-// disabled).
-func (db *DB) BlockCache() *sstable.Cache { return db.cache }
-
 // NumLevelFiles reports the per-level table count summed across shards.
 func (db *DB) NumLevelFiles() []int {
 	out := make([]int, manifest.NumLevels)

@@ -91,6 +91,7 @@ type Options struct {
 	// Advanced, when non-nil, is the per-shard engine template, used
 	// verbatim (its FS, when set, stands in for Options.FS) except for
 	// what the store supplies: the background pool and the block cache.
+	// Its BlockCacheBytes is the store-wide budget, as BlockCacheBytes is.
 	Advanced *lsm.Options
 }
 
@@ -167,19 +168,20 @@ func Open(o Options) (*DB, error) {
 		newFS = func(int) (vfs.FS, error) { return fs, nil }
 	}
 	opts.FS = nil
-	so := shard.Options{
+	// BlockCacheBytes is the store-wide budget B and the shard layer
+	// multiplies a per-shard share by the shard count, so each shard's
+	// share is ⌈B/n⌉: the cache holds at least B, and a B smaller than n
+	// still caches.
+	if b := opts.BlockCacheBytes; b > 0 {
+		n := int64(max(o.Shards, 1))
+		opts.BlockCacheBytes = (b + n - 1) / n
+	}
+	return shard.Open(shard.Options{
 		Shards:            o.Shards,
 		Engine:            opts,
 		NewFS:             newFS,
 		BackgroundWorkers: o.BackgroundWorkers,
-	}
-	if opts.BlockCacheBytes > 0 {
-		// BlockCacheBytes is the store-wide budget, not a per-shard
-		// slice: build the shared cache at exactly that size instead of
-		// letting the shard layer multiply a per-shard share.
-		so.BlockCache = sstable.NewCache(opts.BlockCacheBytes)
-	}
-	return shard.Open(so)
+	})
 }
 
 // EngineOptions is the full engine knob set, re-exported for Advanced

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bgsched"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
 )
@@ -266,6 +267,36 @@ func TestOpenBackgroundWorkers(t *testing.T) {
 	}
 }
 
+// TestOpenBlockCacheBudget: BlockCacheBytes B over n shards gives each
+// shard a share of ⌈B/n⌉, so the store's one cache holds ⌈B/n⌉·n ≥ B
+// bytes, and a B smaller than n still caches. The Advanced template's
+// BlockCacheBytes is the same store-wide budget.
+func TestOpenBlockCacheBudget(t *testing.T) {
+	advanced := TriadEngineOptions(nil)
+	advanced.BlockCacheBytes = 1000
+	for _, tc := range []struct {
+		o    Options
+		want int64
+	}{
+		{Options{FS: vfs.NewMemFS()}, 0},
+		{Options{FS: vfs.NewMemFS(), BlockCacheBytes: 1 << 20}, 1 << 20},
+		{Options{Shards: 3, ShardFS: ShardMemFS(), BlockCacheBytes: 1000003}, 333335 * 3},
+		{Options{Shards: 4, ShardFS: ShardMemFS(), BlockCacheBytes: 3}, 4},
+		{Options{Shards: 3, ShardFS: ShardMemFS(), Advanced: &advanced}, 334 * 3},
+	} {
+		db, err := Open(tc.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.BlockCacheStats().Capacity; got != tc.want {
+			t.Errorf("%d shard(s), budget %d: cache of %d bytes, want %d", db.NumShards(), tc.o.BlockCacheBytes, got, tc.want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestOpenRootLayoutCompat: a store written by a bare engine at the root
 // of a directory — the layout FS stores had before they opened through
 // the shard layer, with no STORE record — opens through Open and reads
@@ -291,10 +322,13 @@ func TestOpenRootLayoutCompat(t *testing.T) {
 			}
 		}
 	}
+	pool := bgsched.NewPool(bgsched.DefaultWorkers(1))
+	defer pool.Close()
 	engine := func() lsm.Options {
 		o := lsm.TriadOptions(osfs())
 		o.MemtableBytes = 64 << 10
 		o.CommitLogBytes = 256 << 10
+		o.Scheduler = pool
 		return o
 	}
 
