@@ -231,7 +231,10 @@ func TestServerSmoke(t *testing.T) {
 }
 
 // TestBadFlags: malformed, removed or out-of-range flags exit 2 with the
-// usage text — none of them hang, and none selects a hidden mode.
+// usage text — none of them hang, and none selects a hidden mode. Every
+// row listens on a free loopback port, so a row whose flags are accepted
+// fails within seconds as "server started", and is then stopped as
+// TestServerSmoke stops its server.
 func TestBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -259,7 +262,28 @@ func TestBadFlags(t *testing.T) {
 		{"trace-sample above 1", []string{"-trace-sample", "1.5"}, 2, "-trace-sample 1.5"},
 	} {
 		var stdout, stderr syncBuffer
-		if code := run(tc.args, &stdout, &stderr, nil); code != tc.code {
+		ready := make(chan string, 1)
+		exit := make(chan int, 1)
+		go func() {
+			exit <- run(append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &stdout, &stderr, func(addr string) { ready <- addr })
+		}()
+		var code int
+		select {
+		case code = <-exit:
+		case <-ready:
+			t.Errorf("%s: server started", tc.name)
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case code = <-exit:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s: server did not exit on SIGTERM", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: neither exited nor started serving", tc.name)
+		}
+		if code != tc.code {
 			t.Errorf("%s: exit %d, want %d\nstderr: %s", tc.name, code, tc.code, stderr.String())
 		}
 		if !strings.Contains(stderr.String(), tc.stderr) {

@@ -54,7 +54,7 @@ func main() {
 	}
 	// The scan's snapshot pinned the versions and files it reads until
 	// Close released it.
-	fmt.Printf("snapshots pinned after the scan: %d\n", db.ShardStats()[0].OpenSnapshots)
+	fmt.Printf("snapshots pinned after the scan: %d\n", db.OpenSnapshots())
 
 	// Force the memtable down to L0 and look at the tree.
 	if err := db.Flush(); err != nil {

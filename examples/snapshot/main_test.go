@@ -13,11 +13,12 @@ import (
 // tests: a pool, server or connection some test did not close.
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
-// TestExample runs the example: it must exit cleanly, and closing its
-// iterator and then its snapshot must leave none open.
+// TestExample runs the example: it must exit cleanly, its snapshot must
+// stay open while a scan opened from it is, and closing the scan must
+// leave none open.
 func TestExample(t *testing.T) {
 	out := runMain(t)
-	for _, want := range []string{"open snapshots after Close:  0\n", "shard pins after Close:      0\n"} {
+	for _, want := range []string{"open snapshots with the scan open:    1\n", "open snapshots after the scan closed: 0\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("want %q in the output:\n%s", want, out)
 		}

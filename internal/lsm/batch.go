@@ -101,10 +101,6 @@ func (b *Batch) prepare() error {
 	return nil
 }
 
-// Apply commits the batch at the next internal sequence number. The
-// batch may be Reset and reused afterwards.
-func (db *DB) Apply(b *Batch) error { return db.commit(0, b, nil) }
-
 // CommitAt commits the batch with every record carrying the externally
 // assigned sequence seq. This is the commit stage the sharded engine
 // drives: seq is a store-wide epoch from its commit clock, and the
@@ -112,20 +108,20 @@ func (db *DB) Apply(b *Batch) error { return db.commit(0, b, nil) }
 // clock rather than an independent allocator. seq must exceed every
 // sequence previously committed on this DB (the clock's per-shard
 // ticket ordering guarantees it); a regressing seq is an error and
-// commits nothing. trs are the group's sampled request traces, into
-// each of which the engine records aggregated wal_append and
-// memtable_apply spans; nil for every untraced group.
+// commits nothing, and so is a zero seq. trs are the group's sampled
+// request traces, into each of which the engine records aggregated
+// wal_append and memtable_apply spans; nil for every untraced group.
 func (db *DB) CommitAt(seq uint64, b *Batch, trs obs.Traces) error {
-	if seq == 0 {
-		return errors.New("lsm: CommitAt requires a non-zero sequence")
-	}
 	return db.commit(seq, b, trs)
 }
 
 // commit runs the pipeline: prepare (validation, lock-free), then the
-// commit stage under db.mu — absorb backpressure, fix the sequence, and
-// append to log and memtable. seq 0 means self-assigned.
+// commit stage under db.mu — absorb backpressure, advance the sequence to
+// seq, and append to log and memtable.
 func (db *DB) commit(seq uint64, b *Batch, trs obs.Traces) error {
+	if seq == 0 {
+		return errors.New("lsm: a commit requires a non-zero sequence")
+	}
 	if err := b.prepare(); err != nil {
 		return err
 	}
@@ -140,14 +136,10 @@ func (db *DB) commit(seq uint64, b *Batch, trs obs.Traces) error {
 	if err := db.stallLocked(); err != nil {
 		return err
 	}
-	if seq == 0 {
-		db.seq++
-		seq = db.seq
-	} else if seq <= db.seq {
+	if seq <= db.seq {
 		return fmt.Errorf("lsm: commit sequence %d is not after the last committed %d", seq, db.seq)
-	} else {
-		db.seq = seq
 	}
+	db.seq = seq
 	return db.commitLocked(seq, b, trs)
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/base"
 	"repro/internal/vfs"
 )
 
@@ -12,9 +13,10 @@ func openCommitTestDB(t *testing.T) *DB {
 	return mustOpen(t, TriadOptions(vfs.NewMemFS()))
 }
 
-// TestCommitAtExternalSequence: CommitAt commits at the given sequence,
-// the per-DB counter becomes a view of it, and a regressing sequence is
-// rejected without committing anything.
+// TestCommitAtExternalSequence: CommitAt and WriteAt commit at the given
+// sequence and the per-DB counter becomes a view of it; the batch is then
+// marked committed and refused a second time. A regressing or zero
+// sequence, or an empty key, is rejected without committing anything.
 func TestCommitAtExternalSequence(t *testing.T) {
 	db := openCommitTestDB(t)
 	b := &Batch{}
@@ -26,12 +28,17 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	if got := db.LastSeq(); got != 10 {
 		t.Fatalf("LastSeq = %d, want 10", got)
 	}
-	// Internal allocation resumes above the external clock.
-	if err := db.Put([]byte("c"), []byte("3")); err != nil {
+	if !b.Committed() {
+		t.Fatal("batch not marked committed")
+	}
+	if err := db.CommitAt(12, b, nil); err == nil || !strings.Contains(err.Error(), "already applied") {
+		t.Fatalf("re-commit of a committed batch = %v, want already-applied error", err)
+	}
+	if err := db.WriteAt(11, []byte("c"), []byte("3"), base.KindSet); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.LastSeq(); got != 11 {
-		t.Fatalf("LastSeq after Put = %d, want 11", got)
+		t.Fatalf("LastSeq after WriteAt = %d, want 11", got)
 	}
 	// Regressing sequence: rejected, nothing written.
 	bad := &Batch{}
@@ -40,14 +47,30 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not after") {
 		t.Fatalf("CommitAt(11) after 11 = %v, want sequence-regression error", err)
 	}
+	if err := db.WriteAt(11, []byte("a"), []byte("overwrite"), base.KindSet); err == nil || !strings.Contains(err.Error(), "not after") {
+		t.Fatalf("WriteAt(11) after 11 = %v, want sequence-regression error", err)
+	}
+	// Zero sequence: the engine numbers nothing itself, so both entry
+	// points refuse it.
+	if err := db.CommitAt(0, bad, nil); err == nil || !strings.Contains(err.Error(), "non-zero") {
+		t.Fatalf("CommitAt(0) = %v, want zero-sequence error", err)
+	}
+	if err := db.WriteAt(0, []byte("a"), []byte("overwrite"), base.KindSet); err == nil || !strings.Contains(err.Error(), "non-zero") {
+		t.Fatalf("WriteAt(0) = %v, want zero-sequence error", err)
+	}
 	if bad.Committed() {
 		t.Fatal("rejected batch marked committed")
+	}
+	var empty Batch
+	empty.Put(nil, []byte("v"))
+	if err := db.CommitAt(12, &empty, nil); err == nil || !strings.Contains(err.Error(), "empty key") {
+		t.Fatalf("empty-key batch = %v, want empty-key error", err)
 	}
 	if v, err := db.Get([]byte("a")); err != nil || string(v) != "1" {
 		t.Fatalf("Get(a) = %q, %v; want 1", v, err)
 	}
-	if err := db.CommitAt(0, bad, nil); err == nil {
-		t.Fatal("CommitAt(0) succeeded, want error")
+	if got, writes := db.LastSeq(), db.Metrics().UserWrites; got != 11 || writes != 3 {
+		t.Fatalf("after the refused commits LastSeq = %d and %d writes, want 11 and 3", got, writes)
 	}
 }
 
@@ -121,30 +144,5 @@ func TestNewSnapshotAtBounds(t *testing.T) {
 	}
 	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v2" {
 		t.Fatalf("live Get = %q, %v; want v2", v, err)
-	}
-}
-
-// TestApplyStillSelfSequences: the plain Apply path allocates its own
-// sequence (the standalone, unsharded mode) and coexists with reads.
-func TestApplyStillSelfSequences(t *testing.T) {
-	db := openCommitTestDB(t)
-	b := &Batch{}
-	b.Put([]byte("p"), []byte("q"))
-	if err := db.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.LastSeq(); got != 1 {
-		t.Fatalf("LastSeq = %d, want 1", got)
-	}
-	if !b.Committed() {
-		t.Fatal("batch not marked committed")
-	}
-	if err := db.Apply(b); err == nil {
-		t.Fatal("re-Apply of committed batch succeeded")
-	}
-	var empty Batch
-	empty.Put(nil, []byte("v"))
-	if err := db.Apply(&empty); err == nil || !strings.Contains(err.Error(), "empty key") {
-		t.Fatalf("empty-key batch = %v, want empty-key error", err)
 	}
 }

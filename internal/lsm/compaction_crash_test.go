@@ -113,7 +113,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			for i := 0; i < 6000; i++ {
 				k, v := fmt.Sprintf("k%05d", rng.Intn(3000)), fmt.Sprintf("v%06d", i)
 				oracle[k] = v
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				if i%500 == 499 {
@@ -151,7 +151,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 					val[j] = 'a' + byte(rng.Intn(26))
 				}
 				oracle[k] = string(val)
-				if err := db.Put([]byte(k), val); err != nil {
+				if err := clocked(db).Put([]byte(k), val); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -173,7 +173,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 					k := fmt.Sprintf("k%05d", rng.Intn(3000))
 					if rng.Intn(5) == 0 {
 						delete(oracle, k)
-						if err := db.Delete([]byte(k)); err != nil {
+						if err := clocked(db).Delete([]byte(k)); err != nil {
 							t.Fatal(err)
 						}
 						continue
@@ -251,7 +251,7 @@ func deepCrashPoints(t *testing.T) {
 				val[j] = 'a' + byte(rng.Intn(26))
 			}
 			oracle[k] = string(val)
-			if err := db.Put([]byte(k), val); err != nil {
+			if err := clocked(db).Put([]byte(k), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func deepCrashPoints(t *testing.T) {
 			t.Fatal("no key of a spilled range has a version on L1, L2 and L3")
 		}
 		old = oracle[hot]
-		s, err := db.NewSnapshot()
+		s, err := clocked(db).NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestRunFoldCrashPoints(t *testing.T) {
 		db.versionMu.RUnlock()
 		if snap == nil && job != nil && job.Fold && len(job.Inputs) < len(l0) {
 			var err error
-			if snap, err = db.NewSnapshot(); err != nil {
+			if snap, err = clocked(db).NewSnapshot(); err != nil {
 				t.Fatal(err)
 			}
 			defer snap.Close()

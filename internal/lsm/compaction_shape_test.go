@@ -224,7 +224,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 			k := fmt.Sprintf("k%05d", lo+rng.Intn(span))
 			if rng.Intn(5) == 0 {
 				delete(oracle, k)
-				if err := db.Delete([]byte(k)); err != nil {
+				if err := clocked(db).Delete([]byte(k)); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -233,7 +233,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 				val[j] = 'a' + byte(rng.Intn(26))
 			}
 			oracle[k] = string(val)
-			if err := db.Put([]byte(k), val); err != nil {
+			if err := clocked(db).Put([]byte(k), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -243,7 +243,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 				frozen[k] = v
 			}
 			pinned = append(pinned, frozen)
-			snap, err := db.NewSnapshot()
+			snap, err := clocked(db).NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestCompactionShapeRandomized(t *testing.T) {
 		release()
 	}
 
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -327,7 +327,7 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		k, v := fmt.Sprintf("k%05d", i), fmt.Sprintf("v%05d-%060d", i, i)
 		oracle[k] = v
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
+		if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 		before, after *manifest.Version
 	)
 	for {
-		s, err := db.NewSnapshot()
+		s, err := clocked(db).NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func TestTrivialMoveSurvivesRecovery(t *testing.T) {
 	if err := db2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err = db2.NewIterator(nil, nil)
+	it, err = clocked(db2).NewIterator(nil, nil)
 	sameLines(t, "recovered store", scan(t, it, err), oracleLines(oracle))
 }
 
@@ -450,7 +450,7 @@ func TestGetZeroAllocLevels(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("k%05d", 2*rng.Intn(6000)) // odd keys stay absent
-			if err := db.Put([]byte(k), bytes.Repeat([]byte{'v'}, 40)); err != nil {
+			if err := clocked(db).Put([]byte(k), bytes.Repeat([]byte{'v'}, 40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -539,7 +539,7 @@ func TestLadderFollowsBottomLevel(t *testing.T) {
 			val[j] = 'a' + byte(rng.Intn(26))
 		}
 		oracle[k] = string(val)
-		if err := db.Put([]byte(k), val); err != nil {
+		if err := clocked(db).Put([]byte(k), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,7 +569,7 @@ func TestLadderFollowsBottomLevel(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 	if debt := db.CompactionDebt(); debt != 0 {
 		t.Fatalf("compaction debt %d after CompactAll", debt)
@@ -627,7 +627,7 @@ func TestDeepeningRebalances(t *testing.T) {
 		for i := 0; i < 500; i, next = i+1, next+1 {
 			k, v := fmt.Sprintf("k%05d", rng.Intn(1<<16)), fmt.Sprintf("%060d", next)
 			oracle[k] = v
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -679,6 +679,6 @@ func TestDeepeningRebalances(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 }

@@ -18,6 +18,11 @@
 // compaction gate, and the L0 table format — leaving everything else
 // byte-identical, which is what makes the ablation meaningful.
 //
+// The engine numbers no write and no snapshot itself: every sequence comes
+// from the store's commit clock (internal/shard), through WriteAt,
+// CommitAt and NewSnapshotAt, its whole write and pin surface, and a zero
+// sequence is refused.
+//
 // Snapshots and iterators pin engine state (the memtable versions they
 // read, zombie sstables) until closed; the tests' store opener checks
 // that none is left open when a test ends (README "Leak checks").
@@ -450,20 +455,9 @@ func (db *DB) retireLogs(ids ...uint64) error {
 	return nil
 }
 
-// Put associates value with key.
-func (db *DB) Put(key, value []byte) error {
-	return db.WriteAt(0, key, value, base.KindSet)
-}
-
-// Delete removes key (writing a tombstone).
-func (db *DB) Delete(key []byte) error {
-	return db.WriteAt(0, key, nil, base.KindDelete)
-}
-
 // WriteAt commits one operation as a batch of one — the same commit stage
 // as any batch, with the batch on this frame instead of the heap. seq is
-// an externally assigned sequence as for CommitAt, or 0 for the next
-// internal one.
+// an externally assigned sequence, as for CommitAt.
 func (db *DB) WriteAt(seq uint64, key, value []byte, kind base.Kind) error {
 	ops := [1]base.Entry{copyEntry(key, value, kind)}
 	return db.commit(seq, &Batch{ops: ops[:]}, nil)
@@ -644,9 +638,8 @@ func entryValue(e base.Entry) ([]byte, error) {
 	return e.Value, nil
 }
 
-// LastSeq reports the highest committed sequence number. When this DB
-// serves as one shard of a sharded store it is the shard's view of the
-// store-wide commit clock; the store resumes its clock from the maximum
+// LastSeq reports the highest committed sequence number: the shard's view
+// of the store-wide commit clock, which the store resumes from the maximum
 // across shards on reopen.
 func (db *DB) LastSeq() uint64 {
 	db.mu.Lock()

@@ -44,7 +44,7 @@ func TestFlushJournalsOnlySyncedLogBytes(t *testing.T) {
 			for i := 0; i < 2*keys; i++ {
 				k := fmt.Sprintf("key-%05d", rng.Intn(keys))
 				v := fmt.Sprintf("value-%06d-%090d", i, 0)
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				values[k] = append(values[k], v)
@@ -88,7 +88,7 @@ func TestFlushMakesHotKeysDurable(t *testing.T) {
 			db := mustOpen(t, o)
 			want := map[string]string{}
 			put := func(k, v string) {
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				want[k] = v
@@ -126,7 +126,7 @@ func TestInstallRefusesUnsyncedLog(t *testing.T) {
 	o := triadSmall(fs)
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := clocked(db).Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
@@ -183,7 +183,7 @@ func TestUnsyncedLogBytes(t *testing.T) {
 					if i%3 == 0 {
 						k = fmt.Sprintf("key-%04d", i%20) // hot
 					}
-					if err := db.Put([]byte(k), []byte(fmt.Sprintf("%d-%d-%080d", round, i, i))); err != nil {
+					if err := clocked(db).Put([]byte(k), []byte(fmt.Sprintf("%d-%d-%080d", round, i, i))); err != nil {
 						t.Fatal(err)
 					}
 					if n := db.UnsyncedLogBytes(); syncWAL && n != 0 {

@@ -27,7 +27,7 @@ func TestLargeValues(t *testing.T) {
 	db := mustOpen(t, o)
 	// Values bigger than the memtable budget must still round-trip.
 	big := bytes.Repeat([]byte{0xAB}, int(o.MemtableBytes)+1000)
-	if err := db.Put([]byte("big"), big); err != nil {
+	if err := clocked(db).Put([]byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db.Get([]byte("big"))
@@ -46,7 +46,7 @@ func TestLargeValues(t *testing.T) {
 func TestEmptyValue(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	if err := db.Put([]byte("k"), []byte{}); err != nil {
+	if err := clocked(db).Put([]byte("k"), []byte{}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db.Get([]byte("k"))
@@ -67,7 +67,7 @@ func TestEmptyValue(t *testing.T) {
 func TestDeleteAbsentKey(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	if err := db.Delete([]byte("ghost")); err != nil {
+	if err := clocked(db).Delete([]byte("ghost")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("ghost")); !errors.Is(err, ErrNotFound) {
@@ -96,7 +96,7 @@ func TestWriteBackpressure(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("w%d-%04d", w, i)
-				if err := db.Put([]byte(key), bytes.Repeat([]byte{1}, 100)); err != nil {
+				if err := clocked(db).Put([]byte(key), bytes.Repeat([]byte{1}, 100)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -128,7 +128,7 @@ func TestL0StallBoundsFileCount(t *testing.T) {
 	db := mustOpen(t, smallOptions(fs))
 	maxL0 := 0
 	for i := 0; i < 10000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{1}, 150)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte{1}, 150)); err != nil {
 			t.Fatal(err)
 		}
 		if i%100 == 0 {
@@ -152,16 +152,16 @@ func TestIteratorDuringCompaction(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, triadSmall(fs))
 	for i := 0; i < 1000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v1"))
+		clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v1"))
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
 	// Mutate heavily after the snapshot.
 	for i := 0; i < 1000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v2"))
+		clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v2"))
 	}
 	db.Flush()
 	n := 0
@@ -184,7 +184,7 @@ func TestDoubleRecovery(t *testing.T) {
 		db := mustOpen(t, triadSmall(fs))
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("r%d-%04d", round, i)
-			if err := db.Put([]byte(key), []byte("v")); err != nil {
+			if err := clocked(db).Put([]byte(key), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestRecoveryTornLogTail(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
 	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+		clocked(db).Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	// Simulate a crash: abandon the handle, then truncate the newest log
 	// by rewriting it minus its last 5 bytes.
@@ -251,20 +251,20 @@ func TestGetHonoursNewestVersionAcrossLevels(t *testing.T) {
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
 	// Version 1 → flushed to L0, compacted to L1.
-	db.Put([]byte("k"), []byte("v1"))
+	clocked(db).Put([]byte("k"), []byte("v1"))
 	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("fill-a-%04d", i)), make([]byte, 64))
+		clocked(db).Put([]byte(fmt.Sprintf("fill-a-%04d", i)), make([]byte, 64))
 	}
 	db.Flush()
 	db.CompactAll()
 	// Version 2 → flushed to L0.
-	db.Put([]byte("k"), []byte("v2"))
+	clocked(db).Put([]byte("k"), []byte("v2"))
 	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("fill-b-%04d", i)), make([]byte, 64))
+		clocked(db).Put([]byte(fmt.Sprintf("fill-b-%04d", i)), make([]byte, 64))
 	}
 	db.Flush()
 	// Version 3 → memtable only.
-	db.Put([]byte("k"), []byte("v3"))
+	clocked(db).Put([]byte("k"), []byte("v3"))
 	v, err := db.Get([]byte("k"))
 	if err != nil || string(v) != "v3" {
 		t.Fatalf("Get = %q, %v; want v3 (memtable wins)", v, err)
@@ -287,7 +287,7 @@ func TestLevelFillAndInvariants(t *testing.T) {
 	db := mustOpen(t, o)
 	for i := 0; i < 6000; i++ {
 		key := fmt.Sprintf("key-%06d", i%2000)
-		if err := db.Put([]byte(key), make([]byte, 100)); err != nil {
+		if err := clocked(db).Put([]byte(key), make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 	if b.Len() != 101 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if err := db.Apply(&b); err != nil {
+	if err := clocked(db).Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -39,7 +39,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 		}
 	}
 	// Double-apply is rejected; Reset re-arms.
-	if err := db.Apply(&b); err == nil {
+	if err := clocked(db).Apply(&b); err == nil {
 		t.Fatal("double Apply succeeded")
 	}
 	b.Reset()
@@ -47,7 +47,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 		t.Fatal("Reset kept ops")
 	}
 	b.Put([]byte("again"), []byte("v"))
-	if err := db.Apply(&b); err != nil {
+	if err := clocked(db).Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,7 +57,7 @@ func TestBatchEmptyKeyRejected(t *testing.T) {
 	db := mustOpen(t, smallOptions(fs))
 	var b Batch
 	b.Put(nil, []byte("v"))
-	if err := db.Apply(&b); err == nil {
+	if err := clocked(db).Apply(&b); err == nil {
 		t.Fatal("batch with empty key accepted")
 	}
 }
@@ -69,7 +69,7 @@ func TestBatchSurvivesRecovery(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		b.Put([]byte(fmt.Sprintf("b-%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := db.Apply(&b); err != nil {
+	if err := clocked(db).Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -92,7 +92,7 @@ func TestBlockCacheReducesDiskReads(t *testing.T) {
 		db := mustOpen(t, o)
 		defer db.Close()
 		for i := 0; i < 1000; i++ {
-			db.Put([]byte(fmt.Sprintf("key-%05d", i)), make([]byte, 100))
+			clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), make([]byte, 100))
 		}
 		db.Flush()
 		db.CompactAll()
@@ -134,7 +134,7 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 	put := func(from, to int, value string) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(value)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(value)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -150,7 +150,7 @@ func TestGetsDecomposeByLevel(t *testing.T) {
 	if files := db.NumLevelFiles(); files[0] == 0 || files[1]+files[2] == 0 {
 		t.Fatalf("want L0 over deeper levels, have %v", files)
 	}
-	snap, err := db.NewSnapshot()
+	snap, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

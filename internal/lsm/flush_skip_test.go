@@ -64,7 +64,7 @@ func TestFlushDecidedByColdPart(t *testing.T) {
 	var reopened string // the logs the reopened memtable was replayed from
 	put := func(db *DB, k string, i int) {
 		v := fmt.Sprintf("%0100d", i)
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
+		if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		oracle[k] = v
@@ -193,7 +193,7 @@ func TestTriadMemAtBenchGeometry(t *testing.T) {
 			}
 			binary.BigEndian.PutUint64(key, uint64(k))
 			rng.Read(val)
-			if err := db.Put(key, val); err != nil {
+			if err := clocked(db).Put(key, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -240,7 +240,7 @@ func TestSkipNeedsRoomInLog(t *testing.T) {
 			o.FlushThresholdBytes = 256 << 10
 			db := mustOpen(t, o)
 			for i := 0; i < 5000; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("k%07d", i%tc.keys)), make([]byte, 200)); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("k%07d", i%tc.keys)), make([]byte, 200)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -289,7 +289,7 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 		}
 		// A put that reports an error may or may not have been applied;
 		// the retry that succeeds settles the key.
-		for db.Put([]byte(k), []byte(v)) != nil {
+		for clocked(db).Put([]byte(k), []byte(v)) != nil {
 			failed++
 			// Whatever failed, the memtable is backed by the logs the engine
 			// holds and nothing else is on disk.
@@ -342,7 +342,7 @@ func TestFailedSkipLeavesNoOrphanLog(t *testing.T) {
 	b := &Batch{}
 	b.Put([]byte("twice"), []byte("first"))
 	b.Put([]byte("twice"), []byte("second"))
-	if err := db2.Apply(b); err != nil {
+	if err := clocked(db2).Apply(b); err != nil {
 		t.Fatal(err)
 	}
 	oracle["twice"] = "second"
@@ -417,11 +417,11 @@ func TestHotWriteBackIsTheNewestVersion(t *testing.T) {
 		}
 		v := fmt.Sprintf("%s@%d", k, i)
 		oracle[k] = v
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
+		if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		if i%1000 == 999 {
-			s, err := db.NewSnapshot()
+			s, err := clocked(db).NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,12 +80,12 @@ func TestFoldMatchesOracle(t *testing.T) {
 		case r < 7:
 			v := fmt.Sprintf("%s@%d-%s", k, i, strings.Repeat("v", rng.Intn(60)))
 			oracle[k] = v
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		case r < 8:
 			delete(oracle, k)
-			if err := db.Delete([]byte(k)); err != nil {
+			if err := clocked(db).Delete([]byte(k)); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -95,7 +95,7 @@ func TestFoldMatchesOracle(t *testing.T) {
 			}
 		}
 		if i%4000 == 3999 {
-			s, err := db.NewSnapshot()
+			s, err := clocked(db).NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestFoldRacesFlush(t *testing.T) {
 	write := func(version string) {
 		t.Helper()
 		for i := 0; i < 200; i++ { // one memtable's worth
-			if err := db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte(version)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("k%05d", i)), []byte(version)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +238,7 @@ func TestFoldOnlyUnderDiskAndLog(t *testing.T) {
 			db := mustOpen(t, o)
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 15000; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(4000))), make([]byte, 60)); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("k%05d", rng.Intn(4000))), make([]byte, 60)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -317,7 +317,7 @@ func TestL0LogCeiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 80; round++ {
 		for i := 0; i < 400; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k%05d", rng.Intn(20000))), make([]byte, 60)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("k%05d", rng.Intn(20000))), make([]byte, 60)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -331,7 +331,7 @@ func TestL0LogCeiling(t *testing.T) {
 	}
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 400; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("s%05d", 400*round+i)), make([]byte, 60)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("s%05d", 400*round+i)), make([]byte, 60)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -375,7 +375,7 @@ func TestUniformOverwritesStayUnderTheCeiling(t *testing.T) {
 			k := fmt.Sprintf("k%05d", rng.Intn(keys))
 			v := fmt.Sprintf("%s@%d-%s", k, batch, strings.Repeat("v", rng.Intn(60)))
 			oracle[k] = v
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -484,9 +484,9 @@ func TestReopenStoreFromBeforeFolds(t *testing.T) {
 		k, v, del := prefoldOp(i)
 		apply(i)
 		if del {
-			err = db.Delete([]byte(k))
+			err = clocked(db).Delete([]byte(k))
 		} else {
-			err = db.Put([]byte(k), []byte(v))
+			err = clocked(db).Put([]byte(k), []byte(v))
 		}
 		if err != nil {
 			t.Fatal(err)

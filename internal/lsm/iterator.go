@@ -13,7 +13,8 @@ import (
 )
 
 // Iterator is an ascending, point-in-time range scan over the live keys
-// of one or more snapshots. It is a *streaming* k-way merge over the
+// of one or more snapshots: every scan of a store, each on one store
+// snapshot. It is a *streaming* k-way merge over the
 // pinned memtable stacks and the pinned versions' tables — the merge a
 // compaction runs (compaction.MergeIterator + DedupIterator): entries are
 // produced lazily, O(log sources) amortized per step, with nothing
@@ -27,22 +28,21 @@ import (
 // Key and Value return slices that stay valid until Close (they alias the
 // pinned sources).
 type Iterator struct {
-	snaps   []*Snapshot  // one pin each
-	one     [1]*Snapshot // snaps of a one-snapshot scan, which allocates none
-	release func()
-	dedup   *compaction.DedupIterator
-	cur     base.Entry
-	err     error
-	closed  bool
+	snaps  []*Snapshot  // one pin each
+	one    [1]*Snapshot // snaps of a one-snapshot scan, which allocates none
+	dedup  *compaction.DedupIterator
+	cur    base.Entry
+	err    error
+	closed bool
 }
 
 // NewIterator returns a streaming scan of [start, limit) (nil bounds are
-// unbounded) over the union of snaps: one DB's snapshot, or one snapshot
-// per shard of a store, whose keys are disjoint. The iterator takes a pin
-// of its own on each snapshot. release, if not nil, runs at Close, or
-// before NewIterator returns an error. An empty range opens no source.
-func NewIterator(snaps []*Snapshot, start, limit []byte, release func()) (*Iterator, error) {
-	it := &Iterator{release: release}
+// unbounded) over the union of snaps: a store snapshot's pins, one per
+// shard, whose keys are disjoint. The iterator takes a pin
+// of its own on each snapshot, so the snapshots may close first. An empty
+// range opens no source.
+func NewIterator(snaps []*Snapshot, start, limit []byte) (*Iterator, error) {
+	it := &Iterator{}
 	it.snaps = append(it.one[:0], snaps...)
 	for i, s := range snaps {
 		if err := s.addRef(); err != nil {
@@ -128,18 +128,7 @@ func (s *Snapshot) sources(start, limit []byte) ([]sstable.Iterator, error) {
 // NewIterator returns a streaming scan of [start, limit) (nil bounds are
 // unbounded) over the snapshot's pinned view.
 func (s *Snapshot) NewIterator(start, limit []byte) (*Iterator, error) {
-	return NewIterator([]*Snapshot{s}, start, limit, nil)
-}
-
-// NewIterator returns a streaming scan of [start, limit) over a snapshot
-// taken now, which lives as long as the iterator.
-func (db *DB) NewIterator(start, limit []byte) (*Iterator, error) {
-	s, err := db.NewSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.NewIterator(start, limit)
+	return NewIterator([]*Snapshot{s}, start, limit)
 }
 
 // Next advances; the iterator starts before the first entry.
@@ -165,8 +154,7 @@ func (it *Iterator) Value() []byte { return it.cur.Value }
 // exhaustion).
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the iterator's sources and its snapshot pins, then runs
-// its release. Idempotent. It returns Err() so `defer it.Close()` users
+// Close releases the iterator's sources and its snapshot pins. Idempotent. It returns Err() so `defer it.Close()` users
 // still surface scan errors when they check the return.
 func (it *Iterator) Close() error {
 	if it.closed {
@@ -180,9 +168,6 @@ func (it *Iterator) Close() error {
 	}
 	for _, s := range it.snaps {
 		s.unref()
-	}
-	if it.release != nil {
-		it.release()
 	}
 	return it.err
 }

@@ -33,7 +33,7 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		db := mustOpen(t, o)
 		val := bytes.Repeat([]byte{7}, 100)
 		for i := 0; i < 600; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func TestCloseReleasesCacheTenant(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
 	val := bytes.Repeat([]byte{5}, 100)
 	for i := 0; i < 400; i++ {
-		if err := db.Put(key(i), val); err != nil {
+		if err := clocked(db).Put(key(i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestOpenCloseChurn(t *testing.T) {
 			}
 		}
 		for i := 0; i < perRound; i++ {
-			if err := db.Put(key(r, i), val); err != nil {
+			if err := clocked(db).Put(key(r, i), val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -231,7 +231,7 @@ func TestFailedFlushKeepsWritesReadable(t *testing.T) {
 		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
 		val := func(i int) string { return fmt.Sprintf("value-%03d", i) }
 		for i := 0; i < 100; i++ {
-			if err := db.Put(key(i), []byte(val(i))); err != nil {
+			if err := clocked(db).Put(key(i), []byte(val(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -244,7 +244,7 @@ func TestFailedFlushKeepsWritesReadable(t *testing.T) {
 		if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
 			t.Fatalf("triad=%v: Flush with failing table syncs: %v", triad, err)
 		}
-		snap, err := db.NewSnapshot()
+		snap, err := clocked(db).NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestStalledWriterGetsFlushError(t *testing.T) {
 		go func() {
 			val := bytes.Repeat([]byte{5}, 100)
 			for i := 0; ; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%06d", i)), val); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%06d", i)), val); err != nil {
 					done <- err
 					return
 				}
@@ -352,7 +352,7 @@ func TestFaultsLeaveNoHandleOpen(t *testing.T) {
 					for i := 0; i < puts; i++ {
 						armed.Store(i >= puts/2)
 						k, v := fmt.Sprintf("key-%05d", i*7919%puts), fmt.Sprintf("value-%05d-%s", i, bytes.Repeat([]byte{'v'}, 80))
-						if db.Put([]byte(k), []byte(v)) == nil {
+						if clocked(db).Put([]byte(k), []byte(v)) == nil {
 							acked[k] = v
 						}
 					}

@@ -78,7 +78,7 @@ func TestHotKeysRelogThemselves(t *testing.T) {
 	db := mustOpen(t, o)
 	rng := rand.New(rand.NewSource(1))
 	for db.Metrics().FlushSkips < 50 {
-		if err := db.Put([]byte(fmt.Sprintf("k%07d", rng.Intn(60))), make([]byte, 200)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("k%07d", rng.Intn(60))), make([]byte, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestAtMostTwoLogsBackTheMemtable(t *testing.T) {
 				if i%25 == 24 {
 					k = fmt.Sprintf("cold-%06d", i)
 				}
-				if err := db.Put([]byte(k), make([]byte, 100)); err != nil {
+				if err := clocked(db).Put([]byte(k), make([]byte, 100)); err != nil {
 					t.Fatal(err)
 				}
 				if i%1500 == 1499 {
@@ -185,13 +185,13 @@ func TestSealCarriesStragglersIntoIndex(t *testing.T) {
 	fs := vfs.NewMemFS()
 	o := triadSmall(fs)
 	db := mustOpen(t, o)
-	if err := db.Put([]byte("straggler"), []byte("written once")); err != nil {
+	if err := clocked(db).Put([]byte("straggler"), []byte("written once")); err != nil {
 		t.Fatal(err)
 	}
 	// Three skips: retained, carried by the second, retained again by the
 	// third — it now points into the previous log.
 	for i := 0; db.Metrics().FlushSkips < 3; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestRelogAccountsForEverythingButCommits(t *testing.T) {
 			if i%50 == 49 {
 				k = fmt.Sprintf("cold%06d", i)
 			}
-			if err := db.Put([]byte(k), make([]byte, valLen)); err != nil {
+			if err := clocked(db).Put([]byte(k), make([]byte, valLen)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -289,11 +289,11 @@ func TestMergedLogsStayRetired(t *testing.T) {
 		// Filler written once each, like the key: nothing is hot, so the
 		// key goes to the table rather than staying in the memtable.
 		for i := 0; i < 20; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("filler-%s-%02d", v, i)), []byte(v)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("filler-%s-%02d", v, i)), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := db.Put([]byte("k"), []byte(v)); err != nil {
+		if err := clocked(db).Put([]byte("k"), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Flush(); err != nil {
@@ -383,9 +383,9 @@ type kv struct{ key, value string }
 // apply writes op to db.
 func (op kv) apply(db *DB) error {
 	if op.value == "" {
-		return db.Delete([]byte(op.key))
+		return clocked(db).Delete([]byte(op.key))
 	}
-	return db.Put([]byte(op.key), []byte(op.value))
+	return clocked(db).Put([]byte(op.key), []byte(op.value))
 }
 
 // crashImage is one image of a crash run: the filesystem as a crash or a
@@ -454,7 +454,7 @@ func (img crashImage) check(t *testing.T) (err error) {
 	if len(img.maybe) == 0 {
 		want := maps.Clone(img.acked)
 		maps.DeleteFunc(want, func(_, v string) bool { return v == "" })
-		it, err := db.NewIterator(nil, nil)
+		it, err := clocked(db).NewIterator(nil, nil)
 		if got := scan(t, it, err); !slices.Equal(got, oracleLines(want)) {
 			return fmt.Errorf("the store scans %d entries, %d acknowledged", len(got), len(want))
 		}
@@ -605,7 +605,7 @@ func TestFlushSparesNewerLogs(t *testing.T) {
 			acked := map[string]string{}
 			for ready := false; !ready; {
 				k, v := fmt.Sprintf("key-%06d", len(acked)), fmt.Sprintf("%0100d", len(acked))
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				acked[k] = v

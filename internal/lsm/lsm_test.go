@@ -100,7 +100,7 @@ func TestBasicPutGetDelete(t *testing.T) {
 			}
 			db := mustOpen(t, o)
 
-			if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
+			if err := clocked(db).Put([]byte("k1"), []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
 			v, err := db.Get([]byte("k1"))
@@ -110,20 +110,20 @@ func TestBasicPutGetDelete(t *testing.T) {
 			if _, err := db.Get([]byte("absent")); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("absent Get = %v", err)
 			}
-			if err := db.Put([]byte("k1"), []byte("v2")); err != nil {
+			if err := clocked(db).Put([]byte("k1"), []byte("v2")); err != nil {
 				t.Fatal(err)
 			}
 			v, _ = db.Get([]byte("k1"))
 			if string(v) != "v2" {
 				t.Fatalf("updated Get = %q", v)
 			}
-			if err := db.Delete([]byte("k1")); err != nil {
+			if err := clocked(db).Delete([]byte("k1")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db.Get([]byte("k1")); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("deleted Get = %v", err)
 			}
-			if err := db.Put([]byte(""), []byte("v")); err == nil {
+			if err := clocked(db).Put([]byte(""), []byte("v")); err == nil {
 				t.Fatal("empty key accepted")
 			}
 		})
@@ -140,7 +140,7 @@ func TestFlushAndReadBack(t *testing.T) {
 			}
 			db := mustOpen(t, o)
 			for i := 0; i < 500; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -195,13 +195,13 @@ func TestModelBased(t *testing.T) {
 				k := fmt.Sprintf("key-%04d", rng.Intn(keySpace))
 				switch rng.Intn(10) {
 				case 0: // delete
-					if err := db.Delete([]byte(k)); err != nil {
+					if err := clocked(db).Delete([]byte(k)); err != nil {
 						t.Fatal(err)
 					}
 					delete(oracle, k)
 				default: // put (skewed value sizes)
 					v := fmt.Sprintf("v-%d-%s", i, string(make([]byte, rng.Intn(100))))
-					if err := db.Put([]byte(k), []byte(v)); err != nil {
+					if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 						t.Fatal(err)
 					}
 					oracle[k] = v
@@ -230,7 +230,7 @@ func TestModelBased(t *testing.T) {
 				}
 			}
 			// Iterator equals oracle.
-			it, err := db.NewIterator(nil, nil)
+			it, err := clocked(db).NewIterator(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,12 +264,12 @@ func TestRecovery(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				k := fmt.Sprintf("key-%04d", i%300)
 				v := fmt.Sprintf("val-%d", i)
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				oracle[k] = v
 			}
-			db.Delete([]byte("key-0000"))
+			clocked(db).Delete([]byte("key-0000"))
 			delete(oracle, "key-0000")
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
@@ -286,7 +286,7 @@ func TestRecovery(t *testing.T) {
 				t.Fatal("deleted key resurrected by recovery")
 			}
 			// Writes continue after recovery.
-			if err := db2.Put([]byte("post"), []byte("recovery")); err != nil {
+			if err := clocked(db2).Put([]byte("post"), []byte("recovery")); err != nil {
 				t.Fatal(err)
 			}
 			v, _ := db2.Get([]byte("post"))
@@ -305,7 +305,7 @@ func TestRecoveryWithoutClose(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
 	for i := 0; i < 200; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("w%d-key-%03d", w, i%100)
-				if err := db.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
 					errs <- err
 					return
 				}
@@ -370,9 +370,9 @@ func TestIteratorRange(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
 	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("%03d", i)), []byte("v"))
+		clocked(db).Put([]byte(fmt.Sprintf("%03d", i)), []byte("v"))
 	}
-	it, err := db.NewIterator([]byte("010"), []byte("020"))
+	it, err := clocked(db).NewIterator([]byte("010"), []byte("020"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,20 +392,20 @@ func TestIteratorRange(t *testing.T) {
 func TestUseAfterClose(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	db.Put([]byte("k"), []byte("v"))
+	clocked(db).Put([]byte("k"), []byte("v"))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
 	}
-	if err := db.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
+	if err := clocked(db).Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after close = %v", err)
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close = %v", err)
 	}
-	if it, err := db.NewIterator(nil, nil); !errors.Is(err, ErrClosed) {
+	if it, err := clocked(db).NewIterator(nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NewIterator after close = %v", err)
 	} else if it != nil {
 		it.Close()
@@ -426,7 +426,7 @@ func TestTracedGetNamesLevel(t *testing.T) {
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
 	for i := 0; i < 200; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}

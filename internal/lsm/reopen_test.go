@@ -82,7 +82,7 @@ func unflushedImage(t *testing.T, o Options, n int) (*vfs.MemFS, map[string]stri
 		var lastAcked map[string]string
 		for full := false; !full; {
 			k, v := fmt.Sprintf("key-%06d", len(acked)), fmt.Sprintf("%0100d", len(acked))
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
+			if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 			acked[k] = v

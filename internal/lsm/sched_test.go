@@ -47,7 +47,7 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	go func() {
 		for i := 0; i < 200; i++ {
 			key := fmt.Sprintf("key-%04d", i)
-			if err := db.Put([]byte(key), bytes.Repeat([]byte{1}, 150)); err != nil {
+			if err := clocked(db).Put([]byte(key), bytes.Repeat([]byte{1}, 150)); err != nil {
 				done <- err
 				return
 			}
@@ -130,7 +130,7 @@ func TestInjectedPoolOutlivesDB(t *testing.T) {
 	db := mustOpen(t, o)
 	for i := 0; i < 3000; i++ {
 		k := fmt.Sprintf("key-%05d", i)
-		if err := db.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := clocked(db).Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestInjectedPoolOutlivesDB(t *testing.T) {
 		}
 	}
 	done := pool.Stats().Completed
-	if err := db2.Put([]byte("after"), []byte("reopen")); err != nil {
+	if err := clocked(db2).Put([]byte("after"), []byte("reopen")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db2.Flush(); err != nil {
@@ -190,7 +190,7 @@ func TestCloseCancelsQueuedWork(t *testing.T) {
 
 	db := mustOpen(t, o)
 	for i := 0; i < 50; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ func TestCheckConsistencyCleanTree(t *testing.T) {
 			}
 			db := mustOpen(t, o)
 			for i := 0; i < 3000; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%05d", i%800)), make([]byte, 100)); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i%800)), make([]byte, 100)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -42,7 +42,7 @@ func TestCheckConsistencyAfterRecovery(t *testing.T) {
 	o := triadSmall(fs)
 	db := mustOpen(t, o)
 	for i := 0; i < 3000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%05d", i%800)), make([]byte, 100))
+		clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i%800)), make([]byte, 100))
 	}
 	db.Close()
 	db2 := mustOpen(t, o)
@@ -57,7 +57,7 @@ func TestCheckConsistencyDetectsMissingPinnedLog(t *testing.T) {
 	o.DisableAutoCompaction = true // keep CL-SSTables in L0
 	db := mustOpen(t, o)
 	for i := 0; i < 2000; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%05d", i)), make([]byte, 100))
+		clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), make([]byte, 100))
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)

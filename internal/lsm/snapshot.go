@@ -22,7 +22,7 @@ var ErrSnapshotClosed = errors.New("lsm: snapshot closed")
 
 // Snapshot is a pinned, sequence-numbered read view of the store: every
 // read resolves to the newest version with Seq <= the pinned sequence,
-// exactly what was visible the instant NewSnapshot ran. The pin holds
+// exactly what was visible the instant NewSnapshotAt ran. The pin holds
 // three things alive until Close:
 //
 //   - the pinned sequence number, which filters out newer versions;
@@ -53,35 +53,21 @@ type Snapshot struct {
 	closed bool
 }
 
-// NewSnapshot pins the store's current state. The snapshot must be
-// Closed, or its pinned files and memtables linger until a finalizer
-// catches the leak.
-func (db *DB) NewSnapshot() (*Snapshot, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.newSnapshotLocked(db.seq)
-}
-
 // NewSnapshotAt pins a read view at the externally assigned sequence
 // seq: the snapshot observes exactly the writes committed with
-// sequences <= seq. This is how the sharded engine captures one shard
-// of a store-wide snapshot — seq is the snapshot's epoch ticket from
-// the store clock, and the clock's per-shard commit ordering guarantees
-// that when the capture runs, every commit below seq has landed here
-// and none above it has. A seq below the last committed sequence would
-// claim a view this DB can no longer reconstruct and is an error.
+// sequences <= seq. seq is the epoch ticket of a store snapshot from the
+// store clock, and the clock's per-shard commit ordering guarantees that
+// when the capture runs, every commit below seq has landed here and none
+// above it has. A seq below the last committed sequence would claim a
+// view this DB can no longer reconstruct and is an error. The snapshot
+// must be Closed, or its pinned files and memtables linger until a
+// finalizer catches the leak.
 func (db *DB) NewSnapshotAt(seq uint64) (*Snapshot, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if seq < db.seq {
 		return nil, fmt.Errorf("lsm: snapshot sequence %d is before the last committed %d", seq, db.seq)
 	}
-	return db.newSnapshotLocked(seq)
-}
-
-// newSnapshotLocked captures the pin at seq (>= db.seq). Caller holds
-// db.mu.
-func (db *DB) newSnapshotLocked(seq uint64) (*Snapshot, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}

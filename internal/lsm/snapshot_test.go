@@ -31,11 +31,11 @@ func TestSnapshotFrozenView(t *testing.T) {
 			}
 			db := mustOpen(t, mk(fs))
 			for i := 0; i < 500; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			s, err := db.NewSnapshot()
+			s, err := clocked(db).NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,17 +43,17 @@ func TestSnapshotFrozenView(t *testing.T) {
 
 			// Overwrite everything, delete some, add new keys.
 			for i := 0; i < 500; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v2")); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v2")); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < 100; i++ {
-				if err := db.Delete([]byte(fmt.Sprintf("key-%04d", i))); err != nil {
+				if err := clocked(db).Delete([]byte(fmt.Sprintf("key-%04d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 500; i < 600; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("new")); err != nil {
+				if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("new")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -108,14 +108,14 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
 	for i := 0; i < 2000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v1-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.NewSnapshot()
+	s, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	// Overwrite everything and force the tree through flushes and full
 	// compactions: every file the snapshot pinned is consumed.
 	for i := 0; i < 2000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v2")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func zombieStore(t *testing.T, o Options) (*DB, *Snapshot) {
 	db := mustOpen(t, o)
 	fill := func(round int) {
 		for i := 0; i < 2000; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v%d-%d", round, i))); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("v%d-%d", round, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -201,7 +201,7 @@ func zombieStore(t *testing.T, o Options) (*DB, *Snapshot) {
 		}
 	}
 	fill(1)
-	s, err := db.NewSnapshot()
+	s, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,9 +399,9 @@ func TestSnapshotGCRemovalFailure(t *testing.T) {
 func TestSnapshotClosedErrors(t *testing.T) {
 	db := mustOpen(t, smallOptions(vfs.NewMemFS()))
 	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+		clocked(db).Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
-	s, err := db.NewSnapshot()
+	s, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,14 +442,14 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
 	for i := 0; i < 1000; i++ {
-		db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v1"))
+		clocked(db).Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v1"))
 	}
 	db.Flush()
-	s1, err := db.NewSnapshot()
+	s1, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := db.NewSnapshot()
+	s2, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 		t.Fatalf("OpenSnapshots = %d, want 2", db.OpenSnapshots())
 	}
 	for i := 0; i < 1000; i++ {
-		db.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v2"))
+		clocked(db).Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v2"))
 	}
 	db.Flush()
 	if err := db.CompactAll(); err != nil {
@@ -491,7 +491,7 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 func TestSnapshotLeakFinalizer(t *testing.T) {
 	// Leaks on purpose, so it opts out of mustOpen's open-snapshot check.
 	db := mustOpenLeaking(t, smallOptions(vfs.NewMemFS()))
-	db.Put([]byte("k"), []byte("v"))
+	clocked(db).Put([]byte("k"), []byte("v"))
 	waitReclaimed := func(wantLeaks int64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -503,13 +503,13 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	if _, err := db.NewSnapshot(); err != nil { // dropped without Close
+	if _, err := clocked(db).NewSnapshot(); err != nil { // dropped without Close
 		t.Fatal(err)
 	}
 	waitReclaimed(1)
 	func() {
 		// Snapshot handle AND an iterator (refs=2), both dropped.
-		s, err := db.NewSnapshot()
+		s, err := clocked(db).NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +520,7 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 	waitReclaimed(2)
 	func() {
 		// Handle closed properly, iterator leaked (refs stuck at 1).
-		s, err := db.NewSnapshot()
+		s, err := clocked(db).NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +533,7 @@ func TestSnapshotLeakFinalizer(t *testing.T) {
 	}()
 	waitReclaimed(3)
 	// A fully closed snapshot must NOT count as a leak.
-	s, err := db.NewSnapshot()
+	s, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestIteratorStreamsLazily(t *testing.T) {
 	db := mustOpen(t, smallOptions(vfs.NewMemFS()))
 	const keys = 50000
 	for i := 0; i < keys; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("0123456789abcdef")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("k%06d", i)), []byte("0123456789abcdef")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -571,7 +571,7 @@ func TestIteratorStreamsLazily(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		it, err := db.NewIterator(nil, nil)
+		it, err := clocked(db).NewIterator(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +598,7 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 	k := []byte("k")
 	put := func(v string) {
 		t.Helper()
-		if err := db.Put(k, []byte(v)); err != nil {
+		if err := clocked(db).Put(k, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -609,7 +609,7 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 		}
 	}
 	put("v1")
-	s0, err := db.NewSnapshot()
+	s0, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 	flush()
 	put("v3")
 	flush()
-	s1, err := db.NewSnapshot() // its memtable does not hold k
+	s1, err := clocked(db).NewSnapshot() // its memtable does not hold k
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,13 +665,13 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 		latest := map[int]string{}
 		var snap *Snapshot
 		for round := 1; round <= 40; round++ {
-			next, err := db.NewSnapshot()
+			next, err := clocked(db).NewSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			var twin *Snapshot
 			if round%10 == 5 {
-				if twin, err = db.NewSnapshot(); err != nil {
+				if twin, err = clocked(db).NewSnapshot(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -684,7 +684,7 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 				t.Fatalf("triad=%v round %d: twins at %d and %d, %d snapshots open", triad, round, snap.Seq(), twin.Seq(), db.OpenSnapshots())
 			}
 			put := func(k int, v string) {
-				if err := db.Put(key(k), []byte(v)); err != nil {
+				if err := clocked(db).Put(key(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				latest[k] = v
@@ -804,7 +804,7 @@ func TestSnapshotVersionsMatchOracle(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			switch r := rng.Intn(100); {
 			case r < 5 && len(open) < 4 || len(open) == 0:
-				s, err := db.NewSnapshot()
+				s, err := clocked(db).NewSnapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -826,13 +826,13 @@ func TestSnapshotVersionsMatchOracle(t *testing.T) {
 				}
 			case r < 25:
 				k := key(rng.Intn(keys))
-				if err := db.Delete([]byte(k)); err != nil {
+				if err := clocked(db).Delete([]byte(k)); err != nil {
 					t.Fatal(err)
 				}
 				delete(live, k)
 			default:
 				k, v := key(rng.Intn(keys)), fmt.Sprintf("%d-%s", step, strings.Repeat("v", rng.Intn(300)))
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
+				if err := clocked(db).Put([]byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
 				live[k] = v

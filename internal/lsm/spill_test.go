@@ -35,7 +35,7 @@ func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]
 		k := fmt.Sprintf("k%05d", lo+rng.Intn(span))
 		if del {
 			delete(oracle, k)
-			if err := db.Delete([]byte(k)); err != nil {
+			if err := clocked(db).Delete([]byte(k)); err != nil {
 				t.Fatal(err)
 			}
 			return
@@ -44,7 +44,7 @@ func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]
 			val[j] = 'a' + byte(rng.Intn(26))
 		}
 		oracle[k] = string(val)
-		if err := db.Put([]byte(k), val); err != nil {
+		if err := clocked(db).Put([]byte(k), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestSpillKeepsTombstones(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 }
 
@@ -315,7 +315,7 @@ func TestDeepSpillKeepsTombstones(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 }
 
@@ -329,7 +329,7 @@ func TestSpillSurvivesRecovery(t *testing.T) {
 	db, o, oracle, job := spillReady(t, fs, 1)
 	defer db.Close()
 
-	snap, err := db.NewSnapshot()
+	snap, err := clocked(db).NewSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSpillSurvivesRecovery(t *testing.T) {
 	// Writes the snapshot must not see, one of them inside a spilled range.
 	for _, k := range [][]byte{job.Spill[0].Smallest, []byte("k00000"), []byte("zz-new")} {
 		oracle[string(k)] = "after-" + string(k)
-		if err := db.Put(k, []byte(oracle[string(k)])); err != nil {
+		if err := clocked(db).Put(k, []byte(oracle[string(k)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func TestSpillSurvivesRecovery(t *testing.T) {
 			t.Fatalf("consumed file %d still on disk", f.ID)
 		}
 	}
-	it, err = db.NewIterator(nil, nil)
+	it, err = clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
 
 	// Crash: reopen from what is on disk.
@@ -439,7 +439,7 @@ func TestSpillSurvivesRecovery(t *testing.T) {
 	if err := db2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	it, err = db2.NewIterator(nil, nil)
+	it, err = clocked(db2).NewIterator(nil, nil)
 	sameLines(t, "recovered store", scan(t, it, err), oracleLines(oracle))
 }
 
@@ -463,7 +463,7 @@ func TestDebtCountsL0AtDataSize(t *testing.T) {
 	batch := func() {
 		t.Helper()
 		for i := 0; i < 1000; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("k%06d", n%1000*8+n/1000)), val); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("k%06d", n%1000*8+n/1000)), val); err != nil {
 				t.Fatal(err)
 			}
 			n++

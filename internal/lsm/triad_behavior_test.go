@@ -25,7 +25,7 @@ func drive(t testing.TB, db *DB, dist workload.KeyDist, ops int, readFrac float6
 			}
 			continue
 		}
-		if err := db.Put(op.Key, op.Value); err != nil {
+		if err := clocked(db).Put(op.Key, op.Value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestTriadMemFlushSkip(t *testing.T) {
 	db := mustOpen(t, o)
 	// Hammer 10 keys.
 	for i := 0; i < 5000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("hot-%d", i%10)), make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func flushL0(t *testing.T, db *DB, batches ...int) {
 	t.Helper()
 	for _, b := range batches {
 		for i := 0; i < 150; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("b%d-key-%04d", b, i)), make([]byte, 64)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("b%d-key-%04d", b, i)), make([]byte, 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,7 +199,7 @@ func TestTriadLogFlushWritesOnlyIndex(t *testing.T) {
 	db := mustOpen(t, o)
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%06d", i)
-		if err := db.Put([]byte(key), make([]byte, 200)); err != nil {
+		if err := clocked(db).Put([]byte(key), make([]byte, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestTriadLogCompactionReclaimsLogs(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 300; i++ {
 			key := fmt.Sprintf("key-%05d", i)
-			if err := db.Put([]byte(key), make([]byte, 100)); err != nil {
+			if err := clocked(db).Put([]byte(key), make([]byte, 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -292,7 +292,7 @@ func TestRecoveryWithCLSSTables(t *testing.T) {
 	db := mustOpen(t, o)
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%05d", i%500)
-		if err := db.Put([]byte(key), []byte(fmt.Sprintf("val-%d", i))); err != nil {
+		if err := clocked(db).Put([]byte(key), []byte(fmt.Sprintf("val-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestDisableBackgroundIO(t *testing.T) {
 	o := smallOptions(fs)
 	db := mustOpen(t, o)
 	for i := 0; i < 1000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("stable")); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("stable")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestDisableBackgroundIO(t *testing.T) {
 	pre := db.Metrics()
 	db.SetDisableBackgroundIO(true)
 	for i := 0; i < 5000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i%1000)), make([]byte, 100)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i%1000)), make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,15 +371,15 @@ func TestDisableBackgroundIO(t *testing.T) {
 func TestWALFaultSurfacesError(t *testing.T) {
 	fs := vfs.NewMemFS()
 	db := mustOpen(t, smallOptions(fs))
-	if err := db.Put([]byte("ok"), []byte("v")); err != nil {
+	if err := clocked(db).Put([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	failEveryNthWrite(fs, 1)
-	if err := db.Put([]byte("boom"), []byte("v")); err == nil {
+	if err := clocked(db).Put([]byte("boom"), []byte("v")); err == nil {
 		t.Fatal("write with failing FS succeeded")
 	}
 	fs.SetHooks(vfs.Hooks{})
-	if err := db.Put([]byte("ok2"), []byte("v")); err != nil {
+	if err := clocked(db).Put([]byte("ok2"), []byte("v")); err != nil {
 		t.Fatalf("write after clearing fault: %v", err)
 	}
 }
@@ -392,7 +392,7 @@ func TestTombstonesDroppedAtBottom(t *testing.T) {
 	o.DisableAutoCompaction = true
 	db := mustOpen(t, o)
 	for i := 0; i < 300; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), make([]byte, 64)); err != nil {
+		if err := clocked(db).Put([]byte(fmt.Sprintf("key-%04d", i)), make([]byte, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestTombstonesDroppedAtBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := db.Delete([]byte(fmt.Sprintf("key-%04d", i))); err != nil {
+		if err := clocked(db).Delete([]byte(fmt.Sprintf("key-%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,7 +410,7 @@ func TestTombstonesDroppedAtBottom(t *testing.T) {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.NewIterator(nil, nil)
+	it, err := clocked(db).NewIterator(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +442,11 @@ func TestHotKeySkipDuringCompaction(t *testing.T) {
 	db := mustOpen(t, o)
 	// Create L0 files containing old versions of "hot".
 	for round := 0; round < 3; round++ {
-		if err := db.Put([]byte("hot"), []byte(fmt.Sprintf("old-%d", round))); err != nil {
+		if err := clocked(db).Put([]byte("hot"), []byte(fmt.Sprintf("old-%d", round))); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("cold-%d-%04d", round, i)), make([]byte, 64)); err != nil {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("cold-%d-%04d", round, i)), make([]byte, 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +456,7 @@ func TestHotKeySkipDuringCompaction(t *testing.T) {
 	}
 	// Make "hot" live in the memtable now.
 	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte("hot"), []byte("fresh")); err != nil {
+		if err := clocked(db).Put([]byte("hot"), []byte("fresh")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +488,7 @@ func TestMergeSkipsExactlyTheMemtableKeys(t *testing.T) {
 	newest := map[string]string{}
 	put := func(i int, v string) {
 		t.Helper()
-		if err := db.Put(key(i), []byte(v)); err != nil {
+		if err := clocked(db).Put(key(i), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		newest[string(key(i))] = v

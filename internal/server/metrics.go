@@ -162,8 +162,6 @@ func (s *Server) MetricsText() string {
 		p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges' spills wrote one level below the merge's output level because the output level had no room for them.", l, st.BytesSpilled)
 		p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
 		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
-		p.Gauge("triad_shard_snapshots_open", "Live snapshot pins on the shard.", l, int64(st.OpenSnapshots))
-		p.Counter("triad_shard_snapshots_leaked_total", "Snapshot pins reclaimed by finalizer instead of Close.", l, st.LeakedSnapshots)
 		p.Gauge("triad_shard_unsynced_log_bytes", "Commit-log bytes the shard acknowledged that a power cut could still take: the live log's and each queued memtable's log's size less its length at its last sync.", l, st.UnsyncedLogBytes)
 		bgErr := int64(0)
 		if st.BackgroundError != nil {
@@ -197,8 +195,8 @@ func (s *Server) MetricsText() string {
 	}
 
 	p.Gauge("triad_commit_epoch", "Store-wide commit watermark (every epoch at or below has committed).", "", int64(s.store.CommittedEpoch()))
-	p.Gauge("triad_snapshots_open", "Live cross-shard snapshots.", "", int64(s.store.OpenSnapshots()))
-	p.Counter("triad_snapshots_leaked_total", "Cross-shard snapshots reclaimed by finalizer instead of Close.", "", s.store.LeakedSnapshots())
+	p.Gauge("triad_snapshots_open", "Live store snapshots, scans' own included: a snapshot counts until its handle and every iterator opened from it are closed or reclaimed.", "", int64(s.store.OpenSnapshots()))
+	p.Counter("triad_snapshots_leaked_total", "Store snapshots the finalizer reclaimed because their handle or an iterator opened from them was dropped without Close.", "", s.store.LeakedSnapshots())
 	p.Gauge("triad_overlay_entries", "Replaced versions all memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", "", int64(s.store.OverlayEntries()))
 
 	open, total, commands := s.ConnStats()

@@ -19,9 +19,10 @@
 // shard.DB exposes the same surface as lsm.DB: point operations route to
 // the owning shard, Apply splits a batch into per-shard sub-batches
 // applied concurrently, NewIterator is one lsm.Iterator over every
-// shard's sources on one store snapshot (a one-shard store scans through
-// its shard's own snapshot), and Flush/CompactAll/Close fan out to every
-// shard and drain them.
+// shard's sources on one store snapshot, and Flush/CompactAll/Close fan
+// out to every shard and drain them. The store's commit clock numbers
+// every write and every snapshot: the shards' engines take their
+// sequences from it and number nothing themselves.
 //
 // Two lifetime invariants here are checked at runtime by the tests (see
 // README "Leak checks"): every *Commit ticket minted by Prepare must
@@ -36,7 +37,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/base"
@@ -143,8 +143,6 @@ type DB struct {
 	clk *clock
 	// idxAll is the precomputed all-shards index list snapshots ticket.
 	idxAll []int
-
-	openSnaps atomic.Int64
 
 	// events receives every shard's background events (flush, compaction,
 	// snapshot GC, stall), labeled by shard; applyLat times each batch's
@@ -511,8 +509,8 @@ func (c *Commit) Abort() {
 // store always ends in a state some serial execution produces, and
 // snapshots only ever observe prefixes of that order.
 //
-// Point reads and single-shard scans can still observe a cross-shard
-// batch half applied (they are not epoch-pinned); a Snapshot cannot.
+// Point reads can still observe a cross-shard batch half applied (they
+// are not epoch-pinned); a scan or a Snapshot cannot.
 func (db *DB) Apply(b *Batch) error {
 	c, err := db.Prepare(b)
 	if err != nil {

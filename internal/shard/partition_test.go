@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,103 +19,78 @@ import (
 )
 
 // TestFNVRanges: which shards a scan under FNV routing touches — none
-// for empty or inverted bounds (no snapshot, no barrier), every shard
+// for empty or inverted bounds (no snapshot, no ticket), every shard
 // otherwise, through one lsm.Iterator on one store snapshot that dies
-// with it.
+// with it, at every shard count.
 func TestFNVRanges(t *testing.T) {
-	db := openMem(t, 4)
-	for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
-		it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if db.OpenSnapshots() != 0 || it.Next() {
-			t.Fatalf("[%q, %q): %d snapshots pinned, or an entry yielded", b[0], b[1], db.OpenSnapshots())
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, err := db.NewIterator([]byte("a"), []byte("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.OpenSnapshots() != 1 {
-		t.Fatalf("bounded hash scan over %d snapshots, want 1", db.OpenSnapshots())
-	}
-	for i, s := range db.shards {
-		if n := s.OpenSnapshots(); n != 1 {
-			t.Fatalf("shard %d: %d snapshots pinned during the scan, want 1", i, n)
-		}
-	}
-	if err := it.Close(); err != nil || db.OpenSnapshots() != 0 {
-		t.Fatalf("Close = %v with %d snapshots left", err, db.OpenSnapshots())
-	}
-}
-
-// TestSingleShardScanFastPath: a one-shard store scans through its
-// shard's own snapshot, with no store snapshot, and a multi-shard store
-// through one store snapshot.
-func TestSingleShardScanFastPath(t *testing.T) {
 	const keys = 4000
-	one := openMem(t, 1)
-	for i := 0; i < keys; i++ {
-		if err := one.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+	for _, shards := range []int{1, 4} {
+		db := openMem(t, shards)
+		for i := 0; i < keys; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := one.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range [][2][]byte{{nil, nil}, {[]byte("key-00100"), []byte("key-00200")}} {
-		it, err := one.NewIterator(b[0], b[1])
+		// pinned checks that the store and every shard hold want pins.
+		pinned := func(what string, want int) {
+			t.Helper()
+			if n := db.OpenSnapshots(); n != want {
+				t.Fatalf("%d shard(s), %s: %d store snapshots, want %d", shards, what, n, want)
+			}
+			for i, s := range db.shards {
+				if n := s.OpenSnapshots(); n != want {
+					t.Fatalf("%d shard(s), %s: shard %d holds %d pins, want %d", shards, what, i, n, want)
+				}
+			}
+		}
+		for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
+			it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned(fmt.Sprintf("empty scan [%q, %q)", b[0], b[1]), 0)
+			if it.Next() {
+				t.Fatalf("%d shard(s), empty scan [%q, %q) yielded an entry", shards, b[0], b[1])
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range [][2][]byte{{nil, nil}, {[]byte("key-00100"), []byte("key-00200")}} {
+			what := fmt.Sprintf("scan [%q, %q)", b[0], b[1])
+			it, err := db.NewIterator(b[0], b[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned("during "+what, 1)
+			n := 0
+			for it.Next() {
+				n++
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			pinned("after "+what, 0)
+			if want := map[bool]int{true: keys, false: 100}[b[0] == nil]; n != want {
+				t.Fatalf("%d shard(s), %s saw %d keys, want %d", shards, what, n, want)
+			}
+		}
+		// A snapshot's scan reads the snapshot's own pins.
+		s, err := db.NewSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.OpenSnapshots() != 0 || one.shards[0].OpenSnapshots() != 1 {
-			t.Fatalf("1-shard scan with %d store snapshots and %d shard snapshots, want 0 and 1",
-				one.OpenSnapshots(), one.shards[0].OpenSnapshots())
-		}
-		n := 0
-		for it.Next() {
-			n++
-		}
-		if err := it.Close(); err != nil {
+		sit, err := s.NewIterator(nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want := map[bool]int{true: keys, false: 100}[b[0] == nil]; n != want {
-			t.Fatalf("fast-path scan [%q, %q) saw %d keys, want %d", b[0], b[1], n, want)
+		pinned("during a snapshot's scan", 1)
+		if err := cmp.Or(sit.Close(), s.Close()); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The snapshot's scan reads the snapshot's own pin.
-	s, err := one.NewSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sit, err := s.NewIterator(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := one.shards[0].OpenSnapshots(); n != 1 {
-		t.Fatalf("1-shard snapshot scan with %d shard snapshots, want 1", n)
-	}
-	sit.Close()
-	s.Close()
-
-	// A multi-shard store's scan is one iterator on one store snapshot.
-	hdb := openMem(t, 4)
-	if err := hdb.Put([]byte("a"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	hit, err := hdb.NewIterator(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdb.OpenSnapshots() != 1 {
-		t.Fatalf("hash scan with %d snapshots, want 1", hdb.OpenSnapshots())
-	}
-	if err := hit.Close(); err != nil || hdb.OpenSnapshots() != 0 {
-		t.Fatalf("Close = %v with %d snapshots left", err, hdb.OpenSnapshots())
 	}
 }
 

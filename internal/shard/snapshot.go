@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"sync"
-
-	"repro/internal/lsm"
-)
+import "repro/internal/lsm"
 
 // Snapshot is a pinned read view spanning every shard, taken at one
 // epoch of the store-wide commit clock: NewSnapshot draws a ticket
@@ -19,14 +15,12 @@ import (
 // batches appear in exactly their serialized epoch order.
 //
 // Close releases every shard's pin; iterators opened from the snapshot
-// keep the underlying per-shard pins alive until they close.
+// keep the underlying per-shard pins alive until they close. Every engine
+// pin belongs to exactly one store snapshot, which pins every shard, so
+// shard 0's pins count the store's snapshots (OpenSnapshots).
 type Snapshot struct {
-	db    *DB
 	snaps []*lsm.Snapshot
 	epoch uint64
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // NewSnapshot pins all shards at one epoch: it takes every shard's commit
@@ -51,8 +45,7 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		}
 		return nil, firstErr
 	}
-	db.openSnaps.Add(1)
-	return &Snapshot{db: db, snaps: snaps, epoch: epoch}, nil
+	return &Snapshot{snaps: snaps, epoch: epoch}, nil
 }
 
 // Epoch reports the snapshot's position in the store-wide commit order:
@@ -69,20 +62,12 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // snapshot's pinned views: one merge over every shard's sources. Empty
 // bounds open no source.
 func (s *Snapshot) NewIterator(start, limit []byte) (*lsm.Iterator, error) {
-	return lsm.NewIterator(s.snaps, start, limit, nil)
+	return lsm.NewIterator(s.snaps, start, limit)
 }
 
 // Close releases every shard's pin. Idempotent; open iterators stay
 // valid until they close.
 func (s *Snapshot) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.db.openSnaps.Add(-1)
 	var err error
 	for _, snap := range s.snaps {
 		if e := snap.Close(); err == nil {
@@ -92,6 +77,12 @@ func (s *Snapshot) Close() error {
 	return err
 }
 
-// OpenSnapshots reports the number of live (unclosed) store-level
-// snapshots.
-func (db *DB) OpenSnapshots() int { return int(db.openSnaps.Load()) }
+// OpenSnapshots reports the number of live store snapshots: a snapshot
+// counts until its handle and every iterator opened from it are closed,
+// or the finalizer reclaims them.
+func (db *DB) OpenSnapshots() int { return db.shards[0].OpenSnapshots() }
+
+// LeakedSnapshots reports how many store snapshots the finalizer
+// reclaimed because their handle, or an iterator opened from them, was
+// dropped without Close.
+func (db *DB) LeakedSnapshots() int64 { return db.shards[0].LeakedSnapshots() }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/lsm"
 )
@@ -148,8 +150,8 @@ func TestSnapshotNoTornCrossShardBatch(t *testing.T) {
 }
 
 // TestShardSnapshotFrozenAndClosed: the cross-shard snapshot freezes
-// all shards at once, survives writes, errors after Close, and the
-// openSnaps gauge tracks the lifecycle.
+// all shards at once, survives writes, errors after Close, and
+// OpenSnapshots tracks the lifecycle.
 func TestShardSnapshotFrozenAndClosed(t *testing.T) {
 	db := openMem(t, 4)
 	for i := 0; i < 400; i++ {
@@ -229,5 +231,38 @@ func TestSnapshotReleasesShardsOnRefusal(t *testing.T) {
 	}
 	if n := db.OpenSnapshots(); n != 0 {
 		t.Fatalf("OpenSnapshots = %d after a refused NewSnapshot, want 0", n)
+	}
+}
+
+// TestDroppedSnapshotsCountOnce: a store snapshot and a multi-shard
+// iterator dropped without Close leave the open count once the finalizer
+// reclaims their pins, and each counts as one leak, not one per shard.
+func TestDroppedSnapshotsCountOnce(t *testing.T) {
+	db := openMem(t, 2)
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		if _, err := db.NewSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.NewIterator(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if n := db.OpenSnapshots(); n != 2 {
+		t.Fatalf("OpenSnapshots = %d with a snapshot and an iterator dropped, want 2", n)
+	}
+	for deadline := time.Now().Add(10 * time.Second); db.shards[0].OpenSnapshots()+db.shards[1].OpenSnapshots() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine pins %d and %d never reclaimed", db.shards[0].OpenSnapshots(), db.shards[1].OpenSnapshots())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if open, leaked := db.OpenSnapshots(), db.LeakedSnapshots(); open != 0 || leaked != 2 {
+		t.Fatalf("after the reclaim: %d snapshots open and %d leaked, want 0 and 2", open, leaked)
 	}
 }

@@ -107,15 +107,11 @@ type ShardStat struct {
 	BytesSpilled int64
 	// WA and RA are the shard's own write and read amplification.
 	WA, RA float64
-	// OpenSnapshots is the shard's live snapshot-pin count;
-	// LeakedSnapshots counts pins the finalizer reclaimed instead of an
-	// explicit Close; OverlayEntries is how many replaced versions the
-	// shard's memtables keep behind their entries for snapshots right now.
-	// Together they make snapshot hygiene observable per shard instead of
-	// internal-only.
-	OpenSnapshots   int
-	LeakedSnapshots int64
-	OverlayEntries  int
+	// OverlayEntries is how many replaced versions the shard's memtables
+	// keep behind their entries for snapshots right now. The snapshot
+	// counts themselves are the store's (DB.OpenSnapshots): every store
+	// snapshot pins every shard once.
+	OverlayEntries int
 	// CacheHits/CacheMisses are the shard's block-cache lookups;
 	// CacheBytes is how many cache bytes the shard holds resident right
 	// now. Under the shared cache the bytes are not pre-split, so this
@@ -151,8 +147,6 @@ func (db *DB) ShardStats() []ShardStat {
 			BytesSpilled:    m.BytesSpilled,
 			WA:              m.WriteAmplification(),
 			RA:              m.ReadAmplification(),
-			OpenSnapshots:   s.OpenSnapshots(),
-			LeakedSnapshots: s.LeakedSnapshots(),
 			OverlayEntries:  s.OverlaySize(),
 			CacheHits:       cs.Hits,
 			CacheMisses:     cs.Misses,
@@ -235,13 +229,13 @@ func (db *DB) Stats() string {
 		fmt.Fprintf(&b, "apply latency: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
 			h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 	}
-	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, of them unsynced, WA, RA, debt, stalls, snaps, overlay, cache):\n")
+	fmt.Fprintf(&b, "per-shard balance (writes/reads/files/disk/retained logs, of them unsynced, WA, RA, debt, stalls, overlay, cache):\n")
 	shards := db.ShardStats()
 	for _, st := range shards {
-		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B (unsynced %d B)  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  snaps=%d/%d leaked  overlay=%d  cache=%d/%d hits (%d B)\n",
+		fmt.Fprintf(&b, "  s%d: writes=%d (%d B) reads=%d files=%d disk=%d B logs=%d B (unsynced %d B)  WA=%.2f RA=%.2f  debt=%d B  stalls=%d (%s)  overlay=%d  cache=%d/%d hits (%d B)\n",
 			st.Shard, st.Writes, st.WriteBytes, st.Reads, st.Files, st.DiskBytes, st.RetainedLogBytes, st.UnsyncedLogBytes, st.WA, st.RA,
 			st.CompactionDebt, st.WriteStalls, st.WriteStallTime,
-			st.OpenSnapshots, st.LeakedSnapshots, st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
+			st.OverlayEntries, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheBytes)
 		if st.BackgroundError != nil {
 			fmt.Fprintf(&b, "  s%d: background error (writes fail until reopened): %v\n", st.Shard, st.BackgroundError)
 		}
@@ -287,16 +281,6 @@ func ioBySource(m metrics.Snapshot) obs.LedgerSnapshot {
 		obs.SrcCompactionWrite: m.BytesCompacted,
 		obs.SrcSnapshotGC:      m.BytesSnapshotGC,
 	}
-}
-
-// LeakedSnapshots reports, summed across shards, how many snapshot pins
-// were reclaimed by a finalizer instead of an explicit Close.
-func (db *DB) LeakedSnapshots() int64 {
-	var n int64
-	for _, s := range db.shards {
-		n += s.LeakedSnapshots()
-	}
-	return n
 }
 
 // OverlayEntries reports, summed across shards, how many replaced

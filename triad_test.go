@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/base"
 	"repro/internal/bgsched"
 	"repro/internal/lsm"
 	"repro/internal/vfs"
@@ -301,7 +302,8 @@ func TestOpenBlockCacheBudget(t *testing.T) {
 // of a directory — the layout FS stores had before they opened through
 // the shard layer, with no STORE record — opens through Open and reads
 // back whole, and after Open has added its STORE record the bare engine
-// still opens it.
+// still opens it. The bare engine numbers its writes itself, at explicit
+// sequences 1..n, as the store's clock would.
 func TestOpenRootLayoutCompat(t *testing.T) {
 	dir := t.TempDir()
 	osfs := func() vfs.FS {
@@ -337,7 +339,7 @@ func TestOpenRootLayoutCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := bare.Put(key(i), []byte(val(i))); err != nil {
+		if err := bare.WriteAt(uint64(i+1), key(i), []byte(val(i)), base.KindSet); err != nil {
 			t.Fatal(err)
 		}
 	}
