@@ -74,6 +74,37 @@ func TestCommitAtExternalSequence(t *testing.T) {
 	}
 }
 
+// TestApplyStillSelfSequences: a batch applied through the clock the
+// tests share commits at LastSeq()+1 with the engine's checks in force —
+// it is marked committed, refused a second time, and an empty key is
+// rejected — so the tests built on that clock run the engine's own rules.
+func TestApplyStillSelfSequences(t *testing.T) {
+	db := openCommitTestDB(t)
+	c := clocked(db)
+	b := &Batch{}
+	b.Put([]byte("p"), []byte("q"))
+	if err := c.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq = %d, want 1", got)
+	}
+	if !b.Committed() {
+		t.Fatal("batch not marked committed")
+	}
+	if err := c.Apply(b); err == nil {
+		t.Fatal("re-Apply of committed batch succeeded")
+	}
+	var empty Batch
+	empty.Put(nil, []byte("v"))
+	if err := c.Apply(&empty); err == nil || !strings.Contains(err.Error(), "empty key") {
+		t.Fatalf("empty-key batch = %v, want empty-key error", err)
+	}
+	if got := db.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq after the refused batches = %d, want 1", got)
+	}
+}
+
 // TestCommitAtBatchSharesSequence: every record of a batch commits at
 // the batch's one sequence — a snapshot pinned at or above it sees the
 // whole batch, one pinned below sees none of it.

@@ -21,76 +21,85 @@ import (
 // TestFNVRanges: which shards a scan under FNV routing touches — none
 // for empty or inverted bounds (no snapshot, no ticket), every shard
 // otherwise, through one lsm.Iterator on one store snapshot that dies
-// with it, at every shard count.
-func TestFNVRanges(t *testing.T) {
+// with it.
+func TestFNVRanges(t *testing.T) { checkScanPins(t, 4) }
+
+// TestSingleShardScanFastPath: a one-shard store has no scan path of its
+// own, and the common one costs it no more than a fast path would: each
+// scan and each snapshot's scan holds one store snapshot, which is the
+// shard's one engine pin.
+func TestSingleShardScanFastPath(t *testing.T) { checkScanPins(t, 1) }
+
+// checkScanPins fills a store of the given shard count and checks which
+// scans pin a snapshot, how many, and for how long.
+func checkScanPins(t *testing.T, shards int) {
+	t.Helper()
 	const keys = 4000
-	for _, shards := range []int{1, 4} {
-		db := openMem(t, shards)
-		for i := 0; i < keys; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Flush(); err != nil {
+	db := openMem(t, shards)
+	for i := 0; i < keys; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		// pinned checks that the store and every shard hold want pins.
-		pinned := func(what string, want int) {
-			t.Helper()
-			if n := db.OpenSnapshots(); n != want {
-				t.Fatalf("%d shard(s), %s: %d store snapshots, want %d", shards, what, n, want)
-			}
-			for i, s := range db.shards {
-				if n := s.OpenSnapshots(); n != want {
-					t.Fatalf("%d shard(s), %s: shard %d holds %d pins, want %d", shards, what, i, n, want)
-				}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// pinned checks that the store and every shard hold want pins.
+	pinned := func(what string, want int) {
+		t.Helper()
+		if n := db.OpenSnapshots(); n != want {
+			t.Fatalf("%d shard(s), %s: %d store snapshots, want %d", shards, what, n, want)
+		}
+		for i, s := range db.shards {
+			if n := s.OpenSnapshots(); n != want {
+				t.Fatalf("%d shard(s), %s: shard %d holds %d pins, want %d", shards, what, i, n, want)
 			}
 		}
-		for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
-			it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinned(fmt.Sprintf("empty scan [%q, %q)", b[0], b[1]), 0)
-			if it.Next() {
-				t.Fatalf("%d shard(s), empty scan [%q, %q) yielded an entry", shards, b[0], b[1])
-			}
-			if err := it.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, b := range [][2][]byte{{nil, nil}, {[]byte("key-00100"), []byte("key-00200")}} {
-			what := fmt.Sprintf("scan [%q, %q)", b[0], b[1])
-			it, err := db.NewIterator(b[0], b[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinned("during "+what, 1)
-			n := 0
-			for it.Next() {
-				n++
-			}
-			if err := it.Close(); err != nil {
-				t.Fatal(err)
-			}
-			pinned("after "+what, 0)
-			if want := map[bool]int{true: keys, false: 100}[b[0] == nil]; n != want {
-				t.Fatalf("%d shard(s), %s saw %d keys, want %d", shards, what, n, want)
-			}
-		}
-		// A snapshot's scan reads the snapshot's own pins.
-		s, err := db.NewSnapshot()
+	}
+	for _, b := range [][2]string{{"x", "x"}, {"b", "a"}} {
+		it, err := db.NewIterator([]byte(b[0]), []byte(b[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sit, err := s.NewIterator(nil, nil)
+		pinned(fmt.Sprintf("empty scan [%q, %q)", b[0], b[1]), 0)
+		if it.Next() {
+			t.Fatalf("%d shard(s), empty scan [%q, %q) yielded an entry", shards, b[0], b[1])
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range [][2][]byte{{nil, nil}, {[]byte("key-00100"), []byte("key-00200")}} {
+		what := fmt.Sprintf("scan [%q, %q)", b[0], b[1])
+		it, err := db.NewIterator(b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinned("during a snapshot's scan", 1)
-		if err := cmp.Or(sit.Close(), s.Close()); err != nil {
+		pinned("during "+what, 1)
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
+		pinned("after "+what, 0)
+		if want := map[bool]int{true: keys, false: 100}[b[0] == nil]; n != want {
+			t.Fatalf("%d shard(s), %s saw %d keys, want %d", shards, what, n, want)
+		}
+	}
+	// A snapshot's scan reads the snapshot's own pins.
+	s, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sit, err := s.NewIterator(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned("during a snapshot's scan", 1)
+	if err := cmp.Or(sit.Close(), s.Close()); err != nil {
+		t.Fatal(err)
 	}
 }
 
