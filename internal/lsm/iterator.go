@@ -28,8 +28,7 @@ import (
 // Key and Value return slices that stay valid until Close (they alias the
 // pinned sources).
 type Iterator struct {
-	snaps  []*Snapshot  // one pin each
-	one    [1]*Snapshot // snaps of a one-snapshot scan, which allocates none
+	snaps  []*Snapshot // one pin each
 	dedup  *compaction.DedupIterator
 	cur    base.Entry
 	err    error
@@ -40,10 +39,10 @@ type Iterator struct {
 // unbounded) over the union of snaps: a store snapshot's pins, one per
 // shard, whose keys are disjoint. The iterator takes a pin
 // of its own on each snapshot, so the snapshots may close first. An empty
-// range opens no source.
+// range opens no source, and only an empty range may come with no
+// snapshot.
 func NewIterator(snaps []*Snapshot, start, limit []byte) (*Iterator, error) {
-	it := &Iterator{}
-	it.snaps = append(it.one[:0], snaps...)
+	it := &Iterator{snaps: slices.Clone(snaps)}
 	for i, s := range snaps {
 		if err := s.addRef(); err != nil {
 			it.snaps = it.snaps[:i]
@@ -52,45 +51,47 @@ func NewIterator(snaps []*Snapshot, start, limit []byte) (*Iterator, error) {
 		}
 	}
 	var its []sstable.Iterator
-	var err error
-	switch {
-	case start != nil && limit != nil && bytes.Compare(start, limit) >= 0:
-	case len(snaps) == 1:
-		its, err = snaps[0].sources(start, limit)
-	default:
-		its, err = sources(snaps, start, limit)
-	}
-	if err != nil {
-		it.Close()
-		return nil, err
+	if start == nil || limit == nil || bytes.Compare(start, limit) < 0 {
+		var err error
+		if its, err = sources(snaps, start, limit); err != nil {
+			it.Close()
+			return nil, err
+		}
 	}
 	it.dedup = compaction.NewDedupIterator(compaction.NewMergeIterator(its), true, nil)
 	return it, nil
 }
 
 // sources opens the sources of every snapshot in snaps, all at once: a
-// CL-SSTable source reads its logs whole. The snapshots' keys are
-// disjoint, so their sources may come in any order. On failure it closes
-// what it opened.
+// CL-SSTable source reads its logs whole. The last snapshot's open on
+// this goroutine, the others' beside it, so a one-snapshot scan starts
+// no goroutine. The snapshots' keys are disjoint, so their sources may
+// come in any order. On failure it closes what it opened.
 func sources(snaps []*Snapshot, start, limit []byte) ([]sstable.Iterator, error) {
-	srcs := make([][]sstable.Iterator, len(snaps))
-	errs := make([]error, len(snaps))
+	last := len(snaps) - 1
+	srcs := make([][]sstable.Iterator, last)
+	errs := make([]error, last)
 	var wg sync.WaitGroup
-	for i, s := range snaps {
+	for i, s := range snaps[:last] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			srcs[i], errs[i] = s.sources(start, limit)
 		}()
 	}
+	its, err := snaps[last].sources(start, limit)
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err = errors.Join(err, errors.Join(errs...)); err != nil {
+		closeAll(its)
 		for _, src := range srcs {
 			closeAll(src)
 		}
 		return nil, err
 	}
-	return slices.Concat(srcs...), nil
+	for _, src := range srcs {
+		its = append(its, src...)
+	}
+	return its, nil
 }
 
 // sources opens s's sources over [start, limit), newest-first: the merge

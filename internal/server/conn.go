@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,10 @@ type conn struct {
 	lastWrite *pending
 	quit      bool        // QUIT received: stop reading after replying
 	draining  atomic.Bool // server shutdown: reader unblocked via read deadline
+
+	// cursors are the connection's open SCAN cursors by id (see cursor).
+	curMu   sync.Mutex
+	cursors map[string]*cursor
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -64,6 +69,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		r:       resp.NewReader(nc),
 		w:       resp.NewWriter(nc),
 		replies: make(chan reply, maxPipeline),
+		cursors: make(map[string]*cursor),
 	}
 }
 
@@ -78,9 +84,7 @@ func (c *conn) beginDrain() {
 // goroutine, joined by the replies queue.
 func (c *conn) serve() {
 	defer c.nc.Close()
-	// Cursors die with their connection: release any the client left
-	// open, so an abrupt disconnect cannot pin snapshots past the TTL.
-	defer c.srv.cursors.removeConn(c)
+	defer c.closeCursors()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -432,8 +436,8 @@ func (c *conn) scan(args [][]byte, start0 time.Time) {
 	if !ok {
 		return
 	}
-	if !c.srv.cursors.canOpen(c) {
-		c.send(resp.Error(fmtErr(c.srv.cursors.errTooManyCursors())))
+	if !c.canOpenCursor() {
+		c.send(resp.Error(fmt.Sprintf("ERR too many open cursors (max %d per connection); SCAN CLOSE one first", c.srv.cfg.MaxCursorsPerConn)))
 		return
 	}
 	it, err := c.srv.store.NewIterator(start, limit)
@@ -441,9 +445,7 @@ func (c *conn) scan(args [][]byte, start0 time.Time) {
 		c.send(resp.Error(fmtErr(err)))
 		return
 	}
-	cur := c.srv.cursors.open(c, it)
-	v, _ := c.srv.cursors.readPage(cur, count)
-	c.sendTracked(v, obs.FamScan, start0, start, nil)
+	c.sendTracked(c.openCursor(it, count), obs.FamScan, start0, start, nil)
 }
 
 // scanCont serves SCAN CONT <cursor> [count]: the next page of a
@@ -455,24 +457,16 @@ func (c *conn) scanCont(id []byte, args [][]byte, start0 time.Time) {
 	if !ok {
 		return
 	}
-	cur, ok := c.srv.cursors.lookup(c, string(id))
-	if !ok {
-		c.send(resp.Error("ERR unknown cursor"))
-		return
-	}
-	v, _ := c.srv.cursors.readPage(cur, count)
-	c.sendTracked(v, obs.FamScan, start0, id, nil)
+	c.sendTracked(c.pageCursor(string(id), count), obs.FamScan, start0, id, nil)
 }
 
 // scanClose serves SCAN CLOSE <cursor>: releases the cursor's iterator
 // and pinned snapshot.
 func (c *conn) scanClose(id []byte) {
-	cur, ok := c.srv.cursors.lookup(c, string(id))
-	if !ok {
+	if !c.closeCursor(string(id)) {
 		c.send(resp.Error("ERR unknown cursor"))
 		return
 	}
-	c.srv.cursors.remove(cur)
 	c.send(resp.Simple("OK"))
 }
 

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/lsm"
@@ -42,207 +40,99 @@ func isCursorID(b []byte) bool {
 // resumes it, which is what makes paging repeatable — every page comes
 // from the same frozen view, no matter how many writes land in between.
 //
-// Lifecycle: owned by the connection that opened it (other connections
-// cannot touch it), closed by exhaustion, SCAN CLOSE, the idle TTL
-// sweeper, or the owning connection's teardown — whichever comes first.
+// A cursor belongs to the connection that opened it and lives in that
+// connection's cursors map, guarded by curMu. Only two things touch the
+// map: the connection's own goroutine (SCAN, SCAN CONT, SCAN CLOSE and
+// serve's teardown) and each cursor's idle timer. A cursor is closed by
+// exhaustion, SCAN CLOSE, its idle timer or the connection's teardown —
+// whichever first takes it out of the map.
 type cursor struct {
-	id    string
-	owner *conn
-
-	// mu serializes page reads with the sweeper/teardown close. Page
-	// reads are bounded (scanPageMax), so the hold is short.
-	mu     sync.Mutex
-	it     *lsm.Iterator
-	closed bool
-
-	lastUsed time.Time // guarded by the registry lock
+	id   string
+	it   *lsm.Iterator
+	idle *time.Timer // fires expire after CursorTTL; every page re-arms it
+	used time.Time   // when the last page was served; guarded by curMu
 }
 
-// registry tracks a server's open cursors: lookup by id, per-connection
-// caps and teardown, and the idle sweep.
-type registry struct {
-	cfg Config
-
-	mu      sync.Mutex
-	cursors map[string]*cursor
-	perConn map[*conn]int
-	nextID  uint64
-	opened  int64 // lifetime count, for metrics
-
-	stop chan struct{}
-	done chan struct{}
+// openCursor serves the first page of a new cursor over it. The page is
+// read under curMu, so the idle timer cannot close the cursor mid-page.
+func (c *conn) openCursor(it *lsm.Iterator, count int) resp.Value {
+	s := c.srv
+	cur := &cursor{id: "c" + strconv.FormatInt(s.cursorsTotal.Add(1), 10), it: it}
+	s.cursorsOpen.Add(1)
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	c.cursors[cur.id] = cur
+	cur.idle = time.AfterFunc(s.cfg.CursorTTL, func() { c.expire(cur) })
+	return c.readPage(cur, count)
 }
 
-func newRegistry(cfg Config) *registry {
-	r := &registry{
-		cfg:     cfg,
-		cursors: make(map[string]*cursor),
-		perConn: make(map[*conn]int),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+// canOpenCursor reports whether the connection is under its cursor cap.
+func (c *conn) canOpenCursor() bool {
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	return len(c.cursors) < c.srv.cfg.MaxCursorsPerConn
+}
+
+// pageCursor serves the next page of the connection's cursor id.
+func (c *conn) pageCursor(id string, count int) resp.Value {
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	cur, ok := c.cursors[id]
+	if !ok {
+		return resp.Error("ERR unknown cursor")
 	}
-	go r.sweep()
-	return r
+	return c.readPage(cur, count)
 }
 
-// errTooManyCursors is the reply for a connection at its cursor cap.
-func (r *registry) errTooManyCursors() error {
-	return fmt.Errorf("too many open cursors (max %d per connection); SCAN CLOSE one first", r.cfg.MaxCursorsPerConn)
-}
-
-// open registers a new cursor for c, which canOpen has let open one.
-// Only c's dispatch goroutine opens cursors for c, and every other path
-// only removes them, so c is still under its cap.
-func (r *registry) open(c *conn, it *lsm.Iterator) *cursor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextID++
-	cur := &cursor{
-		id:       "c" + strconv.FormatUint(r.nextID, 10),
-		owner:    c,
-		it:       it,
-		lastUsed: time.Now(),
+// closeCursor releases the connection's cursor id, reporting whether
+// the connection held it.
+func (c *conn) closeCursor(id string) bool {
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	cur, ok := c.cursors[id]
+	if ok {
+		c.dropCursor(cur)
 	}
-	r.cursors[cur.id] = cur
-	r.perConn[c]++
-	r.opened++
-	return cur
+	return ok
 }
 
-// canOpen reports whether c may open another cursor.
-func (r *registry) canOpen(c *conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.perConn[c] < r.cfg.MaxCursorsPerConn
+// expire is a cursor's idle timer: it closes the cursor unless a page
+// was served within the TTL. A page read may have held curMu while the
+// timer fired and then re-armed it; the used check makes that stale
+// firing a no-op, and the re-armed one decides.
+func (c *conn) expire(cur *cursor) {
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	if c.cursors[cur.id] == cur && time.Since(cur.used) >= c.srv.cfg.CursorTTL {
+		c.dropCursor(cur)
+	}
 }
 
-// lookup returns c's cursor id, touching its idle clock. Cursors are
-// private to the connection that opened them: a wrong owner reads as
-// unknown, exactly like an expired id.
-func (r *registry) lookup(c *conn, id string) (*cursor, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, ok := r.cursors[id]
-	if !ok || cur.owner != c {
-		return nil, false
+// closeCursors releases every cursor the connection still holds: cursors
+// die with their connection, so an abrupt disconnect cannot pin
+// snapshots past the TTL. serve calls it once the reader has stopped.
+func (c *conn) closeCursors() {
+	c.curMu.Lock()
+	defer c.curMu.Unlock()
+	for _, cur := range c.cursors {
+		c.dropCursor(cur)
 	}
-	cur.lastUsed = time.Now()
-	return cur, true
 }
 
-// remove unregisters cur and closes its iterator, releasing its view.
-func (r *registry) remove(cur *cursor) {
-	r.mu.Lock()
-	if _, ok := r.cursors[cur.id]; ok {
-		delete(r.cursors, cur.id)
-		if n := r.perConn[cur.owner] - 1; n > 0 {
-			r.perConn[cur.owner] = n
-		} else {
-			delete(r.perConn, cur.owner)
-		}
-	}
-	r.mu.Unlock()
-	cur.mu.Lock()
-	defer cur.mu.Unlock()
-	if cur.closed {
-		return
-	}
-	cur.closed = true
+// dropCursor takes cur out of the map, stops its timer and closes its
+// iterator, releasing its pinned view. The caller holds curMu.
+func (c *conn) dropCursor(cur *cursor) {
+	delete(c.cursors, cur.id)
+	cur.idle.Stop()
 	cur.it.Close()
-}
-
-// removeConn closes every cursor the connection still owns (cursors die
-// with their connection).
-func (r *registry) removeConn(c *conn) {
-	r.mu.Lock()
-	var doomed []*cursor
-	for _, cur := range r.cursors {
-		if cur.owner == c {
-			doomed = append(doomed, cur)
-		}
-	}
-	r.mu.Unlock()
-	for _, cur := range doomed {
-		r.remove(cur)
-	}
-}
-
-// openCount reports the number of live cursors.
-func (r *registry) openCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cursors)
-}
-
-// openedTotal reports the lifetime cursor count.
-func (r *registry) openedTotal() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opened
-}
-
-// sweep closes cursors idle past the TTL, so an abandoned cursor cannot
-// pin snapshot files forever even on a connection that stays open.
-func (r *registry) sweep() {
-	defer close(r.done)
-	tick := r.cfg.CursorTTL / 4
-	if tick > time.Second {
-		tick = time.Second
-	}
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case now := <-t.C:
-			r.mu.Lock()
-			var doomed []*cursor
-			for _, cur := range r.cursors {
-				if now.Sub(cur.lastUsed) > r.cfg.CursorTTL {
-					doomed = append(doomed, cur)
-				}
-			}
-			r.mu.Unlock()
-			for _, cur := range doomed {
-				r.remove(cur)
-			}
-		}
-	}
-}
-
-// close stops the sweeper and releases every remaining cursor.
-func (r *registry) close() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.done
-	r.mu.Lock()
-	var doomed []*cursor
-	for _, cur := range r.cursors {
-		doomed = append(doomed, cur)
-	}
-	r.mu.Unlock()
-	for _, cur := range doomed {
-		r.remove(cur)
-	}
+	c.srv.cursorsOpen.Add(-1)
 }
 
 // readPage serves up to count key/value pairs from cur, returning the
-// reply array [cursor, k1, v1, ...] and whether the cursor survived
-// (false: exhausted or errored, already removed from the registry).
-func (r *registry) readPage(cur *cursor, count int) (resp.Value, bool) {
-	cur.mu.Lock()
-	if cur.closed {
-		// Lost a race with the TTL sweeper or connection teardown.
-		cur.mu.Unlock()
-		return resp.Error("ERR unknown cursor"), false
-	}
+// reply array [cursor, k1, v1, ...]. A cursor that survives the page is
+// re-armed; one that is exhausted or errored is dropped. The caller
+// holds curMu.
+func (c *conn) readPage(cur *cursor, count int) resp.Value {
 	elems := make([]resp.Value, 1, 2*count+1)
 	n := 0
 	for n < count && cur.it.Next() {
@@ -252,21 +142,17 @@ func (r *registry) readPage(cur *cursor, count int) (resp.Value, bool) {
 		elems = append(elems, resp.Bulk(k), resp.Bulk(v))
 		n++
 	}
-	exhausted := n < count
-	var scanErr error
-	if exhausted {
-		scanErr = cur.it.Err()
+	if n == count {
+		cur.used = time.Now()
+		cur.idle.Reset(c.srv.cfg.CursorTTL)
+		elems[0] = resp.Bulk([]byte(cur.id))
+		return resp.Array(elems...)
 	}
-	cur.mu.Unlock()
-	if scanErr != nil {
-		r.remove(cur)
-		return resp.Error(fmtErr(scanErr)), false
+	err := cur.it.Err()
+	c.dropCursor(cur)
+	if err != nil {
+		return resp.Error(fmtErr(err))
 	}
-	if exhausted {
-		r.remove(cur)
-		elems[0] = resp.Bulk([]byte(DoneCursor))
-		return resp.Array(elems...), false
-	}
-	elems[0] = resp.Bulk([]byte(cur.id))
-	return resp.Array(elems...), true
+	elems[0] = resp.Bulk([]byte(DoneCursor))
+	return resp.Array(elems...)
 }

@@ -259,8 +259,8 @@ func TestScanCursorLimits(t *testing.T) {
 	_ = c3
 }
 
-// TestScanCursorIdleTTL: an abandoned cursor is reaped by the idle
-// sweeper and subsequent CONTs read as unknown.
+// TestScanCursorIdleTTL: an abandoned cursor is closed by its idle
+// timer and subsequent CONTs read as unknown.
 func TestScanCursorIdleTTL(t *testing.T) {
 	db := newTestStore(t, 2)
 	srv, addr := startServer(t, db, server.Config{CursorTTL: 50 * time.Millisecond})
@@ -280,7 +280,7 @@ func TestScanCursorIdleTTL(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("idle cursor not reaped by TTL sweeper")
+			t.Fatal("idle cursor not closed by its TTL")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -289,6 +289,97 @@ func TestScanCursorIdleTTL(t *testing.T) {
 	}
 	if db.OpenSnapshots() != 0 {
 		t.Fatalf("store snapshots still open after TTL reap: %d", db.OpenSnapshots())
+	}
+}
+
+// TestScanCursorTTLCountsFromLastUse: a cursor's idle TTL restarts with
+// every page, so a cursor paged more often than its TTL outlives several
+// TTLs; once left idle it is closed, its snapshot released and, under a
+// one-cursor cap, its slot free for a new SCAN.
+func TestScanCursorTTLCountsFromLastUse(t *testing.T) {
+	const ttl = 500 * time.Millisecond
+	db := newTestStore(t, 2)
+	srv, addr := startServer(t, db, server.Config{CursorTTL: ttl, MaxCursorsPerConn: 1})
+	c := dial(t, addr)
+	fillStore(t, c, 1000)
+
+	cursor, _, _, err := c.ScanOpen(nil, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.ScanOpen(nil, nil, 1); err == nil || !strings.Contains(err.Error(), "too many open cursors") {
+		t.Fatalf("second cursor under a cap of 1: err = %v, want the cap error", err)
+	}
+	// Page every ttl/20 for four TTLs: each page must find the cursor.
+	for end := time.Now().Add(4 * ttl); time.Now().Before(end); {
+		time.Sleep(ttl / 20)
+		if cursor, _, _, err = c.ScanCont(cursor, 1); err != nil {
+			t.Fatalf("cursor paged every %v closed under a %v TTL: %v", ttl/20, ttl, err)
+		}
+		if cursor == client.DoneCursor {
+			t.Fatal("cursor finished prematurely")
+		}
+	}
+	deadline := time.Now().Add(10 * ttl)
+	for {
+		if open, _ := srv.CursorStats(); open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("idle cursor not closed by its TTL")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Fatalf("%d store snapshots open after the idle close, want 0", n)
+	}
+	if _, _, _, err := c.ScanOpen(nil, nil, 1); err != nil {
+		t.Fatalf("SCAN after the idle close: %v, want the freed slot", err)
+	}
+}
+
+// TestScanCursorIdleCloseRacesPages: under a TTL short enough that idle
+// timers fire while pages are read, every page either continues the scan
+// in order or reads as an unknown cursor — a cursor is never closed under
+// a page, which would end it early with the done sentinel — and no
+// snapshot outlives the cursors.
+func TestScanCursorIdleCloseRacesPages(t *testing.T) {
+	db := newTestStore(t, 2)
+	srv, addr := startServer(t, db, server.Config{CursorTTL: time.Millisecond})
+	c := dial(t, addr)
+	const n = 50
+	fillStore(t, c, n)
+	for range 40 {
+		cursor, keys, _, err := c.ScanOpen(nil, nil, 1)
+		for err == nil && cursor != client.DoneCursor {
+			var ks [][]byte
+			cursor, ks, _, err = c.ScanCont(cursor, 1)
+			keys = append(keys, ks...)
+		}
+		if err != nil && !strings.Contains(err.Error(), "unknown cursor") {
+			t.Fatalf("page under a 1ms TTL: %v", err)
+		}
+		if err == nil && len(keys) != n {
+			t.Fatalf("cursor done after %d of %d keys", len(keys), n)
+		}
+		for i, k := range keys {
+			if string(k) != fmt.Sprintf("key-%05d", i) {
+				t.Fatalf("page entry %d = %q", i, k)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if open, _ := srv.CursorStats(); open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("idle cursors not closed by their TTL")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := db.OpenSnapshots(); n != 0 {
+		t.Fatalf("%d store snapshots open after every cursor closed, want 0", n)
 	}
 }
 

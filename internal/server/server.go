@@ -23,6 +23,12 @@
 // (the reader waits for the epoch of the connection's last write group
 // before serving GET/MGET/SCAN — reads of other connections' in-flight
 // writes are not ordered, exactly as with any concurrent store).
+//
+// A SCAN cursor, which pins a store snapshot across pages, belongs to the
+// connection that opened it: it lives in that connection's cursor map,
+// and is closed by exhaustion, SCAN CLOSE, its own idle timer or the
+// connection's teardown. The server keeps only two cursor counters and
+// runs no goroutine for them.
 package server
 
 import (
@@ -160,11 +166,10 @@ func (c Config) withDefaults() Config {
 // Store's lifecycle belongs to the caller: Shutdown drains the server but
 // does not close the engine.
 type Server struct {
-	store   Store
-	cfg     Config
-	gc      *committer
-	cursors *registry // server-side SCAN cursors
-	ob      *serverObs
+	store Store
+	cfg   Config
+	gc    *committer
+	ob    *serverObs
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -176,6 +181,10 @@ type Server struct {
 	// Counters for the metrics dump.
 	totalConns atomic.Int64
 	commands   atomic.Int64
+	// SCAN cursors open now and ever opened; the latter numbers their
+	// ids, so an id is unique per server.
+	cursorsOpen  atomic.Int64
+	cursorsTotal atomic.Int64
 }
 
 // New returns a Server over store.
@@ -189,7 +198,6 @@ func New(store Store, cfg Config) *Server {
 		drained: make(chan struct{}),
 	}
 	s.gc = newCommitter(store, s.ob)
-	s.cursors = newRegistry(s.cfg)
 	return s
 }
 
@@ -267,7 +275,8 @@ func (s *Server) Addr() net.Addr {
 
 // Shutdown gracefully drains the server: stop accepting, unblock every
 // connection's reader, let in-flight pipelines finish (their group
-// commits included), then stop the committer. Writes that were accepted
+// commits included; each connection closes its own SCAN cursors as it
+// ends), then stop the committer. Writes that were accepted
 // before Shutdown are committed; commands arriving after it get an error
 // reply. The ctx bounds the drain; on expiry remaining connections are
 // closed abruptly and ctx.Err() is returned.
@@ -312,7 +321,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.gc.close()
-	s.cursors.close()
 	close(s.drained)
 	return err
 }
@@ -342,7 +350,7 @@ func (s *Server) ConnStats() (open int, total, commands int64) {
 
 // CursorStats reports open and lifetime SCAN cursor counts.
 func (s *Server) CursorStats() (open int, total int64) {
-	return s.cursors.openCount(), s.cursors.openedTotal()
+	return int(s.cursorsOpen.Load()), s.cursorsTotal.Load()
 }
 
 // errShuttingDown is the reply given to writes that race a shutdown.

@@ -26,8 +26,8 @@
 //
 // Two lifetime invariants here are checked at runtime by the tests (see
 // README "Leak checks"): every *Commit ticket minted by Prepare must
-// reach Commit or Abort (an unsettled ticket holds the epoch pipeline
-// open forever), and every Snapshot and iterator must be closed (snapshots
+// reach Commit (an unsettled ticket holds the epoch pipeline open
+// forever), and every Snapshot and iterator must be closed (snapshots
 // pin the memtable versions they read and zombie sstables until
 // released).
 package shard
@@ -357,9 +357,9 @@ type Batch = lsm.Batch
 
 // Commit is a prepared batch holding its epoch ticket — its place in
 // the store-wide total commit order — and with it the commit lock of
-// every shard it touches. Exactly one Commit (or Abort) call must follow
-// Prepare: an abandoned ticket blocks every later write and snapshot on
-// its shards.
+// every shard it touches. Exactly one Commit call must follow Prepare,
+// and settles the ticket even when it fails: an abandoned ticket blocks
+// every later write and snapshot on its shards.
 type Commit struct {
 	db     *DB
 	b      *Batch
@@ -390,27 +390,22 @@ func (db *DB) Prepare(b *Batch) (*Commit, error) {
 			return nil, errors.New("shard: empty key in batch")
 		}
 	}
+	// Size every sub-batch before filling it, so none reallocates.
 	subs := make([]*lsm.Batch, len(db.shards))
-	if len(db.shards) == 1 && b.Len() > 0 {
-		// Single-shard store: the batch is its own sub-batch, no split.
-		subs[0] = b
-	} else {
-		// Size every sub-batch before filling it, so none reallocates.
-		counts := make([]int, len(db.shards))
-		for _, e := range b.Ops() {
-			counts[fnv(e.Key, len(db.shards))]++
+	counts := make([]int, len(db.shards))
+	for _, e := range b.Ops() {
+		counts[fnv(e.Key, len(db.shards))]++
+	}
+	for i, n := range counts {
+		if n > 0 {
+			subs[i] = &lsm.Batch{}
+			subs[i].Grow(n)
 		}
-		for i, n := range counts {
-			if n > 0 {
-				subs[i] = &lsm.Batch{}
-				subs[i].Grow(n)
-			}
-		}
-		for _, e := range b.Ops() {
-			// The outer batch's Put/Delete already made defensive
-			// copies; PutEntry re-queues them without copying again.
-			subs[fnv(e.Key, len(db.shards))].PutEntry(e)
-		}
+	}
+	for _, e := range b.Ops() {
+		// The outer batch's Put/Delete already made defensive
+		// copies; PutEntry re-queues them without copying again.
+		subs[fnv(e.Key, len(db.shards))].PutEntry(e)
 	}
 	var idxs []int
 	for i, sub := range subs {
@@ -485,20 +480,6 @@ func (c *Commit) Commit() error {
 	}
 	c.b.MarkCommitted()
 	return nil
-}
-
-// Abort releases the ticket without writing: the shards and the
-// watermark advance exactly as for a committed ticket, so the pipeline
-// cannot wedge on an abandoned Prepare.
-func (c *Commit) Abort() {
-	if c.used {
-		return
-	}
-	c.used = true
-	for _, i := range c.shards {
-		c.db.clk.release(i)
-	}
-	c.db.clk.finish(c.epoch)
 }
 
 // Apply commits b through the pipeline: every batch — single- or
