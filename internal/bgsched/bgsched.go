@@ -4,8 +4,11 @@
 // The pool dispatches by priority class — flushes first (they unblock
 // write stalls directly), then L0→L1 compactions (they gate the
 // stop-writes trigger), then deeper-level compactions — and within a
-// class round-robins across shards, so one hot shard's backlog cannot
-// starve the others' flushes. A task is one flush or one whole
+// class rotates across the labels tasks are submitted under. In a store
+// that rotation is the queue's FIFO order: each engine keeps at most one
+// flush task and one compaction task queued (lsm.DB's flushActive and
+// compactQueued), under its own label (its shard index), so no class ever
+// holds two queued tasks of one label. A task is one flush or one whole
 // compaction: the pool's parallelism is across shards, and between
 // flushes and the merges they run beside.
 //

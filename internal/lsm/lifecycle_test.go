@@ -110,13 +110,13 @@ func TestCloseReleasesCacheTenant(t *testing.T) {
 			}
 		}
 	}
-	if cache.Used() == 0 {
+	if cache.Stats().Resident == 0 {
 		t.Fatal("reads left no block resident in the cache")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Used(); n != 0 {
+	if n := cache.Stats().Resident; n != 0 {
 		t.Fatalf("closed store left %d bytes resident in the shared cache", n)
 	}
 }

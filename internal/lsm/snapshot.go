@@ -258,10 +258,10 @@ func (db *DB) OpenSnapshots() int {
 	return len(db.pinned)
 }
 
-// OverlaySize reports how many replaced versions the memtables keep behind
+// KeptVersions reports how many replaced versions the memtables keep behind
 // their entries for snapshots (memtable.SetPinned), counted by a walk of
 // the live and queued memtables (observability and leak tests).
-func (db *DB) OverlaySize() int {
+func (db *DB) KeptVersions() int {
 	v := db.view.Load()
 	if v == nil {
 		return 0

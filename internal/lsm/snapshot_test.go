@@ -478,8 +478,8 @@ func TestSnapshotRefcountAccounting(t *testing.T) {
 	if len(after) >= len(before) {
 		t.Fatalf("last snapshot close freed no files (%d -> %d)", len(before), len(after))
 	}
-	if db.OverlaySize() != 0 {
-		t.Fatalf("memtables keep %d versions after Flush", db.OverlaySize())
+	if db.KeptVersions() != 0 {
+		t.Fatalf("memtables keep %d versions after Flush", db.KeptVersions())
 	}
 }
 
@@ -696,7 +696,7 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 				}
 				put(k, fmt.Sprintf("r%d-%d", round, i))
 			}
-			if n := db.OverlaySize(); n > 100 {
+			if n := db.KeptVersions(); n > 100 {
 				t.Fatalf("triad=%v round %d: %d versions kept for one snapshot over 100 keys", triad, round, n)
 			}
 			if want := fmt.Sprintf("r%d-490", round-1); round > 1 {
@@ -727,7 +727,7 @@ func TestKeptVersionsBoundedByOpenSnapshots(t *testing.T) {
 				if err := db.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if n := db.OverlaySize(); n != 0 {
+				if n := db.KeptVersions(); n != 0 {
 					t.Fatalf("triad=%v round %d: %d versions kept after Flush", triad, round, n)
 				}
 			}
@@ -838,7 +838,7 @@ func TestSnapshotVersionsMatchOracle(t *testing.T) {
 				live[k] = v
 			}
 			check(step, open[rng.Intn(len(open))], step%100 == 0)
-			if n := db.OverlaySize(); n > keys*sinceFlush {
+			if n := db.KeptVersions(); n > keys*sinceFlush {
 				t.Fatalf("seed %d step %d: %d versions kept for %d snapshots over %d keys", seed, step, n, sinceFlush, keys)
 			}
 		}

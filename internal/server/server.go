@@ -40,20 +40,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bgsched"
 	"repro/internal/lsm"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/sstable"
 )
 
-// Store is the engine surface the server fronts. The store triad.Open
-// returns implements it (a *triad.DB is a *shard.DB), at any shard count,
-// so STATS always carries the per-shard table and a durable store the
-// STORE metadata validation.
+// Store is the engine surface the server fronts: its data path, STATS
+// and the store's /metrics series, which the store renders itself. The
+// store triad.Open returns implements it (a *triad.DB is a *shard.DB), at
+// any shard count, so STATS always carries the per-shard table and a
+// durable store the STORE metadata validation.
 type Store interface {
-	Get(key []byte) ([]byte, error)
 	// GetTraced is Get with an optional sampled trace attached (nil on
 	// the untraced path): disk reads the lookup performs are recorded as
 	// sstable_read spans.
@@ -66,41 +63,20 @@ type Store interface {
 	// WaitCommitted blocks until every epoch at or below epoch has
 	// committed — the read-your-writes barrier.
 	WaitCommitted(epoch uint64)
-	// CommittedEpoch reports the store's commit watermark (metrics).
-	CommittedEpoch() uint64
 	Flush() error
-	Stats() string
-	Metrics() metrics.Snapshot
-	ShardStats() []shard.ShardStat
-	// BlockCacheStats reports the store-wide block-cache counters
-	// (hits/misses/resident/capacity/evictions/admission rejects),
-	// exported as the triad_block_cache_* series.
-	BlockCacheStats() sstable.CacheStats
 	// NewIterator opens a streaming scan of [start, limit) on a
 	// point-in-time view it pins until Close; every SCAN reads through
 	// one (cursors hold theirs open across pages, which is what makes
 	// paging repeatable).
 	NewIterator(start, limit []byte) (*lsm.Iterator, error)
-	// OpenSnapshots reports the store's live snapshot count (metrics);
-	// LeakedSnapshots and OverlayEntries surface snapshot hygiene.
-	OpenSnapshots() int
-	LeakedSnapshots() int64
-	OverlayEntries() int
+	// Stats is the store's part of STATS; WriteMetrics emits the store's
+	// /metrics series. Each reads every shard once.
+	Stats() string
+	WriteMetrics(p *obs.Prom)
 	// Events is the store's background-event journal (flushes,
 	// compactions, snapshot GC, stalls), served by EVENTS and
 	// /debug/events.
 	Events() *obs.Journal
-	// ApplyLatency is the store's per-batch commit-execution recorder.
-	ApplyLatency() *obs.Hist
-	// IOBySource is the store-wide I/O attribution roll-up; per-shard
-	// breakdowns ride ShardStats.
-	IOBySource() obs.LedgerSnapshot
-	// Scheduler is the store's background worker pool, exported as the
-	// triad_bg_* series.
-	Scheduler() *bgsched.Pool
-	// CompactionDebt is the store-wide pending-compaction byte
-	// estimate — the backlog the background pool is draining.
-	CompactionDebt() int64
 }
 
 var _ Store = (*shard.DB)(nil)

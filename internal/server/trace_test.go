@@ -330,3 +330,146 @@ func TestMetricsLedgerConsistency(t *testing.T) {
 		t.Fatalf("STATS has no per-level lookup line:\n%s", stats)
 	}
 }
+
+// TestMetricsTotalsAgreeUnderLoad: while writers run, every scrape's
+// store-wide series equal the sums of its per-shard series, and every
+// STATS's user bytes the sum of its per-shard rows: each rendering reads
+// each shard once and derives its totals from that read.
+func TestMetricsTotalsAgreeUnderLoad(t *testing.T) {
+	db := newTestStore(t, 2)
+	srv, addr := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	val := []byte(strings.Repeat("v", 200))
+	for w := 0; w < 2; w++ {
+		wc := dial(t, addr)
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				key := func(j int) []byte { return []byte(fmt.Sprintf("agree-%03d", (i*7+j)%500)) }
+				var err error
+				if i%2 == 0 {
+					err = wc.Set(key(0), val)
+				} else {
+					pairs := make([][]byte, 0, 20)
+					for j := 0; j < 10; j++ {
+						pairs = append(pairs, key(j), val)
+					}
+					err = wc.MSet(pairs...)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	writes := func() float64 { return promSeries(t, srv.MetricsText())["triad_user_writes_total"] }
+	for deadline := time.Now().Add(10 * time.Second); writes() < 1000; {
+		if time.Now().After(deadline) {
+			t.Fatal("writers made no progress")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	sum := func(series map[string]float64, prefix, label string) (total float64) {
+		for name, v := range series {
+			if strings.HasPrefix(name, prefix+"{") && strings.Contains(name, label) {
+				total += v
+			}
+		}
+		return total
+	}
+	checks := []struct{ total, rows, label string }{
+		{"triad_user_writes_total", "triad_shard_writes_total", ""},
+		{"triad_compaction_backlog_bytes", "triad_shard_compaction_backlog_bytes", ""},
+		{"triad_kept_versions", "triad_shard_kept_versions", ""},
+		{"triad_bytes_logged_total", "triad_io_bytes_total", `source="wal"`},
+		{"triad_bytes_flushed_total", "triad_io_bytes_total", `source="flush"`},
+		{"triad_bytes_folded_total", "triad_io_bytes_total", `source="fold"`},
+		{"triad_bytes_compacted_total", "triad_io_bytes_total", `source="compaction_write"`},
+	}
+	userBytes := regexp.MustCompile(`(?m)^bytes: user (\d+) `)
+	rowBytes := regexp.MustCompile(`(?m)^  s\d+: writes=\d+ \((\d+) B\)`)
+
+	const rounds = 25
+	var badScrapes, badStats, keptSeen int
+	var firstBad string
+	var cursor string
+	first := writes()
+	for round := 0; round < rounds; round++ {
+		// A fresh snapshot each round, so overwrites keep versions for it.
+		if cursor != "" {
+			if err := c.ScanClose(cursor); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if cursor, _, _, err = c.ScanOpen(nil, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+
+		series := promSeries(t, srv.MetricsText())
+		var diffs []string
+		for _, ck := range checks {
+			if got, want := sum(series, ck.rows, ck.label), series[ck.total]; got != want {
+				diffs = append(diffs, fmt.Sprintf("sum(%s{%s}) = %g, %s = %g", ck.rows, ck.label, got, ck.total, want))
+			}
+		}
+		if series["triad_kept_versions"] > 0 {
+			keptSeen++
+		}
+		if len(diffs) > 0 {
+			badScrapes++
+			if firstBad == "" {
+				firstBad = strings.Join(diffs, "; ")
+			}
+		}
+
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := userBytes.FindStringSubmatch(stats)
+		rows := rowBytes.FindAllStringSubmatch(stats, -1)
+		if m == nil || len(rows) != 2 {
+			t.Fatalf("STATS has no user bytes or not two shard rows:\n%s", stats)
+		}
+		var rowSum int64
+		for _, r := range rows {
+			n, _ := strconv.ParseInt(r[1], 10, 64)
+			rowSum += n
+		}
+		if total, _ := strconv.ParseInt(m[1], 10, 64); total != rowSum {
+			badStats++
+			if firstBad == "" {
+				firstBad = fmt.Sprintf("STATS: bytes: user %d, shard rows sum to %d B", total, rowSum)
+			}
+		}
+	}
+	last := writes()
+	close(stop)
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.ScanClose(cursor); err != nil {
+		t.Fatal(err)
+	}
+	if badScrapes > 0 || badStats > 0 {
+		t.Fatalf("%d of %d scrapes and %d of %d STATS disagree with their per-shard rows; first: %s",
+			badScrapes, rounds, badStats, rounds, firstBad)
+	}
+	if last <= first || keptSeen == 0 {
+		t.Fatalf("writes went %g -> %g over the scrapes and %d scrapes saw kept versions: the store was not under load", first, last, keptSeen)
+	}
+}

@@ -495,11 +495,11 @@ func TestFlushAndAggregates(t *testing.T) {
 		t.Fatal("no files on any level after coordinated Flush")
 	}
 	var sizeTotal int64
-	for _, ls := range db.LevelStats() {
-		sizeTotal += ls.Bytes
+	for _, st := range db.ShardStats() {
+		sizeTotal += st.DiskBytes
 	}
 	if sizeTotal == 0 {
-		t.Fatal("LevelStats bytes sum to zero after Flush")
+		t.Fatal("shards' disk bytes sum to zero after Flush")
 	}
 	stats := db.Stats()
 	for _, want := range []string{"shards: 4 (fnv partitioner)", "levels", "flushes", "compactions", "WA", "RA"} {
@@ -654,7 +654,7 @@ func TestL0FoldsObservable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%1000 == 999 {
-			l0 := db.LevelStats()[0]
+			l0 := db.read().levels[0]
 			sawL0 = sawL0 || l0.Files > 0 && l0.LogBytes > 0 && l0.Bytes > l0.LogBytes
 			sawStats = sawStats || strings.Contains(db.Stats(), "pinned logs")
 		}
@@ -693,7 +693,7 @@ func TestL0FoldsObservable(t *testing.T) {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if l0 := db.LevelStats()[0]; l0.Files != 0 || l0.Bytes != 0 || l0.LogBytes != 0 {
+	if l0 := db.read().levels[0]; l0.Files != 0 || l0.Bytes != 0 || l0.LogBytes != 0 {
 		t.Fatalf("L0 after a drain: %+v", l0)
 	}
 }

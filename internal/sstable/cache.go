@@ -98,20 +98,6 @@ func (c *Cache) Capacity() int64 {
 	return c.cap
 }
 
-// Used reports the resident byte count across all segments.
-func (c *Cache) Used() int64 {
-	if c == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range c.segs {
-		s.mu.Lock()
-		n += s.used
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats reports the cache-wide counters.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {

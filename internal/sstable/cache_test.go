@@ -17,8 +17,8 @@ func TestBlockCacheLRU(t *testing.T) {
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 40))
 	h.Put(1, 40, make([]byte, 40))
-	if used := h.c.Used(); used != 80 {
-		t.Fatalf("Used = %d", used)
+	if used := h.c.Stats().Resident; used != 80 {
+		t.Fatalf("resident = %d", used)
 	}
 	// Touch the first block so the second becomes LRU.
 	if h.Get(1, 0) == nil {
@@ -46,7 +46,7 @@ func TestBlockCacheOversizedNotAdmitted(t *testing.T) {
 	h := c.NewHandle()
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
-	if c.Used() != 0 {
+	if c.Stats().Resident != 0 {
 		t.Fatal("oversized block admitted")
 	}
 }
@@ -57,8 +57,8 @@ func TestBlockCacheReplaceSameKey(t *testing.T) {
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
 	h.Put(1, 0, make([]byte, 50))
-	if c.Used() != 50 {
-		t.Fatalf("Used after replace = %d", c.Used())
+	if c.Stats().Resident != 50 {
+		t.Fatalf("resident after replace = %d", c.Stats().Resident)
 	}
 	if h.Stats().Resident != 50 {
 		t.Fatalf("tenant resident after replace = %d", h.Stats().Resident)
@@ -79,8 +79,8 @@ func TestBlockCacheEvictTable(t *testing.T) {
 	if h.Get(2, 0) == nil {
 		t.Fatal("EvictTable removed another table's block")
 	}
-	if c.Used() != 10 {
-		t.Fatalf("Used = %d", c.Used())
+	if c.Stats().Resident != 10 {
+		t.Fatalf("resident = %d", c.Stats().Resident)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestNilBlockCacheSafe(t *testing.T) {
 	if st := h.Stats(); st != (CacheStats{}) {
 		t.Fatal("nil handle has stats")
 	}
-	if c.Used() != 0 || c.Capacity() != 0 {
+	if c.Stats().Resident != 0 || c.Capacity() != 0 {
 		t.Fatal("nil cache has usage")
 	}
 	if c.Stats() != (CacheStats{}) {
@@ -263,8 +263,8 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Used() > 1<<16 {
-		t.Fatalf("cache over budget: %d", c.Used())
+	if c.Stats().Resident > 1<<16 {
+		t.Fatalf("cache over budget: %d", c.Stats().Resident)
 	}
 }
 
@@ -301,7 +301,7 @@ func TestBlockCacheConcurrentContended(t *testing.T) {
 				default:
 					h.Put(table, off, make([]byte, 256))
 				}
-				if u := c.Used(); u < 0 || u > capacity {
+				if u := c.Stats().Resident; u < 0 || u > capacity {
 					t.Errorf("cache budget violated: used=%d cap=%d", u, capacity)
 					return
 				}
@@ -313,11 +313,11 @@ func TestBlockCacheConcurrentContended(t *testing.T) {
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no cache traffic recorded")
 	}
-	if u := c.Used(); u > capacity {
+	if u := c.Stats().Resident; u > capacity {
 		t.Fatalf("cache over budget after churn: %d > %d", u, capacity)
 	}
-	if got := h.Stats().Resident; got != c.Used() {
-		t.Fatalf("tenant resident accounting drifted: handle %d, cache %d", got, c.Used())
+	if got := h.Stats().Resident; got != c.Stats().Resident {
+		t.Fatalf("tenant resident accounting drifted: handle %d, cache %d", got, c.Stats().Resident)
 	}
 }
 
