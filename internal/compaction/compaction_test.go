@@ -373,8 +373,16 @@ func TestPickerFoldOrMerge(t *testing.T) {
 		fm(30, 2, "a", "f", 300_000), fm(31, 2, "g", "m", 300_000), fm(32, 2, "n", "z", 900_000),
 		fm(40, 3, "a", "z", 100<<20),
 	}
-	// L1 bytes worth three full logs: price 3000, so the ceiling is 9000.
+	// L1 bytes worth three full logs: price 3000, so the ceiling is
+	// L0LogPerPriceByte times that. A fold that pins pricedLog beside a
+	// flush's 300 B leaves L0 one full log under it, past the floor's reach;
+	// 100 B more and one more log could take L0 past it.
 	priced := []*manifest.FileMeta{fm(20, 1, "a", "m", 2000), fm(21, 1, "n", "z", 1000)}
+	const pricedCeiling = L0LogPerPriceByte * 3000
+	const pricedLog = pricedCeiling - logBytes - 300
+	if pricedLog+300+logBytes <= ceiling {
+		t.Fatalf("L0LogPerPriceByte %d puts the priced ceiling %d B within the %d B floor", L0LogPerPriceByte, pricedCeiling, ceiling)
+	}
 	// Two key-disjoint tables below every L1 key: price 0.
 	outside := []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 4800, 10)}
 	outside[0].Smallest, outside[0].Largest = []byte("0"), []byte("5")
@@ -404,8 +412,8 @@ func TestPickerFoldOrMerge(t *testing.T) {
 		{"no folds without a ceiling", flushes(6), l1, 0, false, "merge", 6, 0},
 		{"the spill's L2 bytes count in the price", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 1_500_000)), spilling, ceiling, false, RuleFold, 6, 0},
 		{"rent paid for L1 and the spill merges", append(flushes(5), cl(9, manifest.KindCLFold, 1500, 1_800_000)), spilling, ceiling, false, RuleRentPaid, 6, 2},
-		{"a priced L0 waits past the floor", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 7700, 10)}, priced, ceiling, false, "", 0, 0},
-		{"a priced L0 merges at its ceiling", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, 7800, 10)}, priced, ceiling, false, RuleLogCeiling, 2, 0},
+		{"a priced L0 waits past the floor", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, pricedLog, 10)}, priced, ceiling, false, "", 0, 0},
+		{"a priced L0 merges at its ceiling", []*manifest.FileMeta{cl(8, manifest.KindCLSST, 300, 0), cl(9, manifest.KindCLFold, pricedLog+100, 10)}, priced, ceiling, false, RuleLogCeiling, 2, 0},
 		{"a key-disjoint L0 merges at the floor", outside, priced, ceiling, false, RuleLogCeiling, 2, 0},
 	}
 	for _, c := range cases {
@@ -482,22 +490,22 @@ func TestPickerFoldOrMerge(t *testing.T) {
 	}
 }
 
-// TestL0LogPerPriceByte models one cycle of the L0 of an ingest_uniform
+// TestL0LogPerPriceByte models cycles of the L0 of an ingest_uniform
 // shard, from an empty L0 to its merge, as measured: 1 MiB commit logs (a
 // 6 MiB floor), flushes that each pin 0.23 MiB of log and index 0.06 B of
 // it per byte, folds forced at MaxFilesL0 because a flush's keys barely
 // overlap the next one's, and a merge priced as measured: a merge into L1
 // would rewrite 1.4 MB of L1 (what a round's first merge leaves there,
 // once the drain before it has taken L0 deep and emptied L1) and 8.2 MB of
-// L2 under its spill. Each fold takes the picker's run. Its folds write at
-// most half the index bytes that folds of all of L0 would write at the
-// same points, so they pay that price slowly, and the log ceiling,
-// L0LogPerPriceByte times the price, ends the cycle at about 27 MiB of
-// log, past the 24 MiB at which the benchmark's rounds drain L0: the
-// multiple is the log L0 takes in per byte its merge rewrites (see the
-// constant).
-// The rent rule stays live: a merge priced below what the folds write
-// under the floor is still merged by its rent.
+// L2 under its spill. Each fold takes the picker's run, and its folds
+// write at most half the index bytes that folds of all of L0 would write
+// at the same points. The log ceiling is L0LogPerPriceByte times the
+// price, and the multiple leaves the rent room (see the constant): while
+// the folds keep pace they pay the price, and the rent ends the cycle
+// more than one log under the ceiling. While they are withheld, as a pool
+// that lags behind the writers withholds them, the ceiling ends the cycle
+// within one log of it. The rent rule also holds under the floor: a merge
+// priced below what the folds write there is merged by its rent.
 func TestL0LogPerPriceByte(t *testing.T) {
 	const (
 		logBytes   = 1 << 20
@@ -505,15 +513,22 @@ func TestL0LogPerPriceByte(t *testing.T) {
 		flushLog   = 230 << 10
 		flushIndex = flushLog * 6 / 100
 	)
-	// cycle runs the model at a merge price and returns the merge, the
-	// index bytes its folds wrote, those folds of all of L0 would have
-	// written, the most rent an act on L0 found while one more log could
-	// not take L0 past the floor, and the log L0 pinned at the merge.
-	cycle := func(price int64) (job *Job, folded, allFolded, underFloor, logs int64) {
+	// cycle runs the model at a merge price, with the folds the picker
+	// asks for run or withheld, and returns the merge, the index bytes its
+	// folds wrote, those folds of all of L0 would have written, the most
+	// rent an act on L0 found while one more log could not take L0 past
+	// the floor, and the log L0 pinned at the merge.
+	cycle := func(price int64, runFolds bool) (job *Job, folded, allFolded, underFloor, logs int64) {
 		p := NewPicker(PickerOptions{BaseLevelBytes: 64 << 20, TriadDisk: true, L0LogBytes: floor})
 		below := []*manifest.FileMeta{fm(1000, 1, "a", "m", price/2), fm(1001, 1, "n", "z", price-price/2)}
 		var l0 []*manifest.FileMeta // newest first
-		disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
+		sketches := map[uint64]*hll.Sketch{}
+		disjoint := func(f *manifest.FileMeta) *hll.Sketch {
+			if sketches[f.ID] == nil {
+				sketches[f.ID] = sketchWith(1000, int(f.ID))
+			}
+			return sketches[f.ID]
+		}
 		for id := uint64(1); id < 1000; id++ {
 			f := fm(id, 0, "a", "z", flushIndex)
 			f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, id, flushLog, id
@@ -522,6 +537,8 @@ func TestL0LogPerPriceByte(t *testing.T) {
 			job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), disjoint, false)
 			switch {
 			case job == nil || job.Deferred:
+				continue
+			case job.Fold && !runFolds:
 				continue
 			case job.Fold:
 				n := len(job.Inputs)
@@ -549,20 +566,30 @@ func TestL0LogPerPriceByte(t *testing.T) {
 	}
 
 	const price = 9_600_000
-	job, folded, allFolded, underFloor, logs := cycle(price)
+	const ceiling = L0LogPerPriceByte * price
+	job, folded, allFolded, underFloor, logs := cycle(price, true)
 	t.Logf("%s: folds wrote %.2f MB, folds of all of L0 %.2f MB, %.2f MB under the floor", job.Why(), float64(folded)/1e6, float64(allFolded)/1e6, float64(underFloor)/1e6)
 	if 2*folded > allFolded {
 		t.Fatalf("the run folds wrote %d B, more than half of the %d B folds of all of L0 would", folded, allFolded)
 	}
-	if job.Rule != RuleLogCeiling || job.rewrites() != price || folded >= price {
-		t.Fatalf("%s merge (%s) with %d B of rent, want the ceiling to end the cycle before the %d B price is paid", job.Rule, job.Why(), folded, price)
+	if job.Rule != RuleRentPaid || job.rewrites() != price || folded < price {
+		t.Fatalf("%s merge (%s) with %d B of rent, want the %d B price paid", job.Rule, job.Why(), folded, price)
 	}
-	if ceiling := int64(L0LogPerPriceByte * price); logs > ceiling || logs+logBytes <= ceiling {
+	if logs+logBytes > ceiling {
+		t.Fatalf("the rent was paid at %d B of log, want more than a log under the %d B ceiling", logs, ceiling)
+	}
+
+	job, folded, _, _, logs = cycle(price, false)
+	t.Logf("folds withheld: %s", job.Why())
+	if job.Rule != RuleLogCeiling || job.rewrites() != price || folded != 0 {
+		t.Fatalf("%s merge (%s) with %d B of rent, want the ceiling to end a cycle whose folds are withheld", job.Rule, job.Why(), folded)
+	}
+	if logs > ceiling || logs+logBytes <= ceiling {
 		t.Fatalf("merged at %d B of log, want within a log of the %d B ceiling", logs, ceiling)
 	}
 
 	cheap := underFloor / 2
-	job, _, _, _, logs = cycle(cheap)
+	job, _, _, _, logs = cycle(cheap, true)
 	if cheap == 0 || job.Rule != RuleRentPaid || logs > floor {
 		t.Fatalf("%s merge (%s) at %d B of log, want a %d B price paid under the floor", job.Rule, job.Why(), logs, cheap)
 	}

@@ -274,9 +274,11 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 // L1 overlap and the L2 files under its spill) — the rent-or-buy rule,
 // which spends on folds at most what it saves by merging less often. The
 // price is that of the merge into L1, whether or not the merge goes deep.
-// Or L0 pins so much
-// commit log that one more full log could take it past its ceiling
-// (L0LogCeiling), which also makes L0 act below its trigger.
+// Or L0 pins so much commit log that one more full log could take it past
+// its ceiling (L0LogCeiling: L0LogPerPriceByte times the price, or the
+// L0LogBytes floor if more), which also makes L0 act below its trigger.
+// The multiple leaves the rent room to end an overlapping L0's cycle, so
+// the ceiling ends one only where the folds lag behind the flushes.
 //
 // L0's trigger, TRIAD-DISK's force and its deferral count L0Pressure: the
 // file count, or where L0 can fold the read depth. A key-disjoint L0, such
@@ -466,23 +468,25 @@ func (j *Job) rewrites() int64 {
 }
 
 // L0LogPerPriceByte is the commit log L0 may pin per byte of its merge's
-// price, above the L0LogBytes floor (see L0LogCeiling).
-// TestL0LogPerPriceByte models one cycle of an overlapping L0 that the
-// ceiling ends. In the store the rent ends most: on ingest_uniform (seed
-// 1, the measured rounds of two runs) the L0 jobs were 20–21 rent-paid
-// merges, 4–5 at the ceiling and 22 drains, beside 619–626 folds. The
-// multiple is the log L0 takes in per byte its merge rewrites, and it
-// trades merge bytes against the log, read depth and memory L0 holds. A
-// larger L0 also goes deep more often (see Pick): on ingest_uniform L0
-// reaches about 24 MiB of log per shard by each round's drain, against a
-// 9.6 MB price, and outweighs the L1 and L2 bytes under it. There (two
-// cores, seeds 1 and 2) multiples of 2, 3, 4 and 6 gave write_amp
-// 4.02–4.22, 2.84–3.15, 2.82 and 2.82, read_amp 1.14–1.15, 1.22–1.25,
-// 1.25 and 1.25, and proc.rss_peak_mb 354–380, 514–537, 537–551 and
-// 544–560: at 2 L0 is too small to go deep, 3 keeps most of the saving
-// with the least log, and past 4 a higher ceiling buys nothing. A
-// key-disjoint L0 rewrites nothing and keeps the floor.
-const L0LogPerPriceByte = 3
+// price, above the L0LogBytes floor (see L0LogCeiling). It is set so that
+// the rent, not the ceiling, ends an overlapping L0's cycle while its folds
+// keep pace; the ceiling then bounds only a key-disjoint L0, which rewrites
+// nothing and keeps the floor, and an L0 whose folds lag behind its
+// flushes. TestL0LogPerPriceByte models both. A cycle the ceiling cuts
+// short is a shallow merge into L1 with a spill into L2 (see Pick), whose
+// bytes the next deep merge rewrites. On net_mixed the folds write about
+// 0.12–0.26 index bytes per byte of log, so the rent is paid at 4–8 times
+// the price, and the ceiling merges at 3 came with no write stall. There
+// (two cores, seeds 1, 2 and 11, 16 s) multiples of 3, 4, 5, 6 and 8 gave
+// write_amp 2.50–2.87, 2.37–2.56, 2.33–2.36, 2.25–2.41 and 2.36–2.37,
+// ended 13–17, 10–14, 4, 1–5 and 0 merges per run at the ceiling, and gave
+// read_amp 1.000–1.009, 1.02–1.03, 1.04, 1.026–1.048 and 1.03–1.04 and
+// proc.rss_peak_mb 352–407, 401–517, 456–602, 432–489 and 431–498: the
+// saving flattens from 5 up, and 6 keeps it with the fewest ceiling
+// merges (15 interleaved pairs of 3 and 6 on seeds 1 and 2: write_amp
+// 2.69 → 2.38). On ingest_uniform, whose folds pay faster, the ceiling
+// ends no cycle from 4 up and write_amp reads 2.82 at 4, 6 and 8 alike.
+const L0LogPerPriceByte = 6
 
 // l0LogCeiling is the most commit log an L0 whose merge rewrites price
 // bytes may pin.

@@ -20,7 +20,7 @@ func TestEngineConstants(t *testing.T) {
 		{"compaction.MaxFilesL0", compaction.MaxFilesL0, 6, "paper §4.2, §5.1"},
 		{"compaction.OverlapRatioThreshold", compaction.OverlapRatioThreshold, 0.4, "paper §4.2, §5.1"},
 		{"compaction.LevelMultiplier", compaction.LevelMultiplier, 10, "RocksDB's max_bytes_for_level_multiplier default"},
-		{"compaction.L0LogPerPriceByte", compaction.L0LogPerPriceByte, 3, "the log ingest_uniform's L0 takes in per byte its merge rewrites before the ceiling ends its cycle (compaction.TestL0LogPerPriceByte)"},
+		{"compaction.L0LogPerPriceByte", compaction.L0LogPerPriceByte, 6, "room for net_mixed's folds, at 0.12–0.26 index bytes per log byte, to pay an overlapping L0's rent before the ceiling ends its cycle (compaction.TestL0LogPerPriceByte)"},
 		{"l0StallFiles", l0StallFiles, 12, "LevelDB's kL0_StopWritesTrigger"},
 		{"maxImmutableMemtables", maxImmutableMemtables, 2, "the engine's flush-queue bound since its first version"},
 	} {

@@ -72,8 +72,10 @@ var metricNameRE = regexp.MustCompile(`^triad(_[a-z0-9]+)+$`)
 // # TYPE for its metric; triad_* snake_case names; _total on counters
 // and nowhere else; no non-base units; histograms named in _seconds or
 // _bytes and carrying cumulative _bucket{le} / _sum / _count series,
-// suffixes no other family may end in; and the versioned Content-Type.
-// It returns the set of family names.
+// suffixes no other family may end in; each family's samples in one
+// group, not split by another family's (text format 0.0.4), which a
+// per-shard or per-level family breaks if emitted shard by shard; and the
+// versioned Content-Type. It returns the set of family names.
 func checkExposition(t *testing.T, shards int) map[string]bool {
 	db := newTestStore(t, shards)
 	srv, addr := startServer(t, db, server.Config{})
@@ -97,6 +99,9 @@ func checkExposition(t *testing.T, shards int) map[string]bool {
 	families := map[string]bool{}
 	// lastBucket[name|labels-without-le] tracks cumulative bucket counts.
 	lastBucket := map[string]uint64{}
+	// group is the family of the samples so far in the current group, and
+	// ended the families whose group a later family's sample closed.
+	group, ended := "", map[string]bool{}
 	for ln, line := range strings.Split(text, "\n") {
 		if line == "" {
 			continue
@@ -147,6 +152,12 @@ func checkExposition(t *testing.T, shards int) map[string]bool {
 		typ, ok := typeOf[base]
 		if !ok || !helped[base] {
 			t.Fatalf("line %d: sample %q precedes its # HELP/# TYPE", ln+1, series)
+		}
+		if base != group {
+			if ended[base] {
+				t.Errorf("line %d: sample %q resumes family %s after other families' samples", ln+1, series, base)
+			}
+			ended[group], group = true, base
 		}
 		if typ == "histogram" && strings.HasSuffix(name, "_bucket") {
 			if !strings.Contains(labels, `le="`) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bgsched"
+	"repro/internal/compaction"
 	"repro/internal/lsm"
 	"repro/internal/manifest"
 	"repro/internal/metrics"
@@ -335,50 +336,124 @@ func (db *DB) WriteMetrics(p *obs.Prom) {
 	p.Counter("triad_block_cache_admission_rejects_total", "Blocks the scan-resistant admission policy refused to cache.", "", cs.AdmissionRejects)
 	p.GaugeF("triad_block_cache_hit_rate", "Lifetime block-cache hit rate (hits / lookups).", "", cs.HitRate())
 
-	for _, st := range r.shards {
-		l := fmt.Sprintf("shard=%q", strconv.Itoa(st.Shard))
-		p.Counter("triad_shard_writes_total", "User write operations routed to the shard.", l, st.Writes)
-		p.Counter("triad_shard_reads_total", "User read operations routed to the shard.", l, st.Reads)
-		p.Gauge("triad_shard_disk_bytes", "On-disk bytes held by the shard: its tables and the commit logs its L0 CL-SSTables pin.", l, st.DiskBytes)
-		p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
-		p.Gauge("triad_l0_depth", "The shard's L0 read depth: the most L0 tables whose key range holds any one key. Where L0 can fold, its compaction trigger and write stop count this instead of files.", l, int64(st.Levels[0].Depth))
-		p.Gauge("triad_l0_log_bytes", "Commit-log bytes the shard's L0 CL-SSTables pin.", l, st.Levels[0].LogBytes)
-		p.Gauge("triad_l0_log_ceiling_bytes", "Where L0 can fold, the commit-log bytes the shard's L0 may pin before it merges whatever its rent: six full logs, or three times the bytes its merge would rewrite if more. Zero where L0 cannot fold.", l, st.Levels[0].LogCeiling)
-		p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
-		p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
-		p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
-		p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges' spills wrote one level below the merge's output level because the output level had no room for them.", l, st.BytesSpilled)
-		p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
-		p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
-		p.Gauge("triad_shard_unsynced_log_bytes", "Commit-log bytes the shard acknowledged that a power cut could still take: the live log's and each queued memtable's log's size less its length at its last sync.", l, st.UnsyncedLogBytes)
-		bgErr := int64(0)
-		if st.BackgroundError != nil {
-			bgErr = 1
+	// Each family's samples go together, over every shard (and each
+	// shard's levels) in turn: the text format keeps one group per family.
+	shardLabels := make([]string, len(r.shards))
+	for i, st := range r.shards {
+		shardLabels[i] = fmt.Sprintf("shard=%q", strconv.Itoa(st.Shard))
+	}
+	for _, emit := range []func(st *ShardStat, l string){
+		func(st *ShardStat, l string) {
+			p.Counter("triad_shard_writes_total", "User write operations routed to the shard.", l, st.Writes)
+		},
+		func(st *ShardStat, l string) {
+			p.Counter("triad_shard_reads_total", "User read operations routed to the shard.", l, st.Reads)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_disk_bytes", "On-disk bytes held by the shard: its tables and the commit logs its L0 CL-SSTables pin.", l, st.DiskBytes)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_files", "On-disk table files held by the shard.", l, int64(st.Files))
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_l0_depth", "The shard's L0 read depth: the most L0 tables whose key range holds any one key. Where L0 can fold, its compaction trigger and write stop count this instead of files.", l, int64(st.Levels[0].Depth))
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_l0_log_bytes", "Commit-log bytes the shard's L0 CL-SSTables pin.", l, st.Levels[0].LogBytes)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_l0_log_ceiling_bytes", l0LogCeilingHelp, l, st.Levels[0].LogCeiling)
+		},
+		func(st *ShardStat, l string) {
+			p.GaugeF("triad_shard_write_amplification", "The shard's own write amplification.", l, st.WA)
+		},
+		func(st *ShardStat, l string) {
+			p.GaugeF("triad_shard_read_amplification", "The shard's own read amplification.", l, st.RA)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_compaction_backlog_bytes", "The shard's pending-compaction byte estimate.", l, st.CompactionDebt)
+		},
+		func(st *ShardStat, l string) {
+			p.Counter("triad_compaction_spilled_bytes_total", "Of the bytes written by compactions on the shard, those L0 merges' spills wrote one level below the merge's output level because the output level had no room for them.", l, st.BytesSpilled)
+		},
+		func(st *ShardStat, l string) {
+			p.Counter("triad_shard_write_stalls_total", "Write-stall episodes on the shard.", l, st.WriteStalls)
+		},
+		func(st *ShardStat, l string) {
+			p.CounterF("triad_shard_write_stall_seconds_total", "Wall time the shard's writers spent blocked in stalls.", l, st.WriteStallTime.Seconds())
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_unsynced_log_bytes", "Commit-log bytes the shard acknowledged that a power cut could still take: the live log's and each queued memtable's log's size less its length at its last sync.", l, st.UnsyncedLogBytes)
+		},
+		func(st *ShardStat, l string) {
+			bgErr := int64(0)
+			if st.BackgroundError != nil {
+				bgErr = 1
+			}
+			p.Gauge("triad_shard_background_error", "1 once a flush or compaction on the shard has failed: its background work has stopped and every write to it fails until the store is reopened; 0 otherwise.", l, bgErr)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_kept_versions", "Replaced versions the shard's memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", l, int64(st.KeptVersions))
+		},
+		func(st *ShardStat, l string) {
+			p.Counter("triad_shard_cache_hits_total", "Block-cache lookups by this shard served from memory.", l, st.CacheHits)
+		},
+		func(st *ShardStat, l string) {
+			p.Counter("triad_shard_cache_misses_total", "Block-cache lookups by this shard that went to disk.", l, st.CacheMisses)
+		},
+		func(st *ShardStat, l string) {
+			p.Gauge("triad_shard_cache_resident_bytes", "Shared-cache bytes currently held by this shard's blocks.", l, st.CacheBytes)
+		},
+		func(st *ShardStat, l string) {
+			for src := obs.Source(0); src < obs.NumSources; src++ {
+				p.Counter("triad_io_bytes_total",
+					"Disk bytes attributed by shard and source. user_write is WA's denominator; wal+flush+fold+compaction_write its numerator; compaction_read is merge input, snapshot_gc zombie bytes reclaimed.",
+					fmt.Sprintf("%s,source=%q", l, src.String()), st.IO[src])
+			}
+		},
+	} {
+		for i := range r.shards {
+			emit(&r.shards[i], shardLabels[i])
 		}
-		p.Gauge("triad_shard_background_error", "1 once a flush or compaction on the shard has failed: its background work has stopped and every write to it fails until the store is reopened; 0 otherwise.", l, bgErr)
-		p.Gauge("triad_shard_kept_versions", "Replaced versions the shard's memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", l, int64(st.KeptVersions))
-		p.Counter("triad_shard_cache_hits_total", "Block-cache lookups by this shard served from memory.", l, st.CacheHits)
-		p.Counter("triad_shard_cache_misses_total", "Block-cache lookups by this shard that went to disk.", l, st.CacheMisses)
-		p.Gauge("triad_shard_cache_resident_bytes", "Shared-cache bytes currently held by this shard's blocks.", l, st.CacheBytes)
-		for lvl, ls := range st.Levels {
-			ll := fmt.Sprintf("%s,level=%q", l, strconv.Itoa(lvl))
-			p.Gauge("triad_level_files", "Table files on the level.", ll, int64(ls.Files))
-			p.Gauge("triad_level_bytes", "Bytes on the level: its tables and, for L0, the commit logs its CL-SSTables pin.", ll, ls.Bytes)
-			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count, or where it can fold by read depth).", ll, ls.Target)
-			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files, or where it can fold read depth, over trigger); above 1 the level is owed a compaction.", ll, ls.Score)
-			p.Counter("triad_level_l0_merges_total", "L0 merges that wrote the level as their output level: L1, or a deeper level where the merge's batch outweighed the bytes under it down to that level.", ll, ls.L0Merges)
-			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", ll, ls.CompactedBytes)
-			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: in L0 every table whose range holds the key down to the one holding it, one table per deeper level.", ll, ls.Probes)
-			p.Counter("triad_get_filter_negatives_total", "Of the level's probes, those its Bloom filters turned away without a read.", ll, ls.FilterNegatives)
-			p.Counter("triad_get_filter_false_positives_total", "Of the level's probes, those its Bloom filters passed for a key the table does not hold; the rest of the probes past the filter found the key.", ll, ls.FilterFalsePositives)
-			getReads := "Disk reads lookups charged on the level, by source: block (a block the cache did not hold) or log (a CL-SSTable value's commit-log record); sums over levels and sources to the reads behind triad_read_amplification."
-			p.Counter("triad_get_reads_total", getReads, ll+`,source="block"`, ls.BlockReads)
-			p.Counter("triad_get_reads_total", getReads, ll+`,source="log"`, ls.LogReads)
-		}
-		for src := obs.Source(0); src < obs.NumSources; src++ {
-			p.Counter("triad_io_bytes_total",
-				"Disk bytes attributed by shard and source. user_write is WA's denominator; wal+flush+fold+compaction_write its numerator; compaction_read is merge input, snapshot_gc zombie bytes reclaimed.",
-				fmt.Sprintf("shard=%q,source=%q", strconv.Itoa(st.Shard), src.String()), st.IO[src])
+	}
+	getReads := "Disk reads lookups charged on the level, by source: block (a block the cache did not hold) or log (a CL-SSTable value's commit-log record); sums over levels and sources to the reads behind triad_read_amplification."
+	for _, emit := range []func(ls *lsm.LevelStat, l string){
+		func(ls *lsm.LevelStat, l string) {
+			p.Gauge("triad_level_files", "Table files on the level.", l, int64(ls.Files))
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Gauge("triad_level_bytes", "Bytes on the level: its tables and, for L0, the commit logs its CL-SSTables pin.", l, ls.Bytes)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Gauge("triad_level_target_bytes", "Byte target the picker currently allows the level, sized from the shard's deepest level (0 for L0, which is triggered by file count, or where it can fold by read depth).", l, ls.Target)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.GaugeF("triad_level_score", "Compaction pressure: level bytes over target (L0: files, or where it can fold read depth, over trigger); above 1 the level is owed a compaction.", l, ls.Score)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_level_l0_merges_total", "L0 merges that wrote the level as their output level: L1, or a deeper level where the merge's batch outweighed the bytes under it down to that level.", l, ls.L0Merges)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_level_compacted_bytes_total", "Bytes written by compactions that took their input from the level; sums over levels to triad_bytes_compacted_total.", l, ls.CompactedBytes)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_get_probes_total", "Tables on the level that lookups consulted: in L0 every table whose range holds the key down to the one holding it, one table per deeper level.", l, ls.Probes)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_get_filter_negatives_total", "Of the level's probes, those its Bloom filters turned away without a read.", l, ls.FilterNegatives)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_get_filter_false_positives_total", "Of the level's probes, those its Bloom filters passed for a key the table does not hold; the rest of the probes past the filter found the key.", l, ls.FilterFalsePositives)
+		},
+		func(ls *lsm.LevelStat, l string) {
+			p.Counter("triad_get_reads_total", getReads, l+`,source="block"`, ls.BlockReads)
+			p.Counter("triad_get_reads_total", getReads, l+`,source="log"`, ls.LogReads)
+		},
+	} {
+		for i := range r.shards {
+			for lvl := range r.shards[i].Levels {
+				emit(&r.shards[i].Levels[lvl], fmt.Sprintf("%s,level=%q", shardLabels[i], strconv.Itoa(lvl)))
+			}
 		}
 	}
 
@@ -395,6 +470,11 @@ func (db *DB) WriteMetrics(p *obs.Prom) {
 	p.Counter("triad_events_total", "Background events (flush/compaction/snapshot-gc/stall) ever journaled.", "", int64(ev.Total()))
 	p.Counter("triad_journal_dropped_total", "Background events overwritten in the ring before any reader saw them.", "", int64(ev.Dropped()))
 }
+
+// l0LogCeilingHelp describes triad_l0_log_ceiling_bytes in the terms of
+// compaction.Picker.L0LogCeiling.
+var l0LogCeilingHelp = fmt.Sprintf("Where L0 can fold, the commit-log bytes the shard's L0 may pin before it merges whatever its rent: %d full logs, or %d times the bytes its merge would rewrite if more. Zero where L0 cannot fold.",
+	compaction.MaxFilesL0, compaction.L0LogPerPriceByte)
 
 // CompactionDebt sums every shard's pending-compaction byte estimate —
 // the store-wide backlog the background pool is draining.
