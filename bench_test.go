@@ -59,7 +59,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // of a 2-shard store: a Put of a key the memtable holds (put/hot) and of
 // one it does not (put/new), a 64-put batch (apply/64, one WAL write per
 // touched shard), and Puts from two goroutines spread over the two shards
-// (put/w2-s2: the commit locks and the watermark under contention).
+// (put/w2-s2: the commit locks under contention).
 // ns/op and allocs/op are the numbers; TestPutPathBudget in
 // internal/shard gates the allocations and the device writes.
 func BenchmarkPutPath(b *testing.B) {

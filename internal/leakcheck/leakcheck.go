@@ -1,7 +1,7 @@
 // Package leakcheck holds the leak checks the tests of this module run.
 // A leaked snapshot or iterator pins zombie tables and the commit logs
-// their CL-SSTables index, a leaked epoch ticket parks the commit
-// watermark for good, and a leaked pool, server or connection leaves
+// their CL-SSTables index, a leaked epoch ticket holds its shards' commit
+// locks for good, and a leaked pool, server or connection leaves
 // goroutines behind; each is reclaimed only by an explicit Close. So a
 // test that drops one must fail:
 //

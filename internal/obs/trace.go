@@ -22,8 +22,9 @@ const (
 	// SpanDecode is socket wait + RESP parse: last reply handed off →
 	// command dispatched.
 	SpanDecode SpanKind = iota
-	// SpanBarrier is a read's read-your-writes wait: blocking until the
-	// connection's last write group is sealed and committed.
+	// SpanBarrier is a read's read-your-writes wait: blocking until every
+	// write group the connection enqueued since its last read has
+	// committed.
 	SpanBarrier
 	// SpanCoalesce is this op's enqueue into a write group → the group
 	// detached for commit (the batching window).

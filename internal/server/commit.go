@@ -20,13 +20,11 @@ type tracedOp struct {
 }
 
 // pending is one group of writes awaiting a shared commit. Connections
-// hold a reference per enqueued command; sealed closes once the group's
-// epoch is assigned (at coalesce time), done once the commit finished,
-// with err carrying the outcome to every waiter.
+// hold a reference per enqueued command; done closes once the commit
+// finished (or the prepare failed), with err carrying the outcome to
+// every waiter.
 type pending struct {
 	batch  lsm.Batch
-	sealed chan struct{} // epoch assigned (or the prepare failed)
-	epoch  uint64        // valid once sealed is closed; 0 = prepare failed
 	done   chan struct{}
 	err    error
 	start  time.Time
@@ -99,7 +97,7 @@ func (c *committer) enqueue(entries []base.Entry, tr *obs.Trace) (*pending, erro
 		return nil, errShuttingDown
 	}
 	if c.cur == nil {
-		c.cur = &pending{sealed: make(chan struct{}), done: make(chan struct{}), start: time.Now()}
+		c.cur = &pending{done: make(chan struct{}), start: time.Now()}
 		select {
 		case c.kick <- struct{}{}:
 		default:
@@ -130,12 +128,11 @@ func (c *committer) loop() {
 }
 
 // commit waits for a pipeline slot, then detaches the open group,
-// Prepares it (assigning its epoch — waiters unblock on sealed the
-// moment the position in the commit order is known), and hands the
-// Commit to a pipelined goroutine. Acquiring the slot before detaching
-// is what makes batching leader-based: while every slot is busy, the
-// open group keeps absorbing arrivals, so batches grow with load. On
-// quit there may be no open group to detach.
+// Prepares it (fixing its epoch, its position in the commit order), and
+// hands the Commit to a pipelined goroutine. Acquiring the slot before
+// detaching is what makes batching leader-based: while every slot is
+// busy, the open group keeps absorbing arrivals, so batches grow with
+// load. On quit there may be no open group to detach.
 func (c *committer) commit() {
 	c.inflight <- struct{}{}
 	c.mu.Lock()
@@ -158,13 +155,10 @@ func (c *committer) commit() {
 	cm, err := c.store.Prepare(&pb.batch)
 	if err != nil {
 		pb.err = err
-		close(pb.sealed)
 		close(pb.done)
 		<-c.inflight
 		return
 	}
-	pb.epoch = cm.Epoch()
-	close(pb.sealed)
 	prepared := time.Now()
 	c.ob.stage[obs.StageEpochWait].Record(prepared.Sub(detached))
 	var trs obs.Traces
@@ -174,7 +168,7 @@ func (c *committer) commit() {
 			trs = append(trs, to.tr)
 		}
 		trs.SpanAt(obs.SpanEpochWait, detached, prepared.Sub(detached),
-			fmt.Sprintf("epoch %d", pb.epoch))
+			fmt.Sprintf("epoch %d", cm.Epoch()))
 		// The engine records wal_append/memtable_apply into every trace
 		// riding the group while the sub-batches commit.
 		cm.Trace(trs)

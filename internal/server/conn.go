@@ -51,11 +51,12 @@ type conn struct {
 	w   *resp.Writer
 
 	replies chan reply
-	// lastWrite is the connection's most recent group-commit enqueue;
-	// reads wait on it so a connection observes its own writes.
-	lastWrite *pending
-	quit      bool        // QUIT received: stop reading after replying
-	draining  atomic.Bool // server shutdown: reader unblocked via read deadline
+	// writes are the distinct groups the connection enqueued into since
+	// its last barrier, less those already done; reads wait on them so a
+	// connection observes its own writes.
+	writes   []*pending
+	quit     bool        // QUIT received: stop reading after replying
+	draining atomic.Bool // server shutdown: reader unblocked via read deadline
 
 	// cursors are the connection's open SCAN cursors by id (see cursor).
 	curMu   sync.Mutex
@@ -335,29 +336,45 @@ func (c *conn) wantArgs(args [][]byte, minA, maxA int, usage string) bool {
 	return true
 }
 
-// barrier makes a following read observe the connection's last enqueued
-// write group (read-your-writes within a connection). It is keyed on
-// the group's epoch: wait for the epoch to be assigned (coalesce time),
-// then for the store's commit watermark to reach it. The barrier does
-// not need the group's error — the write's own queued reply carries it.
+// barrier makes a following read observe every write group the
+// connection enqueued (read-your-writes within a connection): it waits
+// for each one's commit to finish. Up to commitPipeline groups apply at
+// once, so the last group's being done says nothing of the earlier ones.
+// The barrier does not need a group's error — the write's own queued
+// reply carries it.
 func (c *conn) barrier(tr *obs.Trace) {
-	pb := c.lastWrite
-	if pb == nil {
+	if len(c.writes) == 0 {
 		return
 	}
-	c.lastWrite = nil
 	var bs time.Time
 	if tr != nil {
 		bs = time.Now()
 	}
-	<-pb.sealed
-	if pb.epoch == 0 {
-		// Prepare failed; the group never entered the commit order.
+	for _, pb := range c.writes {
 		<-pb.done
-	} else {
-		c.srv.store.WaitCommitted(pb.epoch)
 	}
+	clear(c.writes)
+	c.writes = c.writes[:0]
 	tr.Span(obs.SpanBarrier, bs, "read-your-writes wait")
+}
+
+// wrote records that the connection enqueued into pb, dropping the
+// groups whose commit has finished; the rest are at most the groups its
+// unanswered replies wait on.
+func (c *conn) wrote(pb *pending) {
+	if n := len(c.writes); n > 0 && c.writes[n-1] == pb {
+		return
+	}
+	keep := c.writes[:0]
+	for _, w := range c.writes {
+		select {
+		case <-w.done:
+		default:
+			keep = append(keep, w)
+		}
+	}
+	clear(c.writes[len(keep):])
+	c.writes = append(keep, pb)
 }
 
 // get executes a point read and shapes the reply. A sampled read passes
@@ -394,7 +411,7 @@ func (c *conn) write(keys [][]byte, entries []base.Entry, ok resp.Value, fam obs
 		c.replies <- reply{v: resp.Error(fmtErr(err)), tr: tr}
 		return
 	}
-	c.lastWrite = pb
+	c.wrote(pb)
 	c.replies <- reply{pb: pb, ok: ok, fam: fam, start: start, key: key, tracked: true, tr: tr}
 }
 

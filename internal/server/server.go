@@ -20,9 +20,10 @@
 //
 // Per-connection ordering is preserved: replies are sent in request
 // order, and a read observes every earlier write of its own connection
-// (the reader waits for the epoch of the connection's last write group
-// before serving GET/MGET/SCAN — reads of other connections' in-flight
-// writes are not ordered, exactly as with any concurrent store).
+// (before serving GET/MGET/SCAN the reader waits for each write group the
+// connection enqueued since its last read to finish committing — reads
+// of other connections' in-flight writes are not ordered, exactly as
+// with any concurrent store).
 //
 // A SCAN cursor, which pins a store snapshot across pages, belongs to the
 // connection that opened it: it lives in that connection's cursor map,
@@ -57,12 +58,9 @@ type Store interface {
 	GetTraced(key []byte, tr *obs.Trace) ([]byte, error)
 	// Prepare stages a batch in the store's commit pipeline, fixing its
 	// epoch; Commit applies it. The group committer uses the staged form
-	// so it can publish a group's epoch to waiters at coalesce time and
-	// pipeline the applies.
+	// so it can pipeline the applies: groups Prepared in order commit in
+	// that order on every shard they share.
 	Prepare(b *lsm.Batch) (*shard.Commit, error)
-	// WaitCommitted blocks until every epoch at or below epoch has
-	// committed — the read-your-writes barrier.
-	WaitCommitted(epoch uint64)
 	Flush() error
 	// NewIterator opens a streaming scan of [start, limit) on a
 	// point-in-time view it pins until Close; every SCAN reads through

@@ -14,28 +14,27 @@ import (
 //   - every ticket (a batch or a snapshot capture) holds one unique
 //     epoch;
 //   - a ticket holds the commit lock of every shard it touches from
-//     before its epoch is drawn until it has finished there, so per
-//     shard, tickets execute one at a time and in epoch order. Any two
+//     before its epoch is drawn until it is done there, so per shard,
+//     tickets execute one at a time and in epoch order. Any two
 //     tickets that share a shard are therefore ordered the same way
 //     everywhere they meet — conflicting cross-shard batches are
 //     serializable, and a snapshot ticket spanning all shards captures
-//     every shard at the same logical instant;
-//   - a committed watermark tracks the contiguous prefix of finished
-//     epochs, which is what a read-your-writes barrier keys on.
+//     every shard at the same logical instant.
+//
+// The clock keeps no record of which epochs are done: a ticket is
+// done on a shard when it releases that shard's lock, and whoever must
+// see a write waits on the write itself (the server's read-your-writes
+// barrier waits on its connection's own groups).
 //
 // A ticket whose predecessor on a shard is still running blocks on that
 // shard's mutex — one waiter is handed the lock when it is released; no
-// goroutine is parked on a condition variable and woken to re-check. A ticket takes its shards' locks in index order, so
-// tickets cannot deadlock, and shards that share no ticket never
-// synchronize beyond one atomic add for the epoch.
+// goroutine is parked on a condition variable and woken to re-check. A
+// ticket takes its shards' locks in index order, so tickets cannot
+// deadlock, and shards that share no ticket never synchronize beyond one
+// atomic add for the epoch.
 type clock struct {
 	last   atomic.Uint64 // last epoch handed out
 	shards []shardLock   // per shard: the commit lock
-
-	mu        sync.Mutex
-	committed uint64              // every epoch <= committed has finished
-	finished  map[uint64]struct{} // epochs finished out of order
-	waiters   []epochWaiter       // blocked waitCommitted calls
 }
 
 // shardLock is one shard's commit lock on a cache line of its own, so
@@ -46,29 +45,18 @@ type shardLock struct {
 	_ [64 - 8]byte
 }
 
-// epochWaiter is one waitCommitted call: ready is closed once the
-// watermark reaches epoch.
-type epochWaiter struct {
-	epoch uint64
-	ready chan struct{}
-}
-
 // newClock returns a clock over shards commit locks resuming at epoch
 // last (the highest sequence any shard recovered; new stores start at 0).
 func newClock(shards int, last uint64) *clock {
-	c := &clock{
-		committed: last,
-		shards:    make([]shardLock, shards),
-		finished:  make(map[uint64]struct{}),
-	}
+	c := &clock{shards: make([]shardLock, shards)}
 	c.last.Store(last)
 	return c
 }
 
 // acquire takes the commit lock of every listed shard — shards must be
 // in ascending order — and then draws the ticket's epoch. The caller must
-// release every listed shard and then finish the epoch, even on error
-// paths, or everything behind it on those shards blocks forever.
+// release every listed shard, even on error paths, or everything behind
+// it on those shards blocks forever.
 //
 // It first yields the processor: this is the one point of a commit at
 // which the goroutine holds nothing. Writers that never block would
@@ -93,52 +81,3 @@ func (c *clock) acquire(shards []int) uint64 {
 
 // release marks the ticket done on shard i, admitting the next one there.
 func (c *clock) release(i int) { c.shards[i].Unlock() }
-
-// finish retires epoch from the total order; the committed watermark
-// advances over every contiguously finished epoch.
-func (c *clock) finish(epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if epoch != c.committed+1 {
-		c.finished[epoch] = struct{}{}
-		return
-	}
-	c.committed = epoch
-	for len(c.finished) > 0 {
-		if _, ok := c.finished[c.committed+1]; !ok {
-			break
-		}
-		c.committed++
-		delete(c.finished, c.committed)
-	}
-	keep := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.epoch <= c.committed {
-			close(w.ready)
-		} else {
-			keep = append(keep, w)
-		}
-	}
-	c.waiters = keep
-}
-
-// waitCommitted blocks until the committed watermark reaches epoch —
-// every ticket at or below it has finished.
-func (c *clock) waitCommitted(epoch uint64) {
-	c.mu.Lock()
-	if c.committed >= epoch {
-		c.mu.Unlock()
-		return
-	}
-	w := epochWaiter{epoch: epoch, ready: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-	<-w.ready
-}
-
-// committedEpoch reports the watermark.
-func (c *clock) committedEpoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.committed
-}

@@ -34,7 +34,6 @@ func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 					order[s] = append(order[s], epoch)
 					c.release(s)
 				}
-				c.finish(epoch)
 			}
 		}(w)
 	}
@@ -46,52 +45,50 @@ func TestClockEpochsUniqueAndOrdered(t *testing.T) {
 			}
 		}
 	}
-	// Every ticket finished, so the watermark is the last epoch issued.
-	if got := c.committedEpoch(); got != uint64(workers*perWorker) {
-		t.Fatalf("committedEpoch = %d, want %d", got, workers*perWorker)
+	// One epoch per ticket, and every ticket released its shards.
+	if got := c.last.Load(); got != uint64(workers*perWorker) {
+		t.Fatalf("last epoch = %d, want %d", got, workers*perWorker)
+	}
+	if held := heldShards(c); len(held) > 0 {
+		t.Fatalf("shards %v still locked after every ticket released", held)
 	}
 }
 
-// TestClockWatermarkGap: the committed watermark must not advance past
-// an unfinished epoch, even when later epochs finish first.
-func TestClockWatermarkGap(t *testing.T) {
-	c := newClock(2, 0)
-	e1 := c.acquire([]int{0})
-	e2 := c.acquire([]int{1})
-	// e2 finishes first: watermark stays below e1.
-	c.release(1)
-	c.finish(e2)
-	if got := c.committedEpoch(); got != 0 {
-		t.Fatalf("committedEpoch = %d with epoch %d unfinished, want 0", got, e1)
+// heldShards lists the shards whose commit lock a ticket still holds.
+// Call it only when no ticket may be running: it takes each free lock
+// for a moment.
+func heldShards(c *clock) []int {
+	var held []int
+	for i := range c.shards {
+		if !c.shards[i].TryLock() {
+			held = append(held, i)
+			continue
+		}
+		c.shards[i].Unlock()
 	}
-	done := make(chan struct{})
-	go func() {
-		c.waitCommitted(e2)
-		close(done)
-	}()
-	c.release(0)
-	c.finish(e1)
-	<-done // waitCommitted(e2) unblocks once the gap closes
-	if got := c.committedEpoch(); got != e2 {
-		t.Fatalf("committedEpoch = %d, want %d", got, e2)
-	}
+	return held
 }
 
 // TestClockResume: a clock resuming from a recovered sequence issues
 // epochs strictly above it.
 func TestClockResume(t *testing.T) {
 	c := newClock(2, 41)
-	if got := c.committedEpoch(); got != 41 {
-		t.Fatalf("committedEpoch = %d, want 41", got)
+	if got := c.last.Load(); got != 41 {
+		t.Fatalf("last epoch = %d, want 41", got)
 	}
 	epoch := c.acquire([]int{0, 1})
 	if epoch != 42 {
 		t.Fatalf("first epoch = %d, want 42", epoch)
 	}
+	if held := heldShards(c); len(held) != 2 {
+		t.Fatalf("shards %v locked while the ticket holds both", held)
+	}
 	c.release(0)
 	c.release(1)
-	c.finish(epoch)
-	if got := c.committedEpoch(); got != 42 {
-		t.Fatalf("committedEpoch = %d, want 42", got)
+	if got := c.last.Load(); got != 42 {
+		t.Fatalf("last epoch = %d, want 42", got)
+	}
+	if held := heldShards(c); len(held) > 0 {
+		t.Fatalf("shards %v still locked after the ticket released them", held)
 	}
 }

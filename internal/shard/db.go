@@ -26,7 +26,7 @@
 //
 // Two lifetime invariants here are checked at runtime by the tests (see
 // README "Leak checks"): every *Commit ticket minted by Prepare must
-// reach Commit (an unsettled ticket holds the epoch pipeline open
+// reach Commit (an unsettled ticket holds its shards' commit locks
 // forever), and every Snapshot and iterator must be closed (snapshots
 // pin the memtable versions they read and zombie sstables until
 // released).
@@ -331,8 +331,7 @@ func (db *DB) Delete(key []byte) error {
 
 // writeOne commits one operation on key's shard at a fresh epoch — the
 // degenerate, inline form of the commit pipeline. Uncontended it takes
-// three locks (the shard's commit lock, the engine's, the watermark's)
-// and parks nowhere.
+// two locks (the shard's commit lock and the engine's) and parks nowhere.
 func (db *DB) writeOne(key, value []byte, kind base.Kind) error {
 	i := fnv(key, len(db.shards))
 	s := db.shards[i]
@@ -347,7 +346,6 @@ func (db *DB) writeOne(key, value []byte, kind base.Kind) error {
 	epoch := db.clk.acquire([]int{i})
 	err := s.WriteAt(epoch, key, value, kind)
 	db.clk.release(i)
-	db.clk.finish(epoch)
 	db.applyLat.Record(time.Since(start))
 	return err
 }
@@ -377,10 +375,11 @@ func (c *Commit) Trace(trs obs.Traces) { c.trs = trs }
 
 // Prepare stages b in the commit pipeline: validate, split into
 // per-shard sub-batches, absorb write stalls, and take the epoch ticket
-// — waiting, on each touched shard, for the ticket ahead to finish
-// there. The returned Commit's epoch is final — later Prepares get
-// later epochs — which is what lets a caller (the server's group
-// committer) publish the epoch to waiters before the writes land.
+// — waiting, on each touched shard, for the ticket ahead to release it.
+// The returned Commit's epoch is final — later Prepares get later
+// epochs — which is what lets a caller (the server's group committer)
+// run several Commits at once: they land in Prepare order on every shard
+// they share.
 func (db *DB) Prepare(b *Batch) (*Commit, error) {
 	if b.Committed() {
 		return nil, errors.New("shard: batch already applied (Reset to reuse)")
@@ -428,8 +427,10 @@ func (c *Commit) Epoch() uint64 { return c.epoch }
 // releasing each shard as its sub-batch lands. A failure can still leave
 // the batch applied on some shards and not others (the batch then stays
 // uncommitted, so retrying with a fresh Prepare is safe — re-applying a
-// Put/Delete set is idempotent); the shards and the watermark are always
-// released, so an error never wedges the pipeline.
+// Put/Delete set is idempotent); every shard is always released, so an
+// error never wedges the pipeline. The last sub-batch commits on the
+// caller's goroutine and the others beside it, so a one-shard batch
+// starts no goroutine.
 //
 // Write stalls are absorbed at Prepare time, before the ticket exists; a
 // stall that develops between Prepare and Commit is sat out inside the
@@ -443,39 +444,29 @@ func (c *Commit) Commit() error {
 	}
 	c.used = true
 	db := c.db
+	if len(c.shards) == 0 { // empty batch: its ticket holds no shard
+		c.b.MarkCommitted()
+		return nil
+	}
 	start := time.Now()
-	var err error
-	switch len(c.shards) {
-	case 0: // empty batch: the ticket is just a watermark event
-	case 1:
-		i := c.shards[0]
-		err = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
+	errs := make([]error, len(c.shards))
+	run := func(j, i int) {
+		errs[j] = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
 		db.clk.release(i)
-	default:
-		errs := make([]error, len(c.shards))
-		run := func(j, i int) {
-			errs[j] = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
-			db.clk.release(i)
-		}
-		// The last sub-batch commits on this goroutine, the others beside it.
-		last := len(c.shards) - 1
-		var wg sync.WaitGroup
-		for j, i := range c.shards[:last] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(j, i)
-			}()
-		}
-		run(last, c.shards[last])
-		wg.Wait()
-		err = errors.Join(errs...)
 	}
-	db.clk.finish(c.epoch)
-	if len(c.shards) > 0 {
-		db.applyLat.Record(time.Since(start))
+	last := len(c.shards) - 1
+	var wg sync.WaitGroup
+	for j, i := range c.shards[:last] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(j, i)
+		}()
 	}
-	if err != nil {
+	run(last, c.shards[last])
+	wg.Wait()
+	db.applyLat.Record(time.Since(start))
+	if err := errors.Join(errs...); err != nil {
 		return err
 	}
 	c.b.MarkCommitted()
@@ -500,13 +491,23 @@ func (db *DB) Apply(b *Batch) error {
 	return c.Commit()
 }
 
-// CommittedEpoch reports the commit watermark: every epoch at or below
-// it has finished on all its shards.
-func (db *DB) CommittedEpoch() uint64 { return db.clk.committedEpoch() }
+// LastEpoch reports the last epoch the commit clock drew. Its ticket may
+// still be applying.
+func (db *DB) LastEpoch() uint64 { return db.clk.last.Load() }
 
-// WaitCommitted blocks until the watermark reaches epoch — the
-// read-your-writes barrier for a caller holding a Commit's epoch.
-func (db *DB) WaitCommitted(epoch uint64) { db.clk.waitCommitted(epoch) }
+// WaitCommitted returns once every ticket drawn before the call — epoch
+// included — has applied on each of its shards: it takes and drops each
+// shard's commit lock in index order. A ticket holds all its locks before
+// it draws its epoch, so once the sweep has passed a shard, every earlier
+// ticket there has released it. The store no longer calls it (the
+// server's barrier waits on its connection's own groups); it stays for
+// callers that hold only an epoch.
+func (db *DB) WaitCommitted(epoch uint64) {
+	for i := range db.clk.shards {
+		db.clk.shards[i].Lock()
+		db.clk.shards[i].Unlock()
+	}
+}
 
 // Flush seals and drains every shard's memtable, in parallel.
 func (db *DB) Flush() error {

@@ -31,8 +31,8 @@ func smallEngine() lsm.Options {
 // openMem opens an in-memory store that the test's cleanup closes. Before
 // it closes the store, the cleanup checks that the test left no snapshot
 // or iterator open on it and no epoch ticket outstanding (a Prepare never
-// committed nor aborted parks the commit watermark for good); after, that
-// no file handle is left open on any shard's filesystem.
+// committed nor aborted holds its shards' commit locks for good); after,
+// that no file handle is left open on any shard's filesystem.
 func openMem(t *testing.T, shards int) *DB {
 	t.Helper()
 	newFS, checkClosed := leakcheck.ShardMemFS(t, shards)
@@ -61,8 +61,8 @@ func checkReleased(t *testing.T, db *DB) {
 			t.Errorf("shard %d: %d snapshots (or iterators) still open", i, n)
 		}
 	}
-	if last, committed := db.clk.last.Load(), db.clk.committedEpoch(); last != committed {
-		t.Errorf("epoch %d handed out, watermark at %d: a ticket was never committed or aborted", last, committed)
+	if held := heldShards(db.clk); len(held) > 0 {
+		t.Errorf("commit locks of shards %v still held: a ticket was never committed or aborted", held)
 	}
 }
 
@@ -233,9 +233,9 @@ func TestBatchFanout(t *testing.T) {
 
 // TestApplyLeavesNoTicket drives Apply through every batch shape Prepare
 // accepts, and the ones it refuses, on a one-shard store (where the batch
-// is its own sub-batch) and a four-shard one: after each, every epoch
-// handed out has finished, so no ticket is left to park the commit
-// watermark and the writes and snapshots behind it.
+// is its own sub-batch) and a four-shard one: after each, every shard's
+// commit lock is free, so no ticket is left to park the writes and
+// snapshots behind it.
 func TestApplyLeavesNoTicket(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		db := openMem(t, shards)
@@ -275,12 +275,11 @@ func TestApplyLeavesNoTicket(t *testing.T) {
 			if (err != nil) != c.refuse {
 				t.Fatalf("%d shards, %s: Apply = %v", shards, c.name, err)
 			}
-			last, watermark := db.clk.last.Load(), db.clk.committedEpoch()
-			if !c.refuse && last == before {
+			if !c.refuse && db.clk.last.Load() == before {
 				t.Errorf("%d shards, %s: Apply drew no ticket", shards, c.name)
 			}
-			if last != watermark { // and the next Apply would wait for it forever
-				t.Fatalf("%d shards, %s: epoch %d handed out, watermark at %d", shards, c.name, last, watermark)
+			if held := heldShards(db.clk); len(held) > 0 { // and the next Apply would wait for them forever
+				t.Fatalf("%d shards, %s: commit locks of shards %v still held", shards, c.name, held)
 			}
 		}
 	}

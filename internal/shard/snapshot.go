@@ -36,7 +36,6 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		}
 		db.clk.release(i)
 	}
-	db.clk.finish(epoch)
 	if firstErr != nil {
 		for _, s := range snaps {
 			if s != nil {

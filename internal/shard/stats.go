@@ -251,7 +251,7 @@ func (db *DB) Stats() string {
 			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Resident, cs.Capacity, cs.Evictions, cs.AdmissionRejects)
 	}
 	fmt.Fprintf(&b, "commit epoch: %d  snapshots: %d open, %d leaked  kept versions: %d\n",
-		db.CommittedEpoch(), db.OpenSnapshots(), db.LeakedSnapshots(), r.kept)
+		db.LastEpoch(), db.OpenSnapshots(), db.LeakedSnapshots(), r.kept)
 	if lat := db.applyLat; lat.Count() > 0 {
 		h := lat.Snapshot()
 		fmt.Fprintf(&b, "apply latency: n=%d p50=%s p90=%s p99=%s p99.9=%s max=%s\n",
@@ -457,7 +457,7 @@ func (db *DB) WriteMetrics(p *obs.Prom) {
 		}
 	}
 
-	p.Gauge("triad_commit_epoch", "Store-wide commit watermark (every epoch at or below has committed).", "", int64(db.CommittedEpoch()))
+	p.Gauge("triad_commit_epoch", "Last epoch the store commit clock drew (its batch may still be applying).", "", int64(db.LastEpoch()))
 	p.Gauge("triad_snapshots_open", "Live store snapshots, scans' own included: a snapshot counts until its handle and every iterator opened from it are closed or reclaimed.", "", int64(db.OpenSnapshots()))
 	p.Counter("triad_snapshots_leaked_total", "Store snapshots the finalizer reclaimed because their handle or an iterator opened from them was dropped without Close.", "", db.LeakedSnapshots())
 	p.Gauge("triad_kept_versions", "Replaced versions all memtables keep for open snapshots; one for a closed snapshot goes with the next overwrite of its key, or with its memtable.", "", int64(r.kept))
