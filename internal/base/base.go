@@ -62,7 +62,9 @@ func Compare(a, b Entry) int {
 // Clone deep-copies the entry so callers may retain it past the lifetime
 // of the buffer it was decoded from.
 func (e Entry) Clone() Entry {
-	c := e
+	// A fresh value, not a copy of e, so that e's slices do not flow into
+	// the result: a caller's decode buffer can then stay on its stack.
+	c := Entry{Seq: e.Seq, Kind: e.Kind}
 	c.Key = append([]byte(nil), e.Key...)
 	if e.Value != nil {
 		c.Value = append([]byte(nil), e.Value...)

@@ -6,12 +6,11 @@
 // large-range correction). A sketch with precision p uses 2^p one-byte
 // registers; TRIAD uses 4 KB sketches (p = 12), which gives a standard
 // error of 1.04/sqrt(4096) ≈ 1.6% — far more accurate than the 0.4 overlap
-// threshold decision requires.
+// threshold decision requires. Sketches live in memory only: a table's is
+// rebuilt from its keys when it is opened (sstable.Table.BuildSketch).
 package hll
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -169,32 +168,4 @@ func OverlapRatio(sketches []*Sketch) float64 {
 		return 0
 	}
 	return r
-}
-
-// Marshal serializes the sketch: 1 byte precision, 8 bytes count, then the
-// registers.
-func (s *Sketch) Marshal() []byte {
-	out := make([]byte, 1+8+len(s.registers))
-	out[0] = s.p
-	binary.LittleEndian.PutUint64(out[1:9], s.count)
-	copy(out[9:], s.registers)
-	return out
-}
-
-// Unmarshal parses a sketch produced by Marshal.
-func Unmarshal(b []byte) (*Sketch, error) {
-	if len(b) < 9 {
-		return nil, errors.New("hll: short buffer")
-	}
-	p := b[0]
-	s, err := New(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != 9+len(s.registers) {
-		return nil, fmt.Errorf("hll: bad buffer length %d for precision %d", len(b), p)
-	}
-	s.count = binary.LittleEndian.Uint64(b[1:9])
-	copy(s.registers, b[9:])
-	return s, nil
 }

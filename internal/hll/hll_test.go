@@ -148,35 +148,6 @@ func TestOverlapRatioPaperExample(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	s := MustNew(12)
-	for i := 0; i < 5000; i++ {
-		s.Add([]byte(fmt.Sprintf("key-%d", i)))
-	}
-	got, err := Unmarshal(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate() != s.Estimate() || got.Count() != s.Count() {
-		t.Fatalf("round trip changed estimate: %d/%d vs %d/%d",
-			got.Estimate(), got.Count(), s.Estimate(), s.Count())
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("Unmarshal(nil) succeeded")
-	}
-	if _, err := Unmarshal([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("Unmarshal with bad precision succeeded")
-	}
-	s := MustNew(8)
-	b := s.Marshal()
-	if _, err := Unmarshal(b[:len(b)-1]); err == nil {
-		t.Error("Unmarshal with truncated registers succeeded")
-	}
-}
-
 // TestQuickEstimateWithinBound: for random key sets the estimate stays
 // within 10% of the true cardinality (way beyond 3 sigma for p=12).
 func TestQuickEstimateWithinBound(t *testing.T) {

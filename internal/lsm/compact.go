@@ -174,7 +174,12 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 		detail += fmt.Sprintf(", %d L%d ranges spilled to L%d (%.1f MB)",
 			len(job.Spill), outLevel, outLevel+1, float64(m.spilled)/1e6)
 	}
-	detail += fmt.Sprintf(", %d of %d entries discarded", m.discarded, m.merged)
+	// The output level's score once the merge is in: above 1, the level is
+	// still owed a compaction, which the next jobs pay.
+	db.versionMu.RLock()
+	_, scores := db.picker.Scores(db.version)
+	db.versionMu.RUnlock()
+	detail += fmt.Sprintf(", %d of %d entries discarded, L%d score %.2f after", m.discarded, m.merged, outLevel, scores[outLevel])
 	db.opts.Events.Add(obs.Event{
 		Kind: obs.EventCompaction, Shard: db.opts.EventShard, Level: job.Level,
 		Dur: time.Since(start), In: inBytes, Out: m.written,

@@ -229,7 +229,7 @@ func deepCrashPoints(t *testing.T) {
 	options := func(fs *vfs.MemFS) Options {
 		o := ladderOptions(fs)
 		o.BlockBytes = 4 << 10      // fewer writes per table, fewer images
-		o.BaseLevelBytes = 16 << 10 // L3 opens within sixteen drains
+		o.BaseLevelBytes = 16 << 10 // L3 opens within twenty drains
 		o.TriadMem = true
 		o.TriadDisk = true // L0 merges all its tables at once: one batch
 		// Only the test's Flush calls seal a memtable, so that no flush
@@ -259,7 +259,7 @@ func deepCrashPoints(t *testing.T) {
 		// build a tree down to L3 with L2 intermediate; smaller flushes,
 		// which L2 outweighs, then fill L1, and three more full flushes
 		// are left in L0, outweighing L1 and L2.
-		const build, fill = 16, 3
+		const build, fill = 20, 3
 		for step := 0; step < build+fill+3; step++ {
 			n := 300
 			if step >= build && step < build+fill {

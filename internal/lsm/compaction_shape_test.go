@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -681,4 +683,52 @@ func TestDeepeningRebalances(t *testing.T) {
 	}
 	it, err := clocked(db).NewIterator(nil, nil)
 	sameLines(t, "store", scan(t, it, err), oracleLines(oracle))
+}
+
+// TestMergeEventStatesOutputScore: a merge's journal entry ends with its
+// output level's score once the merge installed, the score STATS shows for
+// that level right after it; a merge that leaves the level over its
+// target is then legible from its own entry.
+func TestMergeEventStatesOutputScore(t *testing.T) {
+	o := ladderOptions(vfs.NewMemFS())
+	o.Events = obs.NewJournal(64)
+	db := mustOpen(t, o)
+	after := regexp.MustCompile(`, L(\d) score (\d+\.\d\d) after$`)
+	rng := rand.New(rand.NewSource(3))
+	merges := map[int]int{} // by output level
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 300; i++ {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("k%05d", rng.Intn(1<<14))), []byte(fmt.Sprintf("%060d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ran, err := db.CompactOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				break
+			}
+			e := o.Events.Events(1)[0]
+			if strings.Contains(e.Detail, "trivial move") {
+				continue
+			}
+			m := after.FindStringSubmatch(e.Detail)
+			if m == nil {
+				t.Fatalf("merge entry without its output level's score: %q", e.Detail)
+			}
+			out, _ := strconv.Atoi(m[1])
+			if want := fmt.Sprintf("%.2f", db.LevelStats()[out].Score); m[2] != want {
+				t.Fatalf("%q: L%d score %s after the merge, STATS says %s", e.Detail, out, m[2], want)
+			}
+			merges[out]++
+		}
+	}
+	if merges[1] == 0 || len(merges) < 2 {
+		t.Fatalf("merges by output level %v; want some into L1 and some deeper", merges)
+	}
 }

@@ -366,15 +366,29 @@ func tableFileName(f *manifest.FileMeta) string {
 	return sstable.FileName(f.ID)
 }
 
+// openTable opens table f. Only TRIAD-DISK reads key sketches, and only
+// L0's; no table stores one, so an L0 table builds its sketch here.
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
+	var t sstable.Table
+	var err error
 	switch f.Kind {
 	case manifest.KindSST:
-		return sstable.OpenWithCache(db.fs, f.ID, db.cache)
+		t, err = sstable.OpenWithCache(db.fs, f.ID, db.cache)
 	case manifest.KindCLSST, manifest.KindCLFold:
-		return sstable.OpenCLWithCache(db.fs, f.ID, db.cache)
+		t, err = sstable.OpenCLWithCache(db.fs, f.ID, db.cache)
 	default:
 		return nil, fmt.Errorf("lsm: table %d of unknown kind %d", f.ID, f.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if f.Level == 0 && db.opts.TriadDisk {
+		if err := t.BuildSketch(); err != nil {
+			t.Close()
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // BlockCacheStats reports this DB's full block-cache counters: its own

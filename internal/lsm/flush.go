@@ -284,7 +284,6 @@ type tableWriter struct {
 
 // newTable opens a writer for a table described by meta (its kind, level,
 // logs and what else the caller knows of it) under a fresh file number.
-// Only L0's sketches are ever consulted, so a table below it carries none.
 // The caller defers abort.
 func (db *DB) newTable(meta manifest.FileMeta) (*tableWriter, error) {
 	db.mu.Lock()
@@ -299,9 +298,6 @@ func (db *DB) newTable(meta manifest.FileMeta) (*tableWriter, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if meta.Level > 0 {
-		t.w.OmitSketch()
 	}
 	return t, nil
 }

@@ -85,7 +85,7 @@ func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]
 		}
 		lo, span := 0, keys
 		if out > 1 {
-			lo, span = rng.Intn(keys-keys/4), keys/4
+			lo, span = rng.Intn(keys-keys/10), keys/10
 		}
 		for i := 0; i < 300; i++ {
 			write(lo, span, rng.Intn(2) == 0)

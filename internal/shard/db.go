@@ -366,6 +366,9 @@ type Commit struct {
 	epoch  uint64
 	used   bool
 	trs    obs.Traces // sampled traces riding this commit (usually nil)
+	// wg waits for the sub-batches committed beside the caller's; a field,
+	// so that a one-shard commit allocates none.
+	wg sync.WaitGroup
 }
 
 // Trace attaches the group's sampled request traces; each receives the
@@ -430,7 +433,7 @@ func (c *Commit) Epoch() uint64 { return c.epoch }
 // Put/Delete set is idempotent); every shard is always released, so an
 // error never wedges the pipeline. The last sub-batch commits on the
 // caller's goroutine and the others beside it, so a one-shard batch
-// starts no goroutine.
+// starts no goroutine and its commit allocates nothing.
 //
 // Write stalls are absorbed at Prepare time, before the ticket exists; a
 // stall that develops between Prepare and Commit is sat out inside the
@@ -449,28 +452,30 @@ func (c *Commit) Commit() error {
 		return nil
 	}
 	start := time.Now()
-	errs := make([]error, len(c.shards))
-	run := func(j, i int) {
-		errs[j] = db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
-		db.clk.release(i)
-	}
 	last := len(c.shards) - 1
-	var wg sync.WaitGroup
+	errs := make([]error, last) // the other sub-batches': none, and no allocation, for one shard
 	for j, i := range c.shards[:last] {
-		wg.Add(1)
+		c.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			run(j, i)
+			defer c.wg.Done()
+			errs[j] = c.commitOn(i)
 		}()
 	}
-	run(last, c.shards[last])
-	wg.Wait()
+	err := c.commitOn(c.shards[last])
+	c.wg.Wait()
 	db.applyLat.Record(time.Since(start))
-	if err := errors.Join(errs...); err != nil {
+	if err := errors.Join(err, errors.Join(errs...)); err != nil {
 		return err
 	}
 	c.b.MarkCommitted()
 	return nil
+}
+
+// commitOn commits the sub-batch of shard i and releases the shard.
+func (c *Commit) commitOn(i int) error {
+	err := c.db.shards[i].CommitAt(c.epoch, c.subs[i], c.trs)
+	c.db.clk.release(i)
+	return err
 }
 
 // Apply commits b through the pipeline: every batch — single- or

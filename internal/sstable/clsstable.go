@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -18,24 +19,26 @@ import (
 // CL-SSTable (paper §4.3, Figure 6): the sealed commit log is adopted as
 // the value store of an L0 table, and flushing writes only a sorted
 // (key → log offset) index. The index reuses the classic table container —
-// blocks, Bloom filter, HLL sketch, footer — with the log offset stored in
-// the entry's value slot, so the whole format stack is shared. The paper's
-// example keeps exactly this pair: for each key, the memtable value plus
-// the CL name and offset of its most recent update.
+// blocks, Bloom filter, footer — with the log offset stored in the entry's
+// value slot, so the whole format stack is shared. The paper's example
+// keeps exactly this pair: for each key, the memtable value plus the CL
+// name and offset of its most recent update.
 //
 // A flush's table points into one log. A fold (lsm) merges several of
 // them into one table over all of their logs by merging their indexes
 // alone: the properties list the table's logs, and each entry's value is
-// its 8-byte offset followed, when the table has more than one log, by the
-// uvarint position of its log in that list. A single-log table is
-// byte-for-byte the format that predates folds.
+// its uvarint offset followed, when the table has more than one log, by
+// the uvarint position of its log in that list. With keys that share
+// their block's prefixes, an entry of a 1 MiB log with 8-byte keys takes
+// about 12 bytes. A table written before prefix elision (footerMagicV2)
+// stores each offset as 8 little-endian bytes.
 
 // CLWriter builds the index file of a CL-SSTable over a list of logs. It
 // is a Writer whose Add takes a log position in place of a value.
 type CLWriter struct {
 	*Writer
 	logs  map[uint64]int // log id → its position in the table's list
-	value [8 + binary.MaxVarintLen64]byte
+	value [2 * binary.MaxVarintLen64]byte
 }
 
 // NewCLWriter creates CL-SSTable index file id whose entries point into
@@ -64,7 +67,7 @@ func (w *CLWriter) Add(key []byte, seq uint64, kind base.Kind, logID uint64, off
 	if !ok {
 		return fmt.Errorf("%s: %q points into log %d, not one of %v", w.name, key, logID, w.props.logIDs)
 	}
-	v := binary.LittleEndian.AppendUint64(w.value[:0], uint64(off)) // Writer.Add copies it
+	v := binary.AppendUvarint(w.value[:0], uint64(off)) // Writer.Add copies it
 	if len(w.logs) > 1 {
 		v = binary.AppendUvarint(v, uint64(i))
 	}
@@ -145,6 +148,9 @@ func (r *CLReader) FileSize() int64 { return r.idx.size }
 // Sketch implements Table.
 func (r *CLReader) Sketch() *hll.Sketch { return r.idx.sketch }
 
+// BuildSketch implements Table: it reads the index, not the logs.
+func (r *CLReader) BuildSketch() error { return r.idx.BuildSketch() }
+
 // Close implements Table.
 func (r *CLReader) Close() error {
 	err := r.idx.Close()
@@ -170,21 +176,27 @@ func (r *CLReader) Pointer(v []byte) (logID uint64, off int64, err error) {
 // pointer decodes an index entry's value into the position of its log in
 // the table's list and the offset in that log.
 func (r *CLReader) pointer(v []byte) (int, int64, error) {
-	if len(v) < 8 {
-		return 0, 0, fmt.Errorf("cl-sstable %d: index value of %d bytes", r.idx.id, len(v))
+	var off uint64
+	n := 8
+	if !r.idx.legacy {
+		off, n = binary.Uvarint(v)
+	} else if len(v) >= n {
+		off = binary.LittleEndian.Uint64(v)
 	}
-	off := int64(binary.LittleEndian.Uint64(v))
+	if n <= 0 || n > len(v) || off > math.MaxInt64 {
+		return 0, 0, fmt.Errorf("cl-sstable %d: bad log offset in an index value of %d bytes", r.idx.id, len(v))
+	}
 	i := uint64(0)
-	if len(v) > 8 {
-		var n int
-		if i, n = binary.Uvarint(v[8:]); n <= 0 {
+	if rest := v[n:]; len(rest) > 0 {
+		var m int
+		if i, m = binary.Uvarint(rest); m != len(rest) {
 			return 0, 0, fmt.Errorf("cl-sstable %d: bad log index", r.idx.id)
 		}
 	}
 	if i >= uint64(len(r.logs)) {
 		return 0, 0, fmt.Errorf("cl-sstable %d: log index %d of %d logs", r.idx.id, i, len(r.logs))
 	}
-	return int(i), off, nil
+	return int(i), int64(off), nil
 }
 
 // resolve fetches the real entry behind an index entry, charging disk
@@ -235,10 +247,8 @@ func (r *CLReader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, erro
 // read into memory once — a single sequential read, which is how a real
 // merge would stream it — rather than one random read per record.
 func (r *CLReader) NewIterator() (Iterator, error) {
-	inner, err := r.idx.NewIterator()
-	if err != nil {
-		return nil, err
-	}
+	inner := r.idx.newIter(false, borrowed)
+	var err error
 	bufs := make([][]byte, len(r.logs))
 	for i, l := range r.logs {
 		if bufs[i], err = readLog(l, nil); err != nil {
@@ -251,10 +261,8 @@ func (r *CLReader) NewIterator() (Iterator, error) {
 // NewMergeIterator implements Table: every iterator m opens on this table
 // decodes from the one image m holds of each of its logs.
 func (r *CLReader) NewMergeIterator(m *Merge) (Iterator, error) {
-	inner, err := r.idx.NewMergeIterator(m)
-	if err != nil {
-		return nil, err
-	}
+	inner := r.idx.newIter(true, borrowed)
+	var err error
 	bufs := make([][]byte, len(r.logs))
 	for i, l := range r.logs {
 		if bufs[i], err = m.logImage(r.idx.props.logIDs[i], l); err != nil {
@@ -269,7 +277,7 @@ func (r *CLReader) NewMergeIterator(m *Merge) (Iterator, error) {
 // and decodes each surviving entry's value with Pointer. Like a merge's
 // iterators, it does not fill the block cache.
 func (r *CLReader) NewIndexIterator() Iterator {
-	return &readerIter{r: r.idx, block: -1, merge: true}
+	return r.idx.newIter(true, inArena)
 }
 
 // readLog returns the whole of log, read with one sequential read into
@@ -341,9 +349,9 @@ type clIter struct {
 }
 
 func (it *clIter) fill() bool {
-	ie := it.inner.Entry()
+	ie := it.inner.Entry() // borrowed: valid until the inner iterator moves
 	if ie.Kind == base.KindDelete {
-		it.cur = base.Entry{Key: ie.Key, Seq: ie.Seq, Kind: base.KindDelete}
+		it.cur = base.Entry{Key: bytes.Clone(ie.Key), Seq: ie.Seq, Kind: base.KindDelete}
 		return true
 	}
 	i, off, err := it.r.pointer(ie.Value)

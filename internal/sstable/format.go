@@ -14,58 +14,187 @@ import (
 
 // Data block entry layout (little endian, varint lengths):
 //
+//	shared<<2|kind (uvarint) | suffixLen(uvarint) | tailLen(uvarint) | key[shared:] | seq(uvarint) | val
+//
+// shared is the length of the prefix the key shares with the previous key
+// of its block (0 for a block's first entry); only the rest of the key is
+// stored, and the kind (set or delete) rides in the low bits of the same
+// varint, which stays one byte while keys share fewer than 32 bytes. The
+// seq and the value (the tail) follow the key, so a lookup passes an entry
+// by reading three short varints and decodes the seq of the entry it
+// finds alone. A block is only ever scanned from its start, so it needs
+// no restart points. A table written before prefix elision
+// (footerMagicV2) stores every key whole:
+//
 //	kind(1) | seq(uvarint) | keyLen(uvarint) | valLen(uvarint) | key | val
 //
 // Blocks are not compressed; the experiments measure logical bytes, and
 // compression would only rescale both systems identically.
 
-func appendEntry(dst []byte, e base.Entry) []byte {
-	dst = append(dst, byte(e.Kind))
-	dst = binary.AppendUvarint(dst, e.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(e.Key)))
-	dst = binary.AppendUvarint(dst, uint64(len(e.Value)))
-	dst = append(dst, e.Key...)
-	dst = append(dst, e.Value...)
-	return dst
+// appendEntry appends e, whose key shares its first shared bytes with the
+// previous key of the block. e.Kind must fit in kindBits.
+func appendEntry(dst []byte, e base.Entry, shared int) []byte {
+	var seq [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(seq[:], e.Seq)
+	dst = binary.AppendUvarint(dst, uint64(shared)<<kindBits|uint64(e.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(e.Key)-shared))
+	dst = binary.AppendUvarint(dst, uint64(n+len(e.Value)))
+	dst = append(dst, e.Key[shared:]...)
+	dst = append(dst, seq[:n]...)
+	return append(dst, e.Value...)
+}
+
+// kindBits is the low bits of an entry's first varint that hold its kind.
+const kindBits = 2
+
+// sharedPrefixLen returns the length of the longest common prefix of a
+// and b.
+func sharedPrefixLen(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }
 
 var errTruncated = errors.New("sstable: truncated block")
 
-// decodeEntry parses one entry at b[off:]; it returns the entry (aliasing
-// b) and the offset just past it.
-func decodeEntry(b []byte, off int) (base.Entry, int, error) {
-	if off >= len(b) {
-		return base.Entry{}, 0, errTruncated
+// uvarintAt decodes the uvarint at b[off:] and returns it and the offset
+// just past it, or an offset of -1 if b holds none there (or off is -1,
+// so that decodes chain and fail once). An entry's lengths are mostly one
+// byte, which it decodes inline.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	if uint(off) < uint(len(b)) && b[off] < 0x80 {
+		return uint64(b[off]), off + 1
 	}
-	var e base.Entry
-	e.Kind = base.Kind(b[off])
-	off++
-	seq, n := binary.Uvarint(b[off:])
+	return uvarintSlow(b, off)
+}
+
+func uvarintSlow(b []byte, off int) (uint64, int) {
+	if uint(off) >= uint(len(b)) {
+		return 0, -1
+	}
+	v, n := binary.Uvarint(b[off:])
 	if n <= 0 {
+		return 0, -1
+	}
+	return v, off + n
+}
+
+// entryHeader is what an entry stores before its key suffix.
+type entryHeader struct {
+	kind   base.Kind
+	shared int    // bytes of the previous key the key starts with
+	suffix int    // bytes of the key stored after them
+	tail   int    // bytes after the key: the seq and the value (legacy: the value)
+	seq    uint64 // a legacy entry's, read before its key
+}
+
+// decodeHeader parses the header of the entry at b[off:], off < len(b),
+// into h and returns the offset of the entry's key suffix, which is
+// followed, inside b, by the entry's tail; or -1 if the entry does not fit
+// in b. It fills h in place: returned as a value, the header made a
+// lookup's scan half again as slow.
+func decodeHeader(b []byte, off int, legacy bool, h *entryHeader) int {
+	var first, kl, tl uint64
+	if legacy {
+		first = uint64(b[off])
+		h.seq, off = uvarintAt(b, off+1)
+	} else {
+		first, off = uvarintAt(b, off)
+	}
+	kl, off = uvarintAt(b, off)
+	tl, off = uvarintAt(b, off)
+	if off < 0 || kl > uint64(len(b)-off) || tl > uint64(len(b)-off)-kl {
+		return -1
+	}
+	h.kind, h.suffix, h.tail = base.Kind(first), int(kl), int(tl)
+	if !legacy {
+		h.kind, h.shared = base.Kind(first&(1<<kindBits-1)), int(first>>kindBits)
+	}
+	return off
+}
+
+// finish decodes the tail of the entry with header h whose key suffix
+// starts at b[off:] into e's seq and value (aliasing b), and returns the
+// offset just past the entry.
+func (h entryHeader) finish(b []byte, off int, legacy bool, e *base.Entry) (int, error) {
+	off += h.suffix
+	end := off + h.tail
+	e.Seq = h.seq
+	if !legacy {
+		if e.Seq, off = uvarintAt(b[:end], off); off < 0 {
+			return 0, errTruncated
+		}
+	}
+	if off < end {
+		e.Value = b[off:end:end]
+	}
+	return end, nil
+}
+
+func errShared(shared, prev int) error {
+	return fmt.Errorf("sstable: corrupt block: a key shares %d bytes with a previous key of %d", shared, prev)
+}
+
+// decodeEntry parses the entry at b[off:], whose block's previous key is
+// prev (empty for the block's first entry), and returns it and the offset
+// just past it. The key is rebuilt in prev's storage, so a scan passes
+// each entry's key back as the next one's prev and allocates nothing once
+// that buffer fits; the value aliases b. A legacy block (a table written
+// before prefix elision) stores every key whole.
+func decodeEntry(b []byte, off int, prev []byte, legacy bool) (base.Entry, int, error) {
+	var h entryHeader
+	if off = decodeHeader(b, off, legacy, &h); off < 0 {
 		return base.Entry{}, 0, errTruncated
 	}
-	off += n
-	kl, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return base.Entry{}, 0, errTruncated
+	if h.shared > len(prev) {
+		return base.Entry{}, 0, errShared(h.shared, len(prev))
 	}
-	off += n
-	vl, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return base.Entry{}, 0, errTruncated
+	e := base.Entry{Kind: h.kind, Key: append(prev[:h.shared], b[off:off+h.suffix]...)}
+	off, err := h.finish(b, off, legacy, &e)
+	return e, off, err
+}
+
+// findEntry looks key up in block b, scanning it from its start. It
+// rebuilds no key and decodes no seq but the found one's: an entry that
+// shares more of its predecessor's key than key does sorts below key
+// unread, and of any other entry only the stored suffix is compared. The
+// entry found aliases key and b.
+func findEntry(b, key []byte, legacy bool) (base.Entry, bool, error) {
+	matched, prevLen := 0, 0 // bytes key shares with the previous key; its length
+	for off := 0; off < len(b); {
+		var h entryHeader
+		at := decodeHeader(b, off, legacy, &h)
+		if at < 0 {
+			return base.Entry{}, false, errTruncated
+		}
+		if h.shared > prevLen {
+			return base.Entry{}, false, errShared(h.shared, prevLen)
+		}
+		suffix := b[at : at+h.suffix]
+		prevLen = h.shared + h.suffix
+		off = at + h.suffix + h.tail
+		if h.shared > matched {
+			// It starts with the previous key's byte at matched, which is
+			// below key's.
+			continue
+		}
+		rest := key[h.shared:]
+		n := sharedPrefixLen(suffix, rest)
+		matched = h.shared + n
+		switch {
+		case n == len(suffix) && n == len(rest):
+			e := base.Entry{Key: key, Kind: h.kind}
+			_, err := h.finish(b, at, legacy, &e)
+			return e, err == nil, err
+		case n == len(rest) || n < len(suffix) && suffix[n] > rest[n]:
+			return base.Entry{}, false, nil // past key
+		}
 	}
-	off += n
-	if off+int(kl)+int(vl) > len(b) {
-		return base.Entry{}, 0, errTruncated
-	}
-	e.Seq = seq
-	e.Key = b[off : off+int(kl) : off+int(kl)]
-	off += int(kl)
-	if vl > 0 {
-		e.Value = b[off : off+int(vl) : off+int(vl)]
-		off += int(vl)
-	}
-	return e, off, nil
+	return base.Entry{}, false, nil
 }
 
 // blockHandle locates a block within the file.
@@ -215,27 +344,28 @@ func decodeProps(b []byte) (props, error) {
 	return p, nil
 }
 
-// footer: 4 block handles (index, filter, hll, props) as fixed u64 pairs,
-// then magic. 72 bytes total.
-const footerSize = 8*8 + 8
+// footer: the index, filter and properties blocks' handles as fixed u64
+// pairs, then footerMagic; 56 bytes. The footer of a table written before
+// prefix elision (footerMagicV2) also holds a stored HLL sketch's handle,
+// between the filter's and the properties'; 72 bytes. That sketch is never
+// read: a reader builds its own (Reader.BuildSketch).
+const (
+	footerSize       = 3*16 + 8
+	legacyFooterSize = 4*16 + 8
+)
 
 type footer struct {
-	index, filter, sketch, properties blockHandle
+	index, filter, properties blockHandle
+	legacy                    bool // footerMagicV2
 }
 
 func (f footer) encode() []byte {
-	out := make([]byte, footerSize)
-	le := binary.LittleEndian
-	le.PutUint64(out[0:], f.index.offset)
-	le.PutUint64(out[8:], f.index.length)
-	le.PutUint64(out[16:], f.filter.offset)
-	le.PutUint64(out[24:], f.filter.length)
-	le.PutUint64(out[32:], f.sketch.offset)
-	le.PutUint64(out[40:], f.sketch.length)
-	le.PutUint64(out[48:], f.properties.offset)
-	le.PutUint64(out[56:], f.properties.length)
-	le.PutUint64(out[64:], footerMagic)
-	return out
+	out := make([]byte, 0, footerSize)
+	for _, h := range []blockHandle{f.index, f.filter, f.properties} {
+		out = binary.LittleEndian.AppendUint64(out, h.offset)
+		out = binary.LittleEndian.AppendUint64(out, h.length)
+	}
+	return binary.LittleEndian.AppendUint64(out, footerMagic)
 }
 
 func readFooter(f vfs.File) (footer, error) {
@@ -246,20 +376,26 @@ func readFooter(f vfs.File) (footer, error) {
 	if size < footerSize {
 		return footer{}, fmt.Errorf("sstable: file too small (%d bytes)", size)
 	}
-	buf := make([]byte, footerSize)
-	if _, err := f.ReadAt(buf, size-footerSize); err != nil && err != io.EOF {
+	n := min(size, legacyFooterSize)
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, size-n); err != nil && err != io.EOF {
 		return footer{}, err
 	}
-	le := binary.LittleEndian
-	if le.Uint64(buf[64:]) != footerMagic {
-		return footer{}, errors.New("sstable: bad magic")
+	handle := func(at int64) blockHandle {
+		b := buf[at:]
+		return blockHandle{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}
 	}
-	return footer{
-		index:      blockHandle{le.Uint64(buf[0:]), le.Uint64(buf[8:])},
-		filter:     blockHandle{le.Uint64(buf[16:]), le.Uint64(buf[24:])},
-		sketch:     blockHandle{le.Uint64(buf[32:]), le.Uint64(buf[40:])},
-		properties: blockHandle{le.Uint64(buf[48:]), le.Uint64(buf[56:])},
-	}, nil
+	switch binary.LittleEndian.Uint64(buf[n-8:]) {
+	case footerMagic:
+		at := n - footerSize
+		return footer{index: handle(at), filter: handle(at + 16), properties: handle(at + 32)}, nil
+	case footerMagicV2:
+		if n < legacyFooterSize {
+			return footer{}, fmt.Errorf("sstable: file too small (%d bytes)", size)
+		}
+		return footer{index: handle(0), filter: handle(16), properties: handle(48), legacy: true}, nil
+	}
+	return footer{}, errors.New("sstable: bad magic")
 }
 
 // blockTrailerLen is the per-block CRC32 trailer, covering the block

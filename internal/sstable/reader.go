@@ -12,16 +12,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// Reader reads a classic SSTable. Metadata (index, Bloom filter, HLL
-// sketch, properties) is loaded eagerly at open — the table-cache behaviour
-// of production LSMs — so a Get costs at most one data-block disk read.
+// Reader reads a classic SSTable. Metadata (index, Bloom filter,
+// properties) is loaded eagerly at open — the table-cache behaviour of
+// production LSMs — so a Get costs at most one data-block disk read.
 type Reader struct {
 	f      vfs.File
 	id     uint64
 	index  []indexEntry
 	filter *bloom.Filter
-	sketch *hll.Sketch
+	sketch *hll.Sketch // made by BuildSketch
 	props  props
+	legacy bool // written before prefix elision (footerMagicV2)
 	size   int64
 	cache  *Handle // optional view of the shared block cache
 }
@@ -81,6 +82,7 @@ func (r *Reader) load() error {
 	if err != nil {
 		return err
 	}
+	r.legacy = ftr.legacy
 	ib, err := readBlock(r.f, ftr.index)
 	if err != nil {
 		return err
@@ -94,15 +96,6 @@ func (r *Reader) load() error {
 	}
 	if r.filter, err = bloom.Unmarshal(fb); err != nil {
 		return err
-	}
-	sb, err := readBlock(r.f, ftr.sketch)
-	if err != nil {
-		return err
-	}
-	if len(sb) > 0 { // empty: written with OmitSketch
-		if r.sketch, err = hll.Unmarshal(sb); err != nil {
-			return err
-		}
 	}
 	pb, err := readBlock(r.f, ftr.properties)
 	if err != nil {
@@ -129,8 +122,33 @@ func (r *Reader) NumEntries() uint64 { return r.props.numEntries }
 // FileSize implements Table.
 func (r *Reader) FileSize() int64 { return r.size }
 
-// Sketch implements Table; nil for a table written with OmitSketch.
+// Sketch implements Table.
 func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
+
+// BuildSketch implements Table. Every key is added once, in order, which
+// is the sketch a writer would have built. Like a merge, it leaves the
+// block cache alone.
+func (r *Reader) BuildSketch() error {
+	s := hll.MustNew(hll.DefaultPrecision)
+	var key []byte
+	for _, ie := range r.index {
+		blk, err := r.mergeBlock(ie.handle)
+		if err != nil {
+			return fmt.Errorf("sstable %d: %w", r.id, err)
+		}
+		for off := 0; off < len(blk); {
+			var e base.Entry
+			if e, off, err = decodeEntry(blk, off, key, r.legacy); err != nil {
+				return fmt.Errorf("sstable %d: %w", r.id, err)
+			}
+			key = e.Key
+			s.Add(key)
+		}
+		key = key[:0]
+	}
+	r.sketch = s
+	return nil
+}
 
 // Close implements Table.
 func (r *Reader) Close() error { return r.f.Close() }
@@ -166,39 +184,56 @@ func (r *Reader) Get(key []byte, tr *obs.Trace) (base.Entry, bool, Probe, error)
 	if err != nil {
 		return base.Entry{}, false, p, err
 	}
-	for off := 0; off < len(blk); {
-		e, next, err := decodeEntry(blk, off)
-		if err != nil {
-			return base.Entry{}, false, p, err
-		}
-		switch bytes.Compare(e.Key, key) {
-		case 0:
-			p.FalsePositive = false
-			return e.Clone(), true, p, nil
-		case 1:
-			return base.Entry{}, false, p, nil
-		}
-		off = next
+	e, found, err := findEntry(blk, key, r.legacy)
+	if err != nil || !found {
+		return base.Entry{}, false, p, err
 	}
-	return base.Entry{}, false, p, nil
+	p.FalsePositive = false
+	return e.Clone(), true, p, nil
 }
 
 // NewIterator implements Table.
 func (r *Reader) NewIterator() (Iterator, error) {
-	return &readerIter{r: r, block: -1}, nil
+	return r.newIter(false, cloned), nil
 }
 
 // NewMergeIterator implements Table.
 func (r *Reader) NewMergeIterator(*Merge) (Iterator, error) {
-	return &readerIter{r: r, block: -1, merge: true}, nil
+	return r.newIter(true, inArena), nil
 }
+
+func (r *Reader) newIter(merge bool, keep keeping) *readerIter {
+	return &readerIter{r: r, block: -1, merge: merge, keep: keep}
+}
+
+// keeping is how long an iterator's entries stay valid.
+type keeping uint8
+
+const (
+	// cloned entries are the caller's own: a user's iterator copies each.
+	cloned keeping = iota
+	// inArena entries last as long as their merge: values alias blocks,
+	// which are never written once read or cached, and keys, rebuilt in
+	// one buffer, are copied into an arena an allocation holds a block's
+	// worth of.
+	inArena
+	// borrowed entries last until Next: a CL-SSTable's iterators resolve
+	// each index entry against its log before they move on.
+	borrowed
+)
+
+// arenaChunk is the size of each of a merge iterator's key arenas.
+const arenaChunk = DefaultBlockSize
 
 type readerIter struct {
 	r     *Reader
 	merge bool // a background merge's iterator: reads do not fill the cache
-	block int  // current block index; -1 before first
+	keep  keeping
+	block int // current block index; -1 before first
 	buf   []byte
 	off   int
+	key   []byte // the key decoded last, in the buffer the next one reuses
+	arena []byte
 	cur   base.Entry
 	valid bool
 	err   error
@@ -224,6 +259,7 @@ func (it *readerIter) loadBlock(i int) bool {
 	it.block = i
 	it.buf = blk
 	it.off = 0
+	it.key = it.key[:0]
 	return true
 }
 
@@ -231,36 +267,47 @@ func (it *readerIter) Next() bool {
 	if it.err != nil {
 		return false
 	}
-	for {
-		if it.block == -1 || it.off >= len(it.buf) {
-			if !it.loadBlock(it.block + 1) {
-				return false
-			}
-		}
-		if it.off < len(it.buf) {
-			e, next, err := decodeEntry(it.buf, it.off)
-			if err != nil {
-				it.err = err
-				it.valid = false
-				return false
-			}
-			it.off = next
-			it.cur = it.own(e)
-			it.valid = true
-			return true
+	for it.block == -1 || it.off >= len(it.buf) {
+		if !it.loadBlock(it.block + 1) {
+			return false
 		}
 	}
+	e, ok := it.decode()
+	if !ok {
+		return false
+	}
+	it.cur = it.own(e)
+	it.valid = true
+	return true
 }
 
-// own returns e as the iterator yields it. A merge's entries alias their
-// block: blocks are never written once read or cached, and a merge's
-// entries need only outlive the merge (Table.NewMergeIterator), so the
-// copy every other reader gets is not worth its allocation there.
-func (it *readerIter) own(e base.Entry) base.Entry {
-	if it.merge {
-		return e
+// decode decodes the entry at the iterator's offset and moves past it.
+func (it *readerIter) decode() (base.Entry, bool) {
+	e, next, err := decodeEntry(it.buf, it.off, it.key, it.r.legacy)
+	if err != nil {
+		it.err = err
+		it.valid = false
+		return base.Entry{}, false
 	}
-	return e.Clone()
+	it.off, it.key = next, e.Key
+	return e, true
+}
+
+// own returns e, whose key is in the iterator's key buffer, as the
+// iterator yields it (see keeping).
+func (it *readerIter) own(e base.Entry) base.Entry {
+	switch it.keep {
+	case cloned:
+		return e.Clone()
+	case inArena:
+		if len(e.Key) > cap(it.arena)-len(it.arena) {
+			it.arena = make([]byte, 0, max(arenaChunk, len(e.Key)))
+		}
+		n := len(it.arena)
+		it.arena = append(it.arena, e.Key...)
+		e.Key = it.arena[n:len(it.arena):len(it.arena)]
+	}
+	return e
 }
 
 func (it *readerIter) SeekGE(key []byte) bool {
@@ -279,19 +326,15 @@ func (it *readerIter) SeekGE(key []byte) bool {
 		return false
 	}
 	for it.off < len(it.buf) {
-		e, next, err := decodeEntry(it.buf, it.off)
-		if err != nil {
-			it.err = err
-			it.valid = false
+		e, ok := it.decode()
+		if !ok {
 			return false
 		}
 		if bytes.Compare(e.Key, key) >= 0 {
-			it.off = next
 			it.cur = it.own(e)
 			it.valid = true
 			return true
 		}
-		it.off = next
 	}
 	// key is past this block's last entry; the next block starts >= key.
 	return it.Next()

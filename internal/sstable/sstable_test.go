@@ -186,54 +186,18 @@ func TestSketchSurvives(t *testing.T) {
 	fs := vfs.NewMemFS()
 	r := buildTable(t, fs, 1, 5000)
 	defer r.Close()
+	if r.Sketch() != nil {
+		t.Fatal("a table opened with a sketch it was not asked to build")
+	}
+	if err := r.BuildSketch(); err != nil {
+		t.Fatal(err)
+	}
 	est := float64(r.Sketch().Estimate())
 	if est < 4500 || est > 5500 {
 		t.Fatalf("persisted sketch estimate = %.0f, want ≈5000", est)
 	}
 	if r.Sketch().Count() != 5000 {
 		t.Fatalf("persisted sketch count = %d", r.Sketch().Count())
-	}
-}
-
-// TestOmitSketch: a table written without a sketch is smaller by the
-// sketch's size, opens with a nil Sketch and otherwise reads the same —
-// and a table that carries one still opens beside it.
-func TestOmitSketch(t *testing.T) {
-	fs := vfs.NewMemFS()
-	with := buildTable(t, fs, 1, 300)
-	defer with.Close()
-	w, err := NewWriter(fs, 2, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.OmitSketch()
-	it, _ := with.NewIterator()
-	for it.Next() {
-		if err := w.Add(it.Entry()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	size, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Open(fs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer without.Close()
-	if without.Sketch() != nil || with.Sketch() == nil {
-		t.Fatalf("sketches: omitted %v, kept %v", without.Sketch(), with.Sketch())
-	}
-	if saved := with.FileSize() - size; saved != int64(len(with.Sketch().Marshal())) {
-		t.Fatalf("omitting the sketch saved %d bytes, want %d", saved, len(with.Sketch().Marshal()))
-	}
-	e, found, _, err := without.Get([]byte("key-00123"), nil)
-	if err != nil || !found || string(e.Value) != "value-369" {
-		t.Fatalf("Get = %+v found=%v err=%v", e, found, err)
-	}
-	if without.NumEntries() != 300 {
-		t.Fatalf("NumEntries = %d", without.NumEntries())
 	}
 }
 

@@ -2,8 +2,8 @@
 // engine's disk component Cdisk (paper §2):
 //
 //   - the classic SSTable: sorted data blocks, a sparse index, a Bloom
-//     filter, a HyperLogLog sketch, properties and a footer, produced by
-//     flushes and compactions; and
+//     filter, properties and a footer, produced by flushes and
+//     compactions; and
 //   - the CL-SSTable of TRIAD-LOG (paper §4.3): a small sorted index of
 //     (key → commit-log offset) paired with the sealed commit-log file that
 //     holds the values, so a flush writes only the index.
@@ -49,8 +49,14 @@ type Table interface {
 	// FileSize is the on-disk size in bytes of the table file itself
 	// (for a CL-SSTable: the index file, not the shared log).
 	FileSize() int64
-	// Sketch returns the table's HyperLogLog key sketch (TRIAD-DISK).
+	// Sketch returns the table's HyperLogLog key sketch (TRIAD-DISK), nil
+	// until BuildSketch made it.
 	Sketch() *hll.Sketch
+	// BuildSketch makes Sketch from the table's keys (a CL-SSTable's index
+	// keys). No table stores its sketch; only TRIAD-DISK consults one, and
+	// only an L0 table's, so that engine builds one as it opens an L0
+	// table. Call before the table is shared.
+	BuildSketch() error
 	// Close releases file handles.
 	Close() error
 }
@@ -95,4 +101,11 @@ func FileName(id uint64) string { return fmt.Sprintf("%06d.sst", id) }
 // CLIndexFileName returns the canonical name of a CL-SSTable index file.
 func CLIndexFileName(id uint64) string { return fmt.Sprintf("%06d.clidx", id) }
 
-const footerMagic uint64 = 0x7472696164317632 // "triad1v2"
+// Every table is written with footerMagic. A table that ends in
+// footerMagicV2 was written before keys shared their prefixes, when each
+// CL-SSTable offset took 8 bytes and a table stored its HLL sketch; it
+// still reads (see format.go).
+const (
+	footerMagic   uint64 = 0x7472696164317633 // "triad1v3"
+	footerMagicV2 uint64 = 0x7472696164317632 // "triad1v2"
+)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/bloom"
-	"repro/internal/hll"
 	"repro/internal/vfs"
 )
 
@@ -34,10 +33,7 @@ type Writer struct {
 	offset  uint64
 
 	filter bloom.Builder
-	// sketch is made at the first Add, unless OmitSketch was called.
-	sketch     *hll.Sketch
-	omitSketch bool
-	props      props
+	props  props
 
 	written int64
 	closed  bool
@@ -59,13 +55,6 @@ func newWriter(fs vfs.FS, name string, blockSize int) (*Writer, error) {
 	return &Writer{f: f, name: name, blockSize: blockSize}, nil
 }
 
-// OmitSketch makes the table carry an empty sketch block (its reader's
-// Sketch is nil). Only L0 tables' sketches are ever consulted, so
-// compaction outputs for deeper levels skip the 4 KiB on disk, in every
-// open reader and in the writer, which then never makes one. Call before
-// the first Add.
-func (w *Writer) OmitSketch() { w.omitSketch = true }
-
 // Add appends one entry. Keys must be strictly ascending.
 func (w *Writer) Add(e base.Entry) error {
 	if w.closed {
@@ -74,19 +63,20 @@ func (w *Writer) Add(e base.Entry) error {
 	if w.lastKey != nil && bytes.Compare(e.Key, w.lastKey) <= 0 {
 		return fmt.Errorf("sstable: keys out of order: %q after %q", e.Key, w.lastKey)
 	}
+	if e.Kind != base.KindSet && e.Kind != base.KindDelete {
+		return fmt.Errorf("sstable: %q has kind %v", e.Key, e.Kind)
+	}
 	if w.props.numEntries == 0 {
 		w.props.smallest = append([]byte(nil), e.Key...)
-		if !w.omitSketch {
-			w.sketch = hll.MustNew(hll.DefaultPrecision)
-		}
 	}
+	shared := 0
+	if len(w.buf) > 0 {
+		shared = sharedPrefixLen(w.lastKey, e.Key)
+	}
+	w.buf = appendEntry(w.buf, e, shared)
 	w.lastKey = append(w.lastKey[:0], e.Key...)
 	w.props.numEntries++
 	w.filter.Add(e.Key)
-	if w.sketch != nil {
-		w.sketch.Add(e.Key)
-	}
-	w.buf = appendEntry(w.buf, e)
 	if len(w.buf) >= w.blockSize {
 		return w.flushBlock()
 	}
@@ -155,16 +145,6 @@ func (w *Writer) Finish() (n int64, err error) {
 		return 0, err
 	}
 	if ftr.filter, err = writeMeta(w.filter.Build(DefaultBloomBitsPerKey).Marshal()); err != nil {
-		return 0, err
-	}
-	var sketch []byte
-	switch {
-	case w.sketch != nil:
-		sketch = w.sketch.Marshal()
-	case !w.omitSketch: // a table with no entries
-		sketch = hll.MustNew(hll.DefaultPrecision).Marshal()
-	}
-	if ftr.sketch, err = writeMeta(sketch); err != nil {
 		return 0, err
 	}
 	if ftr.properties, err = writeMeta(w.props.encode()); err != nil {
