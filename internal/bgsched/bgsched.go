@@ -4,13 +4,12 @@
 // The pool dispatches by priority class — flushes first (they unblock
 // write stalls directly), then L0→L1 compactions (they gate the
 // stop-writes trigger), then deeper-level compactions — and within a
-// class rotates across the labels tasks are submitted under. In a store
-// that rotation is the queue's FIFO order: each engine keeps at most one
-// flush task and one compaction task queued (lsm.DB's flushActive and
-// compactQueued), under its own label (its shard index), so no class ever
-// holds two queued tasks of one label. A task is one flush or one whole
-// compaction: the pool's parallelism is across shards, and between
-// flushes and the merges they run beside.
+// class in the order tasks were submitted. Each engine holds at most one
+// flush task and one compaction task in the pool, queued or running
+// (lsm.DB's flushActive and compactActive), so a class's FIFO never holds
+// two tasks of one engine and serves the shards in turn. A task is one
+// flush or one whole compaction: the pool's parallelism is across shards,
+// and between flushes and the merges they run beside.
 //
 // Each engine holds an Owner handle; submitting through the owner lets
 // Close cancel the engine's queued work and wait out its running work
@@ -22,6 +21,7 @@ package bgsched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -78,17 +78,13 @@ type task struct {
 	fn    func()
 }
 
-// Pool is a bounded worker pool with class priorities and per-shard
-// round-robin fairness. All methods are safe for concurrent use.
+// Pool is a bounded worker pool with class priorities, first in first
+// out within a class. All methods are safe for concurrent use.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// queues[c][shard] is the FIFO of shard's queued class-c tasks;
-	// order[c] rotates the shards with non-empty queues so equal-class
-	// work is served round-robin across shards.
-	queues [NumClasses]map[int][]task
-	order  [NumClasses][]int
-	queued [NumClasses]int
+	// queues[c] is the FIFO of queued class-c tasks.
+	queues [NumClasses][]task
 
 	workers   int
 	busy      int
@@ -104,9 +100,6 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
-	for c := range p.queues {
-		p.queues[c] = make(map[int][]task)
-	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -127,15 +120,11 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	for c := range p.queues {
-		for shard, q := range p.queues[c] {
-			for _, t := range q {
-				t.owner.wg.Done()
-			}
-			delete(p.queues[c], shard)
+	for c, q := range p.queues {
+		for _, t := range q {
+			t.owner.wg.Done()
 		}
-		p.order[c] = nil
-		p.queued[c] = 0
+		p.queues[c] = nil
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -166,47 +155,19 @@ func (p *Pool) worker() {
 	}
 }
 
-// popLocked dequeues the next task: the highest-priority non-empty
-// class, round-robin across that class's shards. Caller holds p.mu.
+// popLocked dequeues the oldest task of the highest-priority non-empty
+// class. Caller holds p.mu.
 func (p *Pool) popLocked() (task, bool) {
-	for c := 0; c < NumClasses; c++ {
-		if p.queued[c] == 0 {
+	for c, q := range p.queues {
+		if len(q) == 0 {
 			continue
 		}
-		shard := p.order[c][0]
-		q := p.queues[c][shard]
 		t := q[0]
-		if len(q) == 1 {
-			delete(p.queues[c], shard)
-			p.order[c] = append(p.order[c][:0], p.order[c][1:]...)
-		} else {
-			p.queues[c][shard] = q[1:]
-			// Rotate: the shard goes to the back of its class.
-			p.order[c] = append(append(p.order[c][:0], p.order[c][1:]...), shard)
-		}
-		p.queued[c]--
+		q[0] = task{} // the backing array must not keep fn alive
+		p.queues[c] = q[1:]
 		return t, true
 	}
 	return task{}, false
-}
-
-// submit enqueues a class-c task for shard on behalf of o. Reports
-// false (without enqueueing) when the pool or owner is closed.
-func (p *Pool) submit(o *Owner, c Class, shard int, fn func()) bool {
-	p.mu.Lock()
-	if p.closed || o.closed {
-		p.mu.Unlock()
-		return false
-	}
-	if _, ok := p.queues[c][shard]; !ok {
-		p.order[c] = append(p.order[c], shard)
-	}
-	p.queues[c][shard] = append(p.queues[c][shard], task{owner: o, fn: fn})
-	p.queued[c]++
-	o.wg.Add(1)
-	p.cond.Signal()
-	p.mu.Unlock()
-	return true
 }
 
 // Stats is a point-in-time view of the pool.
@@ -218,6 +179,15 @@ type Stats struct {
 	Queued [NumClasses]int
 	// Completed counts tasks run to completion since the pool started.
 	Completed int64
+}
+
+// String renders s as "pool 2/2 busy, queued flush 1 l0 0 deep 0".
+func (s Stats) String() string {
+	out := fmt.Sprintf("pool %d/%d busy, queued", s.Busy, s.Workers)
+	for c, n := range s.Queued {
+		out += fmt.Sprintf(" %s %d", Class(c), n)
+	}
+	return out
 }
 
 // QueuedTotal sums the per-class queue depths.
@@ -232,7 +202,10 @@ func (s Stats) QueuedTotal() int {
 // Stats captures the current pool state.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	s := Stats{Workers: p.workers, Busy: p.busy, Queued: p.queued}
+	s := Stats{Workers: p.workers, Busy: p.busy}
+	for c, q := range p.queues {
+		s.Queued[c] = len(q)
+	}
 	p.mu.Unlock()
 	s.Completed = p.completed.Load()
 	return s
@@ -252,11 +225,20 @@ type Owner struct {
 // engine's resources (tables, logs) are torn down.
 func (p *Pool) NewOwner() *Owner { return &Owner{pool: p} }
 
-// Submit enqueues fn at class c on behalf of this owner. shard labels
-// the work for fairness. Reports false when the pool or owner is
-// closed; the task will then never run.
-func (o *Owner) Submit(c Class, shard int, fn func()) bool {
-	return o.pool.submit(o, c, shard, fn)
+// Submit enqueues fn at class c on behalf of this owner, behind the
+// class's queued tasks. The int argument is unused. Reports false when
+// the pool or owner is closed; the task will then never run.
+func (o *Owner) Submit(c Class, _ int, fn func()) bool {
+	p := o.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || o.closed {
+		return false
+	}
+	p.queues[c] = append(p.queues[c], task{owner: o, fn: fn})
+	o.wg.Add(1)
+	p.cond.Signal()
+	return true
 }
 
 // Close cancels the owner's queued tasks (they never run) and waits for
@@ -272,28 +254,13 @@ func (o *Owner) Close() error {
 	}
 	o.closed = true
 	for c := range p.queues {
-		for shard, q := range p.queues[c] {
-			kept := q[:0]
-			for _, t := range q {
-				if t.owner == o {
-					t.owner.wg.Done()
-					p.queued[c]--
-					continue
-				}
-				kept = append(kept, t)
+		p.queues[c] = slices.DeleteFunc(p.queues[c], func(t task) bool {
+			if t.owner == o {
+				o.wg.Done()
+				return true
 			}
-			if len(kept) == 0 {
-				delete(p.queues[c], shard)
-				for i, s := range p.order[c] {
-					if s == shard {
-						p.order[c] = append(p.order[c][:i], p.order[c][i+1:]...)
-						break
-					}
-				}
-			} else {
-				p.queues[c][shard] = kept
-			}
-		}
+			return false
+		})
 	}
 	p.mu.Unlock()
 	o.wg.Wait()

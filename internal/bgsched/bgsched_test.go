@@ -1,6 +1,7 @@
 package bgsched
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,37 +65,79 @@ func TestPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestShardFairness(t *testing.T) {
+// recorder returns a maker of tasks that log their name as they run, and
+// a reader of that log.
+func recorder() (func(name string) func(), func() []string) {
+	var mu sync.Mutex
+	var got []string
+	return func(name string) func() {
+			return func() { mu.Lock(); got = append(got, name); mu.Unlock() }
+		}, func() []string {
+			mu.Lock()
+			defer mu.Unlock()
+			return slices.Clone(got)
+		}
+}
+
+// TestFIFOWithinClass: tasks of one class run in the order they were
+// submitted, whoever submitted them.
+func TestFIFOWithinClass(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
-	o := p.NewOwner()
-	defer o.Close()
+	a, b := p.NewOwner(), p.NewOwner()
+	defer a.Close()
+	defer b.Close()
 
-	var mu sync.Mutex
-	var got []int
 	gate := make(chan struct{})
-	o.Submit(ClassDeep, 9, func() { <-gate })
-	// Shard 0 floods the queue before shard 1 adds two tasks; fairness
-	// means shard 1 is served every other slot, not after the flood.
-	for i := 0; i < 4; i++ {
-		o.Submit(ClassDeep, 0, func() { mu.Lock(); got = append(got, 0); mu.Unlock() })
-	}
-	for i := 0; i < 2; i++ {
-		o.Submit(ClassDeep, 1, func() { mu.Lock(); got = append(got, 1); mu.Unlock() })
+	a.Submit(ClassDeep, 0, func() { <-gate })
+	task, got := recorder()
+	want := []string{"a1", "b1", "a2", "a3", "b2"}
+	for _, name := range want {
+		o := a
+		if name[0] == 'b' {
+			o = b
+		}
+		if !o.Submit(ClassL0, 0, task(name)) {
+			t.Fatalf("submit %s failed", name)
+		}
 	}
 	close(gate)
 	drain(t, p)
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{0, 1, 0, 1, 0, 0}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d tasks, want %d", len(got), len(want))
+	if !slices.Equal(got(), want) {
+		t.Fatalf("run order %v, want %v (submission order)", got(), want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shard order %v, want %v (round-robin)", got, want)
-		}
+}
+
+// TestOwnerClosePurgesEveryClass: closing an owner takes its queued tasks
+// out of every class, and the other owners' tasks keep their order.
+func TestOwnerClosePurgesEveryClass(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	gone, kept := p.NewOwner(), p.NewOwner()
+	defer kept.Close()
+
+	blocker := p.NewOwner()
+	defer blocker.Close()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	blocker.Submit(ClassFlush, 0, func() { close(started); <-gate })
+	<-started
+	task, got := recorder()
+	for _, c := range []Class{ClassFlush, ClassL0, ClassDeep} {
+		kept.Submit(c, 0, task(c.String()+"1"))
+		gone.Submit(c, 0, task("gone"))
+		kept.Submit(c, 0, task(c.String()+"2"))
+	}
+	if err := gone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Queued != [NumClasses]int{2, 2, 2} {
+		t.Fatalf("queued %v after the purge, want 2 in each class", s.Queued)
+	}
+	close(gate)
+	drain(t, p)
+	if want := []string{"flush1", "flush2", "l01", "l02", "deep1", "deep2"}; !slices.Equal(got(), want) {
+		t.Fatalf("run order %v, want %v", got(), want)
 	}
 }
 

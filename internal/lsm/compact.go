@@ -15,14 +15,12 @@ import (
 	"repro/internal/sstable"
 )
 
-// compactOnceLocked picks and runs one compaction under compactionMu. It
-// reports false when the tree is in shape or TRIAD-DISK defers (paper
-// §4.2: "If the L0 and L1 SSTables do not have enough key overlap,
-// compaction is delayed until more L0 SSTables are generated"); force
-// bypasses a deferral by running the merge that was deferred.
-func (db *DB) compactOnceLocked(force bool) (bool, error) {
-	db.compactionMu.Lock()
-	defer db.compactionMu.Unlock()
+// compactOnce picks and runs one compaction. It reports false when the
+// tree is in shape or TRIAD-DISK defers (paper §4.2: "If the L0 and L1
+// SSTables do not have enough key overlap, compaction is delayed until more
+// L0 SSTables are generated"); force bypasses a deferral by running the
+// merge that was deferred. Caller holds the compaction slot.
+func (db *DB) compactOnce(force bool) (bool, error) {
 	db.versionMu.RLock()
 	job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch {
 		if t, ok := db.tables[f.ID]; ok {
@@ -43,11 +41,38 @@ func (db *DB) compactOnceLocked(force bool) (bool, error) {
 	return true, db.runCompaction(job)
 }
 
+// inCompactSlot waits on db.cond for the engine's compaction slot, runs fn
+// holding it and lets it go. It returns ErrClosed, running nothing, if the
+// DB closes first.
+func (db *DB) inCompactSlot(fn func() error) error {
+	db.mu.Lock()
+	db.compactWaiters++
+	for db.compactActive && !db.closed {
+		db.cond.Wait()
+	}
+	db.compactWaiters--
+	if db.closed {
+		db.mu.Unlock()
+		return ErrClosed
+	}
+	db.compactActive = true
+	db.mu.Unlock()
+	err := fn()
+	db.mu.Lock()
+	db.releaseCompactLocked()
+	db.mu.Unlock()
+	return err
+}
+
 // CompactOnce runs at most one compaction synchronously and reports
 // whether one ran (false also when TRIAD-DISK deferred). For tests;
 // normal operation compacts in the background.
-func (db *DB) CompactOnce() (bool, error) {
-	return db.compactOnceLocked(false)
+func (db *DB) CompactOnce() (ran bool, err error) {
+	err = db.inCompactSlot(func() (err error) {
+		ran, err = db.compactOnce(false)
+		return err
+	})
+	return ran, err
 }
 
 // CompactAll drains all pending compactions synchronously, ignoring
@@ -55,12 +80,14 @@ func (db *DB) CompactOnce() (bool, error) {
 // or not and however few its files: a settled tree has no L0, so it pins
 // no commit log (used to settle the tree before measurements).
 func (db *DB) CompactAll() error {
-	for {
-		ran, err := db.compactOnceLocked(true)
-		if err != nil || !ran {
-			return err
+	return db.inCompactSlot(func() error {
+		for {
+			ran, err := db.compactOnce(true)
+			if err != nil || !ran {
+				return err
+			}
 		}
-	}
+	})
 }
 
 // runCompaction merges job.Inputs (level L) with job.Overlaps (levels L+1
@@ -102,7 +129,7 @@ func (db *DB) runCompaction(job *compaction.Job) error {
 	// Resolve tables newest-first: L0 inputs are already newest-first in
 	// the version; each next level's files are strictly older. The inputs
 	// cannot be closed mid-compaction — only a compaction consumes live
-	// tables, and compactionMu serializes them.
+	// tables, and the compaction slot serializes them.
 	db.versionMu.RLock()
 	tabs := make([]sstable.Table, 0, len(all))
 	m.srcLevel = make([]int, 0, len(all))

@@ -164,11 +164,7 @@ func settle(t *testing.T, db *DB, st *cutStats) {
 		db.versionMu.RLock()
 		before := db.version
 		db.versionMu.RUnlock()
-		ran, err := db.compactOnceLocked(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ran {
+		if !forceOnce(t, db) {
 			return
 		}
 		db.versionMu.RLock()
@@ -650,11 +646,7 @@ func TestDeepeningRebalances(t *testing.T) {
 			if opened && budget > 0 {
 				t.Fatalf("re-balance still running after two picks per file: %+v", db.LevelStats())
 			}
-			ran, err := db.compactOnceLocked(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ran {
+			if !forceOnce(t, db) {
 				break
 			}
 		}

@@ -142,21 +142,21 @@ type DB struct {
 	manifest *manifest.Log
 	cache    *sstable.Handle // this DB's tenant view of the block cache
 
-	// compactionMu serializes compaction pick+run cycles between the
-	// background worker and explicit CompactOnce/CompactAll callers, so
-	// no two compactions can consume the same files.
-	compactionMu sync.Mutex
-
 	bgErr error // first background error; surfaced on subsequent ops
 
 	// sched is the engine's owner handle on Options.Scheduler, the pool
-	// its flushes and compactions run on. flushActive and compactQueued
-	// (guarded by mu) keep at most one flush task draining the queue and
-	// one compaction task queued at a time, so a burst of seals does not
-	// pile duplicate tasks onto the pool.
-	sched         *bgsched.Owner
-	flushActive   bool
-	compactQueued bool
+	// its flushes and compactions run on. The slots, guarded by mu, are
+	// held from a task's submission to its end: flushActive by the one
+	// flush task draining the queue, compactActive by the one compaction
+	// task or by an explicit CompactOnce/CompactAll, so no two compactions
+	// can consume the same files. compactAgain records a round asked for
+	// while compactActive was held, compactWaiters the explicit calls
+	// waiting on cond for it.
+	sched          *bgsched.Owner
+	flushActive    bool
+	compactActive  bool
+	compactAgain   bool
+	compactWaiters int
 
 	seedCounter int64
 
@@ -501,7 +501,8 @@ func (db *DB) WaitWritable() error {
 // stallLocked applies write backpressure: writers wait while the flush
 // queue is full or L0's pressure has reached l0StallFiles (RocksDB's
 // stop-writes trigger) — the mechanism through which background-I/O debt
-// reaches user-facing throughput (§3). A background error stops the
+// reaches user-facing throughput (§3). Its journal entry names the cause
+// and the pool's state as the wait began. A background error stops the
 // background work that would end the stall, so it ends the wait with that
 // error. Caller holds db.mu.
 func (db *DB) stallLocked() error {
@@ -519,6 +520,8 @@ func (db *DB) stallLocked() error {
 			} else {
 				reason = "flush-queue-full"
 			}
+			// What the background plane was doing as the stall began.
+			reason += "; " + db.opts.Scheduler.Stats().String()
 		}
 		db.cond.Wait()
 	}

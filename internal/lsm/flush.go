@@ -19,9 +19,13 @@ import (
 // pool (RocksDB's multi-threaded background work, which §6 credits):
 // flushes at the highest priority class, so a flush never queues behind
 // a long compaction and write stalls reflect flush speed, then
-// compaction rounds, each one merge on the worker that runs it. Exactly
-// one compaction runs per engine at a time (compactionMu), which keeps the
-// paper's "% time spent in compaction" directly comparable to wall time.
+// compaction rounds, each one merge on the worker that runs it. The engine
+// has one flush slot (flushActive) and one compaction slot (compactActive),
+// each held from the moment its task is submitted until the task ends, so
+// the pool holds at most one flush task and one compaction task of an
+// engine and no worker waits behind its own engine's merge. Exactly one
+// compaction runs per engine at a time, which keeps the paper's "% time
+// spent in compaction" directly comparable to wall time.
 
 // scheduleFlushLocked queues a flush task on the pool unless one is
 // already draining the queue. Caller holds db.mu.
@@ -30,7 +34,7 @@ func (db *DB) scheduleFlushLocked() {
 		return
 	}
 	db.flushActive = true
-	if !db.sched.Submit(bgsched.ClassFlush, db.opts.EventShard, db.flushTask) {
+	if !db.sched.Submit(bgsched.ClassFlush, 0, db.flushTask) {
 		// Owner closing: Close drains the queue inline.
 		db.flushActive = false
 	}
@@ -79,44 +83,62 @@ func (db *DB) flushTask() {
 	}
 }
 
-// requestCompactLocked asks for a background compaction round: it queues
-// one compaction task, classed by urgency — L0 at its trigger outranks
-// deeper-level shaping. Caller holds db.mu.
+// requestCompactLocked asks for a background compaction round. With the
+// compaction slot free it takes the slot and queues one compaction task,
+// classed by urgency — L0 at its trigger outranks deeper-level shaping;
+// with the slot held it records the request, which the holder serves as
+// it lets go. Caller holds db.mu.
 func (db *DB) requestCompactLocked() {
-	if db.compactQueued || db.closed || db.opts.DisableAutoCompaction || db.noBackgroundIO {
+	if db.closed || db.bgErr != nil || db.opts.DisableAutoCompaction || db.noBackgroundIO {
+		return
+	}
+	if db.compactActive {
+		db.compactAgain = true
 		return
 	}
 	class := bgsched.ClassDeep
 	if db.l0Pressure.Load() >= compaction.L0CompactionTrigger {
 		class = bgsched.ClassL0
 	}
-	db.compactQueued = true
-	if !db.sched.Submit(class, db.opts.EventShard, db.compactTask) {
-		db.compactQueued = false
+	db.compactActive = true
+	if !db.sched.Submit(class, 0, db.compactTask) {
+		db.compactActive = false
 	}
 }
 
-// compactTask runs ONE compaction round, then — if the round did work —
-// re-queues itself, yielding its worker between rounds so a shard with
-// a deep backlog cannot monopolize the pool the way an in-task loop
-// would.
+// compactTask runs ONE compaction round in the slot requestCompactLocked
+// took for it and lets the slot go, asking for another round if this one
+// did work: the task yields its worker between rounds so a shard with a
+// deep backlog cannot monopolize the pool the way an in-task loop would.
 func (db *DB) compactTask() {
 	db.mu.Lock()
-	db.compactQueued = false
-	if db.closed || db.bgErr != nil {
-		db.mu.Unlock()
-		return
-	}
-	db.mu.Unlock()
-	ran, err := db.compactOnceLocked(false)
-	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err != nil {
-		db.setBgErrLocked("compaction", err)
+	db.compactAgain = false // the round's pick serves every request so far
+	if !db.closed && db.bgErr == nil {
+		db.mu.Unlock()
+		ran, err := db.compactOnce(false)
+		db.mu.Lock()
+		if err != nil {
+			db.setBgErrLocked("compaction", err)
+			db.cond.Broadcast()
+		}
+		db.compactAgain = db.compactAgain || ran
+	}
+	db.releaseCompactLocked()
+}
+
+// releaseCompactLocked lets go of the compaction slot. A round asked for
+// while the slot was held is queued at once, unless an explicit
+// CompactOnce or CompactAll is waiting for the slot: the slot is then the
+// caller's, and the round is queued when it lets go. Caller holds db.mu.
+func (db *DB) releaseCompactLocked() {
+	db.compactActive = false
+	if db.compactWaiters > 0 {
 		db.cond.Broadcast()
 		return
 	}
-	if ran {
+	if db.compactAgain {
+		db.compactAgain = false
 		db.requestCompactLocked()
 	}
 }

@@ -47,20 +47,24 @@ func unpinnedLogs(t *testing.T, db *DB, fs vfs.FS) []string {
 // else may be writing to db meanwhile.
 func foldL0(t *testing.T, db *DB, fs vfs.FS) {
 	t.Helper()
-	db.compactionMu.Lock()
-	defer db.compactionMu.Unlock()
-	db.versionMu.RLock()
-	l0 := slices.Clone(db.version.Levels[0])
-	db.versionMu.RUnlock()
-	if len(l0) < 2 {
-		return
-	}
-	before := logFiles(t, fs)
-	if err := db.fold(&compaction.Job{Level: 0, Inputs: l0, Fold: true, Rule: compaction.RuleFold}); err != nil {
+	err := db.inCompactSlot(func() error {
+		db.versionMu.RLock()
+		l0 := slices.Clone(db.version.Levels[0])
+		db.versionMu.RUnlock()
+		if len(l0) < 2 {
+			return nil
+		}
+		before := logFiles(t, fs)
+		if err := db.fold(&compaction.Job{Level: 0, Inputs: l0, Fold: true, Rule: compaction.RuleFold}); err != nil {
+			return err
+		}
+		if after := logFiles(t, fs); !slices.Equal(before, after) {
+			return fmt.Errorf("a fold changed the logs on disk from %v to %v", before, after)
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if after := logFiles(t, fs); !slices.Equal(before, after) {
-		t.Fatalf("a fold changed the logs on disk from %v to %v", before, after)
 	}
 }
 

@@ -85,8 +85,8 @@ type Options struct {
 
 	// Scheduler is the worker pool the engine's background work runs on;
 	// required. Flushes and compaction rounds are submitted by priority
-	// class (flush > L0→L1 > deeper levels), labeled with EventShard for
-	// per-shard fairness; a compaction is one merge on one worker. The
+	// class (flush > L0→L1 > deeper levels), at most one of each in the
+	// pool at a time; a compaction is one merge on one worker. The
 	// caller owns the pool: Close cancels the engine's queued tasks and
 	// waits out its running ones, but leaves the pool open. shard.Open
 	// builds one store-wide pool so N shards' background I/O is centrally

@@ -3,11 +3,13 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bgsched"
+	"repro/internal/compaction"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -92,10 +94,11 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	if m.WriteStallTime <= 0 {
 		t.Fatalf("WriteStalls=%d but WriteStallTime=%s", m.WriteStalls, m.WriteStallTime)
 	}
-	stallEvents := 0
-	for _, e := range o.Events.Events(0) {
+	stallEvents, first := 0, ""
+	for _, e := range o.Events.Events(0) { // newest first
 		if e.Kind == obs.EventStall {
 			stallEvents++
+			first = e.Detail
 			if e.Dur <= 0 {
 				t.Fatalf("stall event with non-positive duration: %v", e)
 			}
@@ -103,6 +106,11 @@ func TestSchedulerStallLifecycle(t *testing.T) {
 	}
 	if stallEvents == 0 {
 		t.Fatalf("%d stalls counted but none journaled", m.WriteStalls)
+	}
+	// The first stall began with the flush queued behind the blocker, and
+	// its entry says so.
+	if want := "flush-queue-full; pool 1/1 busy, queued flush 1 l0 0 deep 0"; first != want {
+		t.Fatalf("first stall's detail is %q, want %q", first, want)
 	}
 
 	for i := 0; i < 200; i++ {
@@ -211,5 +219,96 @@ func TestCloseCancelsQueuedWork(t *testing.T) {
 	}
 	if n := db.Metrics().Flushes; n != 1 {
 		t.Fatalf("%d flushes, want Close to have flushed the sealed memtable", n)
+	}
+}
+
+// TestParkedMergeHoldsOneWorker: an engine whose merge is parked holds one
+// worker of the shared pool, however many rounds it asks for meanwhile. A
+// flush that lands during the merge asks for another round; that round
+// must wait in the engine's compaction slot, not on a worker, so the other
+// engine's flush still runs on the pool's second worker.
+func TestParkedMergeHoldsOneWorker(t *testing.T) {
+	pool := bgsched.NewPool(2)
+	t.Cleanup(pool.Close)
+	fsA, fsB := vfs.NewMemFS(), vfs.NewMemFS()
+	oA := smallOptions(fsA)
+	oA.Scheduler = pool
+	oA.TriadLog = true // flushes write .clidx files, so the first .sst is a merge's
+	oB := smallOptions(fsB)
+	oB.Scheduler = pool
+	oB.DisableAutoCompaction = true
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	var once sync.Once
+	fsA.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpCreate && strings.HasSuffix(op.Name, ".sst") {
+			once.Do(func() { close(parked); <-release })
+		}
+		return nil
+	}})
+	a, b := mustOpen(t, oA), mustOpen(t, oB)
+	// Cleanups run last-registered first: the merge is let go before the
+	// stores close.
+	t.Cleanup(unpark)
+
+	fill := func(db *DB, round int) error {
+		for i := 0; i < 100; i++ {
+			if err := clocked(db).Put([]byte(fmt.Sprintf("key-%03d-%05d", round, i)), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return db.Flush()
+	}
+	merging := func() bool {
+		select {
+		case <-parked:
+			return true
+		default:
+			return false
+		}
+	}
+	for round := 0; !merging(); round++ {
+		if round > 4*compaction.L0CompactionTrigger {
+			t.Fatalf("no merge began after %d flushes: %+v", round, a.LevelStats())
+		}
+		if err := fill(a, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A flush lands while the merge is parked and asks for another round;
+	// then the other engine flushes.
+	within(t, pool, "the parked engine's flush", func() error { return fill(a, 1000) })
+	waitPool(t, pool, func(s bgsched.Stats) bool { return s.QueuedTotal() == 0 })
+	within(t, pool, "the other engine's flush", func() error { return fill(b, 0) })
+	waitPool(t, pool, func(s bgsched.Stats) bool { return s.Busy == 1 && s.QueuedTotal() == 0 })
+	unpark()
+	if err := a.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// within runs fn and fails t unless it returns, without error, within 5 s.
+func within(t *testing.T, pool *bgsched.Pool, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not run beside the parked merge: pool at %v", what, pool.Stats())
+	}
+}
+
+// waitPool waits up to 5 s for pool's stats to satisfy ok.
+func waitPool(t *testing.T, pool *bgsched.Pool, ok func(bgsched.Stats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(pool.Stats()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool stuck at %v", pool.Stats())
+		}
 	}
 }

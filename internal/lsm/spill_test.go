@@ -98,7 +98,7 @@ func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]
 	return nil, o, nil, nil
 }
 
-// pickNext is the job compactOnceLocked(false) would run next in a tree
+// pickNext is the job compactOnce(false) would run next in a tree
 // without TRIAD-DISK (which needs sketches and may defer).
 func pickNext(db *DB) *compaction.Job {
 	db.versionMu.RLock()
@@ -108,11 +108,24 @@ func pickNext(db *DB) *compaction.Job {
 
 func runJob(t *testing.T, db *DB, job *compaction.Job) {
 	t.Helper()
-	db.compactionMu.Lock()
-	defer db.compactionMu.Unlock()
-	if err := db.runCompaction(job); err != nil {
+	if err := db.inCompactSlot(func() error { return db.runCompaction(job) }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// forceOnce runs CompactAll's next round, in the compaction slot, and
+// reports whether a compaction ran.
+func forceOnce(t *testing.T, db *DB) bool {
+	t.Helper()
+	var ran bool
+	err := db.inCompactSlot(func() (err error) {
+		ran, err = db.compactOnce(true)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ran
 }
 
 // entryAt returns the entry for key in the level-l file that holds its

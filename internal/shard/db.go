@@ -71,8 +71,8 @@ type Options struct {
 	// namespace of its own — MemFS and DirFS are ready-made factories.
 	NewFS func(i int) (vfs.FS, error)
 	// BackgroundWorkers sizes the store-wide background worker pool
-	// shared by every shard's flushes and compactions (with priority
-	// classes and per-shard fairness; see internal/bgsched), each one
+	// shared by every shard's flushes and compactions (by priority class,
+	// first in first out within one; see internal/bgsched), each one
 	// task. 0 means the default min(GOMAXPROCS, shards+2), floored at 2; a
 	// negative value is an error.
 	BackgroundWorkers int

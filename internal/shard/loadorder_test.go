@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestLoadOrderAndL0Depth(t *testing.T) {
 			}
 			l0Stops := 0
 			for _, e := range db.Events().Events(0) {
-				if e.Kind == obs.EventStall && e.Detail == "l0-stop-writes" {
+				if e.Kind == obs.EventStall && strings.HasPrefix(e.Detail, "l0-stop-writes;") {
 					l0Stops++
 				}
 			}

@@ -235,11 +235,7 @@ func (db *DB) Stats() string {
 	fmt.Fprintf(&b, "compaction debt: %d bytes  write stalls: %d (%s total)\n",
 		r.debt, m.WriteStalls, m.WriteStallTime)
 	ps := db.sched.Stats()
-	fmt.Fprintf(&b, "background pool: %d workers (%d busy), queued", ps.Workers, ps.Busy)
-	for c := 0; c < bgsched.NumClasses; c++ {
-		fmt.Fprintf(&b, " %s=%d", bgsched.Class(c), ps.Queued[c])
-	}
-	fmt.Fprintf(&b, ", %d tasks completed\n", ps.Completed)
+	fmt.Fprintf(&b, "background %s, %d tasks completed\n", ps, ps.Completed)
 	if io := ioBySource(m); io[obs.SrcUser] > 0 {
 		ub := float64(io[obs.SrcUser])
 		fmt.Fprintf(&b, "WA decomposition (per user byte): wal %.2f + flush %.2f + fold %.2f + compaction %.2f  [compaction read %d B, snapshot-gc reclaimed %d B]\n",

@@ -131,19 +131,8 @@ func (r *CLReader) LogBytes() (int64, error) {
 // ID implements Table.
 func (r *CLReader) ID() uint64 { return r.idx.id }
 
-// Smallest implements Table.
-func (r *CLReader) Smallest() []byte { return r.idx.props.smallest }
-
-// Largest implements Table.
-func (r *CLReader) Largest() []byte { return r.idx.props.largest }
-
 // NumEntries implements Table.
 func (r *CLReader) NumEntries() uint64 { return r.idx.props.numEntries }
-
-// FileSize implements Table. It reports the index file size only: the log
-// bytes were charged to logging when first appended (avoiding that second
-// write is TRIAD-LOG's contribution).
-func (r *CLReader) FileSize() int64 { return r.idx.size }
 
 // Sketch implements Table.
 func (r *CLReader) Sketch() *hll.Sketch { return r.idx.sketch }

@@ -22,8 +22,7 @@ type Reader struct {
 	filter *bloom.Filter
 	sketch *hll.Sketch // made by BuildSketch
 	props  props
-	legacy bool // written before prefix elision (footerMagicV2)
-	size   int64
+	legacy bool    // written before prefix elision (footerMagicV2)
 	cache  *Handle // optional view of the shared block cache
 }
 
@@ -74,10 +73,6 @@ func (r *Reader) mergeBlock(h blockHandle) ([]byte, error) {
 }
 
 func (r *Reader) load() error {
-	var err error
-	if r.size, err = r.f.Size(); err != nil {
-		return err
-	}
 	ftr, err := readFooter(r.f)
 	if err != nil {
 		return err
@@ -110,17 +105,8 @@ func (r *Reader) load() error {
 // ID implements Table.
 func (r *Reader) ID() uint64 { return r.id }
 
-// Smallest implements Table.
-func (r *Reader) Smallest() []byte { return r.props.smallest }
-
-// Largest implements Table.
-func (r *Reader) Largest() []byte { return r.props.largest }
-
 // NumEntries implements Table.
 func (r *Reader) NumEntries() uint64 { return r.props.numEntries }
-
-// FileSize implements Table.
-func (r *Reader) FileSize() int64 { return r.size }
 
 // Sketch implements Table.
 func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
@@ -130,21 +116,12 @@ func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
 // block cache alone.
 func (r *Reader) BuildSketch() error {
 	s := hll.MustNew(hll.DefaultPrecision)
-	var key []byte
-	for _, ie := range r.index {
-		blk, err := r.mergeBlock(ie.handle)
-		if err != nil {
-			return fmt.Errorf("sstable %d: %w", r.id, err)
-		}
-		for off := 0; off < len(blk); {
-			var e base.Entry
-			if e, off, err = decodeEntry(blk, off, key, r.legacy); err != nil {
-				return fmt.Errorf("sstable %d: %w", r.id, err)
-			}
-			key = e.Key
-			s.Add(key)
-		}
-		key = key[:0]
+	it := r.newIter(true, borrowed)
+	for it.Next() {
+		s.Add(it.Entry().Key)
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("sstable %d: %w", r.id, err)
 	}
 	r.sketch = s
 	return nil
@@ -272,42 +249,42 @@ func (it *readerIter) Next() bool {
 			return false
 		}
 	}
-	e, ok := it.decode()
-	if !ok {
+	if !it.decode() {
 		return false
 	}
-	it.cur = it.own(e)
+	it.own()
 	it.valid = true
 	return true
 }
 
-// decode decodes the entry at the iterator's offset and moves past it.
-func (it *readerIter) decode() (base.Entry, bool) {
-	e, next, err := decodeEntry(it.buf, it.off, it.key, it.r.legacy)
-	if err != nil {
+// decode decodes the entry at the iterator's offset into cur, its key in
+// the iterator's key buffer, and moves past it.
+func (it *readerIter) decode() bool {
+	var err error
+	if it.cur, it.off, err = decodeEntry(it.buf, it.off, it.key, it.r.legacy); err != nil {
 		it.err = err
 		it.valid = false
-		return base.Entry{}, false
+		return false
 	}
-	it.off, it.key = next, e.Key
-	return e, true
+	it.key = it.cur.Key
+	return true
 }
 
-// own returns e, whose key is in the iterator's key buffer, as the
-// iterator yields it (see keeping).
-func (it *readerIter) own(e base.Entry) base.Entry {
+// own makes cur, whose key is in the iterator's key buffer, what the
+// iterator yields (see keeping).
+func (it *readerIter) own() {
 	switch it.keep {
 	case cloned:
-		return e.Clone()
+		it.cur = it.cur.Clone()
 	case inArena:
-		if len(e.Key) > cap(it.arena)-len(it.arena) {
-			it.arena = make([]byte, 0, max(arenaChunk, len(e.Key)))
+		k := it.cur.Key
+		if len(k) > cap(it.arena)-len(it.arena) {
+			it.arena = make([]byte, 0, max(arenaChunk, len(k)))
 		}
 		n := len(it.arena)
-		it.arena = append(it.arena, e.Key...)
-		e.Key = it.arena[n:len(it.arena):len(it.arena)]
+		it.arena = append(it.arena, k...)
+		it.cur.Key = it.arena[n:len(it.arena):len(it.arena)]
 	}
-	return e
 }
 
 func (it *readerIter) SeekGE(key []byte) bool {
@@ -326,12 +303,11 @@ func (it *readerIter) SeekGE(key []byte) bool {
 		return false
 	}
 	for it.off < len(it.buf) {
-		e, ok := it.decode()
-		if !ok {
+		if !it.decode() {
 			return false
 		}
-		if bytes.Compare(e.Key, key) >= 0 {
-			it.cur = it.own(e)
+		if bytes.Compare(it.cur.Key, key) >= 0 {
+			it.own()
 			it.valid = true
 			return true
 		}

@@ -47,8 +47,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.NumEntries() != 1000 {
 		t.Fatalf("NumEntries = %d", r.NumEntries())
 	}
-	if string(r.Smallest()) != "key-00000" || string(r.Largest()) != "key-00999" {
-		t.Fatalf("bounds = %q..%q", r.Smallest(), r.Largest())
+	if string(r.props.smallest) != "key-00000" || string(r.props.largest) != "key-00999" {
+		t.Fatalf("bounds = %q..%q", r.props.smallest, r.props.largest)
 	}
 	for _, i := range []int{0, 1, 499, 500, 998, 999} {
 		key := []byte(fmt.Sprintf("key-%05d", i))

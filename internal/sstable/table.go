@@ -41,14 +41,8 @@ type Table interface {
 	// cache, and a CL-SSTable's logs are read whole, once (see Merge). Its
 	// entries are valid until m is closed.
 	NewMergeIterator(m *Merge) (Iterator, error)
-	// Smallest and Largest bound the key range (inclusive).
-	Smallest() []byte
-	Largest() []byte
 	// NumEntries is the number of records in the table.
 	NumEntries() uint64
-	// FileSize is the on-disk size in bytes of the table file itself
-	// (for a CL-SSTable: the index file, not the shared log).
-	FileSize() int64
 	// Sketch returns the table's HyperLogLog key sketch (TRIAD-DISK), nil
 	// until BuildSketch made it.
 	Sketch() *hll.Sketch

@@ -85,7 +85,8 @@ type Options struct {
 	ShardFS func(i int) (vfs.FS, error)
 	// BackgroundWorkers sizes the store's background worker pool: one
 	// bounded pool runs every shard's flushes and compactions, each one
-	// task, with flush-first priority and per-shard fairness. 0 sizes it
+	// task, flushes first and otherwise in submission order; a shard has
+	// at most one flush and one compaction in it at a time. 0 sizes it
 	// min(GOMAXPROCS, shards+2) with a floor of 2; negative is an error.
 	BackgroundWorkers int
 	// Advanced, when non-nil, is the per-shard engine template, used
