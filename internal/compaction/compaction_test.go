@@ -230,8 +230,14 @@ func TestQuickMergeEqualsSortedUnion(t *testing.T) {
 
 // --- Picker ---
 
+// fm gives each L0 file the sketch of 1000 keys that no file of another
+// id holds (disjointSketch): an L0 of fm files has no key overlap.
 func fm(id uint64, level int, lo, hi string, size int64) *manifest.FileMeta {
-	return &manifest.FileMeta{ID: id, Kind: manifest.KindSST, Level: level, Size: size, Smallest: []byte(lo), Largest: []byte(hi)}
+	f := &manifest.FileMeta{ID: id, Kind: manifest.KindSST, Level: level, Size: size, Smallest: []byte(lo), Largest: []byte(hi)}
+	if level == 0 {
+		f.Sketch = disjointSketch(id)
+	}
+	return f
 }
 
 func version(files ...*manifest.FileMeta) *manifest.Version {
@@ -255,6 +261,18 @@ func sketchWith(n, salt int) *hll.Sketch {
 	return s
 }
 
+// disjointSketches memoizes disjointSketch: the picker never writes a
+// sketch, so files of one id can share theirs.
+var disjointSketches = map[uint64]*hll.Sketch{}
+
+// disjointSketch is sketchWith(1000, id).
+func disjointSketch(id uint64) *hll.Sketch {
+	if disjointSketches[id] == nil {
+		disjointSketches[id] = sketchWith(1000, int(id))
+	}
+	return disjointSketches[id]
+}
+
 func TestPickerBaselineOneL0FileAtATime(t *testing.T) {
 	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20})
 	v := version(
@@ -262,7 +280,7 @@ func TestPickerBaselineOneL0FileAtATime(t *testing.T) {
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
 		fm(10, 1, "a", "m", 100), fm(11, 1, "n", "z", 100),
 	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false)
+	job := p.Pick(v, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v", job)
 	}
@@ -279,11 +297,13 @@ func TestPickerTriadCompactsAllL0Together(t *testing.T) {
 	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	// Four L0 files over the same keys: overlap ratio ≈ 0.75 ≥ 0.4.
 	shared := sketchWith(1000, 0)
-	v := version(
-		fm(4, 0, "a", "z", 100), fm(3, 0, "a", "z", 100),
-		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
-	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return shared }, false)
+	var l0 []*manifest.FileMeta
+	for id := uint64(4); id >= 1; id-- {
+		f := fm(id, 0, "a", "z", 100)
+		f.Sketch = shared
+		l0 = append(l0, f)
+	}
+	job := p.Pick(version(l0...), false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want a real job", job)
 	}
@@ -299,13 +319,12 @@ func TestPickerTriadDefersLowOverlap(t *testing.T) {
 		fm(2, 0, "a", "z", 100), fm(1, 0, "a", "z", 100),
 	)
 	// Disjoint sketches: overlap ≈ 0 < 0.4 → defer.
-	disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
-	job := p.Pick(v, disjoint, false)
+	job := p.Pick(v, false)
 	if job == nil || !job.Deferred || len(job.Inputs) != 0 {
 		t.Fatalf("job = %+v, want deferred", job)
 	}
 	// Forced, the deferred merge itself: every L0 file, still marked.
-	job = p.Pick(v, disjoint, true)
+	job = p.Pick(v, true)
 	if job == nil || !job.Deferred || len(job.Inputs) != 4 || job.OutputLevel != 1 {
 		t.Fatalf("forced job = %+v, want the deferred merge of all 4 L0 files", job)
 	}
@@ -319,7 +338,7 @@ func TestPickerTriadForcesAtMaxFiles(t *testing.T) {
 	}
 	v := version(files...)
 	// Still disjoint, but MAX_FILES_L0 reached → compact anyway.
-	job := p.Pick(v, func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }, false)
+	job := p.Pick(v, false)
 	if job == nil || job.Deferred {
 		t.Fatalf("job = %+v, want forced compaction", job)
 	}
@@ -422,8 +441,7 @@ func TestPickerFoldOrMerge(t *testing.T) {
 				BaseLevelBytes: 1 << 20, TriadDisk: true, L0LogBytes: c.ceiling,
 			})
 			v := version(append(append([]*manifest.FileMeta(nil), c.l0...), c.below...)...)
-			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
-			job := p.Pick(v, disjoint, c.force)
+			job := p.Pick(v, c.force)
 			switch {
 			case c.want == "":
 				if job != nil {
@@ -522,19 +540,12 @@ func TestL0LogPerPriceByte(t *testing.T) {
 		p := NewPicker(PickerOptions{BaseLevelBytes: 64 << 20, TriadDisk: true, L0LogBytes: floor})
 		below := []*manifest.FileMeta{fm(1000, 1, "a", "m", price/2), fm(1001, 1, "n", "z", price-price/2)}
 		var l0 []*manifest.FileMeta // newest first
-		sketches := map[uint64]*hll.Sketch{}
-		disjoint := func(f *manifest.FileMeta) *hll.Sketch {
-			if sketches[f.ID] == nil {
-				sketches[f.ID] = sketchWith(1000, int(f.ID))
-			}
-			return sketches[f.ID]
-		}
 		for id := uint64(1); id < 1000; id++ {
 			f := fm(id, 0, "a", "z", flushIndex)
 			f.Kind, f.LogID, f.LogBytes, f.MaxSeq = manifest.KindCLSST, id, flushLog, id
 			l0 = append([]*manifest.FileMeta{f}, l0...)
 			logs += flushLog
-			job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), disjoint, false)
+			job := p.Pick(version(append(append([]*manifest.FileMeta(nil), l0...), below...)...), false)
 			switch {
 			case job == nil || job.Deferred:
 				continue
@@ -645,8 +656,7 @@ func TestPickerL0Depth(t *testing.T) {
 			if got := p.L0Pressure(v.Levels[0]); got != pressure {
 				t.Fatalf("L0Pressure = %d, want %d", got, pressure)
 			}
-			disjoint := func(f *manifest.FileMeta) *hll.Sketch { return sketchWith(1000, int(f.ID)) }
-			job := p.Pick(v, disjoint, false)
+			job := p.Pick(v, false)
 			if c.want == "" {
 				if job != nil {
 					t.Fatalf("job %+v (%s), want none", job, job.Why())
@@ -679,7 +689,7 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 		fm(1, 1, "a", "m", 800), fm(2, 1, "n", "z", 900), // L1 = 1700 > 1000
 		fm(3, 2, "a", "z", 500),
 	)
-	job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false)
+	job := p.Pick(v, false)
 	if job == nil || job.Level != 1 || len(job.Inputs) != 1 {
 		t.Fatalf("job = %+v", job)
 	}
@@ -691,7 +701,7 @@ func TestPickerSizeTriggeredDeeperLevels(t *testing.T) {
 func TestPickerNothingToDo(t *testing.T) {
 	p := NewPicker(PickerOptions{BaseLevelBytes: 8 << 20, TriadDisk: true})
 	v := version(fm(1, 1, "a", "m", 100))
-	if job := p.Pick(v, func(*manifest.FileMeta) *hll.Sketch { return nil }, false); job != nil {
+	if job := p.Pick(v, false); job != nil {
 		t.Fatalf("job = %+v, want nil", job)
 	}
 }
@@ -767,7 +777,7 @@ func TestPickerMinOverlap(t *testing.T) {
 				v := version(files...)
 				p := deepPicker()
 				for lap := 0; lap < 2; lap++ { // the choice carries no state
-					job := p.Pick(v, nil, false)
+					job := p.Pick(v, false)
 					if job == nil || job.Level != 1 || job.OutputLevel != 2 || len(job.Inputs) != 1 || job.Rule != RuleMinOverlap {
 						t.Fatalf("intermediate=%v: job = %+v", intermediate, job)
 					}
@@ -875,7 +885,7 @@ func TestPickerSpill(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v := version(tc.files...)
-			job := p.Pick(v, nil, false)
+			job := p.Pick(v, false)
 			if job == nil || job.Level != 0 || job.OutputLevel != 1 || len(job.Inputs) != 1 || job.Inputs[0].ID != 1 {
 				t.Fatalf("job = %+v, want the oldest L0 file into L1", job)
 			}
@@ -1000,7 +1010,7 @@ func TestPickerDeepMerge(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v := version(tc.files...)
-			job := p.Pick(v, nil, false)
+			job := p.Pick(v, false)
 			if job == nil || job.Level != 0 || len(job.Inputs) != 1 || job.Inputs[0].ID != 1 {
 				t.Fatalf("job = %+v, want a merge of the oldest L0 file", job)
 			}
@@ -1170,13 +1180,13 @@ func BenchmarkPickMinOverlap(b *testing.B) {
 			l0 := NewPicker(PickerOptions{BaseLevelBytes: v.LevelSize(1)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if job := push.Pick(v, nil, false); job == nil || job.Level != 1 {
+				if job := push.Pick(v, false); job == nil || job.Level != 1 {
 					b.Fatalf("job = %+v", job)
 				}
-				if job := l0.Pick(spilling, nil, false); job == nil || job.Level != 0 || job.OutputLevel != 1 || len(job.Spill) == 0 {
+				if job := l0.Pick(spilling, false); job == nil || job.Level != 0 || job.OutputLevel != 1 || len(job.Spill) == 0 {
 					b.Fatalf("job = %+v, want an L0 merge that spills", job)
 				}
-				if job := l0.Pick(deep, nil, false); job == nil || job.OutputLevel != 2 || len(job.Spill) == 0 {
+				if job := l0.Pick(deep, false); job == nil || job.OutputLevel != 2 || len(job.Spill) == 0 {
 					b.Fatalf("job = %+v, want a deep L0 merge that spills into the bottom level", job)
 				}
 			}

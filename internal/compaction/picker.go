@@ -226,33 +226,37 @@ func (p *Picker) Debt(v *manifest.Version) int64 {
 	return debt
 }
 
-// ShouldDeferL0 implements Algorithm 2's deferCompaction: true means "wait
+// shouldDeferL0 implements Algorithm 2's deferCompaction: true means "wait
 // for more L0 files". pressure is L0's L0Pressure — its file count, or
 // where L0 can fold its read depth — and forces the act at MaxFilesL0.
-// sketches are the HLL sketches of the current L0 files (paper: the
-// overlap ratio is computed over the L0 files; Figure 5 also folds in the
-// overlapping L1 files — we follow Algorithm 2, which uses the L0 files).
-func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
+// The overlap ratio is that of the HLL sketches of the L0 files l0 (paper:
+// the overlap ratio is computed over the L0 files; Figure 5 also folds in
+// the overlapping L1 files — we follow Algorithm 2, which uses the L0
+// files).
+func (p *Picker) shouldDeferL0(pressure int, l0 []*manifest.FileMeta) bool {
 	if !p.opts.TriadDisk {
 		return false
 	}
 	if pressure >= MaxFilesL0 {
 		return false // forced
 	}
+	sketches := make([]*hll.Sketch, 0, len(l0))
 	var total float64
-	for _, s := range sketches {
-		total += float64(s.Count())
+	for _, f := range l0 {
+		if f.Sketch != nil {
+			sketches = append(sketches, f.Sketch)
+			total += float64(f.Sketch.Count())
+		}
 	}
 	if total == 0 {
 		return true
 	}
-	ratio := hll.OverlapRatio(sketches)
-	return ratio < OverlapRatioThreshold
+	return hll.OverlapRatio(sketches) < OverlapRatioThreshold
 }
 
 // Pick returns the next compaction job for version v, or nil if the tree
-// is in shape. sketchOf must return the HLL sketch of an L0 file (used
-// only when TRIAD-DISK is on). force drains L0: it overrides a TRIAD-DISK
+// is in shape. Under TRIAD-DISK, every L0 file carries its key sketch
+// (manifest.FileMeta.Sketch). force drains L0: it overrides a TRIAD-DISK
 // deferral (the job is then the merge that was deferred, still marked
 // Deferred) and merges L0 below its trigger.
 //
@@ -284,10 +288,10 @@ func (p *Picker) ShouldDeferL0(pressure int, sketches []*hll.Sketch) bool {
 // file count, or where L0 can fold the read depth. A key-disjoint L0, such
 // as a sequential load's, is then neither folded nor merged by its trigger
 // and leaves through the log ceiling; the ceiling is what bounds it.
-func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool) *Job {
+func (p *Picker) Pick(v *manifest.Version, force bool) *Job {
 	targets, scores := p.Scores(v)
 	// L0 first: it gates reads (every L0 file is probed).
-	if job := p.pickL0(v, sketchOf, force, targets, scores[0]); job != nil {
+	if job := p.pickL0(v, force, targets, scores[0]); job != nil {
 		return job
 	}
 	// Size-triggered compactions for L1..Ln-1, highest score first.
@@ -314,7 +318,7 @@ func (p *Picker) Pick(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hl
 
 // pickL0 returns L0's job — a merge, a fold or a deferral — or nil if L0
 // owes none.
-func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *hll.Sketch, force bool, targets [manifest.NumLevels]int64, score float64) *Job {
+func (p *Picker) pickL0(v *manifest.Version, force bool, targets [manifest.NumLevels]int64, score float64) *Job {
 	l0 := v.Levels[0]
 	canFold, rent, logs := p.l0Folds(l0)
 	pressure := l0Pressure(l0, canFold)
@@ -349,13 +353,7 @@ func (p *Picker) pickL0(v *manifest.Version, sketchOf func(*manifest.FileMeta) *
 		}
 	}
 	if p.opts.TriadDisk && pressure >= L0CompactionTrigger && !atCeiling {
-		sketches := make([]*hll.Sketch, 0, len(l0))
-		for _, f := range l0 {
-			if s := sketchOf(f); s != nil {
-				sketches = append(sketches, s)
-			}
-		}
-		if job.Deferred = p.ShouldDeferL0(pressure, sketches); job.Deferred && !force {
+		if job.Deferred = p.shouldDeferL0(pressure, l0); job.Deferred && !force {
 			return &Job{Level: 0, Deferred: true}
 		}
 	}

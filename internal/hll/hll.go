@@ -6,8 +6,10 @@
 // large-range correction). A sketch with precision p uses 2^p one-byte
 // registers; TRIAD uses 4 KB sketches (p = 12), which gives a standard
 // error of 1.04/sqrt(4096) ≈ 1.6% — far more accurate than the 0.4 overlap
-// threshold decision requires. Sketches live in memory only: a table's is
-// rebuilt from its keys when it is opened (sstable.Table.BuildSketch).
+// threshold decision requires. Sketches live in memory only, on each L0
+// table's manifest.FileMeta: the engine (internal/lsm) adds every key it
+// writes to an L0 table to the table's sketch, and rebuilds a recovered
+// L0 table's from its keys.
 package hll
 
 import (

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
-	"repro/internal/hll"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
@@ -22,12 +21,7 @@ import (
 // merge that was deferred. Caller holds the compaction slot.
 func (db *DB) compactOnce(force bool) (bool, error) {
 	db.versionMu.RLock()
-	job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch {
-		if t, ok := db.tables[f.ID]; ok {
-			return t.Sketch()
-		}
-		return nil
-	}, force)
+	job := db.picker.Pick(db.version, force)
 	db.versionMu.RUnlock()
 	if job == nil {
 		return false, nil

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hll"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/sstable"
@@ -278,7 +277,7 @@ func deepCrashPoints(t *testing.T) {
 			}
 		}
 		db.versionMu.RLock()
-		job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch { return db.tables[f.ID].Sketch() }, true)
+		job := db.picker.Pick(db.version, true)
 		db.versionMu.RUnlock()
 		if job == nil || job.Level != 0 || job.OutputLevel != 2 || len(job.Spill) == 0 || len(db.version.Levels[4]) > 0 {
 			t.Fatalf("the drain's first merge is %+v over levels %v, want L0 gone deep into L2 and spilling into the bottom level L3", job, db.NumLevelFiles())
@@ -446,7 +445,7 @@ func TestRunFoldCrashPoints(t *testing.T) {
 		imaged(db.Flush)
 		db.versionMu.RLock()
 		l0 := db.version.Levels[0]
-		job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch { return db.tables[f.ID].Sketch() }, false)
+		job := db.picker.Pick(db.version, false)
 		db.versionMu.RUnlock()
 		if snap == nil && job != nil && job.Fold && len(job.Inputs) < len(l0) {
 			var err error

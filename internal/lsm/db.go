@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -263,9 +264,15 @@ func (db *DB) recover() error {
 			for _, id := range f.Logs() {
 				pinnedLogs[id] = true
 			}
+			// Nothing else can see the version yet. No table stores its
+			// sketch; a CL-SSTable written before tables recorded their
+			// log bytes has none on record either.
+			if db.l0Sketched(f) {
+				if f.Sketch, err = keySketch(t); err != nil {
+					return fmt.Errorf("lsm: recover table %d: %w", f.ID, err)
+				}
+			}
 			if f.Kind == manifest.KindCLSST && f.LogBytes == 0 {
-				// Written before tables recorded it; nothing else can
-				// see the version yet.
 				if f.LogBytes, err = t.(*sstable.CLReader).LogBytes(); err != nil {
 					return fmt.Errorf("lsm: recover table %d: %w", f.ID, err)
 				}
@@ -366,29 +373,15 @@ func tableFileName(f *manifest.FileMeta) string {
 	return sstable.FileName(f.ID)
 }
 
-// openTable opens table f. Only TRIAD-DISK reads key sketches, and only
-// L0's; no table stores one, so an L0 table builds its sketch here.
+// openTable opens table f.
 func (db *DB) openTable(f *manifest.FileMeta) (sstable.Table, error) {
-	var t sstable.Table
-	var err error
 	switch f.Kind {
 	case manifest.KindSST:
-		t, err = sstable.OpenWithCache(db.fs, f.ID, db.cache)
+		return sstable.OpenWithCache(db.fs, f.ID, db.cache)
 	case manifest.KindCLSST, manifest.KindCLFold:
-		t, err = sstable.OpenCLWithCache(db.fs, f.ID, db.cache)
-	default:
-		return nil, fmt.Errorf("lsm: table %d of unknown kind %d", f.ID, f.Kind)
+		return sstable.OpenCLWithCache(db.fs, f.ID, db.cache)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if f.Level == 0 && db.opts.TriadDisk {
-		if err := t.BuildSketch(); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	return t, nil
+	return nil, fmt.Errorf("lsm: table %d of unknown kind %d", f.ID, f.Kind)
 }
 
 // BlockCacheStats reports this DB's full block-cache counters: its own
@@ -638,14 +631,25 @@ func (db *DB) GetTraced(key []byte, tr *obs.Trace) ([]byte, error) {
 	if v == nil {
 		return nil, ErrClosed
 	}
-	for i := len(*v) - 1; i >= 0; i-- {
-		if e, ok := (*v)[i].Get(key); ok {
-			db.met.ReadsFromMem.Add(1)
-			return entryValue(e.Base())
+	return db.get(*v, math.MaxUint64, nil, key, tr)
+}
+
+// get is every point read: key's newest version at or below seq in the
+// memtable stack mems (oldest first), else in the tables of v (nil: the
+// current version). The stack is read newest first, and the first
+// memtable that holds such a version holds the newest one: no memtable
+// holds an older version of a key than one sealed before it (see the
+// write-back in flushImmutable).
+func (db *DB) get(mems []*memtable.Memtable, seq uint64, v *manifest.Version, key []byte, tr *obs.Trace) ([]byte, error) {
+	for i := len(mems) - 1; i >= 0; i-- {
+		if e, ok := mems[i].Get(key); ok {
+			if e, ok := e.At(seq); ok {
+				db.met.ReadsFromMem.Add(1)
+				return entryValue(e.Base())
+			}
 		}
 	}
-
-	return db.getFromVersion(nil, key, tr)
+	return db.getFromVersion(v, key, tr)
 }
 
 func entryValue(e base.Entry) ([]byte, error) {

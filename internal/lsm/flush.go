@@ -8,6 +8,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/bgsched"
 	"repro/internal/compaction"
+	"repro/internal/hll"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
 	"repro/internal/obs"
@@ -304,6 +305,24 @@ type tableWriter struct {
 	done bool
 }
 
+// l0Sketched reports whether the engine keeps a key sketch for table f:
+// TRIAD-DISK's overlap ratio reads those of L0's tables.
+func (db *DB) l0Sketched(f *manifest.FileMeta) bool {
+	return db.opts.TriadDisk && f.Level == 0
+}
+
+// keySketch returns the sketch of t's keys, the one its writer made: every
+// key once, in order. A CL-SSTable's come from its index alone.
+func keySketch(t sstable.Table) (*hll.Sketch, error) {
+	s := hll.MustNew(hll.DefaultPrecision)
+	it := t.NewIndexIterator()
+	defer it.Close()
+	for it.Next() {
+		s.Add(it.Entry().Key)
+	}
+	return s, it.Err()
+}
+
 // newTable opens a writer for a table described by meta (its kind, level,
 // logs and what else the caller knows of it) under a fresh file number.
 // The caller defers abort.
@@ -311,6 +330,9 @@ func (db *DB) newTable(meta manifest.FileMeta) (*tableWriter, error) {
 	db.mu.Lock()
 	meta.ID = db.allocFileID()
 	db.mu.Unlock()
+	if db.l0Sketched(&meta) {
+		meta.Sketch = hll.MustNew(hll.DefaultPrecision)
+	}
 	t := &tableWriter{fs: db.fs, meta: meta}
 	var err error
 	if logs := meta.Logs(); logs == nil {
@@ -325,8 +347,12 @@ func (db *DB) newTable(meta manifest.FileMeta) (*tableWriter, error) {
 }
 
 // add appends e, or to a CL-SSTable that e's record lives at byte off of
-// log. Keys must ascend.
+// log, and adds e's key to the table's sketch if it has one. Keys must
+// ascend.
 func (t *tableWriter) add(e base.Entry, log uint64, off int64) error {
+	if t.meta.Sketch != nil {
+		t.meta.Sketch.Add(e.Key)
+	}
 	if t.cl != nil {
 		return t.cl.Add(e.Key, e.Seq, e.Kind, log, off)
 	}

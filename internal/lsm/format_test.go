@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/hll"
-	"repro/internal/manifest"
 	"repro/internal/vfs"
 )
 
@@ -120,7 +119,7 @@ func TestMixedFormatStore(t *testing.T) {
 	}
 	db.versionMu.RLock()
 	for _, f := range db.version.Levels[0] {
-		if db.tables[f.ID].Sketch() == nil {
+		if f.Sketch == nil {
 			t.Errorf("L0 table %d opened without its sketch", f.ID)
 		}
 	}
@@ -141,9 +140,9 @@ func TestMixedFormatStore(t *testing.T) {
 	check("reopened", db)
 }
 
-// TestL0SketchesSurviveReopen: no table stores its sketch; an L0 table
-// builds it from its keys when it opens — after its flush and again at
-// recovery — to the same registers, so TRIAD-DISK's overlap ratio over L0,
+// TestL0SketchesSurviveReopen: no table stores its sketch; an L0 table's
+// writer makes it, and recovery remakes it from the table's keys, to the
+// same registers, so TRIAD-DISK's overlap ratio over L0,
 // and the deferral it decides, read the same before a Close and after the
 // reopen: for L0 tables (TRIAD-DISK alone, whose L0 defers) and for
 // CL-SSTables (TRIAD-DISK with TRIAD-LOG, which folds where it would
@@ -180,7 +179,7 @@ func TestL0SketchesSurviveReopen(t *testing.T) {
 			var r l0
 			var sketches []*hll.Sketch
 			for _, f := range db.version.Levels[0] {
-				s := db.tables[f.ID].Sketch()
+				s := f.Sketch
 				if s == nil {
 					t.Fatalf("L0 table %d has no sketch", f.ID)
 				}
@@ -188,7 +187,7 @@ func TestL0SketchesSurviveReopen(t *testing.T) {
 				r.counts = append(r.counts, s.Count(), s.Estimate())
 			}
 			r.ratio = hll.OverlapRatio(sketches)
-			job := db.picker.Pick(db.version, func(f *manifest.FileMeta) *hll.Sketch { return db.tables[f.ID].Sketch() }, false)
+			job := db.picker.Pick(db.version, false)
 			r.deferred = job != nil && job.Deferred
 			return r
 		}

@@ -75,8 +75,8 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 		if n := open.Load(); n != 0 {
 			t.Errorf("triad=%v: failed Open left %d file handles open", triad, n)
 		}
-		if st := cache.Stats(); st.Resident != 0 {
-			t.Errorf("triad=%v: failed Open left %d bytes resident in the shared cache", triad, st.Resident)
+		if n := cache.Resident(); n != 0 {
+			t.Errorf("triad=%v: failed Open left %d bytes resident in the shared cache", triad, n)
 		}
 		checkPoolIdle(t, pool)
 		pool.Close()
@@ -110,13 +110,13 @@ func TestCloseReleasesCacheTenant(t *testing.T) {
 			}
 		}
 	}
-	if cache.Stats().Resident == 0 {
+	if cache.Resident() == 0 {
 		t.Fatal("reads left no block resident in the cache")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Stats().Resident; n != 0 {
+	if n := cache.Resident(); n != 0 {
 		t.Fatalf("closed store left %d bytes resident in the shared cache", n)
 	}
 }

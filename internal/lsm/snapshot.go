@@ -133,30 +133,10 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	s.mu.Unlock()
 	defer s.unref()
 
-	db := s.db
-	db.met.UserReads.Add(1)
-
-	// Memory tier: in each pinned memtable, the key's version at the
-	// pinned sequence. Candidates are compared by sequence so the code
-	// does not depend on subtle cross-memtable orderings.
-	var best base.Entry
-	var found bool
-	for _, m := range s.mems {
-		e, ok := m.Get(key)
-		if !ok {
-			continue
-		}
-		if v, ok := e.At(s.seq); ok && (!found || v.Seq > best.Seq) {
-			best, found = v.Base(), true
-		}
-	}
-	if found {
-		db.met.ReadsFromMem.Add(1)
-		return entryValue(best)
-	}
-	// Disk tier: every file in the pinned version predates the capture,
-	// so its entries all satisfy Seq <= s.seq — no filtering needed.
-	return db.getFromVersion(s.version, key, nil)
+	s.db.met.UserReads.Add(1)
+	// Every file in the pinned version predates the capture, so its
+	// entries all satisfy Seq <= s.seq: only the memtables filter.
+	return s.db.get(s.mems, s.seq, s.version, key, nil)
 }
 
 // Close releases the snapshot's pin. Iterators opened from the snapshot

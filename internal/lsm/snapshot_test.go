@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -642,6 +643,93 @@ func TestSnapshotOverlayIsPerMemtable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSnapshotReadsAcrossWriteBack: a key's versions span a queued
+// memtable and the live one, into which TRIAD-MEM wrote the queued one's
+// hot version back as it began that memtable's flush, and the key is
+// overwritten after. Each snapshot reads the version that was newest when
+// it was taken — also the one whose version the queued memtable alone
+// keeps — both while the flush is held up and after it.
+func TestSnapshotReadsAcrossWriteBack(t *testing.T) {
+	fs := vfs.NewMemFS()
+	o := triadSmall(fs)
+	o.DisableAutoCompaction = true
+	db := mustOpen(t, o)
+	// Hold up the flush at its table's creation, after the write-back.
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	fs.SetHooks(vfs.Hooks{Before: func(op vfs.Op) error {
+		if op.Kind == vfs.OpCreate && (strings.HasSuffix(op.Name, ".sst") || strings.HasSuffix(op.Name, ".clidx")) {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return nil
+	}})
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark)
+	hot := []byte("hot")
+	put := func(k []byte, v string) {
+		t.Helper()
+		if err := clocked(db).Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := func() *Snapshot {
+		t.Helper()
+		s, err := clocked(db).NewSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	for i := 0; i < 19; i++ {
+		put(hot, fmt.Sprintf("a%02d", i))
+		put([]byte(fmt.Sprintf("cold%02d", i)), "c")
+	}
+	s0 := snap() // reads a18, which only the queued memtable will keep
+	put(hot, "a19")
+	s1 := snap()
+	db.mu.Lock()
+	err := db.sealLocked("test")
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	db.mu.Lock()
+	e, ok := db.liveLocked().mem.Get(hot)
+	queued := len(db.mems)
+	db.mu.Unlock()
+	if !ok || string(e.Value) != "a19" || queued != 2 {
+		t.Fatalf("live memtable holds %q (%v) beside %d queued memtables; want a19 written back beside one", e.Value, ok, queued-1)
+	}
+	put(hot, "b")
+	s2 := snap()
+	put(hot, "c")
+	check := func(when string) {
+		t.Helper()
+		for _, c := range []struct {
+			s    *Snapshot
+			want string
+		}{{s0, "a18"}, {s1, "a19"}, {s2, "b"}} {
+			if v, err := c.s.Get(hot); err != nil || string(v) != c.want {
+				t.Fatalf("%s: snapshot at %d reads %q, %v; want %q", when, c.s.Seq(), v, err, c.want)
+			}
+		}
+		if v, err := db.Get(hot); err != nil || string(v) != "c" {
+			t.Fatalf("%s: Get reads %q, %v; want c", when, v, err)
+		}
+	}
+	check("flush held up")
+	unpark()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
 }
 
 // TestKeptVersionsBoundedByOpenSnapshots hands one snapshot over each

@@ -99,11 +99,11 @@ func spillReady(t *testing.T, fs *vfs.MemFS, out int) (*DB, Options, map[string]
 }
 
 // pickNext is the job compactOnce(false) would run next in a tree
-// without TRIAD-DISK (which needs sketches and may defer).
+// without TRIAD-DISK (which may defer).
 func pickNext(db *DB) *compaction.Job {
 	db.versionMu.RLock()
 	defer db.versionMu.RUnlock()
-	return db.picker.Pick(db.version, nil, false)
+	return db.picker.Pick(db.version, false)
 }
 
 func runJob(t *testing.T, db *DB, job *compaction.Job) {

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/hll"
 	"repro/internal/vfs"
 )
 
@@ -87,6 +88,11 @@ type FileMeta struct {
 	// table, its inputs' included: the rent L0 has paid since it was last
 	// merged.
 	FoldBytes int64 `json:"fold_bytes,omitempty"`
+	// Sketch is the HyperLogLog sketch of an L0 table's keys, which
+	// TRIAD-DISK's overlap ratio reads (compaction.Picker): the engine
+	// makes it as it writes the table, or from the table's keys as it
+	// recovers the tree. It lives in memory only, nil elsewhere.
+	Sketch *hll.Sketch `json:"-"`
 }
 
 // Logs returns the commit logs the table pins: none unless it is a

@@ -519,6 +519,62 @@ func TestFlushAndAggregates(t *testing.T) {
 	}
 }
 
+// TestBlockCacheStatsSumShards: the store's block-cache counters, which
+// the benchmark and the figure harness read, are the sum of the cache
+// columns of the shards' rows, which STATS and /metrics render: each
+// event is counted once, on its shard's tenant handle.
+func TestBlockCacheStatsSumShards(t *testing.T) {
+	newFS, checkClosed := leakcheck.ShardMemFS(t, 2)
+	e := smallEngine()
+	e.BlockCacheBytes = 4 << 10    // small enough to evict
+	e.DisableAutoCompaction = true // no merge evicts a table between the reads below
+	db, err := Open(Options{Shards: 2, Engine: e, NewFS: newFS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		db.Close()
+		checkClosed()
+	}()
+	for i := 0; i < 3000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2000; i++ {
+				if _, err := db.Get([]byte(fmt.Sprintf("key-%05d", rng.Intn(3500)))); err != nil && !errors.Is(err, lsm.ErrNotFound) {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	got := db.BlockCacheStats()
+	var hits, misses, bytes int64
+	for _, st := range db.ShardStats() {
+		if st.CacheHits+st.CacheMisses == 0 {
+			t.Fatalf("shard %d saw no cache traffic", st.Shard)
+		}
+		hits, misses, bytes = hits+st.CacheHits, misses+st.CacheMisses, bytes+st.CacheBytes
+	}
+	if got.Hits != hits || got.Misses != misses || got.Resident != bytes {
+		t.Fatalf("BlockCacheStats %+v; the shards' rows sum to %d hits, %d misses, %d bytes", got, hits, misses, bytes)
+	}
+	if got.Evictions == 0 || got.Capacity != 2*e.BlockCacheBytes {
+		t.Fatalf("BlockCacheStats %+v: want evictions from a %d-byte cache", got, 2*e.BlockCacheBytes)
+	}
+}
+
 // TestCloseErrClosed: operations after Close surface lsm.ErrClosed, and
 // double Close is safe.
 func TestCloseErrClosed(t *testing.T) {

@@ -26,9 +26,16 @@ func (db *DB) Metrics() metrics.Snapshot {
 	return out
 }
 
-// BlockCacheStats reports the store-wide block-cache counters (zero when
-// caching is disabled).
-func (db *DB) BlockCacheStats() sstable.CacheStats { return db.cache.Stats() }
+// BlockCacheStats reports the store-wide block-cache counters, the sum of
+// the shards' tenant handles (zero when caching is disabled), as STATS
+// and /metrics report them.
+func (db *DB) BlockCacheStats() sstable.CacheStats {
+	sum := sstable.CacheStats{Capacity: db.cache.Capacity()}
+	for _, s := range db.shards {
+		sum = sum.Add(s.BlockCacheStats())
+	}
+	return sum
+}
 
 // NumLevelFiles reports the per-level table count summed across shards.
 func (db *DB) NumLevelFiles() []int {
@@ -184,11 +191,7 @@ func (db *DB) read() report {
 		r.m = r.m.Add(m)
 		r.debt += st.CompactionDebt
 		r.kept += st.KeptVersions
-		r.cache.Hits += cs.Hits
-		r.cache.Misses += cs.Misses
-		r.cache.Resident += cs.Resident
-		r.cache.Evictions += cs.Evictions
-		r.cache.AdmissionRejects += cs.AdmissionRejects
+		r.cache = r.cache.Add(cs)
 	}
 	return r
 }

@@ -98,26 +98,24 @@ func (c *Cache) Capacity() int64 {
 	return c.cap
 }
 
-// Stats reports the cache-wide counters.
-func (c *Cache) Stats() CacheStats {
+// Resident reports the bytes the cache holds (0 on nil). Its events are
+// counted per tenant only (Handle.Stats): a store's are the sum over its
+// tenants.
+func (c *Cache) Resident() int64 {
 	if c == nil {
-		return CacheStats{}
+		return 0
 	}
-	st := CacheStats{Capacity: c.cap}
+	var n int64
 	for _, s := range c.segs {
 		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evictions
-		st.AdmissionRejects += s.rejects
-		st.Resident += s.used
+		n += s.used
 		s.mu.Unlock()
 	}
-	return st
+	return n
 }
 
-// CacheStats is a point-in-time counter snapshot, either cache-wide
-// (Cache.Stats) or for one tenant (Handle.Stats).
+// CacheStats is a point-in-time counter snapshot of one tenant
+// (Handle.Stats) or a sum of tenants' (Add).
 type CacheStats struct {
 	// Hits and Misses count Get outcomes.
 	Hits, Misses int64
@@ -133,6 +131,17 @@ type CacheStats struct {
 	// Capacity is the configured byte budget of the underlying cache
 	// (shared across tenants for per-handle stats).
 	Capacity int64
+}
+
+// Add returns s with o's counters and resident bytes added; Capacity
+// stays s's.
+func (s CacheStats) Add(o CacheStats) CacheStats {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Resident += o.Resident
+	s.Evictions += o.Evictions
+	s.AdmissionRejects += o.AdmissionRejects
+	return s
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no traffic.
@@ -221,9 +230,6 @@ func (h *Handle) Get(table, offset uint64) []byte {
 		// Capture the slice under the lock: a concurrent Put to the same
 		// key replaces entry.block in place.
 		block = e.block
-		s.hits++
-	} else {
-		s.misses++
 	}
 	s.mu.Unlock()
 	if ok {
@@ -304,7 +310,6 @@ func (h *Handle) Put(table, offset uint64, block []byte) {
 		}
 		ve := vel.Value.(*centry)
 		if s.sketch.estimate(hv) < s.sketch.estimate(ve.hash) {
-			s.rejects++
 			h.rejects.Add(1)
 			return
 		}
@@ -370,7 +375,7 @@ func (e *centry) home(s *segment) *list.List {
 }
 
 // segment is one lock stripe: an SLRU (probation + protected lists,
-// front = most recent) plus its own frequency sketch and counters.
+// front = most recent) plus its own frequency sketch.
 type segment struct {
 	mu        sync.Mutex
 	cap       int64
@@ -381,8 +386,6 @@ type segment struct {
 	protected list.List
 	items     map[cacheKey]*list.Element
 	sketch    sketch
-
-	hits, misses, evictions, rejects int64
 }
 
 func newSegment(capacity int64) *segment {
@@ -426,12 +429,11 @@ func (s *segment) victim() *list.Element {
 	return s.protected.Back()
 }
 
-// evict removes an entry to make room, charging an eviction to both the
-// segment and the owning tenant.
+// evict removes an entry to make room, charging an eviction to the owning
+// tenant.
 func (s *segment) evict(el *list.Element) {
 	e := el.Value.(*centry)
 	s.remove(el, e)
-	s.evictions++
 	e.owner.evictions.Add(1)
 }
 

@@ -17,7 +17,7 @@ func TestBlockCacheLRU(t *testing.T) {
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 40))
 	h.Put(1, 40, make([]byte, 40))
-	if used := h.c.Stats().Resident; used != 80 {
+	if used := h.c.Resident(); used != 80 {
 		t.Fatalf("resident = %d", used)
 	}
 	// Touch the first block so the second becomes LRU.
@@ -46,7 +46,7 @@ func TestBlockCacheOversizedNotAdmitted(t *testing.T) {
 	h := c.NewHandle()
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
-	if c.Stats().Resident != 0 {
+	if c.Resident() != 0 {
 		t.Fatal("oversized block admitted")
 	}
 }
@@ -57,8 +57,8 @@ func TestBlockCacheReplaceSameKey(t *testing.T) {
 	defer h.Release()
 	h.Put(1, 0, make([]byte, 100))
 	h.Put(1, 0, make([]byte, 50))
-	if c.Stats().Resident != 50 {
-		t.Fatalf("resident after replace = %d", c.Stats().Resident)
+	if c.Resident() != 50 {
+		t.Fatalf("resident after replace = %d", c.Resident())
 	}
 	if h.Stats().Resident != 50 {
 		t.Fatalf("tenant resident after replace = %d", h.Stats().Resident)
@@ -79,8 +79,8 @@ func TestBlockCacheEvictTable(t *testing.T) {
 	if h.Get(2, 0) == nil {
 		t.Fatal("EvictTable removed another table's block")
 	}
-	if c.Stats().Resident != 10 {
-		t.Fatalf("resident = %d", c.Stats().Resident)
+	if c.Resident() != 10 {
+		t.Fatalf("resident = %d", c.Resident())
 	}
 }
 
@@ -99,11 +99,8 @@ func TestNilBlockCacheSafe(t *testing.T) {
 	if st := h.Stats(); st != (CacheStats{}) {
 		t.Fatal("nil handle has stats")
 	}
-	if c.Stats().Resident != 0 || c.Capacity() != 0 {
+	if c.Resident() != 0 || c.Capacity() != 0 {
 		t.Fatal("nil cache has usage")
-	}
-	if c.Stats() != (CacheStats{}) {
-		t.Fatal("nil cache has stats")
 	}
 	if NewCache(0) != nil {
 		t.Fatal("zero-capacity cache not nil")
@@ -152,8 +149,7 @@ func TestCacheScanResistance(t *testing.T) {
 		scanSpan  = 4096 // 16 MiB of one-touch traffic
 		floor     = 0.75
 	)
-	hotRate := func(c *Cache, rounds int) float64 {
-		h := c.NewHandle()
+	hotRate := func(h *Handle, rounds int) float64 {
 		defer h.Release()
 		blk := make([]byte, blockSize)
 		// Establish the hot set: with 8 rounds, enough for promotion into
@@ -179,16 +175,16 @@ func TestCacheScanResistance(t *testing.T) {
 		}
 		return float64(hits) / hotBlocks
 	}
-	if rate := hotRate(NewCache(capacity), 8); rate < floor {
+	if rate := hotRate(NewCache(capacity).NewHandle(), 8); rate < floor {
 		t.Errorf("hot hit rate %.2f after scan, want >= %.2f", rate, floor)
 	}
-	if rate := hotRate(NewCache(capacity), 1); rate >= floor {
+	if rate := hotRate(NewCache(capacity).NewHandle(), 1); rate >= floor {
 		t.Errorf("a set read once survived the scan (hit rate %.2f) — the regression floor has no teeth", rate)
 	}
 	// The deflected scan traffic must be visible in the stats.
-	c := NewCache(capacity)
-	_ = hotRate(c, 8)
-	if st := c.Stats(); st.AdmissionRejects == 0 {
+	h := NewCache(capacity).NewHandle()
+	_ = hotRate(h, 8)
+	if st := h.Stats(); st.AdmissionRejects == 0 {
 		t.Error("no admission rejects recorded during the scan")
 	} else if st.Resident > st.Capacity {
 		t.Errorf("over budget: resident %d > capacity %d", st.Resident, st.Capacity)
@@ -263,8 +259,8 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Stats().Resident > 1<<16 {
-		t.Fatalf("cache over budget: %d", c.Stats().Resident)
+	if c.Resident() > 1<<16 {
+		t.Fatalf("cache over budget: %d", c.Resident())
 	}
 }
 
@@ -301,7 +297,7 @@ func TestBlockCacheConcurrentContended(t *testing.T) {
 				default:
 					h.Put(table, off, make([]byte, 256))
 				}
-				if u := c.Stats().Resident; u < 0 || u > capacity {
+				if u := c.Resident(); u < 0 || u > capacity {
 					t.Errorf("cache budget violated: used=%d cap=%d", u, capacity)
 					return
 				}
@@ -309,15 +305,15 @@ func TestBlockCacheConcurrentContended(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := c.Stats()
+	st := h.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no cache traffic recorded")
 	}
-	if u := c.Stats().Resident; u > capacity {
+	if u := c.Resident(); u > capacity {
 		t.Fatalf("cache over budget after churn: %d > %d", u, capacity)
 	}
-	if got := h.Stats().Resident; got != c.Stats().Resident {
-		t.Fatalf("tenant resident accounting drifted: handle %d, cache %d", got, c.Stats().Resident)
+	if got := h.Stats().Resident; got != c.Resident() {
+		t.Fatalf("tenant resident accounting drifted: handle %d, cache %d", got, c.Resident())
 	}
 }
 
@@ -383,8 +379,8 @@ func TestReaderServesFromCache(t *testing.T) {
 		w.Add(base.Entry{Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v"), Seq: uint64(i + 1), Kind: base.KindSet})
 	}
 	w.Finish()
-	cache := NewCache(1 << 20)
-	r, err := OpenWithCache(fs, 1, cache.NewHandle())
+	cache := NewCache(1 << 20).NewHandle()
+	r, err := OpenWithCache(fs, 1, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +443,8 @@ func TestMergeIteratorLeavesCacheAlone(t *testing.T) {
 		w.Add(base.Entry{Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v"), Seq: uint64(i + 1), Kind: base.KindSet})
 	}
 	w.Finish()
-	cache := NewCache(8 << 10) // a fraction of the table
-	r, err := OpenWithCache(fs, 1, cache.NewHandle())
+	cache := NewCache(8 << 10).NewHandle() // a fraction of the table
+	r, err := OpenWithCache(fs, 1, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/base"
-	"repro/internal/hll"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -134,12 +133,6 @@ func (r *CLReader) ID() uint64 { return r.idx.id }
 // NumEntries implements Table.
 func (r *CLReader) NumEntries() uint64 { return r.idx.props.numEntries }
 
-// Sketch implements Table.
-func (r *CLReader) Sketch() *hll.Sketch { return r.idx.sketch }
-
-// BuildSketch implements Table: it reads the index, not the logs.
-func (r *CLReader) BuildSketch() error { return r.idx.BuildSketch() }
-
 // Close implements Table.
 func (r *CLReader) Close() error {
 	err := r.idx.Close()
@@ -261,12 +254,10 @@ func (r *CLReader) NewMergeIterator(m *Merge) (Iterator, error) {
 	return &clIter{r: r, inner: inner, logBufs: bufs}, nil
 }
 
-// NewIndexIterator iterates the table's index entries as they are stored,
-// reading no log byte: a fold merges CL-SSTables by merging their indexes
-// and decodes each surviving entry's value with Pointer. Like a merge's
-// iterators, it does not fill the block cache.
+// NewIndexIterator implements Table: a fold merges CL-SSTables by merging
+// their indexes and decodes each surviving entry's value with Pointer.
 func (r *CLReader) NewIndexIterator() Iterator {
-	return r.idx.newIter(true, inArena)
+	return r.idx.NewIndexIterator()
 }
 
 // readLog returns the whole of log, read with one sequential read into

@@ -348,7 +348,7 @@ func decodeProps(b []byte) (props, error) {
 // pairs, then footerMagic; 56 bytes. The footer of a table written before
 // prefix elision (footerMagicV2) also holds a stored HLL sketch's handle,
 // between the filter's and the properties'; 72 bytes. That sketch is never
-// read: a reader builds its own (Reader.BuildSketch).
+// read: the engine keeps an L0 table's sketch beside its metadata.
 const (
 	footerSize       = 3*16 + 8
 	legacyFooterSize = 4*16 + 8

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/bloom"
-	"repro/internal/hll"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -20,7 +19,6 @@ type Reader struct {
 	id     uint64
 	index  []indexEntry
 	filter *bloom.Filter
-	sketch *hll.Sketch // made by BuildSketch
 	props  props
 	legacy bool    // written before prefix elision (footerMagicV2)
 	cache  *Handle // optional view of the shared block cache
@@ -108,25 +106,6 @@ func (r *Reader) ID() uint64 { return r.id }
 // NumEntries implements Table.
 func (r *Reader) NumEntries() uint64 { return r.props.numEntries }
 
-// Sketch implements Table.
-func (r *Reader) Sketch() *hll.Sketch { return r.sketch }
-
-// BuildSketch implements Table. Every key is added once, in order, which
-// is the sketch a writer would have built. Like a merge, it leaves the
-// block cache alone.
-func (r *Reader) BuildSketch() error {
-	s := hll.MustNew(hll.DefaultPrecision)
-	it := r.newIter(true, borrowed)
-	for it.Next() {
-		s.Add(it.Entry().Key)
-	}
-	if err := it.Err(); err != nil {
-		return fmt.Errorf("sstable %d: %w", r.id, err)
-	}
-	r.sketch = s
-	return nil
-}
-
 // Close implements Table.
 func (r *Reader) Close() error { return r.f.Close() }
 
@@ -177,6 +156,11 @@ func (r *Reader) NewIterator() (Iterator, error) {
 // NewMergeIterator implements Table.
 func (r *Reader) NewMergeIterator(*Merge) (Iterator, error) {
 	return r.newIter(true, inArena), nil
+}
+
+// NewIndexIterator implements Table: a classic table stores its entries.
+func (r *Reader) NewIndexIterator() Iterator {
+	return r.newIter(true, inArena)
 }
 
 func (r *Reader) newIter(merge bool, keep keeping) *readerIter {

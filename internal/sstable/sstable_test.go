@@ -182,25 +182,6 @@ func TestTombstonesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSketchSurvives(t *testing.T) {
-	fs := vfs.NewMemFS()
-	r := buildTable(t, fs, 1, 5000)
-	defer r.Close()
-	if r.Sketch() != nil {
-		t.Fatal("a table opened with a sketch it was not asked to build")
-	}
-	if err := r.BuildSketch(); err != nil {
-		t.Fatal(err)
-	}
-	est := float64(r.Sketch().Estimate())
-	if est < 4500 || est > 5500 {
-		t.Fatalf("persisted sketch estimate = %.0f, want ≈5000", est)
-	}
-	if r.Sketch().Count() != 5000 {
-		t.Fatalf("persisted sketch count = %d", r.Sketch().Count())
-	}
-}
-
 func TestOpenErrors(t *testing.T) {
 	fs := vfs.NewMemFS()
 	if _, err := Open(fs, 99); err == nil {

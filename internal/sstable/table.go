@@ -10,7 +10,9 @@
 //
 // Both satisfy the Table interface, which is what the read path, the
 // compaction merge and the manifest operate on — the rest of the engine is
-// format-agnostic.
+// format-agnostic. A table holds no HyperLogLog sketch of its keys:
+// TRIAD-DISK's sketches are made by the engine (internal/lsm) as it writes
+// an L0 table, and kept on its manifest.FileMeta.
 //
 // The shared block cache hands out per-tenant Handles whose resident
 // bytes are reclaimed only by Release; TestCloseReleasesCacheTenant
@@ -21,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/base"
-	"repro/internal/hll"
 	"repro/internal/obs"
 )
 
@@ -43,14 +44,12 @@ type Table interface {
 	NewMergeIterator(m *Merge) (Iterator, error)
 	// NumEntries is the number of records in the table.
 	NumEntries() uint64
-	// Sketch returns the table's HyperLogLog key sketch (TRIAD-DISK), nil
-	// until BuildSketch made it.
-	Sketch() *hll.Sketch
-	// BuildSketch makes Sketch from the table's keys (a CL-SSTable's index
-	// keys). No table stores its sketch; only TRIAD-DISK consults one, and
-	// only an L0 table's, so that engine builds one as it opens an L0
-	// table. Call before the table is shared.
-	BuildSketch() error
+	// NewIndexIterator iterates the entries the table stores, as stored: a
+	// classic table's entries, a CL-SSTable's index entries, whose values
+	// point into its logs (CLReader.Pointer). It reads no log byte and,
+	// like a merge's iterators, does not fill the block cache; its entries
+	// stay valid after Next.
+	NewIndexIterator() Iterator
 	// Close releases file handles.
 	Close() error
 }
