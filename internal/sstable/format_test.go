@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/hll"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -322,5 +323,37 @@ func TestCLIndexBytesPerEntry(t *testing.T) {
 	t.Logf("%d entries, %d bytes: %.2f bytes per entry", entries, n, per)
 	if per > wholeKeys/2 {
 		t.Fatalf("the CL index takes %.2f bytes per entry, more than half of %.2f", per, wholeKeys)
+	}
+}
+
+// TestBuildSketchIsTheWritersSketch: a sketch built from the keys a
+// table's NewIndexIterator yields is the sketch adding each key once, in
+// order, makes — the one the engine makes as it writes an L0 table — for
+// a classic table and a CL-SSTable's index alike, so TRIAD-DISK's overlap
+// estimates do not change when a store reopens.
+func TestBuildSketchIsTheWritersSketch(t *testing.T) {
+	fs := vfs.NewMemFS()
+	r := buildTable(t, fs, 1, 3000)
+	defer r.Close()
+	cl := buildCL(t, fs, 2, 3, 2000)
+	defer cl.Close()
+	for _, tc := range []struct {
+		tab  Table
+		keys int
+	}{{r, 3000}, {cl, 2000}} {
+		want := hll.MustNew(hll.DefaultPrecision)
+		for i := 0; i < tc.keys; i++ {
+			want.Add([]byte(fmt.Sprintf("key-%05d", i)))
+		}
+		got := indexSketch(t, tc.tab)
+		if got.Count() != want.Count() || got.Estimate() != want.Estimate() {
+			t.Fatalf("table %d: built sketch counts %d, estimates %d; the writer's %d, %d", tc.tab.ID(), got.Count(), got.Estimate(), want.Count(), want.Estimate())
+		}
+		// Equal registers: the union with the writer's sketch estimates
+		// the same number of keys.
+		union := got.Clone()
+		if err := union.Merge(want); err != nil || union.Estimate() != want.Estimate() {
+			t.Fatalf("table %d: the union with the writer's sketch estimates %d, not %d", tc.tab.ID(), union.Estimate(), want.Estimate())
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/base"
+	"repro/internal/hll"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -179,6 +180,39 @@ func TestTombstonesRoundTrip(t *testing.T) {
 	e, found, _, err := r.Get([]byte("dead"), nil)
 	if err != nil || !found || e.Kind != base.KindDelete || e.Value != nil {
 		t.Fatalf("tombstone Get = %+v found=%v err=%v", e, found, err)
+	}
+}
+
+// indexSketch makes the sketch of tab's keys the way the engine remakes
+// an L0 table's at recovery: every key NewIndexIterator yields, once, in
+// order.
+func indexSketch(t *testing.T, tab Table) *hll.Sketch {
+	t.Helper()
+	s := hll.MustNew(hll.DefaultPrecision)
+	it := tab.NewIndexIterator()
+	defer it.Close()
+	for it.Next() {
+		s.Add(it.Entry().Key)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSketchSurvives: a table keeps every key a sketch of it needs, so a
+// sketch remade from its index counts and estimates the keys written.
+func TestSketchSurvives(t *testing.T) {
+	fs := vfs.NewMemFS()
+	r := buildTable(t, fs, 1, 5000)
+	defer r.Close()
+	s := indexSketch(t, r)
+	est := float64(s.Estimate())
+	if est < 4500 || est > 5500 {
+		t.Fatalf("remade sketch estimate = %.0f, want ≈5000", est)
+	}
+	if s.Count() != 5000 {
+		t.Fatalf("remade sketch count = %d", s.Count())
 	}
 }
 
